@@ -392,7 +392,7 @@ func benchSimulator(b *testing.B, load float64) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
 }
 
-// Ablation benches: the design choices DESIGN.md calls out.
+// Ablation benches: one design choice varied at a time.
 
 // BenchmarkAblationVCs varies the VC count (the paper fixes 4; 2 is
 // Duato's minimum with one escape channel).

@@ -40,6 +40,10 @@
 //     persist, queued jobs are marked interrupted and resumable. A
 //     draining worker reports its finished points and hands unstarted
 //     ones back for immediate requeue.
+//   - Waiting costs no polling: a status request with ?wait_ms= and a
+//     worker's claim are held server-side (30 s at most; a claim also at
+//     most one -lease-ttl) and answered when the job finishes or work
+//     appears. The 64 most recent finished jobs stay queryable.
 package main
 
 import (
@@ -186,6 +190,9 @@ func main() {
 	log.Printf("draining: in-flight points finish, queued jobs are marked resumable")
 	dctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
+	// The service drains before the listener: srv.Shutdown answers every
+	// held status request and claim as it starts, so hs.Shutdown, which
+	// waits for open requests, has none left to wait out.
 	if err := srv.Shutdown(dctx); err != nil {
 		fatal(err)
 	}

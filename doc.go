@@ -8,10 +8,9 @@
 // The public entry point is internal/core (Config, Run); experiment grids
 // execute through internal/sweep, a deterministic concurrent grid runner
 // with ordered results and a config-keyed memo cache (see README.md's
-// "The sweep engine"). See README.md for a tour, DESIGN.md for the
-// architecture, and EXPERIMENTS.md for the paper-versus-measured
-// comparison of every table and figure. The benchmarks in bench_test.go
-// regenerate each experiment via "go test -bench";
+// "The sweep engine"). See README.md for a tour of the architecture and
+// of every table and figure. The benchmarks in bench_test.go regenerate
+// each experiment via "go test -bench";
 // BenchmarkSweepParallelism measures sweep scaling across worker counts.
 //
 // Beyond the paper's healthy-network evaluation, internal/fault models

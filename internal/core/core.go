@@ -534,8 +534,21 @@ func (c Config) Validate() error {
 				q.HiVCs, adaptiveVCs)
 		}
 	}
-	if c.Table == table.KindInterval && !c.Algorithm.Deterministic() {
-		return fmt.Errorf("core: interval tables require a deterministic algorithm")
+	if c.Table == table.KindInterval {
+		if !c.Algorithm.Deterministic() {
+			return fmt.Errorf("core: interval tables require a deterministic algorithm")
+		}
+		if c.Torus {
+			return fmt.Errorf("core: interval tables support meshes only, not tori; use yx on a 2-D mesh")
+		}
+		// One label interval per port needs each port's destinations to be
+		// one contiguous run of row-major labels, which holds only when the
+		// highest dimension is resolved first: yx in 2-D (xy in 1-D). Under
+		// faults the table keeps exception entries, so any order fits.
+		highFirst := c.Algorithm == AlgYX && len(c.Dims) == 2 || c.Algorithm == AlgXY && len(c.Dims) == 1
+		if c.Faults.Empty() && c.Schedule == nil && !highFirst {
+			return fmt.Errorf("core: %s routing on %s is not interval-expressible (a port would cover a non-contiguous label run); use yx on a 2-D mesh", c.Algorithm, c.Mesh())
+		}
 	}
 	if (c.Table == table.KindMetaRow || c.Table == table.KindMetaBlock) && (len(c.Dims) != 2 || c.Torus) {
 		return fmt.Errorf("core: meta tables require a 2-D mesh")

@@ -24,13 +24,14 @@ type Client struct {
 	Base string
 	// HTTP is the transport (nil: http.DefaultClient).
 	HTTP *http.Client
-	// PollInterval is the status-polling cadence while a job runs
-	// (default 150ms). Wait starts at this cadence and backs off
-	// exponentially with jitter, capped at PollCap.
+	// PollInterval is the least time between Wait's status requests
+	// (default 150ms). A server that holds the request (wait_ms) spends
+	// far longer than this inside each one, so it only paces Wait against
+	// a server that answers at once: one that predates wait_ms, or one
+	// that is draining.
 	PollInterval time.Duration
-	// PollCap bounds the backed-off polling interval (default 16x
-	// PollInterval). Long jobs settle at one status request per cap
-	// instead of hammering the server at the base cadence.
+	// PollCap is ignored: Wait no longer backs off, the server holds the
+	// request instead. The field remains so existing callers compile.
 	PollCap time.Duration
 	// JobTimeout, when set, is sent as each job's deadline.
 	JobTimeout time.Duration
@@ -237,10 +238,31 @@ func (c *Client) Submit(ctx context.Context, points []Point) (JobStatus, error) 
 	}
 }
 
+// hold is how long this client lets the server hold a request (sent as
+// wait_ms): the server's own cap, or half the transport's timeout when
+// that is shorter, so a held request is answered before the transport
+// gives up on it.
+func (c *Client) hold() time.Duration {
+	if t := c.httpClient().Timeout; t > 0 && t/2 < maxHold {
+		return t / 2
+	}
+	return maxHold
+}
+
 // Status fetches a job's progress.
 func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
+	return c.status(ctx, id, 0)
+}
+
+// status is Status with wait_ms: the server answers when the job is
+// terminal or after hold, whichever comes first.
+func (c *Client) status(ctx context.Context, id string, hold time.Duration) (JobStatus, error) {
+	path := "/v1/jobs/" + id
+	if hold > 0 {
+		path += "?wait_ms=" + strconv.FormatInt(hold.Milliseconds(), 10)
+	}
 	var st JobStatus
-	err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
+	err := c.doRetry(ctx, http.MethodGet, path, nil, &st)
 	return st, err
 }
 
@@ -259,44 +281,33 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// pollPolicy is Wait's cadence expressed as the executor's retry curve:
-// the first sleep is PollInterval and each further one doubles with up
-// to 50% jitter, capped at PollCap. Reusing RetryPolicy keeps the two
-// backoff behaviors in the package (point retry, status polling) on one
-// implementation.
-func (c *Client) pollPolicy() RetryPolicy {
-	p := RetryPolicy{BaseBackoff: c.poll(), MaxBackoff: c.PollCap}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 16 * c.poll()
-	}
-	return p.normalize()
-}
-
-// Wait polls a job until it reaches a terminal state or ctx expires,
-// backing the poll interval off exponentially (with jitter, capped —
-// see PollInterval/PollCap) so long-running grids cost one request per
-// cap interval rather than a constant hammering. When ctx expires the
-// job is cancelled server-side before returning, so abandoned client
-// contexts don't leave grids burning server cycles.
+// Wait blocks until a job reaches a terminal state or ctx expires. It
+// asks for the status with wait_ms, so the server holds each request
+// until the job finishes and Wait returns as soon as it does; a long job
+// costs one request per hold, not one per poll interval. A reply that
+// comes back non-terminal sooner than PollInterval was not held, and Wait
+// sleeps out the rest of the interval before asking again. When ctx
+// expires the job is cancelled server-side before returning, so abandoned
+// client contexts don't leave grids burning server cycles.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	pol := c.pollPolicy()
-	for n := 1; ; n++ {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			return st, err
+	hold := c.hold()
+	for {
+		asked := time.Now()
+		st, err := c.status(ctx, id, hold)
+		if err == nil {
+			if st.Terminal() {
+				return st, nil
+			}
+			sleepCtx(ctx, c.poll()-time.Since(asked))
 		}
-		if st.Terminal() {
-			return st, nil
-		}
-		t := time.NewTimer(pol.backoff(n))
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
+		if ctx.Err() != nil {
 			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			c.Cancel(cctx, id)
 			cancel()
 			return st, ctx.Err()
+		}
+		if err != nil {
+			return st, err
 		}
 	}
 }

@@ -47,9 +47,15 @@ func (o ClusterOptions) normalize() ClusterOptions {
 // three POSTs: claim a lease, heartbeat it while simulating, complete it
 // with per-point reports.
 
-// ClaimRequest asks the coordinator for a work unit.
+// ClaimRequest asks the coordinator for a work unit. WaitMS lets the
+// coordinator hold the request while it has nothing to lease — until a
+// unit is seeded or requeued, WaitMS (at most maxHold and one lease TTL,
+// which keeps the worker's last-seen time fresh) passes, or it drains —
+// so an idle worker starts on a new job when it arrives, not at its next
+// poll.
 type ClaimRequest struct {
 	Worker string `json:"worker"`
+	WaitMS int64  `json:"wait_ms,omitempty"`
 }
 
 // ClaimResponse grants a lease (Lease non-empty) or reports no work.
@@ -66,8 +72,11 @@ type ClaimResponse struct {
 	// least every HeartbeatMS or lose the lease after TTLMS of silence.
 	TTLMS       int64 `json:"ttl_ms,omitempty"`
 	HeartbeatMS int64 `json:"heartbeat_ms,omitempty"`
-	// RetryMS is the suggested wait before the next claim when no work
-	// was granted; Draining means the coordinator is shutting down.
+	// RetryMS is how long to wait before the next claim when no work was
+	// granted. It is zero when the coordinator held the claim for its full
+	// wait (the waiting already happened here: claim again at once) and a
+	// heartbeat interval when it did not hold it. Draining means the
+	// coordinator is shutting down.
 	RetryMS  int64 `json:"retry_ms,omitempty"`
 	Draining bool  `json:"draining,omitempty"`
 }
@@ -186,7 +195,10 @@ func (s *Server) runClustered(ctx context.Context, jb *job) ([]sweep.Outcome, er
 	cg := newClusterGrid(jb.id, s.epoch, jb.grid, jb.points, copt.LeaseTTL, s.opt.Retry.normalize().MaxAttempts)
 	s.mu.Lock()
 	cg.onRecord = func(i int, o sweep.Outcome) { s.notePointLocked(jb, o) }
-	cg.onRequeue = func(bool) { jb.retries++ }
+	cg.onRequeue = func(bool) {
+		jb.retries++
+		s.wakeClaimsLocked()
+	}
 	for i, res := range hits {
 		if res != nil {
 			cg.record(i, sweep.Outcome{Result: *res, Cached: true})
@@ -194,6 +206,7 @@ func (s *Server) runClustered(ctx context.Context, jb *job) ([]sweep.Outcome, er
 	}
 	cg.seed(copt.UnitSize)
 	s.cluster = cg
+	s.wakeClaimsLocked()
 	s.mu.Unlock()
 
 	// The failure detector's scan cadence: a dead worker's lease is
@@ -254,31 +267,30 @@ func (s *Server) notCoordinator(w http.ResponseWriter) bool {
 	return true
 }
 
-func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	if s.notCoordinator(w) {
-		return
-	}
-	var req ClaimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "claim needs a worker identity"})
-		return
-	}
-	copt := *s.opt.Cluster
+// wakeClaimsLocked wakes every held claim to look at the queue again
+// (mu held): a unit was seeded or requeued, or the server is draining.
+func (s *Server) wakeClaimsLocked() {
+	close(s.work)
+	s.work = make(chan struct{})
+}
+
+// tryClaim leases the next pending unit to worker. With nothing to
+// lease it returns the channel the next wakeClaimsLocked will close.
+func (s *Server) tryClaim(worker string) (grant *ClaimResponse, wake <-chan struct{}, draining bool) {
+	copt := s.opt.Cluster
 	now := time.Now()
 	s.mu.Lock()
-	s.workersSeen[req.Worker] = now
-	draining := s.closed
+	defer s.mu.Unlock()
+	s.workersSeen[worker] = now
 	cg := s.cluster
-	var u *workUnit
-	if cg != nil && !draining {
-		u = cg.claim(req.Worker, now)
+	if s.closed || cg == nil {
+		return nil, s.work, s.closed
 	}
+	u := cg.claim(worker, now)
 	if u == nil {
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, ClaimResponse{RetryMS: copt.Heartbeat.Milliseconds(), Draining: draining})
-		return
+		return nil, s.work, false
 	}
-	resp := ClaimResponse{
+	grant = &ClaimResponse{
 		Lease:       u.lease,
 		Job:         cg.token,
 		Attempt:     u.attempt,
@@ -288,10 +300,43 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		HeartbeatMS: copt.Heartbeat.Milliseconds(),
 	}
 	for j, i := range u.indices {
-		resp.Points[j] = cg.points[i]
+		grant.Points[j] = cg.points[i]
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	return grant, nil, false
+}
+
+func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
+	if s.notCoordinator(w) {
+		return
+	}
+	var req ClaimRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "claim needs a worker identity"})
+		return
+	}
+	copt := s.opt.Cluster
+	hold := holdFor(req.WaitMS, min(maxHold, copt.LeaseTTL))
+	expired := time.NewTimer(hold)
+	defer expired.Stop()
+	for {
+		grant, wake, draining := s.tryClaim(req.Worker)
+		if grant != nil {
+			writeJSON(w, http.StatusOK, grant)
+			return
+		}
+		if hold == 0 || draining {
+			writeJSON(w, http.StatusOK, ClaimResponse{RetryMS: copt.Heartbeat.Milliseconds(), Draining: draining})
+			return
+		}
+		select {
+		case <-wake:
+		case <-expired.C:
+			writeJSON(w, http.StatusOK, ClaimResponse{})
+			return
+		case <-r.Context().Done():
+			return
+		}
+	}
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -392,11 +437,12 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // Cluster RPCs as Client methods, so the worker loop and tests share
 // one wire implementation with the job-submission client.
 
-// Claim asks a coordinator for a lease. A response with an empty Lease
-// means no work is available right now.
-func (c *Client) Claim(ctx context.Context, worker string) (ClaimResponse, error) {
+// Claim asks a coordinator for a lease, letting it hold the request up
+// to wait while it has no work (0: answer at once). A response with an
+// empty Lease means no work became available.
+func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration) (ClaimResponse, error) {
 	var resp ClaimResponse
-	err := c.do(ctx, http.MethodPost, "/v1/cluster/claim", ClaimRequest{Worker: worker}, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/cluster/claim", ClaimRequest{Worker: worker, WaitMS: wait.Milliseconds()}, &resp)
 	return resp, err
 }
 

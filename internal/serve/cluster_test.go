@@ -338,23 +338,21 @@ func TestClusterStaleJobCompletionDropped(t *testing.T) {
 	}
 }
 
-// claimUntilGranted claims as worker until the coordinator grants a
-// lease (the submitted job may still be dequeuing).
+// claimUntilGranted claims as worker with a held claim, so the grant
+// arrives as soon as the submitted job has been cut into units.
 func claimUntilGranted(t *testing.T, c *Client, worker string) ClaimResponse {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		grant, err := c.Claim(context.Background(), worker)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for {
+		grant, err := c.Claim(ctx, worker, time.Second)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("no lease granted: %v", err)
 		}
 		if grant.Lease != "" {
 			return grant
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatal("no lease granted within the deadline")
-	return ClaimResponse{}
 }
 
 // TestClusterLeaseEpoch: lease identities must be unique across
@@ -545,7 +543,7 @@ func TestClusterGuards(t *testing.T) {
 	if srv.Mode() != "standalone" {
 		t.Fatalf("Mode() = %q, want standalone", srv.Mode())
 	}
-	_, err := c.Claim(context.Background(), "w0")
+	_, err := c.Claim(context.Background(), "w0", 0)
 	var ae *APIStatusError
 	if !errors.As(err, &ae) || ae.Code != http.StatusPreconditionFailed {
 		t.Fatalf("claim against standalone: %v", err)
@@ -556,7 +554,7 @@ func TestClusterGuards(t *testing.T) {
 
 	// A coordinator rejects an anonymous claim.
 	_, c2 := testServer(t, t.TempDir(), ServerOptions{Cluster: fastCluster()})
-	_, err = c2.Claim(context.Background(), "")
+	_, err = c2.Claim(context.Background(), "", 0)
 	if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest {
 		t.Fatalf("anonymous claim: %v", err)
 	}

@@ -5,23 +5,365 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lapses/internal/core"
+	"lapses/internal/sweep"
 )
 
-// TestWaitBackoffPollCount pins the poll loop's backoff: waiting out a
-// job that runs for a fixed wall-clock span must cost a logarithmic
-// handful of status requests, not span/PollInterval of them. With a 1ms
-// base and a 16ms cap, the sleep sequence is at least 1,2,4,8,16,16,...
-// ms (jitter only lengthens sleeps), so a 300ms job is covered by at
-// most ~23 polls; the fixed-cadence loop this replaced would have used
-// ~300.
-func TestWaitBackoffPollCount(t *testing.T) {
+// prompt is the bound a woken waiter must return within. Every client in
+// this file paces itself at neverPoll, so a wait that ends within prompt
+// was ended by the server, not by the client's own cadence.
+const (
+	prompt    = 2 * time.Second
+	neverPoll = time.Minute
+)
+
+// requestLog counts requests by "METHOD path" prefix.
+type requestLog struct {
+	mu   sync.Mutex
+	seen []string
+}
+
+func (l *requestLog) count(prefix string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, s := range l.seen {
+		if strings.HasPrefix(s, prefix) {
+			n++
+		}
+	}
+	return n
+}
+
+// awaitRequests blocks until n requests matching prefix have arrived: a
+// held request is counted on arrival, so this is how a test knows a
+// waiter has reached the server before it triggers the wake-up.
+func (l *requestLog) awaitRequests(t *testing.T, prefix string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); l.count(prefix) < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests for %q never arrived", n, prefix)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// heldServer is testServer with a request log in front of the handler
+// and a client that would poll once a minute if it had to.
+func heldServer(t *testing.T, dir string, opt ServerOptions) (*Server, *Client, *requestLog) {
+	t.Helper()
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store, opt)
+	log := &requestLog{}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		log.mu.Lock()
+		log.seen = append(log.seen, r.Method+" "+r.URL.Path)
+		log.mu.Unlock()
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		srv.Shutdown(ctx)
+		cancel()
+		hs.Close()
+	})
+	return srv, &Client{Base: hs.URL, PollInterval: neverPoll}, log
+}
+
+// gate is a runner that blocks every point until open is called. Tests
+// defer open, so the server's cleanup never drains a blocked executor.
+type gate struct {
+	once    sync.Once
+	release chan struct{}
+}
+
+func newGate() *gate { return &gate{release: make(chan struct{})} }
+
+func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
+
+func (g *gate) run(c core.Config) (core.Result, error) {
+	<-g.release
+	return scripted(c)
+}
+
+type waitResult struct {
+	st  JobStatus
+	err error
+	at  time.Time
+}
+
+func waitAsync(ctx context.Context, c *Client, id string) <-chan waitResult {
+	ch := make(chan waitResult, 1)
+	go func() {
+		st, err := c.Wait(ctx, id)
+		ch <- waitResult{st, err, time.Now()}
+	}()
+	return ch
+}
+
+func (r waitResult) mustBe(t *testing.T, state string, since time.Time) {
+	t.Helper()
+	if r.err != nil {
+		t.Fatalf("Wait: %v", r.err)
+	}
+	if r.st.State != state {
+		t.Fatalf("Wait returned state %q, want %q", r.st.State, state)
+	}
+	if lag := r.at.Sub(since); lag > prompt {
+		t.Fatalf("Wait returned %v after the job turned %s; a held request returns at once", lag, state)
+	}
+}
+
+// TestWaitHeldReturnsOnCompletion: Wait must come back when execute
+// finishes the job, on the one status request it parked.
+func TestWaitHeldReturnsOnCompletion(t *testing.T) {
 	t.Parallel()
+	g := newGate()
+	defer g.open()
+	_, c, log := heldServer(t, t.TempDir(), ServerOptions{Runner: g.run})
+	st, err := c.Submit(context.Background(), mustPoints(t, testGrid(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitAsync(context.Background(), c, st.ID)
+	log.awaitRequests(t, "GET /v1/jobs/"+st.ID, 1)
+	released := time.Now()
+	g.open()
+	(<-done).mustBe(t, JobDone, released)
+	if n := log.count("GET /v1/jobs/" + st.ID); n != 1 {
+		t.Errorf("Wait made %d status requests, want the 1 the server held", n)
+	}
+}
+
+// TestWaitHeldReturnsOnQueuedCancel: DELETE on a queued job finishes it
+// through the same path, so a waiter parked on it wakes too.
+func TestWaitHeldReturnsOnQueuedCancel(t *testing.T) {
+	t.Parallel()
+	g := newGate()
+	defer g.open()
+	_, c, log := heldServer(t, t.TempDir(), ServerOptions{Runner: g.run})
+	ctx := context.Background()
+	if _, err := c.Submit(ctx, mustPoints(t, testGrid(1))); err != nil { // occupies the executor
+		t.Fatal(err)
+	}
+	queued, err := c.Submit(ctx, mustPoints(t, testGrid(2)[1:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitAsync(ctx, c, queued.ID)
+	log.awaitRequests(t, "GET /v1/jobs/"+queued.ID, 1)
+	cancelled := time.Now()
+	if _, err := c.Cancel(ctx, queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	(<-done).mustBe(t, JobCancelled, cancelled)
+}
+
+// TestStatusHoldElapses: a hold that runs out answers 200 with the
+// non-terminal status, and not before the hold has passed.
+func TestStatusHoldElapses(t *testing.T) {
+	t.Parallel()
+	g := newGate()
+	defer g.open()
+	_, c, _ := heldServer(t, t.TempDir(), ServerOptions{Runner: g.run})
+	st, err := c.Submit(context.Background(), mustPoints(t, testGrid(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hold = 40 * time.Millisecond
+	asked := time.Now()
+	got, err := c.status(context.Background(), st.ID, hold)
+	if err != nil {
+		t.Fatalf("elapsed hold: %v", err)
+	}
+	if got.Terminal() {
+		t.Fatalf("blocked job reports %q", got.State)
+	}
+	if held := time.Since(asked); held < hold {
+		t.Fatalf("status answered after %v, before its %v hold ran out", held, hold)
+	}
+}
+
+// TestWaitCancelStillCancelsJob: abandoning a Wait whose request is
+// parked server-side must still cancel the job there.
+func TestWaitCancelStillCancelsJob(t *testing.T) {
+	t.Parallel()
+	g := newGate()
+	defer g.open()
+	_, c, log := heldServer(t, t.TempDir(), ServerOptions{Runner: g.run, Workers: 1})
+	st, err := c.Submit(context.Background(), mustPoints(t, testGrid(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := waitAsync(ctx, c, st.ID)
+	log.awaitRequests(t, "GET /v1/jobs/"+st.ID, 1)
+	cancel()
+	if r := <-done; r.err != context.Canceled {
+		t.Fatalf("abandoned Wait returned %v, want context.Canceled", r.err)
+	}
+	g.open() // the in-flight point drains; the rest never start
+	fin := waitState(t, c, st.ID, func(st JobStatus) bool { return st.Terminal() })
+	if fin.State != JobCancelled {
+		t.Fatalf("job of an abandoned Wait ended %q, want cancelled", fin.State)
+	}
+}
+
+// TestShutdownReleasesHeldRequests: a drain must not wait out parked
+// requests. A status waiter and a claim, both held on a coordinator
+// whose only unit is leased out, return as Shutdown starts; the job ends
+// interrupted.
+func TestShutdownReleasesHeldRequests(t *testing.T) {
+	t.Parallel()
+	srv, c, log := heldServer(t, t.TempDir(), ServerOptions{
+		Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 4},
+	})
+	ctx := context.Background()
+	st, err := c.Submit(ctx, mustPoints(t, testGrid(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claimUntilGranted(t, c, "holder") // the queue is now empty
+	claims := log.count("POST /v1/cluster/claim")
+
+	statusDone := make(chan JobStatus, 1)
+	go func() {
+		got, _ := c.status(ctx, st.ID, maxHold)
+		statusDone <- got
+	}()
+	claimDone := make(chan ClaimResponse, 1)
+	go func() {
+		got, _ := c.Claim(ctx, "parked", maxHold)
+		claimDone <- got
+	}()
+	log.awaitRequests(t, "GET /v1/jobs/"+st.ID, 1)
+	log.awaitRequests(t, "POST /v1/cluster/claim", claims+1)
+
+	sctx, cancel := context.WithTimeout(ctx, prompt)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		t.Fatalf("shutdown with held requests: %v", err)
+	}
+	select {
+	case got := <-claimDone:
+		if got.Lease != "" || !got.Draining {
+			t.Errorf("claim released by the drain: %+v, want an empty draining reply", got)
+		}
+	case <-time.After(prompt):
+		t.Error("held claim still parked after Shutdown returned")
+	}
+	select {
+	case <-statusDone:
+	case <-time.After(prompt):
+		t.Error("held status request still parked after Shutdown returned")
+	}
+	if fin, _ := srv.Status(st.ID); fin.State != JobInterrupted {
+		t.Errorf("drained job is %q, want interrupted", fin.State)
+	}
+}
+
+// TestHeldClaimGetsRequeuedUnit: a claim parked on an empty queue is
+// granted the unit a transient completion hands back, and the unit an
+// orphaned lease's expiry frees — each on the request already parked.
+func TestHeldClaimGetsRequeuedUnit(t *testing.T) {
+	t.Parallel()
+	// parkThenFree leases the job's only unit to "first", parks a claim by
+	// "second" after delay, calls free, and wants that one claim granted.
+	parkThenFree := func(t *testing.T, ttl, delay time.Duration, free func(c *Client, first ClaimResponse)) {
+		_, c, log := heldServer(t, t.TempDir(), ServerOptions{
+			Cluster: &ClusterOptions{LeaseTTL: ttl, UnitSize: 4},
+		})
+		if _, err := c.Submit(context.Background(), mustPoints(t, testGrid(2))); err != nil {
+			t.Fatal(err)
+		}
+		first := claimUntilGranted(t, c, "first")
+		claims := log.count("POST /v1/cluster/claim")
+		time.Sleep(delay)
+		granted := make(chan ClaimResponse, 1)
+		go func() {
+			got, _ := c.Claim(context.Background(), "second", ttl)
+			granted <- got
+		}()
+		log.awaitRequests(t, "POST /v1/cluster/claim", claims+1)
+		free(c, first)
+		got := <-granted
+		if got.Lease == "" || got.Attempt != 2 {
+			t.Fatalf("parked claim got %+v, want the requeued unit on its second attempt", got)
+		}
+	}
+	t.Run("transient", func(t *testing.T) {
+		t.Parallel()
+		parkThenFree(t, 30*time.Second, 0, func(c *Client, first ClaimResponse) {
+			reports := make([]PointReport, len(first.Indices))
+			for j, idx := range first.Indices {
+				reports[j] = PointReport{Index: idx, Error: "worker draining", Transient: true}
+			}
+			if _, err := c.Complete(context.Background(), first.Lease, first.Job, "first", reports); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	t.Run("orphan", func(t *testing.T) {
+		t.Parallel()
+		// "first" goes silent. Its lease expires one TTL after the grant
+		// and is found within TTL/4 more; a hold lasts at most one TTL, so
+		// the second claim parks half a TTL in to still be held by then.
+		const ttl = 400 * time.Millisecond
+		parkThenFree(t, ttl, ttl/2, func(*Client, ClaimResponse) {})
+	})
+}
+
+// TestParkedWorkerStartsJobAtOnce: a job submitted while an idle worker
+// is parked in a held claim starts without waiting out any idle
+// interval — the worker's is a minute here.
+func TestParkedWorkerStartsJobAtOnce(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	_, c, log := heldServer(t, dir, ServerOptions{
+		Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 4},
+	})
+	ws, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{ID: "idle", Coordinators: []string{c.Base}, Store: ws, Workers: 1, Runner: scripted, IdleWait: neverPoll}
+	wctx, stop := context.WithCancel(context.Background())
+	exited := make(chan struct{})
+	go func() { defer close(exited); w.Run(wctx) }()
+	t.Cleanup(func() { stop(); <-exited })
+	log.awaitRequests(t, "POST /v1/cluster/claim", 1)
+
+	ctx, cancel := context.WithTimeout(context.Background(), prompt)
+	defer cancel()
+	outs, err := c.Run(ctx, testGrid(3), sweep.Options{})
+	if err != nil {
+		t.Fatalf("job submitted to a parked worker: %v", err)
+	}
+	for i, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("point %d: %v", i, o.Err)
+		}
+	}
+}
+
+// TestWaitPacesUnheldServer: against a server that ignores wait_ms and
+// answers at once, Wait still terminates and spaces its requests at
+// least PollInterval apart — the one thing PollInterval still means.
+func TestWaitPacesUnheldServer(t *testing.T) {
+	t.Parallel()
+	const interval = 20 * time.Millisecond
+	const runFor = 200 * time.Millisecond
 	var polls atomic.Int64
 	start := time.Now()
-	const runFor = 300 * time.Millisecond
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		polls.Add(1)
 		st := JobStatus{ID: "j1", State: JobRunning}
@@ -32,44 +374,20 @@ func TestWaitBackoffPollCount(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	c := &Client{Base: hs.URL, PollInterval: time.Millisecond}
+	c := &Client{Base: hs.URL, PollInterval: interval}
 	st, err := c.Wait(context.Background(), "j1")
+	took := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.State != JobDone {
 		t.Fatalf("job finished in state %q", st.State)
 	}
-	// Sleeps before poll n sum to >= 1+2+4+8+16*(n-5) ms, so 23 polls
-	// cover >= 303ms even with zero jitter. Leave headroom for slow CI:
-	// the point is the order of magnitude, ~25 vs ~300.
-	if got := polls.Load(); got > 40 {
-		t.Errorf("waiting out a %v job took %d polls; backoff should cap this near 23", runFor, got)
-	} else if got < 2 {
-		t.Errorf("suspiciously few polls (%d): the job cannot have been observed running", got)
+	n := polls.Load()
+	if n < 2 {
+		t.Fatalf("%d polls: the job cannot have been observed running", n)
 	}
-}
-
-// TestPollPolicyDefaults pins the cadence defaults: base = PollInterval
-// (150ms when unset), cap = 16x base unless PollCap overrides it.
-func TestPollPolicyDefaults(t *testing.T) {
-	t.Parallel()
-	c := &Client{}
-	p := c.pollPolicy()
-	if p.BaseBackoff != 150*time.Millisecond || p.MaxBackoff != 16*150*time.Millisecond {
-		t.Errorf("zero client: cadence %v cap %v, want 150ms cap 2.4s", p.BaseBackoff, p.MaxBackoff)
-	}
-	c = &Client{PollInterval: 10 * time.Millisecond, PollCap: 50 * time.Millisecond}
-	p = c.pollPolicy()
-	if p.BaseBackoff != 10*time.Millisecond || p.MaxBackoff != 50*time.Millisecond {
-		t.Errorf("explicit client: cadence %v cap %v, want 10ms cap 50ms", p.BaseBackoff, p.MaxBackoff)
-	}
-	// The curve itself: monotone non-decreasing and capped (jitter adds
-	// at most 50%).
-	for n := 1; n < 12; n++ {
-		d := p.backoff(n)
-		if d < p.BaseBackoff || d > p.MaxBackoff+p.MaxBackoff/2 {
-			t.Errorf("backoff(%d) = %v outside [base, 1.5*cap]", n, d)
-		}
+	if floor := time.Duration(n-1) * interval; took < floor {
+		t.Errorf("%d requests in %v: closer together than the %v PollInterval", n, took, interval)
 	}
 }

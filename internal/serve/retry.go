@@ -78,6 +78,19 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
+// sleepCtx waits d (not at all when d <= 0) or until ctx ends.
+func sleepCtx(ctx context.Context, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
+}
+
 // retry runs fn under the policy: transient failures are retried with
 // jittered exponential backoff until the attempt budget or ctx expires;
 // permanent failures and successes return immediately. The returned

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -36,6 +38,19 @@ const (
 	JobFailed      = "failed"
 	JobCancelled   = "cancelled"
 	JobInterrupted = "interrupted"
+)
+
+const (
+	// maxHold caps how long one request may be held server-side
+	// (GET /v1/jobs/{id}?wait_ms=, POST /v1/cluster/claim wait_ms): long
+	// enough that a waiter costs a request every half minute, short enough
+	// to pass through proxies and idle-connection reapers.
+	maxHold = 30 * time.Second
+	// retainJobs is how many terminal jobs stay queryable. A finished job
+	// pins its grid, wire points and outcomes (~100 KB for a 65-point
+	// grid); the oldest beyond this many are forgotten and answer 404 —
+	// their points stay in the store, so a resubmission is all hits.
+	retainJobs = 64
 )
 
 // ServerOptions configure a Server.
@@ -81,7 +96,8 @@ type job struct {
 	timeout time.Duration
 
 	state     string
-	reason    string // terminal state a canceller chose before cancelling the ctx
+	done      chan struct{} // closed by finishLocked, the only way a job turns terminal
+	reason    string        // terminal state a canceller chose before cancelling the ctx
 	cancel    context.CancelFunc
 	completed int
 	cached    int
@@ -103,7 +119,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string
+	retired  []string // terminal job IDs, oldest first, at most retainJobs
 	nextID   int64
 	queue    chan *job
 	closed   bool
@@ -119,6 +135,9 @@ type Server struct {
 	cluster     *clusterGrid
 	ctot        ClusterStats
 	workersSeen map[string]time.Time
+	// work is what held claims park on: closed and replaced (under mu)
+	// whenever a unit may have become claimable or the server drains.
+	work chan struct{}
 }
 
 // NewServer starts a server executing jobs against store. Call Shutdown
@@ -132,6 +151,7 @@ func NewServer(store *Store, opt ServerOptions) *Server {
 		draining:    make(chan struct{}),
 		execDone:    make(chan struct{}),
 		workersSeen: map[string]time.Time{},
+		work:        make(chan struct{}),
 	}
 	s.queue = make(chan *job, s.opt.QueueLimit)
 	s.mux = http.NewServeMux()
@@ -184,6 +204,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	close(s.queue) // all submitters check closed under mu before sending
+	s.wakeClaimsLocked()
 	s.mu.Unlock()
 	select {
 	case <-s.execDone:
@@ -209,12 +230,10 @@ func (s *Server) execute(jb *job) {
 		s.mu.Unlock()
 		return
 	}
-	select {
-	case <-s.draining:
-		jb.state = JobInterrupted
+	if s.closed {
+		s.finishLocked(jb, JobInterrupted, "")
 		s.mu.Unlock()
 		return
-	default:
 	}
 	jctx, cancel := context.WithCancel(context.Background())
 	if jb.timeout > 0 {
@@ -244,20 +263,31 @@ func (s *Server) execute(jb *job) {
 	jb.cancel = nil
 	switch {
 	case runErr == nil && jb.failed == 0:
-		jb.state = JobDone
+		s.finishLocked(jb, JobDone, "")
 	case runErr == nil:
-		jb.state = JobFailed
-		jb.errMsg = firstFailure(outs, jb.failed)
+		s.finishLocked(jb, JobFailed, firstFailure(outs, jb.failed))
 	case jb.reason != "":
 		// A canceller (DELETE, or Shutdown) chose the terminal state
 		// before cancelling the context.
-		jb.state = jb.reason
+		s.finishLocked(jb, jb.reason, "")
 	case jctx.Err() == context.DeadlineExceeded:
-		jb.state = JobFailed
-		jb.errMsg = fmt.Sprintf("job deadline exceeded after %s (%d of %d points completed)", jb.timeout, jb.completed, len(jb.grid))
+		s.finishLocked(jb, JobFailed, fmt.Sprintf("job deadline exceeded after %s (%d of %d points completed)", jb.timeout, jb.completed, len(jb.grid)))
 	default:
-		jb.state = JobFailed
-		jb.errMsg = runErr.Error()
+		s.finishLocked(jb, JobFailed, runErr.Error())
+	}
+}
+
+// finishLocked makes jb terminal (mu held): it records the state, wakes
+// every status request held on the job, and admits it to the retention
+// window, forgetting the oldest terminal job beyond retainJobs. Queued
+// and running jobs are never in the window, so never forgotten.
+func (s *Server) finishLocked(jb *job, state, errMsg string) {
+	jb.state, jb.errMsg = state, errMsg
+	close(jb.done)
+	s.retired = append(s.retired, jb.id)
+	if len(s.retired) > retainJobs {
+		delete(s.jobs, s.retired[0])
+		s.retired = s.retired[1:]
 	}
 }
 
@@ -386,12 +416,43 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// encodeJSON renders v the way every response body is rendered.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body) // a failed write means the client went away
+}
+
+// writeJSON encodes before it commits to a status: a value JSON cannot
+// carry (a non-finite float) answers 500 with the encoder's error, not
+// the requested code over an empty body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = encodeJSON(apiError{Error: fmt.Sprintf("encoding response: %v", err)}) // a string always encodes
+	}
+	writeBody(w, code, body)
+}
+
+// holdFor reads a request's wait_ms: how long the caller lets the server
+// hold the request, clamped to [0, limit].
+func holdFor(ms int64, limit time.Duration) time.Duration {
+	if ms <= 0 {
+		return 0
+	}
+	if ms > limit.Milliseconds() {
+		return limit
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -431,6 +492,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		points:  req.Points,
 		timeout: timeout,
 		state:   JobQueued,
+		done:    make(chan struct{}),
 	}
 	select {
 	case s.queue <- jb:
@@ -442,25 +504,49 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.jobs[jb.id] = jb
-	s.order = append(s.order, jb.id)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, JobStatus{ID: jb.id, State: JobQueued, Total: len(grid)})
 }
 
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
+	id := r.PathValue("id")
 	s.mu.Lock()
-	jb := s.jobs[r.PathValue("id")]
+	jb := s.jobs[id]
+	issued := s.nextID
 	s.mu.Unlock()
-	if jb == nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("no such job %q", r.PathValue("id"))})
+	if jb != nil {
+		return jb
 	}
-	return jb
+	// IDs are issued in sequence, so one this process handed out that is
+	// no longer in the map fell out of the retention window.
+	msg := fmt.Sprintf("no such job %q", id)
+	var n int64
+	if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n >= 1 && n <= issued {
+		msg = fmt.Sprintf("job %s expired (the server keeps its %d most recent finished jobs); resubmit — completed points are stored", id, retainJobs)
+	}
+	writeJSON(w, http.StatusNotFound, apiError{Error: msg})
+	return nil
 }
 
+// handleStatus answers a job's status. With ?wait_ms=N it holds the
+// request until the job is terminal, N ms (at most maxHold) pass, the
+// caller goes away or the server starts draining — so a waiter learns of
+// completion when it happens rather than at its next poll.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	jb := s.lookupJob(w, r)
 	if jb == nil {
 		return
+	}
+	ms, _ := strconv.ParseInt(r.URL.Query().Get("wait_ms"), 10, 64) // absent or malformed: no hold
+	if hold := holdFor(ms, maxHold); hold > 0 {
+		t := time.NewTimer(hold)
+		select {
+		case <-jb.done:
+		case <-t.C:
+		case <-r.Context().Done():
+		case <-s.draining:
+		}
+		t.Stop()
 	}
 	s.mu.Lock()
 	st := jb.status()
@@ -500,7 +586,23 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 		res.Outcomes[i] = po
 	}
-	writeJSON(w, http.StatusOK, res)
+	body, err := encodeJSON(res)
+	if err != nil {
+		// Some result holds a value JSON cannot carry (a one-message run's
+		// confidence interval is +Inf). Fail those points, deliver the rest.
+		for i := range res.Outcomes {
+			po := &res.Outcomes[i]
+			if po.Result == nil {
+				continue
+			}
+			if _, err := json.Marshal(po.Result); err != nil {
+				*po = PointOutcome{Point: po.Point, Error: fmt.Sprintf("result cannot be served: %v", err)}
+			}
+		}
+		writeJSON(w, http.StatusOK, res)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -511,7 +613,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	switch jb.state {
 	case JobQueued:
-		jb.state = JobCancelled
+		s.finishLocked(jb, JobCancelled, "")
 	case JobRunning:
 		jb.reason = JobCancelled
 		if jb.cancel != nil {

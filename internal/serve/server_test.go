@@ -3,8 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
+	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -494,5 +498,123 @@ func TestClientRunThroughBisect(t *testing.T) {
 	}
 	if got.Lo != want.Lo || got.Hi != want.Hi || got.Converged != want.Converged || got.LoResult != want.LoResult {
 		t.Fatalf("served search diverged:\nserved     %s\nin-process %s", got, want)
+	}
+}
+
+// TestServerRetentionBound: the server keeps the retainJobs most recent
+// terminal jobs and no more. Older IDs answer 404 saying the job expired
+// (its points are stored; resubmit), which reads differently from an ID
+// the server never issued.
+func TestServerRetentionBound(t *testing.T) {
+	t.Parallel()
+	srv, c := testServer(t, t.TempDir(), ServerOptions{Runner: scripted})
+	ctx := context.Background()
+	const extra = 5
+	for i := 0; i < retainJobs+extra; i++ { // the same grid each time: all but the first job are store hits
+		if _, err := c.Run(ctx, testGrid(2), sweep.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.mu.Lock()
+	kept, window := len(srv.jobs), len(srv.retired)
+	srv.mu.Unlock()
+	if kept != retainJobs || window != retainJobs {
+		t.Fatalf("%d jobs kept (%d in the window) after %d finished, want %d", kept, window, retainJobs+extra, retainJobs)
+	}
+
+	var ae *APIStatusError
+	_, err := c.Status(ctx, "j000001")
+	if !errors.As(err, &ae) || ae.Code != http.StatusNotFound || !strings.Contains(ae.Message, "expired") || !strings.Contains(ae.Message, "resubmit") {
+		t.Errorf("evicted job: %v, want 404 saying it expired and to resubmit", err)
+	}
+	if _, err := c.Results(ctx, "j000001"); !errors.As(err, &ae) || ae.Code != http.StatusNotFound {
+		t.Errorf("evicted job results: %v, want 404", err)
+	}
+	_, err = c.Status(ctx, "j999999")
+	if !errors.As(err, &ae) || ae.Code != http.StatusNotFound || strings.Contains(ae.Message, "expired") {
+		t.Errorf("never-issued job: %v, want a plain 404", err)
+	}
+	if st, err := c.Status(ctx, "j000006"); err != nil || st.State != JobDone {
+		t.Errorf("oldest job inside the window: %+v, %v", st, err)
+	}
+}
+
+// TestServerRetentionSparesLiveJobs: only terminal jobs enter the
+// retention window, so a running job and one queued behind it outlive any
+// number of jobs that finish around them.
+func TestServerRetentionSparesLiveJobs(t *testing.T) {
+	t.Parallel()
+	g := newGate()
+	defer g.open()
+	srv, c := testServer(t, t.TempDir(), ServerOptions{Runner: g.run, QueueLimit: retainJobs + 8})
+	ctx := context.Background()
+	running, err := c.Submit(ctx, mustPoints(t, testGrid(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := c.Submit(ctx, mustPoints(t, testGrid(2)[1:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < retainJobs+2; i++ { // queued, then cancelled: terminal at once
+		st, err := c.Submit(ctx, mustPoints(t, testGrid(3)[2:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Cancel(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if st, ok := srv.Status(id); !ok || st.Terminal() {
+			t.Errorf("live job %s after %d others finished: %+v, known=%v", id, retainJobs+2, st, ok)
+		}
+	}
+}
+
+// TestServerNonFiniteResult: a result JSON cannot carry (a one-message
+// run has an infinite confidence interval) fails that point with a
+// message saying so. The rest of the job is delivered, the store logs the
+// key it could not persist, and nothing answers 200 over an empty body.
+// Not parallel: it captures the process-wide logger.
+func TestServerNonFiniteResult(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	grid := testGrid(3)
+	runner := func(cfg core.Config) (core.Result, error) {
+		res, err := scripted(cfg)
+		if cfg.Seed == 2 {
+			res.CI95 = math.Inf(1)
+		}
+		return res, err
+	}
+	_, c := testServer(t, t.TempDir(), ServerOptions{Runner: runner})
+	got, err := c.Run(context.Background(), grid, sweep.Options{})
+	if err != nil {
+		t.Fatalf("one unencodable point failed the whole job: %v", err)
+	}
+	if got[1].Err == nil || !strings.Contains(got[1].Err.Error(), "+Inf") {
+		t.Errorf("unencodable point: err=%v, want the encoder's complaint", got[1].Err)
+	}
+	for _, i := range []int{0, 2} {
+		want, _ := scripted(grid[i])
+		if got[i].Err != nil || got[i].Result != want {
+			t.Errorf("finite point %d: %+v err=%v", i, got[i].Result, got[i].Err)
+		}
+	}
+	st, err := c.StoreStats(context.Background())
+	if err != nil || st.PutFailures != 1 || st.Entries != 2 {
+		t.Errorf("store after an unencodable result: %+v err=%v", st, err)
+	}
+	if !strings.Contains(logged.String(), grid[1].Key()) {
+		t.Errorf("put failure logged without the point's key:\n%s", logged.String())
+	}
+
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
+		t.Errorf("unencodable response: %d %q, want 500 carrying the encoder's error", rec.Code, rec.Body.String())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -327,11 +328,8 @@ func (s *Store) Do(ctx context.Context, cfg core.Config, run func(core.Config) (
 		f.res, f.err = run(cfg)
 		if f.err == nil {
 			if perr := s.put(key, f.res); perr != nil {
-				// The result is still valid; only durability was
-				// lost. Count it so operators see the disk problem.
-				s.mu.Lock()
-				s.putFailures++
-				s.mu.Unlock()
+				// The result is still valid; only durability was lost.
+				s.putFailed(key, perr)
 			}
 		}
 		s.mu.Lock()
@@ -381,10 +379,18 @@ func (s *Store) Ensure(key string, res core.Result) {
 		return
 	}
 	if err := s.put(key, res); err != nil {
-		s.mu.Lock()
-		s.putFailures++
-		s.mu.Unlock()
+		s.putFailed(key, err)
 	}
+}
+
+// putFailed counts a completed point whose durable write failed and logs
+// which one, so operators see the disk problem — or the result JSON
+// cannot carry (a non-finite float) — instead of a bare counter.
+func (s *Store) putFailed(key string, err error) {
+	s.mu.Lock()
+	s.putFailures++
+	s.mu.Unlock()
+	log.Printf("store: result of %s is not durable: %v", key, err)
 }
 
 // StoreStats is a point-in-time counter snapshot. Hits and Misses count

@@ -18,12 +18,19 @@
 //   - server.go / retry.go: Server, the HTTP job service — bounded
 //     queue with 429 backpressure, per-job deadlines and cancellation,
 //     panic-isolated points, transient-failure retry with exponential
-//     backoff and jitter, polling progress, graceful drain.
+//     backoff and jitter, graceful drain. Every job turns terminal in one
+//     place, which wakes the status requests held on it: GET
+//     /v1/jobs/{id}?wait_ms=N answers when the job finishes or after N ms
+//     (at most 30 s). The 64 most recent finished jobs stay queryable;
+//     older IDs answer 404 "expired; resubmit".
 //   - client.go: Client, the thin consumer the CLIs use
 //     (lapses-experiments -server); Client.Sweep satisfies
 //     sweep.RunFunc, so grids and bisection probes route through a
 //     server unchanged. Idempotent requests ride a transport-retry
 //     loop (connection errors and gateway 5xx, jittered backoff).
+//     Client.Wait is a loop over the held status call; PollInterval is
+//     the least time between two of them, which only a server that
+//     does not hold (older, or draining) makes it sleep.
 //   - cluster.go / lease.go / worker.go: cluster mode. One server
 //     instance runs in one of three roles. Standalone (the default)
 //     simulates jobs in-process. A coordinator (ServerOptions.Cluster
@@ -36,6 +43,10 @@
 //     loop, simulating against the shared Store so every finished
 //     point is durable before it is reported and re-executing a
 //     requeued lease costs zero re-simulation for persisted points.
+//     An idle worker's claim carries wait_ms too: the coordinator holds
+//     it (at most 30 s and one lease TTL) until a unit is seeded or
+//     requeued, so Worker.IdleWait only spaces claim rounds while no
+//     coordinator answers.
 package serve
 
 import (

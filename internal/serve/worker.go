@@ -47,9 +47,10 @@ type Worker struct {
 	HTTP *http.Client
 	// Runner replaces core.Run per point — the test seam.
 	Runner func(core.Config) (core.Result, error)
-	// IdleWait is the base wait between claims when no work is available
-	// (default 250ms; grows with jittered backoff while idle, capped at
-	// 8x).
+	// IdleWait is the base wait between claim rounds while no coordinator
+	// is reachable (default 250ms; grows with jittered backoff, capped at
+	// 8x). A reachable coordinator with no work holds the claim instead,
+	// and the worker claims again as soon as it is answered.
 	IdleWait time.Duration
 	// Verbose, when non-nil, receives one line per lease executed.
 	Verbose io.Writer
@@ -84,13 +85,14 @@ func (w *Worker) client(i int) *Client {
 
 // claim asks each coordinator in turn (starting from the last one that
 // answered) for a lease. Transport errors rotate to the next peer; a
-// reachable coordinator with no work ends the round.
+// reachable coordinator with no work holds the claim until it has some
+// (or its hold runs out), which ends the round.
 func (w *Worker) claim(ctx context.Context) (*Client, ClaimResponse, error) {
 	var lastErr error
 	for k := 0; k < len(w.Coordinators); k++ {
 		i := (w.cur + k) % len(w.Coordinators)
 		co := w.client(i)
-		resp, err := co.Claim(ctx, w.ID)
+		resp, err := co.Claim(ctx, w.ID, co.hold())
 		if err != nil {
 			lastErr = err
 			continue
@@ -110,31 +112,26 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	pol := RetryPolicy{BaseBackoff: w.idle(), MaxBackoff: 8 * w.idle(), MaxAttempts: 1}.normalize()
 	misses := 0
-	for {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
+	for ctx.Err() == nil {
 		co, grant, err := w.claim(ctx)
-		if err != nil || grant.Lease == "" {
-			// No coordinator reachable, or no work: idle with jittered
-			// backoff so a fleet of idle workers doesn't poll in step.
+		switch {
+		case err != nil:
+			// No coordinator reachable: back off, jittered so a fleet of
+			// orphaned workers doesn't retry in step.
 			misses++
-			wait := pol.backoff(misses)
-			if err == nil && grant.RetryMS > 0 && time.Duration(grant.RetryMS)*time.Millisecond > wait {
-				wait = time.Duration(grant.RetryMS) * time.Millisecond
-			}
-			t := time.NewTimer(wait)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			}
-			continue
+			sleepCtx(ctx, pol.backoff(misses))
+		case grant.Lease == "":
+			// No work. A coordinator that held the claim says RetryMS 0
+			// (the wait already happened there); one that did not — it is
+			// draining, or predates held claims — says when to come back.
+			misses = 0
+			sleepCtx(ctx, time.Duration(grant.RetryMS)*time.Millisecond)
+		default:
+			misses = 0
+			w.execute(ctx, co, grant)
 		}
-		misses = 0
-		w.execute(ctx, co, grant)
 	}
+	return ctx.Err()
 }
 
 // execute runs one leased unit to completion (or abandonment) and
