@@ -34,8 +34,7 @@
 // simulate exactly once. Interrupting (Ctrl-C) cancels cleanly at the
 // next point boundary.
 //
-// Output is the paper's row/series format; see EXPERIMENTS.md for the
-// committed paper-vs-measured comparison.
+// Output is the paper's row/series format.
 package main
 
 import (

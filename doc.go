@@ -13,6 +13,15 @@
 // each experiment via "go test -bench";
 // BenchmarkSweepParallelism measures sweep scaling across worker counts.
 //
+// Construction is organised as a few bulk operations: a structure's
+// routing tables are programmed in one parallel pass (table.BuildAll)
+// and cached per process behind a single-flight (core's plumbing cache,
+// 64 structures), and every run's network — routers, NIs, fabric
+// bindings, traffic sources — is carved from one arena of slabs
+// (router.NewBlock, traffic.NewSources), so a point's fixed cost is a
+// few hundred allocations at any mesh size. See README.md "Cost of a
+// point".
+//
 // Beyond the paper's healthy-network evaluation, internal/fault models
 // degraded topologies: deterministic plans of failed links and routers,
 // threaded through routing (up*/down* escape over the live graph, Duato

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 
+	"lapses/internal/bounded"
 	"lapses/internal/fault"
 	"lapses/internal/network"
 	"lapses/internal/router"
@@ -534,6 +535,22 @@ func (c Config) Validate() error {
 				q.HiVCs, adaptiveVCs)
 		}
 	}
+	// The healthy yx and turn-model routing functions exist in two
+	// dimensions only (routing.NewDimOrder and the turn models panic
+	// otherwise). Under faults or a schedule every algorithm but Duato
+	// routes up*/down* over the live graph, whatever the dimensions.
+	if c.Faults.Empty() && c.Schedule == nil {
+		switch c.Algorithm {
+		case AlgYX:
+			if len(c.Dims) != 2 {
+				return fmt.Errorf("core: yx routing needs two dimensions, not %s; use xy, or yx on a 2-D mesh", c.Mesh())
+			}
+		case AlgNorthLast, AlgWestFirst, AlgNegativeFirst:
+			if len(c.Dims) != 2 || c.Torus {
+				return fmt.Errorf("core: %s is a turn model, defined for a 2-D mesh, not %s; use xy or duato", c.Algorithm, c.Mesh())
+			}
+		}
+	}
 	if c.Table == table.KindInterval {
 		if !c.Algorithm.Deterministic() {
 			return fmt.Errorf("core: interval tables require a deterministic algorithm")
@@ -698,21 +715,64 @@ type plumbing struct {
 	epochTbls [][]table.Table
 }
 
-// plumbingCache memoizes plumbing per structural configuration for the
-// lifetime of the process. Sweeps construct thousands of networks that
+// maxStructures caps the plumbing cache. One entry is a structure's whole
+// table set — a few hundred kilobytes for ES tables, 27 MB for full
+// tables on a 32x32 mesh — and every distinct fault plan or schedule is
+// its own structure, so a service fed random plans would otherwise grow
+// for as long as it runs. 64 holds every structure of a figure run (the
+// experiments touch at most a few dozen) with room for a fault sweep's
+// working set.
+const maxStructures = 64
+
+// structures memoizes plumbing per structural configuration, oldest
+// structure forgotten first. Sweeps construct thousands of networks that
 // differ only in workload and seed; rebuilding tables for each run used
 // to be a visible fraction of low-load sweep time. The key includes the
 // fault plan's canonical content: two runs differing only in damage must
 // never share an algorithm or tables (TestPlumbingKeyedByFaults pins
 // this), while equal damage from distinct Plan values still shares.
-var plumbingCache sync.Map
+var structures = bounded.New[string, *plumbingEntry](maxStructures)
+
+// plumbingEntry is one structure's build, run at most once however many
+// goroutines ask for it while it is cold.
+type plumbingEntry struct {
+	once sync.Once
+	p    *plumbing
+	err  error
+}
+
+// cachedPlumbing returns the plumbing that cache holds under key, building it
+// with build on first touch. Concurrent first touches (sweep workers whose
+// points share a cold structure) wait for one build instead of each paying
+// it. An error is as much a function of the key as the tables are and is
+// remembered like them; an evicted structure is simply built again.
+func cachedPlumbing(cache *bounded.Map[string, *plumbingEntry], key string, build func() (*plumbing, error)) (*plumbing, error) {
+	e, ok := cache.Load(key)
+	if !ok {
+		e, _ = cache.LoadOrStore(key, new(plumbingEntry))
+	}
+	e.once.Do(func() {
+		// A build that panics (sweep and serve recover per point) must
+		// not leave later callers a nil structure.
+		e.err = fmt.Errorf("core: building the routing tables of %s panicked", key)
+		e.p, e.err = build()
+	})
+	return e.p, e.err
+}
 
 func (c Config) plumbing() (*plumbing, error) {
-	key := fmt.Sprintf("d%v,t%t,v%d,e%d,a%d,tb%d,f[%s],fs[%s]",
+	return cachedPlumbing(structures, c.structureKey(), c.buildPlumbing)
+}
+
+// structureKey identifies everything buildPlumbing reads.
+func (c Config) structureKey() string {
+	return fmt.Sprintf("d%v,t%t,v%d,e%d,a%d,tb%d,f[%s],fs[%s]",
 		c.Dims, c.Torus, c.VCs, c.EscapeVCs, int(c.Algorithm), int(c.Table), c.Faults.Key(), c.Schedule.Key())
-	if v, ok := plumbingCache.Load(key); ok {
-		return v.(*plumbing), nil
-	}
+}
+
+// buildPlumbing is the cold path behind the cache: the routing function,
+// then every node's table in one parallel pass (table.BuildAll).
+func (c Config) buildPlumbing() (*plumbing, error) {
 	m := c.Mesh()
 	cls := c.class()
 	if s := c.Schedule; s != nil {
@@ -728,19 +788,13 @@ func (c Config) plumbing() (*plumbing, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, _ := plumbingCache.LoadOrStore(key, &plumbing{m: m, cls: cls, alg: alg, tbls: epochTbls[0], epochTbls: epochTbls})
-		return v.(*plumbing), nil
+		return &plumbing{m: m, cls: cls, alg: alg, tbls: epochTbls[0], epochTbls: epochTbls}, nil
 	}
 	alg, err := c.buildAlgorithm(m, cls)
 	if err != nil {
 		return nil, err
 	}
-	tbls := make([]table.Table, m.N())
-	for id := range tbls {
-		tbls[id] = table.Build(c.Table, m, alg, cls, topology.NodeID(id))
-	}
-	v, _ := plumbingCache.LoadOrStore(key, &plumbing{m: m, cls: cls, alg: alg, tbls: tbls})
-	return v.(*plumbing), nil
+	return &plumbing{m: m, cls: cls, alg: alg, tbls: table.BuildAll(c.Table, m, alg, cls)}, nil
 }
 
 // Run builds the network described by cfg and executes the measurement

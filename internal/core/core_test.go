@@ -88,50 +88,59 @@ func TestValidation(t *testing.T) {
 }
 
 // TestIntervalValidateOrRun: every interval-table configuration over
-// the deterministic algorithms, mesh and torus, healthy and degraded,
-// must either be rejected by Validate or run — table.NewInterval panics
-// on what it cannot express, and Validate is what keeps a config from
-// reaching it. The rejection must name a combination that works.
+// the deterministic algorithms, and every algorithm over ES tables, in
+// one to three dimensions, mesh and torus, healthy and degraded, must
+// either be rejected by Validate or run — table.NewInterval panics on
+// what it cannot express, routing.NewDimOrder and the turn models on
+// dimensions they are not defined for, and Validate is what keeps a
+// config from reaching them. The rejection must name what works.
 func TestIntervalValidateOrRun(t *testing.T) {
 	ran := 0
-	for _, dims := range [][]int{{4, 4}, {3, 3, 3}} {
+	for _, dims := range [][]int{{8}, {4, 4}, {3, 3, 3}} {
 		for _, torus := range []bool{false, true} {
 			for _, alg := range Algs {
-				if !alg.Deterministic() {
-					continue
-				}
-				for _, damage := range []string{"healthy", "faults", "schedule"} {
-					c := smoke()
-					c.Dims, c.Torus, c.Algorithm, c.Table = dims, torus, alg, table.KindInterval
-					c.Warmup, c.Measure, c.Load = 10, 50, 0.05
-					var err error
-					switch damage {
-					case "faults":
-						c.Faults, err = fault.Random(c.Mesh(), 1, 0, 7)
-					case "schedule":
-						c.Schedule, err = fault.ParseSchedule(c.Mesh(), "0-1@100:200")
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					name := fmt.Sprintf("%s %s on %s", damage, alg, c.Mesh())
-					if verr := c.Validate(); verr != nil {
-						if !strings.Contains(verr.Error(), "yx on a 2-D mesh") {
-							t.Errorf("%s: rejection does not say what works: %v", name, verr)
-						}
+				for _, tb := range []table.Kind{table.KindInterval, table.KindES} {
+					if tb == table.KindInterval && !alg.Deterministic() {
 						continue
 					}
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								t.Errorf("%s: passed Validate, then panicked: %v", name, r)
+					for _, damage := range []string{"healthy", "faults", "schedule"} {
+						if damage != "healthy" && len(dims) == 1 && !torus {
+							continue // any failed link disconnects a line
+						}
+						c := smoke()
+						c.Dims, c.Torus, c.Algorithm, c.Table = dims, torus, alg, tb
+						c.Warmup, c.Measure, c.Load = 10, 50, 0.05
+						var err error
+						switch damage {
+						case "faults":
+							c.Faults, err = fault.Random(c.Mesh(), 1, 0, 7)
+						case "schedule":
+							c.Schedule, err = fault.ParseSchedule(c.Mesh(), "0-1@100:200")
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("%s %s/%s on %s", damage, alg, tb, c.Mesh())
+						if verr := c.Validate(); verr != nil {
+							if !strings.Contains(verr.Error(), "2-D mesh") {
+								t.Errorf("%s: rejection does not say what works: %v", name, verr)
+							}
+							continue
+						}
+						func() {
+							defer func() {
+								if r := recover(); r != nil {
+									t.Errorf("%s: passed Validate, then panicked: %v", name, r)
+								}
+							}()
+							if _, err := Run(c); err != nil {
+								t.Errorf("%s: passed Validate, then failed: %v", name, err)
+							}
+							if tb == table.KindInterval {
+								ran++
 							}
 						}()
-						if _, err := Run(c); err != nil {
-							t.Errorf("%s: passed Validate, then failed: %v", name, err)
-						}
-						ran++
-					}()
+					}
 				}
 			}
 		}

@@ -7,7 +7,7 @@
 // internal/sweep engine, so sweeps scale with GOMAXPROCS (or an explicit
 // Runner.Workers) and shared baselines memoize through Runner.Cache.
 // Results render in the paper's format, so paper-vs-measured comparisons
-// in EXPERIMENTS.md are mechanical.
+// are mechanical.
 package experiments
 
 import (

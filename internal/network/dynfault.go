@@ -146,7 +146,8 @@ func (n *Network) applyTransition(e int, now int64) {
 			}
 		})
 	}
-	for id, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		node := topology.NodeID(id)
 		deadMask := n.deadPortMask(node)
 		nodeDead := plan.NodeDead(node)
@@ -156,7 +157,8 @@ func (n *Network) applyTransition(e int, now int64) {
 			}
 		})
 	}
-	for id, x := range n.nis {
+	for id := range n.nis {
+		x := &n.nis[id]
 		nodeDead := plan.NodeDead(topology.NodeID(id))
 		for _, s := range x.streams {
 			if s.msg != nil && (nodeDead || plan.NodeDead(s.msg.Dst) || drained(s.msg)) {
@@ -188,14 +190,16 @@ func (n *Network) applyTransition(e int, now int64) {
 		})
 		n.droppedFlits += int64(removed)
 	}
-	for id, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		n.droppedFlits += int64(r.PurgeMessages(victim, now-1))
 		occ := r.Occupancy()
 		sh := n.shards[n.nodeShard[id]]
 		sh.totalOcc += occ - int(n.lastOcc[id])
 		n.lastOcc[id] = int32(occ)
 	}
-	for id, x := range n.nis {
+	for id := range n.nis {
+		x := &n.nis[id]
 		sh := x.sh
 		for v := range x.streams {
 			if m := x.streams[v].msg; m != nil && vict[m] {
@@ -235,12 +239,14 @@ func (n *Network) applyTransition(e int, now int64) {
 
 	// --- Reconverge ---------------------------------------------------
 	tbls := n.epochTables[e]
-	for id, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		r.SetTable(tbls[id])
 		r.SetDeadPorts(n.deadPortMask(topology.NodeID(id)))
 	}
 	la := n.cfg.Router.LookAhead
-	for id, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		node := topology.NodeID(id)
 		r.Reroute(func(p topology.Port, m *flow.Message) flow.RouteSet {
 			nb, ok := n.m.Neighbor(node, p)
@@ -299,7 +305,8 @@ func (n *Network) recomputeCredits() {
 		})
 	}
 	depth := n.cfg.Router.BufDepth
-	for id, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		node := topology.NodeID(id)
 		for p := 1; p < n.ports; p++ {
 			nb, ok := n.m.Neighbor(node, topology.Port(p))
@@ -316,7 +323,8 @@ func (n *Network) recomputeCredits() {
 			}
 		}
 	}
-	for id, x := range n.nis {
+	for id := range n.nis {
+		x := &n.nis[id]
 		node := topology.NodeID(id)
 		for v := 0; v < vcs; v++ {
 			c := depth -
@@ -366,11 +374,7 @@ func BuildEpochTables(m *topology.Mesh, kind table.Kind, cls routing.Class, sche
 		if err != nil {
 			return nil, fmt.Errorf("network: epoch %d: %w", e, err)
 		}
-		tbls := make([]table.Table, m.N())
-		for id := 0; id < m.N(); id++ {
-			tbls[id] = table.Build(kind, m, a, cls, topology.NodeID(id))
-		}
-		out[e] = tbls
+		out[e] = table.BuildAll(kind, m, a, cls)
 	}
 	return out, nil
 }

@@ -13,7 +13,8 @@ import (
 // track, for invariant checks.
 func (n *Network) scanOccupancy() int {
 	total := 0
-	for _, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		total += r.Occupancy()
 	}
 	return total
@@ -21,7 +22,8 @@ func (n *Network) scanOccupancy() int {
 
 func (n *Network) scanQueued() int {
 	total := 0
-	for _, x := range n.nis {
+	for id := range n.nis {
+		x := &n.nis[id]
 		total += x.pending()
 	}
 	return total
@@ -68,12 +70,14 @@ func TestActiveSetCoversAllWork(t *testing.T) {
 	n := New(cfg)
 	for i := 0; i < 4000; i++ {
 		n.Step()
-		for id, r := range n.routers {
+		for id := range n.routers {
+			r := &n.routers[id]
 			if r.Active() && !n.routerOnSet(id) {
 				t.Fatalf("cycle %d: router %d has %d flits but is off the active set", i, id, r.Occupancy())
 			}
 		}
-		for id, x := range n.nis {
+		for id := range n.nis {
+			x := &n.nis[id]
 			if x.pending() > 0 && !n.niOnSet(id) {
 				t.Fatalf("cycle %d: NI %d has %d pending but is off the active set", i, id, x.pending())
 			}

@@ -69,7 +69,8 @@ func (n *Network) linkStats(snap LinkSnapshot) []LinkStat {
 		elapsed = 1
 	}
 	var out []LinkStat
-	for id, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		for p := 0; p < n.m.NumPorts(); p++ {
 			port := topology.Port(p)
 			if port != topology.PortLocal {

@@ -285,10 +285,14 @@ func (w *wheel[E]) take(at int64) []E {
 
 // Network is a complete simulated interconnect.
 type Network struct {
-	cfg     Config
-	m       *topology.Mesh
-	routers []*router.Router
-	nis     []*ni
+	cfg Config
+	m   *topology.Mesh
+	// routers, nis and fabrics are value slabs indexed by node id: a
+	// network is built from a fixed number of allocations whatever its
+	// size (see New), and a component is always reached as &slab[id].
+	routers []router.Router
+	nis     []ni
+	fabrics []nodeFabric
 	now     int64
 
 	// shards carry all per-cycle mutable scheduler state — wheels, active
@@ -398,13 +402,12 @@ func New(cfg Config) *Network {
 		})
 	}
 	n := &Network{
-		cfg:     cfg,
-		m:       m,
-		routers: make([]*router.Router, m.N()),
-		nis:     make([]*ni, m.N()),
-		notify:  cfg.Selection.IsNotify(),
-		plan:    cfg.Faults,
-		sched:   cfg.Schedule,
+		cfg:    cfg,
+		m:      m,
+		ports:  m.NumPorts(),
+		notify: cfg.Selection.IsNotify(),
+		plan:   cfg.Faults,
+		sched:  cfg.Schedule,
 	}
 	if cfg.Schedule != nil {
 		n.epochTables = cfg.EpochTables
@@ -444,48 +447,47 @@ func New(cfg Config) *Network {
 		}
 		n.shards[b] = sh
 	}
-	for id := 0; id < m.N(); id++ {
-		node := topology.NodeID(id)
-		tbl := table.Table(nil)
-		switch {
-		case cfg.Schedule != nil:
-			tbl = n.epochTables[0][id]
-		case cfg.Tables != nil:
-			tbl = cfg.Tables[id]
-		default:
-			tbl = table.Build(cfg.Table, m, cfg.Algorithm, cfg.Class, node)
-		}
-		sel := selection.New(cfg.Selection, cfg.Seed+int64(id)*7919)
-		n.routers[id] = router.New(node, m, cfg.Router, tbl, sel)
-		if cfg.Schedule != nil {
-			n.routers[id].SetDeadPorts(n.deadPortMask(node))
-		}
+	tbls := cfg.Tables
+	switch {
+	case cfg.Schedule != nil:
+		tbls = n.epochTables[0]
+	case tbls == nil:
+		tbls = table.BuildAll(cfg.Table, m, cfg.Algorithm, cfg.Class)
 	}
-	n.ports = m.NumPorts()
-	n.links = make([]link, m.N()*m.NumPorts())
+	n.routers = router.NewBlock(m, cfg.Router, 0, tbls,
+		selection.NewBlock(cfg.Selection, m.N(), cfg.Seed, 7919))
+	n.links = make([]link, m.N()*n.ports)
 	for id := 0; id < m.N(); id++ {
-		for p := 0; p < m.NumPorts(); p++ {
+		for p := 0; p < n.ports; p++ {
 			// A statically failed link is simply not wired: it can carry
 			// neither flits nor credits, and a router erroneously routing
-			// onto one hits the missing-link panic in sendFunc. Under a
+			// onto one hits the missing-link panic in Send. Under a
 			// schedule every link is wired — liveness is dynamic, enforced
 			// by dead-port gating and the transition purge instead.
 			if cfg.Schedule == nil && cfg.Faults.LinkDead(topology.NodeID(id), topology.Port(p)) {
 				continue
 			}
 			if nb, ok := m.Neighbor(topology.NodeID(id), topology.Port(p)); ok {
-				n.links[id*m.NumPorts()+p] = link{node: nb, port: topology.Opposite(topology.Port(p)), ok: true}
+				n.links[id*n.ports+p] = link{node: nb, port: topology.Opposite(topology.Port(p)), ok: true}
 			}
 		}
 	}
-	for id := 0; id < m.N(); id++ {
+	n.newNIs()
+	n.fabrics = make([]nodeFabric, m.N())
+	for id := range n.fabrics {
 		node := topology.NodeID(id)
-		r := n.routers[id]
-		r.SetFabric(n.sendFunc(node), n.creditFunc(node), n.deliverFunc(node))
-		if cfg.EventMode {
-			r.SetEventFabric(n.wormSendFunc(node), n.creditNFunc(node), n.releaseFunc(node))
+		f := &n.fabrics[id]
+		*f = nodeFabric{
+			n:     n,
+			node:  node,
+			links: n.links[id*n.ports : (id+1)*n.ports],
+			src:   n.shards[n.nodeShard[id]],
+			ni:    &n.nis[id],
 		}
-		n.nis[id] = newNI(n, node, r)
+		n.routers[id].SetFabric(f)
+		if cfg.Schedule != nil {
+			n.routers[id].SetDeadPorts(n.deadPortMask(node))
+		}
 	}
 	n.lastOcc = make([]int32, m.N())
 	// Every NI starts idle; park each on the wake heap at its first
@@ -493,10 +495,11 @@ func New(cfg Config) *Network {
 	// NIs on statically dead routers never register: they inject nothing.
 	// Under a schedule every NI registers — a node dead now may heal, and
 	// its traffic process must keep consuming its due events meanwhile.
-	for id, x := range n.nis {
+	for id := range n.nis {
 		if cfg.Schedule == nil && cfg.Faults.NodeDead(topology.NodeID(id)) {
 			continue
 		}
+		x := &n.nis[id]
 		if at, ok := x.nextWake(); ok {
 			x.sh.wakes.push(wake{at: at, node: int32(id)})
 		}
@@ -504,128 +507,115 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// sendFunc routes a flit leaving node through port onto the wire; it
+// nodeFabric is one router's surroundings (router.Fabric): the links
+// leaving its node, the wheels of the shard that owns it, and its NI.
+type nodeFabric struct {
+	n     *Network
+	node  topology.NodeID
+	links []link // this node's row of Network.links, indexed by port
+	src   *shard
+	ni    *ni
+}
+
+// Send routes a flit leaving the node through port p onto the wire; it
 // arrives (is latched) at the neighbor after the output register plus the
 // link delay. A flit staying inside the sender's shard is scheduled
 // directly on that shard's wheel; one crossing a shard boundary is
 // appended to the sender shard's outbound mailbox and drained into the
 // destination wheel at the cycle barrier — always before its due cycle,
 // because arrival is at least two cycles out.
-func (n *Network) sendFunc(node topology.NodeID) router.SendFunc {
-	links := n.links[int(node)*n.ports : (int(node)+1)*n.ports]
-	src := n.shards[n.nodeShard[node]]
-	return func(from topology.NodeID, p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
-		l := links[p]
-		if !l.ok {
-			panic(fmt.Sprintf("network: node %d sent out port %d with no link", node, p))
-		}
-		at := now + 1 + int64(n.cfg.LinkDelay)
-		e := flitEvent{node: l.node, port: l.port, vc: v, fl: fl}
-		if d := n.nodeShard[l.node]; int(d) == src.idx {
-			src.flits.schedule(at, e)
-		} else {
-			src.outFlits[d] = append(src.outFlits[d], timedFlit{at: at, e: e})
-		}
+func (f *nodeFabric) Send(p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
+	l := f.links[p]
+	if !l.ok {
+		panic(fmt.Sprintf("network: node %d sent out port %d with no link", f.node, p))
+	}
+	at := now + 1 + int64(f.n.cfg.LinkDelay)
+	e := flitEvent{node: l.node, port: l.port, vc: v, fl: fl}
+	if d := f.n.nodeShard[l.node]; int(d) == f.src.idx {
+		f.src.flits.schedule(at, e)
+	} else {
+		f.src.outFlits[d] = append(f.src.outFlits[d], timedFlit{at: at, e: e})
 	}
 }
 
-// creditFunc returns a freed input-buffer slot upstream: to the neighbor's
+// Credit returns a freed input-buffer slot upstream: to the neighbor's
 // output VC, or to the local NI for the injection port. Cross-shard
 // credits ride the mailbox like flits do.
-func (n *Network) creditFunc(node topology.NodeID) router.CreditFunc {
-	links := n.links[int(node)*n.ports : (int(node)+1)*n.ports]
-	src := n.shards[n.nodeShard[node]]
-	return func(from topology.NodeID, p topology.Port, v flow.VCID, now int64) {
-		at := now + 1 + int64(n.cfg.LinkDelay)
-		if p == topology.PortLocal {
-			src.credits.schedule(at, creditEvent{kind: creditToNI, node: node, vc: v, n: 1})
-			return
-		}
-		l := links[p]
-		if !l.ok {
-			panic(fmt.Sprintf("network: credit out port %d with no link", p))
-		}
-		e := creditEvent{node: l.node, port: l.port, vc: v, n: 1}
-		if n.notify {
-			// Sample the issuing router's congestion at credit time: the
-			// closure runs during this node's own phase-A step, so the
-			// read is shard-local and the run stays bit-identical for any
-			// shard count.
-			e.cong = n.routers[node].CongestionLevel()
-		}
-		if d := n.nodeShard[l.node]; int(d) == src.idx {
-			src.credits.schedule(at, e)
-		} else {
-			src.outCredits[d] = append(src.outCredits[d], timedCredit{at: at, e: e})
-		}
+func (f *nodeFabric) Credit(p topology.Port, v flow.VCID, now int64) {
+	at := now + 1 + int64(f.n.cfg.LinkDelay)
+	if p == topology.PortLocal {
+		f.src.credits.schedule(at, creditEvent{kind: creditToNI, node: f.node, vc: v, n: 1})
+		return
+	}
+	l := f.links[p]
+	if !l.ok {
+		panic(fmt.Sprintf("network: credit out port %d with no link", p))
+	}
+	e := creditEvent{node: l.node, port: l.port, vc: v, n: 1}
+	if f.n.notify {
+		// Sample the issuing router's congestion at credit time: this
+		// runs during the node's own phase-A step, so the read is
+		// shard-local and the run stays bit-identical for any shard
+		// count.
+		e.cong = f.n.routers[f.node].CongestionLevel()
+	}
+	if d := f.n.nodeShard[l.node]; int(d) == f.src.idx {
+		f.src.credits.schedule(at, e)
+	} else {
+		f.src.outCredits[d] = append(f.src.outCredits[d], timedCredit{at: at, e: e})
 	}
 }
 
-// wormSendFunc is sendFunc's event-mode sibling: the flit is the head of
-// an entire worm crossing the wire as one event (see router.EventWorm).
-func (n *Network) wormSendFunc(node topology.NodeID) router.WormSendFunc {
-	links := n.links[int(node)*n.ports : (int(node)+1)*n.ports]
-	src := n.shards[n.nodeShard[node]]
-	return func(from topology.NodeID, p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
-		l := links[p]
-		if !l.ok {
-			panic(fmt.Sprintf("network: node %d sent worm out port %d with no link", node, p))
-		}
-		at := now + 1 + int64(n.cfg.LinkDelay)
-		e := flitEvent{node: l.node, port: l.port, vc: v, fl: fl, worm: true}
-		if d := n.nodeShard[l.node]; int(d) == src.idx {
-			src.flits.schedule(at, e)
-		} else {
-			src.outFlits[d] = append(src.outFlits[d], timedFlit{at: at, e: e})
-		}
+// SendWorm is Send's event-mode sibling: the flit is the head of an
+// entire worm crossing the wire as one event (see router.EventWorm).
+func (f *nodeFabric) SendWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
+	l := f.links[p]
+	if !l.ok {
+		panic(fmt.Sprintf("network: node %d sent worm out port %d with no link", f.node, p))
+	}
+	at := now + 1 + int64(f.n.cfg.LinkDelay)
+	e := flitEvent{node: l.node, port: l.port, vc: v, fl: fl, worm: true}
+	if d := f.n.nodeShard[l.node]; int(d) == f.src.idx {
+		f.src.flits.schedule(at, e)
+	} else {
+		f.src.outFlits[d] = append(f.src.outFlits[d], timedFlit{at: at, e: e})
 	}
 }
 
-// creditNFunc is creditFunc's batched sibling: count credits return in one
-// event, due when a worm transit's tail would have cleared the downstream
+// CreditN is Credit's batched sibling: count credits return in one event,
+// due when a worm transit's tail would have cleared the downstream
 // crossbar.
-func (n *Network) creditNFunc(node topology.NodeID) router.CreditNFunc {
-	links := n.links[int(node)*n.ports : (int(node)+1)*n.ports]
-	src := n.shards[n.nodeShard[node]]
-	return func(from topology.NodeID, p topology.Port, v flow.VCID, count int, now int64) {
-		at := now + 1 + int64(n.cfg.LinkDelay)
-		if p == topology.PortLocal {
-			src.credits.schedule(at, creditEvent{kind: creditToNI, node: node, vc: v, n: int32(count)})
-			return
-		}
-		l := links[p]
-		if !l.ok {
-			panic(fmt.Sprintf("network: batched credit out port %d with no link", p))
-		}
-		e := creditEvent{node: l.node, port: l.port, vc: v, n: int32(count)}
-		if n.notify {
-			e.cong = n.routers[node].CongestionLevel()
-		}
-		if d := n.nodeShard[l.node]; int(d) == src.idx {
-			src.credits.schedule(at, e)
-		} else {
-			src.outCredits[d] = append(src.outCredits[d], timedCredit{at: at, e: e})
-		}
+func (f *nodeFabric) CreditN(p topology.Port, v flow.VCID, count int, now int64) {
+	at := now + 1 + int64(f.n.cfg.LinkDelay)
+	if p == topology.PortLocal {
+		f.src.credits.schedule(at, creditEvent{kind: creditToNI, node: f.node, vc: v, n: int32(count)})
+		return
+	}
+	l := f.links[p]
+	if !l.ok {
+		panic(fmt.Sprintf("network: batched credit out port %d with no link", p))
+	}
+	e := creditEvent{node: l.node, port: l.port, vc: v, n: int32(count)}
+	if f.n.notify {
+		e.cong = f.n.routers[f.node].CongestionLevel()
+	}
+	if d := f.n.nodeShard[l.node]; int(d) == f.src.idx {
+		f.src.credits.schedule(at, e)
+	} else {
+		f.src.outCredits[d] = append(f.src.outCredits[d], timedCredit{at: at, e: e})
 	}
 }
 
-// releaseFunc schedules an event-mode VC release on the router's own
-// shard: a worm transit frees its claimed output VC the cycle after its
-// tail leaves the output stage. Releases are always intra-shard (a router
+// Release schedules an event-mode VC release on the router's own shard: a
+// worm transit frees its claimed output VC the cycle after its tail
+// leaves the output stage. Releases are always intra-shard (a router
 // releases its own VC), so they never ride a mailbox.
-func (n *Network) releaseFunc(node topology.NodeID) router.ReleaseFunc {
-	src := n.shards[n.nodeShard[node]]
-	return func(p topology.Port, v flow.VCID, at int64) {
-		src.credits.schedule(at, creditEvent{kind: creditRelease, node: node, port: p, vc: v})
-	}
+func (f *nodeFabric) Release(p topology.Port, v flow.VCID, at int64) {
+	f.src.credits.schedule(at, creditEvent{kind: creditRelease, node: f.node, port: p, vc: v})
 }
 
-// deliverFunc hands ejected flits to the destination NI.
-func (n *Network) deliverFunc(node topology.NodeID) router.DeliverFunc {
-	return func(fl flow.Flit, now int64) {
-		n.nis[node].deliver(fl, now)
-	}
-}
+// Deliver hands ejected flits to the node's NI.
+func (f *nodeFabric) Deliver(fl flow.Flit, now int64) { f.ni.deliver(fl, now) }
 
 // Step advances the network one cycle: deliver due events, let active NIs
 // generate and inject, then tick active routers. Idle components are
@@ -724,24 +714,20 @@ func (n *Network) SkippedCycles() int64 { return n.ffSkipped }
 func (n *Network) Delivered() int64 { return n.delivered }
 
 // Router exposes a router for inspection in tests.
-func (n *Network) Router(id topology.NodeID) *router.Router { return n.routers[id] }
+func (n *Network) Router(id topology.NodeID) *router.Router { return &n.routers[id] }
 
 // traceHorizon returns the last injection time of the configured trace.
 func (n *Network) traceHorizon() int64 {
 	var last int64
-	for _, ni := range n.nis {
-		if ni.trace != nil {
-			for _, tm := range ni.trace.Due(1 << 62) {
+	for i := range n.nis {
+		if x := &n.nis[i]; x.trace != nil {
+			for _, tm := range x.trace.Due(1 << 62) {
 				if tm.At > last {
 					last = tm.At
 				}
 			}
-		}
-	}
-	// Due consumed the cursors; rebuild them for the actual run.
-	for _, ni := range n.nis {
-		if n.cfg.Trace != nil {
-			ni.trace = n.cfg.Trace.Cursor(ni.node)
+			// Due consumed the cursor; rebuild it for the actual run.
+			x.trace = n.cfg.Trace.Cursor(x.node)
 		}
 	}
 	return last

@@ -42,36 +42,39 @@ type ni struct {
 	rel *niRel
 }
 
-func newNI(n *Network, node topology.NodeID, r *router.Router) *ni {
+// newNIs builds every node's NI out of slabs: the NIs themselves, their
+// injection streams and credit counters, and (inside traffic.NewSources)
+// the generation processes with their random streams.
+func (n *Network) newNIs() {
 	v := n.cfg.Router.NumVCs
-	var src traffic.Source
-	if n.cfg.Burst != nil {
-		src = traffic.NewMMPP(n.cfg.MsgRate, *n.cfg.Burst, n.cfg.Seed+int64(node))
-	} else {
-		src = traffic.NewInjector(n.cfg.MsgRate, n.cfg.Seed+int64(node))
+	n.nis = make([]ni, n.m.N())
+	streams := make([]stream, len(n.nis)*v)
+	credits := make([]int, len(n.nis)*v)
+	for i := range credits {
+		credits[i] = n.cfg.Router.BufDepth
 	}
-	x := &ni{
-		net:     n,
-		sh:      n.shards[n.nodeShard[node]],
-		node:    node,
-		r:       r,
-		inj:     src,
-		streams: make([]stream, v),
-		credits: make([]int, v),
-	}
-	if n.cfg.Trace != nil {
-		x.trace = n.cfg.Trace.Cursor(node)
-	}
-	if n.rel != nil {
-		x.rel = &niRel{
-			nextSeq: make([]int64, n.m.N()),
-			recv:    make([]recvState, n.m.N()),
+	srcs := traffic.NewSources(len(n.nis), n.cfg.MsgRate, n.cfg.Burst, n.cfg.Seed)
+	for id := range n.nis {
+		x := &n.nis[id]
+		*x = ni{
+			net:     n,
+			sh:      n.shards[n.nodeShard[id]],
+			node:    topology.NodeID(id),
+			r:       &n.routers[id],
+			inj:     srcs[id],
+			streams: streams[id*v : (id+1)*v],
+			credits: credits[id*v : (id+1)*v],
+		}
+		if n.cfg.Trace != nil {
+			x.trace = n.cfg.Trace.Cursor(x.node)
+		}
+		if n.rel != nil {
+			x.rel = &niRel{
+				nextSeq: make([]int64, n.m.N()),
+				recv:    make([]recvState, n.m.N()),
+			}
 		}
 	}
-	for i := range x.credits {
-		x.credits[i] = r.InputSpace(topology.PortLocal, flow.VCID(i))
-	}
-	return x
 }
 
 // pending returns messages queued or mid-injection. A zero return means
@@ -116,7 +119,7 @@ func (n *Network) inject(msg *flow.Message) {
 	if n.plan.NodeDead(msg.Src) || n.plan.NodeDead(msg.Dst) {
 		panic("network: inject touching a dead router")
 	}
-	x := n.nis[msg.Src]
+	x := &n.nis[msg.Src]
 	x.queue = append(x.queue, msg)
 	x.sh.totalQueued++
 	x.sh.actNIs.add(int(msg.Src) - x.sh.lo)

@@ -174,7 +174,8 @@ func (n *Network) relBusyScan() bool {
 	if n.rel == nil {
 		return false
 	}
-	for _, x := range n.nis {
+	for id := range n.nis {
+		x := &n.nis[id]
 		if x.rel == nil {
 			continue
 		}

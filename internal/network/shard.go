@@ -184,7 +184,7 @@ func (n *Network) stepShard(sh *shard, now int64) {
 					// A single-flit worm is its own head; there is nothing
 					// left to serialize.
 					if msg.Length > 1 {
-						x := n.nis[e.node]
+						x := &n.nis[e.node]
 						x.streams[e.vc] = stream{msg: msg, seq: 1}
 						x.credits[e.vc] += msg.Length - 1
 						sh.totalQueued++
@@ -225,7 +225,7 @@ func (n *Network) stepShard(sh *shard, now int64) {
 	}
 
 	sh.actNIs.forEach(func(local int32) bool {
-		x := n.nis[sh.lo+int(local)]
+		x := &n.nis[sh.lo+int(local)]
 		before := x.pending()
 		x.tick(now)
 		after := x.pending()

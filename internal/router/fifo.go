@@ -16,7 +16,7 @@ import "lapses/internal/flow"
 // and therefore only a lone newest entry can still be in its latch cycle.
 //
 // Flow control (full, space) is defined by the logical depth, while the
-// physical slice starts small and doubles on demand up to depth: buffers
+// physical slice starts small and grows on demand up to depth: buffers
 // only reach their credit limit under contention, so the common case
 // keeps the allocated — and GC-scanned — footprint a fraction of the
 // worst case without changing behavior.
@@ -39,11 +39,14 @@ func (f *fifo) space() int  { return f.depth - f.n }
 // cycle (pushed before now). Only meaningful on a nonempty fifo.
 func (f *fifo) headReady(now int64) bool { return f.n > 1 || f.lastPush < now }
 
-// grow doubles the physical buffer (bounded by depth), unwrapping the
+// grow quadruples the physical buffer (bounded by depth), unwrapping the
 // ring so the queue starts at slot 0 again. Only called when the physical
 // ring is full, so the live entries are buf[head:] followed by buf[:head].
+// A buffer that outgrows its seed slots is holding a stalled worm and
+// mostly goes on to its full depth: from the 4-slot seed a 20-flit buffer
+// gets there in two steps instead of three.
 func (f *fifo) grow() {
-	cap2 := 2 * len(f.buf)
+	cap2 := 4 * len(f.buf)
 	if cap2 > f.depth {
 		cap2 = f.depth
 	}

@@ -87,33 +87,35 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// SendFunc transmits a flit onto the link leaving the router through port,
-// tagged with the virtual channel it travels on (the downstream input VC).
-// The network fabric schedules its arrival at the neighbor.
-type SendFunc func(from topology.NodeID, port topology.Port, vc flow.VCID, fl flow.Flit, now int64)
-
-// CreditFunc returns one credit upstream for the input buffer slot freed
-// on (port, vc). For the local port the credit goes to the node's NI.
-type CreditFunc func(from topology.NodeID, port topology.Port, vc flow.VCID, now int64)
-
-// WormSendFunc transmits an entire express worm onto the link leaving
-// through port as a single event: fl is the head flit and the remaining
-// flits of fl.Msg follow at link rate (one per cycle) behind it. now is
-// the cycle the head leaves the output stage. Event mode only.
-type WormSendFunc func(from topology.NodeID, port topology.Port, vc flow.VCID, fl flow.Flit, now int64)
-
-// CreditNFunc returns count credits upstream for (port, vc) in one event
-// due at cycle now — the batched equivalent of count CreditFunc calls.
-// Event mode only.
-type CreditNFunc func(from topology.NodeID, port topology.Port, vc flow.VCID, count int, now int64)
-
-// ReleaseFunc schedules the release of the output VC a worm transit
-// claimed, at cycle at (the cycle after its tail leaves the output stage).
-// The fabric must call ReleaseExpress exactly then. Event mode only.
-type ReleaseFunc func(port topology.Port, vc flow.VCID, at int64)
-
-// DeliverFunc hands an ejected flit to the local network interface.
-type DeliverFunc func(fl flow.Flit, now int64)
+// Fabric is everything outside one router that the router acts on: the
+// links leaving it, the credit channels back upstream and the local
+// network interface. The network hands every router its own Fabric (one
+// small value per node, all in one slab), so a call needs no "from"
+// argument and costs one indirect call, like the closures it replaced.
+// The last three methods are used in event mode only.
+type Fabric interface {
+	// Send transmits a flit onto the link leaving through port, tagged
+	// with the virtual channel it travels on (the downstream input VC).
+	// The fabric schedules its arrival at the neighbor.
+	Send(port topology.Port, vc flow.VCID, fl flow.Flit, now int64)
+	// Credit returns one credit upstream for the input buffer slot freed
+	// on (port, vc). For the local port the credit goes to the node's NI.
+	Credit(port topology.Port, vc flow.VCID, now int64)
+	// Deliver hands an ejected flit to the local network interface.
+	Deliver(fl flow.Flit, now int64)
+	// SendWorm transmits an entire express worm onto the link leaving
+	// through port as a single event: fl is the head flit and the
+	// remaining flits of fl.Msg follow at link rate (one per cycle)
+	// behind it. now is the cycle the head leaves the output stage.
+	SendWorm(port topology.Port, vc flow.VCID, fl flow.Flit, now int64)
+	// CreditN returns count credits upstream for (port, vc) in one event
+	// due at cycle now — the batched equivalent of count Credit calls.
+	CreditN(port topology.Port, vc flow.VCID, count int, now int64)
+	// Release schedules the release of the output VC a worm transit
+	// claimed, at cycle at (the cycle after its tail leaves the output
+	// stage). The fabric must call ReleaseExpress exactly then.
+	Release(port topology.Port, vc flow.VCID, at int64)
+}
 
 // input VC pipeline states.
 type vcPhase uint8
@@ -212,13 +214,12 @@ type Router struct {
 
 	// portOf and vcBase map a VC index (inIdx) back to its physical port
 	// and the first index of that port's VC group, replacing the per-flit
-	// divisions the hot stages would otherwise pay.
+	// divisions the hot stages would otherwise pay. They depend only on
+	// the port and VC counts, so every router of a block shares one pair.
 	portOf []int8
 	vcBase []int16
 
-	send    SendFunc
-	credit  CreditFunc
-	deliver DeliverFunc
+	fab Fabric
 
 	// occupancy tracks buffered flits for quiescence checks.
 	occupancy int
@@ -239,11 +240,6 @@ type Router struct {
 	linkBusyFrom  []int64
 	linkBusyUntil []int64
 
-	// Event-mode callbacks (SetEventFabric); nil on the cycle path.
-	sendWorm WormSendFunc
-	creditN  CreditNFunc
-	release  ReleaseFunc
-
 	// deadPorts is the set of output ports whose link is currently failed
 	// (bit p set). The SA stage and express admission never choose a dead
 	// candidate, so a header routed by a pre-transition table one hop
@@ -253,85 +249,98 @@ type Router struct {
 	deadPorts uint32
 }
 
-// New constructs a router for node id, programmed with the given table and
-// selection policy. Callbacks must be set with SetFabric before the first
-// Tick.
-func New(id topology.NodeID, m *topology.Mesh, cfg Config, tbl table.Table, sel selection.Selector) *Router {
+// NewBlock constructs the routers of nodes base, base+1, ... — one per
+// table, router i programmed with tbls[i] and selecting with sels[i] — out
+// of one arena: the routers are one value slab, and every per-router slice
+// (VC state, port counters, arbiters, buffer storage, express windows) is a
+// window of a block-wide slab, so a network of any size costs a fixed
+// number of allocations and neighbouring routers' state is contiguous.
+// Callers wire each router with SetFabric before its first Tick.
+func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.Table, sels []selection.Selector) []Router {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	n := len(tbls)
 	np := m.NumPorts()
-	r := &Router{
-		id:    id,
-		mesh:  m,
-		cfg:   cfg,
-		tbl:   tbl,
-		sel:   sel,
-		wrap:  m.Wrap(),
-		ports: np,
-		in:    make([]inputVC, np*cfg.NumVCs),
-		out:   make([]outputVC, np*cfg.NumVCs),
-		meta:  make([]portMeta, np),
-	}
-	arbSlab := make([]arbiter.RoundRobin, 3*np)
-	r.xbArb, r.muxAr, r.vcArb = arbSlab[:np], arbSlab[np:2*np], arbSlab[2*np:]
-	// Slab-allocate initial buffer storage for the router in two
-	// contiguous blocks, so construction is two allocations instead of
-	// one per VC and a router's working set is dense in the cache. Input
-	// buffers start at a fraction of their credit depth and grow on
+	nvc := np * cfg.NumVCs
+	// Input buffers start at a fraction of their credit depth and grow on
 	// demand (see fifo).
 	seed := cfg.BufDepth
 	if seed > 4 {
 		seed = 4
 	}
-	inSlab := make([]flow.Flit, len(r.in)*seed)
-	for i := range r.in {
-		r.in[i].buf.init(inSlab[i*seed:(i+1)*seed], cfg.BufDepth)
-	}
-	outSlab := make([]flow.Flit, len(r.out)*cfg.OutDepth)
-	for i := range r.out {
-		r.out[i].owner = -1
-		r.out[i].credits = cfg.BufDepth
-		r.out[i].box.init(outSlab[i*cfg.OutDepth : (i+1)*cfg.OutDepth])
-	}
-	for p := 0; p < np; p++ {
-		r.xbArb[p] = arbiter.MakeRoundRobin(np * cfg.NumVCs)
-		r.muxAr[p] = arbiter.MakeRoundRobin(cfg.NumVCs)
-		r.vcArb[p] = arbiter.MakeRoundRobin(cfg.NumVCs)
-	}
-	for p := range r.meta {
-		r.meta[p].lastUsed = -1
-	}
+	var resv flow.VCMask
 	if cfg.ResvVCs > 0 {
-		r.resvMask = flow.MaskAll(cfg.NumVCs) &^ flow.MaskAll(cfg.NumVCs-cfg.ResvVCs)
+		resv = flow.MaskAll(cfg.NumVCs) &^ flow.MaskAll(cfg.NumVCs-cfg.ResvVCs)
 	}
-	r.expressOut = make([]int8, np)
-	r.linkBusyFrom = make([]int64, np)
-	r.linkBusyUntil = make([]int64, np)
-	for p := range r.linkBusyUntil {
-		r.linkBusyFrom[p] = -1
-		r.linkBusyUntil[p] = -1
+	portOf := make([]int8, nvc)
+	vcBase := make([]int16, nvc)
+	for i := range portOf {
+		portOf[i] = int8(i / cfg.NumVCs)
+		vcBase[i] = int16(i / cfg.NumVCs * cfg.NumVCs)
 	}
-	r.portOf = make([]int8, len(r.in))
-	r.vcBase = make([]int16, len(r.in))
-	for i := range r.in {
-		r.portOf[i] = int8(i / cfg.NumVCs)
-		r.vcBase[i] = int16(i / cfg.NumVCs * cfg.NumVCs)
+
+	rs := make([]Router, n)
+	in := make([]inputVC, n*nvc)
+	out := make([]outputVC, n*nvc)
+	meta := make([]portMeta, n*np)
+	arbs := make([]arbiter.RoundRobin, n*3*np)
+	flits := make([]flow.Flit, n*nvc*(seed+cfg.OutDepth))
+	express := make([]int8, n*np)
+	busy := make([]int64, n*2*np)
+	for i := range in {
+		in[i].buf.init(flits[i*seed:(i+1)*seed], cfg.BufDepth)
 	}
-	return r
+	boxes := flits[len(in)*seed:]
+	for i := range out {
+		out[i].owner = -1
+		out[i].credits = cfg.BufDepth
+		out[i].box.init(boxes[i*cfg.OutDepth : (i+1)*cfg.OutDepth])
+	}
+	for i := range meta {
+		meta[i].lastUsed = -1
+	}
+	for i := range busy {
+		busy[i] = -1
+	}
+	xb, vc := arbiter.MakeRoundRobin(nvc), arbiter.MakeRoundRobin(cfg.NumVCs)
+	for i := range rs {
+		a := arbs[i*3*np : (i+1)*3*np]
+		for p := 0; p < np; p++ {
+			a[p], a[np+p], a[2*np+p] = xb, vc, vc
+		}
+		rs[i] = Router{
+			id:            base + topology.NodeID(i),
+			mesh:          m,
+			cfg:           cfg,
+			tbl:           tbls[i],
+			sel:           sels[i],
+			wrap:          m.Wrap(),
+			ports:         np,
+			in:            in[i*nvc : (i+1)*nvc],
+			out:           out[i*nvc : (i+1)*nvc],
+			meta:          meta[i*np : (i+1)*np],
+			xbArb:         a[:np],
+			muxAr:         a[np : 2*np],
+			vcArb:         a[2*np:],
+			portOf:        portOf,
+			vcBase:        vcBase,
+			resvMask:      resv,
+			expressOut:    express[i*np : (i+1)*np],
+			linkBusyFrom:  busy[i*2*np : i*2*np+np],
+			linkBusyUntil: busy[i*2*np+np : (i+1)*2*np],
+		}
+	}
+	return rs
 }
 
-// SetFabric wires the router's outbound callbacks.
-func (r *Router) SetFabric(send SendFunc, credit CreditFunc, deliver DeliverFunc) {
-	r.send, r.credit, r.deliver = send, credit, deliver
+// New constructs a single router for node id: a block of one.
+func New(id topology.NodeID, m *topology.Mesh, cfg Config, tbl table.Table, sel selection.Selector) *Router {
+	return &NewBlock(m, cfg, id, []table.Table{tbl}, []selection.Selector{sel})[0]
 }
 
-// SetEventFabric wires the event-mode callbacks (worm sends, batched
-// credits, deferred VC releases). Only networks running in event mode set
-// these; the cycle-accurate path never calls them.
-func (r *Router) SetEventFabric(sendWorm WormSendFunc, creditN CreditNFunc, release ReleaseFunc) {
-	r.sendWorm, r.creditN, r.release = sendWorm, creditN, release
-}
+// SetFabric wires the router to its surroundings.
+func (r *Router) SetFabric(f Fabric) { r.fab = f }
 
 // ID returns the router's node.
 func (r *Router) ID() topology.NodeID { return r.id }
@@ -445,7 +454,7 @@ func (r *Router) EventWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64
 	L := int64(msg.Length)
 	// The L input-buffer slots the upstream sender debited were never
 	// filled; they all free when the tail would have cleared the crossbar.
-	r.creditN(r.id, p, v, int(L), now+L-1+offC)
+	r.fab.CreditN(p, v, int(L), now+L-1+offC)
 	ovc := &r.out[cl.idx]
 	op := int(cl.port)
 	r.meta[op].useCount += uint64(L)
@@ -457,7 +466,7 @@ func (r *Router) EventWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64
 		tail := flow.Flit{Msg: msg, Seq: int32(L - 1), Type: flow.TypeFor(int(L-1), msg.Length)}
 		ovc.owner = -1
 		r.meta[op].busyVCs--
-		r.deliver(tail, now+L-1+offS)
+		r.fab.Deliver(tail, now+L-1+offS)
 		return true
 	}
 	ovc.credits -= int(L)
@@ -468,8 +477,8 @@ func (r *Router) EventWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64
 		r.linkBusyFrom[op] = now + offS
 	}
 	r.linkBusyUntil[op] = now + L - 1 + offS
-	r.sendWorm(r.id, cl.port, cl.vc, fl, now+offS)
-	r.release(cl.port, cl.vc, now+L-1+offS+1)
+	r.fab.SendWorm(cl.port, cl.vc, fl, now+offS)
+	r.fab.Release(cl.port, cl.vc, now+L-1+offS+1)
 	return true
 }
 
@@ -623,13 +632,13 @@ func (r *Router) expressForward(idx int, ivc *inputVC, fl flow.Flit, now int64) 
 	// The buffer slot the upstream sender debited was never filled, but
 	// the credit protocol is unchanged: the slot frees when the crossbar
 	// would have drained it.
-	r.credit(r.id, topology.Port(r.portOf[idx]), flow.VCID(idx-int(r.vcBase[idx])), now+offC)
+	r.fab.Credit(topology.Port(r.portOf[idx]), flow.VCID(idx-int(r.vcBase[idx])), now+offC)
 	ovc := &r.out[ivc.outIdx]
 	p := int(ivc.outPort)
 	r.meta[p].useCount++
 	r.meta[p].lastUsed = now + offS
 	if p == int(topology.PortLocal) {
-		r.deliver(fl, now+offS)
+		r.fab.Deliver(fl, now+offS)
 	} else {
 		ovc.credits--
 		if fl.Type.IsHead() {
@@ -641,7 +650,7 @@ func (r *Router) expressForward(idx int, ivc *inputVC, fl flow.Flit, now int64) 
 			}
 			r.linkBusyUntil[p] = t
 		}
-		r.send(r.id, ivc.outPort, ivc.outVC, fl, now+offS)
+		r.fab.Send(ivc.outPort, ivc.outVC, fl, now+offS)
 	}
 	if fl.Type.IsTail() {
 		ivc.phase = phaseIdle
@@ -654,7 +663,7 @@ func (r *Router) expressForward(idx int, ivc *inputVC, fl flow.Flit, now int64) 
 			// SA and put a flit on the link before the tail, arriving out of
 			// order downstream; hold the claim until the tail has left, as
 			// EventWorm does.
-			r.release(ivc.outPort, ivc.outVC, now+offS+1)
+			r.fab.Release(ivc.outPort, ivc.outVC, now+offS+1)
 		} else {
 			ovc.owner = -1
 			r.meta[p].busyVCs--
@@ -956,7 +965,7 @@ func (r *Router) traverse(inIdx int, ovc *outputVC, now int64) {
 	// Return the freed buffer slot upstream.
 	p := topology.Port(r.portOf[inIdx])
 	v := flow.VCID(inIdx - int(r.vcBase[inIdx]))
-	r.credit(r.id, p, v, now)
+	r.fab.Credit(p, v, now)
 	if fl.Type.IsTail() {
 		// The worm has fully left this input VC.
 		ivc.phase = phaseIdle
@@ -1023,13 +1032,13 @@ func (r *Router) stageOUT(now int64) {
 		r.meta[p].useCount++
 		r.meta[p].lastUsed = now
 		if p == int(topology.PortLocal) {
-			r.deliver(fl, now)
+			r.fab.Deliver(fl, now)
 		} else {
 			ovc.credits--
 			if fl.Type.IsHead() {
 				fl.Msg.Hops++
 			}
-			r.send(r.id, topology.Port(p), flow.VCID(g), fl, now)
+			r.fab.Send(topology.Port(p), flow.VCID(g), fl, now)
 		}
 		if fl.Type.IsTail() {
 			ovc.owner = -1

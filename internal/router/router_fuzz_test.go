@@ -32,18 +32,11 @@ func TestQuickRouterInvariants(t *testing.T) {
 		h.r.tbl = nil // replaced below
 		tbl := newTestTable(m, alg, node)
 		h.r.tbl = tbl
-		h.r.SetFabric(
-			func(_ topology.NodeID, p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
-				h.events = append(h.events, event{kind: "send", port: p, vc: v, fl: fl, at: now})
-				// Return the credit after a wire round trip.
-				creditAt := now + 4
-				pending = append(pending, credit{at: creditAt, port: p, vc: v})
-			},
-			func(_ topology.NodeID, p topology.Port, v flow.VCID, now int64) {},
-			func(fl flow.Flit, now int64) {
-				h.events = append(h.events, event{kind: "deliver", fl: fl, at: now})
-			},
-		)
+		h.r.SetFabric(h)
+		// Return the credit after a wire round trip.
+		h.onSend = func(p topology.Port, v flow.VCID, now int64) {
+			pending = append(pending, credit{at: now + 4, port: p, vc: v})
+		}
 
 		// Generate 1-6 random messages on distinct input VCs.
 		type feed struct {

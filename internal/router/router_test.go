@@ -12,36 +12,53 @@ import (
 
 // event records one fabric callback.
 type event struct {
-	kind string // "send", "credit", "deliver"
+	kind string // "send", "credit", "deliver"; event mode: "worm", "creditN", "release"
 	port topology.Port
 	vc   flow.VCID
 	fl   flow.Flit
 	at   int64
 }
 
-// harness drives one router with a recording fabric.
+// harness drives one router and is its recording Fabric.
 type harness struct {
 	r      *Router
 	events []event
+	// onSend, when set, additionally sees every Send (the fuzz test
+	// schedules the credit's return from it).
+	onSend func(p topology.Port, v flow.VCID, now int64)
+}
+
+func (h *harness) Send(p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
+	h.events = append(h.events, event{kind: "send", port: p, vc: v, fl: fl, at: now})
+	if h.onSend != nil {
+		h.onSend(p, v, now)
+	}
+}
+
+func (h *harness) Credit(p topology.Port, v flow.VCID, now int64) {
+	h.events = append(h.events, event{kind: "credit", port: p, vc: v, at: now})
+}
+
+func (h *harness) Deliver(fl flow.Flit, now int64) {
+	h.events = append(h.events, event{kind: "deliver", fl: fl, at: now})
+}
+
+func (h *harness) SendWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
+	h.events = append(h.events, event{kind: "worm", port: p, vc: v, fl: fl, at: now})
+}
+
+func (h *harness) CreditN(p topology.Port, v flow.VCID, count int, now int64) {
+	h.events = append(h.events, event{kind: "creditN", port: p, vc: v, at: now})
+}
+
+func (h *harness) Release(p topology.Port, v flow.VCID, at int64) {
+	h.events = append(h.events, event{kind: "release", port: p, vc: v, at: at})
 }
 
 func newHarness(t *testing.T, m *topology.Mesh, node topology.NodeID, cfg Config, alg routing.Algorithm, sel selection.Selector) *harness {
 	t.Helper()
-	cls := routing.Class{NumVCs: cfg.NumVCs, EscapeVCs: 1}
-	tbl := table.NewFull(m, alg, node)
-	h := &harness{r: New(node, m, cfg, tbl, sel)}
-	_ = cls
-	h.r.SetFabric(
-		func(from topology.NodeID, p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
-			h.events = append(h.events, event{kind: "send", port: p, vc: v, fl: fl, at: now})
-		},
-		func(from topology.NodeID, p topology.Port, v flow.VCID, now int64) {
-			h.events = append(h.events, event{kind: "credit", port: p, vc: v, at: now})
-		},
-		func(fl flow.Flit, now int64) {
-			h.events = append(h.events, event{kind: "deliver", fl: fl, at: now})
-		},
-	)
+	h := &harness{r: New(node, m, cfg, table.NewFull(m, alg, node), sel)}
+	h.r.SetFabric(h)
 	return h
 }
 

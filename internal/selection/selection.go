@@ -179,6 +179,24 @@ func New(k Kind, seed int64) Selector {
 	panic("selection: unknown kind")
 }
 
+// NewBlock returns the selectors of n routers, router i's seeded
+// seed+i*stride. Only Random carries state; every other policy reads
+// nothing but the PortView it is handed, so the routers share one value.
+func NewBlock(k Kind, n int, seed, stride int64) []Selector {
+	sels := make([]Selector, n)
+	if k != Random {
+		shared := New(k, 0)
+		for i := range sels {
+			sels[i] = shared
+		}
+		return sels
+	}
+	for i := range sels {
+		sels[i] = New(k, seed+int64(i)*stride)
+	}
+	return sels
+}
+
 type staticXY struct{}
 
 func (staticXY) Name() string { return "static-xy" }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -134,6 +135,47 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if !cs.Coordinator || cs.Claims == 0 || cs.WorkersSeen != 3 {
 		t.Fatalf("cluster stats: %+v", cs)
+	}
+}
+
+// TestClusterNonFiniteResult: a point simulated by a real worker whose
+// result JSON cannot carry — one measured message leaves the confidence
+// interval at +Inf — must come back as that point's error with the rest
+// of its unit delivered, on the first lease: before the worker checked,
+// its CompleteRequest failed to marshal, nothing was sent, and the unit
+// was requeued until its attempts ran out.
+func TestClusterNonFiniteResult(t *testing.T) {
+	t.Parallel()
+	grid := make([]core.Config, 3)
+	for i := range grid {
+		c := core.DefaultConfig()
+		c.Dims, c.Load, c.Warmup, c.Measure, c.Seed = []int{4, 4}, 0.1, 0, 50, int64(i+1)
+		grid[i] = c
+	}
+	grid[1].Measure = 1
+	if res, err := core.Run(grid[1]); err != nil || !math.IsInf(res.CI95, 1) {
+		t.Fatalf("a one-message run no longer has an infinite CI (%v, err=%v); pick another unencodable point", res.CI95, err)
+	}
+
+	dir := t.TempDir()
+	_, c := testServer(t, dir, ServerOptions{Cluster: fastCluster()})
+	startWorker(t, "w0", dir, c.Base, nil)
+	got, err := c.Run(context.Background(), grid, sweep.Options{})
+	if err != nil {
+		t.Fatalf("one unencodable point failed the whole job: %v", err)
+	}
+	if got[1].Err == nil || !strings.Contains(got[1].Err.Error(), "+Inf") {
+		t.Errorf("unencodable point: err=%v, want the encoder's complaint", got[1].Err)
+	}
+	for _, i := range []int{0, 2} {
+		want, _ := core.Run(grid[i])
+		if got[i].Err != nil || got[i].Result != want {
+			t.Errorf("finite point %d: %+v err=%v, want %+v", i, got[i].Result, got[i].Err, want)
+		}
+	}
+	cs, err := c.ClusterStats(context.Background())
+	if err != nil || cs.Claims != 1 || cs.OrphanRequeues != 0 || cs.ExhaustedUnits != 0 {
+		t.Errorf("the unit should complete on its first lease: %+v err=%v", cs, err)
 	}
 }
 

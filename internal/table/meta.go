@@ -44,8 +44,7 @@ func (mm MetaMapping) String() string {
 // Deadlock freedom: MapRow is deterministic dimension-order (deadlock-free
 // on every VC). MapBlock restricts its adaptive VCs to the cluster-table
 // candidates and keeps a node-level dimension-order escape VC; the paper
-// does not specify an escape mechanism, and DESIGN.md documents this
-// substitution.
+// does not specify an escape mechanism, so this is a substitution.
 type Meta struct {
 	m       *topology.Mesh
 	alg     routing.Algorithm

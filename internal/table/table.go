@@ -23,6 +23,9 @@ package table
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"lapses/internal/flow"
 	"lapses/internal/routing"
@@ -114,6 +117,46 @@ func Build(k Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class, n
 		return NewInterval(m, alg, cls, node)
 	}
 	panic("table: unknown kind")
+}
+
+// BuildAll programs the table of every router of m (table i is node i's)
+// in one pass spread over GOMAXPROCS goroutines. Programming one table
+// evaluates the routing function for every destination, so a cold
+// structure is O(N^2) Route calls; the mesh and the algorithm are
+// read-only and each table is written by exactly one goroutine. A panic
+// while programming (an algorithm the organization cannot express) is
+// re-raised on the calling goroutine, where Build would have raised it.
+func BuildAll(k Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class) []Table {
+	tbls := make([]Table, m.N())
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		failure  any
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(tbls)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					failOnce.Do(func() { failure = r })
+				}
+			}()
+			for {
+				id := int(next.Add(1)) - 1
+				if id >= len(tbls) {
+					return
+				}
+				tbls[id] = Build(k, m, alg, cls, topology.NodeID(id))
+			}
+		}()
+	}
+	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
+	return tbls
 }
 
 // Full is a full-table implementation: a flat array with one RouteSet per

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -200,4 +201,45 @@ func (a parityAlg) Route(cur, dst topology.NodeID, dl uint8) flow.RouteSet {
 		return a.xy.Route(cur, dst, dl)
 	}
 	return a.yx.Route(cur, dst, dl)
+}
+
+// BuildAll is Build for every node: same organization, same answers, in
+// node order, whatever goroutine programmed each table.
+func TestBuildAllMatchesBuild(t *testing.T) {
+	m := topology.NewMesh(5, 4)
+	alg := routing.NewDuato(m, cls4)
+	for _, k := range []Kind{KindFull, KindES, KindMetaBlock} {
+		tbls := BuildAll(k, m, alg, cls4)
+		if len(tbls) != m.N() {
+			t.Fatalf("%s: %d tables for %d nodes", k, len(tbls), m.N())
+		}
+		for id, got := range tbls {
+			want := Build(k, m, alg, cls4, topology.NodeID(id))
+			if got.Node() != want.Node() || got.Name() != want.Name() {
+				t.Fatalf("%s: slot %d holds the %s table of node %d", k, id, got.Name(), got.Node())
+			}
+			for dst := 0; dst < m.N(); dst++ {
+				if g, w := got.Lookup(topology.NodeID(dst), 0), want.Lookup(topology.NodeID(dst), 0); !g.Equal(w) {
+					t.Fatalf("%s: node %d -> %d: %v, Build gives %v", k, id, dst, g, w)
+				}
+			}
+		}
+	}
+}
+
+// A table the organization cannot express panics on the goroutine that
+// called BuildAll — where sweep and serve recover per point — not on a
+// worker goroutine, where it would take the process down.
+func TestBuildAllPanicsOnCaller(t *testing.T) {
+	m := topology.NewMesh(4, 4)
+	alg := parityAlg{
+		xy: routing.NewDimOrder(m, cls4, nil),
+		yx: routing.NewDimOrder(m, cls4, []int{1, 0}),
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sign-expressible") {
+			t.Errorf("recovered %v, want the ES builder's refusal", r)
+		}
+	}()
+	BuildAll(KindES, m, alg, cls4)
 }

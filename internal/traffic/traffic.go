@@ -339,11 +339,41 @@ type Injector struct {
 // never fires. The generator is a cached-seed replica of math/rand's
 // source (see rng.go), producing identical streams to rand.NewSource.
 func NewInjector(rate float64, seed int64) *Injector {
-	inj := &Injector{rate: rate, rng: rand.New(newFibSource(seed))}
-	if rate > 0 {
-		inj.next = inj.rng.ExpFloat64() / rate
+	return &newInjectors(1, rate, seed)[0]
+}
+
+// newInjectors returns n injectors in one slab, injector i seeded seed+i.
+func newInjectors(n int, rate float64, seed int64) []Injector {
+	rngs := newRNGs(n, seed)
+	injs := make([]Injector, n)
+	for i := range injs {
+		inj := &injs[i]
+		inj.rate, inj.rng = rate, &rngs[i]
+		if rate > 0 {
+			inj.next = inj.rng.ExpFloat64() / rate
+		}
 	}
-	return inj
+	return injs
+}
+
+// NewSources returns the generation processes of nodes 0..n-1 — Poisson
+// injectors, or MMPP sources when burst is non-nil — node i seeded seed+i,
+// exactly as n NewInjector/NewMMPP calls would build them but out of one
+// slab each for the processes and their random streams.
+func NewSources(n int, rate float64, burst *Burst, seed int64) []Source {
+	srcs := make([]Source, n)
+	if burst != nil {
+		ms := newMMPPs(n, rate, *burst, seed)
+		for i := range ms {
+			srcs[i] = &ms[i]
+		}
+		return srcs
+	}
+	injs := newInjectors(n, rate, seed)
+	for i := range injs {
+		srcs[i] = &injs[i]
+	}
+	return srcs
 }
 
 // RNG exposes the injector's random stream for destination draws so one
@@ -423,21 +453,31 @@ type MMPP struct {
 // fires. The random stream is the same cached-seed replica Injector uses,
 // so swapping source types never perturbs other nodes' streams.
 func NewMMPP(rate float64, b Burst, seed int64) *MMPP {
+	return &newMMPPs(1, rate, b, seed)[0]
+}
+
+// newMMPPs returns n MMPP sources in one slab, source i seeded seed+i.
+func newMMPPs(n int, rate float64, b Burst, seed int64) []MMPP {
 	if err := b.Validate(); err != nil {
 		panic(err)
 	}
-	s := &MMPP{
-		onRate: rate / b.OnFrac,
-		muOn:   b.MeanOn,
-		muOff:  b.MeanOn * (1 - b.OnFrac) / b.OnFrac,
-		rng:    rand.New(newFibSource(seed)),
-		on:     true,
+	rngs := newRNGs(n, seed)
+	ms := make([]MMPP, n)
+	for i := range ms {
+		s := &ms[i]
+		*s = MMPP{
+			onRate: rate / b.OnFrac,
+			muOn:   b.MeanOn,
+			muOff:  b.MeanOn * (1 - b.OnFrac) / b.OnFrac,
+			rng:    &rngs[i],
+			on:     true,
+		}
+		if rate > 0 {
+			s.end = s.rng.ExpFloat64() * s.muOn
+			s.advance()
+		}
 	}
-	if rate > 0 {
-		s.end = s.rng.ExpFloat64() * s.muOn
-		s.advance()
-	}
-	return s
+	return ms
 }
 
 // advance precomputes the next arrival time, walking the modulating chain
