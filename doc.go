@@ -19,8 +19,12 @@
 // 64 structures), and every run's network — routers, NIs, fabric
 // bindings, traffic sources — is carved from one arena of slabs
 // (router.NewBlock, traffic.NewSources), so a point's fixed cost is a
-// few hundred allocations at any mesh size. See README.md "Cost of a
-// point".
+// few hundred allocations at any mesh size. Each layer stores what is
+// distinct, once: a full table is 2-byte indices into its own dictionary
+// of interned route sets, a router buffer is a ring of (message, first
+// sequence number, count) runs from which flits are rebuilt
+// (flow.FlitAt), and everything a router keeps per output port is one
+// record. See README.md "Cost of a point".
 //
 // Beyond the paper's healthy-network evaluation, internal/fault models
 // degraded topologies: deterministic plans of failed links and routers,

@@ -1,52 +1,32 @@
-// Package arbiter provides the arbiters used inside the PROUD router
-// pipeline: round-robin arbiters for switch allocation and VC multiplexing
-// (fair, cheap, the common choice in the era's routers) and a matrix
-// arbiter (least-recently-served, as used in the SGI SPIDER) for
-// comparison and ablation.
+// Package arbiter provides the arbiter used inside the PROUD router
+// pipeline: a round-robin arbiter for switch allocation, VC allocation and
+// VC multiplexing (fair, cheap, the common choice in the era's routers).
 package arbiter
 
 import "math/bits"
 
-// Arbiter grants one requester out of a request set each invocation.
-type Arbiter interface {
-	// Grant returns the index of the granted requester, or -1 if no bit
-	// of reqs is set. reqs is a bitmask over requester indices; the
-	// arbiter's internal priority state advances only on a grant.
-	Grant(reqs uint64) int
-	// Size returns the number of requester slots.
-	Size() int
-}
-
 // RoundRobin is a rotating-priority arbiter: after granting requester i,
-// requester i+1 has the highest priority next time.
+// requester i+1 has the highest priority next time. It is a two-byte
+// value, so a router keeps the three arbiters of an output port inside
+// that port's state record instead of in slabs of their own.
 type RoundRobin struct {
-	n    int
-	next int
+	n, next uint8
 }
 
-// MakeRoundRobin returns a by-value round-robin arbiter over n requesters
-// (n <= 64), for callers that embed many arbiters in a slab instead of
-// heap-allocating each one.
+// MakeRoundRobin returns a round-robin arbiter over n requesters (n <= 64).
 func MakeRoundRobin(n int) RoundRobin {
 	if n < 1 || n > 64 {
 		panic("arbiter: size out of range [1,64]")
 	}
-	return RoundRobin{n: n}
+	return RoundRobin{n: uint8(n)}
 }
 
-// NewRoundRobin returns a round-robin arbiter over n requesters (n <= 64).
-func NewRoundRobin(n int) *RoundRobin {
-	a := MakeRoundRobin(n)
-	return &a
-}
-
-// Size implements Arbiter.
-func (a *RoundRobin) Size() int { return a.n }
-
-// Grant implements Arbiter. The rotating-priority search is branch-free:
-// the winner is the lowest set bit at or above the priority pointer, or
-// the lowest set bit overall on wraparound — exactly what the equivalent
-// rotating scan finds, in O(1) instead of O(n).
+// Grant returns the index of the granted requester, or -1 if no bit of
+// reqs is set. reqs is a bitmask over requester indices; the priority
+// pointer advances only on a grant. The rotating-priority search is
+// branch-free: the winner is the lowest set bit at or above the priority
+// pointer, or the lowest set bit overall on wraparound — exactly what the
+// equivalent rotating scan finds, in O(1) instead of O(n).
 func (a *RoundRobin) Grant(reqs uint64) int {
 	if a.n < 64 {
 		reqs &= 1<<a.n - 1
@@ -58,70 +38,9 @@ func (a *RoundRobin) Grant(reqs uint64) int {
 	if i == 64 {
 		i = bits.TrailingZeros64(reqs)
 	}
-	a.next = i + 1
+	a.next = uint8(i + 1)
 	if a.next == a.n {
 		a.next = 0
 	}
 	return i
-}
-
-// Matrix is a least-recently-served matrix arbiter: a triangular matrix of
-// priority bits where w[i][j] means i beats j; the winner's row is cleared
-// and column set, making it lowest priority.
-type Matrix struct {
-	n int
-	w [][]bool
-}
-
-// NewMatrix returns a matrix arbiter over n requesters.
-func NewMatrix(n int) *Matrix {
-	if n < 1 || n > 64 {
-		panic("arbiter: size out of range [1,64]")
-	}
-	w := make([][]bool, n)
-	for i := range w {
-		w[i] = make([]bool, n)
-		for j := i + 1; j < n; j++ {
-			w[i][j] = true // initial priority: lower index wins
-		}
-	}
-	return &Matrix{n: n, w: w}
-}
-
-// Size implements Arbiter.
-func (a *Matrix) Size() int { return a.n }
-
-// Grant implements Arbiter.
-func (a *Matrix) Grant(reqs uint64) int {
-	if reqs == 0 {
-		return -1
-	}
-	winner := -1
-	for i := 0; i < a.n; i++ {
-		if reqs&(1<<i) == 0 {
-			continue
-		}
-		beaten := false
-		for j := 0; j < a.n; j++ {
-			if j != i && reqs&(1<<j) != 0 && a.w[j][i] {
-				beaten = true
-				break
-			}
-		}
-		if !beaten {
-			winner = i
-			break
-		}
-	}
-	if winner < 0 {
-		// Cannot happen with a consistent matrix, but stay safe.
-		return -1
-	}
-	for j := 0; j < a.n; j++ {
-		if j != winner {
-			a.w[winner][j] = false
-			a.w[j][winner] = true
-		}
-	}
-	return winner
 }

@@ -1,13 +1,12 @@
 package arbiter
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestRoundRobinRotation(t *testing.T) {
-	a := NewRoundRobin(4)
+	a := MakeRoundRobin(4)
 	// All requesting: grants must rotate 0,1,2,3,0,...
 	for i := 0; i < 8; i++ {
 		if g := a.Grant(0b1111); g != i%4 {
@@ -17,7 +16,7 @@ func TestRoundRobinRotation(t *testing.T) {
 }
 
 func TestRoundRobinSkipsIdle(t *testing.T) {
-	a := NewRoundRobin(4)
+	a := MakeRoundRobin(4)
 	if g := a.Grant(0b1010); g != 1 {
 		t.Fatalf("grant = %d want 1", g)
 	}
@@ -30,7 +29,7 @@ func TestRoundRobinSkipsIdle(t *testing.T) {
 }
 
 func TestRoundRobinEmpty(t *testing.T) {
-	a := NewRoundRobin(8)
+	a := MakeRoundRobin(8)
 	if g := a.Grant(0); g != -1 {
 		t.Fatalf("grant on empty = %d", g)
 	}
@@ -40,36 +39,10 @@ func TestRoundRobinEmpty(t *testing.T) {
 	}
 }
 
-func TestMatrixLeastRecentlyServed(t *testing.T) {
-	a := NewMatrix(3)
-	if g := a.Grant(0b111); g != 0 {
-		t.Fatalf("first grant = %d want 0", g)
-	}
-	// 0 just served: among {0,1}, 1 must win.
-	if g := a.Grant(0b011); g != 1 {
-		t.Fatalf("second grant = %d want 1", g)
-	}
-	// Among all, 2 has waited longest.
-	if g := a.Grant(0b111); g != 2 {
-		t.Fatalf("third grant = %d want 2", g)
-	}
-	// Now 0 is least recently served again.
-	if g := a.Grant(0b111); g != 0 {
-		t.Fatalf("fourth grant = %d want 0", g)
-	}
-}
-
-func TestMatrixEmpty(t *testing.T) {
-	if g := NewMatrix(4).Grant(0); g != -1 {
-		t.Fatalf("grant on empty = %d", g)
-	}
-}
-
 func TestSizePanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewRoundRobin(0) },
-		func() { NewRoundRobin(65) },
-		func() { NewMatrix(0) },
+		func() { MakeRoundRobin(0) },
+		func() { MakeRoundRobin(65) },
 	} {
 		func() {
 			defer func() {
@@ -82,45 +55,44 @@ func TestSizePanics(t *testing.T) {
 	}
 }
 
-// Property: both arbiters always grant a requesting index, and never a
+// Property: the arbiter always grants a requesting index, and never a
 // non-requesting one.
 func TestQuickGrantValidity(t *testing.T) {
-	for _, mk := range []func(int) Arbiter{
-		func(n int) Arbiter { return NewRoundRobin(n) },
-		func(n int) Arbiter { return NewMatrix(n) },
-	} {
-		a := mk(16)
-		f := func(reqs uint16) bool {
-			g := a.Grant(uint64(reqs))
-			if reqs == 0 {
-				return g == -1
-			}
-			return g >= 0 && g < 16 && reqs&(1<<g) != 0
+	a := MakeRoundRobin(16)
+	f := func(reqs uint16) bool {
+		g := a.Grant(uint64(reqs))
+		if reqs == 0 {
+			return g == -1
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-			t.Error(err)
+		return g >= 0 && g < 16 && reqs&(1<<g) != 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: under persistent full load the arbiter is starvation-free and
+// fair within one slot over any window.
+func TestFairnessUnderLoad(t *testing.T) {
+	a := MakeRoundRobin(8)
+	counts := make([]int, 8)
+	for i := 0; i < 8000; i++ {
+		counts[a.Grant(0xFF)]++
+	}
+	for i, c := range counts {
+		if c != 1000 {
+			t.Errorf("requester %d served %d/8000 (want exactly 1000)", i, c)
 		}
 	}
 }
 
-// Property: under persistent full load both arbiters are starvation-free
-// and fair within one slot over any window.
-func TestFairnessUnderLoad(t *testing.T) {
-	for name, a := range map[string]Arbiter{
-		"rr":     NewRoundRobin(8),
-		"matrix": NewMatrix(8),
-	} {
-		counts := make([]int, 8)
-		rng := rand.New(rand.NewSource(3))
-		// Random but always-full request vectors of 8 requesters.
-		for i := 0; i < 8000; i++ {
-			counts[a.Grant(0xFF)]++
-			_ = rng
-		}
-		for i, c := range counts {
-			if c != 1000 {
-				t.Errorf("%s: requester %d served %d/8000 (want exactly 1000)", name, i, c)
-			}
+// The full-width arbiter (64 requesters, the router's crossbar ceiling)
+// must wrap its one-byte priority pointer correctly.
+func TestRoundRobinFullWidth(t *testing.T) {
+	a := MakeRoundRobin(64)
+	for i := 0; i < 130; i++ {
+		if g := a.Grant(^uint64(0)); g != i%64 {
+			t.Fatalf("grant %d = %d want %d", i, g, i%64)
 		}
 	}
 }

@@ -716,12 +716,13 @@ type plumbing struct {
 }
 
 // maxStructures caps the plumbing cache. One entry is a structure's whole
-// table set — a few hundred kilobytes for ES tables, 27 MB for full
-// tables on a 32x32 mesh — and every distinct fault plan or schedule is
-// its own structure, so a service fed random plans would otherwise grow
-// for as long as it runs. 64 holds every structure of a figure run (the
-// experiments touch at most a few dozen) with room for a fault sweep's
-// working set.
+// table set — a few hundred kilobytes for ES tables, 2.4 MB for full
+// tables on a 32x32 mesh (they intern their route sets; see table.Full),
+// so about 150 MB if every entry were one — and every distinct fault plan
+// or schedule is its own structure, so a service fed random plans would
+// otherwise grow for as long as it runs. 64 holds every structure of a
+// figure run (the experiments touch at most a few dozen) with room for a
+// fault sweep's working set.
 const maxStructures = 64
 
 // structures memoizes plumbing per structural configuration, oldest

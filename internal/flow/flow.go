@@ -140,6 +140,14 @@ func TypeFor(seq, length int) FlitType {
 	}
 }
 
+// FlitAt returns flit seq of msg. A flit is a pure function of its message
+// and position, and every flit entering the network is built here: that is
+// what lets the router's buffers store runs of (message, first seq, count)
+// and rebuild the flits on the way out.
+func FlitAt(msg *Message, seq int) Flit {
+	return Flit{Msg: msg, Seq: int32(seq), Type: TypeFor(seq, msg.Length)}
+}
+
 // VCID names a virtual channel within one physical channel, 0-based.
 type VCID int8
 

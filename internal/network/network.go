@@ -371,11 +371,13 @@ type Network struct {
 }
 
 // link is one direction of a wired channel: the node and input port that
-// flits leaving through the owning (node, port) pair arrive at.
+// flits leaving through the owning (node, port) pair arrive at, and
+// whether that node is stepped by the sender's own shard.
 type link struct {
 	node topology.NodeID
 	port topology.Port
 	ok   bool
+	same bool
 }
 
 // New builds and wires a network. It panics on invalid configuration,
@@ -468,7 +470,8 @@ func New(cfg Config) *Network {
 				continue
 			}
 			if nb, ok := m.Neighbor(topology.NodeID(id), topology.Port(p)); ok {
-				n.links[id*n.ports+p] = link{node: nb, port: topology.Opposite(topology.Port(p)), ok: true}
+				n.links[id*n.ports+p] = link{node: nb, port: topology.Opposite(topology.Port(p)), ok: true,
+					same: n.nodeShard[nb] == n.nodeShard[id]}
 			}
 		}
 	}
@@ -477,12 +480,17 @@ func New(cfg Config) *Network {
 	for id := range n.fabrics {
 		node := topology.NodeID(id)
 		f := &n.fabrics[id]
+		src := n.shards[n.nodeShard[id]]
 		*f = nodeFabric{
-			n:     n,
-			node:  node,
-			links: n.links[id*n.ports : (id+1)*n.ports],
-			src:   n.shards[n.nodeShard[id]],
-			ni:    &n.nis[id],
+			n:       n,
+			node:    node,
+			links:   n.links[id*n.ports : (id+1)*n.ports],
+			src:     src,
+			flits:   src.flits,
+			credits: src.credits,
+			hop:     1 + int64(cfg.LinkDelay),
+			notify:  n.notify,
+			ni:      &n.nis[id],
 		}
 		n.routers[id].SetFabric(f)
 		if cfg.Schedule != nil {
@@ -509,12 +517,20 @@ func New(cfg Config) *Network {
 
 // nodeFabric is one router's surroundings (router.Fabric): the links
 // leaving its node, the wheels of the shard that owns it, and its NI.
+// What the per-flit methods read on the same-shard path is in the value
+// itself, so a send or a credit loads the fabric, the link and the wheel
+// and nothing else; n and src serve the cross-shard mailboxes and the
+// congestion sample.
 type nodeFabric struct {
-	n     *Network
-	node  topology.NodeID
-	links []link // this node's row of Network.links, indexed by port
-	src   *shard
-	ni    *ni
+	n       *Network
+	node    topology.NodeID
+	links   []link // this node's row of Network.links, indexed by port
+	src     *shard
+	flits   *wheel[flitEvent]   // src.flits
+	credits *wheel[creditEvent] // src.credits
+	hop     int64               // output register plus wire: 1 + LinkDelay
+	notify  bool                // n.notify
+	ni      *ni
 }
 
 // Send routes a flit leaving the node through port p onto the wire; it
@@ -529,11 +545,12 @@ func (f *nodeFabric) Send(p topology.Port, v flow.VCID, fl flow.Flit, now int64)
 	if !l.ok {
 		panic(fmt.Sprintf("network: node %d sent out port %d with no link", f.node, p))
 	}
-	at := now + 1 + int64(f.n.cfg.LinkDelay)
+	at := now + f.hop
 	e := flitEvent{node: l.node, port: l.port, vc: v, fl: fl}
-	if d := f.n.nodeShard[l.node]; int(d) == f.src.idx {
-		f.src.flits.schedule(at, e)
+	if l.same {
+		f.flits.schedule(at, e)
 	} else {
+		d := f.n.nodeShard[l.node]
 		f.src.outFlits[d] = append(f.src.outFlits[d], timedFlit{at: at, e: e})
 	}
 }
@@ -542,9 +559,9 @@ func (f *nodeFabric) Send(p topology.Port, v flow.VCID, fl flow.Flit, now int64)
 // output VC, or to the local NI for the injection port. Cross-shard
 // credits ride the mailbox like flits do.
 func (f *nodeFabric) Credit(p topology.Port, v flow.VCID, now int64) {
-	at := now + 1 + int64(f.n.cfg.LinkDelay)
+	at := now + f.hop
 	if p == topology.PortLocal {
-		f.src.credits.schedule(at, creditEvent{kind: creditToNI, node: f.node, vc: v, n: 1})
+		f.credits.schedule(at, creditEvent{kind: creditToNI, node: f.node, vc: v, n: 1})
 		return
 	}
 	l := f.links[p]
@@ -552,16 +569,17 @@ func (f *nodeFabric) Credit(p topology.Port, v flow.VCID, now int64) {
 		panic(fmt.Sprintf("network: credit out port %d with no link", p))
 	}
 	e := creditEvent{node: l.node, port: l.port, vc: v, n: 1}
-	if f.n.notify {
+	if f.notify {
 		// Sample the issuing router's congestion at credit time: this
 		// runs during the node's own phase-A step, so the read is
 		// shard-local and the run stays bit-identical for any shard
 		// count.
 		e.cong = f.n.routers[f.node].CongestionLevel()
 	}
-	if d := f.n.nodeShard[l.node]; int(d) == f.src.idx {
-		f.src.credits.schedule(at, e)
+	if l.same {
+		f.credits.schedule(at, e)
 	} else {
+		d := f.n.nodeShard[l.node]
 		f.src.outCredits[d] = append(f.src.outCredits[d], timedCredit{at: at, e: e})
 	}
 }
@@ -573,11 +591,12 @@ func (f *nodeFabric) SendWorm(p topology.Port, v flow.VCID, fl flow.Flit, now in
 	if !l.ok {
 		panic(fmt.Sprintf("network: node %d sent worm out port %d with no link", f.node, p))
 	}
-	at := now + 1 + int64(f.n.cfg.LinkDelay)
+	at := now + f.hop
 	e := flitEvent{node: l.node, port: l.port, vc: v, fl: fl, worm: true}
-	if d := f.n.nodeShard[l.node]; int(d) == f.src.idx {
-		f.src.flits.schedule(at, e)
+	if l.same {
+		f.flits.schedule(at, e)
 	} else {
+		d := f.n.nodeShard[l.node]
 		f.src.outFlits[d] = append(f.src.outFlits[d], timedFlit{at: at, e: e})
 	}
 }
@@ -586,9 +605,9 @@ func (f *nodeFabric) SendWorm(p topology.Port, v flow.VCID, fl flow.Flit, now in
 // due when a worm transit's tail would have cleared the downstream
 // crossbar.
 func (f *nodeFabric) CreditN(p topology.Port, v flow.VCID, count int, now int64) {
-	at := now + 1 + int64(f.n.cfg.LinkDelay)
+	at := now + f.hop
 	if p == topology.PortLocal {
-		f.src.credits.schedule(at, creditEvent{kind: creditToNI, node: f.node, vc: v, n: int32(count)})
+		f.credits.schedule(at, creditEvent{kind: creditToNI, node: f.node, vc: v, n: int32(count)})
 		return
 	}
 	l := f.links[p]
@@ -596,12 +615,13 @@ func (f *nodeFabric) CreditN(p topology.Port, v flow.VCID, count int, now int64)
 		panic(fmt.Sprintf("network: batched credit out port %d with no link", p))
 	}
 	e := creditEvent{node: l.node, port: l.port, vc: v, n: int32(count)}
-	if f.n.notify {
+	if f.notify {
 		e.cong = f.n.routers[f.node].CongestionLevel()
 	}
-	if d := f.n.nodeShard[l.node]; int(d) == f.src.idx {
-		f.src.credits.schedule(at, e)
+	if l.same {
+		f.credits.schedule(at, e)
 	} else {
+		d := f.n.nodeShard[l.node]
 		f.src.outCredits[d] = append(f.src.outCredits[d], timedCredit{at: at, e: e})
 	}
 }
@@ -611,7 +631,7 @@ func (f *nodeFabric) CreditN(p topology.Port, v flow.VCID, count int, now int64)
 // leaves the output stage. Releases are always intra-shard (a router
 // releases its own VC), so they never ride a mailbox.
 func (f *nodeFabric) Release(p topology.Port, v flow.VCID, at int64) {
-	f.src.credits.schedule(at, creditEvent{kind: creditRelease, node: f.node, port: p, vc: v})
+	f.credits.schedule(at, creditEvent{kind: creditRelease, node: f.node, port: p, vc: v})
 }
 
 // Deliver hands ejected flits to the node's NI.

@@ -256,7 +256,7 @@ func (x *ni) tick(now int64) {
 			if x.net.cfg.Router.LookAhead {
 				msg.Route = x.r.Table().Lookup(msg.Dst, 0)
 			}
-			fl := flow.Flit{Msg: msg, Type: flow.TypeFor(0, msg.Length)}
+			fl := flow.FlitAt(msg, 0)
 			x.sh.flits.schedule(now+1, flitEvent{node: x.node, port: topology.PortLocal, vc: flow.VCID(v), fl: fl, worm: true})
 			x.credits[v] -= msg.Length
 			*s = stream{}
@@ -279,11 +279,7 @@ func (x *ni) tick(now int64) {
 		if s.msg == nil || x.credits[v] == 0 {
 			continue
 		}
-		fl := flow.Flit{
-			Msg:  s.msg,
-			Seq:  int32(s.seq),
-			Type: flow.TypeFor(s.seq, s.msg.Length),
-		}
+		fl := flow.FlitAt(s.msg, s.seq)
 		if fl.Type.IsHead() {
 			s.msg.InjectTime = now
 			if x.net.cfg.Router.LookAhead {

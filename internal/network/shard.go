@@ -194,7 +194,7 @@ func (n *Network) stepShard(sh *shard, now int64) {
 					for s := 1; s < msg.Length; s++ {
 						sh.flits.schedule(now+int64(s), flitEvent{
 							node: e.node, port: e.port, vc: e.vc,
-							fl: flow.Flit{Msg: msg, Seq: int32(s), Type: flow.TypeFor(s, msg.Length)},
+							fl: flow.FlitAt(msg, s),
 						})
 					}
 				}

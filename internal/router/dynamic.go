@@ -34,7 +34,7 @@ func (r *Router) ScanMessages(fn func(ports uint32, m *flow.Message)) {
 	for i := range r.in {
 		ivc := &r.in[i]
 		bit := uint32(1) << uint(r.portOf[i])
-		ivc.buf.each(func(fl *flow.Flit) { fn(bit, fl.Msg) })
+		ivc.buf.each(func(fl flow.Flit) { fn(bit, fl.Msg) })
 		if ivc.phase != phaseIdle && ivc.msg != nil {
 			ports := bit
 			if ivc.phase == phaseActive || ivc.phase == phaseExpress {
@@ -45,7 +45,7 @@ func (r *Router) ScanMessages(fn func(ports uint32, m *flow.Message)) {
 	}
 	for j := range r.out {
 		bit := uint32(1) << uint(r.portOf[j])
-		r.out[j].box.each(func(fl *flow.Flit) { fn(bit, fl.Msg) })
+		r.out[j].box.each(func(fl flow.Flit) { fn(bit, fl.Msg) })
 	}
 }
 
@@ -73,9 +73,9 @@ func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
 					panic(fmt.Sprintf("router %d: express purge of unclaimed vc", r.id))
 				}
 				ovc.owner = -1
-				r.meta[ivc.outPort].busyVCs--
+				r.port[ivc.outPort].busyVCs--
 				if ivc.outPort != topology.PortLocal {
-					r.expressOut[ivc.outPort]--
+					r.port[ivc.outPort].expressOut--
 				}
 			}
 			ivc.phase = phaseIdle
@@ -92,7 +92,7 @@ func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
 			if !hdr.Type.IsHead() {
 				panic(fmt.Sprintf("router %d: purge left a non-head flit at a buffer front", r.id))
 			}
-			r.startHeader(i, ivc, *hdr, now)
+			r.startHeader(i, ivc, hdr, now)
 		}
 	}
 	for j := range r.out {
@@ -114,14 +114,14 @@ func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
 			live := r.in[o].phase == phaseActive && int(r.in[o].outIdx) == j
 			if !live {
 				tailBoxed := false
-				ovc.box.each(func(fl *flow.Flit) {
+				ovc.box.each(func(fl flow.Flit) {
 					if fl.Type.IsTail() {
 						tailBoxed = true
 					}
 				})
 				if !tailBoxed {
 					ovc.owner = -1
-					r.meta[r.portOf[j]].busyVCs--
+					r.port[r.portOf[j]].busyVCs--
 				}
 			}
 		}
@@ -144,7 +144,7 @@ func (r *Router) Reroute(nextRoute func(p topology.Port, m *flow.Message) flow.R
 			ivc.route = r.tbl.Lookup(ivc.msg.Dst, ivc.dateline)
 		}
 		if r.cfg.LookAhead {
-			ivc.buf.each(func(fl *flow.Flit) {
+			ivc.buf.each(func(fl flow.Flit) {
 				if fl.Type.IsHead() && fl.Msg != ivc.msg {
 					fl.Msg.Route = r.tbl.Lookup(fl.Msg.Dst, fl.Msg.Dateline)
 				}
@@ -159,7 +159,7 @@ func (r *Router) Reroute(nextRoute func(p topology.Port, m *flow.Message) flow.R
 		if p == topology.PortLocal {
 			continue
 		}
-		r.out[j].box.each(func(fl *flow.Flit) {
+		r.out[j].box.each(func(fl flow.Flit) {
 			if fl.Type.IsHead() {
 				fl.Msg.Route = nextRoute(p, fl.Msg)
 			}

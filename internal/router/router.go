@@ -167,12 +167,30 @@ type outputVC struct {
 	box     outFifo
 }
 
-// portMeta carries the per-output-port counters the path-selection
-// heuristics read.
-type portMeta struct {
+// portState is everything the router keeps per output port, in one record
+// (one cache line) so a stage working on a port loads its arbiters,
+// counters and express window together.
+type portState struct {
+	// The counters the path-selection heuristics read.
 	useCount uint64
 	lastUsed int64
-	busyVCs  int
+	// [linkBusyFrom, linkBusyUntil] is the send-cycle window an admitted
+	// express transit (worm event or per-flit) has reserved the port's link
+	// for, and expressOut counts the per-flit express worms currently
+	// streaming through the port. Together they serialize express transits
+	// per physical channel: admission requires the candidate port to be
+	// free of both, so two express worms never overdrive one link, while
+	// worms bound for different ports of the same router transit
+	// concurrently. Buffered traffic stalls in the output stage during the
+	// reserved window (stageOUT), so express and pipelined flits share a
+	// wire at one flit per cycle either way.
+	linkBusyFrom  int64
+	linkBusyUntil int64
+	xbArb         arbiter.RoundRobin // over all input VC indices
+	muxAr         arbiter.RoundRobin // over the port's output VCs
+	vcArb         arbiter.RoundRobin // over the port's VCs, for allocation
+	busyVCs       int8
+	expressOut    int8
 	// remoteCong is the latest quantized congestion level the downstream
 	// router piggybacked on a credit (see NoteCongestion); it stays 0
 	// unless a notification-aware selector is configured.
@@ -181,28 +199,24 @@ type portMeta struct {
 
 // Router is one PROUD / LA-PROUD router instance.
 type Router struct {
-	id    topology.NodeID
-	mesh  *topology.Mesh
-	cfg   Config
-	tbl   table.Table
-	sel   selection.Selector
-	wrap  bool
-	ports int
+	id   topology.NodeID
+	mesh *topology.Mesh
+	cfg  Config
+	tbl  table.Table
+	sel  selection.Selector
+	wrap bool
 
 	in    []inputVC
 	out   []outputVC
-	meta  []portMeta
-	xbArb []arbiter.RoundRobin // per output port, over all input VC indices
-	muxAr []arbiter.RoundRobin // per output port, over its output VCs
-	vcArb []arbiter.RoundRobin // per output port, over VCs, for allocation
-	saRot int                  // rotating start for SA scans
+	port  []portState // per output port
+	saRot int         // rotating start for SA scans
 
 	// Work masks let each pipeline stage visit only the VCs with work
 	// instead of scanning every input/output VC each cycle. Bit i of
 	// actRC/actSA/actXB is set when input VC i is in phaseRouting/
 	// phaseWaitSA/phaseActive; bit j of boxed when output VC j's box is
 	// nonempty. Indices fit in 64 bits because the crossbar arbiter
-	// (NewRoundRobin over ports*VCs) already caps the router at 64 input
+	// (MakeRoundRobin over ports*VCs) already caps the router at 64 input
 	// VCs.
 	actRC uint64
 	actSA uint64
@@ -226,19 +240,6 @@ type Router struct {
 	// resvMask is the set of adaptive VCs reserved for high-class
 	// messages (the top Config.ResvVCs ids); zero when reservation is off.
 	resvMask flow.VCMask
-	// expressOut counts, per output port, the per-flit express worms
-	// currently streaming through it; [linkBusyFrom, linkBusyUntil] is the
-	// send-cycle window an admitted express transit (worm event or
-	// per-flit) has reserved the port's link for. Together they serialize
-	// express transits per physical channel: admission requires the
-	// candidate port to be free of both, so two express worms never
-	// overdrive one link, while worms bound for different ports of the
-	// same router transit concurrently. Buffered traffic stalls in the
-	// output stage during the reserved window (stageOUT), so express and
-	// pipelined flits share a wire at one flit per cycle either way.
-	expressOut    []int8
-	linkBusyFrom  []int64
-	linkBusyUntil []int64
 
 	// deadPorts is the set of output ports whose link is currently failed
 	// (bit p set). The SA stage and express admission never choose a dead
@@ -252,9 +253,9 @@ type Router struct {
 // NewBlock constructs the routers of nodes base, base+1, ... — one per
 // table, router i programmed with tbls[i] and selecting with sels[i] — out
 // of one arena: the routers are one value slab, and every per-router slice
-// (VC state, port counters, arbiters, buffer storage, express windows) is a
-// window of a block-wide slab, so a network of any size costs a fixed
-// number of allocations and neighbouring routers' state is contiguous.
+// (input VCs, output VCs, port records, buffer runs) is a window of a
+// block-wide slab, so a network of any size costs a fixed number of
+// allocations and neighbouring routers' state is contiguous.
 // Callers wire each router with SetFabric before its first Tick.
 func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.Table, sels []selection.Selector) []Router {
 	if err := cfg.Validate(); err != nil {
@@ -263,12 +264,8 @@ func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.T
 	n := len(tbls)
 	np := m.NumPorts()
 	nvc := np * cfg.NumVCs
-	// Input buffers start at a fraction of their credit depth and grow on
-	// demand (see fifo).
-	seed := cfg.BufDepth
-	if seed > 4 {
-		seed = 4
-	}
+	// Input buffers start at two runs and grow on demand (see fifo).
+	seed := min(cfg.BufDepth, 2)
 	var resv flow.VCMask
 	if cfg.ResvVCs > 0 {
 		resv = flow.MaskAll(cfg.NumVCs) &^ flow.MaskAll(cfg.NumVCs-cfg.ResvVCs)
@@ -283,52 +280,34 @@ func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.T
 	rs := make([]Router, n)
 	in := make([]inputVC, n*nvc)
 	out := make([]outputVC, n*nvc)
-	meta := make([]portMeta, n*np)
-	arbs := make([]arbiter.RoundRobin, n*3*np)
-	flits := make([]flow.Flit, n*nvc*(seed+cfg.OutDepth))
-	express := make([]int8, n*np)
-	busy := make([]int64, n*2*np)
+	port := make([]portState, n*np)
+	runs := make([]run, n*nvc*seed)
 	for i := range in {
-		in[i].buf.init(flits[i*seed:(i+1)*seed], cfg.BufDepth)
+		in[i].buf.init(runs[i*seed:(i+1)*seed], cfg.BufDepth)
 	}
-	boxes := flits[len(in)*seed:]
 	for i := range out {
 		out[i].owner = -1
 		out[i].credits = cfg.BufDepth
-		out[i].box.init(boxes[i*cfg.OutDepth : (i+1)*cfg.OutDepth])
-	}
-	for i := range meta {
-		meta[i].lastUsed = -1
-	}
-	for i := range busy {
-		busy[i] = -1
+		out[i].box.init(cfg.OutDepth)
 	}
 	xb, vc := arbiter.MakeRoundRobin(nvc), arbiter.MakeRoundRobin(cfg.NumVCs)
+	for i := range port {
+		port[i] = portState{lastUsed: -1, linkBusyFrom: -1, linkBusyUntil: -1, xbArb: xb, muxAr: vc, vcArb: vc}
+	}
 	for i := range rs {
-		a := arbs[i*3*np : (i+1)*3*np]
-		for p := 0; p < np; p++ {
-			a[p], a[np+p], a[2*np+p] = xb, vc, vc
-		}
 		rs[i] = Router{
-			id:            base + topology.NodeID(i),
-			mesh:          m,
-			cfg:           cfg,
-			tbl:           tbls[i],
-			sel:           sels[i],
-			wrap:          m.Wrap(),
-			ports:         np,
-			in:            in[i*nvc : (i+1)*nvc],
-			out:           out[i*nvc : (i+1)*nvc],
-			meta:          meta[i*np : (i+1)*np],
-			xbArb:         a[:np],
-			muxAr:         a[np : 2*np],
-			vcArb:         a[2*np:],
-			portOf:        portOf,
-			vcBase:        vcBase,
-			resvMask:      resv,
-			expressOut:    express[i*np : (i+1)*np],
-			linkBusyFrom:  busy[i*2*np : i*2*np+np],
-			linkBusyUntil: busy[i*2*np+np : (i+1)*2*np],
+			id:       base + topology.NodeID(i),
+			mesh:     m,
+			cfg:      cfg,
+			tbl:      tbls[i],
+			sel:      sels[i],
+			wrap:     m.Wrap(),
+			in:       in[i*nvc : (i+1)*nvc],
+			out:      out[i*nvc : (i+1)*nvc],
+			port:     port[i*np : (i+1)*np],
+			portOf:   portOf,
+			vcBase:   vcBase,
+			resvMask: resv,
 		}
 	}
 	return rs
@@ -456,27 +435,27 @@ func (r *Router) EventWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64
 	// filled; they all free when the tail would have cleared the crossbar.
 	r.fab.CreditN(p, v, int(L), now+L-1+offC)
 	ovc := &r.out[cl.idx]
-	op := int(cl.port)
-	r.meta[op].useCount += uint64(L)
-	r.meta[op].lastUsed = now + L - 1 + offS
-	if op == int(topology.PortLocal) {
+	ps := &r.port[cl.port]
+	ps.useCount += uint64(L)
+	ps.lastUsed = now + L - 1 + offS
+	if cl.port == topology.PortLocal {
 		// Whole-message ejection: the tail reaches the NI at the cycle the
 		// pipeline would have delivered it. The local sink needs no link
 		// and no credits, so the claimed VC releases immediately.
-		tail := flow.Flit{Msg: msg, Seq: int32(L - 1), Type: flow.TypeFor(int(L-1), msg.Length)}
+		tail := flow.FlitAt(msg, msg.Length-1)
 		ovc.owner = -1
-		r.meta[op].busyVCs--
+		ps.busyVCs--
 		r.fab.Deliver(tail, now+L-1+offS)
 		return true
 	}
 	ovc.credits -= int(L)
 	msg.Hops++
-	if r.linkBusyUntil[op] < now {
+	if ps.linkBusyUntil < now {
 		// Fresh window; otherwise merge with the still-draining previous
 		// reservation so no cycle of it unblocks early.
-		r.linkBusyFrom[op] = now + offS
+		ps.linkBusyFrom = now + offS
 	}
-	r.linkBusyUntil[op] = now + L - 1 + offS
+	ps.linkBusyUntil = now + L - 1 + offS
 	r.fab.SendWorm(cl.port, cl.vc, fl, now+offS)
 	r.fab.Release(cl.port, cl.vc, now+L-1+offS+1)
 	return true
@@ -491,7 +470,7 @@ func (r *Router) ReleaseExpress(p topology.Port, v flow.VCID) {
 		panic(fmt.Sprintf("router %d: express release of port %d vc %d not owned by an express transit", r.id, p, v))
 	}
 	ovc.owner = -1
-	r.meta[p].busyVCs--
+	r.port[p].busyVCs--
 }
 
 // expressClaim is the result of a successful express admission: the output
@@ -594,7 +573,7 @@ func (r *Router) expressPortFree(p topology.Port, firstSend int64) bool {
 	if p == topology.PortLocal {
 		return true
 	}
-	return r.expressOut[p] == 0 && firstSend > r.linkBusyUntil[p]
+	return r.port[p].expressOut == 0 && firstSend > r.port[p].linkBusyUntil
 }
 
 // tryExpress admits one arriving head flit to the per-flit express path:
@@ -611,7 +590,7 @@ func (r *Router) tryExpress(ivc *inputVC, msg *flow.Message, now int64) bool {
 	ivc.phase = phaseExpress
 	ivc.msg = msg
 	if cl.port != topology.PortLocal {
-		r.expressOut[cl.port]++
+		r.port[cl.port].expressOut++
 	}
 	return true
 }
@@ -635,8 +614,9 @@ func (r *Router) expressForward(idx int, ivc *inputVC, fl flow.Flit, now int64) 
 	r.fab.Credit(topology.Port(r.portOf[idx]), flow.VCID(idx-int(r.vcBase[idx])), now+offC)
 	ovc := &r.out[ivc.outIdx]
 	p := int(ivc.outPort)
-	r.meta[p].useCount++
-	r.meta[p].lastUsed = now + offS
+	ps := &r.port[p]
+	ps.useCount++
+	ps.lastUsed = now + offS
 	if p == int(topology.PortLocal) {
 		r.fab.Deliver(fl, now+offS)
 	} else {
@@ -644,11 +624,11 @@ func (r *Router) expressForward(idx int, ivc *inputVC, fl flow.Flit, now int64) 
 		if fl.Type.IsHead() {
 			fl.Msg.Hops++
 		}
-		if t := now + offS; t > r.linkBusyUntil[p] {
-			if r.linkBusyUntil[p] < now {
-				r.linkBusyFrom[p] = t
+		if t := now + offS; t > ps.linkBusyUntil {
+			if ps.linkBusyUntil < now {
+				ps.linkBusyFrom = t
 			}
-			r.linkBusyUntil[p] = t
+			ps.linkBusyUntil = t
 		}
 		r.fab.Send(ivc.outPort, ivc.outVC, fl, now+offS)
 	}
@@ -657,7 +637,7 @@ func (r *Router) expressForward(idx int, ivc *inputVC, fl flow.Flit, now int64) 
 		ivc.route = flow.RouteSet{}
 		ivc.msg = nil
 		if p != int(topology.PortLocal) {
-			r.expressOut[p]--
+			ps.expressOut--
 			// The tail is still upstream of the output stage until now+offS.
 			// Releasing the VC here would let a buffered message win it in
 			// SA and put a flit on the link before the tail, arriving out of
@@ -666,7 +646,7 @@ func (r *Router) expressForward(idx int, ivc *inputVC, fl flow.Flit, now int64) 
 			r.fab.Release(ivc.outPort, ivc.outVC, now+offS+1)
 		} else {
 			ovc.owner = -1
-			r.meta[p].busyVCs--
+			ps.busyVCs--
 		}
 	}
 }
@@ -722,8 +702,7 @@ func (r *Router) stageRC(now int64) {
 		if ivc.readyAt > now {
 			continue
 		}
-		hdr := ivc.buf.peek()
-		ivc.route = r.tbl.Lookup(hdr.Msg.Dst, ivc.dateline)
+		ivc.route = r.tbl.Lookup(ivc.msg.Dst, ivc.dateline)
 		ivc.phase = phaseWaitSA
 		ivc.readyAt = now + 1
 		r.actRC &^= 1 << i
@@ -771,11 +750,13 @@ func (r *Router) stageSA(now int64) {
 // VC, and (in look-ahead mode) build the outgoing header's candidate set.
 func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 	rs := ivc.route
+	// The header waits at the front of the buffer; ivc.msg is its message.
+	msg := ivc.msg
 	// Virtual cut-through admission: the downstream buffer must be able
 	// to absorb the entire message before the header may claim the VC.
 	needCredits := 0
 	if r.cfg.CutThrough {
-		needCredits = int(ivc.buf.peek().Msg.Length)
+		needCredits = msg.Length
 		if needCredits > r.cfg.BufDepth {
 			panic(fmt.Sprintf("router %d: cut-through message of %d flits exceeds buffer depth %d",
 				r.id, needCredits, r.cfg.BufDepth))
@@ -786,8 +767,8 @@ func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 	// only when no adaptive VC is free this cycle. A message committed
 	// to the escape class (see Config.EscapeCommit) skips the adaptive
 	// pass entirely.
-	committed := r.cfg.EscapeCommit && ivc.buf.peek().Msg.EscapeCommitted
-	class := ivc.buf.peek().Msg.Class
+	committed := r.cfg.EscapeCommit && msg.EscapeCommitted
+	class := msg.Class
 	var eligible uint8
 	for i := 0; !committed && i < rs.Len(); i++ {
 		c := rs.At(i)
@@ -842,7 +823,6 @@ func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 	// look-ahead mode, the candidate set for the next router. Both are
 	// written to the message's header slot, which the next router's input
 	// stage reads strictly after this (see flow.Message.Route).
-	msg := ivc.buf.peek().Msg
 	if escape && r.cfg.EscapeCommit {
 		msg.EscapeCommitted = true
 	}
@@ -904,12 +884,12 @@ func (r *Router) claimVC(p topology.Port, mask flow.VCMask, needCredits int, own
 			reqs |= 1 << v
 		}
 	}
-	g := r.vcArb[p].Grant(reqs)
+	g := r.port[p].vcArb.Grant(reqs)
 	if g < 0 {
 		panic("router: claimVC with no free VC")
 	}
 	r.out[base+g].owner = owner
-	r.meta[p].busyVCs++
+	r.port[p].busyVCs++
 	return flow.VCID(g)
 }
 
@@ -945,7 +925,7 @@ func (r *Router) stageXB(now int64) {
 	// Ascending port order, exactly the order the full scan granted in.
 	for ; used != 0; used &= used - 1 {
 		op := bits.TrailingZeros64(used)
-		g := r.xbArb[op].Grant(reqs[op])
+		g := r.port[op].xbArb.Grant(reqs[op])
 		ivc := &r.in[g]
 		r.traverse(g, &r.out[ivc.outIdx], now)
 	}
@@ -977,7 +957,7 @@ func (r *Router) traverse(inIdx int, ovc *outputVC, now int64) {
 			if !nxt.Type.IsHead() {
 				panic("router: non-head flit follows tail in input buffer")
 			}
-			r.startHeader(inIdx, ivc, *nxt, now)
+			r.startHeader(inIdx, ivc, nxt, now)
 		}
 	} else {
 		ivc.readyAt = now + 1
@@ -995,7 +975,8 @@ func (r *Router) stageOUT(now int64) {
 		base := int(r.vcBase[lowest])
 		p := int(r.portOf[lowest])
 		group := (uint64(1)<<r.cfg.NumVCs - 1) << base
-		if r.linkBusyFrom[p] <= now && now <= r.linkBusyUntil[p] && (now-r.linkBusyFrom[p])&1 == 0 {
+		ps := &r.port[p]
+		if ps.linkBusyFrom <= now && now <= ps.linkBusyUntil && (now-ps.linkBusyFrom)&1 == 0 {
 			// An express worm is streaming on this wire (event mode; the
 			// window is never set in cycle mode). Had the worm been
 			// pipelined, the output mux would round-robin it against the
@@ -1021,7 +1002,7 @@ func (r *Router) stageOUT(now int64) {
 		if reqs == 0 {
 			continue
 		}
-		g := r.muxAr[p].Grant(reqs)
+		g := ps.muxAr.Grant(reqs)
 		ovc := &r.out[base+g]
 		fl := ovc.box.pop()
 		r.boxFull &^= 1 << (base + g)
@@ -1029,8 +1010,8 @@ func (r *Router) stageOUT(now int64) {
 			r.boxed &^= 1 << (base + g)
 		}
 		r.occupancy--
-		r.meta[p].useCount++
-		r.meta[p].lastUsed = now
+		ps.useCount++
+		ps.lastUsed = now
 		if p == int(topology.PortLocal) {
 			r.fab.Deliver(fl, now)
 		} else {
@@ -1042,7 +1023,7 @@ func (r *Router) stageOUT(now int64) {
 		}
 		if fl.Type.IsTail() {
 			ovc.owner = -1
-			r.meta[p].busyVCs--
+			ps.busyVCs--
 		}
 	}
 }
@@ -1060,7 +1041,7 @@ func nextDatelineBit(m *topology.Mesh, id topology.NodeID, p topology.Port, dl u
 }
 
 // BusyVCs implements selection.PortView.
-func (r *Router) BusyVCs(p topology.Port) int { return r.meta[p].busyVCs }
+func (r *Router) BusyVCs(p topology.Port) int { return int(r.port[p].busyVCs) }
 
 // Credits implements selection.PortView: total credits over the port's VCs.
 func (r *Router) Credits(p topology.Port) int {
@@ -1073,21 +1054,21 @@ func (r *Router) Credits(p topology.Port) int {
 }
 
 // UseCount implements selection.PortView.
-func (r *Router) UseCount(p topology.Port) uint64 { return r.meta[p].useCount }
+func (r *Router) UseCount(p topology.Port) uint64 { return r.port[p].useCount }
 
 // LastUsed implements selection.PortView.
-func (r *Router) LastUsed(p topology.Port) int64 { return r.meta[p].lastUsed }
+func (r *Router) LastUsed(p topology.Port) int64 { return r.port[p].lastUsed }
 
 // RemoteCongestion implements selection.PortView: the latest congestion
 // level the downstream router on port p piggybacked on a credit.
-func (r *Router) RemoteCongestion(p topology.Port) uint8 { return r.meta[p].remoteCong }
+func (r *Router) RemoteCongestion(p topology.Port) uint8 { return r.port[p].remoteCong }
 
 // NoteCongestion records the quantized congestion level carried by a
 // credit arriving on output port p. The network calls it while draining
 // credit events, so the signal crosses the phase-B barrier exactly like
 // the credit itself and stays shard-invariant.
 func (r *Router) NoteCongestion(p topology.Port, level uint8) {
-	r.meta[p].remoteCong = level
+	r.port[p].remoteCong = level
 }
 
 // CongestionLevel quantizes this router's buffered-flit occupancy into the

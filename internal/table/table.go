@@ -23,7 +23,9 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -159,15 +161,22 @@ func BuildAll(k Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class
 	return tbls
 }
 
-// Full is a full-table implementation: a flat array with one RouteSet per
-// destination node. On a torus the VC masks depend on the message's
-// dateline state, so entries are precomputed per dateline value.
+// Full is a full-table implementation: one entry per destination node. An
+// entry is an index into dict, the table's distinct route sets, interned
+// while programming: a router of a 32x32 mesh answers its 1024
+// destinations with 9 distinct sets (53 on an 8x8x8 torus), so an entry
+// costs 2 bytes instead of a 26-byte RouteSet. On a torus the VC masks
+// depend on the message's dateline state, so entries are precomputed per
+// dateline value: idx holds one row of N entries per state.
 type Full struct {
 	m    *topology.Mesh
 	alg  routing.Algorithm
 	node topology.NodeID
-	// entries[dateline][dst]
-	entries [][]flow.RouteSet
+	// idx[(dateline&mask)*N+dst] indexes dict; mask is the number of
+	// dateline states (a power of two; one on a mesh) minus one.
+	idx  []uint16
+	dict []flow.RouteSet
+	mask uint8
 }
 
 // NewFull programs a full table for node from alg.
@@ -176,14 +185,33 @@ func NewFull(m *topology.Mesh, alg routing.Algorithm, node topology.NodeID) *Ful
 	if m.Wrap() {
 		states = 1 << m.NumDims()
 	}
-	t := &Full{m: m, alg: alg, node: node, entries: make([][]flow.RouteSet, states)}
+	n := m.N()
+	t := &Full{m: m, alg: alg, node: node, idx: make([]uint16, states*n), mask: uint8(states - 1)}
+	ids := make(map[flow.RouteSet]uint16)
+	// Neighbouring destinations mostly share a set: try the previous
+	// entry's before hashing.
+	var prev flow.RouteSet
+	var prevID uint16
 	for dl := 0; dl < states; dl++ {
-		row := make([]flow.RouteSet, m.N())
-		for dst := 0; dst < m.N(); dst++ {
-			row[dst] = alg.Route(node, topology.NodeID(dst), uint8(dl))
+		row := t.idx[dl*n : (dl+1)*n]
+		for dst := range row {
+			rs := alg.Route(node, topology.NodeID(dst), uint8(dl))
+			if rs != prev || len(t.dict) == 0 {
+				id, ok := ids[rs]
+				if !ok {
+					if len(t.dict) > math.MaxUint16 {
+						panic("table: more than 65536 distinct route sets in one full table")
+					}
+					id = uint16(len(t.dict))
+					ids[rs] = id
+					t.dict = append(t.dict, rs)
+				}
+				prev, prevID = rs, id
+			}
+			row[dst] = prevID
 		}
-		t.entries[dl] = row
 	}
+	t.dict = slices.Clone(t.dict) // drop append's spare capacity: there are N of these
 	return t
 }
 
@@ -198,14 +226,7 @@ func (t *Full) Entries() int { return t.m.N() }
 
 // Lookup implements Table.
 func (t *Full) Lookup(dst topology.NodeID, dateline uint8) flow.RouteSet {
-	return t.entries[t.state(dateline)][dst]
-}
-
-func (t *Full) state(dateline uint8) int {
-	if len(t.entries) == 1 {
-		return 0
-	}
-	return int(dateline) % len(t.entries)
+	return t.dict[t.idx[int(dateline&t.mask)*t.m.N()+int(dst)]]
 }
 
 // LookupAt implements Table. A look-ahead full table stores, per
