@@ -345,33 +345,6 @@ func BenchmarkSimulatorNearIdle(b *testing.B) {
 	benchSimulator(b, 0.005)
 }
 
-// BenchmarkSimulatorSharded measures deterministic sharded stepping on a
-// 32x32 mesh at a loaded steady state: the same simulation partitioned
-// into row bands stepped by worker goroutines, bit-identical to shards=1.
-// On a multi-core host the shards=4 line is the single-run wall-clock
-// lever; on one core it prices the two-phase barrier instead.
-func BenchmarkSimulatorSharded(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c := benchConfig()
-			c.Dims = []int{32, 32}
-			c.Load = 0.5
-			c.Warmup, c.Measure = 100, 1000
-			c.Shards = shards
-			b.ReportAllocs()
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				r, err := core.Run(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += r.TotalCycles
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
-		})
-	}
-}
-
 // benchSimulator measures the cost of one sweep point in a warm process,
 // the unit every experiment grid is built from. The seed is fixed, as it
 // is across the load axis of a real sweep.

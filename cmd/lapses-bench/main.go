@@ -16,8 +16,8 @@
 // Methodology: every case runs in a warm process (caches primed by one
 // untimed run), for -mintime per case, with a fixed seed — the regime a
 // sweep point lives in, where one structural configuration is reused
-// across the whole load axis. Each entry records the GOMAXPROCS and
-// shard count it ran under, since both change what ns/op means.
+// across the whole load axis. Each entry records the GOMAXPROCS it ran
+// under, since that changes what ns/op means.
 package main
 
 import (
@@ -47,11 +47,9 @@ type entry struct {
 	AllocsPerOp  float64 `json:"allocs_per_op"`
 	BytesPerOp   float64 `json:"bytes_per_op"`
 	PointsPerSec float64 `json:"points_per_sec,omitempty"`
-	// Gomaxprocs and Shards record the execution plan the entry measured:
-	// shard workers cannot speed a run beyond GOMAXPROCS, so a delta is
-	// only meaningful between entries with comparable plans.
+	// Gomaxprocs records the machine class the entry was measured on: an
+	// ns/op delta is only meaningful between entries with the same value.
 	Gomaxprocs int `json:"gomaxprocs"`
-	Shards     int `json:"shards"`
 	// SkippedFrac is the fraction of simulated cycles the idle-cycle
 	// fast-forward jumped over (simulation entries only).
 	SkippedFrac float64 `json:"skipped_frac,omitempty"`
@@ -76,13 +74,15 @@ type entry struct {
 }
 
 // snapshot is the BENCH_<date>.json schema. Schema 2 added per-entry
-// gomaxprocs/shards/skipped_frac; schema 3 adds simulated_cycles_total
+// gomaxprocs/skipped_frac; schema 3 adds simulated_cycles_total
 // and the sweep/16pt/auto + bisect/16x16 entries; schema 4 adds
 // event_mode and the sim/16x16/.../events entries; schema 5 adds
 // bursty/notify and the sim/16x16/load=0.20/bursty[...] entries; schema
-// 6 adds scheduled and the sim/16x16/load=0.20/schedule entry. Older
-// baselines still load for comparison (schema-1 entries are implicitly
-// shards=1).
+// 6 adds scheduled and the sim/16x16/load=0.20/schedule entry; schema 7
+// drops the per-run parallelism field and the entries that varied it
+// (sim/32x32/load=0.50 is the former single-band entry). Older baselines
+// still load for comparison; fields this schema no longer has are
+// ignored.
 type snapshot struct {
 	Schema     int     `json:"schema"`
 	Date       string  `json:"date"`
@@ -115,7 +115,7 @@ func main() {
 	}
 
 	snap := snapshot{
-		Schema:     6,
+		Schema:     7,
 		Date:       time.Now().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -134,7 +134,6 @@ func main() {
 			total += r.TotalCycles
 			return r.TotalCycles
 		})
-		e.Shards = c.EffectiveShards()
 		e.EventMode = c.EventMode
 		e.Bursty = c.Burst != nil
 		e.Notify = c.Selection.IsNotify()
@@ -158,20 +157,12 @@ func main() {
 	// there is almost nothing to skip — see skipped_frac in the entries).
 	sim("sim/16x16/load=0.005", simPoint(0.005))
 
-	// Sharded stepping variants: the same run partitioned into row bands
-	// stepped by worker goroutines. On a multi-core host shards=4 is the
-	// single-run wall-clock lever; on a 1-core host it measures the
-	// barrier overhead instead (compare gomaxprocs before reading deltas).
-	for _, shards := range []int{1, 4} {
-		c := simPoint(0.5)
-		c.Dims = []int{32, 32}
-		c.Shards = shards
-		sim(fmt.Sprintf("sim/32x32/load=0.50/shards=%d", shards), c)
-	}
+	// The largest mesh of the scaling experiment at a loaded steady state:
+	// the per-cycle cost of a thousand routers.
 	{
 		c := simPoint(0.5)
-		c.Shards = 4
-		sim("sim/16x16/load=0.50/shards=4", c)
+		c.Dims = []int{32, 32}
+		sim("sim/32x32/load=0.50", c)
 	}
 
 	// Event-driven execution at the same operating points: worm events and
@@ -271,7 +262,6 @@ func main() {
 			return cycles
 		})
 		e.PointsPerSec = float64(len(grid)) / (e.NsPerOp / 1e9)
-		e.Shards = 1
 		snap.Entries = append(snap.Entries, e)
 	}
 
@@ -292,7 +282,6 @@ func main() {
 			}
 			return res.SimulatedCycles
 		})
-		e.Shards = 1
 		snap.Entries = append(snap.Entries, e)
 	}
 
@@ -343,12 +332,10 @@ func compareBaseline(cur snapshot, path string, tol float64, allowMissing bool) 
 // there it prints informationally. Entries new in this snapshot have no
 // baseline to regress against and warn only — failing them would force a
 // baseline regenerated in the same commit as every bench-suite addition.
-// Baseline entries that recorded a different shard count are skipped
-// entirely: their ns/op measures a different execution plan. Baseline
-// entries the current run no longer measures FAIL the gate unless
-// allowMissing: a silently dropped entry is dropped perf coverage, which
-// is exactly the drift -compare exists to catch (pass -allow-missing when
-// retiring a bench intentionally).
+// Baseline entries the current run no longer measures FAIL the gate
+// unless allowMissing: a silently dropped entry is dropped perf coverage,
+// which is exactly the drift -compare exists to catch (pass
+// -allow-missing when retiring a bench intentionally).
 func compareSnapshots(w io.Writer, cur, base snapshot, tol float64, allowMissing bool) bool {
 	baseByName := make(map[string]entry, len(base.Entries))
 	for _, e := range base.Entries {
@@ -362,18 +349,6 @@ func compareSnapshots(w io.Writer, cur, base snapshot, tol float64, allowMissing
 			continue
 		}
 		delete(baseByName, e.Name)
-		bShards := b.Shards
-		if bShards == 0 {
-			bShards = 1 // schema-1 baselines predate sharding
-		}
-		eShards := e.Shards
-		if eShards == 0 {
-			eShards = 1
-		}
-		if bShards != eShards {
-			fmt.Fprintf(w, "%-28s (baseline ran shards=%d, now %d; skipped)\n", e.Name, bShards, eShards)
-			continue
-		}
 		bProcs := b.Gomaxprocs
 		if bProcs == 0 {
 			bProcs = base.GOMAXPROCS // schema-1 entries carry it snapshot-wide

@@ -10,7 +10,7 @@ func snap(entries ...entry) snapshot {
 }
 
 func ent(name string, ns, allocs float64) entry {
-	return entry{Name: name, NsPerOp: ns, AllocsPerOp: allocs, Gomaxprocs: 4, Shards: 1}
+	return entry{Name: name, NsPerOp: ns, AllocsPerOp: allocs, Gomaxprocs: 4}
 }
 
 // A baseline entry the current run no longer measures is dropped perf

@@ -57,7 +57,6 @@ func main() {
 	fidelity := flag.String("fidelity", "default", "sample size: quick, default, paper, or auto (adaptive measurement)")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "row-band shards stepping each run in parallel (results are bit-identical for any count)")
 	csvDir := flag.String("csv", "", "also write <dir>/<exp>.csv for plottable experiments")
 	reps := flag.Int("reps", 1, "replications per experiment under derived seeds; CSVs gain mean/stderr columns")
 	events := flag.Bool("events", false, "run every point on the event-driven kernel (statistically equivalent, several times faster, not bit-comparable to cycle mode)")
@@ -68,9 +67,6 @@ func main() {
 	}
 	if *workers < 0 {
 		fatal(fmt.Errorf("-workers %d: worker count must be at least 0 (0 = GOMAXPROCS)", *workers))
-	}
-	if *shards < 1 {
-		fatal(fmt.Errorf("-shards %d: shard count must be at least 1", *shards))
 	}
 
 	f, err := experiments.ParseFidelity(*fidelity)
@@ -84,7 +80,6 @@ func main() {
 		Fidelity:  f,
 		Seed:      *seed,
 		Workers:   *workers,
-		Shards:    *shards,
 		Cache:     sweep.NewCache(),
 		EventMode: *events,
 	}

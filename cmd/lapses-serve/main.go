@@ -66,7 +66,7 @@ func main() {
 	mode := flag.String("mode", "standalone", "role: standalone (serve and simulate in-process), coordinator (serve jobs, lease work to workers), or worker (claim leases from -peers)")
 	addr := flag.String("addr", ":8347", "listen address (standalone and coordinator modes)")
 	storeDir := flag.String("store", "", "result-store directory (required); created if missing; cluster roles share one directory")
-	workers := flag.Int("workers", 0, "concurrent simulations per job (0 = GOMAXPROCS budgeted against sharding)")
+	workers := flag.Int("workers", 0, "concurrent simulations per job (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 16, "max jobs waiting behind the running one before submissions get 429")
 	retries := flag.Int("retries", 3, "attempts per point (standalone) or per lease (cluster) for transient failures (1 disables retry)")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "base retry backoff (doubles per retry, jittered, capped at 2s)")

@@ -81,7 +81,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed for random fault plans")
 	faultSched := flag.String("fault-schedule", "", "transient fault schedule: \"A-B@DOWN:UP,rN@DOWN,...\" timed events (\":UP\" omitted = permanent); exclusive with -faults")
 	reliability := flag.String("reliability", "", "end-to-end NI retransmission layer: \"on\" for defaults, or \"RTO,ATTEMPTS,ACKDELAY\" (cycles, count, cycles; 0 = default)")
-	shards := flag.Int("shards", 1, "row-band shards stepping the run in parallel (results are bit-identical for any count)")
 	events := flag.Bool("events", false, "event-driven kernel: observationally equivalent to cycle mode, not bit-identical (see README)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -130,10 +129,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *shards < 1 {
-		fatal(fmt.Errorf("-shards %d: shard count must be at least 1", *shards))
-	}
-	cfg.Shards = *shards
 	cfg.EventMode = *events
 	if *auto {
 		if *autoTol <= 0 {
@@ -200,8 +195,8 @@ func main() {
 	if cfg.EventMode {
 		kernel = "event-driven"
 	}
-	fmt.Printf("kernel         %s, %d shard(s), %d of %d cycles fast-forwarded\n",
-		kernel, cfg.EffectiveShards(), res.SkippedCycles, res.TotalCycles)
+	fmt.Printf("kernel         %s, %d of %d cycles fast-forwarded\n",
+		kernel, res.SkippedCycles, res.TotalCycles)
 	if cfg.Schedule != nil {
 		recovery := "never (or no pre-fault baseline)"
 		if res.RecoveryCycles >= 0 {

@@ -53,7 +53,7 @@
 // independent of MeasuredCycles: a skipped cycle inside the measurement
 // window is still simulated, measured time, because the jump happens
 // only when provably nothing is in flight. Adaptive runs are
-// deterministic (same config, same bits, any shard count) but not
+// deterministic (same config, same bits) but not
 // bit-comparable to fixed runs, so the goldens and every
 // bit-equivalence test stay on the fixed tiers; Auto is opt-in per
 // config, or per experiment via -fidelity auto.
@@ -70,36 +70,32 @@
 // The resilience and scaling experiments and the saturation claims
 // tests all report saturation through it.
 //
-// A single run parallelizes through deterministic sharded stepping
-// (core.Config.Shards): the mesh splits into contiguous row bands, each
-// stepped by its own worker, with cross-shard flits and credits carried
-// through per-shard mailboxes drained at a two-phase cycle barrier.
-// Because every cross-shard effect is a future event (at least two cycles
-// out) and all order-sensitive work — message ID assignment, statistics
-// recording — happens serially at the barrier in ascending node order,
-// results are bit-identical for every shard count (pinned by the golden
-// tests at shards 1, 2 and 4, healthy and faulted). On top of the sharded
-// kernel, idle-cycle fast-forward jumps the clock straight to the next NI
+// A single run is one scheduler on one goroutine: each cycle drains the
+// due credit and flit events, ticks the active NIs and routers in
+// ascending node order, and then does all order-sensitive work — message
+// ID assignment, arrival and loss replay to the statistics — at a serial
+// cycle barrier. Parallelism lives one level up, in internal/sweep, whose
+// worker pool (GOMAXPROCS wide by default) runs independent points
+// concurrently with results that do not depend on the pool width. Within
+// a run, idle-cycle fast-forward jumps the clock straight to the next NI
 // wake whenever the network is globally empty (no buffered flits, no
 // queued messages, no events in flight), multiplying simulated cycles per
 // second in near-idle regimes — drain tails, sparse traces, very low
 // loads — while remaining observationally neutral. The scaling experiment
-// (cmd/lapses-experiments -exp scaling) drives both mechanisms end to end
-// from 8x8 to 32x32 meshes; internal/sweep budgets its grid workers
-// against per-run shard counts so sweeps never oversubscribe GOMAXPROCS.
+// (cmd/lapses-experiments -exp scaling) measures the kernel end to end
+// from 8x8 to 32x32 meshes.
 //
-// Orthogonal to sharding, core.Config.EventMode selects the event-driven
-// kernel: whole-message transfers collapse into single "worm" events
-// (one event, one batched credit, one deferred VC release per
-// uncontended hop), with any hop the router cannot absorb in O(1)
-// unpacking back onto the unchanged cycle-accurate path. Event mode is
-// observationally equivalent — latency within the adaptive controller's
-// CI and throughput within fractions of a percent of the cycle kernel,
-// several times the cycles/sec — but not bit-identical and not
-// shard-count-invariant, so Config.Key() marks it (",ev") and the
-// goldens and bit-equivalence suites stay on the cycle kernel. Use
-// -events for sweeps and experiments; use the default cycle kernel
-// whenever bits matter. See README.md "Execution modes".
+// core.Config.EventMode selects the event-driven kernel: whole-message
+// transfers collapse into single "worm" events (one event, one batched
+// credit, one deferred VC release per uncontended hop), with any hop the
+// router cannot absorb in O(1) unpacking back onto the unchanged
+// cycle-accurate path. Event mode is observationally equivalent —
+// latency within the adaptive controller's CI and throughput within
+// fractions of a percent of the cycle kernel, several times the
+// cycles/sec — but not bit-identical to it, so Config.Key() marks it
+// (",ev") and the goldens and bit-equivalence suites stay on the cycle
+// kernel. Use -events for sweeps and experiments; use the default cycle
+// kernel whenever bits matter. See README.md "Execution modes".
 //
 // internal/serve turns the sweep engine into a fault-tolerant service
 // (cmd/lapses-serve): grid jobs arrive over HTTP/JSON, execute through

@@ -191,14 +191,6 @@ type Config struct {
 	// Seed makes runs reproducible.
 	Seed int64
 
-	// Shards splits a single run's mesh into that many contiguous row
-	// bands, each stepped by its own worker goroutine (deterministic
-	// sharded stepping: results are bit-identical for every shard count,
-	// pinned by the golden tests). <= 1 runs serially; the value is
-	// clamped to the row count. Sweeps budget their worker pool against
-	// this so grid workers x shards never oversubscribes GOMAXPROCS.
-	Shards int
-
 	// EventMode switches the run to event-driven execution: flits landing
 	// on quiescent routers transit on an O(1)-per-flit express path with
 	// send and credit times computed from the pipeline's timing constants,
@@ -207,8 +199,8 @@ type Config struct {
 	// cycle mode (latency and throughput match within measurement noise;
 	// uncontended per-message latency is exact) but not bit-identical —
 	// the cycle-accurate kernel remains the golden-pinned oracle. Runs are
-	// deterministic for a fixed configuration and shard count. See README
-	// "Execution modes".
+	// deterministic for a fixed configuration. See README "Execution
+	// modes".
 	EventMode bool
 }
 
@@ -216,7 +208,7 @@ type Config struct {
 // The class draw consumes one extra variate from the node's generation
 // stream per message (gated, so nil-QoS runs consume exactly the draws of
 // previous releases and stay bit-identical); QoS runs are deterministic
-// and bit-identical across shard counts like any other configuration.
+// like any other configuration.
 type QoSSpec struct {
 	// HiFrac is the probability a generated message is high-class, in
 	// [0, 1].
@@ -323,22 +315,6 @@ func (c Config) QuickFidelity() Config {
 // Mesh materializes the topology.
 func (c Config) Mesh() *topology.Mesh { return topology.New(c.Torus, c.Dims...) }
 
-// EffectiveShards returns the shard count a run actually executes with:
-// Shards clamped to at least 1 and at most the radix of the slowest-
-// varying dimension (every shard owns at least one full row — the same
-// clamp the network kernel applies). Reporting and worker budgeting must
-// use this, not the raw request.
-func (c Config) EffectiveShards() int {
-	s := c.Shards
-	if s < 1 {
-		s = 1
-	}
-	if n := len(c.Dims); n > 0 && s > c.Dims[n-1] {
-		s = c.Dims[n-1]
-	}
-	return s
-}
-
 // normalized collapses a static schedule — one whose every event is down
 // at cycle 0 with no repair — onto the plain Faults path: the simulation
 // is the same, and keeping one spelling keeps cache keys and results
@@ -371,13 +347,6 @@ func (c Config) Key() string {
 	fmt.Fprintf(&b, ",ld%x,ml%d,tr%p,w%d,m%d,mc%d,sl%x,sd%d",
 		math.Float64bits(c.Load), c.MsgLen, c.Trace,
 		c.Warmup, c.Measure, c.MaxCycles, math.Float64bits(c.SatLatency), c.Seed)
-	// Shards never changes a Result (sharded stepping is bit-identical),
-	// but it is part of the key so cached sweeps reflect the execution
-	// plan they actually ran — shard-equivalence tests must not have one
-	// variant served from the other's cache line.
-	if c.Shards > 1 {
-		fmt.Fprintf(&b, ",sh%d", c.Shards)
-	}
 	// Event mode changes observed results (it is equivalent, not
 	// bit-identical), so it always keys separately from cycle mode.
 	if c.EventMode {
@@ -826,7 +795,6 @@ func Run(cfg Config) (Result, error) {
 		Trace:     cfg.Trace,
 		MsgLen:    cfg.MsgLen,
 		Seed:      cfg.Seed,
-		Shards:    cfg.Shards,
 		EventMode: cfg.EventMode,
 	}
 	if cfg.Trace == nil {

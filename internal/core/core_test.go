@@ -327,7 +327,6 @@ func TestConfigKey(t *testing.T) {
 		func(c *Config) { c.MaxCycles = 9 },
 		func(c *Config) { c.SatLatency = 1234 },
 		func(c *Config) { c.Seed = 42 },
-		func(c *Config) { c.Shards = 4 },
 		func(c *Config) { c.EventMode = true },
 		func(c *Config) {
 			s, err := fault.ParseSchedule(c.Mesh(), "0-1@10:20")

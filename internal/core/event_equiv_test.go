@@ -38,10 +38,9 @@ func equivPoints(t *testing.T) map[string]Config {
 // equivRun executes one adaptive-tier measurement: the controller stops at
 // a 95% CI half-width of 5% of the mean, which is the equivalence budget
 // the event kernel is held to.
-func equivRun(t *testing.T, c Config, events bool, shards int) Result {
+func equivRun(t *testing.T, c Config, events bool) Result {
 	t.Helper()
 	c.EventMode = events
-	c.Shards = shards
 	c.Warmup, c.Measure = 500, 10000
 	c.Auto = &AutoMeasure{RelTol: 0.05}
 	res, err := Run(c)
@@ -58,62 +57,57 @@ func equivRun(t *testing.T, c Config, events bool, shards int) Result {
 // contract: not bit-identical to the cycle kernel, but statistically
 // indistinguishable — latency within the adaptive controller's combined
 // CI, throughput within the controller's relative tolerance — on healthy,
-// faulted, and torus configurations, at one and at four shards.
+// faulted, and torus configurations.
 func TestEventModeObservationalEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive-tier comparison runs in the full suite")
 	}
 	for name, cfg := range equivPoints(t) {
 		t.Run(name, func(t *testing.T) {
-			ref := equivRun(t, cfg, false, 1)
-			for _, shards := range []int{1, 4} {
-				ev := equivRun(t, cfg, true, shards)
-				// Two independent estimators of the same mean: their
-				// difference is covered by the sum of their CI half-widths.
-				tol := ref.LatencyCI + ev.LatencyCI
-				if d := math.Abs(ev.AvgLatency - ref.AvgLatency); d > tol {
-					t.Errorf("shards=%d: event latency %.2f vs cycle %.2f: |Δ|=%.2f exceeds combined CI %.2f",
-						shards, ev.AvgLatency, ref.AvgLatency, d, tol)
-				}
-				if d := math.Abs(ev.Throughput - ref.Throughput); d > 0.05*ref.Throughput {
-					t.Errorf("shards=%d: event throughput %.4f vs cycle %.4f beyond 5%%",
-						shards, ev.Throughput, ref.Throughput)
-				}
-				if ev.TotalCycles <= 0 || ev.MeasuredCycles <= 0 || ev.MeasuredCycles > ev.TotalCycles {
-					t.Errorf("shards=%d: cycle accounting broken: measured %d of %d total",
-						shards, ev.MeasuredCycles, ev.TotalCycles)
-				}
-				if ev.SkippedCycles < 0 || ev.SkippedCycles > ev.TotalCycles {
-					t.Errorf("shards=%d: skipped %d of %d total cycles", shards, ev.SkippedCycles, ev.TotalCycles)
-				}
+			ref := equivRun(t, cfg, false)
+			ev := equivRun(t, cfg, true)
+			// Two independent estimators of the same mean: their
+			// difference is covered by the sum of their CI half-widths.
+			tol := ref.LatencyCI + ev.LatencyCI
+			if d := math.Abs(ev.AvgLatency - ref.AvgLatency); d > tol {
+				t.Errorf("event latency %.2f vs cycle %.2f: |Δ|=%.2f exceeds combined CI %.2f",
+					ev.AvgLatency, ref.AvgLatency, d, tol)
+			}
+			if d := math.Abs(ev.Throughput - ref.Throughput); d > 0.05*ref.Throughput {
+				t.Errorf("event throughput %.4f vs cycle %.4f beyond 5%%",
+					ev.Throughput, ref.Throughput)
+			}
+			if ev.TotalCycles <= 0 || ev.MeasuredCycles <= 0 || ev.MeasuredCycles > ev.TotalCycles {
+				t.Errorf("cycle accounting broken: measured %d of %d total",
+					ev.MeasuredCycles, ev.TotalCycles)
+			}
+			if ev.SkippedCycles < 0 || ev.SkippedCycles > ev.TotalCycles {
+				t.Errorf("skipped %d of %d total cycles", ev.SkippedCycles, ev.TotalCycles)
 			}
 		})
 	}
 }
 
 // TestEventModeDeterministic pins the event kernel's reproducibility: for
-// a fixed config and shard count the run is bit-identical with itself,
-// even though it is only statistically equivalent to the cycle kernel.
+// a fixed config the run is bit-identical with itself, even though it is
+// only statistically equivalent to the cycle kernel.
 func TestEventModeDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Dims = []int{8, 8}
 	cfg.Load = 0.25
 	cfg.EventMode = true
 	cfg.Warmup, cfg.Measure = 300, 3000
-	for _, shards := range []int{1, 4} {
-		cfg.Shards = shards
-		a, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.AvgLatency != b.AvgLatency || a.Delivered != b.Delivered ||
-			a.TotalCycles != b.TotalCycles || a.Throughput != b.Throughput {
-			t.Errorf("shards=%d: event mode not deterministic:\n%+v\n%+v", shards, a, b)
-		}
+	a, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.AvgLatency != b.AvgLatency || a.Delivered != b.Delivered ||
+		a.TotalCycles != b.TotalCycles || a.Throughput != b.Throughput {
+		t.Errorf("event mode not deterministic:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -54,37 +54,24 @@ func fingerprint(r core.Result) string {
 		b(r.AvgHops), b(r.Throughput), r.Delivered, r.Cycles, r.Saturated, r.SatReason)
 }
 
-// goldenShards are the shard counts every golden grid point runs at: the
-// fixture was recorded from the serial kernel, so passing at 2 and 4
-// proves sharded stepping is bit-identical to it.
-var goldenShards = []int{1, 2, 4}
-
 // TestGoldenKernel locks the simulation kernel's observable behavior: every
 // grid point must produce a Result identical, to the bit, to the fixture
-// recorded before the active-set scheduler landed — at every shard count.
-// Regenerate (only when a semantic change is intended) with: go test
-// ./internal/core -run TestGoldenKernel -update
+// recorded before the active-set scheduler landed. Regenerate (only when
+// a semantic change is intended) with: go test ./internal/core -run
+// TestGoldenKernel -update
 func TestGoldenKernel(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden grid is 24 full runs x 3 shard counts; skipped under -short")
+		t.Skip("golden grid is 24 full runs; skipped under -short")
 	}
 	grid := goldenGrid()
 	got := make(map[string]string, len(grid))
-	for _, shards := range goldenShards {
-		for _, c := range grid {
-			c.Shards = shards
-			key := fmt.Sprintf("%s/load=%.2f/la=%t/seed=%d", c.Pattern, c.Load, c.LookAhead, c.Seed)
-			r, err := core.Run(c)
-			if err != nil {
-				t.Fatalf("%s/shards=%d: %v", key, shards, err)
-			}
-			fp := fingerprint(r)
-			if prev, ok := got[key]; ok && prev != fp {
-				t.Errorf("%s: shards=%d diverged from a lower shard count\n got %s\nwant %s", key, shards, fp, prev)
-				continue
-			}
-			got[key] = fp
+	for _, c := range grid {
+		key := fmt.Sprintf("%s/load=%.2f/la=%t/seed=%d", c.Pattern, c.Load, c.LookAhead, c.Seed)
+		r, err := core.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
 		}
+		got[key] = fingerprint(r)
 	}
 	compareGolden(t, "golden_kernel.txt", "TestGoldenKernel", got)
 }
@@ -133,24 +120,16 @@ func goldenFaultGrid(t *testing.T) (cfgs []core.Config, keys []string) {
 // intended) with: go test ./internal/core -run TestGoldenFaults -update
 func TestGoldenFaults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden fault grid is 8 full runs x 3 shard counts; skipped under -short")
+		t.Skip("golden fault grid is 8 full runs; skipped under -short")
 	}
 	cfgs, keys := goldenFaultGrid(t)
 	got := make(map[string]string, len(cfgs))
-	for _, shards := range goldenShards {
-		for i, c := range cfgs {
-			c.Shards = shards
-			r, err := core.Run(c)
-			if err != nil {
-				t.Fatalf("%s/shards=%d: %v", keys[i], shards, err)
-			}
-			fp := fingerprint(r)
-			if prev, ok := got[keys[i]]; ok && prev != fp {
-				t.Errorf("%s: shards=%d diverged from a lower shard count\n got %s\nwant %s", keys[i], shards, fp, prev)
-				continue
-			}
-			got[keys[i]] = fp
+	for i, c := range cfgs {
+		r, err := core.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", keys[i], err)
 		}
+		got[keys[i]] = fingerprint(r)
 	}
 	compareGolden(t, "golden_faults.txt", "TestGoldenFaults", got)
 }
@@ -215,6 +194,42 @@ func compareGolden(t *testing.T, file, testName string, got map[string]string) {
 		}
 		if g != w {
 			t.Errorf("%s: kernel diverged from golden\n got %s\nwant %s", k, g, w)
+		}
+	}
+}
+
+// TestNotifyBurstyDeterminism: MMPP sources and notification selection
+// must be reproducible — two runs of the same configuration return
+// bit-identical Results, on both execution kernels (event mode is not
+// bit-comparable to cycle mode, but each kernel must agree with itself).
+func TestNotifyBurstyDeterminism(t *testing.T) {
+	t.Parallel()
+	base := core.DefaultConfig()
+	base.Dims = []int{8, 8}
+	base.Pattern = traffic.Hotspot
+	base.Selection = selection.NotifyLRU
+	base.Burst = &traffic.Burst{OnFrac: 0.3, MeanOn: 100}
+	base.QoS = &core.QoSSpec{HiFrac: 0.2, HiVCs: 1}
+	base.Load = 0.1
+	base.Warmup, base.Measure = 100, 800
+	for _, events := range []bool{false, true} {
+		cfg := base
+		cfg.EventMode = events
+		var want string
+		for rep := 0; rep < 2; rep++ {
+			r, err := core.Run(cfg)
+			if err != nil {
+				t.Fatalf("events=%t rep %d: %v", events, rep, err)
+			}
+			if r.Delivered == 0 {
+				t.Fatalf("events=%t: nothing delivered", events)
+			}
+			got := fmt.Sprintf("%+v", r)
+			if rep == 0 {
+				want = got
+			} else if got != want {
+				t.Errorf("events=%t: reruns diverge:\n got %s\nwant %s", events, got, want)
+			}
 		}
 	}
 }

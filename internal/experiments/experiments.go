@@ -91,11 +91,6 @@ type Runner struct {
 	// shared Cache never mixes the two).
 	EventMode bool
 
-	// Shards steps every point's simulation in row-band shards (results
-	// are bit-identical for any count; see core.Config.Shards). <= 1
-	// runs unsharded.
-	Shards int
-
 	// Exec, when non-nil, replaces in-process sweep.Run as the grid
 	// executor — the lapses-serve client's Run plugs in here, routing
 	// every experiment point (grids and saturation probes alike)
@@ -124,9 +119,6 @@ func (r Runner) base() core.Config {
 	c.Selection = selection.StaticXY
 	c.Seed = r.Seed
 	c.EventMode = r.EventMode
-	if r.Shards > 1 {
-		c.Shards = r.Shards
-	}
 	return r.Fidelity.apply(c)
 }
 

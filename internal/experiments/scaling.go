@@ -19,41 +19,27 @@ import (
 // the saturation load and sustained throughput (the architectural
 // observables, located by the bisection saturation search) and
 // simulation wall-clock (the harness observable) from 8x8 up to 32x32,
-// adaptive (LA Duato + ES + LRU) versus deterministic (XY + static),
-// each at shards 1 and 4. The shard series exercises the deterministic
-// sharded kernel end to end: both shard counts must report bit-identical
-// Results (the smoke test asserts it), while their wall-clock columns
-// show what spatial parallelism buys on the host — on a multi-core
-// machine shards=4 approaches a 4x single-run speedup; on one core it
-// measures the barrier overhead.
+// adaptive (LA Duato + ES + LRU) versus deterministic (XY + static).
 //
 // The timed points run uncached through a timing wrapper (a memoized
-// Result has no meaningful wall-clock), with the sweep engine budgeting
-// grid workers against the shard count so the wall-clock column measures
-// the configured plan rather than oversubscription noise. The saturation
-// search runs once per (mesh, policy) — it is shard-independent, since
-// shard counts never change a Result — and its probe/cycle accounting is
+// Result has no meaningful wall-clock), one at a time so the wall-clock
+// column measures the run rather than its neighbours. The saturation
+// search runs once per (mesh, policy), and its probe/cycle accounting is
 // logged against the dense-grid equivalent.
 
 // ScalingDims is the mesh-size axis.
 var ScalingDims = [][]int{{8, 8}, {16, 16}, {24, 24}, {32, 32}}
 
-// ScalingShardCounts are the per-run shard counts each point runs at.
-var ScalingShardCounts = []int{1, 4}
-
-// ScalingRow is one (mesh, policy, shards) point.
+// ScalingRow is one (mesh, policy) point.
 type ScalingRow struct {
 	Dims   []int
 	Policy string // "adaptive" or "deterministic"
-	Shards int
 	// Sat is the overdriven fixed-budget run the wall-clock column
-	// times; it doubles as the shard-equivalence probe (its Result must
-	// be bit-identical across the shard axis).
+	// times.
 	Sat core.Result
 	// SatLoad is the bisection-located saturation load and SatSustained
 	// the run at it (Throughput = sustained acceptance); Search carries
-	// the full search outcome. All three are shard-independent and
-	// shared by the row's shard variants.
+	// the full search outcome.
 	SatLoad      float64
 	SatSustained core.Result
 	Search       sweep.BisectResult
@@ -98,32 +84,45 @@ func (r Runner) Scaling(ctx context.Context) ([]ScalingRow, error) {
 		{"deterministic", core.AlgXY, selection.StaticXY},
 	}
 	dims := r.scalingDims()
-	// Rows are addressed by pointer from the grid sinks, so the slice
-	// must not reallocate after the first &rows[i] is taken.
-	rows := make([]ScalingRow, 0, len(dims)*len(policies)*len(ScalingShardCounts))
+	// Rows are addressed by pointer from the grid and search sinks, so
+	// the slice must not reallocate after the first &rows[i] is taken.
+	rows := make([]ScalingRow, 0, len(dims)*len(policies))
 	var g grid
+	var searches []satSearch
 	for _, d := range dims {
 		for _, pol := range policies {
-			for _, shards := range ScalingShardCounts {
-				base := r.base()
-				// The timed column is defined as a fixed-budget overdriven
-				// run (README: "when a fixed tier is still required"), so
-				// it sheds Fidelity Auto's adaptive tier — early stopping
-				// would change what wall-clock and ovr-thr measure.
-				base.Auto = nil
-				base.Dims = d
-				base.Algorithm = pol.alg
-				base.Selection = pol.sel
-				base.Pattern = traffic.Uniform
-				base.Load = scalingSatLoad
-				base.SatLatency = 1e12
-				base.MaxCycles = r.Fidelity.scalingSatCycles()
-				base.Measure = 1 << 30 // the cycle budget ends the run
-				base.Shards = shards
-				rows = append(rows, ScalingRow{Dims: d, Policy: pol.name, Shards: shards})
-				row := &rows[len(rows)-1]
-				g.add(base, func(res core.Result) { row.Sat = res })
-			}
+			base := r.base()
+			base.Dims = d
+			base.Algorithm = pol.alg
+			base.Selection = pol.sel
+			base.Pattern = traffic.Uniform
+			rows = append(rows, ScalingRow{Dims: d, Policy: pol.name})
+			row := &rows[len(rows)-1]
+
+			// The timed column is defined as a fixed-budget overdriven
+			// run (README: "when a fixed tier is still required"), so
+			// it sheds Fidelity Auto's adaptive tier — early stopping
+			// would change what wall-clock and ovr-thr measure.
+			timed := base
+			timed.Auto = nil
+			timed.Load = scalingSatLoad
+			timed.SatLatency = 1e12
+			timed.MaxCycles = r.Fidelity.scalingSatCycles()
+			timed.Measure = 1 << 30 // the cycle budget ends the run
+			g.add(timed, func(res core.Result) { row.Sat = res })
+
+			// Probes shed the adaptive tier too (see SaturationSpec) and
+			// run through the regular options (worker pool, memo cache).
+			lo, hi := satBracket(traffic.Uniform)
+			searches = append(searches, satSearch{
+				name: fmt.Sprintf("scaling(%s, %s)", dimsString(d), pol.name),
+				spec: SaturationSpec(base, lo, hi, r.Fidelity.satTol()),
+				sink: func(res sweep.BisectResult) {
+					row.SatLoad = res.Lo
+					row.SatSustained = res.LoResult
+					row.Search = res
+				},
+			})
 		}
 	}
 	// Wall-clock needs real executions: bypass the memo cache and time
@@ -136,77 +135,28 @@ func (r Runner) Scaling(ctx context.Context) ([]ScalingRow, error) {
 		inner = core.Run
 	}
 	durs := make(map[string]time.Duration, len(g.cfgs))
-	var durKeys []string
-	for _, c := range g.cfgs {
-		durKeys = append(durKeys, c.Key())
-	}
 	opt.Runner = func(c core.Config) (core.Result, error) {
 		start := time.Now()
 		res, err := inner(c)
 		durs[c.Key()] = time.Since(start)
 		return res, err
 	}
-	// The durs map is written concurrently by grid workers — except that
-	// every key is distinct and written exactly once, which is still a
-	// data race on the map structure itself. Serialize: scaling's
-	// wall-clock column is only meaningful without co-running points
-	// anyway (two timed simulations sharing the machine inflate each
-	// other).
+	// One worker: concurrent writes to durs would race on the map, and
+	// scaling's wall-clock column is only meaningful without co-running
+	// points anyway (two timed simulations sharing the machine inflate
+	// each other).
 	opt.Workers = 1
 	if err := g.run(ctx, opt); err != nil {
 		return nil, err
 	}
 	for i := range rows {
-		rows[i].Wall = durs[durKeys[i]]
+		rows[i].Wall = durs[g.cfgs[i].Key()]
 		if s := rows[i].Wall.Seconds(); s > 0 {
 			rows[i].CyclesPerSec = float64(rows[i].Sat.TotalCycles) / s
 		}
 	}
-	// Saturation search, once per (mesh, policy), all fanned out
-	// together: the located load is a property of the architecture, not
-	// of the execution plan, so the shard variants share it. Probes run
-	// unsharded through the regular options (worker budget, memo cache).
-	type meshPolicy struct {
-		mesh   string
-		policy string
-	}
-	// This dedup loop is single-goroutine (runSearches serializes the
-	// sinks later), so the map needs no locking here.
-	found := map[meshPolicy]sweep.BisectResult{}
-	queued := map[meshPolicy]bool{}
-	var searches []satSearch
-	for i := range rows {
-		key := meshPolicy{dimsString(rows[i].Dims), rows[i].Policy}
-		if queued[key] {
-			continue
-		}
-		queued[key] = true
-		base := r.base()
-		// Like the timed runs above, probes shed the adaptive tier (see
-		// SaturationSpec) and stay unsharded.
-		base.Dims = rows[i].Dims
-		for _, pol := range policies {
-			if pol.name == rows[i].Policy {
-				base.Algorithm = pol.alg
-				base.Selection = pol.sel
-			}
-		}
-		base.Pattern = traffic.Uniform
-		lo, hi := satBracket(traffic.Uniform)
-		searches = append(searches, satSearch{
-			name: fmt.Sprintf("scaling(%s, %s)", key.mesh, key.policy),
-			spec: SaturationSpec(base, lo, hi, r.Fidelity.satTol()),
-			sink: func(res sweep.BisectResult) { found[key] = res },
-		})
-	}
 	if err := runSearches(ctx, searches, r.opts()); err != nil {
 		return nil, err
-	}
-	for i := range rows {
-		res := found[meshPolicy{dimsString(rows[i].Dims), rows[i].Policy}]
-		rows[i].SatLoad = res.Lo
-		rows[i].SatSustained = res.LoResult
-		rows[i].Search = res
 	}
 	return rows, nil
 }
@@ -215,23 +165,18 @@ func (r Runner) Scaling(ctx context.Context) ([]ScalingRow, error) {
 func RenderScaling(w io.Writer, rows []ScalingRow) {
 	fmt.Fprintln(w, "Scaling: saturation point (bisection) and simulation wall-clock vs mesh size")
 	fmt.Fprintln(w, "(adaptive = LA Duato + ES + LRU; deterministic = XY + static; wall-clock overdriven at load 0.9)")
-	fmt.Fprintf(w, "%-8s %-14s %7s %9s %10s %10s %12s %14s %8s\n",
-		"mesh", "policy", "shards", "sat-load", "sat-thr", "ovr-thr", "wall-clock", "cycles/sec", "skipped")
-	var searches []sweep.BisectResult
-	seen := map[string]bool{}
+	fmt.Fprintf(w, "%-8s %-14s %9s %10s %10s %12s %14s %8s\n",
+		"mesh", "policy", "sat-load", "sat-thr", "ovr-thr", "wall-clock", "cycles/sec", "skipped")
+	searches := make([]sweep.BisectResult, 0, len(rows))
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %-14s %7d %9.3f %10.4f %10.4f %12s %14.0f %8d\n",
-			dimsString(r.Dims), r.Policy, r.Shards,
+		fmt.Fprintf(w, "%-8s %-14s %9.3f %10.4f %10.4f %12s %14.0f %8d\n",
+			dimsString(r.Dims), r.Policy,
 			r.SatLoad, r.SatSustained.Throughput,
 			r.Sat.Throughput, r.Wall.Round(time.Millisecond), r.CyclesPerSec, r.Sat.SkippedCycles)
-		key := dimsString(r.Dims) + "/" + r.Policy
-		if !seen[key] {
-			seen[key] = true
-			searches = append(searches, r.Search)
-			if !r.Search.Converged {
-				fmt.Fprintf(w, "warning: %s/%s saturation search did not converge (bracket [%.3f, %.3f]); sat-load is a lower bound\n",
-					dimsString(r.Dims), r.Policy, r.Search.Lo, r.Search.Hi)
-			}
+		searches = append(searches, r.Search)
+		if !r.Search.Converged {
+			fmt.Fprintf(w, "warning: %s/%s saturation search did not converge (bracket [%.3f, %.3f]); sat-load is a lower bound\n",
+				dimsString(r.Dims), r.Policy, r.Search.Lo, r.Search.Hi)
 		}
 	}
 	probes, cycles, dense := searchCost(searches...)
@@ -250,11 +195,11 @@ func dimsString(dims []int) string {
 	return s
 }
 
-// ScalingCSV writes one row per (mesh, policy, shards).
+// ScalingCSV writes one row per (mesh, policy).
 func ScalingCSV(w io.Writer, rows []ScalingRow) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
-		"mesh", "nodes", "policy", "shards",
+		"mesh", "nodes", "policy",
 		"sat_load", "sat_throughput", "sat_converged", "overdriven_throughput", "wall_ns", "cycles_per_sec",
 	}); err != nil {
 		return err
@@ -268,7 +213,6 @@ func ScalingCSV(w io.Writer, rows []ScalingRow) error {
 			dimsString(r.Dims),
 			strconv.Itoa(nodes),
 			r.Policy,
-			strconv.Itoa(r.Shards),
 			strconv.FormatFloat(r.SatLoad, 'f', 4, 64),
 			strconv.FormatFloat(r.SatSustained.Throughput, 'f', 5, 64),
 			strconv.FormatBool(r.Search.Converged),

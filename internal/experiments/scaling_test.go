@@ -8,11 +8,8 @@ import (
 )
 
 // TestScalingQuick is the -short tier of the scaling experiment: the
-// reduced mesh axis through the real simulator at Quick fidelity. Beyond
-// shape checks it pins the experiment's structural claim about the
-// kernel: the shards=1 and shards=4 variants of every (mesh, policy)
-// point — distinct cache keys, really executed — report bit-identical
-// simulation Results, with only wall-clock differing.
+// reduced mesh axis through the real simulator at Quick fidelity: shape
+// checks on every row plus the architectural claim across policies.
 func TestScalingQuick(t *testing.T) {
 	t.Parallel()
 	r := Runner{Fidelity: Quick, Seed: 1}
@@ -20,19 +17,18 @@ func TestScalingQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 meshes x 2 policies x 2 shard counts at the quick tier.
-	if len(rows) != 8 {
-		t.Fatalf("got %d rows, want 8", len(rows))
+	// 2 meshes x 2 policies at the quick tier.
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(rows))
 	}
-	byPoint := map[string]ScalingRow{}
 	adaptiveSat := map[string]float64{}
 	for _, row := range rows {
 		if row.Sat.Throughput <= 0 {
-			t.Fatalf("%s/%s/shards=%d: zero saturation throughput", dimsString(row.Dims), row.Policy, row.Shards)
+			t.Fatalf("%s/%s: zero saturation throughput", dimsString(row.Dims), row.Policy)
 		}
 		if row.Wall <= 0 || row.CyclesPerSec <= 0 {
-			t.Fatalf("%s/%s/shards=%d: missing wall-clock (%v, %v cycles/sec)",
-				dimsString(row.Dims), row.Policy, row.Shards, row.Wall, row.CyclesPerSec)
+			t.Fatalf("%s/%s: missing wall-clock (%v, %v cycles/sec)",
+				dimsString(row.Dims), row.Policy, row.Wall, row.CyclesPerSec)
 		}
 		if !row.Search.Converged || row.SatLoad <= 0 || row.SatSustained.Throughput <= 0 {
 			t.Fatalf("%s/%s: saturation search malformed: %s", dimsString(row.Dims), row.Policy, row.Search)
@@ -40,20 +36,6 @@ func TestScalingQuick(t *testing.T) {
 		if row.Search.Probes >= row.Search.DensePoints {
 			t.Fatalf("%s/%s: search probed %d points, dense grid is %d",
 				dimsString(row.Dims), row.Policy, row.Search.Probes, row.Search.DensePoints)
-		}
-		key := dimsString(row.Dims) + "/" + row.Policy
-		if prev, ok := byPoint[key]; ok {
-			if prev.Sat != row.Sat {
-				t.Errorf("%s: shards=%d diverged from shards=%d:\n%+v\n%+v",
-					key, row.Shards, prev.Shards, row.Sat, prev.Sat)
-			}
-			// The search is shard-independent and shared across the
-			// shard variants of a point.
-			if prev.SatLoad != row.SatLoad || prev.Search != row.Search {
-				t.Errorf("%s: shard variants disagree on the saturation search", key)
-			}
-		} else {
-			byPoint[key] = row
 		}
 		if row.Policy == "adaptive" {
 			adaptiveSat[dimsString(row.Dims)] = row.SatLoad
@@ -76,7 +58,7 @@ func TestScalingQuick(t *testing.T) {
 	if want := 1 + len(rows); len(lines) != want {
 		t.Fatalf("CSV has %d lines, want %d", len(lines), want)
 	}
-	if !strings.HasPrefix(lines[0], "mesh,nodes,policy,shards,sat_load,sat_throughput,sat_converged,overdriven_throughput") {
+	if !strings.HasPrefix(lines[0], "mesh,nodes,policy,sat_load,sat_throughput,sat_converged,overdriven_throughput") {
 		t.Fatalf("CSV header: %q", lines[0])
 	}
 }

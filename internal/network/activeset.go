@@ -8,9 +8,6 @@ import (
 // a bitmap over component indices (routers or NIs). Components register
 // when they gain work and deregister when they go quiescent, so Step
 // visits only active components instead of ticking the whole network.
-// Under sharded stepping each shard owns a private activeSet over its
-// node band (indexed by node id minus the band's base), so concurrent
-// shards never share a bitmap word.
 //
 // Determinism contract: forEach visits members in ascending index order —
 // the same order the pre-active-set kernel ticked all components in — so

@@ -14,10 +14,9 @@ import (
 // Fault-schedule dynamics: how the network survives topology changing
 // mid-run.
 //
-// A transition is applied in Step's preamble — on the stepping goroutine,
-// before any shard's phase A — so every shard sees the same epoch for the
-// whole cycle and sharded runs stay bit-identical to serial ones. One
-// transition does four things, in order:
+// A transition is applied in Step's preamble, before anything steps, so
+// every component sees the same epoch for the whole cycle. One transition
+// does four things, in order:
 //
 //  1. Mark: find every message with any state committed to dying
 //     equipment — flit events in flight toward a dead link end or dead
@@ -112,7 +111,7 @@ func (n *Network) advanceEpochs(now int64) {
 }
 
 // applyTransition moves the network into schedule epoch e. now is the
-// cycle about to execute; all of phase A for it runs after this returns.
+// cycle about to execute: Step runs it after this returns.
 func (n *Network) applyTransition(e int, now int64) {
 	n.epoch = e
 	n.plan = n.sched.Plan(e)
@@ -121,8 +120,8 @@ func (n *Network) applyTransition(e int, now int64) {
 
 	// --- Mark ---------------------------------------------------------
 	// The victim set is collected into insertion-ordered storage and then
-	// sorted by message ID: shard counts change the scan order of wheel
-	// slots, and the loss replay below must not depend on it.
+	// sorted by message ID, so the loss replay below does not depend on the
+	// scan order of wheel slots.
 	vict := make(map[*flow.Message]bool)
 	var order []*flow.Message
 	mark := func(m *flow.Message) {
@@ -139,13 +138,11 @@ func (n *Network) applyTransition(e int, now int64) {
 	// everything in the network.
 	fullDrain := n.cfg.Class.EscapeVCs == 0
 	drained := func(m *flow.Message) bool { return fullDrain || m.EscapeCommitted }
-	for _, sh := range n.shards {
-		sh.flits.each(func(ev *flitEvent) {
-			if deadEnd(ev.node, ev.port) || plan.NodeDead(ev.fl.Msg.Dst) || drained(ev.fl.Msg) {
-				mark(ev.fl.Msg)
-			}
-		})
-	}
+	n.flits.each(func(ev *flitEvent) {
+		if deadEnd(ev.node, ev.port) || plan.NodeDead(ev.fl.Msg.Dst) || drained(ev.fl.Msg) {
+			mark(ev.fl.Msg)
+		}
+	})
 	for id := range n.routers {
 		r := &n.routers[id]
 		node := topology.NodeID(id)
@@ -174,33 +171,27 @@ func (n *Network) applyTransition(e int, now int64) {
 
 	// --- Sweep --------------------------------------------------------
 	victim := func(m *flow.Message) bool { return vict[m] }
-	for _, sh := range n.shards {
-		removed := 0
-		sh.flits.filter(func(ev *flitEvent) bool {
-			if !vict[ev.fl.Msg] {
-				return true
-			}
-			if ev.worm {
-				// A worm event is the whole message crossing the wire.
-				removed += ev.fl.Msg.Length
-			} else {
-				removed++
-			}
-			return false
-		})
-		n.droppedFlits += int64(removed)
-	}
+	n.flits.filter(func(ev *flitEvent) bool {
+		if !vict[ev.fl.Msg] {
+			return true
+		}
+		if ev.worm {
+			// A worm event is the whole message crossing the wire.
+			n.droppedFlits += int64(ev.fl.Msg.Length)
+		} else {
+			n.droppedFlits++
+		}
+		return false
+	})
 	for id := range n.routers {
 		r := &n.routers[id]
 		n.droppedFlits += int64(r.PurgeMessages(victim, now-1))
 		occ := r.Occupancy()
-		sh := n.shards[n.nodeShard[id]]
-		sh.totalOcc += occ - int(n.lastOcc[id])
+		n.totalOcc += occ - int(n.lastOcc[id])
 		n.lastOcc[id] = int32(occ)
 	}
 	for id := range n.nis {
 		x := &n.nis[id]
-		sh := x.sh
 		for v := range x.streams {
 			if m := x.streams[v].msg; m != nil && vict[m] {
 				// The stream's unsent flits die with it; the flits it
@@ -208,7 +199,7 @@ func (n *Network) applyTransition(e int, now int64) {
 				// credits it holds stay consistent: the recompute below
 				// rebuilds them from surviving state.
 				x.streams[v] = stream{}
-				sh.totalQueued--
+				n.totalQueued--
 			}
 		}
 		if plan.NodeDead(topology.NodeID(id)) && len(x.queue) > x.qHead {
@@ -218,7 +209,7 @@ func (n *Network) applyTransition(e int, now int64) {
 					kept = append(kept, m)
 				}
 			}
-			sh.totalQueued -= (len(x.queue) - x.qHead) - len(kept)
+			n.totalQueued -= (len(x.queue) - x.qHead) - len(kept)
 			x.queue = kept
 			x.qHead = 0
 		}
@@ -261,13 +252,11 @@ func (n *Network) applyTransition(e int, now int64) {
 		// old epoch's table of the router they are about to enter — the
 		// neighbor's for a link traversal, the source router's own for an
 		// injection — which is ev.node's table either way.
-		for _, sh := range n.shards {
-			sh.flits.each(func(ev *flitEvent) {
-				if ev.fl.Type.IsHead() {
-					ev.fl.Msg.Route = tbls[ev.node].Lookup(ev.fl.Msg.Dst, ev.fl.Msg.Dateline)
-				}
-			})
-		}
+		n.flits.each(func(ev *flitEvent) {
+			if ev.fl.Type.IsHead() {
+				ev.fl.Msg.Route = tbls[ev.node].Lookup(ev.fl.Msg.Dst, ev.fl.Msg.Dateline)
+			}
+		})
 	}
 
 	// --- Recompute flow control ---------------------------------------
@@ -287,23 +276,21 @@ func (n *Network) recomputeCredits() {
 	flitsTo := make([]int32, n.m.N()*n.ports*vcs)
 	credsTo := make([]int32, n.m.N()*n.ports*vcs)
 	niCreds := make([]int32, n.m.N()*vcs)
-	for _, sh := range n.shards {
-		sh.flits.each(func(ev *flitEvent) {
-			k := int32(1)
-			if ev.worm {
-				k = int32(ev.fl.Msg.Length)
-			}
-			flitsTo[idx(ev.node, ev.port, ev.vc)] += k
-		})
-		sh.credits.each(func(ev *creditEvent) {
-			switch ev.kind {
-			case creditToRouter:
-				credsTo[idx(ev.node, ev.port, ev.vc)] += ev.n
-			case creditToNI:
-				niCreds[int(ev.node)*vcs+int(ev.vc)] += ev.n
-			}
-		})
-	}
+	n.flits.each(func(ev *flitEvent) {
+		k := int32(1)
+		if ev.worm {
+			k = int32(ev.fl.Msg.Length)
+		}
+		flitsTo[idx(ev.node, ev.port, ev.vc)] += k
+	})
+	n.credits.each(func(ev *creditEvent) {
+		switch ev.kind {
+		case creditToRouter:
+			credsTo[idx(ev.node, ev.port, ev.vc)] += ev.n
+		case creditToNI:
+			niCreds[int(ev.node)*vcs+int(ev.vc)] += ev.n
+		}
+	})
 	depth := n.cfg.Router.BufDepth
 	for id := range n.routers {
 		r := &n.routers[id]

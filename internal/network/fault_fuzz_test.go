@@ -26,24 +26,21 @@ import (
 //     after the drain;
 //  4. dead equipment stays dark — zero flits on failed links.
 //
-// The shard count and the execution kernel (cycle- vs event-driven) are
-// fuzzed alongside the fault plan: sharded stepping
-// must uphold every conservation invariant over arbitrary damage, not
-// just the configurations the golden grids pin, and the event kernel's
-// express machinery must conserve messages and flits over the same
-// degraded topologies it never sees in the timing-pinned tests. The
-// notify axis swaps in the notification selector, whose credit-
-// piggybacked congestion filter must keep every invariant over damaged
-// meshes too (a dead link's port never reports, so its stale level must
-// not trap worms).
+// The execution kernel (cycle- vs event-driven) is fuzzed alongside the
+// fault plan: the event kernel's express machinery must conserve
+// messages and flits over the same degraded topologies it never sees in
+// the timing-pinned tests. The notify axis swaps in the notification
+// selector, whose credit-piggybacked congestion filter must keep every
+// invariant over damaged meshes too (a dead link's port never reports,
+// so its stale level must not trap worms).
 //
 // Run continuously with: go test -run '^$' -fuzz FuzzFaultPlan ./internal/network
 func FuzzFaultPlan(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(1), true, false, uint8(1), false, false)
-	f.Add(int64(2), uint8(0), uint8(0), false, false, uint8(2), true, true)
-	f.Add(int64(3), uint8(6), uint8(2), true, true, uint8(4), true, false)
-	f.Add(int64(4), uint8(1), uint8(0), false, true, uint8(3), false, true)
-	f.Fuzz(func(t *testing.T, seed int64, nLinks, nRouters uint8, la, torus bool, shards uint8, events, notify bool) {
+	f.Add(int64(1), uint8(3), uint8(1), true, false, false, false)
+	f.Add(int64(2), uint8(0), uint8(0), false, false, true, true)
+	f.Add(int64(3), uint8(6), uint8(2), true, true, true, false)
+	f.Add(int64(4), uint8(1), uint8(0), false, true, false, true)
+	f.Fuzz(func(t *testing.T, seed int64, nLinks, nRouters uint8, la, torus bool, events, notify bool) {
 		m := topology.NewMesh(6, 6)
 		if torus {
 			m = topology.NewTorus(5, 5)
@@ -117,7 +114,6 @@ func FuzzFaultPlan(f *testing.F) {
 			Trace:     trace,
 			MsgLen:    20,
 			Seed:      seed,
-			Shards:    1 + int(shards%6),
 			EventMode: events,
 		}
 		if err := cfg.Validate(); err != nil {

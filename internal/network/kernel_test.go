@@ -29,35 +29,19 @@ func (n *Network) scanQueued() int {
 	return total
 }
 
-// routerOnSet and niOnSet report active-set membership through the
-// sharded bitmaps, for coverage checks.
-func (n *Network) routerOnSet(id int) bool {
-	sh := n.shards[n.nodeShard[id]]
-	return sh.actRouters.has(id - sh.lo)
-}
-
-func (n *Network) niOnSet(id int) bool {
-	sh := n.shards[n.nodeShard[id]]
-	return sh.actNIs.has(id - sh.lo)
-}
-
 // The incrementally maintained Occupancy/QueuedMessages counters must
-// track the full scans exactly, cycle by cycle — per shard band as well
-// as in aggregate.
+// track the full scans exactly, cycle by cycle.
 func TestIncrementalCountersMatchScans(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		m := topology.NewMesh(8, 8)
-		cfg := testConfig(m, true, table.KindES, selection.LRU, traffic.New(traffic.Uniform, m), 0.01, 3)
-		cfg.Shards = shards
-		n := New(cfg)
-		for i := 0; i < 5000; i++ {
-			n.Step()
-			if got, want := n.Occupancy(), n.scanOccupancy(); got != want {
-				t.Fatalf("shards=%d cycle %d: Occupancy counter %d, scan %d", shards, i, got, want)
-			}
-			if got, want := n.QueuedMessages(), n.scanQueued(); got != want {
-				t.Fatalf("shards=%d cycle %d: QueuedMessages counter %d, scan %d", shards, i, got, want)
-			}
+	m := topology.NewMesh(8, 8)
+	cfg := testConfig(m, true, table.KindES, selection.LRU, traffic.New(traffic.Uniform, m), 0.01, 3)
+	n := New(cfg)
+	for i := 0; i < 5000; i++ {
+		n.Step()
+		if got, want := n.Occupancy(), n.scanOccupancy(); got != want {
+			t.Fatalf("cycle %d: Occupancy counter %d, scan %d", i, got, want)
+		}
+		if got, want := n.QueuedMessages(), n.scanQueued(); got != want {
+			t.Fatalf("cycle %d: QueuedMessages counter %d, scan %d", i, got, want)
 		}
 	}
 }
@@ -72,13 +56,13 @@ func TestActiveSetCoversAllWork(t *testing.T) {
 		n.Step()
 		for id := range n.routers {
 			r := &n.routers[id]
-			if r.Active() && !n.routerOnSet(id) {
+			if r.Active() && !n.actRouters.has(id) {
 				t.Fatalf("cycle %d: router %d has %d flits but is off the active set", i, id, r.Occupancy())
 			}
 		}
 		for id := range n.nis {
 			x := &n.nis[id]
-			if x.pending() > 0 && !n.niOnSet(id) {
+			if x.pending() > 0 && !n.actNIs.has(id) {
 				t.Fatalf("cycle %d: NI %d has %d pending but is off the active set", i, id, x.pending())
 			}
 		}
@@ -86,42 +70,23 @@ func TestActiveSetCoversAllWork(t *testing.T) {
 }
 
 // At a loaded steady state, Step must not allocate: the wheels, buffers,
-// queues, message pools, and cross-shard mailboxes all reach their
-// high-water marks during warmup and are reused thereafter. The contract
-// holds for the serial kernel, for sharded stepping executed inline, and
-// for sharded stepping dispatched to the phase-A workers Run uses (the
-// channel handshake and WaitGroup round-trip are allocation-free too).
+// queues and message pool all reach their high-water marks during warmup
+// and are reused thereafter.
 func TestStepSteadyStateAllocationFree(t *testing.T) {
-	cases := []struct {
-		name    string
-		shards  int
-		workers bool
-	}{
-		{"serial", 1, false},
-		{"shards=4/inline", 4, false},
-		{"shards=4/workers", 4, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := topology.NewMesh(8, 8)
-			cfg := testConfig(m, true, table.KindES, selection.LRU, traffic.New(traffic.Uniform, m), 0.02, 11)
-			cfg.Shards = tc.shards
-			n := New(cfg)
-			n.recycle = true // Run enables this; drive Step directly here
-			if tc.workers {
-				stop := n.startWorkers()
-				defer stop()
-			}
-			for i := 0; i < 20000; i++ {
-				n.Step()
-			}
-			avg := testing.AllocsPerRun(2000, func() { n.Step() })
-			// A strict zero would be flaky (a rare source-queue or heap
-			// growth past the prior high-water mark is legitimate); ~zero
-			// is the contract.
-			if avg > 0.01 {
-				t.Fatalf("steady-state Step allocates %v allocs/op, want ~0", avg)
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) {
+		m := topology.NewMesh(8, 8)
+		cfg := testConfig(m, true, table.KindES, selection.LRU, traffic.New(traffic.Uniform, m), 0.02, 11)
+		n := New(cfg)
+		n.recycle = true // Run enables this; drive Step directly here
+		for i := 0; i < 20000; i++ {
+			n.Step()
+		}
+		avg := testing.AllocsPerRun(2000, func() { n.Step() })
+		// A strict zero would be flaky (a rare source-queue or heap
+		// growth past the prior high-water mark is legitimate); ~zero
+		// is the contract.
+		if avg > 0.01 {
+			t.Fatalf("steady-state Step allocates %v allocs/op, want ~0", avg)
+		}
+	})
 }

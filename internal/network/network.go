@@ -7,7 +7,7 @@
 //
 // Two optional layers model networks that fail and recover mid-run. A
 // fault schedule (Config.Schedule + Config.EpochTables) applies timed
-// link/router down/up transitions at the shard barrier — dropping the
+// link/router down/up transitions between cycles — dropping the
 // state committed to dying equipment plus the messages the
 // reconfiguration drain retires, swapping routing tables, and
 // recomputing flow control; see the commentary in dynfault.go for the
@@ -16,11 +16,9 @@
 // receiver-side duplicate suppression at the NIs, turning those losses
 // into exactly-once delivery; see reliability.go.
 //
-// Determinism: a run is bit-reproducible for a fixed configuration, and
-// cycle-kernel runs (scheduled or not) are additionally bit-identical
-// across shard counts. The event kernel is deterministic per (config,
-// shard count) and observationally equivalent to the cycle kernel, but
-// not bit-identical across shard counts.
+// Determinism: a run is bit-reproducible for a fixed configuration, on
+// either kernel. The event kernel is observationally equivalent to the
+// cycle kernel, not bit-identical to it.
 package network
 
 import (
@@ -101,13 +99,6 @@ type Config struct {
 	MsgLen int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Shards splits the mesh into that many contiguous row bands, each
-	// stepped by its own worker inside Run (deterministic sharded
-	// stepping; see shard.go). Results are bit-identical for every shard
-	// count; <= 1 means a single shard. The value is clamped to the
-	// radix of the slowest-varying dimension so every shard owns at
-	// least one full row.
-	Shards int
 	// EventMode switches flit arrival to event-driven execution: a flit
 	// landing on a quiescent router takes the express path (see
 	// router.EventFlit), transiting in O(1) work per flit with send and
@@ -119,7 +110,7 @@ type Config struct {
 	// measurement noise under load) but not bit-identical: admission
 	// decisions consult arbiter and selector state at arrival time rather
 	// than at the emulated SA cycle. Runs remain deterministic for a
-	// fixed configuration and shard count.
+	// fixed configuration.
 	EventMode bool
 }
 
@@ -216,10 +207,9 @@ type creditEvent struct {
 	kind uint8
 	// cong piggybacks the credit issuer's quantized congestion level
 	// (router.CongestionLevel) on creditToRouter events when a
-	// notification-aware selector is configured; 0 otherwise. It is read
-	// while the issuing router's own shard steps (phase A) and delivered
-	// while the receiving router's shard drains credits, so it crosses the
-	// barrier exactly like the credit and stays shard-invariant.
+	// notification-aware selector is configured; 0 otherwise. It is
+	// sampled when the credit is issued and delivered with it, so the
+	// signal is as stale as the credit round-trip.
 	cong uint8
 }
 
@@ -295,21 +285,34 @@ type Network struct {
 	fabrics []nodeFabric
 	now     int64
 
-	// shards carry all per-cycle mutable scheduler state — wheels, active
-	// bitmaps, wake heaps, occupancy counters, message pools, mailboxes —
-	// partitioned into contiguous node bands (a single shard when
-	// Config.Shards <= 1). nodeShard maps a node id to its shard index.
-	// lastOcc shadows each router's occupancy in a dense array so the
-	// tick loop computes deltas without an extra load from every router's
-	// struct; it is indexed per node and therefore safely shared.
-	shards    []*shard
-	nodeShard []int32
-	lastOcc   []int32
+	// Scheduler state. flits and credits are the event calendars of link
+	// and credit traversal; actRouters/actNIs are the work lists Step
+	// iterates and wakes parks idle NIs until their traffic process next
+	// fires (all indexed by / holding node ids).
+	flits      *wheel[flitEvent]
+	credits    *wheel[creditEvent]
+	actRouters activeSet
+	actNIs     activeSet
+	wakes      wakeHeap
 
-	// par is non-nil while Run's phase-A workers are up; Step dispatches
-	// shards to them instead of stepping inline. Execution strategy only:
-	// results are identical either way.
-	par *parRun
+	// totalOcc/totalQueued are the incremental counters behind Occupancy
+	// and QueuedMessages. lastOcc shadows each router's occupancy in a
+	// dense array so the tick loop computes deltas without an extra load
+	// from every router's struct.
+	totalOcc    int
+	totalQueued int
+	lastOcc     []int32
+
+	// created accumulates messages generated this cycle, in NI-visit
+	// (ascending node) order; the barrier assigns their IDs. arrived
+	// accumulates tail-delivered messages in delivery order; the barrier
+	// replays them to the arrival observer. Both are reset each cycle and
+	// reuse their backing arrays.
+	created []*flow.Message
+	arrived []*flow.Message
+
+	// msgFree pools delivered messages for reuse by the NIs.
+	msgFree []*flow.Message
 
 	// ff enables idle-cycle fast-forward (set inside Run): when the
 	// network is globally idle, Step jumps now to the next NI wake
@@ -339,13 +342,12 @@ type Network struct {
 	// Fault-schedule state (dynfault.go). plan is the fault set currently
 	// in effect — cfg.Faults on the static path, the active epoch's plan
 	// under a schedule. It is written only between cycles (Step's
-	// preamble), so phase-A readers never race.
+	// preamble), so every component sees one epoch for the whole cycle.
 	plan        *fault.Plan
 	sched       *fault.Schedule
 	epochTables [][]table.Table
 	epoch       int
-	// Barrier-owned loss counters; per-shard counters (retransmits,
-	// duplicates) live on the shards and are summed by accessors.
+	// Loss counters of fault transitions and bind-point drops.
 	droppedFlits int64
 	droppedMsgs  int64
 	reconv       int64
@@ -362,6 +364,22 @@ type Network struct {
 	// negative IDs to pure-ack control messages at the barrier.
 	rel      *Reliability
 	nextCtrl flow.MessageID
+	// Reliability-layer accumulators (reliability.go), written by the NIs
+	// during the step body and drained at the barrier. newPending holds
+	// this cycle's tracked sends awaiting their message IDs; createdCtrl
+	// this cycle's pure acks awaiting (negative) IDs; relDone delivered
+	// copies the layer consumed (duplicates, pure acks) to pool; lostIDs
+	// retry-exhausted message IDs to replay to the loss observer. dropped
+	// holds messages discarded at the bind point because their destination
+	// is dead and no reliability layer will retry them.
+	newPending  []*pendEntry
+	createdCtrl []*flow.Message
+	relDone     []*flow.Message
+	lostIDs     []flow.MessageID
+	dropped     []*flow.Message
+	retrans     int64
+	dups        int64
+	abandoned   int64
 
 	// notify is set when the configured selector consumes congestion
 	// notifications: credits then piggyback the issuer's quantized
@@ -371,13 +389,11 @@ type Network struct {
 }
 
 // link is one direction of a wired channel: the node and input port that
-// flits leaving through the owning (node, port) pair arrive at, and
-// whether that node is stepped by the sender's own shard.
+// flits leaving through the owning (node, port) pair arrive at.
 type link struct {
 	node topology.NodeID
 	port topology.Port
 	ok   bool
-	same bool
 }
 
 // New builds and wires a network. It panics on invalid configuration,
@@ -419,9 +435,6 @@ func New(cfg Config) *Network {
 		rel := cfg.Reliability.withDefaults()
 		n.rel = &rel
 	}
-	bounds := shardBounds(m, cfg.Shards)
-	n.shards = make([]*shard, len(bounds)-1)
-	n.nodeShard = make([]int32, m.N())
 	// Cycle mode schedules events at most 1+LinkDelay cycles out. Event
 	// mode reaches further: a worm transit's batched credit and deferred
 	// VC release land up to BufDepth+4+LinkDelay cycles after the head's
@@ -432,23 +445,10 @@ func New(cfg Config) *Network {
 	if cfg.EventMode {
 		horizon = cfg.LinkDelay + cfg.Router.BufDepth + 6
 	}
-	for b := range n.shards {
-		sh := &shard{
-			idx:        b,
-			lo:         bounds[b],
-			hi:         bounds[b+1],
-			flits:      newWheel[flitEvent](horizon),
-			credits:    newWheel[creditEvent](horizon),
-			outFlits:   make([][]timedFlit, len(bounds)-1),
-			outCredits: make([][]timedCredit, len(bounds)-1),
-		}
-		sh.actRouters = newActiveSet(sh.hi - sh.lo)
-		sh.actNIs = newActiveSet(sh.hi - sh.lo)
-		for id := sh.lo; id < sh.hi; id++ {
-			n.nodeShard[id] = int32(b)
-		}
-		n.shards[b] = sh
-	}
+	n.flits = newWheel[flitEvent](horizon)
+	n.credits = newWheel[creditEvent](horizon)
+	n.actRouters = newActiveSet(m.N())
+	n.actNIs = newActiveSet(m.N())
 	tbls := cfg.Tables
 	switch {
 	case cfg.Schedule != nil:
@@ -470,8 +470,7 @@ func New(cfg Config) *Network {
 				continue
 			}
 			if nb, ok := m.Neighbor(topology.NodeID(id), topology.Port(p)); ok {
-				n.links[id*n.ports+p] = link{node: nb, port: topology.Opposite(topology.Port(p)), ok: true,
-					same: n.nodeShard[nb] == n.nodeShard[id]}
+				n.links[id*n.ports+p] = link{node: nb, port: topology.Opposite(topology.Port(p)), ok: true}
 			}
 		}
 	}
@@ -480,14 +479,12 @@ func New(cfg Config) *Network {
 	for id := range n.fabrics {
 		node := topology.NodeID(id)
 		f := &n.fabrics[id]
-		src := n.shards[n.nodeShard[id]]
 		*f = nodeFabric{
 			n:       n,
 			node:    node,
 			links:   n.links[id*n.ports : (id+1)*n.ports],
-			src:     src,
-			flits:   src.flits,
-			credits: src.credits,
+			flits:   n.flits,
+			credits: n.credits,
 			hop:     1 + int64(cfg.LinkDelay),
 			notify:  n.notify,
 			ni:      &n.nis[id],
@@ -509,25 +506,23 @@ func New(cfg Config) *Network {
 		}
 		x := &n.nis[id]
 		if at, ok := x.nextWake(); ok {
-			x.sh.wakes.push(wake{at: at, node: int32(id)})
+			n.wakes.push(wake{at: at, node: int32(id)})
 		}
 	}
 	return n
 }
 
 // nodeFabric is one router's surroundings (router.Fabric): the links
-// leaving its node, the wheels of the shard that owns it, and its NI.
-// What the per-flit methods read on the same-shard path is in the value
-// itself, so a send or a credit loads the fabric, the link and the wheel
-// and nothing else; n and src serve the cross-shard mailboxes and the
+// leaving its node, the network's wheels, and its NI. What the per-flit
+// methods read is in the value itself, so a send or a credit loads the
+// fabric, the link and the wheel and nothing else; n serves the
 // congestion sample.
 type nodeFabric struct {
 	n       *Network
 	node    topology.NodeID
-	links   []link // this node's row of Network.links, indexed by port
-	src     *shard
-	flits   *wheel[flitEvent]   // src.flits
-	credits *wheel[creditEvent] // src.credits
+	links   []link              // this node's row of Network.links, indexed by port
+	flits   *wheel[flitEvent]   // n.flits
+	credits *wheel[creditEvent] // n.credits
 	hop     int64               // output register plus wire: 1 + LinkDelay
 	notify  bool                // n.notify
 	ni      *ni
@@ -535,29 +530,17 @@ type nodeFabric struct {
 
 // Send routes a flit leaving the node through port p onto the wire; it
 // arrives (is latched) at the neighbor after the output register plus the
-// link delay. A flit staying inside the sender's shard is scheduled
-// directly on that shard's wheel; one crossing a shard boundary is
-// appended to the sender shard's outbound mailbox and drained into the
-// destination wheel at the cycle barrier — always before its due cycle,
-// because arrival is at least two cycles out.
+// link delay.
 func (f *nodeFabric) Send(p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
 	l := f.links[p]
 	if !l.ok {
 		panic(fmt.Sprintf("network: node %d sent out port %d with no link", f.node, p))
 	}
-	at := now + f.hop
-	e := flitEvent{node: l.node, port: l.port, vc: v, fl: fl}
-	if l.same {
-		f.flits.schedule(at, e)
-	} else {
-		d := f.n.nodeShard[l.node]
-		f.src.outFlits[d] = append(f.src.outFlits[d], timedFlit{at: at, e: e})
-	}
+	f.flits.schedule(now+f.hop, flitEvent{node: l.node, port: l.port, vc: v, fl: fl})
 }
 
 // Credit returns a freed input-buffer slot upstream: to the neighbor's
-// output VC, or to the local NI for the injection port. Cross-shard
-// credits ride the mailbox like flits do.
+// output VC, or to the local NI for the injection port.
 func (f *nodeFabric) Credit(p topology.Port, v flow.VCID, now int64) {
 	at := now + f.hop
 	if p == topology.PortLocal {
@@ -570,18 +553,10 @@ func (f *nodeFabric) Credit(p topology.Port, v flow.VCID, now int64) {
 	}
 	e := creditEvent{node: l.node, port: l.port, vc: v, n: 1}
 	if f.notify {
-		// Sample the issuing router's congestion at credit time: this
-		// runs during the node's own phase-A step, so the read is
-		// shard-local and the run stays bit-identical for any shard
-		// count.
+		// Sample the issuing router's congestion at credit time.
 		e.cong = f.n.routers[f.node].CongestionLevel()
 	}
-	if l.same {
-		f.credits.schedule(at, e)
-	} else {
-		d := f.n.nodeShard[l.node]
-		f.src.outCredits[d] = append(f.src.outCredits[d], timedCredit{at: at, e: e})
-	}
+	f.credits.schedule(at, e)
 }
 
 // SendWorm is Send's event-mode sibling: the flit is the head of an
@@ -591,14 +566,7 @@ func (f *nodeFabric) SendWorm(p topology.Port, v flow.VCID, fl flow.Flit, now in
 	if !l.ok {
 		panic(fmt.Sprintf("network: node %d sent worm out port %d with no link", f.node, p))
 	}
-	at := now + f.hop
-	e := flitEvent{node: l.node, port: l.port, vc: v, fl: fl, worm: true}
-	if l.same {
-		f.flits.schedule(at, e)
-	} else {
-		d := f.n.nodeShard[l.node]
-		f.src.outFlits[d] = append(f.src.outFlits[d], timedFlit{at: at, e: e})
-	}
+	f.flits.schedule(now+f.hop, flitEvent{node: l.node, port: l.port, vc: v, fl: fl, worm: true})
 }
 
 // CreditN is Credit's batched sibling: count credits return in one event,
@@ -618,18 +586,11 @@ func (f *nodeFabric) CreditN(p topology.Port, v flow.VCID, count int, now int64)
 	if f.notify {
 		e.cong = f.n.routers[f.node].CongestionLevel()
 	}
-	if l.same {
-		f.credits.schedule(at, e)
-	} else {
-		d := f.n.nodeShard[l.node]
-		f.src.outCredits[d] = append(f.src.outCredits[d], timedCredit{at: at, e: e})
-	}
+	f.credits.schedule(at, e)
 }
 
-// Release schedules an event-mode VC release on the router's own shard: a
-// worm transit frees its claimed output VC the cycle after its tail
-// leaves the output stage. Releases are always intra-shard (a router
-// releases its own VC), so they never ride a mailbox.
+// Release schedules an event-mode VC release: a worm transit frees its
+// claimed output VC the cycle after its tail leaves the output stage.
 func (f *nodeFabric) Release(p topology.Port, v flow.VCID, at int64) {
 	f.credits.schedule(at, creditEvent{kind: creditRelease, node: f.node, port: p, vc: v})
 }
@@ -647,13 +608,12 @@ func (f *nodeFabric) Deliver(fl flow.Flit, now int64) { f.ni.deliver(fl, now) }
 // returns immediately; an idle NI's tick only polls its injector), so the
 // active-set kernel is cycle-for-cycle identical to ticking everything.
 //
-// The cycle executes as phase A over every shard (in parallel when Run's
-// workers are up, inline otherwise — identical results either way; see
-// shard.go) followed by the serial phase-B barrier. When fast-forward is
-// armed (inside Run) and the network is globally idle, Step first jumps
-// now to the next NI wake: the skipped cycles are simulated time during
-// which provably nothing could happen, so the jump is indistinguishable
-// from ticking them one by one.
+// The cycle executes as the step body (stepCycle) followed by the barrier
+// (finishCycle), where everything order-sensitive happens: message IDs,
+// arrival and loss replay. When fast-forward is armed (inside Run) and the
+// network is globally idle, Step first jumps now to the next NI wake: the
+// skipped cycles are simulated time during which provably nothing could
+// happen, so the jump is indistinguishable from ticking them one by one.
 func (n *Network) Step() {
 	now := n.now
 	if n.ff && n.idle() {
@@ -677,27 +637,15 @@ func (n *Network) Step() {
 			now = target
 		}
 	}
-	// Apply fault-schedule transitions due at or before this cycle, on the
-	// stepping goroutine, strictly before any shard's phase A: every shard
-	// observes the same epoch for the whole cycle, so shards=N stays
-	// bit-identical to shards=1. The fast-forward jump above is safe to
-	// cross transitions: it only fires when the network is provably empty,
-	// and advanceEpochs replays every skipped transition here in order.
+	// Apply fault-schedule transitions due at or before this cycle before
+	// anything steps, so every component observes the same epoch for the
+	// whole cycle. The fast-forward jump above is safe to cross
+	// transitions: it only fires when the network is provably empty, and
+	// advanceEpochs replays every skipped transition here in order.
 	if n.sched != nil {
 		n.advanceEpochs(now)
 	}
-	if p := n.par; p != nil {
-		p.wg.Add(len(p.start))
-		for _, ch := range p.start {
-			ch <- now
-		}
-		n.stepShard(n.shards[0], now)
-		p.wg.Wait()
-	} else {
-		for _, sh := range n.shards {
-			n.stepShard(sh, now)
-		}
-	}
+	n.stepCycle(now)
 	n.finishCycle(now)
 	n.now = now + 1
 }
@@ -708,23 +656,11 @@ func (n *Network) Now() int64 { return n.now }
 // Occupancy returns the number of flits buffered across all routers,
 // maintained incrementally (it must always equal the sum of per-router
 // occupancies; tests assert this).
-func (n *Network) Occupancy() int {
-	total := 0
-	for _, sh := range n.shards {
-		total += sh.totalOcc
-	}
-	return total
-}
+func (n *Network) Occupancy() int { return n.totalOcc }
 
 // QueuedMessages returns the number of messages waiting or streaming in
 // source queues, maintained incrementally.
-func (n *Network) QueuedMessages() int {
-	total := 0
-	for _, sh := range n.shards {
-		total += sh.totalQueued
-	}
-	return total
-}
+func (n *Network) QueuedMessages() int { return n.totalQueued }
 
 // SkippedCycles returns how many cycles idle-cycle fast-forward jumped
 // over (simulated but not individually executed). Zero outside Run.
@@ -783,8 +719,7 @@ type RunParams struct {
 	// WarmupMessages = 0 — warmup truncation is the controller's job)
 	// and the loop ends as soon as the controller reports Stopped(),
 	// instead of waiting for the full MeasureMessages count. The
-	// controller consumes deliveries in barrier replay order, so
-	// adaptive runs stay bit-identical across shard counts.
+	// controller consumes deliveries in barrier replay order.
 	Adaptive *stats.Adaptive
 }
 
@@ -833,17 +768,14 @@ func (n *Network) Run(p RunParams) *stats.Run {
 	n.recycle = true
 	defer func() { n.recycle = false }()
 
-	// Arm idle-cycle fast-forward (bounded by the cycle budget) and the
-	// phase-A workers for the duration of the loop. Both are execution
-	// strategies, not semantics: results are bit-identical with them off.
+	// Arm idle-cycle fast-forward (bounded by the cycle budget) for the
+	// duration of the loop. It is an execution strategy, not semantics:
+	// results are bit-identical with it off.
 	if !p.NoFastForward {
 		n.ff = true
 		n.ffLimit = p.MaxCycles
 		defer func() { n.ff = false }()
 	}
-	stopWorkers := n.startWorkers()
-	defer stopWorkers()
-
 	// An onArrive observer installed before Run (a test seam) keeps
 	// firing for every delivery; Run's measurement hook chains after it
 	// and the observer is restored on exit.

@@ -25,7 +25,6 @@ type stream struct {
 // source router can start directly at its SA stage.
 type ni struct {
 	net   *Network
-	sh    *shard // the shard owning this NI's node band
 	node  topology.NodeID
 	r     *router.Router
 	inj   traffic.Source
@@ -58,7 +57,6 @@ func (n *Network) newNIs() {
 		x := &n.nis[id]
 		*x = ni{
 			net:     n,
-			sh:      n.shards[n.nodeShard[id]],
 			node:    topology.NodeID(id),
 			r:       &n.routers[id],
 			inj:     srcs[id],
@@ -121,18 +119,15 @@ func (n *Network) inject(msg *flow.Message) {
 	}
 	x := &n.nis[msg.Src]
 	x.queue = append(x.queue, msg)
-	x.sh.totalQueued++
-	x.sh.actNIs.add(int(msg.Src) - x.sh.lo)
+	n.totalQueued++
+	n.actNIs.add(int(msg.Src))
 }
 
-// newMessage takes a message from the shard's delivery pool, or allocates
-// one. Pools are per shard so concurrent phase-A generators never share
-// one; a message delivered in another shard is recycled there and reused
-// by that shard's NIs.
-func (sh *shard) newMessage() *flow.Message {
-	if k := len(sh.msgFree); k > 0 {
-		msg := sh.msgFree[k-1]
-		sh.msgFree = sh.msgFree[:k-1]
+// newMessage takes a message from the delivery pool, or allocates one.
+func (n *Network) newMessage() *flow.Message {
+	if k := len(n.msgFree); k > 0 {
+		msg := n.msgFree[k-1]
+		n.msgFree = n.msgFree[:k-1]
 		*msg = flow.Message{}
 		return msg
 	}
@@ -162,12 +157,11 @@ func (x *ni) tick(now int64) {
 		x.relMaintain(now)
 	}
 	// Generated messages carry no ID yet: IDs are assigned at the cycle
-	// barrier in ascending node order (see finishCycle), which keeps the
-	// global creation numbering identical under any shard count. Nothing
-	// reads the ID before delivery, cycles later.
+	// barrier in ascending node order (see finishCycle). Nothing reads the
+	// ID before delivery, cycles later.
 	if x.trace != nil {
 		for _, tm := range x.trace.Due(now) {
-			msg := x.sh.newMessage()
+			msg := x.net.newMessage()
 			msg.Src = tm.Src
 			msg.Dst = tm.Dst
 			msg.Length = tm.Length
@@ -175,7 +169,7 @@ func (x *ni) tick(now int64) {
 			if x.rel != nil {
 				x.relTrack(msg, now)
 			}
-			x.sh.created = append(x.sh.created, msg)
+			x.net.created = append(x.net.created, msg)
 			x.queue = append(x.queue, msg)
 		}
 	} else {
@@ -184,7 +178,7 @@ func (x *ni) tick(now int64) {
 			if !ok {
 				continue
 			}
-			msg := x.sh.newMessage()
+			msg := x.net.newMessage()
 			msg.Src = x.node
 			msg.Dst = dst
 			msg.Length = x.net.cfg.MsgLen
@@ -197,7 +191,7 @@ func (x *ni) tick(now int64) {
 			if x.rel != nil {
 				x.relTrack(msg, now)
 			}
-			x.sh.created = append(x.sh.created, msg)
+			x.net.created = append(x.net.created, msg)
 			x.queue = append(x.queue, msg)
 		}
 	}
@@ -223,7 +217,7 @@ func (x *ni) tick(now int64) {
 			}
 			if x.net.sched != nil && x.net.plan.NodeDead(m.Dst) {
 				if x.rel == nil {
-					x.sh.dropped = append(x.sh.dropped, m)
+					x.net.dropped = append(x.net.dropped, m)
 				}
 				continue
 			}
@@ -257,7 +251,7 @@ func (x *ni) tick(now int64) {
 				msg.Route = x.r.Table().Lookup(msg.Dst, 0)
 			}
 			fl := flow.FlitAt(msg, 0)
-			x.sh.flits.schedule(now+1, flitEvent{node: x.node, port: topology.PortLocal, vc: flow.VCID(v), fl: fl, worm: true})
+			x.net.flits.schedule(now+1, flitEvent{node: x.node, port: topology.PortLocal, vc: flow.VCID(v), fl: fl, worm: true})
 			x.credits[v] -= msg.Length
 			*s = stream{}
 			x.rr = v + 1
@@ -287,9 +281,8 @@ func (x *ni) tick(now int64) {
 			}
 		}
 		// One-cycle injection wire: the flit is latched into the
-		// router's local input buffer next cycle (always intra-shard:
-		// an NI injects into its own node's router).
-		x.sh.flits.schedule(now+1, flitEvent{node: x.node, port: topology.PortLocal, vc: flow.VCID(v), fl: fl})
+		// router's local input buffer next cycle.
+		x.net.flits.schedule(now+1, flitEvent{node: x.node, port: topology.PortLocal, vc: flow.VCID(v), fl: fl})
 		x.credits[v]--
 		s.seq++
 		if fl.Type.IsTail() {
@@ -337,12 +330,12 @@ func (x *ni) acceptCredit(v flow.VCID, n int) {
 
 // deliver consumes an ejected flit; the tail completes the message. The
 // arrival observer fires at the cycle barrier (finishCycle), not here:
-// deliveries happen during the parallel router phase, and replaying them
-// serially in ascending shard order reproduces the serial kernel's
-// recording order exactly. The tail is the last live reference to the
-// message inside the network — earlier flits preceded it through every
-// buffer, and popped fifo slots are never read again before being
-// overwritten — so after the barrier replay it can be pooled.
+// the barrier's replay order — IDs, then arrivals, then losses — is what
+// the goldens, adaptive measurement and the reliability layer are pinned
+// against. The tail is the last live reference to the message inside the
+// network — earlier flits preceded it through every buffer, and popped
+// fifo slots are never read again before being overwritten — so after
+// the barrier replay it can be pooled.
 func (x *ni) deliver(fl flow.Flit, now int64) {
 	if fl.Msg.Dst != x.node {
 		panic("network: flit delivered to wrong node")
@@ -355,6 +348,6 @@ func (x *ni) deliver(fl flow.Flit, now int64) {
 			return
 		}
 		fl.Msg.ArriveTime = now
-		x.sh.arrived = append(x.sh.arrived, fl.Msg)
+		x.net.arrived = append(x.net.arrived, fl.Msg)
 	}
 }

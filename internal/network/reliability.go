@@ -28,9 +28,8 @@ import (
 //     arrival observer fires. Delivered + abandoned is therefore
 //     exactly-once delivery of everything the sources generated.
 //
-// Everything runs inside the NI tick/deliver paths of the owning shard,
-// so sharded runs stay bit-identical: per-NI state is only touched while
-// its shard steps, and cross-NI effects travel as ordinary messages.
+// Everything runs inside the NI tick/deliver paths: per-NI state is only
+// touched by its own NI, and cross-NI effects travel as ordinary messages.
 
 // Reliability configures the end-to-end NI reliability layer. The zero
 // value of each field selects its default.
@@ -111,7 +110,7 @@ type recvState struct {
 // niRel is one NI's reliability state (nil on the NI when the layer is
 // off, so the healthy fast path pays a single pointer test).
 type niRel struct {
-	nextSeq  []int64     // per destination: last assigned RelSeq
+	nextSeq  []int64      // per destination: last assigned RelSeq
 	pend     []*pendEntry // unacknowledged sends, oldest first
 	recv     []recvState  // per source: incoming stream state
 	ackPeers []topology.NodeID
@@ -142,12 +141,12 @@ func (x *ni) relMaintain(now int64) {
 		}
 		if pe.attempts >= rel.MaxAttempts {
 			// Out of attempts: the message is lost end to end. The barrier
-			// replays the loss to the observer in shard order.
-			x.sh.abandoned++
-			x.sh.lostIDs = append(x.sh.lostIDs, pe.id)
+			// replays the loss to the observer.
+			x.net.abandoned++
+			x.net.lostIDs = append(x.net.lostIDs, pe.id)
 			continue
 		}
-		msg := x.sh.newMessage()
+		msg := x.net.newMessage()
 		msg.ID = pe.id
 		msg.Src = x.node
 		msg.Dst = pe.dst
@@ -156,7 +155,7 @@ func (x *ni) relMaintain(now int64) {
 		msg.CreateTime = pe.createTime
 		msg.RelSeq = pe.seq
 		x.queue = append(x.queue, msg)
-		x.sh.retrans++
+		x.net.retrans++
 		pe.attempts++
 		shift := pe.attempts - 1
 		if shift > 6 {
@@ -172,13 +171,13 @@ func (x *ni) relMaintain(now int64) {
 		for _, src := range x.rel.ackPeers {
 			st := &x.rel.recv[src]
 			if st.ackPending && st.ackAt <= now {
-				msg := x.sh.newMessage()
+				msg := x.net.newMessage()
 				msg.Src = x.node
 				msg.Dst = src
 				msg.Length = 1
 				msg.CreateTime = now
 				msg.Ctrl = true
-				x.sh.createdCtrl = append(x.sh.createdCtrl, msg)
+				x.net.createdCtrl = append(x.net.createdCtrl, msg)
 				x.queue = append(x.queue, msg)
 				st.ackPending = false
 			}
@@ -210,7 +209,7 @@ func (x *ni) relTrack(msg *flow.Message, now int64) {
 		deadline:   now + x.net.rel.RTO,
 	}
 	x.rel.pend = append(x.rel.pend, pe)
-	x.sh.newPending = append(x.sh.newPending, pe)
+	x.net.newPending = append(x.net.newPending, pe)
 }
 
 // relFillAcks stamps the outgoing message with this NI's view of the
@@ -245,7 +244,7 @@ func (x *ni) relReceive(m *flow.Message, now int64) bool {
 		x.rel.pend = kept
 	}
 	if m.Ctrl {
-		x.sh.relDone = append(x.sh.relDone, m)
+		x.net.relDone = append(x.net.relDone, m)
 		return false
 	}
 	if m.RelSeq == 0 {
@@ -256,8 +255,8 @@ func (x *ni) relReceive(m *flow.Message, now int64) bool {
 		// The duplicate means the source has not seen our acknowledgment
 		// (it may have died on a failed link) — re-arm it, or the source
 		// retransmits into suppression until it abandons the message.
-		x.sh.dups++
-		x.sh.relDone = append(x.sh.relDone, m)
+		x.net.dups++
+		x.net.relDone = append(x.net.relDone, m)
 		x.relArmAck(st, m.Src, now)
 		return false
 	}
@@ -293,7 +292,7 @@ func (x *ni) relArmAck(st *recvState, src topology.NodeID, now int64) {
 			x.rel.ackPeers = append(x.rel.ackPeers, src)
 		}
 	}
-	x.sh.actNIs.add(int(x.node) - x.sh.lo)
+	x.net.actNIs.add(int(x.node))
 }
 
 // relNextWake returns the earliest cycle the reliability layer needs this
@@ -316,30 +315,12 @@ func (x *ni) relNextWake() (int64, bool) {
 
 // Retransmits returns the number of retransmitted message copies sent by
 // the reliability layer.
-func (n *Network) Retransmits() int64 {
-	var t int64
-	for _, sh := range n.shards {
-		t += sh.retrans
-	}
-	return t
-}
+func (n *Network) Retransmits() int64 { return n.retrans }
 
 // DupSuppressed returns the number of duplicate deliveries the reliability
 // layer absorbed before the arrival observer.
-func (n *Network) DupSuppressed() int64 {
-	var t int64
-	for _, sh := range n.shards {
-		t += sh.dups
-	}
-	return t
-}
+func (n *Network) DupSuppressed() int64 { return n.dups }
 
 // Abandoned returns the number of messages the reliability layer gave up
 // on after exhausting MaxAttempts.
-func (n *Network) Abandoned() int64 {
-	var t int64
-	for _, sh := range n.shards {
-		t += sh.abandoned
-	}
-	return t
-}
+func (n *Network) Abandoned() int64 { return n.abandoned }

@@ -31,17 +31,17 @@ import (
 // Schedules are link-only: a trace pins its endpoints at build time, and
 // the network (correctly) refuses workloads whose sources could be dead
 // when their injections fire. Router events are covered by the directed
-// schedule tests. The shard count, both execution kernels, and a
+// schedule tests. Both execution kernels and a
 // deliberately aggressive RTO (forcing retransmissions of healthy traffic,
 // hence duplicate suppression) are fuzzed alongside the schedule.
 //
 // Run continuously with: go test -run '^$' -fuzz FuzzFaultSchedule ./internal/network
 func FuzzFaultSchedule(f *testing.F) {
-	f.Add(int64(1), uint8(3), true, uint8(1), false, false)
-	f.Add(int64(2), uint8(5), false, uint8(2), true, true)
-	f.Add(int64(3), uint8(2), true, uint8(4), false, true)
-	f.Add(int64(4), uint8(7), false, uint8(3), true, false)
-	f.Fuzz(func(t *testing.T, seed int64, nLinks uint8, la bool, shards uint8, events, rel bool) {
+	f.Add(int64(1), uint8(3), true, false, false)
+	f.Add(int64(2), uint8(5), false, true, true)
+	f.Add(int64(3), uint8(2), true, false, true)
+	f.Add(int64(4), uint8(7), false, true, false)
+	f.Fuzz(func(t *testing.T, seed int64, nLinks uint8, la bool, events, rel bool) {
 		m := topology.NewMesh(6, 6)
 		sched, err := fault.RandomSchedule(m, 1+int(nLinks%8), 0, 4000, seed)
 		if err != nil {
@@ -95,7 +95,6 @@ func FuzzFaultSchedule(f *testing.F) {
 			Trace:       trace,
 			MsgLen:      20,
 			Seed:        seed,
-			Shards:      1 + int(shards%6),
 			EventMode:   events,
 		}
 		if rel {

@@ -74,23 +74,13 @@ func scheduleFingerprint(t *testing.T, cfg Config, warmup, measure int) (string,
 	return fmt.Sprintf("%x", h.Sum64()), n
 }
 
-// TestScheduleShardEquivalence pins the tentpole determinism claim on
-// both execution kernels, each to the guarantee that kernel makes without
-// a schedule (network.Config.EventMode documents the difference):
-//
-//   - cycle kernel: bit-identical results at shard counts {1, 2, 4} — a
-//     full healthy -> faulted -> healed schedule must not weaken the
-//     shard-equivalence argument. Transitions run in Step's preamble on
-//     the stepping goroutine, so the victim purge, table swap, and credit
-//     recomputation must be invariant to how the mesh is banded; this
-//     test fails if any of them ever reads mid-cycle shard state.
-//   - event kernel: deterministic for a fixed configuration and shard
-//     count — reruns at each shard count in {1, 2, 4} are bit-identical,
-//     and every shard count sees the transitions and destroys flits.
-//     (Event mode was never cross-shard bit-identical, healthy or not:
-//     express admission consults arbiter state at arrival time, and
-//     wheel-slot order differs across bandings.)
-func TestScheduleShardEquivalence(t *testing.T) {
+// TestScheduleDeterminism pins the determinism claim under a full
+// healthy -> faulted -> healed schedule on both execution kernels: a rerun
+// of the same configuration is bit-identical — arrivals, losses and every
+// counter — and the schedule really fires, destroying in-flight flits, so
+// the victim purge, table swap and credit recomputation are all inside
+// what the fingerprint covers.
+func TestScheduleDeterminism(t *testing.T) {
 	t.Parallel()
 	m := topology.NewMesh(8, 8)
 	// Two links and a router fail after warm traffic is flowing and heal
@@ -106,34 +96,20 @@ func TestScheduleShardEquivalence(t *testing.T) {
 			la, events := la, events
 			t.Run(fmt.Sprintf("la=%t/events=%t", la, events), func(t *testing.T) {
 				t.Parallel()
-				var want string
-				for _, shards := range []int{1, 2, 4} {
-					run := func() (string, *Network) {
-						cfg := scheduleConfig(t, m, sched, la, 0.004, 7)
-						cfg.Shards = shards
-						cfg.EventMode = events
-						return scheduleFingerprint(t, cfg, 100, 2200)
-					}
-					got, n := run()
-					if n.ReconvergenceEpochs() == 0 {
-						t.Fatal("run ended before any fault transition fired")
-					}
-					if n.DroppedFlits() == 0 {
-						t.Fatalf("shards=%d: no in-flight flits were destroyed by the transitions; the purge path was not exercised", shards)
-					}
-					if events {
-						if again, _ := run(); again != got {
-							t.Errorf("shards=%d: event-kernel rerun fingerprint %s != %s", shards, again, got)
-						}
-						continue
-					}
-					if shards == 1 {
-						want = got
-						continue
-					}
-					if got != want {
-						t.Errorf("shards=%d fingerprint %s != serial %s", shards, got, want)
-					}
+				run := func() (string, *Network) {
+					cfg := scheduleConfig(t, m, sched, la, 0.004, 7)
+					cfg.EventMode = events
+					return scheduleFingerprint(t, cfg, 100, 2200)
+				}
+				got, n := run()
+				if n.ReconvergenceEpochs() == 0 {
+					t.Fatal("run ended before any fault transition fired")
+				}
+				if n.DroppedFlits() == 0 {
+					t.Fatal("no in-flight flits were destroyed by the transitions; the purge path was not exercised")
+				}
+				if again, _ := run(); again != got {
+					t.Errorf("rerun fingerprint %s != %s", again, got)
 				}
 			})
 		}
@@ -233,7 +209,6 @@ func TestScheduleReliabilityExactlyOnce(t *testing.T) {
 			cfg.Pattern = nil
 			cfg.MsgRate = 0
 			cfg.Trace = trace
-			cfg.Shards = 2
 			cfg.EventMode = events
 			cfg.Reliability = &Reliability{RTO: 512, MaxAttempts: 30, AckDelay: 32}
 			if err := cfg.Validate(); err != nil {
@@ -292,7 +267,6 @@ func TestScheduleConservationWithoutReliability(t *testing.T) {
 	cfg.Pattern = nil
 	cfg.MsgRate = 0
 	cfg.Trace = trace
-	cfg.Shards = 2
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the router's half of the fault-schedule machinery: the
-// epoch transition the network applies at the shard barrier when a link
+// epoch transition the network applies between cycles when a link
 // or router fails or heals mid-run. Nothing here runs on the per-cycle
 // path — a transition walks the router's full state once, which is cheap
 // against the thousands of cycles between transitions.

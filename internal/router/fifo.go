@@ -171,7 +171,7 @@ func (f *fifo) each(fn func(flow.Flit)) {
 
 // removeIf drops every buffered flit of a victim message — whole runs —
 // preserving the order of the survivors, and returns how many flits it
-// removed. Fault purges use it at the shard barrier; it is never on the
+// removed. Fault purges use it between cycles; it is never on the
 // per-cycle path.
 func (f *fifo) removeIf(victim func(*flow.Message) bool) int {
 	kept := make([]run, 0, f.nr)

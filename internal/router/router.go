@@ -1065,8 +1065,7 @@ func (r *Router) RemoteCongestion(p topology.Port) uint8 { return r.port[p].remo
 
 // NoteCongestion records the quantized congestion level carried by a
 // credit arriving on output port p. The network calls it while draining
-// credit events, so the signal crosses the phase-B barrier exactly like
-// the credit itself and stays shard-invariant.
+// credit events, so the signal is exactly as stale as the credit itself.
 func (r *Router) NoteCongestion(p topology.Port, level uint8) {
 	r.port[p].remoteCong = level
 }
@@ -1075,8 +1074,7 @@ func (r *Router) NoteCongestion(p topology.Port, level uint8) {
 // 2-bit signal piggybacked on credits: 0 (idle) through 3 (saturated),
 // scaled against one port's worth of input buffering (NumVCs*BufDepth) —
 // a router backing up past a full port of storage is congested however
-// the flits are distributed. The network reads it during the owning
-// shard's own phase-A step, so it never races across shards.
+// the flits are distributed.
 func (r *Router) CongestionLevel() uint8 {
 	q := 4 * r.occupancy / (r.cfg.NumVCs * r.cfg.BufDepth)
 	if q > 3 {

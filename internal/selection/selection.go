@@ -29,10 +29,8 @@
 // network where every level reads equal, it degenerates to the local
 // policy exactly.
 //
-// Determinism: the piggybacked levels ride the credit path, which crosses
-// the sharded kernel's phase-B barrier like any other credit, so
-// notification runs stay bit-identical across shard counts (pinned by the
-// shard-equivalence tests). The signal is stale by the credit round-trip
+// Determinism: the piggybacked levels ride the credit path and are
+// delivered in credit order. The signal is stale by the credit round-trip
 // — that lag is part of the model, not noise, and a fixed configuration
 // reproduces bit-for-bit. Dead links never return credits, so a failed
 // port's level freezes at its last (or zero) value; the routing layer has

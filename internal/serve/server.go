@@ -56,7 +56,7 @@ const (
 // ServerOptions configure a Server.
 type ServerOptions struct {
 	// Workers is the sweep worker-pool width per job (<= 0: the sweep
-	// default, GOMAXPROCS budgeted against per-run sharding).
+	// default, GOMAXPROCS).
 	Workers int
 	// QueueLimit bounds how many jobs may wait behind the running one;
 	// submissions beyond it are refused with 429 and a Retry-After

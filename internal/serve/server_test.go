@@ -109,6 +109,26 @@ func TestServerEndToEnd(t *testing.T) {
 	if !strings.Contains(log.String(), "6 cached, 0 simulated") {
 		t.Fatalf("verbose log lacks the all-cached summary:\n%s", log.String())
 	}
+	// An older client's submission (its points still carry the field of
+	// the removed per-run parallelism axis; see legacyPoints) is accepted
+	// and lands on the same store entries.
+	var legacy JobStatus
+	body := map[string]any{"points": legacyPoints(t, mustPoints(t, grid))}
+	if err := c.do(context.Background(), http.MethodPost, "/v1/jobs", body, &legacy); err != nil {
+		t.Fatalf("legacy submission refused: %v", err)
+	}
+	if done, err := c.Wait(context.Background(), legacy.ID); err != nil || done.Cached != 6 || done.Simulated != 0 {
+		t.Fatalf("legacy submission: %+v err=%v, want 6 cached, 0 simulated", done, err)
+	}
+	res, err := c.Results(context.Background(), legacy.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if res.Outcomes[i].Result == nil || *res.Outcomes[i].Result != want[i].Result {
+			t.Fatalf("legacy point %d: stored result differs from the plain submission's", i)
+		}
+	}
 	st, err := c.StoreStats(context.Background())
 	if err != nil || st.Entries != 6 || st.Quarantined != 0 {
 		t.Fatalf("store stats: %+v err=%v", st, err)

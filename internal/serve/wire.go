@@ -100,7 +100,6 @@ type Point struct {
 	SatLatency float64 `json:"sat_latency,omitempty"`
 	Seed       int64   `json:"seed"`
 
-	Shards    int  `json:"shards,omitempty"`
 	EventMode bool `json:"event_mode,omitempty"`
 }
 
@@ -140,7 +139,6 @@ func PointFromConfig(c core.Config) (Point, error) {
 		MaxCycles:  c.MaxCycles,
 		SatLatency: c.SatLatency,
 		Seed:       c.Seed,
-		Shards:     c.Shards,
 		EventMode:  c.EventMode,
 	}
 	if !c.Faults.Empty() {
@@ -186,7 +184,6 @@ func (p Point) Config() (core.Config, error) {
 		MaxCycles:  p.MaxCycles,
 		SatLatency: p.SatLatency,
 		Seed:       p.Seed,
-		Shards:     p.Shards,
 		EventMode:  p.EventMode,
 	}
 	var err error

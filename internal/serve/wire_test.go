@@ -14,7 +14,7 @@ import (
 // wireTestConfigs is a spread of configurations exercising every field
 // the wire format carries: topology shape, torus wrap, fault plans,
 // router geometry, algorithm/table/selection/pattern enums, measurement
-// tiers (fixed and auto), guards, sharding and event mode.
+// tiers (fixed and auto), guards and event mode.
 func wireTestConfigs(t *testing.T) []core.Config {
 	t.Helper()
 	base := core.DefaultConfig()
@@ -52,7 +52,6 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	exotic.MsgLen = 5
 	exotic.Load = 0.37
 	exotic.Seed = 99
-	exotic.Shards = 2
 	exotic.EventMode = true
 	exotic.Pattern = traffic.Transpose
 
@@ -91,6 +90,54 @@ func TestPointRoundTripPreservesKey(t *testing.T) {
 		}
 		if got.Key() != c.Key() {
 			t.Errorf("config %d key changed across the wire:\nwant %s\ngot  %s", i, c.Key(), got.Key())
+		}
+	}
+}
+
+// legacyPoints renders pts the way a client from before the per-run
+// parallelism axis was removed would: every point carries the field that
+// axis used on the wire.
+func legacyPoints(t *testing.T, pts []Point) []map[string]any {
+	t.Helper()
+	buf, err := json.Marshal(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy []map[string]any
+	if err := json.Unmarshal(buf, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range legacy {
+		p["shards"] = 4
+	}
+	return legacy
+}
+
+// TestPointIgnoresLegacyField: a point from such a client still decodes,
+// and to the same key as the point without the field — the field never
+// changed a Result, so the plain key's store entry is the right answer.
+func TestPointIgnoresLegacyField(t *testing.T) {
+	t.Parallel()
+	cfgs := wireTestConfigs(t)
+	pts, err := PointsFromGrid(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := json.Marshal(legacyPoints(t, pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []Point
+	if err := json.Unmarshal(buf, &back); err != nil {
+		t.Fatalf("legacy points rejected: %v", err)
+	}
+	for i, p := range back {
+		got, err := p.Config()
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		if got.Key() != cfgs[i].Key() {
+			t.Errorf("point %d: legacy key %s != plain key %s", i, got.Key(), cfgs[i].Key())
 		}
 	}
 }

@@ -7,8 +7,8 @@ package sweep
 // trips). Bisect replaces the scan with bracketing plus parallel
 // k-section: every round probes a handful of interior loads
 // concurrently through the regular sweep engine (so the memo cache and
-// the shard-aware worker budget apply unchanged) and narrows the
-// bracket by a factor of Fanout+1. The probe loads are a pure function
+// the worker pool apply unchanged) and narrows the bracket by a factor
+// of Fanout+1. The probe loads are a pure function
 // of the bracket — never of the worker count — so the search is
 // deterministic for fixed seeds on any pool width, mirroring Run's
 // guarantee. SaturationScan is the dense-grid reference path, kept so

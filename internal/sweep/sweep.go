@@ -56,11 +56,8 @@ type RunFunc func(ctx context.Context, grid []core.Config, opt Options) ([]Outco
 
 // Options configure a Run.
 type Options struct {
-	// Workers bounds how many points simulate concurrently; <= 0 derives
-	// a default from GOMAXPROCS divided by the largest per-run shard
-	// count in the grid, so grid workers x intra-run shard workers never
-	// oversubscribes the machine (a point with Config.Shards = 4 already
-	// occupies four cores by itself).
+	// Workers bounds how many points simulate concurrently; <= 0 means
+	// GOMAXPROCS (a run steps on one goroutine).
 	Workers int
 	// Cache, when non-nil, memoizes results by core.Config.Key so
 	// repeated points simulate once. A cache may be shared across Runs
@@ -80,28 +77,6 @@ type Options struct {
 	// the grid index). It is the progress-streaming hook: lapses-serve
 	// feeds per-job status counters from it.
 	OnPoint func(i int, o Outcome)
-}
-
-// workersFor resolves the worker-pool width for a grid: an explicit
-// Options.Workers wins; otherwise GOMAXPROCS is budgeted against the
-// widest per-run sharding in the grid.
-func (o Options) workersFor(grid []core.Config) int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	maxShards := 1
-	for i := range grid {
-		// Budget against what the run will actually execute with — the
-		// kernel clamps a shard request to the mesh's row count.
-		if s := grid[i].EffectiveShards(); s > maxShards {
-			maxShards = s
-		}
-	}
-	w := runtime.GOMAXPROCS(0) / maxShards
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 func (o Options) runner() func(core.Config) (core.Result, error) {
@@ -190,7 +165,10 @@ func Run(ctx context.Context, grid []core.Config, opt Options) ([]Outcome, error
 	run := safeRunner(opt.runner())
 	cache := opt.Cache
 
-	workers := opt.workersFor(grid)
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > len(grid) {
 		workers = len(grid)
 	}

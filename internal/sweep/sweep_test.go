@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -383,46 +382,6 @@ func ExampleRun() {
 	// Output:
 	// load 0.1: delivered true messages
 	// load 0.2: delivered true messages
-}
-
-// TestWorkerBudgetAgainstShards pins the oversubscription rule: with no
-// explicit worker count, the pool width is GOMAXPROCS divided by the
-// widest per-run shard count in the grid (floored at one), and an
-// explicit Workers always wins.
-func TestWorkerBudgetAgainstShards(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-
-	plain := gridOf(4)
-	if got := (Options{}).workersFor(plain); got != 8 {
-		t.Errorf("unsharded grid: workers = %d, want GOMAXPROCS (8)", got)
-	}
-
-	sharded := gridOf(4)
-	sharded[2].Shards = 4
-	if got := (Options{}).workersFor(sharded); got != 2 {
-		t.Errorf("grid with a 4-shard point: workers = %d, want 2", got)
-	}
-
-	wide := gridOf(2)
-	wide[0].Shards = 32
-	if got := (Options{}).workersFor(wide); got != 1 {
-		t.Errorf("shards beyond GOMAXPROCS: workers = %d, want floor of 1", got)
-	}
-
-	// A shard request beyond the mesh's row count clamps before it
-	// budgets: a 4x4 mesh executes at most 4 shards, so asking for 32
-	// must not starve the pool down to 1.
-	clamped := gridOf(2)
-	clamped[0].Dims = []int{4, 4}
-	clamped[0].Shards = 32
-	if got := (Options{}).workersFor(clamped); got != 2 {
-		t.Errorf("over-requested shards on a small mesh: workers = %d, want 2 (budget vs effective 4)", got)
-	}
-
-	if got := (Options{Workers: 5}).workersFor(sharded); got != 5 {
-		t.Errorf("explicit Workers overridden: got %d, want 5", got)
-	}
 }
 
 // TestPanicIsolatedPerPoint: a panicking point must come back as a

@@ -20,7 +20,7 @@
 // precomputed next-arrival time (NextAt never draws from the stream), so
 // the NI wake heap and idle-cycle fast-forward work unchanged, and both
 // draw from the same cached per-seed replica streams — runs are
-// deterministic and bit-identical across shard counts for either source.
+// deterministic for either source.
 //
 // # Hotspot semantics
 //
