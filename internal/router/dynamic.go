@@ -52,7 +52,8 @@ func (r *Router) ScanMessages(fn func(ports uint32, m *flow.Message)) {
 // PurgeMessages removes every flit and claim of the messages victim
 // reports, returning the number of flits dropped from this router's
 // buffers. Non-victim worms queued behind a purged one restart their
-// header pipeline at cycle now. Express worm-event claims (owner ==
+// header pipeline at cycle now, and the crossbar requests are rebuilt from
+// what is left. Express worm-event claims (owner ==
 // expressOwner with no per-flit input VC) are left in place: their
 // deferred ReleaseExpress is already scheduled and will free them.
 func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
@@ -68,12 +69,10 @@ func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
 			if ivc.phase == phaseExpress {
 				// A per-flit express transit schedules its release only at
 				// the tail, which will never arrive; free the claim here.
-				ovc := &r.out[ivc.outIdx]
-				if ovc.owner != expressOwner {
+				if r.out[ivc.outIdx].owner != expressOwner {
 					panic(fmt.Sprintf("router %d: express purge of unclaimed vc", r.id))
 				}
-				ovc.owner = -1
-				r.port[ivc.outPort].busyVCs--
+				r.releaseVC(int(ivc.outIdx))
 				if ivc.outPort != topology.PortLocal {
 					r.port[ivc.outPort].expressOut--
 				}
@@ -83,7 +82,6 @@ func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
 			ivc.msg = nil
 			r.actRC &^= 1 << i
 			r.actSA &^= 1 << i
-			r.actXB &^= 1 << i
 		}
 		if reset && !ivc.buf.empty() {
 			// A surviving worm was queued behind the purged one: restart
@@ -120,10 +118,19 @@ func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
 					}
 				})
 				if !tailBoxed {
-					ovc.owner = -1
-					r.port[r.portOf[j]].busyVCs--
+					r.releaseVC(j)
 				}
 			}
+		}
+	}
+	// Crossbar requests follow phases, buffers and boxes, all of which the
+	// purge just rewrote: recompute them rather than patch them.
+	clear(r.xbReq)
+	r.xbPorts = 0
+	for i := range r.in {
+		ivc := &r.in[i]
+		if ivc.phase == phaseActive && !ivc.buf.empty() && r.boxFull>>ivc.outIdx&1 == 0 {
+			r.request(i, ivc.outPort)
 		}
 	}
 	return dropped
@@ -181,5 +188,11 @@ func (r *Router) SetCredits(p topology.Port, v flow.VCID, n int) {
 		panic(fmt.Sprintf("router %d: recomputed credits %d for port %d vc %d outside [0,%d]",
 			r.id, n, p, v, r.cfg.BufDepth))
 	}
-	r.out[r.inIdx(p, v)].credits = n
+	j := r.inIdx(p, v)
+	r.out[j].credits = n
+	if n > 0 || p == topology.PortLocal {
+		r.hasCredit |= 1 << j
+	} else {
+		r.hasCredit &^= 1 << j
+	}
 }

@@ -68,22 +68,21 @@ func (r *run) each(fn func(flow.Flit)) {
 // drains, so a lightly loaded VC keeps touching the same cache line.
 //
 // Pipeline readiness (a flit latched at cycle t may not advance before
-// t+1) is tracked with a single per-fifo lastPush stamp instead of a
-// per-entry field: a physical channel is one flit wide, so at most one
-// flit enters a fifo per cycle, pushes carry strictly increasing cycles,
-// and therefore only a lone newest entry can still be in its latch cycle.
+// t+1) is not tracked here: a physical channel is one flit wide, so at most
+// one flit enters a fifo per cycle and only a lone newest entry can still
+// be in its latch cycle — the router marks exactly those pushes fresh (see
+// Router.fresh).
 //
 // Flow control (full, space) is defined by the logical depth in flits,
 // while the ring starts at two runs — a worm's tail followed by the next
 // worm's head is the common worst case — and doubles on demand up to depth
 // runs (one-flit messages back to back).
 type fifo struct {
-	runs     []run
-	head     int32 // ring slot of the first live run
-	nr       int32 // live runs
-	n        int32 // buffered flits
-	depth    int32
-	lastPush int64
+	runs  []run
+	head  int32 // ring slot of the first live run
+	nr    int32 // live runs
+	n     int32 // buffered flits
+	depth int32
 }
 
 func (f *fifo) init(runs []run, depth int) { f.runs, f.depth = runs, int32(depth) }
@@ -92,10 +91,6 @@ func (f *fifo) empty() bool { return f.n == 0 }
 func (f *fifo) full() bool  { return f.n == f.depth }
 func (f *fifo) len() int    { return int(f.n) }
 func (f *fifo) space() int  { return int(f.depth - f.n) }
-
-// headReady reports whether the head flit has cleared its input-latch
-// cycle (pushed before now). Only meaningful on a nonempty fifo.
-func (f *fifo) headReady(now int64) bool { return f.n > 1 || f.lastPush < now }
 
 // slot returns ring slot i positions after the head.
 func (f *fifo) slot(i int32) *run {
@@ -117,12 +112,11 @@ func (f *fifo) grow() {
 	f.runs = runs
 }
 
-func (f *fifo) push(fl flow.Flit, now int64) {
+func (f *fifo) push(fl flow.Flit) {
 	if f.full() {
 		panic("router: fifo overflow")
 	}
 	f.n++
-	f.lastPush = now
 	if f.nr > 0 {
 		if last := f.slot(f.nr - 1); last.extends(fl) {
 			last.checkType(fl)
@@ -195,14 +189,13 @@ func (f *fifo) removeIf(victim func(*flow.Message) bool) int {
 // outFifo is the output buffer of one output VC: a single run. An output
 // VC is owned by one message from the cycle its head wins the VC until its
 // tail leaves the box, and the crossbar feeds it that message's flits in
-// order, so the box never holds more than one stretch of one message. It
-// keeps fifo's lastPush readiness tracking (the crossbar grants at most
-// one flit per output port per cycle, so a box also sees at most one push
-// per cycle).
+// order, so the box never holds more than one stretch of one message. The
+// crossbar grants at most one flit per output port per cycle, so a box also
+// sees at most one push per cycle; stageXB reports the boxes whose only
+// flit it latched this cycle to stageOUT.
 type outFifo struct {
 	run
-	depth    int32
-	lastPush int64
+	depth int32
 }
 
 func (f *outFifo) init(depth int) { f.depth = int32(depth) }
@@ -210,9 +203,7 @@ func (f *outFifo) init(depth int) { f.depth = int32(depth) }
 func (f *outFifo) empty() bool { return f.n == 0 }
 func (f *outFifo) full() bool  { return f.n == f.depth }
 
-func (f *outFifo) headReady(now int64) bool { return f.n > 1 || f.lastPush < now }
-
-func (f *outFifo) push(fl flow.Flit, now int64) {
+func (f *outFifo) push(fl flow.Flit) {
 	switch {
 	case f.full():
 		panic("router: output buffer overflow")
@@ -224,7 +215,6 @@ func (f *outFifo) push(fl flow.Flit, now int64) {
 	default:
 		panic("router: output buffer holds another message")
 	}
-	f.lastPush = now
 }
 
 func (f *outFifo) pop() flow.Flit {

@@ -64,7 +64,7 @@ func TestFifoRunsAgainstFlitModel(t *testing.T) {
 				if len(feed) == 0 {
 					refill()
 				}
-				f.push(feed[0], int64(step))
+				f.push(feed[0])
 				model = append(model, feed[0])
 				feed = feed[1:]
 				check(step, "push")
@@ -131,13 +131,13 @@ func TestBuffersRejectInconsistentFlits(t *testing.T) {
 				if box {
 					var f outFifo
 					f.init(4)
-					f.push(flow.FlitAt(msg, 0), 0)
-					f.push(fl, 1)
+					f.push(flow.FlitAt(msg, 0))
+					f.push(fl)
 				} else {
 					var f fifo
 					f.init(make([]run, 2), 8)
-					f.push(flow.FlitAt(msg, 0), 0)
-					f.push(fl, 1)
+					f.push(flow.FlitAt(msg, 0))
+					f.push(fl)
 				}
 			}()
 		}
@@ -149,24 +149,36 @@ func TestBuffersRejectInconsistentFlits(t *testing.T) {
 	}()
 	var f outFifo
 	f.init(4)
-	f.push(flow.FlitAt(msg, 0), 0)
-	f.push(flow.FlitAt(other, 0), 1)
+	f.push(flow.FlitAt(msg, 0))
+	f.push(flow.FlitAt(other, 0))
 }
 
 // TestFootprintBudget pins the size of the per-router records. They are
 // multiplied by ports x VCs x nodes (a 32x32 network has 20 480 of each VC
 // record), so a field added per flit, per VC or per port shows up here
 // and has to be argued for by raising a ceiling.
+//
+// Router was raised once, 304 -> 360, for the standing request state (the
+// xbReq window, xbPorts, fresh + freshAt, hasCredit, freeOut; actXB went).
+// It is one record per node and it bought 8 bytes back from each of the
+// node's VC records — the per-buffer lastPush stamps the scans read — so
+// the last check holds a whole 2-D router to the 4 864 bytes it took
+// before the trade (it is 4 640).
 func TestFootprintBudget(t *testing.T) {
+	const ports, vcs, seedRuns = 5, 4, 2
+	router2D := unsafe.Sizeof(Router{}) +
+		ports*vcs*(unsafe.Sizeof(inputVC{})+unsafe.Sizeof(outputVC{})+seedRuns*unsafe.Sizeof(run{})) +
+		ports*(unsafe.Sizeof(portState{})+unsafe.Sizeof(uint64(0)))
 	for _, c := range []struct {
 		name          string
 		size, ceiling uintptr
 	}{
-		{"Router", unsafe.Sizeof(Router{}), 304},
-		{"inputVC", unsafe.Sizeof(inputVC{}), 112},
-		{"outputVC", unsafe.Sizeof(outputVC{}), 56},
+		{"Router", unsafe.Sizeof(Router{}), 360},
+		{"inputVC", unsafe.Sizeof(inputVC{}), 104},
+		{"outputVC", unsafe.Sizeof(outputVC{}), 48},
 		{"portState", unsafe.Sizeof(portState{}), 48}, // must stay within one 64-byte line
 		{"run", unsafe.Sizeof(run{}), 24},
+		{"2-D router with its slabs", router2D, 4864},
 	} {
 		if c.size > c.ceiling {
 			t.Errorf("%s is %d bytes, ceiling %d", c.name, c.size, c.ceiling)

@@ -5,14 +5,28 @@
 // selection and arbitration because the header flit already carries the
 // candidate set valid at this router (section 3).
 //
-// The model is cycle-driven and flit-accurate. Each stage takes one cycle;
-// stage transitions advance a readyAt stamp so that intra-cycle processing
-// order can never move a flit through two stages in one cycle. Head flits
-// claim an output VC in the SA stage and every flit then competes per
-// cycle for the crossbar (separable input-then-output round-robin
-// allocation) and for the physical link (round-robin VC multiplexer,
-// gated by credit-based flow control). Tail flits release input-side and
-// output-side VC state as they pass, implementing wormhole semantics.
+// The model is cycle-driven and flit-accurate. Each stage takes one cycle:
+// header stages advance a readyAt stamp, and what the SA, input and crossbar
+// stages latch in a cycle is marked fresh for that cycle, so intra-cycle
+// processing order can never move a flit through two stages in one cycle.
+// Head flits claim an output VC in the SA stage and every flit then
+// competes per cycle for the crossbar (separable input-then-output
+// round-robin allocation) and for the physical link (round-robin VC
+// multiplexer, gated by credit-based flow control). Tail flits release
+// input-side and output-side VC state as they pass, implementing wormhole
+// semantics.
+//
+// Host time follows the flits that move, not the VCs that wait. No stage
+// scans for requesters: the crossbar's requests per output port, the
+// output multiplexer's (boxed flits with credit) and VC allocation's (free
+// output VCs) are bit masks kept current at the events that change them —
+// an allocation, an arrival into a drained buffer, a box filling or
+// draining, a credit, a release. The crossbar and output stages are
+// therefore O(ports with a request) per cycle, a stalled header's retry is
+// O(candidates), and a worm blocked on a full box or an exhausted credit
+// count costs nothing until the event that unblocks it. The Router field
+// comments say where each mask is maintained; a fault purge is the one
+// place that rebuilds requests by scanning.
 package router
 
 import (
@@ -139,7 +153,7 @@ const (
 )
 
 // expressOwner marks an output VC claimed by an express worm. It must be
-// non-negative (freeVC treats owner < 0 as free) and distinct from every
+// non-negative (owner < 0 means free) and distinct from every
 // real input-VC index (those are < 64, bounded by the work masks).
 const expressOwner int32 = 1 << 30
 
@@ -213,18 +227,45 @@ type Router struct {
 
 	// Work masks let each pipeline stage visit only the VCs with work
 	// instead of scanning every input/output VC each cycle. Bit i of
-	// actRC/actSA/actXB is set when input VC i is in phaseRouting/
-	// phaseWaitSA/phaseActive; bit j of boxed when output VC j's box is
-	// nonempty. Indices fit in 64 bits because the crossbar arbiter
+	// actRC/actSA is set when input VC i is in phaseRouting/phaseWaitSA;
+	// bit j of boxed when output VC j's box is nonempty, of boxFull when it
+	// is at capacity. Indices fit in 64 bits because the crossbar arbiter
 	// (MakeRoundRobin over ports*VCs) already caps the router at 64 input
 	// VCs.
-	actRC uint64
-	actSA uint64
-	actXB uint64
-	boxed uint64
-	// boxFull mirrors "output box at capacity" per output VC so the
-	// crossbar scan can test a bit instead of loading the box state.
+	actRC   uint64
+	actSA   uint64
+	boxed   uint64
 	boxFull uint64
+
+	// Request state. The crossbar, the output mux and VC allocation never
+	// scan for requesters: each mask below is kept current at the events
+	// that change it, so a blocked VC costs nothing per cycle and a stage is
+	// O(ports with a request).
+	//
+	// xbReq[p] holds the input VCs requesting the crossbar toward output
+	// port p: phaseActive on a VC of p, a flit buffered, the box not full.
+	// xbPorts is the set of ports with any such request. Raised by
+	// tryAllocate, by EnqueueFlit refilling a drained buffer, and by
+	// stageOUT popping the full box a worm was parked on; withdrawn by
+	// traverse when the box fills, the buffer drains or the tail passes;
+	// rebuilt by PurgeMessages.
+	xbReq   []uint64
+	xbPorts uint64
+	// fresh is the subset of requests raised during cycle freshAt by
+	// something latched in that cycle — a header allocated, or the only
+	// buffered flit arriving — which the crossbar may not serve before
+	// freshAt+1. The stamp makes a mask left over from an earlier cycle
+	// read as empty without anyone clearing it.
+	fresh   uint64
+	freshAt int64
+	// hasCredit holds the output VCs the mux may send from: credits > 0,
+	// or on the local port, whose sink always has room. Set by
+	// AcceptCredits, cleared where a send takes the last credit (stageOUT,
+	// EventWorm, expressForward), overwritten by SetCredits.
+	hasCredit uint64
+	// freeOut holds the unowned output VCs: cleared by claimVC, set by
+	// releaseVC.
+	freeOut uint64
 
 	// portOf and vcBase map a VC index (inIdx) back to its physical port
 	// and the first index of that port's VC group, replacing the per-flit
@@ -282,6 +323,7 @@ func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.T
 	out := make([]outputVC, n*nvc)
 	port := make([]portState, n*np)
 	runs := make([]run, n*nvc*seed)
+	xbReq := make([]uint64, n*np)
 	for i := range in {
 		in[i].buf.init(runs[i*seed:(i+1)*seed], cfg.BufDepth)
 	}
@@ -296,18 +338,21 @@ func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.T
 	}
 	for i := range rs {
 		rs[i] = Router{
-			id:       base + topology.NodeID(i),
-			mesh:     m,
-			cfg:      cfg,
-			tbl:      tbls[i],
-			sel:      sels[i],
-			wrap:     m.Wrap(),
-			in:       in[i*nvc : (i+1)*nvc],
-			out:      out[i*nvc : (i+1)*nvc],
-			port:     port[i*np : (i+1)*np],
-			portOf:   portOf,
-			vcBase:   vcBase,
-			resvMask: resv,
+			id:        base + topology.NodeID(i),
+			mesh:      m,
+			cfg:       cfg,
+			tbl:       tbls[i],
+			sel:       sels[i],
+			wrap:      m.Wrap(),
+			in:        in[i*nvc : (i+1)*nvc],
+			out:       out[i*nvc : (i+1)*nvc],
+			port:      port[i*np : (i+1)*np],
+			xbReq:     xbReq[i*np : (i+1)*np],
+			hasCredit: 1<<nvc - 1,
+			freeOut:   1<<nvc - 1,
+			portOf:    portOf,
+			vcBase:    vcBase,
+			resvMask:  resv,
 		}
 	}
 	return rs
@@ -341,11 +386,46 @@ func (r *Router) EnqueueFlit(p topology.Port, v flow.VCID, fl flow.Flit, now int
 	if ivc.buf.full() {
 		panic(fmt.Sprintf("router %d: input buffer overflow on port %d vc %d (credit protocol violated)", r.id, p, v))
 	}
-	ivc.buf.push(fl, now)
+	ivc.buf.push(fl)
 	r.occupancy++
 	if ivc.phase == phaseIdle && fl.Type.IsHead() {
 		r.startHeader(idx, ivc, fl, now)
+	} else if ivc.phase == phaseActive && ivc.buf.len() == 1 && r.boxFull>>ivc.outIdx&1 == 0 {
+		// The streaming worm's buffer had drained; this flit spends the
+		// cycle in the input latch.
+		r.requestFresh(idx, ivc.outPort, now)
 	}
+}
+
+// request raises input VC idx's crossbar request toward output port p.
+func (r *Router) request(idx int, p topology.Port) {
+	r.xbReq[p] |= 1 << idx
+	r.xbPorts |= 1 << p
+}
+
+// requestFresh raises a request the crossbar may serve from cycle now+1
+// on (see Router.fresh).
+func (r *Router) requestFresh(idx int, p topology.Port, now int64) {
+	r.request(idx, p)
+	if r.freshAt != now {
+		r.freshAt, r.fresh = now, 0
+	}
+	r.fresh |= 1 << idx
+}
+
+// withdraw drops input VC idx's crossbar request toward output port p.
+func (r *Router) withdraw(idx int, p topology.Port) {
+	r.xbReq[p] &^= 1 << idx
+	if r.xbReq[p] == 0 {
+		r.xbPorts &^= 1 << p
+	}
+}
+
+// releaseVC returns output VC j to the free pool.
+func (r *Router) releaseVC(j int) {
+	r.out[j].owner = -1
+	r.freeOut |= 1 << j
+	r.port[r.portOf[j]].busyVCs--
 }
 
 // startHeader moves an idle input VC into the routing pipeline for the
@@ -443,12 +523,14 @@ func (r *Router) EventWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64
 		// pipeline would have delivered it. The local sink needs no link
 		// and no credits, so the claimed VC releases immediately.
 		tail := flow.FlitAt(msg, msg.Length-1)
-		ovc.owner = -1
-		ps.busyVCs--
+		r.releaseVC(int(cl.idx))
 		r.fab.Deliver(tail, now+L-1+offS)
 		return true
 	}
 	ovc.credits -= int(L)
+	if ovc.credits == 0 {
+		r.hasCredit &^= 1 << cl.idx
+	}
 	msg.Hops++
 	if ps.linkBusyUntil < now {
 		// Fresh window; otherwise merge with the still-draining previous
@@ -465,12 +547,11 @@ func (r *Router) EventWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64
 // EventWorm scheduled (the tail has left the output stage; the credits the
 // worm consumed return separately from downstream).
 func (r *Router) ReleaseExpress(p topology.Port, v flow.VCID) {
-	ovc := &r.out[r.inIdx(p, v)]
-	if ovc.owner != expressOwner {
+	j := r.inIdx(p, v)
+	if r.out[j].owner != expressOwner {
 		panic(fmt.Sprintf("router %d: express release of port %d vc %d not owned by an express transit", r.id, p, v))
 	}
-	ovc.owner = -1
-	r.port[p].busyVCs--
+	r.releaseVC(j)
 }
 
 // expressClaim is the result of a successful express admission: the output
@@ -514,7 +595,7 @@ func (r *Router) expressAdmit(msg *flow.Message, now int64) (expressClaim, bool)
 		if r.deadPorts&(1<<c.Port) != 0 {
 			continue
 		}
-		if r.expressPortFree(c.Port, firstSend) && r.freeVC(c.Port, r.adaptiveFor(c.Adaptive, msg.Class), needCredits) >= 0 {
+		if r.expressPortFree(c.Port, firstSend) && r.claimable(c.Port, r.adaptiveFor(c.Adaptive, msg.Class), needCredits) != 0 {
 			eligible |= 1 << i
 		}
 	}
@@ -525,7 +606,7 @@ func (r *Router) expressAdmit(msg *flow.Message, now int64) (expressClaim, bool)
 			if r.deadPorts&(1<<c.Port) != 0 {
 				continue
 			}
-			if r.expressPortFree(c.Port, firstSend) && r.freeVC(c.Port, c.Escape, needCredits) >= 0 {
+			if r.expressPortFree(c.Port, firstSend) && r.claimable(c.Port, c.Escape, needCredits) != 0 {
 				eligible |= 1 << i
 			}
 		}
@@ -621,6 +702,9 @@ func (r *Router) expressForward(idx int, ivc *inputVC, fl flow.Flit, now int64) 
 		r.fab.Deliver(fl, now+offS)
 	} else {
 		ovc.credits--
+		if ovc.credits == 0 {
+			r.hasCredit &^= 1 << ivc.outIdx
+		}
 		if fl.Type.IsHead() {
 			fl.Msg.Hops++
 		}
@@ -645,8 +729,7 @@ func (r *Router) expressForward(idx int, ivc *inputVC, fl flow.Flit, now int64) 
 			// EventWorm does.
 			r.fab.Release(ivc.outPort, ivc.outVC, now+offS+1)
 		} else {
-			ovc.owner = -1
-			ps.busyVCs--
+			r.releaseVC(int(ivc.outIdx))
 		}
 	}
 }
@@ -660,11 +743,13 @@ func (r *Router) AcceptCredit(p topology.Port, v flow.VCID) {
 // the batched form event mode's worm transits use (a whole admission
 // window frees at once when the downstream tail clears its crossbar).
 func (r *Router) AcceptCredits(p topology.Port, v flow.VCID, count int) {
-	ovc := &r.out[r.inIdx(p, v)]
+	j := r.inIdx(p, v)
+	ovc := &r.out[j]
 	ovc.credits += count
 	if ovc.credits > r.cfg.BufDepth {
 		panic(fmt.Sprintf("router %d: credit overflow on port %d vc %d", r.id, p, v))
 	}
+	r.hasCredit |= 1 << j
 }
 
 // Tick advances the router by one cycle and returns its remaining
@@ -682,8 +767,7 @@ func (r *Router) Tick(now int64) int {
 	}
 	r.stageRC(now)
 	r.stageSA(now)
-	r.stageXB(now)
-	r.stageOUT(now)
+	r.stageOUT(now, r.stageXB(now))
 	return r.occupancy
 }
 
@@ -775,7 +859,7 @@ func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 		if r.deadPorts&(1<<c.Port) != 0 {
 			continue
 		}
-		if r.freeVC(c.Port, r.adaptiveFor(c.Adaptive, class), needCredits) >= 0 {
+		if r.claimable(c.Port, r.adaptiveFor(c.Adaptive, class), needCredits) != 0 {
 			eligible |= 1 << i
 		}
 	}
@@ -786,7 +870,7 @@ func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 			if r.deadPorts&(1<<c.Port) != 0 {
 				continue
 			}
-			if r.freeVC(c.Port, c.Escape, needCredits) >= 0 {
+			if r.claimable(c.Port, c.Escape, needCredits) != 0 {
 				eligible |= 1 << i
 			}
 		}
@@ -814,9 +898,10 @@ func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 	ivc.outVC = v
 	ivc.outIdx = int32(r.inIdx(cand.Port, v))
 	ivc.phase = phaseActive
-	ivc.readyAt = now + 1
 	r.actSA &^= 1 << idx
-	r.actXB |= 1 << idx
+	// The header is buffered and a just-claimed VC's box is empty; the
+	// crossbar stage follows SA by a cycle.
+	r.requestFresh(idx, cand.Port, now)
 
 	// New header generation (concurrent with crossbar traversal in the
 	// hardware): compute the dateline state after this hop and, in
@@ -849,46 +934,35 @@ func (r *Router) adaptiveFor(mask flow.VCMask, class uint8) flow.VCMask {
 	return mask
 }
 
-// freeVC returns the lowest claimable VC in mask on port p, or -1. A VC
-// is claimable when unowned and, under cut-through switching, holding at
-// least needCredits credits. The local port's sink always has room.
-func (r *Router) freeVC(p topology.Port, mask flow.VCMask, needCredits int) int {
-	if mask == 0 {
-		return -1
-	}
-	if p == topology.PortLocal {
-		needCredits = 0
-	}
+// claimable returns the VCs of mask on port p a header may claim: unowned
+// and, under cut-through switching, holding at least needCredits credits.
+// The local port's sink always has room.
+func (r *Router) claimable(p topology.Port, mask flow.VCMask, needCredits int) uint64 {
 	base := int(p) * r.cfg.NumVCs
-	for v := 0; v < r.cfg.NumVCs; v++ {
-		ovc := &r.out[base+v]
-		if mask.Has(flow.VCID(v)) && ovc.owner < 0 && ovc.credits >= needCredits {
-			return v
+	free := r.freeOut >> base & (1<<r.cfg.NumVCs - 1) & uint64(mask)
+	if needCredits == 0 || p == topology.PortLocal {
+		return free
+	}
+	for m := free; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros64(m)
+		if r.out[base+v].credits < needCredits {
+			free &^= 1 << v
 		}
 	}
-	return -1
+	return free
 }
 
 // claimVC allocates a claimable VC in mask on port p, rotating the
 // starting VC for fairness. It panics if none is claimable (callers check
 // first).
 func (r *Router) claimVC(p topology.Port, mask flow.VCMask, needCredits int, owner int32) flow.VCID {
-	if p == topology.PortLocal {
-		needCredits = 0
-	}
-	base := int(p) * r.cfg.NumVCs
-	var reqs uint64
-	for v := 0; v < r.cfg.NumVCs; v++ {
-		ovc := &r.out[base+v]
-		if mask.Has(flow.VCID(v)) && ovc.owner < 0 && ovc.credits >= needCredits {
-			reqs |= 1 << v
-		}
-	}
-	g := r.port[p].vcArb.Grant(reqs)
+	g := r.port[p].vcArb.Grant(r.claimable(p, mask, needCredits))
 	if g < 0 {
 		panic("router: claimVC with no free VC")
 	}
-	r.out[base+g].owner = owner
+	j := int(p)*r.cfg.NumVCs + g
+	r.out[j].owner = owner
+	r.freeOut &^= 1 << j
 	r.port[p].busyVCs++
 	return flow.VCID(g)
 }
@@ -901,46 +975,44 @@ func (r *Router) claimVC(p topology.Port, mask flow.VCMask, needCredits int, own
 // stages" (section 2.2) — each input VC is its own crossbar input, so the
 // switch contends only per output port: one flit per output port per
 // cycle, granted round-robin over all requesting input VCs.
-func (r *Router) stageXB(now int64) {
-	// The request matrix lives on the stack: zeroing these two cache
-	// lines per call vectorizes and measures faster than any lazily
-	// cleared heap-resident alternative.
-	var reqs [16]uint64 // per output port, bitmask over input VC indices
-	var used uint64     // ports with at least one request
-	for m := r.actXB; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		ivc := &r.in[i]
-		if ivc.readyAt > now || ivc.buf.empty() {
-			continue
-		}
-		if !ivc.buf.headReady(now) {
-			continue
-		}
-		if r.boxFull&(1<<ivc.outIdx) != 0 {
-			continue
-		}
-		reqs[ivc.outPort] |= 1 << i
-		used |= 1 << uint(ivc.outPort)
+//
+// The requests are standing (see Router.xbReq), so the stage is one grant
+// per requesting port, in ascending port order. It returns the output VCs
+// whose box holds only the flit latched this cycle, which stageOUT may not
+// send yet.
+func (r *Router) stageXB(now int64) uint64 {
+	var fresh uint64
+	if r.freshAt == now {
+		fresh = r.fresh
 	}
-	// Ascending port order, exactly the order the full scan granted in.
-	for ; used != 0; used &= used - 1 {
-		op := bits.TrailingZeros64(used)
-		g := r.port[op].xbArb.Grant(reqs[op])
-		ivc := &r.in[g]
-		r.traverse(g, &r.out[ivc.outIdx], now)
+	before := r.boxed
+	for ports := r.xbPorts; ports != 0; ports &= ports - 1 {
+		op := bits.TrailingZeros64(ports)
+		reqs := r.xbReq[op] &^ fresh
+		if reqs == 0 {
+			continue
+		}
+		g := r.port[op].xbArb.Grant(reqs)
+		r.traverse(g, now)
 	}
+	return r.boxed &^ before
 }
 
 // traverse moves the head flit of input VC inIdx through the crossbar into
 // its allocated output buffer.
-func (r *Router) traverse(inIdx int, ovc *outputVC, now int64) {
+func (r *Router) traverse(inIdx int, now int64) {
 	ivc := &r.in[inIdx]
+	ovc := &r.out[ivc.outIdx]
 	fl := ivc.buf.pop()
 	// Propagate the header fields computed at SA to the stored copy.
-	ovc.box.push(fl, now)
+	ovc.box.push(fl)
 	r.boxed |= 1 << ivc.outIdx
-	if ovc.box.full() {
+	full := ovc.box.full()
+	if full {
 		r.boxFull |= 1 << ivc.outIdx
+	}
+	if full || fl.Type.IsTail() || ivc.buf.empty() {
+		r.withdraw(inIdx, ivc.outPort)
 	}
 	// Return the freed buffer slot upstream.
 	p := topology.Port(r.portOf[inIdx])
@@ -951,7 +1023,6 @@ func (r *Router) traverse(inIdx int, ovc *outputVC, now int64) {
 		ivc.phase = phaseIdle
 		ivc.route = flow.RouteSet{}
 		ivc.msg = nil
-		r.actXB &^= 1 << inIdx
 		if !ivc.buf.empty() {
 			nxt := ivc.buf.peek()
 			if !nxt.Type.IsHead() {
@@ -959,22 +1030,23 @@ func (r *Router) traverse(inIdx int, ovc *outputVC, now int64) {
 			}
 			r.startHeader(inIdx, ivc, nxt, now)
 		}
-	} else {
-		ivc.readyAt = now + 1
 	}
 }
 
 // stageOUT performs the VC-multiplex / output stage: per physical port,
 // one flit with credit is placed on the link (or delivered locally).
-func (r *Router) stageOUT(now int64) {
-	// Visit only ports with boxed flits, ascending — the same port order
-	// as the full scan, with empty ports (which never touched their
+// freshOut is stageXB's report of the boxes still in their latch cycle.
+func (r *Router) stageOUT(now int64, freshOut uint64) {
+	// Visit only ports with a sendable flit, ascending — the same port
+	// order as a full scan, with the other ports (which never touch their
 	// arbiter) skipped for free.
-	for bm := r.boxed; bm != 0; {
+	for bm := r.boxed & r.hasCredit &^ freshOut; bm != 0; {
 		lowest := bits.TrailingZeros64(bm)
 		base := int(r.vcBase[lowest])
 		p := int(r.portOf[lowest])
 		group := (uint64(1)<<r.cfg.NumVCs - 1) << base
+		reqs := bm & group >> base
+		bm &^= group
 		ps := &r.port[p]
 		if ps.linkBusyFrom <= now && now <= ps.linkBusyUntil && (now-ps.linkBusyFrom)&1 == 0 {
 			// An express worm is streaming on this wire (event mode; the
@@ -983,31 +1055,25 @@ func (r *Router) stageOUT(now int64) {
 			// buffered contenders, halving both rates; the worm's events are
 			// already committed, so approximate the shared wire by yielding
 			// it to buffered traffic every other cycle.
-			bm &^= group
-			continue
-		}
-		var reqs uint64
-		for m := bm & group; m != 0; m &= m - 1 {
-			j := bits.TrailingZeros64(m)
-			ovc := &r.out[j]
-			if !ovc.box.headReady(now) {
-				continue
-			}
-			if p != int(topology.PortLocal) && ovc.credits == 0 {
-				continue
-			}
-			reqs |= 1 << (j - base)
-		}
-		bm &^= group
-		if reqs == 0 {
 			continue
 		}
 		g := ps.muxAr.Grant(reqs)
-		ovc := &r.out[base+g]
+		j := base + g
+		ovc := &r.out[j]
 		fl := ovc.box.pop()
-		r.boxFull &^= 1 << (base + g)
+		if r.boxFull>>j&1 != 0 {
+			r.boxFull &^= 1 << j
+			// The worm feeding this box was parked on it; its request
+			// returns if it still has a flit to offer. The owner field
+			// outlives the worm while its tail sits in the box, so the
+			// input VC it names may already stream another worm elsewhere.
+			o := int(ovc.owner)
+			if ivc := &r.in[o]; ivc.phase == phaseActive && int(ivc.outIdx) == j && !ivc.buf.empty() {
+				r.request(o, topology.Port(p))
+			}
+		}
 		if ovc.box.empty() {
-			r.boxed &^= 1 << (base + g)
+			r.boxed &^= 1 << j
 		}
 		r.occupancy--
 		ps.useCount++
@@ -1016,14 +1082,16 @@ func (r *Router) stageOUT(now int64) {
 			r.fab.Deliver(fl, now)
 		} else {
 			ovc.credits--
+			if ovc.credits == 0 {
+				r.hasCredit &^= 1 << j
+			}
 			if fl.Type.IsHead() {
 				fl.Msg.Hops++
 			}
 			r.fab.Send(topology.Port(p), flow.VCID(g), fl, now)
 		}
 		if fl.Type.IsTail() {
-			ovc.owner = -1
-			ps.busyVCs--
+			r.releaseVC(j)
 		}
 	}
 }

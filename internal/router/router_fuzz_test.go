@@ -17,7 +17,8 @@ import (
 //  1. conservation — every flit fed in leaves (sent or delivered);
 //  2. per-message ordering — flits of one message leave in sequence;
 //  3. wormhole integrity — on one (port, VC), messages never interleave;
-//  4. cleanup — all VC state drains back to idle.
+//  4. cleanup — all VC state drains back to idle;
+//  0. after every cycle, the maintained request masks equal a fresh scan.
 func TestQuickRouterInvariants(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
@@ -91,6 +92,13 @@ func TestQuickRouterInvariants(t *testing.T) {
 				pending = pending[1:]
 			}
 			h.r.Tick(now)
+			// 0. The standing request masks equal a full scan (the
+			// single-router half of TestRequestStateMatchesScan).
+			if err := h.r.CheckRequestState(); err != nil {
+				t.Logf("seed %d cycle %d: %v", seed, now, err)
+				pending = nil
+				return false
+			}
 		}
 		pending = nil
 
