@@ -82,10 +82,11 @@
 // tests all report saturation through it.
 //
 // A single run is one scheduler on one goroutine: each cycle drains the
-// due credit and flit events, ticks the active NIs and routers in
-// ascending node order, and then does all order-sensitive work — message
-// ID assignment, arrival and loss replay to the statistics — at a serial
-// cycle barrier. Parallelism lives one level up, in internal/sweep, whose
+// due credit and flit events and ticks the active NIs and routers in
+// ascending node order; the order-sensitive work — message ID assignment,
+// arrivals and losses reaching the statistics — happens inline, in that
+// execution order, with no end-of-cycle barrier. Parallelism lives one
+// level up, in internal/sweep, whose
 // worker pool (GOMAXPROCS wide by default) runs independent points
 // concurrently with results that do not depend on the pool width. Within
 // a run, idle-cycle fast-forward jumps the clock straight to the next NI

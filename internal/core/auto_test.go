@@ -39,7 +39,7 @@ func TestAutoConvergesEarlier(t *testing.T) {
 	if !auto.Converged {
 		t.Fatalf("auto run did not converge: %+v", auto)
 	}
-	// The stopping decision rides the barrier-replay delivery order, so a
+	// The stopping decision rides the serial delivery order, so a
 	// repeat of the same configuration stops at the same message.
 	if again, err := core.Run(ac); err != nil || again != auto {
 		t.Fatalf("repeat auto run diverged (err %v):\n%+v\n%+v", err, auto, again)

@@ -14,6 +14,7 @@ import (
 	"lapses/internal/core"
 	"lapses/internal/fault"
 	"lapses/internal/selection"
+	"lapses/internal/table"
 	"lapses/internal/traffic"
 )
 
@@ -45,6 +46,11 @@ func goldenGrid() []core.Config {
 	return grid
 }
 
+// goldenKey names a goldenGrid point in the fixtures.
+func goldenKey(c core.Config) string {
+	return fmt.Sprintf("%s/load=%.2f/la=%t/seed=%d", c.Pattern, c.Load, c.LookAhead, c.Seed)
+}
+
 // fingerprint renders a Result with float fields as raw IEEE-754 bit
 // patterns, so comparison is exact rather than print-precision deep.
 func fingerprint(r core.Result) string {
@@ -66,7 +72,7 @@ func TestGoldenKernel(t *testing.T) {
 	grid := goldenGrid()
 	got := make(map[string]string, len(grid))
 	for _, c := range grid {
-		key := fmt.Sprintf("%s/load=%.2f/la=%t/seed=%d", c.Pattern, c.Load, c.LookAhead, c.Seed)
+		key := goldenKey(c)
 		r, err := core.Run(c)
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
@@ -132,6 +138,56 @@ func TestGoldenFaults(t *testing.T) {
 		got[keys[i]] = fingerprint(r)
 	}
 	compareGolden(t, "golden_faults.txt", "TestGoldenFaults", got)
+}
+
+// goldenEventGrid is goldenGrid on the event kernel plus one point each
+// for the switching, topology and pipeline/table corners the express path
+// treats specially: cut-through, an 8x8 torus (datelines) and
+// PROUD/XY/full-table.
+func goldenEventGrid() (cfgs []core.Config, keys []string) {
+	for _, c := range goldenGrid() {
+		c.EventMode = true
+		cfgs = append(cfgs, c)
+		keys = append(keys, goldenKey(c))
+	}
+	base := cfgs[0] // uniform, PROUD, seed 1
+	base.Load = 0.2
+
+	ct := base
+	ct.LookAhead, ct.CutThrough = true, true
+	cfgs, keys = append(cfgs, ct), append(keys, "cut-through")
+
+	torus := base
+	torus.LookAhead, torus.Torus = true, true
+	cfgs, keys = append(cfgs, torus), append(keys, "torus")
+
+	xy := base
+	xy.Algorithm, xy.Table = core.AlgXY, table.KindFull
+	cfgs, keys = append(cfgs, xy), append(keys, "proud-xy-full")
+	return cfgs, keys
+}
+
+// TestGoldenEvent pins the event kernel to the bit. Event mode is not
+// bit-comparable to cycle mode, but it is deterministic per config, so a
+// refactor of the express path must reproduce these Results exactly; the
+// equivalence bounds (TestEventModeObservationalEquivalence) only say how
+// far a deliberate semantic change may move them. Regenerate (only when a
+// semantic change is intended) with: go test ./internal/core -run
+// TestGoldenEvent -update
+func TestGoldenEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden event grid is 27 full runs; skipped under -short")
+	}
+	cfgs, keys := goldenEventGrid()
+	got := make(map[string]string, len(cfgs))
+	for i, c := range cfgs {
+		r, err := core.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", keys[i], err)
+		}
+		got[keys[i]] = fingerprint(r)
+	}
+	compareGolden(t, "golden_event.txt", "TestGoldenEvent", got)
 }
 
 // compareGolden diffs got against testdata/<file>, or rewrites the

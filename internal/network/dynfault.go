@@ -222,9 +222,7 @@ func (n *Network) applyTransition(e int, now int64) {
 			// retransmission timer will recover it (or exhaust and report
 			// the loss there).
 			n.droppedMsgs++
-			if n.onLost != nil {
-				n.onLost(m.ID)
-			}
+			n.lost(m.ID)
 		}
 	}
 

@@ -101,7 +101,7 @@ type Config struct {
 	Seed int64
 	// EventMode switches flit arrival to event-driven execution: a flit
 	// landing on a quiescent router takes the express path (see
-	// router.EventFlit), transiting in O(1) work per flit with send and
+	// router.Arrive), transiting in O(1) work per flit with send and
 	// credit times computed from the pipeline's timing constants instead
 	// of emulated stage by stage. Routers carrying buffered traffic fall
 	// back to the unchanged cycle-accurate pipeline. Event mode is
@@ -184,7 +184,7 @@ func (c Config) Validate() error {
 // destination router's input buffer. 24 bytes; copied twice per link
 // traversal. In event mode, worm marks the event as an entire message
 // crossing the wire as one unit: fl is the head flit and the remaining
-// flits of fl.Msg follow at link rate behind it (see router.EventWorm).
+// flits of fl.Msg follow at link rate behind it (see router.Arrive).
 type flitEvent struct {
 	fl   flow.Flit
 	node topology.NodeID
@@ -303,14 +303,6 @@ type Network struct {
 	totalQueued int
 	lastOcc     []int32
 
-	// created accumulates messages generated this cycle, in NI-visit
-	// (ascending node) order; the barrier assigns their IDs. arrived
-	// accumulates tail-delivered messages in delivery order; the barrier
-	// replays them to the arrival observer. Both are reset each cycle and
-	// reuse their backing arrays.
-	created []*flow.Message
-	arrived []*flow.Message
-
 	// msgFree pools delivered messages for reuse by the NIs.
 	msgFree []*flow.Message
 
@@ -335,6 +327,8 @@ type Network struct {
 	links []link
 	ports int
 
+	// nextMsg is the ID of the next generated message: IDs follow
+	// generation order (cycle, then ascending node).
 	nextMsg   flow.MessageID
 	delivered int64 // total messages delivered
 	onArrive  func(msg *flow.Message, now int64)
@@ -351,35 +345,24 @@ type Network struct {
 	droppedFlits int64
 	droppedMsgs  int64
 	reconv       int64
-	// onLost fires at the barrier for every permanently lost message:
-	// purge victims and dead-destination drops without reliability,
-	// abandoned (retry-exhausted) messages with it. Run counts in-window
-	// losses toward its completion target so finite workloads drain.
+	// onLost fires, where the loss happens, for every permanently lost
+	// message: purge victims and dead-destination drops without
+	// reliability, abandoned (retry-exhausted) messages with it. Run counts
+	// in-window losses toward its completion target so finite workloads
+	// drain.
 	onLost func(id flow.MessageID)
 	// windows counts first deliveries per 2^windowShift-cycle bucket when
 	// a schedule is active; the recovery-time metric reads it.
 	windows []int64
 
 	// rel is the normalized reliability configuration; nextCtrl hands out
-	// negative IDs to pure-ack control messages at the barrier.
-	rel      *Reliability
-	nextCtrl flow.MessageID
-	// Reliability-layer accumulators (reliability.go), written by the NIs
-	// during the step body and drained at the barrier. newPending holds
-	// this cycle's tracked sends awaiting their message IDs; createdCtrl
-	// this cycle's pure acks awaiting (negative) IDs; relDone delivered
-	// copies the layer consumed (duplicates, pure acks) to pool; lostIDs
-	// retry-exhausted message IDs to replay to the loss observer. dropped
-	// holds messages discarded at the bind point because their destination
-	// is dead and no reliability layer will retry them.
-	newPending  []*pendEntry
-	createdCtrl []*flow.Message
-	relDone     []*flow.Message
-	lostIDs     []flow.MessageID
-	dropped     []*flow.Message
-	retrans     int64
-	dups        int64
-	abandoned   int64
+	// negative IDs to pure-ack control messages, so they never consume the
+	// measured ID space. The counters are the layer's (reliability.go).
+	rel       *Reliability
+	nextCtrl  flow.MessageID
+	retrans   int64
+	dups      int64
+	abandoned int64
 
 	// notify is set when the configured selector consumes congestion
 	// notifications: credits then piggyback the issuer's quantized
@@ -530,49 +513,19 @@ type nodeFabric struct {
 
 // Send routes a flit leaving the node through port p onto the wire; it
 // arrives (is latched) at the neighbor after the output register plus the
-// link delay.
-func (f *nodeFabric) Send(p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
+// link delay. In event mode worm marks it as the head of an entire worm
+// crossing the wire as one event (see router.Arrive).
+func (f *nodeFabric) Send(p topology.Port, v flow.VCID, fl flow.Flit, worm bool, now int64) {
 	l := f.links[p]
 	if !l.ok {
 		panic(fmt.Sprintf("network: node %d sent out port %d with no link", f.node, p))
 	}
-	f.flits.schedule(now+f.hop, flitEvent{node: l.node, port: l.port, vc: v, fl: fl})
+	f.flits.schedule(now+f.hop, flitEvent{node: l.node, port: l.port, vc: v, fl: fl, worm: worm})
 }
 
-// Credit returns a freed input-buffer slot upstream: to the neighbor's
-// output VC, or to the local NI for the injection port.
-func (f *nodeFabric) Credit(p topology.Port, v flow.VCID, now int64) {
-	at := now + f.hop
-	if p == topology.PortLocal {
-		f.credits.schedule(at, creditEvent{kind: creditToNI, node: f.node, vc: v, n: 1})
-		return
-	}
-	l := f.links[p]
-	if !l.ok {
-		panic(fmt.Sprintf("network: credit out port %d with no link", p))
-	}
-	e := creditEvent{node: l.node, port: l.port, vc: v, n: 1}
-	if f.notify {
-		// Sample the issuing router's congestion at credit time.
-		e.cong = f.n.routers[f.node].CongestionLevel()
-	}
-	f.credits.schedule(at, e)
-}
-
-// SendWorm is Send's event-mode sibling: the flit is the head of an
-// entire worm crossing the wire as one event (see router.EventWorm).
-func (f *nodeFabric) SendWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
-	l := f.links[p]
-	if !l.ok {
-		panic(fmt.Sprintf("network: node %d sent worm out port %d with no link", f.node, p))
-	}
-	f.flits.schedule(now+f.hop, flitEvent{node: l.node, port: l.port, vc: v, fl: fl, worm: true})
-}
-
-// CreditN is Credit's batched sibling: count credits return in one event,
-// due when a worm transit's tail would have cleared the downstream
-// crossbar.
-func (f *nodeFabric) CreditN(p topology.Port, v flow.VCID, count int, now int64) {
+// Credit returns count freed input-buffer slots upstream in one event: to
+// the neighbor's output VC, or to the local NI for the injection port.
+func (f *nodeFabric) Credit(p topology.Port, v flow.VCID, count int, now int64) {
 	at := now + f.hop
 	if p == topology.PortLocal {
 		f.credits.schedule(at, creditEvent{kind: creditToNI, node: f.node, vc: v, n: int32(count)})
@@ -580,16 +533,17 @@ func (f *nodeFabric) CreditN(p topology.Port, v flow.VCID, count int, now int64)
 	}
 	l := f.links[p]
 	if !l.ok {
-		panic(fmt.Sprintf("network: batched credit out port %d with no link", p))
+		panic(fmt.Sprintf("network: credit out port %d with no link", p))
 	}
 	e := creditEvent{node: l.node, port: l.port, vc: v, n: int32(count)}
 	if f.notify {
+		// Sample the issuing router's congestion at credit time.
 		e.cong = f.n.routers[f.node].CongestionLevel()
 	}
 	f.credits.schedule(at, e)
 }
 
-// Release schedules an event-mode VC release: a worm transit frees its
+// Release schedules an event-mode VC release: an express transit frees its
 // claimed output VC the cycle after its tail leaves the output stage.
 func (f *nodeFabric) Release(p topology.Port, v flow.VCID, at int64) {
 	f.credits.schedule(at, creditEvent{kind: creditRelease, node: f.node, port: p, vc: v})
@@ -608,9 +562,10 @@ func (f *nodeFabric) Deliver(fl flow.Flit, now int64) { f.ni.deliver(fl, now) }
 // returns immediately; an idle NI's tick only polls its injector), so the
 // active-set kernel is cycle-for-cycle identical to ticking everything.
 //
-// The cycle executes as the step body (stepCycle) followed by the barrier
-// (finishCycle), where everything order-sensitive happens: message IDs,
-// arrival and loss replay. When fast-forward is armed (inside Run) and the
+// Everything order-sensitive happens where it happens, in that execution
+// order: a message takes its ID when its NI generates it, an arrival or a
+// loss reaches the observers (and the message returns to the pool) at the
+// call that completes it. When fast-forward is armed (inside Run) and the
 // network is globally idle, Step first jumps now to the next NI wake: the
 // skipped cycles are simulated time during which provably nothing could
 // happen, so the jump is indistinguishable from ticking them one by one.
@@ -637,6 +592,10 @@ func (n *Network) Step() {
 			now = target
 		}
 	}
+	// n.now is the executing cycle for the whole step: observers and the
+	// delivery windows read it, whatever (possibly future) cycle an express
+	// ejection stamps on the message.
+	n.now = now
 	// Apply fault-schedule transitions due at or before this cycle before
 	// anything steps, so every component observes the same epoch for the
 	// whole cycle. The fast-forward jump above is safe to cross
@@ -646,7 +605,6 @@ func (n *Network) Step() {
 		n.advanceEpochs(now)
 	}
 	n.stepCycle(now)
-	n.finishCycle(now)
 	n.now = now + 1
 }
 
@@ -719,7 +677,7 @@ type RunParams struct {
 	// WarmupMessages = 0 — warmup truncation is the controller's job)
 	// and the loop ends as soon as the controller reports Stopped(),
 	// instead of waiting for the full MeasureMessages count. The
-	// controller consumes deliveries in barrier replay order.
+	// controller consumes deliveries in execution order.
 	Adaptive *stats.Adaptive
 }
 

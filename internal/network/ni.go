@@ -134,6 +134,33 @@ func (n *Network) newMessage() *flow.Message {
 	return &flow.Message{}
 }
 
+// pool returns a message nothing in the network references any more to
+// the delivery pool (inside Run; see Network.recycle).
+func (n *Network) pool(msg *flow.Message) {
+	if n.recycle {
+		n.msgFree = append(n.msgFree, msg)
+	}
+}
+
+// lost reports a permanently lost message to the loss observer.
+func (n *Network) lost(id flow.MessageID) {
+	if n.onLost != nil {
+		n.onLost(id)
+	}
+}
+
+// generated stamps a message the traffic process just produced with the
+// next ID, registers it with the reliability layer and queues it.
+func (x *ni) generated(msg *flow.Message, now int64) {
+	msg.CreateTime = now
+	msg.ID = x.net.nextMsg
+	x.net.nextMsg++
+	if x.rel != nil {
+		x.relTrack(msg, now)
+	}
+	x.queue = append(x.queue, msg)
+}
+
 // tick generates due messages, binds queued messages to free injection
 // VCs, and injects at most one flit (the injection channel is one flit
 // wide, like every physical channel).
@@ -156,21 +183,13 @@ func (x *ni) tick(now int64) {
 	if x.rel != nil {
 		x.relMaintain(now)
 	}
-	// Generated messages carry no ID yet: IDs are assigned at the cycle
-	// barrier in ascending node order (see finishCycle). Nothing reads the
-	// ID before delivery, cycles later.
 	if x.trace != nil {
 		for _, tm := range x.trace.Due(now) {
 			msg := x.net.newMessage()
 			msg.Src = tm.Src
 			msg.Dst = tm.Dst
 			msg.Length = tm.Length
-			msg.CreateTime = now
-			if x.rel != nil {
-				x.relTrack(msg, now)
-			}
-			x.net.created = append(x.net.created, msg)
-			x.queue = append(x.queue, msg)
+			x.generated(msg, now)
 		}
 	} else {
 		for i := x.inj.Due(now); i > 0; i-- {
@@ -182,26 +201,21 @@ func (x *ni) tick(now int64) {
 			msg.Src = x.node
 			msg.Dst = dst
 			msg.Length = x.net.cfg.MsgLen
-			msg.CreateTime = now
 			// QoS class draw, gated so runs without QoS consume exactly
 			// the same random stream as before.
 			if hi := x.net.cfg.QoSHiFrac; hi > 0 && x.inj.RNG().Float64() < hi {
 				msg.Class = 1
 			}
-			if x.rel != nil {
-				x.relTrack(msg, now)
-			}
-			x.net.created = append(x.net.created, msg)
-			x.queue = append(x.queue, msg)
+			x.generated(msg, now)
 		}
 	}
 
 	// Bind the head of the queue to free injection VCs. Under a schedule,
 	// a queued message whose destination is dead right now is dropped at
 	// the bind point instead of being routed into a table with no path:
-	// a permanent loss without the reliability layer (the barrier reports
-	// it), a no-op with it (the retransmission timer retries, and a later
-	// epoch may have healed the destination).
+	// a permanent loss without the reliability layer, a no-op with it (the
+	// retransmission timer retries, and a later epoch may have healed the
+	// destination).
 	for v := range x.streams {
 		if x.streams[v].msg != nil {
 			continue
@@ -217,7 +231,8 @@ func (x *ni) tick(now int64) {
 			}
 			if x.net.sched != nil && x.net.plan.NodeDead(m.Dst) {
 				if x.rel == nil {
-					x.net.dropped = append(x.net.dropped, m)
+					x.net.droppedMsgs++
+					x.net.lost(m.ID)
 				}
 				continue
 			}
@@ -328,26 +343,43 @@ func (x *ni) acceptCredit(v flow.VCID, n int) {
 	x.credits[v] += n
 }
 
-// deliver consumes an ejected flit; the tail completes the message. The
-// arrival observer fires at the cycle barrier (finishCycle), not here:
-// the barrier's replay order — IDs, then arrivals, then losses — is what
-// the goldens, adaptive measurement and the reliability layer are pinned
-// against. The tail is the last live reference to the message inside the
-// network — earlier flits preceded it through every buffer, and popped
-// fifo slots are never read again before being overwritten — so after
-// the barrier replay it can be pooled.
-func (x *ni) deliver(fl flow.Flit, now int64) {
+// deliver consumes an ejected flit; the tail completes the message: it is
+// counted, shown to the arrival observer and pooled right here, so
+// arrivals reach the observer in execution order — what the goldens,
+// adaptive measurement and the reliability layer are pinned against. at is
+// the cycle the flit reaches the NI, which in event mode may lie ahead of
+// the executing cycle (an express ejection computes it); the observer and
+// the delivery windows see the executing cycle, net.now. The tail is the
+// last live reference to the message inside the network — earlier flits
+// preceded it through every buffer, and popped fifo slots are never read
+// again before being overwritten — so it can be pooled at once.
+func (x *ni) deliver(fl flow.Flit, at int64) {
 	if fl.Msg.Dst != x.node {
 		panic("network: flit delivered to wrong node")
 	}
-	if fl.Type.IsTail() {
-		if x.rel != nil && !x.relReceive(fl.Msg, now) {
-			// Consumed by the reliability layer: a pure ack, or a duplicate
-			// of an already-delivered sequence number. Never reaches the
-			// arrival observer; pooled at the barrier like a delivery.
-			return
-		}
-		fl.Msg.ArriveTime = now
-		x.net.arrived = append(x.net.arrived, fl.Msg)
+	if !fl.Type.IsTail() {
+		return
 	}
+	n, msg := x.net, fl.Msg
+	if x.rel != nil && !x.relReceive(msg, at) {
+		// Consumed by the reliability layer: a pure ack, or a duplicate of
+		// an already-delivered sequence number. Never reaches the arrival
+		// observer.
+		n.pool(msg)
+		return
+	}
+	msg.ArriveTime = at
+	n.delivered++
+	if n.sched != nil {
+		// Bucket first deliveries for the recovery-time metric.
+		idx := int(n.now >> windowShift)
+		for len(n.windows) <= idx {
+			n.windows = append(n.windows, 0)
+		}
+		n.windows[idx]++
+	}
+	if n.onArrive != nil {
+		n.onArrive(msg, n.now)
+	}
+	n.pool(msg)
 }

@@ -78,10 +78,8 @@ func (r Reliability) withDefaults() Reliability {
 
 // pendEntry is one unacknowledged message held at its source NI: enough
 // to rebuild the message for retransmission without retaining the (pooled)
-// original. msg is only held until the cycle barrier assigns the message
-// its ID (finishCycle resolves it and drops the pointer).
+// original.
 type pendEntry struct {
-	msg        *flow.Message
 	id         flow.MessageID
 	dst        topology.NodeID
 	seq        int64
@@ -140,10 +138,9 @@ func (x *ni) relMaintain(now int64) {
 			continue
 		}
 		if pe.attempts >= rel.MaxAttempts {
-			// Out of attempts: the message is lost end to end. The barrier
-			// replays the loss to the observer.
+			// Out of attempts: the message is lost end to end.
 			x.net.abandoned++
-			x.net.lostIDs = append(x.net.lostIDs, pe.id)
+			x.net.lost(pe.id)
 			continue
 		}
 		msg := x.net.newMessage()
@@ -177,7 +174,8 @@ func (x *ni) relMaintain(now int64) {
 				msg.Length = 1
 				msg.CreateTime = now
 				msg.Ctrl = true
-				x.net.createdCtrl = append(x.net.createdCtrl, msg)
+				x.net.nextCtrl--
+				msg.ID = x.net.nextCtrl
 				x.queue = append(x.queue, msg)
 				st.ackPending = false
 			}
@@ -193,13 +191,12 @@ func (x *ni) relMaintain(now int64) {
 
 // relTrack registers a freshly generated message with the reliability
 // layer: assigns its stream sequence number and creates the pending entry
-// the retransmission timer watches. The entry's ID resolves at the cycle
-// barrier.
+// the retransmission timer watches.
 func (x *ni) relTrack(msg *flow.Message, now int64) {
 	x.rel.nextSeq[msg.Dst]++
 	msg.RelSeq = x.rel.nextSeq[msg.Dst]
 	pe := &pendEntry{
-		msg:        msg,
+		id:         msg.ID,
 		dst:        msg.Dst,
 		seq:        msg.RelSeq,
 		length:     msg.Length,
@@ -209,7 +206,6 @@ func (x *ni) relTrack(msg *flow.Message, now int64) {
 		deadline:   now + x.net.rel.RTO,
 	}
 	x.rel.pend = append(x.rel.pend, pe)
-	x.net.newPending = append(x.net.newPending, pe)
 }
 
 // relFillAcks stamps the outgoing message with this NI's view of the
@@ -230,7 +226,7 @@ func (x *ni) relFillAcks(msg *flow.Message) {
 // relReceive runs the destination-side protocol on a delivered tail. It
 // returns false when the message is consumed by the layer — a pure ack,
 // or a duplicate of an already-delivered sequence number — and must not
-// reach the application (the arrival observer).
+// reach the application (the arrival observer); the caller pools it.
 func (x *ni) relReceive(m *flow.Message, now int64) bool {
 	// Piggybacked acks first: even a duplicate carries fresh ack state.
 	if len(x.rel.pend) > 0 {
@@ -244,7 +240,6 @@ func (x *ni) relReceive(m *flow.Message, now int64) bool {
 		x.rel.pend = kept
 	}
 	if m.Ctrl {
-		x.net.relDone = append(x.net.relDone, m)
 		return false
 	}
 	if m.RelSeq == 0 {
@@ -256,7 +251,6 @@ func (x *ni) relReceive(m *flow.Message, now int64) bool {
 		// (it may have died on a failed link) — re-arm it, or the source
 		// retransmits into suppression until it abandons the message.
 		x.net.dups++
-		x.net.relDone = append(x.net.relDone, m)
 		x.relArmAck(st, m.Src, now)
 		return false
 	}

@@ -148,7 +148,7 @@ func (r *Router) Reroute(nextRoute func(p topology.Port, m *flow.Message) flow.R
 	for i := range r.in {
 		ivc := &r.in[i]
 		if ivc.phase == phaseWaitSA && ivc.msg != nil {
-			ivc.route = r.tbl.Lookup(ivc.msg.Dst, ivc.dateline)
+			ivc.route = r.tbl.Lookup(ivc.msg.Dst, ivc.msg.Dateline)
 		}
 		if r.cfg.LookAhead {
 			ivc.buf.each(func(fl flow.Flit) {

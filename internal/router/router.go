@@ -106,26 +106,22 @@ func (c Config) Validate() error {
 // network interface. The network hands every router its own Fabric (one
 // small value per node, all in one slab), so a call needs no "from"
 // argument and costs one indirect call, like the closures it replaced.
-// The last three methods are used in event mode only.
 type Fabric interface {
-	// Send transmits a flit onto the link leaving through port, tagged
-	// with the virtual channel it travels on (the downstream input VC).
-	// The fabric schedules its arrival at the neighbor.
-	Send(port topology.Port, vc flow.VCID, fl flow.Flit, now int64)
-	// Credit returns one credit upstream for the input buffer slot freed
-	// on (port, vc). For the local port the credit goes to the node's NI.
-	Credit(port topology.Port, vc flow.VCID, now int64)
+	// Send transmits a flit onto the link leaving through port at cycle
+	// now, tagged with the virtual channel it travels on (the downstream
+	// input VC). The fabric schedules its arrival at the neighbor. With
+	// worm set, fl is the head of an entire express worm crossing the wire
+	// as one event: the remaining flits of fl.Msg follow at link rate (one
+	// per cycle) behind it.
+	Send(port topology.Port, vc flow.VCID, fl flow.Flit, worm bool, now int64)
+	// Credit returns count credits upstream for the input buffer slots
+	// freed on (port, vc), in one event due at cycle now: one per flit on
+	// the pipeline, a whole run on the express path. For the local port
+	// the credits go to the node's NI.
+	Credit(port topology.Port, vc flow.VCID, count int, now int64)
 	// Deliver hands an ejected flit to the local network interface.
 	Deliver(fl flow.Flit, now int64)
-	// SendWorm transmits an entire express worm onto the link leaving
-	// through port as a single event: fl is the head flit and the
-	// remaining flits of fl.Msg follow at link rate (one per cycle)
-	// behind it. now is the cycle the head leaves the output stage.
-	SendWorm(port topology.Port, vc flow.VCID, fl flow.Flit, now int64)
-	// CreditN returns count credits upstream for (port, vc) in one event
-	// due at cycle now — the batched equivalent of count Credit calls.
-	CreditN(port topology.Port, vc flow.VCID, count int, now int64)
-	// Release schedules the release of the output VC a worm transit
+	// Release schedules the release of the output VC an express transit
 	// claimed, at cycle at (the cycle after its tail leaves the output
 	// stage). The fabric must call ReleaseExpress exactly then.
 	Release(port topology.Port, vc flow.VCID, at int64)
@@ -143,12 +139,12 @@ const (
 	phaseWaitSA
 	// phaseActive: the worm holds an output VC; flits stream.
 	phaseActive
-	// phaseExpress: the worm transits this router on the event-driven
-	// express path (see EventFlit): every flit is forwarded the moment its
-	// arrival event fires, with send and credit times computed from the
-	// pipeline constants instead of emulated stage by stage. Express flits
-	// never enter the input buffer, so the VC holds no storage while in
-	// this phase.
+	// phaseExpress: the worm transits this router flit by flit on the
+	// event-driven express path (see Arrive): every flit is forwarded the
+	// moment its arrival event fires, with send and credit times computed
+	// from the pipeline constants instead of emulated stage by stage.
+	// Express flits never enter the input buffer, so the VC holds no
+	// storage while in this phase.
 	phaseExpress
 )
 
@@ -159,14 +155,12 @@ const expressOwner int32 = 1 << 30
 
 // inputVC is the state of one input virtual channel.
 type inputVC struct {
-	buf      fifo
-	phase    vcPhase
-	readyAt  int64
-	route    flow.RouteSet
-	outPort  topology.Port
-	outVC    flow.VCID
-	outIdx   int32 // index of the claimed output VC in Router.out
-	dateline uint8
+	buf     fifo
+	phase   vcPhase
+	readyAt int64
+	route   flow.RouteSet
+	outPort topology.Port
+	outIdx  int32 // index of the claimed output VC in Router.out
 	// msg is the message the VC is processing while phase != phaseIdle.
 	// The pipeline itself reads headers from the buffer; this pointer
 	// exists for the fault purge, which must identify the owner of claims
@@ -261,7 +255,7 @@ type Router struct {
 	// hasCredit holds the output VCs the mux may send from: credits > 0,
 	// or on the local port, whose sink always has room. Set by
 	// AcceptCredits, cleared where a send takes the last credit (stageOUT,
-	// EventWorm, expressForward), overwritten by SetCredits.
+	// transit), overwritten by SetCredits.
 	hasCredit uint64
 	// freeOut holds the unowned output VCs: cleared by claimVC, set by
 	// releaseVC.
@@ -432,7 +426,6 @@ func (r *Router) releaseVC(j int) {
 // header now at the front of its buffer.
 func (r *Router) startHeader(idx int, ivc *inputVC, fl flow.Flit, now int64) {
 	ivc.msg = fl.Msg
-	ivc.dateline = fl.Msg.Dateline
 	if r.cfg.LookAhead {
 		// The header carries the candidates valid here; lookup has
 		// already happened upstream, concurrently with arbitration.
@@ -446,106 +439,78 @@ func (r *Router) startHeader(idx int, ivc *inputVC, fl flow.Flit, now int64) {
 	ivc.readyAt = now + 1
 }
 
-// EventFlit is the event-driven arrival entry point (network event mode).
-// It reports whether the flit was absorbed by the express path — forwarded
-// (or delivered) immediately with send and credit times computed from the
-// pipeline's timing constants — in which case the flit never enters an
-// input buffer and the caller must not count it toward occupancy. When the
-// express path cannot take the flit it falls back to EnqueueFlit and
-// returns false; the fallback is byte-for-byte the cycle-accurate path, so
-// a router carrying any buffered traffic behaves exactly as in cycle mode.
+// Arrive is the event-mode arrival entry point: fl latches on input (port,
+// vc) at cycle now; with worm set it is the head of an entire message whose
+// remaining flits follow at link rate behind it on the same wire. It
+// reports whether the express path absorbed the arrival — forwarded (or
+// delivered) it immediately with send and credit times computed from the
+// pipeline's timing constants (see transit) — in which case nothing enters
+// an input buffer and the caller must not count it toward occupancy. When
+// the express path cannot take the arrival, the flit goes through
+// EnqueueFlit and Arrive returns false; that is byte-for-byte the
+// cycle-accurate path, so a router carrying any buffered traffic behaves
+// exactly as in cycle mode. The caller unpacks a refused worm: its trailing
+// flits arrive as per-flit events at their wire cadence, which cannot
+// overflow the input buffer because the upstream sender held credits for
+// the whole message before emitting the worm.
 //
-// Express admission (expressAdmit) requires a router with empty buffers,
-// an output VC free for the whole message's credit window, an output link
-// free of other express transits, and the same eligibility rules as the
-// SA stage — including the escape-commit discipline — so an express hop
-// makes the same routing decision the pipelined hop would have made from
-// an empty router. The per-flit timing is exact for an uncontended
-// transit (see expressForward); once admitted the full credit window is
-// reserved and the output link serialized, so an express worm never
-// stalls mid-transit.
-func (r *Router) EventFlit(p topology.Port, v flow.VCID, fl flow.Flit, now int64) bool {
+// A head is admitted (expressAllocate) into a router with empty buffers
+// when the SA decision, taken at arrival time, finds an output VC holding
+// credits for the whole message on a link free of other express transits —
+// so an express hop makes the routing decision the pipelined hop would have
+// made from an empty router, and once admitted it never stalls
+// mid-transit. An admitted worm transits in O(1): one worm event to the
+// next hop (or one local delivery of the tail), one batched upstream
+// credit, one deferred release of the claimed output VC. An admitted lone
+// head puts its input VC in phaseExpress, and each flit behind it (per-VC
+// worm serialization guarantees no other head arrives before the tail) is
+// forwarded by its own arrival event.
+func (r *Router) Arrive(p topology.Port, v flow.VCID, fl flow.Flit, worm bool, now int64) bool {
 	idx := r.inIdx(p, v)
 	ivc := &r.in[idx]
 	if ivc.phase == phaseExpress {
-		// Body/tail of a worm already admitted: per-VC worm serialization
-		// guarantees no head arrives before the previous tail released the
-		// phase.
-		r.expressForward(idx, ivc, fl, now)
+		r.transit(idx, int(ivc.outIdx), fl, 1, now)
+		if fl.Type.IsTail() {
+			// The per-flit transit ends: the input VC returns to idle
+			// (transit released the output VC, as for a worm).
+			ivc.phase = phaseIdle
+			ivc.route = flow.RouteSet{}
+			ivc.msg = nil
+			if ivc.outPort != topology.PortLocal {
+				r.port[ivc.outPort].expressOut--
+			}
+		}
 		return true
 	}
-	if fl.Type.IsHead() && ivc.phase == phaseIdle && r.occupancy == 0 &&
-		r.tryExpress(ivc, fl.Msg, now) {
-		r.expressForward(idx, ivc, fl, now)
-		return true
+	if fl.Type.IsHead() && ivc.phase == phaseIdle && r.occupancy == 0 {
+		msg := fl.Msg
+		if port, vc, ok := r.expressAllocate(msg, now); ok {
+			n := 1
+			if worm {
+				n = msg.Length
+			}
+			j := r.inIdx(port, vc)
+			if n < msg.Length {
+				// The flits behind a lone head find their way here.
+				ivc.outPort = port
+				ivc.outIdx = int32(j)
+				ivc.phase = phaseExpress
+				ivc.msg = msg
+				if port != topology.PortLocal {
+					r.port[port].expressOut++
+				}
+			}
+			r.transit(idx, j, fl, n, now)
+			return true
+		}
 	}
 	r.EnqueueFlit(p, v, fl, now)
 	return false
 }
 
-// EventWorm is the arrival of an entire express worm as one event (network
-// event mode): the head flit fl latches at cycle now and the remaining
-// flits of fl.Msg follow at link rate behind it on the same wire. If this
-// router can admit the worm onto an express output — the same rules as the
-// per-flit path — it forwards the whole worm in O(1): one worm event to
-// the next hop (or one local delivery of the tail), one batched upstream
-// credit at the cycle the tail would have cleared the crossbar, and one
-// deferred release of the claimed output VC the cycle after the tail
-// leaves the output stage. It reports false when the worm must be
-// unpacked into per-flit events instead: the caller enqueues the head and
-// schedules the trailing flits at their wire cadence, landing on the
-// unchanged cycle-accurate path. Unpacking cannot overflow the input
-// buffer: the upstream sender held credits for the whole message before
-// emitting the worm.
-func (r *Router) EventWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64) bool {
-	if r.occupancy != 0 {
-		return false
-	}
-	msg := fl.Msg
-	cl, ok := r.expressAdmit(msg, now)
-	if !ok {
-		return false
-	}
-	offC, offS := int64(2), int64(3)
-	if !r.cfg.LookAhead {
-		offC, offS = 3, 4
-	}
-	L := int64(msg.Length)
-	// The L input-buffer slots the upstream sender debited were never
-	// filled; they all free when the tail would have cleared the crossbar.
-	r.fab.CreditN(p, v, int(L), now+L-1+offC)
-	ovc := &r.out[cl.idx]
-	ps := &r.port[cl.port]
-	ps.useCount += uint64(L)
-	ps.lastUsed = now + L - 1 + offS
-	if cl.port == topology.PortLocal {
-		// Whole-message ejection: the tail reaches the NI at the cycle the
-		// pipeline would have delivered it. The local sink needs no link
-		// and no credits, so the claimed VC releases immediately.
-		tail := flow.FlitAt(msg, msg.Length-1)
-		r.releaseVC(int(cl.idx))
-		r.fab.Deliver(tail, now+L-1+offS)
-		return true
-	}
-	ovc.credits -= int(L)
-	if ovc.credits == 0 {
-		r.hasCredit &^= 1 << cl.idx
-	}
-	msg.Hops++
-	if ps.linkBusyUntil < now {
-		// Fresh window; otherwise merge with the still-draining previous
-		// reservation so no cycle of it unblocks early.
-		ps.linkBusyFrom = now + offS
-	}
-	ps.linkBusyUntil = now + L - 1 + offS
-	r.fab.SendWorm(cl.port, cl.vc, fl, now+offS)
-	r.fab.Release(cl.port, cl.vc, now+L-1+offS+1)
-	return true
-}
-
-// ReleaseExpress frees the output VC a worm transit claimed, at the cycle
-// EventWorm scheduled (the tail has left the output stage; the credits the
-// worm consumed return separately from downstream).
+// ReleaseExpress frees the output VC an express transit claimed, at the
+// cycle transit scheduled (the tail has left the output stage; the credits
+// the worm consumed return separately from downstream).
 func (r *Router) ReleaseExpress(p topology.Port, v flow.VCID) {
 	j := r.inIdx(p, v)
 	if r.out[j].owner != expressOwner {
@@ -554,96 +519,35 @@ func (r *Router) ReleaseExpress(p topology.Port, v flow.VCID) {
 	r.releaseVC(j)
 }
 
-// expressClaim is the result of a successful express admission: the output
-// VC claimed (with the expressOwner sentinel) for a whole-message transit.
-type expressClaim struct {
-	port topology.Port
-	vc   flow.VCID
-	idx  int32
+// expressOffsets returns the express path's timing constants: a flit
+// latched at cycle t into an otherwise-empty LA-PROUD router frees its
+// buffer slot (crossbar) at t+2 and leaves the output stage for the link at
+// t+3; PROUD pays one more cycle for the table-lookup stage (t+3, t+4).
+func (r *Router) expressOffsets() (offC, offS int64) {
+	if r.cfg.LookAhead {
+		return 2, 3
+	}
+	return 3, 4
 }
 
-// expressAdmit is the shared admission check of both express forms (the
-// per-flit path behind EventFlit and the worm events of EventWorm): the SA
-// stage's eligibility rules evaluated at arrival time, with two extra
-// requirements — the output VC must hold credits for the entire message
-// (the cut-through admission window), so the admitted worm can stream at
-// link rate without ever stalling on flow control, and the output port's
-// link must be free of other express transits (expressPortFree). On
-// success the output VC is claimed and the outgoing header fields
-// (dateline, escape commitment, look-ahead route) are computed exactly as
-// tryAllocate would; on failure the message is untouched.
-func (r *Router) expressAdmit(msg *flow.Message, now int64) (expressClaim, bool) {
+// expressAllocate is express admission: the SA decision (allocate) taken
+// at arrival time, with two extra requirements — the output VC must hold
+// credits for the entire message (the cut-through admission window), so the
+// admitted worm streams at link rate without ever stalling on flow control,
+// and the output port's link must be free of other express transits
+// (expressPortFree). On failure the message is untouched.
+func (r *Router) expressAllocate(msg *flow.Message, now int64) (topology.Port, flow.VCID, bool) {
+	if msg.Length > r.cfg.BufDepth {
+		// The full window cannot exist (wormhole with long messages):
+		// express never applies, the pipeline handles the worm.
+		return 0, 0, false
+	}
 	rs := msg.Route
 	if !r.cfg.LookAhead {
 		rs = r.tbl.Lookup(msg.Dst, msg.Dateline)
 	}
-	needCredits := int(msg.Length)
-	if needCredits > r.cfg.BufDepth {
-		// The full window cannot exist (wormhole with long messages):
-		// express never applies, the pipeline handles the worm.
-		return expressClaim{}, false
-	}
-	offS := int64(3)
-	if !r.cfg.LookAhead {
-		offS = 4
-	}
-	firstSend := now + offS
-	committed := r.cfg.EscapeCommit && msg.EscapeCommitted
-	var eligible uint8
-	for i := 0; !committed && i < rs.Len(); i++ {
-		c := rs.At(i)
-		if r.deadPorts&(1<<c.Port) != 0 {
-			continue
-		}
-		if r.expressPortFree(c.Port, firstSend) && r.claimable(c.Port, r.adaptiveFor(c.Adaptive, msg.Class), needCredits) != 0 {
-			eligible |= 1 << i
-		}
-	}
-	escape := false
-	if eligible == 0 {
-		for i := 0; i < rs.Len(); i++ {
-			c := rs.At(i)
-			if r.deadPorts&(1<<c.Port) != 0 {
-				continue
-			}
-			if r.expressPortFree(c.Port, firstSend) && r.claimable(c.Port, c.Escape, needCredits) != 0 {
-				eligible |= 1 << i
-			}
-		}
-		escape = true
-	}
-	if eligible == 0 {
-		return expressClaim{}, false
-	}
-	choice := 0
-	if rs.Len() > 1 {
-		choice = r.sel.Select(r, rs, eligible)
-		if eligible&(1<<choice) == 0 {
-			panic("router: selector returned ineligible candidate")
-		}
-	} else if eligible&1 == 0 {
-		panic("router: single candidate not eligible")
-	}
-	cand := rs.At(choice)
-	mask := r.adaptiveFor(cand.Adaptive, msg.Class)
-	if escape {
-		mask = cand.Escape
-	}
-	v := r.claimVC(cand.Port, mask, needCredits, expressOwner)
-	if escape && r.cfg.EscapeCommit {
-		msg.EscapeCommitted = true
-	}
-	if cand.Port != topology.PortLocal {
-		next := msg.Dateline
-		if r.wrap {
-			next = nextDatelineBit(r.mesh, r.id, cand.Port, next)
-		}
-		msg.Dateline = next
-		if r.cfg.LookAhead {
-			msg.Route = r.tbl.LookupAt(cand.Port, msg.Dst, next)
-		}
-	}
-	return expressClaim{port: cand.Port, vc: v, idx: int32(r.inIdx(cand.Port, v))}, true
+	_, offS := r.expressOffsets()
+	return r.allocate(msg, rs, msg.Length, expressOwner, now+offS)
 }
 
 // expressPortFree reports whether an express transit whose first flit
@@ -657,80 +561,65 @@ func (r *Router) expressPortFree(p topology.Port, firstSend int64) bool {
 	return r.port[p].expressOut == 0 && firstSend > r.port[p].linkBusyUntil
 }
 
-// tryExpress admits one arriving head flit to the per-flit express path:
-// on success the input VC enters phaseExpress and every flit of the worm
-// is forwarded by expressForward the moment its arrival event fires.
-func (r *Router) tryExpress(ivc *inputVC, msg *flow.Message, now int64) bool {
-	cl, ok := r.expressAdmit(msg, now)
-	if !ok {
-		return false
+// transit forwards a run of n consecutive flits of an admitted express
+// transit — fl latched at cycle now on input VC in, the rest at link rate
+// behind it — through the claimed output VC j, issuing the upstream credit
+// and the downstream send (or local delivery) at the cycles the pipeline
+// would have (expressOffsets). A whole worm is one run (n = its length), a
+// per-flit express hop a run of one. The run's tail schedules the output
+// VC's release for the cycle after it leaves the output stage.
+func (r *Router) transit(in, j int, fl flow.Flit, n int, now int64) {
+	offC, offS := r.expressOffsets()
+	last := now + int64(n) - 1
+	// The run's last flit: fl itself on the per-flit path, which therefore
+	// never touches the message behind a body flit.
+	lastFl := fl
+	if n > 1 {
+		lastFl = flow.FlitAt(fl.Msg, int(fl.Seq)+n-1)
 	}
-	ivc.outPort = cl.port
-	ivc.outVC = cl.vc
-	ivc.outIdx = cl.idx
-	ivc.phase = phaseExpress
-	ivc.msg = msg
-	if cl.port != topology.PortLocal {
-		r.port[cl.port].expressOut++
+	tail := lastFl.Type.IsTail()
+	// The n buffer slots the upstream sender debited were never filled,
+	// but the credit protocol is unchanged: they free when the crossbar
+	// would have drained the last of them.
+	r.fab.Credit(topology.Port(r.portOf[in]), flow.VCID(in-int(r.vcBase[in])), n, last+offC)
+	port := topology.Port(r.portOf[j])
+	ps := &r.port[port]
+	ps.useCount += uint64(n)
+	ps.lastUsed = last + offS
+	if port == topology.PortLocal {
+		// Ejection: the run's last flit reaches the NI at the cycle the
+		// pipeline would have delivered it. The local sink needs no link
+		// and no credits, so the tail releases the claimed VC at once.
+		r.fab.Deliver(lastFl, last+offS)
+		if tail {
+			r.releaseVC(j)
+		}
+		return
 	}
-	return true
-}
-
-// expressForward transits one flit of an admitted express worm, issuing
-// its upstream credit and downstream send (or local delivery) at the exact
-// cycles the pipeline would have: for a flit latched at cycle t into an
-// otherwise-empty LA-PROUD router, the crossbar frees its buffer slot at
-// t+2 and the output stage puts it on the link at t+3 (PROUD pays one more
-// cycle for the table-lookup stage: t+3 and t+4). Tail flits return the
-// input VC to phaseIdle and schedule the output VC's release for the cycle
-// after the tail leaves the output stage, ending the express transit.
-func (r *Router) expressForward(idx int, ivc *inputVC, fl flow.Flit, now int64) {
-	offC, offS := int64(2), int64(3)
-	if !r.cfg.LookAhead {
-		offC, offS = 3, 4
+	ovc := &r.out[j]
+	ovc.credits -= n
+	if ovc.credits == 0 {
+		r.hasCredit &^= 1 << j
 	}
-	// The buffer slot the upstream sender debited was never filled, but
-	// the credit protocol is unchanged: the slot frees when the crossbar
-	// would have drained it.
-	r.fab.Credit(topology.Port(r.portOf[idx]), flow.VCID(idx-int(r.vcBase[idx])), now+offC)
-	ovc := &r.out[ivc.outIdx]
-	p := int(ivc.outPort)
-	ps := &r.port[p]
-	ps.useCount++
-	ps.lastUsed = now + offS
-	if p == int(topology.PortLocal) {
-		r.fab.Deliver(fl, now+offS)
-	} else {
-		ovc.credits--
-		if ovc.credits == 0 {
-			r.hasCredit &^= 1 << ivc.outIdx
-		}
-		if fl.Type.IsHead() {
-			fl.Msg.Hops++
-		}
-		if t := now + offS; t > ps.linkBusyUntil {
-			if ps.linkBusyUntil < now {
-				ps.linkBusyFrom = t
-			}
-			ps.linkBusyUntil = t
-		}
-		r.fab.Send(ivc.outPort, ivc.outVC, fl, now+offS)
+	if fl.Type.IsHead() {
+		fl.Msg.Hops++
 	}
-	if fl.Type.IsTail() {
-		ivc.phase = phaseIdle
-		ivc.route = flow.RouteSet{}
-		ivc.msg = nil
-		if p != int(topology.PortLocal) {
-			ps.expressOut--
-			// The tail is still upstream of the output stage until now+offS.
-			// Releasing the VC here would let a buffered message win it in
-			// SA and put a flit on the link before the tail, arriving out of
-			// order downstream; hold the claim until the tail has left, as
-			// EventWorm does.
-			r.fab.Release(ivc.outPort, ivc.outVC, now+offS+1)
-		} else {
-			r.releaseVC(int(ivc.outIdx))
+	if t := last + offS; t > ps.linkBusyUntil {
+		if ps.linkBusyUntil < now {
+			// Fresh window; otherwise merge with the still-draining
+			// previous reservation so no cycle of it unblocks early.
+			ps.linkBusyFrom = now + offS
 		}
+		ps.linkBusyUntil = t
+	}
+	vc := flow.VCID(j - int(r.vcBase[j]))
+	r.fab.Send(port, vc, fl, n > 1, now+offS)
+	if tail {
+		// The tail is still upstream of the output stage until last+offS.
+		// Releasing the VC here would let a buffered message win it in SA
+		// and put a flit on the link before the tail, arriving out of
+		// order downstream; hold the claim until the tail has left.
+		r.fab.Release(port, vc, last+offS+1)
 	}
 }
 
@@ -786,7 +675,7 @@ func (r *Router) stageRC(now int64) {
 		if ivc.readyAt > now {
 			continue
 		}
-		ivc.route = r.tbl.Lookup(ivc.msg.Dst, ivc.dateline)
+		ivc.route = r.tbl.Lookup(ivc.msg.Dst, ivc.msg.Dateline)
 		ivc.phase = phaseWaitSA
 		ivc.readyAt = now + 1
 		r.actRC &^= 1 << i
@@ -829,11 +718,10 @@ func (r *Router) stageSA(now int64) {
 	}
 }
 
-// tryAllocate attempts the SA stage for one waiting header: determine the
-// eligible candidates, run the path-selection heuristic, claim an output
-// VC, and (in look-ahead mode) build the outgoing header's candidate set.
+// tryAllocate attempts the SA stage for one waiting header: on success the
+// input VC streams toward the claimed output VC; otherwise the header
+// stalls and retries next cycle.
 func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
-	rs := ivc.route
 	// The header waits at the front of the buffer; ivc.msg is its message.
 	msg := ivc.msg
 	// Virtual cut-through admission: the downstream buffer must be able
@@ -846,38 +734,56 @@ func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 				r.id, needCredits, r.cfg.BufDepth))
 		}
 	}
+	port, vc, ok := r.allocate(msg, ivc.route, needCredits, int32(idx), noExpress)
+	if !ok {
+		return
+	}
+	ivc.outPort = port
+	ivc.outIdx = int32(r.inIdx(port, vc))
+	ivc.phase = phaseActive
+	r.actSA &^= 1 << idx
+	// The header is buffered and a just-claimed VC's box is empty; the
+	// crossbar stage follows SA by a cycle.
+	r.requestFresh(idx, port, now)
+}
+
+// noExpress is allocate's expressAt for a pipelined header: no link test.
+const noExpress int64 = -1
+
+// allocate is the selection + arbitration decision for msg's header, which
+// carries candidate set rs at this router: determine the eligible
+// candidates, run the path-selection heuristic, claim an output VC for
+// owner and build the outgoing header. A candidate is eligible when its
+// link is alive, one of its VCs is claimable with needCredits credits
+// (claimable) and — for an express transit whose first flit would leave the
+// output stage at cycle expressAt — its link is free of other express
+// transits. It reports false, with nothing claimed and the message
+// untouched, when no candidate is eligible.
+func (r *Router) allocate(msg *flow.Message, rs flow.RouteSet, needCredits int, owner int32, expressAt int64) (topology.Port, flow.VCID, bool) {
 	// Pass 1: candidates with a free adaptive VC. Duato's protocol
 	// prefers adaptive channels and falls back to the escape channel
-	// only when no adaptive VC is free this cycle. A message committed
-	// to the escape class (see Config.EscapeCommit) skips the adaptive
-	// pass entirely.
-	committed := r.cfg.EscapeCommit && msg.EscapeCommitted
-	class := msg.Class
+	// (pass 2) only when no adaptive VC is free this cycle. A message
+	// committed to the escape class (see Config.EscapeCommit) skips the
+	// adaptive pass entirely.
+	escape := r.cfg.EscapeCommit && msg.EscapeCommitted
 	var eligible uint8
-	for i := 0; !committed && i < rs.Len(); i++ {
-		c := rs.At(i)
-		if r.deadPorts&(1<<c.Port) != 0 {
-			continue
-		}
-		if r.claimable(c.Port, r.adaptiveFor(c.Adaptive, class), needCredits) != 0 {
-			eligible |= 1 << i
-		}
-	}
-	escape := false
-	if eligible == 0 {
+	for {
 		for i := 0; i < rs.Len(); i++ {
 			c := rs.At(i)
-			if r.deadPorts&(1<<c.Port) != 0 {
+			if r.deadPorts&(1<<c.Port) != 0 || (expressAt >= 0 && !r.expressPortFree(c.Port, expressAt)) {
 				continue
 			}
-			if r.claimable(c.Port, c.Escape, needCredits) != 0 {
+			if r.claimable(c.Port, r.classMask(c, escape, msg.Class), needCredits) != 0 {
 				eligible |= 1 << i
 			}
+		}
+		if eligible != 0 || escape {
+			break
 		}
 		escape = true
 	}
 	if eligible == 0 {
-		return // stall; retry next cycle
+		return 0, 0, false
 	}
 	choice := 0
 	if rs.Len() > 1 {
@@ -889,19 +795,7 @@ func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 		panic("router: single candidate not eligible")
 	}
 	cand := rs.At(choice)
-	mask := r.adaptiveFor(cand.Adaptive, class)
-	if escape {
-		mask = cand.Escape
-	}
-	v := r.claimVC(cand.Port, mask, needCredits, int32(idx))
-	ivc.outPort = cand.Port
-	ivc.outVC = v
-	ivc.outIdx = int32(r.inIdx(cand.Port, v))
-	ivc.phase = phaseActive
-	r.actSA &^= 1 << idx
-	// The header is buffered and a just-claimed VC's box is empty; the
-	// crossbar stage follows SA by a cycle.
-	r.requestFresh(idx, cand.Port, now)
+	v := r.claimVC(cand.Port, r.classMask(cand, escape, msg.Class), needCredits, owner)
 
 	// New header generation (concurrent with crossbar traversal in the
 	// hardware): compute the dateline state after this hop and, in
@@ -912,7 +806,7 @@ func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 		msg.EscapeCommitted = true
 	}
 	if cand.Port != topology.PortLocal {
-		next := ivc.dateline
+		next := msg.Dateline
 		if r.wrap {
 			next = nextDatelineBit(r.mesh, r.id, cand.Port, next)
 		}
@@ -921,17 +815,22 @@ func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 			msg.Route = r.tbl.LookupAt(cand.Port, msg.Dst, next)
 		}
 	}
+	return cand.Port, v, true
 }
 
-// adaptiveFor restricts a candidate's adaptive mask by message class:
-// class-0 traffic is excluded from the VCs reserved for high-class
-// messages. Escape masks are never restricted — every class keeps the
-// deadlock-free path, so reservation affects performance, not liveness.
-func (r *Router) adaptiveFor(mask flow.VCMask, class uint8) flow.VCMask {
-	if class == 0 {
-		return mask &^ r.resvMask
+// classMask returns the VCs of candidate c a header of the given class may
+// claim in the escape pass (c.Escape, never restricted — every class keeps
+// the deadlock-free path, so reservation affects performance, not liveness)
+// or the adaptive pass (c.Adaptive, less the VCs reserved for high-class
+// messages when class is 0).
+func (r *Router) classMask(c flow.Candidate, escape bool, class uint8) flow.VCMask {
+	if escape {
+		return c.Escape
 	}
-	return mask
+	if class == 0 {
+		return c.Adaptive &^ r.resvMask
+	}
+	return c.Adaptive
 }
 
 // claimable returns the VCs of mask on port p a header may claim: unowned
@@ -1017,7 +916,7 @@ func (r *Router) traverse(inIdx int, now int64) {
 	// Return the freed buffer slot upstream.
 	p := topology.Port(r.portOf[inIdx])
 	v := flow.VCID(inIdx - int(r.vcBase[inIdx]))
-	r.fab.Credit(p, v, now)
+	r.fab.Credit(p, v, 1, now)
 	if fl.Type.IsTail() {
 		// The worm has fully left this input VC.
 		ivc.phase = phaseIdle
@@ -1088,7 +987,7 @@ func (r *Router) stageOUT(now int64, freshOut uint64) {
 			if fl.Type.IsHead() {
 				fl.Msg.Hops++
 			}
-			r.fab.Send(topology.Port(p), flow.VCID(g), fl, now)
+			r.fab.Send(topology.Port(p), flow.VCID(g), fl, false, now)
 		}
 		if fl.Type.IsTail() {
 			r.releaseVC(j)

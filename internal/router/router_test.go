@@ -12,10 +12,11 @@ import (
 
 // event records one fabric callback.
 type event struct {
-	kind string // "send", "credit", "deliver"; event mode: "worm", "creditN", "release"
+	kind string // "send", "credit", "deliver"; event mode: "worm", "release"
 	port topology.Port
 	vc   flow.VCID
 	fl   flow.Flit
+	n    int // credit count
 	at   int64
 }
 
@@ -28,27 +29,23 @@ type harness struct {
 	onSend func(p topology.Port, v flow.VCID, now int64)
 }
 
-func (h *harness) Send(p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
-	h.events = append(h.events, event{kind: "send", port: p, vc: v, fl: fl, at: now})
-	if h.onSend != nil {
+func (h *harness) Send(p topology.Port, v flow.VCID, fl flow.Flit, worm bool, now int64) {
+	kind := "send"
+	if worm {
+		kind = "worm"
+	}
+	h.events = append(h.events, event{kind: kind, port: p, vc: v, fl: fl, at: now})
+	if h.onSend != nil && !worm {
 		h.onSend(p, v, now)
 	}
 }
 
-func (h *harness) Credit(p topology.Port, v flow.VCID, now int64) {
-	h.events = append(h.events, event{kind: "credit", port: p, vc: v, at: now})
+func (h *harness) Credit(p topology.Port, v flow.VCID, count int, now int64) {
+	h.events = append(h.events, event{kind: "credit", port: p, vc: v, n: count, at: now})
 }
 
 func (h *harness) Deliver(fl flow.Flit, now int64) {
 	h.events = append(h.events, event{kind: "deliver", fl: fl, at: now})
-}
-
-func (h *harness) SendWorm(p topology.Port, v flow.VCID, fl flow.Flit, now int64) {
-	h.events = append(h.events, event{kind: "worm", port: p, vc: v, fl: fl, at: now})
-}
-
-func (h *harness) CreditN(p topology.Port, v flow.VCID, count int, now int64) {
-	h.events = append(h.events, event{kind: "creditN", port: p, vc: v, at: now})
 }
 
 func (h *harness) Release(p topology.Port, v flow.VCID, at int64) {

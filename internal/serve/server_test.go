@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"lapses/internal/core"
+	"lapses/internal/fault"
 	"lapses/internal/sweep"
+	"lapses/internal/traffic"
 )
 
 // testGrid builds n valid, distinct-keyed configs (scripted runners
@@ -636,5 +638,51 @@ func TestServerNonFiniteResult(t *testing.T) {
 	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
 		t.Errorf("unencodable response: %d %q, want 500 carrying the encoder's error", rec.Code, rec.Body.String())
+	}
+}
+
+// TestServedWorkloadOptionsMatchInProcess: the options that change the
+// workload or the fabric under it — bursty sources, QoS classes, a fault
+// schedule, the reliability layer — reach the server's simulator. Real
+// runs, served vs in-process, bit for bit; before the wire carried them
+// the server simulated the plain config and answered under the full key.
+func TestServedWorkloadOptionsMatchInProcess(t *testing.T) {
+	t.Parallel()
+	base := core.DefaultConfig()
+	base.Dims = []int{8, 8}
+	base.Warmup, base.Measure = 50, 400
+
+	bursty := base
+	bursty.Burst = &traffic.Burst{OnFrac: 0.3, MeanOn: 100}
+	bursty.QoS = &core.QoSSpec{HiFrac: 0.2, HiVCs: 1}
+
+	stormy := base
+	stormy.Reliability = &core.Reliability{RTO: 512}
+	var err error
+	if stormy.Schedule, err = fault.ParseSchedule(stormy.Mesh(), "27-28@300:900,r9@500"); err != nil {
+		t.Fatal(err)
+	}
+
+	grid := []core.Config{base, bursty, stormy}
+	_, c := testServer(t, t.TempDir(), ServerOptions{})
+	got, err := c.Run(context.Background(), grid, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := core.Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range grid {
+		want, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Err != nil || got[i].Result != want {
+			t.Errorf("point %d: served %+v (err=%v)\nin-process %+v", i, got[i].Result, got[i].Err, want)
+		}
+		if i > 0 && want == plain {
+			t.Errorf("point %d: its options do not change the result; the test has no teeth", i)
+		}
 	}
 }

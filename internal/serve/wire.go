@@ -62,19 +62,23 @@ import (
 
 // Point is the serializable form of one grid point. Enumerations travel
 // by name (the String forms the CLIs already parse) so payloads stay
-// readable and stable across releases; the fault plan travels as its
-// canonical spec string. Trace workloads are process-local (a Trace is
-// keyed by pointer identity) and cannot be represented — PointFromConfig
-// rejects them.
+// readable and stable across releases; the fault plan and the fault
+// schedule travel as their canonical spec strings. Trace workloads are
+// process-local (a Trace is keyed by pointer identity) and cannot be
+// represented — PointFromConfig rejects them.
 //
-// The contract, pinned by TestPointRoundTripPreservesKey: for any
-// trace-free Config c, the round trip PointFromConfig(c) → Point.Config
-// yields a config with an identical Config.Key, hence bit-identical
-// simulation results and store lines.
+// The contract, pinned by TestPointCarriesEveryConfigField over every
+// field of core.Config: PointFromConfig(c) either fails naming the field
+// the wire cannot carry, or the round trip through Point.Config yields a
+// config with an identical Config.Key, hence bit-identical simulation
+// results and store lines. No field is ever dropped silently.
 type Point struct {
-	Dims   []int  `json:"dims"`
-	Torus  bool   `json:"torus,omitempty"`
-	Faults string `json:"faults,omitempty"` // fault.Parse spec, e.g. "12-13,r77"
+	Dims     []int  `json:"dims"`
+	Torus    bool   `json:"torus,omitempty"`
+	Faults   string `json:"faults,omitempty"`   // fault.Parse spec, e.g. "12-13,r77"
+	Schedule string `json:"schedule,omitempty"` // fault.ParseSchedule spec, e.g. "12-13@5000:9000"
+
+	Reliability *ReliabilityPoint `json:"reliability,omitempty"`
 
 	VCs       int `json:"vcs"`
 	EscapeVCs int `json:"escape_vcs"`
@@ -88,9 +92,11 @@ type Point struct {
 	Table      string `json:"table"`
 	Selection  string `json:"selection"`
 
-	Pattern string  `json:"pattern"`
-	Load    float64 `json:"load"`
-	MsgLen  int     `json:"msg_len"`
+	Pattern string      `json:"pattern"`
+	Load    float64     `json:"load"`
+	MsgLen  int         `json:"msg_len"`
+	Burst   *BurstPoint `json:"burst,omitempty"`
+	QoS     *QoSPoint   `json:"qos,omitempty"`
 
 	Warmup  int        `json:"warmup"`
 	Measure int        `json:"measure"`
@@ -103,7 +109,11 @@ type Point struct {
 	EventMode bool `json:"event_mode,omitempty"`
 }
 
-// AutoPoint mirrors core.AutoMeasure on the wire.
+// AutoPoint, BurstPoint, QoSPoint and ReliabilityPoint mirror
+// core.AutoMeasure, traffic.Burst, core.QoSSpec and core.Reliability on the
+// wire: the same fields under wire names, so each converts to and from its
+// core type by plain conversion (a field added to one side only stops
+// compiling).
 type AutoPoint struct {
 	RelTol      float64 `json:"rel_tol,omitempty"`
 	MinMessages int     `json:"min_messages,omitempty"`
@@ -111,12 +121,28 @@ type AutoPoint struct {
 	CheckEvery  int     `json:"check_every,omitempty"`
 }
 
+type BurstPoint struct {
+	OnFrac float64 `json:"on_frac"`
+	MeanOn float64 `json:"mean_on"`
+}
+
+type QoSPoint struct {
+	HiFrac float64 `json:"hi_frac"`
+	HiVCs  int     `json:"hi_vcs"`
+}
+
+type ReliabilityPoint struct {
+	RTO         int64 `json:"rto,omitempty"`
+	MaxAttempts int   `json:"max_attempts,omitempty"`
+	AckDelay    int64 `json:"ack_delay,omitempty"`
+}
+
 // PointFromConfig converts a Config to its wire form. Trace-driven
 // configs are rejected: a *traffic.Trace is identified by address, which
 // no other process can honor.
 func PointFromConfig(c core.Config) (Point, error) {
 	if c.Trace != nil {
-		return Point{}, fmt.Errorf("serve: trace workloads are process-local and cannot be submitted to a server")
+		return Point{}, fmt.Errorf("serve: Config.Trace is process-local (a trace is identified by address) and cannot be submitted to a server")
 	}
 	p := Point{
 		Dims:       append([]int(nil), c.Dims...),
@@ -146,13 +172,26 @@ func PointFromConfig(c core.Config) (Point, error) {
 		// the same items comma-separated.
 		p.Faults = strings.ReplaceAll(c.Faults.Key(), ";", ",")
 	}
+	if c.Schedule != nil {
+		// Schedule.Key is the canonical "A-B@DOWN:UP;..." content;
+		// ParseSchedule reads the same items comma-separated.
+		p.Schedule = strings.ReplaceAll(c.Schedule.Key(), ";", ",")
+	}
 	if c.Auto != nil {
-		p.Auto = &AutoPoint{
-			RelTol:      c.Auto.RelTol,
-			MinMessages: c.Auto.MinMessages,
-			MaxMessages: c.Auto.MaxMessages,
-			CheckEvery:  c.Auto.CheckEvery,
-		}
+		v := AutoPoint(*c.Auto)
+		p.Auto = &v
+	}
+	if c.Burst != nil {
+		v := BurstPoint(*c.Burst)
+		p.Burst = &v
+	}
+	if c.QoS != nil {
+		v := QoSPoint(*c.QoS)
+		p.QoS = &v
+	}
+	if c.Reliability != nil {
+		v := ReliabilityPoint(*c.Reliability)
+		p.Reliability = &v
 	}
 	return p, nil
 }
@@ -200,16 +239,29 @@ func (p Point) Config() (core.Config, error) {
 		return core.Config{}, fmt.Errorf("serve: point pattern: %w", err)
 	}
 	if p.Auto != nil {
-		c.Auto = &core.AutoMeasure{
-			RelTol:      p.Auto.RelTol,
-			MinMessages: p.Auto.MinMessages,
-			MaxMessages: p.Auto.MaxMessages,
-			CheckEvery:  p.Auto.CheckEvery,
-		}
+		v := core.AutoMeasure(*p.Auto)
+		c.Auto = &v
+	}
+	if p.Burst != nil {
+		v := traffic.Burst(*p.Burst)
+		c.Burst = &v
+	}
+	if p.QoS != nil {
+		v := core.QoSSpec(*p.QoS)
+		c.QoS = &v
+	}
+	if p.Reliability != nil {
+		v := core.Reliability(*p.Reliability)
+		c.Reliability = &v
 	}
 	if p.Faults != "" {
 		if c.Faults, err = fault.Parse(c.Mesh(), p.Faults); err != nil {
 			return core.Config{}, fmt.Errorf("serve: point faults: %w", err)
+		}
+	}
+	if p.Schedule != "" {
+		if c.Schedule, err = fault.ParseSchedule(c.Mesh(), p.Schedule); err != nil {
+			return core.Config{}, fmt.Errorf("serve: point schedule: %w", err)
 		}
 	}
 	if err := c.Validate(); err != nil {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"lapses/internal/core"
@@ -14,7 +16,9 @@ import (
 // wireTestConfigs is a spread of configurations exercising every field
 // the wire format carries: topology shape, torus wrap, fault plans,
 // router geometry, algorithm/table/selection/pattern enums, measurement
-// tiers (fixed and auto), guards and event mode.
+// tiers (fixed and auto), guards, event mode, and the workload and
+// availability options (bursty sources, QoS classes, a fault schedule, the
+// reliability layer).
 func wireTestConfigs(t *testing.T) []core.Config {
 	t.Helper()
 	base := core.DefaultConfig()
@@ -59,7 +63,16 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	meta.Dims = []int{8, 4}
 	meta.Table = table.KindMetaBlock
 
-	return []core.Config{base, torus, faulty, auto, exotic, meta}
+	stormy := core.DefaultConfig()
+	stormy.Dims = []int{8, 8}
+	stormy.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 150}
+	stormy.QoS = &core.QoSSpec{HiFrac: 0.2, HiVCs: 1}
+	stormy.Reliability = &core.Reliability{RTO: 512, MaxAttempts: 5}
+	if stormy.Schedule, err = fault.ParseSchedule(stormy.Mesh(), "27-28@500:1500,r9@800"); err != nil {
+		t.Fatalf("building fault schedule: %v", err)
+	}
+
+	return []core.Config{base, torus, faulty, auto, exotic, meta, stormy}
 }
 
 // TestPointRoundTripPreservesKey pins the wire contract: for any
@@ -177,5 +190,138 @@ func TestPointConfigErrors(t *testing.T) {
 		if _, err := p.Config(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// throughWire sends c through PointFromConfig → JSON → Point → Config.
+func throughWire(c core.Config) (core.Config, error) {
+	p, err := PointFromConfig(c)
+	if err != nil {
+		return core.Config{}, err
+	}
+	buf, err := json.Marshal(p)
+	if err != nil {
+		return core.Config{}, err
+	}
+	var back Point
+	if err := json.Unmarshal(buf, &back); err != nil {
+		return core.Config{}, err
+	}
+	return back.Config()
+}
+
+// TestPointCarriesEveryConfigField walks core.Config by reflection — nested
+// pointer structs included — and changes one field at a time from
+// DefaultConfig(). Every change must (a) change Config.Key: a field missing
+// from Key makes two different simulations share one durable store line;
+// and (b) either make PointFromConfig fail with an error naming the field,
+// or survive the wire with its Key intact: a field missing from Point is a
+// server silently simulating something else. A field this test cannot
+// perturb fails it too, so a field added to Config cannot slip past.
+func TestPointCarriesEveryConfigField(t *testing.T) {
+	t.Parallel()
+	mesh := core.DefaultConfig().Mesh()
+	plan, err := fault.Parse(mesh, "12-13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := fault.ParseSchedule(mesh, "12-13@100:200,r77@300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What a field changes to when "add one" is not a valid configuration
+	// or the field is no number: replacements keyed by field path. Pointer
+	// fields list the value they are switched on with; their sub-fields are
+	// then perturbed from it.
+	replace := map[string]any{
+		"Dims":        []int{8, 8},
+		"Faults":      plan,
+		"Schedule":    sched,
+		"Reliability": &core.Reliability{},
+		"Burst":       &traffic.Burst{OnFrac: 0.3, MeanOn: 100},
+		"QoS":         &core.QoSSpec{HiFrac: 0.2, HiVCs: 1},
+		"Trace":       traffic.StencilTrace(mesh, 64, 100, 4),
+		"Auto":        &core.AutoMeasure{},
+		"Algorithm":   core.AlgXY,
+		"Table":       table.KindFull,
+	}
+	offWire := map[string]bool{"Trace": true}
+
+	check := func(path, baseKey string, changed core.Config) {
+		t.Helper()
+		if err := changed.Validate(); err != nil {
+			t.Fatalf("%s: the perturbed config is invalid, give the test a valid replacement: %v", path, err)
+		}
+		if changed.Key() == baseKey {
+			t.Errorf("%s: changing it leaves Config.Key unchanged (%s)", path, baseKey)
+		}
+		got, err := throughWire(changed)
+		switch {
+		case offWire[path]:
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("%s: want a wire error naming the field, got %v", path, err)
+			}
+		case err != nil:
+			t.Errorf("%s: wire: %v", path, err)
+		case got.Key() != changed.Key():
+			t.Errorf("%s: dropped or altered on the wire:\nwant %s\ngot  %s", path, changed.Key(), got.Key())
+		}
+	}
+
+	// perturb changes every field of the struct v points into (a field of
+	// *cfg, or of a struct one of its pointers refers to) in turn, restoring
+	// it afterwards.
+	var perturb func(cfg *core.Config, v reflect.Value, prefix string)
+	perturb = func(cfg *core.Config, v reflect.Value, prefix string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, path := v.Field(i), prefix+v.Type().Field(i).Name
+			baseKey := cfg.Key()
+			old := reflect.New(f.Type()).Elem()
+			old.Set(f)
+			if r, ok := replace[path]; ok {
+				f.Set(reflect.ValueOf(r))
+			} else {
+				switch f.Kind() {
+				case reflect.Bool:
+					f.SetBool(!f.Bool())
+				case reflect.Int, reflect.Int64:
+					f.SetInt(f.Int() + 1)
+				case reflect.Float64:
+					f.SetFloat(f.Float() + 0.125)
+				default:
+					t.Errorf("%s: no perturbation for a %s field; add one to this test (and the field to Key and Point)", path, f.Type())
+					continue
+				}
+			}
+			check(path, baseKey, *cfg)
+			if f.Kind() == reflect.Pointer && f.Elem().Kind() == reflect.Struct && f.Elem().NumField() > 0 && f.Elem().Field(0).CanSet() {
+				perturb(cfg, f.Elem(), path+".")
+			}
+			f.Set(old)
+		}
+	}
+	cfg := core.DefaultConfig()
+	perturb(&cfg, reflect.ValueOf(&cfg).Elem(), "")
+	if !reflect.DeepEqual(cfg, core.DefaultConfig()) {
+		t.Fatal("the walk did not restore the config")
+	}
+}
+
+// TestPointPayloadStable: a config that sets none of Burst, QoS, Schedule
+// and Reliability encodes to the bytes it did before the wire carried them,
+// so old and new clients and servers agree on every such point.
+func TestPointPayloadStable(t *testing.T) {
+	t.Parallel()
+	p, err := PointFromConfig(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"dims":[16,16],"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
+	if string(got) != want {
+		t.Errorf("default point payload changed:\n got %s\nwant %s", got, want)
 	}
 }

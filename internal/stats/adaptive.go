@@ -12,8 +12,8 @@ package stats
 // deterministic: the same observation sequence (values and times)
 // produces the same truncation point, the same estimate, and the same
 // stopping cycle, so adaptive runs retain the simulator's bit-identical
-// reproducibility (the network replays deliveries to it in one serial
-// barrier order).
+// reproducibility (the network reports deliveries to it in one serial
+// execution order).
 //
 // MSER-5 (White et al.): group the raw series into consecutive batches
 // of five observations and pick the truncation point d (in batches) that
