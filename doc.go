@@ -16,10 +16,23 @@
 // Construction is organised as a few bulk operations: a structure's
 // routing tables are programmed in one parallel pass (table.BuildAll)
 // and cached per process behind a single-flight (core's plumbing cache,
-// 64 structures), and every run's network — routers, NIs, fabric
-// bindings, traffic sources — is carved from one arena of slabs
-// (router.NewBlock, traffic.NewSources), so a point's fixed cost is a
-// few hundred allocations at any mesh size. Each layer stores what is
+// 64 structures), and a run's network — routers, NIs, fabric bindings,
+// traffic sources — is one arena of slabs (router.Block,
+// traffic.Sources) that is reset, not rebuilt, between points. What
+// sizes the slabs is the network's shape (network.Shape: nodes, ports,
+// VCs, buffer depths, wheel horizon, reliability on or off); everything
+// else is the point — tables, algorithm, selection, look-ahead, load,
+// pattern, seed, faults — and network.Reset, the only initialiser a
+// network has (New is alloc + Reset), rewrites it in place. core.Run
+// checks an idle arena of the point's shape out of a bounded
+// process-wide free list, resets it, runs it, and returns it only after
+// reading the Result out and never after a panic, so a point's fixed
+// cost is what the point changes: a warm 16x16 one-message run
+// allocates 17 objects and 6 KB (it was 497 and 2.6 MB), and the
+// repository benchmark's kernel-short went from 0.754 to 0.657
+// calibrated seconds per pass (-13%, 10 of 10 alternating pairs; peak
+// RSS 67 -> 43 MB; CHANGES.md "PR 22"), results bit-identical. Each
+// layer stores what is
 // distinct, once: a full table is 2-byte indices into its own dictionary
 // of interned route sets, a router buffer is a ring of (message, first
 // sequence number, count) runs from which flits are rebuilt

@@ -1,34 +1,263 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lapses/internal/bounded"
+	"lapses/internal/network"
 	"lapses/internal/table"
 	"lapses/internal/topology"
+	"lapses/internal/traffic"
 )
 
-// TestConstructAllocs pins the arena: a point over a warm structure is
-// built from a fixed number of slabs, so its allocation count must not
-// scale with the node count. 256 nodes at even six allocations each
-// would break the bound — which is what a per-node make creeping back
-// into router, network or traffic construction looks like.
+// TestConstructAllocs pins the recycled arena: a point over a warm
+// structure and an idle arena of its shape allocates what the point itself
+// needs — its Result plumbing, its stats collector, its messages — and
+// nothing that scales with the node count. It was 497 objects and 2.6 MB
+// when every run built its 256-router network from nothing (137 and 2.5 MB
+// of that in network.New); it measures 17 objects and 6 KB. One make per
+// node creeping back into a reset is 256 objects; one slab allocated
+// instead of reused is at least 20 KB.
 func TestConstructAllocs(t *testing.T) {
 	c := DefaultConfig()
 	c.Load = 0.05
 	c.Warmup, c.Measure = 0, 1
-	if _, err := Run(c); err != nil { // warm the structure
+	if _, err := Run(c); err != nil { // warm the structure and an arena
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	run := func() {
 		if _, err := Run(c); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 1500 {
-		t.Errorf("a 16x16 one-message run over a warm structure allocates %.0f objects, want <= 1500", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs > 100 {
+		t.Errorf("a 16x16 one-message run over a warm structure allocates %.0f objects, want <= 100", allocs)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if kb := (after.TotalAlloc - before.TotalAlloc) / runs / 1024; kb > 256 {
+		t.Errorf("a 16x16 one-message run over a warm structure allocates %d KB, want <= 256", kb)
+	}
+}
+
+// panicAfter is a traffic pattern that panics on its n-th destination
+// draw: a fault planted in the middle of a Step.
+type panicAfter struct {
+	traffic.Pattern
+	n *int
+}
+
+func (p panicAfter) Dest(src topology.NodeID, rng *rand.Rand) (topology.NodeID, bool) {
+	if *p.n--; *p.n < 0 {
+		panic("planted mid-Step")
+	}
+	return p.Pattern.Dest(src, rng)
+}
+
+// TestPanicDropsArena: a run that panics in the middle of a Step — sweep
+// and serve recover those per point — must not hand its half-stepped
+// network back: the free list is left without the arena the run checked
+// out, and the next run (over a fresh arena) is correct.
+func TestPanicDropsArena(t *testing.T) {
+	c := smoke()
+	c.Warmup, c.Measure = 50, 300
+	pool := newArenaPool(maxIdleArenaBytes, 2)
+	want, err := run(c, pool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pool.idle) != 1 {
+		t.Fatalf("%d arenas idle after one run, want 1", len(pool.idle))
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "planted mid-Step" {
+				t.Fatalf("recovered %v, want the planted panic", r)
+			}
+		}()
+		draws := 100
+		run(c, pool, func(nc *network.Config) { nc.Pattern = panicAfter{nc.Pattern, &draws} })
+		t.Fatal("the planted panic did not fire")
+	}()
+	if len(pool.idle) != 0 || pool.bytes != 0 {
+		t.Fatalf("%d arenas (%d bytes) idle after a run panicked; its arena must be dropped, not returned", len(pool.idle), pool.bytes)
+	}
+	got, err := run(c, pool, nil)
+	if err != nil || got != want {
+		t.Fatalf("the run after a panic returned %+v (err %v), want %+v", got, err, want)
+	}
+	if len(pool.idle) != 1 {
+		t.Fatalf("%d arenas idle after the next run, want 1", len(pool.idle))
+	}
+}
+
+// TestArenaPoolBounded pins the free list's bounds: never more idle bytes
+// than its cap, never more idle arenas of one shape than its per-shape
+// limit, oldest evicted first, an arena bigger than the whole cap not kept
+// at all — and the process-wide list is built from the package constant and
+// GOMAXPROCS, not from anything configurable.
+func TestArenaPoolBounded(t *testing.T) {
+	if arenas.maxBytes != maxIdleArenaBytes || maxIdleArenaBytes != 64<<20 || arenas.perShape != runtime.GOMAXPROCS(0) {
+		t.Errorf("the process free list holds %d bytes and %d arenas a shape; want the constant 64 MB and GOMAXPROCS", arenas.maxBytes, arenas.perShape)
+	}
+	point := func(k int) Config {
+		c := smoke()
+		c.Dims = []int{k, k}
+		c.Warmup, c.Measure = 0, 20
+		return c
+	}
+	// Size the cap from a real arena: room for three 6x6 networks and a bit.
+	probe := newArenaPool(maxIdleArenaBytes, 1)
+	if _, err := run(point(6), probe, nil); err != nil {
+		t.Fatal(err)
+	}
+	pool := newArenaPool(3*probe.bytes+probe.bytes/2, 2)
+	check := func(when string) {
+		t.Helper()
+		sum, perShape := 0, map[network.Shape]int{}
+		for _, a := range pool.idle {
+			sum += a.bytes
+			perShape[a.net.Shape()]++
+		}
+		if sum != pool.bytes || pool.bytes > pool.maxBytes {
+			t.Fatalf("%s: %d bytes idle (accounted %d), cap %d", when, sum, pool.bytes, pool.maxBytes)
+		}
+		for s, n := range perShape {
+			if n > pool.perShape {
+				t.Fatalf("%s: %d idle arenas of shape %+v, limit %d", when, n, s, pool.perShape)
+			}
+		}
+	}
+	// More shapes than fit: the oldest go first.
+	for _, k := range []int{3, 4, 5, 6, 5, 6, 7} {
+		if _, err := run(point(k), pool, nil); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after a %dx%d run", k, k))
+	}
+	if pool.get(shapeOfPoint(t, point(3))) != nil {
+		t.Error("the oldest arena survived six later ones in a list sized for about three")
+	}
+	if pool.get(shapeOfPoint(t, point(7))) == nil {
+		t.Error("the newest arena is not on the list")
+	}
+	// More concurrent runs of one shape than the per-shape limit.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := run(point(4), pool, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	check("after four concurrent 4x4 runs")
+	// An arena that does not fit at all is dropped, not traded for the list.
+	before := len(pool.idle)
+	if _, err := run(point(12), pool, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(pool.idle) != before {
+		t.Errorf("a 12x12 arena larger than the whole cap changed the list from %d to %d arenas", before, len(pool.idle))
+	}
+	check("after an oversized run")
+}
+
+// TestArenaPoolAges: an arena that sits idle through maxIdleGCs garbage
+// collections is let go, a checkout in between starts the count again, and
+// the hook that does the counting really is driven by the collector.
+func TestArenaPoolAges(t *testing.T) {
+	c := smoke()
+	c.Warmup, c.Measure = 0, 20
+	pool := newArenaPool(maxIdleArenaBytes, 2)
+	idleAfter := func(ages int) int {
+		if _, err := run(c, pool, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ages; i++ {
+			pool.age()
+		}
+		return len(pool.idle)
+	}
+	if n := idleAfter(maxIdleGCs - 1); n != 1 {
+		t.Fatalf("%d arenas idle after %d collections, want 1", n, maxIdleGCs-1)
+	}
+	if n := idleAfter(maxIdleGCs - 1); n != 1 {
+		t.Fatalf("%d arenas idle: a checkout did not restart the arena's age", n)
+	}
+	if pool.age(); len(pool.idle) != 0 || pool.bytes != 0 {
+		t.Fatalf("%d arenas (%d bytes) idle after %d collections, want none", len(pool.idle), pool.bytes, maxIdleGCs)
+	}
+	if idleAfter(0) != 1 {
+		t.Fatal("no arena idle after a run")
+	}
+	pool.ageOnGC()
+	for i := 0; i < 200 && func() bool { pool.mu.Lock(); defer pool.mu.Unlock(); return len(pool.idle) > 0 }(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	if len(pool.idle) != 0 {
+		t.Error("200 garbage collections did not age the idle arena out: the GC hook is not firing")
+	}
+}
+
+// shapeOfPoint returns the shape Run would check out for c.
+func shapeOfPoint(t *testing.T, c Config) network.Shape {
+	t.Helper()
+	var s network.Shape
+	pool := newArenaPool(maxIdleArenaBytes, 1)
+	if _, err := run(c, pool, func(nc *network.Config) { s = network.ShapeOf(*nc) }); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestConcurrentRunsMatchSerial: eight goroutines running points of one
+// shape at once — each holding its own arena, some recycled from the serial
+// pass and from earlier rounds, some fresh — return what the same points
+// return one at a time. The -race lane runs this: an arena shared by two
+// runs is a data race on every field it has.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	points := make([]Config, 8)
+	want := make([]Result, len(points))
+	for i := range points {
+		c := smoke()
+		c.Warmup, c.Measure = 50, 300
+		c.Load = 0.1 + 0.05*float64(i%4)
+		c.Seed = int64(100 + i)
+		points[i] = c
+		var err error
+		if want[i], err = Run(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		for i := range points {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got, err := Run(points[i]); err != nil || got != want[i] {
+					t.Errorf("round %d point %d: concurrent run returned %+v (err %v), serial %+v", round, i, got, err, want[i])
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -19,11 +19,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
 	"lapses/internal/bounded"
 	"lapses/internal/fault"
+	"lapses/internal/flow"
 	"lapses/internal/network"
 	"lapses/internal/router"
 	"lapses/internal/routing"
@@ -457,8 +460,30 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: radix %d < 2", k)
 		}
 	}
+	// A router has a local port and two per dimension (router.NewBlock
+	// panics in its arbiters beyond the limit).
+	if ports := 1 + 2*len(c.Dims); ports*c.VCs > router.MaxInputVCs {
+		return fmt.Errorf("core: %d Dims x %d VCs is %d ports x VCs = %d input VCs per router; the limit is %d",
+			len(c.Dims), c.VCs, ports, ports*c.VCs, router.MaxInputVCs)
+	}
+	// An adaptive route set holds one candidate per dimension
+	// (flow.RouteSet panics beyond flow.MaxCandidates); the deterministic
+	// algorithms return one candidate whatever the dimensions.
+	if c.Algorithm == AlgDuato && len(c.Dims) > flow.MaxCandidates {
+		return fmt.Errorf("core: %s routing is adaptive in every dimension and handles at most %d dimensions, not the %d of Dims %v; use xy",
+			c.Algorithm, flow.MaxCandidates, len(c.Dims), c.Dims)
+	}
 	if c.Load < 0 {
 		return fmt.Errorf("core: negative load")
+	}
+	// With nothing injected no message ever completes the measurement, and
+	// there is no offered load to derive a cycle budget from
+	// (network.Run panics without one).
+	if c.Load == 0 && c.Trace == nil && c.MaxCycles <= 0 {
+		return fmt.Errorf("core: Load 0 needs a Trace or MaxCycles > 0: no message would ever end the run")
+	}
+	if c.Warmup < 0 {
+		return fmt.Errorf("core: Warmup %d < 0", c.Warmup)
 	}
 	if c.Measure <= 0 {
 		return fmt.Errorf("core: Measure must be positive")
@@ -570,7 +595,15 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: negative Reliability parameter")
 		}
 	}
-	return (routing.Class{NumVCs: c.VCs, EscapeVCs: c.EscapeVCs}).Validate()
+	if err := (routing.Class{NumVCs: c.VCs, EscapeVCs: c.EscapeVCs}).Validate(); err != nil {
+		return err
+	}
+	// The class the tables are programmed with can need more escape VCs than
+	// EscapeVCs says: Duato on a torus takes two.
+	if cls := c.class(); cls.EscapeVCs > c.VCs {
+		return fmt.Errorf("core: VCs %d cannot hold the %d escape VCs %s routing needs on %s", c.VCs, cls.EscapeVCs, c.Algorithm, c.Mesh())
+	}
+	return nil
 }
 
 // Result aggregates one run's measurements.
@@ -767,9 +800,145 @@ func (c Config) buildPlumbing() (*plumbing, error) {
 	return &plumbing{m: m, cls: cls, alg: alg, tbls: table.BuildAll(c.Table, m, alg, cls)}, nil
 }
 
-// Run builds the network described by cfg and executes the measurement
-// loop.
-func Run(cfg Config) (Result, error) {
+// maxIdleArenaBytes caps the storage the arena free list holds while no run
+// is using it. A 16x16 network of the paper's Table 2 parameters is about
+// 2.5 MB and a 32x32 one about 10 MB, so the cap holds a figure sweep's
+// working set — one arena per worker per mesh size — several times over,
+// and a service fed every shape there is stays bounded all the same.
+const maxIdleArenaBytes = 64 << 20
+
+// arenas is the process-wide free list Run takes its networks from: the
+// plumbing cache's sibling, one level down. The plumbing cache shares what
+// a structure's runs can share because it is immutable; an arena is what
+// they cannot share — the mutable network itself — so it is lent to one run
+// at a time and reset, not rebuilt, for the next run of its shape.
+var arenas = newArenaPool(maxIdleArenaBytes, runtime.GOMAXPROCS(0))
+
+func init() { arenas.ageOnGC() }
+
+// arenaPool holds idle networks, oldest first. It keeps at most perShape
+// of one shape (no more runs of a shape than processors can be in flight
+// at once and profit) and at most maxBytes of storage in all, evicting the
+// oldest first; an evicted or refused network is simply garbage.
+type arenaPool struct {
+	mu       sync.Mutex
+	idle     []idleArena
+	bytes    int
+	maxBytes int
+	perShape int
+}
+
+type idleArena struct {
+	net   *network.Network
+	bytes int
+	// gcs counts the garbage collections the arena has sat through idle.
+	gcs int
+}
+
+// maxIdleGCs is how many garbage collections an arena may sit through
+// idle before the list lets go of it, the way sync.Pool ages what it holds:
+// a sweep reuses an arena every few points, while a process that has
+// stopped simulating — a service between jobs — should not carry its last
+// job's networks as live heap (and, at GOGC's doubling, twice that in
+// footprint) for as long as it runs. Four, not sync.Pool's two: programming
+// one cold 32x32 table set runs through two or three collections by itself,
+// and the other shapes' arenas should outlast a neighbour's first touch.
+const maxIdleGCs = 4
+
+// ageOnGC makes every garbage collection age the idle arenas, dropping
+// those that reach maxIdleGCs. The hook is a finalizer on a sentinel that
+// each run of it replaces.
+func (p *arenaPool) ageOnGC() {
+	type sentinel struct{ _ *arenaPool }
+	runtime.SetFinalizer(&sentinel{p}, func(*sentinel) {
+		p.age()
+		p.ageOnGC()
+	})
+}
+
+// age records one more collection survived idle and evicts the arenas that
+// have had their share.
+func (p *arenaPool) age() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if p.idle[i].gcs++; p.idle[i].gcs >= maxIdleGCs {
+			p.evict(i)
+		}
+	}
+}
+
+func newArenaPool(maxBytes, perShape int) *arenaPool {
+	return &arenaPool{maxBytes: maxBytes, perShape: max(perShape, 1)}
+}
+
+// get checks out the most recently returned network of shape s — the one
+// likeliest to still be in cache — or returns nil when none is idle. The
+// caller owns it until it hands it to put, or drops it.
+func (p *arenaPool) get(s network.Shape) *network.Network {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if a := p.idle[i]; a.net.Shape() == s {
+			p.evict(i)
+			return a.net
+		}
+	}
+	return nil
+}
+
+// put returns a network no run is using any more. The network is parked
+// first, so an idle one pins no table, pattern, trace or schedule — in
+// particular not a plumbing entry the plumbing cache has since evicted.
+func (p *arenaPool) put(n *network.Network) {
+	n.Park()
+	a := idleArena{net: n, bytes: n.Bytes()}
+	if a.bytes > p.maxBytes {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.idle = append(p.idle, a)
+	p.bytes += a.bytes
+	same, oldest := 0, -1
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if p.idle[i].net.Shape() == n.Shape() {
+			same, oldest = same+1, i
+		}
+	}
+	if same > p.perShape {
+		p.evict(oldest)
+	}
+	for p.bytes > p.maxBytes {
+		p.evict(0)
+	}
+}
+
+// evict removes idle[i]; callers hold mu.
+func (p *arenaPool) evict(i int) {
+	p.bytes -= p.idle[i].bytes
+	p.idle = slices.Delete(p.idle, i, i+1)
+}
+
+// Run executes the measurement loop on the network cfg describes and
+// returns its results.
+//
+// Checkout discipline: the network is an arena of cfg's shape
+// (network.Shape: what sizes storage) checked out of a process-wide free
+// list, or allocated when none is idle, and reset to cfg — network.Reset is
+// the only initialiser a network has, so which arena a run gets, and what
+// ran in it before, is unobservable in the Result. One Run owns the arena
+// at a time (two sweep workers on one shape hold two). It goes back on the
+// list only after the last read of its state — the Result carries values,
+// never pointers into the arena — and only on success: a Run that leaves by
+// a panic (sweep and serve recover those per point) drops its arena instead
+// of returning it half-stepped.
+func Run(cfg Config) (Result, error) { return run(cfg, arenas, nil) }
+
+// run is Run over an explicit free list. seam, when non-nil, edits the
+// network configuration just before the network is reset to it — a test
+// seam, for planting a fault inside the run.
+func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -814,10 +983,20 @@ func Run(cfg Config) (Result, error) {
 	if r := cfg.Reliability; r != nil {
 		ncfg.Reliability = &network.Reliability{RTO: r.RTO, MaxAttempts: r.MaxAttempts, AckDelay: r.AckDelay}
 	}
+	if seam != nil {
+		seam(&ncfg)
+	}
 	if err := ncfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	net := network.New(ncfg)
+	// No deferred return of the arena: every exit from here to pool.put is
+	// a panic, and a panic must drop it.
+	net := pool.get(network.ShapeOf(ncfg))
+	if net == nil {
+		net = network.New(ncfg)
+	} else {
+		net.Reset(ncfg)
+	}
 	params := network.RunParams{
 		WarmupMessages:  cfg.Warmup,
 		MeasureMessages: cfg.Measure,
@@ -884,6 +1063,7 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 	}
+	pool.put(net)
 	return res, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lapses/internal/fault"
+	"lapses/internal/flow"
 	"lapses/internal/selection"
 	"lapses/internal/table"
 	"lapses/internal/topology"
@@ -152,6 +153,85 @@ func TestIntervalValidateOrRun(t *testing.T) {
 	c.Table, c.Algorithm = table.KindInterval, AlgYX
 	if err := c.Validate(); err != nil {
 		t.Errorf("the combination the rejection recommends is itself rejected: %v", err)
+	}
+}
+
+// TestShapeLimitsValidateOrRun is TestIntervalValidateOrRun's neighbour
+// for the limits that size or bound a run rather than route it: one to
+// five dimensions (flow.MaxCandidates bounds an adaptive route set, the
+// arbiters bound ports x VCs at 64), 1 to 8 VCs, zero load with and
+// without a cycle budget, a negative warm-up — on mesh and torus. Every
+// case is either rejected by Validate, naming the field, or runs; and it
+// runs twice in a row, so the second pass goes through the arena the first
+// one returned (or, after a rejection, finds the free list as it was).
+func TestShapeLimitsValidateOrRun(t *testing.T) {
+	ran, rejected := 0, 0
+	for _, dims := range [][]int{{8}, {4, 4}, {3, 3, 3}, {3, 3, 3, 3}, {2, 2, 2, 2, 2}} {
+		for _, torus := range []bool{false, true} {
+			for _, vcs := range []int{1, 4, 8} {
+				for _, load := range []float64{0, 0.2} {
+					for _, budget := range []int64{0, 500} {
+						for _, warmup := range []int{-1, 0} {
+							c := smoke()
+							c.Dims, c.Torus, c.VCs, c.Load, c.MaxCycles, c.Warmup = dims, torus, vcs, load, budget, warmup
+							c.Measure = 40
+							if len(dims) > flow.MaxCandidates {
+								c.Algorithm = AlgXY // so that five dimensions run at all
+							}
+							name := fmt.Sprintf("%s %s vcs=%d load=%g budget=%d warmup=%d", c.Algorithm, c.Mesh(), vcs, load, budget, warmup)
+							if verr := c.Validate(); verr != nil {
+								rejected++
+								named := false
+								for _, field := range []string{"Warmup", "Load", "VCs", "Dims"} {
+									named = named || strings.Contains(verr.Error(), field)
+								}
+								if !named {
+									t.Errorf("%s: rejection names no field: %v", name, verr)
+								}
+								continue
+							}
+							func() {
+								defer func() {
+									if r := recover(); r != nil {
+										t.Errorf("%s: passed Validate, then panicked: %v", name, r)
+									}
+								}()
+								first, err := Run(c)
+								if err != nil {
+									t.Errorf("%s: passed Validate, then failed: %v", name, err)
+									return
+								}
+								again, err := Run(c)
+								if err != nil || again != first {
+									t.Errorf("%s: second run in a row differs: %+v (err %v), first %+v", name, again, err, first)
+								}
+								ran++
+							}()
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cases ran twice, %d were rejected", ran, rejected)
+	if ran == 0 || rejected == 0 {
+		t.Errorf("%d cases ran and %d were rejected; the matrix should do both", ran, rejected)
+	}
+	// The four gaps, each by name and limit.
+	for _, tc := range []struct {
+		mut  func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.Load = 0 }, "Load 0 needs a Trace or MaxCycles"},
+		{func(c *Config) { c.Dims = []int{2, 2, 2, 2, 2} }, "at most 4 dimensions"},
+		{func(c *Config) { c.Dims, c.VCs = []int{3, 3, 3, 3}, 8 }, "ports x VCs"},
+		{func(c *Config) { c.Warmup = -5 }, "Warmup -5"},
+	} {
+		c := smoke()
+		tc.mut(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("want a Validate error containing %q, got %v", tc.want, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -188,6 +189,58 @@ func TestGoldenEvent(t *testing.T) {
 		got[keys[i]] = fingerprint(r)
 	}
 	compareGolden(t, "golden_event.txt", "TestGoldenEvent", got)
+}
+
+// TestGoldenShuffledRecycling runs the three golden grids as one list,
+// twice, each pass in its own shuffled order, and holds every result to the
+// committed fixtures. The three tests above already recycle — they call
+// core.Run in one process, so each point after the first of its shape runs
+// in the arena the previous one returned — but always in fixture order;
+// here a PROUD point follows a faulted one follows an overloaded one, on
+// both kernels, and every point also runs in an arena that has already run
+// the whole list. Which arena a run gets, and what ran in it before, must be
+// unobservable.
+func TestGoldenShuffledRecycling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two passes over all 59 golden points; skipped under -short")
+	}
+	if *updateGolden {
+		t.Skip("the fixtures are written by the three grid tests")
+	}
+	type point struct {
+		file, key string
+		cfg       core.Config
+	}
+	var pts []point
+	for _, c := range goldenGrid() {
+		pts = append(pts, point{"golden_kernel.txt", goldenKey(c), c})
+	}
+	cfgs, keys := goldenFaultGrid(t)
+	for i, c := range cfgs {
+		pts = append(pts, point{"golden_faults.txt", keys[i], c})
+	}
+	cfgs, keys = goldenEventGrid()
+	for i, c := range cfgs {
+		pts = append(pts, point{"golden_event.txt", keys[i], c})
+	}
+	rng := rand.New(rand.NewSource(22))
+	for pass := 0; pass < 2; pass++ {
+		rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		got := map[string]map[string]string{}
+		for _, p := range pts {
+			r, err := core.Run(p.cfg)
+			if err != nil {
+				t.Fatalf("pass %d, %s %s: %v", pass, p.file, p.key, err)
+			}
+			if got[p.file] == nil {
+				got[p.file] = map[string]string{}
+			}
+			got[p.file][p.key] = fingerprint(r)
+		}
+		for file, m := range got {
+			compareGolden(t, file, "TestGoldenShuffledRecycling", m)
+		}
+	}
 }
 
 // compareGolden diffs got against testdata/<file>, or rewrites the

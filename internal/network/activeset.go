@@ -29,6 +29,9 @@ func newActiveSet(n int) activeSet {
 	return activeSet{words: make([]uint64, (n+63)/64)}
 }
 
+// reset empties the set.
+func (s *activeSet) reset() { clear(s.words) }
+
 // add registers a component; adding a member is a no-op.
 func (s *activeSet) add(i int) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)

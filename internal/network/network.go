@@ -23,6 +23,7 @@ package network
 
 import (
 	"fmt"
+	"unsafe"
 
 	"lapses/internal/fault"
 	"lapses/internal/flow"
@@ -273,19 +274,90 @@ func (w *wheel[E]) take(at int64) []E {
 	return evs
 }
 
-// Network is a complete simulated interconnect.
-type Network struct {
-	cfg Config
-	m   *topology.Mesh
-	// routers, nis and fabrics are value slabs indexed by node id: a
-	// network is built from a fixed number of allocations whatever its
-	// size (see New), and a component is always reached as &slab[id].
-	routers []router.Router
+// reset empties the wheel, keeping every slot buffer's capacity. The
+// buffers are cleared to their capacity: take truncates without clearing, so
+// slots beyond a buffer's length still hold events of earlier cycles, and a
+// reset network should pin no message of the run before it.
+func (w *wheel[E]) reset() {
+	for i, s := range w.slots {
+		clear(s[:cap(s)])
+		w.slots[i] = s[:0]
+	}
+	clear(w.spare[:cap(w.spare)]) // take leaves it empty, not clean
+	w.count = 0
+}
+
+// bytes returns the capacity the slot buffers have grown to.
+func (w *wheel[E]) bytes() int {
+	n := slabBytes(w.spare)
+	for _, s := range w.slots {
+		n += slabBytes(s)
+	}
+	return n
+}
+
+func slabBytes[T any](s []T) int {
+	var zero T
+	return cap(s) * int(unsafe.Sizeof(zero))
+}
+
+// Shape is exactly what sizes a network's storage: the node and port counts
+// (all the slabs see of the dimensions and the wraparound), the VC count and
+// buffer depths, the wheel horizon (link delay; in event mode also the input
+// buffer depth), and whether the NIs carry the reliability layer's per-peer
+// arrays. Everything else a Config says — tables, algorithm, selection,
+// look-ahead, cut-through, rate, pattern, seed, burst, QoS, static faults, a
+// fault schedule, a trace — is rewritten by Reset, so two configurations of
+// one shape can run in the same network one after the other.
+type Shape struct {
+	nodes, ports                int
+	vcs, bufDepth, outDepth     int
+	linkDelay                   int
+	eventMode, reliabilityLayer bool
+}
+
+// ShapeOf returns the shape of the network cfg describes.
+func ShapeOf(cfg Config) Shape {
+	return Shape{
+		nodes: cfg.Mesh.N(), ports: cfg.Mesh.NumPorts(),
+		vcs: cfg.Router.NumVCs, bufDepth: cfg.Router.BufDepth, outDepth: cfg.Router.OutDepth,
+		linkDelay: cfg.LinkDelay,
+		eventMode: cfg.EventMode, reliabilityLayer: cfg.Reliability != nil,
+	}
+}
+
+// arena is a network's storage: the slabs a Shape sizes, allocated once by
+// alloc, plus the buffers that grow with use (wheel slots, wake heap, NI
+// queues, the message pool, the delivery windows), which Reset empties while
+// keeping their capacity. routers, nis and fabrics are value slabs indexed
+// by node id: a network is built from a fixed number of allocations whatever
+// its size, and a component is always reached as &slab[id].
+type arena struct {
+	shape Shape
+
+	block   *router.Block
+	routers []router.Router // block.Routers
+	sels    *selection.Block
+	srcs    *traffic.Sources
 	nis     []ni
 	fabrics []nodeFabric
-	now     int64
+	// links caches, per (node, port), the downstream latch point — the
+	// neighbor and its opposite port — so the per-flit send and credit
+	// paths never recompute mesh coordinates.
+	links []link
+	// lastOcc shadows each router's occupancy in a dense array so the tick
+	// loop computes deltas without an extra load from every router's struct.
+	lastOcc []int32
 
-	// Scheduler state. flits and credits are the event calendars of link
+	// The NIs' per-VC and per-peer state, one slab each (see resetNIs).
+	streams   []stream
+	niCredits []int
+	cursors   []traffic.TraceCursor
+	rels      []niRel
+	relSeq    []int64
+	relRecv   []recvState
+
+	// Scheduler storage. flits and credits are the event calendars of link
 	// and credit traversal; actRouters/actNIs are the work lists Step
 	// iterates and wakes parks idle NIs until their traffic process next
 	// fires (all indexed by / holding node ids).
@@ -295,16 +367,26 @@ type Network struct {
 	actNIs     activeSet
 	wakes      wakeHeap
 
-	// totalOcc/totalQueued are the incremental counters behind Occupancy
-	// and QueuedMessages. lastOcc shadows each router's occupancy in a
-	// dense array so the tick loop computes deltas without an extra load
-	// from every router's struct.
-	totalOcc    int
-	totalQueued int
-	lastOcc     []int32
-
 	// msgFree pools delivered messages for reuse by the NIs.
 	msgFree []*flow.Message
+	// windows counts first deliveries per 2^windowShift-cycle bucket when
+	// a schedule is active; the recovery-time metric reads it.
+	windows []int64
+}
+
+// Network is a complete simulated interconnect: an arena and the state of
+// the run in it.
+type Network struct {
+	arena
+
+	cfg Config
+	m   *topology.Mesh
+	now int64
+
+	// totalOcc/totalQueued are the incremental counters behind Occupancy
+	// and QueuedMessages.
+	totalOcc    int
+	totalQueued int
 
 	// ff enables idle-cycle fast-forward (set inside Run): when the
 	// network is globally idle, Step jumps now to the next NI wake
@@ -321,10 +403,7 @@ type Network struct {
 	// past the arrival callback.
 	recycle bool
 
-	// links caches, per (node, port), the downstream latch point — the
-	// neighbor and its opposite port — so the per-flit send and credit
-	// paths never recompute mesh coordinates. ports caches m.NumPorts().
-	links []link
+	// ports caches m.NumPorts().
 	ports int
 
 	// nextMsg is the ID of the next generated message: IDs follow
@@ -351,9 +430,6 @@ type Network struct {
 	// in-window losses toward its completion target so finite workloads
 	// drain.
 	onLost func(id flow.MessageID)
-	// windows counts first deliveries per 2^windowShift-cycle bucket when
-	// a schedule is active; the recovery-time metric reads it.
-	windows []int64
 
 	// rel is the normalized reliability configuration; nextCtrl hands out
 	// negative IDs to pure-ack control messages, so they never consume the
@@ -379,11 +455,81 @@ type link struct {
 	ok   bool
 }
 
-// New builds and wires a network. It panics on invalid configuration,
-// which is always a programming error in the harness.
+// New builds and wires a network: storage allocated for cfg's shape, then
+// Reset — the only initialiser there is. It panics on invalid
+// configuration, which is always a programming error in the harness.
 func New(cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	n := alloc(ShapeOf(cfg))
+	n.Reset(cfg)
+	return n
+}
+
+// alloc returns the storage of a network of shape s: every slab the shape
+// sizes, and nothing in them. The result is not usable until Reset.
+func alloc(s Shape) *Network {
+	rc := router.Config{NumVCs: s.vcs, BufDepth: s.bufDepth, OutDepth: s.outDepth}
+	// Cycle mode schedules events at most 1+LinkDelay cycles out. Event
+	// mode reaches further: a worm transit's batched credit and deferred
+	// VC release land up to BufDepth+4+LinkDelay cycles after the head's
+	// arrival, and unpacking a worm schedules its trailing flits up to
+	// BufDepth-1 cycles ahead (worms only exist for messages no longer
+	// than the buffer depth).
+	horizon := s.linkDelay + 2
+	if s.eventMode {
+		horizon = s.linkDelay + s.bufDepth + 6
+	}
+	a := arena{
+		shape:      s,
+		block:      router.AllocBlock(s.nodes, s.ports, rc),
+		sels:       selection.AllocBlock(s.nodes),
+		srcs:       traffic.AllocSources(s.nodes),
+		nis:        make([]ni, s.nodes),
+		fabrics:    make([]nodeFabric, s.nodes),
+		links:      make([]link, s.nodes*s.ports),
+		lastOcc:    make([]int32, s.nodes),
+		streams:    make([]stream, s.nodes*s.vcs),
+		niCredits:  make([]int, s.nodes*s.vcs),
+		cursors:    make([]traffic.TraceCursor, s.nodes),
+		flits:      newWheel[flitEvent](horizon),
+		credits:    newWheel[creditEvent](horizon),
+		actRouters: newActiveSet(s.nodes),
+		actNIs:     newActiveSet(s.nodes),
+	}
+	a.routers = a.block.Routers
+	if s.reliabilityLayer {
+		a.rels = make([]niRel, s.nodes)
+		a.relSeq = make([]int64, s.nodes*s.nodes)
+		a.relRecv = make([]recvState, s.nodes*s.nodes)
+	}
+	return &Network{arena: a}
+}
+
+// Shape returns the shape the network's storage was allocated for: Reset
+// accepts exactly the configurations of this shape.
+func (n *Network) Shape() Shape { return n.shape }
+
+// Reset returns the network to the state New(cfg) builds, in place: cfg
+// must have the shape the network was allocated for (it panics otherwise),
+// and may differ from the previous configuration in everything else.
+//
+// One initialiser: Reset writes every field a run can read — the run state
+// wholesale, every record of every slab, the growing buffers emptied with
+// their capacity kept — and New is alloc followed by Reset, so there is no
+// second constructor for it to drift from, and what ran in the network
+// before (to completion, into its cycle budget, through a fault purge or a
+// panic) is unobservable afterwards. TestResetEqualsNew holds it to that by
+// comparing, by reflection, every reachable field of a reset network with a
+// fresh one; a field added to Network, ni, router.Router or a source and
+// left out of the reset fails there by itself.
+func (n *Network) Reset(cfg Config) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	if s := ShapeOf(cfg); s != n.shape {
+		panic(fmt.Sprintf("network: storage of shape %+v reset to a configuration of shape %+v", n.shape, s))
 	}
 	m := cfg.Mesh
 	if !cfg.Faults.Empty() || cfg.Schedule != nil {
@@ -402,7 +548,8 @@ func New(cfg Config) *Network {
 			return !plan.NodeDead(id)
 		})
 	}
-	n := &Network{
+	*n = Network{
+		arena:  n.arena,
 		cfg:    cfg,
 		m:      m,
 		ports:  m.NumPorts(),
@@ -418,20 +565,16 @@ func New(cfg Config) *Network {
 		rel := cfg.Reliability.withDefaults()
 		n.rel = &rel
 	}
-	// Cycle mode schedules events at most 1+LinkDelay cycles out. Event
-	// mode reaches further: a worm transit's batched credit and deferred
-	// VC release land up to BufDepth+4+LinkDelay cycles after the head's
-	// arrival, and unpacking a worm schedules its trailing flits up to
-	// BufDepth-1 cycles ahead (worms only exist for messages no longer
-	// than the buffer depth).
-	horizon := cfg.LinkDelay + 2
-	if cfg.EventMode {
-		horizon = cfg.LinkDelay + cfg.Router.BufDepth + 6
-	}
-	n.flits = newWheel[flitEvent](horizon)
-	n.credits = newWheel[creditEvent](horizon)
-	n.actRouters = newActiveSet(m.N())
-	n.actNIs = newActiveSet(m.N())
+	n.flits.reset()
+	n.credits.reset()
+	n.actRouters.reset()
+	n.actNIs.reset()
+	n.wakes.h = n.wakes.h[:0]
+	clear(n.msgFree)
+	n.msgFree = n.msgFree[:0]
+	n.windows = n.windows[:0]
+	clear(n.lastOcc)
+
 	tbls := cfg.Tables
 	switch {
 	case cfg.Schedule != nil:
@@ -439,9 +582,8 @@ func New(cfg Config) *Network {
 	case tbls == nil:
 		tbls = table.BuildAll(cfg.Table, m, cfg.Algorithm, cfg.Class)
 	}
-	n.routers = router.NewBlock(m, cfg.Router, 0, tbls,
-		selection.NewBlock(cfg.Selection, m.N(), cfg.Seed, 7919))
-	n.links = make([]link, m.N()*n.ports)
+	n.sels.Reset(cfg.Selection, cfg.Seed, 7919)
+	n.block.Reset(m, cfg.Router, 0, tbls, n.sels.Sels)
 	for id := 0; id < m.N(); id++ {
 		for p := 0; p < n.ports; p++ {
 			// A statically failed link is simply not wired: it can carry
@@ -449,16 +591,16 @@ func New(cfg Config) *Network {
 			// onto one hits the missing-link panic in Send. Under a
 			// schedule every link is wired — liveness is dynamic, enforced
 			// by dead-port gating and the transition purge instead.
-			if cfg.Schedule == nil && cfg.Faults.LinkDead(topology.NodeID(id), topology.Port(p)) {
-				continue
+			l := link{}
+			if cfg.Schedule != nil || !cfg.Faults.LinkDead(topology.NodeID(id), topology.Port(p)) {
+				if nb, ok := m.Neighbor(topology.NodeID(id), topology.Port(p)); ok {
+					l = link{node: nb, port: topology.Opposite(topology.Port(p)), ok: true}
+				}
 			}
-			if nb, ok := m.Neighbor(topology.NodeID(id), topology.Port(p)); ok {
-				n.links[id*n.ports+p] = link{node: nb, port: topology.Opposite(topology.Port(p)), ok: true}
-			}
+			n.links[id*n.ports+p] = l
 		}
 	}
-	n.newNIs()
-	n.fabrics = make([]nodeFabric, m.N())
+	n.resetNIs()
 	for id := range n.fabrics {
 		node := topology.NodeID(id)
 		f := &n.fabrics[id]
@@ -477,7 +619,6 @@ func New(cfg Config) *Network {
 			n.routers[id].SetDeadPorts(n.deadPortMask(node))
 		}
 	}
-	n.lastOcc = make([]int32, m.N())
 	// Every NI starts idle; park each on the wake heap at its first
 	// arrival (nodes whose process never fires stay dormant forever).
 	// NIs on statically dead routers never register: they inject nothing.
@@ -492,7 +633,32 @@ func New(cfg Config) *Network {
 			n.wakes.push(wake{at: at, node: int32(id)})
 		}
 	}
-	return n
+}
+
+// Park drops every reference the network holds into its configuration —
+// mesh, tables, algorithm, pattern, trace, fault plan and schedule — so an
+// idle network pins nothing of a structure its owner may since have
+// forgotten. Only the storage stays; the network is unusable until the next
+// Reset.
+func (n *Network) Park() {
+	*n = Network{arena: n.arena}
+	n.block.Park()
+	clear(n.cursors)
+}
+
+// Bytes returns the size of the network's storage: the slabs its shape
+// sizes plus whatever the growing buffers have grown to.
+func (n *Network) Bytes() int {
+	b := n.block.Bytes() + n.sels.Bytes() + n.srcs.Bytes() +
+		slabBytes(n.nis) + slabBytes(n.fabrics) + slabBytes(n.links) + slabBytes(n.lastOcc) +
+		slabBytes(n.streams) + slabBytes(n.niCredits) + slabBytes(n.cursors) +
+		slabBytes(n.rels) + slabBytes(n.relSeq) + slabBytes(n.relRecv) +
+		n.flits.bytes() + n.credits.bytes() + slabBytes(n.wakes.h) +
+		slabBytes(n.msgFree) + slabBytes(n.windows)
+	for i := range n.nis {
+		b += slabBytes(n.nis[i].queue)
+	}
+	return b
 }
 
 // nodeFabric is one router's surroundings (router.Fabric): the links
@@ -640,8 +806,8 @@ func (n *Network) traceHorizon() int64 {
 					last = tm.At
 				}
 			}
-			// Due consumed the cursor; rebuild it for the actual run.
-			x.trace = n.cfg.Trace.Cursor(x.node)
+			// Due consumed the cursor; rewind it for the actual run.
+			*x.trace = *n.cfg.Trace.Cursor(x.node)
 		}
 	}
 	return last

@@ -41,35 +41,46 @@ type ni struct {
 	rel *niRel
 }
 
-// newNIs builds every node's NI out of slabs: the NIs themselves, their
-// injection streams and credit counters, and (inside traffic.NewSources)
-// the generation processes with their random streams.
-func (n *Network) newNIs() {
-	v := n.cfg.Router.NumVCs
-	n.nis = make([]ni, n.m.N())
-	streams := make([]stream, len(n.nis)*v)
-	credits := make([]int, len(n.nis)*v)
-	for i := range credits {
-		credits[i] = n.cfg.Router.BufDepth
+// resetNIs returns every node's NI to its constructed state over the
+// arena's slabs: the NIs themselves, their injection streams and credit
+// counters, their trace cursors, the reliability layer's per-peer arrays
+// and (inside traffic.Sources.Reset) the generation processes with their
+// random streams. Source queues and the reliability lists are emptied with
+// their capacity kept.
+func (n *Network) resetNIs() {
+	v, nodes := n.cfg.Router.NumVCs, len(n.nis)
+	clear(n.streams)
+	for i := range n.niCredits {
+		n.niCredits[i] = n.cfg.Router.BufDepth
 	}
-	srcs := traffic.NewSources(len(n.nis), n.cfg.MsgRate, n.cfg.Burst, n.cfg.Seed)
+	clear(n.cursors)
+	clear(n.relSeq)
+	clear(n.relRecv)
+	n.srcs.Reset(n.cfg.MsgRate, n.cfg.Burst, n.cfg.Seed)
 	for id := range n.nis {
 		x := &n.nis[id]
+		clear(x.queue)
 		*x = ni{
 			net:     n,
 			node:    topology.NodeID(id),
 			r:       &n.routers[id],
-			inj:     srcs[id],
-			streams: streams[id*v : (id+1)*v],
-			credits: credits[id*v : (id+1)*v],
+			inj:     n.srcs.At(id),
+			queue:   x.queue[:0],
+			streams: n.streams[id*v : (id+1)*v],
+			credits: n.niCredits[id*v : (id+1)*v],
 		}
 		if n.cfg.Trace != nil {
-			x.trace = n.cfg.Trace.Cursor(x.node)
+			n.cursors[id] = *n.cfg.Trace.Cursor(x.node)
+			x.trace = &n.cursors[id]
 		}
 		if n.rel != nil {
-			x.rel = &niRel{
-				nextSeq: make([]int64, n.m.N()),
-				recv:    make([]recvState, n.m.N()),
+			x.rel = &n.rels[id]
+			clear(x.rel.pend)
+			*x.rel = niRel{
+				nextSeq:  n.relSeq[id*nodes : (id+1)*nodes],
+				pend:     x.rel.pend[:0],
+				recv:     n.relRecv[id*nodes : (id+1)*nodes],
+				ackPeers: x.rel.ackPeers[:0],
 			}
 		}
 	}
@@ -123,15 +134,24 @@ func (n *Network) inject(msg *flow.Message) {
 	n.actNIs.add(int(msg.Src))
 }
 
-// newMessage takes a message from the delivery pool, or allocates one.
+// msgSlab is how many messages the pool allocates at a time when it runs
+// dry: a run's few dozen live messages cost a few allocations, not one each.
+const msgSlab = 32
+
+// newMessage takes a message from the delivery pool, refilling the pool
+// with a fresh slab first when it is empty.
 func (n *Network) newMessage() *flow.Message {
-	if k := len(n.msgFree); k > 0 {
-		msg := n.msgFree[k-1]
-		n.msgFree = n.msgFree[:k-1]
-		*msg = flow.Message{}
-		return msg
+	if len(n.msgFree) == 0 {
+		slab := make([]flow.Message, msgSlab)
+		for i := range slab {
+			n.msgFree = append(n.msgFree, &slab[i])
+		}
 	}
-	return &flow.Message{}
+	k := len(n.msgFree) - 1
+	msg := n.msgFree[k]
+	n.msgFree = n.msgFree[:k]
+	*msg = flow.Message{}
+	return msg
 }
 
 // pool returns a message nothing in the network references any more to

@@ -26,7 +26,7 @@ func TestRouterBlockMatchesNew(t *testing.T) {
 	const node = topology.NodeID(4)
 	for _, la := range []bool{false, true} {
 		cfg := Config{NumVCs: 4, BufDepth: 6, OutDepth: 2, LookAhead: la}
-		block := NewBlock(m, cfg, 0, tbls, selection.NewBlock(selection.LRU, m.N(), 0, 1))
+		block := NewBlock(m, cfg, 0, tbls, selection.NewBlock(selection.LRU, m.N(), 0, 1).Sels).Routers
 		hb := &harness{r: &block[node]}
 		hb.r.SetFabric(hb)
 		hn := newHarness(t, m, node, cfg, alg, selection.New(selection.LRU, 0))
@@ -103,7 +103,7 @@ func TestRouterBlockMatchesNew(t *testing.T) {
 		if seen == 0 || hb.r.Occupancy() != 0 {
 			t.Fatalf("la=%v: script moved %d events and left %d flits buffered", la, seen, hb.r.Occupancy())
 		}
-		fresh := NewBlock(m, cfg, 0, tbls, selection.NewBlock(selection.LRU, m.N(), 0, 1))
+		fresh := NewBlock(m, cfg, 0, tbls, selection.NewBlock(selection.LRU, m.N(), 0, 1).Sels).Routers
 		for i := range block {
 			if topology.NodeID(i) != node && !reflect.DeepEqual(&block[i], &fresh[i]) {
 				t.Errorf("la=%v: driving router %d changed router %d's state", la, node, i)

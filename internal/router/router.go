@@ -32,6 +32,7 @@ package router
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"lapses/internal/arbiter"
 	"lapses/internal/flow"
@@ -147,6 +148,11 @@ const (
 	// storage while in this phase.
 	phaseExpress
 )
+
+// MaxInputVCs bounds ports x VCs per router: the work and request masks
+// and the crossbar arbiter (arbiter.MakeRoundRobin) index input VCs in one
+// 64-bit word.
+const MaxInputVCs = 64
 
 // expressOwner marks an output VC claimed by an express worm. It must be
 // non-negative (owner < 0 means free) and distinct from every
@@ -285,76 +291,152 @@ type Router struct {
 	deadPorts uint32
 }
 
-// NewBlock constructs the routers of nodes base, base+1, ... — one per
-// table, router i programmed with tbls[i] and selecting with sels[i] — out
-// of one arena: the routers are one value slab, and every per-router slice
-// (input VCs, output VCs, port records, buffer runs) is a window of a
-// block-wide slab, so a network of any size costs a fixed number of
-// allocations and neighbouring routers' state is contiguous.
-// Callers wire each router with SetFabric before its first Tick.
-func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.Table, sels []selection.Selector) []Router {
+// Block is the routers of nodes base, base+1, ... in one arena: the routers
+// are one value slab, and every per-router slice (input VCs, output VCs,
+// port records, buffer runs) is a window of a block-wide slab, so a network
+// of any size costs a fixed number of allocations and neighbouring routers'
+// state is contiguous.
+//
+// One initialiser: AllocBlock only sizes the slabs — by the router count,
+// the port count, Config.NumVCs and the seed ring of Config.BufDepth — and
+// Reset writes every field of every record in them; NewBlock is the two in a
+// row. A block that has been reset is therefore field for field the block
+// NewBlock would have built, whatever ran in it before, and a field added to
+// Router, inputVC, outputVC or portState cannot be initialised anywhere but
+// in Reset (network's TestResetEqualsNew compares the two by reflection).
+type Block struct {
+	// Routers holds the router of node base+i at index i.
+	Routers []Router
+
+	in     []inputVC
+	out    []outputVC
+	port   []portState
+	runs   []run
+	xbReq  []uint64
+	portOf []int8
+	vcBase []int16
+	// np, vcs and seed are the shape the slabs were sized for: ports per
+	// router, VCs per port, and runs per input buffer (buffers start at two
+	// runs and grow on demand; see fifo).
+	np, vcs, seed int
+}
+
+func seedRuns(cfg Config) int { return min(cfg.BufDepth, 2) }
+
+// AllocBlock returns the storage of n routers of the given port count under
+// cfg. It is not usable until Reset.
+func AllocBlock(n, ports int, cfg Config) *Block {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := len(tbls)
-	np := m.NumPorts()
-	nvc := np * cfg.NumVCs
-	// Input buffers start at two runs and grow on demand (see fifo).
-	seed := min(cfg.BufDepth, 2)
+	nvc, seed := ports*cfg.NumVCs, seedRuns(cfg)
+	return &Block{
+		Routers: make([]Router, n),
+		in:      make([]inputVC, n*nvc),
+		out:     make([]outputVC, n*nvc),
+		port:    make([]portState, n*ports),
+		runs:    make([]run, n*nvc*seed),
+		xbReq:   make([]uint64, n*ports),
+		portOf:  make([]int8, nvc),
+		vcBase:  make([]int16, nvc),
+		np:      ports,
+		vcs:     cfg.NumVCs,
+		seed:    seed,
+	}
+}
+
+// NewBlock constructs the routers of nodes base, base+1, ... — one per
+// table, router i programmed with tbls[i] and selecting with sels[i].
+// Callers wire each router with SetFabric before its first Tick.
+func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.Table, sels []selection.Selector) *Block {
+	b := AllocBlock(len(tbls), m.NumPorts(), cfg)
+	b.Reset(m, cfg, base, tbls, sels)
+	return b
+}
+
+// Reset returns the block to its constructed state under a new
+// configuration: idle pipelines, empty buffers re-carved from the seed-run
+// slab (rings a previous run grew are dropped), full credits, every output VC
+// free, request and work masks empty, arbiters and SA rotation at their
+// origin, no dead ports, no fabric. It panics when the configuration does not
+// have the shape the block was allocated for.
+func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.Table, sels []selection.Selector) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	n, np := len(b.Routers), b.np
+	nvc, seed := np*b.vcs, b.seed
+	if len(tbls) != n || len(sels) != n || m.NumPorts() != np || cfg.NumVCs != b.vcs || seedRuns(cfg) != seed {
+		panic(fmt.Sprintf("router: block of %d routers, %d ports, %d VCs, %d seed runs reset to %d tables, %d selectors, %d ports, %d VCs, %d seed runs",
+			n, np, b.vcs, seed, len(tbls), len(sels), m.NumPorts(), cfg.NumVCs, seedRuns(cfg)))
+	}
 	var resv flow.VCMask
 	if cfg.ResvVCs > 0 {
 		resv = flow.MaskAll(cfg.NumVCs) &^ flow.MaskAll(cfg.NumVCs-cfg.ResvVCs)
 	}
-	portOf := make([]int8, nvc)
-	vcBase := make([]int16, nvc)
-	for i := range portOf {
-		portOf[i] = int8(i / cfg.NumVCs)
-		vcBase[i] = int16(i / cfg.NumVCs * cfg.NumVCs)
+	for i := range b.portOf {
+		b.portOf[i] = int8(i / cfg.NumVCs)
+		b.vcBase[i] = int16(i / cfg.NumVCs * cfg.NumVCs)
 	}
-
-	rs := make([]Router, n)
-	in := make([]inputVC, n*nvc)
-	out := make([]outputVC, n*nvc)
-	port := make([]portState, n*np)
-	runs := make([]run, n*nvc*seed)
-	xbReq := make([]uint64, n*np)
-	for i := range in {
-		in[i].buf.init(runs[i*seed:(i+1)*seed], cfg.BufDepth)
+	clear(b.runs)
+	for i := range b.in {
+		b.in[i] = inputVC{}
+		b.in[i].buf.init(b.runs[i*seed:(i+1)*seed], cfg.BufDepth)
 	}
-	for i := range out {
-		out[i].owner = -1
-		out[i].credits = cfg.BufDepth
-		out[i].box.init(cfg.OutDepth)
+	for i := range b.out {
+		b.out[i] = outputVC{owner: -1, credits: cfg.BufDepth}
+		b.out[i].box.init(cfg.OutDepth)
 	}
 	xb, vc := arbiter.MakeRoundRobin(nvc), arbiter.MakeRoundRobin(cfg.NumVCs)
-	for i := range port {
-		port[i] = portState{lastUsed: -1, linkBusyFrom: -1, linkBusyUntil: -1, xbArb: xb, muxAr: vc, vcArb: vc}
+	for i := range b.port {
+		b.port[i] = portState{lastUsed: -1, linkBusyFrom: -1, linkBusyUntil: -1, xbArb: xb, muxAr: vc, vcArb: vc}
 	}
-	for i := range rs {
-		rs[i] = Router{
+	clear(b.xbReq)
+	for i := range b.Routers {
+		b.Routers[i] = Router{
 			id:        base + topology.NodeID(i),
 			mesh:      m,
 			cfg:       cfg,
 			tbl:       tbls[i],
 			sel:       sels[i],
 			wrap:      m.Wrap(),
-			in:        in[i*nvc : (i+1)*nvc],
-			out:       out[i*nvc : (i+1)*nvc],
-			port:      port[i*np : (i+1)*np],
-			xbReq:     xbReq[i*np : (i+1)*np],
+			in:        b.in[i*nvc : (i+1)*nvc],
+			out:       b.out[i*nvc : (i+1)*nvc],
+			port:      b.port[i*np : (i+1)*np],
+			xbReq:     b.xbReq[i*np : (i+1)*np],
 			hasCredit: 1<<nvc - 1,
 			freeOut:   1<<nvc - 1,
-			portOf:    portOf,
-			vcBase:    vcBase,
+			portOf:    b.portOf,
+			vcBase:    b.vcBase,
 			resvMask:  resv,
 		}
 	}
-	return rs
+}
+
+// Park drops the block's references to what a configuration lent it — mesh,
+// tables, selectors, fabrics — so an idle block pins none of them. The block
+// is unusable until the next Reset.
+func (b *Block) Park() {
+	for i := range b.Routers {
+		r := &b.Routers[i]
+		r.mesh, r.tbl, r.sel, r.fab = nil, nil, nil, nil
+	}
+}
+
+// Bytes returns the size of the slabs.
+func (b *Block) Bytes() int {
+	return slabBytes(b.Routers) + slabBytes(b.in) + slabBytes(b.out) + slabBytes(b.port) +
+		slabBytes(b.runs) + slabBytes(b.xbReq) + slabBytes(b.portOf) + slabBytes(b.vcBase)
+}
+
+func slabBytes[T any](s []T) int {
+	var zero T
+	return cap(s) * int(unsafe.Sizeof(zero))
 }
 
 // New constructs a single router for node id: a block of one.
 func New(id topology.NodeID, m *topology.Mesh, cfg Config, tbl table.Table, sel selection.Selector) *Router {
-	return &NewBlock(m, cfg, id, []table.Table{tbl}, []selection.Selector{sel})[0]
+	return &NewBlock(m, cfg, id, []table.Table{tbl}, []selection.Selector{sel}).Routers[0]
 }
 
 // SetFabric wires the router to its surroundings.

@@ -40,6 +40,7 @@ package selection
 import (
 	"fmt"
 	"math/rand"
+	"unsafe"
 
 	"lapses/internal/flow"
 	"lapses/internal/topology"
@@ -166,7 +167,7 @@ func New(k Kind, seed int64) Selector {
 	case MaxCredit:
 		return maxCredit{}
 	case Random:
-		return &random{rng: rand.New(rand.NewSource(seed))}
+		return NewBlock(Random, 1, seed, 0).Sels[0]
 	case NotifyLRU:
 		return notify{inner: lru{}, name: "notify-lru"}
 	case NotifyLFU:
@@ -177,23 +178,70 @@ func New(k Kind, seed int64) Selector {
 	panic("selection: unknown kind")
 }
 
-// NewBlock returns the selectors of n routers, router i's seeded
-// seed+i*stride. Only Random carries state; every other policy reads
-// nothing but the PortView it is handed, so the routers share one value.
-func NewBlock(k Kind, n int, seed, stride int64) []Selector {
-	sels := make([]Selector, n)
-	if k != Random {
-		shared := New(k, 0)
-		for i := range sels {
-			sels[i] = shared
-		}
-		return sels
-	}
-	for i := range sels {
-		sels[i] = New(k, seed+int64(i)*stride)
-	}
-	return sels
+// Block is the selectors of a block of routers in one arena. AllocBlock
+// sizes it by the router count alone; Reset is the only initialiser —
+// NewBlock is the two in a row — so a Block that has been reset is the one
+// NewBlock would have built, whatever policy ran in it before.
+type Block struct {
+	// Sels holds router i's selector at index i.
+	Sels  []Selector
+	rands []random
 }
+
+// AllocBlock returns the storage of n routers' selectors. It is not usable
+// until Reset.
+func AllocBlock(n int) *Block {
+	return &Block{Sels: make([]Selector, n), rands: make([]random, n)}
+}
+
+// NewBlock returns the selectors of n routers, router i's seeded
+// seed+i*stride.
+func NewBlock(k Kind, n int, seed, stride int64) *Block {
+	b := AllocBlock(n)
+	b.Reset(k, seed, stride)
+	return b
+}
+
+// Reset programs every router's selector as policy k, router i's seeded
+// seed+i*stride. Only Random carries state — a generator per router, kept
+// and reseeded in place while consecutive resets stay Random, dropped
+// otherwise; every other policy reads nothing but the PortView it is
+// handed, so the routers share one value.
+func (b *Block) Reset(k Kind, seed, stride int64) {
+	if k != Random {
+		clear(b.rands)
+		shared := New(k, 0)
+		for i := range b.Sels {
+			b.Sels[i] = shared
+		}
+		return
+	}
+	for i := range b.Sels {
+		r, s := &b.rands[i], seed+int64(i)*stride
+		if r.rng == nil {
+			r.rng = rand.New(rand.NewSource(s))
+		} else {
+			// Seed leaves the generator exactly as NewSource(s) builds it.
+			r.rng.Seed(s)
+		}
+		b.Sels[i] = r
+	}
+}
+
+// Bytes returns the size of the slabs and of the generators Random holds.
+func (b *Block) Bytes() int {
+	n := len(b.Sels) * int(unsafe.Sizeof(b.Sels[0])+unsafe.Sizeof(b.rands[0]))
+	for i := range b.rands {
+		if b.rands[i].rng != nil {
+			n += randBytes
+		}
+	}
+	return n
+}
+
+// randBytes is the heap behind one rand.New(rand.NewSource(s)): the
+// 607-word lagged-Fibonacci state plus the Rand reading it.
+const randBytes = 607*8 + 64
 
 type staticXY struct{}
 

@@ -7,7 +7,8 @@
 // and an optional memo cache keyed by the full core.Config lets repeated
 // points (shared baselines across figures) simulate exactly once.
 //
-// Because core.Run builds a private network per call, points are
+// Because core.Run checks out a private network per call (an arena no
+// other run holds, reset to the point; see core.Run), points are
 // independent and the outcome of a grid is bit-identical whether it runs
 // on 1 worker or N (see TestSweepDeterminism).
 package sweep

@@ -10,7 +10,7 @@ import (
 func TestFibSourceMatchesMathRand(t *testing.T) {
 	for _, seed := range []int64{0, 1, 7, -3, 1 << 40, 89482311} {
 		ref := rand.New(rand.NewSource(seed))
-		got := &newRNGs(1, seed)[0]
+		got := NewInjector(0, seed).RNG() // rate 0 draws nothing
 		for i := 0; i < 2000; i++ {
 			if r, g := ref.Int63(), got.Int63(); r != g {
 				t.Fatalf("seed %d: Int63 #%d = %d want %d", seed, i, g, r)
@@ -18,7 +18,7 @@ func TestFibSourceMatchesMathRand(t *testing.T) {
 		}
 		// Derived distributions exercise Uint64/Int63 consumption paths.
 		ref = rand.New(rand.NewSource(seed))
-		got = &newRNGs(1, seed)[0]
+		got = NewInjector(0, seed).RNG()
 		for i := 0; i < 2000; i++ {
 			if r, g := ref.ExpFloat64(), got.ExpFloat64(); r != g {
 				t.Fatalf("seed %d: ExpFloat64 #%d = %v want %v", seed, i, g, r)
@@ -82,7 +82,8 @@ func TestNewSourcesMatchesSingles(t *testing.T) {
 	burst := &Burst{OnFrac: 0.3, MeanOn: 50}
 	for _, b := range []*Burst{nil, burst} {
 		srcs := NewSources(n, rate, b, seed)
-		for i, got := range srcs {
+		for i := 0; i < n; i++ {
+			got := srcs.At(i)
 			var want Source = NewInjector(rate, seed+int64(i))
 			if b != nil {
 				want = NewMMPP(rate, *b, seed+int64(i))

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"unsafe"
 
 	"lapses/internal/topology"
 )
@@ -339,41 +340,90 @@ type Injector struct {
 // never fires. The generator is a cached-seed replica of math/rand's
 // source (see rng.go), producing identical streams to rand.NewSource.
 func NewInjector(rate float64, seed int64) *Injector {
-	return &newInjectors(1, rate, seed)[0]
+	return &NewSources(1, rate, nil, seed).injs[0]
 }
 
-// newInjectors returns n injectors in one slab, injector i seeded seed+i.
-func newInjectors(n int, rate float64, seed int64) []Injector {
-	rngs := newRNGs(n, seed)
-	injs := make([]Injector, n)
-	for i := range injs {
-		inj := &injs[i]
-		inj.rate, inj.rng = rate, &rngs[i]
-		if rate > 0 {
-			inj.next = inj.rng.ExpFloat64() / rate
-		}
+// reset starts the process over at the given rate, drawing from rng, which
+// the caller has freshly seeded.
+func (inj *Injector) reset(rate float64, rng *rand.Rand) {
+	*inj = Injector{rate: rate, rng: rng}
+	if rate > 0 {
+		inj.next = rng.ExpFloat64() / rate
 	}
-	return injs
+}
+
+// Sources is the generation processes of nodes 0..n-1 in one arena: the
+// processes themselves (Poisson injectors, or MMPP sources under a Burst),
+// their random streams, and the generator states the streams read, one
+// slab each. AllocSources sizes the slabs by n alone; Reset is the only
+// initialiser — NewSources is the two in a row — so a Sources that has
+// been reset is the one NewSources would have built, whatever ran in it
+// before.
+type Sources struct {
+	list  []Source
+	fibs  []fibSource // pointer-free, so the collector never scans their 4.9 KB each
+	rngs  []rand.Rand
+	injs  []Injector
+	mmpps []MMPP
+}
+
+// AllocSources returns the storage of n generation processes. It is not
+// usable until Reset.
+func AllocSources(n int) *Sources {
+	return &Sources{
+		list:  make([]Source, n),
+		fibs:  make([]fibSource, n),
+		rngs:  make([]rand.Rand, n),
+		injs:  make([]Injector, n),
+		mmpps: make([]MMPP, n),
+	}
 }
 
 // NewSources returns the generation processes of nodes 0..n-1 — Poisson
 // injectors, or MMPP sources when burst is non-nil — node i seeded seed+i,
-// exactly as n NewInjector/NewMMPP calls would build them but out of one
-// slab each for the processes and their random streams.
-func NewSources(n int, rate float64, burst *Burst, seed int64) []Source {
-	srcs := make([]Source, n)
+// exactly as n NewInjector/NewMMPP calls would build them.
+func NewSources(n int, rate float64, burst *Burst, seed int64) *Sources {
+	s := AllocSources(n)
+	s.Reset(rate, burst, seed)
+	return s
+}
+
+// Reset starts every process over: stream i is reseeded seed+i from the
+// cached expansion (it then produces exactly what
+// rand.New(rand.NewSource(seed+i)) would), and process i restarts on it at
+// the given rate as a Poisson injector, or as an MMPP source when burst is
+// non-nil. It writes every field of every slab, the unused process slab
+// included.
+func (s *Sources) Reset(rate float64, burst *Burst, seed int64) {
 	if burst != nil {
-		ms := newMMPPs(n, rate, *burst, seed)
-		for i := range ms {
-			srcs[i] = &ms[i]
+		if err := burst.Validate(); err != nil {
+			panic(err)
 		}
-		return srcs
 	}
-	injs := newInjectors(n, rate, seed)
-	for i := range injs {
-		srcs[i] = &injs[i]
+	for i := range s.list {
+		seedFib(&s.fibs[i], seed+int64(i))
+		// rand.New only wraps the source; copying its result out keeps
+		// the Rand in the slab instead of on the heap by itself.
+		s.rngs[i] = *rand.New(&s.fibs[i])
+		if burst != nil {
+			s.injs[i] = Injector{}
+			s.mmpps[i].reset(rate, *burst, &s.rngs[i])
+			s.list[i] = &s.mmpps[i]
+		} else {
+			s.mmpps[i] = MMPP{}
+			s.injs[i].reset(rate, &s.rngs[i])
+			s.list[i] = &s.injs[i]
+		}
 	}
-	return srcs
+}
+
+// At returns node i's process.
+func (s *Sources) At(i int) Source { return s.list[i] }
+
+// Bytes returns the size of the slabs.
+func (s *Sources) Bytes() int {
+	return len(s.list) * int(unsafe.Sizeof(s.list[0])+unsafe.Sizeof(s.fibs[0])+unsafe.Sizeof(s.rngs[0])+
+		unsafe.Sizeof(s.injs[0])+unsafe.Sizeof(s.mmpps[0]))
 }
 
 // RNG exposes the injector's random stream for destination draws so one
@@ -453,31 +503,23 @@ type MMPP struct {
 // fires. The random stream is the same cached-seed replica Injector uses,
 // so swapping source types never perturbs other nodes' streams.
 func NewMMPP(rate float64, b Burst, seed int64) *MMPP {
-	return &newMMPPs(1, rate, b, seed)[0]
+	return &NewSources(1, rate, &b, seed).mmpps[0]
 }
 
-// newMMPPs returns n MMPP sources in one slab, source i seeded seed+i.
-func newMMPPs(n int, rate float64, b Burst, seed int64) []MMPP {
-	if err := b.Validate(); err != nil {
-		panic(err)
+// reset starts the process over at the given mean rate and burst shape,
+// drawing from rng, which the caller has freshly seeded.
+func (s *MMPP) reset(rate float64, b Burst, rng *rand.Rand) {
+	*s = MMPP{
+		onRate: rate / b.OnFrac,
+		muOn:   b.MeanOn,
+		muOff:  b.MeanOn * (1 - b.OnFrac) / b.OnFrac,
+		rng:    rng,
+		on:     true,
 	}
-	rngs := newRNGs(n, seed)
-	ms := make([]MMPP, n)
-	for i := range ms {
-		s := &ms[i]
-		*s = MMPP{
-			onRate: rate / b.OnFrac,
-			muOn:   b.MeanOn,
-			muOff:  b.MeanOn * (1 - b.OnFrac) / b.OnFrac,
-			rng:    &rngs[i],
-			on:     true,
-		}
-		if rate > 0 {
-			s.end = s.rng.ExpFloat64() * s.muOn
-			s.advance()
-		}
+	if rate > 0 {
+		s.end = rng.ExpFloat64() * s.muOn
+		s.advance()
 	}
-	return ms
 }
 
 // advance precomputes the next arrival time, walking the modulating chain
