@@ -1,0 +1,229 @@
+#!/usr/bin/env bash
+# Everything CI checks, one lane per job: .github/ci.sh <lane>, from anywhere
+# in the checkout. Needs go and, for the serve, cluster and harness lanes,
+# curl and jq. The serve and cluster lanes listen on localhost:8347; scratch
+# files and binaries go to a temporary directory that is removed on exit,
+# together with every server the lane started.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+work=$(mktemp -d)
+cleanup() {
+	status=$?
+	if [ "$status" -ne 0 ]; then
+		tail -n 50 "$work"/*.log 2>/dev/null || true # the cluster lane's server logs
+	fi
+	kill $(jobs -p) 2>/dev/null && wait || true
+	rm -rf "$work"
+	exit "$status"
+}
+trap cleanup EXIT
+
+url=http://localhost:8347
+lx() { "$work/lapses-experiments" "$@"; }
+
+build_service() { go build -o "$work/" ./cmd/lapses-serve ./cmd/lapses-experiments; }
+
+wait_healthy() {
+	for _ in $(seq 1 50); do
+		curl -fs $url/healthz >/dev/null && return
+		sleep 0.2
+	done
+	echo "no healthy server at $url"
+	return 1
+}
+
+# table <file>: an experiment's output without its "[...]" timing and
+# job-summary lines, the part that must be byte-identical however it ran.
+table() { grep -v '^\[' "$1"; }
+
+# no_resimulation <file>: a resubmitted grid must be served entirely from
+# the store — no "serve job" line may report a nonzero simulated count.
+no_resimulation() {
+	if grep -E 'serve job .*, [1-9][0-9]* simulated' "$1"; then
+		echo "resubmitted grid re-simulated stored points"
+		return 1
+	fi
+}
+
+# harness <workload>: one short run of the repo benchmark, every result
+# checked by the harness itself; prints the result line. Correctness only:
+# CI runners are not the reference box, so no timing is asserted.
+harness() {
+	local out
+	out=$(go run ./benchmark --workload "$1" --seconds 3 --trace 0 | tail -n 1)
+	grep -q '"correct":true' <<<"$out"
+	echo "$out"
+}
+
+case "${1:-}" in
+unit)
+	go vet ./...
+	go build ./...
+	go test -short ./...
+	# One real 8x8 saturation search: asserts the bisection converges on
+	# the same knee as the dense-grid reference path and spends at most
+	# half its simulated cycles (measured ~5-6x fewer; the >=2x bar is the
+	# regression floor, well above the 1.5x minimum this gate exists to
+	# hold).
+	go test -run TestBisectCycleReduction -v ./internal/sweep
+	;;
+full)
+	# The full-fidelity paper-claim tests (skipped under -short) still
+	# gate every change; they run in parallel and finish in ~a minute.
+	go test ./...
+	;;
+race)
+	# Kernel + sweep + experiments. internal/router carries
+	# TestFifoRunsAgainstFlitModel (run-length buffers against a
+	# flit-array reference) and internal/table TestFullInternedEqualsRoute
+	# (interned tables built by the parallel pass against the algorithm);
+	# internal/core carries TestPlumbingConcurrentFirstTouch (eight
+	# goroutines first-touching one cold structure: the single-flight,
+	# with the parallel table pass under it), its parallel tests sharing
+	# the plumbing cache, and the arena free list's pins:
+	# TestConcurrentRunsMatchSerial (eight goroutines on one shape, each
+	# in its own recycled arena, equal to their serial results),
+	# TestPanicDropsArena, TestArenaPoolBounded and
+	# TestShapeLimitsValidateOrRun (every case run twice in a row);
+	# internal/network carries the kernel invariants and fast-forward
+	# regression tests, whose parallel subtests share prebuilt tables, and
+	# TestResetEqualsNew (a dirtied network reset in place against a fresh
+	# one, field by field and run by run); internal/sweep carries
+	# TestBisectDeterminism (the saturation search on 1 worker vs N) and
+	# the worker pool, memo cache and cancellation tests.
+	go test -race -short ./internal/router ./internal/table ./internal/core ./internal/network ./internal/sweep ./internal/experiments
+	# The event-vs-cycle equivalence suite skips under -short, so it gets
+	# its own race invocation: its healthy, faulted and torus points each
+	# build a cold structure through the parallel table pass, on the
+	# kernel the short suite exercises least. TestGoldenEvent (also
+	# skipped under -short) rides along: the event kernel's own bit-exact
+	# fixture, 27 runs.
+	go test -race -run 'TestEventMode|TestGoldenEvent' -v ./internal/core
+	# Chaos smoke: one quick-fidelity availability point, a staggered
+	# link/router storm with mid-run reconvergence, run both with and
+	# without the end-to-end retransmission layer: the policy x
+	# reliability points run on concurrent sweep workers sharing the
+	# plumbing cache while each applies its transitions (epoch swap, purge,
+	# credit recompute) and NI ARQ timers.
+	go test -race -run 'TestClaimAvailability' -v ./internal/experiments
+	;;
+harness)
+	# kernel-short: 90 hundred-message runs over 30 structures in a fresh
+	# process, so every table set is built cold (in parallel) and every
+	# network reset from an arena. The heap is machine-independent enough
+	# for a ceiling: peak RSS is about 43 MB now that a run recycles an
+	# idle network of its shape instead of building one (it was 68 with a
+	# network per run, and 215 when every full-table entry held its own
+	# route set).
+	harness kernel-short | jq -e '.metrics.peak_rss_mb.value <= 90'
+	# kernel-congested: three runs at and past saturation, where buffers
+	# are full and most worms are parked — the regime in which the
+	# router's standing crossbar/mux/free-VC request masks are raised,
+	# withdrawn and woken rather than merely set once.
+	harness kernel-congested
+	# kernel-event: the express path end to end — worm admission, per-flit
+	# express, unpacking at contended routers — entered through the one
+	# event-mode arrival; the harness holds the event twin to its
+	# cycle-mode reference.
+	harness kernel-event
+	;;
+serve)
+	# served-warm: a fully stored grid resubmitted through the default
+	# client, every result checked against the stored bytes.
+	harness served-warm
+	# Crash-safety of the lapses-serve service: a quick-tier grid served
+	# over HTTP must be byte-identical to the in-process run, and after a
+	# kill -9 mid-grid the restarted server must serve every
+	# already-completed point from the store (no quarantined entries, no
+	# re-simulation on resubmit).
+	build_service
+	cd "$work"
+	./lapses-serve -store store &
+	server=$!
+	wait_healthy
+	lx -exp fig5 -fidelity quick -server $url >served.txt
+	grep -q 'serve job' served.txt
+	lx -exp fig5 -fidelity quick >local.txt
+	diff <(table served.txt) <(table local.txt)
+
+	lx -exp fig6 -fidelity quick -server $url >interrupted.txt 2>&1 &
+	client=$!
+	sleep 1
+	kill -9 "$server"
+	# The client must fail loudly, not produce a partial table.
+	if wait "$client"; then
+		echo "client succeeded against a dead server"
+		exit 1
+	fi
+
+	./lapses-serve -store store &
+	wait_healthy
+	# kill -9 must not have corrupted a single entry.
+	curl -fs $url/v1/store | tee store.json
+	grep -q '"quarantined": 0' store.json
+	lx -exp fig5 -fidelity quick -server $url >resub.txt
+	no_resimulation resub.txt
+	diff <(table resub.txt) <(table local.txt)
+	# The interrupted fig6 grid resumes: the rerun completes and the
+	# points its first attempt persisted are not simulated again.
+	lx -exp fig6 -fidelity quick -server $url >/dev/null
+	;;
+cluster)
+	# The deterministic chaos pins first, under the race detector on the
+	# coordinator/worker interleavings: orphaned-lease recovery within one
+	# TTL, drain requeue, panic-through-lease taxonomy and the
+	# exactly-once simulation accounting, plus the server-held waits
+	# (status and claim requests parked on a channel, woken by completion,
+	# requeue and drain).
+	go test -race -run 'TestCluster|TestClient|TestStoreSharedDirectory|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServerRetention' -v ./internal/serve
+	# Then end to end: one coordinator leasing a quick-tier grid to three
+	# workers over a shared store, one worker kill -9'd mid-sweep. The job
+	# must complete, the merged output must be byte-identical to the
+	# in-process run, and resubmitting must re-simulate nothing.
+	build_service
+	cd "$work"
+	./lapses-serve -mode coordinator -store store -lease-ttl 2s -heartbeat 500ms -unit 4 2>coord.log &
+	wait_healthy
+	workers=()
+	for w in 1 2 3; do
+		./lapses-serve -mode worker -peers $url -store store -worker-id "w$w" 2>"worker$w.log" &
+		workers+=($!)
+	done
+	lx -exp fig5 -fidelity quick -server $url >clustered.txt 2>&1 &
+	client=$!
+	# Give the sweep a moment to spread across the workers, then hard-kill
+	# one: its leases go silent and must be requeued by the TTL failure
+	# detector, not lost.
+	sleep 1
+	kill -9 "${workers[0]}"
+	wait "$client"
+	lx -exp fig5 -fidelity quick >local.txt
+	diff <(table clustered.txt) <(table local.txt)
+	# Every point the dead worker persisted before the kill is durable in
+	# the shared store.
+	lx -exp fig5 -fidelity quick -server $url >resub.txt
+	no_resimulation resub.txt
+	diff <(table resub.txt) <(table local.txt)
+	# The lease counters must show the cluster actually clustered, and the
+	# store kept a clean bill of health.
+	curl -fs $url/v1/cluster | tee cluster.json
+	grep -q '"coordinator": true' cluster.json
+	curl -fs $url/healthz | tee health.json
+	grep -q '"quarantined": 0' health.json
+	;;
+fuzz)
+	# Short bounded fuzzing of the fault-plan and router invariants, so
+	# regressions in degraded-topology handling surface without
+	# open-ended runtime.
+	go test -run '^$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/network
+	# Random transient schedules over random traffic: exactly-once
+	# delivery with the reliability layer, exact loss accounting without
+	# it, and full quiescence after every storm.
+	go test -run '^$' -fuzz FuzzFaultSchedule -fuzztime 10s ./internal/network
+	;;
+*)
+	echo "usage: $0 unit|full|race|harness|serve|cluster|fuzz" >&2
+	exit 2
+	;;
+esac

@@ -45,6 +45,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"lapses/internal/experiments"
@@ -53,7 +54,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, table2, fig5, table3, fig6, table4, table5, resilience, scaling, congestion, or all")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments.Names(), ", ")+", or all")
 	fidelity := flag.String("fidelity", "default", "sample size: quick, default, paper, or auto (adaptive measurement)")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
@@ -104,7 +105,7 @@ func main() {
 		if err := runner.RunByName(ctx, os.Stdout, name); err != nil {
 			fatal(err)
 		}
-		if *csvDir != "" && hasCSV(name) {
+		if *csvDir != "" && experiments.HasCSV(name) {
 			path := filepath.Join(*csvDir, name+".csv")
 			file, err := os.Create(path)
 			if err != nil {
@@ -137,14 +138,6 @@ func main() {
 				st.Entries, st.Hits, st.Misses, st.Quarantined)
 		}
 	}
-}
-
-func hasCSV(name string) bool {
-	switch name {
-	case "fig5", "table3", "fig6", "table4", "resilience", "scaling", "congestion":
-		return true
-	}
-	return false
 }
 
 func fatal(err error) {

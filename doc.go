@@ -9,9 +9,8 @@
 // execute through internal/sweep, a deterministic concurrent grid runner
 // with ordered results and a config-keyed memo cache (see README.md's
 // "The sweep engine"). See README.md for a tour of the architecture and
-// of every table and figure. The benchmarks in bench_test.go regenerate
-// each experiment via "go test -bench";
-// BenchmarkSweepParallelism measures sweep scaling across worker counts.
+// of every table and figure; cmd/lapses-experiments regenerates each of
+// them, and "go run ./benchmark" measures the stack's own speed.
 //
 // Construction is organised as a few bulk operations: a structure's
 // routing tables are programmed in one parallel pass (table.BuildAll)

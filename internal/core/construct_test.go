@@ -10,44 +10,86 @@ import (
 	"time"
 
 	"lapses/internal/bounded"
+	"lapses/internal/fault"
 	"lapses/internal/network"
+	"lapses/internal/selection"
 	"lapses/internal/table"
 	"lapses/internal/topology"
 	"lapses/internal/traffic"
 )
 
+// simPoint is the 16x16 paper mesh under static selection with a small
+// fixed sample (100 + 1 000 messages, seed 1): a warm run of it is the unit
+// TestConstructAllocs counts allocations over and TestEventModeSpeedup
+// times.
+func simPoint(load float64) Config {
+	c := DefaultConfig()
+	c.Selection = selection.StaticXY
+	c.Load = load
+	c.Warmup, c.Measure = 100, 1000
+	c.Seed = 1
+	return c
+}
+
 // TestConstructAllocs pins the recycled arena: a point over a warm
 // structure and an idle arena of its shape allocates what the point itself
 // needs — its Result plumbing, its stats collector, its messages — and
-// nothing that scales with the node count. It was 497 objects and 2.6 MB
-// when every run built its 256-router network from nothing (137 and 2.5 MB
-// of that in network.New); it measures 17 objects and 6 KB. One make per
-// node creeping back into a reset is 256 objects; one slab allocated
-// instead of reused is at least 20 KB.
+// nothing that scales with the node count or the cycles it runs for. The
+// one-message row was 497 objects and 2.6 MB when every run built its
+// 256-router network from nothing (137 and 2.5 MB of that in network.New).
+// One make per node creeping back into a reset is 256 objects (1 024 at
+// 32x32); one slab allocated instead of reused is at least 20 KB. The
+// thousand-message rows hold a ceiling of about twice the reading in their
+// comment (objects, KB; testing.AllocsPerRun, identical over five passes).
+// The scheduled row is pinned as it is: each of its four epoch swaps still
+// allocates the reconverged tables.
 func TestConstructAllocs(t *testing.T) {
-	c := DefaultConfig()
-	c.Load = 0.05
-	c.Warmup, c.Measure = 0, 1
-	if _, err := Run(c); err != nil { // warm the structure and an arena
-		t.Fatal(err)
-	}
-	run := func() {
-		if _, err := Run(c); err != nil {
+	with := func(c Config, f func(*Config)) Config { f(&c); return c }
+	oneMessage := with(DefaultConfig(), func(c *Config) { c.Load = 0.05; c.Warmup, c.Measure = 0, 1 })
+	events := func(c *Config) { c.EventMode = true }
+	bursty := with(simPoint(0.2), func(c *Config) { c.Burst = &traffic.Burst{OnFrac: 0.3, MeanOn: 200} })
+	scheduled := with(simPoint(0.2), func(c *Config) {
+		sched, err := fault.ParseSchedule(c.Mesh(), "119-120@400:1100,135-136@450:1150")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if allocs := testing.AllocsPerRun(5, run); allocs > 100 {
-		t.Errorf("a 16x16 one-message run over a warm structure allocates %.0f objects, want <= 100", allocs)
-	}
-	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	if kb := (after.TotalAlloc - before.TotalAlloc) / runs / 1024; kb > 256 {
-		t.Errorf("a 16x16 one-message run over a warm structure allocates %d KB, want <= 256", kb)
+		c.Schedule = sched
+	})
+	for _, tc := range []struct {
+		name             string
+		cfg              Config
+		maxAllocs, maxKB float64
+	}{
+		{"one-message", oneMessage, 100, 256},                                                                // 17, 6
+		{"load=0.005", simPoint(0.005), 42, 12},                                                              // 21, 6
+		{"load=0.05", simPoint(0.05), 42, 12},                                                                // 21, 6
+		{"load=0.20", simPoint(0.2), 48, 28},                                                                 // 24, 14
+		{"load=0.50", simPoint(0.5), 56, 64},                                                                 // 28, 32
+		{"32x32", with(simPoint(0.5), func(c *Config) { c.Dims = []int{32, 32} }), 76, 140},                  // 38, 70
+		{"load=0.05/events", with(simPoint(0.05), events), 42, 14},                                           // 21, 7
+		{"load=0.20/events", with(simPoint(0.2), events), 48, 28},                                            // 24, 14
+		{"bursty", bursty, 52, 44},                                                                           // 26, 22
+		{"bursty/notify", with(bursty, func(c *Config) { c.Selection = selection.NotifyMaxCredit }), 54, 44}, // 27, 22
+		{"schedule", scheduled, 1600, 416},                                                                   // 785, 208
+	} {
+		if raceEnabled && tc.cfg.Measure > 1 {
+			continue // the counts are the same under the detector and the runs fifteen times as long
+		}
+		run := func() {
+			if _, err := Run(tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the structure and an arena
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, run)
+		runtime.ReadMemStats(&after)
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / 1024 // AllocsPerRun adds a warm-up call of its own
+		if allocs > tc.maxAllocs || kb > tc.maxKB {
+			t.Errorf("%s: a run over a warm structure allocates %.0f objects and %.0f KB, want <= %.0f and <= %.0f", tc.name, allocs, kb, tc.maxAllocs, tc.maxKB)
+		}
 	}
 }
 

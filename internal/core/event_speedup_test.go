@@ -3,23 +3,15 @@ package core
 import (
 	"testing"
 	"time"
-
-	"lapses/internal/selection"
 )
 
 // speedupPoint is the acceptance point from the event-mode issue: 16x16
 // uniform at load 0.05 — high enough that idle-cycle fast-forward never
 // fires (skipped_frac ~0.0003), low enough that most routers are quiescent
 // when a flit arrives, which is exactly the regime the express path exists
-// for. It mirrors lapses-bench's sim/16x16 points (StaticXY selection,
-// small fixed sample).
+// for.
 func speedupPoint(events bool) Config {
-	c := DefaultConfig()
-	c.Selection = selection.StaticXY
-	c.Load = 0.05
-	c.Warmup = 100
-	c.Measure = 1000
-	c.Seed = 1
+	c := simPoint(0.05)
 	c.EventMode = events
 	return c
 }

@@ -30,8 +30,8 @@ import (
 // across reps (e.g. `fault_plan`, which is drawn from the seed) also
 // show rep 0's draw. Cells empty in some reps (saturated points) are
 // aggregated over the reps that produced a value, and left empty when
-// none did. The metric columns replicated per experiment are listed in
-// repCols below.
+// none did. The metric columns replicated per experiment are the repCols of
+// its row in the registry (experiments.go).
 
 func latCell(r core.Result) string {
 	if r.Saturated {
@@ -153,57 +153,11 @@ func Table4CSV(w io.Writer, rows []Table4Row) error {
 // a shared Runner.Cache the render and CSV passes of the same experiment
 // simulate their grid only once.
 func (r Runner) WriteCSV(ctx context.Context, w io.Writer, name string) error {
-	switch name {
-	case "fig5":
-		rows, err := r.Fig5(ctx)
-		if err != nil {
-			return err
-		}
-		return Fig5CSV(w, rows)
-	case "table3":
-		rows, err := r.Table3(ctx)
-		if err != nil {
-			return err
-		}
-		return Table3CSV(w, rows)
-	case "fig6":
-		rows, err := r.Fig6(ctx)
-		if err != nil {
-			return err
-		}
-		return Fig6CSV(w, rows)
-	case "table4":
-		rows, err := r.Table4(ctx)
-		if err != nil {
-			return err
-		}
-		return Table4CSV(w, rows)
-	case "resilience":
-		rows, err := r.Resilience(ctx)
-		if err != nil {
-			return err
-		}
-		return ResilienceCSV(w, rows)
-	case "scaling":
-		rows, err := r.Scaling(ctx)
-		if err != nil {
-			return err
-		}
-		return ScalingCSV(w, rows)
-	case "congestion":
-		rows, err := r.Congestion(ctx)
-		if err != nil {
-			return err
-		}
-		return CongestionCSV(w, rows)
+	e, err := findCSV(name)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("experiments: no CSV form for %q", name)
-}
-
-// WriteCSVByName writes an experiment's CSV with default workers; see
-// Runner for worker-pool and cache control.
-func WriteCSVByName(w io.Writer, name string, f Fidelity, seed int64) error {
-	return Runner{Fidelity: f, Seed: seed}.WriteCSV(context.Background(), w, name)
+	return e.csv(ctx, r, w)
 }
 
 // repSeedStride derives replication seeds: rep i runs at Seed +
@@ -212,18 +166,6 @@ func WriteCSVByName(w io.Writer, name string, f Fidelity, seed int64) error {
 // derived seed expands its rng state once and is then served from the
 // per-seed cache like any other.
 const repSeedStride = 1000003
-
-// repCols names the metric columns aggregated across replications, per
-// experiment (see the schema note at the top of this file).
-var repCols = map[string][]string{
-	"fig5":       {"avg_latency", "throughput"},
-	"table3":     {"lookahead_latency", "no_lookahead_latency", "improvement_pct"},
-	"fig6":       {"avg_latency", "throughput"},
-	"table4":     {"avg_latency"},
-	"resilience": {"avg_latency", "sat_load", "sat_throughput"},
-	"scaling":    {"sat_load", "sat_throughput", "overdriven_throughput", "cycles_per_sec"},
-	"congestion": {"avg_latency", "ovr_throughput", "sat_load", "sat_throughput"},
-}
 
 // WriteCSVReps writes the experiment's CSV aggregated over reps
 // replications with per-rep derived seeds; reps <= 1 is WriteCSV. Each
@@ -235,16 +177,17 @@ func (r Runner) WriteCSVReps(ctx context.Context, w io.Writer, name string, reps
 	if reps <= 1 {
 		return r.WriteCSV(ctx, w, name)
 	}
-	cols, ok := repCols[name]
-	if !ok {
-		return fmt.Errorf("experiments: %q has no replicable CSV form", name)
+	e, err := findCSV(name)
+	if err != nil {
+		return err
 	}
+	cols := e.repCols
 	recs := make([][][]string, reps)
 	for rep := 0; rep < reps; rep++ {
 		rr := r
 		rr.Seed = r.Seed + int64(rep)*repSeedStride
 		var buf bytes.Buffer
-		if err := rr.WriteCSV(ctx, &buf, name); err != nil {
+		if err := e.csv(ctx, rr, &buf); err != nil {
 			return fmt.Errorf("experiments: rep %d: %w", rep, err)
 		}
 		rows, err := csv.NewReader(&buf).ReadAll()

@@ -152,7 +152,7 @@ func TestWriteCSVReps(t *testing.T) {
 	if len(recs[0]) != 5 {
 		t.Fatalf("reps=1 header = %v", recs[0])
 	}
-	// Experiments without a CSV form (or not in repCols) error cleanly.
+	// Experiments without a CSV form error cleanly.
 	if err := r.WriteCSVReps(context.Background(), &buf, "table5", 2); err == nil {
 		t.Error("table5 accepted for replication")
 	}
@@ -165,7 +165,7 @@ func TestWriteCSVByNameErrors(t *testing.T) {
 	if err := r.WriteCSV(context.Background(), &buf, "table5"); err == nil {
 		t.Error("table5 should have no CSV form")
 	}
-	for _, name := range []string{"fig5", "table3", "fig6", "table4"} {
+	for _, name := range []string{"fig5", "table3", "fig6", "table4", "availability"} {
 		buf.Reset()
 		if err := r.WriteCSV(context.Background(), &buf, name); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -174,8 +174,7 @@ func TestWriteCSVByNameErrors(t *testing.T) {
 			t.Errorf("%s: csv = %d records, err %v", name, len(recs), err)
 		}
 	}
-	// The package-level wrapper shares the no-CSV error path.
-	if err := WriteCSVByName(&buf, "nope", Quick, 1); err == nil {
+	if err := r.WriteCSV(context.Background(), &buf, "nope"); err == nil {
 		t.Error("expected error for unknown experiment")
 	}
 }

@@ -493,80 +493,115 @@ func RenderTable5(w io.Writer, rows []Table5Row) {
 	}
 }
 
-// Names lists the runnable experiment identifiers.
+// experiment is one row of the registry: everything the package
+// and its command know about a runnable experiment.
+type experiment struct {
+	name string
+	// render runs the experiment and prints it in the paper's format.
+	render func(context.Context, Runner, io.Writer) error
+	// csv runs it and writes its CSV form; nil when it has none (the
+	// reference tables and the storage summary).
+	csv func(context.Context, Runner, io.Writer) error
+	// repCols names the CSV's metric columns, the ones WriteCSVReps
+	// aggregates across replications (see the schema note in csv.go).
+	repCols []string
+}
+
+// static is an experiment that simulates nothing.
+func static(name string, render func(io.Writer)) experiment {
+	return experiment{name: name, render: func(_ context.Context, _ Runner, w io.Writer) error {
+		render(w)
+		return nil
+	}}
+}
+
+// swept is an experiment whose rows come out of a sweep: run produces
+// them, render and csv are its two output forms.
+func swept[R any](name string, run func(Runner, context.Context) ([]R, error),
+	render func(io.Writer, []R), csv func(io.Writer, []R) error, repCols ...string) experiment {
+	return experiment{
+		name: name,
+		render: func(ctx context.Context, r Runner, w io.Writer) error {
+			rows, err := run(r, ctx)
+			if err != nil {
+				return err
+			}
+			render(w, rows)
+			return nil
+		},
+		csv: func(ctx context.Context, r Runner, w io.Writer) error {
+			rows, err := run(r, ctx)
+			if err != nil {
+				return err
+			}
+			return csv(w, rows)
+		},
+		repCols: repCols,
+	}
+}
+
+// registry is the one list of what can be run, in "-exp all" order. Names,
+// RunByName, HasCSV, WriteCSV, WriteCSVReps and the command's help all read
+// it; a new experiment is a new row.
+var registry = []experiment{
+	static("table1", func(w io.Writer) { RenderTable1(w, Table1()) }),
+	static("table2", func(w io.Writer) { RenderTable2(w, core.DefaultConfig()) }),
+	swept("fig5", Runner.Fig5, RenderFig5, Fig5CSV, "avg_latency", "throughput"),
+	swept("table3", Runner.Table3, RenderTable3, Table3CSV, "lookahead_latency", "no_lookahead_latency", "improvement_pct"),
+	swept("fig6", Runner.Fig6, RenderFig6, Fig6CSV, "avg_latency", "throughput"),
+	swept("table4", Runner.Table4, RenderTable4, Table4CSV, "avg_latency"),
+	static("table5", func(w io.Writer) {
+		RenderTable5(w, Table5(256, 2))
+		fmt.Fprintln(w)
+		RenderTable5(w, Table5(2048, 3))
+	}),
+	swept("resilience", Runner.Resilience, RenderResilience, ResilienceCSV, "avg_latency", "sat_load", "sat_throughput"),
+	swept("scaling", Runner.Scaling, RenderScaling, ScalingCSV, "sat_load", "sat_throughput", "overdriven_throughput", "cycles_per_sec"),
+	swept("congestion", Runner.Congestion, RenderCongestion, CongestionCSV, "avg_latency", "ovr_throughput", "sat_load", "sat_throughput"),
+	swept("availability", Runner.Availability, RenderAvailability, AvailabilityCSV, "delivered_fraction", "p99_latency"),
+}
+
+// Names lists the runnable experiment identifiers, in "-exp all" order.
 func Names() []string {
-	return []string{"table1", "table2", "fig5", "table3", "fig6", "table4", "table5", "resilience", "scaling", "congestion", "availability"}
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
+}
+
+// HasCSV reports whether the named experiment has a CSV form.
+func HasCSV(name string) bool {
+	_, err := findCSV(name)
+	return err == nil
+}
+
+// find looks an experiment up by identifier, case-insensitively.
+func find(name string) (experiment, error) {
+	for _, e := range registry {
+		if strings.EqualFold(e.name, name) {
+			return e, nil
+		}
+	}
+	names := Names()
+	sort.Strings(names)
+	return experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", name, strings.Join(names, ", "))
+}
+
+// findCSV is find for an experiment that must have a CSV form.
+func findCSV(name string) (experiment, error) {
+	e, err := find(name)
+	if err == nil && e.csv == nil {
+		err = fmt.Errorf("experiments: no CSV form for %q", name)
+	}
+	return e, err
 }
 
 // RunByName executes one experiment by identifier and renders it to w.
 func (r Runner) RunByName(ctx context.Context, w io.Writer, name string) error {
-	switch strings.ToLower(name) {
-	case "table1":
-		RenderTable1(w, Table1())
-	case "table2":
-		RenderTable2(w, core.DefaultConfig())
-	case "fig5":
-		rows, err := r.Fig5(ctx)
-		if err != nil {
-			return err
-		}
-		RenderFig5(w, rows)
-	case "table3":
-		rows, err := r.Table3(ctx)
-		if err != nil {
-			return err
-		}
-		RenderTable3(w, rows)
-	case "fig6":
-		rows, err := r.Fig6(ctx)
-		if err != nil {
-			return err
-		}
-		RenderFig6(w, rows)
-	case "table4":
-		rows, err := r.Table4(ctx)
-		if err != nil {
-			return err
-		}
-		RenderTable4(w, rows)
-	case "table5":
-		RenderTable5(w, Table5(256, 2))
-		fmt.Fprintln(w)
-		RenderTable5(w, Table5(2048, 3))
-	case "resilience":
-		rows, err := r.Resilience(ctx)
-		if err != nil {
-			return err
-		}
-		RenderResilience(w, rows)
-	case "scaling":
-		rows, err := r.Scaling(ctx)
-		if err != nil {
-			return err
-		}
-		RenderScaling(w, rows)
-	case "congestion":
-		rows, err := r.Congestion(ctx)
-		if err != nil {
-			return err
-		}
-		RenderCongestion(w, rows)
-	case "availability":
-		rows, err := r.Availability(ctx)
-		if err != nil {
-			return err
-		}
-		RenderAvailability(w, rows)
-	default:
-		names := Names()
-		sort.Strings(names)
-		return fmt.Errorf("experiments: unknown experiment %q (have %s)", name, strings.Join(names, ", "))
+	e, err := find(name)
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-// RunByName executes one experiment with default workers; see Runner for
-// worker-pool and cache control.
-func RunByName(w io.Writer, name string, f Fidelity, seed int64) error {
-	return Runner{Fidelity: f, Seed: seed}.RunByName(context.Background(), w, name)
+	return e.render(ctx, r, w)
 }

@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,17 +204,50 @@ func TestExperimentCancellation(t *testing.T) {
 	}
 }
 
-// TestRunByNameRendersAllSweeps drives every sweep-backed experiment
-// through RunByName with the fake runner, checking each renders output.
+// TestRunByNameRendersAllSweeps walks the registry through RunByName and
+// WriteCSV on a scripted simulator (every offered load accepted up to a
+// knee at 0.3, inside every saturation search's bracket): each experiment
+// renders, each CSV form has a header and at least one row, and each
+// replicable column is a column of that header — a misspelt repCols entry
+// otherwise surfaces only at -reps 2.
 func TestRunByNameRendersAllSweeps(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"fig5", "table3", "fig6", "table4"} {
+	r := Runner{Fidelity: Quick, Seed: 1, Workers: 4, run: func(c core.Config) (core.Result, error) {
+		accepted := c.Load
+		if accepted > 0.3 {
+			accepted = 0.05
+		}
+		return core.Result{Throughput: accepted * c.Mesh().SaturationInjectionRate(), AvgLatency: 50, TotalCycles: 1000, Delivered: 1}, nil
+	}}
+	for _, e := range registry {
 		var buf bytes.Buffer
-		if err := fakeRunner().RunByName(context.Background(), &buf, name); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if err := r.RunByName(context.Background(), &buf, e.name); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
 		}
 		if buf.Len() == 0 {
-			t.Errorf("%s: no output", name)
+			t.Errorf("%s: no output", e.name)
+		}
+		if HasCSV(e.name) != (e.csv != nil) {
+			t.Errorf("%s: HasCSV = %v with csv writer set: %v", e.name, HasCSV(e.name), e.csv != nil)
+		}
+		if e.csv == nil {
+			if len(e.repCols) > 0 {
+				t.Errorf("%s: replicable columns %v without a CSV form", e.name, e.repCols)
+			}
+			continue
+		}
+		buf.Reset()
+		if err := r.WriteCSV(context.Background(), &buf, e.name); err != nil {
+			t.Fatalf("%s csv: %v", e.name, err)
+		}
+		recs, err := csv.NewReader(&buf).ReadAll()
+		if err != nil || len(recs) < 2 {
+			t.Fatalf("%s: csv = %d records, err %v; want a header and at least one row", e.name, len(recs), err)
+		}
+		for _, col := range e.repCols {
+			if !slices.Contains(recs[0], col) {
+				t.Errorf("%s: replicable column %q is not in the CSV header %v", e.name, col, recs[0])
+			}
 		}
 	}
 }
@@ -278,14 +313,21 @@ func TestTable5Counts(t *testing.T) {
 func TestRunByName(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	if err := RunByName(&buf, "table5", Quick, 1); err != nil {
+	r := Runner{Fidelity: Quick, Seed: 1}
+	if err := r.RunByName(context.Background(), &buf, "table5"); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
 		t.Error("no output")
 	}
-	if err := RunByName(&buf, "nonsense", Quick, 1); err == nil {
-		t.Error("expected error for unknown experiment")
+	err := r.RunByName(context.Background(), &buf, "nonsense")
+	if err == nil {
+		t.Fatal("expected error for unknown experiment")
+	}
+	for _, name := range Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-experiment error does not offer %q: %v", name, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestTable2RendersDefaults(t *testing.T) {
 func TestRunByNameReference(t *testing.T) {
 	var buf bytes.Buffer
 	for _, name := range []string{"table1", "table2"} {
-		if err := RunByName(&buf, name, Quick, 1); err != nil {
+		if err := (Runner{Fidelity: Quick, Seed: 1}).RunByName(context.Background(), &buf, name); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
