@@ -168,6 +168,16 @@ serve)
 	# The interrupted fig6 grid resumes: the rerun completes and the
 	# points its first attempt persisted are not simulated again.
 	lx -exp fig6 -fidelity quick -server $url >/dev/null
+	# -exp scaling's fixed-budget overdriven points complete no batch, so
+	# their CI95 is +Inf: results the wire and the store carry like any
+	# other. Served must equal in-process, a resubmission must simulate
+	# nothing, and no put may have failed.
+	lx -exp scaling -fidelity quick -server $url >scaling.txt
+	lx -exp scaling -fidelity quick >scaling-local.txt
+	diff <(table scaling.txt) <(table scaling-local.txt)
+	lx -exp scaling -fidelity quick -server $url >scaling-resub.txt
+	no_resimulation scaling-resub.txt
+	curl -fs $url/v1/store | grep -q '"put_failures": 0'
 	;;
 cluster)
 	# The deterministic chaos pins first, under the race detector on the

@@ -277,8 +277,7 @@ func parseFaults(cfg core.Config, spec string, seed int64) (*fault.Plan, error) 
 }
 
 // parseBurst reads the -burst spec "ONFRAC,MEANON" into an MMPP burst
-// parameterization; ranges are validated here so a bad spec fails before
-// the network is built.
+// parameterization; core.Run checks the ranges.
 func parseBurst(spec string) (*traffic.Burst, error) {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
@@ -292,16 +291,11 @@ func parseBurst(spec string) (*traffic.Burst, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad -burst %q: %v", spec, err)
 	}
-	b := &traffic.Burst{OnFrac: onFrac, MeanOn: meanOn}
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("-burst %q: %v", spec, err)
-	}
-	return b, nil
+	return &traffic.Burst{OnFrac: onFrac, MeanOn: meanOn}, nil
 }
 
 // parseQoS reads the -qos spec "HIFRAC,HIVCS" into a two-class QoS
-// specification. The VC-count-dependent reservation bound is checked by
-// core.Run against the configured channel counts.
+// specification; core.Run checks the ranges.
 func parseQoS(spec string) (*core.QoSSpec, error) {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
@@ -314,12 +308,6 @@ func parseQoS(spec string) (*core.QoSSpec, error) {
 	hiVCs, err := strconv.Atoi(strings.TrimSpace(parts[1]))
 	if err != nil {
 		return nil, fmt.Errorf("bad -qos %q: %v", spec, err)
-	}
-	if hiFrac < 0 || hiFrac > 1 {
-		return nil, fmt.Errorf("-qos %q: high-class probability %g outside [0,1]", spec, hiFrac)
-	}
-	if hiVCs < 1 {
-		return nil, fmt.Errorf("-qos %q: reserved VC count %d must be at least 1", spec, hiVCs)
 	}
 	return &core.QoSSpec{HiFrac: hiFrac, HiVCs: hiVCs}, nil
 }

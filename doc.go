@@ -106,8 +106,9 @@
 // queued messages, no events in flight), multiplying simulated cycles per
 // second in near-idle regimes — drain tails, sparse traces, very low
 // loads — while remaining observationally neutral. The scaling experiment
-// (cmd/lapses-experiments -exp scaling) measures the kernel end to end
-// from 8x8 to 32x32 meshes.
+// (cmd/lapses-experiments -exp scaling) locates the saturation point from
+// 8x8 to 32x32 meshes; host time per mesh size is the benchmark harness's
+// to measure (go run ./benchmark).
 //
 // core.Config.EventMode selects the event-driven kernel: whole-message
 // transfers collapse into single "worm" events (one event, one batched

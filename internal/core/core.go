@@ -215,28 +215,17 @@ type Config struct {
 type QoSSpec struct {
 	// HiFrac is the probability a generated message is high-class, in
 	// [0, 1].
-	HiFrac float64
+	HiFrac float64 `json:"hi_frac"`
 	// HiVCs is how many of the highest-numbered adaptive VCs are reserved
 	// for high-class messages, in [1, VCs-EscapeVCs). Escape VCs are the
 	// lowest-numbered VCs and are never reserved.
-	HiVCs int
+	HiVCs int `json:"hi_vcs"`
 }
 
 // Reliability configures the end-to-end NI retransmission layer
-// (Config.Reliability). Zero fields take the layer's defaults.
-type Reliability struct {
-	// RTO is the base retransmission timeout in cycles (default 2048);
-	// attempt k waits RTO<<min(k-1, 6).
-	RTO int64
-	// MaxAttempts bounds send attempts per message, the first included
-	// (default 12); an unacknowledged message is then abandoned and
-	// reported lost.
-	MaxAttempts int
-	// AckDelay is how long a receiver waits for reverse traffic to
-	// piggyback an acknowledgment on before sending a pure one-flit ack
-	// (default 64 cycles).
-	AckDelay int64
-}
+// (Config.Reliability): the network's own parameter type, validated by its
+// own Validate.
+type Reliability = network.Reliability
 
 // AutoMeasure configures the adaptive measurement tier (Config.Auto).
 // Zero fields take defaults derived from the config's fixed budgets, so
@@ -246,16 +235,16 @@ type AutoMeasure struct {
 	// RelTol is the stopping target: measurement ends once the 95%
 	// confidence half-width of the MSER-truncated latency mean falls to
 	// RelTol times the mean. Default 0.05.
-	RelTol float64
+	RelTol float64 `json:"rel_tol,omitempty"`
 	// MinMessages is the floor before any stopping decision; default
 	// MaxMessages/20, at least 200.
-	MinMessages int
+	MinMessages int `json:"min_messages,omitempty"`
 	// MaxMessages is the hard ceiling; default Warmup+Measure (the fixed
 	// budget the tier replaces).
-	MaxMessages int
+	MaxMessages int `json:"max_messages,omitempty"`
 	// CheckEvery is the convergence re-check cadence in delivered
 	// messages; default max(MinMessages/2, 250).
-	CheckEvery int
+	CheckEvery int `json:"check_every,omitempty"`
 }
 
 // adaptive resolves the tier into the stats controller configuration,
@@ -337,18 +326,21 @@ func (c Config) normalized() Config {
 // configs with equal keys produce bit-identical Results from Run. It is
 // the memo-cache key used by internal/sweep. Floats are keyed by their
 // bit patterns, so no two distinct loads ever collide; a Trace is keyed
-// by pointer identity, which is stable within a process (the scope of the
-// in-memory cache).
+// by its content digest (no trace keeps the term "tr0x0" it always had).
 func (c Config) Key() string {
 	c = c.normalized()
 	var b strings.Builder
 	b.Grow(96)
+	trace := "0x0"
+	if c.Trace != nil {
+		trace = c.Trace.Digest()
+	}
 	fmt.Fprintf(&b, "d%v", c.Dims)
 	fmt.Fprintf(&b, ",t%t,v%d,e%d,b%d,o%d,l%d,la%t,ct%t,a%d,tb%d,s%d,p%d",
 		c.Torus, c.VCs, c.EscapeVCs, c.BufDepth, c.OutDepth, c.LinkDelay,
 		c.LookAhead, c.CutThrough, int(c.Algorithm), int(c.Table), int(c.Selection), int(c.Pattern))
-	fmt.Fprintf(&b, ",ld%x,ml%d,tr%p,w%d,m%d,mc%d,sl%x,sd%d",
-		math.Float64bits(c.Load), c.MsgLen, c.Trace,
+	fmt.Fprintf(&b, ",ld%x,ml%d,tr%s,w%d,m%d,mc%d,sl%x,sd%d",
+		math.Float64bits(c.Load), c.MsgLen, trace,
 		c.Warmup, c.Measure, c.MaxCycles, math.Float64bits(c.SatLatency), c.Seed)
 	// Event mode changes observed results (it is equivalent, not
 	// bit-identical), so it always keys separately from cycle mode.
@@ -590,9 +582,9 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	if r := c.Reliability; r != nil {
-		if r.RTO < 0 || r.MaxAttempts < 0 || r.AckDelay < 0 {
-			return fmt.Errorf("core: negative Reliability parameter")
+	if c.Reliability != nil {
+		if err := c.Reliability.Validate(); err != nil {
+			return err
 		}
 	}
 	if err := (routing.Class{NumVCs: c.VCs, EscapeVCs: c.EscapeVCs}).Validate(); err != nil {
@@ -965,6 +957,8 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		MsgLen:    cfg.MsgLen,
 		Seed:      cfg.Seed,
 		EventMode: cfg.EventMode,
+
+		Reliability: cfg.Reliability,
 	}
 	if cfg.Trace == nil {
 		ncfg.Pattern = traffic.New(cfg.Pattern, m)
@@ -979,9 +973,6 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		ncfg.Schedule = cfg.Schedule
 		ncfg.EpochTables = p.epochTbls
 		ncfg.Tables = nil
-	}
-	if r := cfg.Reliability; r != nil {
-		ncfg.Reliability = &network.Reliability{RTO: r.RTO, MaxAttempts: r.MaxAttempts, AckDelay: r.AckDelay}
 	}
 	if seam != nil {
 		seam(&ncfg)

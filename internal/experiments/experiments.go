@@ -556,7 +556,7 @@ var registry = []experiment{
 		RenderTable5(w, Table5(2048, 3))
 	}),
 	swept("resilience", Runner.Resilience, RenderResilience, ResilienceCSV, "avg_latency", "sat_load", "sat_throughput"),
-	swept("scaling", Runner.Scaling, RenderScaling, ScalingCSV, "sat_load", "sat_throughput", "overdriven_throughput", "cycles_per_sec"),
+	swept("scaling", Runner.Scaling, RenderScaling, ScalingCSV, "sat_load", "sat_throughput", "overdriven_throughput"),
 	swept("congestion", Runner.Congestion, RenderCongestion, CongestionCSV, "avg_latency", "ovr_throughput", "sat_load", "sat_throughput"),
 	swept("availability", Runner.Availability, RenderAvailability, AvailabilityCSV, "delivered_fraction", "p99_latency"),
 }

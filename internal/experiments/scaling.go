@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"lapses/internal/core"
 	"lapses/internal/selection"
@@ -14,18 +13,16 @@ import (
 	"lapses/internal/traffic"
 )
 
-// The scaling experiment measures how the simulator — and the paper's
-// adaptivity story — behaves as the mesh grows beyond the paper's 16x16:
-// the saturation load and sustained throughput (the architectural
-// observables, located by the bisection saturation search) and
-// simulation wall-clock (the harness observable) from 8x8 up to 32x32,
-// adaptive (LA Duato + ES + LRU) versus deterministic (XY + static).
+// The scaling experiment measures how the paper's adaptivity story behaves
+// as the mesh grows beyond the paper's 16x16: the saturation load and
+// sustained throughput, located by the bisection saturation search, and the
+// throughput of a fixed-budget overdriven run, from 8x8 up to 32x32,
+// adaptive (LA Duato + ES + LRU) versus deterministic (XY + static). Host
+// time per mesh size is the benchmark harness's to measure (go run
+// ./benchmark: kernel-flow, core.construct_ms_32x32), not a table column.
 //
-// The timed points run uncached through a timing wrapper (a memoized
-// Result has no meaningful wall-clock), one at a time so the wall-clock
-// column measures the run rather than its neighbours. The saturation
-// search runs once per (mesh, policy), and its probe/cycle accounting is
-// logged against the dense-grid equivalent.
+// The saturation search runs once per (mesh, policy), and its probe/cycle
+// accounting is logged against the dense-grid equivalent.
 
 // ScalingDims is the mesh-size axis.
 var ScalingDims = [][]int{{8, 8}, {16, 16}, {24, 24}, {32, 32}}
@@ -34,8 +31,7 @@ var ScalingDims = [][]int{{8, 8}, {16, 16}, {24, 24}, {32, 32}}
 type ScalingRow struct {
 	Dims   []int
 	Policy string // "adaptive" or "deterministic"
-	// Sat is the overdriven fixed-budget run the wall-clock column
-	// times.
+	// Sat is the overdriven fixed-budget run.
 	Sat core.Result
 	// SatLoad is the bisection-located saturation load and SatSustained
 	// the run at it (Throughput = sustained acceptance); Search carries
@@ -43,10 +39,6 @@ type ScalingRow struct {
 	SatLoad      float64
 	SatSustained core.Result
 	Search       sweep.BisectResult
-	// Wall is the wall-clock of the overdriven run; CyclesPerSec is
-	// simulated cycles per wall second (TotalCycles / Wall).
-	Wall         time.Duration
-	CyclesPerSec float64
 }
 
 // scalingSatLoad overdrives uniform traffic well past saturation,
@@ -99,17 +91,17 @@ func (r Runner) Scaling(ctx context.Context) ([]ScalingRow, error) {
 			rows = append(rows, ScalingRow{Dims: d, Policy: pol.name})
 			row := &rows[len(rows)-1]
 
-			// The timed column is defined as a fixed-budget overdriven
-			// run (README: "when a fixed tier is still required"), so
-			// it sheds Fidelity Auto's adaptive tier — early stopping
-			// would change what wall-clock and ovr-thr measure.
-			timed := base
-			timed.Auto = nil
-			timed.Load = scalingSatLoad
-			timed.SatLatency = 1e12
-			timed.MaxCycles = r.Fidelity.scalingSatCycles()
-			timed.Measure = 1 << 30 // the cycle budget ends the run
-			g.add(timed, func(res core.Result) { row.Sat = res })
+			// The overdriven column is defined as a fixed-budget run
+			// (README: "when a fixed tier is still required"), so it
+			// sheds Fidelity Auto's adaptive tier — early stopping would
+			// change what ovr-thr measures.
+			over := base
+			over.Auto = nil
+			over.Load = scalingSatLoad
+			over.SatLatency = 1e12
+			over.MaxCycles = r.Fidelity.scalingSatCycles()
+			over.Measure = 1 << 30 // the cycle budget ends the run
+			g.add(over, func(res core.Result) { row.Sat = res })
 
 			// Probes shed the adaptive tier too (see SaturationSpec) and
 			// run through the regular options (worker pool, memo cache).
@@ -125,35 +117,8 @@ func (r Runner) Scaling(ctx context.Context) ([]ScalingRow, error) {
 			})
 		}
 	}
-	// Wall-clock needs real executions: bypass the memo cache and time
-	// each core.Run. Results are scattered by the grid in order, and the
-	// timing wrapper records durations keyed the same way.
-	opt := r.opts()
-	opt.Cache = nil
-	inner := opt.Runner
-	if inner == nil {
-		inner = core.Run
-	}
-	durs := make(map[string]time.Duration, len(g.cfgs))
-	opt.Runner = func(c core.Config) (core.Result, error) {
-		start := time.Now()
-		res, err := inner(c)
-		durs[c.Key()] = time.Since(start)
-		return res, err
-	}
-	// One worker: concurrent writes to durs would race on the map, and
-	// scaling's wall-clock column is only meaningful without co-running
-	// points anyway (two timed simulations sharing the machine inflate
-	// each other).
-	opt.Workers = 1
-	if err := g.run(ctx, opt); err != nil {
+	if err := g.run(ctx, r.opts()); err != nil {
 		return nil, err
-	}
-	for i := range rows {
-		rows[i].Wall = durs[g.cfgs[i].Key()]
-		if s := rows[i].Wall.Seconds(); s > 0 {
-			rows[i].CyclesPerSec = float64(rows[i].Sat.TotalCycles) / s
-		}
 	}
 	if err := runSearches(ctx, searches, r.opts()); err != nil {
 		return nil, err
@@ -163,16 +128,16 @@ func (r Runner) Scaling(ctx context.Context) ([]ScalingRow, error) {
 
 // RenderScaling prints the experiment in the repo's table style.
 func RenderScaling(w io.Writer, rows []ScalingRow) {
-	fmt.Fprintln(w, "Scaling: saturation point (bisection) and simulation wall-clock vs mesh size")
-	fmt.Fprintln(w, "(adaptive = LA Duato + ES + LRU; deterministic = XY + static; wall-clock overdriven at load 0.9)")
-	fmt.Fprintf(w, "%-8s %-14s %9s %10s %10s %12s %14s %8s\n",
-		"mesh", "policy", "sat-load", "sat-thr", "ovr-thr", "wall-clock", "cycles/sec", "skipped")
+	fmt.Fprintln(w, "Scaling: saturation point (bisection) and overdriven throughput vs mesh size")
+	fmt.Fprintln(w, "(adaptive = LA Duato + ES + LRU; deterministic = XY + static; ovr-thr overdriven at load 0.9)")
+	fmt.Fprintf(w, "%-8s %-14s %9s %10s %10s %8s\n",
+		"mesh", "policy", "sat-load", "sat-thr", "ovr-thr", "skipped")
 	searches := make([]sweep.BisectResult, 0, len(rows))
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %-14s %9.3f %10.4f %10.4f %12s %14.0f %8d\n",
+		fmt.Fprintf(w, "%-8s %-14s %9.3f %10.4f %10.4f %8d\n",
 			dimsString(r.Dims), r.Policy,
 			r.SatLoad, r.SatSustained.Throughput,
-			r.Sat.Throughput, r.Wall.Round(time.Millisecond), r.CyclesPerSec, r.Sat.SkippedCycles)
+			r.Sat.Throughput, r.Sat.SkippedCycles)
 		searches = append(searches, r.Search)
 		if !r.Search.Converged {
 			fmt.Fprintf(w, "warning: %s/%s saturation search did not converge (bracket [%.3f, %.3f]); sat-load is a lower bound\n",
@@ -200,7 +165,7 @@ func ScalingCSV(w io.Writer, rows []ScalingRow) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"mesh", "nodes", "policy",
-		"sat_load", "sat_throughput", "sat_converged", "overdriven_throughput", "wall_ns", "cycles_per_sec",
+		"sat_load", "sat_throughput", "sat_converged", "overdriven_throughput",
 	}); err != nil {
 		return err
 	}
@@ -217,8 +182,6 @@ func ScalingCSV(w io.Writer, rows []ScalingRow) error {
 			strconv.FormatFloat(r.SatSustained.Throughput, 'f', 5, 64),
 			strconv.FormatBool(r.Search.Converged),
 			strconv.FormatFloat(r.Sat.Throughput, 'f', 5, 64),
-			strconv.FormatInt(r.Wall.Nanoseconds(), 10),
-			strconv.FormatFloat(r.CyclesPerSec, 'f', 0, 64),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

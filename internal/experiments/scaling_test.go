@@ -26,10 +26,6 @@ func TestScalingQuick(t *testing.T) {
 		if row.Sat.Throughput <= 0 {
 			t.Fatalf("%s/%s: zero saturation throughput", dimsString(row.Dims), row.Policy)
 		}
-		if row.Wall <= 0 || row.CyclesPerSec <= 0 {
-			t.Fatalf("%s/%s: missing wall-clock (%v, %v cycles/sec)",
-				dimsString(row.Dims), row.Policy, row.Wall, row.CyclesPerSec)
-		}
 		if !row.Search.Converged || row.SatLoad <= 0 || row.SatSustained.Throughput <= 0 {
 			t.Fatalf("%s/%s: saturation search malformed: %s", dimsString(row.Dims), row.Policy, row.Search)
 		}
@@ -58,7 +54,7 @@ func TestScalingQuick(t *testing.T) {
 	if want := 1 + len(rows); len(lines) != want {
 		t.Fatalf("CSV has %d lines, want %d", len(lines), want)
 	}
-	if !strings.HasPrefix(lines[0], "mesh,nodes,policy,sat_load,sat_throughput,sat_converged,overdriven_throughput") {
+	if lines[0] != "mesh,nodes,policy,sat_load,sat_throughput,sat_converged,overdriven_throughput" {
 		t.Fatalf("CSV header: %q", lines[0])
 	}
 }

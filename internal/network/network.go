@@ -813,6 +813,10 @@ func (n *Network) traceHorizon() int64 {
 	return last
 }
 
+// progressGuard guards a run against protocol deadlock: when no flit is
+// delivered for this many cycles while traffic is in flight, the run aborts.
+const progressGuard = 50000
+
 // RunParams controls one measured simulation (section 2.2's methodology).
 type RunParams struct {
 	// WarmupMessages are generated and delivered but not measured.
@@ -825,12 +829,6 @@ type RunParams struct {
 	// SatLatency marks the run saturated once the running mean latency
 	// exceeds it; 0 uses a default of 5000 cycles.
 	SatLatency float64
-	// BatchSize for latency confidence intervals; 0 uses measure/10.
-	BatchSize int64
-	// Progress guards against protocol deadlock: if no flit is delivered
-	// for this many cycles while traffic is in flight the run aborts.
-	// 0 uses 50000.
-	ProgressGuard int64
 	// NoFastForward disables idle-cycle fast-forward for this run, so
 	// every cycle is executed individually. Results are bit-identical
 	// either way (the fast-forward only skips cycles in which provably
@@ -857,15 +855,6 @@ func (n *Network) Run(p RunParams) *stats.Run {
 	if p.SatLatency == 0 {
 		p.SatLatency = 5000
 	}
-	if p.BatchSize == 0 {
-		p.BatchSize = int64(p.MeasureMessages / 10)
-		if p.BatchSize == 0 {
-			p.BatchSize = 1
-		}
-	}
-	if p.ProgressGuard == 0 {
-		p.ProgressGuard = 50000
-	}
 	if p.MaxCycles == 0 {
 		if n.cfg.Trace != nil {
 			p.MaxCycles = n.traceHorizon() + 200000
@@ -879,7 +868,8 @@ func (n *Network) Run(p RunParams) *stats.Run {
 		}
 	}
 
-	run := stats.NewRun(n.m.N(), p.BatchSize)
+	// Latency confidence intervals come from ten batches of the measurement.
+	run := stats.NewRun(n.m.N(), int64(max(p.MeasureMessages/10, 1)))
 	lo := flow.MessageID(p.WarmupMessages)
 	hi := lo + flow.MessageID(p.MeasureMessages)
 	measuredDone := 0
@@ -968,7 +958,7 @@ func (n *Network) Run(p RunParams) *stats.Run {
 			run.SatReason = "latency above saturation threshold"
 			break
 		}
-		if n.now-lastProgress > p.ProgressGuard && (n.Occupancy() > 0 || n.QueuedMessages() > 0) {
+		if n.now-lastProgress > progressGuard && (n.Occupancy() > 0 || n.QueuedMessages() > 0) {
 			run.Saturated = true
 			run.SatReason = "no delivery progress (possible deadlock)"
 			break

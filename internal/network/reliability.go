@@ -37,15 +37,15 @@ type Reliability struct {
 	// RTO is the base retransmission timeout in cycles (default 2048).
 	// Attempt k waits RTO<<min(k-1, 6). It should comfortably exceed the
 	// round-trip time at the target load, or healthy traffic retransmits.
-	RTO int64
+	RTO int64 `json:"rto,omitempty"`
 	// MaxAttempts bounds total send attempts per message, the first
 	// included (default 12). A message unacknowledged after the last
 	// attempt's timeout is abandoned and counted lost.
-	MaxAttempts int
+	MaxAttempts int `json:"max_attempts,omitempty"`
 	// AckDelay is how long a receiver holds a pending acknowledgment
 	// waiting for reverse traffic to piggyback on before it spends a
 	// one-flit pure ack (default 64 cycles).
-	AckDelay int64
+	AckDelay int64 `json:"ack_delay,omitempty"`
 }
 
 // Validate reports configuration errors.

@@ -139,11 +139,10 @@ func TestClusterEndToEnd(t *testing.T) {
 }
 
 // TestClusterNonFiniteResult: a point simulated by a real worker whose
-// result JSON cannot carry — one measured message leaves the confidence
-// interval at +Inf — must come back as that point's error with the rest
-// of its unit delivered, on the first lease: before the worker checked,
-// its CompleteRequest failed to marshal, nothing was sent, and the unit
-// was requeued until its attempts ran out.
+// result a JSON number cannot say — one measured message leaves the
+// confidence half-width at +Inf — crosses both hops (worker to coordinator,
+// coordinator to client) intact on the first lease, is durable, and a
+// resubmission serves all three points from the store.
 func TestClusterNonFiniteResult(t *testing.T) {
 	t.Parallel()
 	grid := make([]core.Config, 3)
@@ -154,28 +153,31 @@ func TestClusterNonFiniteResult(t *testing.T) {
 	}
 	grid[1].Measure = 1
 	if res, err := core.Run(grid[1]); err != nil || !math.IsInf(res.CI95, 1) {
-		t.Fatalf("a one-message run no longer has an infinite CI (%v, err=%v); pick another unencodable point", res.CI95, err)
+		t.Fatalf("a one-message run no longer has an infinite CI (%v, err=%v); pick another non-finite point", res.CI95, err)
 	}
 
 	dir := t.TempDir()
 	_, c := testServer(t, dir, ServerOptions{Cluster: fastCluster()})
 	startWorker(t, "w0", dir, c.Base, nil)
-	got, err := c.Run(context.Background(), grid, sweep.Options{})
-	if err != nil {
-		t.Fatalf("one unencodable point failed the whole job: %v", err)
-	}
-	if got[1].Err == nil || !strings.Contains(got[1].Err.Error(), "+Inf") {
-		t.Errorf("unencodable point: err=%v, want the encoder's complaint", got[1].Err)
-	}
-	for _, i := range []int{0, 2} {
-		want, _ := core.Run(grid[i])
-		if got[i].Err != nil || got[i].Result != want {
-			t.Errorf("finite point %d: %+v err=%v, want %+v", i, got[i].Result, got[i].Err, want)
+	for pass := 0; pass < 2; pass++ {
+		got, err := c.Run(context.Background(), grid, sweep.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range grid {
+			want, _ := core.Run(grid[i])
+			if got[i].Err != nil || got[i].Result != want || got[i].Cached != (pass == 1) {
+				t.Errorf("pass %d point %d: %+v cached=%v err=%v, want %+v", pass, i, got[i].Result, got[i].Cached, got[i].Err, want)
+			}
 		}
 	}
 	cs, err := c.ClusterStats(context.Background())
 	if err != nil || cs.Claims != 1 || cs.OrphanRequeues != 0 || cs.ExhaustedUnits != 0 {
-		t.Errorf("the unit should complete on its first lease: %+v err=%v", cs, err)
+		t.Errorf("the unit should complete on its first lease and the resubmission need none: %+v err=%v", cs, err)
+	}
+	st, err := c.StoreStats(context.Background())
+	if err != nil || st.PutFailures != 0 || st.Entries != 3 {
+		t.Errorf("store after a non-finite result: %+v err=%v", st, err)
 	}
 }
 

@@ -387,9 +387,9 @@ func (jb *job) status() JobStatus {
 }
 
 // PointOutcome is one grid point's terminal state on the wire. Result
-// carries the exact core.Result (Go's JSON float encoding round-trips
-// float64 bits, so served results are bit-identical to in-process ones);
-// Error is set instead when the point failed.
+// carries the exact core.Result (its JSON form round-trips every float64
+// bit, non-finite values included, so served results are bit-identical to
+// in-process ones); Error is set instead when the point failed.
 type PointOutcome struct {
 	Point  Point        `json:"point"`
 	Result *core.Result `json:"result,omitempty"`
@@ -425,12 +425,6 @@ func encodeJSON(v any) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-func writeBody(w http.ResponseWriter, code int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(body) // a failed write means the client went away
-}
-
 // writeJSON encodes before it commits to a status: a value JSON cannot
 // carry (a non-finite float) answers 500 with the encoder's error, not
 // the requested code over an empty body.
@@ -440,7 +434,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		code = http.StatusInternalServerError
 		body, _ = encodeJSON(apiError{Error: fmt.Sprintf("encoding response: %v", err)}) // a string always encodes
 	}
-	writeBody(w, code, body)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(body) // a failed write means the client went away
 }
 
 // holdFor reads a request's wait_ms: how long the caller lets the server
@@ -586,23 +582,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 		res.Outcomes[i] = po
 	}
-	body, err := encodeJSON(res)
-	if err != nil {
-		// Some result holds a value JSON cannot carry (a one-message run's
-		// confidence interval is +Inf). Fail those points, deliver the rest.
-		for i := range res.Outcomes {
-			po := &res.Outcomes[i]
-			if po.Result == nil {
-				continue
-			}
-			if _, err := json.Marshal(po.Result); err != nil {
-				*po = PointOutcome{Point: po.Point, Error: fmt.Sprintf("result cannot be served: %v", err)}
-			}
-		}
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	writeBody(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

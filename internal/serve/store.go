@@ -384,8 +384,7 @@ func (s *Store) Ensure(key string, res core.Result) {
 }
 
 // putFailed counts a completed point whose durable write failed and logs
-// which one, so operators see the disk problem — or the result JSON
-// cannot carry (a non-finite float) — instead of a bare counter.
+// which one, so operators see the disk problem instead of a bare counter.
 func (s *Store) putFailed(key string, err error) {
 	s.mu.Lock()
 	s.putFailures++

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,6 +79,124 @@ func TestStoreRoundTrip(t *testing.T) {
 	st := s2.Stats()
 	if st.Entries != 1 || st.Hits != 1 || st.Quarantined != 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// sameBits reports whether two results are equal to the bit, NaN included.
+func sameBits(a, b core.Result) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i), vb.Field(i)
+		if fa.Kind() == reflect.Float64 {
+			if math.Float64bits(fa.Float()) != math.Float64bits(fb.Float()) {
+				return false
+			}
+		} else if fa.Interface() != fb.Interface() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestResultRoundTrip: core.Result's JSON form loses nothing. Walking the
+// struct by reflection, so a field added to Result is covered or fails the
+// test, every float field is set to each value a float64 has trouble with
+// and every integer to its extremes; Result → JSON → Result, compact and
+// indented, and Store put → reopen → get must return the same bits. Finite
+// results keep the bytes encoding/json gave them before Result had a codec:
+// a literal captured at the parent commit, and a store entry the parent
+// binary wrote, which must still verify and be served.
+func TestResultRoundTrip(t *testing.T) {
+	t.Parallel()
+	var variants []core.Result
+	for _, x := range []float64{
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Copysign(0, -1), 1e21, 1e-6, 9.999999e-7, 1.0 / 3.0,
+	} {
+		for _, n := range []int64{math.MinInt64, math.MaxInt64} {
+			var r core.Result
+			v := reflect.ValueOf(&r).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				switch f := v.Field(i); f.Kind() {
+				case reflect.Float64:
+					f.SetFloat(x)
+				case reflect.Int64:
+					f.SetInt(n)
+				case reflect.Bool:
+					f.SetBool(n > 0)
+				case reflect.String:
+					f.SetString("quote \" backslash \\ <html> & \u2028 é \x00 \n")
+				default:
+					t.Fatalf("Result.%s: no extreme values for a %s field; add them to this test", v.Type().Field(i).Name, f.Type())
+				}
+			}
+			variants = append(variants, r)
+		}
+	}
+
+	dir := t.TempDir()
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range variants {
+		for _, encode := range []func(any) ([]byte, error){json.Marshal, encodeJSON} {
+			data, err := encode(want)
+			if err != nil {
+				t.Fatalf("variant %d: %v", k, err)
+			}
+			var got core.Result
+			if err := json.Unmarshal(data, &got); err != nil || !sameBits(got, want) {
+				t.Errorf("variant %d through %s:\n got %+v (err=%v)\nwant %+v", k, data, got, err, want)
+			}
+		}
+		if err := store.put(fmt.Sprint("variant-", k), want); err != nil {
+			t.Fatalf("variant %d: %v", k, err)
+		}
+	}
+	if store, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Entries != len(variants) || st.Quarantined != 0 {
+		t.Fatalf("reopened store: %+v, want %d entries", st, len(variants))
+	}
+	for k, want := range variants {
+		if got, ok := store.Get(fmt.Sprint("variant-", k)); !ok || !sameBits(got, want) {
+			t.Errorf("variant %d from the reopened store: %+v (found=%v), want %+v", k, got, ok, want)
+		}
+	}
+
+	finite := core.Result{
+		AvgLatency: 123.456789, NetLatency: 98.7, CI95: 2.5e-7, P50: 100, P95: 1e21, P99: 123456789012345680000,
+		AvgHops: 10.666666666666666, Throughput: 0.1, Delivered: 3000, Cycles: 12345, TotalCycles: 15000,
+		SkippedCycles: 12, MeasuredCycles: 12345, Converged: true, LatencyCI: 2.5e-7, Saturated: true,
+		SatReason: "latency > 5000 & \"guard\" <é>", DroppedFlits: 7, DroppedMessages: 1, ReconvergenceEpochs: 2,
+		DeliveredFraction: 0.9996666666666667, RecoveryCycles: -1, Retransmits: 3, DupSuppressed: 4, Abandoned: 5,
+	}
+	const atParent = `{"AvgLatency":123.456789,"NetLatency":98.7,"CI95":2.5e-7,"P50":100,"P95":1e+21,"P99":123456789012345680000,"AvgHops":10.666666666666666,"Throughput":0.1,"Delivered":3000,"Cycles":12345,"TotalCycles":15000,"SkippedCycles":12,"MeasuredCycles":12345,"Converged":true,"LatencyCI":2.5e-7,"Saturated":true,"SatReason":"latency \u003e 5000 \u0026 \"guard\" \u003cé\u003e","DroppedFlits":7,"DroppedMessages":1,"ReconvergenceEpochs":2,"DeliveredFraction":0.9996666666666667,"RecoveryCycles":-1,"Retransmits":3,"DupSuppressed":4,"Abandoned":5}`
+	if got, err := json.Marshal(finite); err != nil || string(got) != atParent {
+		t.Errorf("a finite result's bytes moved (err=%v):\n got %s\nwant %s", err, got, atParent)
+	}
+
+	const parentKey = "d[16 16],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p1,ld3fe6666666666666,ml20,tr0x0,w100,m1000,mc7473,sl0,sd1,f[28-44;40-56;84-100;88-89;205-221;209-225;222-238;229-230]"
+	const parentResult = `{"AvgLatency":196.38938938938938,"NetLatency":196.34434434434434,"CI95":20.096560148443267,"P50":148.77984662056755,"P95":471.9548342649204,"P99":1616.8901924358843,"AvgHops":11.52952952952953,"Throughput":0.01289604676140119,"Delivered":999,"Cycles":6052,"TotalCycles":7473,"SkippedCycles":0,"MeasuredCycles":6052,"Converged":false,"LatencyCI":20.096560148443267,"Saturated":true,"SatReason":"cycle budget exhausted","DroppedFlits":0,"DroppedMessages":0,"ReconvergenceEpochs":0,"DeliveredFraction":0,"RecoveryCycles":0,"Retransmits":0,"DupSuppressed":0,"Abandoned":0}`
+	const parentEntry = `{"key":"` + parentKey + `","sum":"b6bdf3c6726c49684984cf8bb93daf1e619b8e566c8a63aa3b0eb857ece8a951","result":` + parentResult + `}`
+	old := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(old, objectsDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(old, objectsDir, "01cd6834723d4b0479440d74802640977454d874054b824b1db6789f88360c9d.json"), []byte(parentEntry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if store, err = Open(old); err != nil {
+		t.Fatal(err)
+	}
+	res, ok := store.Get(parentKey)
+	if st := store.Stats(); !ok || st.Quarantined != 0 || st.Entries != 1 {
+		t.Fatalf("an entry the parent binary wrote: found=%v, %+v", ok, st)
+	}
+	if got, _ := json.Marshal(res); string(got) != parentResult || res.Delivered != 999 {
+		t.Errorf("the parent's entry re-encodes to\n%s, want\n%s", got, parentResult)
 	}
 }
 

@@ -63,9 +63,10 @@ import (
 // Point is the serializable form of one grid point. Enumerations travel
 // by name (the String forms the CLIs already parse) so payloads stay
 // readable and stable across releases; the fault plan and the fault
-// schedule travel as their canonical spec strings. Trace workloads are
-// process-local (a Trace is keyed by pointer identity) and cannot be
-// represented — PointFromConfig rejects them.
+// schedule travel as their canonical spec strings; the measurement tier,
+// burst, QoS and reliability parameters travel as the core types
+// themselves, which carry the wire's names as struct tags. Trace workloads
+// have no wire form — PointFromConfig rejects them.
 //
 // The contract, pinned by TestPointCarriesEveryConfigField over every
 // field of core.Config: PointFromConfig(c) either fails naming the field
@@ -78,7 +79,7 @@ type Point struct {
 	Faults   string `json:"faults,omitempty"`   // fault.Parse spec, e.g. "12-13,r77"
 	Schedule string `json:"schedule,omitempty"` // fault.ParseSchedule spec, e.g. "12-13@5000:9000"
 
-	Reliability *ReliabilityPoint `json:"reliability,omitempty"`
+	Reliability *core.Reliability `json:"reliability,omitempty"`
 
 	VCs       int `json:"vcs"`
 	EscapeVCs int `json:"escape_vcs"`
@@ -92,15 +93,15 @@ type Point struct {
 	Table      string `json:"table"`
 	Selection  string `json:"selection"`
 
-	Pattern string      `json:"pattern"`
-	Load    float64     `json:"load"`
-	MsgLen  int         `json:"msg_len"`
-	Burst   *BurstPoint `json:"burst,omitempty"`
-	QoS     *QoSPoint   `json:"qos,omitempty"`
+	Pattern string         `json:"pattern"`
+	Load    float64        `json:"load"`
+	MsgLen  int            `json:"msg_len"`
+	Burst   *traffic.Burst `json:"burst,omitempty"`
+	QoS     *core.QoSSpec  `json:"qos,omitempty"`
 
-	Warmup  int        `json:"warmup"`
-	Measure int        `json:"measure"`
-	Auto    *AutoPoint `json:"auto,omitempty"`
+	Warmup  int               `json:"warmup"`
+	Measure int               `json:"measure"`
+	Auto    *core.AutoMeasure `json:"auto,omitempty"`
 
 	MaxCycles  int64   `json:"max_cycles,omitempty"`
 	SatLatency float64 `json:"sat_latency,omitempty"`
@@ -109,40 +110,12 @@ type Point struct {
 	EventMode bool `json:"event_mode,omitempty"`
 }
 
-// AutoPoint, BurstPoint, QoSPoint and ReliabilityPoint mirror
-// core.AutoMeasure, traffic.Burst, core.QoSSpec and core.Reliability on the
-// wire: the same fields under wire names, so each converts to and from its
-// core type by plain conversion (a field added to one side only stops
-// compiling).
-type AutoPoint struct {
-	RelTol      float64 `json:"rel_tol,omitempty"`
-	MinMessages int     `json:"min_messages,omitempty"`
-	MaxMessages int     `json:"max_messages,omitempty"`
-	CheckEvery  int     `json:"check_every,omitempty"`
-}
-
-type BurstPoint struct {
-	OnFrac float64 `json:"on_frac"`
-	MeanOn float64 `json:"mean_on"`
-}
-
-type QoSPoint struct {
-	HiFrac float64 `json:"hi_frac"`
-	HiVCs  int     `json:"hi_vcs"`
-}
-
-type ReliabilityPoint struct {
-	RTO         int64 `json:"rto,omitempty"`
-	MaxAttempts int   `json:"max_attempts,omitempty"`
-	AckDelay    int64 `json:"ack_delay,omitempty"`
-}
-
 // PointFromConfig converts a Config to its wire form. Trace-driven
-// configs are rejected: a *traffic.Trace is identified by address, which
-// no other process can honor.
+// configs are rejected: a trace's messages have no wire form, only a
+// digest in Config.Key.
 func PointFromConfig(c core.Config) (Point, error) {
 	if c.Trace != nil {
-		return Point{}, fmt.Errorf("serve: Config.Trace is process-local (a trace is identified by address) and cannot be submitted to a server")
+		return Point{}, fmt.Errorf("serve: Config.Trace has no wire form (a trace's messages stay in the process that built it) and cannot be submitted to a server")
 	}
 	p := Point{
 		Dims:       append([]int(nil), c.Dims...),
@@ -166,6 +139,11 @@ func PointFromConfig(c core.Config) (Point, error) {
 		SatLatency: c.SatLatency,
 		Seed:       c.Seed,
 		EventMode:  c.EventMode,
+
+		Auto:        c.Auto,
+		Burst:       c.Burst,
+		QoS:         c.QoS,
+		Reliability: c.Reliability,
 	}
 	if !c.Faults.Empty() {
 		// Plan.Key is the canonical "A-B;...;rN" content; Parse reads
@@ -176,22 +154,6 @@ func PointFromConfig(c core.Config) (Point, error) {
 		// Schedule.Key is the canonical "A-B@DOWN:UP;..." content;
 		// ParseSchedule reads the same items comma-separated.
 		p.Schedule = strings.ReplaceAll(c.Schedule.Key(), ";", ",")
-	}
-	if c.Auto != nil {
-		v := AutoPoint(*c.Auto)
-		p.Auto = &v
-	}
-	if c.Burst != nil {
-		v := BurstPoint(*c.Burst)
-		p.Burst = &v
-	}
-	if c.QoS != nil {
-		v := QoSPoint(*c.QoS)
-		p.QoS = &v
-	}
-	if c.Reliability != nil {
-		v := ReliabilityPoint(*c.Reliability)
-		p.Reliability = &v
 	}
 	return p, nil
 }
@@ -224,6 +186,11 @@ func (p Point) Config() (core.Config, error) {
 		SatLatency: p.SatLatency,
 		Seed:       p.Seed,
 		EventMode:  p.EventMode,
+
+		Auto:        p.Auto,
+		Burst:       p.Burst,
+		QoS:         p.QoS,
+		Reliability: p.Reliability,
 	}
 	var err error
 	if c.Algorithm, err = core.ParseAlg(p.Algorithm); err != nil {
@@ -237,22 +204,6 @@ func (p Point) Config() (core.Config, error) {
 	}
 	if c.Pattern, err = traffic.ParseKind(p.Pattern); err != nil {
 		return core.Config{}, fmt.Errorf("serve: point pattern: %w", err)
-	}
-	if p.Auto != nil {
-		v := core.AutoMeasure(*p.Auto)
-		c.Auto = &v
-	}
-	if p.Burst != nil {
-		v := traffic.Burst(*p.Burst)
-		c.Burst = &v
-	}
-	if p.QoS != nil {
-		v := core.QoSSpec(*p.QoS)
-		c.QoS = &v
-	}
-	if p.Reliability != nil {
-		v := core.Reliability(*p.Reliability)
-		c.Reliability = &v
 	}
 	if p.Faults != "" {
 		if c.Faults, err = fault.Parse(c.Mesh(), p.Faults); err != nil {

@@ -307,6 +307,35 @@ func TestPointCarriesEveryConfigField(t *testing.T) {
 	}
 }
 
+// TestPointHoldsConfigTypes: every struct core.Config points to either
+// travels on Point as that very type — its JSON tags are the wire names —
+// or as a spec string (fault plan, schedule), or is refused by name (Trace).
+// A hand-copied wire struct for one of them fails here.
+func TestPointHoldsConfigTypes(t *testing.T) {
+	t.Parallel()
+	ct, pt := reflect.TypeOf(core.Config{}), reflect.TypeOf(Point{})
+	carried := 0
+	for i := 0; i < ct.NumField(); i++ {
+		cf := ct.Field(i)
+		if cf.Type.Kind() != reflect.Pointer || cf.Name == "Trace" {
+			continue
+		}
+		pf, ok := pt.FieldByName(cf.Name)
+		switch {
+		case !ok:
+			t.Errorf("Config.%s has no Point field", cf.Name)
+		case pf.Type.Kind() == reflect.String:
+		case pf.Type != cf.Type:
+			t.Errorf("Point.%s is a %s, a copy of Config.%s's %s: carry the type itself", cf.Name, pf.Type, cf.Name, cf.Type)
+		default:
+			carried++
+		}
+	}
+	if carried != 4 {
+		t.Errorf("%d sub-configs travel as themselves, want 4 (Reliability, Burst, QoS, Auto)", carried)
+	}
+}
+
 // TestPointPayloadStable: a config that sets none of Burst, QoS, Schedule
 // and Reliability encodes to the bytes it did before the wire carried them,
 // so old and new clients and servers agree on every such point.

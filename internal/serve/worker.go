@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -225,24 +224,6 @@ func (w *Worker) execute(ctx context.Context, co *Client, g ClaimResponse) {
 	rctx, rcancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer rcancel()
 	resp, err := co.Complete(rctx, g.Lease, g.Job, w.ID, reports)
-	var unsupported *json.UnsupportedValueError
-	if errors.As(err, &unsupported) {
-		// Some result holds a value JSON cannot carry (a one-message run's
-		// confidence interval is +Inf), so nothing was sent. That is a
-		// property of the point, not of this attempt: report it as the
-		// point's own permanent error and deliver the rest of the unit,
-		// instead of letting the lease expire and the unit burn its
-		// requeue budget on a completion no worker can encode.
-		for i := range reports {
-			if reports[i].Result == nil {
-				continue
-			}
-			if _, merr := json.Marshal(reports[i].Result); merr != nil {
-				reports[i] = PointReport{Index: reports[i].Index, Error: fmt.Sprintf("result cannot be reported: %v", merr)}
-			}
-		}
-		resp, err = co.Complete(rctx, g.Lease, g.Job, w.ID, reports)
-	}
 	if w.Verbose != nil {
 		nres, ncached, nerr := 0, 0, 0
 		for _, rep := range reports {

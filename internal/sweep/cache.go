@@ -24,12 +24,8 @@ type Cache struct {
 
 type entry struct {
 	done chan struct{} // closed once res/err are final
-	// cfg pins the config (in particular its Trace pointer, which Key
-	// identifies by address) for the cache's lifetime, so a collected
-	// Trace's address can never be reused while its key is still live.
-	cfg core.Config
-	res core.Result
-	err error
+	res  core.Result
+	err  error
 }
 
 // NewCache returns an empty memo cache.
@@ -96,7 +92,7 @@ func (c *Cache) Do(ctx context.Context, cfg core.Config, run func(core.Config) (
 			return core.Result{}, false, ctx.Err()
 		}
 	}
-	e := &entry{done: make(chan struct{}), cfg: cfg}
+	e := &entry{done: make(chan struct{})}
 	c.m[key] = e
 	c.misses++
 	c.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -275,14 +277,55 @@ func TestMemoCacheDoesNotCacheErrors(t *testing.T) {
 	}
 }
 
-// TestTraceIdentityInKey: distinct trace pointers must not share a memo
-// slot even when the trace contents match.
+// TestTraceIdentityInKey: a trace is keyed by content. Equal messages from
+// two NewTrace calls share a memo slot — however the input interleaved the
+// nodes — any differing message does not, and a config without a trace
+// keeps the key term every stored result already carries.
 func TestTraceIdentityInKey(t *testing.T) {
 	t.Parallel()
-	a, b := core.DefaultConfig(), core.DefaultConfig()
-	a.Trace, b.Trace = &traffic.Trace{}, &traffic.Trace{}
-	if a.Key() == b.Key() {
-		t.Error("different traces collide in Key")
+	key := func(msgs ...traffic.TraceMsg) string {
+		tr, err := traffic.NewTrace(msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := core.DefaultConfig()
+		c.Trace = tr
+		return c.Key()
+	}
+	msgs := []traffic.TraceMsg{
+		{At: 5, Src: 1, Dst: 2, Length: 4},
+		{At: 0, Src: 3, Dst: 1, Length: 2},
+		{At: 5, Src: 1, Dst: 3, Length: 4},
+	}
+	base := key(msgs...)
+	if key(msgs...) != base {
+		t.Error("equal content from two NewTrace calls keys apart")
+	}
+	if key(msgs[1], msgs[0], msgs[2]) != base {
+		t.Error("interleaving the nodes differently in the input changed the key")
+	}
+	if key(msgs[2], msgs[1], msgs[0]) == base {
+		t.Error("swapping one node's two same-cycle messages (its injection order) left the key unchanged")
+	}
+	if key(msgs[:2]...) == base {
+		t.Error("dropping a message left the key unchanged")
+	}
+	for i := range msgs {
+		for name, change := range map[string]func(*traffic.TraceMsg){
+			"At":     func(m *traffic.TraceMsg) { m.At++ },
+			"Src":    func(m *traffic.TraceMsg) { m.Src += 4 },
+			"Dst":    func(m *traffic.TraceMsg) { m.Dst += 4 },
+			"Length": func(m *traffic.TraceMsg) { m.Length++ },
+		} {
+			changed := slices.Clone(msgs)
+			change(&changed[i])
+			if key(changed...) == base {
+				t.Errorf("changing message %d's %s left the key unchanged", i, name)
+			}
+		}
+	}
+	if k := core.DefaultConfig().Key(); !strings.Contains(k, ",tr0x0,") {
+		t.Errorf("a config without a trace lost its tr0x0 key term: %s", k)
 	}
 }
 

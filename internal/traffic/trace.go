@@ -2,8 +2,13 @@ package traffic
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 
 	"lapses/internal/topology"
@@ -25,6 +30,7 @@ type TraceMsg struct {
 type Trace struct {
 	byNode map[topology.NodeID][]TraceMsg
 	total  int
+	digest string
 }
 
 // NewTrace builds a trace from events; they need not be sorted. Messages
@@ -44,12 +50,23 @@ func NewTrace(msgs []TraceMsg) (*Trace, error) {
 		t.byNode[m.Src] = append(t.byNode[m.Src], m)
 		t.total++
 	}
-	for n := range t.byNode {
+	h := sha256.New()
+	for _, n := range slices.Sorted(maps.Keys(t.byNode)) {
 		q := t.byNode[n]
 		sort.SliceStable(q, func(i, j int) bool { return q[i].At < q[j].At })
+		for _, m := range q {
+			binary.Write(h, binary.LittleEndian, []int64{m.At, int64(m.Src), int64(m.Dst), int64(m.Length)})
+		}
 	}
+	t.digest = hex.EncodeToString(h.Sum(nil))
 	return t, nil
 }
+
+// Digest identifies the trace by content: the SHA-256, in hex, of each
+// node's messages in the order it injects them — everything a simulation
+// reads of the trace — computed once by NewTrace. Traces built from the same
+// messages share a digest however the input interleaved the nodes.
+func (t *Trace) Digest() string { return t.digest }
 
 // ParseTrace reads a whitespace-separated text trace, one message per
 // line: "<cycle> <src> <dst> <flits>". Blank lines and lines starting

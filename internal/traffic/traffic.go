@@ -465,10 +465,10 @@ type Burst struct {
 	// OnFrac is the long-run fraction of time the source spends in the ON
 	// state, in (0, 1]. OnFrac 1 degenerates to the stationary Poisson
 	// source.
-	OnFrac float64
+	OnFrac float64 `json:"on_frac"`
 	// MeanOn is the mean ON-period duration in cycles (> 0). The mean OFF
 	// period follows as MeanOn*(1-OnFrac)/OnFrac.
-	MeanOn float64
+	MeanOn float64 `json:"mean_on"`
 }
 
 // Validate reports parameter errors.
