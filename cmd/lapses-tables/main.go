@@ -5,12 +5,18 @@
 //	lapses-tables -alg duato   # the same node programmed for Duato routing
 //	lapses-tables -meta        # Fig. 8: both meta-table mappings on 16x16
 //	lapses-tables -interval    # interval table (YX) for a node on 8x8
-//	lapses-tables -verify      # sweep: ES results identical to full-table
+//	lapses-tables -verify      # every table equals its algorithm; ES == full in a sweep
 //
-// -verify runs a quick (pattern x load) grid through the concurrent
-// internal/sweep engine, simulating each point under both the full
-// routing table and economical storage and checking the results are
-// bit-identical — the equivalence Table 4 reports. -workers bounds the
+// -verify first checks statically that every table organization programs
+// exactly the routing function it encodes: for each organization x
+// algorithm x {1,2,3}-D x {mesh, torus} that core.Validate accepts,
+// table.Verify compares every lookup and look-ahead lookup at every
+// router, destination and dateline state with the algorithm; the first
+// mismatch fails the command and names it. It then runs a quick
+// (pattern x load) grid through the concurrent internal/sweep engine,
+// simulating each point under both the full routing table and economical
+// storage and checking the results are bit-identical — the equivalence
+// Table 4 reports. -workers bounds the
 // sweep's worker pool (0 = GOMAXPROCS). -events runs the grid on the
 // event-driven kernel instead: table organization never changes a
 // routing decision, so ES and full-table stay bit-identical per kernel
@@ -44,7 +50,11 @@ func main() {
 	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
 
 	if *verify {
-		if err := verifyES(*workers, *events); err != nil {
+		err := verifyTables()
+		if err == nil {
+			err = verifyES(*workers, *events)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "lapses-tables:", err)
 			os.Exit(1)
 		}
@@ -83,27 +93,50 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lapses-tables:", err)
 		os.Exit(2)
 	}
-	m := topology.NewMesh(3, 3)
-	var alg routing.Algorithm
-	switch a {
-	case core.AlgXY:
-		alg = routing.NewDimOrder(m, cls, nil)
-	case core.AlgYX:
-		alg = routing.NewDimOrder(m, cls, []int{1, 0})
-	case core.AlgDuato:
-		alg = routing.NewDuato(m, cls)
-	case core.AlgNorthLast:
-		alg = routing.NewNorthLast(m, cls)
-	case core.AlgWestFirst:
-		alg = routing.NewWestFirst(m, cls)
-	case core.AlgNegativeFirst:
-		alg = routing.NewNegativeFirst(m, cls)
+	c := core.DefaultConfig()
+	c.Dims, c.Algorithm = []int{3, 3}, a
+	alg, _, err := c.Routing()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lapses-tables:", err)
+		os.Exit(2)
 	}
+	m := c.Mesh()
 	node := m.ID(topology.Coord{1, 1})
 	es := table.NewES(m, alg, node)
 	fmt.Printf("Fig. 7: economical-storage table at node (1,1) of a 3x3 mesh, %s routing\n", alg.Name())
 	fmt.Printf("(sign of destination offset (sx,sy) -> permitted output ports; %d entries)\n\n", es.Entries())
 	fmt.Print(es.Dump())
+}
+
+// verifyTables runs table.Verify over every table organization x
+// algorithm x {1,2,3}-D x {mesh, torus} that core.Validate accepts. The
+// radices are small but include odd, even and radix-2 dimensions: a
+// radix-2 torus dimension never realizes a "-" sign.
+func verifyTables() error {
+	checked := 0
+	for _, dims := range [][]int{{7}, {6, 5}, {4, 3, 2}} {
+		for _, torus := range []bool{false, true} {
+			for _, a := range core.Algs {
+				for _, k := range table.Kinds {
+					c := core.DefaultConfig()
+					c.Dims, c.Torus, c.Algorithm, c.Table = dims, torus, a, k
+					if c.Validate() != nil {
+						continue
+					}
+					alg, cls, err := c.Routing()
+					if err == nil {
+						err = table.Verify(k, c.Mesh(), alg, cls)
+					}
+					if err != nil {
+						return err
+					}
+					checked++
+				}
+			}
+		}
+	}
+	fmt.Printf("every lookup equals its algorithm: %d (organization, algorithm, topology) combinations\n\n", checked)
+	return nil
 }
 
 // verifyES sweeps a quick (pattern x load) grid, each point once with the

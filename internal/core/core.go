@@ -398,6 +398,14 @@ func (c Config) class() routing.Class {
 	return routing.Class{NumVCs: c.VCs, EscapeVCs: esc}
 }
 
+// Routing returns the routing function and the VC partition c's tables are
+// programmed from.
+func (c Config) Routing() (routing.Algorithm, routing.Class, error) {
+	cls := c.class()
+	alg, err := c.buildAlgorithm(c.Mesh(), cls)
+	return alg, cls, err
+}
+
 // buildAlgorithm materializes the routing function. Under a non-empty
 // fault plan the healthy algorithms are replaced by their degraded-graph
 // equivalents: Duato keeps fully adaptive VCs over the live minimal

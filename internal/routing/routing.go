@@ -11,8 +11,9 @@
 // of them (Fig. 7).
 //
 // Algorithms are evaluated lazily by routers, eagerly by the table builders
-// in package table, and re-evaluated for neighboring routers by the
-// look-ahead machinery; all three must agree, which the tests verify.
+// in package table (once per offset-sign vector, through SignRouted), and
+// re-evaluated for neighboring routers by the look-ahead machinery; all
+// three must agree, which the tests verify.
 package routing
 
 import (
@@ -83,6 +84,19 @@ type Algorithm interface {
 	Route(cur, dst topology.NodeID, dateline uint8) flow.RouteSet
 	// Deterministic reports whether Route always returns one candidate.
 	Deterministic() bool
+}
+
+// SignRouted marks routing functions that see the destination only
+// through its offset-sign vector, which every healthy algorithm here does
+// by construction: its Route is RouteSigns of the topology's SignIndex.
+// RouteSigns(cur, signs, dateline) is the route from cur to any
+// destination whose sign index is signs; on a mesh it never reads cur, so
+// one 3^n-entry row serves every router — section 5.2's economical
+// storage. Table builders program from it instead of evaluating Route per
+// destination.
+type SignRouted interface {
+	Algorithm
+	RouteSigns(cur topology.NodeID, signs int, dateline uint8) flow.RouteSet
 }
 
 // ejectSet is the route set delivered messages use: the local port on any VC.
@@ -173,12 +187,13 @@ func (a *dimOrder) Name() string        { return a.name }
 func (a *dimOrder) Deterministic() bool { return true }
 
 func (a *dimOrder) Route(cur, dst topology.NodeID, dateline uint8) flow.RouteSet {
-	if cur == dst {
-		return ejectSet(a.cls)
-	}
+	return a.RouteSigns(cur, a.m.SignIndex(cur, dst), dateline)
+}
+
+func (a *dimOrder) RouteSigns(cur topology.NodeID, signs int, dateline uint8) flow.RouteSet {
 	var r flow.RouteSet
 	for _, d := range a.order {
-		s := a.m.OffsetSign(cur, dst, d)
+		s := topology.SignAt(signs, d)
 		if s == 0 {
 			continue
 		}
@@ -197,7 +212,7 @@ func (a *dimOrder) Route(cur, dst topology.NodeID, dateline uint8) flow.RouteSet
 		r.Add(flow.Candidate{Port: portToward(d, s), Adaptive: mask})
 		return r
 	}
-	panic("routing: dimension order found no offset for distinct nodes")
+	return ejectSet(a.cls)
 }
 
 // duato implements Duato's fully adaptive routing: every minimal direction
@@ -225,25 +240,27 @@ func (a *duato) Name() string        { return "duato" }
 func (a *duato) Deterministic() bool { return false }
 
 func (a *duato) Route(cur, dst topology.NodeID, dateline uint8) flow.RouteSet {
-	if cur == dst {
-		return ejectSet(a.cls)
-	}
+	return a.RouteSigns(cur, a.m.SignIndex(cur, dst), dateline)
+}
+
+func (a *duato) RouteSigns(cur topology.NodeID, signs int, dateline uint8) flow.RouteSet {
 	var r flow.RouteSet
 	adaptive := a.cls.AdaptiveMask()
-	escapeDone := false
 	for d := 0; d < a.m.NumDims(); d++ {
-		s := a.m.OffsetSign(cur, dst, d)
+		s := topology.SignAt(signs, d)
 		if s == 0 {
 			continue
 		}
 		c := flow.Candidate{Port: portToward(d, s), Adaptive: adaptive}
-		if !escapeDone {
+		if r.Empty() {
 			// The first unresolved dimension is the dimension-order
 			// (escape) direction.
 			c.Escape = escapeVCMask(a.m, a.cls, cur, d, s, dateline)
-			escapeDone = true
 		}
 		r.Add(c)
+	}
+	if r.Empty() {
+		return ejectSet(a.cls)
 	}
 	return r
 }
@@ -288,11 +305,14 @@ func (a *turnModel) Name() string        { return a.kind }
 func (a *turnModel) Deterministic() bool { return false }
 
 func (a *turnModel) Route(cur, dst topology.NodeID, dateline uint8) flow.RouteSet {
-	if cur == dst {
+	return a.RouteSigns(cur, a.m.SignIndex(cur, dst), dateline)
+}
+
+func (a *turnModel) RouteSigns(_ topology.NodeID, signs int, _ uint8) flow.RouteSet {
+	sx, sy := topology.SignAt(signs, 0), topology.SignAt(signs, 1)
+	if sx == 0 && sy == 0 {
 		return ejectSet(a.cls)
 	}
-	sx := a.m.OffsetSign(cur, dst, 0)
-	sy := a.m.OffsetSign(cur, dst, 1)
 	all := flow.MaskAll(a.cls.NumVCs)
 	var r flow.RouteSet
 	add := func(p topology.Port) { r.Add(flow.Candidate{Port: p, Adaptive: all}) }

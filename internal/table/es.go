@@ -17,9 +17,9 @@ import (
 // comparator per dimension to form the index.
 //
 // The table contents depend only on the sign vector for every mesh routing
-// algorithm the paper considers (XY, Duato, the turn models), so ES routing
-// behaves identically to full-table routing — a property the tests check
-// exhaustively.
+// algorithm the paper considers (XY, Duato, the turn models) — they are
+// routing.SignRouted — so ES routing behaves identically to full-table
+// routing by construction; Verify checks it exhaustively.
 type ES struct {
 	m    *topology.Mesh
 	alg  routing.Algorithm
@@ -39,13 +39,22 @@ type ES struct {
 	posDep bool
 }
 
-// NewES programs an economical-storage table for node from alg. It panics
-// if the algorithm is not sign-expressible at this node, i.e. two
-// destinations with the same offset signs would need different entries;
-// that would indicate the algorithm cannot be implemented in ES form (none
-// of the standard mesh algorithms trip this).
+// NewES programs an economical-storage table for node from alg. For a
+// routing.SignRouted algorithm each dateline state's 3^n entries are
+// alg.RouteSigns of the node and the entry's sign vector, so the table
+// equals the algorithm by construction — unrealized edge entries included,
+// which the look-ahead lookup reads with neighbor-relative signs (on a
+// mesh RouteSigns never reads the node). A position-dependent algorithm
+// gets sign entries plus an exception overlay instead. It panics if alg is
+// neither: nothing then says two destinations with the same offset signs
+// share an entry, so the algorithm is not sign-expressible.
 func NewES(m *topology.Mesh, alg routing.Algorithm, node topology.NodeID) *ES {
 	posDep := routing.IsPositionDependent(alg)
+	sr, signRouted := alg.(routing.SignRouted)
+	if !posDep && !signRouted {
+		panic(fmt.Sprintf("table: %s is not sign-expressible at node %d: it is neither sign-routed nor position-dependent",
+			alg.Name(), node))
+	}
 	states := 1
 	// Position-dependent algorithms never vary with wrap-crossing state,
 	// so one state row suffices even on a torus.
@@ -54,44 +63,15 @@ func NewES(m *topology.Mesh, alg routing.Algorithm, node topology.NodeID) *ES {
 	}
 	t := &ES{m: m, alg: alg, node: node, ndims: m.NumDims(), posDep: posDep,
 		entries: make([][]flow.RouteSet, states), exc: make([]map[topology.NodeID]flow.RouteSet, states)}
-	size := 1
-	for i := 0; i < t.ndims; i++ {
-		size *= 3
-	}
-	for dl := 0; dl < states; dl++ {
+	size := ESEntryCount(t.ndims)
+	for dl := range t.entries {
 		if posDep {
 			t.programWithExceptions(dl, size)
 			continue
 		}
 		row := make([]flow.RouteSet, size)
-		programmed := make([]bool, size)
-		for dst := 0; dst < m.N(); dst++ {
-			idx := t.signIndex(topology.NodeID(dst))
-			rs := alg.Route(node, topology.NodeID(dst), uint8(dl))
-			if programmed[idx] {
-				if !row[idx].Equal(rs) {
-					panic(fmt.Sprintf("table: %s is not sign-expressible at node %d (index %d: %v vs %v)",
-						alg.Name(), node, idx, row[idx], rs))
-				}
-				continue
-			}
-			row[idx] = rs
-			programmed[idx] = true
-		}
-		// Edge and corner routers never locally realize some sign
-		// vectors (a corner has no destinations to its west), but the
-		// look-ahead lookup indexes the table with neighbor-relative
-		// signs and needs every entry. The table programmer fills them
-		// from the algorithm's sign rule using a representative pair
-		// realizing each sign vector (mesh algorithms are position-
-		// independent; a torus realizes every sign locally and never
-		// gets here).
-		for idx := 0; idx < size; idx++ {
-			if programmed[idx] {
-				continue
-			}
-			src, dst := t.representative(idx)
-			row[idx] = alg.Route(src, dst, uint8(dl))
+		for s := range row {
+			row[s] = sr.RouteSigns(node, s, uint8(dl))
 		}
 		t.entries[dl] = row
 	}
@@ -116,7 +96,7 @@ func (t *ES) programWithExceptions(dl, size int) {
 	for dst := 0; dst < t.m.N(); dst++ {
 		rs := t.alg.Route(t.node, topology.NodeID(dst), uint8(dl))
 		routes[dst] = rs
-		idx := t.signIndex(topology.NodeID(dst))
+		idx := t.m.SignIndex(t.node, topology.NodeID(dst))
 		found := false
 		for j := range tallies[idx] {
 			if tallies[idx][j].rs.Equal(rs) {
@@ -144,7 +124,7 @@ func (t *ES) programWithExceptions(dl, size int) {
 		row[idx] = ts[best].rs
 	}
 	for dst := 0; dst < t.m.N(); dst++ {
-		idx := t.signIndex(topology.NodeID(dst))
+		idx := t.m.SignIndex(t.node, topology.NodeID(dst))
 		if routes[dst].Equal(row[idx]) {
 			continue
 		}
@@ -154,48 +134,6 @@ func (t *ES) programWithExceptions(dl, size int) {
 		t.exc[dl][topology.NodeID(dst)] = routes[dst]
 	}
 	t.entries[dl] = row
-}
-
-// representative returns a (src, dst) node pair whose offset signs decode
-// to the given table index.
-func (t *ES) representative(idx int) (topology.NodeID, topology.NodeID) {
-	src := make(topology.Coord, t.ndims)
-	dst := make(topology.Coord, t.ndims)
-	for d := 0; d < t.ndims; d++ {
-		switch idx%3 - 1 {
-		case -1:
-			src[d], dst[d] = t.m.Radix(d)-1, 0
-		case 0:
-			src[d], dst[d] = 0, 0
-		case 1:
-			src[d], dst[d] = 0, t.m.Radix(d)-1
-		}
-		idx /= 3
-	}
-	return t.m.ID(src), t.m.ID(dst)
-}
-
-// signIndex computes the base-3 index of a destination's offset signs:
-// digit d is sign(dst_d - node_d) mapped {-1,0,+1} -> {0,1,2}, with
-// dimension 0 as the least significant digit. On a torus the signs are
-// wrap-aware (shorter direction).
-func (t *ES) signIndex(dst topology.NodeID) int {
-	idx := 0
-	for d := t.ndims - 1; d >= 0; d-- {
-		idx = idx*3 + t.m.OffsetSign(t.node, dst, d) + 1
-	}
-	return idx
-}
-
-// signIndexAt computes the sign index relative to an arbitrary node, used
-// for the look-ahead lookup (the hardware computes sign(dst - neighbor)
-// with one extra comparator per candidate).
-func (t *ES) signIndexAt(at topology.NodeID, dst topology.NodeID) int {
-	idx := 0
-	for d := t.ndims - 1; d >= 0; d-- {
-		idx = idx*3 + t.m.OffsetSign(at, dst, d) + 1
-	}
-	return idx
 }
 
 // Name implements Table.
@@ -217,7 +155,7 @@ func (t *ES) Lookup(dst topology.NodeID, dateline uint8) flow.RouteSet {
 			return rs
 		}
 	}
-	return t.entries[s][t.signIndex(dst)]
+	return t.entries[s][t.m.SignIndex(t.node, dst)]
 }
 
 func (t *ES) state(dateline uint8) int {
@@ -250,18 +188,7 @@ func (t *ES) LookupAt(p topology.Port, dst topology.NodeID, dateline uint8) flow
 		// hardware).
 		return t.alg.Route(nb, dst, dateline)
 	}
-	return t.entries[0][t.signIndexAt(nb, dst)]
-}
-
-// signRune renders one sign digit the way the paper's Fig. 7 does.
-func signRune(s int) byte {
-	switch {
-	case s < 0:
-		return '-'
-	case s > 0:
-		return '+'
-	}
-	return '0'
+	return t.entries[0][t.m.SignIndex(nb, dst)]
 }
 
 // Dump renders the programmed table in the style of the paper's Fig. 7(d):
@@ -269,27 +196,15 @@ func signRune(s int) byte {
 // cmd/lapses-tables and documentation.
 func (t *ES) Dump() string {
 	var b strings.Builder
-	size := len(t.entries[0])
-	for idx := 0; idx < size; idx++ {
-		signs := make([]int, t.ndims)
-		v := idx
+	for idx, rs := range t.entries[0] {
+		var signs, ports []string
 		for d := 0; d < t.ndims; d++ {
-			signs[d] = v%3 - 1
-			v /= 3
+			signs = append(signs, string("-0+"[topology.SignAt(idx, d)+1]))
 		}
-		var sb strings.Builder
-		for d := 0; d < t.ndims; d++ {
-			if d > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteByte(signRune(signs[d]))
-		}
-		rs := t.entries[0][idx]
-		var ports []string
 		for i := 0; i < rs.Len(); i++ {
 			ports = append(ports, t.m.PortName(rs.At(i).Port))
 		}
-		fmt.Fprintf(&b, "(%s) -> %s\n", sb.String(), strings.Join(ports, ","))
+		fmt.Fprintf(&b, "(%s) -> %s\n", strings.Join(signs, ","), strings.Join(ports, ","))
 	}
 	return b.String()
 }

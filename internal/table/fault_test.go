@@ -96,7 +96,7 @@ func TestESExceptionsAreMajorityMinimal(t *testing.T) {
 		// Recompute the minimal overlay size from the algorithm.
 		perSign := map[int]map[string]int{}
 		for dst := 0; dst < m.N(); dst++ {
-			idx := es.signIndex(topology.NodeID(dst))
+			idx := m.SignIndex(node, topology.NodeID(dst))
 			if perSign[idx] == nil {
 				perSign[idx] = map[string]int{}
 			}

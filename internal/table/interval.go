@@ -37,8 +37,10 @@ type Interval struct {
 }
 
 // NewInterval programs an interval table for node from a deterministic
-// algorithm. It panics if the algorithm is adaptive or not
-// interval-expressible under row-major labels.
+// algorithm: a sign-routed one's port toward each destination is its sign
+// class's, a position-dependent one's gets exception entries. It panics if
+// the algorithm is adaptive, neither of those, or not interval-expressible
+// under row-major labels.
 func NewInterval(m *topology.Mesh, alg routing.Algorithm, cls routing.Class, node topology.NodeID) *Interval {
 	if !alg.Deterministic() {
 		panic("table: interval routing requires a deterministic algorithm")
@@ -56,9 +58,17 @@ func NewInterval(m *topology.Mesh, alg routing.Algorithm, cls routing.Class, nod
 		t.programWithExceptions()
 		return t
 	}
-	for dst := 0; dst < m.N(); dst++ {
-		rs := alg.Route(node, topology.NodeID(dst), 0)
-		p := rs.At(0).Port
+	sr, ok := alg.(routing.SignRouted)
+	if !ok {
+		panic(fmt.Sprintf("table: %s is not interval-expressible at node %d: it is neither sign-routed nor position-dependent",
+			alg.Name(), node))
+	}
+	signPort := make([]topology.Port, ESEntryCount(m.NumDims()))
+	for s := range signPort {
+		signPort[s] = sr.RouteSigns(node, s, 0).At(0).Port
+	}
+	for id, s := range m.SignIndices(node) {
+		dst, p := int(id), signPort[s]
 		if t.lo[p] > t.hi[p] {
 			t.lo[p], t.hi[p] = dst, dst
 			continue

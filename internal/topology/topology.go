@@ -12,6 +12,7 @@ package topology
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 )
 
@@ -223,16 +224,15 @@ func (m *Mesh) Neighbor(id NodeID, p Port) (NodeID, bool) {
 // the shorter wrap direction is chosen; exact half-way ties resolve to the
 // positive direction so that routing is deterministic.
 func (m *Mesh) OffsetSign(cur, dst NodeID, d int) int {
-	cc := m.CoordAxis(cur, d)
-	dc := m.CoordAxis(dst, d)
-	delta := dc - cc
-	if delta == 0 {
-		return 0
-	}
+	return m.sign(m.CoordAxis(dst, d)-m.CoordAxis(cur, d), m.dims[d])
+}
+
+// sign is OffsetSign for a coordinate difference delta along a dimension
+// of radix k.
+func (m *Mesh) sign(delta, k int) int {
 	if m.wrap {
 		// Normalize to (-k/2, k/2]: take the shorter wrap direction,
 		// with exact half-way ties resolving positive.
-		k := m.dims[d]
 		if 2*delta > k {
 			delta -= k
 		} else if 2*-delta >= k { // -delta >= k/2: wrapping positive is no longer
@@ -246,6 +246,79 @@ func (m *Mesh) OffsetSign(cur, dst NodeID, d int) int {
 		return -1
 	}
 	return 0
+}
+
+// SignIndex returns the base-3 index of dst's offset-sign vector from cur:
+// digit d is OffsetSign(cur, dst, d)+1, dimension 0 least significant, so
+// the index lies in [0, 3^n) and dst == cur is (3^n-1)/2. It is the index
+// of the paper's economical-storage table (section 5.2); SignAt decodes
+// it.
+func (m *Mesh) SignIndex(cur, dst NodeID) int {
+	idx, w := 0, 1
+	c, t := int(cur), int(dst)
+	for _, k := range m.dims {
+		idx += (m.sign(t%k-c%k, k) + 1) * w
+		c, t, w = c/k, t/k, w*3
+	}
+	return idx
+}
+
+// SignAt returns the sign (-1, 0, +1) of dimension d in a sign index.
+func SignAt(idx, d int) int {
+	for ; d > 0; d-- {
+		idx /= 3
+	}
+	return idx%3 - 1
+}
+
+// SignIndices yields SignIndex(from, dst) for every dst in ascending order.
+// Each index is a sum of weighted sign digits read from per-dimension
+// tables, so a whole row costs no division per destination.
+func (m *Mesh) SignIndices(from NodeID) iter.Seq2[NodeID, int] {
+	return func(yield func(NodeID, int) bool) {
+		// digit holds each dimension's weighted sign digit per coordinate,
+		// dimension after dimension; pos[d] is where dst's coordinate in
+		// dimension d >= 1 sits in it, and base sums those digits. Both
+		// live on the stack unless the radices add up to more than 128.
+		var stack [128]int
+		scratch, need := stack[:], len(m.dims)
+		for _, k := range m.dims {
+			need += k
+		}
+		if need > len(stack) {
+			scratch = make([]int, need)
+		}
+		pos, digit := scratch[:len(m.dims)], scratch[len(m.dims):len(m.dims)]
+		base, w, f := 0, 1, int(from)
+		for d, k := range m.dims {
+			pos[d] = len(digit)
+			for x := 0; x < k; x++ {
+				digit = append(digit, (m.sign(x-f%k, k)+1)*w)
+			}
+			if d > 0 {
+				base += digit[pos[d]]
+			}
+			f, w = f/k, w*3
+		}
+		for dst := 0; dst < m.n; {
+			for _, dig := range digit[:m.dims[0]] {
+				if !yield(NodeID(dst), base+dig) {
+					return
+				}
+				dst++
+			}
+			for d, lo := 1, m.dims[0]; d < len(pos); d, lo = d+1, lo+m.dims[d] { // odometer: the next run
+				base -= digit[pos[d]]
+				if pos[d]++; pos[d] == lo+m.dims[d] {
+					pos[d] = lo
+				}
+				base += digit[pos[d]]
+				if pos[d] != lo {
+					break
+				}
+			}
+		}
+	}
 }
 
 // Distance returns the minimal hop count between two nodes.

@@ -157,6 +157,33 @@ func TestOffsetSignTorus(t *testing.T) {
 	}
 }
 
+// SignIndex packs exactly the OffsetSign digits, SignAt unpacks them, and
+// SignIndices yields SignIndex for every destination in order.
+func TestSignIndex(t *testing.T) {
+	for _, m := range []*Mesh{NewMesh(5, 4), NewTorus(6, 2), NewMesh(3, 2, 4), NewTorus(3, 4, 5), NewTorus(7)} {
+		for cur := NodeID(0); int(cur) < m.N(); cur++ {
+			next := NodeID(0)
+			for dst, idx := range m.SignIndices(cur) {
+				if dst != next {
+					t.Fatalf("%v from %d: SignIndices yielded %d, want %d", m, cur, dst, next)
+				}
+				next++
+				if want := m.SignIndex(cur, dst); idx != want {
+					t.Fatalf("%v: SignIndices(%d) gives %d for %d, SignIndex %d", m, cur, idx, dst, want)
+				}
+				for d := 0; d < m.NumDims(); d++ {
+					if got, want := SignAt(idx, d), m.OffsetSign(cur, dst, d); got != want {
+						t.Fatalf("%v %d->%d dim %d: SignAt %d, OffsetSign %d", m, cur, dst, d, got, want)
+					}
+				}
+			}
+			if int(next) != m.N() {
+				t.Fatalf("%v from %d: SignIndices stopped after %d of %d", m, cur, next, m.N())
+			}
+		}
+	}
+}
+
 // Walking one hop in the direction of OffsetSign must strictly reduce
 // distance: the invariant minimal adaptive routing depends on.
 func TestOffsetSignReducesDistance(t *testing.T) {
