@@ -144,7 +144,9 @@ serve)
 	# over HTTP must be byte-identical to the in-process run, and after a
 	# kill -9 mid-grid the restarted server must serve every
 	# already-completed point from the store (no quarantined entries, no
-	# re-simulation on resubmit).
+	# re-simulation on resubmit). A standalone server runs its jobs on the
+	# cluster's lease path, through in-process worker slots: the served
+	# fig5 must show up as claims in its lease counters.
 	build_service
 	cd "$work"
 	./lapses-serve -store store &
@@ -152,6 +154,7 @@ serve)
 	wait_healthy
 	lx -exp fig5 -fidelity quick -server $url >served.txt
 	grep -q 'serve job' served.txt
+	curl -fs $url/v1/cluster | jq -e '.claims > 0'
 	lx -exp fig5 -fidelity quick >local.txt
 	diff <(table served.txt) <(table local.txt)
 
@@ -190,11 +193,13 @@ serve)
 cluster)
 	# The deterministic chaos pins first, under the race detector on the
 	# coordinator/worker interleavings: orphaned-lease recovery within one
-	# TTL, drain requeue, panic-through-lease taxonomy and the
-	# exactly-once simulation accounting, plus the server-held waits
-	# (status and claim requests parked on a channel, woken by completion,
-	# requeue and drain).
-	go test -race -run 'TestCluster|TestClient|TestStoreSharedDirectory|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServerRetention' -v ./internal/serve
+	# TTL, drain requeue, the panic taxonomy (a panic fails its point on
+	# its first lease) and the exactly-once simulation accounting, plus the
+	# server-held waits (status and claim requests parked on a channel,
+	# woken by completion, requeue and drain). TestServer* and
+	# TestOneExecutionPath ride along: a standalone server's jobs run on
+	# the same lease goroutines, its worker slots claiming in-process.
+	go test -race -run 'TestCluster|TestClient|TestStoreSharedDirectory|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServer|TestOneExecutionPath' -v ./internal/serve
 	# Then end to end: one coordinator leasing a quick-tier grid to three
 	# workers over a shared store, one worker kill -9'd mid-sweep. The job
 	# must complete, the merged output must be byte-identical to the

@@ -1,9 +1,10 @@
 // Command lapses-serve runs the sweep engine as a fault-tolerant
-// service: it accepts experiment-grid jobs over HTTP/JSON, executes
-// them through the concurrent internal/sweep engine, and persists every
-// completed point to a crash-safe, content-addressed result store — so
-// overlapping grids submitted across processes, users and restarts cost
-// one simulation per unique point, ever.
+// service: it accepts experiment-grid jobs over HTTP/JSON, leases their
+// points to workers (in-process slots when standalone, worker processes
+// in cluster mode), and persists every completed point to a crash-safe,
+// content-addressed result store — so overlapping grids submitted
+// across processes, users and restarts cost one simulation per unique
+// point, ever.
 //
 //	lapses-serve -store /var/lib/lapses            # serve on :8347
 //	lapses-serve -addr :9000 -workers 8 -queue 4
@@ -29,9 +30,9 @@
 //     truncated or corrupt entries instead of serving them. Killing the
 //     process mid-grid (even kill -9) loses only in-flight points;
 //     resubmitting the job resumes from the store.
-//   - A panicking point fails that point, not the server.
-//   - Transient point failures retry with exponential backoff + jitter
-//     inside a bounded attempt budget.
+//   - A panicking point fails that point at once, not the server.
+//   - A point failing transiently requeues its lease unit, at most
+//     -retries claims per unit.
 //   - The job queue is bounded: beyond -queue waiting jobs, submissions
 //     get 429 + Retry-After backpressure.
 //   - Per-job deadlines (-job-timeout or per-submission) cancel runaway
@@ -63,13 +64,12 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "standalone", "role: standalone (serve and simulate in-process), coordinator (serve jobs, lease work to workers), or worker (claim leases from -peers)")
+	mode := flag.String("mode", "standalone", "role: standalone (serve jobs, lease them to in-process worker slots), coordinator (serve jobs, lease them to workers), or worker (claim leases from -peers)")
 	addr := flag.String("addr", ":8347", "listen address (standalone and coordinator modes)")
 	storeDir := flag.String("store", "", "result-store directory (required); created if missing; cluster roles share one directory")
-	workers := flag.Int("workers", 0, "concurrent simulations per job (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "in-process worker slots (standalone) or concurrent simulations per lease (worker mode); 0 = GOMAXPROCS")
 	queue := flag.Int("queue", 16, "max jobs waiting behind the running one before submissions get 429")
-	retries := flag.Int("retries", 3, "attempts per point (standalone) or per lease (cluster) for transient failures (1 disables retry)")
-	backoff := flag.Duration("backoff", 50*time.Millisecond, "base retry backoff (doubles per retry, jittered, capped at 2s)")
+	retries := flag.Int("retries", 3, "attempts per lease unit for transient failures (1 disables retry)")
 	jobTimeout := flag.Duration("job-timeout", 0, "default per-job deadline (0 = none; submissions may set their own)")
 	peers := flag.String("peers", "", "comma-separated coordinator base URLs (worker mode; required there)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "coordinator mode: how long a claimed lease survives without a heartbeat before its unit is requeued")
@@ -113,9 +113,6 @@ func main() {
 	}
 	if *retries < 1 {
 		fatal(fmt.Errorf("-retries %d: attempt budget must be at least 1 (1 = no retry)", *retries))
-	}
-	if *backoff <= 0 {
-		fatal(fmt.Errorf("-backoff %s: base backoff must be positive", *backoff))
 	}
 	if *jobTimeout < 0 {
 		fatal(fmt.Errorf("-job-timeout %s: deadline must not be negative", *jobTimeout))
@@ -161,10 +158,10 @@ func main() {
 	}
 
 	opt := serve.ServerOptions{
-		Workers:    *workers,
-		QueueLimit: *queue,
-		Retry:      serve.RetryPolicy{MaxAttempts: *retries, BaseBackoff: *backoff},
-		JobTimeout: *jobTimeout,
+		Workers:     *workers,
+		QueueLimit:  *queue,
+		MaxAttempts: *retries,
+		JobTimeout:  *jobTimeout,
 	}
 	if *mode == "coordinator" {
 		opt.Cluster = &serve.ClusterOptions{

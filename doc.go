@@ -123,14 +123,15 @@
 // kernel whenever bits matter. See README.md "Execution modes".
 //
 // internal/serve turns the sweep engine into a fault-tolerant service
-// (cmd/lapses-serve): grid jobs arrive over HTTP/JSON, execute through
-// sweep.Run, and every completed point persists to a crash-safe,
-// content-addressed store keyed by Config.Key — atomic temp-file+rename
-// writes, per-entry checksums, and a startup recovery scan that
-// quarantines corrupt entries rather than serving them, so a kill -9
-// loses only in-flight points and resubmitted jobs resume from disk.
-// Points are panic-isolated, transient failures retry under a jittered
-// backoff budget, the job queue applies 429 backpressure, and SIGTERM
+// (cmd/lapses-serve): grid jobs arrive over HTTP/JSON, are leased to
+// worker slots (in-process, or worker processes in cluster mode), and
+// every completed point persists to a crash-safe, content-addressed
+// store keyed by Config.Key — atomic temp-file+rename writes, per-entry
+// checksums, and a startup recovery scan that quarantines corrupt
+// entries rather than serving them, so a kill -9 loses only in-flight
+// points and resubmitted jobs resume from disk. A panicking point fails
+// alone, a transient failure requeues its lease unit under a bounded
+// attempt budget, the job queue applies 429 backpressure, and SIGTERM
 // drains in-flight points before exit. serve.Client.Run satisfies
 // sweep.RunFunc, which experiments.Runner.Exec and sweep.Options.Exec
 // accept — lapses-experiments -server routes every grid and

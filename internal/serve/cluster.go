@@ -2,7 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -11,13 +11,10 @@ import (
 	"lapses/internal/sweep"
 )
 
-// ClusterOptions turn a Server into a cluster coordinator: instead of
-// simulating jobs in-process, the coordinator decomposes each submitted
-// grid into leased work units (contiguous point ranges) that worker
-// instances claim, heartbeat, and complete over HTTP. The attempt budget
-// for requeued units reuses ServerOptions.Retry.MaxAttempts — the same
-// transient/permanent taxonomy as standalone point retry, lifted to
-// lease granularity.
+// ClusterOptions turn a Server into a cluster coordinator: the leased
+// work units (contiguous point ranges) its jobs are cut into go to
+// worker instances that claim, heartbeat, and complete them over HTTP,
+// under the same failure taxonomy as in-process slots (see PointReport).
 type ClusterOptions struct {
 	// LeaseTTL is how long a claimed unit stays owned without a
 	// heartbeat before the failure detector requeues it (default 10s).
@@ -96,8 +93,9 @@ type HeartbeatResponse struct {
 
 // PointReport is one grid point's terminal state as reported by a
 // worker. Transient marks failures the coordinator should requeue
-// (worker-side panics, serve.Transient errors, points a draining worker
-// never started); a non-transient error fails the point permanently.
+// (serve.Transient errors, points a draining worker never started); a
+// non-transient error, a recovered panic included, fails the point
+// permanently.
 type PointReport struct {
 	Index     int          `json:"index"`
 	Result    *core.Result `json:"result,omitempty"`
@@ -154,13 +152,13 @@ type ClusterStats struct {
 // under a new identity).
 const workerSeenHorizon = 4
 
+// errNotStored is the store pre-scan's outcome for a point to lease.
+var errNotStored = errors.New("serve: not in the store")
+
 // pruneWorkersLocked forgets worker identities not heard from within
 // workerSeenHorizon lease TTLs (mu held).
 func (s *Server) pruneWorkersLocked(now time.Time) {
-	if s.opt.Cluster == nil {
-		return
-	}
-	cutoff := now.Add(-workerSeenHorizon * s.opt.Cluster.LeaseTTL)
+	cutoff := now.Add(-workerSeenHorizon * s.lease.LeaseTTL)
 	for id, seen := range s.workersSeen {
 		if seen.Before(cutoff) {
 			delete(s.workersSeen, id)
@@ -168,12 +166,17 @@ func (s *Server) pruneWorkersLocked(now time.Time) {
 	}
 }
 
-// runClustered executes one job by leasing its grid to workers instead
-// of simulating in-process. It resolves already-stored points up front
-// (a resubmitted grid costs zero leases for completed work), chunks the
-// rest into units, serves claims/heartbeats/completions through the
-// cluster handlers, and runs the orphan-lease failure detector until
-// every point is resolved or the job context ends.
+// runClustered executes one job by leasing its grid to workers — the
+// server's own slots when standalone. It resolves already-stored points
+// up front (a resubmitted grid costs zero leases for completed work),
+// chunks the rest into units, and runs the orphan-lease failure detector
+// until every point is resolved or the job context ends.
+//
+// When ctx ends (DELETE, the deadline, Shutdown) no lease is granted or
+// renewed, and the leases already out count what they report until each
+// has completed or expired (one TTL plus one scan at most); the points
+// still unresolved then carry the context error. Shutdown waits only for
+// the server's own slots: remote workers' points are durable either way.
 //
 // The merge is deterministic by construction: outcomes land at their
 // grid index, each exactly once, and every simulated result is the
@@ -181,72 +184,69 @@ func (s *Server) pruneWorkersLocked(now time.Time) {
 // byte-identical to a single-process sweep.Run of the same grid, for
 // any worker count, claim interleaving, or crash schedule.
 func (s *Server) runClustered(ctx context.Context, jb *job) ([]sweep.Outcome, error) {
-	copt := *s.opt.Cluster
-	// Resolve store-complete points before leasing anything: disk reads
-	// happen outside the lock, then the hits are recorded under it.
-	hits := make([]*core.Result, len(jb.grid))
-	for i := range jb.grid {
-		if res, ok := s.store.Get(jb.grid[i].Key()); ok {
-			r := res
-			hits[i] = &r
+	// The store is read on sweep.Run's pool, by a runner that simulates
+	// nothing. No lock: nothing else sees cg until it is published below.
+	cg := newClusterGrid(jb.id, s.epoch, jb.grid, jb.points, s.lease.LeaseTTL, s.opt.MaxAttempts)
+	stored, _ := sweep.Run(ctx, jb.grid, sweep.Options{Runner: func(c core.Config) (core.Result, error) {
+		if res, ok := s.store.Get(c.Key()); ok {
+			return res, nil
+		}
+		return core.Result{}, errNotStored
+	}})
+	for i, o := range stored {
+		if o.Err == nil {
+			cg.record(i, sweep.Outcome{Result: o.Result, Cached: true})
 		}
 	}
-
-	cg := newClusterGrid(jb.id, s.epoch, jb.grid, jb.points, copt.LeaseTTL, s.opt.Retry.normalize().MaxAttempts)
+	cg.seed(s.lease.UnitSize)
 	s.mu.Lock()
-	cg.onRecord = func(i int, o sweep.Outcome) { s.notePointLocked(jb, o) }
-	cg.onRequeue = func(bool) {
-		jb.retries++
+	s.cluster, jb.cg = cg, cg
+	if len(cg.pending) > 0 {
 		s.wakeClaimsLocked()
 	}
-	for i, res := range hits {
-		if res != nil {
-			cg.record(i, sweep.Outcome{Result: *res, Cached: true})
-		}
-	}
-	cg.seed(copt.UnitSize)
-	s.cluster = cg
-	s.wakeClaimsLocked()
 	s.mu.Unlock()
 
 	// The failure detector's scan cadence: a dead worker's lease is
 	// requeued at most TTL + scan after its last heartbeat.
-	scan := copt.LeaseTTL / 4
-	if scan < 5*time.Millisecond {
-		scan = 5 * time.Millisecond
-	}
+	scan := max(s.lease.LeaseTTL/4, 5*time.Millisecond)
 	ticker := time.NewTicker(scan)
 	defer ticker.Stop()
-	for {
+	ended := ctx.Done()
+	var slotsGone <-chan struct{}
+	for settled := false; !settled; {
 		select {
 		case <-cg.finished:
+			settled = true
+		case <-slotsGone:
+			settled = true
+		case <-ended:
+			ended, slotsGone = nil, s.slotsDone
 			s.mu.Lock()
-			s.cluster = nil
-			s.foldClusterTotals(cg)
-			outs := cg.outs
+			cg.stop()
 			s.mu.Unlock()
-			return outs, nil
-		case <-ctx.Done():
-			s.mu.Lock()
-			// Unresolved points carry the context error, without
-			// touching the job's per-point progress counters (matching
-			// sweep.Run, which never calls OnPoint for undispatched
-			// points).
-			cg.onRecord = nil
-			cg.cancel(ctx.Err())
-			s.cluster = nil
-			s.foldClusterTotals(cg)
-			outs := cg.outs
-			s.mu.Unlock()
-			return outs, ctx.Err()
 		case <-ticker.C:
 			now := time.Now()
 			s.mu.Lock()
 			cg.expireOrphans(now)
+			if len(cg.pending) > 0 { // requeued: claims park only on an empty queue
+				s.wakeClaimsLocked()
+			}
 			s.pruneWorkersLocked(now)
 			s.mu.Unlock()
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		for i, done := range cg.done {
+			if !done { // never ran: no progress counter counts it
+				cg.outs[i].Err = err
+			}
+		}
+	}
+	s.cluster = nil
+	s.foldClusterTotals(cg)
+	return cg.outs, ctx.Err()
 }
 
 // foldClusterTotals accumulates a finished grid's counters into the
@@ -277,7 +277,6 @@ func (s *Server) wakeClaimsLocked() {
 // tryClaim leases the next pending unit to worker. With nothing to
 // lease it returns the channel the next wakeClaimsLocked will close.
 func (s *Server) tryClaim(worker string) (grant *ClaimResponse, wake <-chan struct{}, draining bool) {
-	copt := s.opt.Cluster
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -296,8 +295,8 @@ func (s *Server) tryClaim(worker string) (grant *ClaimResponse, wake <-chan stru
 		Attempt:     u.attempt,
 		Indices:     append([]int(nil), u.indices...),
 		Points:      make([]Point, len(u.indices)),
-		TTLMS:       copt.LeaseTTL.Milliseconds(),
-		HeartbeatMS: copt.Heartbeat.Milliseconds(),
+		TTLMS:       s.lease.LeaseTTL.Milliseconds(),
+		HeartbeatMS: s.lease.Heartbeat.Milliseconds(),
 	}
 	for j, i := range u.indices {
 		grant.Points[j] = cg.points[i]
@@ -305,68 +304,44 @@ func (s *Server) tryClaim(worker string) (grant *ClaimResponse, wake <-chan stru
 	return grant, nil, false
 }
 
-func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	if s.notCoordinator(w) {
-		return
-	}
-	var req ClaimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "claim needs a worker identity"})
-		return
-	}
-	copt := s.opt.Cluster
-	hold := holdFor(req.WaitMS, min(maxHold, copt.LeaseTTL))
+// claim grants req.Worker a lease, holding the request while there is
+// none for up to req.WaitMS (at most maxHold and one lease TTL). It
+// fails only when ctx ends first.
+func (s *Server) claim(ctx context.Context, req ClaimRequest) (ClaimResponse, error) {
+	hold := holdFor(req.WaitMS, min(maxHold, s.lease.LeaseTTL))
 	expired := time.NewTimer(hold)
 	defer expired.Stop()
 	for {
 		grant, wake, draining := s.tryClaim(req.Worker)
 		if grant != nil {
-			writeJSON(w, http.StatusOK, grant)
-			return
+			return *grant, nil
 		}
 		if hold == 0 || draining {
-			writeJSON(w, http.StatusOK, ClaimResponse{RetryMS: copt.Heartbeat.Milliseconds(), Draining: draining})
-			return
+			return ClaimResponse{RetryMS: s.lease.Heartbeat.Milliseconds(), Draining: draining}, nil
 		}
 		select {
 		case <-wake:
 		case <-expired.C:
-			writeJSON(w, http.StatusOK, ClaimResponse{})
-			return
-		case <-r.Context().Done():
-			return
+			return ClaimResponse{}, nil
+		case <-ctx.Done():
+			return ClaimResponse{}, ctx.Err()
 		}
 	}
 }
 
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if s.notCoordinator(w) {
-		return
-	}
-	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Lease == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "heartbeat needs a lease id"})
-		return
-	}
+// heartbeat renews a lease; OK=false tells the worker it is gone.
+func (s *Server) heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	now := time.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if req.Worker != "" {
 		s.workersSeen[req.Worker] = now
 	}
-	ok := s.cluster != nil && s.cluster.heartbeat(req.Lease, now)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, HeartbeatResponse{OK: ok})
+	return HeartbeatResponse{OK: s.cluster != nil && s.cluster.heartbeat(req.Lease, now)}
 }
 
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	if s.notCoordinator(w) {
-		return
-	}
-	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Lease == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("malformed completion: %v", err)})
-		return
-	}
+// complete merges a lease's per-point reports into the running job.
+func (s *Server) complete(req CompleteRequest) CompleteResponse {
 	now := time.Now()
 	s.mu.Lock()
 	if req.Worker != "" {
@@ -374,19 +349,14 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	cg := s.cluster
 	var late bool
-	type ensureItem struct {
-		key string
-		res core.Result
-	}
-	var ensures []ensureItem
+	var grid []core.Config // set when the reports are this job's to make durable
 	switch {
 	case cg != nil && req.Job == cg.token:
-		for _, rep := range req.Reports {
-			if rep.Error == "" && rep.Result != nil && rep.Index >= 0 && rep.Index < len(cg.grid) {
-				ensures = append(ensures, ensureItem{cg.grid[rep.Index].Key(), *rep.Result})
-			}
-		}
+		grid = cg.grid
 		late = cg.complete(req.Lease, req.Reports, now)
+		if len(cg.pending) > 0 { // requeued: claims park only on an empty queue
+			s.wakeClaimsLocked()
+		}
 	case cg != nil:
 		// The report belongs to a different job (its lease was granted
 		// before a job transition, or by a previous coordinator
@@ -407,11 +377,67 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	// Make worker-reported results durable in the coordinator's store
 	// (a no-op under a shared directory, where the worker's own write
-	// already landed). Outside the lock: this is disk I/O.
-	for _, e := range ensures {
-		s.store.Ensure(e.key, e.res)
+	// already landed). Outside the lock: this is disk I/O, and a job's
+	// grid never changes.
+	for _, rep := range req.Reports {
+		if grid != nil && rep.Error == "" && rep.Result != nil && rep.Index >= 0 && rep.Index < len(grid) {
+			s.store.Ensure(grid[rep.Index].Key(), *rep.Result)
+		}
 	}
-	writeJSON(w, http.StatusOK, CompleteResponse{OK: true, Late: late})
+	return CompleteResponse{OK: true, Late: late}
+}
+
+func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
+	if s.notCoordinator(w) {
+		return
+	}
+	var req ClaimRequest
+	if err := decodeBody(r, &req); err != nil || req.Worker == "" {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "claim needs a worker identity"})
+		return
+	}
+	if grant, err := s.claim(r.Context(), req); err == nil { // else the caller went away
+		writeJSON(w, http.StatusOK, grant)
+	}
+}
+
+func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
+	if s.notCoordinator(w) {
+		return
+	}
+	var req HeartbeatRequest
+	if err := decodeBody(r, &req); err != nil || req.Lease == "" {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "heartbeat needs a lease id"})
+		return
+	}
+	writeJSON(w, http.StatusOK, s.heartbeat(req))
+}
+
+func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
+	if s.notCoordinator(w) {
+		return
+	}
+	var req CompleteRequest
+	if err := decodeBody(r, &req); err != nil || req.Lease == "" {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("malformed completion: %v", err)})
+		return
+	}
+	writeJSON(w, http.StatusOK, s.complete(req))
+}
+
+// inProcess is the peer a standalone server's worker slots claim from.
+type inProcess struct{ s *Server }
+
+func (p inProcess) Claim(ctx context.Context, worker string, wait time.Duration) (ClaimResponse, error) {
+	return p.s.claim(ctx, ClaimRequest{Worker: worker, WaitMS: wait.Milliseconds()})
+}
+
+func (p inProcess) Heartbeat(_ context.Context, lease, worker string) (bool, error) {
+	return p.s.heartbeat(HeartbeatRequest{Lease: lease, Worker: worker}).OK, nil
+}
+
+func (p inProcess) Complete(_ context.Context, lease, job, worker string, reports []PointReport) (CompleteResponse, error) {
+	return p.s.complete(CompleteRequest{Lease: lease, Job: job, Worker: worker, Reports: reports}), nil
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -458,12 +460,11 @@ func (s *severableTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 	return http.DefaultTransport.RoundTrip(r)
 }
 
-// TestClusterPanicRequeueAndReport: a point whose simulation panics on
-// every worker must (a) not kill any worker, (b) requeue as transient
-// under the capped lease-attempt budget, and (c) once the budget is
-// spent, fail permanently with the panic message surviving into the
-// job's error report. Healthy points in the same unit must still
-// succeed.
+// TestClusterPanicRequeueAndReport: a point whose simulation panics must
+// (a) not kill any worker, (b) fail permanently on its first lease — the
+// simulator is deterministic, so a panic is a property of the config and
+// is never requeued — with the panic message surviving into the job's
+// error report. Healthy points in the same unit must still succeed.
 func TestClusterPanicRequeueAndReport(t *testing.T) {
 	t.Parallel()
 	grid := testGrid(4)
@@ -471,8 +472,8 @@ func TestClusterPanicRequeueAndReport(t *testing.T) {
 
 	dir := t.TempDir()
 	_, c := testServer(t, dir, ServerOptions{
-		Cluster: fastCluster(),
-		Retry:   RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+		Cluster:     fastCluster(),
+		MaxAttempts: 2,
 	})
 	runner := func(cfg core.Config) (core.Result, error) {
 		if cfg.Key() == poison {
@@ -488,7 +489,7 @@ func TestClusterPanicRequeueAndReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = waitState(t, c, st.ID, func(st JobStatus) bool { return st.Terminal() })
-	// The job-level report carries the panic through the lease taxonomy.
+	// The job-level report carries the panic message.
 	if st.State != JobFailed || !strings.Contains(st.Error, "deliberate fault injection") {
 		t.Fatalf("job report: state=%s error=%q", st.State, st.Error)
 	}
@@ -510,8 +511,8 @@ func TestClusterPanicRequeueAndReport(t *testing.T) {
 	if msg == "" {
 		t.Fatal("poisoned point succeeded; the panic was swallowed")
 	}
-	if !strings.Contains(msg, "giving up after 2 lease attempts") {
-		t.Fatalf("poisoned point error lacks the attempt budget: %s", msg)
+	if strings.Contains(msg, "giving up") {
+		t.Fatalf("poisoned point was requeued before failing: %s", msg)
 	}
 	if !strings.Contains(msg, "deliberate fault injection") {
 		t.Fatalf("panic message did not survive into the error report: %s", msg)
@@ -521,8 +522,70 @@ func TestClusterPanicRequeueAndReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.TransientRequeues < 1 || cs.ExhaustedUnits < 1 {
-		t.Fatalf("taxonomy counters: %+v", cs)
+	if cs.TransientRequeues != 0 || cs.ExhaustedUnits != 0 {
+		t.Fatalf("a panic was requeued: %+v", cs)
+	}
+}
+
+// TestOneExecutionPath: a standalone server runs a job the way a
+// coordinator with remote workers does — through leases — so one grid,
+// holding a repeated and a panicking point, comes back byte-identical
+// from both. The standalone slots share the server's store, so the repeat
+// is a hit and each other point simulates exactly once; the slots' leases
+// show in GET /v1/cluster.
+func TestOneExecutionPath(t *testing.T) {
+	t.Parallel()
+	grid := testGrid(6)
+	grid = append(grid, grid[2]) // the repeat
+	poison := grid[4].Key()
+	runner := func(cfg core.Config) (core.Result, error) {
+		if cfg.Key() == poison {
+			panic("deliberate fault injection: simulator blew up")
+		}
+		return scripted(cfg)
+	}
+	run := func(c *Client) JobResults {
+		t.Helper()
+		ctx := context.Background()
+		st, err := c.Submit(ctx, mustPoints(t, grid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Results(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	_, alone := testServer(t, t.TempDir(), ServerOptions{Workers: 2, Runner: runner})
+	standalone := run(alone)
+	dir := t.TempDir()
+	_, coord := testServer(t, dir, ServerOptions{Cluster: fastCluster()})
+	startWorker(t, "w0", dir, coord.Base, runner)
+	startWorker(t, "w1", dir, coord.Base, runner)
+	clustered := run(coord)
+
+	for i := range grid {
+		a, b := standalone.Outcomes[i], clustered.Outcomes[i]
+		ra, _ := json.Marshal(a.Result)
+		rb, _ := json.Marshal(b.Result)
+		if a.Error != b.Error || !bytes.Equal(ra, rb) {
+			t.Errorf("point %d: standalone %s %q, clustered %s %q", i, ra, a.Error, rb, b.Error)
+		}
+	}
+	if msg := standalone.Outcomes[4].Error; !strings.Contains(msg, "deliberate fault injection") {
+		t.Errorf("panicking point: %q", msg)
+	}
+	if st := standalone.Status; st.Simulated != 5 || st.Cached != 1 || st.Failed != 1 {
+		t.Errorf("standalone job: %+v, want the 5 unique healthy points simulated once, the repeat cached and the panic failed", st)
+	}
+	cs, err := alone.ClusterStats(context.Background())
+	if err != nil || cs.Coordinator || cs.Claims == 0 {
+		t.Errorf("standalone GET /v1/cluster: %+v err=%v, want its in-process leases", cs, err)
 	}
 }
 

@@ -20,17 +20,16 @@ type workUnit struct {
 	lease   string
 	owner   string
 	expires time.Time
-	lastErr string
 }
 
-// clusterGrid is the coordinator-side lease state of one job: the grid,
-// the merged outcomes accumulating in grid order, the pending-unit queue
+// clusterGrid is the server-side lease state of one job: the grid, the
+// merged outcomes accumulating in grid order, the pending-unit queue
 // workers claim from, and the active leases being heartbeat-renewed.
 //
-// Every method requires the owning Server's mu — the coordinator's HTTP
-// handlers and the expiry scanner all mutate one clusterGrid, and the
-// Server lock is the single serialization point (lease traffic is a few
-// requests per TTL, nowhere near contention).
+// Every method requires the owning Server's mu — the lease methods and
+// the expiry scanner all mutate one clusterGrid, and the Server lock is
+// the single serialization point (lease traffic is a claim and a
+// completion per unit, nowhere near contention).
 //
 // The exactly-once-effect argument lives here: done[i] flips exactly
 // once per point (record discards duplicates), so no matter how claim,
@@ -60,14 +59,10 @@ type clusterGrid struct {
 	maxAttempts int
 	cancelled   bool
 	// finished closes once every point is resolved (done, or failed
-	// permanently); the executor selects on it.
+	// permanently) or the grid is stopped with no lease out.
 	finished chan struct{}
-
-	// onRecord observes each resolved point (called with the Server's mu
-	// held — it must not lock); onRequeue observes each unit returned to
-	// the queue.
-	onRecord  func(i int, o sweep.Outcome)
-	onRequeue func(transient bool)
+	settled  bool
+	progress JobStatus // the job's counters: points recorded, units requeued
 
 	claims            int64
 	orphanRequeues    int64
@@ -77,9 +72,6 @@ type clusterGrid struct {
 }
 
 func newClusterGrid(jobID, epoch string, grid []core.Config, points []Point, ttl time.Duration, maxAttempts int) *clusterGrid {
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
 	cg := &clusterGrid{
 		jobID:       jobID,
 		token:       jobID + "." + epoch,
@@ -110,10 +102,22 @@ func (cg *clusterGrid) record(i int, o sweep.Outcome) {
 	cg.outs[i] = o
 	cg.done[i] = true
 	cg.remaining--
-	if cg.onRecord != nil {
-		cg.onRecord(i, o)
+	cg.progress.Completed++
+	switch {
+	case o.Err != nil:
+		cg.progress.Failed++
+	case o.Cached:
+		cg.progress.Cached++
+	default:
+		cg.progress.Simulated++
 	}
-	if cg.remaining == 0 {
+	cg.settle()
+}
+
+// settle closes finished once nothing more can be recorded.
+func (cg *clusterGrid) settle() {
+	if !cg.settled && (cg.remaining == 0 || cg.cancelled && len(cg.active) == 0) {
+		cg.settled = true
 		close(cg.finished)
 	}
 }
@@ -165,27 +169,29 @@ func (cg *clusterGrid) heartbeat(lease string, now time.Time) bool {
 
 // expireOrphans requeues every lease whose worker has gone silent past
 // its TTL — the failure detector for kill -9, network partition, and
-// hung workers alike. Returns how many leases it reaped.
-func (cg *clusterGrid) expireOrphans(now time.Time) int {
-	n := 0
+// hung workers alike.
+func (cg *clusterGrid) expireOrphans(now time.Time) {
 	for lease, u := range cg.active {
 		if now.After(u.expires) {
 			delete(cg.active, lease)
 			cg.orphanRequeues++
 			cg.requeue(u, fmt.Sprintf("lease %s orphaned: worker %q went silent past the %s TTL", u.lease, u.owner, cg.ttl), false)
-			n++
 		}
 	}
-	return n
+	cg.settle()
 }
 
 // requeue returns a unit's unresolved indices to the pending queue — or,
-// once the attempt budget (RetryPolicy.MaxAttempts) is spent, fails them
-// permanently with the last failure's message, so a panic message from a
-// worker survives into the job's error report instead of the unit
-// bouncing forever. transientReport distinguishes worker-reported
-// transient failures from orphan detection, for the stats counters.
+// once the attempt budget (ServerOptions.MaxAttempts) is spent, fails
+// them permanently with the last failure's message, so a transient
+// error's message survives into the job's error report instead of the
+// unit bouncing forever. transientReport distinguishes worker-reported
+// transient failures from orphan detection, for the stats counters. A
+// stopped grid requeues nothing.
 func (cg *clusterGrid) requeue(u *workUnit, reason string, transientReport bool) {
+	if cg.cancelled {
+		return
+	}
 	var left []int
 	for _, i := range u.indices {
 		if !cg.done[i] {
@@ -200,24 +206,22 @@ func (cg *clusterGrid) requeue(u *workUnit, reason string, transientReport bool)
 	}
 	if u.attempt >= cg.maxAttempts {
 		cg.exhaustedUnits++
-		err := fmt.Errorf("serve: cluster: giving up after %d lease attempts: %s", u.attempt, reason)
+		err := fmt.Errorf("serve: giving up after %d lease attempts: %s", u.attempt, reason)
 		for _, i := range left {
 			cg.record(i, sweep.Outcome{Err: err})
 		}
 		return
 	}
-	cg.pending = append(cg.pending, &workUnit{indices: left, attempt: u.attempt, lastErr: reason})
-	if cg.onRequeue != nil {
-		cg.onRequeue(transientReport)
-	}
+	cg.pending = append(cg.pending, &workUnit{indices: left, attempt: u.attempt})
+	cg.progress.Retries++
 }
 
 // complete applies a worker's per-point reports for a lease.
 //
 //   - Successes and permanent failures resolve their points.
-//   - Transient failures (worker-side panics, serve.Transient errors,
-//     points a draining worker never started) send the unit's leftovers
-//     back through requeue, under the capped attempt budget.
+//   - Transient failures (serve.Transient errors, points a draining
+//     worker never started) send the unit's leftovers back through
+//     requeue, under the capped attempt budget.
 //   - A late report — the lease already expired and was requeued — still
 //     resolves its successes: re-execution is idempotent, record discards
 //     whichever copy arrives second, and the slow-but-alive worker's
@@ -258,21 +262,14 @@ func (cg *clusterGrid) complete(lease string, reports []PointReport, now time.Ti
 		}
 		cg.requeue(u, reason, firstTransient != "")
 	}
+	cg.settle()
 	return late
 }
 
-// cancel marks the grid cancelled: claims stop, heartbeats answer false,
-// and every unresolved point is recorded with err (in index order, so
-// the merge stays deterministic even for aborted jobs).
-func (cg *clusterGrid) cancel(err error) {
-	if cg.cancelled {
-		return
-	}
+// stop ends leasing: claims find nothing, heartbeats answer false and
+// nothing is requeued, while the leases already out may still report.
+func (cg *clusterGrid) stop() {
 	cg.cancelled = true
 	cg.pending = nil
-	for i := range cg.done {
-		if !cg.done[i] {
-			cg.record(i, sweep.Outcome{Err: err})
-		}
-	}
+	cg.settle()
 }

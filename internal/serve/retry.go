@@ -11,10 +11,10 @@ import (
 // TransientError marks a point failure as retryable: the simulation hit
 // a condition expected to clear (resource pressure, a store read racing
 // a concurrent writer) rather than a deterministic property of the
-// configuration. The executor retries transient failures with
-// exponential backoff; anything else (a config error, a panic, a
-// saturation verdict) fails the point immediately — retrying a
-// deterministic simulator on the same inputs cannot change the answer.
+// configuration. The server requeues the lease unit of a transiently
+// failed point; anything else (a config error, a panic, a saturation
+// verdict) fails the point immediately — retrying a deterministic
+// simulator on the same inputs cannot change the answer.
 type TransientError struct {
 	Err error
 }
@@ -38,26 +38,21 @@ func IsTransient(err error) bool {
 	return errors.As(err, &te)
 }
 
-// RetryPolicy bounds how the executor retries transient point failures.
+// RetryPolicy bounds how a Client retries requests that failed
+// transiently.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per point, first included
-	// (default 3; 1 disables retry).
+	// MaxAttempts is the total number of tries per request, first
+	// included (1 disables retry).
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry; each further
-	// retry doubles it, capped at MaxBackoff, with up to 50% random
-	// jitter added so points failing together don't retry together
-	// (defaults 50ms and 2s).
+	// retry doubles it, capped at MaxBackoff (default 2s), with up to 50%
+	// random jitter added so requests failing together don't retry
+	// together.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 }
 
 func (p RetryPolicy) normalize() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 50 * time.Millisecond
-	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 2 * time.Second
 	}
@@ -66,7 +61,7 @@ func (p RetryPolicy) normalize() RetryPolicy {
 
 // backoff returns the delay before retry attempt n (n=1 is the first
 // retry), jittered. The global rand source is used for jitter because
-// retries fire from concurrent sweep workers.
+// retries fire from concurrent goroutines.
 func (p RetryPolicy) backoff(n int) time.Duration {
 	d := p.BaseBackoff
 	for i := 1; i < n && d < p.MaxBackoff; i++ {
@@ -88,26 +83,5 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	select {
 	case <-t.C:
 	case <-ctx.Done():
-	}
-}
-
-// retry runs fn under the policy: transient failures are retried with
-// jittered exponential backoff until the attempt budget or ctx expires;
-// permanent failures and successes return immediately. The returned
-// attempt count is how many times fn ran.
-func (p RetryPolicy) retry(ctx context.Context, fn func() error) (attempts int, err error) {
-	p = p.normalize()
-	for attempts = 1; ; attempts++ {
-		err = fn()
-		if err == nil || !IsTransient(err) || attempts >= p.MaxAttempts {
-			return attempts, err
-		}
-		t := time.NewTimer(p.backoff(attempts))
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return attempts, fmt.Errorf("%w (retry interrupted: %v)", err, ctx.Err())
-		}
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -51,19 +53,23 @@ const (
 	// grid); the oldest beyond this many are forgotten and answer 404 —
 	// their points stay in the store, so a resubmission is all hits.
 	retainJobs = 64
+	// maxBody caps a request body (a 65-point job and its results are
+	// ~105 KB on the wire), so no client can exhaust the store's process.
+	maxBody = 64 << 20
 )
 
 // ServerOptions configure a Server.
 type ServerOptions struct {
-	// Workers is the sweep worker-pool width per job (<= 0: the sweep
-	// default, GOMAXPROCS).
+	// Workers is how many in-process worker slots a standalone server
+	// runs (<= 0: GOMAXPROCS); a coordinator runs none.
 	Workers int
 	// QueueLimit bounds how many jobs may wait behind the running one;
 	// submissions beyond it are refused with 429 and a Retry-After
 	// header rather than queued without bound (default 16).
 	QueueLimit int
-	// Retry bounds per-point transient-failure retries.
-	Retry RetryPolicy
+	// MaxAttempts is how many times a lease unit is claimed before the
+	// points it still owes fail (default 3; 1 disables retry).
+	MaxAttempts int
 	// JobTimeout is the default per-job deadline applied when a
 	// submission does not carry its own (0: none).
 	JobTimeout time.Duration
@@ -71,8 +77,8 @@ type ServerOptions struct {
 	// scripted results, injected transient failures and blocking points.
 	Runner func(core.Config) (core.Result, error)
 	// Cluster, when non-nil, makes this server a cluster coordinator:
-	// jobs are decomposed into leased work units executed by Worker
-	// instances instead of simulating in-process. See ClusterOptions.
+	// jobs are leased to Worker instances over HTTP instead of to
+	// in-process worker slots. See ClusterOptions.
 	Cluster *ClusterOptions
 }
 
@@ -80,9 +86,8 @@ func (o ServerOptions) normalize() ServerOptions {
 	if o.QueueLimit < 1 {
 		o.QueueLimit = 16
 	}
-	if o.Cluster != nil {
-		c := o.Cluster.normalize()
-		o.Cluster = &c
+	if o.MaxAttempts < 1 {
+		o.MaxAttempts = 3
 	}
 	return o
 }
@@ -95,27 +100,24 @@ type job struct {
 	points  []Point
 	timeout time.Duration
 
-	state     string
-	done      chan struct{} // closed by finishLocked, the only way a job turns terminal
-	reason    string        // terminal state a canceller chose before cancelling the ctx
-	cancel    context.CancelFunc
-	completed int
-	cached    int
-	simulated int
-	failed    int
-	retries   int
-	errMsg    string
-	outs      []sweep.Outcome
+	state  string
+	done   chan struct{} // closed by finishLocked, the only way a job turns terminal
+	reason string        // terminal state a canceller chose before cancelling the ctx
+	cancel context.CancelFunc
+	cg     *clusterGrid // the job's leases and progress, once it runs
+	errMsg string
+	outs   []sweep.Outcome
 }
 
-// Server executes grid jobs one at a time from a bounded queue, running
-// every point through sweep.Run with the Store as the cache layer, so
-// each unique point simulates once ever and completed points survive
-// crashes. See the package comment for the full robustness contract.
+// Server executes grid jobs one at a time from a bounded queue, leasing
+// each grid's points to workers that simulate them with the Store as the
+// cache layer, so each unique point simulates once ever and completed
+// points survive crashes. See the package comment for the full contract.
 type Server struct {
-	store *Store
-	opt   ServerOptions
-	mux   *http.ServeMux
+	store   *Store
+	opt     ServerOptions
+	lease   ClusterOptions // normalized lease contract, in either mode
+	handler http.Handler
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -126,11 +128,16 @@ type Server struct {
 	draining chan struct{}
 	execDone chan struct{}
 
-	// Coordinator-mode lease state: the running job's grid (nil between
-	// jobs), lifetime counters, and last-seen worker identities. epoch is
-	// a random per-process token baked into every lease ID and claim
-	// grant, so grants from a previous coordinator incarnation (whose job
-	// IDs restart from j000001) can never collide with fresh leases.
+	// stopSlots cancels the in-process worker slots (a coordinator has
+	// none); slotsDone closes once that happened and every slot exited.
+	stopSlots context.CancelFunc
+	slotsDone chan struct{}
+
+	// Lease state: the running job's grid (nil between jobs), lifetime
+	// counters, and last-seen worker identities. epoch is a random
+	// per-process token baked into every lease ID and claim grant, so
+	// grants from a previous coordinator incarnation (whose job IDs
+	// restart from j000001) can never collide with fresh leases.
 	epoch       string
 	cluster     *clusterGrid
 	ctot        ClusterStats
@@ -146,27 +153,68 @@ func NewServer(store *Store, opt ServerOptions) *Server {
 	s := &Server{
 		store:       store,
 		opt:         opt.normalize(),
+		lease:       ClusterOptions{UnitSize: 1},
 		epoch:       newEpoch(),
 		jobs:        map[string]*job{},
 		draining:    make(chan struct{}),
 		execDone:    make(chan struct{}),
+		slotsDone:   make(chan struct{}),
 		workersSeen: map[string]time.Time{},
 		work:        make(chan struct{}),
 	}
+	if opt.Cluster != nil {
+		s.lease = *opt.Cluster
+	}
+	s.lease = s.lease.normalize()
 	s.queue = make(chan *job, s.opt.QueueLimit)
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/results", s.handleResults)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /v1/store", s.handleStore)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("POST /v1/cluster/claim", s.handleClaim)
-	s.mux.HandleFunc("POST /v1/cluster/heartbeat", s.handleHeartbeat)
-	s.mux.HandleFunc("POST /v1/cluster/complete", s.handleComplete)
-	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
+	s.handler = s.routes(maxBody)
+	s.startSlots()
 	go s.runExecutor()
 	return s
+}
+
+// routes builds the HTTP API, refusing request bodies over limit bytes.
+func (s *Server) routes(limit int64) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	mux.HandleFunc("GET /v1/jobs/{id}/results", s.handleResults)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	mux.HandleFunc("GET /v1/store", s.handleStore)
+	mux.HandleFunc("GET /healthz", s.handleHealth)
+	mux.HandleFunc("POST /v1/cluster/claim", s.handleClaim)
+	mux.HandleFunc("POST /v1/cluster/heartbeat", s.handleHeartbeat)
+	mux.HandleFunc("POST /v1/cluster/complete", s.handleComplete)
+	mux.HandleFunc("GET /v1/cluster", s.handleCluster)
+	return http.MaxBytesHandler(mux, limit)
+}
+
+// startSlots starts a standalone server's worker slots. They share its
+// Store, whose single-flight makes a repeat of an in-flight point a hit.
+func (s *Server) startSlots() {
+	ctx, stop := context.WithCancel(context.Background())
+	s.stopSlots = stop
+	n := 0
+	if s.opt.Cluster == nil {
+		n = s.opt.Workers
+		if n <= 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 1; i <= n; i++ {
+		w := &Worker{ID: fmt.Sprintf("local-%d", i), Store: s.store, Workers: 1, Runner: s.opt.Runner, local: inProcess{s}}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(ctx) // returns once Shutdown cancels ctx
+		}()
+	}
+	go func() {
+		<-ctx.Done()
+		wg.Wait()
+		close(s.slotsDone)
+	}()
 }
 
 // Mode reports how this server executes jobs: "coordinator" when
@@ -179,39 +227,38 @@ func (s *Server) Mode() string {
 }
 
 // Handler returns the HTTP API.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // Shutdown drains the server gracefully: no new submissions are
-// accepted, the running job's in-flight points finish (no new points
-// start) and its durable writes complete, queued jobs are marked
-// interrupted, and the executor exits. Jobs cut short are resumable by
-// resubmission — their completed points are served from the store. ctx
-// bounds how long to wait for the drain.
+// accepted, the worker slots' in-flight points finish (no new points
+// start) and their durable writes complete, queued jobs are marked
+// interrupted, and the executor and slots exit. Jobs cut short are
+// resumable by resubmission — their completed points are served from the
+// store. ctx bounds how long to wait for the drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.execDone
-		return nil
+	if !s.closed {
+		s.closed = true
+		close(s.draining)
+		for _, jb := range s.jobs {
+			if jb.state == JobRunning && jb.cancel != nil {
+				jb.reason = JobInterrupted
+				jb.cancel()
+			}
+		}
+		close(s.queue) // all submitters check closed under mu before sending
+		s.wakeClaimsLocked()
+		s.stopSlots()
 	}
-	s.closed = true
-	close(s.draining)
-	// Stop the running job at the next point boundary.
-	for _, jb := range s.jobs {
-		if jb.state == JobRunning && jb.cancel != nil {
-			jb.reason = JobInterrupted
-			jb.cancel()
+	s.mu.Unlock()
+	for _, done := range []chan struct{}{s.slotsDone, s.execDone} {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return fmt.Errorf("serve: shutdown: %w", ctx.Err())
 		}
 	}
-	close(s.queue) // all submitters check closed under mu before sending
-	s.wakeClaimsLocked()
-	s.mu.Unlock()
-	select {
-	case <-s.execDone:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("serve: shutdown: %w", ctx.Err())
-	}
+	return nil
 }
 
 // runExecutor is the single job-execution loop.
@@ -244,34 +291,24 @@ func (s *Server) execute(jb *job) {
 	s.mu.Unlock()
 	defer cancel()
 
-	var outs []sweep.Outcome
-	var runErr error
-	if s.opt.Cluster != nil {
-		outs, runErr = s.runClustered(jctx, jb)
-	} else {
-		outs, runErr = sweep.Run(jctx, jb.grid, sweep.Options{
-			Workers: s.opt.Workers,
-			Cache:   s.store,
-			Runner:  s.retryRunner(jctx, jb),
-			OnPoint: func(i int, o sweep.Outcome) { s.notePoint(jb, o) },
-		})
-	}
+	outs, runErr := s.runClustered(jctx, jb)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	jb.outs = outs
 	jb.cancel = nil
+	st := jb.status()
 	switch {
-	case runErr == nil && jb.failed == 0:
+	case runErr == nil && st.Failed == 0:
 		s.finishLocked(jb, JobDone, "")
 	case runErr == nil:
-		s.finishLocked(jb, JobFailed, firstFailure(outs, jb.failed))
+		s.finishLocked(jb, JobFailed, firstFailure(outs, st.Failed))
 	case jb.reason != "":
 		// A canceller (DELETE, or Shutdown) chose the terminal state
 		// before cancelling the context.
 		s.finishLocked(jb, jb.reason, "")
 	case jctx.Err() == context.DeadlineExceeded:
-		s.finishLocked(jb, JobFailed, fmt.Sprintf("job deadline exceeded after %s (%d of %d points completed)", jb.timeout, jb.completed, len(jb.grid)))
+		s.finishLocked(jb, JobFailed, fmt.Sprintf("job deadline exceeded after %s (%d of %d points completed)", jb.timeout, st.Completed, len(jb.grid)))
 	default:
 		s.finishLocked(jb, JobFailed, runErr.Error())
 	}
@@ -302,55 +339,9 @@ func firstFailure(outs []sweep.Outcome, failed int) string {
 	return fmt.Sprintf("%d of %d points failed", failed, len(outs))
 }
 
-// notePoint folds one completed point into the job's progress counters.
-func (s *Server) notePoint(jb *job, o sweep.Outcome) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.notePointLocked(jb, o)
-}
-
-// notePointLocked is notePoint with s.mu already held — the form the
-// cluster lease machinery uses, since it resolves points under the lock.
-func (s *Server) notePointLocked(jb *job, o sweep.Outcome) {
-	jb.completed++
-	switch {
-	case o.Err != nil:
-		jb.failed++
-	case o.Cached:
-		jb.cached++
-	default:
-		jb.simulated++
-	}
-}
-
-// retryRunner wraps the configured runner with the transient-retry
-// policy. Panics pass through: sweep.Run's own recovery turns them into
-// per-point PanicErrors, which are permanent by construction.
-func (s *Server) retryRunner(ctx context.Context, jb *job) func(core.Config) (core.Result, error) {
-	base := s.opt.Runner
-	if base == nil {
-		base = core.Run
-	}
-	pol := s.opt.Retry
-	return func(c core.Config) (core.Result, error) {
-		var res core.Result
-		attempts, err := pol.retry(ctx, func() error {
-			var e error
-			res, e = base(c)
-			return e
-		})
-		if attempts > 1 {
-			s.mu.Lock()
-			jb.retries += attempts - 1
-			s.mu.Unlock()
-		}
-		return res, err
-	}
-}
-
 // JobStatus is the polling view of a job: its state plus per-point
 // progress counters (Cached counts store hits — points served without
-// simulating; Retries transient-failure retries absorbed).
+// simulating; Retries lease units requeued).
 type JobStatus struct {
 	ID        string `json:"id"`
 	State     string `json:"state"`
@@ -373,17 +364,12 @@ func (st JobStatus) Terminal() bool {
 }
 
 func (jb *job) status() JobStatus {
-	return JobStatus{
-		ID:        jb.id,
-		State:     jb.state,
-		Total:     len(jb.grid),
-		Completed: jb.completed,
-		Cached:    jb.cached,
-		Simulated: jb.simulated,
-		Failed:    jb.failed,
-		Retries:   jb.retries,
-		Error:     jb.errMsg,
+	var st JobStatus
+	if jb.cg != nil {
+		st = jb.cg.progress
 	}
+	st.ID, st.State, st.Total, st.Error = jb.id, jb.state, len(jb.grid), jb.errMsg
+	return st
 }
 
 // PointOutcome is one grid point's terminal state on the wire. Result
@@ -439,6 +425,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(body) // a failed write means the client went away
 }
 
+// decodeBody reads a JSON request body into v, naming the cap when the
+// body is over maxBody.
+func decodeBody(r *http.Request, v any) error {
+	err := json.NewDecoder(r.Body).Decode(v)
+	var big *http.MaxBytesError
+	if errors.As(err, &big) {
+		return fmt.Errorf("request body is over the %d MiB limit", big.Limit>>20)
+	}
+	return err
+}
+
 // holdFor reads a request's wait_ms: how long the caller lets the server
 // hold the request, clamped to [0, limit].
 func holdFor(ms int64, limit time.Duration) time.Duration {
@@ -453,7 +450,7 @@ func holdFor(ms int64, limit time.Duration) time.Duration {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("malformed job: %v", err)})
 		return
 	}

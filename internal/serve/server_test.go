@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -266,8 +267,8 @@ func TestServerRetriesTransient(t *testing.T) {
 		return scripted(cfg)
 	}
 	_, c := testServer(t, t.TempDir(), ServerOptions{
-		Runner: runner,
-		Retry:  RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
+		Runner:      runner,
+		MaxAttempts: 3,
 	})
 	grid := testGrid(2)
 	got, err := c.Run(context.Background(), grid, sweep.Options{})
@@ -297,8 +298,8 @@ func TestServerRetryBudgetExhausted(t *testing.T) {
 		return scripted(cfg)
 	}
 	_, c := testServer(t, t.TempDir(), ServerOptions{
-		Runner: runner,
-		Retry:  RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+		Runner:      runner,
+		MaxAttempts: 2,
 	})
 	grid := testGrid(3)
 	got, err := c.Run(context.Background(), grid, sweep.Options{})
@@ -488,6 +489,41 @@ func TestServerRejectsMalformedJobs(t *testing.T) {
 	}
 	if _, err := c.Results(ctx, "j999999"); err == nil {
 		t.Error("unknown job results accepted")
+	}
+}
+
+// TestServerBodyLimit: a request body over the cap is refused with a 4xx
+// naming the limit instead of being read into memory whole, and the
+// server keeps answering. The API is built as NewServer builds it, with
+// a 1 MiB cap in place of maxBody, which a real request would make the
+// server buffer (~200 MB, three times that under -race) to prove.
+func TestServerBodyLimit(t *testing.T) {
+	t.Parallel()
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store, ServerOptions{Cluster: fastCluster()}) // a coordinator reads completion bodies too
+	hs := httptest.NewServer(srv.routes(1 << 20))
+	t.Cleanup(func() {
+		srv.Shutdown(context.Background())
+		hs.Close()
+	})
+	for _, path := range []string{"/v1/jobs", "/v1/cluster/complete"} {
+		pad := strings.Repeat("0", 1<<20)
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(`{"pad":"`+pad+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ae apiError
+		json.NewDecoder(resp.Body).Decode(&ae)
+		resp.Body.Close()
+		if resp.StatusCode/100 != 4 || !strings.Contains(ae.Error, "1 MiB limit") {
+			t.Errorf("POST %s over the cap: %d %q, want a 4xx naming the 1 MiB limit", path, resp.StatusCode, ae.Error)
+		}
+	}
+	if err := (&Client{Base: hs.URL}).Health(context.Background()); err != nil {
+		t.Errorf("server unhealthy after an oversized body: %v", err)
 	}
 }
 

@@ -15,14 +15,13 @@
 //     rename writes, per-entry checksums, startup recovery scan with
 //     quarantine, process-level single-flight). It implements
 //     sweep.Cacher.
-//   - server.go / retry.go: Server, the HTTP job service — bounded
-//     queue with 429 backpressure, per-job deadlines and cancellation,
-//     panic-isolated points, transient-failure retry with exponential
-//     backoff and jitter, graceful drain. Every job turns terminal in one
-//     place, which wakes the status requests held on it: GET
-//     /v1/jobs/{id}?wait_ms=N answers when the job finishes or after N ms
-//     (at most 30 s). The 64 most recent finished jobs stay queryable;
-//     older IDs answer 404 "expired; resubmit".
+//   - server.go: Server, the HTTP job service — bounded queue with 429
+//     backpressure, per-job deadlines and cancellation, graceful drain.
+//     Every job turns terminal in one place, which wakes the status
+//     requests held on it: GET /v1/jobs/{id}?wait_ms=N answers when the
+//     job finishes or after N ms (at most 30 s). The 64 most recent
+//     finished jobs stay queryable; older IDs answer 404 "expired;
+//     resubmit".
 //   - client.go: Client, the thin consumer the CLIs use
 //     (lapses-experiments -server); Client.Sweep satisfies
 //     sweep.RunFunc, so grids and bisection probes route through a
@@ -31,22 +30,18 @@
 //     Client.Wait is a loop over the held status call; PollInterval is
 //     the least time between two of them, which only a server that
 //     does not hold (older, or draining) makes it sleep.
-//   - cluster.go / lease.go / worker.go: cluster mode. One server
-//     instance runs in one of three roles. Standalone (the default)
-//     simulates jobs in-process. A coordinator (ServerOptions.Cluster
-//     set) accepts the same jobs but decomposes each grid into leased
-//     work units that Worker instances claim, heartbeat and complete
-//     over HTTP; a lease whose worker goes silent past its TTL is
-//     requeued by the coordinator's failure detector, under the same
-//     capped transient/permanent taxonomy as point retry. A worker
-//     runs no HTTP server at all — just the claim-execute-complete
-//     loop, simulating against the shared Store so every finished
-//     point is durable before it is reported and re-executing a
-//     requeued lease costs zero re-simulation for persisted points.
-//     An idle worker's claim carries wait_ms too: the coordinator holds
-//     it (at most 30 s and one lease TTL) until a unit is seeded or
-//     requeued, so Worker.IdleWait only spaces claim rounds while no
-//     coordinator answers.
+//   - cluster.go / lease.go / worker.go / retry.go: how every job runs.
+//     The server cuts each grid into leased work units that Worker loops
+//     claim, heartbeat and complete: a standalone server's own slots by
+//     function call, a coordinator's (ServerOptions.Cluster set) Worker
+//     processes over HTTP. A lease whose worker goes silent past its TTL
+//     is requeued by the failure detector, as is a unit with a point
+//     failed Transient, up to ServerOptions.MaxAttempts claims; a panic
+//     fails its point at once. Workers simulate against the Store, so
+//     every finished point is durable before it is reported and a
+//     requeued lease re-simulates nothing persisted. An idle remote
+//     worker's claim carries wait_ms too: the coordinator holds it (at
+//     most 30 s and one lease TTL) until a unit is seeded or requeued.
 package serve
 
 import (

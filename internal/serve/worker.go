@@ -55,14 +55,23 @@ type Worker struct {
 	// Verbose, when non-nil, receives one line per lease executed.
 	Verbose io.Writer
 
-	cur int // index of the last coordinator that answered
+	local peer // set instead of Coordinators for a standalone server's slot
+	cur   int  // index of the last coordinator that answered
+}
+
+// peer is a coordinator as a worker sees it: a *Client, or a standalone
+// server called in-process.
+type peer interface {
+	Claim(ctx context.Context, worker string, wait time.Duration) (ClaimResponse, error)
+	Heartbeat(ctx context.Context, lease, worker string) (bool, error)
+	Complete(ctx context.Context, lease, job, worker string, reports []PointReport) (CompleteResponse, error)
 }
 
 func (w *Worker) validate() error {
 	if w.ID == "" {
 		return fmt.Errorf("serve: worker needs an ID")
 	}
-	if len(w.Coordinators) == 0 {
+	if len(w.Coordinators) == 0 && w.local == nil {
 		return fmt.Errorf("serve: worker needs at least one coordinator URL")
 	}
 	if w.Store == nil {
@@ -78,21 +87,17 @@ func (w *Worker) idle() time.Duration {
 	return 250 * time.Millisecond
 }
 
-// client returns a Client bound to coordinator i.
-func (w *Worker) client(i int) *Client {
-	return &Client{Base: w.Coordinators[i], HTTP: w.HTTP}
-}
-
 // claim asks each coordinator in turn (starting from the last one that
 // answered) for a lease. Transport errors rotate to the next peer; a
 // reachable coordinator with no work holds the claim until it has some
 // (or its hold runs out), which ends the round.
-func (w *Worker) claim(ctx context.Context) (*Client, ClaimResponse, error) {
+func (w *Worker) claim(ctx context.Context, peers []peer) (peer, ClaimResponse, error) {
+	hold := (&Client{HTTP: w.HTTP}).hold()
 	var lastErr error
-	for k := 0; k < len(w.Coordinators); k++ {
-		i := (w.cur + k) % len(w.Coordinators)
-		co := w.client(i)
-		resp, err := co.Claim(ctx, w.ID, co.hold())
+	for k := range peers {
+		i := (w.cur + k) % len(peers)
+		co := peers[i]
+		resp, err := co.Claim(ctx, w.ID, hold)
 		if err != nil {
 			lastErr = err
 			continue
@@ -111,9 +116,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		return err
 	}
 	pol := RetryPolicy{BaseBackoff: w.idle(), MaxBackoff: 8 * w.idle(), MaxAttempts: 1}.normalize()
+	var peers []peer
+	if w.local != nil {
+		peers = append(peers, w.local)
+	}
+	for _, base := range w.Coordinators {
+		peers = append(peers, &Client{Base: base, HTTP: w.HTTP})
+	}
 	misses := 0
 	for ctx.Err() == nil {
-		co, grant, err := w.claim(ctx)
+		co, grant, err := w.claim(ctx, peers)
 		switch {
 		case err != nil:
 			// No coordinator reachable: back off, jittered so a fleet of
@@ -136,7 +148,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // execute runs one leased unit to completion (or abandonment) and
 // reports per-point outcomes back to the coordinator.
-func (w *Worker) execute(ctx context.Context, co *Client, g ClaimResponse) {
+func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse) {
 	// Materialize the wire points. A config that fails validation is a
 	// permanent failure — retrying a malformed point cannot help — and
 	// never reaches the simulator.
@@ -206,14 +218,11 @@ func (w *Worker) execute(ctx context.Context, co *Client, g ClaimResponse) {
 			// coordinator requeues it without burning the TTL.
 			reports = append(reports, PointReport{Index: idx, Error: fmt.Sprintf("point not executed: %v", o.Err), Transient: true})
 		default:
-			// The transient/permanent taxonomy: worker-side panics (an
-			// OOM-ish or environment failure may not reproduce
-			// elsewhere) and explicitly Transient errors requeue under
-			// the capped budget; anything else is a deterministic
-			// property of the config and fails fast.
-			var pe *sweep.PanicError
-			transient := IsTransient(o.Err) || errors.As(o.Err, &pe)
-			reports = append(reports, PointReport{Index: idx, Error: o.Err.Error(), Transient: transient})
+			// Only an explicitly Transient error requeues. To a
+			// deterministic simulator anything else, a recovered panic
+			// included, is a property of the config. (Out of memory is
+			// fatal in Go, not a panic: the lease TTL covers it.)
+			reports = append(reports, PointReport{Index: idx, Error: o.Err.Error(), Transient: IsTransient(o.Err)})
 		}
 	}
 
