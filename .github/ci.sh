@@ -182,8 +182,11 @@ serve)
 	# -exp scaling's fixed-budget overdriven points complete no batch, so
 	# their CI95 is +Inf: results the wire and the store carry like any
 	# other. Served must equal in-process, a resubmission must simulate
-	# nothing, and no put may have failed.
+	# nothing, and no put may have failed. Its saturation searches advance
+	# in lockstep, one job per round of all of them: the fixed points plus
+	# the longest search's rounds, not a job per round of every search.
 	lx -exp scaling -fidelity quick -server $url >scaling.txt
+	[ "$(grep -c 'serve job' scaling.txt)" -le 6 ]
 	lx -exp scaling -fidelity quick >scaling-local.txt
 	diff <(table scaling.txt) <(table scaling-local.txt)
 	lx -exp scaling -fidelity quick -server $url >scaling-resub.txt

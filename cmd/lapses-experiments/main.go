@@ -28,7 +28,8 @@
 // in internal/experiments/csv.go.
 //
 // Experiment grids execute through the concurrent internal/sweep engine:
-// -workers bounds the pool (default GOMAXPROCS), and a memo cache shared
+// -workers bounds the pool (default GOMAXPROCS) for grid points and
+// saturation-search probes alike, and a memo cache shared
 // across experiments makes points that recur between figures — e.g.
 // Fig. 5's LA-ADAPT baseline, which is also Fig. 6's STATIC-XY series —
 // simulate exactly once. Interrupting (Ctrl-C) cancels cleanly at the
@@ -57,7 +58,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments.Names(), ", ")+", or all")
 	fidelity := flag.String("fidelity", "default", "sample size: quick, default, paper, or auto (adaptive measurement)")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "concurrent simulations per sweep, saturation-search probes included (0 = GOMAXPROCS)")
 	csvDir := flag.String("csv", "", "also write <dir>/<exp>.csv for plottable experiments")
 	reps := flag.Int("reps", 1, "replications per experiment under derived seeds; CSVs gain mean/stderr columns")
 	events := flag.Bool("events", false, "run every point on the event-driven kernel (statistically equivalent, several times faster, not bit-comparable to cycle mode)")

@@ -85,13 +85,16 @@
 // grids: sweep.Bisect brackets the saturation load and narrows it by
 // parallel k-section, with probes classified by acceptance (delivered
 // throughput versus offered; sweep.OfferedFracSaturated) under
-// load-scaled cycle budgets built by experiments.SaturationSpec. The
-// search reuses the sweep memo cache and worker budget, is
-// deterministic for any worker count, and costs a logarithmic number of
-// probes — measured >= 2x fewer simulated cycles than the dense-grid
-// reference (sweep.SaturationScan), pinned by TestBisectCycleReduction.
-// The resilience and scaling experiments and the saturation claims
-// tests all report saturation through it.
+// load-scaled cycle budgets built by experiments.SaturationSpec. An
+// experiment's searches advance in lockstep (sweep.BisectAll): each
+// round of all of them is one executor call, so they reuse the sweep
+// memo cache, -workers bounds every probe, and a served experiment costs
+// one job per round. A search is deterministic for any worker count and
+// costs a logarithmic number of probes — measured >= 2x fewer simulated
+// cycles than the dense-grid reference (sweep.SaturationScan), pinned
+// by TestBisectCycleReduction. The resilience, scaling and congestion
+// experiments and the saturation claims tests all report saturation
+// through it.
 //
 // A single run is one scheduler on one goroutine: each cycle drains the
 // due credit and flit events and ticks the active NIs and routers in

@@ -193,17 +193,19 @@ func (r Runner) congestion(ctx context.Context, workloads []CongestionWorkload) 
 			rows[i].Plan = p
 		}
 	}
-	// Latency and overdriven points ride the regular grid.
+	// Each (row, policy) cell is a latency point, an overdriven point and
+	// a saturation search over the same base configuration.
 	var g grid
 	for i := range rows {
 		row := &rows[i]
 		for _, pol := range CongestionPolicies {
 			cell := row.Cells[pol]
-			lat := r.congestionBase(row, pol)
+			base := r.congestionBase(row, pol)
+			lat := base
 			lat.Load = row.Workload.LatLoad
 			g.add(lat, func(res core.Result) { cell.Lat = res })
 
-			ovr := r.congestionBase(row, pol)
+			ovr := base
 			// Fixed-budget overdriven run, as in the scaling experiment:
 			// the cycle cap ends the run, the latency guard is lifted, and
 			// the adaptive tier is shed so the budget is exact.
@@ -213,29 +215,14 @@ func (r Runner) congestion(ctx context.Context, workloads []CongestionWorkload) 
 			ovr.MaxCycles = r.Fidelity.congestionOvrCycles()
 			ovr.Measure = 1 << 30
 			g.add(ovr, func(res core.Result) { cell.Ovr = res })
-		}
-	}
-	if err := g.run(ctx, r.opts()); err != nil {
-		return nil, err
-	}
-	// Saturation searches, all fanned out together (see resilience.go).
-	var searches []satSearch
-	for i := range rows {
-		row := &rows[i]
-		for _, pol := range CongestionPolicies {
-			cell := row.Cells[pol]
-			base := r.congestionBase(row, pol)
-			searches = append(searches, satSearch{
-				name: fmt.Sprintf("congestion(%s, %s)", row.Workload.Name, pol),
-				spec: SaturationSpec(base, row.Workload.SatLo, row.Workload.SatHi, r.Fidelity.satTol()),
-				sink: func(res sweep.BisectResult) {
-					cell.Search = res
-					cell.Sat = res.LoResult
-				},
+
+			g.search(SaturationSpec(base, row.Workload.SatLo, row.Workload.SatHi, r.Fidelity.satTol()), func(res sweep.BisectResult) {
+				cell.Search = res
+				cell.Sat = res.LoResult
 			})
 		}
 	}
-	if err := runSearches(ctx, searches, r.opts()); err != nil {
+	if err := g.run(ctx, r.opts()); err != nil {
 		return nil, err
 	}
 	return rows, nil

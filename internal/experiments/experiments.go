@@ -122,11 +122,14 @@ func (r Runner) base() core.Config {
 	return r.Fidelity.apply(c)
 }
 
-// grid is an experiment sweep declared as data: the ordered configs plus,
-// per point, the row slot its result scatters into.
+// grid is an experiment sweep declared as data: the ordered configs and
+// saturation searches plus, per point and per search, the row slot its
+// result scatters into.
 type grid struct {
-	cfgs  []core.Config
-	sinks []func(core.Result)
+	cfgs     []core.Config
+	sinks    []func(core.Result)
+	searches []sweep.BisectSpec
+	found    []func(sweep.BisectResult)
 }
 
 func (g *grid) add(c core.Config, sink func(core.Result)) {
@@ -134,11 +137,18 @@ func (g *grid) add(c core.Config, sink func(core.Result)) {
 	g.sinks = append(g.sinks, sink)
 }
 
-// run sweeps the grid — through opt.Exec when set, so a remote backend
-// serves the points — and scatters results in grid order. The first
-// point error aborts (a config error means the harness built a bad
-// grid), identified by its full config key so a failure in a thousand-
-// point sweep names the exact simulation that died.
+func (g *grid) search(spec sweep.BisectSpec, sink func(sweep.BisectResult)) {
+	g.searches = append(g.searches, spec)
+	g.found = append(g.found, sink)
+}
+
+// run sweeps the grid's points — through opt.Exec when set, so a remote
+// backend serves them — and then its searches, in lockstep through
+// sweep.BisectAll (one executor call per round), and scatters results in
+// declaration order. The first point error aborts (a config error means
+// the harness built a bad grid), identified by its full config key so a
+// failure in a thousand-point sweep names the exact simulation that
+// died; a probe error names its load and key the same way.
 func (g *grid) run(ctx context.Context, opt sweep.Options) error {
 	exec := sweep.Run
 	if opt.Exec != nil {
@@ -154,6 +164,13 @@ func (g *grid) run(ctx context.Context, opt sweep.Options) error {
 			return fmt.Errorf("experiments: point %d (%s load %.2f, key %s): %w", i, c.Pattern, c.Load, c.Key(), o.Err)
 		}
 		g.sinks[i](o.Result)
+	}
+	found, err := sweep.BisectAll(ctx, g.searches, opt)
+	if err != nil {
+		return err
+	}
+	for i, res := range found {
+		g.found[i](res)
 	}
 	return nil
 }

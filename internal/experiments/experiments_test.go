@@ -7,7 +7,9 @@ import (
 	"errors"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lapses/internal/core"
 	"lapses/internal/selection"
@@ -249,6 +251,88 @@ func TestRunByNameRendersAllSweeps(t *testing.T) {
 				t.Errorf("%s: replicable column %q is not in the CSV header %v", e.name, col, recs[0])
 			}
 		}
+	}
+}
+
+// kneeRun is TestRunByNameRendersAllSweeps' scripted simulator: every
+// offered load is accepted up to a knee at 0.3, inside every saturation
+// search's bracket.
+func kneeRun(c core.Config) (core.Result, error) {
+	accepted := c.Load
+	if accepted > 0.3 {
+		accepted = 0.05
+	}
+	return core.Result{Throughput: accepted * c.Mesh().SaturationInjectionRate(), AvgLatency: 50, TotalCycles: 1000, Delivered: 1}, nil
+}
+
+// TestSearchesShareRounds: an experiment's saturation searches advance in
+// lockstep — its fixed points take one executor call and each round of
+// all its searches one more — and Workers bounds the probes too, so at
+// Workers 1 no two simulations ever overlap.
+func TestSearchesShareRounds(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	var calls, inFlight, peak atomic.Int64
+	r := Runner{Fidelity: Quick, Seed: 1, Workers: 1, run: func(c core.Config) (core.Result, error) {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(100 * time.Microsecond) // widen any overlap
+		return kneeRun(c)
+	}}
+	r.Exec = func(ctx context.Context, grid []core.Config, opt sweep.Options) ([]sweep.Outcome, error) {
+		calls.Add(1)
+		return sweep.Run(ctx, grid, opt)
+	}
+	for _, e := range []struct {
+		name     string
+		searches func() ([]sweep.BisectResult, error)
+	}{
+		{"scaling", func() (s []sweep.BisectResult, err error) {
+			rows, err := r.Scaling(ctx)
+			for _, row := range rows {
+				s = append(s, row.Search)
+			}
+			return s, err
+		}},
+		{"resilience", func() (s []sweep.BisectResult, err error) {
+			rows, err := r.Resilience(ctx)
+			for _, row := range rows {
+				s = append(s, row.AdaptiveSearch, row.DetSearch)
+			}
+			return s, err
+		}},
+		{"congestion", func() (s []sweep.BisectResult, err error) {
+			rows, err := r.Congestion(ctx)
+			for _, row := range rows {
+				for _, pol := range CongestionPolicies {
+					s = append(s, row.Cells[pol].Search)
+				}
+			}
+			return s, err
+		}},
+	} {
+		calls.Store(0)
+		searches, err := e.searches()
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		// A search's rounds: one for both bracket ends, one per expansion
+		// (one probe each), one per k-section round (SaturationSpec keeps
+		// the default Fanout of 3 probes).
+		longest := 0
+		for _, s := range searches {
+			expansions := s.Probes - 2 - 3*s.Rounds
+			longest = max(longest, 1+expansions+s.Rounds)
+		}
+		if got := calls.Load(); got > int64(1+longest) {
+			t.Errorf("%s: %d executor calls for %d searches, want at most 1 + %d (the longest search's rounds)",
+				e.name, got, len(searches), longest)
+		}
+	}
+	if p := peak.Load(); p > 1 {
+		t.Errorf("Workers 1 ran %d simulations at once", p)
 	}
 }
 

@@ -139,30 +139,9 @@ func (r Runner) resilience(ctx context.Context, patterns []traffic.Kind, counts 
 			rows = append(rows, ResilienceRow{Pattern: pat, FaultLinks: c, Plan: plans[c]})
 		}
 	}
-	// Latency points ride the regular grid.
+	// Each (row, policy) cell is one latency point plus one saturation
+	// search over the same base configuration.
 	var g grid
-	for i := range rows {
-		row := &rows[i]
-		for _, pol := range resiliencePolicies {
-			lat := r.base()
-			lat.Algorithm = pol.alg
-			lat.Selection = pol.sel
-			lat.Pattern = row.Pattern
-			lat.Faults = row.Plan
-			lat.Load = resilienceLatencyLoad(row.Pattern)
-			slot := pol.lat(row)
-			g.add(lat, func(res core.Result) { *slot = res })
-		}
-	}
-	if err := g.run(ctx, r.opts()); err != nil {
-		return nil, err
-	}
-	// Saturation points come from the bisection searches, all fanned out
-	// together: one search keeps only Fanout probes in flight per round,
-	// so running the independent (row, policy) searches concurrently is
-	// what fills the worker budget (options — including the shared memo
-	// cache — are the grid's).
-	var searches []satSearch
 	for i := range rows {
 		row := &rows[i]
 		for _, pol := range resiliencePolicies {
@@ -171,19 +150,19 @@ func (r Runner) resilience(ctx context.Context, patterns []traffic.Kind, counts 
 			base.Selection = pol.sel
 			base.Pattern = row.Pattern
 			base.Faults = row.Plan
+			lat := base
+			lat.Load = resilienceLatencyLoad(row.Pattern)
+			latSlot := pol.lat(row)
+			g.add(lat, func(res core.Result) { *latSlot = res })
 			lo, hi := satBracket(row.Pattern)
 			searchSlot, satSlot := pol.search(row), pol.sat(row)
-			searches = append(searches, satSearch{
-				name: fmt.Sprintf("resilience(%s, %d faults, %s)", row.Pattern, row.FaultLinks, pol.alg),
-				spec: SaturationSpec(base, lo, hi, r.Fidelity.satTol()),
-				sink: func(res sweep.BisectResult) {
-					*searchSlot = res
-					*satSlot = res.LoResult
-				},
+			g.search(SaturationSpec(base, lo, hi, r.Fidelity.satTol()), func(res sweep.BisectResult) {
+				*searchSlot = res
+				*satSlot = res.LoResult
 			})
 		}
 	}
-	if err := runSearches(ctx, searches, r.opts()); err != nil {
+	if err := g.run(ctx, r.opts()); err != nil {
 		return nil, err
 	}
 	return rows, nil

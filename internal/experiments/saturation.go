@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-	"runtime"
-	"sync"
-
 	"lapses/internal/core"
 	"lapses/internal/sweep"
 	"lapses/internal/topology"
@@ -13,9 +8,13 @@ import (
 )
 
 // Saturation search shared by the saturation-seeking experiments
-// (resilience, scaling) and the claims tests: instead of a dense load
-// grid — or a single arbitrarily overdriven point — the saturation load
-// is located by sweep.Bisect over probes built here.
+// (resilience, scaling, congestion) and the claims tests: instead of a
+// dense load grid — or a single arbitrarily overdriven point — the
+// saturation load is located by bisection over probes built here. An
+// experiment declares its searches on its grid (grid.search) beside its
+// fixed points; grid.run runs the points, then every search in lockstep
+// through sweep.BisectAll, so each round of all of them is one executor
+// call and Runner.Workers bounds every probe.
 //
 // Probe methodology. A probe at offered load x runs a reduced fixed-tier
 // sample (a fifth of the experiment's budget, floored) under a
@@ -43,9 +42,9 @@ const satProbeDivisor = 5
 
 // SaturationSpec builds the bisection spec locating base's saturation
 // load between lo and hi at resolution tol. The returned spec runs
-// through sweep.Bisect (or sweep.SaturationScan for the dense reference)
-// with any sweep.Options; probes share the experiment memo cache like
-// every other point.
+// through grid.search, sweep.Bisect (or sweep.SaturationScan for the
+// dense reference) with any sweep.Options; probes share the experiment
+// memo cache like every other point.
 func SaturationSpec(base core.Config, lo, hi, tol float64) sweep.BisectSpec {
 	base.Auto = nil // fixed-horizon probes; see the file comment
 	base.Warmup /= satProbeDivisor
@@ -89,49 +88,6 @@ func injectingFraction(k traffic.Kind, m *topology.Mesh) float64 {
 		}
 	}
 	return float64(n) / float64(m.N())
-}
-
-// satSearch is one pending saturation search: the spec plus the sink its
-// result scatters into, mirroring how grid declares sweep points.
-type satSearch struct {
-	name string
-	spec sweep.BisectSpec
-	sink func(sweep.BisectResult)
-}
-
-// runSearches executes independent saturation searches concurrently.
-// One search only keeps Fanout probes in flight per round, so fanning
-// the searches out too is what fills a wide machine; a GOMAXPROCS
-// semaphore bounds the total. Results are deterministic regardless of
-// scheduling — each search is a pure function of its spec (and the
-// shared single-flight cache returns identical bits to a fresh
-// simulation). The first error wins; sinks run under a lock.
-func runSearches(ctx context.Context, searches []satSearch, opt sweep.Options) error {
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i := range searches {
-		s := &searches[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := sweep.Bisect(ctx, s.spec, opt)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: saturation search %s: %w", s.name, err)
-				}
-				return
-			}
-			s.sink(res)
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // satTol is the search resolution per fidelity: smoke tiers accept a

@@ -80,7 +80,6 @@ func (r Runner) Scaling(ctx context.Context) ([]ScalingRow, error) {
 	// the slice must not reallocate after the first &rows[i] is taken.
 	rows := make([]ScalingRow, 0, len(dims)*len(policies))
 	var g grid
-	var searches []satSearch
 	for _, d := range dims {
 		for _, pol := range policies {
 			base := r.base()
@@ -104,23 +103,16 @@ func (r Runner) Scaling(ctx context.Context) ([]ScalingRow, error) {
 			g.add(over, func(res core.Result) { row.Sat = res })
 
 			// Probes shed the adaptive tier too (see SaturationSpec) and
-			// run through the regular options (worker pool, memo cache).
+			// run through the regular options (worker bound, memo cache).
 			lo, hi := satBracket(traffic.Uniform)
-			searches = append(searches, satSearch{
-				name: fmt.Sprintf("scaling(%s, %s)", dimsString(d), pol.name),
-				spec: SaturationSpec(base, lo, hi, r.Fidelity.satTol()),
-				sink: func(res sweep.BisectResult) {
-					row.SatLoad = res.Lo
-					row.SatSustained = res.LoResult
-					row.Search = res
-				},
+			g.search(SaturationSpec(base, lo, hi, r.Fidelity.satTol()), func(res sweep.BisectResult) {
+				row.SatLoad = res.Lo
+				row.SatSustained = res.LoResult
+				row.Search = res
 			})
 		}
 	}
 	if err := g.run(ctx, r.opts()); err != nil {
-		return nil, err
-	}
-	if err := runSearches(ctx, searches, r.opts()); err != nil {
 		return nil, err
 	}
 	return rows, nil

@@ -130,21 +130,9 @@ func Random(m *topology.Mesh, nLinks, nRouters int, seed int64) (*Plan, error) {
 		return nil, fmt.Errorf("fault: %d failed routers leave no live network in %s", nRouters, m)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	// All positive-direction links of the topology, the sampling universe.
-	var all []Link
-	for id := 0; id < m.N(); id++ {
-		for pt := 1; pt < m.NumPorts(); pt++ {
-			port := topology.Port(pt)
-			if topology.PortSign(port) < 0 {
-				continue
-			}
-			if _, ok := m.Neighbor(topology.NodeID(id), port); ok {
-				all = append(all, Link{Node: topology.NodeID(id), Port: port})
-			}
-		}
-	}
-	if nLinks > len(all) {
-		return nil, fmt.Errorf("fault: %d failed links exceed the %d links of %s", nLinks, len(all), m)
+	all, err := linkUniverse(m, nLinks)
+	if err != nil {
+		return nil, err
 	}
 	const attempts = 200
 	for try := 0; try < attempts; try++ {
@@ -175,41 +163,119 @@ func Random(m *topology.Mesh, nLinks, nRouters int, seed int64) (*Plan, error) {
 		nLinks, nRouters, m, attempts)
 }
 
+// linkUniverse lists every link of m once, by its positive-direction
+// end: the sampling universe of Random and RandomSchedule, which must
+// hold the nLinks they draw.
+func linkUniverse(m *topology.Mesh, nLinks int) ([]Link, error) {
+	var all []Link
+	for id := 0; id < m.N(); id++ {
+		for pt := 1; pt < m.NumPorts(); pt++ {
+			port := topology.Port(pt)
+			if topology.PortSign(port) < 0 {
+				continue
+			}
+			if _, ok := m.Neighbor(topology.NodeID(id), port); ok {
+				all = append(all, Link{Node: topology.NodeID(id), Port: port})
+			}
+		}
+	}
+	if nLinks > len(all) {
+		return nil, fmt.Errorf("fault: %d failed links exceed the %d links of %s", nLinks, len(all), m)
+	}
+	return all, nil
+}
+
 // Parse reads the CLI plan spec: comma-separated items, each either a link
 // "A-B" (adjacent node IDs) or a router "rN". Example: "12-13,40-41,r77".
 func Parse(m *topology.Mesh, spec string) (*Plan, error) {
-	var links []Link
-	var routers []topology.NodeID
+	events, err := parseItems(m, spec, false)
+	if err != nil {
+		return nil, err
+	}
+	return planAt(m, events, 0)
+}
+
+// parseItems reads the comma-separated items of a plan or schedule spec:
+// each a link "A-B" (adjacent node IDs) or a router "rN", and, when
+// timed, optionally followed by "@DOWN" or "@DOWN:UP". An untimed item
+// fails at cycle 0 and never heals.
+func parseItems(m *topology.Mesh, spec string, timed bool) ([]SchedEvent, error) {
+	want := `"A-B" or "rN"`
+	if timed {
+		want += `, optionally "@DOWN[:UP]"`
+	}
+	var events []SchedEvent
 	for _, item := range strings.Split(spec, ",") {
 		item = strings.TrimSpace(item)
 		if item == "" {
 			continue
 		}
-		if strings.HasPrefix(item, "r") || strings.HasPrefix(item, "R") {
-			id, err := strconv.Atoi(item[1:])
+		elem, timing, hasTiming := strings.Cut(item, "@")
+		if hasTiming && !timed {
+			return nil, fmt.Errorf("fault: bad item %q (want %s; a static plan is not timed)", item, want)
+		}
+		ev := SchedEvent{Up: -1}
+		if hasTiming {
+			down, up, hasUp := strings.Cut(timing, ":")
+			d, err := strconv.ParseInt(strings.TrimSpace(down), 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("fault: bad down time in %q: %v", item, err)
+			}
+			ev.Down = d
+			if hasUp {
+				u, err := strconv.ParseInt(strings.TrimSpace(up), 10, 64)
+				if err != nil {
+					return nil, fmt.Errorf("fault: bad up time in %q: %v", item, err)
+				}
+				ev.Up = u
+			}
+		}
+		elem = strings.TrimSpace(elem)
+		if strings.HasPrefix(elem, "r") || strings.HasPrefix(elem, "R") {
+			id, err := strconv.Atoi(elem[1:])
 			if err != nil {
 				return nil, fmt.Errorf("fault: bad router %q: %v", item, err)
 			}
-			routers = append(routers, topology.NodeID(id))
+			if !m.Valid(topology.NodeID(id)) {
+				return nil, fmt.Errorf("fault: router %d outside %s", id, m)
+			}
+			ev.IsRouter = true
+			ev.Router = topology.NodeID(id)
+		} else {
+			a, b, ok := strings.Cut(elem, "-")
+			if !ok {
+				return nil, fmt.Errorf("fault: bad item %q (want %s)", item, want)
+			}
+			na, err := strconv.Atoi(strings.TrimSpace(a))
+			if err != nil {
+				return nil, fmt.Errorf("fault: bad link %q: %v", item, err)
+			}
+			nb, err := strconv.Atoi(strings.TrimSpace(b))
+			if err != nil {
+				return nil, fmt.Errorf("fault: bad link %q: %v", item, err)
+			}
+			if ev.Link, err = linkBetween(m, topology.NodeID(na), topology.NodeID(nb)); err != nil {
+				return nil, err
+			}
+		}
+		events = append(events, ev)
+	}
+	return events, nil
+}
+
+// planAt builds the plan of the events whose element is down at cycle t.
+func planAt(m *topology.Mesh, events []SchedEvent, t int64) (*Plan, error) {
+	var links []Link
+	var routers []topology.NodeID
+	for _, e := range events {
+		if e.Down > t || (e.Up >= 0 && e.Up <= t) {
 			continue
 		}
-		a, b, ok := strings.Cut(item, "-")
-		if !ok {
-			return nil, fmt.Errorf("fault: bad item %q (want \"A-B\" or \"rN\")", item)
+		if e.IsRouter {
+			routers = append(routers, e.Router)
+		} else {
+			links = append(links, e.Link)
 		}
-		na, err := strconv.Atoi(strings.TrimSpace(a))
-		if err != nil {
-			return nil, fmt.Errorf("fault: bad link %q: %v", item, err)
-		}
-		nb, err := strconv.Atoi(strings.TrimSpace(b))
-		if err != nil {
-			return nil, fmt.Errorf("fault: bad link %q: %v", item, err)
-		}
-		l, err := linkBetween(m, topology.NodeID(na), topology.NodeID(nb))
-		if err != nil {
-			return nil, err
-		}
-		links = append(links, l)
 	}
 	return New(m, links, routers)
 }

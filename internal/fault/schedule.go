@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 
 	"lapses/internal/topology"
@@ -117,19 +116,7 @@ func NewSchedule(m *topology.Mesh, events []SchedEvent) (*Schedule, error) {
 
 	s.plans = make([]*Plan, len(s.times))
 	for i, t := range s.times {
-		var links []Link
-		var routers []topology.NodeID
-		for _, e := range s.events {
-			if e.Down > t || (e.Up >= 0 && e.Up <= t) {
-				continue
-			}
-			if e.IsRouter {
-				routers = append(routers, e.Router)
-			} else {
-				links = append(links, e.Link)
-			}
-		}
-		p, err := New(m, links, routers)
+		p, err := planAt(m, s.events, t)
 		if err != nil {
 			return nil, fmt.Errorf("fault: schedule epoch at cycle %d: %w", t, err)
 		}
@@ -165,60 +152,9 @@ func NewSchedule(m *topology.Mesh, events []SchedEvent) (*Schedule, error) {
 // of untimed items is exactly the static plan Parse reads.
 // Example: "12-13@5000:9000,r77@2000,40-41".
 func ParseSchedule(m *topology.Mesh, spec string) (*Schedule, error) {
-	var events []SchedEvent
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		elem, timing, timed := strings.Cut(item, "@")
-		ev := SchedEvent{Up: -1}
-		if timed {
-			down, up, hasUp := strings.Cut(timing, ":")
-			d, err := strconv.ParseInt(strings.TrimSpace(down), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault: bad down time in %q: %v", item, err)
-			}
-			ev.Down = d
-			if hasUp {
-				u, err := strconv.ParseInt(strings.TrimSpace(up), 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("fault: bad up time in %q: %v", item, err)
-				}
-				ev.Up = u
-			}
-		}
-		elem = strings.TrimSpace(elem)
-		if strings.HasPrefix(elem, "r") || strings.HasPrefix(elem, "R") {
-			id, err := strconv.Atoi(elem[1:])
-			if err != nil {
-				return nil, fmt.Errorf("fault: bad router %q: %v", item, err)
-			}
-			if !m.Valid(topology.NodeID(id)) {
-				return nil, fmt.Errorf("fault: router %d outside %s", id, m)
-			}
-			ev.IsRouter = true
-			ev.Router = topology.NodeID(id)
-		} else {
-			a, b, ok := strings.Cut(elem, "-")
-			if !ok {
-				return nil, fmt.Errorf("fault: bad item %q (want \"A-B\" or \"rN\", optionally \"@DOWN[:UP]\")", item)
-			}
-			na, err := strconv.Atoi(strings.TrimSpace(a))
-			if err != nil {
-				return nil, fmt.Errorf("fault: bad link %q: %v", item, err)
-			}
-			nb, err := strconv.Atoi(strings.TrimSpace(b))
-			if err != nil {
-				return nil, fmt.Errorf("fault: bad link %q: %v", item, err)
-			}
-			l, err := linkBetween(m, topology.NodeID(na), topology.NodeID(nb))
-			if err != nil {
-				return nil, err
-			}
-			ev.Link = l
-		}
-		events = append(events, ev)
+	events, err := parseItems(m, spec, true)
+	if err != nil {
+		return nil, err
 	}
 	return NewSchedule(m, events)
 }
@@ -235,20 +171,9 @@ func RandomSchedule(m *topology.Mesh, nLinks, nRouters int, horizon, seed int64)
 		return nil, fmt.Errorf("fault: schedule horizon %d too short", horizon)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var all []Link
-	for id := 0; id < m.N(); id++ {
-		for pt := 1; pt < m.NumPorts(); pt++ {
-			port := topology.Port(pt)
-			if topology.PortSign(port) < 0 {
-				continue
-			}
-			if _, ok := m.Neighbor(topology.NodeID(id), port); ok {
-				all = append(all, Link{Node: topology.NodeID(id), Port: port})
-			}
-		}
-	}
-	if nLinks > len(all) {
-		return nil, fmt.Errorf("fault: %d failed links exceed the %d links of %s", nLinks, len(all), m)
+	all, err := linkUniverse(m, nLinks)
+	if err != nil {
+		return nil, err
 	}
 	const attempts = 200
 	for try := 0; try < attempts; try++ {
@@ -326,15 +251,6 @@ func (s *Schedule) StaticPlan() *Plan {
 // FirstDown returns the earliest transition cycle that adds damage, or -1
 // when no transition does (static schedules).
 func (s *Schedule) FirstDown() int64 {
-	for _, e := range s.events {
-		if e.Down > 0 {
-			return s.firstDownScan()
-		}
-	}
-	return -1
-}
-
-func (s *Schedule) firstDownScan() int64 {
 	first := int64(-1)
 	for _, e := range s.events {
 		if e.Down > 0 && (first < 0 || e.Down < first) {

@@ -170,7 +170,8 @@ func decodeEntry(raw []byte, name string) (string, core.Result, error) {
 }
 
 // quarantine moves a corrupt entry (by object filename) into
-// quarantine/ and counts it. Failures to move fall back to deletion so
+// quarantine/, counts it and logs why, so the quarantine count in
+// /healthz has an explanation. Failures to move fall back to deletion so
 // a corrupt entry can never be served again either way. Callers hold no
 // lock ordering obligations; counters are adjusted under mu.
 func (s *Store) quarantine(name string, reason error) {
@@ -188,7 +189,7 @@ func (s *Store) quarantine(name string, reason error) {
 	s.mu.Lock()
 	s.quarantined++
 	s.mu.Unlock()
-	_ = reason
+	log.Printf("store: quarantined %s: %v", name, reason)
 }
 
 // lookup reads and verifies the entry for key. A missing file is a

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -320,6 +323,41 @@ func TestStoreReadTimeCorruption(t *testing.T) {
 	}
 	if st := s.Stats(); st.Quarantined != 1 {
 		t.Fatalf("stats after read-time quarantine: %+v", st)
+	}
+}
+
+// TestStoreQuarantineLogsReason: a corrupt entry found at Open is logged
+// with the reason it was set aside, so the quarantine count that /healthz
+// reports can be explained. Not parallel: it redirects the process-wide
+// logger.
+func TestStoreQuarantineLogsReason(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Do(context.Background(), storeConfig(11), scripted); err != nil {
+		t.Fatal(err)
+	}
+	var name string
+	corruptEntry(t, dir, func(path string, raw []byte) {
+		name = filepath.Base(path)
+		b := append([]byte(nil), raw...)
+		b[bytes.IndexAny(b, "12345678")]++ // the JSON stays parseable; only the checksum catches it
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	_, err = Open(dir)
+	log.SetOutput(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "store: quarantined " + name + ": checksum mismatch"; !strings.Contains(logged.String(), want) {
+		t.Fatalf("log %q does not contain %q", logged.String(), want)
 	}
 }
 

@@ -23,7 +23,7 @@
 //     finished jobs stay queryable; older IDs answer 404 "expired;
 //     resubmit".
 //   - client.go: Client, the thin consumer the CLIs use
-//     (lapses-experiments -server); Client.Sweep satisfies
+//     (lapses-experiments -server); Client.Run satisfies
 //     sweep.RunFunc, so grids and bisection probes route through a
 //     server unchanged. Idempotent requests ride a transport-retry
 //     loop (connection errors and gateway 5xx, jittered backoff).

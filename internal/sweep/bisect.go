@@ -5,15 +5,19 @@ package sweep
 // whose points are either far below saturation (uninformative) or far
 // above it (each one burning its full cycle budget before the guard
 // trips). Bisect replaces the scan with bracketing plus parallel
-// k-section: every round probes a handful of interior loads
-// concurrently through the regular sweep engine (so the memo cache and
-// the worker pool apply unchanged) and narrows the bracket by a factor
-// of Fanout+1. The probe loads are a pure function
-// of the bracket — never of the worker count — so the search is
-// deterministic for fixed seeds on any pool width, mirroring Run's
-// guarantee. SaturationScan is the dense-grid reference path, kept so
-// the cycle savings stay measurable (TestBisectCycleReduction pins the
-// >= 2x reduction).
+// k-section. The first round probes both bracket ends; while Lo
+// saturates it is halved, then while Hi sustains it is doubled (at most
+// maxExpand times each); then every round probes Fanout evenly spaced
+// interior loads and narrows the bracket by a factor of Fanout+1.
+// BisectAll advances many searches in lockstep: a round is one call of
+// the regular sweep engine holding every unsettled search's probes, so
+// the memo cache, the worker bound and a remote executor apply
+// unchanged. The probe loads are a pure function of the search's own
+// outcomes — never of the worker count or of the other searches — so a
+// search is deterministic for fixed seeds on any pool width, mirroring
+// Run's guarantee. SaturationScan is the dense-grid reference path, kept
+// so the cycle savings stay measurable (TestBisectCycleReduction pins
+// the >= 2x reduction).
 
 import (
 	"context"
@@ -122,129 +126,186 @@ func (r BisectResult) String() string {
 		r.Lo, r.Hi, state, r.Probes, r.Cached, r.SimulatedCycles, r.DensePoints)
 }
 
-// bisectRun tracks the accounting shared by every probe round.
-type bisectRun struct {
-	ctx  context.Context
-	spec BisectSpec
-	opt  Options
-	res  *BisectResult
+// maxExpand bounds the bracket expansions in each direction.
+const maxExpand = 4
+
+// bisection is one saturation search between rounds: loads holds the
+// coming round's probes (nil once the search has settled) and take folds
+// their outcomes back in. The loads are a pure function of the search's
+// own outcomes, so batching its rounds with other searches' never changes
+// what it probes.
+type bisection struct {
+	spec         BisectSpec
+	res          BisectResult
+	lo, hi       float64
+	loRes, hiRes core.Result
+	down, up     int // expansions made in each direction
+	maxRounds    int // k-section bound, fixed when bracketing ends (0 until then)
+	loads        []float64
 }
 
-// eval probes the given loads (one sweep.Run round — or one round of
-// Options.Exec, so a remote backend serves the probes) and returns their
-// outcomes in load order. Probe errors abort the search: a config error
-// means the caller built a bad spec, exactly like a bad experiment grid.
-func (b *bisectRun) eval(loads []float64) ([]Outcome, error) {
-	grid := make([]core.Config, len(loads))
-	for i, x := range loads {
-		grid[i] = b.spec.At(x)
+// take folds the outcomes of the round that probed b.loads into the
+// search and plans the next one.
+func (b *bisection) take(outs []Outcome) error {
+	if err := b.res.count(b.loads, outs); err != nil {
+		return err
 	}
-	outs, err := b.opt.exec()(b.ctx, grid, b.opt)
-	if err != nil {
-		return nil, err
-	}
-	for i, o := range outs {
-		if o.Err != nil {
-			return nil, fmt.Errorf("sweep: bisect probe at load %.4g: %w", loads[i], o.Err)
+	if b.maxRounds == 0 {
+		// A bracketing round probes the current ends.
+		for i, x := range b.loads {
+			if x == b.lo {
+				b.loRes = outs[i].Result
+			} else {
+				b.hiRes = outs[i].Result
+			}
 		}
-		b.res.Probes++
-		if o.Cached {
-			b.res.Cached++
-		} else {
-			b.res.SimulatedCycles += o.Result.TotalCycles
-		}
-	}
-	return outs, nil
-}
-
-// Bisect locates the saturation load of spec.At's config family within
-// spec.Tol. See the package comment at the top of this file for the
-// algorithm; Options carries the worker budget and memo cache exactly as
-// for Run, and the result is bit-identical for any worker count.
-func Bisect(ctx context.Context, spec BisectSpec, opt Options) (BisectResult, error) {
-	spec, err := spec.normalize()
-	if err != nil {
-		return BisectResult{}, err
-	}
-	res := BisectResult{
-		DensePoints: int(math.Ceil((spec.Hi-spec.Lo)/spec.Tol)) + 1,
-	}
-	b := &bisectRun{ctx: ctx, spec: spec, opt: opt, res: &res}
-
-	// Bracket: probe both ends, then expand a bounded number of times
-	// when an end is on the wrong side.
-	lo, hi := spec.Lo, spec.Hi
-	outs, err := b.eval([]float64{lo, hi})
-	if err != nil {
-		return res, err
-	}
-	loOut, hiOut := outs[0], outs[1]
-	for tries := 0; b.spec.Saturated(lo, loOut.Result) && tries < 4 && lo > 1e-3; tries++ {
-		hi, hiOut = lo, loOut
-		lo /= 2
-		if outs, err = b.eval([]float64{lo}); err != nil {
-			return res, err
-		}
-		loOut = outs[0]
-	}
-	for tries := 0; !b.spec.Saturated(hi, hiOut.Result) && tries < 4; tries++ {
-		lo, loOut = hi, hiOut
-		hi *= 2
-		if outs, err = b.eval([]float64{hi}); err != nil {
-			return res, err
-		}
-		hiOut = outs[0]
-	}
-	if b.spec.Saturated(lo, loOut.Result) {
-		// Everything probed saturates: report the lowest load seen.
-		res.Lo, res.Hi = lo, lo
-		res.LoResult = loOut.Result
-		return res, nil
-	}
-	if !b.spec.Saturated(hi, hiOut.Result) {
-		// Nothing saturates up to the expanded top: the best sustained
-		// point is the top itself.
-		res.Lo, res.Hi = hi, hi
-		res.LoResult = hiOut.Result
-		return res, nil
-	}
-
-	// k-section: each round probes Fanout evenly spaced interior loads
-	// in parallel and keeps the sub-bracket around the first saturated
-	// one. maxRounds is the geometric bound plus slack; it only guards
-	// against float-width stagnation.
-	maxRounds := int(math.Ceil(math.Log((hi-lo)/spec.Tol)/math.Log(float64(spec.Fanout+1)))) + 2
-	for hi-lo > spec.Tol && res.Rounds < maxRounds {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		res.Rounds++
-		step := (hi - lo) / float64(spec.Fanout+1)
-		loads := make([]float64, spec.Fanout)
-		for i := range loads {
-			loads[i] = lo + float64(i+1)*step
-		}
-		outs, err := b.eval(loads)
-		if err != nil {
-			return res, err
-		}
+	} else {
+		// Keep the sub-bracket around the first saturated probe.
 		firstSat := len(outs)
 		for i, o := range outs {
-			if b.spec.Saturated(loads[i], o.Result) {
+			if b.spec.Saturated(b.loads[i], o.Result) {
 				firstSat = i
 				break
 			}
 		}
 		if firstSat > 0 {
-			lo, loOut = loads[firstSat-1], outs[firstSat-1]
+			b.lo, b.loRes = b.loads[firstSat-1], outs[firstSat-1].Result
 		}
 		if firstSat < len(outs) {
-			hi = loads[firstSat]
+			b.hi = b.loads[firstSat]
 		}
 	}
-	res.Lo, res.Hi = lo, hi
-	res.LoResult = loOut.Result
-	res.Converged = hi-lo <= spec.Tol
+	b.loads = b.next()
+	return nil
+}
+
+// next returns the loads the coming round probes, or settles the
+// search's result and returns nil. Bracketing expands downward first and
+// upward once downward is done; k-section follows.
+func (b *bisection) next() []float64 {
+	sat := b.spec.Saturated
+	if b.maxRounds == 0 {
+		if b.up == 0 && sat(b.lo, b.loRes) && b.down < maxExpand && b.lo > 1e-3 {
+			b.down++
+			b.hi, b.hiRes = b.lo, b.loRes
+			b.lo /= 2
+			return []float64{b.lo}
+		}
+		if !sat(b.hi, b.hiRes) && b.up < maxExpand {
+			b.up++
+			b.lo, b.loRes = b.hi, b.hiRes
+			b.hi *= 2
+			return []float64{b.hi}
+		}
+		if sat(b.lo, b.loRes) {
+			// Everything probed saturates: report the lowest load seen.
+			return b.settle(b.lo, b.lo, b.loRes, false)
+		}
+		if !sat(b.hi, b.hiRes) {
+			// Nothing saturates up to the expanded top: the best sustained
+			// point is the top itself.
+			return b.settle(b.hi, b.hi, b.hiRes, false)
+		}
+		// maxRounds is the geometric bound plus slack; it only guards
+		// against float-width stagnation.
+		b.maxRounds = int(math.Ceil(math.Log((b.hi-b.lo)/b.spec.Tol)/math.Log(float64(b.spec.Fanout+1)))) + 2
+	}
+	if b.hi-b.lo > b.spec.Tol && b.res.Rounds < b.maxRounds {
+		b.res.Rounds++
+		step := (b.hi - b.lo) / float64(b.spec.Fanout+1)
+		loads := make([]float64, b.spec.Fanout)
+		for i := range loads {
+			loads[i] = b.lo + float64(i+1)*step
+		}
+		return loads
+	}
+	return b.settle(b.lo, b.hi, b.loRes, b.hi-b.lo <= b.spec.Tol)
+}
+
+// settle records the search's outcome; a settled search probes nothing.
+func (b *bisection) settle(lo, hi float64, loRes core.Result, converged bool) []float64 {
+	b.res.Lo, b.res.Hi, b.res.LoResult, b.res.Converged = lo, hi, loRes, converged
+	return nil
+}
+
+// count adds one round's outcomes to the probe accounting. A probe error
+// aborts the search: a config error means the caller built a bad spec,
+// exactly like a bad experiment grid.
+func (r *BisectResult) count(loads []float64, outs []Outcome) error {
+	for i, o := range outs {
+		if o.Err != nil {
+			return fmt.Errorf("sweep: bisect probe at load %.4g (key %s): %w", loads[i], o.Config.Key(), o.Err)
+		}
+		r.Probes++
+		if o.Cached {
+			r.Cached++
+		} else {
+			r.SimulatedCycles += o.Result.TotalCycles
+		}
+	}
+	return nil
+}
+
+// Bisect locates the saturation load of spec.At's config family within
+// spec.Tol: BisectAll of one spec.
+func Bisect(ctx context.Context, spec BisectSpec, opt Options) (BisectResult, error) {
+	res, err := BisectAll(ctx, []BisectSpec{spec}, opt)
+	if err != nil {
+		return BisectResult{}, err
+	}
+	return res[0], nil
+}
+
+// BisectAll runs independent saturation searches in lockstep. See the
+// comment at the top of this file for the algorithm. Each round is one
+// call of the executor (Options.Exec, else Run) holding every unsettled
+// search's probes, so Options.Workers bounds every probe in flight and a
+// remote backend sees one job per round. Results are in spec order and
+// equal what independent Bisect calls return, bit for bit on any worker
+// count; the first probe error aborts every search.
+func BisectAll(ctx context.Context, specs []BisectSpec, opt Options) ([]BisectResult, error) {
+	searches := make([]*bisection, len(specs))
+	for i, spec := range specs {
+		spec, err := spec.normalize()
+		if err != nil {
+			return nil, err
+		}
+		searches[i] = &bisection{spec: spec, lo: spec.Lo, hi: spec.Hi, loads: []float64{spec.Lo, spec.Hi},
+			res: BisectResult{DensePoints: int(math.Ceil((spec.Hi-spec.Lo)/spec.Tol)) + 1}}
+	}
+	exec := opt.exec()
+	for {
+		var grid []core.Config
+		for _, b := range searches {
+			for _, x := range b.loads {
+				grid = append(grid, b.spec.At(x))
+			}
+		}
+		if len(grid) == 0 {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		outs, err := exec(ctx, grid, opt)
+		if err != nil {
+			return nil, err
+		}
+		for _, b := range searches {
+			n := len(b.loads)
+			if n == 0 {
+				continue // settled
+			}
+			if err := b.take(outs[:n]); err != nil {
+				return nil, err
+			}
+			outs = outs[n:]
+		}
+	}
+	res := make([]BisectResult, len(searches))
+	for i, b := range searches {
+		res[i] = b.res
+	}
 	return res, nil
 }
 
@@ -260,13 +321,17 @@ func SaturationScan(ctx context.Context, spec BisectSpec, opt Options) (BisectRe
 	}
 	n := int(math.Ceil((spec.Hi-spec.Lo)/spec.Tol)) + 1
 	res := BisectResult{DensePoints: n}
-	b := &bisectRun{ctx: ctx, spec: spec, opt: opt, res: &res}
 	loads := make([]float64, n)
+	grid := make([]core.Config, n)
 	for i := range loads {
 		loads[i] = spec.Lo + float64(i)*(spec.Hi-spec.Lo)/float64(n-1)
+		grid[i] = spec.At(loads[i])
 	}
-	outs, err := b.eval(loads)
+	outs, err := opt.exec()(ctx, grid, opt)
 	if err != nil {
+		return res, err
+	}
+	if err := res.count(loads, outs); err != nil {
 		return res, err
 	}
 	firstSat := -1

@@ -264,3 +264,55 @@ func TestBisectRoutesThroughExec(t *testing.T) {
 		t.Errorf("routed search diverged: got %s want %s", got, want)
 	}
 }
+
+// TestBisectAllMatchesBisect: searches run in lockstep must each find
+// exactly what an independent Bisect finds — the probe loads of a search
+// depend only on its own outcomes — whatever their shapes (downward and
+// upward expansion, never and always saturating, ordinary knees), on any
+// worker count, and the batch must take one executor call per round of
+// its longest search.
+func TestBisectAllMatchesBisect(t *testing.T) {
+	t.Parallel()
+	knees := []float64{0.06, 1.7, math.Inf(1), 0, 0.25, 0.73}
+	specs := make([]BisectSpec, len(knees))
+	for i := range specs {
+		specs[i] = scriptedSpec(0.1, 1.0)
+		at := specs[i].At
+		specs[i].At = func(load float64) core.Config {
+			c := at(load)
+			c.Seed = int64(i) // selects the knee, and keeps searches' keys apart
+			return c
+		}
+	}
+	run := func(c core.Config) (core.Result, error) { return scriptedRunner(knees[c.Seed])(c) }
+	// counted returns options whose executor counts its calls.
+	counted := func(workers int, calls *int) Options {
+		return Options{Workers: workers, Runner: run, Exec: func(ctx context.Context, grid []core.Config, opt Options) ([]Outcome, error) {
+			*calls++
+			opt.Exec = nil
+			return Run(ctx, grid, opt)
+		}}
+	}
+	for _, workers := range []int{1, 8} {
+		var calls int
+		got, err := BisectAll(context.Background(), specs, counted(workers, &calls))
+		if err != nil {
+			t.Fatal(err)
+		}
+		longest := 0
+		for i, spec := range specs {
+			var rounds int
+			want, err := Bisect(context.Background(), spec, counted(workers, &rounds))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want {
+				t.Errorf("workers=%d knee %v: lockstep %+v\nalone %+v", workers, knees[i], got[i], want)
+			}
+			longest = max(longest, rounds)
+		}
+		if calls != longest {
+			t.Errorf("workers=%d: %d executor calls, want %d (the longest search's rounds)", workers, calls, longest)
+		}
+	}
+}

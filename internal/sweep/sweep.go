@@ -68,10 +68,11 @@ type Options struct {
 	// controllable blocking. Nil means core.Run.
 	Runner func(core.Config) (core.Result, error)
 	// Exec, when non-nil, replaces Run for the composite helpers layered
-	// on top of the engine — Bisect, SaturationScan and the experiment
-	// grid runners — so a remote backend executes every point. Run
-	// itself never consults Exec (an executor that called back into the
-	// same Options would recurse).
+	// on top of the engine — BisectAll (one call per lockstep round),
+	// Bisect, SaturationScan and the experiment grid runners — so a
+	// remote backend executes every point. Run itself never consults
+	// Exec (an executor that called back into the same Options would
+	// recurse).
 	Exec RunFunc
 	// OnPoint, when non-nil, is invoked as each point completes, from
 	// the worker goroutine that ran it (calls may be concurrent; i is
