@@ -141,6 +141,79 @@ func TestGoldenFaults(t *testing.T) {
 	compareGolden(t, "golden_faults.txt", "TestGoldenFaults", got)
 }
 
+// goldenScheduleGrid pins the transient-fault kernel: an 8x8 mesh under a
+// timed link storm and a timed router storm (failures and repairs landing
+// mid-measurement), 2 loads x both pipelines x both kernels x the
+// reliability layer off and on. Transition semantics — the purge, the
+// drain discipline, table swaps, rerouting, credit recomputation, the NI
+// retransmission timers — must reproduce these Results bit for bit or
+// regenerate deliberately.
+func goldenScheduleGrid(t *testing.T) (cfgs []core.Config, keys []string) {
+	t.Helper()
+	base := core.DefaultConfig()
+	base.Dims = []int{8, 8}
+	base.Selection = selection.LRU
+	base.Warmup, base.Measure = 100, 1000
+	m := base.Mesh()
+	storms := []struct{ name, spec string }{
+		{"links", "27-28@1100:1800,35-43@1300,20-21@1400:2000"},
+		{"routers", "r9@1200:1900,r45@1500"},
+	}
+	for _, st := range storms {
+		sched, err := fault.ParseSchedule(m, st.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, load := range []float64{0.1, 0.25} {
+			for _, la := range []bool{false, true} {
+				for _, events := range []bool{false, true} {
+					for _, rel := range []bool{false, true} {
+						c := base
+						c.Schedule = sched
+						c.Load = load
+						c.LookAhead = la
+						c.EventMode = events
+						if rel {
+							c.Reliability = &core.Reliability{RTO: 400, MaxAttempts: 8}
+						}
+						cfgs = append(cfgs, c)
+						keys = append(keys, fmt.Sprintf("%s/load=%.2f/la=%t/ev=%t/rel=%t", st.name, load, la, events, rel))
+					}
+				}
+			}
+		}
+	}
+	return cfgs, keys
+}
+
+// scheduleFingerprint is fingerprint plus what a schedule run adds: the
+// fast-forwarded cycles and every schedule and reliability counter.
+func scheduleFingerprint(r core.Result) string {
+	return fmt.Sprintf("%s skip=%d dflit=%d dmsg=%d epochs=%d frac=%016x rec=%d retx=%d dup=%d abandon=%d",
+		fingerprint(r), r.SkippedCycles, r.DroppedFlits, r.DroppedMessages, r.ReconvergenceEpochs,
+		math.Float64bits(r.DeliveredFraction), r.RecoveryCycles, r.Retransmits, r.DupSuppressed, r.Abandoned)
+}
+
+// TestGoldenSchedule locks the transient-fault kernel the way
+// TestGoldenFaults locks the static one. Regenerate (only when a semantic
+// change is intended) with: go test ./internal/core -run TestGoldenSchedule
+// -update
+func TestGoldenSchedule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden schedule grid is 32 full runs; skipped under -short")
+	}
+	cfgs, keys := goldenScheduleGrid(t)
+	got := make(map[string]string, len(cfgs))
+	for i, c := range cfgs {
+		r, err := core.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", keys[i], err)
+		}
+		got[keys[i]] = scheduleFingerprint(r)
+	}
+	compareGolden(t, "golden_schedule.txt", "TestGoldenSchedule", got)
+}
+
 // goldenEventGrid is goldenGrid on the event kernel plus one point each
 // for the switching, topology and pipeline/table corners the express path
 // treats specially: cut-through, an 8x8 torus (datelines) and
@@ -191,37 +264,42 @@ func TestGoldenEvent(t *testing.T) {
 	compareGolden(t, "golden_event.txt", "TestGoldenEvent", got)
 }
 
-// TestGoldenShuffledRecycling runs the three golden grids as one list,
+// TestGoldenShuffledRecycling runs the four golden grids as one list,
 // twice, each pass in its own shuffled order, and holds every result to the
-// committed fixtures. The three tests above already recycle — they call
+// committed fixtures. The four tests above already recycle — they call
 // core.Run in one process, so each point after the first of its shape runs
 // in the arena the previous one returned — but always in fixture order;
-// here a PROUD point follows a faulted one follows an overloaded one, on
-// both kernels, and every point also runs in an arena that has already run
-// the whole list. Which arena a run gets, and what ran in it before, must be
-// unobservable.
+// here a PROUD point follows a faulted one follows a storm-swept one
+// follows an overloaded one, on both kernels, and every point also runs in
+// an arena that has already run the whole list. Which arena a run gets, and
+// what ran in it before, must be unobservable.
 func TestGoldenShuffledRecycling(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two passes over all 59 golden points; skipped under -short")
+		t.Skip("two passes over all 91 golden points; skipped under -short")
 	}
 	if *updateGolden {
-		t.Skip("the fixtures are written by the three grid tests")
+		t.Skip("the fixtures are written by the four grid tests")
 	}
 	type point struct {
 		file, key string
 		cfg       core.Config
+		print     func(core.Result) string
 	}
 	var pts []point
 	for _, c := range goldenGrid() {
-		pts = append(pts, point{"golden_kernel.txt", goldenKey(c), c})
+		pts = append(pts, point{"golden_kernel.txt", goldenKey(c), c, fingerprint})
 	}
 	cfgs, keys := goldenFaultGrid(t)
 	for i, c := range cfgs {
-		pts = append(pts, point{"golden_faults.txt", keys[i], c})
+		pts = append(pts, point{"golden_faults.txt", keys[i], c, fingerprint})
 	}
 	cfgs, keys = goldenEventGrid()
 	for i, c := range cfgs {
-		pts = append(pts, point{"golden_event.txt", keys[i], c})
+		pts = append(pts, point{"golden_event.txt", keys[i], c, fingerprint})
+	}
+	cfgs, keys = goldenScheduleGrid(t)
+	for i, c := range cfgs {
+		pts = append(pts, point{"golden_schedule.txt", keys[i], c, scheduleFingerprint})
 	}
 	rng := rand.New(rand.NewSource(22))
 	for pass := 0; pass < 2; pass++ {
@@ -235,7 +313,7 @@ func TestGoldenShuffledRecycling(t *testing.T) {
 			if got[p.file] == nil {
 				got[p.file] = map[string]string{}
 			}
-			got[p.file][p.key] = fingerprint(r)
+			got[p.file][p.key] = p.print(r)
 		}
 		for file, m := range got {
 			compareGolden(t, file, "TestGoldenShuffledRecycling", m)

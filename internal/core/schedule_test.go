@@ -61,6 +61,50 @@ func TestScheduleKeys(t *testing.T) {
 	}
 }
 
+// TestKeyLiterals pins Config.Key to the bytes the durable result store
+// already holds for a healthy config, a static plan, the same damage
+// spelled as an untimed schedule (items reordered), and a timed schedule
+// with the reliability layer: a refactor of how faults are represented
+// must not orphan a single stored entry.
+func TestKeyLiterals(t *testing.T) {
+	t.Parallel()
+	base := core.DefaultConfig()
+	base.Dims = []int{8, 8}
+	m := base.Mesh()
+	plan, err := fault.Parse(m, "27-28,35-43,r9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	untimed, err := fault.ParseSchedule(m, "35-43,r9,27-28")
+	if err != nil {
+		t.Fatal(err)
+	}
+	timed, err := fault.ParseSchedule(m, "27-28@1100:1800,r9@1200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, spelled, stormy := base, base, base
+	static.Faults = plan
+	spelled.Schedule = untimed
+	stormy.Schedule = timed
+	stormy.Reliability = &core.Reliability{RTO: 400, MaxAttempts: 8}
+	const healthy = "d[8 8],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr0x0,w2000,m30000,mc0,sl40b3880000000000,sd1"
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		want string
+	}{
+		{"healthy", base, healthy},
+		{"static plan", static, healthy + ",f[27-28;35-43;r9]"},
+		{"untimed schedule", spelled, healthy + ",f[27-28;35-43;r9]"},
+		{"timed schedule", stormy, healthy + ",fs[27-28@1100:1800;r9@1200],rel[400,8,0]"},
+	} {
+		if got := tc.cfg.Key(); got != tc.want {
+			t.Errorf("%s: key\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestScheduleStaticCollapse: running a static schedule produces the
 // bit-identical Result of running its plan directly — the degenerate
 // schedule is the same simulation, not a near miss.

@@ -336,6 +336,54 @@ func TestPointHoldsConfigTypes(t *testing.T) {
 	}
 }
 
+// TestPointFaultPayloads pins how damage travels: static damage under
+// "faults" and timed damage under "schedule", byte for byte as clients and
+// servers already exchange them; a static schedule as an older client sent
+// it (untimed items under "schedule") decodes to the key of the same damage
+// sent as a plan; and a point naming both is refused.
+func TestPointFaultPayloads(t *testing.T) {
+	t.Parallel()
+	cfgs := wireTestConfigs(t)
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		want string
+	}{
+		{"static", cfgs[2], `{"dims":[8,8],"faults":"1-2,r27","vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
+		{"timed", cfgs[6], `{"dims":[8,8],"schedule":"27-28@500:1500,r9@800","reliability":{"rto":512,"max_attempts":5},"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":{"hi_frac":0.2,"hi_vcs":1},"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
+	} {
+		p, err := PointFromConfig(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s point payload changed:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+
+	const older = `{"dims":[8,8],"schedule":"1-2@0,r27@0","vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
+	var p Point
+	if err := json.Unmarshal([]byte(older), &p); err != nil {
+		t.Fatal(err)
+	}
+	c, err := p.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Key() != cfgs[2].Key() {
+		t.Errorf("a static schedule sent under \"schedule\" keys apart from its plan:\n got %s\nwant %s", c.Key(), cfgs[2].Key())
+	}
+
+	p.Faults = "1-2"
+	if _, err := p.Config(); err == nil || !strings.Contains(err.Error(), "exclusive") {
+		t.Errorf("a point with both faults and schedule: want a mutually-exclusive error, got %v", err)
+	}
+}
+
 // TestPointPayloadStable: a config that sets none of Burst, QoS, Schedule
 // and Reliability encodes to the bytes it did before the wire carried them,
 // so old and new clients and servers agree on every such point.
