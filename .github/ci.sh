@@ -73,6 +73,11 @@ unit)
 	# accepts, every lookup and look-ahead lookup at every router,
 	# destination and dateline state, then the ES-vs-full sweep.
 	go run ./cmd/lapses-tables -verify
+	# Damage is one flag: a count of random dead links (a static plan), and
+	# a spec whose items may be timed — a link failing and healing mid-run
+	# plus a router dead from the start, under the retransmission layer.
+	go run ./cmd/lapses-sim -faults 4 -measure 3000
+	go run ./cmd/lapses-sim -faults '12-13@2000:4000,r9' -reliability on -measure 3000
 	;;
 full)
 	# The full-fidelity paper-claim tests (skipped under -short) still
@@ -192,6 +197,15 @@ serve)
 	lx -exp scaling -fidelity quick -server $url >scaling-resub.txt
 	no_resimulation scaling-resub.txt
 	curl -fs $url/v1/store | grep -q '"put_failures": 0'
+	# Timed damage and the reliability layer travel on the wire too: the
+	# availability storm served equals in-process, and a resubmission is
+	# answered from the store.
+	lx -exp availability -fidelity quick -server $url >availability.txt
+	lx -exp availability -fidelity quick >availability-local.txt
+	diff <(table availability.txt) <(table availability-local.txt)
+	lx -exp availability -fidelity quick -server $url >availability-resub.txt
+	no_resimulation availability-resub.txt
+	diff <(table availability-resub.txt) <(table availability-local.txt)
 	;;
 cluster)
 	# The deterministic chaos pins first, under the race detector on the

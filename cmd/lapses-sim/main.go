@@ -10,19 +10,17 @@
 //
 // Degraded topologies come from -faults: an integer draws that many
 // random link failures (seeded by -fault-seed, always leaving the network
-// connected), while an explicit plan names links by their endpoints and
-// routers with an r prefix:
+// connected), while an explicit spec names links by their endpoints and
+// routers with an r prefix. An item may carry "@DOWN" or "@DOWN:UP": it
+// then fails mid-run at cycle DOWN (and heals at UP), with live route
+// reconvergence at each transition; untimed items are down from the start
+// and never heal. The optional -reliability flag adds the end-to-end NI
+// retransmission layer on top, turning transition losses into retries:
 //
 //	lapses-sim -load 0.3 -faults 4 -fault-seed 7
 //	lapses-sim -load 0.3 -faults 12-13,40-41,r77
-//
-// Transient faults come from -fault-schedule: timed down/up events that
-// hit mid-run, with live route reconvergence at each transition. The
-// optional -reliability flag adds the end-to-end NI retransmission layer
-// on top, turning the losses into retries:
-//
-//	lapses-sim -load 0.3 -fault-schedule 12-13@5000:9000,r77@2000
-//	lapses-sim -load 0.3 -fault-schedule 12-13@5000:9000 -reliability on
+//	lapses-sim -load 0.3 -faults 12-13@5000:9000,r77@2000
+//	lapses-sim -load 0.3 -faults 12-13@5000:9000 -reliability on
 //
 // -burst switches every source to a bursty two-state MMPP at the same
 // mean rate, and -qos enables two-class traffic with VC reservation —
@@ -77,9 +75,8 @@ func main() {
 	seed := flag.Int64("seed", cfg.Seed, "random seed")
 	auto := flag.Bool("auto", false, "adaptive measurement: MSER-5 warmup truncation + CI-based early stopping (ceiling = warmup+measure)")
 	autoTol := flag.Float64("auto-tol", 0.05, "with -auto: stop once the 95% CI half-width falls to this fraction of the mean")
-	faults := flag.String("faults", "", "fault plan: a count of random link failures, or an explicit \"A-B,...,rN\" spec")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for random fault plans")
-	faultSched := flag.String("fault-schedule", "", "transient fault schedule: \"A-B@DOWN:UP,rN@DOWN,...\" timed events (\":UP\" omitted = permanent); exclusive with -faults")
+	faults := flag.String("faults", "", "failed equipment: a count of random link failures, or a \"A-B,...,rN\" spec whose items may be timed \"@DOWN[:UP]\" (untimed = down from the start; \":UP\" omitted = permanent)")
+	faultSeed := flag.Int64("fault-seed", 1, "seed for a random count of link failures")
 	reliability := flag.String("reliability", "", "end-to-end NI retransmission layer: \"on\" for defaults, or \"RTO,ATTEMPTS,ACKDELAY\" (cycles, count, cycles; 0 = default)")
 	events := flag.Bool("events", false, "event-driven kernel: observationally equivalent to cycle mode, not bit-identical (see README)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
@@ -141,14 +138,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *faultSched != "" {
-		if *faults != "" {
-			fatal(fmt.Errorf("-faults and -fault-schedule are exclusive: a static plan is the schedule with no timestamps"))
-		}
-		if cfg.Schedule, err = fault.ParseSchedule(cfg.Mesh(), *faultSched); err != nil {
-			fatal(err)
-		}
-	}
 	if *reliability != "" {
 		if cfg.Reliability, err = parseReliability(*reliability); err != nil {
 			fatal(err)
@@ -172,12 +161,12 @@ func main() {
 		fmt.Printf("qos            high-class probability %.2f, top %d adaptive VC(s) reserved\n",
 			cfg.QoS.HiFrac, cfg.QoS.HiVCs)
 	}
-	if !cfg.Faults.Empty() {
-		fmt.Printf("faults         %d links, %d routers down: %s\n",
-			cfg.Faults.NumLinks(), cfg.Faults.NumRouters(), cfg.Faults.Key())
+	timed := cfg.Faults.Epochs() > 1
+	if p := cfg.Faults.Plan(0); !timed && !p.Empty() {
+		fmt.Printf("faults         %d links, %d routers down: %s\n", p.NumLinks(), p.NumRouters(), p.Key())
 	}
-	if cfg.Schedule != nil {
-		fmt.Printf("schedule       %s\n", cfg.Schedule.Key())
+	if timed {
+		fmt.Printf("schedule       %s\n", cfg.Faults.Key())
 	}
 	fmt.Printf("avg latency    %s cycles (95%% CI +/- %.2f)\n", res.LatencyString(), res.CI95)
 	fmt.Printf("percentiles    p50 %.0f / p95 %.0f / p99 %.0f cycles\n", res.P50, res.P95, res.P99)
@@ -197,7 +186,7 @@ func main() {
 	}
 	fmt.Printf("kernel         %s, %d of %d cycles fast-forwarded\n",
 		kernel, res.SkippedCycles, res.TotalCycles)
-	if cfg.Schedule != nil {
+	if timed {
 		recovery := "never (or no pre-fault baseline)"
 		if res.RecoveryCycles >= 0 {
 			recovery = fmt.Sprintf("%d cycles after last failure", res.RecoveryCycles)
@@ -265,15 +254,16 @@ func parseReliability(spec string) (*core.Reliability, error) {
 	return &core.Reliability{RTO: rto, MaxAttempts: attempts, AckDelay: ackDelay}, nil
 }
 
-// parseFaults builds the fault plan: a bare integer draws that many
-// random link failures (connectivity-preserving), anything else is an
-// explicit fault.Parse spec.
-func parseFaults(cfg core.Config, spec string, seed int64) (*fault.Plan, error) {
+// parseFaults builds the damage: a bare integer draws that many random
+// link failures (connectivity-preserving), anything else is a
+// fault.ParseSchedule spec.
+func parseFaults(cfg core.Config, spec string, seed int64) (*fault.Schedule, error) {
 	m := cfg.Mesh()
 	if n, err := strconv.Atoi(strings.TrimSpace(spec)); err == nil {
-		return fault.Random(m, n, 0, seed)
+		p, err := fault.Random(m, n, 0, seed)
+		return fault.Static(p), err
 	}
-	return fault.Parse(m, spec)
+	return fault.ParseSchedule(m, spec)
 }
 
 // parseBurst reads the -burst spec "ONFRAC,MEANON" into an MMPP burst

@@ -20,7 +20,7 @@
 // traffic.Sources) that is reset, not rebuilt, between points. What
 // sizes the slabs is the network's shape (network.Shape: nodes, ports,
 // VCs, buffer depths, wheel horizon, reliability on or off); everything
-// else is the point — tables, algorithm, selection, look-ahead, load,
+// else is the point — tables, selection, look-ahead, load,
 // pattern, seed, faults — and network.Reset, the only initialiser a
 // network has (New is alloc + Reset), rewrites it in place. core.Run
 // checks an idle arena of the point's shape out of a bounded
@@ -50,11 +50,14 @@
 // README.md "Saturated points: standing requests".
 //
 // Beyond the paper's healthy-network evaluation, internal/fault models
-// degraded topologies: deterministic plans of failed links and routers,
-// threaded through routing (up*/down* escape over the live graph, Duato
-// adaptivity on live minimal ports), the table organizations (exception
-// overlays on ES and interval tables), and the fabric (dead wiring, inert
-// NIs). The resilience experiment (cmd/lapses-experiments -exp
+// degraded topologies as one representation, a fault schedule of failed
+// links and routers (a static plan is its one-epoch case; timed items fail
+// and heal mid-run), threaded through routing (up*/down* escape over the
+// live graph, Duato adaptivity on live minimal ports), the table
+// organizations (exception overlays on ES and interval tables, one set per
+// epoch), and the fabric (gated dead ports, inert NIs, and at each timed
+// transition a purge, a table swap and a credit recompute). The resilience
+// experiment (cmd/lapses-experiments -exp
 // resilience) measures saturation throughput and latency versus the
 // number of failed links, showing the adaptive recipe sustaining 1.5-2.3x
 // deterministic routing's throughput at four or more failures — the

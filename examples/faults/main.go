@@ -34,7 +34,8 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		base.Faults = plan
+		// A static plan is the one-epoch fault schedule.
+		base.Faults = fault.Static(plan)
 
 		cells := make([]string, 0, 2)
 		for _, alg := range []core.Alg{core.AlgDuato, core.AlgXY} {

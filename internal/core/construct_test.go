@@ -53,7 +53,7 @@ func TestConstructAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Schedule = sched
+		c.Faults = sched
 	})
 	for _, tc := range []struct {
 		name             string
@@ -357,7 +357,7 @@ func TestPlumbingConcurrentFirstTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameAnswers(t, got[0].tbls, fresh.tbls)
+	sameAnswers(t, got[0].tbls[0], fresh.tbls[0])
 }
 
 // TestPlumbingCacheBounded: the cache holds at most its cap of
@@ -398,5 +398,5 @@ func TestPlumbingCacheBounded(t *testing.T) {
 	if builds != len(cfgs)+1 || again == first {
 		t.Fatalf("the oldest structure was not evicted (%d builds, same plumbing: %v)", builds, again == first)
 	}
-	sameAnswers(t, first.tbls, again.tbls)
+	sameAnswers(t, first.tbls[0], again.tbls[0])
 }

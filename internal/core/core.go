@@ -96,28 +96,23 @@ type Config struct {
 	Dims  []int
 	Torus bool
 
-	// Faults, when non-nil and non-empty, degrades the topology per the
-	// plan: failed links carry nothing, failed routers inject nothing and
-	// attract no traffic, and the routing policy is recomputed over the
-	// live graph (Duato keeps its adaptive VCs on distance-reducing live
-	// ports with an up*/down* escape; every deterministic algorithm
-	// becomes the up*/down* function itself, the turns that remain legal
-	// around the damage). Run fails with a descriptive error when the
-	// plan disconnects the live network. Load stays normalized to the
-	// healthy bisection so series over fault counts share an x-axis.
-	Faults *fault.Plan
-
-	// Schedule, when non-nil, subjects the run to a transient fault
-	// schedule: links and routers fail at given cycles and optionally heal
-	// at later ones (fault.ParseSchedule reads the CLI spec). At each
-	// transition the network destroys every flit committed to dying
-	// equipment, swaps in routing tables recomputed for the new epoch's
-	// live graph, and restores the credit invariants — traffic in flight
-	// elsewhere keeps moving. A static schedule (every event down at cycle
-	// 0, no repairs) is collapsed onto the Faults path and behaves — and
-	// memoizes — byte-identically to the equivalent static plan. Mutually
-	// exclusive with Faults.
-	Schedule *fault.Schedule
+	// Faults, when non-nil and non-empty, degrades the topology: failed
+	// links carry nothing, failed routers inject nothing and attract no
+	// traffic, and the routing policy is recomputed over the live graph
+	// (Duato keeps its adaptive VCs on distance-reducing live ports with an
+	// up*/down* escape; every deterministic algorithm becomes the up*/down*
+	// function itself, the turns that remain legal around the damage). A
+	// static plan is the one-epoch schedule (fault.Static wraps a Plan as
+	// one; fault.ParseSchedule reads the CLI spec, whose untimed items make
+	// one). Under a timed schedule links and routers fail at given cycles
+	// and optionally heal at later ones: at each transition the network
+	// destroys every flit committed to dying equipment, swaps in routing
+	// tables recomputed for the new epoch's live graph, and restores the
+	// credit invariants — traffic in flight elsewhere keeps moving. Run
+	// fails with a descriptive error when a plan disconnects the live
+	// network. Load stays normalized to the healthy bisection so series
+	// over fault counts share an x-axis.
+	Faults *fault.Schedule
 
 	// Reliability, when non-nil, enables the end-to-end NI retransmission
 	// layer: sources hold every message until the destination acknowledges
@@ -307,28 +302,12 @@ func (c Config) QuickFidelity() Config {
 // Mesh materializes the topology.
 func (c Config) Mesh() *topology.Mesh { return topology.New(c.Torus, c.Dims...) }
 
-// normalized collapses a static schedule — one whose every event is down
-// at cycle 0 with no repair — onto the plain Faults path: the simulation
-// is the same, and keeping one spelling keeps cache keys and results
-// byte-identical to static-plan configurations. Run and Key both operate
-// on the normalized form.
-func (c Config) normalized() Config {
-	if c.Schedule != nil && c.Schedule.Static() {
-		if p := c.Schedule.StaticPlan(); !p.Empty() {
-			c.Faults = p
-		}
-		c.Schedule = nil
-	}
-	return c
-}
-
 // Key returns a string that identifies the configuration exactly: two
 // configs with equal keys produce bit-identical Results from Run. It is
 // the memo-cache key used by internal/sweep. Floats are keyed by their
 // bit patterns, so no two distinct loads ever collide; a Trace is keyed
 // by its content digest (no trace keeps the term "tr0x0" it always had).
 func (c Config) Key() string {
-	c = c.normalized()
 	var b strings.Builder
 	b.Grow(96)
 	trace := "0x0"
@@ -364,18 +343,18 @@ func (c Config) Key() string {
 	if c.QoS != nil {
 		fmt.Fprintf(&b, ",q[%x,%d]", math.Float64bits(c.QoS.HiFrac), c.QoS.HiVCs)
 	}
-	// The fault plan is keyed by canonical content, so equal damage from
-	// different Plan pointers memoizes together and any difference in
-	// damage never shares a cache line. Empty plans key like nil: a
-	// zero-fault config is the same simulation either way.
+	// Damage is keyed by canonical content, so equal damage from different
+	// values memoizes together — "12-13" spelled as a plan or as an
+	// untimed schedule shares a cache line — and any difference in damage
+	// never shares one. Static damage keys as f[...], timed as fs[...]; no
+	// damage adds nothing: a zero-fault config is the same simulation
+	// either way.
 	if !c.Faults.Empty() {
-		fmt.Fprintf(&b, ",f[%s]", c.Faults.Key())
-	}
-	// A non-static schedule is keyed by its canonical timed-event content
-	// (normalization above already rewrote static ones as plain plans, so
-	// "12-13" spelled as a schedule or a plan shares a cache line).
-	if c.Schedule != nil {
-		fmt.Fprintf(&b, ",fs[%s]", c.Schedule.Key())
+		term := ",f[%s]"
+		if c.Faults.Epochs() > 1 {
+			term = ",fs[%s]"
+		}
+		fmt.Fprintf(&b, term, c.Faults.Key())
 	}
 	// The reliability layer changes delivery behavior (retransmitted
 	// traffic competes with measured traffic), so it always keys apart.
@@ -399,23 +378,29 @@ func (c Config) class() routing.Class {
 }
 
 // Routing returns the routing function and the VC partition c's tables are
-// programmed from.
+// programmed from (the first epoch's, under a fault schedule).
 func (c Config) Routing() (routing.Algorithm, routing.Class, error) {
 	cls := c.class()
-	alg, err := c.buildAlgorithm(c.Mesh(), cls)
+	alg, err := c.algorithm(c.Mesh(), cls, c.Faults.Plan(0))
 	return alg, cls, err
 }
 
-// buildAlgorithm materializes the routing function. Under a non-empty
-// fault plan the healthy algorithms are replaced by their degraded-graph
-// equivalents: Duato keeps fully adaptive VCs over the live minimal
-// directions with an up*/down* escape channel, and every deterministic or
-// turn-model algorithm becomes deterministic up*/down* routing (the turns
-// that remain deadlock-free around arbitrary damage). Construction fails
-// with a descriptive error when the plan disconnects the live network.
-func (c Config) buildAlgorithm(m *topology.Mesh, cls routing.Class) (routing.Algorithm, error) {
+// algorithm materializes the routing function of one fault epoch, whose
+// plan is given. Under any damage the healthy algorithms are replaced by
+// their degraded-graph equivalents in every epoch, a schedule's healthy
+// epochs included, so consecutive epochs differ only in the damage they
+// avoid, never in routing family: Duato keeps fully adaptive VCs over the
+// live minimal directions with an up*/down* escape channel, and every
+// deterministic or turn-model algorithm becomes deterministic up*/down*
+// routing (the turns that remain deadlock-free around arbitrary damage).
+// Construction fails with a descriptive error when the plan disconnects
+// the live network.
+func (c Config) algorithm(m *topology.Mesh, cls routing.Class, plan *fault.Plan) (routing.Algorithm, error) {
 	if !c.Faults.Empty() {
-		return c.algorithmFor(m, cls, c.Faults)
+		if c.Algorithm == AlgDuato {
+			return routing.NewFaultDuato(m, cls, plan)
+		}
+		return routing.NewFaultDimOrder(m, cls, plan)
 	}
 	switch c.Algorithm {
 	case AlgXY:
@@ -434,24 +419,8 @@ func (c Config) buildAlgorithm(m *topology.Mesh, cls routing.Class) (routing.Alg
 	panic("core: unknown algorithm")
 }
 
-// algorithmFor materializes the fault-aware variant of the configured
-// algorithm over one plan — for static runs the single plan, for
-// scheduled runs each epoch's. Schedules route fault-aware in every
-// epoch (the healthy epochs included) so consecutive epochs differ only
-// in the damage they avoid, never in routing family.
-func (c Config) algorithmFor(m *topology.Mesh, cls routing.Class, plan *fault.Plan) (routing.Algorithm, error) {
-	if c.Algorithm == AlgDuato {
-		return routing.NewFaultDuato(m, cls, plan)
-	}
-	return routing.NewFaultDimOrder(m, cls, plan)
-}
-
 // Validate reports configuration errors without building the network.
 func (c Config) Validate() error {
-	if c.Schedule != nil && !c.Faults.Empty() {
-		return fmt.Errorf("core: Faults and Schedule are mutually exclusive; encode static damage in either one")
-	}
-	c = c.normalized()
 	if len(c.Dims) == 0 {
 		return fmt.Errorf("core: no dimensions")
 	}
@@ -531,9 +500,9 @@ func (c Config) Validate() error {
 	}
 	// The healthy yx and turn-model routing functions exist in two
 	// dimensions only (routing.NewDimOrder and the turn models panic
-	// otherwise). Under faults or a schedule every algorithm but Duato
-	// routes up*/down* over the live graph, whatever the dimensions.
-	if c.Faults.Empty() && c.Schedule == nil {
+	// otherwise). Under faults every algorithm but Duato routes up*/down*
+	// over the live graph, whatever the dimensions.
+	if c.Faults.Empty() {
 		switch c.Algorithm {
 		case AlgYX:
 			if len(c.Dims) != 2 {
@@ -557,7 +526,7 @@ func (c Config) Validate() error {
 		// highest dimension is resolved first: yx in 2-D (xy in 1-D). Under
 		// faults the table keeps exception entries, so any order fits.
 		highFirst := c.Algorithm == AlgYX && len(c.Dims) == 2 || c.Algorithm == AlgXY && len(c.Dims) == 1
-		if c.Faults.Empty() && c.Schedule == nil && !highFirst {
+		if c.Faults.Empty() && !highFirst {
 			return fmt.Errorf("core: %s routing on %s is not interval-expressible (a port would cover a non-contiguous label run); use yx on a 2-D mesh", c.Algorithm, c.Mesh())
 		}
 	}
@@ -566,28 +535,13 @@ func (c Config) Validate() error {
 	}
 	if !c.Faults.Empty() {
 		if !c.Faults.Fits(c.Mesh()) {
-			return fmt.Errorf("core: fault plan %s was built for a different topology than %s", c.Faults, c.Mesh())
+			return fmt.Errorf("core: damage %s was built for a different topology than %s", c.Faults, c.Mesh())
 		}
 		if c.Table == table.KindMetaRow || c.Table == table.KindMetaBlock {
 			return fmt.Errorf("core: meta tables are defined for healthy meshes; use es or full under faults")
 		}
-		if c.Trace != nil && c.Faults.NumRouters() > 0 {
-			return fmt.Errorf("core: trace workloads require fault plans without dead routers (trace endpoints cannot be filtered)")
-		}
-	}
-	if s := c.Schedule; s != nil {
-		if !s.Fits(c.Mesh()) {
-			return fmt.Errorf("core: fault schedule %s was built for a different topology than %s", s, c.Mesh())
-		}
-		if c.Table == table.KindMetaRow || c.Table == table.KindMetaBlock {
-			return fmt.Errorf("core: meta tables are defined for healthy meshes; use es or full under a fault schedule")
-		}
-		if c.Trace != nil {
-			for i := 0; i < s.Epochs(); i++ {
-				if s.Plan(i).NumRouters() > 0 {
-					return fmt.Errorf("core: trace workloads require fault schedules without router events (trace endpoints cannot be filtered)")
-				}
-			}
+		if c.Trace != nil && c.Faults.FailsRouters() {
+			return fmt.Errorf("core: trace workloads require faults without dead routers (trace endpoints cannot be filtered)")
 		}
 	}
 	if c.Reliability != nil {
@@ -704,17 +658,14 @@ func (r Result) LatencyString() string {
 }
 
 // plumbing bundles the immutable structural pieces shared by every run
-// over the same topology and routing policy: the mesh, the routing
-// algorithm, and the per-node tables. All are read-only after
+// over the same topology, routing policy and damage: the mesh, the VC
+// partition, and the per-node tables of every fault epoch (one set for a
+// healthy network or a static plan). All are read-only after
 // construction, so concurrent runs (sweep workers) share them freely.
 type plumbing struct {
 	m    *topology.Mesh
 	cls  routing.Class
-	alg  routing.Algorithm
-	tbls []table.Table
-	// epochTbls holds one table set per schedule epoch for scheduled-fault
-	// runs (nil otherwise); tbls aliases epochTbls[0] then.
-	epochTbls [][]table.Table
+	tbls [][]table.Table
 }
 
 // maxStructures caps the plumbing cache. One entry is a structure's whole
@@ -767,37 +718,27 @@ func (c Config) plumbing() (*plumbing, error) {
 	return cachedPlumbing(structures, c.structureKey(), c.buildPlumbing)
 }
 
-// structureKey identifies everything buildPlumbing reads.
+// structureKey identifies everything buildPlumbing reads. A static plan's
+// key never holds an "@" and a timed schedule's always does, so the one
+// fault term cannot confuse the two.
 func (c Config) structureKey() string {
-	return fmt.Sprintf("d%v,t%t,v%d,e%d,a%d,tb%d,f[%s],fs[%s]",
-		c.Dims, c.Torus, c.VCs, c.EscapeVCs, int(c.Algorithm), int(c.Table), c.Faults.Key(), c.Schedule.Key())
+	return fmt.Sprintf("d%v,t%t,v%d,e%d,a%d,tb%d,f[%s]",
+		c.Dims, c.Torus, c.VCs, c.EscapeVCs, int(c.Algorithm), int(c.Table), c.Faults.Key())
 }
 
-// buildPlumbing is the cold path behind the cache: the routing function,
-// then every node's table in one parallel pass (table.BuildAll).
+// buildPlumbing is the cold path behind the cache: for each fault epoch,
+// the routing function, then every node's table in one parallel pass
+// (table.BuildAll); the network swaps between the sets at transitions.
 func (c Config) buildPlumbing() (*plumbing, error) {
 	m := c.Mesh()
 	cls := c.class()
-	if s := c.Schedule; s != nil {
-		// Scheduled runs carry one fault-aware routing policy and table
-		// set per epoch; the network swaps between them at transitions.
-		alg, err := c.algorithmFor(m, cls, s.Plan(0))
-		if err != nil {
-			return nil, err
-		}
-		epochTbls, err := network.BuildEpochTables(m, c.Table, cls, s, func(plan *fault.Plan) (routing.Algorithm, error) {
-			return c.algorithmFor(m, cls, plan)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &plumbing{m: m, cls: cls, alg: alg, tbls: epochTbls[0], epochTbls: epochTbls}, nil
-	}
-	alg, err := c.buildAlgorithm(m, cls)
+	tbls, err := network.BuildEpochTables(m, c.Table, cls, c.Faults, func(plan *fault.Plan) (routing.Algorithm, error) {
+		return c.algorithm(m, cls, plan)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &plumbing{m: m, cls: cls, alg: alg, tbls: table.BuildAll(c.Table, m, alg, cls)}, nil
+	return &plumbing{m: m, cls: cls, tbls: tbls}, nil
 }
 
 // maxIdleArenaBytes caps the storage the arena free list holds while no run
@@ -942,7 +883,6 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	cfg = cfg.normalized()
 	p, err := cfg.plumbing()
 	if err != nil {
 		return Result{}, err
@@ -956,9 +896,7 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 			LookAhead: cfg.LookAhead, CutThrough: cfg.CutThrough,
 		},
 		LinkDelay: cfg.LinkDelay,
-		Algorithm: p.alg,
 		Class:     p.cls,
-		Table:     cfg.Table,
 		Tables:    p.tbls,
 		Selection: cfg.Selection,
 		Trace:     cfg.Trace,
@@ -976,11 +914,6 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 	if cfg.QoS != nil {
 		ncfg.QoSHiFrac = cfg.QoS.HiFrac
 		ncfg.Router.ResvVCs = cfg.QoS.HiVCs
-	}
-	if cfg.Schedule != nil {
-		ncfg.Schedule = cfg.Schedule
-		ncfg.EpochTables = p.epochTbls
-		ncfg.Tables = nil
 	}
 	if seam != nil {
 		seam(&ncfg)
@@ -1031,7 +964,7 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		SatReason:      run.SatReason,
 	}
 	res.LatencyCI = res.CI95
-	if s := cfg.Schedule; s != nil {
+	if s := cfg.Faults; s.Epochs() > 1 {
 		res.DroppedFlits = net.DroppedFlits()
 		res.DroppedMessages = net.DroppedMessages()
 		res.ReconvergenceEpochs = net.ReconvergenceEpochs()

@@ -114,9 +114,11 @@ func TestIntervalValidateOrRun(t *testing.T) {
 						var err error
 						switch damage {
 						case "faults":
-							c.Faults, err = fault.Random(c.Mesh(), 1, 0, 7)
+							var p *fault.Plan
+							p, err = fault.Random(c.Mesh(), 1, 0, 7)
+							c.Faults = fault.Static(p)
 						case "schedule":
-							c.Schedule, err = fault.ParseSchedule(c.Mesh(), "0-1@100:200")
+							c.Faults, err = fault.ParseSchedule(c.Mesh(), "0-1@100:200")
 						}
 						if err != nil {
 							t.Fatal(err)
@@ -383,7 +385,7 @@ func TestConfigKey(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.Faults = p
+			c.Faults = fault.Static(p)
 		},
 		func(c *Config) { c.VCs = 8 },
 		func(c *Config) { c.EscapeVCs = 2 },
@@ -408,13 +410,6 @@ func TestConfigKey(t *testing.T) {
 		func(c *Config) { c.SatLatency = 1234 },
 		func(c *Config) { c.Seed = 42 },
 		func(c *Config) { c.EventMode = true },
-		func(c *Config) {
-			s, err := fault.ParseSchedule(c.Mesh(), "0-1@10:20")
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Schedule = s
-		},
 		func(c *Config) { c.Reliability = &Reliability{RTO: 256} },
 	}
 	// Every field of Config must have a perturbation above: a field

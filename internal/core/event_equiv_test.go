@@ -23,7 +23,7 @@ func equivPoints(t *testing.T) map[string]Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted.Faults = plan
+	faulted.Faults = fault.Static(plan)
 
 	torus := DefaultConfig()
 	torus.Dims = []int{6, 6}

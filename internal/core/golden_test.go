@@ -99,19 +99,19 @@ func goldenFaultGrid(t *testing.T) (cfgs []core.Config, keys []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := fault.Parse(m, "27-28,35-43,r9")
+	explicit, err := fault.ParseSchedule(m, "27-28,35-43,r9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	plans := []struct {
 		name string
-		p    *fault.Plan
-	}{{"random4", random}, {"explicit", explicit}}
+		s    *fault.Schedule
+	}{{"random4", fault.Static(random)}, {"explicit", explicit}}
 	for _, pl := range plans {
 		for _, load := range []float64{0.1, 0.25} {
 			for _, la := range []bool{false, true} {
 				c := base
-				c.Faults = pl.p
+				c.Faults = pl.s
 				c.Load = load
 				c.LookAhead = la
 				cfgs = append(cfgs, c)
@@ -169,7 +169,7 @@ func goldenScheduleGrid(t *testing.T) (cfgs []core.Config, keys []string) {
 				for _, events := range []bool{false, true} {
 					for _, rel := range []bool{false, true} {
 						c := base
-						c.Schedule = sched
+						c.Faults = sched
 						c.Load = load
 						c.LookAhead = la
 						c.EventMode = events

@@ -7,20 +7,21 @@ import (
 
 	"lapses/internal/core"
 	"lapses/internal/fault"
+	"lapses/internal/topology"
 )
 
 // TestScheduleKeys pins the cache-key contract for transient-fault
 // schedules: a static schedule is the same simulation as the equivalent
 // plain fault plan and must share its key byte for byte (old cache lines
 // stay valid), while timed schedules and the reliability layer always key
-// apart from everything else.
+// apart from everything else, and damage that never happens keys like none.
 func TestScheduleKeys(t *testing.T) {
 	t.Parallel()
 	base := core.DefaultConfig()
 	base.Dims = []int{8, 8}
 	m := base.Mesh()
 
-	plan, err := fault.Parse(m, "27-28,r9")
+	plan, err := fault.New(m, []fault.Link{{Node: 27, Port: topology.PortPlus(0)}}, []topology.NodeID{9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +30,19 @@ func TestScheduleKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	asPlan, asSched := base, base
-	asPlan.Faults = plan
-	asSched.Schedule = static
+	asPlan.Faults = fault.Static(plan)
+	asSched.Faults = static
 	if asPlan.Key() != asSched.Key() {
 		t.Errorf("static schedule keys differently from its plan:\n%s\n%s", asSched.Key(), asPlan.Key())
+	}
+	none, err := fault.ParseSchedule(m, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	asNone := base
+	asNone.Faults = none
+	if asNone.Key() != base.Key() {
+		t.Errorf("an empty schedule keys apart from a healthy config:\n%s\n%s", asNone.Key(), base.Key())
 	}
 
 	timed, err := fault.ParseSchedule(m, "27-28@500:2000")
@@ -40,7 +50,7 @@ func TestScheduleKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	withSched := base
-	withSched.Schedule = timed
+	withSched.Faults = timed
 	if k := withSched.Key(); !strings.Contains(k, ",fs[27-28@500:2000]") {
 		t.Errorf("timed schedule missing from key %s", k)
 	}
@@ -51,13 +61,6 @@ func TestScheduleKeys(t *testing.T) {
 	}
 	if k := base.Key(); strings.Contains(k, ",fs[") || strings.Contains(k, ",rel[") {
 		t.Errorf("healthy key polluted: %s", k)
-	}
-
-	both := base
-	both.Faults = plan
-	both.Schedule = timed
-	if err := both.Validate(); err == nil {
-		t.Error("Faults + non-static Schedule validated")
 	}
 }
 
@@ -71,7 +74,10 @@ func TestKeyLiterals(t *testing.T) {
 	base := core.DefaultConfig()
 	base.Dims = []int{8, 8}
 	m := base.Mesh()
-	plan, err := fault.Parse(m, "27-28,35-43,r9")
+	plan, err := fault.New(m, []fault.Link{
+		{Node: 27, Port: topology.PortPlus(0)},
+		{Node: 35, Port: topology.PortPlus(1)},
+	}, []topology.NodeID{9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +90,9 @@ func TestKeyLiterals(t *testing.T) {
 		t.Fatal(err)
 	}
 	static, spelled, stormy := base, base, base
-	static.Faults = plan
-	spelled.Schedule = untimed
-	stormy.Schedule = timed
+	static.Faults = fault.Static(plan)
+	spelled.Faults = untimed
+	stormy.Faults = timed
 	stormy.Reliability = &core.Reliability{RTO: 400, MaxAttempts: 8}
 	const healthy = "d[8 8],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr0x0,w2000,m30000,mc0,sl40b3880000000000,sd1"
 	for _, tc := range []struct {
@@ -113,7 +119,10 @@ func TestScheduleStaticCollapse(t *testing.T) {
 	base := core.DefaultConfig().QuickFidelity()
 	base.Dims = []int{8, 8}
 	m := base.Mesh()
-	plan, err := fault.Parse(m, "27-28,35-43")
+	plan, err := fault.New(m, []fault.Link{
+		{Node: 27, Port: topology.PortPlus(0)},
+		{Node: 35, Port: topology.PortPlus(1)},
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +131,8 @@ func TestScheduleStaticCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	asPlan, asSched := base, base
-	asPlan.Faults = plan
-	asSched.Schedule = static
+	asPlan.Faults = fault.Static(plan)
+	asSched.Faults = static
 	a, err := core.Run(asPlan)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +162,7 @@ func TestScheduleRunEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Schedule = sched
+	c.Faults = sched
 	var want string
 	for rep := 0; rep < 2; rep++ {
 		r, err := core.Run(c)
@@ -195,7 +204,7 @@ func TestScheduleReliabilityRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Schedule = sched
+	c.Faults = sched
 	c.Reliability = &core.Reliability{RTO: 600, MaxAttempts: 20, AckDelay: 32}
 	r, err := core.Run(c)
 	if err != nil {

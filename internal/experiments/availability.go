@@ -105,7 +105,7 @@ func (r Runner) Availability(ctx context.Context) ([]AvailabilityRow, error) {
 			c := base
 			c.Algorithm = pol.alg
 			c.Selection = pol.sel
-			c.Schedule = sched
+			c.Faults = sched
 			slot := &row.Plain
 			if rel {
 				c.Reliability = &core.Reliability{}

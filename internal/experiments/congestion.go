@@ -169,7 +169,7 @@ func (r Runner) congestionBase(row *CongestionRow, sel selection.Kind) core.Conf
 	c.Pattern = row.Workload.Pattern
 	c.Burst = row.Workload.Burst
 	c.QoS = row.Workload.QoS
-	c.Faults = row.Plan
+	c.Faults = fault.Static(row.Plan)
 	return c
 }
 

@@ -200,7 +200,7 @@ func TestCongestionGridShape(t *testing.T) {
 				t.Fatalf("saturation probe carries Auto: %+v", c.Auto)
 			}
 		}
-		if c.Faults != nil && c.Faults.NumRouters() != 0 {
+		if c.Faults.FailsRouters() {
 			t.Fatalf("congestion plans must be link-only, got %s", c.Faults)
 		}
 	}

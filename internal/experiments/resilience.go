@@ -149,7 +149,7 @@ func (r Runner) resilience(ctx context.Context, patterns []traffic.Kind, counts 
 			base.Algorithm = pol.alg
 			base.Selection = pol.sel
 			base.Pattern = row.Pattern
-			base.Faults = row.Plan
+			base.Faults = fault.Static(row.Plan)
 			lat := base
 			lat.Load = resilienceLatencyLoad(row.Pattern)
 			latSlot := pol.lat(row)

@@ -160,7 +160,7 @@ func TestResilienceGridShape(t *testing.T) {
 		} else if c.Auto != nil {
 			t.Fatalf("saturation probe carries Auto (fixed-horizon probes required): %+v", c.Auto)
 		}
-		if c.Faults != nil && c.Faults.NumRouters() != 0 {
+		if c.Faults.FailsRouters() {
 			t.Fatalf("resilience plans must be link-only, got %s", c.Faults)
 		}
 	}

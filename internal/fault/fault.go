@@ -5,11 +5,14 @@
 // and is keyed canonically, so simulation memo caches distinguish runs by
 // fault content, not pointer identity.
 //
-// Plans come from two sources: explicit lists (New, or Parse for the CLI
-// spec format "12-13,40-41,r77": node-pair link failures plus rN whole-
-// router failures), and seeded random generation (Random), which rejects
-// samples that would disconnect the live portion of the network so every
-// generated plan leaves a routable topology.
+// Plans come from two sources: explicit lists (New), and seeded random
+// generation (Random), which rejects samples that would disconnect the live
+// portion of the network so every generated plan leaves a routable
+// topology. A Schedule adds time (schedule.go): the rest of the stack takes
+// damage only as a Schedule, a static plan being its one-epoch case
+// (Static), and ParseSchedule reads the CLI spec format "12-13,40-41,r77"
+// (node-pair link failures plus rN whole-router failures, each optionally
+// timed "@DOWN[:UP]").
 package fault
 
 import (
@@ -31,8 +34,8 @@ type Link struct {
 }
 
 // Plan is an immutable set of failed links and failed routers over one
-// topology. The zero value is not usable; construct with New, Random or
-// Parse. A nil *Plan (or one with no failures) means a healthy network.
+// topology. The zero value is not usable; construct with New or Random. A
+// nil *Plan (or one with no failures) means a healthy network.
 type Plan struct {
 	nodes, ports int
 	dims         []int // topology shape the plan was built for
@@ -185,25 +188,10 @@ func linkUniverse(m *topology.Mesh, nLinks int) ([]Link, error) {
 	return all, nil
 }
 
-// Parse reads the CLI plan spec: comma-separated items, each either a link
-// "A-B" (adjacent node IDs) or a router "rN". Example: "12-13,40-41,r77".
-func Parse(m *topology.Mesh, spec string) (*Plan, error) {
-	events, err := parseItems(m, spec, false)
-	if err != nil {
-		return nil, err
-	}
-	return planAt(m, events, 0)
-}
-
-// parseItems reads the comma-separated items of a plan or schedule spec:
-// each a link "A-B" (adjacent node IDs) or a router "rN", and, when
-// timed, optionally followed by "@DOWN" or "@DOWN:UP". An untimed item
-// fails at cycle 0 and never heals.
-func parseItems(m *topology.Mesh, spec string, timed bool) ([]SchedEvent, error) {
-	want := `"A-B" or "rN"`
-	if timed {
-		want += `, optionally "@DOWN[:UP]"`
-	}
+// parseItems reads the comma-separated items of a schedule spec: each a
+// link "A-B" (adjacent node IDs) or a router "rN", optionally followed by
+// "@DOWN" or "@DOWN:UP". An untimed item fails at cycle 0 and never heals.
+func parseItems(m *topology.Mesh, spec string) ([]SchedEvent, error) {
 	var events []SchedEvent
 	for _, item := range strings.Split(spec, ",") {
 		item = strings.TrimSpace(item)
@@ -211,9 +199,6 @@ func parseItems(m *topology.Mesh, spec string, timed bool) ([]SchedEvent, error)
 			continue
 		}
 		elem, timing, hasTiming := strings.Cut(item, "@")
-		if hasTiming && !timed {
-			return nil, fmt.Errorf("fault: bad item %q (want %s; a static plan is not timed)", item, want)
-		}
 		ev := SchedEvent{Up: -1}
 		if hasTiming {
 			down, up, hasUp := strings.Cut(timing, ":")
@@ -244,7 +229,7 @@ func parseItems(m *topology.Mesh, spec string, timed bool) ([]SchedEvent, error)
 		} else {
 			a, b, ok := strings.Cut(elem, "-")
 			if !ok {
-				return nil, fmt.Errorf("fault: bad item %q (want %s)", item, want)
+				return nil, fmt.Errorf(`fault: bad item %q (want "A-B" or "rN", optionally "@DOWN[:UP]")`, item)
 			}
 			na, err := strconv.Atoi(strings.TrimSpace(a))
 			if err != nil {

@@ -101,20 +101,24 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 
 func TestParseSpec(t *testing.T) {
 	m := topology.NewMesh(4, 4)
-	p, err := Parse(m, "5-6, 9-13 ,r0")
+	s, err := ParseSchedule(m, "5-6, 9-13 ,r0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s.Epochs() != 1 {
+		t.Fatalf("untimed spec has %d epochs, want 1", s.Epochs())
+	}
+	p := s.Plan(0)
 	if p.NumLinks() != 2 || p.NumRouters() != 1 {
 		t.Fatalf("parsed %d links %d routers, want 2 and 1", p.NumLinks(), p.NumRouters())
 	}
 	if !p.LinkDead(9, topology.PortPlus(1)) {
 		t.Fatal("9-13 (a +Y link) not dead")
 	}
-	if _, err := Parse(m, "0-5"); err == nil {
+	if _, err := ParseSchedule(m, "0-5"); err == nil {
 		t.Fatal("non-adjacent link accepted")
 	}
-	if _, err := Parse(m, "0+1"); err == nil {
+	if _, err := ParseSchedule(m, "0+1"); err == nil {
 		t.Fatal("malformed item accepted")
 	}
 }

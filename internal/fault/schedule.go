@@ -17,10 +17,11 @@ import (
 // be connected (the same precondition static plans enforce, applied at
 // every instant), so fault-aware routing exists across every transition.
 //
-// A static plan is the degenerate schedule whose every event is
-// down-at-cycle-0 with no repair: such a schedule has exactly one epoch
-// and callers (core) collapse it onto the static-fault path, keeping
-// memo-cache keys byte-identical to plain Plan configurations.
+// A static plan is the one-epoch schedule: every event down at cycle 0,
+// none healing. Static wraps a Plan as one, and ParseSchedule reads a spec
+// of untimed items as one; either way the schedule keys as its plan, so
+// equal damage shares a key however it was spelled. A nil *Schedule is a
+// healthy network: one epoch, whose plan is nil.
 
 // SchedEvent is one timed failure: a link or a router goes down at cycle
 // Down and (when Up >= 0) comes back at cycle Up. Up < 0 means the
@@ -40,7 +41,7 @@ type SchedEvent struct {
 }
 
 // Schedule is an immutable timed fault plan over one topology. Construct
-// with NewSchedule, ParseSchedule or RandomSchedule.
+// with NewSchedule, ParseSchedule, RandomSchedule or Static.
 type Schedule struct {
 	dims   []int
 	wrap   bool
@@ -126,6 +127,10 @@ func NewSchedule(m *topology.Mesh, events []SchedEvent) (*Schedule, error) {
 		s.plans[i] = p
 	}
 
+	if len(s.plans) == 1 {
+		s.key = s.plans[0].key
+		return s, nil
+	}
 	var b strings.Builder
 	for i, e := range s.events {
 		if i > 0 {
@@ -146,13 +151,13 @@ func NewSchedule(m *topology.Mesh, events []SchedEvent) (*Schedule, error) {
 	return s, nil
 }
 
-// ParseSchedule reads the CLI schedule spec: comma-separated items, each a
-// static Parse item ("A-B" or "rN") optionally timed with "@DOWN" or
-// "@DOWN:UP". An untimed item fails at cycle 0 and never heals, so a spec
-// of untimed items is exactly the static plan Parse reads.
+// ParseSchedule reads the CLI fault spec: comma-separated items, each a
+// link "A-B" (adjacent node IDs) or a router "rN", optionally timed with
+// "@DOWN" or "@DOWN:UP". An untimed item fails at cycle 0 and never heals,
+// so a spec of untimed items is a static plan.
 // Example: "12-13@5000:9000,r77@2000,40-41".
 func ParseSchedule(m *topology.Mesh, spec string) (*Schedule, error) {
-	events, err := parseItems(m, spec, true)
+	events, err := parseItems(m, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -208,15 +213,44 @@ func RandomSchedule(m *topology.Mesh, nLinks, nRouters int, horizon, seed int64)
 		nLinks, nRouters, m, attempts)
 }
 
-// Epochs returns the number of constant-topology intervals.
-func (s *Schedule) Epochs() int { return len(s.plans) }
+// Static returns the one-epoch schedule of p's damage: down from cycle 0,
+// never healed. It is nil when p is healthy. Like Random's plans, it is not
+// checked for connectivity; routing over it reports a disconnection.
+func Static(p *Plan) *Schedule {
+	if p.Empty() {
+		return nil
+	}
+	s := &Schedule{dims: p.dims, wrap: p.wrap, times: []int64{0}, plans: []*Plan{p}, key: p.key}
+	for _, l := range p.links {
+		s.events = append(s.events, SchedEvent{Link: l, Up: -1})
+	}
+	for _, r := range p.routers {
+		s.events = append(s.events, SchedEvent{IsRouter: true, Router: r, Up: -1})
+	}
+	return s
+}
+
+// Epochs returns the number of constant-topology intervals: 1 for a static
+// plan and for a nil schedule.
+func (s *Schedule) Epochs() int {
+	if s == nil {
+		return 1
+	}
+	return len(s.plans)
+}
 
 // Times returns the first cycle of each epoch (Times()[0] == 0). The
 // caller must not modify it.
 func (s *Schedule) Times() []int64 { return s.times }
 
-// Plan returns the fault set in effect during epoch i.
-func (s *Schedule) Plan(i int) *Plan { return s.plans[i] }
+// Plan returns the fault set in effect during epoch i (nil for a nil
+// schedule).
+func (s *Schedule) Plan(i int) *Plan {
+	if s == nil {
+		return nil
+	}
+	return s.plans[i]
+}
 
 // EpochAt returns the index of the epoch containing cycle t.
 func (s *Schedule) EpochAt(t int64) int {
@@ -231,21 +265,25 @@ func (s *Schedule) EpochAt(t int64) int {
 func (s *Schedule) PlanAt(t int64) *Plan { return s.plans[s.EpochAt(t)] }
 
 // Events returns the canonical event list. The caller must not modify it.
-func (s *Schedule) Events() []SchedEvent { return s.events }
-
-// Static reports whether the schedule never changes after cycle 0 — the
-// degenerate form equivalent to the static plan StaticPlan returns. Core
-// collapses static schedules onto the plain-Plan path so their cache keys
-// and results are byte-identical to Plan configurations.
-func (s *Schedule) Static() bool { return s == nil || len(s.plans) == 1 }
-
-// StaticPlan returns the single epoch's plan of a static schedule (the
-// initial epoch's plan otherwise).
-func (s *Schedule) StaticPlan() *Plan {
+func (s *Schedule) Events() []SchedEvent {
 	if s == nil {
 		return nil
 	}
-	return s.plans[0]
+	return s.events
+}
+
+// Empty reports whether nothing ever fails: a nil schedule, or one with no
+// events.
+func (s *Schedule) Empty() bool { return s == nil || len(s.events) == 0 }
+
+// FailsRouters reports whether any router fails at any time.
+func (s *Schedule) FailsRouters() bool {
+	for _, e := range s.Events() {
+		if e.IsRouter {
+			return true
+		}
+	}
+	return false
 }
 
 // FirstDown returns the earliest transition cycle that adds damage, or -1
@@ -289,8 +327,9 @@ func (s *Schedule) Fits(m *topology.Mesh) bool {
 }
 
 // Key returns the canonical content key: two schedules over the same
-// topology with the same timed events have equal keys. A nil schedule's
-// key is "".
+// topology with the same timed events have equal keys, and a static one
+// keys as its plan (Plan.Key), so the key of a static schedule never holds
+// an "@" and that of a timed one always does. A nil schedule's key is "".
 func (s *Schedule) Key() string {
 	if s == nil {
 		return ""
@@ -300,8 +339,11 @@ func (s *Schedule) Key() string {
 
 // String renders the schedule for logs and CLI output.
 func (s *Schedule) String() string {
-	if s == nil || s.key == "" {
-		return "no fault schedule"
+	if s.Empty() {
+		return "no faults"
+	}
+	if len(s.plans) == 1 {
+		return s.plans[0].String()
 	}
 	return fmt.Sprintf("schedule[%s]", s.key)
 }

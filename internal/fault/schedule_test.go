@@ -40,9 +40,6 @@ func TestScheduleEpochs(t *testing.T) {
 			t.Errorf("at %d: link 8-9 should be dead in every epoch", pr.at)
 		}
 	}
-	if s.Static() {
-		t.Fatal("timed schedule reported static")
-	}
 	if fd, ld := s.FirstDown(), s.LastDown(); fd != 100 || ld != 200 {
 		t.Fatalf("FirstDown/LastDown = %d/%d, want 100/200", fd, ld)
 	}
@@ -68,22 +65,38 @@ func TestScheduleKeyCanonical(t *testing.T) {
 
 func TestScheduleStaticMatchesPlan(t *testing.T) {
 	m := topology.NewMesh(4, 4)
-	s, err := ParseSchedule(m, "1-2,r5")
+	s, err := ParseSchedule(m, "r5,1-2,5-6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Static() {
-		t.Fatal("untimed schedule should be static")
+	if s.Epochs() != 1 {
+		t.Fatal("untimed schedule should have one epoch")
 	}
-	p, err := Parse(m, "1-2,r5")
+	p, err := New(m, []Link{{Node: 1, Port: topology.PortPlus(0)}}, []topology.NodeID{5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.StaticPlan().Key() != p.Key() {
-		t.Fatalf("static schedule plan key %q != plan key %q", s.StaticPlan().Key(), p.Key())
+	// A static schedule keys as its plan, however it was built; the link
+	// 5-6 dies with r5.
+	if s.Plan(0).Key() != p.Key() || s.Key() != p.Key() || Static(p).Key() != p.Key() {
+		t.Fatalf("static keys %q / %q / %q, want the plan key %q", s.Plan(0).Key(), s.Key(), Static(p).Key(), p.Key())
+	}
+	if st := Static(p); st.Epochs() != 1 || st.Plan(0) != p || !st.FailsRouters() || !st.Fits(m) {
+		t.Fatal("Static(p) is not p's one-epoch schedule")
 	}
 	if s.FirstDown() != -1 || s.LastDown() != -1 {
 		t.Fatal("static schedule should have no down transitions")
+	}
+	healthy, err := New(m, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var none *Schedule
+	if Static(healthy) != nil || Static(nil) != nil {
+		t.Fatal("Static of a healthy plan must be nil")
+	}
+	if !none.Empty() || none.Epochs() != 1 || none.Plan(0) != nil || none.Key() != "" || none.FailsRouters() {
+		t.Fatal("nil schedule must behave as one healthy epoch")
 	}
 }
 

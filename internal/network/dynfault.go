@@ -227,7 +227,7 @@ func (n *Network) applyTransition(e int, now int64) {
 	}
 
 	// --- Reconverge ---------------------------------------------------
-	tbls := n.epochTables[e]
+	tbls := n.cfg.Tables[e]
 	for id := range n.routers {
 		r := &n.routers[id]
 		r.SetTable(tbls[id])
@@ -342,15 +342,15 @@ func (n *Network) ReconvergenceEpochs() int64 { return n.reconv }
 // (only collected while a schedule is active).
 func (n *Network) DeliveryWindows() []int64 { return n.windows }
 
-// Plan returns the fault plan currently in effect — the active schedule
-// epoch's, or the static plan.
+// Plan returns the fault plan of the epoch currently in effect.
 func (n *Network) Plan() *fault.Plan { return n.plan }
 
-// BuildEpochTables builds one table set per schedule epoch, using alg to
-// construct the epoch's routing algorithm from its fault plan (healthy
-// epochs receive the empty plan). Callers choose the policy — core builds
-// fault-aware Duato or dimension-order algorithms — so the network stays
-// policy-agnostic.
+// BuildEpochTables builds Config.Tables: one table set per epoch of sched
+// (one for a nil schedule), using alg to construct the epoch's routing
+// algorithm from its fault plan (nil for a healthy network, empty for a
+// schedule's healthy epochs). Callers choose the policy — core builds
+// fault-aware Duato or dimension-order algorithms under damage — so the
+// network stays policy-agnostic.
 func BuildEpochTables(m *topology.Mesh, kind table.Kind, cls routing.Class, sched *fault.Schedule,
 	alg func(plan *fault.Plan) (routing.Algorithm, error)) ([][]table.Table, error) {
 	out := make([][]table.Table, sched.Epochs())

@@ -106,10 +106,9 @@ func FuzzFaultPlan(f *testing.F) {
 			Mesh:      m,
 			Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
 			LinkDelay: 1,
-			Algorithm: alg,
 			Class:     cls,
-			Table:     table.KindES,
-			Faults:    linkPlan,
+			Tables:    oneEpoch(table.KindES, m, alg, cls),
+			Faults:    fault.Static(linkPlan),
 			Selection: sel,
 			Trace:     trace,
 			MsgLen:    20,

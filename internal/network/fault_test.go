@@ -13,7 +13,7 @@ import (
 )
 
 // faultConfig assembles a degraded network: fault-aware routing and
-// tables over plan, with the physical consequences (dead wiring, inert
+// tables over plan, with the physical consequences (dead ports, inert
 // NIs) enforced by the fabric.
 func faultConfig(t *testing.T, m *topology.Mesh, plan *fault.Plan, lookAhead bool, rate float64, seed int64) Config {
 	t.Helper()
@@ -26,10 +26,9 @@ func faultConfig(t *testing.T, m *topology.Mesh, plan *fault.Plan, lookAhead boo
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: lookAhead},
 		LinkDelay: 1,
-		Algorithm: alg,
 		Class:     cls,
-		Table:     table.KindES,
-		Faults:    plan,
+		Tables:    oneEpoch(table.KindES, m, alg, cls),
+		Faults:    fault.Static(plan),
 		Selection: selection.LRU,
 		Pattern:   traffic.New(traffic.Uniform, m),
 		MsgRate:   rate,

@@ -86,9 +86,8 @@ func TestContentionFreeTorus(t *testing.T) {
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
 		LinkDelay: 1,
-		Algorithm: routing.NewDuato(m, cls),
 		Class:     cls,
-		Table:     table.KindFull,
+		Tables:    oneEpoch(table.KindFull, m, routing.NewDuato(m, cls), cls),
 		Selection: 0,
 		Pattern:   pat,
 		MsgLen:    4,

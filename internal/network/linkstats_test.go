@@ -156,9 +156,8 @@ func TestEventCycleLinkStatsParity(t *testing.T) {
 				Mesh:      m,
 				Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
 				LinkDelay: 1,
-				Algorithm: routing.NewDimOrder(m, cls, nil),
 				Class:     cls,
-				Table:     table.KindES,
+				Tables:    oneEpoch(table.KindES, m, routing.NewDimOrder(m, cls, nil), cls),
 				Selection: selection.StaticXY,
 				Pattern:   script,
 				MsgRate:   0.05,

@@ -5,14 +5,15 @@
 // messages excluded, statistics over a fixed count of measured messages,
 // saturation guards).
 //
-// Two optional layers model networks that fail and recover mid-run. A
-// fault schedule (Config.Schedule + Config.EpochTables) applies timed
-// link/router down/up transitions between cycles — dropping the
-// state committed to dying equipment plus the messages the
-// reconfiguration drain retires, swapping routing tables, and
-// recomputing flow control; see the commentary in dynfault.go for the
-// exact semantics and the deadlock argument. The end-to-end reliability
-// layer (Config.Reliability) adds sender-timeout retransmission with
+// Two optional layers model networks that fail and recover mid-run. Damage
+// arrives as one fault schedule (Config.Faults, with one prebuilt table set
+// per epoch in Config.Tables); a static plan is its one-epoch case. A timed
+// schedule applies link/router down/up transitions between cycles —
+// dropping the state committed to dying equipment plus the messages the
+// reconfiguration drain retires, swapping routing tables, and recomputing
+// flow control; see the commentary in dynfault.go for the exact semantics
+// and the deadlock argument. The end-to-end reliability layer
+// (Config.Reliability) adds sender-timeout retransmission with
 // receiver-side duplicate suppression at the NIs, turning those losses
 // into exactly-once delivery; see reliability.go.
 //
@@ -43,39 +44,29 @@ type Config struct {
 	Router router.Config
 	// LinkDelay is the wire latency between routers, cycles (Table 2: 1).
 	LinkDelay int
-	// Algorithm is the routing policy programmed into every table.
-	Algorithm routing.Algorithm
-	// Class is the VC partition used by the algorithm.
+	// Class is the VC partition the tables are programmed with.
 	Class routing.Class
-	// Table selects the table organization.
-	Table table.Kind
-	// Tables, when non-nil, supplies a prebuilt table per node (indexed
-	// by node id) instead of building them here. Tables are immutable
-	// after construction, so callers running many simulations over the
-	// same topology and routing policy share one set across runs (see
-	// core's plumbing cache).
-	Tables []table.Table
+	// Tables holds one prebuilt table per node (Tables[e][node]) for each
+	// epoch of Faults — one set for a healthy network or a static plan —
+	// each built over that epoch's live subgraph (see BuildEpochTables).
+	// Tables are immutable after construction, so callers running many
+	// simulations over the same topology and routing policy share them
+	// across runs (see core's plumbing cache).
+	Tables [][]table.Table
 	// Selection is the path-selection heuristic.
 	Selection selection.Kind
-	// Faults, when non-nil and non-empty, degrades the topology: failed
-	// links carry no flits and no credits (their wiring is simply absent,
-	// so any attempt to use one panics), and NIs on failed routers inject
-	// nothing. The Algorithm and Tables must already route around the
-	// plan (core builds fault-aware ones); the network only enforces the
+	// Faults, when non-nil, degrades the topology: failed links carry no
+	// flits and no credits (dead ports are gated in the routers), and NIs
+	// on failed routers inject nothing. Under a timed schedule links and
+	// routers fail and heal at their scheduled cycles: at each transition
+	// the network purges every flit committed to dying equipment, swaps in
+	// the epoch's routing tables, and recomputes flow-control credits from
+	// global state (see dynfault.go). Under a static plan (one epoch) dead
+	// routers stay dead: no traffic is addressed to them and their NIs
+	// never wake. The Tables must already route around every epoch's damage
+	// (core builds fault-aware ones); the network only enforces the
 	// physical consequences.
-	Faults *fault.Plan
-	// Schedule, when non-nil, makes the fault set change mid-run: links
-	// and routers fail and heal at their scheduled cycles. All links are
-	// wired (liveness is dynamic); at each transition the network purges
-	// every flit committed to dying equipment, swaps in the epoch's
-	// routing tables, and recomputes flow-control credits from global
-	// state (see dynfault.go). Mutually exclusive with Faults; requires
-	// EpochTables.
-	Schedule *fault.Schedule
-	// EpochTables supplies one prebuilt table set per schedule epoch
-	// (EpochTables[e][node]), each built over that epoch's live subgraph.
-	// Required when Schedule is non-nil; see BuildEpochTables.
-	EpochTables [][]table.Table
+	Faults *fault.Schedule
 	// Reliability, when non-nil, turns on the end-to-end NI reliability
 	// layer: sequence numbers per (src, dst) stream, piggybacked acks,
 	// timeout retransmission with exponential backoff, receiver dedup —
@@ -129,35 +120,17 @@ func (c Config) Validate() error {
 	if c.LinkDelay < 1 {
 		return fmt.Errorf("network: LinkDelay %d < 1", c.LinkDelay)
 	}
-	if c.Algorithm == nil {
-		return fmt.Errorf("network: algorithm required")
-	}
 	if c.Pattern == nil && c.Trace == nil {
 		return fmt.Errorf("network: a pattern or a trace is required")
 	}
 	if !c.Faults.Fits(c.Mesh) {
-		return fmt.Errorf("network: fault plan %s was built for a different topology than %s", c.Faults, c.Mesh)
+		return fmt.Errorf("network: damage %s was built for a different topology than %s", c.Faults, c.Mesh)
 	}
-	if c.Trace != nil && c.Faults.NumRouters() > 0 {
-		return fmt.Errorf("network: trace workloads require fault plans without dead routers (trace endpoints cannot be filtered)")
+	if len(c.Tables) != c.Faults.Epochs() {
+		return fmt.Errorf("network: %d fault epochs but %d table sets were supplied", c.Faults.Epochs(), len(c.Tables))
 	}
-	if c.Schedule != nil {
-		if !c.Faults.Empty() {
-			return fmt.Errorf("network: Faults and Schedule are mutually exclusive")
-		}
-		if !c.Schedule.Fits(c.Mesh) {
-			return fmt.Errorf("network: fault schedule %s was built for a different topology than %s", c.Schedule, c.Mesh)
-		}
-		if len(c.EpochTables) != c.Schedule.Epochs() {
-			return fmt.Errorf("network: schedule has %d epochs but %d table sets were supplied", c.Schedule.Epochs(), len(c.EpochTables))
-		}
-		if c.Trace != nil {
-			for _, ev := range c.Schedule.Events() {
-				if ev.IsRouter {
-					return fmt.Errorf("network: trace workloads require fault schedules without router events (trace endpoints cannot be filtered)")
-				}
-			}
-		}
+	if c.Trace != nil && c.Faults.FailsRouters() {
+		return fmt.Errorf("network: trace workloads require faults without dead routers (trace endpoints cannot be filtered)")
 	}
 	if c.Reliability != nil {
 		if err := c.Reliability.Validate(); err != nil {
@@ -305,10 +278,10 @@ func slabBytes[T any](s []T) int {
 // (all the slabs see of the dimensions and the wraparound), the VC count and
 // buffer depths, the wheel horizon (link delay; in event mode also the input
 // buffer depth), and whether the NIs carry the reliability layer's per-peer
-// arrays. Everything else a Config says — tables, algorithm, selection,
-// look-ahead, cut-through, rate, pattern, seed, burst, QoS, static faults, a
-// fault schedule, a trace — is rewritten by Reset, so two configurations of
-// one shape can run in the same network one after the other.
+// arrays. Everything else a Config says — tables, selection, look-ahead,
+// cut-through, rate, pattern, seed, burst, QoS, faults, a trace — is
+// rewritten by Reset, so two configurations of one shape can run in the same
+// network one after the other.
 type Shape struct {
 	nodes, ports                int
 	vcs, bufDepth, outDepth     int
@@ -412,14 +385,13 @@ type Network struct {
 	delivered int64 // total messages delivered
 	onArrive  func(msg *flow.Message, now int64)
 
-	// Fault-schedule state (dynfault.go). plan is the fault set currently
-	// in effect — cfg.Faults on the static path, the active epoch's plan
-	// under a schedule. It is written only between cycles (Step's
-	// preamble), so every component sees one epoch for the whole cycle.
-	plan        *fault.Plan
-	sched       *fault.Schedule
-	epochTables [][]table.Table
-	epoch       int
+	// Fault state (dynfault.go). plan is the fault set of the epoch in
+	// effect; it is written only between cycles (Step's preamble), so every
+	// component sees one epoch for the whole cycle. sched is cfg.Faults when
+	// it has transitions to apply (more than one epoch), nil otherwise.
+	plan  *fault.Plan
+	sched *fault.Schedule
+	epoch int
 	// Loss counters of fault transitions and bind-point drops.
 	droppedFlits int64
 	droppedMsgs  int64
@@ -532,7 +504,7 @@ func (n *Network) Reset(cfg Config) {
 		panic(fmt.Sprintf("network: storage of shape %+v reset to a configuration of shape %+v", n.shape, s))
 	}
 	m := cfg.Mesh
-	if !cfg.Faults.Empty() || cfg.Schedule != nil {
+	if !cfg.Faults.Empty() {
 		// The non-minimal up*/down* escape of fault-aware routing is
 		// deadlock-free only under the stay-on-escape discipline; see
 		// router.Config.EscapeCommit. A schedule needs it from cycle 0:
@@ -540,10 +512,15 @@ func (n *Network) Reset(cfg Config) {
 		// discipline the faulted epochs require.
 		cfg.Router.EscapeCommit = true
 	}
-	if cfg.Faults.NumRouters() > 0 && cfg.Pattern != nil {
-		// Dead routers generate nothing and receive nothing: redraw (or
-		// silence) destinations that land on one.
-		plan := cfg.Faults
+	// The two places a static plan differs from a schedule: its dead
+	// routers stay dead, so they receive nothing — destinations that land
+	// on one are redrawn (or silenced) — and generate nothing: their NIs
+	// never wake. Under a timed schedule a dead node may heal, so its NI
+	// keeps its traffic process running and traffic meeting the damage is
+	// dropped where it meets it (see ni.tick).
+	static := cfg.Faults.Epochs() == 1
+	plan := cfg.Faults.Plan(0)
+	if static && plan.NumRouters() > 0 && cfg.Pattern != nil {
 		cfg.Pattern = traffic.FilterDest(cfg.Pattern, func(id topology.NodeID) bool {
 			return !plan.NodeDead(id)
 		})
@@ -554,12 +531,10 @@ func (n *Network) Reset(cfg Config) {
 		m:      m,
 		ports:  m.NumPorts(),
 		notify: cfg.Selection.IsNotify(),
-		plan:   cfg.Faults,
-		sched:  cfg.Schedule,
+		plan:   plan,
 	}
-	if cfg.Schedule != nil {
-		n.epochTables = cfg.EpochTables
-		n.plan = cfg.Schedule.Plan(0)
+	if !static {
+		n.sched = cfg.Faults
 	}
 	if cfg.Reliability != nil {
 		rel := cfg.Reliability.withDefaults()
@@ -575,27 +550,16 @@ func (n *Network) Reset(cfg Config) {
 	n.windows = n.windows[:0]
 	clear(n.lastOcc)
 
-	tbls := cfg.Tables
-	switch {
-	case cfg.Schedule != nil:
-		tbls = n.epochTables[0]
-	case tbls == nil:
-		tbls = table.BuildAll(cfg.Table, m, cfg.Algorithm, cfg.Class)
-	}
 	n.sels.Reset(cfg.Selection, cfg.Seed, 7919)
-	n.block.Reset(m, cfg.Router, 0, tbls, n.sels.Sels)
+	n.block.Reset(m, cfg.Router, 0, cfg.Tables[0], n.sels.Sels)
 	for id := 0; id < m.N(); id++ {
 		for p := 0; p < n.ports; p++ {
-			// A statically failed link is simply not wired: it can carry
-			// neither flits nor credits, and a router erroneously routing
-			// onto one hits the missing-link panic in Send. Under a
-			// schedule every link is wired — liveness is dynamic, enforced
-			// by dead-port gating and the transition purge instead.
+			// Every link is wired, failed or not: liveness is enforced by
+			// dead-port gating (and, under a schedule, the transition
+			// purge), so an epoch that heals a link needs no rewiring.
 			l := link{}
-			if cfg.Schedule != nil || !cfg.Faults.LinkDead(topology.NodeID(id), topology.Port(p)) {
-				if nb, ok := m.Neighbor(topology.NodeID(id), topology.Port(p)); ok {
-					l = link{node: nb, port: topology.Opposite(topology.Port(p)), ok: true}
-				}
+			if nb, ok := m.Neighbor(topology.NodeID(id), topology.Port(p)); ok {
+				l = link{node: nb, port: topology.Opposite(topology.Port(p)), ok: true}
 			}
 			n.links[id*n.ports+p] = l
 		}
@@ -615,17 +579,16 @@ func (n *Network) Reset(cfg Config) {
 			ni:      &n.nis[id],
 		}
 		n.routers[id].SetFabric(f)
-		if cfg.Schedule != nil {
-			n.routers[id].SetDeadPorts(n.deadPortMask(node))
-		}
+		n.routers[id].SetDeadPorts(n.deadPortMask(node))
 	}
 	// Every NI starts idle; park each on the wake heap at its first
 	// arrival (nodes whose process never fires stay dormant forever).
-	// NIs on statically dead routers never register: they inject nothing.
-	// Under a schedule every NI registers — a node dead now may heal, and
-	// its traffic process must keep consuming its due events meanwhile.
+	// NIs on a static plan's dead routers never register: they inject
+	// nothing. Under a schedule every NI registers — a node dead now may
+	// heal, and its traffic process must keep consuming its due events
+	// meanwhile.
 	for id := range n.nis {
-		if cfg.Schedule == nil && cfg.Faults.NodeDead(topology.NodeID(id)) {
+		if static && plan.NodeDead(topology.NodeID(id)) {
 			continue
 		}
 		x := &n.nis[id]
@@ -636,10 +599,9 @@ func (n *Network) Reset(cfg Config) {
 }
 
 // Park drops every reference the network holds into its configuration —
-// mesh, tables, algorithm, pattern, trace, fault plan and schedule — so an
-// idle network pins nothing of a structure its owner may since have
-// forgotten. Only the storage stays; the network is unusable until the next
-// Reset.
+// mesh, tables, pattern, trace and faults — so an idle network pins nothing
+// of a structure its owner may since have forgotten. Only the storage stays;
+// the network is unusable until the next Reset.
 func (n *Network) Park() {
 	*n = Network{arena: n.arena}
 	n.block.Park()

@@ -14,15 +14,20 @@ import (
 	"lapses/internal/traffic"
 )
 
+// oneEpoch is the Tables of a network with one fault epoch (healthy, or
+// under a static plan alg already routes around), programmed from alg.
+func oneEpoch(tk table.Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class) [][]table.Table {
+	return [][]table.Table{table.BuildAll(tk, m, alg, cls)}
+}
+
 func testConfig(m *topology.Mesh, lookAhead bool, tk table.Kind, sel selection.Kind, pat traffic.Pattern, rate float64, seed int64) Config {
 	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
 	return Config{
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: lookAhead},
 		LinkDelay: 1,
-		Algorithm: routing.NewDuato(m, cls),
 		Class:     cls,
-		Table:     tk,
+		Tables:    oneEpoch(tk, m, routing.NewDuato(m, cls), cls),
 		Selection: sel,
 		Pattern:   pat,
 		MsgRate:   rate,
@@ -263,9 +268,8 @@ func TestTorusAdaptive(t *testing.T) {
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
 		LinkDelay: 1,
-		Algorithm: routing.NewDuato(m, cls),
 		Class:     cls,
-		Table:     table.KindFull,
+		Tables:    oneEpoch(table.KindFull, m, routing.NewDuato(m, cls), cls),
 		Selection: selection.LRU,
 		Pattern:   traffic.New(traffic.Uniform, m),
 		MsgRate:   traffic.MessageRate(m, 0.5, 20),

@@ -203,12 +203,12 @@ func randomPoint(t *testing.T, rng *rand.Rand, s resetShape) Config {
 			cls.EscapeVCs = 2
 		}
 	}
+	kind := []table.Kind{table.KindFull, table.KindES}[rng.Intn(2)]
 	cfg := Config{
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: rng.Intn(2) == 0},
 		LinkDelay: 1,
 		Class:     cls,
-		Table:     []table.Kind{table.KindFull, table.KindES}[rng.Intn(2)],
 		Selection: selection.Kinds[rng.Intn(len(selection.Kinds))],
 		MsgLen:    []int{1, 5, 20}[rng.Intn(3)],
 		Seed:      rng.Int63n(1 << 20),
@@ -224,43 +224,39 @@ func randomPoint(t *testing.T, rng *rand.Rand, s resetShape) Config {
 	var err error
 	switch damage {
 	case "healthy":
+		alg := routing.NewDimOrder(m, cls, nil)
 		switch {
 		case adaptive:
-			cfg.Algorithm = routing.NewDuato(m, cls)
+			alg = routing.NewDuato(m, cls)
 		case !torus && rng.Intn(2) == 0:
 			// yx on a 2-D mesh is what one interval per port can express.
-			cfg.Algorithm = routing.NewDimOrder(m, cls, []int{1, 0})
-			cfg.Table = []table.Kind{table.KindInterval, table.KindFull, table.KindMetaRow}[rng.Intn(3)]
-		default:
-			cfg.Algorithm = routing.NewDimOrder(m, cls, nil)
+			alg = routing.NewDimOrder(m, cls, []int{1, 0})
+			kind = []table.Kind{table.KindInterval, table.KindFull, table.KindMetaRow}[rng.Intn(3)]
 		}
+		cfg.Tables = oneEpoch(kind, m, alg, cls)
 	case "faults", "dead-router":
 		routers := 0
 		if damage == "dead-router" {
 			routers = 1
 		}
-		if cfg.Faults, err = fault.Random(m, 2, routers, rng.Int63n(1000)); err == nil {
-			cfg.Algorithm, err = faultAlg(cfg.Faults)
+		var plan *fault.Plan
+		if plan, err = fault.Random(m, 2, routers, rng.Int63n(1000)); err == nil {
+			cfg.Faults = fault.Static(plan)
+			cfg.Tables, err = BuildEpochTables(m, kind, cls, cfg.Faults, faultAlg)
 		}
 	case "schedule":
 		spec := []string{"5-6@150:600", "5-6@100,r10@300:700", "0-1@50:250,9-10@200:400"}[rng.Intn(3)]
-		if cfg.Schedule, err = fault.ParseSchedule(m, spec); err == nil {
-			if cfg.Algorithm, err = faultAlg(cfg.Schedule.Plan(0)); err == nil {
-				cfg.EpochTables, err = BuildEpochTables(m, cfg.Table, cls, cfg.Schedule, faultAlg)
-			}
+		if cfg.Faults, err = fault.ParseSchedule(m, spec); err == nil {
+			cfg.Tables, err = BuildEpochTables(m, kind, cls, cfg.Faults, faultAlg)
 		}
 	}
 	if err != nil {
 		t.Fatalf("%s on %s: %v", damage, m, err)
 	}
-	if cfg.Schedule == nil {
-		cfg.Tables = table.BuildAll(cfg.Table, m, cfg.Algorithm, cls)
-	}
 	if s.reliable {
 		cfg.Reliability = &Reliability{RTO: 150 + rng.Int63n(200), AckDelay: 16}
 	}
-	routerEvents := damage == "dead-router" || damage == "schedule" && cfg.Schedule.Plan(cfg.Schedule.Epochs()-1).NumRouters()+cfg.Schedule.Plan(1).NumRouters() > 0
-	if rng.Intn(6) == 0 && !routerEvents {
+	if rng.Intn(6) == 0 && !cfg.Faults.FailsRouters() {
 		cfg.Trace = traffic.StencilTrace(m, 12, 40, cfg.MsgLen)
 		return cfg
 	}
@@ -387,9 +383,9 @@ func TestResetEqualsNew(t *testing.T) {
 					// first has drawn from.
 					cfg.Selection = selection.Random
 				}
-				name := fmt.Sprintf("point %d (%s, %T, table %v, selection %v, la %v, ct %v, faults %v, schedule %v, trace %v, burst %v)",
-					i, cfg.Mesh, cfg.Algorithm, cfg.Table, cfg.Selection, cfg.Router.LookAhead, cfg.Router.CutThrough,
-					cfg.Faults, cfg.Schedule, cfg.Trace != nil, cfg.Burst != nil)
+				name := fmt.Sprintf("point %d (%s, %T, selection %v, la %v, ct %v, %v, trace %v, burst %v)",
+					i, cfg.Mesh, cfg.Tables[0][0], cfg.Selection, cfg.Router.LookAhead, cfg.Router.CutThrough,
+					cfg.Faults, cfg.Trace != nil, cfg.Burst != nil)
 				arena.Reset(cfg)
 				fresh := New(cfg)
 				if d := sameState(arena, fresh); len(d) != 0 {

@@ -48,15 +48,11 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Skip("no connected schedule for this draw")
 		}
 		cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
-		epochTables, err := BuildEpochTables(m, table.KindES, cls, sched, func(plan *fault.Plan) (routing.Algorithm, error) {
+		tables, err := BuildEpochTables(m, table.KindES, cls, sched, func(plan *fault.Plan) (routing.Algorithm, error) {
 			return routing.NewFaultDuato(m, cls, plan)
 		})
 		if err != nil {
 			t.Skip("an epoch defeats fault-aware routing")
-		}
-		alg, err := routing.NewFaultDuato(m, cls, sched.Plan(0))
-		if err != nil {
-			t.Skip("initial epoch defeats fault-aware routing")
 		}
 
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
@@ -83,19 +79,17 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Fatal(err)
 		}
 		cfg := Config{
-			Mesh:        m,
-			Router:      router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
-			LinkDelay:   1,
-			Algorithm:   alg,
-			Class:       cls,
-			Table:       table.KindES,
-			Schedule:    sched,
-			EpochTables: epochTables,
-			Selection:   selection.LRU,
-			Trace:       trace,
-			MsgLen:      20,
-			Seed:        seed,
-			EventMode:   events,
+			Mesh:      m,
+			Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
+			LinkDelay: 1,
+			Class:     cls,
+			Tables:    tables,
+			Faults:    sched,
+			Selection: selection.LRU,
+			Trace:     trace,
+			MsgLen:    20,
+			Seed:      seed,
+			EventMode: events,
 		}
 		if rel {
 			cfg.Reliability = &Reliability{RTO: 256, MaxAttempts: 30, AckDelay: 16}

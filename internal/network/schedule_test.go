@@ -23,30 +23,24 @@ import (
 func scheduleConfig(t *testing.T, m *topology.Mesh, sched *fault.Schedule, la bool, rate float64, seed int64) Config {
 	t.Helper()
 	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
-	epochTables, err := BuildEpochTables(m, table.KindES, cls, sched, func(plan *fault.Plan) (routing.Algorithm, error) {
+	tables, err := BuildEpochTables(m, table.KindES, cls, sched, func(plan *fault.Plan) (routing.Algorithm, error) {
 		return routing.NewFaultDuato(m, cls, plan)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg, err := routing.NewFaultDuato(m, cls, sched.Plan(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	return Config{
-		Mesh:        m,
-		Router:      router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
-		LinkDelay:   1,
-		Algorithm:   alg,
-		Class:       cls,
-		Table:       table.KindES,
-		Schedule:    sched,
-		EpochTables: epochTables,
-		Selection:   selection.LRU,
-		Pattern:     traffic.New(traffic.Uniform, m),
-		MsgRate:     rate,
-		MsgLen:      20,
-		Seed:        seed,
+		Mesh:      m,
+		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
+		LinkDelay: 1,
+		Class:     cls,
+		Tables:    tables,
+		Faults:    sched,
+		Selection: selection.LRU,
+		Pattern:   traffic.New(traffic.Uniform, m),
+		MsgRate:   rate,
+		MsgLen:    20,
+		Seed:      seed,
 	}
 }
 

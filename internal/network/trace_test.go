@@ -18,9 +18,8 @@ func traceConfig(m *topology.Mesh, tr *traffic.Trace, seed int64) Config {
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
 		LinkDelay: 1,
-		Algorithm: routing.NewDuato(m, cls),
 		Class:     cls,
-		Table:     table.KindES,
+		Tables:    oneEpoch(table.KindES, m, routing.NewDuato(m, cls), cls),
 		Selection: selection.LRU,
 		Trace:     tr,
 		MsgLen:    20,

@@ -32,9 +32,8 @@ func TestRequestStateMatchesScan(t *testing.T) {
 			Mesh:      m,
 			Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
 			LinkDelay: 1,
-			Algorithm: routing.NewDuato(m, cls),
 			Class:     cls,
-			Table:     table.KindES,
+			Tables:    [][]table.Table{table.BuildAll(table.KindES, m, routing.NewDuato(m, cls), cls)},
 			Selection: selection.LRU,
 			Pattern:   traffic.New(traffic.Uniform, m),
 			MsgRate:   traffic.MessageRate(m, load, msgLen),
@@ -69,11 +68,8 @@ func TestRequestStateMatchesScan(t *testing.T) {
 			build := func(plan *fault.Plan) (routing.Algorithm, error) {
 				return routing.NewFaultDuato(mesh, cfg.Class, plan)
 			}
-			cfg.Schedule = sched
-			if cfg.EpochTables, err = network.BuildEpochTables(mesh, cfg.Table, cfg.Class, sched, build); err != nil {
-				t.Fatal(err)
-			}
-			if cfg.Algorithm, err = build(sched.Plan(0)); err != nil {
+			cfg.Faults = sched
+			if cfg.Tables, err = network.BuildEpochTables(mesh, table.KindES, cfg.Class, sched, build); err != nil {
 				t.Fatal(err)
 			}
 			return cfg
@@ -93,7 +89,7 @@ func TestRequestStateMatchesScan(t *testing.T) {
 			if n.Delivered() == 0 {
 				t.Fatal("nothing was delivered; the run exercised no traffic")
 			}
-			if cfg.Schedule != nil && n.DroppedFlits() == 0 {
+			if cfg.Faults != nil && n.DroppedFlits() == 0 {
 				t.Fatal("no flit was purged; the rebuild path was not exercised")
 			}
 		})

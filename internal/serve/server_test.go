@@ -692,7 +692,7 @@ func TestServedWorkloadOptionsMatchInProcess(t *testing.T) {
 	stormy := base
 	stormy.Reliability = &core.Reliability{RTO: 512}
 	var err error
-	if stormy.Schedule, err = fault.ParseSchedule(stormy.Mesh(), "27-28@300:900,r9@500"); err != nil {
+	if stormy.Faults, err = fault.ParseSchedule(stormy.Mesh(), "27-28@300:900,r9@500"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -57,8 +57,11 @@ import (
 
 // Point is the serializable form of one grid point. Enumerations travel
 // by name (the String forms the CLIs already parse) so payloads stay
-// readable and stable across releases; the fault plan and the fault
-// schedule travel as their canonical spec strings; the measurement tier,
+// readable and stable across releases; damage travels as its canonical
+// spec string, under "faults" when static and under "schedule" when timed
+// (the two names requests have always used; both are read by
+// fault.ParseSchedule into Config.Faults, and a point may use only one);
+// the measurement tier,
 // burst, QoS and reliability parameters travel as the core types
 // themselves, which carry the wire's names as struct tags. Trace workloads
 // have no wire form — PointFromConfig rejects them.
@@ -71,8 +74,8 @@ import (
 type Point struct {
 	Dims     []int  `json:"dims"`
 	Torus    bool   `json:"torus,omitempty"`
-	Faults   string `json:"faults,omitempty"`   // fault.Parse spec, e.g. "12-13,r77"
-	Schedule string `json:"schedule,omitempty"` // fault.ParseSchedule spec, e.g. "12-13@5000:9000"
+	Faults   string `json:"faults,omitempty"`   // static damage, e.g. "12-13,r77"
+	Schedule string `json:"schedule,omitempty"` // timed damage, e.g. "12-13@5000:9000,r77"
 
 	Reliability *core.Reliability `json:"reliability,omitempty"`
 
@@ -140,15 +143,13 @@ func PointFromConfig(c core.Config) (Point, error) {
 		QoS:         c.QoS,
 		Reliability: c.Reliability,
 	}
-	if !c.Faults.Empty() {
-		// Plan.Key is the canonical "A-B;...;rN" content; Parse reads
-		// the same items comma-separated.
-		p.Faults = strings.ReplaceAll(c.Faults.Key(), ";", ",")
-	}
-	if c.Schedule != nil {
-		// Schedule.Key is the canonical "A-B@DOWN:UP;..." content;
-		// ParseSchedule reads the same items comma-separated.
-		p.Schedule = strings.ReplaceAll(c.Schedule.Key(), ";", ",")
+	// Schedule.Key is the canonical "A-B;...;rN" content of a static plan
+	// and "A-B@DOWN:UP;..." of a timed schedule; ParseSchedule reads the
+	// same items comma-separated.
+	if spec := strings.ReplaceAll(c.Faults.Key(), ";", ","); c.Faults.Epochs() == 1 {
+		p.Faults = spec
+	} else {
+		p.Schedule = spec
 	}
 	return p, nil
 }
@@ -200,14 +201,12 @@ func (p Point) Config() (core.Config, error) {
 	if c.Pattern, err = traffic.ParseKind(p.Pattern); err != nil {
 		return core.Config{}, fmt.Errorf("serve: point pattern: %w", err)
 	}
-	if p.Faults != "" {
-		if c.Faults, err = fault.Parse(c.Mesh(), p.Faults); err != nil {
-			return core.Config{}, fmt.Errorf("serve: point faults: %w", err)
-		}
+	if p.Faults != "" && p.Schedule != "" {
+		return core.Config{}, fmt.Errorf("serve: point faults %q and schedule %q are mutually exclusive; send all damage in one", p.Faults, p.Schedule)
 	}
-	if p.Schedule != "" {
-		if c.Schedule, err = fault.ParseSchedule(c.Mesh(), p.Schedule); err != nil {
-			return core.Config{}, fmt.Errorf("serve: point schedule: %w", err)
+	if spec := p.Faults + p.Schedule; spec != "" {
+		if c.Faults, err = fault.ParseSchedule(c.Mesh(), spec); err != nil {
+			return core.Config{}, fmt.Errorf("serve: point faults: %w", err)
 		}
 	}
 	if err := c.Validate(); err != nil {

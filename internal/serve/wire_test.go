@@ -10,6 +10,7 @@ import (
 	"lapses/internal/fault"
 	"lapses/internal/selection"
 	"lapses/internal/table"
+	"lapses/internal/topology"
 	"lapses/internal/traffic"
 )
 
@@ -35,11 +36,11 @@ func wireTestConfigs(t *testing.T) []core.Config {
 
 	faulty := core.DefaultConfig()
 	faulty.Dims = []int{8, 8}
-	plan, err := fault.Parse(faulty.Mesh(), "1-2,r27")
+	plan, err := fault.New(faulty.Mesh(), []fault.Link{{Node: 1, Port: topology.PortPlus(0)}}, []topology.NodeID{27})
 	if err != nil {
 		t.Fatalf("building fault plan: %v", err)
 	}
-	faulty.Faults = plan
+	faulty.Faults = fault.Static(plan)
 
 	auto := core.DefaultConfig()
 	auto.Auto = &core.AutoMeasure{RelTol: 0.05, MinMessages: 100, MaxMessages: 5000, CheckEvery: 50}
@@ -68,7 +69,7 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	stormy.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 150}
 	stormy.QoS = &core.QoSSpec{HiFrac: 0.2, HiVCs: 1}
 	stormy.Reliability = &core.Reliability{RTO: 512, MaxAttempts: 5}
-	if stormy.Schedule, err = fault.ParseSchedule(stormy.Mesh(), "27-28@500:1500,r9@800"); err != nil {
+	if stormy.Faults, err = fault.ParseSchedule(stormy.Mesh(), "27-28@500:1500,r9@800"); err != nil {
 		t.Fatalf("building fault schedule: %v", err)
 	}
 
@@ -221,10 +222,6 @@ func throughWire(c core.Config) (core.Config, error) {
 func TestPointCarriesEveryConfigField(t *testing.T) {
 	t.Parallel()
 	mesh := core.DefaultConfig().Mesh()
-	plan, err := fault.Parse(mesh, "12-13")
-	if err != nil {
-		t.Fatal(err)
-	}
 	sched, err := fault.ParseSchedule(mesh, "12-13@100:200,r77@300")
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +232,7 @@ func TestPointCarriesEveryConfigField(t *testing.T) {
 	// then perturbed from it.
 	replace := map[string]any{
 		"Dims":        []int{8, 8},
-		"Faults":      plan,
-		"Schedule":    sched,
+		"Faults":      sched,
 		"Reliability": &core.Reliability{},
 		"Burst":       &traffic.Burst{OnFrac: 0.3, MeanOn: 100},
 		"QoS":         &core.QoSSpec{HiFrac: 0.2, HiVCs: 1},
@@ -309,7 +305,7 @@ func TestPointCarriesEveryConfigField(t *testing.T) {
 
 // TestPointHoldsConfigTypes: every struct core.Config points to either
 // travels on Point as that very type — its JSON tags are the wire names —
-// or as a spec string (fault plan, schedule), or is refused by name (Trace).
+// or as a spec string (Faults), or is refused by name (Trace).
 // A hand-copied wire struct for one of them fails here.
 func TestPointHoldsConfigTypes(t *testing.T) {
 	t.Parallel()
@@ -384,7 +380,7 @@ func TestPointFaultPayloads(t *testing.T) {
 	}
 }
 
-// TestPointPayloadStable: a config that sets none of Burst, QoS, Schedule
+// TestPointPayloadStable: a config that sets none of Burst, QoS, Faults
 // and Reliability encodes to the bytes it did before the wire carried them,
 // so old and new clients and servers agree on every such point.
 func TestPointPayloadStable(t *testing.T) {
