@@ -78,6 +78,10 @@ unit)
 	# plus a router dead from the start, under the retransmission layer.
 	go run ./cmd/lapses-sim -faults 4 -measure 3000
 	go run ./cmd/lapses-sim -faults '12-13@2000:4000,r9' -reliability on -measure 3000
+	# A structure whose table build panics must panic again on the next
+	# touch, not hand back a remembered error: run the test twice in one
+	# process.
+	go test -count=2 -run TestPanicIsolatedThroughCoreRun ./internal/sweep
 	;;
 full)
 	# The full-fidelity paper-claim tests (skipped under -short) still

@@ -319,6 +319,26 @@ func sameAnswers(t *testing.T, a, b []table.Table) {
 	}
 }
 
+// TestPanickedBuildIsNotRemembered: a structure whose table build panics
+// (an algorithm Validate lets through, routing has no case for) panics
+// again on every run, so sweep and serve report a panic for each point;
+// the plumbing cache must not hand the second run a remembered error.
+func TestPanickedBuildIsNotRemembered(t *testing.T) {
+	c := smoke()
+	c.Algorithm = Alg(99)
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("run %d: want the unknown-algorithm panic", i)
+				}
+			}()
+			_, err := Run(c)
+			t.Errorf("run %d returned (error %v) instead of panicking", i, err)
+		}()
+	}
+}
+
 // TestPlumbingConcurrentFirstTouch: sweep workers whose points share a
 // cold structure must build it once and all run over the same tables —
 // the single-flight in cachedPlumbing, with the parallel table pass

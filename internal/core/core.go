@@ -688,29 +688,34 @@ const maxStructures = 64
 var structures = bounded.New[string, *plumbingEntry](maxStructures)
 
 // plumbingEntry is one structure's build, run at most once however many
-// goroutines ask for it while it is cold.
+// goroutines ask for it while it is cold — unless it panics: then it stays
+// unbuilt.
 type plumbingEntry struct {
-	once sync.Once
-	p    *plumbing
-	err  error
+	mu    sync.Mutex
+	built bool
+	p     *plumbing
+	err   error
 }
 
 // cachedPlumbing returns the plumbing that cache holds under key, building it
 // with build on first touch. Concurrent first touches (sweep workers whose
 // points share a cold structure) wait for one build instead of each paying
 // it. An error is as much a function of the key as the tables are and is
-// remembered like them; an evicted structure is simply built again.
+// remembered like them; an evicted structure is simply built again. A build
+// that panics (sweep and serve recover per point) leaves the entry unbuilt,
+// so the next touch — a waiter, or a later run — builds again and panics the
+// same way rather than read a structure that was never made.
 func cachedPlumbing(cache *bounded.Map[string, *plumbingEntry], key string, build func() (*plumbing, error)) (*plumbing, error) {
 	e, ok := cache.Load(key)
 	if !ok {
 		e, _ = cache.LoadOrStore(key, new(plumbingEntry))
 	}
-	e.once.Do(func() {
-		// A build that panics (sweep and serve recover per point) must
-		// not leave later callers a nil structure.
-		e.err = fmt.Errorf("core: building the routing tables of %s panicked", key)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.built {
 		e.p, e.err = build()
-	})
+		e.built = true
+	}
 	return e.p, e.err
 }
 
