@@ -138,12 +138,15 @@ func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
 
 // Reroute refreshes every piece of routing state computed from the
 // previous epoch's table. Headers waiting for arbitration get fresh
-// candidates from this router's new table; in look-ahead mode, queued
-// headers not yet in the pipeline and boxed headers about to leave carry
-// candidates for a neighbor, which nextRoute computes from that
-// neighbor's new table. Messages already streaming (active or express)
-// keep their claimed output: dead claims were purged, and a live stale
-// choice is merely suboptimal for its one remaining hop.
+// candidates from this router's new table, and so, in look-ahead mode, do
+// queued headers not yet in the pipeline. Look-ahead headers that have won
+// their output — still buffered here, or boxed and about to leave — carry
+// candidates for the neighbor through that output, which nextRoute
+// computes from the neighbor's new table: a stale set could name only a
+// port the new epoch killed, and the header would wait at the neighbor
+// forever. Messages already streaming (active or express) keep their
+// claimed output: dead claims were purged, and a live stale choice is
+// merely suboptimal for its one remaining hop.
 func (r *Router) Reroute(nextRoute func(p topology.Port, m *flow.Message) flow.RouteSet) {
 	for i := range r.in {
 		ivc := &r.in[i]
@@ -152,8 +155,12 @@ func (r *Router) Reroute(nextRoute func(p topology.Port, m *flow.Message) flow.R
 		}
 		if r.cfg.LookAhead {
 			ivc.buf.each(func(fl flow.Flit) {
-				if fl.Type.IsHead() && fl.Msg != ivc.msg {
+				switch {
+				case !fl.Type.IsHead():
+				case fl.Msg != ivc.msg:
 					fl.Msg.Route = r.tbl.Lookup(fl.Msg.Dst, fl.Msg.Dateline)
+				case ivc.phase == phaseActive && ivc.outPort != topology.PortLocal:
+					fl.Msg.Route = nextRoute(ivc.outPort, fl.Msg)
 				}
 			})
 		}
