@@ -61,10 +61,9 @@ import (
 // spec string, under "faults" when static and under "schedule" when timed
 // (the two names requests have always used; both are read by
 // fault.ParseSchedule into Config.Faults, and a point may use only one);
-// the measurement tier,
-// burst, QoS and reliability parameters travel as the core types
-// themselves, which carry the wire's names as struct tags. Trace workloads
-// have no wire form — PointFromConfig rejects them.
+// the measurement tier, burst, QoS and reliability parameters travel as the
+// core types themselves, which carry the wire's names as struct tags. Trace
+// workloads have no wire form — PointFromConfig rejects them.
 //
 // The contract, pinned by TestPointCarriesEveryConfigField over every
 // field of core.Config: PointFromConfig(c) either fails naming the field
