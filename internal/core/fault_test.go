@@ -79,7 +79,7 @@ func TestPlumbingKeyedByFaults(t *testing.T) {
 	// keys match.
 	faulted2 := faultSmoke(t, 4, 0, 9)
 	if faulted.Faults == faulted2.Faults {
-		t.Fatal("test needs distinct Plan pointers")
+		t.Fatal("test needs distinct Schedule values")
 	}
 	pf2, err := faulted2.plumbing()
 	if err != nil {
