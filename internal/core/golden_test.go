@@ -264,9 +264,98 @@ func TestGoldenEvent(t *testing.T) {
 	compareGolden(t, "golden_event.txt", "TestGoldenEvent", got)
 }
 
-// TestGoldenShuffledRecycling runs the four golden grids as one list,
+// goldenTablesGrid pins every table organization, which the grids above
+// cover only as es and full: on a healthy 8x8 mesh all five kinds (interval
+// with yx, the one interval-expressible order) x both pipelines x uniform
+// and transpose; es, full and interval under a static 3-link plan and under
+// a timed storm of the same links; es and full on a 4x4 torus; and one row
+// of each of those on the event kernel.
+func goldenTablesGrid(t *testing.T) (cfgs []core.Config, keys []string) {
+	t.Helper()
+	base := core.DefaultConfig()
+	base.Dims = []int{8, 8}
+	base.Selection = selection.LRU
+	base.Load = 0.2
+	base.Warmup, base.Measure = 100, 1000
+	m := base.Mesh()
+	static, err := fault.ParseSchedule(m, "27-28,35-43,20-21")
+	if err != nil {
+		t.Fatal(err)
+	}
+	storm, err := fault.ParseSchedule(m, "27-28@1100:1800,35-43@1300,20-21@1400:2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	withKind := func(c core.Config, k table.Kind) core.Config {
+		c.Table = k
+		if k == table.KindInterval {
+			c.Algorithm = core.AlgYX
+		}
+		return c
+	}
+	add := func(c core.Config, key string) { cfgs, keys = append(cfgs, c), append(keys, key) }
+	for _, k := range table.Kinds {
+		for _, pat := range []traffic.Kind{traffic.Uniform, traffic.Transpose} {
+			for _, la := range []bool{false, true} {
+				c := withKind(base, k)
+				c.Pattern, c.LookAhead = pat, la
+				add(c, fmt.Sprintf("healthy/%s/%s/la=%t", k, pat, la))
+			}
+		}
+		c := withKind(base, k)
+		c.EventMode = true
+		add(c, fmt.Sprintf("healthy/%s/events", k))
+	}
+	for _, pl := range []struct {
+		name string
+		s    *fault.Schedule
+	}{{"static", static}, {"storm", storm}} {
+		for _, k := range []table.Kind{table.KindES, table.KindFull, table.KindInterval} {
+			for _, la := range []bool{false, true} {
+				c := withKind(base, k)
+				c.Faults, c.Load, c.LookAhead = pl.s, 0.1, la
+				add(c, fmt.Sprintf("%s/%s/la=%t", pl.name, k, la))
+			}
+			c := withKind(base, k)
+			c.Faults, c.Load, c.EventMode = pl.s, 0.1, true
+			add(c, fmt.Sprintf("%s/%s/events", pl.name, k))
+		}
+	}
+	for _, k := range []table.Kind{table.KindES, table.KindFull} {
+		for _, la := range []bool{false, true} {
+			c := withKind(base, k)
+			c.Dims, c.Torus, c.LookAhead = []int{4, 4}, true, la
+			add(c, fmt.Sprintf("torus/%s/la=%t", k, la))
+		}
+		c := withKind(base, k)
+		c.Dims, c.Torus, c.EventMode = []int{4, 4}, true, true
+		add(c, fmt.Sprintf("torus/%s/events", k))
+	}
+	return cfgs, keys
+}
+
+// TestGoldenTables locks what every table organization routes the way the
+// grids above lock the kernels. Regenerate (only when a semantic change is
+// intended) with: go test ./internal/core -run TestGoldenTables -update
+func TestGoldenTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden table grid is 49 full runs; skipped under -short")
+	}
+	cfgs, keys := goldenTablesGrid(t)
+	got := make(map[string]string, len(cfgs))
+	for i, c := range cfgs {
+		r, err := core.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", keys[i], err)
+		}
+		got[keys[i]] = scheduleFingerprint(r)
+	}
+	compareGolden(t, "golden_tables.txt", "TestGoldenTables", got)
+}
+
+// TestGoldenShuffledRecycling runs the five golden grids as one list,
 // twice, each pass in its own shuffled order, and holds every result to the
-// committed fixtures. The four tests above already recycle — they call
+// committed fixtures. The five tests above already recycle — they call
 // core.Run in one process, so each point after the first of its shape runs
 // in the arena the previous one returned — but always in fixture order;
 // here a PROUD point follows a faulted one follows a storm-swept one
@@ -275,10 +364,10 @@ func TestGoldenEvent(t *testing.T) {
 // what ran in it before, must be unobservable.
 func TestGoldenShuffledRecycling(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two passes over all 91 golden points; skipped under -short")
+		t.Skip("two passes over all 140 golden points; skipped under -short")
 	}
 	if *updateGolden {
-		t.Skip("the fixtures are written by the four grid tests")
+		t.Skip("the fixtures are written by the five grid tests")
 	}
 	type point struct {
 		file, key string
@@ -300,6 +389,10 @@ func TestGoldenShuffledRecycling(t *testing.T) {
 	cfgs, keys = goldenScheduleGrid(t)
 	for i, c := range cfgs {
 		pts = append(pts, point{"golden_schedule.txt", keys[i], c, scheduleFingerprint})
+	}
+	cfgs, keys = goldenTablesGrid(t)
+	for i, c := range cfgs {
+		pts = append(pts, point{"golden_tables.txt", keys[i], c, scheduleFingerprint})
 	}
 	rng := rand.New(rand.NewSource(22))
 	for pass := 0; pass < 2; pass++ {
