@@ -5,56 +5,53 @@
 //	lapses-tables -alg duato   # the same node programmed for Duato routing
 //	lapses-tables -meta        # Fig. 8: both meta-table mappings on 16x16
 //	lapses-tables -interval    # interval table (YX) for a node on 8x8
-//	lapses-tables -verify      # every table equals its algorithm; ES == full in a sweep
+//	lapses-tables -verify      # every table equals its algorithm
 //
-// -verify first checks statically that every table organization programs
-// exactly the routing function it encodes: for each organization x
-// algorithm x {1,2,3}-D x {mesh, torus} that core.Validate accepts,
-// table.Verify compares every lookup and look-ahead lookup at every
-// router, destination and dateline state with the algorithm; the first
-// mismatch fails the command and names it. It then runs a quick
-// (pattern x load) grid through the concurrent internal/sweep engine,
-// simulating each point under both the full routing table and economical
-// storage and checking the results are bit-identical — the equivalence
-// Table 4 reports. -workers bounds the
-// sweep's worker pool (0 = GOMAXPROCS). -events runs the grid on the
-// event-driven kernel instead: table organization never changes a
-// routing decision, so ES and full-table stay bit-identical per kernel
-// even though the two kernels are not bit-comparable to each other.
+// -verify checks statically that every table organization programs exactly
+// the routing function it encodes: for each organization x algorithm x
+// {1,2,3}-D x {mesh, torus} that core.Validate accepts, table.Verify
+// compares every lookup at every router, destination and dateline state
+// with the algorithm, and holds the algorithm to what the organization can
+// express; the first failure fails the command and names it. Every router
+// of a structure, and its look-ahead lookups, read one shared table.Routes,
+// so this is also the paper's ES == full-table equivalence. -meta,
+// -interval and -verify are exclusive, and the command takes no arguments.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"lapses/internal/core"
 	"lapses/internal/routing"
-	"lapses/internal/selection"
-	"lapses/internal/sweep"
 	"lapses/internal/table"
 	"lapses/internal/topology"
-	"lapses/internal/traffic"
 )
 
 func main() {
 	algName := flag.String("alg", "north-last", "algorithm to program: xy, yx, duato, north-last, west-first, negative-first")
 	meta := flag.Bool("meta", false, "print the Fig. 8 meta-table mappings instead")
 	interval := flag.Bool("interval", false, "print an interval table instead")
-	verify := flag.Bool("verify", false, "sweep-check that ES tables route identically to full tables")
-	workers := flag.Int("workers", 0, "concurrent simulations for -verify (0 = GOMAXPROCS)")
-	events := flag.Bool("events", false, "run the -verify sweep on the event-driven kernel")
+	verify := flag.Bool("verify", false, "check that every table organization routes exactly as its algorithm")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		usage(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
+	}
+	modes := 0
+	for _, on := range []bool{*meta, *interval, *verify} {
+		if on {
+			modes++
+		}
+	}
+	if modes > 1 {
+		usage(fmt.Errorf("-meta, -interval and -verify are exclusive; give one"))
+	}
 
 	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
 
 	if *verify {
-		err := verifyTables()
-		if err == nil {
-			err = verifyES(*workers, *events)
-		}
-		if err != nil {
+		if err := verifyTables(); err != nil {
 			fmt.Fprintln(os.Stderr, "lapses-tables:", err)
 			os.Exit(1)
 		}
@@ -65,9 +62,9 @@ func main() {
 		m := topology.NewMesh(16, 16)
 		alg := routing.NewDuato(m, cls)
 		fmt.Println("Fig. 8(a): row mapping (minimal flexibility; cluster/label per node, top row = y15)")
-		fmt.Println(table.NewMeta(m, alg, cls, 0, table.MapRow).DumpMapping())
+		fmt.Println(table.NewMeta(m, alg, cls, table.MapRow).DumpMapping())
 		fmt.Println("Fig. 8(b): block mapping (maximal flexibility)")
-		fmt.Println(table.NewMeta(m, alg, cls, 0, table.MapBlock).DumpMapping())
+		fmt.Println(table.NewMeta(m, alg, cls, table.MapBlock).DumpMapping())
 		return
 	}
 
@@ -75,15 +72,18 @@ func main() {
 		m := topology.NewMesh(8, 8)
 		yx := routing.NewDimOrder(m, cls, []int{1, 0})
 		node := m.ID(topology.Coord{3, 3})
-		iv := table.NewInterval(m, yx, cls, node)
+		lo, hi, err := table.Intervals(m, yx, node)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "lapses-tables:", err)
+			os.Exit(1)
+		}
 		fmt.Printf("Interval table for node (3,3) of %s, YX routing:\n", m)
-		for p := topology.Port(0); int(p) < m.NumPorts(); p++ {
-			lo, hi, ok := iv.Intervals(p)
-			if !ok {
-				fmt.Printf("  %-3s  (unused)\n", m.PortName(p))
+		for p := range lo {
+			if lo[p] > hi[p] {
+				fmt.Printf("  %-3s  (unused)\n", m.PortName(topology.Port(p)))
 				continue
 			}
-			fmt.Printf("  %-3s  labels [%d, %d]\n", m.PortName(p), lo, hi)
+			fmt.Printf("  %-3s  labels [%d, %d]\n", m.PortName(topology.Port(p)), lo[p], hi[p])
 		}
 		return
 	}
@@ -95,17 +95,25 @@ func main() {
 	}
 	c := core.DefaultConfig()
 	c.Dims, c.Algorithm = []int{3, 3}, a
-	alg, _, err := c.Routing()
+	alg, cls, err := c.Routing()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lapses-tables:", err)
 		os.Exit(2)
 	}
+	// A mesh's ES row is the same at every router, so the structure's
+	// shared row is node (1,1)'s table.
 	m := c.Mesh()
-	node := m.ID(topology.Coord{1, 1})
-	es := table.NewES(m, alg, node)
 	fmt.Printf("Fig. 7: economical-storage table at node (1,1) of a 3x3 mesh, %s routing\n", alg.Name())
-	fmt.Printf("(sign of destination offset (sx,sy) -> permitted output ports; %d entries)\n\n", es.Entries())
-	fmt.Print(es.Dump())
+	fmt.Printf("(sign of destination offset (sx,sy) -> permitted output ports; %d entries)\n\n", table.KindES.Entries(m))
+	fmt.Print(table.Program(table.KindES, m, alg, cls).Dump())
+}
+
+// usage reports a flag error the way the flag package does: the error, the
+// flag summary, exit status 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "lapses-tables:", err)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // verifyTables runs table.Verify over every table organization x
@@ -135,58 +143,6 @@ func verifyTables() error {
 			}
 		}
 	}
-	fmt.Printf("every lookup equals its algorithm: %d (organization, algorithm, topology) combinations\n\n", checked)
-	return nil
-}
-
-// verifyES sweeps a quick (pattern x load) grid, each point once with the
-// full routing table and once with economical storage, and checks the
-// Results are bit-identical — the paper's Table 4 claim. The equivalence
-// is kernel-independent: with events the grid runs event-driven and the
-// per-point pairs must still match bit for bit.
-func verifyES(workers int, events bool) error {
-	patterns := []traffic.Kind{traffic.Uniform, traffic.Transpose, traffic.BitReversal}
-	loads := []float64{0.1, 0.2, 0.3}
-	var grid []core.Config
-	for _, pat := range patterns {
-		for _, load := range loads {
-			for _, tk := range []table.Kind{table.KindFull, table.KindES} {
-				c := core.DefaultConfig().QuickFidelity()
-				c.Selection = selection.StaticXY
-				c.Pattern = pat
-				c.Load = load
-				c.Table = tk
-				c.EventMode = events
-				grid = append(grid, c)
-			}
-		}
-	}
-	outs, err := sweep.Run(context.Background(), grid, sweep.Options{Workers: workers})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ES-vs-full-table equivalence, %d points, quick fidelity:\n", len(grid)/2)
-	fmt.Printf("%-13s %-5s %12s %12s  %s\n", "Traffic", "Load", "Full-Tbl", "Econ-Stor", "identical")
-	bad := 0
-	for i := 0; i < len(outs); i += 2 {
-		full, es := outs[i], outs[i+1]
-		if full.Err != nil {
-			return full.Err
-		}
-		if es.Err != nil {
-			return es.Err
-		}
-		same := full.Result == es.Result
-		if !same {
-			bad++
-		}
-		fmt.Printf("%-13s %-5.1f %12s %12s  %v\n",
-			full.Config.Pattern, full.Config.Load,
-			full.Result.LatencyString(), es.Result.LatencyString(), same)
-	}
-	if bad > 0 {
-		return fmt.Errorf("%d points diverged between full table and ES", bad)
-	}
-	fmt.Println("all points identical")
+	fmt.Printf("every lookup equals its algorithm: %d (organization, algorithm, topology) combinations\n", checked)
 	return nil
 }

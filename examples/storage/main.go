@@ -20,19 +20,15 @@ func main() {
 	m := topology.NewMesh(16, 16)
 	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
 	duato := routing.NewDuato(m, cls)
-	node := m.ID(topology.Coord{7, 7})
 
 	fmt.Println("Routing-table storage on a 256-node mesh (entries per router):")
-	for _, tbl := range []table.Table{
-		table.NewFull(m, duato, node),
-		table.NewMeta(m, duato, cls, node, table.MapRow),
-		table.NewMeta(m, duato, cls, node, table.MapBlock),
-		table.NewES(m, duato, node),
-	} {
-		fmt.Printf("  %-12s %4d entries\n", tbl.Name(), tbl.Entries())
+	for _, k := range []table.Kind{table.KindFull, table.KindMetaRow, table.KindMetaBlock, table.KindES} {
+		fmt.Printf("  %-12s %4d entries\n", k, k.Entries(m))
 	}
 
-	es := table.NewES(m, duato, node)
+	// Every router of a mesh holds the same ES row; router (7,7)'s is the
+	// structure's.
+	es := table.Program(table.KindES, m, duato, cls)
 	fmt.Printf("\nES programming of router (7,7) for Duato's fully adaptive routing:\n%s\n", es.Dump())
 
 	fmt.Println("Latency under bit-reversal traffic (LA adaptive router):")

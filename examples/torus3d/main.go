@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"lapses/internal/core"
-	"lapses/internal/routing"
 	"lapses/internal/table"
 	"lapses/internal/topology"
 	"lapses/internal/traffic"
@@ -18,10 +17,8 @@ import (
 func main() {
 	// A 512-node 3-D mesh routed with 27-entry tables.
 	m3 := topology.NewMesh(8, 8, 8)
-	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
-	es := table.NewES(m3, routing.NewDuato(m3, cls), m3.ID(topology.Coord{4, 4, 4}))
 	fmt.Printf("3-D mesh %s: full table would need %d entries per router; ES needs %d\n",
-		m3, m3.N(), es.Entries())
+		m3, table.KindFull.Entries(m3), table.KindES.Entries(m3))
 
 	cfg := core.DefaultConfig()
 	cfg.Dims = []int{8, 8, 8}

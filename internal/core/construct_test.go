@@ -42,7 +42,7 @@ func simPoint(load float64) Config {
 // thousand-message rows hold a ceiling of about twice the reading in their
 // comment (objects, KB; testing.AllocsPerRun, identical over five passes).
 // The scheduled row is pinned as it is: each of its four epoch swaps still
-// allocates the reconverged tables.
+// allocates its victim set and credit-recompute scratch.
 func TestConstructAllocs(t *testing.T) {
 	with := func(c Config, f func(*Config)) Config { f(&c); return c }
 	oneMessage := with(DefaultConfig(), func(c *Config) { c.Load = 0.05; c.Warmup, c.Measure = 0, 1 })
@@ -303,16 +303,16 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	}
 }
 
-// sameAnswers reports whether two table sets route every (node,
-// destination) pair identically.
-func sameAnswers(t *testing.T, a, b []table.Table) {
+// sameAnswers reports whether two plumbings' first epochs route every
+// (node, destination) pair identically.
+func sameAnswers(t *testing.T, a, b *plumbing) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("table sets of %d and %d nodes", len(a), len(b))
+	if a.m.N() != b.m.N() {
+		t.Fatalf("structures of %d and %d nodes", a.m.N(), b.m.N())
 	}
-	for id := range a {
-		for dst := range a {
-			if ra, rb := a[id].Lookup(topology.NodeID(dst), 0), b[id].Lookup(topology.NodeID(dst), 0); !ra.Equal(rb) {
+	for id := topology.NodeID(0); int(id) < a.m.N(); id++ {
+		for dst := topology.NodeID(0); int(dst) < a.m.N(); dst++ {
+			if ra, rb := a.routes[0].Lookup(id, dst, 0), b.routes[0].Lookup(id, dst, 0); !ra.Equal(rb) {
 				t.Fatalf("node %d -> %d: %v vs %v", id, dst, ra, rb)
 			}
 		}
@@ -377,7 +377,7 @@ func TestPlumbingConcurrentFirstTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameAnswers(t, got[0].tbls[0], fresh.tbls[0])
+	sameAnswers(t, got[0], fresh)
 }
 
 // TestPlumbingCacheBounded: the cache holds at most its cap of
@@ -418,5 +418,55 @@ func TestPlumbingCacheBounded(t *testing.T) {
 	if builds != len(cfgs)+1 || again == first {
 		t.Fatalf("the oldest structure was not evicted (%d builds, same plumbing: %v)", builds, again == first)
 	}
-	sameAnswers(t, first.tbls[0], again.tbls[0])
+	sameAnswers(t, first, again)
+}
+
+// TestStructuresShareRoutes: es, full and interval tables encode the
+// algorithm itself, so over one routing function they are one structure,
+// built once; the meta kinds route by their own mapping and build their
+// own. kernel-short's 30 structures — {8x8, 16x16, 32x32} x ({es, full,
+// meta-row} x {duato, xy, north-last} + interval/yx) — cost 21 builds, and
+// an es/yx visit after each interval/yx one costs none.
+func TestStructuresShareRoutes(t *testing.T) {
+	pc := bounded.New[string, *plumbingEntry](maxStructures)
+	builds := 0
+	byAlg := map[string]*plumbing{}
+	visit := func(c Config) {
+		t.Helper()
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		p, err := cachedPlumbing(pc, c.structureKey(), func() (*plumbing, error) {
+			builds++
+			return c.buildPlumbing()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Table == table.KindMetaRow {
+			return
+		}
+		k := fmt.Sprintf("%v/%s", c.Dims, c.Algorithm)
+		if q, ok := byAlg[k]; ok && q != p {
+			t.Errorf("%s: %s got its own structure", k, c.Table)
+		}
+		byAlg[k] = p
+	}
+	for _, k := range []int{8, 16, 32} {
+		c := smoke()
+		c.Dims = []int{k, k}
+		for _, tb := range []table.Kind{table.KindES, table.KindFull, table.KindMetaRow} {
+			for _, alg := range []Alg{AlgDuato, AlgXY, AlgNorthLast} {
+				c.Table, c.Algorithm = tb, alg
+				visit(c)
+			}
+		}
+		c.Table, c.Algorithm = table.KindInterval, AlgYX
+		visit(c)
+		c.Table = table.KindES
+		visit(c)
+	}
+	if builds != 21 {
+		t.Errorf("30 structures took %d builds, want 21", builds)
+	}
 }

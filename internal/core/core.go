@@ -659,23 +659,23 @@ func (r Result) LatencyString() string {
 
 // plumbing bundles the immutable structural pieces shared by every run
 // over the same topology, routing policy and damage: the mesh, the VC
-// partition, and the per-node tables of every fault epoch (one set for a
-// healthy network or a static plan). All are read-only after
-// construction, so concurrent runs (sweep workers) share them freely.
+// partition, and the routes of every fault epoch (one for a healthy network
+// or a static plan). All are read-only after construction, so concurrent
+// runs (sweep workers) share them freely.
 type plumbing struct {
-	m    *topology.Mesh
-	cls  routing.Class
-	tbls [][]table.Table
+	m      *topology.Mesh
+	cls    routing.Class
+	routes []*table.Routes
 }
 
-// maxStructures caps the plumbing cache. One entry is a structure's whole
-// table set — a few hundred kilobytes for ES tables, 2.4 MB for full
-// tables on a 32x32 mesh (they intern their route sets; see table.Full),
-// so about 150 MB if every entry were one — and every distinct fault plan
-// or schedule is its own structure, so a service fed random plans would
-// otherwise grow for as long as it runs. 64 holds every structure of a
-// figure run (the experiments touch at most a few dozen) with room for a
-// fault sweep's working set.
+// maxStructures caps the plumbing cache. A healthy mesh structure is one
+// 3^n-entry sign row per epoch, a few hundred bytes; any other is its
+// routing function, whose largest form — a fault-aware algorithm's N^2
+// next-hop and distance arrays — is about 3 MB per epoch on a 32x32 mesh.
+// Every distinct fault plan or schedule is its own structure, so a service
+// fed random plans would otherwise grow for as long as it runs. 64 holds
+// every structure of a figure run (the experiments touch at most a few
+// dozen) with room for a fault sweep's working set.
 const maxStructures = 64
 
 // structures memoizes plumbing per structural configuration, oldest
@@ -723,27 +723,34 @@ func (c Config) plumbing() (*plumbing, error) {
 	return cachedPlumbing(structures, c.structureKey(), c.buildPlumbing)
 }
 
-// structureKey identifies everything buildPlumbing reads. A static plan's
-// key never holds an "@" and a timed schedule's always does, so the one
-// fault term cannot confuse the two.
+// structureKey identifies everything buildPlumbing reads. es, full and
+// interval tables encode the algorithm itself (table.Program), so they
+// share one structure and key without a table term; the meta kinds route by
+// their own mapping and keep it. A static plan's key never holds an "@" and
+// a timed schedule's always does, so the one fault term cannot confuse the
+// two.
 func (c Config) structureKey() string {
-	return fmt.Sprintf("d%v,t%t,v%d,e%d,a%d,tb%d,f[%s]",
-		c.Dims, c.Torus, c.VCs, c.EscapeVCs, int(c.Algorithm), int(c.Table), c.Faults.Key())
+	tb := ""
+	if c.Table == table.KindMetaRow || c.Table == table.KindMetaBlock {
+		tb = fmt.Sprintf(",tb%d", int(c.Table))
+	}
+	return fmt.Sprintf("d%v,t%t,v%d,e%d,a%d%s,f[%s]",
+		c.Dims, c.Torus, c.VCs, c.EscapeVCs, int(c.Algorithm), tb, c.Faults.Key())
 }
 
 // buildPlumbing is the cold path behind the cache: for each fault epoch,
-// the routing function, then every node's table in one parallel pass
-// (table.BuildAll); the network swaps between the sets at transitions.
+// the routing function and the routes every router shares; the network
+// swaps between them at transitions.
 func (c Config) buildPlumbing() (*plumbing, error) {
 	m := c.Mesh()
 	cls := c.class()
-	tbls, err := network.BuildEpochTables(m, c.Table, cls, c.Faults, func(plan *fault.Plan) (routing.Algorithm, error) {
+	routes, err := network.BuildEpochRoutes(m, c.Table, cls, c.Faults, func(plan *fault.Plan) (routing.Algorithm, error) {
 		return c.algorithm(m, cls, plan)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &plumbing{m: m, cls: cls, tbls: tbls}, nil
+	return &plumbing{m: m, cls: cls, routes: routes}, nil
 }
 
 // maxIdleArenaBytes caps the storage the arena free list holds while no run
@@ -902,7 +909,7 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		},
 		LinkDelay: cfg.LinkDelay,
 		Class:     p.cls,
-		Tables:    p.tbls,
+		Routes:    p.routes,
 		Selection: cfg.Selection,
 		Trace:     cfg.Trace,
 		MsgLen:    cfg.MsgLen,

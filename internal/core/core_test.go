@@ -91,10 +91,12 @@ func TestValidation(t *testing.T) {
 // TestIntervalValidateOrRun: every interval-table configuration over
 // the deterministic algorithms, and every algorithm over ES tables, in
 // one to three dimensions, mesh and torus, healthy and degraded, must
-// either be rejected by Validate or run — table.NewInterval panics on
-// what it cannot express, routing.NewDimOrder and the turn models on
-// dimensions they are not defined for, and Validate is what keeps a
-// config from reaching them. The rejection must name what works.
+// either be rejected by Validate or run — routing.NewDimOrder and the
+// turn models panic on dimensions they are not defined for, and Validate
+// is what keeps a config from reaching them. The rejection must name what
+// works. (What an interval table cannot express routes like any other
+// table here; table.Verify, over every combination Validate accepts, is
+// what refuses it.)
 func TestIntervalValidateOrRun(t *testing.T) {
 	ran := 0
 	for _, dims := range [][]int{{8}, {4, 4}, {3, 3, 3}} {

@@ -62,10 +62,10 @@ func TestPlumbingKeyedByFaults(t *testing.T) {
 	// The degraded tables must actually differ somewhere: at least one
 	// router near the damage routes some destination differently.
 	differs := false
-	th, tf := ph.tbls[0], pf.tbls[0]
-	for id := 0; id < len(th) && !differs; id++ {
-		for dst := topology.NodeID(0); int(dst) < len(th); dst++ {
-			if !th[id].Lookup(dst, 0).Equal(tf[id].Lookup(dst, 0)) {
+	th, tf := ph.routes[0], pf.routes[0]
+	for id := topology.NodeID(0); int(id) < ph.m.N() && !differs; id++ {
+		for dst := topology.NodeID(0); int(dst) < ph.m.N(); dst++ {
+			if !th.Lookup(id, dst, 0).Equal(tf.Lookup(id, dst, 0)) {
 				differs = true
 				break
 			}

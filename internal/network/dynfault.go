@@ -43,7 +43,7 @@ import (
 //     Without the reliability layer each victim is a permanent loss
 //     (onLost); with it the sender's retransmission timer recovers the
 //     message end to end.
-//  3. Reconverge: swap every router to the epoch's table (rebuilt over
+//  3. Reconverge: swap every router to the epoch's routes (built over
 //     the new live graph), refresh dead-port gates, and re-resolve the
 //     routing state that survived (waiting headers, queued look-ahead
 //     headers, in-flight head events).
@@ -227,32 +227,20 @@ func (n *Network) applyTransition(e int, now int64) {
 	}
 
 	// --- Reconverge ---------------------------------------------------
-	tbls := n.cfg.Tables[e]
+	routes := n.cfg.Routes[e]
 	for id := range n.routers {
 		r := &n.routers[id]
-		r.SetTable(tbls[id])
 		r.SetDeadPorts(n.deadPortMask(topology.NodeID(id)))
+		r.Reroute(routes)
 	}
-	la := n.cfg.Router.LookAhead
-	for id := range n.routers {
-		r := &n.routers[id]
-		node := topology.NodeID(id)
-		r.Reroute(func(p topology.Port, m *flow.Message) flow.RouteSet {
-			nb, ok := n.m.Neighbor(node, p)
-			if !ok {
-				panic(fmt.Sprintf("network: reroute through missing link %d port %d", id, p))
-			}
-			return tbls[nb].Lookup(m.Dst, m.Dateline)
-		})
-	}
-	if la {
+	if n.cfg.Router.LookAhead {
 		// In-flight look-ahead headers carry candidates computed from the
-		// old epoch's table of the router they are about to enter — the
-		// neighbor's for a link traversal, the source router's own for an
-		// injection — which is ev.node's table either way.
+		// old epoch's lookup at the router they are about to enter — the
+		// neighbor for a link traversal, the source router itself for an
+		// injection — which is ev.node either way.
 		n.flits.each(func(ev *flitEvent) {
 			if ev.fl.Type.IsHead() {
-				ev.fl.Msg.Route = tbls[ev.node].Lookup(ev.fl.Msg.Dst, ev.fl.Msg.Dateline)
+				ev.fl.Msg.Route = routes.Lookup(ev.node, ev.fl.Msg.Dst, ev.fl.Msg.Dateline)
 			}
 		})
 	}
@@ -345,21 +333,21 @@ func (n *Network) DeliveryWindows() []int64 { return n.windows }
 // Plan returns the fault plan of the epoch currently in effect.
 func (n *Network) Plan() *fault.Plan { return n.plan }
 
-// BuildEpochTables builds Config.Tables: one table set per epoch of sched
-// (one for a nil schedule), using alg to construct the epoch's routing
-// algorithm from its fault plan (nil for a healthy network, empty for a
-// schedule's healthy epochs). Callers choose the policy — core builds
-// fault-aware Duato or dimension-order algorithms under damage — so the
-// network stays policy-agnostic.
-func BuildEpochTables(m *topology.Mesh, kind table.Kind, cls routing.Class, sched *fault.Schedule,
-	alg func(plan *fault.Plan) (routing.Algorithm, error)) ([][]table.Table, error) {
-	out := make([][]table.Table, sched.Epochs())
+// BuildEpochRoutes builds Config.Routes: the routes a table of kind
+// encodes for each epoch of sched (one for a nil schedule), using alg to
+// construct the epoch's routing algorithm from its fault plan (nil for a
+// healthy network, empty for a schedule's healthy epochs). Callers choose
+// the policy — core builds fault-aware Duato or dimension-order algorithms
+// under damage — so the network stays policy-agnostic.
+func BuildEpochRoutes(m *topology.Mesh, kind table.Kind, cls routing.Class, sched *fault.Schedule,
+	alg func(plan *fault.Plan) (routing.Algorithm, error)) ([]*table.Routes, error) {
+	out := make([]*table.Routes, sched.Epochs())
 	for e := range out {
 		a, err := alg(sched.Plan(e))
 		if err != nil {
 			return nil, fmt.Errorf("network: epoch %d: %w", e, err)
 		}
-		out[e] = table.BuildAll(kind, m, a, cls)
+		out[e] = table.Program(kind, m, a, cls)
 	}
 	return out, nil
 }

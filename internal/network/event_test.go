@@ -101,7 +101,7 @@ func TestEventModeTorusExact(t *testing.T) {
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
 		LinkDelay: 1,
 		Class:     cls,
-		Tables:    oneEpoch(table.KindFull, m, routing.NewDuato(m, cls), cls),
+		Routes:    oneEpoch(table.KindFull, m, routing.NewDuato(m, cls), cls),
 		Selection: 0,
 		Pattern:   pat,
 		MsgLen:    4,

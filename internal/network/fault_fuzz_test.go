@@ -107,7 +107,7 @@ func FuzzFaultPlan(f *testing.F) {
 			Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
 			LinkDelay: 1,
 			Class:     cls,
-			Tables:    oneEpoch(table.KindES, m, alg, cls),
+			Routes:    oneEpoch(table.KindES, m, alg, cls),
 			Faults:    fault.Static(linkPlan),
 			Selection: sel,
 			Trace:     trace,

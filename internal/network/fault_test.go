@@ -27,7 +27,7 @@ func faultConfig(t *testing.T, m *topology.Mesh, plan *fault.Plan, lookAhead boo
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: lookAhead},
 		LinkDelay: 1,
 		Class:     cls,
-		Tables:    oneEpoch(table.KindES, m, alg, cls),
+		Routes:    oneEpoch(table.KindES, m, alg, cls),
 		Faults:    fault.Static(plan),
 		Selection: selection.LRU,
 		Pattern:   traffic.New(traffic.Uniform, m),

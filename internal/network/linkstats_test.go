@@ -157,7 +157,7 @@ func TestEventCycleLinkStatsParity(t *testing.T) {
 				Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
 				LinkDelay: 1,
 				Class:     cls,
-				Tables:    oneEpoch(table.KindES, m, routing.NewDimOrder(m, cls, nil), cls),
+				Routes:    oneEpoch(table.KindES, m, routing.NewDimOrder(m, cls, nil), cls),
 				Selection: selection.StaticXY,
 				Pattern:   script,
 				MsgRate:   0.05,

@@ -6,8 +6,8 @@
 // saturation guards).
 //
 // Two optional layers model networks that fail and recover mid-run. Damage
-// arrives as one fault schedule (Config.Faults, with one prebuilt table set
-// per epoch in Config.Tables); a static plan is its one-epoch case. A timed
+// arrives as one fault schedule (Config.Faults, with one prebuilt routing
+// per epoch in Config.Routes); a static plan is its one-epoch case. A timed
 // schedule applies link/router down/up transitions between cycles —
 // dropping the state committed to dying equipment plus the messages the
 // reconfiguration drain retires, swapping routing tables, and recomputing
@@ -46,13 +46,13 @@ type Config struct {
 	LinkDelay int
 	// Class is the VC partition the tables are programmed with.
 	Class routing.Class
-	// Tables holds one prebuilt table per node (Tables[e][node]) for each
-	// epoch of Faults — one set for a healthy network or a static plan —
-	// each built over that epoch's live subgraph (see BuildEpochTables).
-	// Tables are immutable after construction, so callers running many
-	// simulations over the same topology and routing policy share them
-	// across runs (see core's plumbing cache).
-	Tables [][]table.Table
+	// Routes holds the routing every router's table lookup answers from,
+	// one per epoch of Faults — one for a healthy network or a static plan
+	// — each built over that epoch's live subgraph (see BuildEpochRoutes).
+	// Routes are immutable, so callers running many simulations over the
+	// same topology and routing policy share them across runs (see core's
+	// plumbing cache).
+	Routes []*table.Routes
 	// Selection is the path-selection heuristic.
 	Selection selection.Kind
 	// Faults, when non-nil, degrades the topology: failed links carry no
@@ -63,7 +63,7 @@ type Config struct {
 	// the epoch's routing tables, and recomputes flow-control credits from
 	// global state (see dynfault.go). Under a static plan (one epoch) dead
 	// routers stay dead: no traffic is addressed to them and their NIs
-	// never wake. The Tables must already route around every epoch's damage
+	// never wake. The Routes must already route around every epoch's damage
 	// (core builds fault-aware ones); the network only enforces the
 	// physical consequences.
 	Faults *fault.Schedule
@@ -126,8 +126,8 @@ func (c Config) Validate() error {
 	if !c.Faults.Fits(c.Mesh) {
 		return fmt.Errorf("network: damage %s was built for a different topology than %s", c.Faults, c.Mesh)
 	}
-	if len(c.Tables) != c.Faults.Epochs() {
-		return fmt.Errorf("network: %d fault epochs but %d table sets were supplied", c.Faults.Epochs(), len(c.Tables))
+	if len(c.Routes) != c.Faults.Epochs() {
+		return fmt.Errorf("network: %d fault epochs but %d routings were supplied", c.Faults.Epochs(), len(c.Routes))
 	}
 	if c.Trace != nil && c.Faults.FailsRouters() {
 		return fmt.Errorf("network: trace workloads require faults without dead routers (trace endpoints cannot be filtered)")
@@ -551,7 +551,7 @@ func (n *Network) Reset(cfg Config) {
 	clear(n.lastOcc)
 
 	n.sels.Reset(cfg.Selection, cfg.Seed, 7919)
-	n.block.Reset(m, cfg.Router, 0, cfg.Tables[0], n.sels.Sels)
+	n.block.Reset(m, cfg.Router, 0, cfg.Routes[0], n.sels.Sels)
 	for id := 0; id < m.N(); id++ {
 		for p := 0; p < n.ports; p++ {
 			// Every link is wired, failed or not: liveness is enforced by

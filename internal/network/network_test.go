@@ -14,10 +14,10 @@ import (
 	"lapses/internal/traffic"
 )
 
-// oneEpoch is the Tables of a network with one fault epoch (healthy, or
+// oneEpoch is the Routes of a network with one fault epoch (healthy, or
 // under a static plan alg already routes around), programmed from alg.
-func oneEpoch(tk table.Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class) [][]table.Table {
-	return [][]table.Table{table.BuildAll(tk, m, alg, cls)}
+func oneEpoch(tk table.Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class) []*table.Routes {
+	return []*table.Routes{table.Program(tk, m, alg, cls)}
 }
 
 func testConfig(m *topology.Mesh, lookAhead bool, tk table.Kind, sel selection.Kind, pat traffic.Pattern, rate float64, seed int64) Config {
@@ -27,7 +27,7 @@ func testConfig(m *topology.Mesh, lookAhead bool, tk table.Kind, sel selection.K
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: lookAhead},
 		LinkDelay: 1,
 		Class:     cls,
-		Tables:    oneEpoch(tk, m, routing.NewDuato(m, cls), cls),
+		Routes:    oneEpoch(tk, m, routing.NewDuato(m, cls), cls),
 		Selection: sel,
 		Pattern:   pat,
 		MsgRate:   rate,
@@ -269,7 +269,7 @@ func TestTorusAdaptive(t *testing.T) {
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
 		LinkDelay: 1,
 		Class:     cls,
-		Tables:    oneEpoch(table.KindFull, m, routing.NewDuato(m, cls), cls),
+		Routes:    oneEpoch(table.KindFull, m, routing.NewDuato(m, cls), cls),
 		Selection: selection.LRU,
 		Pattern:   traffic.New(traffic.Uniform, m),
 		MsgRate:   traffic.MessageRate(m, 0.5, 20),

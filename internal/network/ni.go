@@ -283,7 +283,7 @@ func (x *ni) tick(now int64) {
 			msg := s.msg
 			msg.InjectTime = now
 			if x.net.cfg.Router.LookAhead {
-				msg.Route = x.r.Table().Lookup(msg.Dst, 0)
+				msg.Route = x.net.cfg.Routes[x.net.epoch].Lookup(x.node, msg.Dst, 0)
 			}
 			fl := flow.FlitAt(msg, 0)
 			x.net.flits.schedule(now+1, flitEvent{node: x.node, port: topology.PortLocal, vc: flow.VCID(v), fl: fl, worm: true})
@@ -312,7 +312,7 @@ func (x *ni) tick(now int64) {
 		if fl.Type.IsHead() {
 			s.msg.InjectTime = now
 			if x.net.cfg.Router.LookAhead {
-				s.msg.Route = x.r.Table().Lookup(s.msg.Dst, 0)
+				s.msg.Route = x.net.cfg.Routes[x.net.epoch].Lookup(x.node, s.msg.Dst, 0)
 			}
 		}
 		// One-cycle injection wire: the flit is latched into the

@@ -233,7 +233,7 @@ func randomPoint(t *testing.T, rng *rand.Rand, s resetShape) Config {
 			alg = routing.NewDimOrder(m, cls, []int{1, 0})
 			kind = []table.Kind{table.KindInterval, table.KindFull, table.KindMetaRow}[rng.Intn(3)]
 		}
-		cfg.Tables = oneEpoch(kind, m, alg, cls)
+		cfg.Routes = oneEpoch(kind, m, alg, cls)
 	case "faults", "dead-router":
 		routers := 0
 		if damage == "dead-router" {
@@ -242,12 +242,12 @@ func randomPoint(t *testing.T, rng *rand.Rand, s resetShape) Config {
 		var plan *fault.Plan
 		if plan, err = fault.Random(m, 2, routers, rng.Int63n(1000)); err == nil {
 			cfg.Faults = fault.Static(plan)
-			cfg.Tables, err = BuildEpochTables(m, kind, cls, cfg.Faults, faultAlg)
+			cfg.Routes, err = BuildEpochRoutes(m, kind, cls, cfg.Faults, faultAlg)
 		}
 	case "schedule":
 		spec := []string{"5-6@150:600", "5-6@100,r10@300:700", "0-1@50:250,9-10@200:400"}[rng.Intn(3)]
 		if cfg.Faults, err = fault.ParseSchedule(m, spec); err == nil {
-			cfg.Tables, err = BuildEpochTables(m, kind, cls, cfg.Faults, faultAlg)
+			cfg.Routes, err = BuildEpochRoutes(m, kind, cls, cfg.Faults, faultAlg)
 		}
 	}
 	if err != nil {
@@ -383,8 +383,8 @@ func TestResetEqualsNew(t *testing.T) {
 					// first has drawn from.
 					cfg.Selection = selection.Random
 				}
-				name := fmt.Sprintf("point %d (%s, %T, selection %v, la %v, ct %v, %v, trace %v, burst %v)",
-					i, cfg.Mesh, cfg.Tables[0][0], cfg.Selection, cfg.Router.LookAhead, cfg.Router.CutThrough,
+				name := fmt.Sprintf("point %d (%s, selection %v, la %v, ct %v, %v, trace %v, burst %v)",
+					i, cfg.Mesh, cfg.Selection, cfg.Router.LookAhead, cfg.Router.CutThrough,
 					cfg.Faults, cfg.Trace != nil, cfg.Burst != nil)
 				arena.Reset(cfg)
 				fresh := New(cfg)

@@ -48,7 +48,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Skip("no connected schedule for this draw")
 		}
 		cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
-		tables, err := BuildEpochTables(m, table.KindES, cls, sched, func(plan *fault.Plan) (routing.Algorithm, error) {
+		tables, err := BuildEpochRoutes(m, table.KindES, cls, sched, func(plan *fault.Plan) (routing.Algorithm, error) {
 			return routing.NewFaultDuato(m, cls, plan)
 		})
 		if err != nil {
@@ -83,7 +83,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
 			LinkDelay: 1,
 			Class:     cls,
-			Tables:    tables,
+			Routes:    tables,
 			Faults:    sched,
 			Selection: selection.LRU,
 			Trace:     trace,

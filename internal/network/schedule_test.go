@@ -23,7 +23,7 @@ import (
 func scheduleConfig(t *testing.T, m *topology.Mesh, sched *fault.Schedule, la bool, rate float64, seed int64) Config {
 	t.Helper()
 	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
-	tables, err := BuildEpochTables(m, table.KindES, cls, sched, func(plan *fault.Plan) (routing.Algorithm, error) {
+	tables, err := BuildEpochRoutes(m, table.KindES, cls, sched, func(plan *fault.Plan) (routing.Algorithm, error) {
 		return routing.NewFaultDuato(m, cls, plan)
 	})
 	if err != nil {
@@ -34,7 +34,7 @@ func scheduleConfig(t *testing.T, m *topology.Mesh, sched *fault.Schedule, la bo
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
 		LinkDelay: 1,
 		Class:     cls,
-		Tables:    tables,
+		Routes:    tables,
 		Faults:    sched,
 		Selection: selection.LRU,
 		Pattern:   traffic.New(traffic.Uniform, m),

@@ -19,7 +19,7 @@ func traceConfig(m *topology.Mesh, tr *traffic.Trace, seed int64) Config {
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
 		LinkDelay: 1,
 		Class:     cls,
-		Tables:    oneEpoch(table.KindES, m, routing.NewDuato(m, cls), cls),
+		Routes:    oneEpoch(table.KindES, m, routing.NewDuato(m, cls), cls),
 		Selection: selection.LRU,
 		Trace:     tr,
 		MsgLen:    20,

@@ -22,11 +22,11 @@ func TestRouterBlockMatchesNew(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
 	alg := routing.NewDuato(m, cls)
-	tbls := table.BuildAll(table.KindFull, m, alg, cls)
+	routes := table.Program(table.KindFull, m, alg, cls)
 	const node = topology.NodeID(4)
 	for _, la := range []bool{false, true} {
 		cfg := Config{NumVCs: 4, BufDepth: 6, OutDepth: 2, LookAhead: la}
-		block := NewBlock(m, cfg, 0, tbls, selection.NewBlock(selection.LRU, m.N(), 0, 1).Sels).Routers
+		block := NewBlock(m, cfg, 0, routes, selection.NewBlock(selection.LRU, m.N(), 0, 1).Sels).Routers
 		hb := &harness{r: &block[node]}
 		hb.r.SetFabric(hb)
 		hn := newHarness(t, m, node, cfg, alg, selection.New(selection.LRU, 0))
@@ -103,7 +103,7 @@ func TestRouterBlockMatchesNew(t *testing.T) {
 		if seen == 0 || hb.r.Occupancy() != 0 {
 			t.Fatalf("la=%v: script moved %d events and left %d flits buffered", la, seen, hb.r.Occupancy())
 		}
-		fresh := NewBlock(m, cfg, 0, tbls, selection.NewBlock(selection.LRU, m.N(), 0, 1).Sels).Routers
+		fresh := NewBlock(m, cfg, 0, routes, selection.NewBlock(selection.LRU, m.N(), 0, 1).Sels).Routers
 		for i := range block {
 			if topology.NodeID(i) != node && !reflect.DeepEqual(&block[i], &fresh[i]) {
 				t.Errorf("la=%v: driving router %d changed router %d's state", la, node, i)

@@ -14,11 +14,6 @@ import (
 // path — a transition walks the router's full state once, which is cheap
 // against the thousands of cycles between transitions.
 
-// SetTable swaps the routing table for the new epoch's, rebuilt over the
-// live subgraph. Callers must follow with Reroute so state computed from
-// the old table is refreshed.
-func (r *Router) SetTable(t table.Table) { r.tbl = t }
-
 // SetDeadPorts installs the set of output ports (bit p set) whose link is
 // failed in the new epoch. The SA stage and express admission skip dead
 // candidates, bounding the damage a one-hop-stale header can do to a
@@ -136,31 +131,33 @@ func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
 	return dropped
 }
 
-// Reroute refreshes every piece of routing state computed from the
-// previous epoch's table. Headers waiting for arbitration get fresh
-// candidates from this router's new table, and so, in look-ahead mode, do
-// queued headers not yet in the pipeline. Look-ahead headers that have won
-// their output — still buffered here, or boxed and about to leave — carry
-// candidates for the neighbor through that output, which nextRoute
-// computes from the neighbor's new table: a stale set could name only a
-// port the new epoch killed, and the header would wait at the neighbor
-// forever. Messages already streaming (active or express) keep their
-// claimed output: dead claims were purged, and a live stale choice is
-// merely suboptimal for its one remaining hop.
-func (r *Router) Reroute(nextRoute func(p topology.Port, m *flow.Message) flow.RouteSet) {
+// Reroute swaps in the routes of a new epoch, built over its live
+// subgraph, and refreshes every piece of routing state computed from the
+// previous epoch's. Headers waiting for arbitration get fresh candidates
+// from this router's new lookup, and so, in look-ahead mode, do queued
+// headers not yet in the pipeline. Look-ahead headers that have won their
+// output — still buffered here, or boxed and about to leave — carry
+// candidates for the neighbor through that output, recomputed from the
+// neighbor's new lookup: a stale set could name only a port the new epoch
+// killed, and the header would wait at the neighbor forever. Messages
+// already streaming (active or express) keep their claimed output: dead
+// claims were purged, and a live stale choice is merely suboptimal for its
+// one remaining hop.
+func (r *Router) Reroute(routes *table.Routes) {
+	r.routes = routes
 	for i := range r.in {
 		ivc := &r.in[i]
 		if ivc.phase == phaseWaitSA && ivc.msg != nil {
-			ivc.route = r.tbl.Lookup(ivc.msg.Dst, ivc.msg.Dateline)
+			ivc.route = r.routes.Lookup(r.id, ivc.msg.Dst, ivc.msg.Dateline)
 		}
 		if r.cfg.LookAhead {
 			ivc.buf.each(func(fl flow.Flit) {
 				switch {
 				case !fl.Type.IsHead():
 				case fl.Msg != ivc.msg:
-					fl.Msg.Route = r.tbl.Lookup(fl.Msg.Dst, fl.Msg.Dateline)
+					fl.Msg.Route = r.routes.Lookup(r.id, fl.Msg.Dst, fl.Msg.Dateline)
 				case ivc.phase == phaseActive && ivc.outPort != topology.PortLocal:
-					fl.Msg.Route = nextRoute(ivc.outPort, fl.Msg)
+					fl.Msg.Route = r.lookAhead(ivc.outPort, fl.Msg)
 				}
 			})
 		}
@@ -175,7 +172,7 @@ func (r *Router) Reroute(nextRoute func(p topology.Port, m *flow.Message) flow.R
 		}
 		r.out[j].box.each(func(fl flow.Flit) {
 			if fl.Type.IsHead() {
-				fl.Msg.Route = nextRoute(p, fl.Msg)
+				fl.Msg.Route = r.lookAhead(p, fl.Msg)
 			}
 		})
 	}

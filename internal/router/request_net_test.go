@@ -33,7 +33,7 @@ func TestRequestStateMatchesScan(t *testing.T) {
 			Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
 			LinkDelay: 1,
 			Class:     cls,
-			Tables:    [][]table.Table{table.BuildAll(table.KindES, m, routing.NewDuato(m, cls), cls)},
+			Routes:    []*table.Routes{table.Program(table.KindES, m, routing.NewDuato(m, cls), cls)},
 			Selection: selection.LRU,
 			Pattern:   traffic.New(traffic.Uniform, m),
 			MsgRate:   traffic.MessageRate(m, load, msgLen),
@@ -69,7 +69,7 @@ func TestRequestStateMatchesScan(t *testing.T) {
 				return routing.NewFaultDuato(mesh, cfg.Class, plan)
 			}
 			cfg.Faults = sched
-			if cfg.Tables, err = network.BuildEpochTables(mesh, table.KindES, cfg.Class, sched, build); err != nil {
+			if cfg.Routes, err = network.BuildEpochRoutes(mesh, table.KindES, cfg.Class, sched, build); err != nil {
 				t.Fatal(err)
 			}
 			return cfg

@@ -216,9 +216,12 @@ type Router struct {
 	id   topology.NodeID
 	mesh *topology.Mesh
 	cfg  Config
-	tbl  table.Table
-	sel  selection.Selector
-	wrap bool
+	// routes is the structure's routing, shared by every router: its
+	// Lookup at this router is the table lookup, at a neighbor the
+	// look-ahead one.
+	routes *table.Routes
+	sel    selection.Selector
+	wrap   bool
 
 	in    []inputVC
 	out   []outputVC
@@ -346,11 +349,11 @@ func AllocBlock(n, ports int, cfg Config) *Block {
 }
 
 // NewBlock constructs the routers of nodes base, base+1, ... — one per
-// table, router i programmed with tbls[i] and selecting with sels[i].
-// Callers wire each router with SetFabric before its first Tick.
-func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.Table, sels []selection.Selector) *Block {
-	b := AllocBlock(len(tbls), m.NumPorts(), cfg)
-	b.Reset(m, cfg, base, tbls, sels)
+// selector, router i routing by routes and selecting with sels[i]. Callers
+// wire each router with SetFabric before its first Tick.
+func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, routes *table.Routes, sels []selection.Selector) *Block {
+	b := AllocBlock(len(sels), m.NumPorts(), cfg)
+	b.Reset(m, cfg, base, routes, sels)
 	return b
 }
 
@@ -360,15 +363,15 @@ func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.T
 // free, request and work masks empty, arbiters and SA rotation at their
 // origin, no dead ports, no fabric. It panics when the configuration does not
 // have the shape the block was allocated for.
-func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, tbls []table.Table, sels []selection.Selector) {
+func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, routes *table.Routes, sels []selection.Selector) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	n, np := len(b.Routers), b.np
 	nvc, seed := np*b.vcs, b.seed
-	if len(tbls) != n || len(sels) != n || m.NumPorts() != np || cfg.NumVCs != b.vcs || seedRuns(cfg) != seed {
-		panic(fmt.Sprintf("router: block of %d routers, %d ports, %d VCs, %d seed runs reset to %d tables, %d selectors, %d ports, %d VCs, %d seed runs",
-			n, np, b.vcs, seed, len(tbls), len(sels), m.NumPorts(), cfg.NumVCs, seedRuns(cfg)))
+	if len(sels) != n || m.NumPorts() != np || cfg.NumVCs != b.vcs || seedRuns(cfg) != seed {
+		panic(fmt.Sprintf("router: block of %d routers, %d ports, %d VCs, %d seed runs reset to %d selectors, %d ports, %d VCs, %d seed runs",
+			n, np, b.vcs, seed, len(sels), m.NumPorts(), cfg.NumVCs, seedRuns(cfg)))
 	}
 	var resv flow.VCMask
 	if cfg.ResvVCs > 0 {
@@ -397,7 +400,7 @@ func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, tbls [
 			id:        base + topology.NodeID(i),
 			mesh:      m,
 			cfg:       cfg,
-			tbl:       tbls[i],
+			routes:    routes,
 			sel:       sels[i],
 			wrap:      m.Wrap(),
 			in:        b.in[i*nvc : (i+1)*nvc],
@@ -414,12 +417,12 @@ func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, tbls [
 }
 
 // Park drops the block's references to what a configuration lent it — mesh,
-// tables, selectors, fabrics — so an idle block pins none of them. The block
+// routes, selectors, fabrics — so an idle block pins none of them. The block
 // is unusable until the next Reset.
 func (b *Block) Park() {
 	for i := range b.Routers {
 		r := &b.Routers[i]
-		r.mesh, r.tbl, r.sel, r.fab = nil, nil, nil, nil
+		r.mesh, r.routes, r.sel, r.fab = nil, nil, nil, nil
 	}
 }
 
@@ -435,8 +438,8 @@ func slabBytes[T any](s []T) int {
 }
 
 // New constructs a single router for node id: a block of one.
-func New(id topology.NodeID, m *topology.Mesh, cfg Config, tbl table.Table, sel selection.Selector) *Router {
-	return &NewBlock(m, cfg, id, []table.Table{tbl}, []selection.Selector{sel}).Routers[0]
+func New(id topology.NodeID, m *topology.Mesh, cfg Config, routes *table.Routes, sel selection.Selector) *Router {
+	return &NewBlock(m, cfg, id, routes, []selection.Selector{sel}).Routers[0]
 }
 
 // SetFabric wires the router to its surroundings.
@@ -444,10 +447,6 @@ func (r *Router) SetFabric(f Fabric) { r.fab = f }
 
 // ID returns the router's node.
 func (r *Router) ID() topology.NodeID { return r.id }
-
-// Table returns the routing table, used by NIs to pre-compute look-ahead
-// headers at injection.
-func (r *Router) Table() table.Table { return r.tbl }
 
 func (r *Router) inIdx(p topology.Port, v flow.VCID) int {
 	return int(p)*r.cfg.NumVCs + int(v)
@@ -626,7 +625,7 @@ func (r *Router) expressAllocate(msg *flow.Message, now int64) (topology.Port, f
 	}
 	rs := msg.Route
 	if !r.cfg.LookAhead {
-		rs = r.tbl.Lookup(msg.Dst, msg.Dateline)
+		rs = r.routes.Lookup(r.id, msg.Dst, msg.Dateline)
 	}
 	_, offS := r.expressOffsets()
 	return r.allocate(msg, rs, msg.Length, expressOwner, now+offS)
@@ -757,7 +756,7 @@ func (r *Router) stageRC(now int64) {
 		if ivc.readyAt > now {
 			continue
 		}
-		ivc.route = r.tbl.Lookup(ivc.msg.Dst, ivc.msg.Dateline)
+		ivc.route = r.routes.Lookup(r.id, ivc.msg.Dst, ivc.msg.Dateline)
 		ivc.phase = phaseWaitSA
 		ivc.readyAt = now + 1
 		r.actRC &^= 1 << i
@@ -894,10 +893,21 @@ func (r *Router) allocate(msg *flow.Message, rs flow.RouteSet, needCredits int, 
 		}
 		msg.Dateline = next
 		if r.cfg.LookAhead {
-			msg.Route = r.tbl.LookupAt(cand.Port, msg.Dst, next)
+			msg.Route = r.lookAhead(cand.Port, msg)
 		}
 	}
 	return cand.Port, v, true
+}
+
+// lookAhead returns the candidates msg's header needs at the neighbor
+// through port p: that router's own lookup, computed here concurrently with
+// arbitration. msg.Dateline must already hold its state after the hop.
+func (r *Router) lookAhead(p topology.Port, msg *flow.Message) flow.RouteSet {
+	nb, ok := r.mesh.Neighbor(r.id, p)
+	if !ok {
+		panic(fmt.Sprintf("router %d: look-ahead through port %d, which has no neighbor", r.id, p))
+	}
+	return r.routes.Lookup(nb, msg.Dst, msg.Dateline)
 }
 
 // classMask returns the VCs of candidate c a header of the given class may

@@ -8,6 +8,7 @@ import (
 	"lapses/internal/flow"
 	"lapses/internal/routing"
 	"lapses/internal/selection"
+	"lapses/internal/table"
 	"lapses/internal/topology"
 )
 
@@ -29,10 +30,7 @@ func TestQuickRouterInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := Config{NumVCs: 4, BufDepth: 4 + rng.Intn(8), OutDepth: 1 + rng.Intn(4), LookAhead: laRaw}
 		sel := selection.New(selection.Kind(rng.Intn(5)), seed)
-		h := &harness{r: New(node, m, cfg, nil, sel)}
-		h.r.tbl = nil // replaced below
-		tbl := newTestTable(m, alg, node)
-		h.r.tbl = tbl
+		h := &harness{r: New(node, m, cfg, table.Program(table.KindFull, m, alg, cls), sel)}
 		h.r.SetFabric(h)
 		// Return the credit after a wire round trip.
 		h.onSend = func(p topology.Port, v flow.VCID, now int64) {
@@ -167,38 +165,3 @@ type credit struct {
 }
 
 var pending []credit
-
-// newTestTable builds a full table (helper for fuzz setup).
-func newTestTable(m *topology.Mesh, alg routing.Algorithm, node topology.NodeID) tableIface {
-	return tblWrap{m: m, alg: alg, node: node}
-}
-
-// tableIface mirrors table.Table without importing it (the fuzz test
-// builds routes straight from the algorithm).
-type tableIface = interface {
-	Name() string
-	Node() topology.NodeID
-	Lookup(dst topology.NodeID, dateline uint8) flow.RouteSet
-	LookupAt(p topology.Port, dst topology.NodeID, dateline uint8) flow.RouteSet
-	Entries() int
-}
-
-type tblWrap struct {
-	m    *topology.Mesh
-	alg  routing.Algorithm
-	node topology.NodeID
-}
-
-func (t tblWrap) Name() string          { return "fuzz" }
-func (t tblWrap) Node() topology.NodeID { return t.node }
-func (t tblWrap) Entries() int          { return 0 }
-func (t tblWrap) Lookup(dst topology.NodeID, dl uint8) flow.RouteSet {
-	return t.alg.Route(t.node, dst, dl)
-}
-func (t tblWrap) LookupAt(p topology.Port, dst topology.NodeID, dl uint8) flow.RouteSet {
-	nb, ok := t.m.Neighbor(t.node, p)
-	if !ok {
-		panic("fuzz: no neighbor")
-	}
-	return t.alg.Route(nb, dst, dl)
-}

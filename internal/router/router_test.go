@@ -54,7 +54,7 @@ func (h *harness) Release(p topology.Port, v flow.VCID, at int64) {
 
 func newHarness(t *testing.T, m *topology.Mesh, node topology.NodeID, cfg Config, alg routing.Algorithm, sel selection.Selector) *harness {
 	t.Helper()
-	h := &harness{r: New(node, m, cfg, table.NewFull(m, alg, node), sel)}
+	h := &harness{r: New(node, m, cfg, table.Program(table.KindFull, m, alg, routing.Class{NumVCs: cfg.NumVCs}), sel)}
 	h.r.SetFabric(h)
 	return h
 }

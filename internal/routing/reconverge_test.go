@@ -13,8 +13,8 @@ import (
 // complete fault-aware policy on its own — every pair of live nodes
 // connected by the escape walk (no transient routing loop survives a
 // table swap) and the escape-channel dependency graph acyclic (no epoch,
-// however brief, can deadlock). Epochs are exactly the table sets
-// network.BuildEpochTables programs, so this pins the property for the
+// however brief, can deadlock). Epochs are exactly the routes
+// network.BuildEpochRoutes programs, so this pins the property for the
 // whole lifetime of any scheduled run.
 func TestReconvergenceNoLoop(t *testing.T) {
 	cls := Class{NumVCs: 4, EscapeVCs: 1}

@@ -37,9 +37,11 @@ func (mm MetaMapping) String() string {
 	return "block"
 }
 
-// Meta is a two-level hierarchical routing table for a 2-D mesh: a cluster
-// table with one entry per cluster and a sub-cluster table with one entry
-// per node of the local cluster.
+// Meta is two-level hierarchical routing on a 2-D mesh as a routing
+// function: each router holds a cluster table with one entry per cluster and
+// a sub-cluster table with one entry per node of the local cluster, and the
+// route is what those tables answer. The cluster structure is global
+// knowledge, so the look-ahead entry is the same function at the neighbor.
 //
 // Deadlock freedom: MapRow is deterministic dimension-order (deadlock-free
 // on every VC). MapBlock restricts its adaptive VCs to the cluster-table
@@ -49,29 +51,33 @@ type Meta struct {
 	m       *topology.Mesh
 	alg     routing.Algorithm
 	cls     routing.Class
-	node    topology.NodeID
 	mapping MetaMapping
 	cw, ch  int // cluster width and height in nodes
 }
 
-// NewMeta programs a meta-table for node. Only 2-D meshes are supported,
-// matching the paper's study; MapBlock requires both radices to have an
-// integral square-ish block factor (16x16 uses 4x4 blocks of 4x4 nodes).
-func NewMeta(m *topology.Mesh, alg routing.Algorithm, cls routing.Class, node topology.NodeID, mapping MetaMapping) *Meta {
+// NewMeta returns the meta-table routing of m under mapping; alg is the
+// routing the MapBlock sub-cluster tables defer to. Only 2-D meshes are
+// supported, matching the paper's study.
+func NewMeta(m *topology.Mesh, alg routing.Algorithm, cls routing.Class, mapping MetaMapping) *Meta {
+	t := &Meta{m: m, alg: alg, cls: cls, mapping: mapping}
+	t.cw, t.ch = clusterShape(m, mapping)
+	return t
+}
+
+// clusterShape returns the cluster width and height of mapping on m: whole
+// rows for MapRow, square-ish blocks for MapBlock (16x16 uses 4x4 blocks of
+// 4x4 nodes). It panics unless m is a 2-D mesh.
+func clusterShape(m *topology.Mesh, mapping MetaMapping) (cw, ch int) {
 	if m.NumDims() != 2 || m.Wrap() {
 		panic("table: meta-table routing is defined for 2-D meshes")
 	}
-	t := &Meta{m: m, alg: alg, cls: cls, node: node, mapping: mapping}
 	switch mapping {
 	case MapRow:
-		t.cw, t.ch = m.Radix(0), 1
+		return m.Radix(0), 1
 	case MapBlock:
-		t.cw = blockFactor(m.Radix(0))
-		t.ch = blockFactor(m.Radix(1))
-	default:
-		panic("table: unknown meta mapping")
+		return blockFactor(m.Radix(0)), blockFactor(m.Radix(1))
 	}
-	return t
+	panic("table: unknown meta mapping")
 }
 
 // blockFactor returns the square-ish cluster edge for a radix: the largest
@@ -90,18 +96,12 @@ func blockFactor(k int) int {
 	return best
 }
 
-// Name implements Table.
+// Name implements routing.Algorithm.
 func (t *Meta) Name() string { return "meta-" + t.mapping.String() }
 
-// Node implements Table.
-func (t *Meta) Node() topology.NodeID { return t.node }
-
-// Entries implements Table: one entry per cluster plus one per node of the
-// local cluster.
-func (t *Meta) Entries() int {
-	clusters := (t.m.Radix(0) / t.cw) * (t.m.Radix(1) / t.ch)
-	return clusters + t.cw*t.ch
-}
+// Deterministic implements routing.Algorithm: the row mapping offers one
+// candidate, the block mapping adaptive ones.
+func (t *Meta) Deterministic() bool { return t.mapping == MapRow }
 
 // ClusterOf returns the cluster index of a node (row-major over clusters).
 func (t *Meta) ClusterOf(id topology.NodeID) int {
@@ -117,22 +117,9 @@ func (t *Meta) Label(id topology.NodeID) int {
 	return t.ClusterOf(id)*(t.cw*t.ch) + sub
 }
 
-// Lookup implements Table.
-func (t *Meta) Lookup(dst topology.NodeID, dateline uint8) flow.RouteSet {
-	return t.route(t.node, dst, dateline)
-}
-
-// LookupAt implements Table. The cluster structure is global knowledge, so
-// the look-ahead entry is the same lookup evaluated at the neighbor.
-func (t *Meta) LookupAt(p topology.Port, dst topology.NodeID, dateline uint8) flow.RouteSet {
-	nb, ok := t.m.Neighbor(t.node, p)
-	if !ok {
-		panic("table: LookupAt through port without neighbor")
-	}
-	return t.route(nb, dst, dateline)
-}
-
-func (t *Meta) route(at, dst topology.NodeID, dateline uint8) flow.RouteSet {
+// Route implements routing.Algorithm: the cluster-table entry toward a
+// remote cluster, the sub-cluster entry within the destination cluster.
+func (t *Meta) Route(at, dst topology.NodeID, dateline uint8) flow.RouteSet {
 	if at == dst {
 		var r flow.RouteSet
 		r.Add(flow.Candidate{Port: topology.PortLocal, Adaptive: flow.MaskAll(t.cls.NumVCs)})

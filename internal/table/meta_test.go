@@ -12,9 +12,9 @@ func TestMetaRowIsYX(t *testing.T) {
 	alg := routing.NewDuato(m, cls4)
 	yx := routing.NewDimOrder(m, cls4, []int{1, 0})
 	for _, node := range []topology.NodeID{0, 17, 100, 255} {
-		meta := NewMeta(m, alg, cls4, node, MapRow)
+		meta := NewMeta(m, alg, cls4, MapRow)
 		for dst := topology.NodeID(0); int(dst) < m.N(); dst++ {
-			got := meta.Lookup(dst, 0)
+			got := meta.Route(node, dst, 0)
 			want := yx.Route(node, dst, 0)
 			if got.Len() != 1 || got.At(0).Port != want.At(0).Port {
 				t.Fatalf("meta-row at %d dst %d: port %v want %v", node, dst, got.Ports(), want.Ports())
@@ -33,11 +33,11 @@ func TestMetaBlockLosesAdaptivityInIntermediateCluster(t *testing.T) {
 	// in cluster 5, directly south... i.e. +Y of cluster 1.
 	node := m.ID(topology.Coord{5, 2})
 	dst := m.ID(topology.Coord{6, 6})
-	meta := NewMeta(m, alg, cls4, node, MapBlock)
+	meta := NewMeta(m, alg, cls4, MapBlock)
 	if meta.ClusterOf(node) != 1 || meta.ClusterOf(dst) != 5 {
 		t.Fatalf("cluster assignment wrong: %d %d", meta.ClusterOf(node), meta.ClusterOf(dst))
 	}
-	rs := meta.Lookup(dst, 0)
+	rs := meta.Route(node, dst, 0)
 	// Adaptive candidates must be only +Y; full-table would offer +X too.
 	adaptivePorts := map[topology.Port]bool{}
 	for i := 0; i < rs.Len(); i++ {
@@ -48,9 +48,8 @@ func TestMetaBlockLosesAdaptivityInIntermediateCluster(t *testing.T) {
 	if len(adaptivePorts) != 1 || !adaptivePorts[topology.PortPlus(1)] {
 		t.Fatalf("expected single +Y adaptive candidate, got %v", rs)
 	}
-	full := NewFull(m, alg, node)
-	if full.Lookup(dst, 0).Len() != 2 {
-		t.Fatalf("full table should offer 2 candidates here: %v", full.Lookup(dst, 0))
+	if full := Program(KindFull, m, alg, cls4).Lookup(node, dst, 0); full.Len() != 2 {
+		t.Fatalf("full table should offer 2 candidates here: %v", full)
 	}
 }
 
@@ -61,8 +60,8 @@ func TestMetaBlockAdaptiveAcrossDiagonal(t *testing.T) {
 	alg := routing.NewDuato(m, cls4)
 	node := m.ID(topology.Coord{1, 1}) // cluster 0
 	dst := m.ID(topology.Coord{6, 6})  // cluster 5
-	meta := NewMeta(m, alg, cls4, node, MapBlock)
-	rs := meta.Lookup(dst, 0)
+	meta := NewMeta(m, alg, cls4, MapBlock)
+	rs := meta.Route(node, dst, 0)
 	adaptivePorts := map[topology.Port]bool{}
 	for i := 0; i < rs.Len(); i++ {
 		if rs.At(i).Adaptive != 0 {
@@ -81,8 +80,8 @@ func TestMetaBlockIntraCluster(t *testing.T) {
 	alg := routing.NewDuato(m, cls4)
 	node := m.ID(topology.Coord{4, 4}) // cluster 5
 	dst := m.ID(topology.Coord{6, 6})  // cluster 5
-	meta := NewMeta(m, alg, cls4, node, MapBlock)
-	if !meta.Lookup(dst, 0).Equal(alg.Route(node, dst, 0)) {
+	meta := NewMeta(m, alg, cls4, MapBlock)
+	if !meta.Route(node, dst, 0).Equal(alg.Route(node, dst, 0)) {
 		t.Fatal("intra-cluster lookup should match the adaptive algorithm")
 	}
 }
@@ -94,9 +93,9 @@ func TestMetaMinimal(t *testing.T) {
 	alg := routing.NewDuato(m, cls4)
 	for _, mapping := range []MetaMapping{MapRow, MapBlock} {
 		for node := topology.NodeID(0); int(node) < m.N(); node++ {
-			meta := NewMeta(m, alg, cls4, node, mapping)
+			meta := NewMeta(m, alg, cls4, mapping)
 			for dst := topology.NodeID(0); int(dst) < m.N(); dst++ {
-				rs := meta.Lookup(dst, 0)
+				rs := meta.Route(node, dst, 0)
 				if rs.Empty() {
 					t.Fatalf("%s: empty candidates %d->%d", meta.Name(), node, dst)
 				}
@@ -127,12 +126,12 @@ func TestMetaMinimal(t *testing.T) {
 func TestMetaLabelsMatchFig8(t *testing.T) {
 	m := topology.NewMesh(16, 16)
 	alg := routing.NewDuato(m, cls4)
-	row := NewMeta(m, alg, cls4, 0, MapRow)
+	row := NewMeta(m, alg, cls4, MapRow)
 	// Fig. 8(a): rows are clusters; node 35 = (3,2) is row 2, sub 3.
 	if row.ClusterOf(35) != 2 || row.Label(35) != 35 {
 		t.Errorf("row mapping: cluster %d label %d", row.ClusterOf(35), row.Label(35))
 	}
-	blk := NewMeta(m, alg, cls4, 0, MapBlock)
+	blk := NewMeta(m, alg, cls4, MapBlock)
 	// Fig. 8(b): (15,15) is in cluster 15 with label 255.
 	id := m.ID(topology.Coord{15, 15})
 	if blk.ClusterOf(id) != 15 || blk.Label(id) != 255 {
@@ -154,17 +153,24 @@ func TestMetaLabelsMatchFig8(t *testing.T) {
 func TestIntervalYX(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	yx := routing.NewDimOrder(m, cls4, []int{1, 0})
+	iv := Program(KindInterval, m, yx, cls4)
 	for _, node := range []topology.NodeID{0, 27, 63} {
-		iv := NewInterval(m, yx, cls4, node)
+		lo, hi, err := Intervals(m, yx, node)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for dst := topology.NodeID(0); int(dst) < m.N(); dst++ {
-			got := iv.Lookup(dst, 0)
+			got := iv.Lookup(node, dst, 0)
 			want := yx.Route(node, dst, 0)
 			if got.At(0).Port != want.At(0).Port {
 				t.Fatalf("interval at %d dst %d: %v want %v", node, dst, got.Ports(), want.Ports())
 			}
+			if p := got.At(0).Port; int(dst) < lo[p] || int(dst) > hi[p] {
+				t.Fatalf("interval at %d: dst %d routed through %s, outside its labels %d..%d", node, dst, m.PortName(p), lo[p], hi[p])
+			}
 		}
-		if _, _, ok := iv.Intervals(topology.PortLocal); !ok {
-			t.Error("local port should cover the node's own label")
+		if lo[topology.PortLocal] != int(node) || hi[topology.PortLocal] != int(node) {
+			t.Error("local port should cover exactly the node's own label")
 		}
 	}
 }
@@ -173,39 +179,34 @@ func TestIntervalYX(t *testing.T) {
 // interleave rows) — the paper's "requires specific labeling schemes".
 func TestIntervalRejectsXY(t *testing.T) {
 	m := topology.NewMesh(8, 8)
-	xy := routing.NewDimOrder(m, cls4, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected interval-expressibility panic")
-		}
-	}()
-	NewInterval(m, xy, cls4, 27)
+	if err := Verify(KindInterval, m, routing.NewDimOrder(m, cls4, nil), cls4); err == nil {
+		t.Error("expected an interval-expressibility error")
+	}
 }
 
 func TestIntervalRejectsAdaptive(t *testing.T) {
 	m := topology.NewMesh(8, 8)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected determinism panic")
-		}
-	}()
-	NewInterval(m, routing.NewDuato(m, cls4), cls4, 0)
+	if err := Verify(KindInterval, m, routing.NewDuato(m, cls4), cls4); err == nil {
+		t.Error("expected a determinism error")
+	}
 }
 
+// Program builds every organization; the meta kinds route by their Fig. 8
+// mapping, the others by the algorithm itself.
 func TestBuildKinds(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	alg := routing.NewDuato(m, cls4)
-	for _, k := range []Kind{KindFull, KindES, KindMetaRow, KindMetaBlock} {
-		tbl := Build(k, m, alg, cls4, 5)
-		if tbl == nil || tbl.Node() != 5 {
-			t.Errorf("Build(%v) wrong", k)
+	for _, k := range Kinds {
+		a := alg
+		if k == KindInterval {
+			a = routing.NewDimOrder(m, cls4, []int{1, 0})
 		}
-		if tbl.Name() == "" || k.String() == "" {
+		r := Program(k, m, a, cls4)
+		if k.String() == "" || r.fn.Name() == "" {
 			t.Errorf("names empty for %v", k)
 		}
-	}
-	yx := routing.NewDimOrder(m, cls4, []int{1, 0})
-	if tbl := Build(KindInterval, m, yx, cls4, 5); tbl.Name() != "interval" {
-		t.Error("interval build failed")
+		if meta := k == KindMetaRow || k == KindMetaBlock; meta != (r.fn != a) {
+			t.Errorf("%s routes by %s", k, r.fn.Name())
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package table
 
 import (
-	"sync/atomic"
 	"testing"
 
+	"lapses/internal/fault"
 	"lapses/internal/flow"
 	"lapses/internal/routing"
 	"lapses/internal/topology"
@@ -115,51 +115,95 @@ func FuzzSignTables(f *testing.F) {
 	})
 }
 
-// countingAlg counts how often a table builder evaluates the sign-routed
-// algorithm it wraps.
+// countingAlg counts how often Program evaluates the sign-routed algorithm
+// it wraps.
 type countingAlg struct {
 	routing.SignRouted
-	routes, signs atomic.Int64
+	routes, signs int
 }
 
 func (a *countingAlg) Route(cur, dst topology.NodeID, dl uint8) flow.RouteSet {
-	a.routes.Add(1)
+	a.routes++
 	return a.SignRouted.Route(cur, dst, dl)
 }
 
 func (a *countingAlg) RouteSigns(cur topology.NodeID, signs int, dl uint8) flow.RouteSet {
-	a.signs.Add(1)
+	a.signs++
 	return a.SignRouted.RouteSigns(cur, signs, dl)
 }
 
 // TestColdBuildEvaluatesSignClasses pins the cost of a cold structure: on
-// 32x32, programming every router's es, full or interval table evaluates
-// the algorithm once per sign class and dateline state, never once per
-// destination.
+// a 32x32 mesh, programming the routes of an es, full or interval table
+// evaluates the algorithm once per sign class for the whole structure,
+// never once per router or destination; on a torus, where Lookup evaluates
+// the algorithm, programming evaluates nothing.
 func TestColdBuildEvaluatesSignClasses(t *testing.T) {
 	mesh, torus := topology.NewMesh(32, 32), topology.NewTorus(32, 32)
 	meshCls, torusCls := routing.Class{NumVCs: 4, EscapeVCs: 1}, routing.Class{NumVCs: 4, EscapeVCs: 2}
 	cases := []struct {
-		k      Kind
-		m      *topology.Mesh
-		alg    routing.Algorithm
-		cls    routing.Class
-		states int
+		k     Kind
+		m     *topology.Mesh
+		alg   routing.Algorithm
+		cls   routing.Class
+		signs int
 	}{
-		{KindES, mesh, routing.NewDuato(mesh, meshCls), meshCls, 1},
-		{KindFull, mesh, routing.NewDuato(mesh, meshCls), meshCls, 1},
-		{KindInterval, mesh, routing.NewDimOrder(mesh, meshCls, []int{1, 0}), meshCls, 1},
-		{KindES, torus, routing.NewDuato(torus, torusCls), torusCls, 4},
-		{KindFull, torus, routing.NewDuato(torus, torusCls), torusCls, 4},
+		{KindES, mesh, routing.NewDuato(mesh, meshCls), meshCls, 9},
+		{KindFull, mesh, routing.NewDuato(mesh, meshCls), meshCls, 9},
+		{KindInterval, mesh, routing.NewDimOrder(mesh, meshCls, []int{1, 0}), meshCls, 9},
+		{KindES, torus, routing.NewDuato(torus, torusCls), torusCls, 0},
+		{KindFull, torus, routing.NewDuato(torus, torusCls), torusCls, 0},
 	}
 	for _, c := range cases {
 		alg := &countingAlg{SignRouted: c.alg.(routing.SignRouted)}
-		BuildAll(c.k, c.m, alg, c.cls)
-		if n := alg.routes.Load(); n != 0 {
-			t.Errorf("%s on %s: %d Route calls, want 0", c.k, c.m, n)
+		Program(c.k, c.m, alg, c.cls)
+		if alg.routes != 0 {
+			t.Errorf("%s on %s: %d Route calls, want 0", c.k, c.m, alg.routes)
 		}
-		if n, most := alg.signs.Load(), int64(c.m.N()*ESEntryCount(c.m.NumDims())*c.states); n > most {
-			t.Errorf("%s on %s: %d RouteSigns calls, at most %d (3^n x %d states per router)", c.k, c.m, n, most, c.states)
+		if alg.signs > c.signs {
+			t.Errorf("%s on %s: %d RouteSigns calls, at most %d", c.k, c.m, alg.signs, c.signs)
+		}
+	}
+}
+
+// TestFootprintBudget holds a structure's storage to the economical-storage
+// row, whatever organization it models: on 32x32, mesh and torus, every
+// kind's routes hold at most 3^n route sets for all of its routers, and
+// none when the function is position-dependent (the fault-aware algorithms
+// already hold their next-hop arrays) — so a per-router or per-destination
+// table cannot come back unnoticed.
+func TestFootprintBudget(t *testing.T) {
+	mesh, torus := topology.NewMesh(32, 32), topology.NewTorus(32, 32)
+	cls := routing.Class{NumVCs: 4, EscapeVCs: 2}
+	plan, err := fault.Random(mesh, 8, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted, err := routing.NewFaultDuato(mesh, cls, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type tc struct {
+		k    Kind
+		m    *topology.Mesh
+		alg  routing.Algorithm
+		most int
+	}
+	cases := []tc{
+		{KindFull, torus, routing.NewDuato(torus, cls), 9},
+		{KindES, torus, routing.NewDuato(torus, cls), 9},
+		{KindES, mesh, faulted, 0},
+		{KindFull, mesh, faulted, 0},
+	}
+	for _, k := range Kinds {
+		alg := routing.NewDuato(mesh, cls)
+		if k == KindInterval {
+			alg = routing.NewDimOrder(mesh, cls, []int{1, 0})
+		}
+		cases = append(cases, tc{k, mesh, alg, 9})
+	}
+	for _, c := range cases {
+		if n := len(Program(c.k, c.m, c.alg, cls).row); n > c.most {
+			t.Errorf("%s, %s on %s: %d route sets, at most %d", c.k, c.alg.Name(), c.m, n, c.most)
 		}
 	}
 }

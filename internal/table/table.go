@@ -1,5 +1,5 @@
 // Package table implements the routing-table organizations compared in
-// section 5 of the LAPSES paper:
+// section 5 of the LAPSES paper, as storage models over one shared lookup:
 //
 //   - Full-table routing: one entry per destination node (Cray T3D/T3E,
 //     Sun S3.mp style). Complete flexibility, storage proportional to N.
@@ -13,46 +13,24 @@
 //   - Interval routing: one interval of node labels per output port
 //     (Transputer C-104 style); deterministic only.
 //
-// Tables are per-router: Build programs one for a given node from a routing
-// algorithm, mirroring how a real router's table RAM would be loaded at
-// configuration time. Lookup then never consults the algorithm again (on
-// meshes; torus datelines are dynamic state and documented separately).
-// LookupAt implements the look-ahead lookup: the candidates valid at the
-// neighbor reached through a port, fetched concurrently with arbitration.
+// A router's table answers exactly the routing function it was programmed
+// from, and Verify proves it for every organization, so the organizations
+// differ in simulation only in which function they encode and in what they
+// cost (Kind.Entries). Program therefore builds one immutable Routes per
+// structure, shared by every router: the kind picks the routing function
+// (the configured algorithm, or a meta-table mapping), and a sign-routed
+// function on a mesh is precomputed as the one 3^n-entry row every router
+// would hold. The look-ahead lookup is the same Lookup at the neighbor.
 package table
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
+	"strings"
 
 	"lapses/internal/flow"
 	"lapses/internal/routing"
 	"lapses/internal/topology"
 )
-
-// Table is a programmed routing table for one router.
-type Table interface {
-	// Name identifies the organization ("full", "es", "meta-row",
-	// "meta-block", "interval").
-	Name() string
-	// Node returns the router this table was programmed for.
-	Node() topology.NodeID
-	// Lookup returns the route candidates at this router for dst.
-	// dateline is the header's per-dimension wrap-crossing mask (torus
-	// only; zero on meshes).
-	Lookup(dst topology.NodeID, dateline uint8) flow.RouteSet
-	// LookupAt returns the candidates valid at the neighbor reached
-	// through port p — the look-ahead lookup. It panics if p has no
-	// neighbor, which a router never asks for.
-	LookupAt(p topology.Port, dst topology.NodeID, dateline uint8) flow.RouteSet
-	// Entries returns the number of table entries this organization
-	// stores, the paper's storage-cost metric (Table 5).
-	Entries() int
-}
 
 // Kind selects a table organization.
 type Kind int
@@ -102,203 +80,160 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Build programs a table of the given kind for one router. The algorithm
-// defines the routing policy the table encodes; for KindInterval the
-// algorithm must be deterministic.
-func Build(k Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class, node topology.NodeID) Table {
+// Entries returns the number of entries one router's table of this
+// organization stores on m, the paper's storage-cost metric (Table 5): N
+// for a full table, 3^n for ES, one per cluster plus one per node of the
+// local cluster for a meta table (2-D meshes only), one interval per port.
+func (k Kind) Entries(m *topology.Mesh) int {
 	switch k {
 	case KindFull:
-		return NewFull(m, alg, node)
+		return m.N()
 	case KindES:
-		return NewES(m, alg, node)
-	case KindMetaRow:
-		return NewMeta(m, alg, cls, node, MapRow)
-	case KindMetaBlock:
-		return NewMeta(m, alg, cls, node, MapBlock)
+		return ESEntryCount(m.NumDims())
+	case KindMetaRow, KindMetaBlock:
+		cw, ch := clusterShape(m, k.mapping())
+		return (m.Radix(0)/cw)*(m.Radix(1)/ch) + cw*ch
 	case KindInterval:
-		return NewInterval(m, alg, cls, node)
+		return m.NumPorts()
 	}
 	panic("table: unknown kind")
 }
 
-// BuildAll programs the table of every router of m (table i is node i's)
-// in one pass spread over GOMAXPROCS goroutines. For a sign-routed
-// algorithm one table costs 3^n RouteSigns calls per dateline state and
-// no Route call (a full or interval table adds a division-free fill per
-// destination); a position-dependent one still evaluates Route for every
-// destination, O(N^2) per structure. The pool still pays for the cheap
-// pass: 30 cold structures of 8x8 to 32x32 take 21 ms serially and 16 ms
-// on two cores. The mesh and the algorithm are read-only and each table
-// is written by exactly one goroutine. A panic while programming (an
-// algorithm the organization cannot express) is re-raised on the calling
-// goroutine, where Build would have raised it.
-func BuildAll(k Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class) []Table {
-	tbls := make([]Table, m.N())
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		failOnce sync.Once
-		failure  any
-	)
-	for w := min(runtime.GOMAXPROCS(0), len(tbls)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					failOnce.Do(func() { failure = r })
-				}
-			}()
-			for {
-				id := int(next.Add(1)) - 1
-				if id >= len(tbls) {
-					return
-				}
-				tbls[id] = Build(k, m, alg, cls, topology.NodeID(id))
-			}
-		}()
+// mapping returns a meta kind's Fig. 8 mapping.
+func (k Kind) mapping() MetaMapping {
+	if k == KindMetaRow {
+		return MapRow
 	}
-	wg.Wait()
-	if failure != nil {
-		panic(failure)
-	}
-	return tbls
+	return MapBlock
 }
 
-// Verify checks the tables BuildAll programs for k against alg itself:
-// for every node, destination and dateline state, Lookup bit-equals
-// alg.Route, and LookupAt through every port equals the neighbor's own
-// Lookup. Meta tables route by their cluster tables (Fig. 8), not by alg,
-// so they are held to the look-ahead half only. The error names the first
-// mismatch.
+// ESEntryCount returns 3^n, the economical-storage table size for an
+// n-dimensional network.
+func ESEntryCount(ndims int) int {
+	size := 1
+	for i := 0; i < ndims; i++ {
+		size *= 3
+	}
+	return size
+}
+
+// Routes is one structure's routing, shared by every router: Lookup(at,
+// dst, dateline) is what router at's table answers for dst. It is
+// immutable after Program.
+type Routes struct {
+	m  *topology.Mesh
+	fn routing.Algorithm
+	// row is the economical-storage row of a sign-routed function on a
+	// mesh, indexed by SignIndex: RouteSigns never reads the router there,
+	// so one row serves them all. Nil when Lookup evaluates fn — on a
+	// torus, whose escape VCs depend on the router's position relative to
+	// the dateline, and for position-dependent (fault-aware) and meta-block
+	// functions.
+	row []flow.RouteSet
+}
+
+// Program builds the routes a table of kind k encodes on m: es, full and
+// interval tables encode alg itself, meta tables their Fig. 8 mapping over
+// it (NewMeta). A sign-routed function on a mesh costs 3^n RouteSigns
+// calls and no Route call.
+func Program(k Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class) *Routes {
+	fn := alg
+	if k == KindMetaRow || k == KindMetaBlock {
+		fn = NewMeta(m, alg, cls, k.mapping())
+	}
+	r := &Routes{m: m, fn: fn}
+	if sr, ok := fn.(routing.SignRouted); ok && !m.Wrap() {
+		r.row = make([]flow.RouteSet, ESEntryCount(m.NumDims()))
+		for s := range r.row {
+			r.row[s] = sr.RouteSigns(0, s, 0)
+		}
+	}
+	return r
+}
+
+// Lookup returns the route candidates router at's table holds for dst.
+// dateline is the header's per-dimension wrap-crossing mask (torus only;
+// zero on meshes). The look-ahead lookup — the candidates valid at the
+// neighbor a header is about to enter — is Lookup at that neighbor.
+func (r *Routes) Lookup(at, dst topology.NodeID, dateline uint8) flow.RouteSet {
+	if r.row != nil {
+		return r.row[r.m.SignIndex(at, dst)]
+	}
+	return r.fn.Route(at, dst, dateline)
+}
+
+// Dump renders the economical-storage row in the style of the paper's
+// Fig. 7(d): one line per sign-vector entry with the candidate ports. It
+// panics unless the routes were programmed from a sign-routed function on
+// a mesh. Intended for cmd/lapses-tables and documentation.
+func (r *Routes) Dump() string {
+	if r.row == nil {
+		panic(fmt.Sprintf("table: %s on %s has no sign row", r.fn.Name(), r.m))
+	}
+	var b strings.Builder
+	for idx, rs := range r.row {
+		var signs, ports []string
+		for d := 0; d < r.m.NumDims(); d++ {
+			signs = append(signs, string("-0+"[topology.SignAt(idx, d)+1]))
+		}
+		for i := 0; i < rs.Len(); i++ {
+			ports = append(ports, r.m.PortName(rs.At(i).Port))
+		}
+		fmt.Fprintf(&b, "(%s) -> %s\n", strings.Join(signs, ","), strings.Join(ports, ","))
+	}
+	return b.String()
+}
+
+// Verify checks the routes Program builds for k against the routing
+// function k encodes: at every router, destination and dateline state,
+// Lookup bit-equals the function's Route, and so, for a sign-routed
+// function, does the router's own sign entry RouteSigns(at, SignIndex(at,
+// dst), dateline) — the ES table of section 5.2, one shared row on a mesh
+// and one per router on a torus. It also holds the function to what the
+// organization can express: ES needs a sign-routed or position-dependent
+// (fault-aware) function; interval a deterministic function on a mesh whose
+// ports each cover one run of row-major labels (Intervals), unless it is
+// position-dependent, which a real interval router would patch with
+// exception entries. The error names the first failure.
 func Verify(k Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class) error {
-	tbls := BuildAll(k, m, alg, cls)
+	r := Program(k, m, alg, cls)
+	fn := r.fn
+	posDep := routing.IsPositionDependent(fn)
+	sr, signRouted := fn.(routing.SignRouted)
+	switch k {
+	case KindES:
+		if !signRouted && !posDep {
+			return fmt.Errorf("table: %s is not sign-expressible: it is neither sign-routed nor position-dependent", fn.Name())
+		}
+	case KindInterval:
+		if !fn.Deterministic() || m.Wrap() {
+			return fmt.Errorf("table: interval routing needs a deterministic algorithm on a mesh, not %s on %s", fn.Name(), m)
+		}
+		for node := topology.NodeID(0); int(node) < m.N() && !posDep; node++ {
+			if _, _, err := Intervals(m, fn, node); err != nil {
+				return err
+			}
+		}
+	}
 	states := 1
 	if m.Wrap() {
 		states = 1 << m.NumDims()
 	}
-	meta := k == KindMetaRow || k == KindMetaBlock
-	for i, tbl := range tbls {
-		node := topology.NodeID(i)
+	for at := topology.NodeID(0); int(at) < m.N(); at++ {
 		for dst := topology.NodeID(0); int(dst) < m.N(); dst++ {
 			for dl := uint8(0); int(dl) < states; dl++ {
-				at := func() string {
-					return fmt.Sprintf("table: %s, %s on %s, node %d, dst %d, dateline %d", k, alg.Name(), m, node, dst, dl)
+				want := fn.Route(at, dst, dl)
+				if got := r.Lookup(at, dst, dl); got != want {
+					return fmt.Errorf("table: %s, %s on %s, node %d, dst %d, dateline %d: Lookup %v, Route %v", k, fn.Name(), m, at, dst, dl, got, want)
 				}
-				if got, want := tbl.Lookup(dst, dl), alg.Route(node, dst, dl); !meta && got != want {
-					return fmt.Errorf("%s: Lookup %v, Route %v", at(), got, want)
+				if !signRouted {
+					continue
 				}
-				for p := topology.Port(1); int(p) < m.NumPorts(); p++ {
-					nb, ok := m.Neighbor(node, p)
-					if !ok {
-						continue
-					}
-					if got, want := tbl.LookupAt(p, dst, dl), tbls[nb].Lookup(dst, dl); got != want {
-						return fmt.Errorf("%s: LookupAt %s %v, neighbor's Lookup %v", at(), m.PortName(p), got, want)
-					}
+				if got := sr.RouteSigns(at, m.SignIndex(at, dst), dl); got != want {
+					return fmt.Errorf("table: %s, %s on %s, node %d, dst %d, dateline %d: RouteSigns %v, Route %v", k, fn.Name(), m, at, dst, dl, got, want)
 				}
 			}
 		}
 	}
 	return nil
-}
-
-// Full is a full-table implementation: one entry per destination node. An
-// entry is an index into dict, the table's distinct route sets, interned
-// while programming: a router of a 32x32 mesh answers its 1024
-// destinations with 9 distinct sets (53 on an 8x8x8 torus), so an entry
-// costs 2 bytes instead of a 26-byte RouteSet. On a torus the VC masks
-// depend on the message's dateline state, so entries are precomputed per
-// dateline value: idx holds one row of N entries per state.
-type Full struct {
-	m    *topology.Mesh
-	alg  routing.Algorithm
-	node topology.NodeID
-	// idx[(dateline&mask)*N+dst] indexes dict; mask is the number of
-	// dateline states (a power of two; one on a mesh) minus one.
-	idx  []uint16
-	dict []flow.RouteSet
-	mask uint8
-}
-
-// NewFull programs a full table for node from alg. A sign-routed
-// algorithm's table is its sign rows (3^n route sets per dateline state)
-// interned once, and each destination's entry is the id of its sign
-// index's set, so no destination costs a Route call; any other algorithm
-// is evaluated per destination.
-func NewFull(m *topology.Mesh, alg routing.Algorithm, node topology.NodeID) *Full {
-	states := 1
-	if m.Wrap() {
-		states = 1 << m.NumDims()
-	}
-	n := m.N()
-	t := &Full{m: m, alg: alg, node: node, idx: make([]uint16, states*n), mask: uint8(states - 1)}
-	ids := make(map[flow.RouteSet]uint16)
-	intern := func(rs flow.RouteSet) uint16 {
-		id, ok := ids[rs]
-		if !ok {
-			if len(t.dict) > math.MaxUint16 {
-				panic("table: more than 65536 distinct route sets in one full table")
-			}
-			id = uint16(len(t.dict))
-			ids[rs] = id
-			t.dict = append(t.dict, rs)
-		}
-		return id
-	}
-	if sr, ok := alg.(routing.SignRouted); ok {
-		signIDs := make([]uint16, ESEntryCount(m.NumDims()))
-		for dl := 0; dl < states; dl++ {
-			for s := range signIDs {
-				signIDs[s] = intern(sr.RouteSigns(node, s, uint8(dl)))
-			}
-			row := t.idx[dl*n : (dl+1)*n]
-			for dst, s := range m.SignIndices(node) {
-				row[dst] = signIDs[s]
-			}
-		}
-	} else {
-		// Neighbouring destinations mostly share a set: try the previous
-		// entry's before hashing.
-		var prev flow.RouteSet
-		var prevID uint16
-		for dl := 0; dl < states; dl++ {
-			row := t.idx[dl*n : (dl+1)*n]
-			for dst := range row {
-				rs := alg.Route(node, topology.NodeID(dst), uint8(dl))
-				if rs != prev || len(t.dict) == 0 {
-					prev, prevID = rs, intern(rs)
-				}
-				row[dst] = prevID
-			}
-		}
-	}
-	t.dict = slices.Clone(t.dict) // drop append's spare capacity: there are N of these
-	return t
-}
-
-// Name implements Table.
-func (t *Full) Name() string { return "full" }
-
-// Node implements Table.
-func (t *Full) Node() topology.NodeID { return t.node }
-
-// Entries implements Table: one entry per destination node.
-func (t *Full) Entries() int { return t.m.N() }
-
-// Lookup implements Table.
-func (t *Full) Lookup(dst topology.NodeID, dateline uint8) flow.RouteSet {
-	return t.dict[t.idx[int(dateline&t.mask)*t.m.N()+int(dst)]]
-}
-
-// LookupAt implements Table. A look-ahead full table stores, per
-// destination and candidate port, the neighbor's own entry; programming
-// both from the same algorithm makes that identical to evaluating the
-// algorithm at the neighbor.
-func (t *Full) LookupAt(p topology.Port, dst topology.NodeID, dateline uint8) flow.RouteSet {
-	nb, ok := t.m.Neighbor(t.node, p)
-	if !ok {
-		panic("table: LookupAt through port without neighbor")
-	}
-	return t.alg.Route(nb, dst, dateline)
 }

@@ -12,7 +12,6 @@ package topology
 
 import (
 	"fmt"
-	"iter"
 	"strings"
 )
 
@@ -269,56 +268,6 @@ func SignAt(idx, d int) int {
 		idx /= 3
 	}
 	return idx%3 - 1
-}
-
-// SignIndices yields SignIndex(from, dst) for every dst in ascending order.
-// Each index is a sum of weighted sign digits read from per-dimension
-// tables, so a whole row costs no division per destination.
-func (m *Mesh) SignIndices(from NodeID) iter.Seq2[NodeID, int] {
-	return func(yield func(NodeID, int) bool) {
-		// digit holds each dimension's weighted sign digit per coordinate,
-		// dimension after dimension; pos[d] is where dst's coordinate in
-		// dimension d >= 1 sits in it, and base sums those digits. Both
-		// live on the stack unless the radices add up to more than 128.
-		var stack [128]int
-		scratch, need := stack[:], len(m.dims)
-		for _, k := range m.dims {
-			need += k
-		}
-		if need > len(stack) {
-			scratch = make([]int, need)
-		}
-		pos, digit := scratch[:len(m.dims)], scratch[len(m.dims):len(m.dims)]
-		base, w, f := 0, 1, int(from)
-		for d, k := range m.dims {
-			pos[d] = len(digit)
-			for x := 0; x < k; x++ {
-				digit = append(digit, (m.sign(x-f%k, k)+1)*w)
-			}
-			if d > 0 {
-				base += digit[pos[d]]
-			}
-			f, w = f/k, w*3
-		}
-		for dst := 0; dst < m.n; {
-			for _, dig := range digit[:m.dims[0]] {
-				if !yield(NodeID(dst), base+dig) {
-					return
-				}
-				dst++
-			}
-			for d, lo := 1, m.dims[0]; d < len(pos); d, lo = d+1, lo+m.dims[d] { // odometer: the next run
-				base -= digit[pos[d]]
-				if pos[d]++; pos[d] == lo+m.dims[d] {
-					pos[d] = lo
-				}
-				base += digit[pos[d]]
-				if pos[d] != lo {
-					break
-				}
-			}
-		}
-	}
 }
 
 // Distance returns the minimal hop count between two nodes.
