@@ -42,9 +42,8 @@ const satProbeDivisor = 5
 
 // SaturationSpec builds the bisection spec locating base's saturation
 // load between lo and hi at resolution tol. The returned spec runs
-// through grid.search, sweep.Bisect (or sweep.SaturationScan for the
-// dense reference) with any sweep.Options; probes share the experiment
-// memo cache like every other point.
+// through grid.search or sweep.Bisect with any sweep.Options; probes
+// share the experiment memo cache like every other point.
 func SaturationSpec(base core.Config, lo, hi, tol float64) sweep.BisectSpec {
 	base.Auto = nil // fixed-horizon probes; see the file comment
 	base.Warmup /= satProbeDivisor

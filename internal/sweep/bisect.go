@@ -15,9 +15,8 @@ package sweep
 // unchanged. The probe loads are a pure function of the search's own
 // outcomes — never of the worker count or of the other searches — so a
 // search is deterministic for fixed seeds on any pool width, mirroring
-// Run's guarantee. SaturationScan is the dense-grid reference path, kept
-// so the cycle savings stay measurable (TestBisectCycleReduction pins
-// the >= 2x reduction).
+// Run's guarantee. TestBisectCycleReduction pins the >= 2x cycle saving
+// against a dense-grid scan of the load axis, its reference path.
 
 import (
 	"context"
@@ -305,53 +304,6 @@ func BisectAll(ctx context.Context, specs []BisectSpec, opt Options) ([]BisectRe
 	res := make([]BisectResult, len(searches))
 	for i, b := range searches {
 		res[i] = b.res
-	}
-	return res, nil
-}
-
-// SaturationScan is the dense-grid reference path Bisect replaces: probe
-// every load from Lo to Hi in Tol-sized steps (the grid an exhaustive
-// experiment would declare) through one sweep.Run, and derive the same
-// bracket. It exists so the adaptive search's cycle savings are
-// measurable against a live implementation rather than an estimate.
-func SaturationScan(ctx context.Context, spec BisectSpec, opt Options) (BisectResult, error) {
-	spec, err := spec.normalize()
-	if err != nil {
-		return BisectResult{}, err
-	}
-	n := int(math.Ceil((spec.Hi-spec.Lo)/spec.Tol)) + 1
-	res := BisectResult{DensePoints: n}
-	loads := make([]float64, n)
-	grid := make([]core.Config, n)
-	for i := range loads {
-		loads[i] = spec.Lo + float64(i)*(spec.Hi-spec.Lo)/float64(n-1)
-		grid[i] = spec.At(loads[i])
-	}
-	outs, err := opt.exec()(ctx, grid, opt)
-	if err != nil {
-		return res, err
-	}
-	if err := res.count(loads, outs); err != nil {
-		return res, err
-	}
-	firstSat := -1
-	for i, o := range outs {
-		if spec.Saturated(loads[i], o.Result) {
-			firstSat = i
-			break
-		}
-	}
-	switch firstSat {
-	case -1:
-		res.Lo, res.Hi = loads[n-1], loads[n-1]
-		res.LoResult = outs[n-1].Result
-	case 0:
-		res.Lo, res.Hi = loads[0], loads[0]
-		res.LoResult = outs[0].Result
-	default:
-		res.Lo, res.Hi = loads[firstSat-1], loads[firstSat]
-		res.LoResult = outs[firstSat-1].Result
-		res.Converged = true
 	}
 	return res, nil
 }

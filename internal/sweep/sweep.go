@@ -69,7 +69,7 @@ type Options struct {
 	Runner func(core.Config) (core.Result, error)
 	// Exec, when non-nil, replaces Run for the composite helpers layered
 	// on top of the engine — BisectAll (one call per lockstep round),
-	// Bisect, SaturationScan and the experiment grid runners — so a
+	// Bisect and the experiment grid runners — so a
 	// remote backend executes every point. Run itself never consults
 	// Exec (an executor that called back into the same Options would
 	// recurse).
