@@ -67,12 +67,21 @@ unit)
 	# regression floor, well above the 1.5x minimum this gate exists to
 	# hold).
 	go test -run TestBisectCycleReduction -v ./internal/sweep
-	# Tables are programmed per sign class and trusted to equal their
-	# algorithm by construction; this is where that is checked: every
-	# organization x algorithm x {1,2,3}-D x {mesh, torus} that Validate
-	# accepts, every lookup and look-ahead lookup at every router,
-	# destination and dateline state, then the ES-vs-full sweep.
+	# Every table organization is one shared lookup per structure, trusted
+	# to equal the routing function it encodes; this is where that is
+	# checked: every organization x algorithm x {1,2,3}-D x {mesh, torus}
+	# that Validate accepts, every lookup at every router, destination and
+	# dateline state, and the function held to what the organization can
+	# express (ES: sign-routed; interval: one label run per port).
 	go run ./cmd/lapses-tables -verify
+	# The printed programmings (Fig. 7 for each algorithm, Fig. 8, the
+	# interval table) are pinned byte for byte.
+	go build -o "$work/" ./cmd/lapses-tables
+	for alg in xy yx duato north-last west-first negative-first; do
+		diff <("$work/lapses-tables" -alg $alg) cmd/lapses-tables/testdata/alg-$alg.txt
+	done
+	diff <("$work/lapses-tables" -meta) cmd/lapses-tables/testdata/meta.txt
+	diff <("$work/lapses-tables" -interval) cmd/lapses-tables/testdata/interval.txt
 	# Damage is one flag: a count of random dead links (a static plan), and
 	# a spec whose items may be timed — a link failing and healing mid-run
 	# plus a router dead from the start, under the retransmission layer.
@@ -91,11 +100,11 @@ full)
 race)
 	# Kernel + sweep + experiments. internal/router carries
 	# TestFifoRunsAgainstFlitModel (run-length buffers against a
-	# flit-array reference) and internal/table TestFullInternedEqualsRoute
-	# (interned tables built by the parallel pass against the algorithm);
+	# flit-array reference) and internal/table TestSignTablesEqualRoute
+	# (every organization's shared lookup against its algorithm);
 	# internal/core carries TestPlumbingConcurrentFirstTouch (eight
-	# goroutines first-touching one cold structure: the single-flight,
-	# with the parallel table pass under it), its parallel tests sharing
+	# goroutines first-touching one cold structure: the single-flight
+	# build of the routes they then share), its parallel tests sharing
 	# the plumbing cache, and the arena free list's pins:
 	# TestConcurrentRunsMatchSerial (eight goroutines on one shape, each
 	# in its own recycled arena, equal to their serial results),
@@ -110,7 +119,7 @@ race)
 	go test -race -short ./internal/router ./internal/table ./internal/core ./internal/network ./internal/sweep ./internal/experiments
 	# The event-vs-cycle equivalence suite skips under -short, so it gets
 	# its own race invocation: its healthy, faulted and torus points each
-	# build a cold structure through the parallel table pass, on the
+	# build a cold structure whose routes every router reads, on the
 	# kernel the short suite exercises least. TestGoldenEvent (also
 	# skipped under -short) rides along: the event kernel's own bit-exact
 	# fixture, 27 runs.
@@ -125,14 +134,13 @@ race)
 	;;
 harness)
 	# kernel-short: 90 hundred-message runs over 30 structures in a fresh
-	# process, so every table set is built cold (in parallel, once per
-	# sign class and dateline state per router: 16 ms for all 30 on two
-	# cores, 175 when every destination cost a Route call) and every
-	# network reset from an arena. The heap is machine-independent enough
-	# for a ceiling: peak RSS is about 43 MB now that a run recycles an
-	# idle network of its shape instead of building one (it was 68 with a
-	# network per run, and 215 when every full-table entry held its own
-	# route set).
+	# process, so every structure is built cold (21 builds: es, full and
+	# interval over one algorithm share one, and a healthy mesh build is
+	# one row of 3^n RouteSigns calls) and every network reset from an
+	# arena. The heap is machine-independent enough for a ceiling: peak
+	# RSS is about 43 MB now that a run recycles an idle network of its
+	# shape instead of building one (it was 68 with a network per run, and
+	# 215 when every full-table entry held its own route set).
 	harness kernel-short | jq -e '.metrics.peak_rss_mb.value <= 90'
 	# kernel-congested: three runs at and past saturation, where buffers
 	# are full and most worms are parked — the regime in which the
