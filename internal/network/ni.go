@@ -2,7 +2,6 @@ package network
 
 import (
 	"lapses/internal/flow"
-	"lapses/internal/router"
 	"lapses/internal/topology"
 	"lapses/internal/traffic"
 )
@@ -26,7 +25,6 @@ type stream struct {
 type ni struct {
 	net   *Network
 	node  topology.NodeID
-	r     *router.Router
 	inj   traffic.Source
 	trace *traffic.TraceCursor
 
@@ -63,7 +61,6 @@ func (n *Network) resetNIs() {
 		*x = ni{
 			net:     n,
 			node:    topology.NodeID(id),
-			r:       &n.routers[id],
 			inj:     n.srcs.At(id),
 			queue:   x.queue[:0],
 			streams: n.streams[id*v : (id+1)*v],
