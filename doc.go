@@ -13,9 +13,10 @@
 // them, and "go run ./benchmark" measures the stack's own speed.
 //
 // Construction is organised as a few bulk operations: a structure's
-// routing tables are programmed in one parallel pass (table.BuildAll)
-// and cached per process behind a single-flight (core's plumbing cache,
-// 64 structures), and a run's network — routers, NIs, fabric bindings,
+// routing is programmed once as one table.Routes every router shares (one
+// 3^n-entry sign row on a mesh; table.Program) and cached per process
+// behind a single-flight (core's plumbing cache, 64 structures), and a
+// run's network — routers, NIs, fabric bindings,
 // traffic sources — is one arena of slabs (router.Block,
 // traffic.Sources) that is reset, not rebuilt, between points. What
 // sizes the slabs is the network's shape (network.Shape: nodes, ports,
@@ -31,12 +32,12 @@
 // repository benchmark's kernel-short went from 0.754 to 0.657
 // calibrated seconds per pass (-13%, 10 of 10 alternating pairs; peak
 // RSS 67 -> 43 MB; CHANGES.md "PR 22"), results bit-identical. Each
-// layer stores what is
-// distinct, once: a full table is 2-byte indices into its own dictionary
-// of interned route sets, a router buffer is a ring of (message, first
-// sequence number, count) runs from which flits are rebuilt
-// (flow.FlitAt), and everything a router keeps per output port is one
-// record. See README.md "Cost of a point".
+// layer stores what is distinct, once: a structure's routing is one
+// shared lookup whatever table organization it models (the organizations
+// differ only in their storage cost, table.Kind.Entries), a router buffer
+// is a ring of (message, first sequence number, count) runs from which
+// flits are rebuilt (flow.FlitAt), and everything a router keeps per
+// output port is one record. See README.md "Cost of a point".
 //
 // Inside a router no stage scans for work: the crossbar's requests per
 // output port, the output multiplexer's and the free output VCs are bit
@@ -53,10 +54,11 @@
 // degraded topologies as one representation, a fault schedule of failed
 // links and routers (a static plan is its one-epoch case; timed items fail
 // and heal mid-run), threaded through routing (up*/down* escape over the
-// live graph, Duato adaptivity on live minimal ports), the table
-// organizations (exception overlays on ES and interval tables, one set per
-// epoch), and the fabric (gated dead ports, inert NIs, and at each timed
-// transition a purge, a table swap and a credit recompute). The resilience
+// live graph, Duato adaptivity on live minimal ports), the routes every
+// table organization shares (one per epoch, looked up from the fault-aware
+// function itself), and the fabric (gated dead ports, inert NIs, and at
+// each timed transition a purge, a routes swap and a credit recompute).
+// The resilience
 // experiment (cmd/lapses-experiments -exp
 // resilience) measures saturation throughput and latency versus the
 // number of failed links, showing the adaptive recipe sustaining 1.5-2.3x
@@ -94,8 +96,8 @@
 // memo cache, -workers bounds every probe, and a served experiment costs
 // one job per round. A search is deterministic for any worker count and
 // costs a logarithmic number of probes — measured >= 2x fewer simulated
-// cycles than the dense-grid reference (sweep.SaturationScan), pinned
-// by TestBisectCycleReduction. The resilience, scaling and congestion
+// cycles than a dense scan of the load axis, pinned by
+// TestBisectCycleReduction against a live one. The resilience, scaling and congestion
 // experiments and the saturation claims tests all report saturation
 // through it.
 //

@@ -340,9 +340,8 @@ func TestPanickedBuildIsNotRemembered(t *testing.T) {
 }
 
 // TestPlumbingConcurrentFirstTouch: sweep workers whose points share a
-// cold structure must build it once and all run over the same tables —
-// the single-flight in cachedPlumbing, with the parallel table pass
-// underneath it (the -race lane runs this).
+// cold structure must build it once and all run over the same routes —
+// the single-flight in cachedPlumbing (the -race lane runs this).
 func TestPlumbingConcurrentFirstTouch(t *testing.T) {
 	c := smoke()
 	c.Algorithm, c.Table = AlgWestFirst, table.KindFull

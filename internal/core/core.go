@@ -524,7 +524,8 @@ func (c Config) Validate() error {
 		// One label interval per port needs each port's destinations to be
 		// one contiguous run of row-major labels, which holds only when the
 		// highest dimension is resolved first: yx in 2-D (xy in 1-D). Under
-		// faults the table keeps exception entries, so any order fits.
+		// faults an interval router keeps exception entries for the
+		// detours, so any order fits.
 		highFirst := c.Algorithm == AlgYX && len(c.Dims) == 2 || c.Algorithm == AlgXY && len(c.Dims) == 1
 		if c.Faults.Empty() && !highFirst {
 			return fmt.Errorf("core: %s routing on %s is not interval-expressible (a port would cover a non-contiguous label run); use yx on a 2-D mesh", c.Algorithm, c.Mesh())
@@ -793,9 +794,10 @@ type idleArena struct {
 // a sweep reuses an arena every few points, while a process that has
 // stopped simulating — a service between jobs — should not carry its last
 // job's networks as live heap (and, at GOGC's doubling, twice that in
-// footprint) for as long as it runs. Four, not sync.Pool's two: programming
-// one cold 32x32 table set runs through two or three collections by itself,
-// and the other shapes' arenas should outlast a neighbour's first touch.
+// footprint) for as long as it runs. Four, not sync.Pool's two: a cold
+// structure's build can run through collections by itself (a fault-aware
+// 32x32 one allocates 3 MB per epoch), and the other shapes' arenas should
+// outlast a neighbour's first touch.
 const maxIdleGCs = 4
 
 // ageOnGC makes every garbage collection age the idle arenas, dropping

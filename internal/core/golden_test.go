@@ -86,7 +86,7 @@ func TestGoldenKernel(t *testing.T) {
 // goldenFaultGrid pins the degraded-kernel behavior: an 8x8 mesh under
 // two fault plans (a seeded random plan and an explicit links+router
 // plan), 2 loads x both pipelines. Fault-path changes — routing detours,
-// table exceptions, the escape-commit discipline, dead wiring — must
+// fault-aware lookups, the escape-commit discipline, dead wiring — must
 // reproduce these Results bit for bit or regenerate deliberately.
 func goldenFaultGrid(t *testing.T) (cfgs []core.Config, keys []string) {
 	t.Helper()

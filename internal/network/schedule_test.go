@@ -17,7 +17,7 @@ import (
 )
 
 // scheduleConfig assembles a network under a transient-fault schedule:
-// one fault-aware routing table set per epoch, every link physically
+// one fault-aware table.Routes per epoch, every link physically
 // wired, liveness enforced dynamically (dead-port gating + transition
 // purges).
 func scheduleConfig(t *testing.T, m *topology.Mesh, sched *fault.Schedule, la bool, rate float64, seed int64) Config {

@@ -29,9 +29,9 @@ import (
 
 // PositionDependent marks routing functions whose result depends on the
 // absolute position of the current node (fault detours), not only on the
-// offset to the destination. Table builders use it to switch the
-// economical-storage and interval organizations into exception mode, and
-// the deadlock checker uses it to skip the minimal-routing dateline
+// offset to the destination. table.Verify accepts such functions for the
+// economical-storage and interval organizations, whose routers would patch
+// the detours with exception entries, and the deadlock checker uses it to skip the minimal-routing dateline
 // analysis (position-dependent algorithms here never vary masks with
 // wrap-crossing state).
 type PositionDependent interface {
