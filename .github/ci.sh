@@ -87,6 +87,15 @@ unit)
 	# plus a router dead from the start, under the retransmission layer.
 	go run ./cmd/lapses-sim -faults 4 -measure 3000
 	go run ./cmd/lapses-sim -faults '12-13@2000:4000,r9' -reliability on -measure 3000
+	# core.Config.Validate is the one validator: a config no layer below can
+	# run is refused by it, naming the field, with usage status 2.
+	go build -o "$work/" ./cmd/lapses-sim
+	for args in "-msglen 0" "-dims 8 -alg xy -vcs 12"; do
+		code=0
+		"$work/lapses-sim" $args 2>"$work/reject.txt" || code=$?
+		[ "$code" -eq 2 ]
+		grep -q '^lapses-sim: core: ' "$work/reject.txt"
+	done
 	# A structure whose table build panics must panic again on the next
 	# touch, not hand back a remembered error: run the test twice in one
 	# process.
@@ -122,7 +131,7 @@ race)
 	# build a cold structure whose routes every router reads, on the
 	# kernel the short suite exercises least. TestGoldenEvent (also
 	# skipped under -short) rides along: the event kernel's own bit-exact
-	# fixture, 27 runs.
+	# fixture, 26 runs.
 	go test -race -run 'TestEventMode|TestGoldenEvent' -v ./internal/core
 	# Chaos smoke: one quick-fidelity availability point, a staggered
 	# link/router storm with mid-run reconvergence, run both with and

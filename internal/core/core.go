@@ -90,7 +90,8 @@ func ParseAlg(s string) (Alg, error) {
 func (a Alg) Deterministic() bool { return a == AlgXY || a == AlgYX }
 
 // Config describes one simulation. DefaultConfig returns the paper's
-// Table 2 baseline; adjust fields from there.
+// Table 2 baseline; adjust fields from there. Validate is the contract: a
+// config it accepts runs, and no layer below core checks one again.
 type Config struct {
 	// Dims are the mesh radices (Table 2: 16x16); Torus adds wraparound.
 	Dims  []int
@@ -136,10 +137,6 @@ type Config struct {
 
 	// LookAhead selects LA-PROUD (4-stage) over PROUD (5-stage).
 	LookAhead bool
-	// CutThrough selects virtual cut-through switching instead of
-	// wormhole (the paper's routers are wormhole; Table 1 surveys both).
-	// Requires MsgLen <= BufDepth.
-	CutThrough bool
 	// Algorithm, Table and Selection pick the routing policy, the table
 	// organization storing it, and the path-selection heuristic.
 	Algorithm Alg
@@ -292,13 +289,6 @@ func (c Config) PaperFidelity() Config {
 	return c
 }
 
-// QuickFidelity returns the config with small samples for smoke tests.
-func (c Config) QuickFidelity() Config {
-	c.Warmup = 200
-	c.Measure = 3000
-	return c
-}
-
 // Mesh materializes the topology.
 func (c Config) Mesh() *topology.Mesh { return topology.New(c.Torus, c.Dims...) }
 
@@ -315,9 +305,11 @@ func (c Config) Key() string {
 		trace = c.Trace.Digest()
 	}
 	fmt.Fprintf(&b, "d%v", c.Dims)
-	fmt.Fprintf(&b, ",t%t,v%d,e%d,b%d,o%d,l%d,la%t,ct%t,a%d,tb%d,s%d,p%d",
+	// "ctfalse" is the term of the cut-through switch runs no longer have:
+	// kept literally, so every stored key stays where it was.
+	fmt.Fprintf(&b, ",t%t,v%d,e%d,b%d,o%d,l%d,la%t,ctfalse,a%d,tb%d,s%d,p%d",
 		c.Torus, c.VCs, c.EscapeVCs, c.BufDepth, c.OutDepth, c.LinkDelay,
-		c.LookAhead, c.CutThrough, int(c.Algorithm), int(c.Table), int(c.Selection), int(c.Pattern))
+		c.LookAhead, int(c.Algorithm), int(c.Table), int(c.Selection), int(c.Pattern))
 	fmt.Fprintf(&b, ",ld%x,ml%d,tr%s,w%d,m%d,mc%d,sl%x,sd%d",
 		math.Float64bits(c.Load), c.MsgLen, trace,
 		c.Warmup, c.Measure, c.MaxCycles, math.Float64bits(c.SatLatency), c.Seed)
@@ -419,7 +411,9 @@ func (c Config) algorithm(m *topology.Mesh, cls routing.Class, plan *fault.Plan)
 	panic("core: unknown algorithm")
 }
 
-// Validate reports configuration errors without building the network.
+// Validate reports configuration errors without building the network, each
+// naming its field. It is the only validator: network, router, routing and
+// traffic trust the configuration Run builds from a validated one.
 func (c Config) Validate() error {
 	if len(c.Dims) == 0 {
 		return fmt.Errorf("core: no dimensions")
@@ -427,6 +421,20 @@ func (c Config) Validate() error {
 	for _, k := range c.Dims {
 		if k < 2 {
 			return fmt.Errorf("core: radix %d < 2", k)
+		}
+	}
+	if c.VCs < 1 || c.VCs > router.MaxVCs {
+		return fmt.Errorf("core: VCs %d outside [1, %d]", c.VCs, router.MaxVCs)
+	}
+	if c.EscapeVCs < 0 || c.EscapeVCs > c.VCs {
+		return fmt.Errorf("core: EscapeVCs %d outside [0, VCs %d]", c.EscapeVCs, c.VCs)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"BufDepth", c.BufDepth}, {"OutDepth", c.OutDepth}, {"LinkDelay", c.LinkDelay}, {"MsgLen", c.MsgLen}} {
+		if f.v < 1 {
+			return fmt.Errorf("core: %s %d < 1", f.name, f.v)
 		}
 	}
 	// A router has a local port and two per dimension (router.NewBlock
@@ -456,9 +464,6 @@ func (c Config) Validate() error {
 	}
 	if c.Measure <= 0 {
 		return fmt.Errorf("core: Measure must be positive")
-	}
-	if c.CutThrough && c.MsgLen > c.BufDepth {
-		return fmt.Errorf("core: cut-through needs MsgLen (%d) <= BufDepth (%d)", c.MsgLen, c.BufDepth)
 	}
 	if c.Trace != nil && c.Warmup+c.Measure > c.Trace.Total() {
 		return fmt.Errorf("core: warmup+measure (%d) exceeds trace messages (%d)",
@@ -549,9 +554,6 @@ func (c Config) Validate() error {
 		if err := c.Reliability.Validate(); err != nil {
 			return err
 		}
-	}
-	if err := (routing.Class{NumVCs: c.VCs, EscapeVCs: c.EscapeVCs}).Validate(); err != nil {
-		return err
 	}
 	// The class the tables are programmed with can need more escape VCs than
 	// EscapeVCs says: Duato on a torus takes two.
@@ -907,7 +909,7 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		Faults: cfg.Faults,
 		Router: router.Config{
 			NumVCs: cfg.VCs, BufDepth: cfg.BufDepth, OutDepth: cfg.OutDepth,
-			LookAhead: cfg.LookAhead, CutThrough: cfg.CutThrough,
+			LookAhead: cfg.LookAhead,
 		},
 		LinkDelay: cfg.LinkDelay,
 		Class:     p.cls,
@@ -931,9 +933,6 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 	}
 	if seam != nil {
 		seam(&ncfg)
-	}
-	if err := ncfg.Validate(); err != nil {
-		return Result{}, err
 	}
 	// No deferred return of the arena: every exit from here to pool.put is
 	// a panic, and a panic must drop it.

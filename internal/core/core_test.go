@@ -16,8 +16,8 @@ import (
 
 // smoke returns a fast small-mesh config.
 func smoke() Config {
-	c := DefaultConfig().QuickFidelity()
-	c.Dims = []int{8, 8}
+	c := DefaultConfig()
+	c.Dims, c.Warmup, c.Measure = []int{8, 8}, 200, 3000
 	return c
 }
 
@@ -221,7 +221,7 @@ func TestShapeLimitsValidateOrRun(t *testing.T) {
 	if ran == 0 || rejected == 0 {
 		t.Errorf("%d cases ran and %d were rejected; the matrix should do both", ran, rejected)
 	}
-	// The four gaps, each by name and limit.
+	// The gaps, each by name and limit.
 	for _, tc := range []struct {
 		mut  func(*Config)
 		want string
@@ -230,6 +230,11 @@ func TestShapeLimitsValidateOrRun(t *testing.T) {
 		{func(c *Config) { c.Dims = []int{2, 2, 2, 2, 2} }, "at most 4 dimensions"},
 		{func(c *Config) { c.Dims, c.VCs = []int{3, 3, 3, 3}, 8 }, "ports x VCs"},
 		{func(c *Config) { c.Warmup = -5 }, "Warmup -5"},
+		{func(c *Config) { c.MsgLen = 0 }, "MsgLen 0 < 1"},
+		{func(c *Config) { c.LinkDelay = 0 }, "LinkDelay 0 < 1"},
+		{func(c *Config) { c.BufDepth = 0 }, "BufDepth 0 < 1"},
+		{func(c *Config) { c.OutDepth = 0 }, "OutDepth 0 < 1"},
+		{func(c *Config) { c.Dims, c.Algorithm, c.VCs = []int{8}, AlgXY, 12 }, "VCs 12 outside [1, 8]"},
 	} {
 		c := smoke()
 		tc.mut(&c)
@@ -321,39 +326,6 @@ func Test3DAndTorus(t *testing.T) {
 	}
 }
 
-// Virtual cut-through switching runs end to end and tracks wormhole
-// closely at low load (both are limited by the pipeline, not blocking).
-func TestCutThrough(t *testing.T) {
-	c := smoke()
-	c.Load = 0.2
-	c.Warmup, c.Measure = 200, 2000
-	worm, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.CutThrough = true
-	vct, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vct.Saturated {
-		t.Fatalf("VCT saturated at low load: %s", vct.SatReason)
-	}
-	ratio := vct.AvgLatency / worm.AvgLatency
-	if ratio < 0.95 || ratio > 1.3 {
-		t.Errorf("VCT/wormhole latency ratio %.2f implausible", ratio)
-	}
-}
-
-func TestCutThroughValidation(t *testing.T) {
-	c := smoke()
-	c.CutThrough = true
-	c.MsgLen = 40 // > BufDepth 20
-	if _, err := Run(c); err == nil {
-		t.Error("oversize cut-through message accepted")
-	}
-}
-
 func TestPercentilesPopulated(t *testing.T) {
 	c := smoke()
 	c.Load = 0.3
@@ -395,7 +367,6 @@ func TestConfigKey(t *testing.T) {
 		func(c *Config) { c.OutDepth = 2 },
 		func(c *Config) { c.LinkDelay = 2 },
 		func(c *Config) { c.LookAhead = false },
-		func(c *Config) { c.CutThrough = true },
 		func(c *Config) { c.Algorithm = AlgXY },
 		func(c *Config) { c.Table = table.KindFull },
 		func(c *Config) { c.Selection = selection.MaxCredit },

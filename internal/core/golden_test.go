@@ -215,9 +215,8 @@ func TestGoldenSchedule(t *testing.T) {
 }
 
 // goldenEventGrid is goldenGrid on the event kernel plus one point each
-// for the switching, topology and pipeline/table corners the express path
-// treats specially: cut-through, an 8x8 torus (datelines) and
-// PROUD/XY/full-table.
+// for the topology and pipeline/table corners the express path treats
+// specially: an 8x8 torus (datelines) and PROUD/XY/full-table.
 func goldenEventGrid() (cfgs []core.Config, keys []string) {
 	for _, c := range goldenGrid() {
 		c.EventMode = true
@@ -226,10 +225,6 @@ func goldenEventGrid() (cfgs []core.Config, keys []string) {
 	}
 	base := cfgs[0] // uniform, PROUD, seed 1
 	base.Load = 0.2
-
-	ct := base
-	ct.LookAhead, ct.CutThrough = true, true
-	cfgs, keys = append(cfgs, ct), append(keys, "cut-through")
 
 	torus := base
 	torus.LookAhead, torus.Torus = true, true
@@ -250,7 +245,7 @@ func goldenEventGrid() (cfgs []core.Config, keys []string) {
 // TestGoldenEvent -update
 func TestGoldenEvent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden event grid is 27 full runs; skipped under -short")
+		t.Skip("golden event grid is 26 full runs; skipped under -short")
 	}
 	cfgs, keys := goldenEventGrid()
 	got := make(map[string]string, len(cfgs))

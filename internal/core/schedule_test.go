@@ -116,8 +116,8 @@ func TestKeyLiterals(t *testing.T) {
 // schedule is the same simulation, not a near miss.
 func TestScheduleStaticCollapse(t *testing.T) {
 	t.Parallel()
-	base := core.DefaultConfig().QuickFidelity()
-	base.Dims = []int{8, 8}
+	base := core.DefaultConfig()
+	base.Dims, base.Warmup, base.Measure = []int{8, 8}, 200, 3000
 	m := base.Mesh()
 	plan, err := fault.New(m, []fault.Link{
 		{Node: 27, Port: topology.PortPlus(0)},

@@ -57,8 +57,8 @@ func FuzzFaultPlan(f *testing.F) {
 
 		// Trace-driven conservation run: a finite workload between live
 		// nodes, driven until every message drains. Router faults are
-		// modeled by keeping trace endpoints live (the network rejects
-		// traces that could target dead NIs).
+		// modeled by keeping trace endpoints live (core.Config.Validate
+		// rejects traces that could target dead NIs).
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 		var live []topology.NodeID
 		for id := 0; id < m.N(); id++ {
@@ -114,9 +114,6 @@ func FuzzFaultPlan(f *testing.F) {
 			MsgLen:    20,
 			Seed:      seed,
 			EventMode: events,
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatal(err)
 		}
 		n := New(cfg)
 		delivered := make(map[flow.MessageID]bool, len(msgs))

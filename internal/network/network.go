@@ -37,7 +37,9 @@ import (
 	"lapses/internal/traffic"
 )
 
-// Config assembles one network.
+// Config assembles one network. Nothing here checks it: New and Reset
+// trust a configuration core.Config.Validate has accepted, assembled by
+// core.Run.
 type Config struct {
 	Mesh *topology.Mesh
 	// Router is the per-router microarchitecture.
@@ -104,54 +106,6 @@ type Config struct {
 	// than at the emulated SA cycle. Runs remain deterministic for a
 	// fixed configuration.
 	EventMode bool
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Mesh == nil {
-		return fmt.Errorf("network: nil mesh")
-	}
-	if err := c.Router.Validate(); err != nil {
-		return err
-	}
-	if err := c.Class.Validate(); err != nil {
-		return err
-	}
-	if c.LinkDelay < 1 {
-		return fmt.Errorf("network: LinkDelay %d < 1", c.LinkDelay)
-	}
-	if c.Pattern == nil && c.Trace == nil {
-		return fmt.Errorf("network: a pattern or a trace is required")
-	}
-	if !c.Faults.Fits(c.Mesh) {
-		return fmt.Errorf("network: damage %s was built for a different topology than %s", c.Faults, c.Mesh)
-	}
-	if len(c.Routes) != c.Faults.Epochs() {
-		return fmt.Errorf("network: %d fault epochs but %d routings were supplied", c.Faults.Epochs(), len(c.Routes))
-	}
-	if c.Trace != nil && c.Faults.FailsRouters() {
-		return fmt.Errorf("network: trace workloads require faults without dead routers (trace endpoints cannot be filtered)")
-	}
-	if c.Reliability != nil {
-		if err := c.Reliability.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.MsgLen < 1 {
-		return fmt.Errorf("network: MsgLen %d < 1", c.MsgLen)
-	}
-	if c.MsgRate < 0 {
-		return fmt.Errorf("network: negative MsgRate")
-	}
-	if c.Burst != nil {
-		if err := c.Burst.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.QoSHiFrac < 0 || c.QoSHiFrac > 1 {
-		return fmt.Errorf("network: QoSHiFrac %g outside [0,1]", c.QoSHiFrac)
-	}
-	return nil
 }
 
 // flitEvent is a flit in flight on a wire, due to latch into its
@@ -279,9 +233,9 @@ func slabBytes[T any](s []T) int {
 // buffer depths, the wheel horizon (link delay; in event mode also the input
 // buffer depth), and whether the NIs carry the reliability layer's per-peer
 // arrays. Everything else a Config says — tables, selection, look-ahead,
-// cut-through, rate, pattern, seed, burst, QoS, faults, a trace — is
-// rewritten by Reset, so two configurations of one shape can run in the same
-// network one after the other.
+// rate, pattern, seed, burst, QoS, faults, a trace — is rewritten by Reset,
+// so two configurations of one shape can run in the same network one after
+// the other.
 type Shape struct {
 	nodes, ports                int
 	vcs, bufDepth, outDepth     int
@@ -428,12 +382,8 @@ type link struct {
 }
 
 // New builds and wires a network: storage allocated for cfg's shape, then
-// Reset — the only initialiser there is. It panics on invalid
-// configuration, which is always a programming error in the harness.
+// Reset — the only initialiser there is.
 func New(cfg Config) *Network {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	n := alloc(ShapeOf(cfg))
 	n.Reset(cfg)
 	return n
@@ -497,9 +447,6 @@ func (n *Network) Shape() Shape { return n.shape }
 // fresh one; a field added to Network, ni, router.Router or a source and
 // left out of the reset fails there by itself.
 func (n *Network) Reset(cfg Config) {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	if s := ShapeOf(cfg); s != n.shape {
 		panic(fmt.Sprintf("network: storage of shape %+v reset to a configuration of shape %+v", n.shape, s))
 	}

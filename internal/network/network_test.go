@@ -285,26 +285,3 @@ func TestTorusAdaptive(t *testing.T) {
 		t.Fatal("no measurements")
 	}
 }
-
-func TestConfigValidation(t *testing.T) {
-	m := topology.NewMesh(4, 4)
-	good := testConfig(m, false, table.KindFull, selection.StaticXY, traffic.New(traffic.Uniform, m), 0.01, 1)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("good config rejected: %v", err)
-	}
-	bad := good
-	bad.Mesh = nil
-	if bad.Validate() == nil {
-		t.Error("nil mesh accepted")
-	}
-	bad = good
-	bad.LinkDelay = 0
-	if bad.Validate() == nil {
-		t.Error("zero link delay accepted")
-	}
-	bad = good
-	bad.MsgLen = 0
-	if bad.Validate() == nil {
-		t.Error("zero MsgLen accepted")
-	}
-}

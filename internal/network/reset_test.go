@@ -177,9 +177,9 @@ type resetShape struct{ event, reliable bool }
 // randomPoint draws a configuration of the given shape at random over
 // everything Reset rewrites: dimensions and wraparound (4x4, 2x8, 4x4
 // torus: all 16 nodes with 5 ports), routing algorithm, table kind,
-// selection (Random included), look-ahead, cut-through, load, pattern,
-// seed, message length, burst, QoS, static faults with and without dead
-// routers, a fault schedule, a trace.
+// selection (Random included), look-ahead, load, pattern, seed, message
+// length, burst, QoS, static faults with and without dead routers, a fault
+// schedule, a trace.
 func randomPoint(t *testing.T, rng *rand.Rand, s resetShape) Config {
 	t.Helper()
 	torus := rng.Intn(5) == 0
@@ -214,7 +214,6 @@ func randomPoint(t *testing.T, rng *rand.Rand, s resetShape) Config {
 		Seed:      rng.Int63n(1 << 20),
 		EventMode: s.event,
 	}
-	cfg.Router.CutThrough = rng.Intn(3) == 0
 	faultAlg := func(plan *fault.Plan) (routing.Algorithm, error) {
 		if adaptive {
 			return routing.NewFaultDuato(m, cls, plan)
@@ -383,8 +382,8 @@ func TestResetEqualsNew(t *testing.T) {
 					// first has drawn from.
 					cfg.Selection = selection.Random
 				}
-				name := fmt.Sprintf("point %d (%s, selection %v, la %v, ct %v, %v, trace %v, burst %v)",
-					i, cfg.Mesh, cfg.Selection, cfg.Router.LookAhead, cfg.Router.CutThrough,
+				name := fmt.Sprintf("point %d (%s, selection %v, la %v, %v, trace %v, burst %v)",
+					i, cfg.Mesh, cfg.Selection, cfg.Router.LookAhead,
 					cfg.Faults, cfg.Trace != nil, cfg.Burst != nil)
 				arena.Reset(cfg)
 				fresh := New(cfg)

@@ -94,9 +94,6 @@ func FuzzFaultSchedule(f *testing.F) {
 		if rel {
 			cfg.Reliability = &Reliability{RTO: 256, MaxAttempts: 30, AckDelay: 16}
 		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatal(err)
-		}
 		n := New(cfg)
 		total := trace.Total()
 		delivered := make(map[flow.MessageID]bool, total)

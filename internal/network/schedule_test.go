@@ -205,9 +205,6 @@ func TestScheduleReliabilityExactlyOnce(t *testing.T) {
 			cfg.Trace = trace
 			cfg.EventMode = events
 			cfg.Reliability = &Reliability{RTO: 512, MaxAttempts: 30, AckDelay: 32}
-			if err := cfg.Validate(); err != nil {
-				t.Fatal(err)
-			}
 			n := New(cfg)
 			total := trace.Total()
 			delivered := make(map[flow.MessageID]bool, total)
@@ -261,9 +258,6 @@ func TestScheduleConservationWithoutReliability(t *testing.T) {
 	cfg.Pattern = nil
 	cfg.MsgRate = 0
 	cfg.Trace = trace
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	n := New(cfg)
 	total := trace.Total()
 	delivered := make(map[flow.MessageID]bool, total)

@@ -64,15 +64,15 @@ func TestRouterBlockMatchesNew(t *testing.T) {
 		for now := int64(0); now < 300; now++ {
 			for i := range feeds {
 				f := &feeds[i]
-				if f.next < len(f.fl[0]) && hb.r.InputSpace(f.port, f.vc) > 0 && rng.Intn(3) > 0 {
+				if f.next < len(f.fl[0]) && hb.r.in[hb.r.inIdx(f.port, f.vc)].buf.space() > 0 && rng.Intn(3) > 0 {
 					hb.r.EnqueueFlit(f.port, f.vc, f.fl[0][f.next], now)
 					hn.r.EnqueueFlit(f.port, f.vc, f.fl[1][f.next], now)
 					f.next++
 				}
 			}
 			for len(credits) > 0 && credits[0].at <= now {
-				hb.r.AcceptCredit(credits[0].port, credits[0].vc)
-				hn.r.AcceptCredit(credits[0].port, credits[0].vc)
+				hb.r.AcceptCredits(credits[0].port, credits[0].vc, 1)
+				hn.r.AcceptCredits(credits[0].port, credits[0].vc, 1)
 				credits = credits[1:]
 			}
 			if ob, on := hb.r.Tick(now), hn.r.Tick(now); ob != on {

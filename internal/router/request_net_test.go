@@ -19,11 +19,10 @@ import (
 // every Step of every router they must equal what a full scan of phases,
 // buffers, boxes, credits and owners finds. The runs cover the regimes
 // that maintain the masks differently: saturation (parked worms, full
-// boxes, exhausted credits), cut-through (credit-window claims), a torus
-// (datelines, two escape VCs), the event kernel (express claims, batched
-// credits, deferred releases) and a fault schedule (purge + rebuild +
-// recomputed credits). The single-router half runs inside
-// TestQuickRouterInvariants.
+// boxes, exhausted credits), a torus (datelines, two escape VCs), the
+// event kernel (express claims, batched credits, deferred releases) and a
+// fault schedule (purge + rebuild + recomputed credits). The single-router
+// half runs inside TestQuickRouterInvariants.
 func TestRequestStateMatchesScan(t *testing.T) {
 	const msgLen = 20
 	base := func(m *topology.Mesh, escapeVCs int, load float64) network.Config {
@@ -52,11 +51,6 @@ func TestRequestStateMatchesScan(t *testing.T) {
 		cfg    func(t *testing.T) network.Config
 	}{
 		{"saturated", 2500, func(*testing.T) network.Config { return base(mesh, 1, 0.9) }},
-		{"cut-through", 2500, func(*testing.T) network.Config {
-			cfg := base(mesh, 1, 0.6)
-			cfg.Router.CutThrough = true
-			return cfg
-		}},
 		{"torus", 2500, func(*testing.T) network.Config { return base(topology.NewTorus(6, 6), 2, 0.7) }},
 		{"event", 4000, func(*testing.T) network.Config {
 			cfg := base(mesh, 1, 0.2)

@@ -42,7 +42,9 @@ import (
 )
 
 // Config carries the microarchitectural parameters of one router. The zero
-// value is not usable; see DefaultConfig.
+// value is not usable; see DefaultConfig. Nothing here checks it: a router is
+// built only from a configuration core.Config.Validate has accepted (NumVCs
+// in [1, MaxVCs], depths at least 1, ResvVCs below NumVCs).
 type Config struct {
 	// NumVCs is the number of virtual channels per physical channel.
 	NumVCs int
@@ -54,12 +56,6 @@ type Config struct {
 	// LookAhead selects the 4-stage LA-PROUD pipeline; false is the
 	// 5-stage PROUD baseline.
 	LookAhead bool
-	// CutThrough selects virtual cut-through switching: a header claims
-	// an output VC only when the downstream buffer can absorb the whole
-	// message, so blocked messages never stall spanning routers. False
-	// is wormhole switching (the paper's mode). Requires message length
-	// <= BufDepth.
-	CutThrough bool
 	// ResvVCs reserves the highest-numbered adaptive VCs of every physical
 	// channel for high-class (QoS) messages: class-0 traffic may not claim
 	// them. Escape VCs are the lowest-numbered VCs and are never reserved,
@@ -83,23 +79,6 @@ type Config struct {
 // buffers.
 func DefaultConfig() Config {
 	return Config{NumVCs: 4, BufDepth: 20, OutDepth: 4}
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.NumVCs < 1 || c.NumVCs > 8 {
-		return fmt.Errorf("router: NumVCs %d out of range [1,8]", c.NumVCs)
-	}
-	if c.BufDepth < 1 {
-		return fmt.Errorf("router: BufDepth %d < 1", c.BufDepth)
-	}
-	if c.OutDepth < 1 {
-		return fmt.Errorf("router: OutDepth %d < 1", c.OutDepth)
-	}
-	if c.ResvVCs < 0 || c.ResvVCs >= c.NumVCs {
-		return fmt.Errorf("router: ResvVCs %d out of range [0,%d)", c.ResvVCs, c.NumVCs)
-	}
-	return nil
 }
 
 // Fabric is everything outside one router that the router acts on: the
@@ -148,6 +127,10 @@ const (
 	// storage while in this phase.
 	phaseExpress
 )
+
+// MaxVCs bounds the virtual channels per physical channel: the router model
+// is specified for at most eight.
+const MaxVCs = 8
 
 // MaxInputVCs bounds ports x VCs per router: the work and request masks
 // and the crossbar arbiter (arbiter.MakeRoundRobin) index input VCs in one
@@ -329,9 +312,6 @@ func seedRuns(cfg Config) int { return min(cfg.BufDepth, 2) }
 // AllocBlock returns the storage of n routers of the given port count under
 // cfg. It is not usable until Reset.
 func AllocBlock(n, ports int, cfg Config) *Block {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	nvc, seed := ports*cfg.NumVCs, seedRuns(cfg)
 	return &Block{
 		Routers: make([]Router, n),
@@ -364,9 +344,6 @@ func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, routes *table.
 // origin, no dead ports, no fabric. It panics when the configuration does not
 // have the shape the block was allocated for.
 func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, routes *table.Routes, sels []selection.Selector) {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	n, np := len(b.Routers), b.np
 	nvc, seed := np*b.vcs, b.seed
 	if len(sels) != n || m.NumPorts() != np || cfg.NumVCs != b.vcs || seedRuns(cfg) != seed {
@@ -613,7 +590,7 @@ func (r *Router) expressOffsets() (offC, offS int64) {
 
 // expressAllocate is express admission: the SA decision (allocate) taken
 // at arrival time, with two extra requirements — the output VC must hold
-// credits for the entire message (the cut-through admission window), so the
+// credits for the entire message (the whole-message admission window), so the
 // admitted worm streams at link rate without ever stalling on flow control,
 // and the output port's link must be free of other express transits
 // (expressPortFree). On failure the message is untouched.
@@ -702,11 +679,6 @@ func (r *Router) transit(in, j int, fl flow.Flit, n int, now int64) {
 		// order downstream; hold the claim until the tail has left.
 		r.fab.Release(port, vc, last+offS+1)
 	}
-}
-
-// AcceptCredit returns one credit to output (port, vc).
-func (r *Router) AcceptCredit(p topology.Port, v flow.VCID) {
-	r.AcceptCredits(p, v, 1)
 }
 
 // AcceptCredits returns count credits to output (port, vc) in one call —
@@ -804,18 +776,8 @@ func (r *Router) stageSA(now int64) {
 // stalls and retries next cycle.
 func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 	// The header waits at the front of the buffer; ivc.msg is its message.
-	msg := ivc.msg
-	// Virtual cut-through admission: the downstream buffer must be able
-	// to absorb the entire message before the header may claim the VC.
-	needCredits := 0
-	if r.cfg.CutThrough {
-		needCredits = msg.Length
-		if needCredits > r.cfg.BufDepth {
-			panic(fmt.Sprintf("router %d: cut-through message of %d flits exceeds buffer depth %d",
-				r.id, needCredits, r.cfg.BufDepth))
-		}
-	}
-	port, vc, ok := r.allocate(msg, ivc.route, needCredits, int32(idx), noExpress)
+	// Wormhole: a free VC is claimable whatever its credits.
+	port, vc, ok := r.allocate(ivc.msg, ivc.route, 0, int32(idx), noExpress)
 	if !ok {
 		return
 	}
@@ -926,7 +888,8 @@ func (r *Router) classMask(c flow.Candidate, escape bool, class uint8) flow.VCMa
 }
 
 // claimable returns the VCs of mask on port p a header may claim: unowned
-// and, under cut-through switching, holding at least needCredits credits.
+// and holding at least needCredits credits (an express worm's whole-message
+// window; 0 for a pipelined header).
 // The local port's sink always has room.
 func (r *Router) claimable(p topology.Port, mask flow.VCMask, needCredits int) uint64 {
 	base := int(p) * r.cfg.NumVCs
@@ -1145,9 +1108,3 @@ func (r *Router) CongestionLevel() uint8 {
 // Occupancy returns the number of flits buffered in the router, used by
 // the network's quiescence and progress checks.
 func (r *Router) Occupancy() int { return r.occupancy }
-
-// InputSpace returns the free flit slots of input (port, vc); the NI uses
-// it to initialize its injection credit counters.
-func (r *Router) InputSpace(p topology.Port, v flow.VCID) int {
-	return r.in[r.inIdx(p, v)].buf.space()
-}

@@ -159,18 +159,6 @@ func TestVCAllocationRotates(t *testing.T) {
 	}
 }
 
-// The router must reject construction with a bad config.
-func TestNewPanicsOnBadConfig(t *testing.T) {
-	m := topology.NewMesh(3, 3)
-	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	newHarness(t, m, 4, Config{NumVCs: 0, BufDepth: 4, OutDepth: 2}, alg, selection.New(selection.StaticXY, 0))
-}
-
 // Dateline bookkeeping: a header crossing the torus wraparound link picks
 // up the dimension bit, observable in the sent header.
 func TestDatelineBitSetOnWrap(t *testing.T) {
@@ -251,7 +239,7 @@ func TestStaleOwnerNotWokenByTailPop(t *testing.T) {
 			if got := h.times("send", a); len(got) != 1 {
 				t.Fatalf("before the credit a sent %d flits, want 1 (tail parked in the box)", len(got))
 			}
-			h.r.AcceptCredit(topology.PortPlus(0), h.sends()[0].vc)
+			h.r.AcceptCredits(topology.PortPlus(0), h.sends()[0].vc, 1)
 		}
 		h.tick(t, now)
 		// a's tail traverses at cycle 5; from then on nothing is bound for +X.
@@ -286,10 +274,10 @@ func TestParkedWormRefilledAsBoxDrains(t *testing.T) {
 		case 8:
 			// Flit 1 has filled the box since cycle 5 and the buffer is
 			// empty: credit and tail arrive together.
-			h.r.AcceptCredit(out, h.sends()[0].vc)
+			h.r.AcceptCredits(out, h.sends()[0].vc, 1)
 			h.r.EnqueueFlit(in, 0, mkFlit(a, 2), now)
 		case 9:
-			h.r.AcceptCredit(out, h.sends()[0].vc)
+			h.r.AcceptCredits(out, h.sends()[0].vc, 1)
 		}
 		h.tick(t, now)
 	}

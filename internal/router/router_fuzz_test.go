@@ -80,13 +80,13 @@ func TestQuickRouterInvariants(t *testing.T) {
 		for now := int64(0); now < 800; now++ {
 			for i := range feeds {
 				f := &feeds[i]
-				if f.next < len(f.fl) && h.r.InputSpace(f.port, f.vc) > 0 && rng.Intn(3) > 0 {
+				if f.next < len(f.fl) && h.r.in[h.r.inIdx(f.port, f.vc)].buf.space() > 0 && rng.Intn(3) > 0 {
 					h.r.EnqueueFlit(f.port, f.vc, f.fl[f.next], now)
 					f.next++
 				}
 			}
 			for len(pending) > 0 && pending[0].at <= now {
-				h.r.AcceptCredit(pending[0].port, pending[0].vc)
+				h.r.AcceptCredits(pending[0].port, pending[0].vc, 1)
 				pending = pending[1:]
 			}
 			h.r.Tick(now)

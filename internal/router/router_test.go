@@ -231,10 +231,36 @@ func TestCreditStall(t *testing.T) {
 		t.Fatalf("sends with 1 credit = %d want 1", n)
 	}
 	// Return a credit: the second flit goes out.
-	h.r.AcceptCredit(topology.PortPlus(0), h.sends()[0].vc)
+	h.r.AcceptCredits(topology.PortPlus(0), h.sends()[0].vc, 1)
 	h.run(9, 14)
 	if n := len(h.sends()); n != 2 {
 		t.Fatalf("sends after credit = %d want 2", n)
+	}
+}
+
+// A wormhole header claims a free output VC whatever its credits: the probe
+// streams into the 3 credits two unreturned messages left.
+func TestWormholeAdmitsWithPartialCredits(t *testing.T) {
+	m := topology.NewMesh(3, 3)
+	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 2}, nil)
+	node := m.ID(topology.Coord{1, 1})
+	cfg := Config{NumVCs: 2, BufDepth: 6, OutDepth: 2}
+	h := newHarness(t, m, node, cfg, alg, selection.New(selection.StaticXY, 0))
+	dst := m.ID(topology.Coord{2, 1})
+	for v := 0; v < 2; v++ {
+		blk := mkMsg(int64(v+1), 0, dst, 3)
+		for i := 0; i < 3; i++ {
+			h.r.EnqueueFlit(topology.PortMinus(0), flow.VCID(v), mkFlit(blk, i), int64(i))
+		}
+	}
+	h.run(0, 20)
+	probe := mkMsg(3, 0, dst, 4)
+	for i := 0; i < 4; i++ {
+		h.r.EnqueueFlit(topology.PortMinus(1), 0, mkFlit(probe, i), int64(21+i))
+	}
+	h.run(21, 45)
+	if n := len(h.sends()); n != 9 {
+		t.Fatalf("wormhole sends = %d want 9 (6 setup + 3 of probe)", n)
 	}
 }
 

@@ -17,8 +17,6 @@
 package routing
 
 import (
-	"fmt"
-
 	"lapses/internal/flow"
 	"lapses/internal/topology"
 )
@@ -57,17 +55,6 @@ func (c Class) EscapeHighMask() flow.VCMask {
 		return c.EscapeMask()
 	}
 	return c.EscapeMask() &^ c.EscapeLowMask()
-}
-
-// Validate reports configuration errors.
-func (c Class) Validate() error {
-	if c.NumVCs < 1 || c.NumVCs > 16 {
-		return fmt.Errorf("routing: NumVCs %d out of range [1,16]", c.NumVCs)
-	}
-	if c.EscapeVCs < 0 || c.EscapeVCs > c.NumVCs {
-		return fmt.Errorf("routing: EscapeVCs %d out of range [0,%d]", c.EscapeVCs, c.NumVCs)
-	}
-	return nil
 }
 
 // Algorithm is a routing function. Route must be a pure function so that

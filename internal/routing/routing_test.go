@@ -22,15 +22,6 @@ func TestClassMasks(t *testing.T) {
 	if c2.EscapeLowMask() != 0b0001 || c2.EscapeHighMask() != 0b0010 {
 		t.Errorf("dateline masks = %b / %b", c2.EscapeLowMask(), c2.EscapeHighMask())
 	}
-	if err := c.Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := (Class{NumVCs: 0}).Validate(); err == nil {
-		t.Error("NumVCs 0 should fail validation")
-	}
-	if err := (Class{NumVCs: 2, EscapeVCs: 3}).Validate(); err == nil {
-		t.Error("EscapeVCs > NumVCs should fail validation")
-	}
 }
 
 func TestXYBasics(t *testing.T) {

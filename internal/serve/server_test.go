@@ -484,6 +484,14 @@ func TestServerRejectsMalformedJobs(t *testing.T) {
 	if !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "algorithm") {
 		t.Errorf("bad point: err=%v", err)
 	}
+	// A point core.Config.Validate rejects is refused at submission, not
+	// accepted and failed later.
+	bad = mustPoints(t, testGrid(1))
+	bad[0].MsgLen = 0
+	err = c.do(ctx, http.MethodPost, "/v1/jobs", jobRequest{Points: bad}, nil)
+	if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "MsgLen") {
+		t.Errorf("msg_len 0: err=%v", err)
+	}
 	if _, err := c.Status(ctx, "j999999"); err == nil {
 		t.Error("unknown job id accepted")
 	}

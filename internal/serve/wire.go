@@ -84,11 +84,14 @@ type Point struct {
 	OutDepth  int `json:"out_depth"`
 	LinkDelay int `json:"link_delay"`
 
-	LookAhead  bool   `json:"lookahead"`
-	CutThrough bool   `json:"cut_through,omitempty"`
-	Algorithm  string `json:"algorithm"`
-	Table      string `json:"table"`
-	Selection  string `json:"selection"`
+	LookAhead bool   `json:"lookahead"`
+	Algorithm string `json:"algorithm"`
+	Table     string `json:"table"`
+	Selection string `json:"selection"`
+	// CutThrough is read only to be refused: cut-through switching is no
+	// longer modelled, and a point asking for it must not be answered with
+	// a wormhole result.
+	CutThrough bool `json:"cut_through,omitempty"`
 
 	Pattern string         `json:"pattern"`
 	Load    float64        `json:"load"`
@@ -123,7 +126,6 @@ func PointFromConfig(c core.Config) (Point, error) {
 		OutDepth:   c.OutDepth,
 		LinkDelay:  c.LinkDelay,
 		LookAhead:  c.LookAhead,
-		CutThrough: c.CutThrough,
 		Algorithm:  c.Algorithm.String(),
 		Table:      c.Table.String(),
 		Selection:  c.Selection.String(),
@@ -163,6 +165,9 @@ func (p Point) Config() (core.Config, error) {
 			return core.Config{}, fmt.Errorf("serve: point radix %d < 2", k)
 		}
 	}
+	if p.CutThrough {
+		return core.Config{}, fmt.Errorf("serve: point cut_through: cut-through switching is no longer modelled; drop the field to run the wormhole router")
+	}
 	c := core.Config{
 		Dims:       append([]int(nil), p.Dims...),
 		Torus:      p.Torus,
@@ -172,7 +177,6 @@ func (p Point) Config() (core.Config, error) {
 		OutDepth:   p.OutDepth,
 		LinkDelay:  p.LinkDelay,
 		LookAhead:  p.LookAhead,
-		CutThrough: p.CutThrough,
 		Load:       p.Load,
 		MsgLen:     p.MsgLen,
 		Warmup:     p.Warmup,

@@ -49,7 +49,6 @@ func wireTestConfigs(t *testing.T) []core.Config {
 
 	exotic := core.DefaultConfig()
 	exotic.Dims = []int{2, 3, 4}
-	exotic.CutThrough = true
 	exotic.LookAhead = false
 	exotic.BufDepth = 7
 	exotic.OutDepth = 2
@@ -190,6 +189,22 @@ func TestPointConfigErrors(t *testing.T) {
 		mutate(&p)
 		if _, err := p.Config(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// Refusals that name their field: core.Config.Validate's, and the
+	// cut-through switch the wire no longer carries.
+	for field, mutate := range map[string]func(p *Point){
+		"MsgLen":      func(p *Point) { p.MsgLen = 0 },
+		"LinkDelay":   func(p *Point) { p.LinkDelay = 0 },
+		"BufDepth":    func(p *Point) { p.BufDepth = 0 },
+		"OutDepth":    func(p *Point) { p.OutDepth = 0 },
+		"VCs":         func(p *Point) { p.Dims, p.Algorithm, p.VCs = []int{8}, "xy", 12 },
+		"cut_through": func(p *Point) { p.CutThrough = true },
+	} {
+		p := good
+		mutate(&p)
+		if _, err := p.Config(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: want an error naming it, got %v", field, err)
 		}
 	}
 }

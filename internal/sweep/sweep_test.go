@@ -93,7 +93,7 @@ func TestErrorCapture(t *testing.T) {
 // an invalid point carries its validation error, valid points still run.
 func TestConfigErrorThroughCoreRun(t *testing.T) {
 	t.Parallel()
-	good := core.DefaultConfig().QuickFidelity()
+	good := core.DefaultConfig()
 	good.Dims = []int{4, 4}
 	good.Warmup, good.Measure = 20, 200
 	bad := good
@@ -469,7 +469,7 @@ func TestPanicIsolatedPerPoint(t *testing.T) {
 // must error; its neighbors must still simulate.
 func TestPanicIsolatedThroughCoreRun(t *testing.T) {
 	t.Parallel()
-	good := core.DefaultConfig().QuickFidelity()
+	good := core.DefaultConfig()
 	good.Dims = []int{4, 4}
 	good.Warmup, good.Measure = 20, 200
 	bad := good

@@ -395,11 +395,6 @@ func NewSources(n int, rate float64, burst *Burst, seed int64) *Sources {
 // non-nil. It writes every field of every slab, the unused process slab
 // included.
 func (s *Sources) Reset(rate float64, burst *Burst, seed int64) {
-	if burst != nil {
-		if err := burst.Validate(); err != nil {
-			panic(err)
-		}
-	}
 	for i := range s.list {
 		seedFib(&s.fibs[i], seed+int64(i))
 		// rand.New only wraps the source; copying its result out keeps
