@@ -214,3 +214,45 @@ func TestKindRoundTrip(t *testing.T) {
 		t.Error("expected error for unknown kind")
 	}
 }
+
+// TestRandomChoicesPinned pins what Random picks for a few seeds, as
+// literal values, so that a change of its generator must reproduce
+// math/rand's streams exactly. Each selector makes 1400 choices over
+// eligible sets of two, three and four candidates; the first 48 are
+// spelled out and all of them are folded into a digest.
+func TestRandomChoicesPinned(t *testing.T) {
+	var rs flow.RouteSet
+	for _, p := range []topology.Port{1, 2, 3, 4} {
+		rs.Add(flow.Candidate{Port: p, Adaptive: 0b1110})
+	}
+	masks := []uint8{0b0111, 0b1111, 0b0101, 0b1011, 0b0110}
+	for _, c := range []struct {
+		seed   int64
+		first  string
+		digest uint64
+	}{
+		{0, "022121320103201030112000200011002111003110032100", 15928690616958899806},
+		{1, "232320101123031232312201213002102322120112002020", 9552532783792368766},
+		{7, "222012001121032200310223203212010122021100212232", 9103912062764394256},
+		{-3, "232320323220012112311001101211102121300100231202", 8435345925273760127},
+		{7919 * 255, "010012301102201112121021200012012321120102012222", 823397427494344872},
+	} {
+		s := New(Random, c.seed)
+		var first []byte
+		var digest uint64
+		for i := 0; i < 1400; i++ {
+			mask := masks[i%len(masks)]
+			got := s.Select(nil, rs, mask)
+			if mask&(1<<got) == 0 {
+				t.Fatalf("seed %d: choice #%d = %d is not in eligible set %04b", c.seed, i, got, mask)
+			}
+			if i < 48 {
+				first = append(first, byte('0'+got))
+			}
+			digest = digest*31 + uint64(got)
+		}
+		if string(first) != c.first || digest != c.digest {
+			t.Errorf("seed %d: first choices %s, digest %d; want %s, %d", c.seed, first, digest, c.first, c.digest)
+		}
+	}
+}
