@@ -760,7 +760,10 @@ func (c Config) buildPlumbing() (*plumbing, error) {
 // is using it. A 16x16 network of the paper's Table 2 parameters is about
 // 2.5 MB and a 32x32 one about 10 MB, so the cap holds a figure sweep's
 // working set — one arena per worker per mesh size — several times over,
-// and a service fed every shape there is stays bounded all the same.
+// and a service fed every shape there is stays bounded all the same. The
+// cap counts storage allocated, not touched: about half of an arena is
+// its generators' vectors, which stay untouched until a generator draws
+// 274 times.
 const maxIdleArenaBytes = 64 << 20
 
 // arenas is the process-wide free list Run takes its networks from: the

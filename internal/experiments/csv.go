@@ -21,9 +21,8 @@ import (
 // # Schema note: replications
 //
 // With `lapses-experiments -reps N` (N > 1), WriteCSVReps replays the
-// experiment N times under per-rep derived seeds (Seed + rep*1000003,
-// each expanded once through the per-seed rng state cache) and the CSV
-// grows two trailing columns per replicated metric column:
+// experiment N times under per-rep derived seeds (Seed + rep*1000003)
+// and the CSV grows two trailing columns per replicated metric column:
 // `<col>_mean` and `<col>_stderr` (standard error of the mean over the
 // reps). The leading columns keep rep 0's values, so single-rep parsers
 // keep working unchanged; identifying columns that legitimately differ
@@ -162,9 +161,7 @@ func (r Runner) WriteCSV(ctx context.Context, w io.Writer, name string) error {
 
 // repSeedStride derives replication seeds: rep i runs at Seed +
 // i*repSeedStride. The stride is large and odd so derived seeds never
-// collide across reps or with hand-picked neighboring seeds; each
-// derived seed expands its rng state once and is then served from the
-// per-seed cache like any other.
+// collide across reps or with hand-picked neighboring seeds.
 const repSeedStride = 1000003
 
 // WriteCSVReps writes the experiment's CSV aggregated over reps

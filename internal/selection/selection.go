@@ -43,6 +43,7 @@ import (
 	"unsafe"
 
 	"lapses/internal/flow"
+	"lapses/internal/lfib"
 	"lapses/internal/topology"
 )
 
@@ -184,14 +185,17 @@ func New(k Kind, seed int64) Selector {
 // NewBlock would have built, whatever policy ran in it before.
 type Block struct {
 	// Sels holds router i's selector at index i.
-	Sels  []Selector
+	Sels []Selector
+	// rands and vecs are Random's generators and the vectors they expand
+	// into, allocated by a Random reset and dropped by any other.
 	rands []random
+	vecs  []lfib.Vec
 }
 
 // AllocBlock returns the storage of n routers' selectors. It is not usable
 // until Reset.
 func AllocBlock(n int) *Block {
-	return &Block{Sels: make([]Selector, n), rands: make([]random, n)}
+	return &Block{Sels: make([]Selector, n)}
 }
 
 // NewBlock returns the selectors of n routers, router i's seeded
@@ -209,39 +213,32 @@ func NewBlock(k Kind, n int, seed, stride int64) *Block {
 // handed, so the routers share one value.
 func (b *Block) Reset(k Kind, seed, stride int64) {
 	if k != Random {
-		clear(b.rands)
+		b.rands, b.vecs = nil, nil
 		shared := New(k, 0)
 		for i := range b.Sels {
 			b.Sels[i] = shared
 		}
 		return
 	}
-	for i := range b.Sels {
-		r, s := &b.rands[i], seed+int64(i)*stride
-		if r.rng == nil {
-			r.rng = rand.New(rand.NewSource(s))
-		} else {
-			// Seed leaves the generator exactly as NewSource(s) builds it.
-			r.rng.Seed(s)
+	if b.rands == nil {
+		b.rands, b.vecs = make([]random, len(b.Sels)), make([]lfib.Vec, len(b.Sels))
+		for i := range b.rands {
+			b.rands[i].src = lfib.New(0, &b.vecs[i])
 		}
+	}
+	for i := range b.Sels {
+		r := &b.rands[i]
+		r.src.Seed(seed + int64(i)*stride)
+		r.rng = *rand.New(&r.src)
 		b.Sels[i] = r
 	}
 }
 
-// Bytes returns the size of the slabs and of the generators Random holds.
+// Bytes returns the size of the slabs, Random's generators included.
 func (b *Block) Bytes() int {
-	n := len(b.Sels) * int(unsafe.Sizeof(b.Sels[0])+unsafe.Sizeof(b.rands[0]))
-	for i := range b.rands {
-		if b.rands[i].rng != nil {
-			n += randBytes
-		}
-	}
-	return n
+	return len(b.Sels)*int(unsafe.Sizeof(b.Sels[0])) +
+		len(b.rands)*int(unsafe.Sizeof(random{})+unsafe.Sizeof(lfib.Vec{}))
 }
-
-// randBytes is the heap behind one rand.New(rand.NewSource(s)): the
-// 607-word lagged-Fibonacci state plus the Rand reading it.
-const randBytes = 607*8 + 64
 
 type staticXY struct{}
 
@@ -327,7 +324,10 @@ func (maxCredit) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
 	}, false)
 }
 
-type random struct{ rng *rand.Rand }
+type random struct {
+	src lfib.Source
+	rng rand.Rand
+}
 
 func (*random) Name() string { return "random" }
 

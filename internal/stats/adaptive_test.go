@@ -7,9 +7,9 @@ import (
 	"lapses/internal/traffic"
 )
 
-// rng returns the clonable, per-seed-cached traffic generator the
-// simulator itself injects with, so these tests exercise the adaptive
-// estimator on the exact random streams production runs see.
+// rng returns the traffic generator the simulator itself injects with,
+// so these tests exercise the adaptive estimator on the exact random
+// streams production runs see.
 func rng(seed int64) func() float64 {
 	r := traffic.NewInjector(1, seed).RNG()
 	return r.Float64

@@ -1,14 +1,21 @@
 package traffic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"lapses/internal/lfib"
 )
 
-// fibSource must reproduce math/rand's streams bit for bit — simulation
-// determinism across the whole repo rests on it.
+const int32max = 1<<31 - 1
+
+// A node's stream must reproduce math/rand's bit for bit — simulation
+// determinism across the whole repo rests on it. The seeds include
+// math/rand's normalisation edge cases, and each consumer draws past the
+// generator's expansion at draw 274 and its 607-word wrap.
 func TestFibSourceMatchesMathRand(t *testing.T) {
-	for _, seed := range []int64{0, 1, 7, -3, 1 << 40, 89482311} {
+	for _, seed := range []int64{0, 1, 7, -3, 1 << 40, 89482311, int32max, -int32max, math.MinInt64, math.MaxInt64} {
 		ref := rand.New(rand.NewSource(seed))
 		got := NewInjector(0, seed).RNG() // rate 0 draws nothing
 		for i := 0; i < 2000; i++ {
@@ -33,44 +40,40 @@ func TestFibSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
-// The cache must hand out independent states: advancing one clone may not
-// perturb another.
-func TestFibSourceCloneIndependence(t *testing.T) {
-	var a, b fibSource
-	seedFib(&a, 42)
-	for i := 0; i < 100; i++ {
-		a.Uint64()
+// TestSourcesFootprint pins what a Sources costs in memory that is
+// touched: building one and giving every node its first draws writes none
+// of the 4.9 KB vectors the generators would expand into (so the pages of
+// that slab are never faulted in), a node that draws past the expansion
+// writes only its own, and a Reset clears it again.
+func TestSourcesFootprint(t *testing.T) {
+	const n = 64
+	zero := func(s *Sources) int {
+		dirty := 0
+		for i := range s.vecs {
+			if s.vecs[i] != (lfib.Vec{}) {
+				dirty++
+			}
+		}
+		return dirty
 	}
-	seedFib(&b, 42)
-	ref := rand.NewSource(42)
-	for i := 0; i < 100; i++ {
-		if r, g := ref.Int63(), b.Int63(); r != g {
-			t.Fatalf("clone diverged at #%d: %d want %d", i, g, r)
+	s := NewSources(n, 0.01, nil, 5)
+	for i := 0; i < n; i++ {
+		for range 200 {
+			s.At(i).RNG().Int63()
 		}
 	}
-}
-
-// TestSeedCacheBounded: the seed cache holds at most maxSeeds expansions
-// however many seeds a process sees, and a seed it forgot regenerates the
-// stream it produced the first time.
-func TestSeedCacheBounded(t *testing.T) {
-	const base = 1 << 33 // seeds no other test uses
-	var first fibSource
-	seedFib(&first, base)
-	want := first.Uint64()
-	var s fibSource
-	for i := int64(1); i <= maxSeeds+10; i++ {
-		seedFib(&s, base+i)
+	if d := zero(s); d != 0 {
+		t.Fatalf("%d of %d vectors written by 200 draws per node; want none", d, n)
 	}
-	if n := seedCache.Len(); n != maxSeeds {
-		t.Fatalf("seed cache holds %d states after %d distinct seeds, want the cap %d", n, maxSeeds+11, maxSeeds)
+	for range 100 {
+		s.At(3).RNG().Int63()
 	}
-	if _, ok := seedCache.Load(base); ok {
-		t.Fatal("the oldest seed was not evicted")
+	if d := zero(s); d != 1 || s.vecs[3] == (lfib.Vec{}) {
+		t.Fatalf("300 draws on node 3 left %d vectors written; want node 3's alone", d)
 	}
-	seedFib(&s, base)
-	if got := s.Uint64(); got != want {
-		t.Errorf("evicted seed regenerated a different stream: %d, want %d", got, want)
+	s.Reset(0.01, nil, 6)
+	if d := zero(s); d != 0 {
+		t.Fatalf("%d vectors still written after Reset; want none", d)
 	}
 }
 

@@ -19,7 +19,7 @@
 // time scale in cycles. Both source types implement Source with a
 // precomputed next-arrival time (NextAt never draws from the stream), so
 // the NI wake heap and idle-cycle fast-forward work unchanged, and both
-// draw from the same cached per-seed replica streams — runs are
+// draw from the same per-seed replica streams (package lfib) — runs are
 // deterministic for either source.
 //
 // # Hotspot semantics
@@ -38,6 +38,7 @@ import (
 	"math/rand"
 	"unsafe"
 
+	"lapses/internal/lfib"
 	"lapses/internal/topology"
 )
 
@@ -337,8 +338,8 @@ type Injector struct {
 
 // NewInjector returns an injector generating messages at the given rate
 // (messages/cycle) with exponential inter-arrival times. A rate of zero
-// never fires. The generator is a cached-seed replica of math/rand's
-// source (see rng.go), producing identical streams to rand.NewSource.
+// never fires. The generator is lfib's replica of math/rand's source,
+// producing identical streams to rand.NewSource.
 func NewInjector(rate float64, seed int64) *Injector {
 	return &NewSources(1, rate, nil, seed).injs[0]
 }
@@ -354,14 +355,15 @@ func (inj *Injector) reset(rate float64, rng *rand.Rand) {
 
 // Sources is the generation processes of nodes 0..n-1 in one arena: the
 // processes themselves (Poisson injectors, or MMPP sources under a Burst),
-// their random streams, and the generator states the streams read, one
-// slab each. AllocSources sizes the slabs by n alone; Reset is the only
-// initialiser — NewSources is the two in a row — so a Sources that has
-// been reset is the one NewSources would have built, whatever ran in it
-// before.
+// their random streams, the generators the streams read and the vectors
+// the generators expand into, one slab each. AllocSources sizes the slabs
+// by n alone; Reset is the only initialiser — NewSources is the two in a
+// row — so a Sources that has been reset is the one NewSources would have
+// built, whatever ran in it before.
 type Sources struct {
 	list  []Source
-	fibs  []fibSource // pointer-free, so the collector never scans their 4.9 KB each
+	fibs  []lfib.Source
+	vecs  []lfib.Vec // pointer-free, and written only by a generator that expands
 	rngs  []rand.Rand
 	injs  []Injector
 	mmpps []MMPP
@@ -370,13 +372,18 @@ type Sources struct {
 // AllocSources returns the storage of n generation processes. It is not
 // usable until Reset.
 func AllocSources(n int) *Sources {
-	return &Sources{
+	s := &Sources{
 		list:  make([]Source, n),
-		fibs:  make([]fibSource, n),
+		fibs:  make([]lfib.Source, n),
+		vecs:  make([]lfib.Vec, n),
 		rngs:  make([]rand.Rand, n),
 		injs:  make([]Injector, n),
 		mmpps: make([]MMPP, n),
 	}
+	for i := range s.fibs {
+		s.fibs[i] = lfib.New(0, &s.vecs[i])
+	}
+	return s
 }
 
 // NewSources returns the generation processes of nodes 0..n-1 — Poisson
@@ -388,15 +395,16 @@ func NewSources(n int, rate float64, burst *Burst, seed int64) *Sources {
 	return s
 }
 
-// Reset starts every process over: stream i is reseeded seed+i from the
-// cached expansion (it then produces exactly what
-// rand.New(rand.NewSource(seed+i)) would), and process i restarts on it at
-// the given rate as a Poisson injector, or as an MMPP source when burst is
-// non-nil. It writes every field of every slab, the unused process slab
-// included.
+// Reset starts every process over: stream i is reseeded seed+i (it then
+// produces exactly what rand.New(rand.NewSource(seed+i)) would), and
+// process i restarts on it at the given rate as a Poisson injector, or as
+// an MMPP source when burst is non-nil. It writes every field of every
+// slab, the unused process slab included, except the vectors: reseeding
+// clears the few that expanded in the last run and leaves the rest, which
+// are zero, untouched.
 func (s *Sources) Reset(rate float64, burst *Burst, seed int64) {
 	for i := range s.list {
-		seedFib(&s.fibs[i], seed+int64(i))
+		s.fibs[i].Seed(seed + int64(i))
 		// rand.New only wraps the source; copying its result out keeps
 		// the Rand in the slab instead of on the heap by itself.
 		s.rngs[i] = *rand.New(&s.fibs[i])
@@ -417,8 +425,8 @@ func (s *Sources) At(i int) Source { return s.list[i] }
 
 // Bytes returns the size of the slabs.
 func (s *Sources) Bytes() int {
-	return len(s.list) * int(unsafe.Sizeof(s.list[0])+unsafe.Sizeof(s.fibs[0])+unsafe.Sizeof(s.rngs[0])+
-		unsafe.Sizeof(s.injs[0])+unsafe.Sizeof(s.mmpps[0]))
+	return len(s.list) * int(unsafe.Sizeof(s.list[0])+unsafe.Sizeof(s.fibs[0])+unsafe.Sizeof(s.vecs[0])+
+		unsafe.Sizeof(s.rngs[0])+unsafe.Sizeof(s.injs[0])+unsafe.Sizeof(s.mmpps[0]))
 }
 
 // RNG exposes the injector's random stream for destination draws so one
@@ -495,7 +503,7 @@ type MMPP struct {
 
 // NewMMPP returns an MMPP source with long-run mean rate `rate`
 // (messages/cycle) under the given burst parameters. A rate of zero never
-// fires. The random stream is the same cached-seed replica Injector uses,
+// fires. The random stream is the same lfib replica Injector uses,
 // so swapping source types never perturbs other nodes' streams.
 func NewMMPP(rate float64, b Burst, seed int64) *MMPP {
 	return &NewSources(1, rate, &b, seed).mmpps[0]
