@@ -285,6 +285,9 @@ fuzz)
 	# Random radices, dimensions, wraparound and VC classes: every table
 	# of every algorithm defined there equals the algorithm.
 	go test -run '^$' -fuzz FuzzSignTables -fuzztime 10s ./internal/table
+	# Random seeds and Rand call sequences: the O(1)-seeded generator
+	# replays math/rand's streams across its expansion and its wrap.
+	go test -run '^$' -fuzz FuzzFibSource -fuzztime 10s ./internal/lfib
 	;;
 *)
 	echo "usage: $0 unit|full|race|harness|serve|cluster|fuzz" >&2
