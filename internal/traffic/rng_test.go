@@ -8,14 +8,12 @@ import (
 	"lapses/internal/lfib"
 )
 
-const int32max = 1<<31 - 1
-
 // A node's stream must reproduce math/rand's bit for bit — simulation
 // determinism across the whole repo rests on it. The seeds include
 // math/rand's normalisation edge cases, and each consumer draws past the
 // generator's expansion at draw 274 and its 607-word wrap.
 func TestFibSourceMatchesMathRand(t *testing.T) {
-	for _, seed := range []int64{0, 1, 7, -3, 1 << 40, 89482311, int32max, -int32max, math.MinInt64, math.MaxInt64} {
+	for _, seed := range []int64{0, 1, 7, -3, 1 << 40, 89482311, math.MaxInt32, -math.MaxInt32, math.MinInt64, math.MaxInt64} {
 		ref := rand.New(rand.NewSource(seed))
 		got := NewInjector(0, seed).RNG() // rate 0 draws nothing
 		for i := 0; i < 2000; i++ {
@@ -47,7 +45,7 @@ func TestFibSourceMatchesMathRand(t *testing.T) {
 // writes only its own, and a Reset clears it again.
 func TestSourcesFootprint(t *testing.T) {
 	const n = 64
-	zero := func(s *Sources) int {
+	written := func(s *Sources) int {
 		dirty := 0
 		for i := range s.vecs {
 			if s.vecs[i] != (lfib.Vec{}) {
@@ -62,17 +60,17 @@ func TestSourcesFootprint(t *testing.T) {
 			s.At(i).RNG().Int63()
 		}
 	}
-	if d := zero(s); d != 0 {
+	if d := written(s); d != 0 {
 		t.Fatalf("%d of %d vectors written by 200 draws per node; want none", d, n)
 	}
 	for range 100 {
 		s.At(3).RNG().Int63()
 	}
-	if d := zero(s); d != 1 || s.vecs[3] == (lfib.Vec{}) {
+	if d := written(s); d != 1 || s.vecs[3] == (lfib.Vec{}) {
 		t.Fatalf("300 draws on node 3 left %d vectors written; want node 3's alone", d)
 	}
 	s.Reset(0.01, nil, 6)
-	if d := zero(s); d != 0 {
+	if d := written(s); d != 0 {
 		t.Fatalf("%d vectors still written after Reset; want none", d)
 	}
 }
