@@ -13,6 +13,23 @@ import (
 	"lapses/internal/traffic"
 )
 
+// experimentOutput is TestRegistryOutputPinned's view of one experiment:
+// its rendered table and, when it has a CSV form (nil otherwise), its CSV
+// at reps replications.
+func experimentOutput(ctx context.Context, r Runner, name string, reps int) (table, csv []byte, err error) {
+	var tb, cb bytes.Buffer
+	if err := r.RunByName(ctx, &tb, name); err != nil {
+		return nil, nil, err
+	}
+	if !HasCSV(name) {
+		return tb.Bytes(), nil, nil
+	}
+	if err := r.WriteCSVReps(ctx, &cb, name, reps); err != nil {
+		return nil, nil, err
+	}
+	return tb.Bytes(), cb.Bytes(), nil
+}
+
 func TestTable3CSV(t *testing.T) {
 	t.Parallel()
 	rows := []Table3Row{
