@@ -22,10 +22,12 @@
 // "Measurement methodology"): each point simulates only as long as its
 // latency statistics need, with the default tier's budget as ceiling.
 //
-// -reps N replays each experiment N times under derived seeds
+// -csv DIR writes each experiment's record table to DIR/<exp>.csv. An
+// experiment's grid runs once per seed: the same rows give the rendered
+// table and the CSV. -reps N (with -csv) runs it under N derived seeds
 // (Seed + rep*1000003) and adds mean/stderr columns to the CSVs; the
-// rendered stdout tables stay single-rep (rep 0). See the schema note
-// in internal/experiments/csv.go.
+// rendered stdout tables are rep 0's. See the schema note in
+// internal/experiments/csv.go.
 //
 // Experiment grids execute through the concurrent internal/sweep engine:
 // -workers bounds the pool (default GOMAXPROCS) for grid points and
@@ -40,6 +42,7 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"net/url"
@@ -101,29 +104,20 @@ func main() {
 	if *exp == "all" {
 		names = experiments.Names()
 	}
+	// Replications feed only the CSVs, so without -csv a grid runs once.
+	n := 1
+	if *csvDir != "" {
+		n = *reps
+	}
 	for _, name := range names {
 		start := time.Now()
-		if err := runner.RunByName(ctx, os.Stdout, name); err != nil {
+		recs, err := runner.RunByName(ctx, os.Stdout, name, n)
+		if err != nil {
 			fatal(err)
 		}
-		if *csvDir != "" && experiments.HasCSV(name) {
+		if *csvDir != "" && recs != nil {
 			path := filepath.Join(*csvDir, name+".csv")
-			file, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			// The CSV pass replays the grid out of the shared cache; with
-			// -reps it adds replications under derived seeds (rep 0 is
-			// the grid already simulated, so it stays cached). A failed
-			// write removes the file: a partial CSV that parses is worse
-			// than no CSV.
-			if err := runner.WriteCSVReps(ctx, file, name, *reps); err != nil {
-				file.Close()
-				os.Remove(path)
-				fatal(err)
-			}
-			if err := file.Close(); err != nil {
-				os.Remove(path)
+			if err := writeCSV(path, recs); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("[csv written to %s]\n", path)
@@ -139,6 +133,23 @@ func main() {
 				st.Entries, st.Hits, st.Misses, st.Quarantined)
 		}
 	}
+}
+
+// writeCSV writes a record table to path. A failed write removes the
+// file: a partial CSV that parses is worse than no CSV.
+func writeCSV(path string, recs [][]string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = csv.NewWriter(f).WriteAll(recs)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }
 
 func fatal(err error) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -88,6 +87,16 @@ var availabilityPolicies = []struct {
 	{"deterministic", core.AlgXY, selection.StaticXY},
 }
 
+// availabilityReliability is the reliability axis: each policy runs with
+// the end-to-end layer off and on.
+var availabilityReliability = []struct {
+	on   bool
+	slot func(*AvailabilityRow) *core.Result
+}{
+	{false, func(r *AvailabilityRow) *core.Result { return &r.Plain }},
+	{true, func(r *AvailabilityRow) *core.Result { return &r.Reliable }},
+}
+
 // Availability runs the storm grid: 2 policies x (reliability off, on).
 func (r Runner) Availability(ctx context.Context) ([]AvailabilityRow, error) {
 	base := r.base()
@@ -101,16 +110,15 @@ func (r Runner) Availability(ctx context.Context) ([]AvailabilityRow, error) {
 	for i, pol := range availabilityPolicies {
 		rows[i] = AvailabilityRow{Policy: pol.name, Schedule: sched}
 		row := &rows[i]
-		for _, rel := range []bool{false, true} {
+		for _, rel := range availabilityReliability {
 			c := base
 			c.Algorithm = pol.alg
 			c.Selection = pol.sel
 			c.Faults = sched
-			slot := &row.Plain
-			if rel {
+			if rel.on {
 				c.Reliability = &core.Reliability{}
-				slot = &row.Reliable
 			}
+			slot := rel.slot(row)
 			g.add(c, func(res core.Result) { *slot = res })
 		}
 	}
@@ -147,41 +155,29 @@ func RenderAvailability(w io.Writer, rows []AvailabilityRow) {
 	}
 }
 
-// AvailabilityCSV writes one row per (policy, reliability).
-func AvailabilityCSV(w io.Writer, rows []AvailabilityRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+// availabilityRecords has one record per (policy, reliability).
+func availabilityRecords(rows []AvailabilityRow) [][]string {
+	recs := [][]string{{
 		"policy", "reliability", "storm",
 		"delivered_fraction", "p99_latency", "recovery_cycles",
 		"dropped_flits", "dropped_messages", "reconvergence_epochs",
 		"retransmits", "dup_suppressed", "abandoned",
-	}); err != nil {
-		return err
-	}
+	}}
 	for _, r := range rows {
-		for _, p := range []struct {
-			rel bool
-			res core.Result
-		}{{false, r.Plain}, {true, r.Reliable}} {
-			rec := []string{
-				r.Policy,
-				strconv.FormatBool(p.rel),
-				r.Schedule.Key(),
-				strconv.FormatFloat(p.res.DeliveredFraction, 'f', 5, 64),
-				strconv.FormatFloat(p.res.P99, 'f', 2, 64),
-				strconv.FormatInt(p.res.RecoveryCycles, 10),
-				strconv.FormatInt(p.res.DroppedFlits, 10),
-				strconv.FormatInt(p.res.DroppedMessages, 10),
-				strconv.FormatInt(p.res.ReconvergenceEpochs, 10),
-				strconv.FormatInt(p.res.Retransmits, 10),
-				strconv.FormatInt(p.res.DupSuppressed, 10),
-				strconv.FormatInt(p.res.Abandoned, 10),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+		for _, rel := range availabilityReliability {
+			res := rel.slot(&r)
+			recs = append(recs, []string{
+				r.Policy, strconv.FormatBool(rel.on), r.Schedule.Key(),
+				fixed(res.DeliveredFraction, 5), fixed(res.P99, 2),
+				strconv.FormatInt(res.RecoveryCycles, 10),
+				strconv.FormatInt(res.DroppedFlits, 10),
+				strconv.FormatInt(res.DroppedMessages, 10),
+				strconv.FormatInt(res.ReconvergenceEpochs, 10),
+				strconv.FormatInt(res.Retransmits, 10),
+				strconv.FormatInt(res.DupSuppressed, 10),
+				strconv.FormatInt(res.Abandoned, 10),
+			})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return recs
 }

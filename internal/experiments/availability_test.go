@@ -86,11 +86,7 @@ func TestClaimAvailability(t *testing.T) {
 			t.Errorf("rendered report missing %q:\n%s", want, out)
 		}
 	}
-	b.Reset()
-	if err := AvailabilityCSV(&b, rows); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(b.String(), "\n"); got != 5 {
-		t.Errorf("CSV rows = %d, want 5 (header + 2 policies x 2 reliability modes)", got)
+	if got := len(availabilityRecords(rows)); got != 5 {
+		t.Errorf("records = %d, want 5 (header + 2 policies x 2 reliability modes)", got)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -253,25 +252,21 @@ func RenderCongestion(w io.Writer, rows []CongestionRow) {
 		probes, cycles, len(searches), dense)
 }
 
-// CongestionCSV writes one row per (workload, policy).
-func CongestionCSV(w io.Writer, rows []CongestionRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+// congestionRecords has one record per (workload, policy).
+func congestionRecords(rows []CongestionRow) [][]string {
+	recs := [][]string{{
 		"workload", "pattern", "burst_on_frac", "burst_mean_on", "qos_hi_frac", "fault_links", "fault_plan",
 		"policy", "notify",
 		"avg_latency", "saturated", "ovr_throughput",
 		"sat_load", "sat_throughput", "sat_converged", "search_probes", "search_cycles",
-	}); err != nil {
-		return err
-	}
+	}}
 	for _, r := range rows {
 		onFrac, meanOn, hiFrac := "", "", ""
 		if b := r.Workload.Burst; b != nil {
-			onFrac = strconv.FormatFloat(b.OnFrac, 'f', 3, 64)
-			meanOn = strconv.FormatFloat(b.MeanOn, 'f', 1, 64)
+			onFrac, meanOn = fixed(b.OnFrac, 3), fixed(b.MeanOn, 1)
 		}
 		if q := r.Workload.QoS; q != nil {
-			hiFrac = strconv.FormatFloat(q.HiFrac, 'f', 3, 64)
+			hiFrac = fixed(q.HiFrac, 3)
 		}
 		plan := ""
 		if r.Plan != nil {
@@ -279,28 +274,15 @@ func CongestionCSV(w io.Writer, rows []CongestionRow) error {
 		}
 		for _, pol := range CongestionPolicies {
 			c := r.Cells[pol]
-			rec := []string{
-				r.Workload.Name,
-				r.Workload.Pattern.String(),
-				onFrac, meanOn, hiFrac,
-				strconv.Itoa(r.Workload.FaultLinks),
-				plan,
-				pol.String(),
-				strconv.FormatBool(pol.IsNotify()),
-				latCell(c.Lat),
-				satCell(c.Lat),
-				strconv.FormatFloat(c.Ovr.Throughput, 'f', 5, 64),
-				strconv.FormatFloat(c.Search.Lo, 'f', 4, 64),
-				strconv.FormatFloat(c.Sat.Throughput, 'f', 5, 64),
-				strconv.FormatBool(c.Search.Converged),
-				strconv.Itoa(c.Search.Probes),
-				strconv.FormatInt(c.Search.SimulatedCycles, 10),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			recs = append(recs, []string{
+				r.Workload.Name, r.Workload.Pattern.String(), onFrac, meanOn, hiFrac,
+				strconv.Itoa(r.Workload.FaultLinks), plan,
+				pol.String(), strconv.FormatBool(pol.IsNotify()),
+				latCell(c.Lat), satCell(c.Lat), fixed(c.Ovr.Throughput, 5),
+				fixed(c.Search.Lo, 4), fixed(c.Sat.Throughput, 5), strconv.FormatBool(c.Search.Converged),
+				strconv.Itoa(c.Search.Probes), strconv.FormatInt(c.Search.SimulatedCycles, 10),
+			})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return recs
 }

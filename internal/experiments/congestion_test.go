@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"strings"
 	"sync"
 	"testing"
@@ -129,19 +128,12 @@ func TestCongestionQuick(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := CongestionCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := congestionRecords(rows)
 	if want := 1 + len(rows)*len(CongestionPolicies); len(recs) != want {
-		t.Fatalf("CSV has %d records, want %d", len(recs), want)
+		t.Fatalf("%d records, want %d", len(recs), want)
 	}
 	if recs[0][0] != "workload" || recs[0][7] != "policy" || recs[0][11] != "ovr_throughput" {
-		t.Fatalf("CSV header: %v", recs[0])
+		t.Fatalf("header: %v", recs[0])
 	}
 
 	var render bytes.Buffer

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lapses/internal/core"
@@ -16,15 +16,13 @@ import (
 // experimentOutput is TestRegistryOutputPinned's view of one experiment:
 // its rendered table and, when it has a CSV form (nil otherwise), its CSV
 // at reps replications.
-func experimentOutput(ctx context.Context, r Runner, name string, reps int) (table, csv []byte, err error) {
+func experimentOutput(ctx context.Context, r Runner, name string, reps int) (table, csvOut []byte, err error) {
 	var tb, cb bytes.Buffer
-	if err := r.RunByName(ctx, &tb, name); err != nil {
-		return nil, nil, err
+	recs, err := r.RunByName(ctx, &tb, name, reps)
+	if err != nil || recs == nil {
+		return tb.Bytes(), nil, err
 	}
-	if !HasCSV(name) {
-		return tb.Bytes(), nil, nil
-	}
-	if err := r.WriteCSVReps(ctx, &cb, name, reps); err != nil {
+	if err := csv.NewWriter(&cb).WriteAll(recs); err != nil {
 		return nil, nil, err
 	}
 	return tb.Bytes(), cb.Bytes(), nil
@@ -36,14 +34,7 @@ func TestTable3CSV(t *testing.T) {
 		{MsgLen: 5, LookAhead: core.Result{AvgLatency: 50}, NoLookAhd: core.Result{AvgLatency: 60}},
 		{MsgLen: 20, LookAhead: core.Result{AvgLatency: 75}, NoLookAhd: core.Result{Saturated: true}},
 	}
-	var buf bytes.Buffer
-	if err := Table3CSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := table3Records(rows)
 	if len(recs) != 3 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -63,14 +54,7 @@ func TestFig6CSV(t *testing.T) {
 	for i, psh := range Fig6PSHs {
 		row.ByPSH[psh] = core.Result{AvgLatency: float64(100 + i), Throughput: 0.1}
 	}
-	var buf bytes.Buffer
-	if err := Fig6CSV(&buf, []Fig6Row{row}); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := fig6Records([]Fig6Row{row})
 	if len(recs) != 1+len(Fig6PSHs) {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -88,12 +72,12 @@ func TestFig5AndTable4CSV(t *testing.T) {
 		LADet:     core.Result{Saturated: true},
 		LAAdapt:   core.Result{AvgLatency: 100},
 	}}
-	var buf bytes.Buffer
-	if err := Fig5CSV(&buf, f5); err != nil {
-		t.Fatal(err)
+	recs := fig5Records(f5)
+	if len(recs) != 5 {
+		t.Errorf("fig5 records = %d want 5", len(recs))
 	}
-	if got := strings.Count(buf.String(), "\n"); got != 5 {
-		t.Errorf("fig5 lines = %d want 5", got)
+	if recs[1][2] != "nola-det" || recs[1][3] != "" || recs[4][2] != "la-adapt" || recs[4][3] != "100.000" {
+		t.Errorf("fig5 records = %v", recs)
 	}
 	t4 := []Table4Row{{
 		Pattern: traffic.Uniform, Load: 0.2,
@@ -102,18 +86,15 @@ func TestFig5AndTable4CSV(t *testing.T) {
 		Full:         core.Result{AvgLatency: 85},
 		ES:           core.Result{AvgLatency: 85},
 	}}
-	buf.Reset()
-	if err := Table4CSV(&buf, t4); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "meta-adaptive") {
-		t.Error("table4 csv missing scheme column")
+	recs = table4Records(t4)
+	if recs[1][2] != "meta-adaptive" || recs[1][3] != "140.000" {
+		t.Errorf("table4 records = %v", recs)
 	}
 }
 
-// TestWriteCSVReps: the replication writer must derive one seed per rep,
-// keep rep 0's identifying columns, and append mean/stderr columns
-// computed across the reps.
+// TestWriteCSVReps: replication must derive one seed per rep, keep rep
+// 0's identifying columns, and append mean/stderr columns computed
+// across the reps.
 func TestWriteCSVReps(t *testing.T) {
 	t.Parallel()
 	var mu sync.Mutex
@@ -127,18 +108,15 @@ func TestWriteCSVReps(t *testing.T) {
 		rep := (c.Seed - 7) / repSeedStride
 		return core.Result{AvgLatency: 100 + float64(rep), Throughput: 0.5, Delivered: 1}, nil
 	}}
-	var buf bytes.Buffer
-	if err := r.WriteCSVReps(context.Background(), &buf, "table4", 3); err != nil {
+	var table bytes.Buffer
+	recs, err := r.RunByName(context.Background(), &table, "table4", 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []int64{7, 7 + repSeedStride, 7 + 2*repSeedStride} {
 		if !seeds[want] {
 			t.Errorf("rep seed %d never ran (saw %v)", want, seeds)
 		}
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
 	}
 	header := recs[0]
 	if header[len(header)-2] != "avg_latency_mean" || header[len(header)-1] != "avg_latency_stderr" {
@@ -157,21 +135,42 @@ func TestWriteCSVReps(t *testing.T) {
 			t.Fatalf("stderr = %q", rec[len(rec)-1])
 		}
 	}
-	// reps=1 falls back to the plain schema.
-	buf.Reset()
-	if err := r.WriteCSVReps(context.Background(), &buf, "table4", 1); err != nil {
-		t.Fatal(err)
+	// The rendered table is rep 0's.
+	var rep0 bytes.Buffer
+	RenderTable4(&rep0, []Table4Row{{Pattern: traffic.Uniform, Load: 0.1,
+		MetaAdaptive: core.Result{AvgLatency: 100}, MetaDet: core.Result{AvgLatency: 100},
+		Full: core.Result{AvgLatency: 100}, ES: core.Result{AvgLatency: 100}}})
+	if !bytes.HasPrefix(table.Bytes(), rep0.Bytes()) {
+		t.Errorf("rendered table is not rep 0's:\n%s", table.Bytes())
 	}
-	recs, err = csv.NewReader(&buf).ReadAll()
+	// reps=1 keeps the plain schema.
+	recs, err = r.RunByName(context.Background(), &table, "table4", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs[0]) != 5 {
 		t.Fatalf("reps=1 header = %v", recs[0])
 	}
-	// Experiments without a CSV form error cleanly.
-	if err := r.WriteCSVReps(context.Background(), &buf, "table5", 2); err == nil {
-		t.Error("table5 accepted for replication")
+	// Experiments without a record form run once and return none.
+	if recs, err := r.RunByName(context.Background(), &table, "table5", 2); err != nil || recs != nil {
+		t.Errorf("table5 at 2 reps = %v, %v; want no records", recs, err)
+	}
+}
+
+// TestOnePassPerSeed: a table plus its CSV at three replications
+// simulates the grid once per seed, with no memo cache to hide a rerun.
+func TestOnePassPerSeed(t *testing.T) {
+	t.Parallel()
+	var sims atomic.Int64
+	r := Runner{Fidelity: Quick, Seed: 1, Workers: 2, run: func(c core.Config) (core.Result, error) {
+		sims.Add(1)
+		return fakeRun(c)
+	}}
+	if _, err := r.RunByName(context.Background(), &bytes.Buffer{}, "table3", 3); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sims.Load(), int64(3*2*len(table3Lengths)); got != want {
+		t.Errorf("table3 at 3 reps simulated %d points, want %d (one pass per seed)", got, want)
 	}
 }
 
@@ -179,19 +178,19 @@ func TestWriteCSVByNameErrors(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
 	r := fakeRunner()
-	if err := r.WriteCSV(context.Background(), &buf, "table5"); err == nil {
-		t.Error("table5 should have no CSV form")
+	if recs, err := r.RunByName(context.Background(), &buf, "table5", 1); err != nil || recs != nil {
+		t.Errorf("table5 = %v, %v; want no record form", recs, err)
 	}
 	for _, name := range []string{"fig5", "table3", "fig6", "table4", "availability"} {
-		buf.Reset()
-		if err := r.WriteCSV(context.Background(), &buf, name); err != nil {
+		recs, err := r.RunByName(context.Background(), &buf, name, 1)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if recs, err := csv.NewReader(&buf).ReadAll(); err != nil || len(recs) < 2 {
-			t.Errorf("%s: csv = %d records, err %v", name, len(recs), err)
+		if len(recs) < 2 {
+			t.Errorf("%s: %d records, want a header and at least one row", name, len(recs))
 		}
 	}
-	if err := r.WriteCSV(context.Background(), &buf, "nope"); err == nil {
+	if _, err := r.RunByName(context.Background(), &buf, "nope", 1); err == nil {
 		t.Error("expected error for unknown experiment")
 	}
 }

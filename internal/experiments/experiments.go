@@ -204,17 +204,19 @@ type Fig5Row struct {
 	NoLADet, NoLAAdapt, LADet, LAAdapt core.Result
 }
 
-// fig5Archs is the architecture axis of Fig. 5, in column order (the
-// column headers live in RenderFig5).
+// fig5Archs is the architecture axis of Fig. 5, in column order, with
+// each architecture's name in the record table (the column headers live
+// in RenderFig5).
 var fig5Archs = []struct {
+	Name string
 	LA   bool
 	Alg  core.Alg
 	Slot func(*Fig5Row) *core.Result
 }{
-	{false, core.AlgXY, func(r *Fig5Row) *core.Result { return &r.NoLADet }},
-	{false, core.AlgDuato, func(r *Fig5Row) *core.Result { return &r.NoLAAdapt }},
-	{true, core.AlgXY, func(r *Fig5Row) *core.Result { return &r.LADet }},
-	{true, core.AlgDuato, func(r *Fig5Row) *core.Result { return &r.LAAdapt }},
+	{"nola-det", false, core.AlgXY, func(r *Fig5Row) *core.Result { return &r.NoLADet }},
+	{"nola-adapt", false, core.AlgDuato, func(r *Fig5Row) *core.Result { return &r.NoLAAdapt }},
+	{"la-det", true, core.AlgXY, func(r *Fig5Row) *core.Result { return &r.LADet }},
+	{"la-adapt", true, core.AlgDuato, func(r *Fig5Row) *core.Result { return &r.LAAdapt }},
 }
 
 // Fig5 runs the four-architecture comparison (deterministic/adaptive with
@@ -417,15 +419,17 @@ func table4Loads(p traffic.Kind) []float64 {
 	}
 }
 
-// table4Schemes is the storage-scheme axis of Table 4, in column order.
+// table4Schemes is the storage-scheme axis of Table 4, in column order,
+// with each scheme's name in the record table.
 var table4Schemes = []struct {
+	Name string
 	Kind table.Kind
 	Slot func(*Table4Row) *core.Result
 }{
-	{table.KindMetaBlock, func(r *Table4Row) *core.Result { return &r.MetaAdaptive }},
-	{table.KindMetaRow, func(r *Table4Row) *core.Result { return &r.MetaDet }},
-	{table.KindFull, func(r *Table4Row) *core.Result { return &r.Full }},
-	{table.KindES, func(r *Table4Row) *core.Result { return &r.ES }},
+	{"meta-adaptive", table.KindMetaBlock, func(r *Table4Row) *core.Result { return &r.MetaAdaptive }},
+	{"meta-det", table.KindMetaRow, func(r *Table4Row) *core.Result { return &r.MetaDet }},
+	{"full", table.KindFull, func(r *Table4Row) *core.Result { return &r.Full }},
+	{"es", table.KindES, func(r *Table4Row) *core.Result { return &r.ES }},
 }
 
 // Table4 compares the table-storage schemes: meta-table with the maximal-
@@ -514,68 +518,59 @@ func RenderTable5(w io.Writer, rows []Table5Row) {
 // and its command know about a runnable experiment.
 type experiment struct {
 	name string
-	// render runs the experiment and prints it in the paper's format.
-	render func(context.Context, Runner, io.Writer) error
-	// csv runs it and writes its CSV form; nil when it has none (the
+	// run simulates the experiment once under the runner's seed and
+	// returns its two output forms: render prints it in the paper's
+	// format, and records is its record table, nil when it has none (the
 	// reference tables and the storage summary).
-	csv func(context.Context, Runner, io.Writer) error
-	// repCols names the CSV's metric columns, the ones WriteCSVReps
-	// aggregates across replications (see the schema note in csv.go).
+	run func(context.Context, Runner) (render func(io.Writer), records [][]string, err error)
+	// repCols names the record table's metric columns, the ones
+	// replications aggregate (see the schema note in csv.go).
 	repCols []string
 }
 
 // static is an experiment that simulates nothing.
 func static(name string, render func(io.Writer)) experiment {
-	return experiment{name: name, render: func(_ context.Context, _ Runner, w io.Writer) error {
-		render(w)
-		return nil
+	return experiment{name: name, run: func(context.Context, Runner) (func(io.Writer), [][]string, error) {
+		return render, nil, nil
 	}}
 }
 
 // swept is an experiment whose rows come out of a sweep: run produces
-// them, render and csv are its two output forms.
+// them, render and records are its two output forms.
 func swept[R any](name string, run func(Runner, context.Context) ([]R, error),
-	render func(io.Writer, []R), csv func(io.Writer, []R) error, repCols ...string) experiment {
+	render func(io.Writer, []R), records func([]R) [][]string, repCols ...string) experiment {
 	return experiment{
 		name: name,
-		render: func(ctx context.Context, r Runner, w io.Writer) error {
+		run: func(ctx context.Context, r Runner) (func(io.Writer), [][]string, error) {
 			rows, err := run(r, ctx)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			render(w, rows)
-			return nil
-		},
-		csv: func(ctx context.Context, r Runner, w io.Writer) error {
-			rows, err := run(r, ctx)
-			if err != nil {
-				return err
-			}
-			return csv(w, rows)
+			return func(w io.Writer) { render(w, rows) }, records(rows), nil
 		},
 		repCols: repCols,
 	}
 }
 
 // registry is the one list of what can be run, in "-exp all" order. Names,
-// RunByName, HasCSV, WriteCSV, WriteCSVReps and the command's help all read
-// it; a new experiment is a new row.
+// RunByName and the command's help all read it; a new experiment is a new
+// row.
 var registry = []experiment{
 	static("table1", func(w io.Writer) { RenderTable1(w, Table1()) }),
 	static("table2", func(w io.Writer) { RenderTable2(w, core.DefaultConfig()) }),
-	swept("fig5", Runner.Fig5, RenderFig5, Fig5CSV, "avg_latency", "throughput"),
-	swept("table3", Runner.Table3, RenderTable3, Table3CSV, "lookahead_latency", "no_lookahead_latency", "improvement_pct"),
-	swept("fig6", Runner.Fig6, RenderFig6, Fig6CSV, "avg_latency", "throughput"),
-	swept("table4", Runner.Table4, RenderTable4, Table4CSV, "avg_latency"),
+	swept("fig5", Runner.Fig5, RenderFig5, fig5Records, "avg_latency", "throughput"),
+	swept("table3", Runner.Table3, RenderTable3, table3Records, "lookahead_latency", "no_lookahead_latency", "improvement_pct"),
+	swept("fig6", Runner.Fig6, RenderFig6, fig6Records, "avg_latency", "throughput"),
+	swept("table4", Runner.Table4, RenderTable4, table4Records, "avg_latency"),
 	static("table5", func(w io.Writer) {
 		RenderTable5(w, Table5(256, 2))
 		fmt.Fprintln(w)
 		RenderTable5(w, Table5(2048, 3))
 	}),
-	swept("resilience", Runner.Resilience, RenderResilience, ResilienceCSV, "avg_latency", "sat_load", "sat_throughput"),
-	swept("scaling", Runner.Scaling, RenderScaling, ScalingCSV, "sat_load", "sat_throughput", "overdriven_throughput"),
-	swept("congestion", Runner.Congestion, RenderCongestion, CongestionCSV, "avg_latency", "ovr_throughput", "sat_load", "sat_throughput"),
-	swept("availability", Runner.Availability, RenderAvailability, AvailabilityCSV, "delivered_fraction", "p99_latency"),
+	swept("resilience", Runner.Resilience, RenderResilience, resilienceRecords, "avg_latency", "sat_load", "sat_throughput"),
+	swept("scaling", Runner.Scaling, RenderScaling, scalingRecords, "sat_load", "sat_throughput", "overdriven_throughput"),
+	swept("congestion", Runner.Congestion, RenderCongestion, congestionRecords, "avg_latency", "ovr_throughput", "sat_load", "sat_throughput"),
+	swept("availability", Runner.Availability, RenderAvailability, availabilityRecords, "delivered_fraction", "p99_latency"),
 }
 
 // Names lists the runnable experiment identifiers, in "-exp all" order.
@@ -585,12 +580,6 @@ func Names() []string {
 		names[i] = e.name
 	}
 	return names
-}
-
-// HasCSV reports whether the named experiment has a CSV form.
-func HasCSV(name string) bool {
-	_, err := findCSV(name)
-	return err == nil
 }
 
 // find looks an experiment up by identifier, case-insensitively.
@@ -605,20 +594,37 @@ func find(name string) (experiment, error) {
 	return experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", name, strings.Join(names, ", "))
 }
 
-// findCSV is find for an experiment that must have a CSV form.
-func findCSV(name string) (experiment, error) {
-	e, err := find(name)
-	if err == nil && e.csv == nil {
-		err = fmt.Errorf("experiments: no CSV form for %q", name)
-	}
-	return e, err
-}
-
-// RunByName executes one experiment by identifier and renders it to w.
-func (r Runner) RunByName(ctx context.Context, w io.Writer, name string) error {
+// RunByName executes one experiment by identifier. It runs the
+// experiment's grid once per seed, reps times under derived seeds (reps
+// < 1 counts as one), renders rep 0 to w and returns the record table:
+// rep 0's records plus, when reps > 1, mean and stderr columns over all
+// reps (see the schema note in csv.go). An experiment without a record
+// form runs once and returns nil.
+func (r Runner) RunByName(ctx context.Context, w io.Writer, name string, reps int) ([][]string, error) {
 	e, err := find(name)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return e.render(ctx, r, w)
+	render, recs, err := e.run(ctx, r)
+	if err != nil {
+		return nil, err
+	}
+	render(w)
+	if recs == nil || reps <= 1 {
+		return recs, nil
+	}
+	all := [][][]string{recs}
+	for rep := 1; rep < reps; rep++ {
+		rr := r
+		rr.Seed = r.Seed + int64(rep)*repSeedStride
+		_, recs, err := e.run(ctx, rr)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: rep %d: %w", rep, err)
+		}
+		if len(recs) != len(all[0]) {
+			return nil, fmt.Errorf("experiments: rep %d produced %d rows, rep 0 produced %d", rep, len(recs), len(all[0]))
+		}
+		all = append(all, recs)
+	}
+	return replicate(name, all, e.repCols)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"errors"
 	"slices"
 	"strings"
@@ -172,7 +171,7 @@ func TestExecSeamRoutesGrids(t *testing.T) {
 	t.Parallel()
 	for _, name := range []string{"fig5", "table3", "fig6", "table4"} {
 		var direct bytes.Buffer
-		if err := fakeRunner().RunByName(context.Background(), &direct, name); err != nil {
+		if _, err := fakeRunner().RunByName(context.Background(), &direct, name, 1); err != nil {
 			t.Fatalf("%s in-process: %v", name, err)
 		}
 		calls := 0
@@ -182,7 +181,7 @@ func TestExecSeamRoutesGrids(t *testing.T) {
 			return sweep.Run(ctx, grid, opt)
 		}
 		var routed bytes.Buffer
-		if err := r.RunByName(context.Background(), &routed, name); err != nil {
+		if _, err := r.RunByName(context.Background(), &routed, name, 1); err != nil {
 			t.Fatalf("%s via Exec: %v", name, err)
 		}
 		if calls == 0 {
@@ -201,54 +200,41 @@ func TestExperimentCancellation(t *testing.T) {
 	if _, err := fakeRunner().Fig5(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("Fig5 on cancelled ctx = %v", err)
 	}
-	if err := fakeRunner().RunByName(ctx, &bytes.Buffer{}, "table4"); !errors.Is(err, context.Canceled) {
+	if _, err := fakeRunner().RunByName(ctx, &bytes.Buffer{}, "table4", 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunByName on cancelled ctx = %v", err)
 	}
 }
 
-// TestRunByNameRendersAllSweeps walks the registry through RunByName and
-// WriteCSV on a scripted simulator (every offered load accepted up to a
-// knee at 0.3, inside every saturation search's bracket): each experiment
-// renders, each CSV form has a header and at least one row, and each
-// replicable column is a column of that header — a misspelt repCols entry
-// otherwise surfaces only at -reps 2.
+// TestRunByNameRendersAllSweeps walks the registry through RunByName on
+// a scripted simulator (every offered load accepted up to a knee at 0.3,
+// inside every saturation search's bracket): each experiment renders,
+// each record table has a header and at least one row, and each
+// replicable column is a column of that header — a misspelt repCols
+// entry otherwise surfaces only at -reps 2.
 func TestRunByNameRendersAllSweeps(t *testing.T) {
 	t.Parallel()
-	r := Runner{Fidelity: Quick, Seed: 1, Workers: 4, run: func(c core.Config) (core.Result, error) {
-		accepted := c.Load
-		if accepted > 0.3 {
-			accepted = 0.05
-		}
-		return core.Result{Throughput: accepted * c.Mesh().SaturationInjectionRate(), AvgLatency: 50, TotalCycles: 1000, Delivered: 1}, nil
-	}}
+	r := Runner{Fidelity: Quick, Seed: 1, Workers: 4, run: kneeRun}
 	for _, e := range registry {
 		var buf bytes.Buffer
-		if err := r.RunByName(context.Background(), &buf, e.name); err != nil {
+		recs, err := r.RunByName(context.Background(), &buf, e.name, 1)
+		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
 		if buf.Len() == 0 {
 			t.Errorf("%s: no output", e.name)
 		}
-		if HasCSV(e.name) != (e.csv != nil) {
-			t.Errorf("%s: HasCSV = %v with csv writer set: %v", e.name, HasCSV(e.name), e.csv != nil)
-		}
-		if e.csv == nil {
+		if recs == nil {
 			if len(e.repCols) > 0 {
-				t.Errorf("%s: replicable columns %v without a CSV form", e.name, e.repCols)
+				t.Errorf("%s: replicable columns %v without a record form", e.name, e.repCols)
 			}
 			continue
 		}
-		buf.Reset()
-		if err := r.WriteCSV(context.Background(), &buf, e.name); err != nil {
-			t.Fatalf("%s csv: %v", e.name, err)
-		}
-		recs, err := csv.NewReader(&buf).ReadAll()
-		if err != nil || len(recs) < 2 {
-			t.Fatalf("%s: csv = %d records, err %v; want a header and at least one row", e.name, len(recs), err)
+		if len(recs) < 2 {
+			t.Fatalf("%s: %d records; want a header and at least one row", e.name, len(recs))
 		}
 		for _, col := range e.repCols {
 			if !slices.Contains(recs[0], col) {
-				t.Errorf("%s: replicable column %q is not in the CSV header %v", e.name, col, recs[0])
+				t.Errorf("%s: replicable column %q is not in the header %v", e.name, col, recs[0])
 			}
 		}
 	}
@@ -398,13 +384,13 @@ func TestRunByName(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
 	r := Runner{Fidelity: Quick, Seed: 1}
-	if err := r.RunByName(context.Background(), &buf, "table5"); err != nil {
+	if _, err := r.RunByName(context.Background(), &buf, "table5", 1); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
 		t.Error("no output")
 	}
-	err := r.RunByName(context.Background(), &buf, "nonsense")
+	_, err := r.RunByName(context.Background(), &buf, "nonsense", 1)
 	if err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}

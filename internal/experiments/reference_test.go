@@ -48,7 +48,7 @@ func TestTable2RendersDefaults(t *testing.T) {
 func TestRunByNameReference(t *testing.T) {
 	var buf bytes.Buffer
 	for _, name := range []string{"table1", "table2"} {
-		if err := (Runner{Fidelity: Quick, Seed: 1}).RunByName(context.Background(), &buf, name); err != nil {
+		if _, err := (Runner{Fidelity: Quick, Seed: 1}).RunByName(context.Background(), &buf, name, 1); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

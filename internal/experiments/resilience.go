@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -102,20 +101,21 @@ func ResiliencePlans(base core.Config, counts []int, seed int64) (map[int]*fault
 	return plans, nil
 }
 
-// resiliencePolicies is the policy axis shared by the latency grid and
-// the saturation searches.
+// resiliencePolicies is the policy axis shared by the latency grid, the
+// saturation searches and the record table.
 var resiliencePolicies = []struct {
+	name   string
 	alg    core.Alg
 	sel    selection.Kind
 	lat    func(*ResilienceRow) *core.Result
 	sat    func(*ResilienceRow) *core.Result
 	search func(*ResilienceRow) *sweep.BisectResult
 }{
-	{core.AlgDuato, selection.LRU,
+	{"adaptive", core.AlgDuato, selection.LRU,
 		func(w *ResilienceRow) *core.Result { return &w.AdaptiveLat },
 		func(w *ResilienceRow) *core.Result { return &w.AdaptiveSat },
 		func(w *ResilienceRow) *sweep.BisectResult { return &w.AdaptiveSearch }},
-	{core.AlgXY, selection.StaticXY,
+	{"deterministic", core.AlgXY, selection.StaticXY,
 		func(w *ResilienceRow) *core.Result { return &w.DetLat },
 		func(w *ResilienceRow) *core.Result { return &w.DetSat },
 		func(w *ResilienceRow) *sweep.BisectResult { return &w.DetSearch }},
@@ -204,13 +204,10 @@ func RenderResilience(w io.Writer, rows []ResilienceRow) {
 			r.AdaptiveSatLoad(), r.DetSatLoad(),
 			r.AdaptiveSat.Throughput, r.DetSat.Throughput, r.ThroughputGain(),
 			r.AdaptiveLat.LatencyString(), r.DetLat.LatencyString())
-		for _, s := range []struct {
-			name   string
-			search sweep.BisectResult
-		}{{"adaptive", r.AdaptiveSearch}, {"deterministic", r.DetSearch}} {
-			if !s.search.Converged {
+		for _, pol := range resiliencePolicies {
+			if s := pol.search(&r); !s.Converged {
 				fmt.Fprintf(w, "warning: %s saturation search at %d faults did not converge (bracket [%.3f, %.3f]); sat-load is a lower bound\n",
-					s.name, r.FaultLinks, s.search.Lo, s.search.Hi)
+					pol.name, r.FaultLinks, s.Lo, s.Hi)
 			}
 		}
 		searches = append(searches, r.AdaptiveSearch, r.DetSearch)
@@ -220,48 +217,27 @@ func RenderResilience(w io.Writer, rows []ResilienceRow) {
 		probes, cycles, len(searches), dense)
 }
 
-// ResilienceCSV writes one row per (pattern, fault count, policy).
-func ResilienceCSV(w io.Writer, rows []ResilienceRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+// resilienceRecords has one record per (pattern, fault count, policy).
+func resilienceRecords(rows []ResilienceRow) [][]string {
+	recs := [][]string{{
 		"pattern", "fault_links", "fault_plan", "policy",
 		"avg_latency", "saturated", "sat_load", "sat_throughput", "sat_converged",
 		"search_probes", "search_cycles",
-	}); err != nil {
-		return err
-	}
+	}}
 	for _, r := range rows {
 		plan := ""
 		if r.Plan != nil {
 			plan = r.Plan.Key()
 		}
-		for _, p := range []struct {
-			name   string
-			lat    core.Result
-			sat    core.Result
-			search sweep.BisectResult
-		}{
-			{"adaptive", r.AdaptiveLat, r.AdaptiveSat, r.AdaptiveSearch},
-			{"deterministic", r.DetLat, r.DetSat, r.DetSearch},
-		} {
-			rec := []string{
-				r.Pattern.String(),
-				strconv.Itoa(r.FaultLinks),
-				plan,
-				p.name,
-				latCell(p.lat),
-				satCell(p.lat),
-				strconv.FormatFloat(p.search.Lo, 'f', 4, 64),
-				strconv.FormatFloat(p.sat.Throughput, 'f', 5, 64),
-				strconv.FormatBool(p.search.Converged),
-				strconv.Itoa(p.search.Probes),
-				strconv.FormatInt(p.search.SimulatedCycles, 10),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+		for _, pol := range resiliencePolicies {
+			lat, search := *pol.lat(&r), *pol.search(&r)
+			recs = append(recs, []string{
+				r.Pattern.String(), strconv.Itoa(r.FaultLinks), plan, pol.name,
+				latCell(lat), satCell(lat),
+				fixed(search.Lo, 4), fixed(pol.sat(&r).Throughput, 5), strconv.FormatBool(search.Converged),
+				strconv.Itoa(search.Probes), strconv.FormatInt(search.SimulatedCycles, 10),
+			})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return recs
 }

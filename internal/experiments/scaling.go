@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -152,33 +151,22 @@ func dimsString(dims []int) string {
 	return s
 }
 
-// ScalingCSV writes one row per (mesh, policy).
-func ScalingCSV(w io.Writer, rows []ScalingRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+// scalingRecords has one record per (mesh, policy).
+func scalingRecords(rows []ScalingRow) [][]string {
+	recs := [][]string{{
 		"mesh", "nodes", "policy",
 		"sat_load", "sat_throughput", "sat_converged", "overdriven_throughput",
-	}); err != nil {
-		return err
-	}
+	}}
 	for _, r := range rows {
 		nodes := 1
 		for _, d := range r.Dims {
 			nodes *= d
 		}
-		rec := []string{
-			dimsString(r.Dims),
-			strconv.Itoa(nodes),
-			r.Policy,
-			strconv.FormatFloat(r.SatLoad, 'f', 4, 64),
-			strconv.FormatFloat(r.SatSustained.Throughput, 'f', 5, 64),
-			strconv.FormatBool(r.Search.Converged),
-			strconv.FormatFloat(r.Sat.Throughput, 'f', 5, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		recs = append(recs, []string{
+			dimsString(r.Dims), strconv.Itoa(nodes), r.Policy,
+			fixed(r.SatLoad, 4), fixed(r.SatSustained.Throughput, 5),
+			strconv.FormatBool(r.Search.Converged), fixed(r.Sat.Throughput, 5),
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return recs
 }

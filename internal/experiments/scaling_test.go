@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -46,15 +45,11 @@ func TestScalingQuick(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := ScalingCSV(&buf, rows); err != nil {
-		t.Fatal(err)
+	recs := scalingRecords(rows)
+	if want := 1 + len(rows); len(recs) != want {
+		t.Fatalf("%d records, want %d", len(recs), want)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if want := 1 + len(rows); len(lines) != want {
-		t.Fatalf("CSV has %d lines, want %d", len(lines), want)
-	}
-	if lines[0] != "mesh,nodes,policy,sat_load,sat_throughput,sat_converged,overdriven_throughput" {
-		t.Fatalf("CSV header: %q", lines[0])
+	if h := strings.Join(recs[0], ","); h != "mesh,nodes,policy,sat_load,sat_throughput,sat_converged,overdriven_throughput" {
+		t.Fatalf("header: %q", h)
 	}
 }
