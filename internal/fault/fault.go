@@ -322,15 +322,6 @@ func (p *Plan) Links() []Link {
 	return p.links
 }
 
-// Routers returns the sorted failed-router list. The caller must not
-// modify it.
-func (p *Plan) Routers() []topology.NodeID {
-	if p == nil {
-		return nil
-	}
-	return p.routers
-}
-
 // Fits reports whether the plan was built for exactly m's topology —
 // same radices and wrap, not merely the same node count, since a plan's
 // (node, port) indices designate different physical links on a reshaped

@@ -431,6 +431,3 @@ func (s *Store) Len() int {
 	defer s.mu.Unlock()
 	return len(s.index)
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }

@@ -147,15 +147,6 @@ type Estimate struct {
 	Truncated, Used int
 }
 
-// RelHalfWidth is HalfWidth/Mean (infinite for a zero or unevaluated
-// mean).
-func (e Estimate) RelHalfWidth() float64 {
-	if e.Mean <= 0 {
-		return math.Inf(1)
-	}
-	return e.HalfWidth / e.Mean
-}
-
 // Adaptive implements the adaptive stopping rule as a streaming consumer
 // of (value, time) observations. It retains one float64 per five
 // observations (the MSER-5 batch means), so memory stays negligible even

@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Histogram accumulates a latency distribution in exponentially growing
@@ -77,44 +75,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// String renders a compact percentile summary.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("p50=%.0f p95=%.0f p99=%.0f max=%.0f",
-		h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.max)
-}
-
-// Bars renders an ASCII latency histogram over the populated buckets,
-// width columns wide, for terminal inspection.
-func (h *Histogram) Bars(width int) string {
-	if h.n == 0 {
-		return "(empty)\n"
-	}
-	if width < 10 {
-		width = 10
-	}
-	first, last := -1, 0
-	var peak int64
-	for b, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if first < 0 {
-			first = b
-		}
-		last = b
-		if c > peak {
-			peak = c
-		}
-	}
-	var sb strings.Builder
-	for b := first; b <= last; b++ {
-		c := h.counts[b]
-		bar := int(float64(c) / float64(peak) * float64(width))
-		fmt.Fprintf(&sb, "%8.0f |%s %d\n", bucketUpper(b), strings.Repeat("#", bar), c)
-	}
-	return sb.String()
 }
 
 // Percentile computes an exact percentile of a small sample slice, used by

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -11,9 +10,6 @@ func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.N() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("empty histogram not zeroed")
-	}
-	if h.Bars(40) != "(empty)\n" {
-		t.Error("empty bars wrong")
 	}
 }
 
@@ -34,12 +30,6 @@ func TestHistogramQuantilesApproximate(t *testing.T) {
 		if got < want*0.90 || got > want*1.10 {
 			t.Errorf("q%.2f: histogram %.1f exact %.1f", q, got, want)
 		}
-	}
-	if !strings.Contains(h.String(), "p99=") {
-		t.Error("summary missing p99")
-	}
-	if !strings.Contains(h.Bars(30), "#") {
-		t.Error("bars missing content")
 	}
 }
 

@@ -287,33 +287,6 @@ func (m *Mesh) Distance(a, b NodeID) int {
 	return total
 }
 
-// AvgDistance returns the mean minimal hop count over all ordered pairs of
-// distinct nodes, used in latency sanity checks.
-func (m *Mesh) AvgDistance() float64 {
-	sum := 0.0
-	for d := range m.dims {
-		k := m.dims[d]
-		dimSum := 0
-		for a := 0; a < k; a++ {
-			for b := 0; b < k; b++ {
-				delta := b - a
-				if delta < 0 {
-					delta = -delta
-				}
-				if m.wrap && k-delta < delta {
-					delta = k - delta
-				}
-				dimSum += delta
-			}
-		}
-		// Per-dimension average over all ordered coordinate pairs.
-		sum += float64(dimSum) / float64(k*k)
-	}
-	// Correct for excluding self-pairs globally rather than per dimension.
-	n := float64(m.n)
-	return sum * n / (n - 1)
-}
-
 // BisectionChannels returns the number of unidirectional channels crossing
 // the network bisection (cut across the highest-radix dimension). For the
 // 16x16 mesh this is 32 (16 links each way); a torus doubles it.

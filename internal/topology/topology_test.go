@@ -216,17 +216,6 @@ func TestDistance(t *testing.T) {
 	}
 }
 
-func TestAvgDistance(t *testing.T) {
-	m := NewMesh(16, 16)
-	got := m.AvgDistance()
-	// Per-dimension mean |a-b| over ordered pairs = (k^2-1)/(3k) = 5.3125;
-	// two dimensions and excluding self-pairs: 10.625 * 256/255.
-	want := 10.625 * 256.0 / 255.0
-	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("AvgDistance = %v want %v", got, want)
-	}
-}
-
 func TestBisectionAndSaturation(t *testing.T) {
 	m := NewMesh(16, 16)
 	if bc := m.BisectionChannels(); bc != 32 {

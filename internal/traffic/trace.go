@@ -1,12 +1,10 @@
 package traffic
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"maps"
 	"slices"
 	"sort"
@@ -67,31 +65,6 @@ func NewTrace(msgs []TraceMsg) (*Trace, error) {
 // reads of the trace — computed once by NewTrace. Traces built from the same
 // messages share a digest however the input interleaved the nodes.
 func (t *Trace) Digest() string { return t.digest }
-
-// ParseTrace reads a whitespace-separated text trace, one message per
-// line: "<cycle> <src> <dst> <flits>". Blank lines and lines starting
-// with '#' are ignored.
-func ParseTrace(r io.Reader) (*Trace, error) {
-	var msgs []TraceMsg
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		txt := sc.Text()
-		if len(txt) == 0 || txt[0] == '#' {
-			continue
-		}
-		var m TraceMsg
-		if _, err := fmt.Sscan(txt, &m.At, &m.Src, &m.Dst, &m.Length); err != nil {
-			return nil, fmt.Errorf("traffic: trace line %d: %v", line, err)
-		}
-		msgs = append(msgs, m)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return NewTrace(msgs)
-}
 
 // Total returns the number of messages in the trace.
 func (t *Trace) Total() int { return t.total }

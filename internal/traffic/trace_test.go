@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"strings"
 	"testing"
 
 	"lapses/internal/topology"
@@ -49,34 +48,6 @@ func TestTraceCursorOrdering(t *testing.T) {
 	// Nodes without events yield an empty cursor.
 	if tr.Cursor(9).Remaining() != 0 {
 		t.Error("empty cursor should have nothing")
-	}
-}
-
-func TestParseTrace(t *testing.T) {
-	in := `# cycle src dst flits
-0 0 5 20
-
-10 3 7 4
-`
-	tr, err := ParseTrace(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Total() != 2 {
-		t.Fatalf("total = %d", tr.Total())
-	}
-	due := tr.Cursor(3).Due(10)
-	if len(due) != 1 || due[0].Dst != 7 || due[0].Length != 4 {
-		t.Fatalf("parsed = %+v", due)
-	}
-}
-
-func TestParseTraceErrors(t *testing.T) {
-	if _, err := ParseTrace(strings.NewReader("0 0 garbage 20")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ParseTrace(strings.NewReader("0 4 4 20")); err == nil {
-		t.Error("self-message accepted")
 	}
 }
 
