@@ -147,10 +147,12 @@ harness)
 	# interval over one algorithm share one, and a healthy mesh build is
 	# one row of 3^n RouteSigns calls) and every network reset from an
 	# arena. The heap is machine-independent enough for a ceiling: peak
-	# RSS is about 43 MB now that a run recycles an idle network of its
-	# shape instead of building one (it was 68 with a network per run, and
-	# 215 when every full-table entry held its own route set).
-	harness kernel-short | jq -e '.metrics.peak_rss_mb.value <= 90'
+	# RSS reads 18.5-24.9 MB now that every node's generator seeds in O(1)
+	# (it was about 30 MB while each seeding expanded and copied a 4.9 KB
+	# vector, 43 before a run recycled an idle network of its shape, 68
+	# with a network per run, and 215 when every full-table entry held its
+	# own route set).
+	harness kernel-short | jq -e '.metrics.peak_rss_mb.value <= 50'
 	# kernel-congested: three runs at and past saturation, where buffers
 	# are full and most worms are parked — the regime in which the
 	# router's standing crossbar/mux/free-VC request masks are raised,
@@ -172,17 +174,21 @@ serve)
 	# already-completed point from the store (no quarantined entries, no
 	# re-simulation on resubmit). A standalone server runs its jobs on the
 	# cluster's lease path, through in-process worker slots: the served
-	# fig5 must show up as claims in its lease counters.
+	# fig5 must show up as claims in its lease counters. Its CSV is the
+	# in-process one, and it comes from the rows the table was rendered
+	# from: one grid, one job.
 	build_service
 	cd "$work"
 	./lapses-serve -store store &
 	server=$!
 	wait_healthy
-	lx -exp fig5 -fidelity quick -server $url >served.txt
-	grep -q 'serve job' served.txt
+	mkdir served-csv local-csv
+	lx -exp fig5 -fidelity quick -csv served-csv -server $url >served.txt
+	[ "$(grep -c 'serve job' served.txt)" -eq 1 ]
 	curl -fs $url/v1/cluster | jq -e '.claims > 0'
-	lx -exp fig5 -fidelity quick >local.txt
+	lx -exp fig5 -fidelity quick -csv local-csv >local.txt
 	diff <(table served.txt) <(table local.txt)
+	diff served-csv/fig5.csv local-csv/fig5.csv
 
 	lx -exp fig6 -fidelity quick -server $url >interrupted.txt 2>&1 &
 	client=$!

@@ -1,9 +1,8 @@
-// Package bounded provides the fixed-capacity memo map behind the
-// process-lifetime construction caches (traffic's seeded generator states,
-// core's per-structure plumbing). Both are pure functions of their key, so
-// forgetting an entry costs a rebuild and never changes a result; the cap
-// is what keeps a long-running service sweeping seeds or fault plans from
-// growing without limit.
+// Package bounded provides the fixed-capacity memo map behind core's
+// process-lifetime plumbing cache (each structure's routing function and
+// tables). An entry is a pure function of its key, so forgetting one
+// costs a rebuild and never changes a result; the cap is what keeps a
+// long-running service sweeping fault plans from growing without limit.
 package bounded
 
 import "sync"
