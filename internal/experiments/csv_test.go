@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"lapses/internal/core"
 	"lapses/internal/selection"
+	"lapses/internal/sweep"
 	"lapses/internal/traffic"
 )
 
@@ -192,5 +197,37 @@ func TestWriteCSVByNameErrors(t *testing.T) {
 	}
 	if _, err := r.RunByName(context.Background(), &buf, "nope", 1); err == nil {
 		t.Error("expected error for unknown experiment")
+	}
+}
+
+// TestRecordsCountTheRenderedRun: with a memo cache, the record table
+// comes from the run the table was rendered from, so its search_cycles
+// add up to the cycles the rendered saturation-search line reports (a
+// second pass served from the cache would record zero).
+func TestRecordsCountTheRenderedRun(t *testing.T) {
+	t.Parallel()
+	r := Runner{Fidelity: Quick, Seed: 1, Workers: 2, Cache: sweep.NewCache(), run: kneeRun}
+	var table bytes.Buffer
+	recs, err := r.RunByName(context.Background(), &table, "resilience", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(recs[0], "search_cycles")
+	var sum int64
+	for _, rec := range recs[1:] {
+		v, err := strconv.ParseInt(rec[col], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += v
+	}
+	line := table.String()[strings.Index(table.String(), "[saturation search:"):]
+	var probes int
+	var cycles int64
+	if _, err := fmt.Sscanf(line, "[saturation search: %d probes / %d simulated cycles", &probes, &cycles); err != nil {
+		t.Fatalf("%v in %q", err, line)
+	}
+	if sum == 0 || sum != cycles {
+		t.Errorf("records sum to %d search cycles, the rendered table reports %d", sum, cycles)
 	}
 }
