@@ -167,8 +167,11 @@ func availabilityRecords(rows []AvailabilityRow) [][]string {
 		for _, rel := range availabilityReliability {
 			res := rel.slot(&r)
 			recs = append(recs, []string{
-				r.Policy, strconv.FormatBool(rel.on), r.Schedule.Key(),
-				fixed(res.DeliveredFraction, 5), fixed(res.P99, 2),
+				r.Policy,
+				strconv.FormatBool(rel.on),
+				r.Schedule.Key(),
+				fixed(res.DeliveredFraction, 5),
+				fixed(res.P99, 2),
 				strconv.FormatInt(res.RecoveryCycles, 10),
 				strconv.FormatInt(res.DroppedFlits, 10),
 				strconv.FormatInt(res.DroppedMessages, 10),

@@ -263,7 +263,8 @@ func congestionRecords(rows []CongestionRow) [][]string {
 	for _, r := range rows {
 		onFrac, meanOn, hiFrac := "", "", ""
 		if b := r.Workload.Burst; b != nil {
-			onFrac, meanOn = fixed(b.OnFrac, 3), fixed(b.MeanOn, 1)
+			onFrac = fixed(b.OnFrac, 3)
+			meanOn = fixed(b.MeanOn, 1)
 		}
 		if q := r.Workload.QoS; q != nil {
 			hiFrac = fixed(q.HiFrac, 3)
@@ -275,12 +276,21 @@ func congestionRecords(rows []CongestionRow) [][]string {
 		for _, pol := range CongestionPolicies {
 			c := r.Cells[pol]
 			recs = append(recs, []string{
-				r.Workload.Name, r.Workload.Pattern.String(), onFrac, meanOn, hiFrac,
-				strconv.Itoa(r.Workload.FaultLinks), plan,
-				pol.String(), strconv.FormatBool(pol.IsNotify()),
-				latCell(c.Lat), satCell(c.Lat), fixed(c.Ovr.Throughput, 5),
-				fixed(c.Search.Lo, 4), fixed(c.Sat.Throughput, 5), strconv.FormatBool(c.Search.Converged),
-				strconv.Itoa(c.Search.Probes), strconv.FormatInt(c.Search.SimulatedCycles, 10),
+				r.Workload.Name,
+				r.Workload.Pattern.String(),
+				onFrac, meanOn, hiFrac,
+				strconv.Itoa(r.Workload.FaultLinks),
+				plan,
+				pol.String(),
+				strconv.FormatBool(pol.IsNotify()),
+				latCell(c.Lat),
+				satCell(c.Lat),
+				fixed(c.Ovr.Throughput, 5),
+				fixed(c.Search.Lo, 4),
+				fixed(c.Sat.Throughput, 5),
+				strconv.FormatBool(c.Search.Converged),
+				strconv.Itoa(c.Search.Probes),
+				strconv.FormatInt(c.Search.SimulatedCycles, 10),
 			})
 		}
 	}

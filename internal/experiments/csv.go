@@ -51,8 +51,14 @@ func fig5Records(rows []Fig5Row) [][]string {
 	for _, r := range rows {
 		for _, a := range fig5Archs {
 			res := *a.Slot(&r)
-			recs = append(recs, []string{r.Pattern.String(), fixed(r.Load, 2), a.Name,
-				latCell(res), satCell(res), fixed(res.Throughput, 5)})
+			recs = append(recs, []string{
+				r.Pattern.String(),
+				fixed(r.Load, 2),
+				a.Name,
+				latCell(res),
+				satCell(res),
+				fixed(res.Throughput, 5),
+			})
 		}
 	}
 	return recs
@@ -62,8 +68,12 @@ func fig5Records(rows []Fig5Row) [][]string {
 func table3Records(rows []Table3Row) [][]string {
 	recs := [][]string{{"msg_len", "lookahead_latency", "no_lookahead_latency", "improvement_pct"}}
 	for _, r := range rows {
-		recs = append(recs, []string{strconv.Itoa(r.MsgLen),
-			latCell(r.LookAhead), latCell(r.NoLookAhd), fixed(r.Improvement(), 2)})
+		recs = append(recs, []string{
+			strconv.Itoa(r.MsgLen),
+			latCell(r.LookAhead),
+			latCell(r.NoLookAhd),
+			fixed(r.Improvement(), 2),
+		})
 	}
 	return recs
 }
@@ -74,8 +84,14 @@ func fig6Records(rows []Fig6Row) [][]string {
 	for _, r := range rows {
 		for _, psh := range Fig6PSHs {
 			res := r.ByPSH[psh]
-			recs = append(recs, []string{r.Pattern.String(), fixed(r.Load, 2), psh.String(),
-				latCell(res), satCell(res), fixed(res.Throughput, 5)})
+			recs = append(recs, []string{
+				r.Pattern.String(),
+				fixed(r.Load, 2),
+				psh.String(),
+				latCell(res),
+				satCell(res),
+				fixed(res.Throughput, 5),
+			})
 		}
 	}
 	return recs
@@ -87,7 +103,13 @@ func table4Records(rows []Table4Row) [][]string {
 	for _, r := range rows {
 		for _, s := range table4Schemes {
 			res := *s.Slot(&r)
-			recs = append(recs, []string{r.Pattern.String(), fixed(r.Load, 2), s.Name, latCell(res), satCell(res)})
+			recs = append(recs, []string{
+				r.Pattern.String(),
+				fixed(r.Load, 2),
+				s.Name,
+				latCell(res),
+				satCell(res),
+			})
 		}
 	}
 	return recs

@@ -230,12 +230,19 @@ func resilienceRecords(rows []ResilienceRow) [][]string {
 			plan = r.Plan.Key()
 		}
 		for _, pol := range resiliencePolicies {
-			lat, search := *pol.lat(&r), *pol.search(&r)
+			lat, sat, search := pol.lat(&r), pol.sat(&r), pol.search(&r)
 			recs = append(recs, []string{
-				r.Pattern.String(), strconv.Itoa(r.FaultLinks), plan, pol.name,
-				latCell(lat), satCell(lat),
-				fixed(search.Lo, 4), fixed(pol.sat(&r).Throughput, 5), strconv.FormatBool(search.Converged),
-				strconv.Itoa(search.Probes), strconv.FormatInt(search.SimulatedCycles, 10),
+				r.Pattern.String(),
+				strconv.Itoa(r.FaultLinks),
+				plan,
+				pol.name,
+				latCell(*lat),
+				satCell(*lat),
+				fixed(search.Lo, 4),
+				fixed(sat.Throughput, 5),
+				strconv.FormatBool(search.Converged),
+				strconv.Itoa(search.Probes),
+				strconv.FormatInt(search.SimulatedCycles, 10),
 			})
 		}
 	}

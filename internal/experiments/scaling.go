@@ -163,9 +163,13 @@ func scalingRecords(rows []ScalingRow) [][]string {
 			nodes *= d
 		}
 		recs = append(recs, []string{
-			dimsString(r.Dims), strconv.Itoa(nodes), r.Policy,
-			fixed(r.SatLoad, 4), fixed(r.SatSustained.Throughput, 5),
-			strconv.FormatBool(r.Search.Converged), fixed(r.Sat.Throughput, 5),
+			dimsString(r.Dims),
+			strconv.Itoa(nodes),
+			r.Policy,
+			fixed(r.SatLoad, 4),
+			fixed(r.SatSustained.Throughput, 5),
+			strconv.FormatBool(r.Search.Converged),
+			fixed(r.Sat.Throughput, 5),
 		})
 	}
 	return recs
