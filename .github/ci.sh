@@ -147,7 +147,7 @@ harness)
 	# interval over one algorithm share one, and a healthy mesh build is
 	# one row of 3^n RouteSigns calls) and every network reset from an
 	# arena. The heap is machine-independent enough for a ceiling: peak
-	# RSS reads 18.5-24.9 MB now that every node's generator seeds in O(1)
+	# RSS reads about 19-27 MB now that every node's generator seeds in O(1)
 	# (it was about 30 MB while each seeding expanded and copied a 4.9 KB
 	# vector, 43 before a run recycled an idle network of its shape, 68
 	# with a network per run, and 215 when every full-table entry held its
