@@ -126,7 +126,7 @@ const repSeedStride = 1000003
 // is of the values the tables show.
 func replicate(name string, reps [][][]string, cols []string) ([][]string, error) {
 	header := reps[0][0]
-	out := slices.Clone(header)
+	table := [][]string{slices.Clone(header)}
 	colIdx := make([]int, 0, len(cols))
 	for _, c := range cols {
 		i := slices.Index(header, c)
@@ -134,9 +134,8 @@ func replicate(name string, reps [][][]string, cols []string) ([][]string, error
 			return nil, fmt.Errorf("experiments: %q schema has no column %q", name, c)
 		}
 		colIdx = append(colIdx, i)
-		out = append(out, c+"_mean", c+"_stderr")
+		table[0] = append(table[0], c+"_mean", c+"_stderr")
 	}
-	table := [][]string{out}
 	for row := 1; row < len(reps[0]); row++ {
 		out := slices.Clone(reps[0][row])
 		for _, ci := range colIdx {

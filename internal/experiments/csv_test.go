@@ -221,7 +221,11 @@ func TestRecordsCountTheRenderedRun(t *testing.T) {
 		}
 		sum += v
 	}
-	line := table.String()[strings.Index(table.String(), "[saturation search:"):]
+	at := strings.Index(table.String(), "[saturation search:")
+	if at < 0 {
+		t.Fatalf("no saturation-search line in:\n%s", table.String())
+	}
+	line := table.String()[at:]
 	var probes int
 	var cycles int64
 	if _, err := fmt.Sscanf(line, "[saturation search: %d probes / %d simulated cycles", &probes, &cycles); err != nil {
