@@ -204,7 +204,7 @@ serve)
 	wait_healthy
 	# kill -9 must not have corrupted a single entry.
 	curl -fs $url/v1/store | tee store.json
-	grep -q '"quarantined": 0' store.json
+	jq -e '.quarantined == 0' store.json
 	lx -exp fig5 -fidelity quick -server $url >resub.txt
 	no_resimulation resub.txt
 	diff <(table resub.txt) <(table local.txt)
@@ -223,7 +223,7 @@ serve)
 	diff <(table scaling.txt) <(table scaling-local.txt)
 	lx -exp scaling -fidelity quick -server $url >scaling-resub.txt
 	no_resimulation scaling-resub.txt
-	curl -fs $url/v1/store | grep -q '"put_failures": 0'
+	curl -fs $url/v1/store | jq -e '.put_failures == 0'
 	# Timed damage and the reliability layer travel on the wire too: the
 	# availability storm served equals in-process, and a resubmission is
 	# answered from the store.
@@ -275,9 +275,9 @@ cluster)
 	# The lease counters must show the cluster actually clustered, and the
 	# store kept a clean bill of health.
 	curl -fs $url/v1/cluster | tee cluster.json
-	grep -q '"coordinator": true' cluster.json
+	jq -e '.coordinator == true' cluster.json
 	curl -fs $url/healthz | tee health.json
-	grep -q '"quarantined": 0' health.json
+	jq -e '.store.quarantined == 0' health.json
 	;;
 fuzz)
 	# Short bounded fuzzing of the fault-plan and router invariants, so

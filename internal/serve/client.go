@@ -24,11 +24,11 @@ type Client struct {
 	Base string
 	// HTTP is the transport (nil: http.DefaultClient).
 	HTTP *http.Client
-	// PollInterval is the least time between Wait's status requests
-	// (default 150ms). A server that holds the request (wait_ms) spends
-	// far longer than this inside each one, so it only paces Wait against
-	// a server that answers at once: one that predates wait_ms, or one
-	// that is draining.
+	// PollInterval is the least time between two of Wait's status
+	// requests, or of Run's results requests (default 150ms). A server
+	// that holds the request (wait_ms) spends far longer than this inside
+	// each one, so it only paces them against a server that answers at
+	// once: one that predates wait_ms, or one that is draining.
 	PollInterval time.Duration
 	// PollCap is ignored: Wait no longer backs off, the server holds the
 	// request instead. The field remains so existing callers compile.
@@ -98,7 +98,13 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		// under the capped budget.
 		return Transient(fmt.Errorf("serve client: %s %s: %w", method, path, err))
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// Read to EOF before closing: a chunked body's terminator is still
+		// unread after Decode, and net/http reuses a connection only when
+		// its last response was read to the end.
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode >= 300 {
 		var ae apiError
 		json.NewDecoder(resp.Body).Decode(&ae)
@@ -257,19 +263,30 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 // status is Status with wait_ms: the server answers when the job is
 // terminal or after hold, whichever comes first.
 func (c *Client) status(ctx context.Context, id string, hold time.Duration) (JobStatus, error) {
-	path := "/v1/jobs/" + id
-	if hold > 0 {
-		path += "?wait_ms=" + strconv.FormatInt(hold.Milliseconds(), 10)
-	}
 	var st JobStatus
-	err := c.doRetry(ctx, http.MethodGet, path, nil, &st)
+	err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+id+waitQuery(hold), nil, &st)
 	return st, err
+}
+
+// waitQuery is the query string asking the server to hold a request up
+// to hold (none when hold is 0).
+func waitQuery(hold time.Duration) string {
+	if hold <= 0 {
+		return ""
+	}
+	return "?wait_ms=" + strconv.FormatInt(hold.Milliseconds(), 10)
 }
 
 // Results fetches a terminal job's per-point outcomes.
 func (c *Client) Results(ctx context.Context, id string) (JobResults, error) {
+	return c.results(ctx, id, 0)
+}
+
+// results is Results with wait_ms: the server answers when the job is
+// terminal, or with 409 once hold passes and it still is not.
+func (c *Client) results(ctx context.Context, id string, hold time.Duration) (JobResults, error) {
 	var res JobResults
-	err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+id+"/results", nil, &res)
+	err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+id+"/results"+waitQuery(hold), nil, &res)
 	return res, err
 }
 
@@ -283,41 +300,56 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 
 // Wait blocks until a job reaches a terminal state or ctx expires. It
 // asks for the status with wait_ms, so the server holds each request
-// until the job finishes and Wait returns as soon as it does; a long job
-// costs one request per hold, not one per poll interval. A reply that
-// comes back non-terminal sooner than PollInterval was not held, and Wait
-// sleeps out the rest of the interval before asking again. When ctx
-// expires the job is cancelled server-side before returning, so abandoned
-// client contexts don't leave grids burning server cycles.
+// until the job finishes and Wait returns as soon as it does. Against a
+// server that answers at once its requests are PollInterval apart. When
+// ctx expires the job is cancelled server-side before Wait returns.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
+	var st JobStatus
+	err := c.await(ctx, id, func(hold time.Duration) (bool, error) {
+		var err error
+		st, err = c.status(ctx, id, hold)
+		return err == nil && st.Terminal(), err
+	})
+	return st, err
+}
+
+// await repeats ask, a request the server holds for up to the hold it is
+// given, until ask reports the job terminal or fails. A long job costs one
+// request per hold, not one per poll interval. A reply that comes back
+// non-terminal sooner than PollInterval was not held, and await sleeps
+// out the rest of the interval before asking again. When ctx expires the
+// job is cancelled server-side before returning, so abandoned client
+// contexts don't leave grids burning server cycles.
+func (c *Client) await(ctx context.Context, id string, ask func(hold time.Duration) (bool, error)) error {
 	hold := c.hold()
 	for {
 		asked := time.Now()
-		st, err := c.status(ctx, id, hold)
+		done, err := ask(hold)
+		if done {
+			return nil
+		}
 		if err == nil {
-			if st.Terminal() {
-				return st, nil
-			}
 			sleepCtx(ctx, c.poll()-time.Since(asked))
 		}
 		if ctx.Err() != nil {
 			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			c.Cancel(cctx, id)
 			cancel()
-			return st, ctx.Err()
+			return ctx.Err()
 		}
 		if err != nil {
-			return st, err
+			return err
 		}
 	}
 }
 
 // Run executes grid on the server: serialize, submit (absorbing
-// backpressure), poll to completion, fetch results, and map them back
-// onto the original configs in order. It satisfies sweep.RunFunc — set
-// it as sweep.Options.Exec and every composite helper (experiment
-// grids, bisection probes) runs remotely, one simulation per unique
-// point ever, server-side.
+// backpressure), hold the results request until the job is terminal, and
+// map the outcomes back onto the original configs in order — two
+// requests when the server holds, paced by PollInterval when it answers
+// 409 at once. It satisfies sweep.RunFunc — set it as sweep.Options.Exec
+// and every composite helper (experiment grids, bisection probes) runs
+// remotely, one simulation per unique point ever, server-side.
 //
 // Per-point failures come back as Outcome.Err exactly as from
 // sweep.Run. Run itself errors when the job could not complete —
@@ -331,10 +363,16 @@ func (c *Client) Run(ctx context.Context, grid []core.Config, opt sweep.Options)
 	if err != nil {
 		return nil, err
 	}
-	if st, err = c.Wait(ctx, st.ID); err != nil {
-		return nil, err
-	}
-	res, err := c.Results(ctx, st.ID)
+	var res JobResults
+	err = c.await(ctx, st.ID, func(hold time.Duration) (bool, error) {
+		var err error
+		res, err = c.results(ctx, st.ID, hold)
+		var ae *APIStatusError
+		if errors.As(err, &ae) && ae.Code == http.StatusConflict {
+			return false, nil // not terminal yet
+		}
+		return err == nil, err
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,7 +25,7 @@ const (
 	neverPoll = time.Minute
 )
 
-// requestLog counts requests by "METHOD path" prefix.
+// requestLog counts requests by "METHOD path?query" prefix.
 type requestLog struct {
 	mu   sync.Mutex
 	seen []string
@@ -66,7 +68,7 @@ func heldServer(t *testing.T, dir string, opt ServerOptions) (*Server, *Client, 
 	log := &requestLog{}
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		log.mu.Lock()
-		log.seen = append(log.seen, r.Method+" "+r.URL.Path)
+		log.seen = append(log.seen, r.Method+" "+r.URL.RequestURI())
 		log.mu.Unlock()
 		srv.Handler().ServeHTTP(w, r)
 	}))
@@ -113,36 +115,131 @@ func waitAsync(ctx context.Context, c *Client, id string) <-chan waitResult {
 func (r waitResult) mustBe(t *testing.T, state string, since time.Time) {
 	t.Helper()
 	if r.err != nil {
-		t.Fatalf("Wait: %v", r.err)
+		t.Fatalf("waiting: %v", r.err)
 	}
 	if r.st.State != state {
-		t.Fatalf("Wait returned state %q, want %q", r.st.State, state)
+		t.Fatalf("the job ended %q, want %q", r.st.State, state)
 	}
 	if lag := r.at.Sub(since); lag > prompt {
-		t.Fatalf("Wait returned %v after the job turned %s; a held request returns at once", lag, state)
+		t.Fatalf("the waiter returned %v after the job turned %s; a held request returns at once", lag, state)
 	}
 }
 
-// TestWaitHeldReturnsOnCompletion: Wait must come back when execute
-// finishes the job, on the one status request it parked.
+// waiter is one way to park on a job: Wait, on a job the test submits,
+// or Run, which submits the job itself and parks its results request.
+// start submits grid to a fresh server and waits in the background; it
+// returns the job's ID and the logged prefix of the held request.
+type waiter struct {
+	name  string
+	start func(ctx context.Context, t *testing.T, srv *Server, c *Client, grid []core.Config) (id, held string, done <-chan waitResult)
+}
+
+var waiters = []waiter{
+	{"Wait", func(ctx context.Context, t *testing.T, _ *Server, c *Client, grid []core.Config) (string, string, <-chan waitResult) {
+		st, err := c.Submit(context.Background(), mustPoints(t, grid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID, "GET /v1/jobs/" + st.ID + "?wait_ms=", waitAsync(ctx, c, st.ID)
+	}},
+	{"Run", func(ctx context.Context, _ *testing.T, srv *Server, c *Client, grid []core.Config) (string, string, <-chan waitResult) {
+		const id = "j000001" // a fresh server's first job
+		ch := make(chan waitResult, 1)
+		go func() {
+			_, err := c.Run(ctx, grid, sweep.Options{})
+			at := time.Now()
+			st, _ := srv.Status(id)
+			ch <- waitResult{st, err, at}
+		}()
+		return id, "GET /v1/jobs/" + id + "/results?wait_ms=", ch
+	}},
+}
+
+// TestWaitHeldReturnsOnCompletion: Wait, and Run, must come back when
+// execute finishes the job, on the one request each parked.
 func TestWaitHeldReturnsOnCompletion(t *testing.T) {
 	t.Parallel()
-	g := newGate()
-	defer g.open()
-	_, c, log := heldServer(t, t.TempDir(), ServerOptions{Runner: g.run})
-	st, err := c.Submit(context.Background(), mustPoints(t, testGrid(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitAsync(context.Background(), c, st.ID)
-	log.awaitRequests(t, "GET /v1/jobs/"+st.ID, 1)
-	released := time.Now()
-	g.open()
-	(<-done).mustBe(t, JobDone, released)
-	if n := log.count("GET /v1/jobs/" + st.ID); n != 1 {
-		t.Errorf("Wait made %d status requests, want the 1 the server held", n)
+	for _, w := range waiters {
+		t.Run(w.name, func(t *testing.T) {
+			t.Parallel()
+			g := newGate()
+			defer g.open()
+			srv, c, log := heldServer(t, t.TempDir(), ServerOptions{Runner: g.run})
+			_, held, done := w.start(context.Background(), t, srv, c, testGrid(2))
+			log.awaitRequests(t, held, 1)
+			released := time.Now()
+			g.open()
+			(<-done).mustBe(t, JobDone, released)
+			if n := log.count(held); n != 1 {
+				t.Errorf("%s made %d held requests, want the 1 the server held", w.name, n)
+			}
+		})
 	}
 }
+
+// TestRunKeepsOneConnection: a Run of a stored grid is two requests, the
+// submit and one held results request, and successive Runs share one
+// connection although each results body is chunked (over the 2 KB
+// net/http buffers before it commits to a Content-Length).
+func TestRunKeepsOneConnection(t *testing.T) {
+	t.Parallel()
+	_, c, log := heldServer(t, t.TempDir(), ServerOptions{Runner: scripted})
+	ctx := context.Background()
+	// A figure grid's size: its results body is large enough that Decode
+	// returns before the chunked terminator has arrived.
+	grid := testGrid(65)
+	if _, err := c.Run(ctx, grid, sweep.Options{}); err != nil { // stores the grid
+		t.Fatal(err)
+	}
+	var dials, chunked atomic.Int64
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		var d net.Dialer
+		return d.DialContext(ctx, network, addr)
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	c.HTTP = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := tr.RoundTrip(r)
+		if err == nil && strings.HasSuffix(r.URL.Path, "/results") && resp.ContentLength < 0 {
+			chunked.Add(1)
+		}
+		return resp, err
+	})}
+	before := log.count("")
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		outs, err := c.Run(ctx, grid, sweep.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, o := range outs {
+			if o.Err != nil || !o.Cached {
+				t.Fatalf("run %d point %d: cached=%v err=%v", i, j, o.Cached, o.Err)
+			}
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("%d Runs dialed %d connections, want 1", runs, n)
+	}
+	if n := chunked.Load(); n != runs {
+		t.Errorf("%d of %d results bodies were chunked; grow the grid", n, runs)
+	}
+	log.mu.Lock()
+	seen := log.seen[before:]
+	log.mu.Unlock()
+	if len(seen) != 2*runs {
+		t.Fatalf("%d Runs made %d requests, want %d: %q", runs, len(seen), 2*runs, seen)
+	}
+	for i := 0; i < len(seen); i += 2 {
+		if seen[i] != "POST /v1/jobs" || !strings.HasPrefix(seen[i+1], "GET /v1/jobs/") || !strings.Contains(seen[i+1], "/results?wait_ms=") {
+			t.Fatalf("run %d requested %q, want the submit then a held results request", i/2, seen[i:i+2])
+		}
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // TestWaitHeldReturnsOnQueuedCancel: DELETE on a queued job finishes it
 // through the same path, so a waiter parked on it wakes too.
@@ -193,28 +290,29 @@ func TestStatusHoldElapses(t *testing.T) {
 	}
 }
 
-// TestWaitCancelStillCancelsJob: abandoning a Wait whose request is
-// parked server-side must still cancel the job there.
+// TestWaitCancelStillCancelsJob: abandoning a Wait, or a Run, whose
+// request is parked server-side must still cancel the job there.
 func TestWaitCancelStillCancelsJob(t *testing.T) {
 	t.Parallel()
-	g := newGate()
-	defer g.open()
-	_, c, log := heldServer(t, t.TempDir(), ServerOptions{Runner: g.run, Workers: 1})
-	st, err := c.Submit(context.Background(), mustPoints(t, testGrid(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := waitAsync(ctx, c, st.ID)
-	log.awaitRequests(t, "GET /v1/jobs/"+st.ID, 1)
-	cancel()
-	if r := <-done; r.err != context.Canceled {
-		t.Fatalf("abandoned Wait returned %v, want context.Canceled", r.err)
-	}
-	g.open() // the in-flight point drains; the rest never start
-	fin := waitState(t, c, st.ID, func(st JobStatus) bool { return st.Terminal() })
-	if fin.State != JobCancelled {
-		t.Fatalf("job of an abandoned Wait ended %q, want cancelled", fin.State)
+	for _, w := range waiters {
+		t.Run(w.name, func(t *testing.T) {
+			t.Parallel()
+			g := newGate()
+			defer g.open()
+			srv, c, log := heldServer(t, t.TempDir(), ServerOptions{Runner: g.run, Workers: 1})
+			ctx, cancel := context.WithCancel(context.Background())
+			id, held, done := w.start(ctx, t, srv, c, testGrid(3))
+			log.awaitRequests(t, held, 1)
+			cancel()
+			if r := <-done; r.err != context.Canceled {
+				t.Fatalf("abandoned %s returned %v, want context.Canceled", w.name, r.err)
+			}
+			g.open() // the in-flight point drains; the rest never start
+			fin := waitState(t, c, id, func(st JobStatus) bool { return st.Terminal() })
+			if fin.State != JobCancelled {
+				t.Fatalf("job of an abandoned %s ended %q, want cancelled", w.name, fin.State)
+			}
+		})
 	}
 }
 
@@ -355,39 +453,111 @@ func TestParkedWorkerStartsJobAtOnce(t *testing.T) {
 	}
 }
 
+// unheldStub is a server that ignores wait_ms, as one predating it does:
+// job j1 answers its status and results requests at once, running (409
+// on results) until runFor has passed, for ever when runFor is 0. It
+// counts those requests and records a DELETE of j1.
+func unheldStub(t *testing.T, runFor time.Duration) (base string, polls *atomic.Int64, cancelled *atomic.Bool) {
+	polls, cancelled = new(atomic.Int64), new(atomic.Bool)
+	start := time.Now()
+	done := func() bool { return runFor > 0 && time.Since(start) >= runFor }
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusAccepted, JobStatus{ID: "j1", State: JobQueued, Total: 1})
+	})
+	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		polls.Add(1)
+		st := JobStatus{ID: "j1", State: JobRunning, Total: 1}
+		if done() {
+			st.State = JobDone
+		}
+		writeJSON(w, http.StatusOK, st)
+	})
+	mux.HandleFunc("GET /v1/jobs/j1/results", func(w http.ResponseWriter, r *http.Request) {
+		polls.Add(1)
+		if !done() {
+			writeJSON(w, http.StatusConflict, apiError{Error: "job j1 is running"})
+			return
+		}
+		res, _ := scripted(testGrid(1)[0])
+		writeJSON(w, http.StatusOK, JobResults{Status: JobStatus{ID: "j1", State: JobDone, Total: 1, Completed: 1, Simulated: 1}, Outcomes: []PointOutcome{{Result: &res}}})
+	})
+	mux.HandleFunc("DELETE /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		cancelled.Store(true)
+		writeJSON(w, http.StatusOK, JobStatus{ID: "j1", State: JobCancelled, Total: 1})
+	})
+	hs := httptest.NewServer(mux)
+	t.Cleanup(hs.Close)
+	return hs.URL, polls, cancelled
+}
+
+// unheldWaiters wait out the stub's job j1 through Wait and through Run.
+var unheldWaiters = []struct {
+	name string
+	wait func(ctx context.Context, c *Client) error
+}{
+	{"Wait", func(ctx context.Context, c *Client) error {
+		st, err := c.Wait(ctx, "j1")
+		if err == nil && st.State != JobDone {
+			err = fmt.Errorf("job finished in state %q", st.State)
+		}
+		return err
+	}},
+	{"Run", func(ctx context.Context, c *Client) error {
+		_, err := c.Run(ctx, testGrid(1), sweep.Options{})
+		return err
+	}},
+}
+
 // TestWaitPacesUnheldServer: against a server that ignores wait_ms and
-// answers at once, Wait still terminates and spaces its requests at
-// least PollInterval apart — the one thing PollInterval still means.
+// answers at once, Wait and Run still terminate and space their requests
+// at least PollInterval apart — the one thing PollInterval still means.
 func TestWaitPacesUnheldServer(t *testing.T) {
 	t.Parallel()
 	const interval = 20 * time.Millisecond
 	const runFor = 200 * time.Millisecond
-	var polls atomic.Int64
-	start := time.Now()
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		polls.Add(1)
-		st := JobStatus{ID: "j1", State: JobRunning}
-		if time.Since(start) >= runFor {
-			st.State = JobDone
-		}
-		json.NewEncoder(w).Encode(st)
-	}))
-	defer hs.Close()
+	for _, w := range unheldWaiters {
+		t.Run(w.name, func(t *testing.T) {
+			t.Parallel()
+			start := time.Now()
+			base, polls, _ := unheldStub(t, runFor)
+			c := &Client{Base: base, PollInterval: interval}
+			if err := w.wait(context.Background(), c); err != nil {
+				t.Fatal(err)
+			}
+			took := time.Since(start)
+			n := polls.Load()
+			if n < 2 {
+				t.Fatalf("%d polls: the job cannot have been observed running", n)
+			}
+			if floor := time.Duration(n-1) * interval; took < floor {
+				t.Errorf("%d requests in %v: closer together than the %v PollInterval", n, took, interval)
+			}
+		})
+	}
+}
 
-	c := &Client{Base: hs.URL, PollInterval: interval}
-	st, err := c.Wait(context.Background(), "j1")
-	took := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != JobDone {
-		t.Fatalf("job finished in state %q", st.State)
-	}
-	n := polls.Load()
-	if n < 2 {
-		t.Fatalf("%d polls: the job cannot have been observed running", n)
-	}
-	if floor := time.Duration(n-1) * interval; took < floor {
-		t.Errorf("%d requests in %v: closer together than the %v PollInterval", n, took, interval)
+// TestWaitExpiryCancelsUnheldJob: when ctx expires while a server that
+// does not hold keeps answering "running", Wait and Run cancel the job
+// there before returning.
+func TestWaitExpiryCancelsUnheldJob(t *testing.T) {
+	t.Parallel()
+	for _, w := range unheldWaiters {
+		t.Run(w.name, func(t *testing.T) {
+			t.Parallel()
+			base, polls, cancelled := unheldStub(t, 0)
+			c := &Client{Base: base, PollInterval: 20 * time.Millisecond}
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			if err := w.wait(ctx, c); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s past its deadline returned %v, want context.DeadlineExceeded", w.name, err)
+			}
+			if n := polls.Load(); n < 2 {
+				t.Errorf("%d polls before the deadline, want the job asked after more than once", n)
+			}
+			if !cancelled.Load() {
+				t.Errorf("%s returned on its deadline without cancelling the job", w.name)
+			}
+		})
 	}
 }

@@ -44,9 +44,10 @@ const (
 
 const (
 	// maxHold caps how long one request may be held server-side
-	// (GET /v1/jobs/{id}?wait_ms=, POST /v1/cluster/claim wait_ms): long
-	// enough that a waiter costs a request every half minute, short enough
-	// to pass through proxies and idle-connection reapers.
+	// (wait_ms on GET /v1/jobs/{id}, GET /v1/jobs/{id}/results and POST
+	// /v1/cluster/claim): long enough that a waiter costs a request every
+	// half minute, short enough to pass through proxies and
+	// idle-connection reapers.
 	maxHold = 30 * time.Second
 	// retainJobs is how many terminal jobs stay queryable. A finished job
 	// pins its grid, wire points and outcomes (~100 KB for a 65-point
@@ -54,7 +55,7 @@ const (
 	// their points stay in the store, so a resubmission is all hits.
 	retainJobs = 64
 	// maxBody caps a request body (a 65-point job and its results are
-	// ~105 KB on the wire), so no client can exhaust the store's process.
+	// ~51 KB on the wire), so no client can exhaust the store's process.
 	maxBody = 64 << 20
 )
 
@@ -372,12 +373,13 @@ func (jb *job) status() JobStatus {
 	return st
 }
 
-// PointOutcome is one grid point's terminal state on the wire. Result
-// carries the exact core.Result (its JSON form round-trips every float64
-// bit, non-finite values included, so served results are bit-identical to
-// in-process ones); Error is set instead when the point failed.
+// PointOutcome is one grid point's terminal state on the wire. It names
+// no point: outcomes are positional, the i-th answering the i-th point
+// submitted. Result carries the exact core.Result (its JSON form
+// round-trips every float64 bit, non-finite values included, so served
+// results are bit-identical to in-process ones); Error is set instead
+// when the point failed.
 type PointOutcome struct {
-	Point  Point        `json:"point"`
 	Result *core.Result `json:"result,omitempty"`
 	Error  string       `json:"error,omitempty"`
 	Cached bool         `json:"cached,omitempty"`
@@ -402,12 +404,11 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// encodeJSON renders v the way every response body is rendered.
+// encodeJSON renders v the way every response body is rendered: compact,
+// one line.
 func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	err := enc.Encode(v)
+	err := json.NewEncoder(&buf).Encode(v)
 	return buf.Bytes(), err
 }
 
@@ -521,63 +522,71 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
 	return nil
 }
 
-// handleStatus answers a job's status. With ?wait_ms=N it holds the
-// request until the job is terminal, N ms (at most maxHold) pass, the
-// caller goes away or the server starts draining — so a waiter learns of
-// completion when it happens rather than at its next poll.
+// awaitJob holds a request carrying ?wait_ms=N until the job is
+// terminal, N ms (at most maxHold) pass, the caller goes away or the
+// server starts draining — so a waiter learns of completion when it
+// happens rather than at its next poll. Without wait_ms it returns at once.
+func (s *Server) awaitJob(r *http.Request, jb *job) {
+	ms, _ := strconv.ParseInt(r.URL.Query().Get("wait_ms"), 10, 64) // absent or malformed: no hold
+	hold := holdFor(ms, maxHold)
+	if hold <= 0 {
+		return
+	}
+	t := time.NewTimer(hold)
+	defer t.Stop()
+	select {
+	case <-jb.done:
+	case <-t.C:
+	case <-r.Context().Done():
+	case <-s.draining:
+	}
+}
+
+// handleStatus answers a job's status, held by wait_ms (see awaitJob).
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	jb := s.lookupJob(w, r)
 	if jb == nil {
 		return
 	}
-	ms, _ := strconv.ParseInt(r.URL.Query().Get("wait_ms"), 10, 64) // absent or malformed: no hold
-	if hold := holdFor(ms, maxHold); hold > 0 {
-		t := time.NewTimer(hold)
-		select {
-		case <-jb.done:
-		case <-t.C:
-		case <-r.Context().Done():
-		case <-s.draining:
-		}
-		t.Stop()
-	}
+	s.awaitJob(r, jb)
 	s.mu.Lock()
 	st := jb.status()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
 }
 
+// handleResults answers a terminal job's outcomes, held by wait_ms like
+// a status request; a job still queued or running when the hold ends
+// answers 409.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	jb := s.lookupJob(w, r)
 	if jb == nil {
 		return
 	}
+	s.awaitJob(r, jb)
 	s.mu.Lock()
 	st := jb.status()
 	outs := jb.outs
-	points := jb.points
 	s.mu.Unlock()
 	if !st.Terminal() {
 		writeJSON(w, http.StatusConflict, apiError{Error: fmt.Sprintf("job %s is %s; results are available once terminal", st.ID, st.State)})
 		return
 	}
-	res := JobResults{Status: st, Outcomes: make([]PointOutcome, len(points))}
-	for i := range points {
-		po := PointOutcome{Point: points[i]}
-		if i < len(outs) {
-			if outs[i].Err != nil {
-				po.Error = outs[i].Err.Error()
-			} else {
-				r := outs[i].Result
-				po.Result = &r
-				po.Cached = outs[i].Cached
-			}
-		} else {
+	res := JobResults{Status: st, Outcomes: make([]PointOutcome, st.Total)}
+	for i := range res.Outcomes {
+		po := &res.Outcomes[i]
+		switch {
+		case i >= len(outs):
 			// The job never started (interrupted or cancelled while
 			// queued): every point is unexecuted.
 			po.Error = fmt.Sprintf("point not executed: job %s", st.State)
+		case outs[i].Err != nil:
+			po.Error = outs[i].Err.Error()
+		default:
+			result := outs[i].Result
+			po.Result = &result
+			po.Cached = outs[i].Cached
 		}
-		res.Outcomes[i] = po
 	}
 	writeJSON(w, http.StatusOK, res)
 }

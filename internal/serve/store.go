@@ -162,8 +162,10 @@ func decodeEntry(raw []byte, name string) (string, core.Result, error) {
 	if objName(ent.Key) != name {
 		return "", core.Result{}, fmt.Errorf("entry key does not address its filename")
 	}
+	// The parse of the entry has validated these bytes as JSON already;
+	// json.Unmarshal would scan them again before calling this.
 	var res core.Result
-	if err := json.Unmarshal(ent.Result, &res); err != nil {
+	if err := res.UnmarshalJSON(ent.Result); err != nil {
 		return "", core.Result{}, fmt.Errorf("result payload: %w", err)
 	}
 	return ent.Key, res, nil

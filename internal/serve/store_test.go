@@ -101,11 +101,15 @@ func sameBits(a, b core.Result) bool {
 	return true
 }
 
+func indented(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") }
+
 // TestResultRoundTrip: core.Result's JSON form loses nothing. Walking the
 // struct by reflection, so a field added to Result is covered or fails the
 // test, every float field is set to each value a float64 has trouble with
-// and every integer to its extremes; Result → JSON → Result, compact and
-// indented, and Store put → reopen → get must return the same bits. Finite
+// and every integer to its extremes; Result → JSON → Result, compact (as
+// the store and the server write it) and indented (as servers before
+// compact bodies did), and Store put → reopen → get must return the same
+// bits. Finite
 // results keep the bytes encoding/json gave them before Result had a codec:
 // a literal captured at the parent commit, and a store entry the parent
 // binary wrote, which must still verify and be served.
@@ -143,7 +147,7 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, want := range variants {
-		for _, encode := range []func(any) ([]byte, error){json.Marshal, encodeJSON} {
+		for _, encode := range []func(any) ([]byte, error){json.Marshal, encodeJSON, indented} {
 			data, err := encode(want)
 			if err != nil {
 				t.Fatalf("variant %d: %v", k, err)
@@ -467,6 +471,57 @@ func TestStoreMisnamedEntry(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Entries != 0 || st.Quarantined != 1 {
 		t.Fatalf("misnamed entry not quarantined: %+v", st)
+	}
+}
+
+// TestStoreUndecodableResult: an entry whose checksum matches but whose
+// result is not a core.Result is quarantined, both by the recovery scan
+// and by a read, and its point re-simulates.
+func TestStoreUndecodableResult(t *testing.T) {
+	t.Parallel()
+	for name, payload := range map[string]string{"array": `[]`, "string-latency": `{"AvgLatency":"fast"}`} {
+		for _, atOpen := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/atOpen=%v", name, atOpen), func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				s, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := storeConfig(5)
+				if _, _, err := s.Do(context.Background(), cfg, scripted); err != nil {
+					t.Fatal(err)
+				}
+				key := cfg.Key()
+				corruptEntry(t, dir, func(path string, _ []byte) {
+					raw, err := json.Marshal(storeEntry{Key: key, Sum: entrySum(key, []byte(payload)), Result: json.RawMessage(payload)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, raw, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if atOpen {
+					if s, err = Open(dir); err != nil {
+						t.Fatal(err)
+					}
+					if st := s.Stats(); st.Entries != 0 || st.Quarantined != 1 {
+						t.Fatalf("after reopen: %+v, want 1 quarantined, 0 entries", st)
+					}
+				}
+				var calls atomic.Int64
+				run := func(c core.Config) (core.Result, error) { calls.Add(1); return scripted(c) }
+				want, _ := scripted(cfg)
+				res, cached, err := s.Do(context.Background(), cfg, run)
+				if err != nil || cached || res != want || calls.Load() != 1 {
+					t.Fatalf("re-simulation: res=%+v cached=%v err=%v calls=%d", res, cached, err, calls.Load())
+				}
+				if st := s.Stats(); st.Quarantined != 1 {
+					t.Fatalf("stats: %+v, want 1 quarantined", st)
+				}
+			})
+		}
 	}
 }
 

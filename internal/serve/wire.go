@@ -17,9 +17,12 @@
 //     sweep.Cacher.
 //   - server.go: Server, the HTTP job service — bounded queue with 429
 //     backpressure, per-job deadlines and cancellation, graceful drain.
-//     Every job turns terminal in one place, which wakes the status
-//     requests held on it: GET /v1/jobs/{id}?wait_ms=N answers when the
-//     job finishes or after N ms (at most 30 s). The 64 most recent
+//     Every job turns terminal in one place, which wakes the requests
+//     held on it: GET /v1/jobs/{id} and GET /v1/jobs/{id}/results with
+//     ?wait_ms=N answer when the job finishes or after N ms (at most
+//     30 s), the results of a job still running then with 409. Bodies
+//     are compact JSON, and results are one outcome per submitted
+//     point, in submission order, naming no point. The 64 most recent
 //     finished jobs stay queryable; older IDs answer 404 "expired;
 //     resubmit".
 //   - client.go: Client, the thin consumer the CLIs use
@@ -27,7 +30,9 @@
 //     sweep.RunFunc, so grids and bisection probes route through a
 //     server unchanged. Idempotent requests ride a transport-retry
 //     loop (connection errors and gateway 5xx, jittered backoff).
-//     Client.Wait is a loop over the held status call; PollInterval is
+//     Client.Wait and Client.Run share one loop over a held call: the
+//     status for Wait, the results for Run, so a Run is two requests
+//     (submit, results) on one kept-alive connection. PollInterval is
 //     the least time between two of them, which only a server that
 //     does not hold (older, or draining) makes it sleep.
 //   - cluster.go / lease.go / worker.go / retry.go: how every job runs.
