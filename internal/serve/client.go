@@ -99,10 +99,11 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return Transient(fmt.Errorf("serve client: %s %s: %w", method, path, err))
 	}
 	defer func() {
-		// Read to EOF before closing: a chunked body's terminator is still
-		// unread after Decode, and net/http reuses a connection only when
-		// its last response was read to the end.
-		io.Copy(io.Discard, resp.Body)
+		// Read what is left before closing: a chunked body's terminator is
+		// still unread after Decode, and net/http reuses a connection only
+		// when its last response was read to the end. The drain is bounded,
+		// so a peer that keeps streaming costs the connection, not a hang.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		resp.Body.Close()
 	}()
 	if resp.StatusCode >= 300 {

@@ -165,13 +165,14 @@ func TestWaitHeldReturnsOnCompletion(t *testing.T) {
 			g := newGate()
 			defer g.open()
 			srv, c, log := heldServer(t, t.TempDir(), ServerOptions{Runner: g.run})
-			_, held, done := w.start(context.Background(), t, srv, c, testGrid(2))
+			id, held, done := w.start(context.Background(), t, srv, c, testGrid(2))
 			log.awaitRequests(t, held, 1)
 			released := time.Now()
 			g.open()
 			(<-done).mustBe(t, JobDone, released)
-			if n := log.count(held); n != 1 {
-				t.Errorf("%s made %d held requests, want the 1 the server held", w.name, n)
+			// Every GET on the job, held or not, status or results.
+			if n := log.count("GET /v1/jobs/" + id); n != 1 {
+				t.Errorf("%s made %d requests on the job, want the 1 the server held", w.name, n)
 			}
 		})
 	}
