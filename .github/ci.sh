@@ -179,6 +179,12 @@ serve)
 	# from: one grid, one job.
 	build_service
 	cd "$work"
+	# A flag the mode never reads is refused at start with usage status 2.
+	# Under timeout: a worker that started anyway would claim for ever.
+	code=0
+	timeout 10 ./lapses-serve -mode worker -peers $url -store store -retries 2 2>refused.txt || code=$?
+	[ "$code" -eq 2 ]
+	grep -q -- '-retries does not apply in worker mode' refused.txt
 	./lapses-serve -store store &
 	server=$!
 	wait_healthy
@@ -245,9 +251,10 @@ cluster)
 	# the same lease goroutines, its worker slots claiming in-process.
 	go test -race -run 'TestCluster|TestClient|TestStoreSharedDirectory|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServer|TestOneExecutionPath' -v ./internal/serve
 	# Then end to end: one coordinator leasing a quick-tier grid to three
-	# workers over a shared store, one worker kill -9'd mid-sweep. The job
-	# must complete, the merged output must be byte-identical to the
-	# in-process run, and resubmitting must re-simulate nothing.
+	# workers over a shared store, one worker kill -9'd mid-sweep and a
+	# second drained by SIGTERM. The job must complete, the merged output
+	# must be byte-identical to the in-process run, and resubmitting must
+	# re-simulate nothing.
 	build_service
 	cd "$work"
 	./lapses-serve -mode coordinator -store store -lease-ttl 2s -heartbeat 500ms -unit 4 2>coord.log &
@@ -264,6 +271,13 @@ cluster)
 	# detector, not lost.
 	sleep 1
 	kill -9 "${workers[0]}"
+	# Then drain a second one mid-sweep (the client must still be
+	# running): it finishes its in-flight points, hands the rest of its
+	# unit back for immediate requeue, and exits 0.
+	sleep 1
+	kill -0 "$client"
+	kill -TERM "${workers[1]}"
+	wait "${workers[1]}"
 	wait "$client"
 	lx -exp fig5 -fidelity quick >local.txt
 	diff <(table clustered.txt) <(table local.txt)

@@ -30,9 +30,11 @@
 //     truncated or corrupt entries instead of serving them. Killing the
 //     process mid-grid (even kill -9) loses only in-flight points;
 //     resubmitting the job resumes from the store.
-//   - A panicking point fails that point at once, not the server.
-//   - A point failing transiently requeues its lease unit, at most
-//     -retries claims per unit.
+//   - A failing or panicking point fails that point at once, not the
+//     server: the simulator is deterministic, so no point is retried.
+//   - A lease unit left unresolved (its worker went silent past the TTL,
+//     or drained) is requeued, at most -retries claims per unit; then
+//     its unresolved points fail.
 //   - The job queue is bounded: beyond -queue waiting jobs, submissions
 //     get 429 + Retry-After backpressure.
 //   - Per-job deadlines (-job-timeout or per-submission) cancel runaway
@@ -56,6 +58,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -69,7 +72,7 @@ func main() {
 	storeDir := flag.String("store", "", "result-store directory (required); created if missing; cluster roles share one directory")
 	workers := flag.Int("workers", 0, "in-process worker slots (standalone) or concurrent simulations per lease (worker mode); 0 = GOMAXPROCS")
 	queue := flag.Int("queue", 16, "max jobs waiting behind the running one before submissions get 429")
-	retries := flag.Int("retries", 3, "attempts per lease unit for transient failures (1 disables retry)")
+	retries := flag.Int("retries", 3, "claims per lease unit before its unresolved points fail (standalone and coordinator modes; 1 = lease each unit once)")
 	jobTimeout := flag.Duration("job-timeout", 0, "default per-job deadline (0 = none; submissions may set their own)")
 	peers := flag.String("peers", "", "comma-separated coordinator base URLs (worker mode; required there)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "coordinator mode: how long a claimed lease survives without a heartbeat before its unit is requeued")
@@ -85,20 +88,24 @@ func main() {
 	}
 
 	// Reject flags that have no effect in the chosen mode — a worker
-	// started with -lease-ttl, or a coordinator with -peers, is a
-	// misunderstanding of the topology that should fail loudly at start,
-	// not silently shape nothing.
-	modeFlags := map[string]string{
-		"peers":     "worker",
-		"worker-id": "worker",
-		"lease-ttl": "coordinator",
-		"heartbeat": "coordinator",
-		"unit":      "coordinator",
+	// started with -lease-ttl, or a coordinator with -peers or -workers
+	// (it starts no worker slots), is a misunderstanding of the topology
+	// that should fail loudly at start, not silently shape nothing.
+	modeFlags := map[string][]string{
+		"addr":        {"standalone", "coordinator"},
+		"queue":       {"standalone", "coordinator"},
+		"retries":     {"standalone", "coordinator"},
+		"job-timeout": {"standalone", "coordinator"},
+		"workers":     {"standalone", "worker"},
+		"peers":       {"worker"},
+		"worker-id":   {"worker"},
+		"lease-ttl":   {"coordinator"},
+		"heartbeat":   {"coordinator"},
+		"unit":        {"coordinator"},
 	}
 	flag.Visit(func(f *flag.Flag) {
-		want, scoped := modeFlags[f.Name]
-		if scoped && want != *mode {
-			fatal(fmt.Errorf("-%s only applies in %s mode (running in %s mode)", f.Name, want, *mode))
+		if want, scoped := modeFlags[f.Name]; scoped && !slices.Contains(want, *mode) {
+			fatal(fmt.Errorf("-%s does not apply in %s mode (only in: %s)", f.Name, *mode, strings.Join(want, ", ")))
 		}
 	})
 

@@ -137,12 +137,14 @@
 // store keyed by Config.Key — atomic temp-file+rename writes, per-entry
 // checksums, and a startup recovery scan that quarantines corrupt
 // entries rather than serving them, so a kill -9 loses only in-flight
-// points and resubmitted jobs resume from disk. A panicking point fails
-// alone, a transient failure requeues its lease unit under a bounded
-// attempt budget, the job queue applies 429 backpressure, and SIGTERM
-// drains in-flight points before exit. serve.Client.Run satisfies
-// sweep.RunFunc, which experiments.Runner.Exec and sweep.Options.Exec
-// accept — lapses-experiments -server routes every grid and
-// saturation-search probe through a server byte-identically to the
-// in-process path. See README.md "Service mode".
+// points and resubmitted jobs resume from disk. A failing or panicking
+// point fails alone (the simulator is deterministic, so no point is
+// retried); a lease unit whose worker went silent or drained is requeued
+// under a bounded attempt budget; the job queue applies 429
+// backpressure; and SIGTERM drains in-flight points before exit.
+// serve.Client.Run satisfies sweep.RunFunc, which
+// experiments.Runner.Exec and sweep.Options.Exec accept —
+// lapses-experiments -server routes every grid and saturation-search
+// probe through a server byte-identically to the in-process path. See
+// README.md "Service mode".
 package lapses

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -39,14 +40,21 @@ type Client struct {
 	// job ("[serve job j000001: 88 points, 88 cached, 0 simulated,
 	// 0 failed]") — the store-hit evidence the CI smoke test greps.
 	Verbose io.Writer
-	// Retry shapes the transport-level retry loop wrapped around every
-	// idempotent request (Submit, Status, Results, Cancel, StoreStats,
-	// and the cluster RPCs): connection errors and 502/503/504 responses
-	// are retried with jittered exponential backoff. Zero fields default
-	// to 5 attempts from a 200ms base. Backpressure (429) is never
-	// retried here — Submit's own Retry-After loop owns that.
-	Retry RetryPolicy
 }
+
+// The transport retry wrapped around every idempotent request (Submit,
+// Status, Results, Cancel, StoreStats and Complete): retryAttempts tries
+// in all, the first retry after retryBase, each further one doubled up
+// to retryMax and jittered — about 3 s of waiting, enough to ride out a
+// server restart.
+const (
+	retryAttempts = 5
+	retryMax      = 2 * time.Second
+)
+
+// retryBase is the delay before the first transport retry; a variable
+// only so tests can shorten it.
+var retryBase = 200 * time.Millisecond
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
@@ -76,27 +84,16 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
 	if err != nil {
-		return fmt.Errorf("serve client: %w", err)
+		// %v: a malformed URL's *url.Error must not read as a transport
+		// failure to retryable.
+		return fmt.Errorf("serve client: %v", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		// A request killed by its own context is not a server fault:
-		// retrying a deliberate cancellation (or an expired deadline)
-		// just burns a backoff cycle before every consumer of the
-		// IsTransient taxonomy notices the dead ctx.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
-			return fmt.Errorf("serve client: %s %s: %w", method, path, err)
-		}
-		// Other transport-level failures (connection refused, reset,
-		// timeout) are transient by construction: the request may never
-		// have reached the server, and a healthy peer moments later will
-		// answer it. Marking them Transient lets doRetry — and any
-		// server-side runner executing through this client — retry them
-		// under the capped budget.
-		return Transient(fmt.Errorf("serve client: %s %s: %w", method, path, err))
+		return fmt.Errorf("serve client: %s %s: %w", method, path, err)
 	}
 	defer func() {
 		// Read what is left before closing: a chunked body's terminator is
@@ -123,25 +120,14 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return nil
 }
 
-// retryPolicy is the transport-retry curve: Retry with client-appropriate
-// defaults (a little patient — 5 attempts from a 200ms base reaches ~3s
-// of cumulative waiting, enough to ride out a server restart).
-func (c *Client) retryPolicy() RetryPolicy {
-	p := c.Retry
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 5
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 200 * time.Millisecond
-	}
-	return p.normalize()
-}
-
-// retryableStatus reports whether a request should be retried: transport
-// errors (wrapped Transient by do) and gateway-flavored 5xx responses
-// qualify; client errors (4xx, including 429 — Submit handles that one
-// itself) and decode failures never do.
-func retryableStatus(err error) bool {
+// retryable reports whether a failed request is worth sending again:
+// a transport failure (the *url.Error http.Client.Do returns for a
+// refused, reset or timed-out connection — the request may never have
+// reached the server) or a gateway 502/503/504. A request killed by its
+// own context is not a server fault and is not retried, nor is any other
+// status (429 included: Submit's Retry-After loop owns that) or a
+// response that failed to decode.
+func retryable(ctx context.Context, err error) bool {
 	var ae *APIStatusError
 	if errors.As(err, &ae) {
 		switch ae.Code {
@@ -150,33 +136,25 @@ func retryableStatus(err error) bool {
 		}
 		return false
 	}
-	return IsTransient(err)
+	var ue *url.Error
+	return errors.As(err, &ue) && ctx.Err() == nil &&
+		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
-// doRetry is do wrapped in the transport-retry loop: transient failures
-// are retried with jittered exponential backoff up to the policy's
-// attempt budget, and the last error is returned when the budget is
-// spent or ctx expires.
+// doRetry is do wrapped in the transport retry: a retryable failure is
+// sent again after a jittered, growing backoff, and the last error is
+// returned once retryAttempts are spent or ctx expires.
 func (c *Client) doRetry(ctx context.Context, method, path string, body, out any) error {
-	pol := c.retryPolicy()
-	var lastErr error
-	for n := 1; n <= pol.MaxAttempts; n++ {
-		lastErr = c.do(ctx, method, path, body, out)
-		if lastErr == nil || !retryableStatus(lastErr) {
-			return lastErr
+	for n := 1; ; n++ {
+		err := c.do(ctx, method, path, body, out)
+		if err == nil || n == retryAttempts || !retryable(ctx, err) {
+			return err
 		}
-		if n == pol.MaxAttempts {
-			break
-		}
-		t := time.NewTimer(pol.backoff(n))
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return lastErr
+		sleepCtx(ctx, backoff(retryBase, retryMax, n))
+		if ctx.Err() != nil {
+			return err
 		}
 	}
-	return lastErr
 }
 
 // APIStatusError is a non-2xx server response.

@@ -32,6 +32,15 @@ func (f *flakyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(r)
 }
 
+// fastRetry shortens the transport retry's backoff for the rest of the
+// test. retryBase is package state, so a test calling this must not be
+// parallel; sequential tests never overlap parallel ones.
+func fastRetry(t *testing.T) {
+	base := retryBase
+	retryBase = time.Millisecond
+	t.Cleanup(func() { retryBase = base })
+}
+
 // statusTransport answers every request with a fixed status code.
 type statusTransport struct {
 	code  int
@@ -51,12 +60,11 @@ func (s *statusTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // couple of connection-level failures (a server restart mid-poll) by
 // retrying with backoff, without the caller seeing anything.
 func TestClientRetriesTransportErrors(t *testing.T) {
-	t.Parallel()
+	fastRetry(t)
 	_, c := testServer(t, t.TempDir(), ServerOptions{Runner: scripted})
 	ft := &flakyTransport{}
 	ft.fails.Store(2)
 	c.HTTP = &http.Client{Transport: ft}
-	c.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond}
 
 	if _, err := c.StoreStats(context.Background()); err != nil {
 		t.Fatalf("StoreStats did not survive two transport blips: %v", err)
@@ -67,52 +75,42 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 }
 
 // TestClientRetryBudgetExhausted: when the server never comes back, the
-// retry loop must give up after its attempt budget and surface a
-// Transient error (so server-side runners executing through the client
-// classify it correctly).
+// retry loop must give up after its attempt budget and surface the
+// transport error.
 func TestClientRetryBudgetExhausted(t *testing.T) {
-	t.Parallel()
+	fastRetry(t)
 	ft := &flakyTransport{}
 	ft.fails.Store(1 << 30)
 	c := &Client{
-		Base:  "http://unreachable.invalid",
-		HTTP:  &http.Client{Transport: ft},
-		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
+		Base: "http://unreachable.invalid",
+		HTTP: &http.Client{Transport: ft},
 	}
 	_, err := c.Status(context.Background(), "j000001")
 	if err == nil {
 		t.Fatal("Status succeeded against a dead transport")
 	}
-	if !IsTransient(err) {
-		t.Fatalf("transport failure should classify transient: %v", err)
-	}
-	if n := ft.calls.Load(); n != 3 {
-		t.Fatalf("transport saw %d calls, want exactly the 3-attempt budget", n)
+	if n := ft.calls.Load(); n != retryAttempts {
+		t.Fatalf("transport saw %d calls, want exactly the %d-attempt budget", n, retryAttempts)
 	}
 }
 
 // TestClientCancellationNotTransient: a request killed by its own
-// context must not classify transient — a deliberate cancellation is
-// not a server fault, and wrapping it Transient would make retry loops
-// (the client's own, or a server-side runner executing through this
-// client) burn a backoff cycle before noticing the dead ctx.
+// context must not be retried — a deliberate cancellation is not a
+// server fault, and retrying it would burn a backoff cycle before the
+// retry loop noticed the dead ctx.
 func TestClientCancellationNotTransient(t *testing.T) {
 	t.Parallel()
 	ft := &flakyTransport{}
 	ft.fails.Store(1 << 30)
 	c := &Client{
-		Base:  "http://unreachable.invalid",
-		HTTP:  &http.Client{Transport: ft},
-		Retry: RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond},
+		Base: "http://unreachable.invalid",
+		HTTP: &http.Client{Transport: ft},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := c.Status(ctx, "j000001")
 	if err == nil {
 		t.Fatal("Status succeeded on a cancelled context")
-	}
-	if IsTransient(err) {
-		t.Fatalf("cancellation classified transient: %v", err)
 	}
 	if n := ft.calls.Load(); n != 1 {
 		t.Fatalf("cancelled request was retried: %d attempts", n)
@@ -126,9 +124,8 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	t.Parallel()
 	st := &statusTransport{code: http.StatusNotFound}
 	c := &Client{
-		Base:  "http://example.invalid",
-		HTTP:  &http.Client{Transport: st},
-		Retry: RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond},
+		Base: "http://example.invalid",
+		HTTP: &http.Client{Transport: st},
 	}
 	_, err := c.Status(context.Background(), "nope")
 	var ae *APIStatusError
@@ -143,19 +140,31 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 // TestClientRetriesGatewayErrors: 503s (a proxy in front of a draining
 // server) are retried like transport failures.
 func TestClientRetriesGatewayErrors(t *testing.T) {
-	t.Parallel()
+	fastRetry(t)
 	st := &statusTransport{code: http.StatusServiceUnavailable}
 	c := &Client{
-		Base:  "http://example.invalid",
-		HTTP:  &http.Client{Transport: st},
-		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
+		Base: "http://example.invalid",
+		HTTP: &http.Client{Transport: st},
 	}
 	_, err := c.Status(context.Background(), "j000001")
 	var ae *APIStatusError
 	if !errors.As(err, &ae) || ae.Code != http.StatusServiceUnavailable {
 		t.Fatalf("want 503 APIStatusError, got %v", err)
 	}
-	if n := st.calls.Load(); n != 3 {
-		t.Fatalf("503 saw %d attempts, want the full 3-attempt budget", n)
+	if n := st.calls.Load(); n != retryAttempts {
+		t.Fatalf("503 saw %d attempts, want the full %d-attempt budget", n, retryAttempts)
+	}
+}
+
+// TestClientMalformedURLNotRetried: a base URL that does not parse fails
+// before any request is sent, and its *url.Error is not mistaken for a
+// transport failure worth retrying.
+func TestClientMalformedURLNotRetried(t *testing.T) {
+	t.Parallel()
+	c := &Client{Base: "http://bad host"}
+	ctx := context.Background()
+	err := c.do(ctx, http.MethodGet, "/v1/store", nil, nil)
+	if err == nil || retryable(ctx, err) {
+		t.Fatalf("malformed base URL: err=%v, want an error that is not retried", err)
 	}
 }

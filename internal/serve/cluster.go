@@ -92,16 +92,15 @@ type HeartbeatResponse struct {
 }
 
 // PointReport is one grid point's terminal state as reported by a
-// worker. Transient marks failures the coordinator should requeue
-// (serve.Transient errors, points a draining worker never started); a
-// non-transient error, a recovered panic included, fails the point
-// permanently.
+// worker: its result, or an error that fails the point for good (a
+// recovered panic included — the simulator is deterministic, so running
+// the point again cannot change its answer). A point the worker never
+// ran is left out of the completion, and the coordinator requeues it.
 type PointReport struct {
-	Index     int          `json:"index"`
-	Result    *core.Result `json:"result,omitempty"`
-	Cached    bool         `json:"cached,omitempty"`
-	Error     string       `json:"error,omitempty"`
-	Transient bool         `json:"transient,omitempty"`
+	Index  int          `json:"index"`
+	Result *core.Result `json:"result,omitempty"`
+	Cached bool         `json:"cached,omitempty"`
+	Error  string       `json:"error,omitempty"`
 }
 
 // CompleteRequest finishes a lease with per-point reports. Job must be
@@ -127,7 +126,11 @@ type CompleteResponse struct {
 
 // ClusterStats is the coordinator's operational view, served at
 // GET /v1/cluster: the live lease picture plus cumulative counters
-// across all jobs since the process started.
+// across all jobs since the process started, which every lease event
+// bumps as it happens. TransientRequeues counts units a worker completed
+// with points unresolved (a draining worker hands back the points it
+// never started); each went back to the queue, or failed on its last
+// attempt.
 type ClusterStats struct {
 	Coordinator       bool   `json:"coordinator"`
 	ActiveJob         string `json:"active_job,omitempty"`
@@ -186,7 +189,7 @@ func (s *Server) pruneWorkersLocked(now time.Time) {
 func (s *Server) runClustered(ctx context.Context, jb *job) ([]sweep.Outcome, error) {
 	// The store is read on sweep.Run's pool, by a runner that simulates
 	// nothing. No lock: nothing else sees cg until it is published below.
-	cg := newClusterGrid(jb.id, s.epoch, jb.grid, jb.points, s.lease.LeaseTTL, s.opt.MaxAttempts)
+	cg := newClusterGrid(jb.id, s.epoch, jb.grid, jb.points, s.lease.LeaseTTL, s.opt.MaxAttempts, &s.ctot)
 	stored, _ := sweep.Run(ctx, jb.grid, sweep.Options{Runner: func(c core.Config) (core.Result, error) {
 		if res, ok := s.store.Get(c.Key()); ok {
 			return res, nil
@@ -245,18 +248,7 @@ func (s *Server) runClustered(ctx context.Context, jb *job) ([]sweep.Outcome, er
 		}
 	}
 	s.cluster = nil
-	s.foldClusterTotals(cg)
 	return cg.outs, ctx.Err()
-}
-
-// foldClusterTotals accumulates a finished grid's counters into the
-// server-lifetime totals (mu held).
-func (s *Server) foldClusterTotals(cg *clusterGrid) {
-	s.ctot.Claims += cg.claims
-	s.ctot.OrphanRequeues += cg.orphanRequeues
-	s.ctot.TransientRequeues += cg.transientRequeues
-	s.ctot.LateReports += cg.lateReports
-	s.ctot.ExhaustedUnits += cg.exhaustedUnits
 }
 
 func (s *Server) notCoordinator(w http.ResponseWriter) bool {
@@ -353,7 +345,7 @@ func (s *Server) complete(req CompleteRequest) CompleteResponse {
 	switch {
 	case cg != nil && req.Job == cg.token:
 		grid = cg.grid
-		late = cg.complete(req.Lease, req.Reports, now)
+		late = cg.complete(req.Lease, req.Reports)
 		if len(cg.pending) > 0 { // requeued: claims park only on an empty queue
 			s.wakeClaimsLocked()
 		}
@@ -365,7 +357,7 @@ func (s *Server) complete(req CompleteRequest) CompleteResponse {
 		// job's results onto another job's configs. Drop it wholesale:
 		// the worker's own store writes are already durable, and the
 		// old job's requeue/resubmission path resolves from them.
-		cg.lateReports++
+		s.ctot.LateReports++
 		late = true
 	default:
 		// No job is executing (it finished, was cancelled, or the
@@ -450,11 +442,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		st.ActiveJob = cg.jobID
 		st.PendingUnits = len(cg.pending)
 		st.ActiveLeases = len(cg.active)
-		st.Claims += cg.claims
-		st.OrphanRequeues += cg.orphanRequeues
-		st.TransientRequeues += cg.transientRequeues
-		st.LateReports += cg.lateReports
-		st.ExhaustedUnits += cg.exhaustedUnits
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)

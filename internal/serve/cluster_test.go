@@ -590,9 +590,9 @@ func TestOneExecutionPath(t *testing.T) {
 }
 
 // TestClusterDrainRequeuesUnstarted: cancelling a worker mid-unit (the
-// graceful SIGTERM drain) must report its unstarted points transient so
-// the coordinator requeues them immediately, and another worker must
-// finish the job without waiting out the lease TTL.
+// graceful SIGTERM drain) must leave its unstarted points out of its
+// completion so the coordinator requeues them immediately, and another
+// worker must finish the job without waiting out the lease TTL.
 func TestClusterDrainRequeuesUnstarted(t *testing.T) {
 	t.Parallel()
 	grid := testGrid(4)
@@ -626,8 +626,8 @@ func TestClusterDrainRequeuesUnstarted(t *testing.T) {
 
 	<-reached
 	// SIGTERM the draining worker: its in-flight point (grid[1]) finishes
-	// and persists, and its completion hands grid[2], grid[3] back as
-	// transient for immediate requeue.
+	// and persists, and its completion leaves grid[2], grid[3] out, which
+	// hands them back for immediate requeue.
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		close(release)

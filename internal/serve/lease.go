@@ -63,15 +63,12 @@ type clusterGrid struct {
 	finished chan struct{}
 	settled  bool
 	progress JobStatus // the job's counters: points recorded, units requeued
-
-	claims            int64
-	orphanRequeues    int64
-	transientRequeues int64
-	lateReports       int64
-	exhaustedUnits    int64
+	// stats are the server's lifetime lease counters, which every grid
+	// counts into directly.
+	stats *ClusterStats
 }
 
-func newClusterGrid(jobID, epoch string, grid []core.Config, points []Point, ttl time.Duration, maxAttempts int) *clusterGrid {
+func newClusterGrid(jobID, epoch string, grid []core.Config, points []Point, ttl time.Duration, maxAttempts int, stats *ClusterStats) *clusterGrid {
 	cg := &clusterGrid{
 		jobID:       jobID,
 		token:       jobID + "." + epoch,
@@ -84,6 +81,7 @@ func newClusterGrid(jobID, epoch string, grid []core.Config, points []Point, ttl
 		ttl:         ttl,
 		maxAttempts: maxAttempts,
 		finished:    make(chan struct{}),
+		stats:       stats,
 	}
 	for i := range grid {
 		cg.outs[i].Config = grid[i]
@@ -150,7 +148,7 @@ func (cg *clusterGrid) claim(worker string, now time.Time) *workUnit {
 	u.attempt++
 	u.expires = now.Add(cg.ttl)
 	cg.active[u.lease] = u
-	cg.claims++
+	cg.stats.Claims++
 	return u
 }
 
@@ -174,8 +172,8 @@ func (cg *clusterGrid) expireOrphans(now time.Time) {
 	for lease, u := range cg.active {
 		if now.After(u.expires) {
 			delete(cg.active, lease)
-			cg.orphanRequeues++
-			cg.requeue(u, fmt.Sprintf("lease %s orphaned: worker %q went silent past the %s TTL", u.lease, u.owner, cg.ttl), false)
+			cg.stats.OrphanRequeues++
+			cg.requeue(u, fmt.Sprintf("lease %s orphaned: worker %q went silent past the %s TTL", u.lease, u.owner, cg.ttl))
 		}
 	}
 	cg.settle()
@@ -183,14 +181,12 @@ func (cg *clusterGrid) expireOrphans(now time.Time) {
 
 // requeue returns a unit's unresolved indices to the pending queue — or,
 // once the attempt budget (ServerOptions.MaxAttempts) is spent, fails
-// them permanently with the last failure's message, so a transient
-// error's message survives into the job's error report instead of the
-// unit bouncing forever. transientReport distinguishes worker-reported
-// transient failures from orphan detection, for the stats counters. A
-// stopped grid requeues nothing.
-func (cg *clusterGrid) requeue(u *workUnit, reason string, transientReport bool) {
+// them permanently with reason, why the unit's last lease ended, so the
+// unit cannot bounce forever. It reports whether the unit still owed any
+// point. A stopped grid requeues nothing.
+func (cg *clusterGrid) requeue(u *workUnit, reason string) bool {
 	if cg.cancelled {
-		return
+		return false
 	}
 	var left []int
 	for _, i := range u.indices {
@@ -199,68 +195,53 @@ func (cg *clusterGrid) requeue(u *workUnit, reason string, transientReport bool)
 		}
 	}
 	if len(left) == 0 {
-		return
-	}
-	if transientReport {
-		cg.transientRequeues++
+		return false
 	}
 	if u.attempt >= cg.maxAttempts {
-		cg.exhaustedUnits++
+		cg.stats.ExhaustedUnits++
 		err := fmt.Errorf("serve: giving up after %d lease attempts: %s", u.attempt, reason)
 		for _, i := range left {
 			cg.record(i, sweep.Outcome{Err: err})
 		}
-		return
+		return true
 	}
 	cg.pending = append(cg.pending, &workUnit{indices: left, attempt: u.attempt})
 	cg.progress.Retries++
+	return true
 }
 
 // complete applies a worker's per-point reports for a lease.
 //
-//   - Successes and permanent failures resolve their points.
-//   - Transient failures (serve.Transient errors, points a draining
-//     worker never started) send the unit's leftovers back through
-//     requeue, under the capped attempt budget.
+//   - A result or an error resolves its point. Every reported error is
+//     permanent: the simulator is deterministic, so running the point
+//     again cannot change its answer.
+//   - Points the report leaves out (a draining worker reports only what
+//     it ran) are handed back: requeue puts them in the queue at once,
+//     under the capped attempt budget.
 //   - A late report — the lease already expired and was requeued — still
-//     resolves its successes: re-execution is idempotent, record discards
+//     resolves its points: re-execution is idempotent, record discards
 //     whichever copy arrives second, and the slow-but-alive worker's
-//     results are not thrown away. Late failure reports are ignored; the
-//     requeued unit owns those points now.
+//     results are not thrown away.
 //
 // Returns whether the report was late.
-func (cg *clusterGrid) complete(lease string, reports []PointReport, now time.Time) (late bool) {
+func (cg *clusterGrid) complete(lease string, reports []PointReport) (late bool) {
 	u := cg.active[lease]
 	late = u == nil
 	if late {
-		cg.lateReports++
+		cg.stats.LateReports++
 	} else {
 		delete(cg.active, lease)
 	}
-	firstTransient := ""
 	for _, r := range reports {
 		switch {
-		case r.Error == "":
-			if r.Result != nil {
-				cg.record(r.Index, sweep.Outcome{Result: *r.Result, Cached: r.Cached})
-			}
-		case r.Transient:
-			if firstTransient == "" {
-				firstTransient = r.Error
-			}
-		default:
+		case r.Error != "":
 			cg.record(r.Index, sweep.Outcome{Err: fmt.Errorf("%s", r.Error)})
+		case r.Result != nil:
+			cg.record(r.Index, sweep.Outcome{Result: *r.Result, Cached: r.Cached})
 		}
 	}
-	if u != nil {
-		// Whatever the unit still owes — reported transient, or simply
-		// never reported (a worker that drained mid-unit reports only
-		// what finished) — goes back through the capped requeue.
-		reason := firstTransient
-		if reason == "" {
-			reason = fmt.Sprintf("lease %s returned without resolving all points", lease)
-		}
-		cg.requeue(u, reason, firstTransient != "")
+	if u != nil && cg.requeue(u, fmt.Sprintf("lease %s returned without resolving all points", lease)) {
+		cg.stats.TransientRequeues++
 	}
 	cg.settle()
 	return late

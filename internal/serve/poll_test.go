@@ -371,7 +371,7 @@ func TestShutdownReleasesHeldRequests(t *testing.T) {
 }
 
 // TestHeldClaimGetsRequeuedUnit: a claim parked on an empty queue is
-// granted the unit a transient completion hands back, and the unit an
+// granted the unit a completion hands back unresolved, and the unit an
 // orphaned lease's expiry frees — each on the request already parked.
 func TestHeldClaimGetsRequeuedUnit(t *testing.T) {
 	t.Parallel()
@@ -402,11 +402,9 @@ func TestHeldClaimGetsRequeuedUnit(t *testing.T) {
 	t.Run("transient", func(t *testing.T) {
 		t.Parallel()
 		parkThenFree(t, 30*time.Second, 0, func(c *Client, first ClaimResponse) {
-			reports := make([]PointReport, len(first.Indices))
-			for j, idx := range first.Indices {
-				reports[j] = PointReport{Index: idx, Error: "worker draining", Transient: true}
-			}
-			if _, err := c.Complete(context.Background(), first.Lease, first.Job, "first", reports); err != nil {
+			// A draining worker that started none of the unit's points
+			// reports none of them.
+			if _, err := c.Complete(context.Background(), first.Lease, first.Job, "first", nil); err != nil {
 				t.Error(err)
 			}
 		})

@@ -69,13 +69,15 @@ type ServerOptions struct {
 	// header rather than queued without bound (default 16).
 	QueueLimit int
 	// MaxAttempts is how many times a lease unit is claimed before the
-	// points it still owes fail (default 3; 1 disables retry).
+	// points it still owes fail (default 3; 1: a unit is leased once).
+	// A unit is claimed again only when its lease expired or its worker
+	// handed it back with points unresolved.
 	MaxAttempts int
 	// JobTimeout is the default per-job deadline applied when a
 	// submission does not carry its own (0: none).
 	JobTimeout time.Duration
 	// Runner replaces core.Run for every point — the test seam for
-	// scripted results, injected transient failures and blocking points.
+	// scripted results, injected failures and panics, and blocking points.
 	Runner func(core.Config) (core.Result, error)
 	// Cluster, when non-nil, makes this server a cluster coordinator:
 	// jobs are leased to Worker instances over HTTP instead of to
@@ -134,8 +136,9 @@ type Server struct {
 	stopSlots context.CancelFunc
 	slotsDone chan struct{}
 
-	// Lease state: the running job's grid (nil between jobs), lifetime
-	// counters, and last-seen worker identities. epoch is a random
+	// Lease state: the running job's grid (nil between jobs), the
+	// lifetime counters every grid counts into as it goes, and last-seen
+	// worker identities. epoch is a random
 	// per-process token baked into every lease ID and claim grant, so
 	// grants from a previous coordinator incarnation (whose job IDs
 	// restart from j000001) can never collide with fresh leases.

@@ -253,64 +253,63 @@ func mustPoints(t *testing.T, grid []core.Config) []Point {
 	return pts
 }
 
-// TestServerRetriesTransient: points failing transiently are retried
-// with backoff inside their attempt budget and succeed without failing
-// the job; the retry count is visible in the job status.
-func TestServerRetriesTransient(t *testing.T) {
+// TestServerLeaseAttemptBudget: a worker that hands its unit back with
+// a point unresolved gets it requeued, at most MaxAttempts claims in
+// all; after that the point fails naming the budget, while the other
+// unit's point succeeds. Claims and completions are driven by hand.
+func TestServerLeaseAttemptBudget(t *testing.T) {
 	t.Parallel()
-	var attempts sync.Map // key -> *atomic.Int64
-	runner := func(cfg core.Config) (core.Result, error) {
-		v, _ := attempts.LoadOrStore(cfg.Key(), new(atomic.Int64))
-		if v.(*atomic.Int64).Add(1) < 3 {
-			return core.Result{}, Transient(context.DeadlineExceeded)
-		}
-		return scripted(cfg)
-	}
 	_, c := testServer(t, t.TempDir(), ServerOptions{
-		Runner:      runner,
-		MaxAttempts: 3,
-	})
-	grid := testGrid(2)
-	got, err := c.Run(context.Background(), grid, sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i].Err != nil {
-			t.Fatalf("point %d failed despite retry budget: %v", i, got[i].Err)
-		}
-	}
-	st, err := c.StoreStats(context.Background())
-	if err != nil || st.Entries != 2 {
-		t.Fatalf("store after retries: %+v err=%v", st, err)
-	}
-}
-
-// TestServerRetryBudgetExhausted: a point that stays transient beyond
-// MaxAttempts fails that point (reported with its retry count), while
-// the rest of the grid completes.
-func TestServerRetryBudgetExhausted(t *testing.T) {
-	t.Parallel()
-	runner := func(cfg core.Config) (core.Result, error) {
-		if cfg.Seed == 2 {
-			return core.Result{}, Transient(context.DeadlineExceeded)
-		}
-		return scripted(cfg)
-	}
-	_, c := testServer(t, t.TempDir(), ServerOptions{
-		Runner:      runner,
+		Cluster:     &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 1},
 		MaxAttempts: 2,
 	})
-	grid := testGrid(3)
-	got, err := c.Run(context.Background(), grid, sweep.Options{})
+	ctx := context.Background()
+	grid := testGrid(2)
+	st, err := c.Submit(ctx, mustPoints(t, grid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[1].Err == nil || !strings.Contains(got[1].Err.Error(), "transient") {
-		t.Fatalf("stubborn point: err=%v", got[1].Err)
+	healthy := claimUntilGranted(t, c, "w")
+	if len(healthy.Indices) != 1 || healthy.Indices[0] != 0 {
+		t.Fatalf("first grant %+v, want the unit of point 0", healthy)
 	}
-	if got[0].Err != nil || got[2].Err != nil {
-		t.Fatalf("healthy points failed: %v / %v", got[0].Err, got[2].Err)
+	want, _ := scripted(grid[0])
+	if _, err := c.Complete(ctx, healthy.Lease, healthy.Job, "w", []PointReport{{Index: 0, Result: &want}}); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 1; attempt <= 2; attempt++ {
+		g := claimUntilGranted(t, c, "w")
+		if len(g.Indices) != 1 || g.Indices[0] != 1 || g.Attempt != attempt {
+			t.Fatalf("grant %+v, want the unit of point 1 on attempt %d", g, attempt)
+		}
+		if _, err := c.Complete(ctx, g.Lease, g.Job, "w", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	final, err := c.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != JobFailed || final.Retries != 1 {
+		t.Fatalf("job %+v, want failed after 1 retry", final)
+	}
+	res, err := c.Results(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Outcomes[0]; got.Error != "" || got.Result == nil || *got.Result != want {
+		t.Fatalf("healthy point: %+v", got)
+	}
+	if msg := res.Outcomes[1].Error; !strings.Contains(msg, "giving up after 2 lease attempts") {
+		t.Fatalf("handed-back point: %q, want the attempt budget named", msg)
+	}
+	cs, err := c.ClusterStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.ExhaustedUnits != 1 || cs.TransientRequeues != 2 {
+		t.Fatalf("cluster stats %+v, want 1 exhausted unit of 2 hand-backs", cs)
 	}
 }
 

@@ -29,7 +29,8 @@
 //     (lapses-experiments -server); Client.Run satisfies
 //     sweep.RunFunc, so grids and bisection probes route through a
 //     server unchanged. Idempotent requests ride a transport-retry
-//     loop (connection errors and gateway 5xx, jittered backoff).
+//     loop (connection errors and gateway 5xx, 5 attempts, jittered
+//     backoff).
 //     Client.Wait and Client.Run share one loop over a held call: the
 //     status for Wait, the results for Run, so a Run is two requests
 //     (submit, results) on one kept-alive connection. PollInterval is
@@ -39,12 +40,15 @@
 //     The server cuts each grid into leased work units that Worker loops
 //     claim, heartbeat and complete: a standalone server's own slots by
 //     function call, a coordinator's (ServerOptions.Cluster set) Worker
-//     processes over HTTP. A lease whose worker goes silent past its TTL
-//     is requeued by the failure detector, as is a unit with a point
-//     failed Transient, up to ServerOptions.MaxAttempts claims; a panic
-//     fails its point at once. Workers simulate against the Store, so
-//     every finished point is durable before it is reported and a
-//     requeued lease re-simulates nothing persisted. An idle remote
+//     processes over HTTP. A unit is requeued for one reason: its points
+//     are unresolved when its lease ends, because the failure detector
+//     expired it (its worker went silent past its TTL) or its worker
+//     handed it back (a draining worker reports only the points it ran).
+//     After ServerOptions.MaxAttempts claims its remaining points fail.
+//     Every reported error, a panic included, fails its point at once.
+//     Workers simulate against the Store, so every finished point is
+//     durable before it is reported and a requeued lease re-simulates
+//     nothing persisted. An idle remote
 //     worker's claim carries wait_ms too: the coordinator holds it (at
 //     most 30 s and one lease TTL) until a unit is seeded or requeued.
 package serve

@@ -27,9 +27,9 @@ import (
 // completion is then late, and the coordinator merges its successes
 // idempotently. Cancelling Run's context is the graceful drain: the
 // current unit stops dispatching new points, in-flight points finish and
-// persist, finished points are reported, and unstarted ones are reported
-// transient so the coordinator requeues them immediately instead of
-// waiting out the TTL.
+// persist, finished points are reported, and unstarted ones are left out
+// of the report, which hands them back: the coordinator requeues them
+// immediately instead of waiting out the TTL.
 type Worker struct {
 	// ID is the worker's stable identity in coordinator logs and lease
 	// ownership (required).
@@ -115,7 +115,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.validate(); err != nil {
 		return err
 	}
-	pol := RetryPolicy{BaseBackoff: w.idle(), MaxBackoff: 8 * w.idle(), MaxAttempts: 1}.normalize()
 	var peers []peer
 	if w.local != nil {
 		peers = append(peers, w.local)
@@ -131,7 +130,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// No coordinator reachable: back off, jittered so a fleet of
 			// orphaned workers doesn't retry in step.
 			misses++
-			sleepCtx(ctx, pol.backoff(misses))
+			sleepCtx(ctx, backoff(w.idle(), 8*w.idle(), misses))
 		case grant.Lease == "":
 			// No work. A coordinator that held the claim says RetryMS 0
 			// (the wait already happened there); one that did not — it is
@@ -214,15 +213,14 @@ func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse) {
 			res := o.Result
 			reports = append(reports, PointReport{Index: idx, Result: &res, Cached: o.Cached})
 		case errors.Is(o.Err, context.Canceled) && unitCtx.Err() != nil:
-			// Never started (drain or lease loss): transient, so the
+			// Never started (drain or lease loss): left out, so the
 			// coordinator requeues it without burning the TTL.
-			reports = append(reports, PointReport{Index: idx, Error: fmt.Sprintf("point not executed: %v", o.Err), Transient: true})
 		default:
-			// Only an explicitly Transient error requeues. To a
-			// deterministic simulator anything else, a recovered panic
-			// included, is a property of the config. (Out of memory is
-			// fatal in Go, not a panic: the lease TTL covers it.)
-			reports = append(reports, PointReport{Index: idx, Error: o.Err.Error(), Transient: IsTransient(o.Err)})
+			// To a deterministic simulator any error, a recovered panic
+			// included, is a property of the config: it fails the point.
+			// (Out of memory is fatal in Go, not a panic: the lease TTL
+			// covers it.)
+			reports = append(reports, PointReport{Index: idx, Error: o.Err.Error()})
 		}
 	}
 
