@@ -364,6 +364,7 @@ func (s *Server) complete(req CompleteRequest) CompleteResponse {
 		// coordinator restarted): the report has nowhere to land, but
 		// that is fine — the worker's store writes are already durable,
 		// and a resubmission resolves from them.
+		s.ctot.LateReports++
 		late = true
 	}
 	s.mu.Unlock()

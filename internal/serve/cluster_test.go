@@ -323,6 +323,21 @@ func TestClusterStaleJobCompletionDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, c, stB.ID, func(st JobStatus) bool { return st.State == JobRunning })
+	// A running job publishes its lease grid only after its store
+	// pre-scan; wait for it, so the report below meets job B's grid and
+	// not the gap between the two jobs.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		cs, err := c.ClusterStats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.ActiveJob == stB.ID {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job B's lease grid never became active: %+v", cs)
+		}
+	}
 
 	// The stale worker finally reports job A's lease, carrying a poison
 	// result at index 0. Pre-fix this was record()ed into job B's grid

@@ -253,11 +253,66 @@ func mustPoints(t *testing.T, grid []core.Config) []Point {
 	return pts
 }
 
-// TestServerLeaseAttemptBudget: a worker that hands its unit back with
+// TestServerRetriesTransient: a unit its worker hands back with its
+// point unresolved is requeued and, claimed again inside the attempt
+// budget, succeeds without failing the job; the requeue is visible in
+// the job status. Claims and completions are driven by hand.
+func TestServerRetriesTransient(t *testing.T) {
+	t.Parallel()
+	_, c := testServer(t, t.TempDir(), ServerOptions{
+		Cluster:     &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 1},
+		MaxAttempts: 2,
+	})
+	ctx := context.Background()
+	grid := testGrid(1)
+	st, err := c.Submit(ctx, mustPoints(t, grid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := claimUntilGranted(t, c, "w")
+	if first.Attempt != 1 {
+		t.Fatalf("first grant %+v, want attempt 1", first)
+	}
+	if _, err := c.Complete(ctx, first.Lease, first.Job, "w", nil); err != nil {
+		t.Fatal(err)
+	}
+	second := claimUntilGranted(t, c, "w")
+	if len(second.Indices) != 1 || second.Indices[0] != 0 || second.Attempt != 2 {
+		t.Fatalf("second grant %+v, want the unit of point 0 on attempt 2", second)
+	}
+	want, _ := scripted(grid[0])
+	if _, err := c.Complete(ctx, second.Lease, second.Job, "w", []PointReport{{Index: 0, Result: &want}}); err != nil {
+		t.Fatal(err)
+	}
+
+	final, err := c.Wait(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != JobDone || final.Failed != 0 || final.Retries != 1 {
+		t.Fatalf("job %+v, want done after 1 retry", final)
+	}
+	res, err := c.Results(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Outcomes[0]; got.Error != "" || got.Result == nil || *got.Result != want {
+		t.Fatalf("retried point: %+v", got)
+	}
+	cs, err := c.ClusterStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.ExhaustedUnits != 0 || cs.TransientRequeues != 1 {
+		t.Fatalf("cluster stats %+v, want 1 hand-back and no exhausted unit", cs)
+	}
+}
+
+// TestServerRetryBudgetExhausted: a worker that hands its unit back with
 // a point unresolved gets it requeued, at most MaxAttempts claims in
 // all; after that the point fails naming the budget, while the other
 // unit's point succeeds. Claims and completions are driven by hand.
-func TestServerLeaseAttemptBudget(t *testing.T) {
+func TestServerRetryBudgetExhausted(t *testing.T) {
 	t.Parallel()
 	_, c := testServer(t, t.TempDir(), ServerOptions{
 		Cluster:     &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 1},
