@@ -59,6 +59,14 @@ harness() {
 case "${1:-}" in
 unit)
 	go vet ./...
+	# Formatting is a gate, not a habit: any file gofmt would rewrite
+	# fails the lane, named.
+	unformatted=$(gofmt -l .)
+	if [ -n "$unformatted" ]; then
+		echo "gofmt would rewrite:"
+		echo "$unformatted"
+		exit 1
+	fi
 	go build ./...
 	go test -short ./...
 	# One real 8x8 saturation search: asserts the bisection converges on
@@ -96,6 +104,18 @@ unit)
 		[ "$code" -eq 2 ]
 		grep -q '^lapses-sim: core: ' "$work/reject.txt"
 	done
+	# lapses-experiments refuses a flag its run never reads, by name and
+	# before any simulation or health check: -reps without -csv, -workers
+	# with -server (the URL is unreachable; the refusal comes first).
+	go build -o "$work/" ./cmd/lapses-experiments
+	refused() { # refused <flag> <args...>: exit 2 with a message naming <flag>
+		local flag=$1 code=0
+		shift
+		lx "$@" 2>"$work/reject.txt" || code=$?
+		[ "$code" -eq 2 ] && grep -q "^lapses-experiments: $flag " "$work/reject.txt"
+	}
+	refused -reps -exp table1 -reps 3
+	refused -workers -exp table1 -server http://127.0.0.1:1 -workers 4
 	# A structure whose table build panics must panic again on the next
 	# touch, not hand back a remembered error: run the test twice in one
 	# process.

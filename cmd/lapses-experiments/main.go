@@ -31,11 +31,15 @@
 //
 // Experiment grids execute through the concurrent internal/sweep engine:
 // -workers bounds the pool (default GOMAXPROCS) for grid points and
-// saturation-search probes alike, and a memo cache shared
+// saturation-search probes alike (under -server the server's own workers
+// do), and a memo cache shared
 // across experiments makes points that recur between figures — e.g.
 // Fig. 5's LA-ADAPT baseline, which is also Fig. 6's STATIC-XY series —
 // simulate exactly once. Interrupting (Ctrl-C) cancels cleanly at the
 // next point boundary.
+//
+// A flag the run would never read is a usage error (exit 2), not a
+// silent no-op: -reps without -csv, and -workers with -server.
 //
 // Output is the paper's row/series format.
 package main
@@ -67,6 +71,14 @@ func main() {
 	events := flag.Bool("events", false, "run every point on the event-driven kernel (statistically equivalent, several times faster, not bit-comparable to cycle mode)")
 	server := flag.String("server", "", "execute grids via a lapses-serve instance at this URL instead of in-process")
 	flag.Parse()
+	flag.Visit(func(fl *flag.Flag) {
+		switch {
+		case fl.Name == "reps" && *csvDir == "":
+			fatal(fmt.Errorf("-reps applies only with -csv: replications feed only the CSVs"))
+		case fl.Name == "workers" && *server != "":
+			fatal(fmt.Errorf("-workers does not apply with -server: the server's workers bound a served sweep"))
+		}
+	})
 	if *reps < 1 {
 		fatal(fmt.Errorf("-reps %d: replication count must be at least 1", *reps))
 	}
@@ -104,14 +116,9 @@ func main() {
 	if *exp == "all" {
 		names = experiments.Names()
 	}
-	// Replications feed only the CSVs, so without -csv a grid runs once.
-	n := 1
-	if *csvDir != "" {
-		n = *reps
-	}
 	for _, name := range names {
 		start := time.Now()
-		recs, err := runner.RunByName(ctx, os.Stdout, name, n)
+		recs, err := runner.RunByName(ctx, os.Stdout, name, *reps)
 		if err != nil {
 			fatal(err)
 		}

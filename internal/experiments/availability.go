@@ -9,7 +9,6 @@ import (
 
 	"lapses/internal/core"
 	"lapses/internal/fault"
-	"lapses/internal/selection"
 )
 
 // The availability experiment measures what adaptive routing buys while
@@ -77,16 +76,6 @@ type AvailabilityRow struct {
 	Reliable core.Result
 }
 
-// availabilityPolicies is the policy axis.
-var availabilityPolicies = []struct {
-	name string
-	alg  core.Alg
-	sel  selection.Kind
-}{
-	{"adaptive", core.AlgDuato, selection.LRU},
-	{"deterministic", core.AlgXY, selection.StaticXY},
-}
-
 // availabilityReliability is the reliability axis: each policy runs with
 // the end-to-end layer off and on.
 var availabilityReliability = []struct {
@@ -105,9 +94,9 @@ func (r Runner) Availability(ctx context.Context) ([]AvailabilityRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: availability storm: %w", err)
 	}
-	rows := make([]AvailabilityRow, len(availabilityPolicies))
+	rows := make([]AvailabilityRow, len(policies))
 	var g grid
-	for i, pol := range availabilityPolicies {
+	for i, pol := range policies {
 		rows[i] = AvailabilityRow{Policy: pol.name, Schedule: sched}
 		row := &rows[i]
 		for _, rel := range availabilityReliability {

@@ -103,25 +103,13 @@ var CongestionPolicies = []selection.Kind{
 	selection.LRU, selection.MaxCredit, selection.NotifyLRU, selection.NotifyMaxCredit,
 }
 
-// CongestionCell is the measurements of one (workload, policy) pair.
-type CongestionCell struct {
-	// Lat is the moderate-load latency point.
-	Lat core.Result
-	// Ovr is the fixed-budget overdriven run; its Throughput is the
-	// accepted rate under sustained overload.
-	Ovr core.Result
-	// Sat is the run at the bisection-located saturation load and Search
-	// the full search outcome.
-	Sat    core.Result
-	Search sweep.BisectResult
-}
-
 // CongestionRow is one workload with its per-policy cells (and the fault
-// plan shared by all of the row's points, nil when undamaged).
+// plan shared by all of the row's points, nil when undamaged). Every cell
+// fills all four of its fields.
 type CongestionRow struct {
 	Workload CongestionWorkload
 	Plan     *fault.Plan
-	Cells    map[selection.Kind]*CongestionCell
+	Cells    map[selection.Kind]*Cell
 }
 
 // BestLocalOvr and BestNotifyOvr are the best overdriven accepted
@@ -152,10 +140,6 @@ func (r CongestionRow) NotifyGain() float64 {
 	return r.BestNotifyOvr() / local
 }
 
-// congestionOvrCycles is the fixed cycle budget of one overdriven run,
-// matching the scaling experiment's tiers.
-func (f Fidelity) congestionOvrCycles() int64 { return f.scalingSatCycles() }
-
 // Congestion runs the full experiment grid through the sweep engine.
 func (r Runner) Congestion(ctx context.Context) ([]CongestionRow, error) {
 	return r.congestion(ctx, CongestionWorkloads())
@@ -178,9 +162,9 @@ func (r Runner) congestion(ctx context.Context, workloads []CongestionWorkload) 
 	mesh := r.base().Mesh()
 	rows := make([]CongestionRow, len(workloads))
 	for i, w := range workloads {
-		rows[i] = CongestionRow{Workload: w, Cells: map[selection.Kind]*CongestionCell{}}
+		rows[i] = CongestionRow{Workload: w, Cells: map[selection.Kind]*Cell{}}
 		for _, pol := range CongestionPolicies {
-			rows[i].Cells[pol] = &CongestionCell{}
+			rows[i].Cells[pol] = &Cell{}
 		}
 		if w.FaultLinks > 0 {
 			// Same derivation as ResiliencePlans, so a shared fault count
@@ -198,27 +182,11 @@ func (r Runner) congestion(ctx context.Context, workloads []CongestionWorkload) 
 	for i := range rows {
 		row := &rows[i]
 		for _, pol := range CongestionPolicies {
-			cell := row.Cells[pol]
+			cell, w := row.Cells[pol], row.Workload
 			base := r.congestionBase(row, pol)
-			lat := base
-			lat.Load = row.Workload.LatLoad
-			g.add(lat, func(res core.Result) { cell.Lat = res })
-
-			ovr := base
-			// Fixed-budget overdriven run, as in the scaling experiment:
-			// the cycle cap ends the run, the latency guard is lifted, and
-			// the adaptive tier is shed so the budget is exact.
-			ovr.Auto = nil
-			ovr.Load = row.Workload.OvrLoad
-			ovr.SatLatency = 1e12
-			ovr.MaxCycles = r.Fidelity.congestionOvrCycles()
-			ovr.Measure = 1 << 30
-			g.add(ovr, func(res core.Result) { cell.Ovr = res })
-
-			g.search(SaturationSpec(base, row.Workload.SatLo, row.Workload.SatHi, r.Fidelity.satTol()), func(res sweep.BisectResult) {
-				cell.Search = res
-				cell.Sat = res.LoResult
-			})
+			g.latency(cell, base, w.LatLoad)
+			g.overdriven(cell, base, w.OvrLoad, r.Fidelity.ovrCycles())
+			g.saturation(cell, base, w.SatLo, w.SatHi, r.Fidelity.satTol())
 		}
 	}
 	if err := g.run(ctx, r.opts()); err != nil {

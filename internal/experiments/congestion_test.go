@@ -184,8 +184,8 @@ func TestCongestionGridShape(t *testing.T) {
 			}
 		case c.Measure == 1<<30:
 			ovr++
-			if c.MaxCycles != Quick.congestionOvrCycles() {
-				t.Fatalf("overdriven point budget %d, want %d", c.MaxCycles, Quick.congestionOvrCycles())
+			if c.MaxCycles != Quick.ovrCycles() {
+				t.Fatalf("overdriven point budget %d, want %d", c.MaxCycles, Quick.ovrCycles())
 			}
 		default: // saturation probe
 			if c.Auto != nil {

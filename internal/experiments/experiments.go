@@ -123,23 +123,18 @@ func (r Runner) base() core.Config {
 }
 
 // grid is an experiment sweep declared as data: the ordered configs and
-// saturation searches plus, per point and per search, the row slot its
-// result scatters into.
+// saturation searches plus, per point, the row slot its result scatters
+// into and, per search, the Cell it fills (grid.saturation).
 type grid struct {
 	cfgs     []core.Config
 	sinks    []func(core.Result)
 	searches []sweep.BisectSpec
-	found    []func(sweep.BisectResult)
+	found    []*Cell
 }
 
 func (g *grid) add(c core.Config, sink func(core.Result)) {
 	g.cfgs = append(g.cfgs, c)
 	g.sinks = append(g.sinks, sink)
-}
-
-func (g *grid) search(spec sweep.BisectSpec, sink func(sweep.BisectResult)) {
-	g.searches = append(g.searches, spec)
-	g.found = append(g.found, sink)
 }
 
 // run sweeps the grid's points — through opt.Exec when set, so a remote
@@ -170,7 +165,8 @@ func (g *grid) run(ctx context.Context, opt sweep.Options) error {
 		return err
 	}
 	for i, res := range found {
-		g.found[i](res)
+		g.found[i].Search = res
+		g.found[i].Sat = res.LoResult
 	}
 	return nil
 }

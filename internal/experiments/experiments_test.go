@@ -285,7 +285,7 @@ func TestSearchesShareRounds(t *testing.T) {
 		{"resilience", func() (s []sweep.BisectResult, err error) {
 			rows, err := r.Resilience(ctx)
 			for _, row := range rows {
-				s = append(s, row.AdaptiveSearch, row.DetSearch)
+				s = append(s, row.Cells[0].Search, row.Cells[1].Search)
 			}
 			return s, err
 		}},

@@ -8,7 +8,6 @@ import (
 
 	"lapses/internal/core"
 	"lapses/internal/fault"
-	"lapses/internal/selection"
 	"lapses/internal/sweep"
 	"lapses/internal/traffic"
 )
@@ -22,12 +21,13 @@ import (
 // gap isolates the value of adaptive path diversity around faults — the
 // scenario adaptive routing is sold on but the paper never evaluates.
 //
-// Saturation is located by bisection (sweep.Bisect over
-// SaturationSpec probes) instead of an arbitrarily overdriven fixed
-// point or a dense load grid: the reported saturation load is the
-// highest offered load the degraded network still accepts at >= 85% of
-// demand (satAcceptFrac), and the reported throughput is the sustained acceptance rate
-// at that load. The search costs a logarithmic number of probes; the
+// Saturation is located by bisection (grid.saturation, whose
+// SaturationSpec searches run in lockstep through sweep.BisectAll)
+// instead of an arbitrarily overdriven fixed point or a dense load
+// grid: the reported saturation load is the highest offered load the
+// degraded network still accepts at >= 85% of demand (satAcceptFrac),
+// and the reported throughput is the sustained acceptance rate at that
+// load. The search costs a logarithmic number of probes; the
 // per-experiment log line reports the measured probe/cycle total against
 // the dense-grid equivalent (the >= 2x cycle reduction is pinned by
 // TestBisectCycleReduction). Latency is reported at a moderate load on
@@ -50,35 +50,22 @@ type ResilienceRow struct {
 	// (nil at zero faults).
 	FaultLinks int
 	Plan       *fault.Plan
-	// AdaptiveLat/DetLat: mean latency at the moderate load.
-	AdaptiveLat, DetLat core.Result
-	// AdaptiveSat/DetSat: the highest-sustainable-load probe found by the
-	// saturation search; its Throughput is the sustained acceptance rate
-	// at the saturation point.
-	AdaptiveSat, DetSat core.Result
-	// AdaptiveSearch/DetSearch carry the full search outcomes: the
-	// saturation-load bracket and the probe/cycle accounting.
-	AdaptiveSearch, DetSearch sweep.BisectResult
+	// Cells holds one Cell per policy, in policies order (adaptive,
+	// deterministic); each fills Lat, Sat and Search.
+	Cells []Cell
 }
-
-// AdaptiveSatLoad and DetSatLoad are the located saturation loads (the
-// highest sustained probe load).
-func (r ResilienceRow) AdaptiveSatLoad() float64 { return r.AdaptiveSearch.Lo }
-
-// DetSatLoad is the deterministic policy's saturation load.
-func (r ResilienceRow) DetSatLoad() float64 { return r.DetSearch.Lo }
 
 // ThroughputGain returns the adaptive-over-deterministic saturation
 // throughput ratio, the experiment's headline number.
 func (r ResilienceRow) ThroughputGain() float64 {
-	if r.DetSat.Throughput == 0 {
+	if r.Cells[1].Sat.Throughput == 0 {
 		return 0
 	}
-	return r.AdaptiveSat.Throughput / r.DetSat.Throughput
+	return r.Cells[0].Sat.Throughput / r.Cells[1].Sat.Throughput
 }
 
 // resilienceLatencyLoad is the moderate load the latency series uses.
-func resilienceLatencyLoad(traffic.Kind) float64 { return 0.2 }
+const resilienceLatencyLoad = 0.2
 
 // ResiliencePlans generates the shared fault plans for the given link
 // counts on the experiment mesh, seeded from seed (count 0 maps to nil).
@@ -101,26 +88,6 @@ func ResiliencePlans(base core.Config, counts []int, seed int64) (map[int]*fault
 	return plans, nil
 }
 
-// resiliencePolicies is the policy axis shared by the latency grid, the
-// saturation searches and the record table.
-var resiliencePolicies = []struct {
-	name   string
-	alg    core.Alg
-	sel    selection.Kind
-	lat    func(*ResilienceRow) *core.Result
-	sat    func(*ResilienceRow) *core.Result
-	search func(*ResilienceRow) *sweep.BisectResult
-}{
-	{"adaptive", core.AlgDuato, selection.LRU,
-		func(w *ResilienceRow) *core.Result { return &w.AdaptiveLat },
-		func(w *ResilienceRow) *core.Result { return &w.AdaptiveSat },
-		func(w *ResilienceRow) *sweep.BisectResult { return &w.AdaptiveSearch }},
-	{"deterministic", core.AlgXY, selection.StaticXY,
-		func(w *ResilienceRow) *core.Result { return &w.DetLat },
-		func(w *ResilienceRow) *core.Result { return &w.DetSat },
-		func(w *ResilienceRow) *sweep.BisectResult { return &w.DetSearch }},
-}
-
 // Resilience runs the full experiment grid through the sweep engine.
 func (r Runner) Resilience(ctx context.Context) ([]ResilienceRow, error) {
 	return r.resilience(ctx, ResiliencePatterns, ResilienceFaultCounts)
@@ -136,7 +103,7 @@ func (r Runner) resilience(ctx context.Context, patterns []traffic.Kind, counts 
 	var rows []ResilienceRow
 	for _, pat := range patterns {
 		for _, c := range counts {
-			rows = append(rows, ResilienceRow{Pattern: pat, FaultLinks: c, Plan: plans[c]})
+			rows = append(rows, ResilienceRow{Pattern: pat, FaultLinks: c, Plan: plans[c], Cells: make([]Cell, len(policies))})
 		}
 	}
 	// Each (row, policy) cell is one latency point plus one saturation
@@ -144,22 +111,16 @@ func (r Runner) resilience(ctx context.Context, patterns []traffic.Kind, counts 
 	var g grid
 	for i := range rows {
 		row := &rows[i]
-		for _, pol := range resiliencePolicies {
+		for j, pol := range policies {
 			base := r.base()
 			base.Algorithm = pol.alg
 			base.Selection = pol.sel
 			base.Pattern = row.Pattern
 			base.Faults = fault.Static(row.Plan)
-			lat := base
-			lat.Load = resilienceLatencyLoad(row.Pattern)
-			latSlot := pol.lat(row)
-			g.add(lat, func(res core.Result) { *latSlot = res })
+			cell := &row.Cells[j]
+			g.latency(cell, base, resilienceLatencyLoad)
 			lo, hi := satBracket(row.Pattern)
-			searchSlot, satSlot := pol.search(row), pol.sat(row)
-			g.search(SaturationSpec(base, lo, hi, r.Fidelity.satTol()), func(res sweep.BisectResult) {
-				*searchSlot = res
-				*satSlot = res.LoResult
-			})
+			g.saturation(cell, base, lo, hi, r.Fidelity.satTol())
 		}
 	}
 	if err := g.run(ctx, r.opts()); err != nil {
@@ -199,18 +160,19 @@ func RenderResilience(w io.Writer, rows []ResilienceRow) {
 		if len(plan) > 24 {
 			plan = plan[:21] + "..."
 		}
+		a, d := r.Cells[0], r.Cells[1]
 		fmt.Fprintf(w, "%-7d %-24s %9.3f %9.3f %10.4f %10.4f %6.2f %10s %10s\n",
 			r.FaultLinks, plan,
-			r.AdaptiveSatLoad(), r.DetSatLoad(),
-			r.AdaptiveSat.Throughput, r.DetSat.Throughput, r.ThroughputGain(),
-			r.AdaptiveLat.LatencyString(), r.DetLat.LatencyString())
-		for _, pol := range resiliencePolicies {
-			if s := pol.search(&r); !s.Converged {
+			a.Search.Lo, d.Search.Lo,
+			a.Sat.Throughput, d.Sat.Throughput, r.ThroughputGain(),
+			a.Lat.LatencyString(), d.Lat.LatencyString())
+		for j, pol := range policies {
+			if s := r.Cells[j].Search; !s.Converged {
 				fmt.Fprintf(w, "warning: %s saturation search at %d faults did not converge (bracket [%.3f, %.3f]); sat-load is a lower bound\n",
 					pol.name, r.FaultLinks, s.Lo, s.Hi)
 			}
+			searches = append(searches, r.Cells[j].Search)
 		}
-		searches = append(searches, r.AdaptiveSearch, r.DetSearch)
 	}
 	probes, cycles, dense := searchCost(searches...)
 	fmt.Fprintf(w, "\n[saturation search: %d probes / %d simulated cycles across %d searches; dense-grid path: %d points (>=2x cycle reduction pinned by TestBisectCycleReduction)]\n",
@@ -229,20 +191,20 @@ func resilienceRecords(rows []ResilienceRow) [][]string {
 		if r.Plan != nil {
 			plan = r.Plan.Key()
 		}
-		for _, pol := range resiliencePolicies {
-			lat, sat, search := pol.lat(&r), pol.sat(&r), pol.search(&r)
+		for j, pol := range policies {
+			c := r.Cells[j]
 			recs = append(recs, []string{
 				r.Pattern.String(),
 				strconv.Itoa(r.FaultLinks),
 				plan,
 				pol.name,
-				latCell(*lat),
-				satCell(*lat),
-				fixed(search.Lo, 4),
-				fixed(sat.Throughput, 5),
-				strconv.FormatBool(search.Converged),
-				strconv.Itoa(search.Probes),
-				strconv.FormatInt(search.SimulatedCycles, 10),
+				latCell(c.Lat),
+				satCell(c.Lat),
+				fixed(c.Search.Lo, 4),
+				fixed(c.Sat.Throughput, 5),
+				strconv.FormatBool(c.Search.Converged),
+				strconv.Itoa(c.Search.Probes),
+				strconv.FormatInt(c.Search.SimulatedCycles, 10),
 			})
 		}
 	}

@@ -34,10 +34,10 @@ func TestResilienceQuick(t *testing.T) {
 		t.Fatalf("4-fault row malformed: plan %v", rows[1].Plan)
 	}
 	for _, row := range rows {
-		if row.AdaptiveSat.Throughput <= 0 || row.DetSat.Throughput <= 0 {
+		if row.Cells[0].Sat.Throughput <= 0 || row.Cells[1].Sat.Throughput <= 0 {
 			t.Fatalf("faults=%d: zero saturation throughput: %+v", row.FaultLinks, row)
 		}
-		if row.AdaptiveLat.Saturated {
+		if row.Cells[0].Lat.Saturated {
 			t.Fatalf("faults=%d: adaptive latency point saturated at load 0.2", row.FaultLinks)
 		}
 		for _, s := range []struct {
@@ -47,8 +47,8 @@ func TestResilienceQuick(t *testing.T) {
 			dense  int
 			load   float64
 		}{
-			{"adaptive", row.AdaptiveSearch.Converged, row.AdaptiveSearch.Probes, row.AdaptiveSearch.DensePoints, row.AdaptiveSatLoad()},
-			{"deterministic", row.DetSearch.Converged, row.DetSearch.Probes, row.DetSearch.DensePoints, row.DetSatLoad()},
+			{"adaptive", row.Cells[0].Search.Converged, row.Cells[0].Search.Probes, row.Cells[0].Search.DensePoints, row.Cells[0].Search.Lo},
+			{"deterministic", row.Cells[1].Search.Converged, row.Cells[1].Search.Probes, row.Cells[1].Search.DensePoints, row.Cells[1].Search.Lo},
 		} {
 			if !s.conv {
 				t.Fatalf("faults=%d: %s saturation search did not converge", row.FaultLinks, s.name)
@@ -67,9 +67,9 @@ func TestResilienceQuick(t *testing.T) {
 	if gain := rows[1].ThroughputGain(); gain <= 1.1 {
 		t.Errorf("4 failed links: adaptive/deterministic throughput gain %.2f, want > 1.1", gain)
 	}
-	if rows[1].AdaptiveSatLoad() <= rows[1].DetSatLoad() {
+	if rows[1].Cells[0].Search.Lo <= rows[1].Cells[1].Search.Lo {
 		t.Errorf("4 failed links: adaptive saturation load %.3f not above deterministic %.3f",
-			rows[1].AdaptiveSatLoad(), rows[1].DetSatLoad())
+			rows[1].Cells[0].Search.Lo, rows[1].Cells[1].Search.Lo)
 	}
 
 	recs := resilienceRecords(rows)
@@ -101,11 +101,11 @@ func TestResilienceClaim(t *testing.T) {
 	for _, row := range rows {
 		if gain := row.ThroughputGain(); gain <= 1.2 {
 			t.Errorf("%s faults=%d: adaptive gain %.2f (adaptive %.4f vs deterministic %.4f), want > 1.2",
-				row.Pattern, row.FaultLinks, gain, row.AdaptiveSat.Throughput, row.DetSat.Throughput)
+				row.Pattern, row.FaultLinks, gain, row.Cells[0].Sat.Throughput, row.Cells[1].Sat.Throughput)
 		}
-		if row.AdaptiveSatLoad() <= row.DetSatLoad() {
+		if row.Cells[0].Search.Lo <= row.Cells[1].Search.Lo {
 			t.Errorf("%s faults=%d: adaptive saturation load %.3f not above deterministic %.3f",
-				row.Pattern, row.FaultLinks, row.AdaptiveSatLoad(), row.DetSatLoad())
+				row.Pattern, row.FaultLinks, row.Cells[0].Search.Lo, row.Cells[1].Search.Lo)
 		}
 	}
 }
@@ -163,12 +163,12 @@ func TestResilienceGridShape(t *testing.T) {
 		t.Fatalf("latency points: %d, want %d", lat, want)
 	}
 	for _, row := range rows {
-		for name, s := range map[string]float64{"adaptive": row.AdaptiveSatLoad(), "deterministic": row.DetSatLoad()} {
+		for name, s := range map[string]float64{"adaptive": row.Cells[0].Search.Lo, "deterministic": row.Cells[1].Search.Lo} {
 			if s > 0.45+1e-9 || s < 0.45-Quick.satTol()-1e-9 {
 				t.Fatalf("%s/%d/%s: search found knee at %.3f, scripted knee is 0.45", row.Pattern, row.FaultLinks, name, s)
 			}
 		}
-		if !row.AdaptiveSearch.Converged || !row.DetSearch.Converged {
+		if !row.Cells[0].Search.Converged || !row.Cells[1].Search.Converged {
 			t.Fatalf("%s/%d: search did not converge", row.Pattern, row.FaultLinks)
 		}
 	}

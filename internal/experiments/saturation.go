@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"lapses/internal/core"
+	"lapses/internal/selection"
 	"lapses/internal/sweep"
 	"lapses/internal/topology"
 	"lapses/internal/traffic"
@@ -11,10 +12,10 @@ import (
 // (resilience, scaling, congestion) and the claims tests: instead of a
 // dense load grid — or a single arbitrarily overdriven point — the
 // saturation load is located by bisection over probes built here. An
-// experiment declares its searches on its grid (grid.search) beside its
-// fixed points; grid.run runs the points, then every search in lockstep
-// through sweep.BisectAll, so each round of all of them is one executor
-// call and Runner.Workers bounds every probe.
+// experiment declares its searches on its grid (grid.saturation) beside
+// its fixed points; grid.run runs the points, then every search in
+// lockstep through sweep.BisectAll, so each round of all of them is one
+// executor call and Runner.Workers bounds every probe.
 //
 // Probe methodology. A probe at offered load x runs a reduced fixed-tier
 // sample (a fifth of the experiment's budget, floored) under a
@@ -41,9 +42,11 @@ const satAcceptFrac = 0.85
 const satProbeDivisor = 5
 
 // SaturationSpec builds the bisection spec locating base's saturation
-// load between lo and hi at resolution tol. The returned spec runs
-// through grid.search or sweep.Bisect with any sweep.Options; probes
-// share the experiment memo cache like every other point.
+// load between lo and hi at resolution tol. Experiments declare it
+// through grid.saturation, and grid.run runs all of a grid's specs in
+// lockstep through sweep.BisectAll; a lone spec runs through
+// sweep.Bisect. Probes share the experiment memo cache like every other
+// point.
 func SaturationSpec(base core.Config, lo, hi, tol float64) sweep.BisectSpec {
 	base.Auto = nil // fixed-horizon probes; see the file comment
 	base.Warmup /= satProbeDivisor
@@ -107,4 +110,69 @@ func satBracket(p traffic.Kind) (lo, hi float64) {
 		return 0.1, 1.0
 	}
 	return 0.05, 0.7
+}
+
+// policies is the policy axis of the resilience, scaling and availability
+// experiments: the full LAPSES router (Duato adaptive routing + LRU
+// selection) against deterministic routing (XY with static selection,
+// which is up*/down* over a damaged mesh).
+var policies = []struct {
+	name string
+	alg  core.Alg
+	sel  selection.Kind
+}{
+	{"adaptive", core.AlgDuato, selection.LRU},
+	{"deterministic", core.AlgXY, selection.StaticXY},
+}
+
+// Cell is the measurements of one (row, policy) pair of a
+// saturation-seeking experiment, filled by the grid recipes below.
+type Cell struct {
+	// Lat is the moderate-load latency point.
+	Lat core.Result
+	// Ovr is the fixed-budget overdriven run; its Throughput is the
+	// accepted rate under sustained overload.
+	Ovr core.Result
+	// Sat is the run at the bisection-located saturation load (its
+	// Throughput is the sustained acceptance there) and Search the full
+	// search outcome; Search.Lo is the saturation load.
+	Sat    core.Result
+	Search sweep.BisectResult
+}
+
+// latency adds base's point at load, scattering into cell.Lat.
+func (g *grid) latency(cell *Cell, base core.Config, load float64) {
+	base.Load = load
+	g.add(base, func(res core.Result) { cell.Lat = res })
+}
+
+// overdriven adds base's fixed-budget overdriven run at load, scattering
+// into cell.Ovr. The cycle cap ends the run and the latency guard is
+// lifted; the run sheds Fidelity Auto's adaptive tier, since early
+// stopping would change what the accepted rate measures.
+func (g *grid) overdriven(cell *Cell, base core.Config, load float64, cycles int64) {
+	base.Auto = nil
+	base.Load = load
+	base.SatLatency = 1e12
+	base.MaxCycles = cycles
+	base.Measure = 1 << 30
+	g.add(base, func(res core.Result) { cell.Ovr = res })
+}
+
+// saturation adds the search for base's saturation load in [lo, hi] at
+// resolution tol, scattering into cell.Search and cell.Sat.
+func (g *grid) saturation(cell *Cell, base core.Config, lo, hi, tol float64) {
+	g.searches = append(g.searches, SaturationSpec(base, lo, hi, tol))
+	g.found = append(g.found, cell)
+}
+
+// ovrCycles is the fixed cycle budget of one overdriven run.
+func (f Fidelity) ovrCycles() int64 {
+	switch f {
+	case Quick:
+		return 4000
+	case Paper:
+		return 40000
+	}
+	return 15000
 }

@@ -6,8 +6,6 @@ import (
 	"io"
 	"strconv"
 
-	"lapses/internal/core"
-	"lapses/internal/selection"
 	"lapses/internal/sweep"
 	"lapses/internal/traffic"
 )
@@ -26,34 +24,16 @@ import (
 // ScalingDims is the mesh-size axis.
 var ScalingDims = [][]int{{8, 8}, {16, 16}, {24, 24}, {32, 32}}
 
-// ScalingRow is one (mesh, policy) point.
+// ScalingRow is one (mesh, policy) point; its Cell fills Ovr, Sat and
+// Search.
 type ScalingRow struct {
 	Dims   []int
 	Policy string // "adaptive" or "deterministic"
-	// Sat is the overdriven fixed-budget run.
-	Sat core.Result
-	// SatLoad is the bisection-located saturation load and SatSustained
-	// the run at it (Throughput = sustained acceptance); Search carries
-	// the full search outcome.
-	SatLoad      float64
-	SatSustained core.Result
-	Search       sweep.BisectResult
+	Cell
 }
 
-// scalingSatLoad overdrives uniform traffic well past saturation,
-// matching the resilience experiment's methodology.
-const scalingSatLoad = 0.9
-
-// scalingSatCycles is the fixed cycle budget of one saturation run.
-func (f Fidelity) scalingSatCycles() int64 {
-	switch f {
-	case Quick:
-		return 4000
-	case Paper:
-		return 40000
-	}
-	return 15000
-}
+// scalingOvrLoad overdrives uniform traffic well past saturation.
+const scalingOvrLoad = 0.9
 
 // scalingDims trims the mesh axis for the quick tier: the large meshes
 // are the point of the experiment but not of a smoke test.
@@ -66,14 +46,6 @@ func (r Runner) scalingDims() [][]int {
 
 // Scaling runs the full grid through the sweep engine.
 func (r Runner) Scaling(ctx context.Context) ([]ScalingRow, error) {
-	policies := []struct {
-		name string
-		alg  core.Alg
-		sel  selection.Kind
-	}{
-		{"adaptive", core.AlgDuato, selection.LRU},
-		{"deterministic", core.AlgXY, selection.StaticXY},
-	}
 	dims := r.scalingDims()
 	// Rows are addressed by pointer from the grid and search sinks, so
 	// the slice must not reallocate after the first &rows[i] is taken.
@@ -87,28 +59,10 @@ func (r Runner) Scaling(ctx context.Context) ([]ScalingRow, error) {
 			base.Selection = pol.sel
 			base.Pattern = traffic.Uniform
 			rows = append(rows, ScalingRow{Dims: d, Policy: pol.name})
-			row := &rows[len(rows)-1]
-
-			// The overdriven column is defined as a fixed-budget run
-			// (README: "when a fixed tier is still required"), so it
-			// sheds Fidelity Auto's adaptive tier — early stopping would
-			// change what ovr-thr measures.
-			over := base
-			over.Auto = nil
-			over.Load = scalingSatLoad
-			over.SatLatency = 1e12
-			over.MaxCycles = r.Fidelity.scalingSatCycles()
-			over.Measure = 1 << 30 // the cycle budget ends the run
-			g.add(over, func(res core.Result) { row.Sat = res })
-
-			// Probes shed the adaptive tier too (see SaturationSpec) and
-			// run through the regular options (worker bound, memo cache).
+			cell := &rows[len(rows)-1].Cell
+			g.overdriven(cell, base, scalingOvrLoad, r.Fidelity.ovrCycles())
 			lo, hi := satBracket(traffic.Uniform)
-			g.search(SaturationSpec(base, lo, hi, r.Fidelity.satTol()), func(res sweep.BisectResult) {
-				row.SatLoad = res.Lo
-				row.SatSustained = res.LoResult
-				row.Search = res
-			})
+			g.saturation(cell, base, lo, hi, r.Fidelity.satTol())
 		}
 	}
 	if err := g.run(ctx, r.opts()); err != nil {
@@ -127,8 +81,8 @@ func RenderScaling(w io.Writer, rows []ScalingRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-8s %-14s %9.3f %10.4f %10.4f %8d\n",
 			dimsString(r.Dims), r.Policy,
-			r.SatLoad, r.SatSustained.Throughput,
-			r.Sat.Throughput, r.Sat.SkippedCycles)
+			r.Search.Lo, r.Sat.Throughput,
+			r.Ovr.Throughput, r.Ovr.SkippedCycles)
 		searches = append(searches, r.Search)
 		if !r.Search.Converged {
 			fmt.Fprintf(w, "warning: %s/%s saturation search did not converge (bracket [%.3f, %.3f]); sat-load is a lower bound\n",
@@ -166,10 +120,10 @@ func scalingRecords(rows []ScalingRow) [][]string {
 			dimsString(r.Dims),
 			strconv.Itoa(nodes),
 			r.Policy,
-			fixed(r.SatLoad, 4),
-			fixed(r.SatSustained.Throughput, 5),
-			strconv.FormatBool(r.Search.Converged),
+			fixed(r.Search.Lo, 4),
 			fixed(r.Sat.Throughput, 5),
+			strconv.FormatBool(r.Search.Converged),
+			fixed(r.Ovr.Throughput, 5),
 		})
 	}
 	return recs

@@ -227,9 +227,6 @@ func TestSaturationDetected(t *testing.T) {
 	if !r.Saturated {
 		t.Fatal("overloaded network not flagged as saturated")
 	}
-	if r.LatencyString() != "Sat." {
-		t.Errorf("LatencyString = %q", r.LatencyString())
-	}
 	// Guard against a vacuous short-mode pass (the explicit budget also
 	// sets Saturated): the run must show genuine overload symptoms, not
 	// a healthy network cut off early.

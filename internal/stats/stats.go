@@ -1,13 +1,10 @@
 // Package stats collects the latency and throughput measurements the
 // paper's evaluation reports: average message latency versus normalized
 // load, with warm-up exclusion, batch-means confidence intervals, and the
-// saturation marker ("Sat.") used throughout Table 4.
+// saturation flag behind Table 4's "Sat." marker.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Sample accumulates a scalar series (latencies, hop counts, queue depths).
 // The zero value is an empty sample ready to use.
@@ -67,10 +64,9 @@ func (s *Sample) Max() float64 { return s.max }
 // intervals: observations are grouped into fixed-size batches and the
 // batch means treated as independent samples.
 type Batches struct {
-	size    int64
-	cur     Sample
-	means   Sample
-	history []float64
+	size  int64
+	cur   Sample
+	means Sample
 }
 
 // NewBatches groups observations into batches of the given size.
@@ -85,9 +81,7 @@ func NewBatches(size int64) *Batches {
 func (b *Batches) Add(v float64) {
 	b.cur.Add(v)
 	if b.cur.N() == b.size {
-		m := b.cur.Mean()
-		b.means.Add(m)
-		b.history = append(b.history, m)
+		b.means.Add(b.cur.Mean())
 		b.cur = Sample{}
 	}
 }
@@ -107,13 +101,6 @@ func (b *Batches) HalfWidth95() float64 {
 		return math.Inf(1)
 	}
 	return 1.96 * b.means.StdDev() / math.Sqrt(float64(k))
-}
-
-// BatchMeans returns a copy of the completed batch means.
-func (b *Batches) BatchMeans() []float64 {
-	out := make([]float64, len(b.history))
-	copy(out, b.history)
-	return out
 }
 
 // Run aggregates one simulation run's results.
@@ -167,13 +154,4 @@ func (r *Run) Throughput() float64 {
 		return 0
 	}
 	return float64(r.DeliveredFlits) / float64(r.Cycles) / float64(r.Nodes)
-}
-
-// LatencyString renders the average latency the way the paper's tables do:
-// a number, or "Sat." when saturated.
-func (r *Run) LatencyString() string {
-	if r.Saturated {
-		return "Sat."
-	}
-	return fmt.Sprintf("%.1f", r.Latency.Mean())
 }

@@ -56,9 +56,6 @@ func TestBatches(t *testing.T) {
 	if hw := b.HalfWidth95(); hw > 1e-9 {
 		t.Errorf("half-width = %v want ~0", hw)
 	}
-	if len(b.BatchMeans()) != 10 {
-		t.Error("history length wrong")
-	}
 }
 
 func TestBatchesCIShrinks(t *testing.T) {
@@ -101,12 +98,8 @@ func TestRun(t *testing.T) {
 	if math.Abs(r.Throughput()-want) > 1e-12 {
 		t.Errorf("throughput = %v want %v", r.Throughput(), want)
 	}
-	if r.LatencyString() == "Sat." {
-		t.Error("unsaturated run printed Sat.")
-	}
-	r.Saturated = true
-	if r.LatencyString() != "Sat." {
-		t.Error("saturated run must print Sat.")
+	if r.Saturated {
+		t.Error("a run no guard stopped is marked saturated")
 	}
 }
 

@@ -76,8 +76,9 @@ type Options struct {
 	Exec RunFunc
 	// OnPoint, when non-nil, is invoked as each point completes, from
 	// the worker goroutine that ran it (calls may be concurrent; i is
-	// the grid index). It is the progress-streaming hook: lapses-serve
-	// feeds per-job status counters from it.
+	// the grid index). serve's Client.Run calls it once per outcome of
+	// a finished job, and the repo benchmark times completions through
+	// it; the server records job progress without it.
 	OnPoint func(i int, o Outcome)
 }
 
