@@ -269,7 +269,9 @@ cluster)
 	# woken by completion, requeue and drain). TestServer* and
 	# TestOneExecutionPath ride along: a standalone server's jobs run on
 	# the same lease goroutines, its worker slots claiming in-process.
-	go test -race -run 'TestCluster|TestClient|TestStoreSharedDirectory|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServer|TestOneExecutionPath' -v ./internal/serve
+	# TestStore and TestResultsBody too: the store pre-scan's goroutines
+	# hand each job the verified bytes its results body is built from.
+	go test -race -run 'TestCluster|TestClient|TestStore|TestResultsBody|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServer|TestOneExecutionPath' -v ./internal/serve
 	# Then end to end: one coordinator leasing a quick-tier grid to three
 	# workers over a shared store, one worker kill -9'd mid-sweep and a
 	# second drained by SIGTERM. The job must complete, the merged output
@@ -328,6 +330,10 @@ fuzz)
 	# Random seeds and Rand call sequences: the O(1)-seeded generator
 	# replays math/rand's streams across its expansion and its wrap.
 	go test -run '^$' -fuzz FuzzFibSource -fuzztime 10s ./internal/lfib
+	# Random store entries: whatever the one-pass entry reader accepts,
+	# encoding/json reads the same key, checksum and result; every entry
+	# the store writes is read back exactly.
+	go test -run '^$' -fuzz FuzzStoreEntry -fuzztime 10s ./internal/serve
 	;;
 *)
 	echo "usage: $0 unit|full|race|harness|serve|cluster|fuzz" >&2

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -155,9 +154,6 @@ type ClusterStats struct {
 // under a new identity).
 const workerSeenHorizon = 4
 
-// errNotStored is the store pre-scan's outcome for a point to lease.
-var errNotStored = errors.New("serve: not in the store")
-
 // pruneWorkersLocked forgets worker identities not heard from within
 // workerSeenHorizon lease TTLs (mu held).
 func (s *Server) pruneWorkersLocked(now time.Time) {
@@ -186,19 +182,20 @@ func (s *Server) pruneWorkersLocked(now time.Time) {
 // deterministic core.Run output for its config — so the merged slice is
 // byte-identical to a single-process sweep.Run of the same grid, for
 // any worker count, claim interleaving, or crash schedule.
-func (s *Server) runClustered(ctx context.Context, jb *job) ([]sweep.Outcome, error) {
-	// The store is read on sweep.Run's pool, by a runner that simulates
-	// nothing. No lock: nothing else sees cg until it is published below.
+func (s *Server) runClustered(ctx context.Context, jb *job) ([]outcome, error) {
+	// The store is read on sweep.Run's pool, in OnPoint, which knows the
+	// point's index: each worker keeps the verified bytes of the points it
+	// drew, and the runner simulates nothing. No lock: nothing else sees
+	// cg until it is published below.
 	cg := newClusterGrid(jb.id, s.epoch, jb.grid, jb.points, s.lease.LeaseTTL, s.opt.MaxAttempts, &s.ctot)
-	stored, _ := sweep.Run(ctx, jb.grid, sweep.Options{Runner: func(c core.Config) (core.Result, error) {
-		if res, ok := s.store.Get(c.Key()); ok {
-			return res, nil
-		}
-		return core.Result{}, errNotStored
-	}})
-	for i, o := range stored {
-		if o.Err == nil {
-			cg.record(i, sweep.Outcome{Result: o.Result, Cached: true})
+	stored := make([][]byte, len(jb.grid))
+	sweep.Run(ctx, jb.grid, sweep.Options{
+		Runner:  func(core.Config) (core.Result, error) { return core.Result{}, nil },
+		OnPoint: func(i int, _ sweep.Outcome) { stored[i], _ = s.store.getJSON(jb.grid[i].Key()) },
+	})
+	for i, raw := range stored {
+		if raw != nil {
+			cg.record(i, outcome{result: raw, cached: true})
 		}
 	}
 	cg.seed(s.lease.UnitSize)
@@ -243,7 +240,7 @@ func (s *Server) runClustered(ctx context.Context, jb *job) ([]sweep.Outcome, er
 	if err := ctx.Err(); err != nil {
 		for i, done := range cg.done {
 			if !done { // never ran: no progress counter counts it
-				cg.outs[i].Err = err
+				cg.outs[i].err = err
 			}
 		}
 	}

@@ -8,6 +8,16 @@ import (
 	"lapses/internal/sweep"
 )
 
+// outcome is one resolved point as a job keeps it until it is forgotten:
+// the result's JSON, which is what the results route serves (a store
+// hit's verified payload, or Result.MarshalJSON run once when a reported
+// result is recorded), or the error that failed the point.
+type outcome struct {
+	result []byte
+	err    error
+	cached bool
+}
+
 // workUnit is one leased range of a clustered job's grid: the indices a
 // worker must resolve, how many times the unit has been claimed, and the
 // lease that currently owns it. Units start as contiguous point ranges
@@ -47,7 +57,7 @@ type clusterGrid struct {
 	grid   []core.Config
 	points []Point
 
-	outs      []sweep.Outcome
+	outs      []outcome
 	done      []bool
 	remaining int
 
@@ -74,7 +84,7 @@ func newClusterGrid(jobID, epoch string, grid []core.Config, points []Point, ttl
 		token:       jobID + "." + epoch,
 		grid:        grid,
 		points:      points,
-		outs:        make([]sweep.Outcome, len(grid)),
+		outs:        make([]outcome, len(grid)),
 		done:        make([]bool, len(grid)),
 		remaining:   len(grid),
 		active:      map[string]*workUnit{},
@@ -83,28 +93,24 @@ func newClusterGrid(jobID, epoch string, grid []core.Config, points []Point, ttl
 		finished:    make(chan struct{}),
 		stats:       stats,
 	}
-	for i := range grid {
-		cg.outs[i].Config = grid[i]
-	}
 	return cg
 }
 
 // record resolves point i with o, once: duplicates (a late completion of
 // a lease that was already requeued and re-executed) are discarded, so
 // whichever report arrives first wins and the merged outcome is stable.
-func (cg *clusterGrid) record(i int, o sweep.Outcome) {
+func (cg *clusterGrid) record(i int, o outcome) {
 	if i < 0 || i >= len(cg.done) || cg.done[i] {
 		return
 	}
-	o.Config = cg.grid[i]
 	cg.outs[i] = o
 	cg.done[i] = true
 	cg.remaining--
 	cg.progress.Completed++
 	switch {
-	case o.Err != nil:
+	case o.err != nil:
 		cg.progress.Failed++
-	case o.Cached:
+	case o.cached:
 		cg.progress.Cached++
 	default:
 		cg.progress.Simulated++
@@ -201,7 +207,7 @@ func (cg *clusterGrid) requeue(u *workUnit, reason string) bool {
 		cg.stats.ExhaustedUnits++
 		err := fmt.Errorf("serve: giving up after %d lease attempts: %s", u.attempt, reason)
 		for _, i := range left {
-			cg.record(i, sweep.Outcome{Err: err})
+			cg.record(i, outcome{err: err})
 		}
 		return true
 	}
@@ -235,9 +241,10 @@ func (cg *clusterGrid) complete(lease string, reports []PointReport) (late bool)
 	for _, r := range reports {
 		switch {
 		case r.Error != "":
-			cg.record(r.Index, sweep.Outcome{Err: fmt.Errorf("%s", r.Error)})
+			cg.record(r.Index, outcome{err: fmt.Errorf("%s", r.Error)})
 		case r.Result != nil:
-			cg.record(r.Index, sweep.Outcome{Result: *r.Result, Cached: r.Cached})
+			raw, err := r.Result.MarshalJSON()
+			cg.record(r.Index, outcome{result: raw, err: err, cached: r.Cached})
 		}
 	}
 	if u != nil && cg.requeue(u, fmt.Sprintf("lease %s returned without resolving all points", lease)) {

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"lapses/internal/core"
-	"lapses/internal/sweep"
 )
 
 // newEpoch mints the coordinator's per-process incarnation token.
@@ -109,7 +109,7 @@ type job struct {
 	cancel context.CancelFunc
 	cg     *clusterGrid // the job's leases and progress, once it runs
 	errMsg string
-	outs   []sweep.Outcome
+	outs   []outcome // one per point once the job has run; nil if it never started
 }
 
 // Server executes grid jobs one at a time from a bounded queue, leasing
@@ -306,7 +306,7 @@ func (s *Server) execute(jb *job) {
 	case runErr == nil && st.Failed == 0:
 		s.finishLocked(jb, JobDone, "")
 	case runErr == nil:
-		s.finishLocked(jb, JobFailed, firstFailure(outs, st.Failed))
+		s.finishLocked(jb, JobFailed, firstFailure(jb.grid, outs, st.Failed))
 	case jb.reason != "":
 		// A canceller (DELETE, or Shutdown) chose the terminal state
 		// before cancelling the context.
@@ -334,10 +334,10 @@ func (s *Server) finishLocked(jb *job, state, errMsg string) {
 
 // firstFailure summarizes a partially failed grid by its first failing
 // point's config key.
-func firstFailure(outs []sweep.Outcome, failed int) string {
-	for _, o := range outs {
-		if o.Err != nil {
-			return fmt.Sprintf("%d of %d points failed; first: %s: %v", failed, len(outs), o.Config.Key(), o.Err)
+func firstFailure(grid []core.Config, outs []outcome, failed int) string {
+	for i, o := range outs {
+		if o.err != nil {
+			return fmt.Sprintf("%d of %d points failed; first: %s: %v", failed, len(outs), grid[i].Key(), o.err)
 		}
 	}
 	return fmt.Sprintf("%d of %d points failed", failed, len(outs))
@@ -430,12 +430,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // decodeBody reads a JSON request body into v, naming the cap when the
-// body is over maxBody.
+// body is over maxBody. The body is one JSON value: anything but
+// whitespace after it is refused.
 func decodeBody(r *http.Request, v any) error {
-	err := json.NewDecoder(r.Body).Decode(v)
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	decoded := err == nil
+	if decoded {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+	}
 	var big *http.MaxBytesError
-	if errors.As(err, &big) {
+	switch {
+	case errors.As(err, &big):
 		return fmt.Errorf("request body is over the %d MiB limit", big.Limit>>20)
+	case decoded:
+		return errors.New("request body has data after its JSON value")
 	}
 	return err
 }
@@ -575,23 +586,56 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, apiError{Error: fmt.Sprintf("job %s is %s; results are available once terminal", st.ID, st.State)})
 		return
 	}
-	res := JobResults{Status: st, Outcomes: make([]PointOutcome, st.Total)}
-	for i := range res.Outcomes {
-		po := &res.Outcomes[i]
-		switch {
-		case i >= len(outs):
-			// The job never started (interrupted or cancelled while
-			// queued): every point is unexecuted.
-			po.Error = fmt.Sprintf("point not executed: job %s", st.State)
-		case outs[i].Err != nil:
-			po.Error = outs[i].Err.Error()
-		default:
-			result := outs[i].Result
-			po.Result = &result
-			po.Cached = outs[i].Cached
-		}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(resultsBody(st, outs)) // a failed write means the client went away
+}
+
+// resultsBody renders a terminal job's JobResults byte for byte as
+// encodeJSON would, by concatenation: each point's result is already the
+// JSON the job recorded, which encoding/json would scan and copy again.
+// outs is nil for a job that never started, whose points all report that
+// they did not execute.
+func resultsBody(st JobStatus, outs []outcome) []byte {
+	status, _ := json.Marshal(st) // strings and integers always encode
+	var unrun outcome
+	if len(outs) < st.Total {
+		unrun.err = fmt.Errorf("point not executed: job %s", st.State)
 	}
-	writeJSON(w, http.StatusOK, res)
+	size := len(status) + 32*(st.Total+1)
+	for _, o := range outs {
+		size += len(o.result)
+	}
+	b := append(append(make([]byte, 0, size), `{"status":`...), status...)
+	b = append(b, `,"outcomes":[`...)
+	for i := 0; i < st.Total; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		o := unrun
+		if i < len(outs) {
+			o = outs[i]
+		}
+		b = appendOutcome(b, o)
+	}
+	return append(b, "]}\n"...)
+}
+
+// appendOutcome appends o as a PointOutcome, fields omitted when empty.
+func appendOutcome(b []byte, o outcome) []byte {
+	b = append(b, '{')
+	if o.err != nil {
+		if msg := o.err.Error(); msg != "" {
+			quoted, _ := json.Marshal(msg) // a string always encodes
+			b = append(append(b, `"error":`...), quoted...)
+		}
+		return append(b, '}')
+	}
+	b = append(append(b, `"result":`...), o.result...)
+	if o.cached {
+		b = append(b, `,"cached":true`...)
+	}
+	return append(b, '}')
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -546,6 +549,26 @@ func TestServerRejectsMalformedJobs(t *testing.T) {
 	if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "MsgLen") {
 		t.Errorf("msg_len 0: err=%v", err)
 	}
+	// A body is one JSON value: anything after it but whitespace is
+	// refused, a second job included.
+	job, err := json.Marshal(jobRequest{Points: mustPoints(t, testGrid(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for body, want := range map[string]int{
+		string(job) + "\n":        http.StatusAccepted,
+		string(job) + "garbage":   http.StatusBadRequest,
+		string(job) + string(job): http.StatusBadRequest,
+	} {
+		resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST /v1/jobs with %.24q after a job: %d, want %d", body[len(job):], resp.StatusCode, want)
+		}
+	}
 	if _, err := c.Status(ctx, "j999999"); err == nil {
 		t.Error("unknown job id accepted")
 	}
@@ -734,6 +757,140 @@ func TestServerNonFiniteResult(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "NaN") {
 		t.Errorf("unencodable response: %d %q, want 500 carrying the encoder's error", rec.Code, rec.Body.String())
 	}
+}
+
+// TestResultsBody: the results route writes, byte for byte, what
+// encodeJSON(JobResults{...}) writes for the same outcomes: store hits,
+// simulated points, a failed point and non-finite results in one job; a
+// job interrupted mid-grid; and one interrupted while queued, none of
+// whose points executed. A hit's result is the stored payload verbatim.
+func TestResultsBody(t *testing.T) {
+	t.Parallel()
+	grid := testGrid(6)
+	result := func(cfg core.Config) core.Result {
+		res, _ := scripted(cfg)
+		if cfg.Seed == 2 || cfg.Seed == 5 {
+			res.CI95 = math.Inf(1)
+		}
+		return res
+	}
+	dir := t.TempDir()
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range grid[:2] {
+		if _, _, err := store.Do(context.Background(), cfg, func(c core.Config) (core.Result, error) { return result(c), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	more := testGrid(9)
+	blocker, unrun := more[7], more[8]
+	running, release := make(chan struct{}), make(chan struct{})
+	srv, c := testServer(t, dir, ServerOptions{Workers: 1, Runner: func(cfg core.Config) (core.Result, error) {
+		switch cfg.Seed {
+		case 3:
+			return core.Result{}, errors.New("boom <3>")
+		case blocker.Seed:
+			close(running)
+			<-release
+		}
+		return result(cfg), nil
+	}})
+	ctx := context.Background()
+	body := func(id string) []byte {
+		t.Helper()
+		resp, err := http.Get(c.Base + "/v1/jobs/" + id + "/results")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET results of %s: %d %s (err=%v)", id, resp.StatusCode, b, err)
+		}
+		return b
+	}
+	same := func(id string, got []byte, want JobResults) {
+		t.Helper()
+		if w, err := encodeJSON(want); err != nil || !bytes.Equal(got, w) {
+			t.Errorf("job %s results body:\n got %s\nwant %s (err=%v)", id, got, w, err)
+		}
+	}
+
+	mixed, err := c.Submit(ctx, mustPoints(t, grid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, mixed.ID)
+	if err != nil || st.State != JobFailed || st.Cached != 2 || st.Simulated != 3 || st.Failed != 1 {
+		t.Fatalf("mixed job: %+v err=%v, want failed with 2 cached, 3 simulated, 1 failed", st, err)
+	}
+	want := JobResults{Status: st, Outcomes: make([]PointOutcome, len(grid))}
+	for i, cfg := range grid {
+		res := result(cfg)
+		want.Outcomes[i] = PointOutcome{Result: &res, Cached: i < 2}
+	}
+	want.Outcomes[2] = PointOutcome{Error: "boom <3>"}
+	got := body(mixed.ID)
+	same(mixed.ID, got, want)
+	var raw struct {
+		Outcomes []struct {
+			Result json.RawMessage `json:"result"`
+		} `json:"outcomes"`
+	}
+	if err := json.Unmarshal(got, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range grid[:2] {
+		entry, err := os.ReadFile(filepath.Join(dir, objectsDir, objName(cfg.Key())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, payload, err := parseEntry(entry); err != nil || !bytes.Equal(raw.Outcomes[i].Result, payload) {
+			t.Errorf("hit %d serves %s, want the stored payload %s (err=%v)", i, raw.Outcomes[i].Result, payload, err)
+		}
+	}
+
+	// A job whose stored first point is a hit blocks the only slot on its
+	// second while a second job waits in the queue; the drain interrupts
+	// both, before the first job's third point is claimed.
+	cut, err := c.Submit(ctx, mustPoints(t, []core.Config{grid[3], blocker, unrun}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	queued, err := c.Submit(ctx, mustPoints(t, grid[:3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Shutdown(ctx) }()
+	for c.Health(ctx) == nil { // the drain has begun once healthz answers 503
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if st, _ = srv.Status(cut.ID); st.State != JobInterrupted {
+		t.Fatalf("blocked job: %+v, want interrupted", st)
+	}
+	want = JobResults{Status: st, Outcomes: make([]PointOutcome, 3)}
+	for i, cfg := range []core.Config{grid[3], blocker} {
+		res := result(cfg)
+		want.Outcomes[i] = PointOutcome{Result: &res, Cached: i == 0}
+	}
+	want.Outcomes[2] = PointOutcome{Error: context.Canceled.Error()}
+	same(cut.ID, body(cut.ID), want)
+	if st, _ = srv.Status(queued.ID); st.State != JobInterrupted || st.Completed != 0 {
+		t.Fatalf("queued job: %+v, want interrupted with nothing completed", st)
+	}
+	want = JobResults{Status: st, Outcomes: make([]PointOutcome, 3)}
+	for i := range want.Outcomes {
+		want.Outcomes[i] = PointOutcome{Error: "point not executed: job interrupted"}
+	}
+	same(queued.ID, body(queued.ID), want)
 }
 
 // TestServedWorkloadOptionsMatchInProcess: the options that change the

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"lapses/internal/core"
 )
@@ -71,13 +73,19 @@ type storeFlight struct {
 	err  error
 }
 
-// storeEntry is the on-disk JSON schema. Result stays a RawMessage
-// through verification so the checksum covers the exact stored bytes.
-type storeEntry struct {
-	Key    string          `json:"key"`
-	Sum    string          `json:"sum"`
-	Result json.RawMessage `json:"result"`
-}
+// An entry is one JSON object in exactly one layout, compact:
+//
+//	{"key":K,"sum":S,"result":R}
+//
+// K is the key and S the checksum, both strings that need no escaping
+// (Config.Key and hex never do); R is the result's JSON (core.Result's
+// MarshalJSON). The reader splits an entry by these offsets, so a file in
+// any other layout is malformed.
+const (
+	keyTag    = `{"key":"`
+	sumTag    = `","sum":"`
+	resultTag = `","result":`
+)
 
 const (
 	objectsDir    = "objects"
@@ -138,7 +146,10 @@ func Open(dir string) (*Store, error) {
 			s.quarantine(name, err)
 			continue
 		}
-		key, _, err := decodeEntry(raw, name)
+		key, _, _, err := readEntry(raw)
+		if err == nil && objName(key) != name {
+			err = fmt.Errorf("entry key does not address its filename")
+		}
 		if err != nil {
 			s.quarantine(name, err)
 			continue
@@ -148,27 +159,67 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// decodeEntry parses and verifies one entry's bytes: well-formed JSON,
-// checksum over (key, result bytes) matches, and the filename is the
-// key's content address.
-func decodeEntry(raw []byte, name string) (string, core.Result, error) {
-	var ent storeEntry
-	if err := json.Unmarshal(raw, &ent); err != nil {
-		return "", core.Result{}, fmt.Errorf("truncated or malformed entry: %w", err)
+// plain reports whether b reads as itself between JSON quotes: valid
+// UTF-8 with no quote, backslash or control character.
+func plain(b []byte) bool {
+	for _, c := range b {
+		if c < 0x20 || c == '"' || c == '\\' {
+			return false
+		}
 	}
-	if ent.Sum != entrySum(ent.Key, ent.Result) {
-		return "", core.Result{}, fmt.Errorf("checksum mismatch")
+	return utf8.Valid(b)
+}
+
+// encodeEntry lays out the entry for key and a result's JSON payload. It
+// refuses a key that would need escaping, which the reader does not
+// undo.
+func encodeEntry(key string, payload []byte) ([]byte, error) {
+	if !plain([]byte(key)) {
+		return nil, fmt.Errorf("key %q needs escaping in JSON", key)
 	}
-	if objName(ent.Key) != name {
-		return "", core.Result{}, fmt.Errorf("entry key does not address its filename")
+	b := []byte(keyTag + key + sumTag + entrySum(key, payload) + resultTag)
+	return append(append(b, payload...), '}'), nil
+}
+
+// parseEntry splits raw, an entry in the layout encodeEntry writes, into
+// its key, checksum and result payload, each a slice of raw. The payload
+// must be one valid JSON object: Result.UnmarshalJSON assumes valid JSON.
+func parseEntry(raw []byte) (key, sum, payload []byte, err error) {
+	rest, ok := bytes.CutPrefix(raw, []byte(keyTag))
+	if ok {
+		key, rest, ok = bytes.Cut(rest, []byte(sumTag))
 	}
-	// The parse of the entry has validated these bytes as JSON already;
-	// json.Unmarshal would scan them again before calling this.
+	if ok {
+		sum, rest, ok = bytes.Cut(rest, []byte(resultTag))
+	}
+	if ok {
+		payload, ok = bytes.CutSuffix(rest, []byte("}"))
+	}
+	if !ok || !plain(key) || !plain(sum) ||
+		!bytes.HasPrefix(payload, []byte("{")) || !bytes.HasSuffix(payload, []byte("}")) || !json.Valid(payload) {
+		return nil, nil, nil, fmt.Errorf("truncated or malformed entry")
+	}
+	return key, sum, payload, nil
+}
+
+// readEntry parses and verifies one entry's bytes in one pass: the
+// layout, the checksum over (key, payload), and a payload that decodes
+// as a core.Result. The payload is a slice of raw. Binding the key to
+// the filename is the caller's check.
+func readEntry(raw []byte) (string, []byte, core.Result, error) {
+	k, sum, payload, err := parseEntry(raw)
+	if err != nil {
+		return "", nil, core.Result{}, err
+	}
+	key := string(k)
+	if string(sum) != entrySum(key, payload) {
+		return "", nil, core.Result{}, fmt.Errorf("checksum mismatch")
+	}
 	var res core.Result
-	if err := res.UnmarshalJSON(ent.Result); err != nil {
-		return "", core.Result{}, fmt.Errorf("result payload: %w", err)
+	if err := res.UnmarshalJSON(payload); err != nil {
+		return "", nil, core.Result{}, fmt.Errorf("result payload: %w", err)
 	}
-	return ent.Key, res, nil
+	return key, payload, res, nil
 }
 
 // quarantine moves a corrupt entry (by object filename) into
@@ -194,10 +245,11 @@ func (s *Store) quarantine(name string, reason error) {
 	log.Printf("store: quarantined %s: %v", name, reason)
 }
 
-// lookup reads and verifies the entry for key. A missing file is a
-// plain miss; a corrupt one is quarantined, dropped from the index and
+// lookup reads and verifies the entry for key, returning its result and
+// its payload (a slice of the read buffer). A missing file is a plain
+// miss; a corrupt one is quarantined, dropped from the index and
 // reported as a miss, so the caller transparently re-simulates.
-func (s *Store) lookup(key string) (core.Result, bool) {
+func (s *Store) lookup(key string) (core.Result, []byte, bool) {
 	name := objName(key)
 	raw, err := os.ReadFile(filepath.Join(s.dir, objectsDir, name))
 	if err != nil {
@@ -205,18 +257,18 @@ func (s *Store) lookup(key string) (core.Result, bool) {
 			s.quarantine(name, err)
 		}
 		s.dropIndex(key)
-		return core.Result{}, false
+		return core.Result{}, nil, false
 	}
-	gotKey, res, err := decodeEntry(raw, name)
-	if err != nil || gotKey != key {
-		if err == nil {
-			err = fmt.Errorf("entry key mismatch")
-		}
+	gotKey, payload, res, err := readEntry(raw)
+	if err == nil && gotKey != key {
+		err = fmt.Errorf("entry key mismatch")
+	}
+	if err != nil {
 		s.quarantine(name, err)
 		s.dropIndex(key)
-		return core.Result{}, false
+		return core.Result{}, nil, false
 	}
-	return res, true
+	return res, payload, true
 }
 
 func (s *Store) dropIndex(key string) {
@@ -228,11 +280,11 @@ func (s *Store) dropIndex(key string) {
 // put durably writes the entry for key: temp file in the objects
 // directory, fsync, rename. Only after the rename is the key indexed.
 func (s *Store) put(key string, res core.Result) error {
-	payload, err := json.Marshal(res)
+	payload, err := res.MarshalJSON()
 	if err != nil {
 		return fmt.Errorf("serve: store put: %w", err)
 	}
-	data, err := json.Marshal(storeEntry{Key: key, Sum: entrySum(key, payload), Result: payload})
+	data, err := encodeEntry(key, payload)
 	if err != nil {
 		return fmt.Errorf("serve: store put: %w", err)
 	}
@@ -307,11 +359,8 @@ func (s *Store) Do(ctx context.Context, cfg core.Config, run func(core.Config) (
 			}
 		}
 		s.mu.Unlock()
-		if res, ok := s.lookup(key); ok {
-			s.mu.Lock()
-			s.hits++
-			s.index[key] = struct{}{}
-			s.mu.Unlock()
+		if res, _, ok := s.lookup(key); ok {
+			s.hit(key)
 			return res, true, nil
 		}
 		// Nothing usable on disk (missing, or corrupt and now
@@ -346,18 +395,33 @@ func (s *Store) Do(ctx context.Context, cfg core.Config, run func(core.Config) (
 // Get returns the stored result for key if a verified entry exists,
 // without simulating or joining a flight. It reads through to disk, so
 // entries written by sibling processes sharing the directory are found.
-// The cluster coordinator uses it to resolve already-stored points of a
-// submitted grid before leasing anything out.
 func (s *Store) Get(key string) (core.Result, bool) {
-	res, ok := s.lookup(key)
-	if !ok {
-		return core.Result{}, false
+	res, _, ok := s.lookup(key)
+	if ok {
+		s.hit(key)
 	}
+	return res, ok
+}
+
+// getJSON is Get for a caller that serves the result rather than reads
+// it: the verified payload, as an exact-size copy so the read buffer is
+// not kept. The server resolves already-stored points of a submitted
+// grid with it before leasing anything out.
+func (s *Store) getJSON(key string) ([]byte, bool) {
+	_, payload, ok := s.lookup(key)
+	if !ok {
+		return nil, false
+	}
+	s.hit(key)
+	return bytes.Clone(payload), true
+}
+
+// hit counts a lookup served from disk and indexes its key.
+func (s *Store) hit(key string) {
 	s.mu.Lock()
 	s.hits++
 	s.index[key] = struct{}{}
 	s.mu.Unlock()
-	return res, true
 }
 
 // Ensure makes res durable under key if no entry exists yet. The

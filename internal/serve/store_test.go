@@ -608,3 +608,67 @@ func TestStoreErrorsNotCached(t *testing.T) {
 		t.Fatalf("runner calls %d, want 2", calls.Load())
 	}
 }
+
+// storeEntry is an entry as encoding/json reads it: the reference the
+// store's one-pass reader is held to.
+type storeEntry struct {
+	Key    string          `json:"key"`
+	Sum    string          `json:"sum"`
+	Result json.RawMessage `json:"result"`
+}
+
+// FuzzStoreEntry holds the store's one-pass entry reader to
+// encoding/json. Whatever parseEntry accepts, json.Unmarshal must read to
+// the same key, sum and payload; and every entry put lays out, for any key
+// it accepts and a result carrying the input as a string, must be read
+// back to the same key and payload.
+func FuzzStoreEntry(f *testing.F) {
+	key := storeConfig(1).Key()
+	res, _ := scripted(storeConfig(1))
+	res.CI95 = math.Inf(1)
+	payload, err := res.MarshalJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	entry, err := encodeEntry(key, payload)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sum := entrySum(key, payload)
+	for _, seed := range []string{
+		string(entry),
+		string(entry[:len(entry)/2]),
+		strings.Replace(string(entry), "d[", `d\u005b`, 1),
+		`{"sum":"` + sum + `","key":"` + key + `","result":` + string(payload) + `}`,
+		`{"key": "` + key + `", "sum": "` + sum + `", "result": ` + string(payload) + " }\n",
+	} {
+		f.Add([]byte(seed), key)
+	}
+	f.Add(entry, `quote " backslash \ <html> & é`)
+	f.Add(entry, "\xff\x00")
+	f.Fuzz(func(t *testing.T, raw []byte, key string) {
+		if k, sum, payload, err := parseEntry(raw); err == nil {
+			var ent storeEntry
+			if err := json.Unmarshal(raw, &ent); err != nil {
+				t.Fatalf("the reader accepts %q, which encoding/json refuses: %v", raw, err)
+			}
+			if ent.Key != string(k) || ent.Sum != string(sum) || !bytes.Equal(ent.Result, payload) {
+				t.Fatalf("%q: the reader reads key %q, sum %q, result %s; encoding/json %q, %q, %s", raw, k, sum, payload, ent.Key, ent.Sum, ent.Result)
+			}
+		}
+		r := res
+		r.SatReason = string(raw)
+		payload, err := r.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := encodeEntry(key, payload)
+		if err != nil {
+			return // put refuses the key: no such entry is ever written
+		}
+		got, gotPayload, _, err := readEntry(data)
+		if err != nil || got != key || !bytes.Equal(gotPayload, payload) {
+			t.Fatalf("put's entry for key %q is read as key %q, result %s (err=%v), want result %s", key, got, gotPayload, err, payload)
+		}
+	})
+}

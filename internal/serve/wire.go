@@ -14,7 +14,9 @@
 //   - store.go: Store, the crash-safe result store (atomic temp-file +
 //     rename writes, per-entry checksums, startup recovery scan with
 //     quarantine, process-level single-flight). It implements
-//     sweep.Cacher.
+//     sweep.Cacher. An entry has one compact layout, read in one pass:
+//     a stored result is read once, verified (checksum, key, a decode of
+//     the result) and served as the bytes the store holds.
 //   - server.go: Server, the HTTP job service — bounded queue with 429
 //     backpressure, per-job deadlines and cancellation, graceful drain.
 //     Every job turns terminal in one place, which wakes the requests
@@ -22,9 +24,13 @@
 //     ?wait_ms=N answer when the job finishes or after N ms (at most
 //     30 s), the results of a job still running then with 409. Bodies
 //     are compact JSON, and results are one outcome per submitted
-//     point, in submission order, naming no point. The 64 most recent
-//     finished jobs stay queryable; older IDs answer 404 "expired;
-//     resubmit".
+//     point, in submission order, naming no point. A job keeps each
+//     point's result as the JSON it serves — a store hit's verified
+//     bytes, or a reported result encoded once — and the results body
+//     is built from those bytes without re-encoding them. A request
+//     body is one JSON value; anything after it is refused. The 64
+//     most recent finished jobs stay queryable; older IDs answer 404
+//     "expired; resubmit".
 //   - client.go: Client, the thin consumer the CLIs use
 //     (lapses-experiments -server); Client.Run satisfies
 //     sweep.RunFunc, so grids and bisection probes route through a

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"lapses/internal/core"
 )
@@ -153,10 +154,11 @@ func safeRunner(run func(core.Config) (core.Result, error)) func(core.Config) (c
 // Point failures are per-point: Outcome.Err is set and the sweep
 // continues, replacing the panic-on-error style of the old serial
 // harness. A panicking point is recovered into a *PanicError Outcome
-// the same way — the rest of the grid completes. Cancelling ctx stops
-// dispatching; points already running finish (core.Run is not
-// interruptible), unstarted points carry ctx.Err(), and Run returns
-// ctx.Err() alongside the partial outcomes.
+// the same way — the rest of the grid completes. Workers draw grid
+// indices in order from a shared atomic counter, checking ctx before
+// each draw. Cancelling ctx stops the drawing; points already drawn
+// finish (core.Run is not interruptible), points never drawn carry
+// ctx.Err(), and Run returns ctx.Err() alongside the partial outcomes.
 func Run(ctx context.Context, grid []core.Config, opt Options) ([]Outcome, error) {
 	outs := make([]Outcome, len(grid))
 	for i := range grid {
@@ -175,13 +177,17 @@ func Run(ctx context.Context, grid []core.Config, opt Options) ([]Outcome, error
 	if workers > len(grid) {
 		workers = len(grid)
 	}
-	idx := make(chan int)
+	var next atomic.Int64 // the next grid index to draw; draws past the end are spent
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(grid) {
+					return
+				}
 				if cache != nil {
 					outs[i].Result, outs[i].Cached, outs[i].Err = cache.Do(ctx, grid[i], run)
 				} else {
@@ -193,23 +199,10 @@ func Run(ctx context.Context, grid []core.Config, opt Options) ([]Outcome, error
 			}
 		}()
 	}
-	dispatched := make([]bool, len(grid))
-dispatch:
-	for i := range grid {
-		select {
-		case idx <- i:
-			dispatched[i] = true
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(idx)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		for i := range outs {
-			if !dispatched[i] {
-				outs[i].Err = err
-			}
+		for i := min(int(next.Load()), len(grid)); i < len(grid); i++ {
+			outs[i].Err = err
 		}
 		return outs, err
 	}

@@ -137,10 +137,9 @@ func TestCancellationMidGrid(t *testing.T) {
 		defer close(done)
 		outs, err = Run(ctx, grid, opt)
 	}()
-	// Wait until both workers are mid-point, then cancel. The dispatcher
-	// is parked in its select with no worker free, so ctx.Done is its
-	// only ready case; give it a beat to stop dispatching before the
-	// in-flight points are released.
+	// Wait until both workers are mid-point, then cancel before the
+	// in-flight points are released: each worker checks ctx before it
+	// draws its next grid index, so neither draws another point.
 	for i := 0; i < workers; i++ {
 		<-started
 	}
@@ -163,8 +162,7 @@ func TestCancellationMidGrid(t *testing.T) {
 			t.Errorf("point %d: unexpected error %v", i, o.Err)
 		}
 	}
-	// The in-flight points (and possibly a queued handoff) finish; the
-	// rest must be skipped.
+	// The in-flight points finish; the rest must be skipped.
 	if ran == 0 {
 		t.Error("no in-flight point finished")
 	}
