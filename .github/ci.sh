@@ -205,6 +205,12 @@ serve)
 	timeout 10 ./lapses-serve -mode worker -peers $url -store store -retries 2 2>refused.txt || code=$?
 	[ "$code" -eq 2 ]
 	grep -q -- '-retries does not apply in worker mode' refused.txt
+	# The heartbeat cadence is a quarter of -lease-ttl, not a flag: asking
+	# for one is an unknown flag, with usage status 2.
+	code=0
+	timeout 10 ./lapses-serve -mode coordinator -heartbeat 1s -store store 2>refused.txt || code=$?
+	[ "$code" -eq 2 ]
+	grep -q -- '-heartbeat' refused.txt
 	./lapses-serve -store store &
 	server=$!
 	wait_healthy
@@ -279,7 +285,7 @@ cluster)
 	# re-simulate nothing.
 	build_service
 	cd "$work"
-	./lapses-serve -mode coordinator -store store -lease-ttl 2s -heartbeat 500ms -unit 4 2>coord.log &
+	./lapses-serve -mode coordinator -store store -lease-ttl 2s -unit 4 2>coord.log &
 	wait_healthy
 	workers=()
 	for w in 1 2 3; do

@@ -75,8 +75,7 @@ func main() {
 	retries := flag.Int("retries", 3, "claims per lease unit before its unresolved points fail (standalone and coordinator modes; 1 = lease each unit once)")
 	jobTimeout := flag.Duration("job-timeout", 0, "default per-job deadline (0 = none; submissions may set their own)")
 	peers := flag.String("peers", "", "comma-separated coordinator base URLs (worker mode; required there)")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "coordinator mode: how long a claimed lease survives without a heartbeat before its unit is requeued")
-	heartbeat := flag.Duration("heartbeat", 0, "coordinator mode: heartbeat cadence advertised to workers (0 = lease-ttl/4; must be shorter than -lease-ttl)")
+	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "coordinator mode: how long a claimed lease survives without a heartbeat before its unit is requeued; workers heartbeat every quarter of it")
 	unitSize := flag.Int("unit", 4, "coordinator mode: grid points per lease unit")
 	workerID := flag.String("worker-id", "", "worker mode: stable identity in coordinator logs and lease ownership (default host:pid)")
 	flag.Parse()
@@ -100,7 +99,6 @@ func main() {
 		"peers":       {"worker"},
 		"worker-id":   {"worker"},
 		"lease-ttl":   {"coordinator"},
-		"heartbeat":   {"coordinator"},
 		"unit":        {"coordinator"},
 	}
 	flag.Visit(func(f *flag.Flag) {
@@ -126,12 +124,6 @@ func main() {
 	}
 	if *leaseTTL <= 0 {
 		fatal(fmt.Errorf("-lease-ttl %s: lease TTL must be positive", *leaseTTL))
-	}
-	if *heartbeat < 0 {
-		fatal(fmt.Errorf("-heartbeat %s: heartbeat cadence must not be negative (0 = lease-ttl/4)", *heartbeat))
-	}
-	if *heartbeat > 0 && *heartbeat >= *leaseTTL {
-		fatal(fmt.Errorf("-heartbeat %s must be shorter than -lease-ttl %s, or every healthy lease expires between beats", *heartbeat, *leaseTTL))
 	}
 	if *unitSize < 1 {
 		fatal(fmt.Errorf("-unit %d: lease unit size must be at least 1 point", *unitSize))
@@ -172,9 +164,8 @@ func main() {
 	}
 	if *mode == "coordinator" {
 		opt.Cluster = &serve.ClusterOptions{
-			LeaseTTL:  *leaseTTL,
-			Heartbeat: *heartbeat,
-			UnitSize:  *unitSize,
+			LeaseTTL: *leaseTTL,
+			UnitSize: *unitSize,
 		}
 	}
 	srv := serve.NewServer(store, opt)

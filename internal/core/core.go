@@ -462,6 +462,24 @@ func (c Config) Validate() error {
 	if c.Warmup < 0 {
 		return fmt.Errorf("core: Warmup %d < 0", c.Warmup)
 	}
+	// Transpose mirrors two equal coordinates and the bit permutations
+	// permute address bits (traffic's patterns panic on other shapes).
+	if c.Trace == nil {
+		switch c.Pattern {
+		case traffic.Transpose:
+			if len(c.Dims) != 2 || c.Dims[0] != c.Dims[1] {
+				return fmt.Errorf("core: Pattern transpose needs a square 2-D shape, not %s", c.Mesh())
+			}
+		case traffic.BitReversal, traffic.Shuffle, traffic.BitComplement:
+			n := 1
+			for _, k := range c.Dims {
+				n *= k
+			}
+			if n&(n-1) != 0 {
+				return fmt.Errorf("core: Pattern %s needs a power-of-two node count, not the %d of %s", c.Pattern, n, c.Mesh())
+			}
+		}
+	}
 	if c.Measure <= 0 {
 		return fmt.Errorf("core: Measure must be positive")
 	}
@@ -529,8 +547,8 @@ func (c Config) Validate() error {
 		// One label interval per port needs each port's destinations to be
 		// one contiguous run of row-major labels, which holds only when the
 		// highest dimension is resolved first: yx in 2-D (xy in 1-D). Under
-		// faults an interval router keeps exception entries for the
-		// detours, so any order fits.
+		// faults the structure's lookup is the fault-aware function
+		// itself, so any order fits.
 		highFirst := c.Algorithm == AlgYX && len(c.Dims) == 2 || c.Algorithm == AlgXY && len(c.Dims) == 1
 		if c.Faults.Empty() && !highFirst {
 			return fmt.Errorf("core: %s routing on %s is not interval-expressible (a port would cover a non-contiguous label run); use yx on a 2-D mesh", c.Algorithm, c.Mesh())

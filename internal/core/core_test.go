@@ -244,6 +244,51 @@ func TestShapeLimitsValidateOrRun(t *testing.T) {
 	}
 }
 
+// TestPatternShapesValidateOrRun holds every traffic pattern to the same
+// bar on 1-, 2- and 3-D shapes, square and not, power-of-two sized and
+// not: Validate rejects it, naming Pattern, or it runs twice alike.
+func TestPatternShapesValidateOrRun(t *testing.T) {
+	ran, rejected := 0, 0
+	for _, k := range traffic.Kinds {
+		for _, dims := range [][]int{{8}, {4, 4}, {8, 4}, {3, 3}, {6, 6}, {2, 2, 2}, {3, 3, 3}} {
+			for _, torus := range []bool{false, true} {
+				c := smoke()
+				c.Dims, c.Torus, c.Pattern = dims, torus, k
+				c.Warmup, c.Measure, c.Load = 10, 40, 0.1
+				name := fmt.Sprintf("%s on %s", k, c.Mesh())
+				if verr := c.Validate(); verr != nil {
+					rejected++
+					if !strings.Contains(verr.Error(), "Pattern") {
+						t.Errorf("%s: rejection does not name Pattern: %v", name, verr)
+					}
+					continue
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s: passed Validate, then panicked: %v", name, r)
+						}
+					}()
+					first, err := Run(c)
+					if err != nil {
+						t.Errorf("%s: passed Validate, then failed: %v", name, err)
+						return
+					}
+					again, err := Run(c)
+					if err != nil || again != first {
+						t.Errorf("%s: second run in a row differs: %+v (err %v), first %+v", name, again, err, first)
+					}
+					ran++
+				}()
+			}
+		}
+	}
+	t.Logf("%d cases ran twice, %d were rejected", ran, rejected)
+	if ran == 0 || rejected == 0 {
+		t.Errorf("%d cases ran and %d were rejected; the walk should do both", ran, rejected)
+	}
+}
+
 func TestAlgParseRoundTrip(t *testing.T) {
 	for _, a := range Algs {
 		got, err := ParseAlg(a.String())

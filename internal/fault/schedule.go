@@ -252,18 +252,6 @@ func (s *Schedule) Plan(i int) *Plan {
 	return s.plans[i]
 }
 
-// EpochAt returns the index of the epoch containing cycle t.
-func (s *Schedule) EpochAt(t int64) int {
-	i := sort.Search(len(s.times), func(i int) bool { return s.times[i] > t }) - 1
-	if i < 0 {
-		i = 0
-	}
-	return i
-}
-
-// PlanAt returns the fault set in effect at cycle t.
-func (s *Schedule) PlanAt(t int64) *Plan { return s.plans[s.EpochAt(t)] }
-
 // Events returns the canonical event list. The caller must not modify it.
 func (s *Schedule) Events() []SchedEvent {
 	if s == nil {

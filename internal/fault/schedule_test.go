@@ -28,7 +28,13 @@ func TestScheduleEpochs(t *testing.T) {
 		{200, true, true}, {299, true, true},
 		{300, false, true}, {100000, false, true},
 	} {
-		p := s.PlanAt(pr.at)
+		// The epoch holding pr.at is the last one starting at or before it.
+		times := s.Times()
+		e := 0
+		for e+1 < len(times) && times[e+1] <= pr.at {
+			e++
+		}
+		p := s.Plan(e)
 		if got := p.LinkDead(1, topology.PortPlus(0)); got != pr.linkDead {
 			t.Errorf("at %d: link 1-2 dead = %v, want %v", pr.at, got, pr.linkDead)
 		}

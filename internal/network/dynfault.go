@@ -330,9 +330,6 @@ func (n *Network) ReconvergenceEpochs() int64 { return n.reconv }
 // (only collected while a schedule is active).
 func (n *Network) DeliveryWindows() []int64 { return n.windows }
 
-// Plan returns the fault plan of the epoch currently in effect.
-func (n *Network) Plan() *fault.Plan { return n.plan }
-
 // BuildEpochRoutes builds Config.Routes: the routes a table of kind
 // encodes for each epoch of sched (one for a nil schedule), using alg to
 // construct the epoch's routing algorithm from its fault plan (nil for a

@@ -103,7 +103,7 @@ func TestExpressTransitMatchesPipeline(t *testing.T) {
 					freeFrom = c + 1 // released by Tick(c): claimable from c+1
 				}
 			}
-			if h.r.Active() {
+			if h.r.Occupancy() > 0 {
 				t.Fatalf("pipeline did not drain a %d-flit message", length)
 			}
 			ev, _ := observed(h.events)
@@ -119,7 +119,7 @@ func TestExpressTransitMatchesPipeline(t *testing.T) {
 				}
 			}
 		}
-		if h.r.Active() {
+		if h.r.Occupancy() > 0 {
 			t.Fatal("express transit buffered a flit")
 		}
 		ev, freeFrom := observed(h.events)

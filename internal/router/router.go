@@ -42,9 +42,9 @@ import (
 )
 
 // Config carries the microarchitectural parameters of one router. The zero
-// value is not usable; see DefaultConfig. Nothing here checks it: a router is
-// built only from a configuration core.Config.Validate has accepted (NumVCs
-// in [1, MaxVCs], depths at least 1, ResvVCs below NumVCs).
+// value is not usable. Nothing here checks it: a router is built only from
+// a configuration core.Config.Validate has accepted (NumVCs in [1, MaxVCs],
+// depths at least 1, ResvVCs below NumVCs).
 type Config struct {
 	// NumVCs is the number of virtual channels per physical channel.
 	NumVCs int
@@ -73,12 +73,6 @@ type Config struct {
 	// is present). Healthy configurations leave it off and are
 	// bit-identical to the paper's protocol.
 	EscapeCommit bool
-}
-
-// DefaultConfig returns the paper's Table 2 parameters: 4 VCs and 20-flit
-// buffers.
-func DefaultConfig() Config {
-	return Config{NumVCs: 4, BufDepth: 20, OutDepth: 4}
 }
 
 // Fabric is everything outside one router that the router acts on: the
@@ -712,10 +706,6 @@ func (r *Router) Tick(now int64) int {
 	r.stageOUT(now, r.stageXB(now))
 	return r.occupancy
 }
-
-// Active reports whether the router has any buffered flits — the cheap
-// "has work" predicate behind the network's active-set scheduling.
-func (r *Router) Active() bool { return r.occupancy > 0 }
 
 // stageRC performs the table-lookup stage for PROUD headers.
 func (r *Router) stageRC(now int64) {

@@ -71,7 +71,6 @@ type PortView interface {
 
 // Selector picks one candidate among the currently usable alternatives.
 type Selector interface {
-	Name() string
 	// Select returns the index (into rs) of the chosen candidate.
 	// eligible is a nonzero bitmask of candidate indices that currently
 	// have a claimable VC; the selector must return one of them.
@@ -170,11 +169,11 @@ func New(k Kind, seed int64) Selector {
 	case Random:
 		return NewBlock(Random, 1, seed, 0).Sels[0]
 	case NotifyLRU:
-		return notify{inner: lru{}, name: "notify-lru"}
+		return notify{inner: lru{}}
 	case NotifyLFU:
-		return notify{inner: lfu{}, name: "notify-lfu"}
+		return notify{inner: lfu{}}
 	case NotifyMaxCredit:
-		return notify{inner: maxCredit{}, name: "notify-max-credit"}
+		return notify{inner: maxCredit{}}
 	}
 	panic("selection: unknown kind")
 }
@@ -242,8 +241,6 @@ func (b *Block) Bytes() int {
 
 type staticXY struct{}
 
-func (staticXY) Name() string { return "static-xy" }
-
 // Select returns the first eligible candidate: tables emit candidates in
 // dimension order, so this realizes the paper's X-first preference.
 func (staticXY) Select(_ PortView, rs flow.RouteSet, eligible uint8) int {
@@ -277,8 +274,6 @@ func argBest(rs flow.RouteSet, eligible uint8, score func(i int) int64, lowerIsB
 
 type minMux struct{}
 
-func (minMux) Name() string { return "min-mux" }
-
 // Select picks the candidate whose physical channel multiplexes the fewest
 // active VCs (Duato's policy, section 4.1).
 func (minMux) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
@@ -288,8 +283,6 @@ func (minMux) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
 }
 
 type lfu struct{}
-
-func (lfu) Name() string { return "lfu" }
 
 // Select picks the candidate with the lowest cumulative usage count,
 // balancing link utilization over the run.
@@ -301,8 +294,6 @@ func (lfu) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
 
 type lru struct{}
 
-func (lru) Name() string { return "lru" }
-
 // Select picks the candidate used farthest in the past; recent history is
 // a better congestion signal than cumulative history.
 func (lru) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
@@ -312,8 +303,6 @@ func (lru) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
 }
 
 type maxCredit struct{}
-
-func (maxCredit) Name() string { return "max-credit" }
 
 // Select picks the candidate whose physical channel holds the most
 // flow-control credits: plenty of downstream buffer space suggests low
@@ -328,8 +317,6 @@ type random struct {
 	src lfib.Source
 	rng rand.Rand
 }
-
-func (*random) Name() string { return "random" }
 
 // Select picks uniformly among the eligible candidates.
 func (r *random) Select(_ PortView, rs flow.RouteSet, eligible uint8) int {
@@ -353,12 +340,7 @@ func (r *random) Select(_ PortView, rs flow.RouteSet, eligible uint8) int {
 // the eligible set is restricted to the minimum level, and the wrapped
 // local heuristic breaks ties among the survivors. With no notifications
 // yet (all levels 0) this degenerates exactly to the local heuristic.
-type notify struct {
-	inner Selector
-	name  string
-}
-
-func (s notify) Name() string { return s.name }
+type notify struct{ inner Selector }
 
 func (s notify) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
 	minLevel := uint8(255)

@@ -17,10 +17,9 @@ import (
 type ClusterOptions struct {
 	// LeaseTTL is how long a claimed unit stays owned without a
 	// heartbeat before the failure detector requeues it (default 10s).
+	// It also sets the heartbeat cadence advertised to workers: a
+	// quarter of it.
 	LeaseTTL time.Duration
-	// Heartbeat is the renewal cadence advertised to workers (default
-	// LeaseTTL/4; must be shorter than LeaseTTL).
-	Heartbeat time.Duration
 	// UnitSize is the maximum grid points per lease (default 4). Smaller
 	// units steal better; larger units amortize lease traffic.
 	UnitSize int
@@ -30,14 +29,15 @@ func (o ClusterOptions) normalize() ClusterOptions {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
 	}
-	if o.Heartbeat <= 0 || o.Heartbeat >= o.LeaseTTL {
-		o.Heartbeat = o.LeaseTTL / 4
-	}
 	if o.UnitSize < 1 {
 		o.UnitSize = 4
 	}
 	return o
 }
+
+// heartbeat is the renewal cadence advertised to workers, a quarter of
+// the lease TTL, and the pause before an unheld claim is retried.
+func (o ClusterOptions) heartbeat() time.Duration { return o.LeaseTTL / 4 }
 
 // Cluster wire types. A worker's conversation with the coordinator is
 // three POSTs: claim a lease, heartbeat it while simulating, complete it
@@ -285,7 +285,7 @@ func (s *Server) tryClaim(worker string) (grant *ClaimResponse, wake <-chan stru
 		Indices:     append([]int(nil), u.indices...),
 		Points:      make([]Point, len(u.indices)),
 		TTLMS:       s.lease.LeaseTTL.Milliseconds(),
-		HeartbeatMS: s.lease.Heartbeat.Milliseconds(),
+		HeartbeatMS: s.lease.heartbeat().Milliseconds(),
 	}
 	for j, i := range u.indices {
 		grant.Points[j] = cg.points[i]
@@ -306,7 +306,7 @@ func (s *Server) claim(ctx context.Context, req ClaimRequest) (ClaimResponse, er
 			return *grant, nil
 		}
 		if hold == 0 || draining {
-			return ClaimResponse{RetryMS: s.lease.Heartbeat.Milliseconds(), Draining: draining}, nil
+			return ClaimResponse{RetryMS: s.lease.heartbeat().Milliseconds(), Draining: draining}, nil
 		}
 		select {
 		case <-wake:

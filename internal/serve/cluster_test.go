@@ -19,10 +19,10 @@ import (
 )
 
 // fastCluster is a coordinator config tight enough that orphan detection
-// and requeue cycles complete within test time: 200ms TTL, 50ms
-// heartbeats, 4-point units.
+// and requeue cycles complete within test time: 200ms TTL (so 50ms
+// heartbeats), 4-point units.
 func fastCluster() *ClusterOptions {
-	return &ClusterOptions{LeaseTTL: 200 * time.Millisecond, Heartbeat: 50 * time.Millisecond, UnitSize: 4}
+	return &ClusterOptions{LeaseTTL: 200 * time.Millisecond, UnitSize: 4}
 }
 
 // startWorker opens its own Store over dir (the shared cluster
@@ -416,6 +416,29 @@ func claimUntilGranted(t *testing.T, c *Client, worker string) ClaimResponse {
 	}
 }
 
+// TestClusterLeaseCadence: the heartbeat cadence is a quarter of the
+// lease TTL, advertised in every grant as heartbeat_ms and as the
+// retry_ms of a claim the coordinator did not hold.
+func TestClusterLeaseCadence(t *testing.T) {
+	t.Parallel()
+	_, c := testServer(t, t.TempDir(), ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 1200 * time.Millisecond}})
+	ctx := context.Background()
+	idle, err := c.Claim(ctx, "w", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.Lease != "" || idle.RetryMS != 300 {
+		t.Fatalf("unheld claim with no work: %+v, want no lease and retry_ms 300", idle)
+	}
+	if _, err := c.Submit(ctx, mustPoints(t, testGrid(2))); err != nil {
+		t.Fatal(err)
+	}
+	grant := claimUntilGranted(t, c, "w")
+	if grant.TTLMS != 1200 || grant.HeartbeatMS != 300 {
+		t.Fatalf("grant advertises ttl_ms %d, heartbeat_ms %d; want 1200, 300", grant.TTLMS, grant.HeartbeatMS)
+	}
+}
+
 // TestClusterLeaseEpoch: lease identities must be unique across
 // coordinator incarnations — two servers over the same store mint
 // different epochs, so a stale lease from incarnation one can neither
@@ -615,7 +638,7 @@ func TestClusterDrainRequeuesUnstarted(t *testing.T) {
 	// A long TTL: if drain fell back to orphan expiry, the job could not
 	// finish inside the test deadline.
 	_, c := testServer(t, dir, ServerOptions{
-		Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second, Heartbeat: 20 * time.Millisecond, UnitSize: 4},
+		Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 4},
 	})
 
 	var counts sync.Map

@@ -526,10 +526,11 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
 		return jb
 	}
 	// IDs are issued in sequence, so one this process handed out that is
-	// no longer in the map fell out of the retention window.
+	// no longer in the map fell out of the retention window. Only the
+	// exact form it was issued in counts: j6 and j000006x never were.
 	msg := fmt.Sprintf("no such job %q", id)
 	var n int64
-	if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n >= 1 && n <= issued {
+	if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n >= 1 && n <= issued && id == fmt.Sprintf("j%06d", n) {
 		msg = fmt.Sprintf("job %s expired (the server keeps its %d most recent finished jobs); resubmit — completed points are stored", id, retainJobs)
 	}
 	writeJSON(w, http.StatusNotFound, apiError{Error: msg})

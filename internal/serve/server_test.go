@@ -549,6 +549,13 @@ func TestServerRejectsMalformedJobs(t *testing.T) {
 	if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "MsgLen") {
 		t.Errorf("msg_len 0: err=%v", err)
 	}
+	// So is a pattern the shape cannot carry, which would panic mid-run.
+	bad = mustPoints(t, testGrid(1))
+	bad[0].Dims, bad[0].Pattern = []int{8, 4}, "transpose"
+	err = c.do(ctx, http.MethodPost, "/v1/jobs", jobRequest{Points: bad}, nil)
+	if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "Pattern") {
+		t.Errorf("transpose on 8x4: err=%v", err)
+	}
 	// A body is one JSON value: anything after it but whitespace is
 	// refused, a second job included.
 	job, err := json.Marshal(jobRequest{Points: mustPoints(t, testGrid(1))})
@@ -671,9 +678,12 @@ func TestServerRetentionBound(t *testing.T) {
 	if _, err := c.Results(ctx, "j000001"); !errors.As(err, &ae) || ae.Code != http.StatusNotFound {
 		t.Errorf("evicted job results: %v, want 404", err)
 	}
-	_, err = c.Status(ctx, "j999999")
-	if !errors.As(err, &ae) || ae.Code != http.StatusNotFound || strings.Contains(ae.Message, "expired") {
-		t.Errorf("never-issued job: %v, want a plain 404", err)
+	// j6 and j000006x parse as the live j000006, but were never issued.
+	for _, id := range []string{"j999999", "j6", "j000006x"} {
+		_, err = c.Status(ctx, id)
+		if !errors.As(err, &ae) || ae.Code != http.StatusNotFound || strings.Contains(ae.Message, "expired") {
+			t.Errorf("never-issued job %s: %v, want a plain 404", id, err)
+		}
 	}
 	if st, err := c.Status(ctx, "j000006"); err != nil || st.State != JobDone {
 		t.Errorf("oldest job inside the window: %+v, %v", st, err)

@@ -490,10 +490,3 @@ func (s *Store) Stats() StoreStats {
 		OrphanTempsRemoved: s.orphanTemps,
 	}
 }
-
-// Len is the number of verified durable entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}

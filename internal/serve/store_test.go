@@ -69,8 +69,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("reopened store has %d entries, want 1", s2.Len())
+	if n := s2.Stats().Entries; n != 1 {
+		t.Fatalf("reopened store has %d entries, want 1", n)
 	}
 	res, cached, err = s2.Do(context.Background(), cfg, run)
 	if err != nil || !cached || res != want {
@@ -381,7 +381,7 @@ func TestStoreTempFileCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
+	if s.Stats().Entries != 0 {
 		t.Fatalf("temp file counted as entry")
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
@@ -596,7 +596,7 @@ func TestStoreErrorsNotCached(t *testing.T) {
 	if _, _, err := s.Do(context.Background(), cfg, run); err != boom {
 		t.Fatalf("first Do: err=%v, want boom", err)
 	}
-	if s.Len() != 0 {
+	if s.Stats().Entries != 0 {
 		t.Fatal("failed point was stored")
 	}
 	want, _ := scripted(cfg)

@@ -57,7 +57,7 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	exotic.Load = 0.37
 	exotic.Seed = 99
 	exotic.EventMode = true
-	exotic.Pattern = traffic.Transpose
+	exotic.Pattern = traffic.Tornado // transpose needs a square 2-D shape
 
 	meta := core.DefaultConfig()
 	meta.Dims = []int{8, 4}

@@ -101,10 +101,11 @@ type AdaptiveConfig struct {
 	// CheckEvery is the re-evaluation cadence in observations; each check
 	// is one O(batches) pass. Default max(MinSamples/2, 250).
 	CheckEvery int
-	// Batches is the macro-batch count for the confidence interval over
-	// the truncated series. Default 20.
-	Batches int
 }
+
+// macroBatches is the macro-batch count for the confidence interval over
+// the truncated series.
+const macroBatches = 20
 
 // Normalize returns the config with every unset field defaulted.
 func (c AdaptiveConfig) Normalize() AdaptiveConfig {
@@ -128,9 +129,6 @@ func (c AdaptiveConfig) Normalize() AdaptiveConfig {
 		if c.CheckEvery < 250 {
 			c.CheckEvery = 250
 		}
-	}
-	if c.Batches < 2 {
-		c.Batches = 20
 	}
 	return c
 }
@@ -249,7 +247,7 @@ func (a *Adaptive) evaluate() bool {
 		return false
 	}
 	tail := a.groups[d:]
-	k := a.cfg.Batches
+	k := macroBatches
 	size := len(tail) / k
 	if size < 1 {
 		a.clearEstimate()

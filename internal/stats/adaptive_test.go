@@ -273,7 +273,7 @@ func TestAdaptiveConfigNormalize(t *testing.T) {
 	t.Parallel()
 	c := AdaptiveConfig{}.Normalize()
 	if c.RelTol != 0.05 || c.MaxSamples != 100000 || c.MinSamples != 5000 ||
-		c.CheckEvery != 2500 || c.Batches != 20 {
+		c.CheckEvery != 2500 {
 		t.Fatalf("zero-value defaults = %+v", c)
 	}
 	d := AdaptiveConfig{MaxSamples: 1000}.Normalize()

@@ -11,17 +11,10 @@ import "math"
 type Sample struct {
 	n          int64
 	sum, sumSq float64
-	min, max   float64
 }
 
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
 	s.n++
 	s.sum += v
 	s.sumSq += v * v
@@ -53,12 +46,6 @@ func (s *Sample) Var() float64 {
 
 // StdDev returns the sample standard deviation.
 func (s *Sample) StdDev() float64 { return math.Sqrt(s.Var()) }
-
-// Min and Max return the extremes (0 for empty samples).
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Sample) Max() float64 { return s.max }
 
 // Batches implements the method of batch means for steady-state confidence
 // intervals: observations are grouped into fixed-size batches and the

@@ -193,8 +193,8 @@ func (r *Routes) Dump() string {
 // organization can express: ES needs a sign-routed or position-dependent
 // (fault-aware) function; interval a deterministic function on a mesh whose
 // ports each cover one run of row-major labels (Intervals), unless it is
-// position-dependent, which a real interval router would patch with
-// exception entries. The error names the first failure.
+// position-dependent: under faults a structure's lookup is the fault-aware
+// function itself. The error names the first failure.
 func Verify(k Kind, m *topology.Mesh, alg routing.Algorithm, cls routing.Class) error {
 	r := Program(k, m, alg, cls)
 	fn := r.fn

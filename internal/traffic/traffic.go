@@ -44,7 +44,6 @@ import (
 
 // Pattern maps a source node to a destination for each generated message.
 type Pattern interface {
-	Name() string
 	// Dest returns the destination for a message from src, or false when
 	// the pattern sends nothing from this node (e.g. the diagonal of a
 	// transpose). rng is used only by randomized patterns.
@@ -109,10 +108,11 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("traffic: unknown pattern %q", s)
 }
 
-// New builds a pattern for the given topology. Permutation patterns
-// requiring power-of-two node counts (bit-reversal, shuffle, complement)
-// panic on other sizes, as in the literature they are defined over address
-// bits.
+// New builds a pattern for the given topology. Transpose needs a square
+// 2-D shape, and the bit permutations (bit-reversal, shuffle, complement)
+// a power-of-two node count, as in the literature they are defined over
+// address bits; on other shapes they panic. core.Config.Validate rejects
+// those shapes, so a panic here is a broken assertion, not bad input.
 func New(k Kind, m *topology.Mesh) Pattern {
 	switch k {
 	case Uniform:
@@ -149,8 +149,6 @@ type filtered struct {
 	ok    func(topology.NodeID) bool
 }
 
-func (f filtered) Name() string { return f.inner.Name() }
-
 func (f filtered) Dest(src topology.NodeID, rng *rand.Rand) (topology.NodeID, bool) {
 	// A deterministic pattern aimed at a rejected node repeats the same
 	// draw every time and falls out after the budget; a randomized
@@ -171,8 +169,6 @@ func (f filtered) Dest(src topology.NodeID, rng *rand.Rand) (topology.NodeID, bo
 
 type uniform struct{ n int }
 
-func (uniform) Name() string { return "uniform" }
-
 func (u uniform) Dest(src topology.NodeID, rng *rand.Rand) (topology.NodeID, bool) {
 	d := topology.NodeID(rng.Intn(u.n - 1))
 	if d >= src {
@@ -182,8 +178,6 @@ func (u uniform) Dest(src topology.NodeID, rng *rand.Rand) (topology.NodeID, boo
 }
 
 type transpose struct{ m *topology.Mesh }
-
-func (transpose) Name() string { return "transpose" }
 
 func (t transpose) Dest(src topology.NodeID, _ *rand.Rand) (topology.NodeID, bool) {
 	if t.m.NumDims() != 2 {
@@ -206,8 +200,6 @@ type bitPattern struct {
 	name string
 	f    func(v, bits int) int
 }
-
-func (p bitPattern) Name() string { return p.name }
 
 func (p bitPattern) Dest(src topology.NodeID, _ *rand.Rand) (topology.NodeID, bool) {
 	w := bits.Len(uint(p.n - 1))
@@ -239,8 +231,6 @@ func complementBits(v, w int) int {
 
 type tornado struct{ m *topology.Mesh }
 
-func (tornado) Name() string { return "tornado" }
-
 func (t tornado) Dest(src topology.NodeID, _ *rand.Rand) (topology.NodeID, bool) {
 	c := t.m.CoordOf(src)
 	for d := 0; d < t.m.NumDims(); d++ {
@@ -259,8 +249,6 @@ type hotspot struct {
 	hot  topology.NodeID
 	frac float64
 }
-
-func (hotspot) Name() string { return "hotspot" }
 
 func (h hotspot) Dest(src topology.NodeID, rng *rand.Rand) (topology.NodeID, bool) {
 	if src != h.hot && rng.Float64() < h.frac {
@@ -300,8 +288,6 @@ func (h hotspot) Dest(src topology.NodeID, rng *rand.Rand) (topology.NodeID, boo
 }
 
 type neighbor struct{ m *topology.Mesh }
-
-func (neighbor) Name() string { return "neighbor" }
 
 func (nb neighbor) Dest(src topology.NodeID, _ *rand.Rand) (topology.NodeID, bool) {
 	d, ok := nb.m.Neighbor(src, topology.PortPlus(0))

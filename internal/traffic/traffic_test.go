@@ -131,7 +131,7 @@ func TestPermutationsAreBijections(t *testing.T) {
 				continue
 			}
 			if seen[d] {
-				t.Errorf("%s: destination %d hit twice", p.Name(), d)
+				t.Errorf("%s: destination %d hit twice", k, d)
 			}
 			seen[d] = true
 		}
