@@ -340,6 +340,10 @@ fuzz)
 	# encoding/json reads the same key, checksum and result; every entry
 	# the store writes is read back exactly.
 	go test -run '^$' -fuzz FuzzStoreEntry -fuzztime 10s ./internal/serve
+	# Random result payloads: the strict one-pass decoder accepts exactly
+	# what json.Valid and encoding/json accept (floats also exactly
+	# "+Inf", "-Inf" or "NaN") and reads every field to the same bits.
+	go test -run '^$' -fuzz FuzzResultJSON -fuzztime 10s ./internal/core
 	;;
 *)
 	echo "usage: $0 unit|full|race|harness|serve|cluster|fuzz" >&2

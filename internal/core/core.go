@@ -21,7 +21,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"strings"
+	"strconv"
 	"sync"
 
 	"lapses/internal/bounded"
@@ -294,46 +294,72 @@ func (c Config) Mesh() *topology.Mesh { return topology.New(c.Torus, c.Dims...) 
 
 // Key returns a string that identifies the configuration exactly: two
 // configs with equal keys produce bit-identical Results from Run. It is
-// the memo-cache key used by internal/sweep. Floats are keyed by their
-// bit patterns, so no two distinct loads ever collide; a Trace is keyed
-// by its content digest (no trace keeps the term "tr0x0" it always had).
+// the memo-cache key used by internal/sweep and the result store's
+// address. Floats are keyed by their bit patterns in hex, so no two
+// distinct loads ever collide; a Trace is keyed by its content digest (no
+// trace keeps the term "tr0x0" it always had). The bytes of every term
+// must stay as they are, because stored entries are addressed by them;
+// TestKeyMatchesFmt holds them to the fmt form they were first written in.
 func (c Config) Key() string {
-	var b strings.Builder
-	b.Grow(96)
-	trace := "0x0"
-	if c.Trace != nil {
-		trace = c.Trace.Digest()
+	var buf [256]byte
+	b := append(buf[:0], "d["...)
+	for i, k := range c.Dims {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(k), 10)
 	}
-	fmt.Fprintf(&b, "d%v", c.Dims)
+	b = strconv.AppendBool(append(b, "],t"...), c.Torus)
+	b = keyInt(b, ",v", int64(c.VCs))
+	b = keyInt(b, ",e", int64(c.EscapeVCs))
+	b = keyInt(b, ",b", int64(c.BufDepth))
+	b = keyInt(b, ",o", int64(c.OutDepth))
+	b = keyInt(b, ",l", int64(c.LinkDelay))
+	b = strconv.AppendBool(append(b, ",la"...), c.LookAhead)
 	// "ctfalse" is the term of the cut-through switch runs no longer have:
 	// kept literally, so every stored key stays where it was.
-	fmt.Fprintf(&b, ",t%t,v%d,e%d,b%d,o%d,l%d,la%t,ctfalse,a%d,tb%d,s%d,p%d",
-		c.Torus, c.VCs, c.EscapeVCs, c.BufDepth, c.OutDepth, c.LinkDelay,
-		c.LookAhead, int(c.Algorithm), int(c.Table), int(c.Selection), int(c.Pattern))
-	fmt.Fprintf(&b, ",ld%x,ml%d,tr%s,w%d,m%d,mc%d,sl%x,sd%d",
-		math.Float64bits(c.Load), c.MsgLen, trace,
-		c.Warmup, c.Measure, c.MaxCycles, math.Float64bits(c.SatLatency), c.Seed)
+	b = keyInt(b, ",ctfalse,a", int64(c.Algorithm))
+	b = keyInt(b, ",tb", int64(c.Table))
+	b = keyInt(b, ",s", int64(c.Selection))
+	b = keyInt(b, ",p", int64(c.Pattern))
+	b = keyBits(b, ",ld", c.Load)
+	b = keyInt(b, ",ml", int64(c.MsgLen))
+	b = append(b, ",tr"...)
+	if c.Trace != nil {
+		b = append(b, c.Trace.Digest()...)
+	} else {
+		b = append(b, "0x0"...)
+	}
+	b = keyInt(b, ",w", int64(c.Warmup))
+	b = keyInt(b, ",m", int64(c.Measure))
+	b = keyInt(b, ",mc", c.MaxCycles)
+	b = keyBits(b, ",sl", c.SatLatency)
+	b = keyInt(b, ",sd", c.Seed)
 	// Event mode changes observed results (it is equivalent, not
 	// bit-identical), so it always keys separately from cycle mode.
 	if c.EventMode {
-		b.WriteString(",ev")
+		b = append(b, ",ev"...)
 	}
 	// The adaptive tier is keyed by its resolved parameters: two configs
 	// that default to the same stopping rule share a cache line, while
 	// an Auto config never collides with its fixed-tier sibling.
 	if c.Auto != nil {
 		a := c.adaptive()
-		fmt.Fprintf(&b, ",au[%x,%d,%d,%d]",
-			math.Float64bits(a.RelTol), a.MinSamples, a.MaxSamples, a.CheckEvery)
+		b = keyBits(b, ",au[", a.RelTol)
+		b = keyInt(b, ",", int64(a.MinSamples))
+		b = keyInt(b, ",", int64(a.MaxSamples))
+		b = append(keyInt(b, ",", int64(a.CheckEvery)), ']')
 	}
 	// Bursty sources and QoS classes change the workload, so they key by
 	// their parameters; the nil defaults add nothing and leave every
 	// pre-existing key byte-identical.
 	if c.Burst != nil {
-		fmt.Fprintf(&b, ",mm[%x,%x]", math.Float64bits(c.Burst.OnFrac), math.Float64bits(c.Burst.MeanOn))
+		b = keyBits(b, ",mm[", c.Burst.OnFrac)
+		b = append(keyBits(b, ",", c.Burst.MeanOn), ']')
 	}
 	if c.QoS != nil {
-		fmt.Fprintf(&b, ",q[%x,%d]", math.Float64bits(c.QoS.HiFrac), c.QoS.HiVCs)
+		b = keyBits(b, ",q[", c.QoS.HiFrac)
+		b = append(keyInt(b, ",", int64(c.QoS.HiVCs)), ']')
 	}
 	// Damage is keyed by canonical content, so equal damage from different
 	// values memoizes together — "12-13" spelled as a plan or as an
@@ -342,18 +368,31 @@ func (c Config) Key() string {
 	// damage adds nothing: a zero-fault config is the same simulation
 	// either way.
 	if !c.Faults.Empty() {
-		term := ",f[%s]"
 		if c.Faults.Epochs() > 1 {
-			term = ",fs[%s]"
+			b = append(b, ",fs["...)
+		} else {
+			b = append(b, ",f["...)
 		}
-		fmt.Fprintf(&b, term, c.Faults.Key())
+		b = append(append(b, c.Faults.Key()...), ']')
 	}
 	// The reliability layer changes delivery behavior (retransmitted
 	// traffic competes with measured traffic), so it always keys apart.
-	if c.Reliability != nil {
-		fmt.Fprintf(&b, ",rel[%d,%d,%d]", c.Reliability.RTO, c.Reliability.MaxAttempts, c.Reliability.AckDelay)
+	if r := c.Reliability; r != nil {
+		b = keyInt(b, ",rel[", r.RTO)
+		b = keyInt(b, ",", int64(r.MaxAttempts))
+		b = append(keyInt(b, ",", r.AckDelay), ']')
 	}
-	return b.String()
+	return string(b)
+}
+
+// keyInt appends a key term: its tag, then v in decimal.
+func keyInt(b []byte, tag string, v int64) []byte {
+	return strconv.AppendInt(append(b, tag...), v, 10)
+}
+
+// keyBits appends a key term: its tag, then x's bit pattern in hex.
+func keyBits(b []byte, tag string, x float64) []byte {
+	return strconv.AppendUint(append(b, tag...), math.Float64bits(x), 16)
 }
 
 // class returns the VC partition. Deterministic and turn-model algorithms

@@ -8,6 +8,7 @@ import (
 	"lapses/internal/core"
 	"lapses/internal/fault"
 	"lapses/internal/topology"
+	"lapses/internal/traffic"
 )
 
 // TestScheduleKeys pins the cache-key contract for transient-fault
@@ -67,8 +68,10 @@ func TestScheduleKeys(t *testing.T) {
 // TestKeyLiterals pins Config.Key to the bytes the durable result store
 // already holds for a healthy config, a static plan, the same damage
 // spelled as an untimed schedule (items reordered), and a timed schedule
-// with the reliability layer: a refactor of how faults are represented
-// must not orphan a single stored entry.
+// with the reliability layer, and for every other optional term (event
+// mode, the adaptive tier, bursts, QoS, a trace) and shape (a torus, a 3-D
+// mesh): a refactor of how faults are represented, or of how the key is
+// built, must not orphan a single stored entry.
 func TestKeyLiterals(t *testing.T) {
 	t.Parallel()
 	base := core.DefaultConfig()
@@ -94,6 +97,18 @@ func TestKeyLiterals(t *testing.T) {
 	spelled.Faults = untimed
 	stormy.Faults = timed
 	stormy.Reliability = &core.Reliability{RTO: 400, MaxAttempts: 8}
+	event, auto, burst, qos, torus, cube, traced := base, base, base, base, base, base, base
+	event.EventMode = true
+	auto.Auto = &core.AutoMeasure{RelTol: 0.02}
+	burst.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 50}
+	qos.QoS = &core.QoSSpec{HiFrac: 0.1, HiVCs: 1}
+	torus.Torus, torus.EscapeVCs = true, 2
+	cube.Dims = []int{4, 4, 4}
+	tr, err := traffic.NewTrace([]traffic.TraceMsg{{At: 0, Src: 1, Dst: 2, Length: 20}, {At: 5, Src: 3, Dst: 0, Length: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced.Trace, traced.Warmup, traced.Measure = tr, 0, 2
 	const healthy = "d[8 8],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr0x0,w2000,m30000,mc0,sl40b3880000000000,sd1"
 	for _, tc := range []struct {
 		name string
@@ -104,6 +119,13 @@ func TestKeyLiterals(t *testing.T) {
 		{"static plan", static, healthy + ",f[27-28;35-43;r9]"},
 		{"untimed schedule", spelled, healthy + ",f[27-28;35-43;r9]"},
 		{"timed schedule", stormy, healthy + ",fs[27-28@1100:1800;r9@1200],rel[400,8,0]"},
+		{"event mode", event, healthy + ",ev"},
+		{"adaptive tier", auto, healthy + ",au[3f947ae147ae147b,1600,32000,800]"},
+		{"burst", burst, healthy + ",mm[3fd0000000000000,4049000000000000]"},
+		{"qos", qos, healthy + ",q[3fb999999999999a,1]"},
+		{"torus", torus, "d[8 8],ttrue,v4,e2,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr0x0,w2000,m30000,mc0,sl40b3880000000000,sd1"},
+		{"3-D mesh", cube, "d[4 4 4],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr0x0,w2000,m30000,mc0,sl40b3880000000000,sd1"},
+		{"trace", traced, "d[8 8],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr8b5f657d1d25011ebc5bd58a8c64026551b7b62591d041012aff307282570703,w0,m2,mc0,sl40b3880000000000,sd1"},
 	} {
 		if got := tc.cfg.Key(); got != tc.want {
 			t.Errorf("%s: key\n got %s\nwant %s", tc.name, got, tc.want)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -182,8 +181,9 @@ func encodeEntry(key string, payload []byte) ([]byte, error) {
 }
 
 // parseEntry splits raw, an entry in the layout encodeEntry writes, into
-// its key, checksum and result payload, each a slice of raw. The payload
-// must be one valid JSON object: Result.UnmarshalJSON assumes valid JSON.
+// its key, checksum and result payload, each a slice of raw. It checks
+// the layout only: the payload is checked as JSON by the one pass that
+// decodes it, Result.UnmarshalJSON, which is strict.
 func parseEntry(raw []byte) (key, sum, payload []byte, err error) {
 	rest, ok := bytes.CutPrefix(raw, []byte(keyTag))
 	if ok {
@@ -196,16 +196,17 @@ func parseEntry(raw []byte) (key, sum, payload []byte, err error) {
 		payload, ok = bytes.CutSuffix(rest, []byte("}"))
 	}
 	if !ok || !plain(key) || !plain(sum) ||
-		!bytes.HasPrefix(payload, []byte("{")) || !bytes.HasSuffix(payload, []byte("}")) || !json.Valid(payload) {
+		!bytes.HasPrefix(payload, []byte("{")) || !bytes.HasSuffix(payload, []byte("}")) {
 		return nil, nil, nil, fmt.Errorf("truncated or malformed entry")
 	}
 	return key, sum, payload, nil
 }
 
-// readEntry parses and verifies one entry's bytes in one pass: the
-// layout, the checksum over (key, payload), and a payload that decodes
-// as a core.Result. The payload is a slice of raw. Binding the key to
-// the filename is the caller's check.
+// readEntry parses and verifies one entry's bytes: the layout, the
+// checksum over (key, payload), then one strict decode of the payload as
+// a core.Result, which is also the check that the payload is valid JSON.
+// The payload is hashed once and scanned once, and returned as a slice
+// of raw. Binding the key to the filename is the caller's check.
 func readEntry(raw []byte) (string, []byte, core.Result, error) {
 	k, sum, payload, err := parseEntry(raw)
 	if err != nil {

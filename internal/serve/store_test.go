@@ -618,10 +618,11 @@ type storeEntry struct {
 }
 
 // FuzzStoreEntry holds the store's one-pass entry reader to
-// encoding/json. Whatever parseEntry accepts, json.Unmarshal must read to
-// the same key, sum and payload; and every entry put lays out, for any key
-// it accepts and a result carrying the input as a string, must be read
-// back to the same key and payload.
+// encoding/json. Whatever parseEntry accepts with a valid JSON payload,
+// json.Unmarshal must read to the same key, sum and payload; whatever
+// readEntry accepts has a valid JSON payload; and every entry put lays
+// out, for any key it accepts and a result carrying the input as a
+// string, must be read back to the same key and payload.
 func FuzzStoreEntry(f *testing.F) {
 	key := storeConfig(1).Key()
 	res, _ := scripted(storeConfig(1))
@@ -648,12 +649,23 @@ func FuzzStoreEntry(f *testing.F) {
 	f.Add(entry, "\xff\x00")
 	f.Fuzz(func(t *testing.T, raw []byte, key string) {
 		if k, sum, payload, err := parseEntry(raw); err == nil {
-			var ent storeEntry
-			if err := json.Unmarshal(raw, &ent); err != nil {
-				t.Fatalf("the reader accepts %q, which encoding/json refuses: %v", raw, err)
+			if json.Valid(payload) {
+				var ent storeEntry
+				if err := json.Unmarshal(raw, &ent); err != nil {
+					t.Fatalf("the reader accepts %q, which encoding/json refuses: %v", raw, err)
+				}
+				if ent.Key != string(k) || ent.Sum != string(sum) || !bytes.Equal(ent.Result, payload) {
+					t.Fatalf("%q: the reader reads key %q, sum %q, result %s; encoding/json %q, %q, %s", raw, k, sum, payload, ent.Key, ent.Sum, ent.Result)
+				}
 			}
-			if ent.Key != string(k) || ent.Sum != string(sum) || !bytes.Equal(ent.Result, payload) {
-				t.Fatalf("%q: the reader reads key %q, sum %q, result %s; encoding/json %q, %q, %s", raw, k, sum, payload, ent.Key, ent.Sum, ent.Result)
+			// parseEntry leaves the payload's JSON to the decoder, so
+			// readEntry must accept only valid JSON. The entry is summed
+			// again (it is raw when raw's sum was right) so that a fuzzed
+			// payload reaches the decoder.
+			if summed, err := encodeEntry(string(k), payload); err == nil {
+				if _, _, _, err := readEntry(summed); err == nil && !json.Valid(payload) {
+					t.Fatalf("readEntry accepts %q, whose payload is not valid JSON", summed)
+				}
 			}
 		}
 		r := res

@@ -15,8 +15,9 @@
 //     rename writes, per-entry checksums, startup recovery scan with
 //     quarantine, process-level single-flight). It implements
 //     sweep.Cacher. An entry has one compact layout, read in one pass:
-//     a stored result is read once, verified (checksum, key, a decode of
-//     the result) and served as the bytes the store holds.
+//     a stored result is read once, verified (checksum, key, one strict
+//     decode of the result, which is also its JSON check) and served as
+//     the bytes the store holds.
 //   - server.go: Server, the HTTP job service — bounded queue with 429
 //     backpressure, per-job deadlines and cancellation, graceful drain.
 //     Every job turns terminal in one place, which wakes the requests
