@@ -214,6 +214,12 @@ serve)
 	./lapses-serve -store store &
 	server=$!
 	wait_healthy
+	# A member the server does not read is refused by name, not dropped:
+	# this point misspells lookahead, which would otherwise run PROUD.
+	code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
+		-d '{"points":[{"dims":[4,4],"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"look_ahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
+	[ "$code" -eq 400 ]
+	jq -e '.error | contains("\"look_ahead\"")' refused.json
 	mkdir served-csv local-csv
 	lx -exp fig5 -fidelity quick -csv served-csv -server $url >served.txt
 	[ "$(grep -c 'serve job' served.txt)" -eq 1 ]

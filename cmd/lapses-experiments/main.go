@@ -20,7 +20,9 @@
 // -fidelity auto runs every point on the adaptive measurement tier
 // (MSER-5 warmup truncation + CI-based early stopping; see README
 // "Measurement methodology"): each point simulates only as long as its
-// latency statistics need, with the default tier's budget as ceiling.
+// latency statistics need: a relative CI tolerance of 3%
+// (core.Config.AutoTol 0.03), with the default tier's 2000+30000-message
+// budget as ceiling.
 //
 // -csv DIR writes each experiment's record table to DIR/<exp>.csv. An
 // experiment's grid runs once per seed: the same rows give the rendered

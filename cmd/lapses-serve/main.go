@@ -37,7 +37,7 @@
 //     its unresolved points fail.
 //   - The job queue is bounded: beyond -queue waiting jobs, submissions
 //     get 429 + Retry-After backpressure.
-//   - Per-job deadlines (-job-timeout or per-submission) cancel runaway
+//   - A per-job deadline (-job-timeout, one for every job) cancels runaway
 //     grids at the next point boundary.
 //   - SIGINT/SIGTERM drains gracefully: in-flight points finish and
 //     persist, queued jobs are marked interrupted and resumable. A
@@ -73,7 +73,7 @@ func main() {
 	workers := flag.Int("workers", 0, "in-process worker slots (standalone) or concurrent simulations per lease (worker mode); 0 = GOMAXPROCS")
 	queue := flag.Int("queue", 16, "max jobs waiting behind the running one before submissions get 429")
 	retries := flag.Int("retries", 3, "claims per lease unit before its unresolved points fail (standalone and coordinator modes; 1 = lease each unit once)")
-	jobTimeout := flag.Duration("job-timeout", 0, "default per-job deadline (0 = none; submissions may set their own)")
+	jobTimeout := flag.Duration("job-timeout", 0, "every job's deadline from when it starts running (0 = none)")
 	peers := flag.String("peers", "", "comma-separated coordinator base URLs (worker mode; required there)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "coordinator mode: how long a claimed lease survives without a heartbeat before its unit is requeued; workers heartbeat every quarter of it")
 	unitSize := flag.Int("unit", 4, "coordinator mode: grid points per lease unit")

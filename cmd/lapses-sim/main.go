@@ -30,11 +30,13 @@
 //	lapses-sim -load 0.5 -burst 0.3,200 -selection notify-max-credit
 //	lapses-sim -load 0.3 -qos 0.2,1 -pattern hotspot
 //
-// -auto switches to the adaptive measurement tier: MSER-5 warmup
-// truncation plus CI-based early stopping at the -auto-tol relative
-// half-width, with -warmup+-measure as the message ceiling. The summary
-// then reports the truncated measurement window and whether the CI
-// converged before the ceiling.
+// -auto-tol T switches to the adaptive measurement tier: MSER-5 warmup
+// truncation plus CI-based early stopping once the 95% CI half-width falls
+// to T times the mean, with -warmup+-measure as the message ceiling (0,
+// the default, is the fixed tier). The summary then reports the truncated
+// measurement window and whether the CI converged before the ceiling:
+//
+//	lapses-sim -load 0.3 -auto-tol 0.05
 package main
 
 import (
@@ -73,8 +75,7 @@ func main() {
 	warmup := flag.Int("warmup", cfg.Warmup, "warm-up messages (excluded from stats)")
 	measure := flag.Int("measure", cfg.Measure, "measured messages")
 	seed := flag.Int64("seed", cfg.Seed, "random seed")
-	auto := flag.Bool("auto", false, "adaptive measurement: MSER-5 warmup truncation + CI-based early stopping (ceiling = warmup+measure)")
-	autoTol := flag.Float64("auto-tol", 0.05, "with -auto: stop once the 95% CI half-width falls to this fraction of the mean")
+	autoTol := flag.Float64("auto-tol", 0, "adaptive measurement: MSER-5 warmup truncation, then stop once the 95% CI half-width falls to this fraction of the mean (ceiling = warmup+measure; 0 = the fixed tier)")
 	faults := flag.String("faults", "", "failed equipment: a count of random link failures, or a \"A-B,...,rN\" spec whose items may be timed \"@DOWN[:UP]\" (untimed = down from the start; \":UP\" omitted = permanent)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for a random count of link failures")
 	reliability := flag.String("reliability", "", "end-to-end NI retransmission layer: \"on\" for defaults, or \"RTO,ATTEMPTS,ACKDELAY\" (cycles, count, cycles; 0 = default)")
@@ -115,7 +116,7 @@ func main() {
 		fatal(err)
 	}
 	cfg.Load, cfg.MsgLen = *load, *msgLen
-	cfg.Warmup, cfg.Measure, cfg.Seed = *warmup, *measure, *seed
+	cfg.Warmup, cfg.Measure, cfg.Seed, cfg.AutoTol = *warmup, *measure, *seed, *autoTol
 	if *burst != "" {
 		if cfg.Burst, err = parseBurst(*burst); err != nil {
 			fatal(err)
@@ -127,12 +128,6 @@ func main() {
 		}
 	}
 	cfg.EventMode = *events
-	if *auto {
-		if *autoTol <= 0 {
-			fatal(fmt.Errorf("-auto-tol %g: relative CI tolerance must be positive", *autoTol))
-		}
-		cfg.Auto = &core.AutoMeasure{RelTol: *autoTol}
-	}
 	if *faults != "" {
 		if cfg.Faults, err = parseFaults(cfg, *faults, *faultSeed); err != nil {
 			fatal(err)
@@ -200,9 +195,9 @@ func main() {
 		fmt.Printf("reliability    %d retransmissions, %d duplicates suppressed, %d abandoned\n",
 			res.Retransmits, res.DupSuppressed, res.Abandoned)
 	}
-	if cfg.Auto != nil {
+	if cfg.AutoTol != 0 {
 		fmt.Printf("auto           converged=%t after %d messages (CI ±%.2f, target ±%.1f%% of mean)\n",
-			res.Converged, res.Delivered, res.LatencyCI, *autoTol*100)
+			res.Converged, res.Delivered, res.LatencyCI, cfg.AutoTol*100)
 	}
 	if res.Saturated {
 		fmt.Printf("saturated      %s\n", res.SatReason)

@@ -67,13 +67,13 @@
 // evaluation never exercises.
 //
 // Measurement is either fixed (the paper's warmup/measure message
-// counts) or adaptive (core.Config.Auto): internal/stats supplies
-// streaming moments, MSER-5 warmup truncation and batch-means confidence
-// intervals, and an Auto run measures every delivered message from cycle
-// zero, truncates the initialization transient statistically, and stops
-// as soon as the latency CI half-width falls below a relative tolerance
-// at two consecutive agreeing checks — bounded by floor and ceiling
-// budgets. Result.MeasuredCycles reports the truncated window the
+// counts) or adaptive (core.Config.AutoTol, its one setting the relative
+// tolerance): internal/stats supplies streaming moments, MSER-5 warmup
+// truncation and batch-means confidence intervals, and an adaptive run
+// measures every delivered message from cycle zero, truncates the
+// initialization transient statistically, and stops as soon as the
+// latency CI half-width falls below AutoTol of the mean at two consecutive
+// agreeing checks — bounded by a floor and by the Warmup+Measure ceiling. Result.MeasuredCycles reports the truncated window the
 // estimate covers (for fixed runs it equals Result.Cycles),
 // Result.Converged whether the CI target ended the run, and
 // Result.LatencyCI the half-width under whichever methodology ran.

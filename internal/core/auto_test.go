@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"lapses/internal/core"
@@ -8,8 +10,8 @@ import (
 )
 
 // autoBase is the shared adaptive-tier test point: an 8x8 mesh at a
-// comfortable load, with a fixed-tier budget the Auto tier defaults its
-// ceiling from.
+// comfortable load, with a fixed-tier budget the adaptive tier takes as
+// its ceiling.
 func autoBase() core.Config {
 	c := core.DefaultConfig()
 	c.Dims = []int{8, 8}
@@ -22,7 +24,7 @@ func autoBase() core.Config {
 
 // TestAutoConvergesEarlier is the tier's reason to exist: on a stable
 // operating point the adaptive run must stop on CI convergence well
-// before the fixed budget it defaults its ceiling from, with the
+// before the fixed budget it takes as its ceiling, with the
 // truncated estimate agreeing with the fixed-tier answer.
 func TestAutoConvergesEarlier(t *testing.T) {
 	t.Parallel()
@@ -31,7 +33,7 @@ func TestAutoConvergesEarlier(t *testing.T) {
 		t.Fatal(err)
 	}
 	ac := autoBase()
-	ac.Auto = &core.AutoMeasure{RelTol: 0.05}
+	ac.AutoTol = 0.05
 	auto, err := core.Run(ac)
 	if err != nil {
 		t.Fatal(err)
@@ -80,45 +82,40 @@ func TestAutoConvergesEarlier(t *testing.T) {
 }
 
 // TestAutoConfigKey: the adaptive tier is part of the memo identity —
-// opt-in never collides with the fixed tier, equal resolved rules share,
-// different tolerances do not.
+// opt-in never collides with the fixed tier, and different tolerances do
+// not share a key.
 func TestAutoConfigKey(t *testing.T) {
 	t.Parallel()
 	fixed := autoBase()
 	a := autoBase()
-	a.Auto = &core.AutoMeasure{RelTol: 0.05}
+	a.AutoTol = 0.05
 	if fixed.Key() == a.Key() {
 		t.Fatal("auto config shares the fixed tier's key")
 	}
-	// An explicit ceiling equal to the default resolves identically.
-	b := autoBase()
-	b.Auto = &core.AutoMeasure{RelTol: 0.05, MaxMessages: b.Warmup + b.Measure}
-	if a.Key() != b.Key() {
-		t.Fatalf("equal resolved rules keyed apart:\n%s\n%s", a.Key(), b.Key())
-	}
 	c := autoBase()
-	c.Auto = &core.AutoMeasure{RelTol: 0.02}
+	c.AutoTol = 0.02
 	if a.Key() == c.Key() {
 		t.Fatal("different tolerances share a key")
 	}
 }
 
-// TestAutoValidate covers the tier's configuration errors.
+// TestAutoValidate: AutoTol is 0 (the fixed tier) or a finite positive
+// tolerance. A NaN tolerance never converges and keys by NaN's bits; +Inf
+// stops the run at its first check.
 func TestAutoValidate(t *testing.T) {
 	t.Parallel()
-	bad := autoBase()
-	bad.Auto = &core.AutoMeasure{RelTol: -1}
-	if err := bad.Validate(); err == nil {
-		t.Error("negative RelTol validated")
+	for _, tol := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := autoBase()
+		bad.AutoTol = tol
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "AutoTol") {
+			t.Errorf("AutoTol %g: want an error naming AutoTol, got %v", tol, err)
+		}
 	}
-	bad = autoBase()
-	bad.Auto = &core.AutoMeasure{MinMessages: 500, MaxMessages: 100}
-	if err := bad.Validate(); err == nil {
-		t.Error("floor above ceiling validated")
-	}
-	ok := autoBase()
-	ok.Auto = &core.AutoMeasure{}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("zero-value AutoMeasure rejected: %v", err)
+	for _, tol := range []float64{0, 0.05} {
+		ok := autoBase()
+		ok.AutoTol = tol
+		if err := ok.Validate(); err != nil {
+			t.Errorf("AutoTol %g rejected: %v", tol, err)
+		}
 	}
 }

@@ -170,15 +170,16 @@ type Config struct {
 	// recorded (section 2.2: 10000 and 400000).
 	Warmup  int
 	Measure int
-	// Auto, when non-nil, switches the run to the adaptive measurement
+	// AutoTol, when nonzero, switches the run to the adaptive measurement
 	// tier: the fixed Warmup/Measure split is replaced by statistical
 	// warmup truncation (MSER-5) and CI-based early stopping — the run
 	// measures every delivered message from cycle zero and ends as soon
-	// as the latency confidence interval is tight enough, bounded by
-	// hard floor/ceiling budgets. Opt-in only: a nil Auto runs the fixed
+	// as the 95% confidence half-width of the latency mean falls to
+	// AutoTol times the mean, or at Warmup+Measure messages, the fixed
+	// budget the tier replaces. 0 (the default) runs the fixed
 	// methodology bit-identically to previous releases (the goldens pin
-	// this). See AutoMeasure and README "Measurement methodology".
-	Auto *AutoMeasure
+	// this). See README "Measurement methodology".
+	AutoTol float64
 	// MaxCycles and SatLatency are saturation guards (0 = defaults).
 	MaxCycles  int64
 	SatLatency float64
@@ -219,40 +220,11 @@ type QoSSpec struct {
 // own Validate.
 type Reliability = network.Reliability
 
-// AutoMeasure configures the adaptive measurement tier (Config.Auto).
-// Zero fields take defaults derived from the config's fixed budgets, so
-// `cfg.Auto = &core.AutoMeasure{}` is a valid opt-in: the run can only
-// get cheaper than the fixed tier it replaces, never more expensive.
-type AutoMeasure struct {
-	// RelTol is the stopping target: measurement ends once the 95%
-	// confidence half-width of the MSER-truncated latency mean falls to
-	// RelTol times the mean. Default 0.05.
-	RelTol float64 `json:"rel_tol,omitempty"`
-	// MinMessages is the floor before any stopping decision; default
-	// MaxMessages/20, at least 200.
-	MinMessages int `json:"min_messages,omitempty"`
-	// MaxMessages is the hard ceiling; default Warmup+Measure (the fixed
-	// budget the tier replaces).
-	MaxMessages int `json:"max_messages,omitempty"`
-	// CheckEvery is the convergence re-check cadence in delivered
-	// messages; default max(MinMessages/2, 250).
-	CheckEvery int `json:"check_every,omitempty"`
-}
-
-// adaptive resolves the tier into the stats controller configuration,
-// defaulting the ceiling to the config's fixed budget.
+// adaptive resolves the tier into the stats controller configuration: the
+// tolerance, and the fixed budget as the ceiling; the floor and the check
+// cadence follow from the ceiling.
 func (c Config) adaptive() stats.AdaptiveConfig {
-	a := c.Auto
-	max := a.MaxMessages
-	if max <= 0 {
-		max = c.Warmup + c.Measure
-	}
-	return stats.AdaptiveConfig{
-		RelTol:     a.RelTol,
-		MinSamples: a.MinMessages,
-		MaxSamples: max,
-		CheckEvery: a.CheckEvery,
-	}.Normalize()
+	return stats.AdaptiveConfig{RelTol: c.AutoTol, MaxSamples: c.Warmup + c.Measure}.Normalize()
 }
 
 // DefaultConfig returns the paper's simulation parameters (Table 2) with
@@ -340,10 +312,10 @@ func (c Config) Key() string {
 	if c.EventMode {
 		b = append(b, ",ev"...)
 	}
-	// The adaptive tier is keyed by its resolved parameters: two configs
-	// that default to the same stopping rule share a cache line, while
-	// an Auto config never collides with its fixed-tier sibling.
-	if c.Auto != nil {
+	// The adaptive tier is keyed by its resolved stopping rule (tolerance,
+	// floor, ceiling, check cadence), the form stored entries were first
+	// written in; it never collides with its fixed-tier sibling.
+	if c.AutoTol != 0 {
 		a := c.adaptive()
 		b = keyBits(b, ",au[", a.RelTol)
 		b = keyInt(b, ",", int64(a.MinSamples))
@@ -526,21 +498,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: warmup+measure (%d) exceeds trace messages (%d)",
 			c.Warmup+c.Measure, c.Trace.Total())
 	}
-	if c.Auto != nil {
-		a := c.Auto
-		if a.RelTol < 0 {
-			return fmt.Errorf("core: negative Auto.RelTol")
-		}
-		if a.MinMessages < 0 || a.MaxMessages < 0 || a.CheckEvery < 0 {
-			return fmt.Errorf("core: negative Auto budget")
-		}
-		if a.MinMessages > 0 && a.MaxMessages > 0 && a.MinMessages > a.MaxMessages {
-			return fmt.Errorf("core: Auto.MinMessages (%d) > Auto.MaxMessages (%d)", a.MinMessages, a.MaxMessages)
-		}
-		if c.Trace != nil && c.adaptive().MaxSamples > c.Trace.Total() {
-			return fmt.Errorf("core: Auto ceiling (%d) exceeds trace messages (%d)",
-				c.adaptive().MaxSamples, c.Trace.Total())
-		}
+	if !(c.AutoTol >= 0) || math.IsInf(c.AutoTol, 1) {
+		return fmt.Errorf("core: AutoTol %g must be 0 (the fixed tier) or a finite positive tolerance", c.AutoTol)
 	}
 	if c.Burst != nil {
 		if c.Trace != nil {
@@ -655,22 +614,22 @@ type Result struct {
 	SkippedCycles int64
 	// MeasuredCycles is the time span of the measurement window: for
 	// fixed-tier runs it equals Cycles (first to last measured
-	// delivery); for Auto runs it is the window from the end of the
-	// MSER-truncated transient to the last delivery — the span the
+	// delivery); for adaptive-tier runs it is the window from the end of
+	// the MSER-truncated transient to the last delivery — the span the
 	// latency estimate actually covers. SkippedCycles jumps can overlap
 	// either window only while the network is provably empty, so the
 	// two fields are independent: MeasuredCycles is simulated time,
 	// whether or not fast-forward executed each cycle individually.
 	MeasuredCycles int64
-	// Converged reports that an Auto-tier run stopped because its
+	// Converged reports that an adaptive-tier run stopped because its
 	// latency confidence interval met the relative tolerance, rather
 	// than by exhausting the message ceiling or a saturation guard.
 	// Always false for fixed-tier runs.
 	Converged bool
 	// LatencyCI is the 95% confidence half-width of AvgLatency under the
 	// methodology that produced it: the MSER-truncated batch-means
-	// interval for Auto runs, the fixed batch-means interval (CI95) for
-	// fixed runs.
+	// interval for adaptive-tier runs, the fixed batch-means interval
+	// (CI95) for fixed runs.
 	LatencyCI float64
 	// Saturated marks runs that hit a saturation guard; the paper
 	// prints "Sat." for these.
@@ -1009,7 +968,7 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		SatLatency:      cfg.SatLatency,
 	}
 	var ad *stats.Adaptive
-	if cfg.Auto != nil {
+	if cfg.AutoTol != 0 {
 		// Adaptive tier: measure from the first message (MSER-5 cuts the
 		// transient statistically) up to the resolved ceiling, with the
 		// controller ending the loop as soon as the CI converges.

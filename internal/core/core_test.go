@@ -423,7 +423,7 @@ func TestConfigKey(t *testing.T) {
 		func(c *Config) { c.Trace = &traffic.Trace{} },
 		func(c *Config) { c.Warmup = 1 },
 		func(c *Config) { c.Measure = 7 },
-		func(c *Config) { c.Auto = &AutoMeasure{RelTol: 0.1} },
+		func(c *Config) { c.AutoTol = 0.1 },
 		func(c *Config) { c.MaxCycles = 9 },
 		func(c *Config) { c.SatLatency = 1234 },
 		func(c *Config) { c.Seed = 42 },

@@ -42,7 +42,7 @@ func equivRun(t *testing.T, c Config, events bool) Result {
 	t.Helper()
 	c.EventMode = events
 	c.Warmup, c.Measure = 500, 10000
-	c.Auto = &AutoMeasure{RelTol: 0.05}
+	c.AutoTol = 0.05
 	res, err := Run(c)
 	if err != nil {
 		t.Fatal(err)

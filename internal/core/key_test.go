@@ -9,6 +9,7 @@ import (
 
 	"lapses/internal/fault"
 	"lapses/internal/selection"
+	"lapses/internal/stats"
 	"lapses/internal/table"
 	"lapses/internal/traffic"
 )
@@ -33,8 +34,8 @@ func fmtKey(c Config) string {
 	if c.EventMode {
 		b.WriteString(",ev")
 	}
-	if c.Auto != nil {
-		a := c.adaptive()
+	if c.AutoTol != 0 {
+		a := stats.AdaptiveConfig{RelTol: c.AutoTol, MaxSamples: c.Warmup + c.Measure}.Normalize()
 		fmt.Fprintf(&b, ",au[%x,%d,%d,%d]",
 			math.Float64bits(a.RelTol), a.MinSamples, a.MaxSamples, a.CheckEvery)
 	}
@@ -111,7 +112,7 @@ func TestKeyMatchesFmt(t *testing.T) {
 			c.Trace = tr
 		}
 		if some() {
-			c.Auto = &AutoMeasure{RelTol: bits(), MinMessages: int(num()), MaxMessages: int(num()), CheckEvery: int(num())}
+			c.AutoTol = bits()
 		}
 		if some() {
 			c.Burst = &traffic.Burst{OnFrac: bits(), MeanOn: bits()}

@@ -99,7 +99,12 @@ func TestKeyLiterals(t *testing.T) {
 	stormy.Reliability = &core.Reliability{RTO: 400, MaxAttempts: 8}
 	event, auto, burst, qos, torus, cube, traced := base, base, base, base, base, base, base
 	event.EventMode = true
-	auto.Auto = &core.AutoMeasure{RelTol: 0.02}
+	auto.AutoTol = 0.02
+	// The adaptive points product paths build: -fidelity auto's tolerance
+	// over its 2000/30000 budget, and lapses-sim's former -auto default.
+	fidelityAuto, simAuto := base, base
+	fidelityAuto.AutoTol = 0.03
+	simAuto.AutoTol = 0.05
 	burst.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 50}
 	qos.QoS = &core.QoSSpec{HiFrac: 0.1, HiVCs: 1}
 	torus.Torus, torus.EscapeVCs = true, 2
@@ -121,6 +126,8 @@ func TestKeyLiterals(t *testing.T) {
 		{"timed schedule", stormy, healthy + ",fs[27-28@1100:1800;r9@1200],rel[400,8,0]"},
 		{"event mode", event, healthy + ",ev"},
 		{"adaptive tier", auto, healthy + ",au[3f947ae147ae147b,1600,32000,800]"},
+		{"fidelity auto", fidelityAuto, healthy + ",au[3f9eb851eb851eb8,1600,32000,800]"},
+		{"lapses-sim auto", simAuto, healthy + ",au[3fa999999999999a,1600,32000,800]"},
 		{"burst", burst, healthy + ",mm[3fd0000000000000,4049000000000000]"},
 		{"qos", qos, healthy + ",q[3fb999999999999a,1]"},
 		{"torus", torus, "d[8 8],ttrue,v4,e2,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr0x0,w2000,m30000,mc0,sl40b3880000000000,sd1"},

@@ -179,8 +179,8 @@ func TestCongestionGridShape(t *testing.T) {
 		switch {
 		case c.MaxCycles == 0:
 			lat++
-			if c.Auto != nil {
-				t.Fatalf("quick-tier latency point carries Auto: %+v", c.Auto)
+			if c.AutoTol != 0 {
+				t.Fatalf("quick-tier latency point carries AutoTol %g", c.AutoTol)
 			}
 		case c.Measure == 1<<30:
 			ovr++
@@ -188,8 +188,8 @@ func TestCongestionGridShape(t *testing.T) {
 				t.Fatalf("overdriven point budget %d, want %d", c.MaxCycles, Quick.ovrCycles())
 			}
 		default: // saturation probe
-			if c.Auto != nil {
-				t.Fatalf("saturation probe carries Auto: %+v", c.Auto)
+			if c.AutoTol != 0 {
+				t.Fatalf("saturation probe carries AutoTol %g", c.AutoTol)
 			}
 		}
 		if c.Faults.FailsRouters() {

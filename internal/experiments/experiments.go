@@ -34,7 +34,7 @@ const (
 	Default
 	// Paper uses the paper's 10000 warm-up + 400000 measured messages.
 	Paper
-	// Auto runs the adaptive measurement tier (core.Config.Auto): MSER-5
+	// Auto runs the adaptive measurement tier (core.Config.AutoTol): MSER-5
 	// warmup truncation plus CI-based early stopping, with Default's
 	// budget as the ceiling — each point measures only as long as its
 	// latency statistics need. Results are deterministic but not
@@ -68,7 +68,7 @@ func (f Fidelity) apply(c core.Config) core.Config {
 		c = c.PaperFidelity()
 	case Auto:
 		c.Warmup, c.Measure = 2000, 30000
-		c.Auto = &core.AutoMeasure{RelTol: 0.03}
+		c.AutoTol = 0.03
 	}
 	return c
 }

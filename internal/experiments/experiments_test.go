@@ -305,8 +305,7 @@ func TestSearchesShareRounds(t *testing.T) {
 			t.Fatalf("%s: %v", e.name, err)
 		}
 		// A search's rounds: one for both bracket ends, one per expansion
-		// (one probe each), one per k-section round (SaturationSpec keeps
-		// the default Fanout of 3 probes).
+		// (one probe each), one per k-section round (3 probes each).
 		longest := 0
 		for _, s := range searches {
 			expansions := s.Probes - 2 - 3*s.Rounds

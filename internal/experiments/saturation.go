@@ -48,7 +48,7 @@ const satProbeDivisor = 5
 // sweep.Bisect. Probes share the experiment memo cache like every other
 // point.
 func SaturationSpec(base core.Config, lo, hi, tol float64) sweep.BisectSpec {
-	base.Auto = nil // fixed-horizon probes; see the file comment
+	base.AutoTol = 0 // fixed-horizon probes; see the file comment
 	base.Warmup /= satProbeDivisor
 	base.Measure /= satProbeDivisor
 	if base.Warmup < 100 {
@@ -151,7 +151,7 @@ func (g *grid) latency(cell *Cell, base core.Config, load float64) {
 // lifted; the run sheds Fidelity Auto's adaptive tier, since early
 // stopping would change what the accepted rate measures.
 func (g *grid) overdriven(cell *Cell, base core.Config, load float64, cycles int64) {
-	base.Auto = nil
+	base.AutoTol = 0
 	base.Load = load
 	base.SatLatency = 1e12
 	base.MaxCycles = cycles

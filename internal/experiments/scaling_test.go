@@ -93,15 +93,15 @@ func TestScalingGridShape(t *testing.T) {
 		key := shape{dimsString(c.Dims), c.Algorithm}
 		if c.Measure != 1<<30 { // saturation probe
 			probes[key]++
-			if c.Auto != nil {
-				t.Fatalf("saturation probe carries Auto: %+v", c.Auto)
+			if c.AutoTol != 0 {
+				t.Fatalf("saturation probe carries AutoTol %g", c.AutoTol)
 			}
 			continue
 		}
 		ovr[key]++
-		if c.Auto != nil || c.SatLatency != 1e12 || c.MaxCycles != Quick.ovrCycles() || c.Load != scalingOvrLoad {
-			t.Fatalf("overdriven point malformed: Auto %v, SatLatency %v, MaxCycles %d (want %d), load %v (want %v)",
-				c.Auto, c.SatLatency, c.MaxCycles, Quick.ovrCycles(), c.Load, scalingOvrLoad)
+		if c.AutoTol != 0 || c.SatLatency != 1e12 || c.MaxCycles != Quick.ovrCycles() || c.Load != scalingOvrLoad {
+			t.Fatalf("overdriven point malformed: AutoTol %g, SatLatency %v, MaxCycles %d (want %d), load %v (want %v)",
+				c.AutoTol, c.SatLatency, c.MaxCycles, Quick.ovrCycles(), c.Load, scalingOvrLoad)
 		}
 	}
 	for i, row := range rows {

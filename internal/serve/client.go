@@ -34,8 +34,6 @@ type Client struct {
 	// PollCap is ignored: Wait no longer backs off, the server holds the
 	// request instead. The field remains so existing callers compile.
 	PollCap time.Duration
-	// JobTimeout, when set, is sent as each job's deadline.
-	JobTimeout time.Duration
 	// Verbose, when non-nil, receives one summary line per completed
 	// job ("[serve job j000001: 88 points, 88 cached, 0 simulated,
 	// 0 failed]") — the store-hit evidence the CI smoke test greps.
@@ -193,7 +191,7 @@ func (c *Client) StoreStats(ctx context.Context) (StoreStats, error) {
 // (429) is absorbed: the client waits the server's Retry-After (or 1s)
 // and resubmits until ctx expires.
 func (c *Client) Submit(ctx context.Context, points []Point) (JobStatus, error) {
-	req := jobRequest{Points: points, TimeoutMS: int64(c.JobTimeout / time.Millisecond)}
+	req := jobRequest{Points: points}
 	for {
 		var st JobStatus
 		// Submitting the same points twice is harmless — the server keys

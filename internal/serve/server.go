@@ -73,8 +73,8 @@ type ServerOptions struct {
 	// A unit is claimed again only when its lease expired or its worker
 	// handed it back with points unresolved.
 	MaxAttempts int
-	// JobTimeout is the default per-job deadline applied when a
-	// submission does not carry its own (0: none).
+	// JobTimeout is every job's deadline, from when it starts running
+	// (0: none).
 	JobTimeout time.Duration
 	// Runner replaces core.Run for every point — the test seam for
 	// scripted results, injected failures and panics, and blocking points.
@@ -98,10 +98,9 @@ func (o ServerOptions) normalize() ServerOptions {
 // job is one submitted grid and its lifecycle. All mutable fields are
 // guarded by the owning Server's mu.
 type job struct {
-	id      string
-	grid    []core.Config
-	points  []Point
-	timeout time.Duration
+	id     string
+	grid   []core.Config
+	points []Point
 
 	state  string
 	done   chan struct{} // closed by finishLocked, the only way a job turns terminal
@@ -287,8 +286,8 @@ func (s *Server) execute(jb *job) {
 		return
 	}
 	jctx, cancel := context.WithCancel(context.Background())
-	if jb.timeout > 0 {
-		jctx, cancel = context.WithTimeout(context.Background(), jb.timeout)
+	if s.opt.JobTimeout > 0 {
+		jctx, cancel = context.WithTimeout(context.Background(), s.opt.JobTimeout)
 	}
 	jb.state = JobRunning
 	jb.cancel = cancel
@@ -312,7 +311,7 @@ func (s *Server) execute(jb *job) {
 		// before cancelling the context.
 		s.finishLocked(jb, jb.reason, "")
 	case jctx.Err() == context.DeadlineExceeded:
-		s.finishLocked(jb, JobFailed, fmt.Sprintf("job deadline exceeded after %s (%d of %d points completed)", jb.timeout, st.Completed, len(jb.grid)))
+		s.finishLocked(jb, JobFailed, fmt.Sprintf("job deadline exceeded after %s (%d of %d points completed)", s.opt.JobTimeout, st.Completed, len(jb.grid)))
 	default:
 		s.finishLocked(jb, JobFailed, runErr.Error())
 	}
@@ -398,9 +397,6 @@ type JobResults struct {
 // jobRequest is the submission payload.
 type jobRequest struct {
 	Points []Point `json:"points"`
-	// TimeoutMS is the per-job deadline in milliseconds (0: the server
-	// default).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
 type apiError struct {
@@ -431,9 +427,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // decodeBody reads a JSON request body into v, naming the cap when the
 // body is over maxBody. The body is one JSON value: anything but
-// whitespace after it is refused.
+// whitespace after it is refused, and so is a member v does not declare,
+// at any depth — the error names it — since a server that dropped a
+// misspelled setting would answer a question nobody asked.
 func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	decoded := err == nil
 	if decoded {
@@ -482,10 +481,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		grid[i] = c
 	}
-	timeout := s.opt.JobTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -495,12 +490,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	jb := &job{
-		id:      fmt.Sprintf("j%06d", s.nextID),
-		grid:    grid,
-		points:  req.Points,
-		timeout: timeout,
-		state:   JobQueued,
-		done:    make(chan struct{}),
+		id:     fmt.Sprintf("j%06d", s.nextID),
+		grid:   grid,
+		points: req.Points,
+		state:  JobQueued,
+		done:   make(chan struct{}),
 	}
 	select {
 	case s.queue <- jb:

@@ -113,26 +113,6 @@ func TestServerEndToEnd(t *testing.T) {
 	if !strings.Contains(log.String(), "6 cached, 0 simulated") {
 		t.Fatalf("verbose log lacks the all-cached summary:\n%s", log.String())
 	}
-	// An older client's submission (its points still carry the field of
-	// the removed per-run parallelism axis; see legacyPoints) is accepted
-	// and lands on the same store entries.
-	var legacy JobStatus
-	body := map[string]any{"points": legacyPoints(t, mustPoints(t, grid))}
-	if err := c.do(context.Background(), http.MethodPost, "/v1/jobs", body, &legacy); err != nil {
-		t.Fatalf("legacy submission refused: %v", err)
-	}
-	if done, err := c.Wait(context.Background(), legacy.ID); err != nil || done.Cached != 6 || done.Simulated != 0 {
-		t.Fatalf("legacy submission: %+v err=%v, want 6 cached, 0 simulated", done, err)
-	}
-	res, err := c.Results(context.Background(), legacy.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if res.Outcomes[i].Result == nil || *res.Outcomes[i].Result != want[i].Result {
-			t.Fatalf("legacy point %d: stored result differs from the plain submission's", i)
-		}
-	}
 	st, err := c.StoreStats(context.Background())
 	if err != nil || st.Entries != 6 || st.Quarantined != 0 {
 		t.Fatalf("store stats: %+v err=%v", st, err)
@@ -448,10 +428,11 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
-// TestServerJobDeadline: a job exceeding its deadline stops at the next
+// TestServerJobDeadline: a job exceeding the server's deadline
+// (ServerOptions.JobTimeout, lapses-serve -job-timeout) stops at the next
 // point boundary (in-flight points drain — core.Run is not
-// interruptible) and fails with a descriptive error; finished points
-// stay durable.
+// interruptible) and fails with an error counting the points it
+// completed; finished points stay durable.
 func TestServerJobDeadline(t *testing.T) {
 	t.Parallel()
 	runner := func(cfg core.Config) (core.Result, error) {
@@ -460,15 +441,14 @@ func TestServerJobDeadline(t *testing.T) {
 		}
 		return scripted(cfg)
 	}
-	_, c := testServer(t, t.TempDir(), ServerOptions{Runner: runner, Workers: 1})
-	c.JobTimeout = 150 * time.Millisecond
+	_, c := testServer(t, t.TempDir(), ServerOptions{Runner: runner, Workers: 1, JobTimeout: 150 * time.Millisecond})
 
 	st, err := c.Submit(context.Background(), mustPoints(t, testGrid(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fin := waitState(t, c, st.ID, func(st JobStatus) bool { return st.Terminal() })
-	if fin.State != JobFailed || !strings.Contains(fin.Error, "deadline") {
+	if fin.State != JobFailed || !strings.Contains(fin.Error, "deadline") || !strings.Contains(fin.Error, "(2 of 3 points completed)") {
 		t.Fatalf("deadline job: state=%q error=%q", fin.State, fin.Error)
 	}
 	// Point 1 (fast) and point 2 (in flight at the deadline, drained to
@@ -581,6 +561,64 @@ func TestServerRejectsMalformedJobs(t *testing.T) {
 	}
 	if _, err := c.Results(ctx, "j999999"); err == nil {
 		t.Error("unknown job results accepted")
+	}
+}
+
+// TestServerRefusesUnknownMembers: a job with one member the server does
+// not read, at any depth, is refused with 400 naming it — never run as if
+// the member were absent. The cases are misspellings (which the parent
+// answered as the default setting: PROUD for a misspelled lookahead) and
+// retired inputs: the per-job deadline, the second damage field, the
+// cut-through switch, the per-run parallelism axis and the adaptive
+// tier's budget object, each refused at the outermost member the server
+// cannot read.
+func TestServerRefusesUnknownMembers(t *testing.T) {
+	t.Parallel()
+	_, c := testServer(t, t.TempDir(), ServerOptions{Runner: scripted})
+	valid, err := json.Marshal(jobRequest{Points: mustPoints(t, testGrid(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(t *testing.T, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(c.Base+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ae apiError
+		json.NewDecoder(resp.Body).Decode(&ae)
+		return resp.StatusCode, ae.Error
+	}
+	if code, msg := post(t, valid); code != http.StatusAccepted {
+		t.Fatalf("the unmodified job: %d %q, want 202", code, msg)
+	}
+	for _, tc := range []struct {
+		name   string // the member the refusal must name
+		mutate func(job, point map[string]any)
+	}{
+		{"look_ahead", func(_, p map[string]any) { p["look_ahead"] = true }},
+		{"auto", func(_, p map[string]any) { p["auto"] = map[string]any{"max_mesages": 5000} }},
+		{"max_atempts", func(_, p map[string]any) { p["reliability"] = map[string]any{"rto": 512, "max_atempts": 5} }},
+		{"timeout_ms", func(j, _ map[string]any) { j["timeout_ms"] = 1000 }},
+		{"schedule", func(_, p map[string]any) { p["schedule"] = "12-13@100:200" }},
+		{"cut_through", func(_, p map[string]any) { p["cut_through"] = true }},
+		{"shards", func(_, p map[string]any) { p["shards"] = 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var job map[string]any
+			if err := json.Unmarshal(valid, &job); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(job, job["points"].([]any)[0].(map[string]any))
+			body, err := json.Marshal(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code, msg := post(t, body); code != http.StatusBadRequest || !strings.Contains(msg, `"`+tc.name+`"`) {
+				t.Errorf("%s: %d %q, want 400 naming the member", body, code, msg)
+			}
+		})
 	}
 }
 

@@ -19,7 +19,8 @@
 //     decode of the result, which is also its JSON check) and served as
 //     the bytes the store holds.
 //   - server.go: Server, the HTTP job service — bounded queue with 429
-//     backpressure, per-job deadlines and cancellation, graceful drain.
+//     backpressure, a job deadline (ServerOptions.JobTimeout) and
+//     cancellation, graceful drain.
 //     Every job turns terminal in one place, which wakes the requests
 //     held on it: GET /v1/jobs/{id} and GET /v1/jobs/{id}/results with
 //     ?wait_ms=N answer when the job finishes or after N ms (at most
@@ -29,7 +30,8 @@
 //     point's result as the JSON it serves — a store hit's verified
 //     bytes, or a reported result encoded once — and the results body
 //     is built from those bytes without re-encoding them. A request
-//     body is one JSON value; anything after it is refused. The 64
+//     body is one JSON value; anything after it is refused, and so is a
+//     member the server does not read, at any depth, by name. The 64
 //     most recent finished jobs stay queryable; older IDs answer 404
 //     "expired; resubmit".
 //   - client.go: Client, the thin consumer the CLIs use
@@ -73,13 +75,14 @@ import (
 
 // Point is the serializable form of one grid point. Enumerations travel
 // by name (the String forms the CLIs already parse) so payloads stay
-// readable and stable across releases; damage travels as its canonical
-// spec string, under "faults" when static and under "schedule" when timed
-// (the two names requests have always used; both are read by
-// fault.ParseSchedule into Config.Faults, and a point may use only one);
-// the measurement tier, burst, QoS and reliability parameters travel as the
-// core types themselves, which carry the wire's names as struct tags. Trace
-// workloads have no wire form — PointFromConfig rejects them.
+// readable and stable across releases; damage, static or timed, travels
+// under "faults" as its canonical spec string, the form lapses-sim -faults
+// reads, which fault.ParseSchedule turns into Config.Faults; the adaptive
+// tier is its tolerance, "auto_tol"; burst, QoS and reliability parameters
+// travel as the core types themselves, which carry the wire's names as
+// struct tags. Trace workloads have no wire form — PointFromConfig rejects
+// them. A server decodes a point strictly: a member Point does not
+// declare, at any depth, refuses the job.
 //
 // The contract, pinned by TestPointCarriesEveryConfigField over every
 // field of core.Config: PointFromConfig(c) either fails naming the field
@@ -87,10 +90,9 @@ import (
 // config with an identical Config.Key, hence bit-identical simulation
 // results and store lines. No field is ever dropped silently.
 type Point struct {
-	Dims     []int  `json:"dims"`
-	Torus    bool   `json:"torus,omitempty"`
-	Faults   string `json:"faults,omitempty"`   // static damage, e.g. "12-13,r77"
-	Schedule string `json:"schedule,omitempty"` // timed damage, e.g. "12-13@5000:9000,r77"
+	Dims   []int  `json:"dims"`
+	Torus  bool   `json:"torus,omitempty"`
+	Faults string `json:"faults,omitempty"` // damage, e.g. "12-13,r77" or "12-13@5000:9000,r77"
 
 	Reliability *core.Reliability `json:"reliability,omitempty"`
 
@@ -104,10 +106,6 @@ type Point struct {
 	Algorithm string `json:"algorithm"`
 	Table     string `json:"table"`
 	Selection string `json:"selection"`
-	// CutThrough is read only to be refused: cut-through switching is no
-	// longer modelled, and a point asking for it must not be answered with
-	// a wormhole result.
-	CutThrough bool `json:"cut_through,omitempty"`
 
 	Pattern string         `json:"pattern"`
 	Load    float64        `json:"load"`
@@ -115,9 +113,9 @@ type Point struct {
 	Burst   *traffic.Burst `json:"burst,omitempty"`
 	QoS     *core.QoSSpec  `json:"qos,omitempty"`
 
-	Warmup  int               `json:"warmup"`
-	Measure int               `json:"measure"`
-	Auto    *core.AutoMeasure `json:"auto,omitempty"`
+	Warmup  int     `json:"warmup"`
+	Measure int     `json:"measure"`
+	AutoTol float64 `json:"auto_tol,omitempty"`
 
 	MaxCycles  int64   `json:"max_cycles,omitempty"`
 	SatLatency float64 `json:"sat_latency,omitempty"`
@@ -154,19 +152,15 @@ func PointFromConfig(c core.Config) (Point, error) {
 		SatLatency: c.SatLatency,
 		Seed:       c.Seed,
 		EventMode:  c.EventMode,
+		AutoTol:    c.AutoTol,
 
-		Auto:        c.Auto,
+		// Schedule.Key is the canonical "A-B;...;rN" content of a static
+		// plan and "A-B@DOWN:UP;..." of a timed schedule; ParseSchedule
+		// reads the same items comma-separated.
+		Faults:      strings.ReplaceAll(c.Faults.Key(), ";", ","),
 		Burst:       c.Burst,
 		QoS:         c.QoS,
 		Reliability: c.Reliability,
-	}
-	// Schedule.Key is the canonical "A-B;...;rN" content of a static plan
-	// and "A-B@DOWN:UP;..." of a timed schedule; ParseSchedule reads the
-	// same items comma-separated.
-	if spec := strings.ReplaceAll(c.Faults.Key(), ";", ","); c.Faults.Epochs() == 1 {
-		p.Faults = spec
-	} else {
-		p.Schedule = spec
 	}
 	return p, nil
 }
@@ -180,9 +174,6 @@ func (p Point) Config() (core.Config, error) {
 		if k < 2 {
 			return core.Config{}, fmt.Errorf("serve: point radix %d < 2", k)
 		}
-	}
-	if p.CutThrough {
-		return core.Config{}, fmt.Errorf("serve: point cut_through: cut-through switching is no longer modelled; drop the field to run the wormhole router")
 	}
 	c := core.Config{
 		Dims:       append([]int(nil), p.Dims...),
@@ -201,8 +192,8 @@ func (p Point) Config() (core.Config, error) {
 		SatLatency: p.SatLatency,
 		Seed:       p.Seed,
 		EventMode:  p.EventMode,
+		AutoTol:    p.AutoTol,
 
-		Auto:        p.Auto,
 		Burst:       p.Burst,
 		QoS:         p.QoS,
 		Reliability: p.Reliability,
@@ -220,11 +211,8 @@ func (p Point) Config() (core.Config, error) {
 	if c.Pattern, err = traffic.ParseKind(p.Pattern); err != nil {
 		return core.Config{}, fmt.Errorf("serve: point pattern: %w", err)
 	}
-	if p.Faults != "" && p.Schedule != "" {
-		return core.Config{}, fmt.Errorf("serve: point faults %q and schedule %q are mutually exclusive; send all damage in one", p.Faults, p.Schedule)
-	}
-	if spec := p.Faults + p.Schedule; spec != "" {
-		if c.Faults, err = fault.ParseSchedule(c.Mesh(), spec); err != nil {
+	if p.Faults != "" {
+		if c.Faults, err = fault.ParseSchedule(c.Mesh(), p.Faults); err != nil {
 			return core.Config{}, fmt.Errorf("serve: point faults: %w", err)
 		}
 	}

@@ -43,7 +43,7 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	faulty.Faults = fault.Static(plan)
 
 	auto := core.DefaultConfig()
-	auto.Auto = &core.AutoMeasure{RelTol: 0.05, MinMessages: 100, MaxMessages: 5000, CheckEvery: 50}
+	auto.AutoTol = 0.05
 	auto.MaxCycles = 123456
 	auto.SatLatency = 777
 
@@ -107,54 +107,6 @@ func TestPointRoundTripPreservesKey(t *testing.T) {
 	}
 }
 
-// legacyPoints renders pts the way a client from before the per-run
-// parallelism axis was removed would: every point carries the field that
-// axis used on the wire.
-func legacyPoints(t *testing.T, pts []Point) []map[string]any {
-	t.Helper()
-	buf, err := json.Marshal(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy []map[string]any
-	if err := json.Unmarshal(buf, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range legacy {
-		p["shards"] = 4
-	}
-	return legacy
-}
-
-// TestPointIgnoresLegacyField: a point from such a client still decodes,
-// and to the same key as the point without the field — the field never
-// changed a Result, so the plain key's store entry is the right answer.
-func TestPointIgnoresLegacyField(t *testing.T) {
-	t.Parallel()
-	cfgs := wireTestConfigs(t)
-	pts, err := PointsFromGrid(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := json.Marshal(legacyPoints(t, pts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []Point
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatalf("legacy points rejected: %v", err)
-	}
-	for i, p := range back {
-		got, err := p.Config()
-		if err != nil {
-			t.Fatalf("point %d: %v", i, err)
-		}
-		if got.Key() != cfgs[i].Key() {
-			t.Errorf("point %d: legacy key %s != plain key %s", i, got.Key(), cfgs[i].Key())
-		}
-	}
-}
-
 // TestPointRejectsTrace: trace workloads are pointer-identified and
 // must not silently serialize into something that simulates differently.
 func TestPointRejectsTrace(t *testing.T) {
@@ -191,15 +143,14 @@ func TestPointConfigErrors(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// Refusals that name their field: core.Config.Validate's, and the
-	// cut-through switch the wire no longer carries.
+	// core.Config.Validate's refusals name their field.
 	for field, mutate := range map[string]func(p *Point){
-		"MsgLen":      func(p *Point) { p.MsgLen = 0 },
-		"LinkDelay":   func(p *Point) { p.LinkDelay = 0 },
-		"BufDepth":    func(p *Point) { p.BufDepth = 0 },
-		"OutDepth":    func(p *Point) { p.OutDepth = 0 },
-		"VCs":         func(p *Point) { p.Dims, p.Algorithm, p.VCs = []int{8}, "xy", 12 },
-		"cut_through": func(p *Point) { p.CutThrough = true },
+		"MsgLen":    func(p *Point) { p.MsgLen = 0 },
+		"LinkDelay": func(p *Point) { p.LinkDelay = 0 },
+		"BufDepth":  func(p *Point) { p.BufDepth = 0 },
+		"OutDepth":  func(p *Point) { p.OutDepth = 0 },
+		"VCs":       func(p *Point) { p.Dims, p.Algorithm, p.VCs = []int{8}, "xy", 12 },
+		"AutoTol":   func(p *Point) { p.AutoTol = -1 },
 	} {
 		p := good
 		mutate(&p)
@@ -252,7 +203,6 @@ func TestPointCarriesEveryConfigField(t *testing.T) {
 		"Burst":       &traffic.Burst{OnFrac: 0.3, MeanOn: 100},
 		"QoS":         &core.QoSSpec{HiFrac: 0.2, HiVCs: 1},
 		"Trace":       traffic.StencilTrace(mesh, 64, 100, 4),
-		"Auto":        &core.AutoMeasure{},
 		"Algorithm":   core.AlgXY,
 		"Table":       table.KindFull,
 	}
@@ -342,16 +292,14 @@ func TestPointHoldsConfigTypes(t *testing.T) {
 			carried++
 		}
 	}
-	if carried != 4 {
-		t.Errorf("%d sub-configs travel as themselves, want 4 (Reliability, Burst, QoS, Auto)", carried)
+	if carried != 3 {
+		t.Errorf("%d sub-configs travel as themselves, want 3 (Reliability, Burst, QoS)", carried)
 	}
 }
 
-// TestPointFaultPayloads pins how damage travels: static damage under
-// "faults" and timed damage under "schedule", byte for byte as clients and
-// servers already exchange them; a static schedule as an older client sent
-// it (untimed items under "schedule") decodes to the key of the same damage
-// sent as a plan; and a point naming both is refused.
+// TestPointFaultPayloads pins how damage travels: static and timed damage
+// alike under "faults", byte for byte; and a static schedule spelled with
+// "@0" items decodes to the key of the same damage sent as a plan.
 func TestPointFaultPayloads(t *testing.T) {
 	t.Parallel()
 	cfgs := wireTestConfigs(t)
@@ -361,7 +309,7 @@ func TestPointFaultPayloads(t *testing.T) {
 		want string
 	}{
 		{"static", cfgs[2], `{"dims":[8,8],"faults":"1-2,r27","vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
-		{"timed", cfgs[6], `{"dims":[8,8],"schedule":"27-28@500:1500,r9@800","reliability":{"rto":512,"max_attempts":5},"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":{"hi_frac":0.2,"hi_vcs":1},"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
+		{"timed", cfgs[6], `{"dims":[8,8],"faults":"27-28@500:1500,r9@800","reliability":{"rto":512,"max_attempts":5},"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":{"hi_frac":0.2,"hi_vcs":1},"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
 	} {
 		p, err := PointFromConfig(tc.cfg)
 		if err != nil {
@@ -376,9 +324,9 @@ func TestPointFaultPayloads(t *testing.T) {
 		}
 	}
 
-	const older = `{"dims":[8,8],"schedule":"1-2@0,r27@0","vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
+	const atZero = `{"dims":[8,8],"faults":"1-2@0,r27@0","vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
 	var p Point
-	if err := json.Unmarshal([]byte(older), &p); err != nil {
+	if err := json.Unmarshal([]byte(atZero), &p); err != nil {
 		t.Fatal(err)
 	}
 	c, err := p.Config()
@@ -386,12 +334,7 @@ func TestPointFaultPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Key() != cfgs[2].Key() {
-		t.Errorf("a static schedule sent under \"schedule\" keys apart from its plan:\n got %s\nwant %s", c.Key(), cfgs[2].Key())
-	}
-
-	p.Faults = "1-2"
-	if _, err := p.Config(); err == nil || !strings.Contains(err.Error(), "exclusive") {
-		t.Errorf("a point with both faults and schedule: want a mutually-exclusive error, got %v", err)
+		t.Errorf("a static schedule keys apart from its plan:\n got %s\nwant %s", c.Key(), cfgs[2].Key())
 	}
 }
 

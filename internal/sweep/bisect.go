@@ -7,8 +7,8 @@ package sweep
 // trips). Bisect replaces the scan with bracketing plus parallel
 // k-section. The first round probes both bracket ends; while Lo
 // saturates it is halved, then while Hi sustains it is doubled (at most
-// maxExpand times each); then every round probes Fanout evenly spaced
-// interior loads and narrows the bracket by a factor of Fanout+1.
+// maxExpand times each); then every round probes fanout evenly spaced
+// interior loads and narrows the bracket by a factor of fanout+1.
 // BisectAll advances many searches in lockstep: a round is one call of
 // the regular sweep engine holding every unsettled search's probes, so
 // the memo cache, the worker bound and a remote executor apply
@@ -39,9 +39,6 @@ type BisectSpec struct {
 	Lo, Hi float64
 	// Tol is the terminal bracket width (default 0.02).
 	Tol float64
-	// Fanout is how many interior loads each round probes concurrently;
-	// the bracket narrows by Fanout+1 per round (default 3).
-	Fanout int
 	// Saturated classifies a probe: given the offered load and its
 	// result, is the network past saturation? The default accepts only
 	// the run's own guards (core.Result.Saturated), which is lax near
@@ -76,9 +73,6 @@ func (s BisectSpec) normalize() (BisectSpec, error) {
 	}
 	if s.Tol <= 0 {
 		s.Tol = 0.02
-	}
-	if s.Fanout < 1 {
-		s.Fanout = 3
 	}
 	if s.Saturated == nil {
 		s.Saturated = func(_ float64, r core.Result) bool { return r.Saturated }
@@ -127,6 +121,10 @@ func (r BisectResult) String() string {
 
 // maxExpand bounds the bracket expansions in each direction.
 const maxExpand = 4
+
+// fanout is how many interior loads each round probes concurrently; the
+// bracket narrows by fanout+1 per round.
+const fanout = 3
 
 // bisection is one saturation search between rounds: loads holds the
 // coming round's probes (nil once the search has settled) and take folds
@@ -207,12 +205,12 @@ func (b *bisection) next() []float64 {
 		}
 		// maxRounds is the geometric bound plus slack; it only guards
 		// against float-width stagnation.
-		b.maxRounds = int(math.Ceil(math.Log((b.hi-b.lo)/b.spec.Tol)/math.Log(float64(b.spec.Fanout+1)))) + 2
+		b.maxRounds = int(math.Ceil(math.Log((b.hi-b.lo)/b.spec.Tol)/math.Log(fanout+1))) + 2
 	}
 	if b.hi-b.lo > b.spec.Tol && b.res.Rounds < b.maxRounds {
 		b.res.Rounds++
-		step := (b.hi - b.lo) / float64(b.spec.Fanout+1)
-		loads := make([]float64, b.spec.Fanout)
+		step := (b.hi - b.lo) / (fanout + 1)
+		loads := make([]float64, fanout)
 		for i := range loads {
 			loads[i] = b.lo + float64(i+1)*step
 		}
