@@ -104,6 +104,14 @@ unit)
 		[ "$code" -eq 2 ]
 		grep -q '^lapses-sim: core: ' "$work/reject.txt"
 	done
+	# A load no node can inject is refused the same way; before Validate
+	# bounded it the injector drew forever, so each run has a deadline.
+	for load in Inf 1e300; do
+		code=0
+		timeout 10 "$work/lapses-sim" -load $load 2>"$work/reject.txt" || code=$?
+		[ "$code" -eq 2 ]
+		grep -q '^lapses-sim: core: Load ' "$work/reject.txt"
+	done
 	# lapses-experiments refuses a flag its run never reads, by name and
 	# before any simulation or health check: -reps without -csv, -workers
 	# with -server (the URL is unreachable; the refusal comes first).
@@ -350,6 +358,10 @@ fuzz)
 	# what json.Valid and encoding/json accept (floats also exactly
 	# "+Inf", "-Inf" or "NaN") and reads every field to the same bits.
 	go test -run '^$' -fuzz FuzzResultJSON -fuzztime 10s ./internal/core
+	# Random results bodies: the client's one-pass decoder fails exactly
+	# when json.Unmarshal into a JobResults fails and otherwise reads the
+	# same status and outcomes, every result field to the bit.
+	go test -run '^$' -fuzz FuzzJobResults -fuzztime 10s ./internal/serve
 	;;
 *)
 	echo "usage: $0 unit|full|race|harness|serve|cluster|fuzz" >&2

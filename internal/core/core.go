@@ -461,8 +461,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: %s routing is adaptive in every dimension and handles at most %d dimensions, not the %d of Dims %v; use xy",
 			c.Algorithm, flow.MaxCandidates, len(c.Dims), c.Dims)
 	}
-	if c.Load < 0 {
-		return fmt.Errorf("core: negative load")
+	// A node injects at most one flit a cycle, so it cannot offer more than
+	// one message a cycle (traffic.Injector would draw forever).
+	if !(c.Load >= 0) {
+		return fmt.Errorf("core: Load %g must be 0 or positive", c.Load)
+	}
+	if m := c.Mesh(); traffic.MessageRate(m, c.Load, c.MsgLen) > 1 {
+		return fmt.Errorf("core: Load %g offers more than one %d-flit message per node per cycle on %s; Load is at most %g",
+			c.Load, c.MsgLen, m, float64(c.MsgLen)/m.SaturationInjectionRate())
+	}
+	if c.MaxCycles < 0 {
+		return fmt.Errorf("core: MaxCycles %d < 0", c.MaxCycles)
+	}
+	if !(c.SatLatency >= 0) {
+		return fmt.Errorf("core: SatLatency %g must be 0 (the default) or positive", c.SatLatency)
 	}
 	// With nothing injected no message ever completes the measurement, and
 	// there is no offered load to derive a cycle budget from

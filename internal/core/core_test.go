@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,6 +86,38 @@ func TestValidation(t *testing.T) {
 	c.Dims = []int{4, 4, 4}
 	if _, err := Run(c); err == nil {
 		t.Error("meta table on 3-D accepted")
+	}
+}
+
+// TestValidateRefusesUnrunnableValues: a load no node can inject (the
+// injector would draw forever on it, or NaN keys a meaningless run), a
+// saturation guard that is NaN (off) or negative (every run saturated) and
+// a negative cycle budget (one cycle, then "exhausted") are refused,
+// naming their field. The most a node can inject is accepted.
+func TestValidateRefusesUnrunnableValues(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Load", func(c *Config) { c.Load = math.NaN() }},
+		{"Load", func(c *Config) { c.Load = math.Inf(1) }},
+		{"Load", func(c *Config) { c.Load = 1e300 }},
+		{"Load", func(c *Config) { c.Load = 80.001 }},
+		{"SatLatency", func(c *Config) { c.SatLatency = math.NaN() }},
+		{"SatLatency", func(c *Config) { c.SatLatency = -1 }},
+		{"SatLatency", func(c *Config) { c.SatLatency = math.Inf(-1) }},
+		{"MaxCycles", func(c *Config) { c.MaxCycles = -5 }},
+	} {
+		c := DefaultConfig()
+		tc.set(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Load %g, SatLatency %g, MaxCycles %d: err=%v, want one naming %s", c.Load, c.SatLatency, c.MaxCycles, err, tc.field)
+		}
+	}
+	c := DefaultConfig()
+	c.Load = 80 // one 20-flit message per node per cycle on 16x16
+	if err := c.Validate(); err != nil {
+		t.Errorf("Load 80 on %s: %v", c.Mesh(), err)
 	}
 }
 

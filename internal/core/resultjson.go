@@ -1,14 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
 	"strconv"
-	"strings"
-	"unicode/utf8"
+
+	"lapses/internal/jsonscan"
 )
 
 // Result's JSON form is the one the result store keeps and the serve wire
@@ -24,8 +23,10 @@ import (
 // fetched point: a MarshalJSON/UnmarshalJSON pair that hands the struct
 // back to encoding/json is validated twice each way, which the harness's
 // served-warm workload measured at +20% CPU and +25% wall time. Decoding
-// is one strict pass that checks the grammar as it reads, so the store's
-// reader needs no json.Valid before it: about 2.2 us a result on one x86
+// is one strict pass on internal/jsonscan that checks the grammar as it
+// reads, so the store's reader needs no json.Valid before it, and the
+// serve client decodes each result of a results body in place with
+// DecodeJSON: about 2.2 us a result on one x86
 // core, where the loose decoder it replaced took 4 us after json.Valid's
 // own pass. Encoding costs 3 us a result more than encoding/json's own
 // (the one validation json.Marshal makes of any MarshalJSON's output).
@@ -96,73 +97,37 @@ func appendFloat(b []byte, x float64) []byte {
 // or "NaN" and that a member whose value is an object or an array, which
 // Result's form has none of, is an error.
 func (r *Result) UnmarshalJSON(data []byte) error {
-	s := scanner{b: data}
-	s.space()
-	if s.literal("null") {
-		return s.end()
-	}
-	if !s.skip('{') {
-		return fmt.Errorf("core: Result JSON: want an object, not %.24q", s.b[s.i:])
-	}
-	v := reflect.ValueOf(r).Elem()
-	if s.space(); s.skip('}') {
-		return s.end()
-	}
-	for next := 0; ; {
-		s.space()
-		key, plainKey := s.str()
-		if key == nil {
-			return s.syntax("a member name")
-		}
-		if s.space(); !s.skip(':') {
-			return s.syntax("':'")
-		}
-		s.space()
-		val, plain := s.value()
-		if val == nil {
-			return s.syntax("a string, number, true, false or null")
-		}
-		i, ok := resultIndex(key, plainKey, next)
-		if ok {
-			next = i + 1
-		}
-		if ok && string(val) != "null" {
-			if err := setField(v.Field(i), val, plain); err != nil {
-				return fmt.Errorf("core: Result.%s: %w", resultKeys[i], err)
-			}
-		}
-		if s.space(); s.skip('}') {
-			return s.end()
-		}
-		if !s.skip(',') {
-			return s.syntax("',' or '}'")
+	s := jsonscan.New(data)
+	s.Space()
+	if !s.Literal("null") {
+		if err := r.DecodeJSON(&s); err != nil {
+			return fmt.Errorf("core: Result JSON: %w", err)
 		}
 	}
+	if err := s.End(); err != nil {
+		return fmt.Errorf("core: Result JSON: %w", err)
+	}
+	return nil
 }
 
-// resultIndex finds the field a member name names as encoding/json does:
-// the one whose name equals it under Unicode case folding, the exact name
-// being one. plain reports that the name token, quotes cut, is the name
-// itself. The field at next is tried first: MarshalJSON writes them in
-// order.
-func resultIndex(tok []byte, plain bool, next int) (int, bool) {
-	name := tok[1 : len(tok)-1]
-	if next < len(resultKeys) && string(name) == resultKeys[next] {
-		return next, true
-	}
-	if !plain {
-		var s string
-		if json.Unmarshal(tok, &s) != nil {
-			return 0, false
+// DecodeJSON is UnmarshalJSON for a reader of a larger text: it decodes
+// the object next in s into r, as UnmarshalJSON decodes a whole text, and
+// leaves s after it.
+func (r *Result) DecodeJSON(s *jsonscan.Scanner) error {
+	v := reflect.ValueOf(r).Elem()
+	return s.Object(resultKeys, func(i int) error {
+		val, plain := s.Scalar()
+		if val == nil {
+			return s.Syntax("a string, number, true, false or null")
 		}
-		name = []byte(s)
-	}
-	for i, key := range resultKeys {
-		if strings.EqualFold(key, string(name)) {
-			return i, true
+		if i < 0 || string(val) == "null" {
+			return nil
 		}
-	}
-	return 0, false
+		if err := setField(v.Field(i), val, plain); err != nil {
+			return fmt.Errorf("%s: %w", resultKeys[i], err)
+		}
+		return nil
+	})
 }
 
 // setField stores one scanned value, not null, in a field of Result.
@@ -195,167 +160,10 @@ func setField(f reflect.Value, val []byte, plain bool) error {
 		}
 		f.SetBool(val[0] == 't')
 	default:
-		if plain {
-			f.SetString(string(val[1 : len(val)-1]))
-			return nil
+		if val[0] != '"' {
+			return fmt.Errorf("want a string, not %.24s", val)
 		}
-		// Escapes and bytes outside UTF-8 are rare: encoding/json undoes
-		// them, exactly as it would have.
-		return json.Unmarshal(val, f.Addr().Interface())
+		f.SetString(jsonscan.Unquote(val, plain))
 	}
 	return nil
-}
-
-// plainByte marks the bytes a JSON string holds as themselves: printable
-// ASCII but the quote and the backslash.
-var plainByte = func() (t [256]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// scanner steps through one JSON text, checking the grammar as it goes.
-type scanner struct {
-	b []byte
-	i int
-}
-
-// syntax reports that want is not what s holds at its offset.
-func (s *scanner) syntax(want string) error {
-	return fmt.Errorf("core: Result JSON: want %s at offset %d", want, s.i)
-}
-
-// end succeeds when nothing but space is left.
-func (s *scanner) end() error {
-	if s.space(); s.i < len(s.b) {
-		return s.syntax("the end of the text")
-	}
-	return nil
-}
-
-func (s *scanner) space() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\r', '\n':
-			s.i++
-		default:
-			return
-		}
-	}
-}
-
-// skip steps over c if it is next.
-func (s *scanner) skip(c byte) bool {
-	if s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
-		return true
-	}
-	return false
-}
-
-// literal steps over lit if it is next.
-func (s *scanner) literal(lit string) bool {
-	if !bytes.HasPrefix(s.b[s.i:], []byte(lit)) {
-		return false
-	}
-	s.i += len(lit)
-	return true
-}
-
-// value cuts the string, number or literal next in s; nil if there is
-// none, an object or an array being none. plain reports a string whose
-// bytes between the quotes are its value: no escape, valid UTF-8.
-func (s *scanner) value() (tok []byte, plain bool) {
-	at := s.i
-	if s.i == len(s.b) {
-		return nil, false
-	}
-	switch c := s.b[s.i]; {
-	case c == '"':
-		return s.str()
-	case c == '-' || '0' <= c && c <= '9':
-		if s.number() {
-			return s.b[at:s.i], false
-		}
-	case s.literal("true") || s.literal("false") || s.literal("null"):
-		return s.b[at:s.i], false
-	}
-	return nil, false
-}
-
-// str cuts the string next in s, quotes included; nil if there is
-// none or it is malformed. plain is as for value.
-func (s *scanner) str() (tok []byte, plain bool) {
-	b, i := s.b, s.i
-	if i == len(b) || b[i] != '"' {
-		return nil, false
-	}
-	plain, ascii := true, true
-	for i++; i < len(b); i++ {
-		for i < len(b) && plainByte[b[i]] {
-			i++
-		}
-		if i == len(b) {
-			break
-		}
-		switch c := b[i]; {
-		case c == '"':
-			tok, s.i = b[s.i:i+1], i+1
-			return tok, plain && (ascii || utf8.Valid(tok))
-		case c == '\\':
-			plain = false
-			if i++; i == len(b) {
-				return nil, false
-			}
-			switch b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if i+4 >= len(b) {
-					return nil, false
-				}
-				for _, h := range b[i+1 : i+5] {
-					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
-						return nil, false
-					}
-				}
-				i += 4
-			default:
-				return nil, false
-			}
-		case c < ' ':
-			return nil, false
-		default:
-			ascii = false
-		}
-	}
-	return nil, false
-}
-
-// number steps over the JSON number next in s:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (s *scanner) number() bool {
-	s.skip('-')
-	if !s.skip('0') && s.digits() == 0 {
-		return false
-	}
-	if s.skip('.') && s.digits() == 0 {
-		return false
-	}
-	if s.skip('e') || s.skip('E') {
-		if !s.skip('+') {
-			s.skip('-')
-		}
-		return s.digits() > 0
-	}
-	return true
-}
-
-// digits steps over a run of decimal digits and returns its length.
-func (s *scanner) digits() int {
-	at := s.i
-	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
-		s.i++
-	}
-	return s.i - at
 }

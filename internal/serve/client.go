@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lapses/internal/core"
+	"lapses/internal/jsonscan"
 	"lapses/internal/sweep"
 )
 
@@ -112,7 +113,15 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if res, ok := out.(*JobResults); ok {
+		var body []byte
+		if body, err = io.ReadAll(resp.Body); err == nil {
+			err = decodeResults(body, res)
+		}
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
 		return fmt.Errorf("serve client: %s %s: decoding response: %w", method, path, err)
 	}
 	return nil
@@ -324,7 +333,9 @@ func (c *Client) await(ctx context.Context, id string, ask func(hold time.Durati
 // backpressure), hold the results request until the job is terminal, and
 // map the outcomes back onto the original configs in order — two
 // requests when the server holds, paced by PollInterval when it answers
-// 409 at once. It satisfies sweep.RunFunc — set it as sweep.Options.Exec
+// 409 at once. The results body is decoded in one strict pass, each
+// result in place; the server has read each distinct stored key of the
+// grid once. It satisfies sweep.RunFunc — set it as sweep.Options.Exec
 // and every composite helper (experiment grids, bisection probes) runs
 // remotely, one simulation per unique point ever, server-side.
 //
@@ -381,4 +392,108 @@ func (c *Client) Run(ctx context.Context, grid []core.Config, opt sweep.Options)
 		}
 	}
 	return outs, nil
+}
+
+// The member names of JobResults and of PointOutcome, in field order.
+var (
+	resultsNames = []string{"status", "outcomes"}
+	outcomeNames = []string{"result", "error", "cached"}
+)
+
+// decodeResults reads body into res in one strict pass, accepting and
+// producing exactly what json.Unmarshal into a JobResults does: members in
+// any order, names matched exactly or else case-folded, unknown members
+// skipped, null values, the last of duplicate members winning, nothing
+// after the value but space. Each outcome's result is decoded in place by
+// core.Result's decoder; the status, a few short members, goes to
+// encoding/json.
+func decodeResults(body []byte, res *JobResults) error {
+	s := jsonscan.New(body)
+	s.Space()
+	if !s.Literal("null") {
+		err := s.Object(resultsNames, func(i int) error {
+			switch i {
+			case 0:
+				raw, err := s.Value()
+				if err != nil {
+					return err
+				}
+				return json.Unmarshal(raw, &res.Status)
+			case 1:
+				return decodeOutcomes(&s, &res.Outcomes)
+			}
+			_, err := s.Value()
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return s.End()
+}
+
+// decodeOutcomes reads the array next in s into *outs as encoding/json
+// reads an array into a slice: each element decodes into the one already
+// at its index, which may be one the slice held within its capacity.
+func decodeOutcomes(s *jsonscan.Scanner, outs *[]PointOutcome) error {
+	if s.Literal("null") {
+		*outs = nil
+		return nil
+	}
+	n := 0
+	err := s.Array(func() error {
+		switch {
+		case n < len(*outs):
+		case n < cap(*outs):
+			*outs = (*outs)[:n+1]
+		default:
+			*outs = append(*outs, PointOutcome{})
+		}
+		n++
+		return decodeOutcome(s, &(*outs)[n-1])
+	})
+	if err != nil {
+		return err
+	}
+	if n == 0 {
+		*outs = []PointOutcome{}
+	}
+	*outs = (*outs)[:n]
+	return nil
+}
+
+// decodeOutcome reads the value next in s into o, as encoding/json reads
+// one into a PointOutcome.
+func decodeOutcome(s *jsonscan.Scanner, o *PointOutcome) error {
+	if s.Literal("null") {
+		return nil
+	}
+	return s.Object(outcomeNames, func(i int) error {
+		switch {
+		case i < 0:
+			_, err := s.Value()
+			return err
+		case i == 0 && s.Literal("null"):
+			o.Result = nil
+			return nil
+		case i == 0:
+			if o.Result == nil {
+				o.Result = new(core.Result)
+			}
+			return o.Result.DecodeJSON(s)
+		}
+		val, plain := s.Scalar()
+		switch {
+		case val == nil:
+			return s.Syntax("a string, true, false or null")
+		case string(val) == "null":
+		case i == 1 && val[0] == '"':
+			o.Error = jsonscan.Unquote(val, plain)
+		case i == 2 && (string(val) == "true" || string(val) == "false"):
+			o.Cached = val[0] == 't'
+		default:
+			return fmt.Errorf("outcome %s: unexpected %.24s", outcomeNames[i], val)
+		}
+		return nil
+	})
 }

@@ -184,17 +184,30 @@ func (s *Server) pruneWorkersLocked(now time.Time) {
 // any worker count, claim interleaving, or crash schedule.
 func (s *Server) runClustered(ctx context.Context, jb *job) ([]outcome, error) {
 	// The store is read on sweep.Run's pool, in OnPoint, which knows the
-	// point's index: each worker keeps the verified bytes of the points it
-	// drew, and the runner simulates nothing. No lock: nothing else sees
-	// cg until it is published below.
+	// point's index, and the runner simulates nothing. The pool reads the
+	// first point of each distinct key, and the points that repeat a key
+	// share its verified bytes: a key is read once per job. No lock: only
+	// the drawing worker writes a point's slot, and nothing else sees cg
+	// until it is published below.
 	cg := newClusterGrid(jb.id, s.epoch, jb.grid, jb.points, s.lease.LeaseTTL, s.opt.MaxAttempts, &s.ctot)
+	keys := make([]string, len(jb.grid))
+	first := make(map[string]int, len(jb.grid)) // a key's first index
+	var distinct []core.Config                  // each key's first point
+	var reads []int                             // and its index
+	for i, c := range jb.grid {
+		keys[i] = c.Key()
+		if _, seen := first[keys[i]]; !seen {
+			first[keys[i]] = i
+			distinct, reads = append(distinct, c), append(reads, i)
+		}
+	}
 	stored := make([][]byte, len(jb.grid))
-	sweep.Run(ctx, jb.grid, sweep.Options{
+	sweep.Run(ctx, distinct, sweep.Options{
 		Runner:  func(core.Config) (core.Result, error) { return core.Result{}, nil },
-		OnPoint: func(i int, _ sweep.Outcome) { stored[i], _ = s.store.getJSON(jb.grid[i].Key()) },
+		OnPoint: func(j int, _ sweep.Outcome) { stored[reads[j]], _ = s.store.getJSON(keys[reads[j]]) },
 	})
-	for i, raw := range stored {
-		if raw != nil {
+	for i, key := range keys {
+		if raw := stored[first[key]]; raw != nil {
 			cg.record(i, outcome{result: raw, cached: true})
 		}
 	}

@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -536,6 +538,14 @@ func TestServerRejectsMalformedJobs(t *testing.T) {
 	if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "Pattern") {
 		t.Errorf("transpose on 8x4: err=%v", err)
 	}
+	// So is a load no node can inject, which would wedge a worker slot in
+	// the injector for good.
+	bad = mustPoints(t, testGrid(1))
+	bad[0].Load = 1e300
+	err = c.do(ctx, http.MethodPost, "/v1/jobs", jobRequest{Points: bad}, nil)
+	if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "Load") {
+		t.Errorf("load 1e300: err=%v", err)
+	}
 	// A body is one JSON value: anything after it but whitespace is
 	// refused, a second job included.
 	job, err := json.Marshal(jobRequest{Points: mustPoints(t, testGrid(1))})
@@ -809,7 +819,8 @@ func TestServerNonFiniteResult(t *testing.T) {
 
 // TestResultsBody: the results route writes, byte for byte, what
 // encodeJSON(JobResults{...}) writes for the same outcomes: store hits,
-// simulated points, a failed point and non-finite results in one job; a
+// simulated points, a failed point, non-finite results and a repeated
+// stored point, read from the store once, in one job; a
 // job interrupted mid-grid; and one interrupted while queued, none of
 // whose points executed. A hit's result is the stored payload verbatim.
 func TestResultsBody(t *testing.T) {
@@ -866,22 +877,36 @@ func TestResultsBody(t *testing.T) {
 		}
 	}
 
-	mixed, err := c.Submit(ctx, mustPoints(t, grid))
+	// The mixed job ends on a repeat of a stored point: the server reads a
+	// key once per job, however many points share it.
+	mixedGrid := append(grid[:len(grid):len(grid)], grid[1])
+	hits := []int{0, 1, len(grid)}
+	before, err := c.StoreStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := c.Submit(ctx, mustPoints(t, mixedGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Wait(ctx, mixed.ID)
-	if err != nil || st.State != JobFailed || st.Cached != 2 || st.Simulated != 3 || st.Failed != 1 {
-		t.Fatalf("mixed job: %+v err=%v, want failed with 2 cached, 3 simulated, 1 failed", st, err)
+	if err != nil || st.State != JobFailed || st.Cached != 3 || st.Simulated != 3 || st.Failed != 1 {
+		t.Fatalf("mixed job: %+v err=%v, want failed with 3 cached, 3 simulated, 1 failed", st, err)
 	}
-	want := JobResults{Status: st, Outcomes: make([]PointOutcome, len(grid))}
-	for i, cfg := range grid {
+	if after, err := c.StoreStats(ctx); err != nil || after.Hits-before.Hits != 2 {
+		t.Errorf("mixed job: %d store hits (err=%v), want one per distinct stored key: 2", after.Hits-before.Hits, err)
+	}
+	want := JobResults{Status: st, Outcomes: make([]PointOutcome, len(mixedGrid))}
+	for i, cfg := range mixedGrid {
 		res := result(cfg)
-		want.Outcomes[i] = PointOutcome{Result: &res, Cached: i < 2}
+		want.Outcomes[i] = PointOutcome{Result: &res, Cached: slices.Contains(hits, i)}
 	}
 	want.Outcomes[2] = PointOutcome{Error: "boom <3>"}
 	got := body(mixed.ID)
 	same(mixed.ID, got, want)
+	if res, err := c.Results(ctx, mixed.ID); err != nil || !reflect.DeepEqual(res, want) {
+		t.Errorf("the client reads %+v (err=%v), want %+v", res, err, want)
+	}
 	var raw struct {
 		Outcomes []struct {
 			Result json.RawMessage `json:"result"`
@@ -890,8 +915,8 @@ func TestResultsBody(t *testing.T) {
 	if err := json.Unmarshal(got, &raw); err != nil {
 		t.Fatal(err)
 	}
-	for i, cfg := range grid[:2] {
-		entry, err := os.ReadFile(filepath.Join(dir, objectsDir, objName(cfg.Key())))
+	for _, i := range hits {
+		entry, err := os.ReadFile(filepath.Join(dir, objectsDir, objName(mixedGrid[i].Key())))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -461,12 +461,15 @@ func (s *Store) putFailed(key string, err error) {
 }
 
 // StoreStats is a point-in-time counter snapshot. Hits and Misses count
-// this process's lookups; Entries the keys currently verified durable;
-// Quarantined corrupt entries set aside (at Open or on read);
-// PutFailures completed points whose durable write failed. LastScan and
-// OrphanTempsRemoved describe the startup recovery scan — surfaced in
-// GET /healthz and GET /v1/store so an operator sees silent corruption
-// (quarantines, interrupted writes) without grepping logs.
+// this process's lookups; a hit is one verified read, and a job reads
+// each distinct stored key of its grid once, so a grid that repeats a
+// stored point counts fewer hits than cached points. Entries counts the
+// keys currently verified durable; Quarantined corrupt entries set aside
+// (at Open or on read); PutFailures completed points whose durable write
+// failed. LastScan and OrphanTempsRemoved describe the startup recovery
+// scan — surfaced in GET /healthz and GET /v1/store so an operator sees
+// silent corruption (quarantines, interrupted writes) without grepping
+// logs.
 type StoreStats struct {
 	Entries            int       `json:"entries"`
 	Hits               int64     `json:"hits"`

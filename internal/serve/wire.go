@@ -15,9 +15,10 @@
 //     rename writes, per-entry checksums, startup recovery scan with
 //     quarantine, process-level single-flight). It implements
 //     sweep.Cacher. An entry has one compact layout, read in one pass:
-//     a stored result is read once, verified (checksum, key, one strict
-//     decode of the result, which is also its JSON check) and served as
-//     the bytes the store holds.
+//     a stored result is read once per job, however many of the job's
+//     points share its key, verified (checksum, key, one strict decode of
+//     the result, which is also its JSON check) and served as the bytes
+//     the store holds.
 //   - server.go: Server, the HTTP job service — bounded queue with 429
 //     backpressure, a job deadline (ServerOptions.JobTimeout) and
 //     cancellation, graceful drain.
@@ -39,7 +40,9 @@
 //     sweep.RunFunc, so grids and bisection probes route through a
 //     server unchanged. Idempotent requests ride a transport-retry
 //     loop (connection errors and gateway 5xx, 5 attempts, jittered
-//     backoff).
+//     backoff). A results body is decoded in one strict pass, each
+//     result in place by core.Result's decoder, on internal/jsonscan,
+//     the tokenizer both share.
 //     Client.Wait and Client.Run share one loop over a held call: the
 //     status for Wait, the results for Run, so a Run is two requests
 //     (submit, results) on one kept-alive connection. PollInterval is

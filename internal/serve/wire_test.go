@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -355,4 +356,92 @@ func TestPointPayloadStable(t *testing.T) {
 	if string(got) != want {
 		t.Errorf("default point payload changed:\n got %s\nwant %s", got, want)
 	}
+}
+
+// FuzzJobResults holds the client's one-pass results decoder to
+// encoding/json: it fails exactly when json.Unmarshal into a JobResults
+// fails, and otherwise reads the same status and the same outcomes, every
+// result field to the bit.
+func FuzzJobResults(f *testing.F) {
+	grid := testGrid(5)
+	hit, _ := scripted(grid[0])
+	wide, _ := scripted(grid[1])
+	wide.CI95 = math.Inf(1)
+	ran, _ := scripted(grid[2])
+	for _, body := range []JobResults{
+		{
+			Status: JobStatus{ID: "j000001", State: JobFailed, Total: 5, Completed: 5, Cached: 2, Simulated: 2, Failed: 1, Error: "1 of 5 points failed"},
+			Outcomes: []PointOutcome{
+				{Result: &hit, Cached: true}, {Result: &wide, Cached: true}, {Result: &ran}, {Error: "boom <3>"}, {Result: &hit},
+			},
+		},
+		{
+			Status:   JobStatus{ID: "j000002", State: JobInterrupted, Total: 2},
+			Outcomes: []PointOutcome{{Error: "point not executed: job interrupted"}, {Error: "point not executed: job interrupted"}},
+		},
+	} {
+		b, err := encodeJSON(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, seed := range []string{
+		// Members reordered and case-folded, extra space, unknown members.
+		` { "OUTCOMES" : [ { "Cached" : true , "zed" : [ 1 , { "a" : null } ] , "Result" : { "CI95" : "+Inf" , "Delivered" : 3 } } ] ,
+			"Status" : { "id" : "j1" , "state" : "done" , "total" : 1 } , "extra" : { } } ` + "\n",
+		// Escaped names and values, ſ folding to s.
+		`{"ſtatus":{"state":"done"},"outcomes":[{"error":"a<b\"\\ 😀 \ud800"},{"Erro\u0072":"x","c\u0061ched":true}]}`,
+		// null values: the pointer cleared, the rest left as they were.
+		`{"status":null,"outcomes":[null,{"result":null,"error":null,"cached":null}]}`,
+		`{"outcomes":null}`, `null`, `{}`, `{"outcomes":[]}`,
+		// Duplicates: the last wins, an object or slice element decoding
+		// into what the first left.
+		`{"outcomes":[{"error":"a"},{"error":"b"}],"outcomes":[{"cached":true}],"outcomes":[{},{}]}`,
+		`{"outcomes":[{"result":{"Cycles":1},"result":{"Delivered":2}}],"status":{"id":"a"},"status":{"total":3}}`,
+		// Wrong types and bad results.
+		`{"outcomes":{}}`, `{"outcomes":[1]}`, `{"outcomes":[{"error":1}]}`, `{"outcomes":[{"cached":"true"}]}`,
+		`{"outcomes":[{"result":[]}]}`, `{"outcomes":[{"result":{"CI95":{}}}]}`, `{"status":[]}`, `[]`, `7`,
+		// Trailing garbage, a second value, truncation.
+		`{"outcomes":[]} x`, `{"outcomes":[]}{}`, `{"outcomes":[{"result":{"Cycles":1}`, ``,
+		// encoding/json's nesting limit, 10 000 open at once, and one past it.
+		`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
+		`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got, want JobResults
+		err := decodeResults(data, &got)
+		werr := json.Unmarshal(data, &want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%q: decoder err=%v, encoding/json err=%v", data, err, werr)
+		}
+		if werr != nil {
+			return
+		}
+		if got.Status != want.Status || len(got.Outcomes) != len(want.Outcomes) || (got.Outcomes == nil) != (want.Outcomes == nil) {
+			t.Fatalf("%q: decoder reads %+v, encoding/json %+v", data, got, want)
+		}
+		for i, g := range got.Outcomes {
+			w := want.Outcomes[i]
+			if g.Error != w.Error || g.Cached != w.Cached || (g.Result == nil) != (w.Result == nil) {
+				t.Fatalf("%q: outcome %d is %+v, encoding/json reads %+v", data, i, g, w)
+			}
+			if g.Result == nil {
+				continue
+			}
+			gv, wv := reflect.ValueOf(*g.Result), reflect.ValueOf(*w.Result)
+			for j := 0; j < gv.NumField(); j++ {
+				gf, wf := gv.Field(j), wv.Field(j)
+				same := gf.Equal(wf)
+				if gf.Kind() == reflect.Float64 {
+					same = math.Float64bits(gf.Float()) == math.Float64bits(wf.Float())
+				}
+				if !same {
+					t.Fatalf("%q: outcome %d's %s is %v, encoding/json reads %v", data, i, gv.Type().Field(j).Name, gf, wf)
+				}
+			}
+		}
+	})
 }
