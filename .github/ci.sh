@@ -68,6 +68,10 @@ unit)
 		exit 1
 	fi
 	go build ./...
+	# The store reads entries with raw system calls on Unix and with
+	# os.ReadFile elsewhere: neither form may stop building.
+	GOOS=darwin go build ./...
+	GOOS=windows go build ./cmd/... ./internal/...
 	go test -short ./...
 	# One real 8x8 saturation search: asserts the bisection converges on
 	# the same knee as the dense-grid reference path and spends at most
@@ -351,8 +355,10 @@ fuzz)
 	# replays math/rand's streams across its expansion and its wrap.
 	go test -run '^$' -fuzz FuzzFibSource -fuzztime 10s ./internal/lfib
 	# Random store entries: whatever the one-pass entry reader accepts,
-	# encoding/json reads the same key, checksum and result; every entry
-	# the store writes is read back exactly.
+	# encoding/json reads the same key, checksum and result; a store
+	# reading the bytes from disk gives the reader's verdict, on the first
+	# read and on the repeat its memo of accepted bytes serves; every
+	# entry the store writes is read back exactly.
 	go test -run '^$' -fuzz FuzzStoreEntry -fuzztime 10s ./internal/serve
 	# Random result payloads: the strict one-pass decoder accepts exactly
 	# what json.Valid and encoding/json accept (floats also exactly

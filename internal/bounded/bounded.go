@@ -1,8 +1,10 @@
 // Package bounded provides the fixed-capacity memo map behind core's
 // process-lifetime plumbing cache (each structure's routing function and
-// tables). An entry is a pure function of its key, so forgetting one
-// costs a rebuild and never changes a result; the cap is what keeps a
-// long-running service sweeping fault plans from growing without limit.
+// tables) and the serve store's memo of verified entries. An entry is a
+// pure function of its key, so forgetting one costs a rebuild and never
+// changes a result; the cap is what keeps a long-running service
+// sweeping fault plans, or reading a large store, from growing without
+// limit.
 package bounded
 
 import "sync"

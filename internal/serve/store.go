@@ -14,6 +14,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"lapses/internal/bounded"
 	"lapses/internal/core"
 )
 
@@ -36,9 +37,18 @@ import (
 //     is quarantined (moved to quarantine/ for post-mortem), dropped
 //     from the index, and its key transparently re-simulates on the
 //     next request.
+//   - Every hit reads the entry's file again, and its exact bytes are
+//     what is verified. The checksum and the strict decode run once per
+//     distinct content per store: bytes this store has already accepted
+//     return the verdict they got (a bounded memo; see memoEntries), so
+//     damage that changes even one byte, or another writer's entry under
+//     the same name, is read and checked afresh.
 //   - Open runs a recovery scan: leftover temp files are removed,
 //     every entry is verified, and corrupt ones are quarantined before
 //     the store serves anything.
+//   - A read that fails for want of a resource (descriptors, kernel
+//     memory) says nothing about the entry: Open returns the error, and
+//     a lookup is a plain miss that leaves the file and the index alone.
 //   - Do is single-flight within the process: concurrent requests for
 //     one key wait for the first instead of simulating twice, exactly
 //     like sweep.Cache. Across processes the disk itself dedups —
@@ -58,6 +68,10 @@ type Store struct {
 
 	scanTime time.Time
 
+	// verified is the memo of accepted reads, keyed by an entry's exact
+	// bytes: a hit returns what readEntry returned for those bytes.
+	verified *bounded.Map[string, verdict]
+
 	hits        int64
 	misses      int64
 	quarantined int64
@@ -71,6 +85,27 @@ type storeFlight struct {
 	res  core.Result
 	err  error
 }
+
+// verdict is readEntry's acceptance of one entry's bytes: the key, the
+// result payload (an exact-size copy, shared by every reader and never
+// written) and the decoded result.
+type verdict struct {
+	key     string
+	payload []byte
+	res     core.Result
+}
+
+// memoEntries caps the memo of accepted reads, and memoMaxEntry is the
+// largest entry it keeps (a figure-grid entry is about 760 bytes, one
+// with a fault list about 1 KB). A memoized entry holds its bytes as the
+// map key plus its key, payload and the result's strings, each shorter
+// than the entry, and about 512 bytes of fixed size, so the memo holds at
+// most 1024 x (3 x 4 KiB + 512 B), about 13 MB; on figure grids it is
+// under 2 MB.
+const (
+	memoEntries  = 1024
+	memoMaxEntry = 4 << 10
+)
 
 // An entry is one JSON object in exactly one layout, compact:
 //
@@ -117,6 +152,7 @@ func Open(dir string) (*Store, error) {
 		flights:  map[string]*storeFlight{},
 		index:    map[string]struct{}{},
 		scanTime: time.Now(),
+		verified: bounded.New[string, verdict](memoEntries),
 	}
 	for _, d := range []string{filepath.Join(dir, objectsDir), filepath.Join(dir, quarantineDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -140,20 +176,22 @@ func Open(dir string) (*Store, error) {
 			s.orphanTemps++
 			continue
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			s.quarantine(name, err)
-			continue
+		raw, err := readFile(path)
+		if err != nil && scarce(err) {
+			return nil, fmt.Errorf("serve: store scan: %w", err)
 		}
-		key, _, _, err := readEntry(raw)
-		if err == nil && objName(key) != name {
+		var v verdict
+		if err == nil {
+			v, err = s.verify(raw)
+		}
+		if err == nil && objName(v.key) != name {
 			err = fmt.Errorf("entry key does not address its filename")
 		}
 		if err != nil {
 			s.quarantine(name, err)
 			continue
 		}
-		s.index[key] = struct{}{}
+		s.index[v.key] = struct{}{}
 	}
 	return s, nil
 }
@@ -223,6 +261,25 @@ func readEntry(raw []byte) (string, []byte, core.Result, error) {
 	return key, payload, res, nil
 }
 
+// verify is readEntry through the store's memo: bytes this store has
+// already accepted return the verdict readEntry gave them, without being
+// hashed or decoded again. Only accepted bytes are remembered.
+func (s *Store) verify(raw []byte) (verdict, error) {
+	k := string(raw)
+	if v, ok := s.verified.Load(k); ok {
+		return v, nil
+	}
+	key, payload, res, err := readEntry(raw)
+	if err != nil {
+		return verdict{}, err
+	}
+	v := verdict{key: key, payload: bytes.Clone(payload), res: res}
+	if len(raw) <= memoMaxEntry {
+		v, _ = s.verified.LoadOrStore(k, v)
+	}
+	return v, nil
+}
+
 // quarantine moves a corrupt entry (by object filename) into
 // quarantine/, counts it and logs why, so the quarantine count in
 // /healthz has an explanation. Failures to move fall back to deletion so
@@ -247,21 +304,25 @@ func (s *Store) quarantine(name string, reason error) {
 }
 
 // lookup reads and verifies the entry for key, returning its result and
-// its payload (a slice of the read buffer). A missing file is a plain
-// miss; a corrupt one is quarantined, dropped from the index and
-// reported as a miss, so the caller transparently re-simulates.
+// its payload (shared and read-only). A missing file is a plain miss, and
+// so is a read that failed for want of a resource, which leaves the file
+// and the index alone; a corrupt entry is quarantined, dropped from the
+// index and reported as a miss, so the caller transparently re-simulates.
 func (s *Store) lookup(key string) (core.Result, []byte, bool) {
 	name := objName(key)
-	raw, err := os.ReadFile(filepath.Join(s.dir, objectsDir, name))
+	raw, err := readFile(filepath.Join(s.dir, objectsDir, name))
 	if err != nil {
+		if scarce(err) {
+			return core.Result{}, nil, false
+		}
 		if !os.IsNotExist(err) {
 			s.quarantine(name, err)
 		}
 		s.dropIndex(key)
 		return core.Result{}, nil, false
 	}
-	gotKey, payload, res, err := readEntry(raw)
-	if err == nil && gotKey != key {
+	v, err := s.verify(raw)
+	if err == nil && v.key != key {
 		err = fmt.Errorf("entry key mismatch")
 	}
 	if err != nil {
@@ -269,7 +330,7 @@ func (s *Store) lookup(key string) (core.Result, []byte, bool) {
 		s.dropIndex(key)
 		return core.Result{}, nil, false
 	}
-	return res, payload, true
+	return v.res, v.payload, true
 }
 
 func (s *Store) dropIndex(key string) {
@@ -405,16 +466,16 @@ func (s *Store) Get(key string) (core.Result, bool) {
 }
 
 // getJSON is Get for a caller that serves the result rather than reads
-// it: the verified payload, as an exact-size copy so the read buffer is
-// not kept. The server resolves already-stored points of a submitted
-// grid with it before leasing anything out.
+// it: the verified payload, an exact-size slice that the caller must not
+// write (the memo may share it). The server resolves already-stored
+// points of a submitted grid with it before leasing anything out.
 func (s *Store) getJSON(key string) ([]byte, bool) {
 	_, payload, ok := s.lookup(key)
 	if !ok {
 		return nil, false
 	}
 	s.hit(key)
-	return bytes.Clone(payload), true
+	return payload, true
 }
 
 // hit counts a lookup served from disk and indexes its key.
@@ -461,9 +522,11 @@ func (s *Store) putFailed(key string, err error) {
 }
 
 // StoreStats is a point-in-time counter snapshot. Hits and Misses count
-// this process's lookups; a hit is one verified read, and a job reads
-// each distinct stored key of its grid once, so a grid that repeats a
-// stored point counts fewer hits than cached points. Entries counts the
+// this process's lookups; a hit is one read of the entry's file whose
+// bytes verified (checksummed and decoded the first time this store saw
+// those exact bytes, recognised after that), and a job reads each
+// distinct stored key of its grid once, so a grid that repeats a stored
+// point counts fewer hits than cached points. Entries counts the
 // keys currently verified durable; Quarantined corrupt entries set aside
 // (at Open or on read); PutFailures completed points whose durable write
 // failed. LastScan and OrphanTempsRemoved describe the startup recovery

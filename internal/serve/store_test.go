@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -81,6 +82,45 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	st := s2.Stats()
 	if st.Entries != 1 || st.Hits != 1 || st.Quarantined != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestStoreLargeEntries: entries longer than the reader's first buffer,
+// and longer than the memo keeps, are read back whole, twice in one
+// process and again after a reopen.
+func TestStoreLargeEntries(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]core.Result{}
+	// Entries of about 1.7, 2.7, 4.7 and 12.7 KiB around the 2 KiB first
+	// read and the 4 KiB memo limit.
+	for _, n := range []int{memoMaxEntry / 4, memoMaxEntry / 2, memoMaxEntry, 3 * memoMaxEntry} {
+		r, _ := scripted(storeConfig(int64(n)))
+		r.SatReason = strings.Repeat("x", n)
+		key := fmt.Sprint("large-", n)
+		if err := s.put(key, r); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = r
+	}
+	for _, reopen := range []bool{false, false, true} {
+		if reopen {
+			if s, err = Open(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for key, r := range want {
+			if got, ok := s.Get(key); !ok || got != r {
+				t.Fatalf("%s (reopened=%v): found=%v, SatReason of %d bytes", key, reopen, ok, len(got.SatReason))
+			}
+		}
+	}
+	if st := s.Stats(); st.Quarantined != 0 || st.Entries != len(want) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -327,6 +367,126 @@ func TestStoreReadTimeCorruption(t *testing.T) {
 	}
 	if st := s.Stats(); st.Quarantined != 1 {
 		t.Fatalf("stats after read-time quarantine: %+v", st)
+	}
+
+	// Damage after the store has read and accepted the entry: the memo
+	// of accepted bytes must not hide it. Each case reads the entry
+	// twice (the second read is served by the memo), then changes the
+	// file under the same name.
+	other := want
+	other.AvgLatency, other.SatReason = 99.5, "another writer"
+	otherEntry, err := encodeEntry(cfg.Key(), mustMarshal(t, other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		rewrite func(raw []byte) []byte
+		want    core.Result // the result served afterwards
+		damaged bool        // quarantined and re-simulated
+	}{
+		{"flipped", func(raw []byte) []byte {
+			b := bytes.Clone(raw)
+			i := bytes.Index(b, []byte(resultTag)) + len(resultTag)
+			b[i+bytes.IndexAny(b[i:], "12345678")]++ // a payload digit: only the checksum catches it
+			return b
+		}, want, true},
+		{"truncated", func(raw []byte) []byte { return raw[:len(raw)-4] }, want, true},
+		{"rewritten", func([]byte) []byte { return otherEntry }, other, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Do(context.Background(), cfg, scripted); err != nil {
+				t.Fatal(err)
+			}
+			for read := 0; read < 2; read++ {
+				if got, ok := s.Get(cfg.Key()); !ok || got != want {
+					t.Fatalf("read %d of the intact entry: %+v, found=%v", read, got, ok)
+				}
+			}
+			corruptEntry(t, dir, func(path string, raw []byte) {
+				if err := os.WriteFile(path, tc.rewrite(raw), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			})
+			var calls atomic.Int64
+			run := func(c core.Config) (core.Result, error) { calls.Add(1); return scripted(c) }
+			var damage int64 // runner calls and quarantines the rewrite must cause
+			if tc.damaged {
+				damage = 1
+			}
+			res, cached, err := s.Do(context.Background(), cfg, run)
+			if err != nil || res != tc.want || cached == tc.damaged || calls.Load() != damage {
+				t.Fatalf("after the rewrite: res=%+v cached=%v err=%v calls=%d", res, cached, err, calls.Load())
+			}
+			if st := s.Stats(); st.Quarantined != damage {
+				t.Fatalf("stats after the rewrite: %+v", st)
+			}
+			if payload, ok := s.getJSON(cfg.Key()); !ok || !bytes.Equal(payload, mustMarshal(t, tc.want)) {
+				t.Fatalf("served payload %s (found=%v), want the result %+v", payload, ok, tc.want)
+			}
+		})
+	}
+}
+
+func mustMarshal(t *testing.T, r core.Result) []byte {
+	t.Helper()
+	b, err := r.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestStoreConcurrentHits: goroutines reading the same entries at once,
+// through Get and getJSON, all get the stored bits, whether their read
+// verified the bytes or found them in the memo.
+func TestStoreConcurrentHits(t *testing.T) {
+	t.Parallel()
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		key     string
+		res     core.Result
+		payload []byte
+	}
+	var ents []entry
+	for seed := int64(1); seed <= 4; seed++ {
+		c := storeConfig(seed)
+		res, _, err := s.Do(context.Background(), c, scripted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ents = append(ents, entry{c.Key(), res, mustMarshal(t, res)})
+	}
+	const readers, rounds = 8, 20
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, e := range ents {
+					if got, ok := s.Get(e.key); !ok || got != e.res {
+						t.Errorf("reader %d: Get = %+v, found=%v", g, got, ok)
+					}
+					if payload, ok := s.getJSON(e.key); !ok || !bytes.Equal(payload, e.payload) {
+						t.Errorf("reader %d: getJSON = %s, found=%v", g, payload, ok)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Hits != 2*readers*rounds*int64(len(ents)) || st.Quarantined != 0 || st.Entries != len(ents) {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
@@ -620,7 +780,8 @@ type storeEntry struct {
 // FuzzStoreEntry holds the store's one-pass entry reader to
 // encoding/json. Whatever parseEntry accepts with a valid JSON payload,
 // json.Unmarshal must read to the same key, sum and payload; whatever
-// readEntry accepts has a valid JSON payload; and every entry put lays
+// readEntry accepts has a valid JSON payload; a store reading the bytes
+// from disk answers as readEntry does, twice; and every entry put lays
 // out, for any key it accepts and a result carrying the input as a
 // string, must be read back to the same key and payload.
 func FuzzStoreEntry(f *testing.F) {
@@ -642,12 +803,24 @@ func FuzzStoreEntry(f *testing.F) {
 		strings.Replace(string(entry), "d[", `d\u005b`, 1),
 		`{"sum":"` + sum + `","key":"` + key + `","result":` + string(payload) + `}`,
 		`{"key": "` + key + `", "sum": "` + sum + `", "result": ` + string(payload) + " }\n",
+		strings.Replace(string(entry), `"NetLatency":7.25`, `"NetLatency":7.5`, 1),
 	} {
 		f.Add([]byte(seed), key)
 	}
 	f.Add(entry, `quote " backslash \ <html> & é`)
 	f.Add(entry, "\xff\x00")
+	// Most fuzzed entries are quarantined, and a log line per input slows
+	// fuzzing by two orders of magnitude. Fuzz targets run after every
+	// test, so no test's log is lost.
+	prev := log.Writer()
+	log.SetOutput(io.Discard)
+	f.Cleanup(func() { log.SetOutput(prev) })
+	type file struct {
+		name string // the key whose address the bytes are written to
+		raw  []byte
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, key string) {
+		files := []file{{key, raw}}
 		if k, sum, payload, err := parseEntry(raw); err == nil {
 			if json.Valid(payload) {
 				var ent storeEntry
@@ -658,6 +831,7 @@ func FuzzStoreEntry(f *testing.F) {
 					t.Fatalf("%q: the reader reads key %q, sum %q, result %s; encoding/json %q, %q, %s", raw, k, sum, payload, ent.Key, ent.Sum, ent.Result)
 				}
 			}
+			files[0].name = string(k)
 			// parseEntry leaves the payload's JSON to the decoder, so
 			// readEntry must accept only valid JSON. The entry is summed
 			// again (it is raw when raw's sum was right) so that a fuzzed
@@ -665,6 +839,31 @@ func FuzzStoreEntry(f *testing.F) {
 			if summed, err := encodeEntry(string(k), payload); err == nil {
 				if _, _, _, err := readEntry(summed); err == nil && !json.Valid(payload) {
 					t.Fatalf("readEntry accepts %q, whose payload is not valid JSON", summed)
+				}
+				files = append([]file{{string(k), summed}}, files...)
+			}
+		}
+		// Written as an entry file, the bytes get readEntry's verdict from
+		// the store, on the first read and on the repeat, which the memo
+		// serves when the first accepted them. The re-summed entry is
+		// written first, so raw is read where other bytes under the same
+		// name were just accepted.
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fl := range files {
+			k, p, r, verr := readEntry(fl.raw)
+			ok := verr == nil && k == fl.name
+			for read := 1; read <= 2; read++ {
+				if err := os.WriteFile(filepath.Join(dir, objectsDir, objName(fl.name)), fl.raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				got, gotPayload, found := s.lookup(fl.name)
+				if found != ok || ok && (!bytes.Equal(gotPayload, p) || !sameBits(got, r)) {
+					t.Fatalf("read %d of %q as key %q: lookup found=%v, result %+v, payload %s; readEntry key %q, err=%v, result %+v, payload %s",
+						read, fl.raw, fl.name, found, got, gotPayload, k, verr, r, p)
 				}
 			}
 		}
