@@ -205,7 +205,7 @@ serve)
 	# kill -9 mid-grid the restarted server must serve every
 	# already-completed point from the store (no quarantined entries, no
 	# re-simulation on resubmit). A standalone server runs its jobs on the
-	# cluster's lease path, through in-process worker slots: the served
+	# cluster's lease path, through its one in-process Worker: the served
 	# fig5 must show up as claims in its lease counters. Its CSV is the
 	# in-process one, and it comes from the rows the table was rendered
 	# from: one grid, one job.
@@ -290,12 +290,14 @@ cluster)
 	# TTL, drain requeue, the panic taxonomy (a panic fails its point on
 	# its first lease) and the exactly-once simulation accounting, plus the
 	# server-held waits (status and claim requests parked on a channel,
-	# woken by completion, requeue and drain). TestServer* and
-	# TestOneExecutionPath ride along: a standalone server's jobs run on
-	# the same lease goroutines, its worker slots claiming in-process.
+	# woken by completion, requeue and drain), and a Worker running
+	# -workers points at once and claiming only while it holds fewer. TestServer* and TestOneExecutionPath ride
+	# along: a standalone server's jobs run on the same lease goroutines,
+	# leased to its one in-process Worker, whose slots claim by function
+	# call.
 	# TestStore and TestResultsBody too: the store pre-scan's goroutines
 	# hand each job the verified bytes its results body is built from.
-	go test -race -run 'TestCluster|TestClient|TestStore|TestResultsBody|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServer|TestOneExecutionPath' -v ./internal/serve
+	go test -race -run 'TestCluster|TestClient|TestStore|TestResultsBody|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServer|TestOneExecutionPath|TestWorkerRunsWorkersLeasesAtOnce' -v ./internal/serve
 	# Then end to end: one coordinator leasing a quick-tier grid to three
 	# workers over a shared store, one worker kill -9'd mid-sweep and a
 	# second drained by SIGTERM. The job must complete, the merged output

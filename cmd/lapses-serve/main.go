@@ -1,10 +1,12 @@
 // Command lapses-serve runs the sweep engine as a fault-tolerant
 // service: it accepts experiment-grid jobs over HTTP/JSON, leases their
-// points to workers (in-process slots when standalone, worker processes
-// in cluster mode), and persists every completed point to a crash-safe,
-// content-addressed result store — so overlapping grids submitted
-// across processes, users and restarts cost one simulation per unique
-// point, ever.
+// points to workers (one in-process worker when standalone, worker
+// processes in cluster mode), and persists every completed point to a
+// crash-safe, content-addressed result store — so overlapping grids
+// submitted across processes, users and restarts cost one simulation per
+// unique point, ever. A worker, in-process or not, runs -workers points
+// at once and claims a lease only while its leases hold fewer, so one
+// lease alone runs as wide as the worker.
 //
 //	lapses-serve -store /var/lib/lapses            # serve on :8347
 //	lapses-serve -addr :9000 -workers 8 -queue 4
@@ -67,10 +69,10 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "standalone", "role: standalone (serve jobs, lease them to in-process worker slots), coordinator (serve jobs, lease them to workers), or worker (claim leases from -peers)")
+	mode := flag.String("mode", "standalone", "role: standalone (serve jobs, lease them to an in-process worker), coordinator (serve jobs, lease them to workers), or worker (claim leases from -peers)")
 	addr := flag.String("addr", ":8347", "listen address (standalone and coordinator modes)")
 	storeDir := flag.String("store", "", "result-store directory (required); created if missing; cluster roles share one directory")
-	workers := flag.Int("workers", 0, "in-process worker slots (standalone) or concurrent simulations per lease (worker mode); 0 = GOMAXPROCS")
+	workers := flag.Int("workers", 0, "points the worker runs at once, across as many leases as that takes (standalone: the in-process worker; worker mode); 0 = GOMAXPROCS")
 	queue := flag.Int("queue", 16, "max jobs waiting behind the running one before submissions get 429")
 	retries := flag.Int("retries", 3, "claims per lease unit before its unresolved points fail (standalone and coordinator modes; 1 = lease each unit once)")
 	jobTimeout := flag.Duration("job-timeout", 0, "every job's deadline from when it starts running (0 = none)")
@@ -88,8 +90,9 @@ func main() {
 
 	// Reject flags that have no effect in the chosen mode — a worker
 	// started with -lease-ttl, or a coordinator with -peers or -workers
-	// (it starts no worker slots), is a misunderstanding of the topology
-	// that should fail loudly at start, not silently shape nothing.
+	// (it starts no worker of its own), is a misunderstanding of the
+	// topology that should fail loudly at start, not silently shape
+	// nothing.
 	modeFlags := map[string][]string{
 		"addr":        {"standalone", "coordinator"},
 		"queue":       {"standalone", "coordinator"},

@@ -50,8 +50,6 @@ import (
 
 	"lapses/internal/core"
 	"lapses/internal/fault"
-	"lapses/internal/selection"
-	"lapses/internal/table"
 	"lapses/internal/traffic"
 )
 
@@ -64,10 +62,10 @@ func main() {
 	escape := flag.Int("escape", cfg.EscapeVCs, "escape VCs (Duato routing)")
 	buf := flag.Int("buf", cfg.BufDepth, "input buffer depth (flits)")
 	la := flag.Bool("lookahead", cfg.LookAhead, "use the 4-stage LA-PROUD pipeline")
-	alg := flag.String("alg", cfg.Algorithm.String(), "routing algorithm: xy, yx, duato, north-last, west-first, negative-first")
-	tbl := flag.String("table", cfg.Table.String(), "table organization: full, es, meta-row, meta-block, interval")
-	sel := flag.String("selection", cfg.Selection.String(), "path selection: static-xy, min-mux, lfu, lru, max-credit, random, notify-lru, notify-lfu, notify-max-credit")
-	pattern := flag.String("pattern", cfg.Pattern.String(), "traffic pattern: uniform, transpose, bit-reversal, shuffle, ...")
+	flag.TextVar(&cfg.Algorithm, "alg", cfg.Algorithm, "routing algorithm: xy, yx, duato, north-last, west-first, negative-first")
+	flag.TextVar(&cfg.Table, "table", cfg.Table, "table organization: full, es, meta-row, meta-block, interval")
+	flag.TextVar(&cfg.Selection, "selection", cfg.Selection, "path selection: static-xy, min-mux, lfu, lru, max-credit, random, notify-lru, notify-lfu, notify-max-credit")
+	flag.TextVar(&cfg.Pattern, "pattern", cfg.Pattern, "traffic pattern: uniform, transpose, bit-reversal, shuffle, ...")
 	load := flag.Float64("load", cfg.Load, "normalized load (1.0 = bisection saturation)")
 	burst := flag.String("burst", "", "bursty MMPP sources as ONFRAC,MEANON (e.g. 0.3,200): fraction of time spent ON and mean ON-period cycles, same mean rate as -load")
 	qos := flag.String("qos", "", "two-class QoS traffic as HIFRAC,HIVCS (e.g. 0.2,1): high-class probability and reserved top adaptive VCs")
@@ -103,18 +101,6 @@ func main() {
 	cfg.Torus = *torus
 	cfg.VCs, cfg.EscapeVCs, cfg.BufDepth = *vcs, *escape, *buf
 	cfg.LookAhead = *la
-	if cfg.Algorithm, err = core.ParseAlg(*alg); err != nil {
-		fatal(err)
-	}
-	if cfg.Table, err = table.ParseKind(*tbl); err != nil {
-		fatal(err)
-	}
-	if cfg.Selection, err = selection.ParseKind(*sel); err != nil {
-		fatal(err)
-	}
-	if cfg.Pattern, err = traffic.ParseKind(*pattern); err != nil {
-		fatal(err)
-	}
 	cfg.Load, cfg.MsgLen = *load, *msgLen
 	cfg.Warmup, cfg.Measure, cfg.Seed, cfg.AutoTol = *warmup, *measure, *seed, *autoTol
 	if *burst != "" {
@@ -253,6 +239,9 @@ func parseReliability(spec string) (*core.Reliability, error) {
 // link failures (connectivity-preserving), anything else is a
 // fault.ParseSchedule spec.
 func parseFaults(cfg core.Config, spec string, seed int64) (*fault.Schedule, error) {
+	if err := core.ValidateDims(cfg.Dims); err != nil {
+		return nil, err
+	}
 	m := cfg.Mesh()
 	if n, err := strconv.Atoi(strings.TrimSpace(spec)); err == nil {
 		p, err := fault.Random(m, n, 0, seed)

@@ -30,7 +30,8 @@ import (
 )
 
 func main() {
-	algName := flag.String("alg", "north-last", "algorithm to program: xy, yx, duato, north-last, west-first, negative-first")
+	a := core.AlgNorthLast
+	flag.TextVar(&a, "alg", a, "algorithm to program: xy, yx, duato, north-last, west-first, negative-first")
 	meta := flag.Bool("meta", false, "print the Fig. 8 meta-table mappings instead")
 	interval := flag.Bool("interval", false, "print an interval table instead")
 	verify := flag.Bool("verify", false, "check that every table organization routes exactly as its algorithm")
@@ -88,11 +89,6 @@ func main() {
 		return
 	}
 
-	a, err := core.ParseAlg(*algName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lapses-tables:", err)
-		os.Exit(2)
-	}
 	c := core.DefaultConfig()
 	c.Dims, c.Algorithm = []int{3, 3}, a
 	alg, cls, err := c.Routing()

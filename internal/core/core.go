@@ -86,6 +86,15 @@ func ParseAlg(s string) (Alg, error) {
 	return 0, fmt.Errorf("core: unknown algorithm %q", s)
 }
 
+// MarshalText spells a by name, the form ParseAlg reads.
+func (a Alg) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText reads a name with ParseAlg.
+func (a *Alg) UnmarshalText(b []byte) (err error) {
+	*a, err = ParseAlg(string(b))
+	return err
+}
+
 // Deterministic reports whether the algorithm yields a single path.
 func (a Alg) Deterministic() bool { return a == AlgXY || a == AlgYX }
 
@@ -426,13 +435,8 @@ func (c Config) algorithm(m *topology.Mesh, cls routing.Class, plan *fault.Plan)
 // naming its field. It is the only validator: network, router, routing and
 // traffic trust the configuration Run builds from a validated one.
 func (c Config) Validate() error {
-	if len(c.Dims) == 0 {
-		return fmt.Errorf("core: no dimensions")
-	}
-	for _, k := range c.Dims {
-		if k < 2 {
-			return fmt.Errorf("core: radix %d < 2", k)
-		}
+	if err := ValidateDims(c.Dims); err != nil {
+		return err
 	}
 	if c.VCs < 1 || c.VCs > router.MaxVCs {
 		return fmt.Errorf("core: VCs %d outside [1, %d]", c.VCs, router.MaxVCs)
@@ -587,6 +591,22 @@ func (c Config) Validate() error {
 	// EscapeVCs says: Duato on a torus takes two.
 	if cls := c.class(); cls.EscapeVCs > c.VCs {
 		return fmt.Errorf("core: VCs %d cannot hold the %d escape VCs %s routing needs on %s", c.VCs, cls.EscapeVCs, c.Algorithm, c.Mesh())
+	}
+	return nil
+}
+
+// ValidateDims is Validate's first check on its own: the radices make a
+// mesh. A fault spec names equipment in that mesh, so whoever parses one
+// runs this first (Validate cannot: without the faults it would refuse
+// what they permit, such as yx beyond two dimensions).
+func ValidateDims(dims []int) error {
+	if len(dims) == 0 {
+		return fmt.Errorf("core: no dimensions")
+	}
+	for _, k := range dims {
+		if k < 2 {
+			return fmt.Errorf("core: radix %d < 2", k)
+		}
 	}
 	return nil
 }

@@ -332,6 +332,17 @@ func TestAlgParseRoundTrip(t *testing.T) {
 	if _, err := ParseAlg("nope"); err == nil {
 		t.Error("expected error")
 	}
+	// The text form, which flags and the wire use, is the same name.
+	for _, a := range Algs {
+		b, err := a.MarshalText()
+		var got Alg
+		if err != nil || string(b) != a.String() || got.UnmarshalText(b) != nil || got != a {
+			t.Errorf("text round trip %v: %q %v -> %v", a, b, err, got)
+		}
+	}
+	if got := AlgDuato; got.UnmarshalText([]byte("nope")) == nil {
+		t.Error("UnmarshalText accepted an unknown name")
+	}
 	if !AlgXY.Deterministic() || AlgDuato.Deterministic() {
 		t.Error("Deterministic() wrong")
 	}

@@ -151,6 +151,15 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("selection: unknown policy %q", s)
 }
 
+// MarshalText spells k by name, the form ParseKind reads.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a name with ParseKind.
+func (k *Kind) UnmarshalText(b []byte) (err error) {
+	*k, err = ParseKind(string(b))
+	return err
+}
+
 // New returns a selector of the given kind. seed matters only for Random;
 // every router gets its own selector so randomized runs stay deterministic
 // for a fixed configuration seed.

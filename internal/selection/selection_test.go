@@ -210,6 +210,17 @@ func TestKindRoundTrip(t *testing.T) {
 	if _, err := ParseKind("nope"); err == nil {
 		t.Error("expected error for unknown kind")
 	}
+	// The text form, which flags and the wire use, is the same name.
+	for _, k := range Kinds {
+		b, err := k.MarshalText()
+		var got Kind
+		if err != nil || string(b) != k.String() || got.UnmarshalText(b) != nil || got != k {
+			t.Errorf("text round trip %v: %q %v -> %v", k, b, err, got)
+		}
+	}
+	if got := Kinds[1]; got.UnmarshalText([]byte("nope")) == nil {
+		t.Error("UnmarshalText accepted an unknown name")
+	}
 }
 
 // TestRandomChoicesPinned pins what Random picks for a few seeds, as

@@ -13,7 +13,8 @@ import (
 // ClusterOptions turn a Server into a cluster coordinator: the leased
 // work units (contiguous point ranges) its jobs are cut into go to
 // worker instances that claim, heartbeat, and complete them over HTTP,
-// under the same failure taxonomy as in-process slots (see PointReport).
+// under the same failure taxonomy as a standalone server's in-process
+// Worker (see PointReport).
 type ClusterOptions struct {
 	// LeaseTTL is how long a claimed unit stays owned without a
 	// heartbeat before the failure detector requeues it (default 10s).
@@ -166,7 +167,7 @@ func (s *Server) pruneWorkersLocked(now time.Time) {
 }
 
 // runClustered executes one job by leasing its grid to workers — the
-// server's own slots when standalone. It resolves already-stored points
+// server's own Worker when standalone. It resolves already-stored points
 // up front (a resubmitted grid costs zero leases for completed work),
 // chunks the rest into units, and runs the orphan-lease failure detector
 // until every point is resolved or the job context ends.
@@ -175,21 +176,19 @@ func (s *Server) pruneWorkersLocked(now time.Time) {
 // renewed, and the leases already out count what they report until each
 // has completed or expired (one TTL plus one scan at most); the points
 // still unresolved then carry the context error. Shutdown waits only for
-// the server's own slots: remote workers' points are durable either way.
+// the server's own Worker: remote workers' points are durable either way.
 //
 // The merge is deterministic by construction: outcomes land at their
 // grid index, each exactly once, and every simulated result is the
 // deterministic core.Run output for its config — so the merged slice is
 // byte-identical to a single-process sweep.Run of the same grid, for
 // any worker count, claim interleaving, or crash schedule.
-func (s *Server) runClustered(ctx context.Context, jb *job) ([]outcome, error) {
+func (s *Server) runClustered(ctx context.Context, jb *job) error {
 	// The store is read on sweep.Run's pool, in OnPoint, which knows the
 	// point's index, and the runner simulates nothing. The pool reads the
 	// first point of each distinct key, and the points that repeat a key
 	// share its verified bytes: a key is read once per job. No lock: only
-	// the drawing worker writes a point's slot, and nothing else sees cg
-	// until it is published below.
-	cg := newClusterGrid(jb.id, s.epoch, jb.grid, jb.points, s.lease.LeaseTTL, s.opt.MaxAttempts, &s.ctot)
+	// the drawing worker writes a point's slot of stored.
 	keys := make([]string, len(jb.grid))
 	first := make(map[string]int, len(jb.grid)) // a key's first index
 	var distinct []core.Config                  // each key's first point
@@ -206,15 +205,19 @@ func (s *Server) runClustered(ctx context.Context, jb *job) ([]outcome, error) {
 		Runner:  func(core.Config) (core.Result, error) { return core.Result{}, nil },
 		OnPoint: func(j int, _ sweep.Outcome) { stored[reads[j]], _ = s.store.getJSON(keys[reads[j]]) },
 	})
+	s.mu.Lock()
+	jb.token = jb.id + "." + s.epoch
+	jb.outs = make([]outcome, len(jb.grid))
+	jb.active = map[string]*workUnit{}
+	jb.finished = make(chan struct{})
 	for i, key := range keys {
 		if raw := stored[first[key]]; raw != nil {
-			cg.record(i, outcome{result: raw, cached: true})
+			jb.record(i, outcome{result: raw, cached: true})
 		}
 	}
-	cg.seed(s.lease.UnitSize)
-	s.mu.Lock()
-	s.cluster, jb.cg = cg, cg
-	if len(cg.pending) > 0 {
+	jb.seed(s.lease.UnitSize)
+	s.cluster = jb
+	if len(jb.pending) > 0 {
 		s.wakeClaimsLocked()
 	}
 	s.mu.Unlock()
@@ -228,20 +231,20 @@ func (s *Server) runClustered(ctx context.Context, jb *job) ([]outcome, error) {
 	var slotsGone <-chan struct{}
 	for settled := false; !settled; {
 		select {
-		case <-cg.finished:
+		case <-jb.finished:
 			settled = true
 		case <-slotsGone:
 			settled = true
 		case <-ended:
 			ended, slotsGone = nil, s.slotsDone
 			s.mu.Lock()
-			cg.stop()
+			jb.stop()
 			s.mu.Unlock()
 		case <-ticker.C:
 			now := time.Now()
 			s.mu.Lock()
-			cg.expireOrphans(now)
-			if len(cg.pending) > 0 { // requeued: claims park only on an empty queue
+			jb.expireOrphans(now)
+			if len(jb.pending) > 0 { // requeued: claims park only on an empty queue
 				s.wakeClaimsLocked()
 			}
 			s.pruneWorkersLocked(now)
@@ -251,14 +254,15 @@ func (s *Server) runClustered(ctx context.Context, jb *job) ([]outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
-		for i, done := range cg.done {
-			if !done { // never ran: no progress counter counts it
-				cg.outs[i].err = err
+		for i := range jb.outs {
+			if !jb.outs[i].resolved() { // never ran: no progress counter counts it
+				jb.outs[i].err = err
 			}
 		}
 	}
 	s.cluster = nil
-	return cg.outs, ctx.Err()
+	jb.pending, jb.active = nil, nil
+	return ctx.Err()
 }
 
 func (s *Server) notCoordinator(w http.ResponseWriter) bool {
@@ -281,27 +285,31 @@ func (s *Server) wakeClaimsLocked() {
 func (s *Server) tryClaim(worker string) (grant *ClaimResponse, wake <-chan struct{}, draining bool) {
 	now := time.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.workersSeen[worker] = now
-	cg := s.cluster
-	if s.closed || cg == nil {
-		return nil, s.work, s.closed
+	jb := s.cluster
+	var u *workUnit
+	if !s.closed && jb != nil {
+		u = jb.claim(worker, now)
 	}
-	u := cg.claim(worker, now)
 	if u == nil {
-		return nil, s.work, false
+		wake, draining = s.work, s.closed
+		s.mu.Unlock()
+		return nil, wake, draining
 	}
 	grant = &ClaimResponse{
 		Lease:       u.lease,
-		Job:         cg.token,
+		Job:         jb.token,
 		Attempt:     u.attempt,
 		Indices:     append([]int(nil), u.indices...),
-		Points:      make([]Point, len(u.indices)),
 		TTLMS:       s.lease.LeaseTTL.Milliseconds(),
 		HeartbeatMS: s.lease.heartbeat().Milliseconds(),
 	}
-	for j, i := range u.indices {
-		grant.Points[j] = cg.points[i]
+	s.mu.Unlock()
+	// Outside the lock: a job's grid never changes, and every config in
+	// it came from a submitted Point, so it has a wire form.
+	grant.Points = make([]Point, len(grant.Indices))
+	for j, i := range grant.Indices {
+		grant.Points[j] = point(jb.grid[i])
 	}
 	return grant, nil, false
 }
@@ -349,17 +357,17 @@ func (s *Server) complete(req CompleteRequest) CompleteResponse {
 	if req.Worker != "" {
 		s.workersSeen[req.Worker] = now
 	}
-	cg := s.cluster
+	jb := s.cluster
 	var late bool
 	var grid []core.Config // set when the reports are this job's to make durable
 	switch {
-	case cg != nil && req.Job == cg.token:
-		grid = cg.grid
-		late = cg.complete(req.Lease, req.Reports)
-		if len(cg.pending) > 0 { // requeued: claims park only on an empty queue
+	case jb != nil && req.Job == jb.token:
+		grid = jb.grid
+		late = jb.complete(req.Lease, req.Reports)
+		if len(jb.pending) > 0 { // requeued: claims park only on an empty queue
 			s.wakeClaimsLocked()
 		}
-	case cg != nil:
+	case jb != nil:
 		// The report belongs to a different job (its lease was granted
 		// before a job transition, or by a previous coordinator
 		// incarnation). Its indices point into that job's grid, not this
@@ -428,7 +436,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.complete(req))
 }
 
-// inProcess is the peer a standalone server's worker slots claim from.
+// inProcess is the peer a standalone server's Worker claims from.
 type inProcess struct{ s *Server }
 
 func (p inProcess) Claim(ctx context.Context, worker string, wait time.Duration) (ClaimResponse, error) {
@@ -449,10 +457,10 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	st := s.ctot
 	st.Coordinator = s.opt.Cluster != nil
 	st.WorkersSeen = len(s.workersSeen)
-	if cg := s.cluster; cg != nil {
-		st.ActiveJob = cg.jobID
-		st.PendingUnits = len(cg.pending)
-		st.ActiveLeases = len(cg.active)
+	if jb := s.cluster; jb != nil {
+		st.ActiveJob = jb.id
+		st.PendingUnits = len(jb.pending)
+		st.ActiveLeases = len(jb.active)
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)

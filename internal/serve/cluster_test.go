@@ -416,6 +416,137 @@ func claimUntilGranted(t *testing.T, c *Client, worker string) ClaimResponse {
 	}
 }
 
+// TestWorkerRunsWorkersLeasesAtOnce: a Worker runs Workers points at
+// once, however its grid is cut into units: three points from 2-point
+// units, one 4-point lease as wide as a 4-point worker, never more than
+// two on a 2-point worker. And it claims only while its leases hold fewer
+// than Workers points, so a second worker started once the first is busy
+// gets the second unit instead of waiting on a lease the first cannot
+// start. Every key is simulated once.
+func TestWorkerRunsWorkersLeasesAtOnce(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name                         string
+		unit, workers, points, fleet int
+	}{
+		{"across 2-point leases", 2, 3, 6, 1},
+		{"one lease as wide as the worker", 4, 4, 4, 1},
+		{"no wider than the worker", 4, 2, 8, 1},
+		{"no lease it cannot start", 4, 2, 8, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			_, c := testServer(t, dir, ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 10 * time.Second, UnitSize: tc.unit}})
+			var counts sync.Map
+			count := countingRunner(&counts)
+			want := tc.workers * tc.fleet
+			var mu sync.Mutex
+			running, peak := 0, 0
+			started, full := make(chan struct{}), make(chan struct{})
+			runner := func(cfg core.Config) (core.Result, error) {
+				mu.Lock()
+				if running++; running > peak {
+					if peak = running; peak == 1 {
+						close(started)
+					}
+					if peak == want {
+						close(full)
+					}
+				}
+				mu.Unlock()
+				select { // bounded: a fleet that never fills still finishes
+				case <-full:
+				case <-time.After(2 * time.Second):
+				}
+				mu.Lock()
+				running--
+				mu.Unlock()
+				return count(cfg)
+			}
+			type result struct {
+				outs []sweep.Outcome
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				outs, err := c.Run(context.Background(), testGrid(tc.points), sweep.Options{})
+				done <- result{outs, err}
+			}()
+			for k := range tc.fleet {
+				if k == 1 {
+					<-started // the first worker has claimed all it will
+				}
+				ws, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := &Worker{ID: fmt.Sprintf("w%d", k), Coordinators: []string{c.Base}, Store: ws, Workers: tc.workers, Runner: runner, IdleWait: 10 * time.Millisecond}
+				ctx, cancel := context.WithCancel(context.Background())
+				stopped := make(chan struct{})
+				go func() {
+					defer close(stopped)
+					w.Run(ctx)
+				}()
+				t.Cleanup(func() {
+					cancel()
+					<-stopped
+				})
+			}
+
+			r := <-done
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			for i, o := range r.outs {
+				if o.Err != nil {
+					t.Fatalf("point %d: %v", i, o.Err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if peak != want {
+				t.Errorf("at most %d points ran at once, want %d", peak, want)
+			}
+			assertExactlyOnce(t, &counts)
+		})
+	}
+}
+
+// TestClusterGrantKeysLikeSubmission: a grant's points are rebuilt from
+// the job's configs, and each must key exactly like the point submitted
+// at its index, a faulted point spelled in a non-canonical form included.
+func TestClusterGrantKeysLikeSubmission(t *testing.T) {
+	t.Parallel()
+	_, c := testServer(t, t.TempDir(), ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 10 * time.Second, UnitSize: 3}})
+	points := mustPoints(t, testGrid(3))
+	points[1].Dims, points[1].Faults = []int{8, 8}, "1-2@0,r27@0"
+	body, err := json.Marshal(jobRequest{Points: points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"faults":"1-2@0,r27@0"`)) {
+		t.Fatalf("faulted point not submitted as spelled: %s", body)
+	}
+	if err := c.do(context.Background(), http.MethodPost, "/v1/jobs", json.RawMessage(body), nil); err != nil {
+		t.Fatal(err)
+	}
+	grant := claimUntilGranted(t, c, "w")
+	if len(grant.Points) != len(points) || len(grant.Indices) != len(points) {
+		t.Fatalf("grant: %+v, want all %d points in one unit", grant, len(points))
+	}
+	for j, i := range grant.Indices {
+		sent, err := points[i].Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := grant.Points[j].Config()
+		if err != nil || got.Key() != sent.Key() {
+			t.Errorf("granted point %d keys %q (err %v), submitted %q", i, got.Key(), err, sent.Key())
+		}
+	}
+}
+
 // TestClusterLeaseCadence: the heartbeat cadence is a quarter of the
 // lease TTL, advertised in every grant as heartbeat_ms and as the
 // retry_ms of a claim the coordinator did not hold.
@@ -622,8 +753,8 @@ func TestOneExecutionPath(t *testing.T) {
 		t.Errorf("standalone job: %+v, want the 5 unique healthy points simulated once, the repeat cached and the panic failed", st)
 	}
 	cs, err := alone.ClusterStats(context.Background())
-	if err != nil || cs.Coordinator || cs.Claims == 0 {
-		t.Errorf("standalone GET /v1/cluster: %+v err=%v, want its in-process leases", cs, err)
+	if err != nil || cs.Coordinator || cs.Claims == 0 || cs.WorkersSeen != 1 {
+		t.Errorf("standalone GET /v1/cluster: %+v err=%v, want its in-process leases, claimed by its one Worker", cs, err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"lapses/internal/core"
 	"lapses/internal/sweep"
 )
 
@@ -32,129 +31,78 @@ type workUnit struct {
 	expires time.Time
 }
 
-// clusterGrid is the server-side lease state of one job: the grid, the
-// merged outcomes accumulating in grid order, the pending-unit queue
-// workers claim from, and the active leases being heartbeat-renewed.
-//
-// Every method requires the owning Server's mu — the lease methods and
-// the expiry scanner all mutate one clusterGrid, and the Server lock is
+// A running job's lease methods all require the owning Server's mu —
+// they and the expiry scanner all mutate one job, and the Server lock is
 // the single serialization point (lease traffic is a claim and a
 // completion per unit, nowhere near contention).
 //
-// The exactly-once-effect argument lives here: done[i] flips exactly
-// once per point (record discards duplicates), so no matter how claim,
-// expiry, late completion and requeue interleave, each point's outcome
-// lands once — and because re-execution of an already-persisted point is
-// a store hit, duplicated *leases* never mean duplicated *simulation*.
-type clusterGrid struct {
-	jobID string
-	// token is the job's cluster-wide identity: the job ID qualified by
-	// the coordinator's per-process epoch. Lease IDs are minted under it
-	// and workers echo it back in completions, so grants from a previous
-	// coordinator incarnation (job IDs restart from j000001 after a
-	// restart) can never collide with — or be merged into — a fresh job.
-	token  string
-	grid   []core.Config
-	points []Point
+// The exactly-once-effect argument lives here: outs[i] is resolved
+// exactly once per point (record discards duplicates), so no matter how
+// claim, expiry, late completion and requeue interleave, each point's
+// outcome lands once — and because re-execution of an already-persisted
+// point is a store hit, duplicated *leases* never mean duplicated
+// *simulation*.
 
-	outs      []outcome
-	done      []bool
-	remaining int
-
-	pending   []*workUnit
-	active    map[string]*workUnit
-	nextLease int64
-
-	ttl         time.Duration
-	maxAttempts int
-	cancelled   bool
-	// finished closes once every point is resolved (done, or failed
-	// permanently) or the grid is stopped with no lease out.
-	finished chan struct{}
-	settled  bool
-	progress JobStatus // the job's counters: points recorded, units requeued
-	// stats are the server's lifetime lease counters, which every grid
-	// counts into directly.
-	stats *ClusterStats
-}
-
-func newClusterGrid(jobID, epoch string, grid []core.Config, points []Point, ttl time.Duration, maxAttempts int, stats *ClusterStats) *clusterGrid {
-	cg := &clusterGrid{
-		jobID:       jobID,
-		token:       jobID + "." + epoch,
-		grid:        grid,
-		points:      points,
-		outs:        make([]outcome, len(grid)),
-		done:        make([]bool, len(grid)),
-		remaining:   len(grid),
-		active:      map[string]*workUnit{},
-		ttl:         ttl,
-		maxAttempts: maxAttempts,
-		finished:    make(chan struct{}),
-		stats:       stats,
-	}
-	return cg
-}
+// resolved reports whether o holds a point's result or its error.
+func (o outcome) resolved() bool { return o.result != nil || o.err != nil }
 
 // record resolves point i with o, once: duplicates (a late completion of
 // a lease that was already requeued and re-executed) are discarded, so
 // whichever report arrives first wins and the merged outcome is stable.
-func (cg *clusterGrid) record(i int, o outcome) {
-	if i < 0 || i >= len(cg.done) || cg.done[i] {
+func (jb *job) record(i int, o outcome) {
+	if i < 0 || i >= len(jb.outs) || jb.outs[i].resolved() {
 		return
 	}
-	cg.outs[i] = o
-	cg.done[i] = true
-	cg.remaining--
-	cg.progress.Completed++
+	jb.outs[i] = o
+	jb.progress.Completed++
 	switch {
 	case o.err != nil:
-		cg.progress.Failed++
+		jb.progress.Failed++
 	case o.cached:
-		cg.progress.Cached++
+		jb.progress.Cached++
 	default:
-		cg.progress.Simulated++
+		jb.progress.Simulated++
 	}
-	cg.settle()
+	jb.settle()
 }
 
 // settle closes finished once nothing more can be recorded.
-func (cg *clusterGrid) settle() {
-	if !cg.settled && (cg.remaining == 0 || cg.cancelled && len(cg.active) == 0) {
-		cg.settled = true
-		close(cg.finished)
+func (jb *job) settle() {
+	if !jb.settled && (jb.progress.Completed == len(jb.outs) || jb.stopped && len(jb.active) == 0) {
+		jb.settled = true
+		close(jb.finished)
 	}
 }
 
 // seed chunks the still-unresolved indices into contiguous lease units
 // of at most unitSize points each.
-func (cg *clusterGrid) seed(unitSize int) {
+func (jb *job) seed(unitSize int) {
 	var undone []int
-	for i, d := range cg.done {
-		if !d {
+	for i, o := range jb.outs {
+		if !o.resolved() {
 			undone = append(undone, i)
 		}
 	}
 	for _, r := range sweep.Ranges(len(undone), unitSize) {
-		cg.pending = append(cg.pending, &workUnit{indices: undone[r[0]:r[1]]})
+		jb.pending = append(jb.pending, &workUnit{indices: undone[r[0]:r[1]]})
 	}
 }
 
 // claim hands the next pending unit to worker under a fresh lease, or
 // returns nil when there is no work (drained queue, or job cancelled).
-func (cg *clusterGrid) claim(worker string, now time.Time) *workUnit {
-	if cg.cancelled || len(cg.pending) == 0 {
+func (jb *job) claim(worker string, now time.Time) *workUnit {
+	if jb.stopped || len(jb.pending) == 0 {
 		return nil
 	}
-	u := cg.pending[0]
-	cg.pending = cg.pending[1:]
-	cg.nextLease++
-	u.lease = fmt.Sprintf("%s-l%04d", cg.token, cg.nextLease)
+	u := jb.pending[0]
+	jb.pending = jb.pending[1:]
+	jb.nextLease++
+	u.lease = fmt.Sprintf("%s-l%04d", jb.token, jb.nextLease)
 	u.owner = worker
 	u.attempt++
-	u.expires = now.Add(cg.ttl)
-	cg.active[u.lease] = u
-	cg.stats.Claims++
+	u.expires = now.Add(jb.srv.lease.LeaseTTL)
+	jb.active[u.lease] = u
+	jb.srv.ctot.Claims++
 	return u
 }
 
@@ -162,57 +110,57 @@ func (cg *clusterGrid) claim(worker string, now time.Time) *workUnit {
 // gone — expired and requeued, the job finished or was cancelled, or the
 // coordinator restarted — and it should abandon the unit (everything it
 // already persisted stays durable; the re-execution will hit the store).
-func (cg *clusterGrid) heartbeat(lease string, now time.Time) bool {
-	u := cg.active[lease]
-	if u == nil || cg.cancelled {
+func (jb *job) heartbeat(lease string, now time.Time) bool {
+	u := jb.active[lease]
+	if u == nil || jb.stopped {
 		return false
 	}
-	u.expires = now.Add(cg.ttl)
+	u.expires = now.Add(jb.srv.lease.LeaseTTL)
 	return true
 }
 
 // expireOrphans requeues every lease whose worker has gone silent past
 // its TTL — the failure detector for kill -9, network partition, and
 // hung workers alike.
-func (cg *clusterGrid) expireOrphans(now time.Time) {
-	for lease, u := range cg.active {
+func (jb *job) expireOrphans(now time.Time) {
+	for lease, u := range jb.active {
 		if now.After(u.expires) {
-			delete(cg.active, lease)
-			cg.stats.OrphanRequeues++
-			cg.requeue(u, fmt.Sprintf("lease %s orphaned: worker %q went silent past the %s TTL", u.lease, u.owner, cg.ttl))
+			delete(jb.active, lease)
+			jb.srv.ctot.OrphanRequeues++
+			jb.requeue(u, fmt.Sprintf("lease %s orphaned: worker %q went silent past the %s TTL", u.lease, u.owner, jb.srv.lease.LeaseTTL))
 		}
 	}
-	cg.settle()
+	jb.settle()
 }
 
 // requeue returns a unit's unresolved indices to the pending queue — or,
 // once the attempt budget (ServerOptions.MaxAttempts) is spent, fails
 // them permanently with reason, why the unit's last lease ended, so the
 // unit cannot bounce forever. It reports whether the unit still owed any
-// point. A stopped grid requeues nothing.
-func (cg *clusterGrid) requeue(u *workUnit, reason string) bool {
-	if cg.cancelled {
+// point. A stopped job requeues nothing.
+func (jb *job) requeue(u *workUnit, reason string) bool {
+	if jb.stopped {
 		return false
 	}
 	var left []int
 	for _, i := range u.indices {
-		if !cg.done[i] {
+		if !jb.outs[i].resolved() {
 			left = append(left, i)
 		}
 	}
 	if len(left) == 0 {
 		return false
 	}
-	if u.attempt >= cg.maxAttempts {
-		cg.stats.ExhaustedUnits++
+	if u.attempt >= jb.srv.opt.MaxAttempts {
+		jb.srv.ctot.ExhaustedUnits++
 		err := fmt.Errorf("serve: giving up after %d lease attempts: %s", u.attempt, reason)
 		for _, i := range left {
-			cg.record(i, outcome{err: err})
+			jb.record(i, outcome{err: err})
 		}
 		return true
 	}
-	cg.pending = append(cg.pending, &workUnit{indices: left, attempt: u.attempt})
-	cg.progress.Retries++
+	jb.pending = append(jb.pending, &workUnit{indices: left, attempt: u.attempt})
+	jb.progress.Retries++
 	return true
 }
 
@@ -230,34 +178,34 @@ func (cg *clusterGrid) requeue(u *workUnit, reason string) bool {
 //     results are not thrown away.
 //
 // Returns whether the report was late.
-func (cg *clusterGrid) complete(lease string, reports []PointReport) (late bool) {
-	u := cg.active[lease]
+func (jb *job) complete(lease string, reports []PointReport) (late bool) {
+	u := jb.active[lease]
 	late = u == nil
 	if late {
-		cg.stats.LateReports++
+		jb.srv.ctot.LateReports++
 	} else {
-		delete(cg.active, lease)
+		delete(jb.active, lease)
 	}
 	for _, r := range reports {
 		switch {
 		case r.Error != "":
-			cg.record(r.Index, outcome{err: fmt.Errorf("%s", r.Error)})
+			jb.record(r.Index, outcome{err: fmt.Errorf("%s", r.Error)})
 		case r.Result != nil:
 			raw, err := r.Result.MarshalJSON()
-			cg.record(r.Index, outcome{result: raw, err: err, cached: r.Cached})
+			jb.record(r.Index, outcome{result: raw, err: err, cached: r.Cached})
 		}
 	}
-	if u != nil && cg.requeue(u, fmt.Sprintf("lease %s returned without resolving all points", lease)) {
-		cg.stats.TransientRequeues++
+	if u != nil && jb.requeue(u, fmt.Sprintf("lease %s returned without resolving all points", lease)) {
+		jb.srv.ctot.TransientRequeues++
 	}
-	cg.settle()
+	jb.settle()
 	return late
 }
 
 // stop ends leasing: claims find nothing, heartbeats answer false and
 // nothing is requeued, while the leases already out may still report.
-func (cg *clusterGrid) stop() {
-	cg.cancelled = true
-	cg.pending = nil
-	cg.settle()
+func (jb *job) stop() {
+	jb.stopped = true
+	jb.pending = nil
+	jb.settle()
 }

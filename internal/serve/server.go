@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -50,9 +49,9 @@ const (
 	// idle-connection reapers.
 	maxHold = 30 * time.Second
 	// retainJobs is how many terminal jobs stay queryable. A finished job
-	// pins its grid, wire points and outcomes (~100 KB for a 65-point
-	// grid); the oldest beyond this many are forgotten and answer 404 —
-	// their points stay in the store, so a resubmission is all hits.
+	// pins its grid and outcomes; the oldest beyond this many are
+	// forgotten and answer 404 — their points stay in the store, so a
+	// resubmission is all hits.
 	retainJobs = 64
 	// maxBody caps a request body (a 65-point job and its results are
 	// ~51 KB on the wire), so no client can exhaust the store's process.
@@ -61,8 +60,9 @@ const (
 
 // ServerOptions configure a Server.
 type ServerOptions struct {
-	// Workers is how many in-process worker slots a standalone server
-	// runs (<= 0: GOMAXPROCS); a coordinator runs none.
+	// Workers is a standalone server's in-process Worker's Workers: how
+	// many points, each its own lease, it runs at once (<= 0:
+	// GOMAXPROCS); a coordinator runs no Worker.
 	Workers int
 	// QueueLimit bounds how many jobs may wait behind the running one;
 	// submissions beyond it are refused with 429 and a Retry-After
@@ -80,8 +80,8 @@ type ServerOptions struct {
 	// scripted results, injected failures and panics, and blocking points.
 	Runner func(core.Config) (core.Result, error)
 	// Cluster, when non-nil, makes this server a cluster coordinator:
-	// jobs are leased to Worker instances over HTTP instead of to
-	// in-process worker slots. See ClusterOptions.
+	// jobs are leased to Worker instances over HTTP instead of to the
+	// server's in-process Worker. See ClusterOptions.
 	Cluster *ClusterOptions
 }
 
@@ -95,20 +95,37 @@ func (o ServerOptions) normalize() ServerOptions {
 	return o
 }
 
-// job is one submitted grid and its lifecycle. All mutable fields are
-// guarded by the owning Server's mu.
+// job is one submitted grid, its lifecycle and, once it runs, its lease
+// state (lease.go). All mutable fields are guarded by srv.mu.
 type job struct {
-	id     string
-	grid   []core.Config
-	points []Point
+	srv  *Server
+	id   string
+	grid []core.Config
 
 	state  string
 	done   chan struct{} // closed by finishLocked, the only way a job turns terminal
 	reason string        // terminal state a canceller chose before cancelling the ctx
 	cancel context.CancelFunc
-	cg     *clusterGrid // the job's leases and progress, once it runs
 	errMsg string
-	outs   []outcome // one per point once the job has run; nil if it never started
+	// outs accumulate in grid order as points resolve, one per point
+	// once the job runs; nil if it never started.
+	outs     []outcome
+	progress JobStatus // points recorded, units requeued
+
+	// token is the job's cluster-wide identity: the job ID qualified by
+	// the coordinator's per-process epoch. Lease IDs are minted under it
+	// and workers echo it back in completions, so grants from a previous
+	// coordinator incarnation (job IDs restart from j000001 after a
+	// restart) can never collide with — or be merged into — a fresh job.
+	token     string
+	pending   []*workUnit          // units waiting to be claimed
+	active    map[string]*workUnit // units out on a lease, by lease ID
+	nextLease int64
+	stopped   bool // no more leasing: the job's context ended
+	// finished closes once every point is resolved or the job is stopped
+	// with no lease out.
+	finished chan struct{}
+	settled  bool
 }
 
 // Server executes grid jobs one at a time from a bounded queue, leasing
@@ -130,19 +147,19 @@ type Server struct {
 	draining chan struct{}
 	execDone chan struct{}
 
-	// stopSlots cancels the in-process worker slots (a coordinator has
-	// none); slotsDone closes once that happened and every slot exited.
+	// stopSlots cancels the in-process Worker (a coordinator has none);
+	// slotsDone closes once that happened and the Worker's Run returned.
 	stopSlots context.CancelFunc
 	slotsDone chan struct{}
 
-	// Lease state: the running job's grid (nil between jobs), the
-	// lifetime counters every grid counts into as it goes, and last-seen
-	// worker identities. epoch is a random
-	// per-process token baked into every lease ID and claim grant, so
-	// grants from a previous coordinator incarnation (whose job IDs
-	// restart from j000001) can never collide with fresh leases.
+	// Lease state: the running job (nil between jobs), the lifetime
+	// counters every job counts into as it goes, and last-seen worker
+	// identities. epoch is a random per-process token baked into every
+	// lease ID and claim grant, so grants from a previous coordinator
+	// incarnation (whose job IDs restart from j000001) can never collide
+	// with fresh leases.
 	epoch       string
-	cluster     *clusterGrid
+	cluster     *job
 	ctot        ClusterStats
 	workersSeen map[string]time.Time
 	// work is what held claims park on: closed and replaced (under mu)
@@ -192,30 +209,19 @@ func (s *Server) routes(limit int64) http.Handler {
 	return http.MaxBytesHandler(mux, limit)
 }
 
-// startSlots starts a standalone server's worker slots. They share its
-// Store, whose single-flight makes a repeat of an in-flight point a hit.
+// startSlots starts a standalone server's one Worker, which claims by
+// function call and shares the server's Store; its single-flight makes
+// a repeat of an in-flight point a hit. On a coordinator slotsDone
+// closes as soon as Shutdown starts.
 func (s *Server) startSlots() {
 	ctx, stop := context.WithCancel(context.Background())
 	s.stopSlots = stop
-	n := 0
-	if s.opt.Cluster == nil {
-		n = s.opt.Workers
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		w := &Worker{ID: fmt.Sprintf("local-%d", i), Store: s.store, Workers: 1, Runner: s.opt.Runner, local: inProcess{s}}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.Run(ctx) // returns once Shutdown cancels ctx
-		}()
-	}
 	go func() {
+		if s.opt.Cluster == nil {
+			w := &Worker{ID: "local", Store: s.store, Workers: s.opt.Workers, Runner: s.opt.Runner, local: inProcess{s}}
+			w.Run(ctx) // returns once Shutdown cancels ctx and every lease reported
+		}
 		<-ctx.Done()
-		wg.Wait()
 		close(s.slotsDone)
 	}()
 }
@@ -233,11 +239,11 @@ func (s *Server) Mode() string {
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Shutdown drains the server gracefully: no new submissions are
-// accepted, the worker slots' in-flight points finish (no new points
-// start) and their durable writes complete, queued jobs are marked
-// interrupted, and the executor and slots exit. Jobs cut short are
-// resumable by resubmission — their completed points are served from the
-// store. ctx bounds how long to wait for the drain.
+// accepted, the in-process Worker's in-flight points finish (no new
+// points start) and their durable writes complete, queued jobs are
+// marked interrupted, and the executor and the Worker exit. Jobs cut
+// short are resumable by resubmission — their completed points are
+// served from the store. ctx bounds how long to wait for the drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.closed {
@@ -294,18 +300,17 @@ func (s *Server) execute(jb *job) {
 	s.mu.Unlock()
 	defer cancel()
 
-	outs, runErr := s.runClustered(jctx, jb)
+	runErr := s.runClustered(jctx, jb)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	jb.outs = outs
 	jb.cancel = nil
 	st := jb.status()
 	switch {
 	case runErr == nil && st.Failed == 0:
 		s.finishLocked(jb, JobDone, "")
 	case runErr == nil:
-		s.finishLocked(jb, JobFailed, firstFailure(jb.grid, outs, st.Failed))
+		s.finishLocked(jb, JobFailed, firstFailure(jb.grid, jb.outs, st.Failed))
 	case jb.reason != "":
 		// A canceller (DELETE, or Shutdown) chose the terminal state
 		// before cancelling the context.
@@ -367,10 +372,7 @@ func (st JobStatus) Terminal() bool {
 }
 
 func (jb *job) status() JobStatus {
-	var st JobStatus
-	if jb.cg != nil {
-		st = jb.cg.progress
-	}
+	st := jb.progress
 	st.ID, st.State, st.Total, st.Error = jb.id, jb.state, len(jb.grid), jb.errMsg
 	return st
 }
@@ -490,11 +492,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	jb := &job{
-		id:     fmt.Sprintf("j%06d", s.nextID),
-		grid:   grid,
-		points: req.Points,
-		state:  JobQueued,
-		done:   make(chan struct{}),
+		srv:   s,
+		id:    fmt.Sprintf("j%06d", s.nextID),
+		grid:  grid,
+		state: JobQueued,
+		done:  make(chan struct{}),
 	}
 	select {
 	case s.queue <- jb:

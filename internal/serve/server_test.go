@@ -523,6 +523,22 @@ func TestServerRejectsMalformedJobs(t *testing.T) {
 	if !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "algorithm") {
 		t.Errorf("bad point: err=%v", err)
 	}
+	// A point that leaves its algorithm out, or sends null, names none:
+	// it is refused, not run as the zero value.
+	valid, err := json.Marshal(jobRequest{Points: mustPoints(t, testGrid(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, member := range []string{``, `"algorithm":null,`} {
+		body := bytes.Replace(valid, []byte(`"algorithm":"duato",`), []byte(member), 1)
+		if bytes.Equal(body, valid) {
+			t.Fatalf("no duato algorithm member to replace in %s", valid)
+		}
+		err = c.do(ctx, http.MethodPost, "/v1/jobs", json.RawMessage(body), nil)
+		if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "algorithm") {
+			t.Errorf("algorithm member %q: err=%v", member, err)
+		}
+	}
 	// A point core.Config.Validate rejects is refused at submission, not
 	// accepted and failed later.
 	bad = mustPoints(t, testGrid(1))

@@ -49,18 +49,22 @@
 //     the least time between two of them, which only a server that
 //     does not hold (older, or draining) makes it sleep.
 //   - cluster.go / lease.go / worker.go / retry.go: how every job runs.
-//     The server cuts each grid into leased work units that Worker loops
-//     claim, heartbeat and complete: a standalone server's own slots by
-//     function call, a coordinator's (ServerOptions.Cluster set) Worker
+//     The server cuts each grid into leased work units, which the running
+//     job holds with its outcomes. A Worker claims units one at a time
+//     while its leases hold fewer than Worker.Workers points, heartbeats
+//     and completes each on its own goroutine, and runs Worker.Workers
+//     points at once across them. A standalone server starts one Worker
+//     of its own (ServerOptions.Workers) that claims by function call;
+//     a coordinator (ServerOptions.Cluster set) leases to Worker
 //     processes over HTTP. A unit is requeued for one reason: its points
 //     are unresolved when its lease ends, because the failure detector
 //     expired it (its worker went silent past its TTL) or its worker
-//     handed it back (a draining worker reports only the points it ran).
-//     After ServerOptions.MaxAttempts claims its remaining points fail.
-//     Every reported error, a panic included, fails its point at once.
-//     Workers simulate against the Store, so every finished point is
-//     durable before it is reported and a requeued lease re-simulates
-//     nothing persisted. An idle remote
+//     handed it back (a draining worker reports only the points it
+//     ran). After ServerOptions.MaxAttempts claims its
+//     remaining points fail. Every reported error, a panic included,
+//     fails its point at once. Workers simulate against the Store, so
+//     every finished point is durable before it is reported and a
+//     requeued lease re-simulates nothing persisted. An idle remote
 //     worker's claim carries wait_ms too: the coordinator holds it (at
 //     most 30 s and one lease TTL) until a unit is seeded or requeued.
 package serve
@@ -78,7 +82,10 @@ import (
 
 // Point is the serializable form of one grid point. Enumerations travel
 // by name (the String forms the CLIs already parse) so payloads stay
-// readable and stable across releases; damage, static or timed, travels
+// readable and stable across releases; a name is a string, not the
+// enumeration's own type, so a point that leaves one out, or sends null,
+// names no algorithm (table, selection, pattern) and is refused instead
+// of running as the zero value. Damage, static or timed, travels
 // under "faults" as its canonical spec string, the form lapses-sim -faults
 // reads, which fault.ParseSchedule turns into Config.Faults; the adaptive
 // tier is its tolerance, "auto_tol"; burst, QoS and reliability parameters
@@ -134,7 +141,13 @@ func PointFromConfig(c core.Config) (Point, error) {
 	if c.Trace != nil {
 		return Point{}, fmt.Errorf("serve: Config.Trace has no wire form (a trace's messages stay in the process that built it) and cannot be submitted to a server")
 	}
-	p := Point{
+	return point(c), nil
+}
+
+// point is PointFromConfig for a config with no trace, which has a wire
+// form: every config a Point materializes.
+func point(c core.Config) Point {
+	return Point{
 		Dims:       append([]int(nil), c.Dims...),
 		Torus:      c.Torus,
 		VCs:        c.VCs,
@@ -165,19 +178,10 @@ func PointFromConfig(c core.Config) (Point, error) {
 		QoS:         c.QoS,
 		Reliability: c.Reliability,
 	}
-	return p, nil
 }
 
 // Config materializes the wire point back into a validated core.Config.
 func (p Point) Config() (core.Config, error) {
-	if len(p.Dims) == 0 {
-		return core.Config{}, fmt.Errorf("serve: point has no dimensions")
-	}
-	for _, k := range p.Dims {
-		if k < 2 {
-			return core.Config{}, fmt.Errorf("serve: point radix %d < 2", k)
-		}
-	}
 	c := core.Config{
 		Dims:       append([]int(nil), p.Dims...),
 		Torus:      p.Torus,
@@ -215,6 +219,9 @@ func (p Point) Config() (core.Config, error) {
 		return core.Config{}, fmt.Errorf("serve: point pattern: %w", err)
 	}
 	if p.Faults != "" {
+		if err := core.ValidateDims(c.Dims); err != nil {
+			return core.Config{}, fmt.Errorf("serve: point config: %w", err)
+		}
 		if c.Faults, err = fault.ParseSchedule(c.Mesh(), p.Faults); err != nil {
 			return core.Config{}, fmt.Errorf("serve: point faults: %w", err)
 		}

@@ -129,8 +129,8 @@ func TestPointConfigErrors(t *testing.T) {
 	}
 	cases := map[string]func(p *Point){
 		"no dims":        func(p *Point) { p.Dims = nil },
-		"radix 1":        func(p *Point) { p.Dims = []int{1, 4} },
 		"bad algorithm":  func(p *Point) { p.Algorithm = "warp-drive" },
+		"no algorithm":   func(p *Point) { p.Algorithm = "" },
 		"bad table":      func(p *Point) { p.Table = "hash" },
 		"bad selection":  func(p *Point) { p.Selection = "psychic" },
 		"bad pattern":    func(p *Point) { p.Pattern = "tsunami" },
@@ -143,6 +143,22 @@ func TestPointConfigErrors(t *testing.T) {
 		if _, err := p.Config(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// A radix no mesh has is refused as Validate words it, with or
+	// without a fault spec to place in the mesh.
+	for _, faults := range []string{"", "1-2"} {
+		p := good
+		p.Dims, p.Faults = []int{1, 4}, faults
+		if _, err := p.Config(); err == nil || !strings.Contains(err.Error(), "core: radix 1 < 2") {
+			t.Errorf("radix 1, faults %q: want core's refusal, got %v", faults, err)
+		}
+	}
+	// Validate judges a point with its faults in place, which permit what
+	// a healthy mesh refuses: yx beyond two dimensions.
+	yx3 := good
+	yx3.Dims, yx3.Algorithm, yx3.Faults = []int{4, 4, 4}, "yx", "1-2"
+	if _, err := yx3.Config(); err != nil {
+		t.Errorf("faulted yx on 4x4x4: %v", err)
 	}
 	// core.Config.Validate's refusals name their field.
 	for field, mutate := range map[string]func(p *Point){

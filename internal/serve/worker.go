@@ -6,15 +6,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"lapses/internal/core"
 	"lapses/internal/sweep"
 )
 
-// Worker is one cluster worker instance: a claim-execute-complete loop
-// against one or more coordinators. Each claimed lease is simulated
-// through sweep.Run with the worker's Store as the cache layer, so every
+// Worker is one cluster worker instance: a claim loop against one or
+// more coordinators that runs each claimed lease on its own goroutine, at
+// most Workers points at once across them. A lease's points run through
+// sweep.Run with the worker's Store as the cache layer, so every
 // completed point is durable the moment it finishes — a worker killed
 // mid-lease (kill -9 included) loses only its in-flight points, and the
 // re-execution of its requeued lease serves the persisted ones straight
@@ -40,8 +44,10 @@ type Worker struct {
 	// Store is the worker's result store — the shared cluster directory,
 	// or a private one merged coordinator-side on completion (required).
 	Store *Store
-	// Workers is the sweep pool width per unit (<= 0: the sweep
-	// default).
+	// Workers is how many points the worker runs at once across its
+	// leases, and how many its leases may hold before it stops claiming
+	// (<= 0: GOMAXPROCS): with 1-point units it runs Workers leases at
+	// once, and one lease alone runs as wide as the worker.
 	Workers int
 	// HTTP is the transport (nil: http.DefaultClient).
 	HTTP *http.Client
@@ -55,8 +61,7 @@ type Worker struct {
 	// Verbose, when non-nil, receives one line per lease executed.
 	Verbose io.Writer
 
-	local peer // set instead of Coordinators for a standalone server's slot
-	cur   int  // index of the last coordinator that answered
+	local peer // set instead of Coordinators for a standalone server's Worker
 }
 
 // peer is a coordinator as a worker sees it: a *Client, or a standalone
@@ -87,30 +92,32 @@ func (w *Worker) idle() time.Duration {
 	return 250 * time.Millisecond
 }
 
-// claim asks each coordinator in turn (starting from the last one that
-// answered) for a lease. Transport errors rotate to the next peer; a
-// reachable coordinator with no work holds the claim until it has some
-// (or its hold runs out), which ends the round.
-func (w *Worker) claim(ctx context.Context, peers []peer) (peer, ClaimResponse, error) {
+// claim asks each coordinator in turn, starting from peers[cur], the
+// last one that answered, for a lease. Transport errors rotate to the
+// next peer; a reachable coordinator with no work holds the claim until
+// it has some (or its hold runs out), which ends the round. It returns
+// the index of the peer that answered.
+func (w *Worker) claim(ctx context.Context, peers []peer, cur int) (int, ClaimResponse, error) {
 	hold := (&Client{HTTP: w.HTTP}).hold()
 	var lastErr error
 	for k := range peers {
-		i := (w.cur + k) % len(peers)
-		co := peers[i]
-		resp, err := co.Claim(ctx, w.ID, hold)
+		i := (cur + k) % len(peers)
+		resp, err := peers[i].Claim(ctx, w.ID, hold)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		w.cur = i
-		return co, resp, nil
+		return i, resp, nil
 	}
-	return nil, ClaimResponse{}, lastErr
+	return cur, ClaimResponse{}, lastErr
 }
 
 // Run claims and executes leases until ctx is cancelled, then drains:
-// the in-flight unit's running points finish and persist, its outcomes
-// are reported, and Run returns ctx.Err().
+// each in-flight unit's running points finish and persist, its outcomes
+// are reported, and Run returns ctx.Err(). It claims one lease at a time,
+// and only while its unreported leases hold fewer than Workers points, so
+// a worker never sits on a unit it cannot start while another worker
+// idles.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.validate(); err != nil {
 		return err
@@ -122,9 +129,16 @@ func (w *Worker) Run(ctx context.Context) error {
 	for _, base := range w.Coordinators {
 		peers = append(peers, &Client{Base: base, HTTP: w.HTTP})
 	}
-	misses := 0
-	for ctx.Err() == nil {
-		co, grant, err := w.claim(ctx, peers)
+	n := w.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	lim := &pointLimit{Store: w.Store, tokens: make(chan struct{}, n), freed: make(chan struct{}, 1)}
+	var wg sync.WaitGroup
+	cur, misses := 0, 0
+	for lim.room(ctx) {
+		i, grant, err := w.claim(ctx, peers, cur)
+		cur = i
 		switch {
 		case err != nil:
 			// No coordinator reachable: back off, jittered so a fleet of
@@ -139,15 +153,67 @@ func (w *Worker) Run(ctx context.Context) error {
 			sleepCtx(ctx, time.Duration(grant.RetryMS)*time.Millisecond)
 		default:
 			misses = 0
-			w.execute(ctx, co, grant)
+			lim.held.Add(int64(len(grant.Indices)))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.execute(ctx, peers[i], grant, lim)
+			}()
 		}
 	}
+	wg.Wait()
 	return ctx.Err()
+}
+
+// pointLimit is a worker's Store as its leases' sweeps see it, and the
+// count that decides when the worker claims. A point takes one of the
+// worker's tokens before it reads or simulates, so the worker runs at
+// most cap(tokens) points at once across its leases. A point whose unit
+// stops while it waits has not started: it carries the unit's ctx.Err()
+// and is handed back. The wait is outside the Store, so a waiting point
+// leads no flight another lease's point could join.
+type pointLimit struct {
+	*Store
+	tokens chan struct{}
+	held   atomic.Int64  // points in the worker's unreported leases
+	freed  chan struct{} // signalled when held falls
+}
+
+// room waits until the worker's leases hold fewer points than it has
+// tokens, and reports false once ctx ends.
+func (l *pointLimit) room(ctx context.Context) bool {
+	for ctx.Err() == nil && l.held.Load() >= int64(cap(l.tokens)) {
+		select {
+		case <-l.freed:
+		case <-ctx.Done():
+		}
+	}
+	return ctx.Err() == nil
+}
+
+// release ends a lease of k points.
+func (l *pointLimit) release(k int) {
+	l.held.Add(-int64(k))
+	select {
+	case l.freed <- struct{}{}:
+	default:
+	}
+}
+
+func (l *pointLimit) Do(ctx context.Context, cfg core.Config, run func(core.Config) (core.Result, error)) (core.Result, bool, error) {
+	select {
+	case l.tokens <- struct{}{}:
+	case <-ctx.Done():
+		return core.Result{}, false, ctx.Err()
+	}
+	defer func() { <-l.tokens }()
+	return l.Store.Do(ctx, cfg, run)
 }
 
 // execute runs one leased unit to completion (or abandonment) and
 // reports per-point outcomes back to the coordinator.
-func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse) {
+func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse, lim *pointLimit) {
+	defer lim.release(len(g.Indices)) // once reported: the next claim follows the completion
 	// Materialize the wire points. A config that fails validation is a
 	// permanent failure — retrying a malformed point cannot help — and
 	// never reaches the simulator.
@@ -199,8 +265,8 @@ func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse) {
 	}()
 
 	outs, _ := sweep.Run(unitCtx, cfgs, sweep.Options{
-		Workers: w.Workers,
-		Cache:   w.Store,
+		Workers: cap(lim.tokens),
+		Cache:   lim,
 		Runner:  w.Runner,
 	})
 	cancel()
@@ -232,18 +298,15 @@ func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse) {
 	defer rcancel()
 	resp, err := co.Complete(rctx, g.Lease, g.Job, w.ID, reports)
 	if w.Verbose != nil {
-		nres, ncached, nerr := 0, 0, 0
+		ncached, nerr := 0, 0
 		for _, rep := range reports {
-			switch {
-			case rep.Error != "":
+			if rep.Error != "" {
 				nerr++
-			case rep.Cached:
+			} else if rep.Cached {
 				ncached++
-				nres++
-			default:
-				nres++
 			}
 		}
+		nres := len(reports) - nerr
 		switch {
 		case err != nil:
 			fmt.Fprintf(w.Verbose, "[worker %s lease %s: completion not delivered: %v]\n", w.ID, g.Lease, err)

@@ -80,6 +80,15 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
+// MarshalText spells k by name, the form ParseKind reads.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a name with ParseKind.
+func (k *Kind) UnmarshalText(b []byte) (err error) {
+	*k, err = ParseKind(string(b))
+	return err
+}
+
 // Entries returns the number of entries one router's table of this
 // organization stores on m, the paper's storage-cost metric (Table 5): N
 // for a full table, 3^n for ES, one per cluster plus one per node of the

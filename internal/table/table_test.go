@@ -13,6 +13,27 @@ var cls4 = routing.Class{NumVCs: 4, EscapeVCs: 1}
 
 // The paper's central storage claim: ES routing is identical to full-table
 // routing for every (router, destination) pair.
+func TestKindRoundTrip(t *testing.T) {
+	for _, k := range Kinds {
+		got, err := ParseKind(k.String())
+		if err != nil || got != k {
+			t.Errorf("round trip %v: %v %v", k, got, err)
+		}
+		// The text form, which flags and the wire use, is the same name.
+		b, err := k.MarshalText()
+		got = 0
+		if err != nil || string(b) != k.String() || got.UnmarshalText(b) != nil || got != k {
+			t.Errorf("text round trip %v: %q %v -> %v", k, b, err, got)
+		}
+	}
+	if _, err := ParseKind("hash"); err == nil {
+		t.Error("expected error for unknown organization")
+	}
+	if got := KindES; got.UnmarshalText([]byte("hash")) == nil {
+		t.Error("UnmarshalText accepted an unknown name")
+	}
+}
+
 func TestESIdenticalToFullTable(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	algs := []routing.Algorithm{

@@ -108,6 +108,15 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("traffic: unknown pattern %q", s)
 }
 
+// MarshalText spells k by name, the form ParseKind reads.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a name with ParseKind.
+func (k *Kind) UnmarshalText(b []byte) (err error) {
+	*k, err = ParseKind(string(b))
+	return err
+}
+
 // New builds a pattern for the given topology. Transpose needs a square
 // 2-D shape, and the bit permutations (bit-reversal, shuffle, complement)
 // a power-of-two node count, as in the literature they are defined over
