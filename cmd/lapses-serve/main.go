@@ -4,18 +4,18 @@
 // processes in cluster mode), and persists every completed point to a
 // crash-safe, content-addressed result store — so overlapping grids
 // submitted across processes, users and restarts cost one simulation per
-// unique point, ever. A worker, in-process or not, runs -workers points
-// at once and claims a lease only while its leases hold fewer, so one
-// lease alone runs as wide as the worker.
+// unique point, ever. A lease is one point. A worker, in-process or not,
+// holds and runs at most -workers leases at once and claims only while
+// it has fewer.
 //
 //	lapses-serve -store /var/lib/lapses            # serve on :8347
 //	lapses-serve -addr :9000 -workers 8 -queue 4
 //	lapses-experiments -exp fig5 -server http://host:8347
 //
 // Cluster mode spreads one server's grids across machines. A
-// coordinator decomposes each submitted grid into leased work units;
-// workers claim units over HTTP, simulate them against the shared
-// store, heartbeat while running, and report per-point results back:
+// coordinator leases each submitted grid's points; workers claim them
+// over HTTP, simulate them against the shared store, heartbeat while
+// running, and report each result back:
 //
 //	lapses-serve -mode coordinator -store /shared/lapses -lease-ttl 10s
 //	lapses-serve -mode worker -peers http://coord:8347 -store /shared/lapses
@@ -34,9 +34,9 @@
 //     resubmitting the job resumes from the store.
 //   - A failing or panicking point fails that point at once, not the
 //     server: the simulator is deterministic, so no point is retried.
-//   - A lease unit left unresolved (its worker went silent past the TTL,
-//     or drained) is requeued, at most -retries claims per unit; then
-//     its unresolved points fail.
+//   - A leased point left unresolved (its worker went silent past the
+//     TTL, or drained before starting it) is requeued, at most -retries
+//     claims per point; then it fails.
 //   - The job queue is bounded: beyond -queue waiting jobs, submissions
 //     get 429 + Retry-After backpressure.
 //   - A per-job deadline (-job-timeout, one for every job) cancels runaway
@@ -72,13 +72,12 @@ func main() {
 	mode := flag.String("mode", "standalone", "role: standalone (serve jobs, lease them to an in-process worker), coordinator (serve jobs, lease them to workers), or worker (claim leases from -peers)")
 	addr := flag.String("addr", ":8347", "listen address (standalone and coordinator modes)")
 	storeDir := flag.String("store", "", "result-store directory (required); created if missing; cluster roles share one directory")
-	workers := flag.Int("workers", 0, "points the worker runs at once, across as many leases as that takes (standalone: the in-process worker; worker mode); 0 = GOMAXPROCS")
+	workers := flag.Int("workers", 0, "leases, one point each, the worker runs at once (standalone: the in-process worker; worker mode); 0 = GOMAXPROCS")
 	queue := flag.Int("queue", 16, "max jobs waiting behind the running one before submissions get 429")
-	retries := flag.Int("retries", 3, "claims per lease unit before its unresolved points fail (standalone and coordinator modes; 1 = lease each unit once)")
+	retries := flag.Int("retries", 3, "claims per point before it fails (standalone and coordinator modes; 1 = lease each point once)")
 	jobTimeout := flag.Duration("job-timeout", 0, "every job's deadline from when it starts running (0 = none)")
 	peers := flag.String("peers", "", "comma-separated coordinator base URLs (worker mode; required there)")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "coordinator mode: how long a claimed lease survives without a heartbeat before its unit is requeued; workers heartbeat every quarter of it")
-	unitSize := flag.Int("unit", 4, "coordinator mode: grid points per lease unit")
+	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "coordinator mode: how long a claimed lease survives without a heartbeat before its point is requeued; workers heartbeat every quarter of it")
 	workerID := flag.String("worker-id", "", "worker mode: stable identity in coordinator logs and lease ownership (default host:pid)")
 	flag.Parse()
 
@@ -102,7 +101,6 @@ func main() {
 		"peers":       {"worker"},
 		"worker-id":   {"worker"},
 		"lease-ttl":   {"coordinator"},
-		"unit":        {"coordinator"},
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if want, scoped := modeFlags[f.Name]; scoped && !slices.Contains(want, *mode) {
@@ -127,9 +125,6 @@ func main() {
 	}
 	if *leaseTTL <= 0 {
 		fatal(fmt.Errorf("-lease-ttl %s: lease TTL must be positive", *leaseTTL))
-	}
-	if *unitSize < 1 {
-		fatal(fmt.Errorf("-unit %d: lease unit size must be at least 1 point", *unitSize))
 	}
 
 	var peerList []string
@@ -166,10 +161,7 @@ func main() {
 		JobTimeout:  *jobTimeout,
 	}
 	if *mode == "coordinator" {
-		opt.Cluster = &serve.ClusterOptions{
-			LeaseTTL: *leaseTTL,
-			UnitSize: *unitSize,
-		}
+		opt.Cluster = &serve.ClusterOptions{LeaseTTL: *leaseTTL}
 	}
 	srv := serve.NewServer(store, opt)
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}

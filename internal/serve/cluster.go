@@ -10,28 +10,21 @@ import (
 	"lapses/internal/sweep"
 )
 
-// ClusterOptions turn a Server into a cluster coordinator: the leased
-// work units (contiguous point ranges) its jobs are cut into go to
-// worker instances that claim, heartbeat, and complete them over HTTP,
-// under the same failure taxonomy as a standalone server's in-process
-// Worker (see PointReport).
+// ClusterOptions turn a Server into a cluster coordinator: its jobs'
+// points are leased, one point a lease, to worker instances that claim,
+// heartbeat, and complete them over HTTP, under the same failure
+// taxonomy as a standalone server's in-process Worker (see PointReport).
 type ClusterOptions struct {
-	// LeaseTTL is how long a claimed unit stays owned without a
+	// LeaseTTL is how long a claimed point stays owned without a
 	// heartbeat before the failure detector requeues it (default 10s).
 	// It also sets the heartbeat cadence advertised to workers: a
 	// quarter of it.
 	LeaseTTL time.Duration
-	// UnitSize is the maximum grid points per lease (default 4). Smaller
-	// units steal better; larger units amortize lease traffic.
-	UnitSize int
 }
 
 func (o ClusterOptions) normalize() ClusterOptions {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
-	}
-	if o.UnitSize < 1 {
-		o.UnitSize = 4
 	}
 	return o
 }
@@ -44,9 +37,9 @@ func (o ClusterOptions) heartbeat() time.Duration { return o.LeaseTTL / 4 }
 // three POSTs: claim a lease, heartbeat it while simulating, complete it
 // with per-point reports.
 
-// ClaimRequest asks the coordinator for a work unit. WaitMS lets the
-// coordinator hold the request while it has nothing to lease — until a
-// unit is seeded or requeued, WaitMS (at most maxHold and one lease TTL,
+// ClaimRequest asks the coordinator for a point to lease. WaitMS lets
+// the coordinator hold the request while it has nothing to lease — until
+// a point is seeded or requeued, WaitMS (at most maxHold and one lease TTL,
 // which keeps the worker's last-seen time fresh) passes, or it drains —
 // so an idle worker starts on a new job when it arrives, not at its next
 // poll.
@@ -58,7 +51,9 @@ type ClaimRequest struct {
 // ClaimResponse grants a lease (Lease non-empty) or reports no work.
 // Job is the job's cluster-wide identity (the job ID qualified by the
 // coordinator's incarnation epoch); the worker must echo it back in the
-// lease's CompleteRequest.
+// lease's CompleteRequest. A grant's Indices and Points hold one point;
+// a worker runs the points of a longer grant, which a coordinator built
+// before leases were one point sends, one after another.
 type ClaimResponse struct {
 	Lease   string  `json:"lease,omitempty"`
 	Job     string  `json:"job,omitempty"`
@@ -85,8 +80,8 @@ type HeartbeatRequest struct {
 }
 
 // HeartbeatResponse reports whether the lease is still owned. OK=false
-// tells the worker to abandon the unit: the lease expired and was
-// requeued, the job ended, or the coordinator restarted.
+// tells the worker to abandon the lease: it expired and was requeued,
+// the job ended, or the coordinator restarted.
 type HeartbeatResponse struct {
 	OK bool `json:"ok"`
 }
@@ -127,10 +122,10 @@ type CompleteResponse struct {
 // ClusterStats is the coordinator's operational view, served at
 // GET /v1/cluster: the live lease picture plus cumulative counters
 // across all jobs since the process started, which every lease event
-// bumps as it happens. TransientRequeues counts units a worker completed
-// with points unresolved (a draining worker hands back the points it
-// never started); each went back to the queue, or failed on its last
-// attempt.
+// bumps as it happens. TransientRequeues counts leases a worker
+// completed with their point unresolved (a draining worker hands back a
+// point it never started); each went back to the queue, or failed on its
+// last attempt. A unit is one leased point.
 type ClusterStats struct {
 	Coordinator       bool   `json:"coordinator"`
 	ActiveJob         string `json:"active_job,omitempty"`
@@ -169,8 +164,9 @@ func (s *Server) pruneWorkersLocked(now time.Time) {
 // runClustered executes one job by leasing its grid to workers — the
 // server's own Worker when standalone. It resolves already-stored points
 // up front (a resubmitted grid costs zero leases for completed work),
-// chunks the rest into units, and runs the orphan-lease failure detector
-// until every point is resolved or the job context ends.
+// queues the rest for lease one point at a time, and runs the
+// orphan-lease failure detector until every point is resolved or the job
+// context ends.
 //
 // When ctx ends (DELETE, the deadline, Shutdown) no lease is granted or
 // renewed, and the leases already out count what they report until each
@@ -215,7 +211,7 @@ func (s *Server) runClustered(ctx context.Context, jb *job) error {
 			jb.record(i, outcome{result: raw, cached: true})
 		}
 	}
-	jb.seed(s.lease.UnitSize)
+	jb.seed()
 	s.cluster = jb
 	if len(jb.pending) > 0 {
 		s.wakeClaimsLocked()
@@ -274,13 +270,13 @@ func (s *Server) notCoordinator(w http.ResponseWriter) bool {
 }
 
 // wakeClaimsLocked wakes every held claim to look at the queue again
-// (mu held): a unit was seeded or requeued, or the server is draining.
+// (mu held): a point was seeded or requeued, or the server is draining.
 func (s *Server) wakeClaimsLocked() {
 	close(s.work)
 	s.work = make(chan struct{})
 }
 
-// tryClaim leases the next pending unit to worker. With nothing to
+// tryClaim leases the next pending point to worker. With nothing to
 // lease it returns the channel the next wakeClaimsLocked will close.
 func (s *Server) tryClaim(worker string) (grant *ClaimResponse, wake <-chan struct{}, draining bool) {
 	now := time.Now()
@@ -300,17 +296,14 @@ func (s *Server) tryClaim(worker string) (grant *ClaimResponse, wake <-chan stru
 		Lease:       u.lease,
 		Job:         jb.token,
 		Attempt:     u.attempt,
-		Indices:     append([]int(nil), u.indices...),
+		Indices:     []int{u.index},
 		TTLMS:       s.lease.LeaseTTL.Milliseconds(),
 		HeartbeatMS: s.lease.heartbeat().Milliseconds(),
 	}
 	s.mu.Unlock()
 	// Outside the lock: a job's grid never changes, and every config in
 	// it came from a submitted Point, so it has a wire form.
-	grant.Points = make([]Point, len(grant.Indices))
-	for j, i := range grant.Indices {
-		grant.Points[j] = point(jb.grid[i])
-	}
+	grant.Points = []Point{point(jb.grid[grant.Indices[0]])}
 	return grant, nil, false
 }
 
@@ -478,8 +471,8 @@ func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration) (
 	return resp, err
 }
 
-// Heartbeat renews a lease; ok=false means the lease is lost and the
-// unit should be abandoned.
+// Heartbeat renews a lease; ok=false means the lease is lost and its
+// point should be abandoned.
 func (c *Client) Heartbeat(ctx context.Context, lease, worker string) (bool, error) {
 	var resp HeartbeatResponse
 	err := c.do(ctx, http.MethodPost, "/v1/cluster/heartbeat", HeartbeatRequest{Lease: lease, Worker: worker}, &resp)

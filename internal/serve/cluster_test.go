@@ -20,9 +20,9 @@ import (
 
 // fastCluster is a coordinator config tight enough that orphan detection
 // and requeue cycles complete within test time: 200ms TTL (so 50ms
-// heartbeats), 4-point units.
+// heartbeats).
 func fastCluster() *ClusterOptions {
-	return &ClusterOptions{LeaseTTL: 200 * time.Millisecond, UnitSize: 4}
+	return &ClusterOptions{LeaseTTL: 200 * time.Millisecond}
 }
 
 // startWorker opens its own Store over dir (the shared cluster
@@ -174,8 +174,8 @@ func TestClusterNonFiniteResult(t *testing.T) {
 		}
 	}
 	cs, err := c.ClusterStats(context.Background())
-	if err != nil || cs.Claims != 1 || cs.OrphanRequeues != 0 || cs.ExhaustedUnits != 0 {
-		t.Errorf("the unit should complete on its first lease and the resubmission need none: %+v err=%v", cs, err)
+	if err != nil || cs.Claims != 3 || cs.OrphanRequeues != 0 || cs.ExhaustedUnits != 0 {
+		t.Errorf("each point should complete on its first lease and the resubmission need none: %+v err=%v", cs, err)
 	}
 	st, err := c.StoreStats(context.Background())
 	if err != nil || st.PutFailures != 0 || st.Entries != 3 {
@@ -190,7 +190,7 @@ func TestClusterNonFiniteResult(t *testing.T) {
 // must requeue the orphaned lease within ~one TTL, the survivors must
 // finish the job, the merged results must be identical to an in-process
 // run, and no point may be simulated twice — the partitioned worker's
-// already-persisted points come back as store hits.
+// already-persisted point comes back as a store hit.
 func TestClusterOrphanRecovery(t *testing.T) {
 	t.Parallel()
 	grid := testGrid(8)
@@ -202,19 +202,17 @@ func TestClusterOrphanRecovery(t *testing.T) {
 	dir := t.TempDir()
 	_, c := testServer(t, dir, ServerOptions{Cluster: fastCluster()})
 
-	// Worker "victim" simulates its unit's first two points normally
-	// (they persist to the shared store), then loses its network and
-	// hangs: from the coordinator's side it simply goes silent.
+	// Worker "victim" simulates its first two points normally and
+	// reports them, then loses its network while simulating the third,
+	// which persists to the shared store but is never reported: from the
+	// coordinator's side it simply goes silent.
 	var counts sync.Map
 	count := countingRunner(&counts)
 	var severed atomic.Bool
-	hang := make(chan struct{})
 	victimKey := grid[2].Key()
 	victimRunner := func(cfg core.Config) (core.Result, error) {
 		if cfg.Key() == victimKey {
 			severed.Store(true)
-			<-hang
-			return core.Result{}, context.Canceled
 		}
 		return count(cfg)
 	}
@@ -234,14 +232,10 @@ func TestClusterOrphanRecovery(t *testing.T) {
 	vctx, vcancel := context.WithCancel(context.Background())
 	vdone := make(chan struct{})
 	go func() { defer close(vdone); victim.Run(vctx) }()
-	// Unblock the hung runner before reaping the victim goroutine —
-	// sweep.Run waits for in-flight points, so the reverse order would
-	// deadlock the cleanup.
-	t.Cleanup(func() { close(hang); vcancel(); <-vdone })
+	t.Cleanup(func() { vcancel(); <-vdone })
 
-	// Submit, then let the victim claim the first unit and reach its
-	// hang point before the survivors join, so the orphaned lease is
-	// guaranteed to exist.
+	// Submit, then let the victim reach its partition point before the
+	// survivors join, so the orphaned lease is guaranteed to exist.
 	st, err := c.Submit(context.Background(), mustPoints(t, grid))
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +243,7 @@ func TestClusterOrphanRecovery(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for !severed.Load() {
 		if time.Now().After(deadline) {
-			t.Fatal("victim never reached its hang point")
+			t.Fatal("victim never reached its partition point")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -275,9 +269,9 @@ func TestClusterOrphanRecovery(t *testing.T) {
 			t.Fatalf("point %d diverged after chaos:\nclustered  %+v\nin-process %+v", i, *res.Outcomes[i].Result, want[i].Result)
 		}
 	}
-	// The exactly-once pin: the victim persisted grid[0] and grid[1]
-	// before hanging; the survivor that re-executed the requeued lease
-	// must have served them from the store, not re-simulated them.
+	// The exactly-once pin: the victim persisted grid[2] but never
+	// reported it; the survivor that re-executed the requeued lease must
+	// have served it from the store, not re-simulated it.
 	assertExactlyOnce(t, &counts)
 
 	cs, err := c.ClusterStats(context.Background())
@@ -301,7 +295,7 @@ func TestClusterStaleJobCompletionDropped(t *testing.T) {
 	_, c := testServer(t, dir, ServerOptions{Cluster: fastCluster()})
 	ctx := context.Background()
 
-	// Job A: submitted with no workers attached; claim its unit by hand.
+	// Job A: submitted with no workers attached; claim a point by hand.
 	gridA := testGrid(4)
 	stA, err := c.Submit(ctx, mustPoints(t, gridA))
 	if err != nil {
@@ -362,18 +356,16 @@ func TestClusterStaleJobCompletionDropped(t *testing.T) {
 
 	// Job B completes normally and its results are its own — not job A's
 	// poison, neither merged directly nor resurrected via the store.
-	grantB := claimUntilGranted(t, c, "fresh-worker")
-	reports := make([]PointReport, len(grantB.Indices))
-	for j, idx := range grantB.Indices {
-		cfg, err := grantB.Points[j].Config()
+	for range gridB {
+		grantB := claimUntilGranted(t, c, "fresh-worker")
+		cfg, err := grantB.Points[0].Config()
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, _ := scripted(cfg)
-		reports[j] = PointReport{Index: idx, Result: &res}
-	}
-	if _, err := c.Complete(ctx, grantB.Lease, grantB.Job, "fresh-worker", reports); err != nil {
-		t.Fatal(err)
+		if _, err := c.Complete(ctx, grantB.Lease, grantB.Job, "fresh-worker", []PointReport{{Index: grantB.Indices[0], Result: &res}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	final := waitState(t, c, stB.ID, func(st JobStatus) bool { return st.Terminal() })
 	if final.State != JobDone || final.Failed != 0 {
@@ -400,7 +392,7 @@ func TestClusterStaleJobCompletionDropped(t *testing.T) {
 }
 
 // claimUntilGranted claims as worker with a held claim, so the grant
-// arrives as soon as the submitted job has been cut into units.
+// arrives as soon as the submitted job's points are queued for lease.
 func claimUntilGranted(t *testing.T, c *Client, worker string) ClaimResponse {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -416,36 +408,36 @@ func claimUntilGranted(t *testing.T, c *Client, worker string) ClaimResponse {
 	}
 }
 
-// TestWorkerRunsWorkersLeasesAtOnce: a Worker runs Workers points at
-// once, however its grid is cut into units: three points from 2-point
-// units, one 4-point lease as wide as a 4-point worker, never more than
-// two on a 2-point worker. And it claims only while its leases hold fewer
-// than Workers points, so a second worker started once the first is busy
-// gets the second unit instead of waiting on a lease the first cannot
-// start. Every key is simulated once.
+// TestWorkerRunsWorkersLeasesAtOnce: a Worker runs Workers leases, one
+// point each, at once and never more; it claims only while one of its
+// slots is free, so the coordinator never has more leases out than the
+// fleet has slots; and a second worker started once the first is busy
+// gets the points the first cannot start. Every key is simulated once.
 func TestWorkerRunsWorkersLeasesAtOnce(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
-		name                         string
-		unit, workers, points, fleet int
+		name                   string
+		workers, points, fleet int
 	}{
-		{"across 2-point leases", 2, 3, 6, 1},
-		{"one lease as wide as the worker", 4, 4, 4, 1},
-		{"no wider than the worker", 4, 2, 8, 1},
-		{"no lease it cannot start", 4, 2, 8, 2},
+		{"no wider than the worker", 2, 8, 1},
+		{"no lease it cannot start", 2, 8, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			_, c := testServer(t, dir, ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 10 * time.Second, UnitSize: tc.unit}})
+			srv, c := testServer(t, dir, ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 10 * time.Second}})
 			var counts sync.Map
 			count := countingRunner(&counts)
 			want := tc.workers * tc.fleet
 			var mu sync.Mutex
-			running, peak := 0, 0
+			running, peak, leased := 0, 0, 0
 			started, full := make(chan struct{}), make(chan struct{})
 			runner := func(cfg core.Config) (core.Result, error) {
+				srv.mu.Lock()
+				out := len(srv.cluster.active)
+				srv.mu.Unlock()
 				mu.Lock()
+				leased = max(leased, out)
 				if running++; running > peak {
 					if peak = running; peak == 1 {
 						close(started)
@@ -508,17 +500,20 @@ func TestWorkerRunsWorkersLeasesAtOnce(t *testing.T) {
 			if peak != want {
 				t.Errorf("at most %d points ran at once, want %d", peak, want)
 			}
+			if leased > want {
+				t.Errorf("%d leases out at once, more than the fleet's %d slots", leased, want)
+			}
 			assertExactlyOnce(t, &counts)
 		})
 	}
 }
 
-// TestClusterGrantKeysLikeSubmission: a grant's points are rebuilt from
-// the job's configs, and each must key exactly like the point submitted
-// at its index, a faulted point spelled in a non-canonical form included.
+// TestClusterGrantKeysLikeSubmission: a grant's point is rebuilt from
+// the job's config, and must key exactly like the point submitted at its
+// index, a faulted point spelled in a non-canonical form included.
 func TestClusterGrantKeysLikeSubmission(t *testing.T) {
 	t.Parallel()
-	_, c := testServer(t, t.TempDir(), ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 10 * time.Second, UnitSize: 3}})
+	_, c := testServer(t, t.TempDir(), ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 10 * time.Second}})
 	points := mustPoints(t, testGrid(3))
 	points[1].Dims, points[1].Faults = []int{8, 8}, "1-2@0,r27@0"
 	body, err := json.Marshal(jobRequest{Points: points})
@@ -531,16 +526,17 @@ func TestClusterGrantKeysLikeSubmission(t *testing.T) {
 	if err := c.do(context.Background(), http.MethodPost, "/v1/jobs", json.RawMessage(body), nil); err != nil {
 		t.Fatal(err)
 	}
-	grant := claimUntilGranted(t, c, "w")
-	if len(grant.Points) != len(points) || len(grant.Indices) != len(points) {
-		t.Fatalf("grant: %+v, want all %d points in one unit", grant, len(points))
-	}
-	for j, i := range grant.Indices {
+	for range points {
+		grant := claimUntilGranted(t, c, "w")
+		if len(grant.Points) != 1 || len(grant.Indices) != 1 {
+			t.Fatalf("grant: %+v, want one point", grant)
+		}
+		i := grant.Indices[0]
 		sent, err := points[i].Config()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := grant.Points[j].Config()
+		got, err := grant.Points[0].Config()
 		if err != nil || got.Key() != sent.Key() {
 			t.Errorf("granted point %d keys %q (err %v), submitted %q", i, got.Key(), err, sent.Key())
 		}
@@ -633,7 +629,7 @@ func (s *severableTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 // (a) not kill any worker, (b) fail permanently on its first lease — the
 // simulator is deterministic, so a panic is a property of the config and
 // is never requeued — with the panic message surviving into the job's
-// error report. Healthy points in the same unit must still succeed.
+// error report. Healthy points in the same grid must still succeed.
 func TestClusterPanicRequeueAndReport(t *testing.T) {
 	t.Parallel()
 	grid := testGrid(4)
@@ -758,10 +754,12 @@ func TestOneExecutionPath(t *testing.T) {
 	}
 }
 
-// TestClusterDrainRequeuesUnstarted: cancelling a worker mid-unit (the
-// graceful SIGTERM drain) must leave its unstarted points out of its
-// completion so the coordinator requeues them immediately, and another
-// worker must finish the job without waiting out the lease TTL.
+// TestClusterDrainRequeuesUnstarted: cancelling a worker mid-lease (the
+// graceful SIGTERM drain) lets its running point finish, persist and be
+// reported, and leaves it holding no lease it has not started, so
+// another worker finishes the job without waiting out the lease TTL.
+// (A lease it claimed but never started is handed back with an empty
+// report: TestClusterHandBackRequeuesAtOnce.)
 func TestClusterDrainRequeuesUnstarted(t *testing.T) {
 	t.Parallel()
 	grid := testGrid(4)
@@ -769,7 +767,7 @@ func TestClusterDrainRequeuesUnstarted(t *testing.T) {
 	// A long TTL: if drain fell back to orphan expiry, the job could not
 	// finish inside the test deadline.
 	_, c := testServer(t, dir, ServerOptions{
-		Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 4},
+		Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second},
 	})
 
 	var counts sync.Map
@@ -794,9 +792,8 @@ func TestClusterDrainRequeuesUnstarted(t *testing.T) {
 	}
 
 	<-reached
-	// SIGTERM the draining worker: its in-flight point (grid[1]) finishes
-	// and persists, and its completion leaves grid[2], grid[3] out, which
-	// hands them back for immediate requeue.
+	// SIGTERM the draining worker: its in-flight point (grid[1]) finishes,
+	// persists and is reported, and it claims neither grid[2] nor grid[3].
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		close(release)
@@ -809,6 +806,38 @@ func TestClusterDrainRequeuesUnstarted(t *testing.T) {
 		t.Fatalf("job ended %s with %d failures: %s", final.State, final.Failed, final.Error)
 	}
 	assertExactlyOnce(t, &counts)
+}
+
+// TestClusterHandBackRequeuesAtOnce: a completion that reports nothing —
+// a draining worker's lease whose point never started — hands the point
+// back. It is claimable again at once, on its second attempt, long
+// before the lease TTL, and counted as a transient requeue, not an
+// orphan.
+func TestClusterHandBackRequeuesAtOnce(t *testing.T) {
+	t.Parallel()
+	_, c := testServer(t, t.TempDir(), ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second}})
+	ctx := context.Background()
+	if _, err := c.Submit(ctx, mustPoints(t, testGrid(1))); err != nil {
+		t.Fatal(err)
+	}
+	first := claimUntilGranted(t, c, "draining")
+	if resp, err := c.Complete(ctx, first.Lease, first.Job, "draining", nil); err != nil || resp.Late {
+		t.Fatalf("hand-back: %+v err=%v", resp, err)
+	}
+	again, err := c.Claim(ctx, "finisher", 0) // unheld: answered from the queue as it stands
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Lease == "" || again.Attempt != 2 || len(again.Indices) != 1 || again.Indices[0] != first.Indices[0] {
+		t.Fatalf("claim after the hand-back got %+v, want point %d again on attempt 2", again, first.Indices[0])
+	}
+	cs, err := c.ClusterStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.TransientRequeues != 1 || cs.OrphanRequeues != 0 || cs.ExhaustedUnits != 0 || cs.ActiveLeases != 1 {
+		t.Fatalf("cluster stats %+v, want one transient requeue and the point out again", cs)
+	}
 }
 
 // TestClusterGuards: cluster RPCs against a standalone server must be
@@ -854,32 +883,5 @@ func TestClusterHealthz(t *testing.T) {
 	}
 	if hr.Store.Quarantined != 0 || hr.Store.OrphanTempsRemoved != 0 {
 		t.Fatalf("fresh store should report clean health: %+v", hr.Store)
-	}
-}
-
-// TestRangesSeam: the lease decomposition must cover every index exactly
-// once, in order, for awkward sizes too.
-func TestRangesSeam(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		n, size int
-		want    [][2]int
-	}{
-		{0, 4, nil},
-		{1, 4, [][2]int{{0, 1}}},
-		{8, 4, [][2]int{{0, 4}, {4, 8}}},
-		{9, 4, [][2]int{{0, 4}, {4, 8}, {8, 9}}},
-		{3, 0, [][2]int{{0, 1}, {1, 2}, {2, 3}}}, // size clamps to 1
-	}
-	for _, tc := range cases {
-		got := sweep.Ranges(tc.n, tc.size)
-		if len(got) != len(tc.want) {
-			t.Fatalf("Ranges(%d,%d) = %v, want %v", tc.n, tc.size, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("Ranges(%d,%d) = %v, want %v", tc.n, tc.size, got, tc.want)
-			}
-		}
 	}
 }

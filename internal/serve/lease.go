@@ -3,8 +3,6 @@ package serve
 import (
 	"fmt"
 	"time"
-
-	"lapses/internal/sweep"
 )
 
 // outcome is one resolved point as a job keeps it until it is forgotten:
@@ -17,13 +15,10 @@ type outcome struct {
 	cached bool
 }
 
-// workUnit is one leased range of a clustered job's grid: the indices a
-// worker must resolve, how many times the unit has been claimed, and the
-// lease that currently owns it. Units start as contiguous point ranges
-// (sweep.Ranges over the unresolved grid); a requeued unit carries only
-// the indices its previous owner left unresolved.
+// workUnit is one leased point of a running job's grid: its index, how
+// many times it has been claimed, and the lease that currently owns it.
 type workUnit struct {
-	indices []int
+	index   int
 	attempt int
 
 	lease   string
@@ -34,7 +29,7 @@ type workUnit struct {
 // A running job's lease methods all require the owning Server's mu —
 // they and the expiry scanner all mutate one job, and the Server lock is
 // the single serialization point (lease traffic is a claim and a
-// completion per unit, nowhere near contention).
+// completion per point, nowhere near contention).
 //
 // The exactly-once-effect argument lives here: outs[i] is resolved
 // exactly once per point (record discards duplicates), so no matter how
@@ -74,17 +69,12 @@ func (jb *job) settle() {
 	}
 }
 
-// seed chunks the still-unresolved indices into contiguous lease units
-// of at most unitSize points each.
-func (jb *job) seed(unitSize int) {
-	var undone []int
+// seed makes one lease unit per still-unresolved point.
+func (jb *job) seed() {
 	for i, o := range jb.outs {
 		if !o.resolved() {
-			undone = append(undone, i)
+			jb.pending = append(jb.pending, &workUnit{index: i})
 		}
-	}
-	for _, r := range sweep.Ranges(len(undone), unitSize) {
-		jb.pending = append(jb.pending, &workUnit{indices: undone[r[0]:r[1]]})
 	}
 }
 
@@ -133,45 +123,33 @@ func (jb *job) expireOrphans(now time.Time) {
 	jb.settle()
 }
 
-// requeue returns a unit's unresolved indices to the pending queue — or,
-// once the attempt budget (ServerOptions.MaxAttempts) is spent, fails
-// them permanently with reason, why the unit's last lease ended, so the
-// unit cannot bounce forever. It reports whether the unit still owed any
-// point. A stopped job requeues nothing.
+// requeue returns a unit whose point is still unresolved to the pending
+// queue — or, once the attempt budget (ServerOptions.MaxAttempts) is
+// spent, fails the point permanently with reason, why the unit's last
+// lease ended, so the unit cannot bounce forever. It reports whether the
+// point was still owed. A stopped job requeues nothing.
 func (jb *job) requeue(u *workUnit, reason string) bool {
-	if jb.stopped {
-		return false
-	}
-	var left []int
-	for _, i := range u.indices {
-		if !jb.outs[i].resolved() {
-			left = append(left, i)
-		}
-	}
-	if len(left) == 0 {
+	if jb.stopped || jb.outs[u.index].resolved() {
 		return false
 	}
 	if u.attempt >= jb.srv.opt.MaxAttempts {
 		jb.srv.ctot.ExhaustedUnits++
-		err := fmt.Errorf("serve: giving up after %d lease attempts: %s", u.attempt, reason)
-		for _, i := range left {
-			jb.record(i, outcome{err: err})
-		}
+		jb.record(u.index, outcome{err: fmt.Errorf("serve: giving up after %d lease attempts: %s", u.attempt, reason)})
 		return true
 	}
-	jb.pending = append(jb.pending, &workUnit{indices: left, attempt: u.attempt})
+	jb.pending = append(jb.pending, &workUnit{index: u.index, attempt: u.attempt})
 	jb.progress.Retries++
 	return true
 }
 
-// complete applies a worker's per-point reports for a lease.
+// complete applies a worker's reports for a lease.
 //
 //   - A result or an error resolves its point. Every reported error is
 //     permanent: the simulator is deterministic, so running the point
 //     again cannot change its answer.
-//   - Points the report leaves out (a draining worker reports only what
-//     it ran) are handed back: requeue puts them in the queue at once,
-//     under the capped attempt budget.
+//   - A point the report leaves out (a draining worker reports only what
+//     it ran) is handed back: requeue puts it in the queue at once, under
+//     the capped attempt budget.
 //   - A late report — the lease already expired and was requeued — still
 //     resolves its points: re-execution is idempotent, record discards
 //     whichever copy arrives second, and the slow-but-alive worker's
@@ -195,7 +173,7 @@ func (jb *job) complete(lease string, reports []PointReport) (late bool) {
 			jb.record(r.Index, outcome{result: raw, err: err, cached: r.Cached})
 		}
 	}
-	if u != nil && jb.requeue(u, fmt.Sprintf("lease %s returned without resolving all points", lease)) {
+	if u != nil && jb.requeue(u, fmt.Sprintf("lease %s returned without resolving its point", lease)) {
 		jb.srv.ctot.TransientRequeues++
 	}
 	jb.settle()

@@ -319,15 +319,15 @@ func TestWaitCancelStillCancelsJob(t *testing.T) {
 
 // TestShutdownReleasesHeldRequests: a drain must not wait out parked
 // requests. A status waiter and a claim, both held on a coordinator
-// whose only unit is leased out, return as Shutdown starts; the job ends
+// whose only point is leased out, return as Shutdown starts; the job ends
 // interrupted.
 func TestShutdownReleasesHeldRequests(t *testing.T) {
 	t.Parallel()
 	srv, c, log := heldServer(t, t.TempDir(), ServerOptions{
-		Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 4},
+		Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second},
 	})
 	ctx := context.Background()
-	st, err := c.Submit(ctx, mustPoints(t, testGrid(2)))
+	st, err := c.Submit(ctx, mustPoints(t, testGrid(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,17 +371,17 @@ func TestShutdownReleasesHeldRequests(t *testing.T) {
 }
 
 // TestHeldClaimGetsRequeuedUnit: a claim parked on an empty queue is
-// granted the unit a completion hands back unresolved, and the unit an
+// granted the point a completion hands back unresolved, and the point an
 // orphaned lease's expiry frees — each on the request already parked.
 func TestHeldClaimGetsRequeuedUnit(t *testing.T) {
 	t.Parallel()
-	// parkThenFree leases the job's only unit to "first", parks a claim by
+	// parkThenFree leases the job's only point to "first", parks a claim by
 	// "second" after delay, calls free, and wants that one claim granted.
 	parkThenFree := func(t *testing.T, ttl, delay time.Duration, free func(c *Client, first ClaimResponse)) {
 		_, c, log := heldServer(t, t.TempDir(), ServerOptions{
-			Cluster: &ClusterOptions{LeaseTTL: ttl, UnitSize: 4},
+			Cluster: &ClusterOptions{LeaseTTL: ttl},
 		})
-		if _, err := c.Submit(context.Background(), mustPoints(t, testGrid(2))); err != nil {
+		if _, err := c.Submit(context.Background(), mustPoints(t, testGrid(1))); err != nil {
 			t.Fatal(err)
 		}
 		first := claimUntilGranted(t, c, "first")
@@ -396,14 +396,14 @@ func TestHeldClaimGetsRequeuedUnit(t *testing.T) {
 		free(c, first)
 		got := <-granted
 		if got.Lease == "" || got.Attempt != 2 {
-			t.Fatalf("parked claim got %+v, want the requeued unit on its second attempt", got)
+			t.Fatalf("parked claim got %+v, want the requeued point on its second attempt", got)
 		}
 	}
 	t.Run("transient", func(t *testing.T) {
 		t.Parallel()
 		parkThenFree(t, 30*time.Second, 0, func(c *Client, first ClaimResponse) {
-			// A draining worker that started none of the unit's points
-			// reports none of them.
+			// A draining worker that never started the point reports
+			// nothing.
 			if _, err := c.Complete(context.Background(), first.Lease, first.Job, "first", nil); err != nil {
 				t.Error(err)
 			}
@@ -426,7 +426,7 @@ func TestParkedWorkerStartsJobAtOnce(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	_, c, log := heldServer(t, dir, ServerOptions{
-		Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 4},
+		Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second},
 	})
 	ws, err := Open(dir)
 	if err != nil {

@@ -68,10 +68,10 @@ type ServerOptions struct {
 	// submissions beyond it are refused with 429 and a Retry-After
 	// header rather than queued without bound (default 16).
 	QueueLimit int
-	// MaxAttempts is how many times a lease unit is claimed before the
-	// points it still owes fail (default 3; 1: a unit is leased once).
-	// A unit is claimed again only when its lease expired or its worker
-	// handed it back with points unresolved.
+	// MaxAttempts is how many times a point is claimed before it fails
+	// (default 3; 1: a point is leased once). A point is claimed again
+	// only when its lease expired or its worker handed it back
+	// unresolved.
 	MaxAttempts int
 	// JobTimeout is every job's deadline, from when it starts running
 	// (0: none).
@@ -110,7 +110,7 @@ type job struct {
 	// outs accumulate in grid order as points resolve, one per point
 	// once the job runs; nil if it never started.
 	outs     []outcome
-	progress JobStatus // points recorded, units requeued
+	progress JobStatus // points recorded, leases requeued
 
 	// token is the job's cluster-wide identity: the job ID qualified by
 	// the coordinator's per-process epoch. Lease IDs are minted under it
@@ -118,8 +118,8 @@ type job struct {
 	// coordinator incarnation (job IDs restart from j000001 after a
 	// restart) can never collide with — or be merged into — a fresh job.
 	token     string
-	pending   []*workUnit          // units waiting to be claimed
-	active    map[string]*workUnit // units out on a lease, by lease ID
+	pending   []*workUnit          // points waiting to be claimed
+	active    map[string]*workUnit // points out on a lease, by lease ID
 	nextLease int64
 	stopped   bool // no more leasing: the job's context ended
 	// finished closes once every point is resolved or the job is stopped
@@ -163,7 +163,7 @@ type Server struct {
 	ctot        ClusterStats
 	workersSeen map[string]time.Time
 	// work is what held claims park on: closed and replaced (under mu)
-	// whenever a unit may have become claimable or the server drains.
+	// whenever a point may have become claimable or the server drains.
 	work chan struct{}
 }
 
@@ -173,7 +173,6 @@ func NewServer(store *Store, opt ServerOptions) *Server {
 	s := &Server{
 		store:       store,
 		opt:         opt.normalize(),
-		lease:       ClusterOptions{UnitSize: 1},
 		epoch:       newEpoch(),
 		jobs:        map[string]*job{},
 		draining:    make(chan struct{}),
@@ -349,7 +348,7 @@ func firstFailure(grid []core.Config, outs []outcome, failed int) string {
 
 // JobStatus is the polling view of a job: its state plus per-point
 // progress counters (Cached counts store hits — points served without
-// simulating; Retries lease units requeued).
+// simulating; Retries leases requeued).
 type JobStatus struct {
 	ID        string `json:"id"`
 	State     string `json:"state"`

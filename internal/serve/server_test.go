@@ -238,14 +238,14 @@ func mustPoints(t *testing.T, grid []core.Config) []Point {
 	return pts
 }
 
-// TestServerRetriesTransient: a unit its worker hands back with its
-// point unresolved is requeued and, claimed again inside the attempt
-// budget, succeeds without failing the job; the requeue is visible in
-// the job status. Claims and completions are driven by hand.
+// TestServerRetriesTransient: a point its worker hands back unresolved
+// is requeued and, claimed again inside the attempt budget, succeeds
+// without failing the job; the requeue is visible in the job status.
+// Claims and completions are driven by hand.
 func TestServerRetriesTransient(t *testing.T) {
 	t.Parallel()
 	_, c := testServer(t, t.TempDir(), ServerOptions{
-		Cluster:     &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 1},
+		Cluster:     &ClusterOptions{LeaseTTL: 30 * time.Second},
 		MaxAttempts: 2,
 	})
 	ctx := context.Background()
@@ -263,7 +263,7 @@ func TestServerRetriesTransient(t *testing.T) {
 	}
 	second := claimUntilGranted(t, c, "w")
 	if len(second.Indices) != 1 || second.Indices[0] != 0 || second.Attempt != 2 {
-		t.Fatalf("second grant %+v, want the unit of point 0 on attempt 2", second)
+		t.Fatalf("second grant %+v, want point 0 on attempt 2", second)
 	}
 	want, _ := scripted(grid[0])
 	if _, err := c.Complete(ctx, second.Lease, second.Job, "w", []PointReport{{Index: 0, Result: &want}}); err != nil {
@@ -293,14 +293,14 @@ func TestServerRetriesTransient(t *testing.T) {
 	}
 }
 
-// TestServerRetryBudgetExhausted: a worker that hands its unit back with
-// a point unresolved gets it requeued, at most MaxAttempts claims in
-// all; after that the point fails naming the budget, while the other
-// unit's point succeeds. Claims and completions are driven by hand.
+// TestServerRetryBudgetExhausted: a worker that hands its point back
+// unresolved gets it requeued, at most MaxAttempts claims in all; after
+// that the point fails naming the budget, while the other point
+// succeeds. Claims and completions are driven by hand.
 func TestServerRetryBudgetExhausted(t *testing.T) {
 	t.Parallel()
 	_, c := testServer(t, t.TempDir(), ServerOptions{
-		Cluster:     &ClusterOptions{LeaseTTL: 30 * time.Second, UnitSize: 1},
+		Cluster:     &ClusterOptions{LeaseTTL: 30 * time.Second},
 		MaxAttempts: 2,
 	})
 	ctx := context.Background()
@@ -311,7 +311,7 @@ func TestServerRetryBudgetExhausted(t *testing.T) {
 	}
 	healthy := claimUntilGranted(t, c, "w")
 	if len(healthy.Indices) != 1 || healthy.Indices[0] != 0 {
-		t.Fatalf("first grant %+v, want the unit of point 0", healthy)
+		t.Fatalf("first grant %+v, want point 0", healthy)
 	}
 	want, _ := scripted(grid[0])
 	if _, err := c.Complete(ctx, healthy.Lease, healthy.Job, "w", []PointReport{{Index: 0, Result: &want}}); err != nil {
@@ -320,7 +320,7 @@ func TestServerRetryBudgetExhausted(t *testing.T) {
 	for attempt := 1; attempt <= 2; attempt++ {
 		g := claimUntilGranted(t, c, "w")
 		if len(g.Indices) != 1 || g.Indices[0] != 1 || g.Attempt != attempt {
-			t.Fatalf("grant %+v, want the unit of point 1 on attempt %d", g, attempt)
+			t.Fatalf("grant %+v, want point 1 on attempt %d", g, attempt)
 		}
 		if _, err := c.Complete(ctx, g.Lease, g.Job, "w", nil); err != nil {
 			t.Fatal(err)

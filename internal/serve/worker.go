@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lapses/internal/core"
@@ -16,23 +15,22 @@ import (
 )
 
 // Worker is one cluster worker instance: a claim loop against one or
-// more coordinators that runs each claimed lease on its own goroutine, at
-// most Workers points at once across them. A lease's points run through
+// more coordinators that runs each claimed lease, one grid point, on its
+// own goroutine, at most Workers at once. A lease's point runs through
 // sweep.Run with the worker's Store as the cache layer, so every
 // completed point is durable the moment it finishes — a worker killed
 // mid-lease (kill -9 included) loses only its in-flight points, and the
-// re-execution of its requeued lease serves the persisted ones straight
-// from the store, simulating nothing twice.
+// re-execution of a requeued lease whose point was persisted is served
+// straight from the store, simulating nothing twice.
 //
 // While a lease runs, a background goroutine heartbeats it at the
 // coordinator's advertised cadence. A heartbeat answered with ok=false
 // (the lease expired and was requeued, the job ended, or the coordinator
-// restarted) aborts the unit at the next point boundary; the final
-// completion is then late, and the coordinator merges its successes
-// idempotently. Cancelling Run's context is the graceful drain: the
-// current unit stops dispatching new points, in-flight points finish and
-// persist, finished points are reported, and unstarted ones are left out
-// of the report, which hands them back: the coordinator requeues them
+// restarted) abandons a point not yet started; the final completion is
+// then late, and the coordinator merges its successes idempotently.
+// Cancelling Run's context is the graceful drain: running points finish
+// and persist and are reported, and a point not yet started is left out
+// of its report, which hands it back: the coordinator requeues it
 // immediately instead of waiting out the TTL.
 type Worker struct {
 	// ID is the worker's stable identity in coordinator logs and lease
@@ -44,10 +42,9 @@ type Worker struct {
 	// Store is the worker's result store — the shared cluster directory,
 	// or a private one merged coordinator-side on completion (required).
 	Store *Store
-	// Workers is how many points the worker runs at once across its
-	// leases, and how many its leases may hold before it stops claiming
-	// (<= 0: GOMAXPROCS): with 1-point units it runs Workers leases at
-	// once, and one lease alone runs as wide as the worker.
+	// Workers is how many leases the worker holds and runs at once, so
+	// how many points it simulates at once (<= 0: GOMAXPROCS). It claims
+	// only while one of them is free.
 	Workers int
 	// HTTP is the transport (nil: http.DefaultClient).
 	HTTP *http.Client
@@ -113,11 +110,11 @@ func (w *Worker) claim(ctx context.Context, peers []peer, cur int) (int, ClaimRe
 }
 
 // Run claims and executes leases until ctx is cancelled, then drains:
-// each in-flight unit's running points finish and persist, its outcomes
-// are reported, and Run returns ctx.Err(). It claims one lease at a time,
-// and only while its unreported leases hold fewer than Workers points, so
-// a worker never sits on a unit it cannot start while another worker
-// idles.
+// each in-flight lease's running point finishes and persists, its
+// outcome is reported, and Run returns ctx.Err(). It claims one lease at
+// a time, and only while it has a free slot of its Workers, which the
+// lease holds until its completion has been sent: a worker never holds a
+// lease it cannot start while another worker idles.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.validate(); err != nil {
 		return err
@@ -133,31 +130,38 @@ func (w *Worker) Run(ctx context.Context) error {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	lim := &pointLimit{Store: w.Store, tokens: make(chan struct{}, n), freed: make(chan struct{}, 1)}
+	slots := make(chan struct{}, n)
 	var wg sync.WaitGroup
 	cur, misses := 0, 0
-	for lim.room(ctx) {
+	for ctx.Err() == nil {
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
+			continue
+		}
 		i, grant, err := w.claim(ctx, peers, cur)
 		cur = i
 		switch {
 		case err != nil:
 			// No coordinator reachable: back off, jittered so a fleet of
 			// orphaned workers doesn't retry in step.
+			<-slots
 			misses++
 			sleepCtx(ctx, backoff(w.idle(), 8*w.idle(), misses))
 		case grant.Lease == "":
 			// No work. A coordinator that held the claim says RetryMS 0
 			// (the wait already happened there); one that did not — it is
 			// draining, or predates held claims — says when to come back.
+			<-slots
 			misses = 0
 			sleepCtx(ctx, time.Duration(grant.RetryMS)*time.Millisecond)
 		default:
 			misses = 0
-			lim.held.Add(int64(len(grant.Indices)))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w.execute(ctx, peers[i], grant, lim)
+				w.execute(ctx, peers[i], grant)
+				<-slots // once reported: the next claim follows the completion
 			}()
 		}
 	}
@@ -165,55 +169,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// pointLimit is a worker's Store as its leases' sweeps see it, and the
-// count that decides when the worker claims. A point takes one of the
-// worker's tokens before it reads or simulates, so the worker runs at
-// most cap(tokens) points at once across its leases. A point whose unit
-// stops while it waits has not started: it carries the unit's ctx.Err()
-// and is handed back. The wait is outside the Store, so a waiting point
-// leads no flight another lease's point could join.
-type pointLimit struct {
-	*Store
-	tokens chan struct{}
-	held   atomic.Int64  // points in the worker's unreported leases
-	freed  chan struct{} // signalled when held falls
-}
-
-// room waits until the worker's leases hold fewer points than it has
-// tokens, and reports false once ctx ends.
-func (l *pointLimit) room(ctx context.Context) bool {
-	for ctx.Err() == nil && l.held.Load() >= int64(cap(l.tokens)) {
-		select {
-		case <-l.freed:
-		case <-ctx.Done():
-		}
-	}
-	return ctx.Err() == nil
-}
-
-// release ends a lease of k points.
-func (l *pointLimit) release(k int) {
-	l.held.Add(-int64(k))
-	select {
-	case l.freed <- struct{}{}:
-	default:
-	}
-}
-
-func (l *pointLimit) Do(ctx context.Context, cfg core.Config, run func(core.Config) (core.Result, error)) (core.Result, bool, error) {
-	select {
-	case l.tokens <- struct{}{}:
-	case <-ctx.Done():
-		return core.Result{}, false, ctx.Err()
-	}
-	defer func() { <-l.tokens }()
-	return l.Store.Do(ctx, cfg, run)
-}
-
-// execute runs one leased unit to completion (or abandonment) and
-// reports per-point outcomes back to the coordinator.
-func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse, lim *pointLimit) {
-	defer lim.release(len(g.Indices)) // once reported: the next claim follows the completion
+// execute runs one lease to completion (or abandonment) and reports its
+// outcome back to the coordinator. The points of a grant longer than one
+// run one after another.
+func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse) {
 	// Materialize the wire points. A config that fails validation is a
 	// permanent failure — retrying a malformed point cannot help — and
 	// never reaches the simulator.
@@ -233,7 +192,7 @@ func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse, lim *poi
 		cfgIdx = append(cfgIdx, g.Indices[j])
 	}
 
-	unitCtx, cancel := context.WithCancel(ctx)
+	leaseCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	hbEvery := time.Duration(g.HeartbeatMS) * time.Millisecond
 	if hbEvery <= 0 {
@@ -246,14 +205,14 @@ func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse, lim *poi
 		defer ticker.Stop()
 		for {
 			select {
-			case <-unitCtx.Done():
+			case <-leaseCtx.Done():
 				return
 			case <-ticker.C:
-				hctx, hc := context.WithTimeout(unitCtx, hbEvery)
+				hctx, hc := context.WithTimeout(leaseCtx, hbEvery)
 				ok, err := co.Heartbeat(hctx, g.Lease, w.ID)
 				hc()
 				if err == nil && !ok {
-					// The lease is gone; abandon the unit. Transport
+					// The lease is gone; abandon it. Transport
 					// errors are NOT abandonment — the coordinator may
 					// be mid-restart, and if it stays silent past the
 					// TTL it requeues the lease itself.
@@ -264,9 +223,9 @@ func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse, lim *poi
 		}
 	}()
 
-	outs, _ := sweep.Run(unitCtx, cfgs, sweep.Options{
-		Workers: cap(lim.tokens),
-		Cache:   lim,
+	outs, _ := sweep.Run(leaseCtx, cfgs, sweep.Options{
+		Workers: 1,
+		Cache:   w.Store,
 		Runner:  w.Runner,
 	})
 	cancel()
@@ -278,7 +237,7 @@ func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse, lim *poi
 		case o.Err == nil:
 			res := o.Result
 			reports = append(reports, PointReport{Index: idx, Result: &res, Cached: o.Cached})
-		case errors.Is(o.Err, context.Canceled) && unitCtx.Err() != nil:
+		case errors.Is(o.Err, context.Canceled) && leaseCtx.Err() != nil:
 			// Never started (drain or lease loss): left out, so the
 			// coordinator requeues it without burning the TTL.
 		default:

@@ -98,28 +98,6 @@ func (o Options) exec() RunFunc {
 	return Run
 }
 
-// Ranges splits n grid points into contiguous [lo, hi) spans of at most
-// size points each, in order. It is the decomposition seam lease-based
-// executors hand out work by: the lapses-serve cluster coordinator turns
-// a submitted grid into Ranges-shaped work units, leases them to worker
-// instances, and merges the outcomes back in grid order — so the merged
-// result is the same slice Run would have produced, regardless of how
-// the ranges were interleaved across workers. size < 1 is treated as 1.
-func Ranges(n, size int) [][2]int {
-	if size < 1 {
-		size = 1
-	}
-	var rs [][2]int
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		rs = append(rs, [2]int{lo, hi})
-	}
-	return rs
-}
-
 // PanicError is the per-point error a panicking simulation is converted
 // into: sweep workers isolate panics so one bad point (say, a config
 // whose algorithm identifier reaches the kernel's unknown-algorithm
