@@ -72,6 +72,28 @@ unit)
 	# os.ReadFile elsewhere: neither form may stop building.
 	GOOS=darwin go build ./...
 	GOOS=windows go build ./cmd/... ./internal/...
+	# The Go spec lets a build fuse x*y + z into one rounding, and arm64,
+	# ppc64le, s390x and riscv64 do; amd64 never does. A fused site would
+	# let a worker there store other bits under the same key, so every one
+	# carries an explicit float64(...) conversion, which forbids fusing.
+	# This lists any site that lacks one, by file:line. The build uses a
+	# throwaway cache: a package served from the cache prints no assembly,
+	# and the gate would then pass without looking.
+	for arch in arm64 ppc64le s390x riscv64; do
+		GOARCH=$arch GOCACHE="$work/gocache" go build -gcflags=-S ./internal/... 2>"$work/asm.txt"
+		if [ ! -s "$work/asm.txt" ]; then
+			echo "GOARCH=$arch printed no assembly: nothing was checked"
+			exit 1
+		fi
+		fused=$(grep -E '\)[[:space:]]+(W?FN?M(ADD|SUB)[A-Z]*|WFN?M[AS]DB)[[:space:]]' "$work/asm.txt" |
+			sed -E 's/^[^(]*\(([^)]*\.go:[0-9]+)\)[[:space:]]+([A-Z0-9]+).*$/\1 \2/' | sort -u || true)
+		if [ -n "$fused" ]; then
+			echo "GOARCH=$arch fuses floating-point operations at:"
+			echo "$fused"
+			exit 1
+		fi
+	done
+	rm -rf "$work/gocache" "$work/asm.txt"
 	go test -short ./...
 	# One real 8x8 saturation search: asserts the bisection converges on
 	# the same knee as the dense-grid reference path and spends at most
@@ -137,6 +159,11 @@ full)
 	# The full-fidelity paper-claim tests (skipped under -short) still
 	# gate every change; they run in parallel and finish in ~a minute.
 	go test ./...
+	# Every example program runs clean (about 22 s together; storage and
+	# pathselection are most of it).
+	for example in examples/*/; do
+		go run "./$example" >/dev/null
+	done
 	;;
 race)
 	# Kernel + sweep + experiments. internal/router carries
@@ -217,12 +244,15 @@ serve)
 	timeout 10 ./lapses-serve -mode worker -peers $url -store store -retries 2 2>refused.txt || code=$?
 	[ "$code" -eq 2 ]
 	grep -q -- '-retries does not apply in worker mode' refused.txt
-	# The heartbeat cadence is a quarter of -lease-ttl, not a flag: asking
-	# for one is an unknown flag, with usage status 2.
-	code=0
-	timeout 10 ./lapses-serve -mode coordinator -heartbeat 1s -store store 2>refused.txt || code=$?
-	[ "$code" -eq 2 ]
-	grep -q -- '-heartbeat' refused.txt
+	# The heartbeat cadence is a quarter of -lease-ttl, not a flag, and a
+	# lease is one point, so there is no unit size: asking for either is
+	# an unknown flag, with usage status 2.
+	for flag in -heartbeat -unit; do
+		code=0
+		timeout 10 ./lapses-serve -mode coordinator $flag 4 -store store 2>refused.txt || code=$?
+		[ "$code" -eq 2 ]
+		grep -q -- "$flag" refused.txt
+	done
 	./lapses-serve -store store &
 	server=$!
 	wait_healthy
@@ -290,14 +320,15 @@ cluster)
 	# TTL, drain requeue, the panic taxonomy (a panic fails its point on
 	# its first lease) and the exactly-once simulation accounting, plus the
 	# server-held waits (status and claim requests parked on a channel,
-	# woken by completion, requeue and drain), and a Worker running
-	# -workers points at once and claiming only while it holds fewer. TestServer* and TestOneExecutionPath ride
-	# along: a standalone server's jobs run on the same lease goroutines,
-	# leased to its one in-process Worker, whose slots claim by function
-	# call.
+	# woken by completion, requeue and drain), a Worker running -workers
+	# one-point leases at once and claiming only while a slot is free, and
+	# a grant whose point lacks a member failing that point.
+	# TestServer* and TestOneExecutionPath ride along: a standalone
+	# server's jobs run on the same lease goroutines, leased to its one
+	# in-process Worker, which claims by function call.
 	# TestStore and TestResultsBody too: the store pre-scan's goroutines
 	# hand each job the verified bytes its results body is built from.
-	go test -race -run 'TestCluster|TestClient|TestStore|TestResultsBody|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServer|TestOneExecutionPath|TestWorkerRunsWorkersLeasesAtOnce' -v ./internal/serve
+	go test -race -run 'TestCluster|TestClient|TestStore|TestResultsBody|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServer|TestOneExecutionPath|TestWorker' -v ./internal/serve
 	# Then end to end: one coordinator leasing a quick-tier grid to three
 	# workers over a shared store, one worker kill -9'd mid-sweep and a
 	# second drained by SIGTERM. The job must complete, the merged output
@@ -305,7 +336,7 @@ cluster)
 	# re-simulate nothing.
 	build_service
 	cd "$work"
-	./lapses-serve -mode coordinator -store store -lease-ttl 2s -unit 4 2>coord.log &
+	./lapses-serve -mode coordinator -store store -lease-ttl 2s 2>coord.log &
 	wait_healthy
 	workers=()
 	for w in 1 2 3; do
@@ -320,8 +351,8 @@ cluster)
 	sleep 1
 	kill -9 "${workers[0]}"
 	# Then drain a second one mid-sweep (the client must still be
-	# running): it finishes its in-flight points, hands the rest of its
-	# unit back for immediate requeue, and exits 0.
+	# running): it finishes and reports its in-flight points, hands back
+	# any lease it has not started for immediate requeue, and exits 0.
 	sleep 1
 	kill -0 "$client"
 	kill -TERM "${workers[1]}"

@@ -131,16 +131,17 @@
 // kernel whenever bits matter. See README.md "Execution modes".
 //
 // internal/serve turns the sweep engine into a fault-tolerant service
-// (cmd/lapses-serve): grid jobs arrive over HTTP/JSON, are leased to
-// worker slots (in-process, or worker processes in cluster mode), and
+// (cmd/lapses-serve): grid jobs arrive over HTTP/JSON, are leased one
+// point a lease to workers (in-process, or worker processes in cluster
+// mode), and
 // every completed point persists to a crash-safe, content-addressed
 // store keyed by Config.Key — atomic temp-file+rename writes, per-entry
 // checksums, and a startup recovery scan that quarantines corrupt
 // entries rather than serving them, so a kill -9 loses only in-flight
 // points and resubmitted jobs resume from disk. A failing or panicking
 // point fails alone (the simulator is deterministic, so no point is
-// retried); a lease unit whose worker went silent or drained is requeued
-// under a bounded attempt budget; the job queue applies 429
+// retried); a leased point whose worker went silent, or drained before
+// starting it, is requeued under a bounded attempt budget; the job queue applies 429
 // backpressure; and SIGTERM drains in-flight points before exit.
 // serve.Client.Run satisfies sweep.RunFunc, which
 // experiments.Runner.Exec and sweep.Options.Exec accept —

@@ -303,7 +303,7 @@ func (s *Server) tryClaim(worker string) (grant *ClaimResponse, wake <-chan stru
 	s.mu.Unlock()
 	// Outside the lock: a job's grid never changes, and every config in
 	// it came from a submitted Point, so it has a wire form.
-	grant.Points = []Point{point(jb.grid[grant.Indices[0]])}
+	grant.Points = []Point{point(&jb.grid[grant.Indices[0]])}
 	return grant, nil, false
 }
 

@@ -234,16 +234,18 @@ func TestClusterOrphanRecovery(t *testing.T) {
 	go func() { defer close(vdone); victim.Run(vctx) }()
 	t.Cleanup(func() { vcancel(); <-vdone })
 
-	// Submit, then let the victim reach its partition point before the
-	// survivors join, so the orphaned lease is guaranteed to exist.
+	// Submit, then let the victim persist its unreported point before the
+	// survivors join, so the orphaned lease is guaranteed to exist and its
+	// point is durable. (A survivor's Open removes the temp files it finds
+	// in the shared directory, an in-flight write's included.)
 	st, err := c.Submit(context.Background(), mustPoints(t, grid))
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for !severed.Load() {
+	for _, durable := vs.Get(victimKey); !durable; _, durable = vs.Get(victimKey) {
 		if time.Now().After(deadline) {
-			t.Fatal("victim never reached its partition point")
+			t.Fatal("victim never persisted its partitioned point")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -837,6 +839,57 @@ func TestClusterHandBackRequeuesAtOnce(t *testing.T) {
 	}
 	if cs.TransientRequeues != 1 || cs.OrphanRequeues != 0 || cs.ExhaustedUnits != 0 || cs.ActiveLeases != 1 {
 		t.Fatalf("cluster stats %+v, want one transient requeue and the point out again", cs)
+	}
+}
+
+// reportingPeer is a coordinator as a worker's execute sees it that
+// records the worker's completion.
+type reportingPeer struct{ reports chan []PointReport }
+
+func (reportingPeer) Claim(context.Context, string, time.Duration) (ClaimResponse, error) {
+	return ClaimResponse{}, nil
+}
+
+func (reportingPeer) Heartbeat(context.Context, string, string) (bool, error) { return true, nil }
+
+func (p reportingPeer) Complete(_ context.Context, _, _, _ string, reports []PointReport) (CompleteResponse, error) {
+	p.reports <- reports
+	return CompleteResponse{OK: true}, nil
+}
+
+// TestWorkerFailsGrantLackingMember: a grant whose point lacks a required
+// member fails that point with the message a submission of it gets, and
+// the grant's other points still run. The grant holds three points, as
+// one from a coordinator that leased several points at once does; the
+// worker runs them one after another.
+func TestWorkerFailsGrantLackingMember(t *testing.T) {
+	t.Parallel()
+	points := mustPoints(t, testGrid(3))
+	grant := fmt.Sprintf(`{"lease":"l1","job":"j1","indices":[4,5,6],"points":[%s,%s,%s]}`,
+		withMember(t, points[0], "", false), withMember(t, points[1], "seed", false), withMember(t, points[2], "lookahead", true))
+	var g ClaimResponse
+	if err := json.Unmarshal([]byte(grant), &g); err != nil {
+		t.Fatal(err)
+	}
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := reportingPeer{make(chan []PointReport, 1)}
+	w := &Worker{ID: "w", Store: store, Runner: scripted}
+	w.execute(context.Background(), peer, g)
+	want := map[int]string{
+		5: `serve: point lacks required member "seed"`,
+		6: `serve: point lacks required member "lookahead"`,
+	}
+	reports := <-peer.reports
+	if len(reports) != 3 {
+		t.Fatalf("reports %+v, want one per point", reports)
+	}
+	for _, r := range reports {
+		if r.Error != want[r.Index] || (r.Error == "") != (r.Result != nil) {
+			t.Errorf("point %d: result %v, error %q; want error %q", r.Index, r.Result, r.Error, want[r.Index])
+		}
 	}
 }
 

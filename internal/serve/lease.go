@@ -137,7 +137,7 @@ func (jb *job) requeue(u *workUnit, reason string) bool {
 		jb.record(u.index, outcome{err: fmt.Errorf("serve: giving up after %d lease attempts: %s", u.attempt, reason)})
 		return true
 	}
-	jb.pending = append(jb.pending, &workUnit{index: u.index, attempt: u.attempt})
+	jb.pending = append(jb.pending, u) // claim gives it a fresh lease
 	jb.progress.Retries++
 	return true
 }

@@ -523,26 +523,26 @@ func TestServerRejectsMalformedJobs(t *testing.T) {
 	if !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "algorithm") {
 		t.Errorf("bad point: err=%v", err)
 	}
-	// A point that leaves its algorithm out, or sends null, names none:
-	// it is refused, not run as the zero value.
-	valid, err := json.Marshal(jobRequest{Points: mustPoints(t, testGrid(1))})
-	if err != nil {
-		t.Fatal(err)
+	// A point that leaves out a required member — one without
+	// omitempty — or sends null for it is refused naming the member, not
+	// run as the zero value. The same point with every member runs.
+	full := mustPoints(t, testGrid(1))[0]
+	for _, name := range requiredMembers(t) {
+		for _, null := range []bool{false, true} {
+			body := jobBody(t, withMember(t, full, name, null))
+			err := c.do(ctx, http.MethodPost, "/v1/jobs", body, nil)
+			if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, `lacks required member "`+name+`"`) {
+				t.Errorf("member %q left out (null: %v): err=%v", name, null, err)
+			}
+		}
 	}
-	for _, member := range []string{``, `"algorithm":null,`} {
-		body := bytes.Replace(valid, []byte(`"algorithm":"duato",`), []byte(member), 1)
-		if bytes.Equal(body, valid) {
-			t.Fatalf("no duato algorithm member to replace in %s", valid)
-		}
-		err = c.do(ctx, http.MethodPost, "/v1/jobs", json.RawMessage(body), nil)
-		if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "algorithm") {
-			t.Errorf("algorithm member %q: err=%v", member, err)
-		}
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs", jobBody(t, withMember(t, full, "", false)), nil); err != nil {
+		t.Errorf("a point with every member: %v", err)
 	}
 	// A point core.Config.Validate rejects is refused at submission, not
 	// accepted and failed later.
 	bad = mustPoints(t, testGrid(1))
-	bad[0].MsgLen = 0
+	bad[0].MsgLen = ref(0)
 	err = c.do(ctx, http.MethodPost, "/v1/jobs", jobRequest{Points: bad}, nil)
 	if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "MsgLen") {
 		t.Errorf("msg_len 0: err=%v", err)
@@ -557,7 +557,7 @@ func TestServerRejectsMalformedJobs(t *testing.T) {
 	// So is a load no node can inject, which would wedge a worker slot in
 	// the injector for good.
 	bad = mustPoints(t, testGrid(1))
-	bad[0].Load = 1e300
+	bad[0].Load = ref(1e300)
 	err = c.do(ctx, http.MethodPost, "/v1/jobs", jobRequest{Points: bad}, nil)
 	if ae, ok := err.(*APIStatusError); !ok || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, "Load") {
 		t.Errorf("load 1e300: err=%v", err)
@@ -588,6 +588,59 @@ func TestServerRejectsMalformedJobs(t *testing.T) {
 	if _, err := c.Results(ctx, "j999999"); err == nil {
 		t.Error("unknown job results accepted")
 	}
+}
+
+// requiredMembers lists Point's required members by wire name: every
+// member whose tag has no omitempty.
+func requiredMembers(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	pt := reflect.TypeOf(Point{})
+	for i := 0; i < pt.NumField(); i++ {
+		name, opts, _ := strings.Cut(pt.Field(i).Tag.Get("json"), ",")
+		if opts != "omitempty" {
+			names = append(names, name)
+		}
+	}
+	if len(names) != 16 {
+		t.Fatalf("%d required members %v, want 16", len(names), names)
+	}
+	return names
+}
+
+// withMember is p's JSON with member name left out, or sent as null;
+// name "" leaves p whole.
+func withMember(t *testing.T, p Point, name string, null bool) json.RawMessage {
+	t.Helper()
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := map[string]json.RawMessage{}
+	if err := json.Unmarshal(raw, &members); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := members[name]; name != "" && !ok {
+		t.Fatalf("no member %q in %s", name, raw)
+	}
+	if delete(members, name); null {
+		members[name] = json.RawMessage("null")
+	}
+	out, err := json.Marshal(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// jobBody is a submission of the one point JSON p.
+func jobBody(t *testing.T, p json.RawMessage) json.RawMessage {
+	t.Helper()
+	body, err := json.Marshal(map[string][]json.RawMessage{"points": {p}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // TestServerRefusesUnknownMembers: a job with one member the server does

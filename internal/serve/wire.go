@@ -49,28 +49,30 @@
 //     the least time between two of them, which only a server that
 //     does not hold (older, or draining) makes it sleep.
 //   - cluster.go / lease.go / worker.go / retry.go: how every job runs.
-//     The server cuts each grid into leased work units, which the running
-//     job holds with its outcomes. A Worker claims units one at a time
-//     while its leases hold fewer than Worker.Workers points, heartbeats
-//     and completes each on its own goroutine, and runs Worker.Workers
-//     points at once across them. A standalone server starts one Worker
-//     of its own (ServerOptions.Workers) that claims by function call;
-//     a coordinator (ServerOptions.Cluster set) leases to Worker
-//     processes over HTTP. A unit is requeued for one reason: its points
-//     are unresolved when its lease ends, because the failure detector
-//     expired it (its worker went silent past its TTL) or its worker
-//     handed it back (a draining worker reports only the points it
-//     ran). After ServerOptions.MaxAttempts claims its
-//     remaining points fail. Every reported error, a panic included,
-//     fails its point at once. Workers simulate against the Store, so
-//     every finished point is durable before it is reported and a
-//     requeued lease re-simulates nothing persisted. An idle remote
-//     worker's claim carries wait_ms too: the coordinator holds it (at
-//     most 30 s and one lease TTL) until a unit is seeded or requeued.
+//     The server leases each grid one point a lease; the running job
+//     holds the leases with its outcomes. A Worker has Worker.Workers
+//     slots: it takes a free one before each claim, runs the lease on its
+//     own goroutine with its own heartbeat, and frees the slot once the
+//     lease's report is sent. A standalone server starts one Worker of
+//     its own (ServerOptions.Workers) that claims by function call; a
+//     coordinator (ServerOptions.Cluster set) leases to Worker processes
+//     over HTTP. A point is requeued for one reason: it is unresolved
+//     when its lease ends, because the failure detector expired the
+//     lease (its worker went silent past its TTL) or its worker handed
+//     it back (a draining worker reports only the points it ran). After
+//     ServerOptions.MaxAttempts claims it fails. Every reported error, a
+//     panic included, fails its point at once. Workers simulate against
+//     the Store, so every finished point is durable before it is
+//     reported and a requeued lease re-simulates nothing persisted. An
+//     idle remote worker's claim carries wait_ms too: the coordinator
+//     holds it (at most 30 s and one lease TTL) until a point is queued
+//     or requeued.
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"lapses/internal/core"
@@ -80,12 +82,14 @@ import (
 	"lapses/internal/traffic"
 )
 
-// Point is the serializable form of one grid point. Enumerations travel
-// by name (the String forms the CLIs already parse) so payloads stay
-// readable and stable across releases; a name is a string, not the
-// enumeration's own type, so a point that leaves one out, or sends null,
-// names no algorithm (table, selection, pattern) and is refused instead
-// of running as the zero value. Damage, static or timed, travels
+// Point is the serializable form of one grid point. Every member without
+// omitempty is required: a point that leaves one out, or sends null, is
+// refused by Point.Config naming it, instead of running as the zero value
+// (PROUD for a dropped "lookahead", seed 0 for a dropped "seed"). So the
+// required scalars are pointers, nil when the member was missing, and
+// enumerations travel by name as strings (the String forms the CLIs
+// already parse), empty when missing, which also keeps payloads readable
+// and stable across releases. Damage, static or timed, travels
 // under "faults" as its canonical spec string, the form lapses-sim -faults
 // reads, which fault.ParseSchedule turns into Config.Faults; the adaptive
 // tier is its tolerance, "auto_tol"; burst, QoS and reliability parameters
@@ -106,67 +110,71 @@ type Point struct {
 
 	Reliability *core.Reliability `json:"reliability,omitempty"`
 
-	VCs       int `json:"vcs"`
-	EscapeVCs int `json:"escape_vcs"`
-	BufDepth  int `json:"buf_depth"`
-	OutDepth  int `json:"out_depth"`
-	LinkDelay int `json:"link_delay"`
+	VCs       *int `json:"vcs"`
+	EscapeVCs *int `json:"escape_vcs"`
+	BufDepth  *int `json:"buf_depth"`
+	OutDepth  *int `json:"out_depth"`
+	LinkDelay *int `json:"link_delay"`
 
-	LookAhead bool   `json:"lookahead"`
+	LookAhead *bool  `json:"lookahead"`
 	Algorithm string `json:"algorithm"`
 	Table     string `json:"table"`
 	Selection string `json:"selection"`
 
 	Pattern string         `json:"pattern"`
-	Load    float64        `json:"load"`
-	MsgLen  int            `json:"msg_len"`
+	Load    *float64       `json:"load"`
+	MsgLen  *int           `json:"msg_len"`
 	Burst   *traffic.Burst `json:"burst,omitempty"`
 	QoS     *core.QoSSpec  `json:"qos,omitempty"`
 
-	Warmup  int     `json:"warmup"`
-	Measure int     `json:"measure"`
+	Warmup  *int    `json:"warmup"`
+	Measure *int    `json:"measure"`
 	AutoTol float64 `json:"auto_tol,omitempty"`
 
 	MaxCycles  int64   `json:"max_cycles,omitempty"`
 	SatLatency float64 `json:"sat_latency,omitempty"`
-	Seed       int64   `json:"seed"`
+	Seed       *int64  `json:"seed"`
 
 	EventMode bool `json:"event_mode,omitempty"`
 }
 
+// errTrace refuses a trace-driven config: a trace's messages have no
+// wire form, only a digest in Config.Key.
+var errTrace = errors.New("serve: Config.Trace has no wire form (a trace's messages stay in the process that built it) and cannot be submitted to a server")
+
 // PointFromConfig converts a Config to its wire form. Trace-driven
-// configs are rejected: a trace's messages have no wire form, only a
-// digest in Config.Key.
+// configs are rejected.
 func PointFromConfig(c core.Config) (Point, error) {
 	if c.Trace != nil {
-		return Point{}, fmt.Errorf("serve: Config.Trace has no wire form (a trace's messages stay in the process that built it) and cannot be submitted to a server")
+		return Point{}, errTrace
 	}
-	return point(c), nil
+	return point(&c), nil
 }
 
 // point is PointFromConfig for a config with no trace, which has a wire
-// form: every config a Point materializes.
-func point(c core.Config) Point {
+// form: every config a Point materializes. The point's required scalars
+// point into *c, which must not change while the point is in use.
+func point(c *core.Config) Point {
 	return Point{
 		Dims:       append([]int(nil), c.Dims...),
 		Torus:      c.Torus,
-		VCs:        c.VCs,
-		EscapeVCs:  c.EscapeVCs,
-		BufDepth:   c.BufDepth,
-		OutDepth:   c.OutDepth,
-		LinkDelay:  c.LinkDelay,
-		LookAhead:  c.LookAhead,
+		VCs:        &c.VCs,
+		EscapeVCs:  &c.EscapeVCs,
+		BufDepth:   &c.BufDepth,
+		OutDepth:   &c.OutDepth,
+		LinkDelay:  &c.LinkDelay,
+		LookAhead:  &c.LookAhead,
 		Algorithm:  c.Algorithm.String(),
 		Table:      c.Table.String(),
 		Selection:  c.Selection.String(),
 		Pattern:    c.Pattern.String(),
-		Load:       c.Load,
-		MsgLen:     c.MsgLen,
-		Warmup:     c.Warmup,
-		Measure:    c.Measure,
+		Load:       &c.Load,
+		MsgLen:     &c.MsgLen,
+		Warmup:     &c.Warmup,
+		Measure:    &c.Measure,
 		MaxCycles:  c.MaxCycles,
 		SatLatency: c.SatLatency,
-		Seed:       c.Seed,
+		Seed:       &c.Seed,
 		EventMode:  c.EventMode,
 		AutoTol:    c.AutoTol,
 
@@ -181,23 +189,27 @@ func point(c core.Config) Point {
 }
 
 // Config materializes the wire point back into a validated core.Config.
+// A point that lacks a required member fails naming it.
 func (p Point) Config() (core.Config, error) {
+	if m := p.missing(); m != "" {
+		return core.Config{}, fmt.Errorf("serve: point lacks required member %q", m)
+	}
 	c := core.Config{
 		Dims:       append([]int(nil), p.Dims...),
 		Torus:      p.Torus,
-		VCs:        p.VCs,
-		EscapeVCs:  p.EscapeVCs,
-		BufDepth:   p.BufDepth,
-		OutDepth:   p.OutDepth,
-		LinkDelay:  p.LinkDelay,
-		LookAhead:  p.LookAhead,
-		Load:       p.Load,
-		MsgLen:     p.MsgLen,
-		Warmup:     p.Warmup,
-		Measure:    p.Measure,
+		VCs:        *p.VCs,
+		EscapeVCs:  *p.EscapeVCs,
+		BufDepth:   *p.BufDepth,
+		OutDepth:   *p.OutDepth,
+		LinkDelay:  *p.LinkDelay,
+		LookAhead:  *p.LookAhead,
+		Load:       *p.Load,
+		MsgLen:     *p.MsgLen,
+		Warmup:     *p.Warmup,
+		Measure:    *p.Measure,
 		MaxCycles:  p.MaxCycles,
 		SatLatency: p.SatLatency,
-		Seed:       p.Seed,
+		Seed:       *p.Seed,
 		EventMode:  p.EventMode,
 		AutoTol:    p.AutoTol,
 
@@ -232,16 +244,57 @@ func (p Point) Config() (core.Config, error) {
 	return c, nil
 }
 
+// missing names the first required member p lacks, by its wire name;
+// "" if it has them all.
+func (p Point) missing() string {
+	switch {
+	case p.Dims == nil:
+		return "dims"
+	case p.VCs == nil:
+		return "vcs"
+	case p.EscapeVCs == nil:
+		return "escape_vcs"
+	case p.BufDepth == nil:
+		return "buf_depth"
+	case p.OutDepth == nil:
+		return "out_depth"
+	case p.LinkDelay == nil:
+		return "link_delay"
+	case p.LookAhead == nil:
+		return "lookahead"
+	case p.Algorithm == "":
+		return "algorithm"
+	case p.Table == "":
+		return "table"
+	case p.Selection == "":
+		return "selection"
+	case p.Pattern == "":
+		return "pattern"
+	case p.Load == nil:
+		return "load"
+	case p.MsgLen == nil:
+		return "msg_len"
+	case p.Warmup == nil:
+		return "warmup"
+	case p.Measure == nil:
+		return "measure"
+	case p.Seed == nil:
+		return "seed"
+	}
+	return ""
+}
+
 // PointsFromGrid converts a grid, failing on the first unserializable
-// config with its index.
+// config with its index. The points' required scalars point into one
+// copy of the grid, not a copy per point.
 func PointsFromGrid(grid []core.Config) ([]Point, error) {
-	pts := make([]Point, len(grid))
-	for i, c := range grid {
-		p, err := PointFromConfig(c)
-		if err != nil {
-			return nil, fmt.Errorf("point %d: %w", i, err)
+	cs := slices.Clone(grid)
+	pts := make([]Point, len(cs))
+	for i := range cs {
+		if cs[i].Trace != nil {
+			return nil, fmt.Errorf("point %d: %w", i, errTrace)
 		}
-		pts[i] = p
+		pts[i] = point(&cs[i])
 	}
 	return pts, nil
 }

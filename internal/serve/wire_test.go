@@ -119,6 +119,9 @@ func TestPointRejectsTrace(t *testing.T) {
 	}
 }
 
+// ref is a pointer to a copy of v, for setting a Point's required scalars.
+func ref[T any](v T) *T { return &v }
+
 // TestPointConfigErrors: malformed points fail with descriptive errors
 // instead of panicking inside topology or table construction.
 func TestPointConfigErrors(t *testing.T) {
@@ -135,7 +138,7 @@ func TestPointConfigErrors(t *testing.T) {
 		"bad selection":  func(p *Point) { p.Selection = "psychic" },
 		"bad pattern":    func(p *Point) { p.Pattern = "tsunami" },
 		"bad fault spec": func(p *Point) { p.Faults = "r-1" },
-		"zero vcs":       func(p *Point) { p.VCs = 0 },
+		"zero vcs":       func(p *Point) { p.VCs = ref(0) },
 	}
 	for name, mutate := range cases {
 		p := good
@@ -162,11 +165,11 @@ func TestPointConfigErrors(t *testing.T) {
 	}
 	// core.Config.Validate's refusals name their field.
 	for field, mutate := range map[string]func(p *Point){
-		"MsgLen":    func(p *Point) { p.MsgLen = 0 },
-		"LinkDelay": func(p *Point) { p.LinkDelay = 0 },
-		"BufDepth":  func(p *Point) { p.BufDepth = 0 },
-		"OutDepth":  func(p *Point) { p.OutDepth = 0 },
-		"VCs":       func(p *Point) { p.Dims, p.Algorithm, p.VCs = []int{8}, "xy", 12 },
+		"MsgLen":    func(p *Point) { p.MsgLen = ref(0) },
+		"LinkDelay": func(p *Point) { p.LinkDelay = ref(0) },
+		"BufDepth":  func(p *Point) { p.BufDepth = ref(0) },
+		"OutDepth":  func(p *Point) { p.OutDepth = ref(0) },
+		"VCs":       func(p *Point) { p.Dims, p.Algorithm, p.VCs = []int{8}, "xy", ref(12) },
 		"AutoTol":   func(p *Point) { p.AutoTol = -1 },
 	} {
 		p := good

@@ -63,7 +63,7 @@ func Mser5(batchMeans []float64) (trunc int, ok bool) {
 	for d := m - 1; d >= 0; d-- {
 		z := batchMeans[d]
 		s1 += z
-		s2 += z * z
+		s2 += float64(z * z) // rounded before the sum: no build fuses it (Go spec, floating-point operators)
 		k := float64(m - d)
 		if m-d < minTail {
 			continue

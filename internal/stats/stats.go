@@ -17,7 +17,10 @@ type Sample struct {
 func (s *Sample) Add(v float64) {
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
+	// float64(...) rounds the product before the sum, so no build may
+	// fuse the two into one FMA (Go spec, floating-point operators): every
+	// architecture accumulates the same bits.
+	s.sumSq += float64(v * v)
 }
 
 // N returns the observation count.
@@ -37,7 +40,9 @@ func (s *Sample) Var() float64 {
 		return 0
 	}
 	m := s.Mean()
-	v := (s.sumSq - float64(s.n)*m*m) / float64(s.n-1)
+	// float64(...) rounds the product before the subtraction, so no
+	// build may fuse the two (Go spec, floating-point operators).
+	v := (s.sumSq - float64(float64(s.n)*m*m)) / float64(s.n-1)
 	if v < 0 {
 		return 0 // numeric noise
 	}

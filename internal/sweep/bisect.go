@@ -212,7 +212,10 @@ func (b *bisection) next() []float64 {
 		step := (b.hi - b.lo) / (fanout + 1)
 		loads := make([]float64, fanout)
 		for i := range loads {
-			loads[i] = b.lo + float64(i+1)*step
+			// The probe loads key by their bits: float64(...) rounds the
+			// product before the sum, so no build fuses the two (Go
+			// spec, floating-point operators).
+			loads[i] = b.lo + float64(float64(i+1)*step)
 		}
 		return loads
 	}

@@ -523,7 +523,9 @@ func (s *MMPP) reset(rate float64, b Burst, rng *rand.Rand) {
 // advance precomputes the next arrival time, walking the modulating chain
 // across state boundaries. Truncating an exponential inter-arrival draw at
 // the ON-period boundary and redrawing in the next ON period is exact by
-// memorylessness.
+// memorylessness. Each period end rounds its product with float64(...)
+// before the sum, so no build may fuse the two into one FMA (Go spec,
+// floating-point operators): every architecture draws the same schedule.
 func (s *MMPP) advance() {
 	for {
 		if s.on {
@@ -538,14 +540,14 @@ func (s *MMPP) advance() {
 			if s.muOff <= 0 {
 				// OnFrac 1: a single everlasting ON period.
 				s.on = true
-				s.end = s.cur + s.rng.ExpFloat64()*s.muOn
+				s.end = s.cur + float64(s.rng.ExpFloat64()*s.muOn) // no FMA: Go spec
 				continue
 			}
-			s.end = s.cur + s.rng.ExpFloat64()*s.muOff
+			s.end = s.cur + float64(s.rng.ExpFloat64()*s.muOff) // no FMA: Go spec
 		} else {
 			s.cur = s.end
 			s.on = true
-			s.end = s.cur + s.rng.ExpFloat64()*s.muOn
+			s.end = s.cur + float64(s.rng.ExpFloat64()*s.muOn) // no FMA: Go spec
 		}
 	}
 }
