@@ -321,8 +321,10 @@ cluster)
 	# its first lease) and the exactly-once simulation accounting, plus the
 	# server-held waits (status and claim requests parked on a channel,
 	# woken by completion, requeue and drain), a Worker running -workers
-	# one-point leases at once and claiming only while a slot is free, and
-	# a grant whose point lacks a member failing that point.
+	# one-point leases at once and claiming only while a slot is free, a
+	# grant whose point lacks a member failing that point, a completion
+	# resolving the point its lease names and no other, and each side
+	# refusing the other's message in the array form of an older build.
 	# TestServer* and TestOneExecutionPath ride along: a standalone
 	# server's jobs run on the same lease goroutines, leased to its one
 	# in-process Worker, which claims by function call.
@@ -338,6 +340,21 @@ cluster)
 	cd "$work"
 	./lapses-serve -mode coordinator -store store -lease-ttl 2s 2>coord.log &
 	wait_healthy
+	# The lease wire, pinned on the binary before any worker starts: a
+	# grant carries one "point" and no "indices"; a completion in the array
+	# form of an older build ("reports") is refused naming it; and one with
+	# no outcome hands the point back, for the workers to finish.
+	post() { curl -fs -H 'Content-Type: application/json' "$url/v1/$1" -d "$2"; }
+	post jobs '{"points":[{"dims":[4,4],"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":7}]}' >/dev/null
+	post cluster/claim '{"worker":"curl","wait_ms":2000}' >grant.json
+	jq -e '.point.seed != null and .indices == null' grant.json
+	lease=$(jq -r .lease grant.json)
+	job=$(jq -r .job grant.json)
+	code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/cluster/complete \
+		-d "$(jq -nc --arg l "$lease" --arg j "$job" '{lease:$l,job:$j,worker:"curl",reports:[]}')")
+	[ "$code" -eq 400 ]
+	jq -e '.error | contains("\"reports\"")' refused.json
+	post cluster/complete "$(jq -nc --arg l "$lease" --arg j "$job" '{lease:$l,job:$j,worker:"curl"}')" | jq -e '.ok'
 	workers=()
 	for w in 1 2 3; do
 		./lapses-serve -mode worker -peers $url -store store -worker-id "w$w" 2>"worker$w.log" &

@@ -15,7 +15,8 @@
 // Cluster mode spreads one server's grids across machines. A
 // coordinator leases each submitted grid's points; workers claim them
 // over HTTP, simulate them against the shared store, heartbeat while
-// running, and report each result back:
+// running, and report each result back. A coordinator and its workers
+// run one build; a worker handed a grant in an older build's form exits:
 //
 //	lapses-serve -mode coordinator -store /shared/lapses -lease-ttl 10s
 //	lapses-serve -mode worker -peers http://coord:8347 -store /shared/lapses
@@ -195,8 +196,8 @@ func main() {
 
 // runWorker runs the claim-execute-complete loop until the signal
 // context cancels, then drains: in-flight points finish and persist,
-// and the final completion report hands unstarted points back to the
-// coordinator for immediate requeue.
+// and a lease whose point never started is completed with no outcome,
+// which hands it back to the coordinator for immediate requeue.
 func runWorker(ctx context.Context, store *serve.Store, peers []string, id string, workers int) {
 	if id == "" {
 		host, _ := os.Hostname()

@@ -13,7 +13,7 @@ import (
 // ClusterOptions turn a Server into a cluster coordinator: its jobs'
 // points are leased, one point a lease, to worker instances that claim,
 // heartbeat, and complete them over HTTP, under the same failure
-// taxonomy as a standalone server's in-process Worker (see PointReport).
+// taxonomy as a standalone server's in-process Worker (see CompleteRequest).
 type ClusterOptions struct {
 	// LeaseTTL is how long a claimed point stays owned without a
 	// heartbeat before the failure detector requeues it (default 10s).
@@ -35,7 +35,8 @@ func (o ClusterOptions) heartbeat() time.Duration { return o.LeaseTTL / 4 }
 
 // Cluster wire types. A worker's conversation with the coordinator is
 // three POSTs: claim a lease, heartbeat it while simulating, complete it
-// with per-point reports.
+// with its point's outcome. A coordinator and its workers must be one
+// build: each refuses a grant or a completion in another build's form.
 
 // ClaimRequest asks the coordinator for a point to lease. WaitMS lets
 // the coordinator hold the request while it has nothing to lease — until
@@ -51,15 +52,15 @@ type ClaimRequest struct {
 // ClaimResponse grants a lease (Lease non-empty) or reports no work.
 // Job is the job's cluster-wide identity (the job ID qualified by the
 // coordinator's incarnation epoch); the worker must echo it back in the
-// lease's CompleteRequest. A grant's Indices and Points hold one point;
-// a worker runs the points of a longer grant, which a coordinator built
-// before leases were one point sends, one after another.
+// lease's CompleteRequest. A grant carries one Point, the lease's; Index
+// is its position in the job's grid, for logs and tests only: the
+// coordinator knows which point it leased and never reads it back.
 type ClaimResponse struct {
-	Lease   string  `json:"lease,omitempty"`
-	Job     string  `json:"job,omitempty"`
-	Attempt int     `json:"attempt,omitempty"`
-	Indices []int   `json:"indices,omitempty"`
-	Points  []Point `json:"points,omitempty"`
+	Lease   string `json:"lease,omitempty"`
+	Job     string `json:"job,omitempty"`
+	Attempt int    `json:"attempt,omitempty"`
+	Index   int    `json:"index,omitempty"`
+	Point   *Point `json:"point,omitempty"`
 	// TTLMS and HeartbeatMS tell the worker the lease contract: renew at
 	// least every HeartbeatMS or lose the lease after TTLMS of silence.
 	TTLMS       int64 `json:"ttl_ms,omitempty"`
@@ -86,34 +87,23 @@ type HeartbeatResponse struct {
 	OK bool `json:"ok"`
 }
 
-// PointReport is one grid point's terminal state as reported by a
-// worker: its result, or an error that fails the point for good (a
-// recovered panic included — the simulator is deterministic, so running
-// the point again cannot change its answer). A point the worker never
-// ran is left out of the completion, and the coordinator requeues it.
-type PointReport struct {
-	Index  int          `json:"index"`
-	Result *core.Result `json:"result,omitempty"`
-	Cached bool         `json:"cached,omitempty"`
-	Error  string       `json:"error,omitempty"`
-}
-
-// CompleteRequest finishes a lease with per-point reports. Job must be
-// the ClaimResponse.Job the lease was granted under: a completion whose
-// Job does not match the running job is dropped wholesale (reported
-// Late), because its indices point into a different grid — without the
-// check, a completion arriving after a job transition would merge one
-// job's results into another job's points.
+// CompleteRequest finishes a lease with the outcome of the point it was
+// granted for: the result, or an error that fails the point for good (a
+// recovered panic included — the simulator is deterministic). Neither
+// hands back a point the worker never started, for requeue at once. Job
+// must be the ClaimResponse.Job of the lease: a completion under another
+// Job is dropped (reported Late), as its lease is another grid's.
 type CompleteRequest struct {
-	Lease   string        `json:"lease"`
-	Job     string        `json:"job"`
-	Worker  string        `json:"worker"`
-	Reports []PointReport `json:"reports"`
+	Lease  string `json:"lease"`
+	Job    string `json:"job"`
+	Worker string `json:"worker"`
+	PointOutcome
 }
 
 // CompleteResponse acknowledges a completion. Late means the lease had
-// already expired and been requeued; the successes were still merged
-// (first result wins, duplicates discarded).
+// already ended (expired and been requeued, or been handed back) or was
+// never this job's; a late outcome of a lease the job granted still
+// resolves its point (first outcome wins, duplicates discarded).
 type CompleteResponse struct {
 	OK   bool `json:"ok"`
 	Late bool `json:"late"`
@@ -205,6 +195,7 @@ func (s *Server) runClustered(ctx context.Context, jb *job) error {
 	jb.token = jb.id + "." + s.epoch
 	jb.outs = make([]outcome, len(jb.grid))
 	jb.active = map[string]*workUnit{}
+	jb.granted = map[string]int{}
 	jb.finished = make(chan struct{})
 	for i, key := range keys {
 		if raw := stored[first[key]]; raw != nil {
@@ -257,7 +248,7 @@ func (s *Server) runClustered(ctx context.Context, jb *job) error {
 		}
 	}
 	s.cluster = nil
-	jb.pending, jb.active = nil, nil
+	jb.pending, jb.active, jb.granted = nil, nil, nil
 	return ctx.Err()
 }
 
@@ -296,14 +287,15 @@ func (s *Server) tryClaim(worker string) (grant *ClaimResponse, wake <-chan stru
 		Lease:       u.lease,
 		Job:         jb.token,
 		Attempt:     u.attempt,
-		Indices:     []int{u.index},
+		Index:       u.index,
 		TTLMS:       s.lease.LeaseTTL.Milliseconds(),
 		HeartbeatMS: s.lease.heartbeat().Milliseconds(),
 	}
 	s.mu.Unlock()
 	// Outside the lock: a job's grid never changes, and every config in
 	// it came from a submitted Point, so it has a wire form.
-	grant.Points = []Point{point(&jb.grid[grant.Indices[0]])}
+	p := point(&jb.grid[u.index])
+	grant.Point = &p
 	return grant, nil, false
 }
 
@@ -343,7 +335,8 @@ func (s *Server) heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	return HeartbeatResponse{OK: s.cluster != nil && s.cluster.heartbeat(req.Lease, now)}
 }
 
-// complete merges a lease's per-point reports into the running job.
+// complete resolves the point req's lease was granted for with req's
+// outcome and makes a reported result durable under that point's key.
 func (s *Server) complete(req CompleteRequest) CompleteResponse {
 	now := time.Now()
 	s.mu.Lock()
@@ -351,53 +344,53 @@ func (s *Server) complete(req CompleteRequest) CompleteResponse {
 		s.workersSeen[req.Worker] = now
 	}
 	jb := s.cluster
-	var late bool
-	var grid []core.Config // set when the reports are this job's to make durable
-	switch {
-	case jb != nil && req.Job == jb.token:
-		grid = jb.grid
-		late = jb.complete(req.Lease, req.Reports)
+	idx, late := -1, true
+	if jb != nil && req.Job == jb.token {
+		idx, late = jb.complete(req.Lease, req.PointOutcome)
 		if len(jb.pending) > 0 { // requeued: claims park only on an empty queue
 			s.wakeClaimsLocked()
 		}
-	case jb != nil:
-		// The report belongs to a different job (its lease was granted
-		// before a job transition, or by a previous coordinator
-		// incarnation). Its indices point into that job's grid, not this
-		// one's — recording or ensuring anything here would stamp one
-		// job's results onto another job's configs. Drop it wholesale:
-		// the worker's own store writes are already durable, and the
-		// old job's requeue/resubmission path resolves from them.
+	} else {
+		// No job is executing, or the lease belongs to another one
+		// (granted before a job transition, or by a previous coordinator
+		// incarnation): its point is not in this grid, and recording or
+		// ensuring anything here would stamp one job's result onto another
+		// job's config. The worker's store write is already durable, and a
+		// resubmission of its job resolves from it.
 		s.ctot.LateReports++
-		late = true
-	default:
-		// No job is executing (it finished, was cancelled, or the
-		// coordinator restarted): the report has nowhere to land, but
-		// that is fine — the worker's store writes are already durable,
-		// and a resubmission resolves from them.
-		s.ctot.LateReports++
-		late = true
 	}
 	s.mu.Unlock()
-	// Make worker-reported results durable in the coordinator's store
-	// (a no-op under a shared directory, where the worker's own write
-	// already landed). Outside the lock: this is disk I/O, and a job's
-	// grid never changes.
-	for _, rep := range req.Reports {
-		if grid != nil && rep.Error == "" && rep.Result != nil && rep.Index >= 0 && rep.Index < len(grid) {
-			s.store.Ensure(grid[rep.Index].Key(), *rep.Result)
-		}
+	// Make a reported result durable in the coordinator's store (a no-op
+	// under a shared directory, where the worker's own write already
+	// landed). Outside the lock: this is disk I/O, and a job's grid never
+	// changes.
+	if idx >= 0 && req.Error == "" && req.Result != nil {
+		s.store.Ensure(jb.grid[idx].Key(), *req.Result)
 	}
 	return CompleteResponse{OK: true, Late: late}
 }
 
-func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
+// readRPC decodes a cluster RPC's body into req and requires member,
+// read into *value, to be non-empty; else it answers 400 naming the
+// unread or the missing member (or the other decode error).
+func (s *Server) readRPC(w http.ResponseWriter, r *http.Request, kind string, req any, member string, value *string) bool {
 	if s.notCoordinator(w) {
-		return
+		return false
 	}
+	err := decodeBody(r, req)
+	if err == nil && *value == "" {
+		err = fmt.Errorf("lacks required member %q", member)
+	}
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("malformed %s: %v", kind, err)})
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	var req ClaimRequest
-	if err := decodeBody(r, &req); err != nil || req.Worker == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "claim needs a worker identity"})
+	if !s.readRPC(w, r, "claim", &req, "worker", &req.Worker) {
 		return
 	}
 	if grant, err := s.claim(r.Context(), req); err == nil { // else the caller went away
@@ -406,24 +399,16 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if s.notCoordinator(w) {
-		return
-	}
 	var req HeartbeatRequest
-	if err := decodeBody(r, &req); err != nil || req.Lease == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "heartbeat needs a lease id"})
+	if !s.readRPC(w, r, "heartbeat", &req, "lease", &req.Lease) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.heartbeat(req))
 }
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	if s.notCoordinator(w) {
-		return
-	}
 	var req CompleteRequest
-	if err := decodeBody(r, &req); err != nil || req.Lease == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("malformed completion: %v", err)})
+	if !s.readRPC(w, r, "completion", &req, "lease", &req.Lease) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.complete(req))
@@ -440,8 +425,8 @@ func (p inProcess) Heartbeat(_ context.Context, lease, worker string) (bool, err
 	return p.s.heartbeat(HeartbeatRequest{Lease: lease, Worker: worker}).OK, nil
 }
 
-func (p inProcess) Complete(_ context.Context, lease, job, worker string, reports []PointReport) (CompleteResponse, error) {
-	return p.s.complete(CompleteRequest{Lease: lease, Job: job, Worker: worker, Reports: reports}), nil
+func (p inProcess) Complete(_ context.Context, lease, job, worker string, out PointOutcome) (CompleteResponse, error) {
+	return p.s.complete(CompleteRequest{Lease: lease, Job: job, Worker: worker, PointOutcome: out}), nil
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
@@ -479,13 +464,14 @@ func (c *Client) Heartbeat(ctx context.Context, lease, worker string) (bool, err
 	return resp.OK, err
 }
 
-// Complete reports a lease's per-point outcomes. job must be the
-// ClaimResponse.Job the lease was granted under. Retries transport
-// errors: losing a completion to a blip would cost a whole requeue
-// cycle, and re-delivery is idempotent coordinator-side.
-func (c *Client) Complete(ctx context.Context, lease, job, worker string, reports []PointReport) (CompleteResponse, error) {
+// Complete reports the outcome of a lease's point; the zero outcome
+// hands the point back. job must be the ClaimResponse.Job the lease was
+// granted under. Retries transport errors: losing a completion to a blip
+// would cost a whole requeue cycle, and re-delivery is idempotent
+// coordinator-side.
+func (c *Client) Complete(ctx context.Context, lease, job, worker string, out PointOutcome) (CompleteResponse, error) {
 	var resp CompleteResponse
-	err := c.doRetry(ctx, http.MethodPost, "/v1/cluster/complete", CompleteRequest{Lease: lease, Job: job, Worker: worker, Reports: reports}, &resp)
+	err := c.doRetry(ctx, http.MethodPost, "/v1/cluster/complete", CompleteRequest{Lease: lease, Job: job, Worker: worker, PointOutcome: out}, &resp)
 	return resp, err
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -236,8 +237,7 @@ func TestClusterOrphanRecovery(t *testing.T) {
 
 	// Submit, then let the victim persist its unreported point before the
 	// survivors join, so the orphaned lease is guaranteed to exist and its
-	// point is durable. (A survivor's Open removes the temp files it finds
-	// in the shared directory, an in-flight write's included.)
+	// point is durable.
 	st, err := c.Submit(context.Background(), mustPoints(t, grid))
 	if err != nil {
 		t.Fatal(err)
@@ -336,12 +336,10 @@ func TestClusterStaleJobCompletionDropped(t *testing.T) {
 	}
 
 	// The stale worker finally reports job A's lease, carrying a poison
-	// result at index 0. Pre-fix this was record()ed into job B's grid
+	// result for its point. Pre-fix this was record()ed into job B's grid
 	// and Ensure()d into the store under B's config key.
 	poison := core.Result{AvgLatency: -999, Delivered: -1}
-	resp, err := c.Complete(ctx, grantA.Lease, grantA.Job, "stale-worker", []PointReport{
-		{Index: grantA.Indices[0], Result: &poison},
-	})
+	resp, err := c.Complete(ctx, grantA.Lease, grantA.Job, "stale-worker", PointOutcome{Result: &poison})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,12 +358,12 @@ func TestClusterStaleJobCompletionDropped(t *testing.T) {
 	// poison, neither merged directly nor resurrected via the store.
 	for range gridB {
 		grantB := claimUntilGranted(t, c, "fresh-worker")
-		cfg, err := grantB.Points[0].Config()
+		cfg, err := grantB.Point.Config()
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, _ := scripted(cfg)
-		if _, err := c.Complete(ctx, grantB.Lease, grantB.Job, "fresh-worker", []PointReport{{Index: grantB.Indices[0], Result: &res}}); err != nil {
+		if _, err := c.Complete(ctx, grantB.Lease, grantB.Job, "fresh-worker", PointOutcome{Result: &res}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -530,15 +528,15 @@ func TestClusterGrantKeysLikeSubmission(t *testing.T) {
 	}
 	for range points {
 		grant := claimUntilGranted(t, c, "w")
-		if len(grant.Points) != 1 || len(grant.Indices) != 1 {
+		if grant.Point == nil {
 			t.Fatalf("grant: %+v, want one point", grant)
 		}
-		i := grant.Indices[0]
+		i := grant.Index
 		sent, err := points[i].Config()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := grant.Points[0].Config()
+		got, err := grant.Point.Config()
 		if err != nil || got.Key() != sent.Key() {
 			t.Errorf("granted point %d keys %q (err %v), submitted %q", i, got.Key(), err, sent.Key())
 		}
@@ -598,7 +596,7 @@ func TestClusterLeaseEpoch(t *testing.T) {
 		t.Fatalf("stale-incarnation heartbeat renewed a lease: ok=%v err=%v", ok, err)
 	}
 	poison := core.Result{AvgLatency: -1}
-	resp, err := c2.Complete(ctx, g1.Lease, g1.Job, "w", []PointReport{{Index: 0, Result: &poison}})
+	resp, err := c2.Complete(ctx, g1.Lease, g1.Job, "w", PointOutcome{Result: &poison})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -823,15 +821,15 @@ func TestClusterHandBackRequeuesAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := claimUntilGranted(t, c, "draining")
-	if resp, err := c.Complete(ctx, first.Lease, first.Job, "draining", nil); err != nil || resp.Late {
+	if resp, err := c.Complete(ctx, first.Lease, first.Job, "draining", PointOutcome{}); err != nil || resp.Late {
 		t.Fatalf("hand-back: %+v err=%v", resp, err)
 	}
 	again, err := c.Claim(ctx, "finisher", 0) // unheld: answered from the queue as it stands
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Lease == "" || again.Attempt != 2 || len(again.Indices) != 1 || again.Indices[0] != first.Indices[0] {
-		t.Fatalf("claim after the hand-back got %+v, want point %d again on attempt 2", again, first.Indices[0])
+	if again.Lease == "" || again.Attempt != 2 || again.Point == nil || again.Index != first.Index {
+		t.Fatalf("claim after the hand-back got %+v, want point %d again on attempt 2", again, first.Index)
 	}
 	cs, err := c.ClusterStats(ctx)
 	if err != nil {
@@ -844,7 +842,7 @@ func TestClusterHandBackRequeuesAtOnce(t *testing.T) {
 
 // reportingPeer is a coordinator as a worker's execute sees it that
 // records the worker's completion.
-type reportingPeer struct{ reports chan []PointReport }
+type reportingPeer struct{ outs chan PointOutcome }
 
 func (reportingPeer) Claim(context.Context, string, time.Duration) (ClaimResponse, error) {
 	return ClaimResponse{}, nil
@@ -852,43 +850,193 @@ func (reportingPeer) Claim(context.Context, string, time.Duration) (ClaimRespons
 
 func (reportingPeer) Heartbeat(context.Context, string, string) (bool, error) { return true, nil }
 
-func (p reportingPeer) Complete(_ context.Context, _, _, _ string, reports []PointReport) (CompleteResponse, error) {
-	p.reports <- reports
+func (p reportingPeer) Complete(_ context.Context, _, _, _ string, out PointOutcome) (CompleteResponse, error) {
+	p.outs <- out
 	return CompleteResponse{OK: true}, nil
 }
 
 // TestWorkerFailsGrantLackingMember: a grant whose point lacks a required
-// member fails that point with the message a submission of it gets, and
-// the grant's other points still run. The grant holds three points, as
-// one from a coordinator that leased several points at once does; the
-// worker runs them one after another.
+// member fails the point with the message a submission of it gets, and
+// the point never reaches the simulator.
 func TestWorkerFailsGrantLackingMember(t *testing.T) {
 	t.Parallel()
-	points := mustPoints(t, testGrid(3))
-	grant := fmt.Sprintf(`{"lease":"l1","job":"j1","indices":[4,5,6],"points":[%s,%s,%s]}`,
-		withMember(t, points[0], "", false), withMember(t, points[1], "seed", false), withMember(t, points[2], "lookahead", true))
+	lacking := withMember(t, mustPoints(t, testGrid(1))[0], "seed", false)
+	_, c := testServer(t, t.TempDir(), ServerOptions{Runner: scripted})
+	err := c.do(context.Background(), http.MethodPost, "/v1/jobs", jobBody(t, lacking), nil)
+	var ae *APIStatusError
+	if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest {
+		t.Fatalf("submission lacking seed: %v, want 400", err)
+	}
+
 	var g ClaimResponse
-	if err := json.Unmarshal([]byte(grant), &g); err != nil {
+	if err := json.Unmarshal([]byte(fmt.Sprintf(`{"lease":"l1","job":"j1","index":5,"point":%s}`, lacking)), &g); err != nil {
 		t.Fatal(err)
 	}
 	store, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer := reportingPeer{make(chan []PointReport, 1)}
-	w := &Worker{ID: "w", Store: store, Runner: scripted}
+	peer := reportingPeer{make(chan PointOutcome, 1)}
+	w := &Worker{ID: "w", Store: store, Runner: func(core.Config) (core.Result, error) {
+		t.Error("a point lacking a required member reached the simulator")
+		return core.Result{}, nil
+	}}
 	w.execute(context.Background(), peer, g)
-	want := map[int]string{
-		5: `serve: point lacks required member "seed"`,
-		6: `serve: point lacks required member "lookahead"`,
+	out := <-peer.outs
+	const want = `serve: point lacks required member "seed"`
+	if out.Error != want || out.Result != nil || !strings.Contains(ae.Message, out.Error) {
+		t.Errorf("completion %+v, want error %q, the submission's %q", out, want, ae.Message)
 	}
-	reports := <-peer.reports
-	if len(reports) != 3 {
-		t.Fatalf("reports %+v, want one per point", reports)
+}
+
+// TestWorkerRefusesArrayGrant: a grant in the form of a coordinator
+// built before a grant carried one point ("indices" and "points" arrays)
+// makes Run return an error naming the missing "point". The worker
+// neither runs the grant's points nor completes its lease.
+func TestWorkerRefusesArrayGrant(t *testing.T) {
+	t.Parallel()
+	point, err := json.Marshal(mustPoints(t, testGrid(1))[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range reports {
-		if r.Error != want[r.Index] || (r.Error == "") != (r.Result != nil) {
-			t.Errorf("point %d: result %v, error %q; want error %q", r.Index, r.Result, r.Error, want[r.Index])
+	var other atomic.Int64
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/cluster/claim" {
+			other.Add(1)
+			http.Error(w, "unexpected "+r.URL.Path, http.StatusTeapot)
+			return
+		}
+		fmt.Fprintf(w, `{"lease":"j000001.old-l0001","job":"j000001.old","attempt":1,"indices":[0],"points":[%s],"ttl_ms":10000,"heartbeat_ms":2500}`, point)
+	}))
+	defer coord.Close()
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{ID: "w", Coordinators: []string{coord.URL}, Store: store, Workers: 1, Runner: func(core.Config) (core.Result, error) {
+		t.Error("ran a point of an array grant")
+		return core.Result{}, nil
+	}}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = w.Run(ctx)
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), `"point"`) || !strings.Contains(err.Error(), "j000001.old-l0001") {
+		t.Fatalf("Run on an array grant: %v, want an error naming the lease and the missing \"point\"", err)
+	}
+	if n := other.Load(); n != 0 {
+		t.Errorf("the worker sent %d heartbeats or completions for a grant it refused", n)
+	}
+}
+
+// TestClusterRefusesArrayCompletion: a completion in the form of a
+// worker built before a completion carried one outcome (a "reports"
+// array) answers 400 naming "reports" and ends nothing: the lease stays
+// out and no point is requeued.
+func TestClusterRefusesArrayCompletion(t *testing.T) {
+	t.Parallel()
+	_, c := testServer(t, t.TempDir(), ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second}})
+	ctx := context.Background()
+	if _, err := c.Submit(ctx, mustPoints(t, testGrid(1))); err != nil {
+		t.Fatal(err)
+	}
+	g := claimUntilGranted(t, c, "old")
+	body := fmt.Sprintf(`{"lease":%q,"job":%q,"worker":"old","reports":[]}`, g.Lease, g.Job)
+	err := c.do(ctx, http.MethodPost, "/v1/cluster/complete", json.RawMessage(body), nil)
+	var ae *APIStatusError
+	if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, `"reports"`) {
+		t.Fatalf("array completion: %v, want 400 naming \"reports\"", err)
+	}
+	cs, err := c.ClusterStats(ctx)
+	if err != nil || cs.ActiveLeases != 1 || cs.TransientRequeues != 0 || cs.LateReports != 0 {
+		t.Fatalf("cluster stats after a refused completion: %+v err=%v, want the lease still out", cs, err)
+	}
+}
+
+// TestClusterCompletionResolvesLeasedPoint: a completion resolves the
+// point its lease was granted for and no other — the worker names no
+// point — both while the lease is out and late, after the lease was
+// handed back; the coordinator stores the result under that point's key
+// only. A lease the job never granted resolves nothing and stores
+// nothing, and counts as late.
+func TestClusterCompletionResolvesLeasedPoint(t *testing.T) {
+	t.Parallel()
+	srv, c := testServer(t, t.TempDir(), ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second}})
+	ctx := context.Background()
+	grid := testGrid(3)
+	st, err := c.Submit(ctx, mustPoints(t, grid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onTime := claimUntilGranted(t, c, "w")
+	handedBack := claimUntilGranted(t, c, "w")
+	stored := func() (keys []int) {
+		for i := range grid {
+			if _, ok := srv.store.Get(grid[i].Key()); ok {
+				keys = append(keys, i)
+			}
+		}
+		return keys
+	}
+	completed := func() int {
+		t.Helper()
+		now, err := c.Status(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return now.Completed
+	}
+
+	forged := core.Result{AvgLatency: 12345}
+	resp, err := c.Complete(ctx, onTime.Job+"-l9999", onTime.Job, "w", PointOutcome{Result: &forged})
+	if err != nil || !resp.Late {
+		t.Fatalf("completion of a lease never granted: %+v err=%v, want late", resp, err)
+	}
+	if n, keys := completed(), stored(); n != 0 || keys != nil {
+		t.Fatalf("a lease never granted resolved %d points and stored points %v", n, keys)
+	}
+
+	marks := map[int]core.Result{
+		onTime.Index:     {AvgLatency: 111, Delivered: 1},
+		handedBack.Index: {AvgLatency: 222, Delivered: 2},
+	}
+	mark := marks[onTime.Index]
+	if resp, err := c.Complete(ctx, onTime.Lease, onTime.Job, "w", PointOutcome{Result: &mark}); err != nil || resp.Late {
+		t.Fatalf("on-time completion: %+v err=%v", resp, err)
+	}
+	if n, keys := completed(), stored(); n != 1 || len(keys) != 1 || keys[0] != onTime.Index {
+		t.Fatalf("on-time completion of point %d resolved %d points and stored points %v", onTime.Index, n, keys)
+	}
+	if _, err := c.Complete(ctx, handedBack.Lease, handedBack.Job, "w", PointOutcome{}); err != nil {
+		t.Fatal(err)
+	}
+	mark = marks[handedBack.Index]
+	if resp, err := c.Complete(ctx, handedBack.Lease, handedBack.Job, "w", PointOutcome{Result: &mark}); err != nil || !resp.Late {
+		t.Fatalf("completion after the hand-back: %+v err=%v, want late", resp, err)
+	}
+	if n, keys := completed(), stored(); n != 2 || len(keys) != 2 {
+		t.Fatalf("late completion of point %d: %d points resolved, points %v stored", handedBack.Index, n, keys)
+	}
+
+	last := claimUntilGranted(t, c, "w")
+	if _, marked := marks[last.Index]; marked {
+		t.Fatalf("point %d leased again after it was resolved, before point %d", last.Index, 3-onTime.Index-handedBack.Index)
+	}
+	res, _ := scripted(grid[last.Index])
+	marks[last.Index] = res
+	if _, err := c.Complete(ctx, last.Lease, last.Job, "w", PointOutcome{Result: &res}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Results(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range grid {
+		got, ok := srv.store.Get(grid[i].Key())
+		if r := out.Outcomes[i].Result; r == nil || *r != marks[i] || !ok || got != marks[i] {
+			t.Errorf("point %d: outcome %+v, stored %+v (%v); want %+v", i, out.Outcomes[i], got, ok, marks[i])
 		}
 	}
 }
@@ -910,11 +1058,22 @@ func TestClusterGuards(t *testing.T) {
 		t.Fatalf("412 should point at the fix: %s", ae.Message)
 	}
 
-	// A coordinator rejects an anonymous claim.
+	// A coordinator answers a malformed RPC 400 naming its fault: the
+	// member it does not read, or the member it lacks.
 	_, c2 := testServer(t, t.TempDir(), ServerOptions{Cluster: fastCluster()})
 	_, err = c2.Claim(context.Background(), "", 0)
-	if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest {
+	if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest || !strings.Contains(ae.Message, `lacks required member "worker"`) {
 		t.Fatalf("anonymous claim: %v", err)
+	}
+	for _, tc := range []struct{ path, body, want string }{
+		{"/v1/cluster/claim", `{"worker":"w0","wait_mss":10}`, `malformed claim: json: unknown field "wait_mss"`},
+		{"/v1/cluster/heartbeat", `{"lease":"l1","wroker":"w0"}`, `malformed heartbeat: json: unknown field "wroker"`},
+		{"/v1/cluster/complete", `{"job":"j1","worker":"w0"}`, `malformed completion: lacks required member "lease"`},
+	} {
+		err := c2.do(context.Background(), http.MethodPost, tc.path, json.RawMessage(tc.body), nil)
+		if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest || ae.Message != tc.want {
+			t.Errorf("POST %s %s: %v, want 400 %q", tc.path, tc.body, err, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
@@ -43,9 +44,9 @@ func (o outcome) resolved() bool { return o.result != nil || o.err != nil }
 
 // record resolves point i with o, once: duplicates (a late completion of
 // a lease that was already requeued and re-executed) are discarded, so
-// whichever report arrives first wins and the merged outcome is stable.
+// whichever outcome arrives first wins and the merged outcome is stable.
 func (jb *job) record(i int, o outcome) {
-	if i < 0 || i >= len(jb.outs) || jb.outs[i].resolved() {
+	if jb.outs[i].resolved() {
 		return
 	}
 	jb.outs[i] = o
@@ -92,6 +93,7 @@ func (jb *job) claim(worker string, now time.Time) *workUnit {
 	u.attempt++
 	u.expires = now.Add(jb.srv.lease.LeaseTTL)
 	jb.active[u.lease] = u
+	jb.granted[u.lease] = u.index
 	jb.srv.ctot.Claims++
 	return u
 }
@@ -142,42 +144,43 @@ func (jb *job) requeue(u *workUnit, reason string) bool {
 	return true
 }
 
-// complete applies a worker's reports for a lease.
+// complete applies a worker's outcome for a lease to the point the
+// lease was granted for; the worker names no point.
 //
-//   - A result or an error resolves its point. Every reported error is
-//     permanent: the simulator is deterministic, so running the point
-//     again cannot change its answer.
-//   - A point the report leaves out (a draining worker reports only what
-//     it ran) is handed back: requeue puts it in the queue at once, under
-//     the capped attempt budget.
-//   - A late report — the lease already expired and was requeued — still
-//     resolves its points: re-execution is idempotent, record discards
-//     whichever copy arrives second, and the slow-but-alive worker's
-//     results are not thrown away.
+//   - A result or an error resolves the point. Every reported error is
+//     permanent: the simulator is deterministic.
+//   - Neither (a draining worker's lease it never started) hands the
+//     point back: requeue queues it at once, under the attempt budget.
+//   - A late outcome — the lease expired and was requeued, or was handed
+//     back — still resolves its point: record keeps the first copy, and
+//     the slow-but-alive worker's result is not thrown away.
+//   - A lease this job never granted resolves nothing.
 //
-// Returns whether the report was late.
-func (jb *job) complete(lease string, reports []PointReport) (late bool) {
+// It returns the lease's point (-1 if never granted) and whether the
+// completion was late.
+func (jb *job) complete(lease string, out PointOutcome) (i int, late bool) {
+	i, granted := jb.granted[lease]
 	u := jb.active[lease]
-	late = u == nil
-	if late {
+	if late = u == nil; late {
 		jb.srv.ctot.LateReports++
 	} else {
 		delete(jb.active, lease)
 	}
-	for _, r := range reports {
-		switch {
-		case r.Error != "":
-			jb.record(r.Index, outcome{err: fmt.Errorf("%s", r.Error)})
-		case r.Result != nil:
-			raw, err := r.Result.MarshalJSON()
-			jb.record(r.Index, outcome{result: raw, err: err, cached: r.Cached})
-		}
+	if !granted {
+		return -1, late
+	}
+	switch {
+	case out.Error != "":
+		jb.record(i, outcome{err: errors.New(out.Error)})
+	case out.Result != nil:
+		raw, err := out.Result.MarshalJSON()
+		jb.record(i, outcome{result: raw, err: err, cached: out.Cached})
 	}
 	if u != nil && jb.requeue(u, fmt.Sprintf("lease %s returned without resolving its point", lease)) {
 		jb.srv.ctot.TransientRequeues++
 	}
 	jb.settle()
-	return late
+	return i, late
 }
 
 // stop ends leasing: claims find nothing, heartbeats answer false and

@@ -404,7 +404,7 @@ func TestHeldClaimGetsRequeuedUnit(t *testing.T) {
 		parkThenFree(t, 30*time.Second, 0, func(c *Client, first ClaimResponse) {
 			// A draining worker that never started the point reports
 			// nothing.
-			if _, err := c.Complete(context.Background(), first.Lease, first.Job, "first", nil); err != nil {
+			if _, err := c.Complete(context.Background(), first.Lease, first.Job, "first", PointOutcome{}); err != nil {
 				t.Error(err)
 			}
 		})

@@ -120,6 +120,7 @@ type job struct {
 	token     string
 	pending   []*workUnit          // points waiting to be claimed
 	active    map[string]*workUnit // points out on a lease, by lease ID
+	granted   map[string]int       // every lease granted, to its point's index
 	nextLease int64
 	stopped   bool // no more leasing: the job's context ended
 	// finished closes once every point is resolved or the job is stopped

@@ -258,15 +258,15 @@ func TestServerRetriesTransient(t *testing.T) {
 	if first.Attempt != 1 {
 		t.Fatalf("first grant %+v, want attempt 1", first)
 	}
-	if _, err := c.Complete(ctx, first.Lease, first.Job, "w", nil); err != nil {
+	if _, err := c.Complete(ctx, first.Lease, first.Job, "w", PointOutcome{}); err != nil {
 		t.Fatal(err)
 	}
 	second := claimUntilGranted(t, c, "w")
-	if len(second.Indices) != 1 || second.Indices[0] != 0 || second.Attempt != 2 {
+	if second.Point == nil || second.Index != 0 || second.Attempt != 2 {
 		t.Fatalf("second grant %+v, want point 0 on attempt 2", second)
 	}
 	want, _ := scripted(grid[0])
-	if _, err := c.Complete(ctx, second.Lease, second.Job, "w", []PointReport{{Index: 0, Result: &want}}); err != nil {
+	if _, err := c.Complete(ctx, second.Lease, second.Job, "w", PointOutcome{Result: &want}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -310,19 +310,19 @@ func TestServerRetryBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	healthy := claimUntilGranted(t, c, "w")
-	if len(healthy.Indices) != 1 || healthy.Indices[0] != 0 {
+	if healthy.Point == nil || healthy.Index != 0 {
 		t.Fatalf("first grant %+v, want point 0", healthy)
 	}
 	want, _ := scripted(grid[0])
-	if _, err := c.Complete(ctx, healthy.Lease, healthy.Job, "w", []PointReport{{Index: 0, Result: &want}}); err != nil {
+	if _, err := c.Complete(ctx, healthy.Lease, healthy.Job, "w", PointOutcome{Result: &want}); err != nil {
 		t.Fatal(err)
 	}
 	for attempt := 1; attempt <= 2; attempt++ {
 		g := claimUntilGranted(t, c, "w")
-		if len(g.Indices) != 1 || g.Indices[0] != 1 || g.Attempt != attempt {
+		if g.Point == nil || g.Index != 1 || g.Attempt != attempt {
 			t.Fatalf("grant %+v, want point 1 on attempt %d", g, attempt)
 		}
-		if _, err := c.Complete(ctx, g.Lease, g.Job, "w", nil); err != nil {
+		if _, err := c.Complete(ctx, g.Lease, g.Job, "w", PointOutcome{}); err != nil {
 			t.Fatal(err)
 		}
 	}

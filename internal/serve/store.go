@@ -43,7 +43,7 @@ import (
 //     return the verdict they got (a bounded memo; see memoEntries), so
 //     damage that changes even one byte, or another writer's entry under
 //     the same name, is read and checked afresh.
-//   - Open runs a recovery scan: leftover temp files are removed,
+//   - Open runs a recovery scan: temp files over a minute old are removed,
 //     every entry is verified, and corrupt ones are quarantined before
 //     the store serves anything.
 //   - A read that fails for want of a resource (descriptors, kernel
@@ -142,8 +142,12 @@ func entrySum(key string, result []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// staleTemp is the age past which the recovery scan takes a temp file
+// for an interrupted write: a write and its fsync take far less.
+const staleTemp = time.Minute
+
 // Open opens (creating if necessary) the store rooted at dir and runs
-// the recovery scan: interrupted temp files are deleted, every entry is
+// the recovery scan: stale temp files are deleted, every entry is
 // checksum-verified, and truncated or corrupt entries are quarantined.
 // The returned store serves only entries that passed verification.
 func Open(dir string) (*Store, error) {
@@ -170,10 +174,13 @@ func Open(dir string) (*Store, error) {
 		name := e.Name()
 		path := filepath.Join(dir, objectsDir, name)
 		if !strings.HasSuffix(name, ".json") {
-			// A temp file from an interrupted write: the rename never
-			// happened, so the entry was never promised durable.
-			os.Remove(path)
-			s.orphanTemps++
+			// A temp file: its entry was never promised durable. A young
+			// one may be another process's write in flight in a shared
+			// directory; only an old one is an interrupted write's.
+			if info, err := e.Info(); err == nil && s.scanTime.Sub(info.ModTime()) > staleTemp {
+				os.Remove(path)
+				s.orphanTemps++
+			}
 			continue
 		}
 		raw, err := readFile(path)

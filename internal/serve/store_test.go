@@ -526,7 +526,9 @@ func TestStoreQuarantineLogsReason(t *testing.T) {
 }
 
 // TestStoreTempFileCleanup: a temp file left by a crash mid-write is
-// removed by the recovery scan and never treated as an entry.
+// removed by the recovery scan and never treated as an entry, once it
+// is older than any write; a fresh one, which may be another process's
+// write in flight in a shared directory, is left alone.
 func TestStoreTempFileCleanup(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -541,11 +543,25 @@ func TestStoreTempFileCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("a fresh temp file did not survive recovery: %v", err)
+	}
+	if st := s.Stats(); st.Entries != 0 || st.Quarantined != 0 || st.OrphanTempsRemoved != 0 {
+		t.Fatalf("fresh temp file touched by recovery: %+v", st)
+	}
+
+	old := time.Now().Add(-2 * staleTemp)
+	if err := os.Chtimes(tmp, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
 	if s.Stats().Entries != 0 {
 		t.Fatalf("temp file counted as entry")
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("temp file survived recovery: %v", err)
+		t.Fatalf("stale temp file survived recovery: %v", err)
 	}
 	if st := s.Stats(); st.Quarantined != 0 {
 		t.Fatalf("temp cleanup counted as quarantine: %+v", st)

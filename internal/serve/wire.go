@@ -49,17 +49,20 @@
 //     the least time between two of them, which only a server that
 //     does not hold (older, or draining) makes it sleep.
 //   - cluster.go / lease.go / worker.go / retry.go: how every job runs.
-//     The server leases each grid one point a lease; the running job
-//     holds the leases with its outcomes. A Worker has Worker.Workers
-//     slots: it takes a free one before each claim, runs the lease on its
-//     own goroutine with its own heartbeat, and frees the slot once the
-//     lease's report is sent. A standalone server starts one Worker of
-//     its own (ServerOptions.Workers) that claims by function call; a
-//     coordinator (ServerOptions.Cluster set) leases to Worker processes
-//     over HTTP. A point is requeued for one reason: it is unresolved
-//     when its lease ends, because the failure detector expired the
-//     lease (its worker went silent past its TTL) or its worker handed
-//     it back (a draining worker reports only the points it ran). After
+//     The server leases each grid one point a lease: a grant carries
+//     one point, a completion one outcome, and the outcome resolves the
+//     point the lease was granted for, which the job remembers by lease
+//     until it ends (a worker names no point). A Worker has
+//     Worker.Workers slots: it takes a free one before each claim, runs
+//     the lease on its own goroutine with its own heartbeat, and frees
+//     the slot once the lease's completion is sent. A standalone server
+//     starts one Worker of its own (ServerOptions.Workers) that claims by
+//     function call; a coordinator (ServerOptions.Cluster set) leases to
+//     Worker processes of its own build over HTTP. A point is requeued
+//     for one reason: it is unresolved when its lease ends, because the
+//     failure detector expired the lease (its worker went silent past its
+//     TTL) or its worker handed it back (a draining worker completes a
+//     lease it never started with no outcome). After
 //     ServerOptions.MaxAttempts claims it fails. Every reported error, a
 //     panic included, fails its point at once. Workers simulate against
 //     the Store, so every finished point is durable before it is

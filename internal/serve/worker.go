@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -26,12 +27,13 @@ import (
 // While a lease runs, a background goroutine heartbeats it at the
 // coordinator's advertised cadence. A heartbeat answered with ok=false
 // (the lease expired and was requeued, the job ended, or the coordinator
-// restarted) abandons a point not yet started; the final completion is
-// then late, and the coordinator merges its successes idempotently.
+// restarted) abandons the point if it has not started; the completion is
+// then late, and the coordinator records a result idempotently.
 // Cancelling Run's context is the graceful drain: running points finish
-// and persist and are reported, and a point not yet started is left out
-// of its report, which hands it back: the coordinator requeues it
-// immediately instead of waiting out the TTL.
+// and persist and are reported, and a point not yet started is completed
+// with no outcome, which hands it back: the coordinator requeues it
+// immediately instead of waiting out the TTL. The worker and its
+// coordinators must be one build: Run stops at a grant in another form.
 type Worker struct {
 	// ID is the worker's stable identity in coordinator logs and lease
 	// ownership (required).
@@ -66,7 +68,7 @@ type Worker struct {
 type peer interface {
 	Claim(ctx context.Context, worker string, wait time.Duration) (ClaimResponse, error)
 	Heartbeat(ctx context.Context, lease, worker string) (bool, error)
-	Complete(ctx context.Context, lease, job, worker string, reports []PointReport) (CompleteResponse, error)
+	Complete(ctx context.Context, lease, job, worker string, out PointOutcome) (CompleteResponse, error)
 }
 
 func (w *Worker) validate() error {
@@ -114,7 +116,10 @@ func (w *Worker) claim(ctx context.Context, peers []peer, cur int) (int, ClaimRe
 // outcome is reported, and Run returns ctx.Err(). It claims one lease at
 // a time, and only while it has a free slot of its Workers, which the
 // lease holds until its completion has been sent: a worker never holds a
-// lease it cannot start while another worker idles.
+// lease it cannot start while another worker idles. A grant with no
+// point comes from a coordinator of an older build, which leased arrays
+// of points: Run neither runs nor reports it, lets the leases in flight
+// finish, and returns an error naming it.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.validate(); err != nil {
 		return err
@@ -132,8 +137,9 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	slots := make(chan struct{}, n)
 	var wg sync.WaitGroup
+	var stop error
 	cur, misses := 0, 0
-	for ctx.Err() == nil {
+	for stop == nil && ctx.Err() == nil {
 		select {
 		case slots <- struct{}{}:
 		case <-ctx.Done():
@@ -155,6 +161,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			<-slots
 			misses = 0
 			sleepCtx(ctx, time.Duration(grant.RetryMS)*time.Millisecond)
+		case grant.Point == nil:
+			<-slots
+			stop = fmt.Errorf(`serve: worker %s: lease %s came with no "point": its coordinator is of an older build; run the coordinator and its workers from one build`, w.ID, grant.Lease)
 		default:
 			misses = 0
 			wg.Add(1)
@@ -166,39 +175,61 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 	}
 	wg.Wait()
-	return ctx.Err()
+	return cmp.Or(stop, ctx.Err())
 }
 
-// execute runs one lease to completion (or abandonment) and reports its
-// outcome back to the coordinator. The points of a grant longer than one
-// run one after another.
+// execute runs one lease's point (or abandons it) and reports its
+// outcome back to the coordinator.
 func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse) {
-	// Materialize the wire points. A config that fails validation is a
-	// permanent failure — retrying a malformed point cannot help — and
-	// never reaches the simulator.
-	reports := make([]PointReport, 0, len(g.Points))
-	var cfgs []core.Config
-	var cfgIdx []int
-	for j, p := range g.Points {
-		if j >= len(g.Indices) {
-			break
-		}
-		c, err := p.Config()
-		if err != nil {
-			reports = append(reports, PointReport{Index: g.Indices[j], Error: err.Error()})
-			continue
-		}
-		cfgs = append(cfgs, c)
-		cfgIdx = append(cfgIdx, g.Indices[j])
+	out := w.run(ctx, co, g)
+	// Report on a fresh bounded context: the whole point of the drain
+	// path is delivering this outcome after ctx was cancelled. If the
+	// completion cannot be delivered, a result is still durable in the
+	// store and the TTL expiry requeues the lease.
+	rctx, rcancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer rcancel()
+	resp, err := co.Complete(rctx, g.Lease, g.Job, w.ID, out)
+	if w.Verbose == nil {
+		return
+	}
+	what := "handed back"
+	switch {
+	case err != nil:
+		what = fmt.Sprintf("not delivered: %v", err)
+	case out.Error != "":
+		what = "failed"
+	case out.Cached:
+		what = "cached"
+	case out.Result != nil:
+		what = "simulated"
+	}
+	if resp.Late {
+		what += ", late"
+	}
+	fmt.Fprintf(w.Verbose, "[worker %s lease %s: point %d %s]\n", w.ID, g.Lease, g.Index, what)
+}
+
+// run simulates a lease's point with the Store as the cache layer while
+// a background goroutine heartbeats the lease, and returns its outcome:
+// the zero outcome if the point never started (drain or lease loss).
+func (w *Worker) run(ctx context.Context, co peer, g ClaimResponse) PointOutcome {
+	// A config that fails validation is a permanent failure — retrying a
+	// malformed point cannot help — and never reaches the simulator.
+	cfg, err := g.Point.Config()
+	if err != nil {
+		return PointOutcome{Error: err.Error()}
 	}
 
 	leaseCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	hbDone := make(chan struct{})
+	defer func() {
+		cancel()
+		<-hbDone
+	}()
 	hbEvery := time.Duration(g.HeartbeatMS) * time.Millisecond
 	if hbEvery <= 0 {
 		hbEvery = time.Second
 	}
-	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
 		ticker := time.NewTicker(hbEvery)
@@ -223,56 +254,19 @@ func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse) {
 		}
 	}()
 
-	outs, _ := sweep.Run(leaseCtx, cfgs, sweep.Options{
-		Workers: 1,
-		Cache:   w.Store,
-		Runner:  w.Runner,
-	})
-	cancel()
-	<-hbDone
-
-	for j, o := range outs {
-		idx := cfgIdx[j]
-		switch {
-		case o.Err == nil:
-			res := o.Result
-			reports = append(reports, PointReport{Index: idx, Result: &res, Cached: o.Cached})
-		case errors.Is(o.Err, context.Canceled) && leaseCtx.Err() != nil:
-			// Never started (drain or lease loss): left out, so the
-			// coordinator requeues it without burning the TTL.
-		default:
-			// To a deterministic simulator any error, a recovered panic
-			// included, is a property of the config: it fails the point.
-			// (Out of memory is fatal in Go, not a panic: the lease TTL
-			// covers it.)
-			reports = append(reports, PointReport{Index: idx, Error: o.Err.Error()})
-		}
-	}
-
-	// Report on a fresh bounded context: the whole point of the drain
-	// path is delivering these outcomes after ctx was cancelled. If the
-	// completion cannot be delivered, the results are still durable in
-	// the store and the TTL expiry requeues the lease.
-	rctx, rcancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer rcancel()
-	resp, err := co.Complete(rctx, g.Lease, g.Job, w.ID, reports)
-	if w.Verbose != nil {
-		ncached, nerr := 0, 0
-		for _, rep := range reports {
-			if rep.Error != "" {
-				nerr++
-			} else if rep.Cached {
-				ncached++
-			}
-		}
-		nres := len(reports) - nerr
-		switch {
-		case err != nil:
-			fmt.Fprintf(w.Verbose, "[worker %s lease %s: completion not delivered: %v]\n", w.ID, g.Lease, err)
-		case resp.Late:
-			fmt.Fprintf(w.Verbose, "[worker %s lease %s: late completion (%d ok, %d cached)]\n", w.ID, g.Lease, nres, ncached)
-		default:
-			fmt.Fprintf(w.Verbose, "[worker %s lease %s: %d points, %d cached, %d failed]\n", w.ID, g.Lease, nres, ncached, nerr)
-		}
+	outs, _ := sweep.Run(leaseCtx, []core.Config{cfg}, sweep.Options{Workers: 1, Cache: w.Store, Runner: w.Runner})
+	switch o := outs[0]; {
+	case o.Err == nil:
+		return PointOutcome{Result: &o.Result, Cached: o.Cached}
+	case errors.Is(o.Err, context.Canceled) && leaseCtx.Err() != nil:
+		// Never started: no outcome hands it back, so the coordinator
+		// requeues it without burning the TTL.
+		return PointOutcome{}
+	default:
+		// To a deterministic simulator any error, a recovered panic
+		// included, is a property of the config: it fails the point.
+		// (Out of memory is fatal in Go, not a panic: the lease TTL
+		// covers it.)
+		return PointOutcome{Error: o.Err.Error()}
 	}
 }
