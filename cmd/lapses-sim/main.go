@@ -183,7 +183,7 @@ func main() {
 	}
 	if cfg.AutoTol != 0 {
 		fmt.Printf("auto           converged=%t after %d messages (CI ±%.2f, target ±%.1f%% of mean)\n",
-			res.Converged, res.Delivered, res.LatencyCI, cfg.AutoTol*100)
+			res.Converged, res.Delivered, res.CI95, cfg.AutoTol*100)
 	}
 	if res.Saturated {
 		fmt.Printf("saturated      %s\n", res.SatReason)

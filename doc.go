@@ -76,7 +76,7 @@
 // agreeing checks — bounded by a floor and by the Warmup+Measure ceiling. Result.MeasuredCycles reports the truncated window the
 // estimate covers (for fixed runs it equals Result.Cycles),
 // Result.Converged whether the CI target ended the run, and
-// Result.LatencyCI the half-width under whichever methodology ran.
+// Result.CI95 the half-width under whichever methodology ran.
 // Result.SkippedCycles — the idle cycles fast-forward jumped over — is
 // independent of MeasuredCycles: a skipped cycle inside the measurement
 // window is still simulated, measured time, because the jump happens

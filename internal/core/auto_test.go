@@ -53,21 +53,21 @@ func TestAutoConvergesEarlier(t *testing.T) {
 	if auto.TotalCycles >= fixed.TotalCycles {
 		t.Fatalf("auto simulated %d cycles vs fixed %d — no cycle saving", auto.TotalCycles, fixed.TotalCycles)
 	}
-	if auto.LatencyCI <= 0 || auto.MeasuredCycles <= 0 {
+	if auto.CI95 <= 0 || auto.MeasuredCycles <= 0 {
 		t.Fatalf("auto run missing CI/window: %+v", auto)
 	}
 	if auto.MeasuredCycles > auto.TotalCycles {
 		t.Fatalf("measured window %d exceeds total %d", auto.MeasuredCycles, auto.TotalCycles)
 	}
 	// The CI actually met the tolerance it stopped on.
-	if auto.LatencyCI > 0.05*auto.AvgLatency {
-		t.Fatalf("reported CI %.3f above tolerance at mean %.1f", auto.LatencyCI, auto.AvgLatency)
+	if auto.CI95 > 0.05*auto.AvgLatency {
+		t.Fatalf("reported CI %.3f above tolerance at mean %.1f", auto.CI95, auto.AvgLatency)
 	}
 	// Both tiers estimate the same steady state; the CI bounds the gap
 	// loosely (different sample windows), so allow a few half-widths.
-	if diff := auto.AvgLatency - fixed.AvgLatency; diff < -6*auto.LatencyCI || diff > 6*auto.LatencyCI {
+	if diff := auto.AvgLatency - fixed.AvgLatency; diff < -6*auto.CI95 || diff > 6*auto.CI95 {
 		t.Fatalf("auto latency %.2f vs fixed %.2f: outside 6 half-widths (%.3f)",
-			auto.AvgLatency, fixed.AvgLatency, auto.LatencyCI)
+			auto.AvgLatency, fixed.AvgLatency, auto.CI95)
 	}
 	// Fixed-tier runs must not grow adaptive fields.
 	if fixed.Converged {
@@ -75,9 +75,6 @@ func TestAutoConvergesEarlier(t *testing.T) {
 	}
 	if fixed.MeasuredCycles != fixed.Cycles {
 		t.Fatalf("fixed-tier MeasuredCycles %d != Cycles %d", fixed.MeasuredCycles, fixed.Cycles)
-	}
-	if fixed.LatencyCI != fixed.CI95 {
-		t.Fatalf("fixed-tier LatencyCI %v != CI95 %v", fixed.LatencyCI, fixed.CI95)
 	}
 }
 

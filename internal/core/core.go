@@ -273,15 +273,37 @@ func (c Config) PaperFidelity() Config {
 // Mesh materializes the topology.
 func (c Config) Mesh() *topology.Mesh { return topology.New(c.Torus, c.Dims...) }
 
+// SemanticsVersion names the simulator semantics a stored Result was
+// computed under. The result store keeps each version's entries apart
+// and reads no other version's, so a change that moves any answer bumps
+// it: every earlier answer is then a miss that re-simulates, never a
+// stale hit. TestGoldenDigests holds it to the golden fixtures.
+const SemanticsVersion = 1
+
+// canonical maps c to the representative of its class of configs that
+// provably produce one Result, which Key and structureKey read. es, full
+// and interval tables program the same routes (table.Program ignores
+// which of the three it is given), so they key as es; SatLatency 0 is
+// network.Run's default guard of 5000.
+func (c Config) canonical() Config {
+	if c.Table == table.KindFull || c.Table == table.KindInterval {
+		c.Table = table.KindES
+	}
+	if c.SatLatency == 0 {
+		c.SatLatency = 5000
+	}
+	return c
+}
+
 // Key returns a string that identifies the configuration exactly: two
-// configs with equal keys produce bit-identical Results from Run. It is
-// the memo-cache key used by internal/sweep and the result store's
-// address. Floats are keyed by their bit patterns in hex, so no two
-// distinct loads ever collide; a Trace is keyed by its content digest (no
-// trace keeps the term "tr0x0" it always had). The bytes of every term
-// must stay as they are, because stored entries are addressed by them;
-// TestKeyMatchesFmt holds them to the fmt form they were first written in.
+// configs with equal keys produce bit-identical Results from Run, and
+// configs that provably do share one key (canonical). It is the
+// memo-cache key used by internal/sweep and the result store's address
+// within a SemanticsVersion. Floats are keyed by their bit patterns in
+// hex, so no two distinct loads ever collide; a Trace is keyed by its
+// content digest.
 func (c Config) Key() string {
+	c = c.canonical()
 	var buf [256]byte
 	b := append(buf[:0], "d["...)
 	for i, k := range c.Dims {
@@ -297,19 +319,14 @@ func (c Config) Key() string {
 	b = keyInt(b, ",o", int64(c.OutDepth))
 	b = keyInt(b, ",l", int64(c.LinkDelay))
 	b = strconv.AppendBool(append(b, ",la"...), c.LookAhead)
-	// "ctfalse" is the term of the cut-through switch runs no longer have:
-	// kept literally, so every stored key stays where it was.
-	b = keyInt(b, ",ctfalse,a", int64(c.Algorithm))
+	b = keyInt(b, ",a", int64(c.Algorithm))
 	b = keyInt(b, ",tb", int64(c.Table))
 	b = keyInt(b, ",s", int64(c.Selection))
 	b = keyInt(b, ",p", int64(c.Pattern))
 	b = keyBits(b, ",ld", c.Load)
 	b = keyInt(b, ",ml", int64(c.MsgLen))
-	b = append(b, ",tr"...)
 	if c.Trace != nil {
-		b = append(b, c.Trace.Digest()...)
-	} else {
-		b = append(b, "0x0"...)
+		b = append(append(b, ",tr"...), c.Trace.Digest()...)
 	}
 	b = keyInt(b, ",w", int64(c.Warmup))
 	b = keyInt(b, ",m", int64(c.Measure))
@@ -321,19 +338,14 @@ func (c Config) Key() string {
 	if c.EventMode {
 		b = append(b, ",ev"...)
 	}
-	// The adaptive tier is keyed by its resolved stopping rule (tolerance,
-	// floor, ceiling, check cadence), the form stored entries were first
-	// written in; it never collides with its fixed-tier sibling.
+	// The adaptive tier's stopping rule follows from AutoTol and the
+	// Warmup+Measure ceiling, already a term; it never collides with its
+	// fixed-tier sibling.
 	if c.AutoTol != 0 {
-		a := c.adaptive()
-		b = keyBits(b, ",au[", a.RelTol)
-		b = keyInt(b, ",", int64(a.MinSamples))
-		b = keyInt(b, ",", int64(a.MaxSamples))
-		b = append(keyInt(b, ",", int64(a.CheckEvery)), ']')
+		b = keyBits(b, ",au", c.AutoTol)
 	}
 	// Bursty sources and QoS classes change the workload, so they key by
-	// their parameters; the nil defaults add nothing and leave every
-	// pre-existing key byte-identical.
+	// their parameters; the nil defaults add nothing.
 	if c.Burst != nil {
 		b = keyBits(b, ",mm[", c.Burst.OnFrac)
 		b = append(keyBits(b, ",", c.Burst.MeanOn), ']')
@@ -345,16 +357,11 @@ func (c Config) Key() string {
 	// Damage is keyed by canonical content, so equal damage from different
 	// values memoizes together — "12-13" spelled as a plan or as an
 	// untimed schedule shares a cache line — and any difference in damage
-	// never shares one. Static damage keys as f[...], timed as fs[...]; no
-	// damage adds nothing: a zero-fault config is the same simulation
-	// either way.
+	// never shares one. A timed schedule's key holds an "@" and a static
+	// plan's never does; no damage adds nothing: a zero-fault config is
+	// the same simulation either way.
 	if !c.Faults.Empty() {
-		if c.Faults.Epochs() > 1 {
-			b = append(b, ",fs["...)
-		} else {
-			b = append(b, ",f["...)
-		}
-		b = append(append(b, c.Faults.Key()...), ']')
+		b = append(append(append(b, ",f["...), c.Faults.Key()...), ']')
 	}
 	// The reliability layer changes delivery behavior (retransmitted
 	// traffic competes with measured traffic), so it always keys apart.
@@ -618,7 +625,9 @@ type Result struct {
 	AvgLatency float64
 	// NetLatency excludes source queueing (injection to delivery).
 	NetLatency float64
-	// CI95 is the 95% confidence half-width of AvgLatency (batch means).
+	// CI95 is the 95% confidence half-width of AvgLatency under the
+	// methodology that produced it: batch means over the fixed window, or
+	// over the MSER-truncated window for adaptive-tier runs.
 	CI95 float64
 	// P50, P95 and P99 are latency percentiles (bucketed, ~8% accuracy),
 	// exposing the tail behaviour the mean hides near saturation.
@@ -658,11 +667,6 @@ type Result struct {
 	// than by exhausting the message ceiling or a saturation guard.
 	// Always false for fixed-tier runs.
 	Converged bool
-	// LatencyCI is the 95% confidence half-width of AvgLatency under the
-	// methodology that produced it: the MSER-truncated batch-means
-	// interval for adaptive-tier runs, the fixed batch-means interval
-	// (CI95) for fixed runs.
-	LatencyCI float64
 	// Saturated marks runs that hit a saturation guard; the paper
 	// prints "Sat." for these.
 	Saturated bool
@@ -774,19 +778,15 @@ func (c Config) plumbing() (*plumbing, error) {
 	return cachedPlumbing(structures, c.structureKey(), c.buildPlumbing)
 }
 
-// structureKey identifies everything buildPlumbing reads. es, full and
-// interval tables encode the algorithm itself (table.Program), so they
-// share one structure and key without a table term; the meta kinds route by
-// their own mapping and keep it. A static plan's key never holds an "@" and
-// a timed schedule's always does, so the one fault term cannot confuse the
-// two.
+// structureKey identifies everything buildPlumbing reads, in canonical
+// form: es, full and interval tables encode the algorithm itself
+// (table.Program), so they share one structure; the meta kinds route by
+// their own mapping. A static plan's key never holds an "@" and a timed
+// schedule's always does, so the one fault term cannot confuse the two.
 func (c Config) structureKey() string {
-	tb := ""
-	if c.Table == table.KindMetaRow || c.Table == table.KindMetaBlock {
-		tb = fmt.Sprintf(",tb%d", int(c.Table))
-	}
-	return fmt.Sprintf("d%v,t%t,v%d,e%d,a%d%s,f[%s]",
-		c.Dims, c.Torus, c.VCs, c.EscapeVCs, int(c.Algorithm), tb, c.Faults.Key())
+	c = c.canonical()
+	return fmt.Sprintf("d%v,t%t,v%d,e%d,a%d,tb%d,f[%s]",
+		c.Dims, c.Torus, c.VCs, c.EscapeVCs, int(c.Algorithm), int(c.Table), c.Faults.Key())
 }
 
 // buildPlumbing is the cold path behind the cache: for each fault epoch,
@@ -1027,7 +1027,6 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		Saturated:      run.Saturated,
 		SatReason:      run.SatReason,
 	}
-	res.LatencyCI = res.CI95
 	if s := cfg.Faults; s.Epochs() > 1 {
 		res.DroppedFlits = net.DroppedFlits()
 		res.DroppedMessages = net.DroppedMessages()
@@ -1052,7 +1051,6 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 			// whole-span, transient included.
 			res.AvgLatency = est.Mean
 			res.CI95 = est.HalfWidth
-			res.LatencyCI = est.HalfWidth
 			res.MeasuredCycles = ad.MeasuredCycles()
 			if w := ad.MeasuredCycles(); w > 0 {
 				res.Throughput = float64(ad.WindowFlits()) / float64(w) / float64(m.N())

@@ -457,7 +457,7 @@ func TestConfigKey(t *testing.T) {
 		func(c *Config) { c.LinkDelay = 2 },
 		func(c *Config) { c.LookAhead = false },
 		func(c *Config) { c.Algorithm = AlgXY },
-		func(c *Config) { c.Table = table.KindFull },
+		func(c *Config) { c.Table = table.KindMetaRow }, // full and interval key as es (canonical)
 		func(c *Config) { c.Selection = selection.MaxCredit },
 		func(c *Config) { c.Pattern = traffic.Shuffle },
 		func(c *Config) { c.Load = 0.25 },

@@ -68,7 +68,7 @@ func TestEventModeObservationalEquivalence(t *testing.T) {
 			ev := equivRun(t, cfg, true)
 			// Two independent estimators of the same mean: their
 			// difference is covered by the sum of their CI half-widths.
-			tol := ref.LatencyCI + ev.LatencyCI
+			tol := ref.CI95 + ev.CI95
 			if d := math.Abs(ev.AvgLatency - ref.AvgLatency); d > tol {
 				t.Errorf("event latency %.2f vs cycle %.2f: |Δ|=%.2f exceeds combined CI %.2f",
 					ev.AvgLatency, ref.AvgLatency, d, tol)

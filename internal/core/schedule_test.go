@@ -52,7 +52,7 @@ func TestScheduleKeys(t *testing.T) {
 	}
 	withSched := base
 	withSched.Faults = timed
-	if k := withSched.Key(); !strings.Contains(k, ",fs[27-28@500:2000]") {
+	if k := withSched.Key(); !strings.Contains(k, ",f[27-28@500:2000]") {
 		t.Errorf("timed schedule missing from key %s", k)
 	}
 	withRel := base
@@ -60,7 +60,7 @@ func TestScheduleKeys(t *testing.T) {
 	if k := withRel.Key(); !strings.Contains(k, ",rel[512,0,0]") {
 		t.Errorf("reliability layer missing from key %s", k)
 	}
-	if k := base.Key(); strings.Contains(k, ",fs[") || strings.Contains(k, ",rel[") {
+	if k := base.Key(); strings.Contains(k, ",f[") || strings.Contains(k, ",rel[") {
 		t.Errorf("healthy key polluted: %s", k)
 	}
 }

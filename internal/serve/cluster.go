@@ -36,17 +36,22 @@ func (o ClusterOptions) heartbeat() time.Duration { return o.LeaseTTL / 4 }
 // Cluster wire types. A worker's conversation with the coordinator is
 // three POSTs: claim a lease, heartbeat it while simulating, complete it
 // with its point's outcome. A coordinator and its workers must be one
-// build: each refuses a grant or a completion in another build's form.
+// build: each refuses a grant or a completion in another build's form,
+// and a coordinator refuses a claim made under other simulator semantics.
 
-// ClaimRequest asks the coordinator for a point to lease. WaitMS lets
+// ClaimRequest asks the coordinator for a point to lease. Version is the
+// worker's core.SemanticsVersion (Client.Claim fills it in): a coordinator
+// refuses a claim that omits it or names another, since it stores every
+// reported result under its own version. WaitMS lets
 // the coordinator hold the request while it has nothing to lease — until
 // a point is seeded or requeued, WaitMS (at most maxHold and one lease TTL,
 // which keeps the worker's last-seen time fresh) passes, or it drains —
 // so an idle worker starts on a new job when it arrives, not at its next
 // poll.
 type ClaimRequest struct {
-	Worker string `json:"worker"`
-	WaitMS int64  `json:"wait_ms,omitempty"`
+	Worker  string `json:"worker"`
+	Version int    `json:"version"`
+	WaitMS  int64  `json:"wait_ms,omitempty"`
 }
 
 // ClaimResponse grants a lease (Lease non-empty) or reports no work.
@@ -393,6 +398,12 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if !s.readRPC(w, r, "claim", &req, "worker", &req.Worker) {
 		return
 	}
+	if req.Version != core.SemanticsVersion {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf(
+			`claim refused: its "version" is %d and this coordinator's semantics version is %d; run the coordinator and its workers from one build`,
+			req.Version, core.SemanticsVersion)})
+		return
+	}
 	if grant, err := s.claim(r.Context(), req); err == nil { // else the caller went away
 		writeJSON(w, http.StatusOK, grant)
 	}
@@ -418,7 +429,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 type inProcess struct{ s *Server }
 
 func (p inProcess) Claim(ctx context.Context, worker string, wait time.Duration) (ClaimResponse, error) {
-	return p.s.claim(ctx, ClaimRequest{Worker: worker, WaitMS: wait.Milliseconds()})
+	return p.s.claim(ctx, ClaimRequest{Worker: worker, Version: core.SemanticsVersion, WaitMS: wait.Milliseconds()})
 }
 
 func (p inProcess) Heartbeat(_ context.Context, lease, worker string) (bool, error) {
@@ -452,7 +463,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // empty Lease means no work became available.
 func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration) (ClaimResponse, error) {
 	var resp ClaimResponse
-	err := c.do(ctx, http.MethodPost, "/v1/cluster/claim", ClaimRequest{Worker: worker, WaitMS: wait.Milliseconds()}, &resp)
+	err := c.do(ctx, http.MethodPost, "/v1/cluster/claim", ClaimRequest{Worker: worker, Version: core.SemanticsVersion, WaitMS: wait.Milliseconds()}, &resp)
 	return resp, err
 }
 

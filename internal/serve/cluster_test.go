@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -1041,6 +1042,42 @@ func TestClusterCompletionResolvesLeasedPoint(t *testing.T) {
 	}
 }
 
+// TestClusterSkipsResolvedPoints: a point requeued by a hand-back and then
+// resolved by that lease's late completion is not leased again. The next
+// claims grant the other two points, then nothing, and the coordinator
+// counts three claims.
+func TestClusterSkipsResolvedPoints(t *testing.T) {
+	t.Parallel()
+	_, c := testServer(t, t.TempDir(), ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second}})
+	ctx := context.Background()
+	grid := testGrid(3)
+	if _, err := c.Submit(ctx, mustPoints(t, grid)); err != nil {
+		t.Fatal(err)
+	}
+	first := claimUntilGranted(t, c, "w")
+	if first.Index != 0 {
+		t.Fatalf("first grant is point %d, want 0", first.Index)
+	}
+	if _, err := c.Complete(ctx, first.Lease, first.Job, "w", PointOutcome{}); err != nil {
+		t.Fatal(err)
+	}
+	res, _ := scripted(grid[0])
+	if resp, err := c.Complete(ctx, first.Lease, first.Job, "w", PointOutcome{Result: &res}); err != nil || !resp.Late {
+		t.Fatalf("late completion after the hand-back: %+v err=%v", resp, err)
+	}
+	for _, want := range []int{1, 2} {
+		if g := claimUntilGranted(t, c, "w"); g.Index != want {
+			t.Fatalf("granted point %d, want %d", g.Index, want)
+		}
+	}
+	if g, err := c.Claim(ctx, "w", 0); err != nil || g.Lease != "" {
+		t.Fatalf("a claim after every point was leased: %+v err=%v, want no grant", g, err)
+	}
+	if st, err := c.ClusterStats(ctx); err != nil || st.Claims != 3 {
+		t.Fatalf("cluster stats %+v (err=%v), want 3 claims", st, err)
+	}
+}
+
 // TestClusterGuards: cluster RPCs against a standalone server must be
 // rejected with a descriptive 412, and malformed claims with 400.
 func TestClusterGuards(t *testing.T) {
@@ -1074,6 +1111,69 @@ func TestClusterGuards(t *testing.T) {
 		if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest || ae.Message != tc.want {
 			t.Errorf("POST %s %s: %v, want 400 %q", tc.path, tc.body, err, tc.want)
 		}
+	}
+
+	// A claim names its semantics version: one that omits it, or names
+	// another, answers 400 naming "version" and both numbers.
+	v := core.SemanticsVersion
+	for _, tc := range []struct {
+		body string
+		sent int
+	}{
+		{`{"worker":"w0"}`, 0},
+		{fmt.Sprintf(`{"worker":"w0","version":%d}`, v+1), v + 1},
+	} {
+		err := c2.do(context.Background(), http.MethodPost, "/v1/cluster/claim", json.RawMessage(tc.body), nil)
+		want := fmt.Sprintf(`claim refused: its "version" is %d and this coordinator's semantics version is %d`, tc.sent, v)
+		if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest || !strings.HasPrefix(ae.Message, want) {
+			t.Errorf("claim %s: %v, want 400 %q", tc.body, err, want)
+		}
+	}
+	var hr struct {
+		SemanticsVersion *int `json:"semantics_version"`
+	}
+	if err := c2.do(context.Background(), http.MethodGet, "/healthz", nil, &hr); err != nil || hr.SemanticsVersion == nil || *hr.SemanticsVersion != v {
+		t.Errorf("/healthz semantics_version: %v (err=%v), want %d", hr.SemanticsVersion, err, v)
+	}
+
+	// A worker whose claims name another version (its requests rewritten
+	// on the way) stops at the first refusal, returning it, and retries
+	// nothing.
+	var claims atomic.Int64
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/cluster/claim" {
+			http.Error(w, "unexpected "+r.URL.Path, http.StatusTeapot)
+			return
+		}
+		claims.Add(1)
+		body, _ := io.ReadAll(r.Body)
+		body = bytes.Replace(body, []byte(fmt.Sprintf(`"version":%d`, v)), []byte(fmt.Sprintf(`"version":%d`, v+1)), 1)
+		req, _ := http.NewRequestWithContext(r.Context(), http.MethodPost, c2.Base+r.URL.Path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	defer proxy.Close()
+	ws, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{ID: "w-old", Coordinators: []string{proxy.URL}, Store: ws, Workers: 1, IdleWait: time.Millisecond}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = w.Run(ctx)
+	if err == nil || ctx.Err() != nil || !strings.Contains(err.Error(), `"version" is `+fmt.Sprint(v+1)) {
+		t.Fatalf("Run under another semantics version: %v, want the coordinator's refusal", err)
+	}
+	if n := claims.Load(); n != 1 {
+		t.Errorf("the refused worker claimed %d times, want 1", n)
 	}
 }
 

@@ -80,9 +80,17 @@ func (jb *job) seed() {
 }
 
 // claim hands the next pending unit to worker under a fresh lease, or
-// returns nil when there is no work (drained queue, or job cancelled).
+// returns nil when there is no work (drained queue, or job cancelled). A
+// unit whose point was resolved while it waited — requeued, then resolved
+// by its last lease's late completion — is dropped, not leased again.
 func (jb *job) claim(worker string, now time.Time) *workUnit {
-	if jb.stopped || len(jb.pending) == 0 {
+	if jb.stopped {
+		return nil
+	}
+	for len(jb.pending) > 0 && jb.outs[jb.pending[0].index].resolved() {
+		jb.pending = jb.pending[1:]
+	}
+	if len(jb.pending) == 0 {
 		return nil
 	}
 	u := jb.pending[0]

@@ -659,14 +659,17 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.store.Stats())
 }
 
-// healthReport is the GET /healthz payload: liveness plus the store's
-// integrity picture (quarantines, recovery-scan time, orphaned-temp
-// deletions), so a cluster operator sees silent corruption at the same
-// endpoint a load balancer probes.
+// healthReport is the GET /healthz payload: liveness, the simulator
+// semantics version the store reads and writes (core.SemanticsVersion,
+// which a worker's claim must name), plus the store's integrity picture
+// (quarantines, recovery-scan time, orphaned-temp deletions), so a
+// cluster operator sees silent corruption at the same endpoint a load
+// balancer probes.
 type healthReport struct {
-	Status string     `json:"status"`
-	Mode   string     `json:"mode"`
-	Store  StoreStats `json:"store"`
+	Status           string     `json:"status"`
+	Mode             string     `json:"mode"`
+	SemanticsVersion int        `json:"semantics_version"`
+	Store            StoreStats `json:"store"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -677,7 +680,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "shutting down"})
 		return
 	}
-	writeJSON(w, http.StatusOK, healthReport{Status: "ok", Mode: s.Mode(), Store: s.store.Stats()})
+	writeJSON(w, http.StatusOK, healthReport{Status: "ok", Mode: s.Mode(), SemanticsVersion: core.SemanticsVersion, Store: s.store.Stats()})
 }
 
 // Status returns a job's status by ID, for in-process embedding.

@@ -985,7 +985,7 @@ func TestResultsBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range hits {
-		entry, err := os.ReadFile(filepath.Join(dir, objectsDir, objName(mixedGrid[i].Key())))
+		entry, err := os.ReadFile(filepath.Join(dir, versionDir, objName(mixedGrid[i].Key())))
 		if err != nil {
 			t.Fatal(err)
 		}

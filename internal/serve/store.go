@@ -9,6 +9,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -21,10 +22,16 @@ import (
 // Store is a disk-backed content-addressed result store keyed by
 // core.Config.Key: one file per unique configuration, named by the
 // SHA-256 of the key, holding the key, the result, and a checksum over
-// both. It is the durable layer under the serve job executor (and any
+// both and the semantics version. It is the durable layer under the serve job executor (and any
 // other sweep, via sweep.Options.Cache — Store implements sweep.Cacher),
 // making "never simulate the same point twice" hold across processes,
 // restarts and users sharing a store directory.
+//
+// Versioning: entries live under objects/v<N>/, N being
+// core.SemanticsVersion, and N is folded into every checksum. The store
+// reads no other directory, so an answer computed under other semantics,
+// including every entry written before versioning, is a plain miss that
+// re-simulates: never served, never quarantined, never moved.
 //
 // Crash safety and integrity:
 //
@@ -59,7 +66,8 @@ import (
 // failing the point: the simulation result is still correct, only its
 // durability is lost.
 type Store struct {
-	dir string
+	dir  string
+	objs string // dir/objects/v<N>: this version's entries
 
 	mu      sync.Mutex
 	flights map[string]*storeFlight
@@ -126,16 +134,21 @@ const (
 	quarantineDir = "quarantine"
 )
 
+// versionDir holds this semantics version's entries, under objectsDir.
+var versionDir = filepath.Join(objectsDir, "v"+strconv.Itoa(core.SemanticsVersion))
+
 // objName is the content address of a key: SHA-256, hex, ".json".
 func objName(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:]) + ".json"
 }
 
-// entrySum is the integrity checksum: SHA-256 over the key and the
-// result's exact JSON bytes.
-func entrySum(key string, result []byte) string {
+// entrySum is the integrity checksum: SHA-256 over the semantics version,
+// the key and the result's exact JSON bytes.
+func entrySum(version int, key string, result []byte) string {
 	h := sha256.New()
+	h.Write(strconv.AppendInt(nil, int64(version), 10))
+	h.Write([]byte{'\n'})
 	h.Write([]byte(key))
 	h.Write([]byte{'\n'})
 	h.Write(result)
@@ -153,17 +166,18 @@ const staleTemp = time.Minute
 func Open(dir string) (*Store, error) {
 	s := &Store{
 		dir:      dir,
+		objs:     filepath.Join(dir, versionDir),
 		flights:  map[string]*storeFlight{},
 		index:    map[string]struct{}{},
 		scanTime: time.Now(),
 		verified: bounded.New[string, verdict](memoEntries),
 	}
-	for _, d := range []string{filepath.Join(dir, objectsDir), filepath.Join(dir, quarantineDir)} {
+	for _, d := range []string{s.objs, filepath.Join(dir, quarantineDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: store: %w", err)
 		}
 	}
-	ents, err := os.ReadDir(filepath.Join(dir, objectsDir))
+	ents, err := os.ReadDir(s.objs)
 	if err != nil {
 		return nil, fmt.Errorf("serve: store scan: %w", err)
 	}
@@ -172,7 +186,7 @@ func Open(dir string) (*Store, error) {
 			continue
 		}
 		name := e.Name()
-		path := filepath.Join(dir, objectsDir, name)
+		path := filepath.Join(s.objs, name)
 		if !strings.HasSuffix(name, ".json") {
 			// A temp file: its entry was never promised durable. A young
 			// one may be another process's write in flight in a shared
@@ -221,7 +235,7 @@ func encodeEntry(key string, payload []byte) ([]byte, error) {
 	if !plain([]byte(key)) {
 		return nil, fmt.Errorf("key %q needs escaping in JSON", key)
 	}
-	b := []byte(keyTag + key + sumTag + entrySum(key, payload) + resultTag)
+	b := []byte(keyTag + key + sumTag + entrySum(core.SemanticsVersion, key, payload) + resultTag)
 	return append(append(b, payload...), '}'), nil
 }
 
@@ -258,7 +272,7 @@ func readEntry(raw []byte) (string, []byte, core.Result, error) {
 		return "", nil, core.Result{}, err
 	}
 	key := string(k)
-	if string(sum) != entrySum(key, payload) {
+	if string(sum) != entrySum(core.SemanticsVersion, key, payload) {
 		return "", nil, core.Result{}, fmt.Errorf("checksum mismatch")
 	}
 	var res core.Result
@@ -293,7 +307,7 @@ func (s *Store) verify(raw []byte) (verdict, error) {
 // a corrupt entry can never be served again either way. Callers hold no
 // lock ordering obligations; counters are adjusted under mu.
 func (s *Store) quarantine(name string, reason error) {
-	src := filepath.Join(s.dir, objectsDir, name)
+	src := filepath.Join(s.objs, name)
 	dst := filepath.Join(s.dir, quarantineDir, name)
 	for i := 1; ; i++ {
 		if _, err := os.Stat(dst); os.IsNotExist(err) {
@@ -317,7 +331,7 @@ func (s *Store) quarantine(name string, reason error) {
 // index and reported as a miss, so the caller transparently re-simulates.
 func (s *Store) lookup(key string) (core.Result, []byte, bool) {
 	name := objName(key)
-	raw, err := readFile(filepath.Join(s.dir, objectsDir, name))
+	raw, err := readFile(filepath.Join(s.objs, name))
 	if err != nil {
 		if scarce(err) {
 			return core.Result{}, nil, false
@@ -362,7 +376,7 @@ func (s *Store) put(key string, res core.Result) error {
 	s.tmpSeq++
 	seq := s.tmpSeq
 	s.mu.Unlock()
-	tmp := filepath.Join(s.dir, objectsDir, fmt.Sprintf("%s.tmp%d", name, seq))
+	tmp := filepath.Join(s.objs, fmt.Sprintf("%s.tmp%d", name, seq))
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("serve: store put: %w", err)
@@ -378,12 +392,12 @@ func (s *Store) put(key string, res core.Result) error {
 		os.Remove(tmp)
 		return fmt.Errorf("serve: store put: %w", werr)
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, objectsDir, name)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(s.objs, name)); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("serve: store put: %w", err)
 	}
 	// Best-effort directory sync so the rename itself survives a crash.
-	if d, err := os.Open(filepath.Join(s.dir, objectsDir)); err == nil {
+	if d, err := os.Open(s.objs); err == nil {
 		d.Sync()
 		d.Close()
 	}
@@ -507,7 +521,7 @@ func (s *Store) Ensure(key string, res core.Result) {
 	if indexed {
 		return
 	}
-	if _, err := os.Stat(filepath.Join(s.dir, objectsDir, objName(key))); err == nil {
+	if _, err := os.Stat(filepath.Join(s.objs, objName(key))); err == nil {
 		// A sibling process already wrote it; index and move on.
 		s.mu.Lock()
 		s.index[key] = struct{}{}

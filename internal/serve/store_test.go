@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"lapses/internal/core"
+	"lapses/internal/fault"
+	"lapses/internal/traffic"
 )
 
 // scripted returns a deterministic fake result derived from the config,
@@ -150,9 +152,9 @@ func indented(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") }
 // the store and the server write it) and indented (as servers before
 // compact bodies did), and Store put → reopen → get must return the same
 // bits. Finite
-// results keep the bytes encoding/json gave them before Result had a codec:
-// a literal captured at the parent commit, and a store entry the parent
-// binary wrote, which must still verify and be served.
+// results keep the bytes encoding/json gives a plain struct of their
+// fields: a literal captured before Result had a codec, less the
+// LatencyCI member Result no longer has.
 func TestResultRoundTrip(t *testing.T) {
 	t.Parallel()
 	var variants []core.Result
@@ -216,48 +218,123 @@ func TestResultRoundTrip(t *testing.T) {
 	finite := core.Result{
 		AvgLatency: 123.456789, NetLatency: 98.7, CI95: 2.5e-7, P50: 100, P95: 1e21, P99: 123456789012345680000,
 		AvgHops: 10.666666666666666, Throughput: 0.1, Delivered: 3000, Cycles: 12345, TotalCycles: 15000,
-		SkippedCycles: 12, MeasuredCycles: 12345, Converged: true, LatencyCI: 2.5e-7, Saturated: true,
+		SkippedCycles: 12, MeasuredCycles: 12345, Converged: true, Saturated: true,
 		SatReason: "latency > 5000 & \"guard\" <é>", DroppedFlits: 7, DroppedMessages: 1, ReconvergenceEpochs: 2,
 		DeliveredFraction: 0.9996666666666667, RecoveryCycles: -1, Retransmits: 3, DupSuppressed: 4, Abandoned: 5,
 	}
-	const atParent = `{"AvgLatency":123.456789,"NetLatency":98.7,"CI95":2.5e-7,"P50":100,"P95":1e+21,"P99":123456789012345680000,"AvgHops":10.666666666666666,"Throughput":0.1,"Delivered":3000,"Cycles":12345,"TotalCycles":15000,"SkippedCycles":12,"MeasuredCycles":12345,"Converged":true,"LatencyCI":2.5e-7,"Saturated":true,"SatReason":"latency \u003e 5000 \u0026 \"guard\" \u003cé\u003e","DroppedFlits":7,"DroppedMessages":1,"ReconvergenceEpochs":2,"DeliveredFraction":0.9996666666666667,"RecoveryCycles":-1,"Retransmits":3,"DupSuppressed":4,"Abandoned":5}`
+	const atParent = `{"AvgLatency":123.456789,"NetLatency":98.7,"CI95":2.5e-7,"P50":100,"P95":1e+21,"P99":123456789012345680000,"AvgHops":10.666666666666666,"Throughput":0.1,"Delivered":3000,"Cycles":12345,"TotalCycles":15000,"SkippedCycles":12,"MeasuredCycles":12345,"Converged":true,"Saturated":true,"SatReason":"latency \u003e 5000 \u0026 \"guard\" \u003cé\u003e","DroppedFlits":7,"DroppedMessages":1,"ReconvergenceEpochs":2,"DeliveredFraction":0.9996666666666667,"RecoveryCycles":-1,"Retransmits":3,"DupSuppressed":4,"Abandoned":5}`
 	if got, err := json.Marshal(finite); err != nil || string(got) != atParent {
 		t.Errorf("a finite result's bytes moved (err=%v):\n got %s\nwant %s", err, got, atParent)
 	}
 
-	const parentKey = "d[16 16],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p1,ld3fe6666666666666,ml20,tr0x0,w100,m1000,mc7473,sl0,sd1,f[28-44;40-56;84-100;88-89;205-221;209-225;222-238;229-230]"
-	const parentResult = `{"AvgLatency":196.38938938938938,"NetLatency":196.34434434434434,"CI95":20.096560148443267,"P50":148.77984662056755,"P95":471.9548342649204,"P99":1616.8901924358843,"AvgHops":11.52952952952953,"Throughput":0.01289604676140119,"Delivered":999,"Cycles":6052,"TotalCycles":7473,"SkippedCycles":0,"MeasuredCycles":6052,"Converged":false,"LatencyCI":20.096560148443267,"Saturated":true,"SatReason":"cycle budget exhausted","DroppedFlits":0,"DroppedMessages":0,"ReconvergenceEpochs":0,"DeliveredFraction":0,"RecoveryCycles":0,"Retransmits":0,"DupSuppressed":0,"Abandoned":0}`
-	const parentEntry = `{"key":"` + parentKey + `","sum":"b6bdf3c6726c49684984cf8bb93daf1e619b8e566c8a63aa3b0eb857ece8a951","result":` + parentResult + `}`
-	old := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(old, objectsDir), 0o755); err != nil {
+}
+
+// TestStoreSkipsOtherVersions: an entry of another semantics version is
+// never served. One the parent binary wrote, in the unversioned objects/
+// root, is not even read: the store opens with nothing quarantined and
+// nothing indexed, its config misses and re-simulates into objects/v<N>/,
+// and the old file stays where it was. One checksummed under another
+// version but placed in this version's directory is damage: quarantined,
+// never served.
+func TestStoreSkipsOtherVersions(t *testing.T) {
+	t.Parallel()
+	const (
+		parentName   = "01cd6834723d4b0479440d74802640977454d874054b824b1db6789f88360c9d.json"
+		parentKey    = "d[16 16],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p1,ld3fe6666666666666,ml20,tr0x0,w100,m1000,mc7473,sl0,sd1,f[28-44;40-56;84-100;88-89;205-221;209-225;222-238;229-230]"
+		parentResult = `{"AvgLatency":196.38938938938938,"NetLatency":196.34434434434434,"CI95":20.096560148443267,"P50":148.77984662056755,"P95":471.9548342649204,"P99":1616.8901924358843,"AvgHops":11.52952952952953,"Throughput":0.01289604676140119,"Delivered":999,"Cycles":6052,"TotalCycles":7473,"SkippedCycles":0,"MeasuredCycles":6052,"Converged":false,"LatencyCI":20.096560148443267,"Saturated":true,"SatReason":"cycle budget exhausted","DroppedFlits":0,"DroppedMessages":0,"ReconvergenceEpochs":0,"DeliveredFraction":0,"RecoveryCycles":0,"Retransmits":0,"DupSuppressed":0,"Abandoned":0}`
+		parentEntry  = `{"key":"` + parentKey + `","sum":"b6bdf3c6726c49684984cf8bb93daf1e619b8e566c8a63aa3b0eb857ece8a951","result":` + parentResult + `}`
+	)
+	cfg := core.DefaultConfig()
+	cfg.Pattern, cfg.Load, cfg.Warmup, cfg.Measure, cfg.MaxCycles, cfg.SatLatency = traffic.Transpose, 0.7, 100, 1000, 7473, 0
+	faults, err := fault.ParseSchedule(cfg.Mesh(), "28-44,40-56,84-100,88-89,205-221,209-225,222-238,229-230")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(old, objectsDir, "01cd6834723d4b0479440d74802640977454d874054b824b1db6789f88360c9d.json"), []byte(parentEntry), 0o644); err != nil {
+	cfg.Faults = faults
+
+	dir := t.TempDir()
+	parentPath := filepath.Join(dir, objectsDir, parentName)
+	if err := os.MkdirAll(filepath.Dir(parentPath), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if store, err = Open(old); err != nil {
+	if err := os.WriteFile(parentPath, []byte(parentEntry), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, ok := store.Get(parentKey)
-	if st := store.Stats(); !ok || st.Quarantined != 0 || st.Entries != 1 {
-		t.Fatalf("an entry the parent binary wrote: found=%v, %+v", ok, st)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, _ := json.Marshal(res); string(got) != parentResult || res.Delivered != 999 {
-		t.Errorf("the parent's entry re-encodes to\n%s, want\n%s", got, parentResult)
+	if st := s.Stats(); st.Quarantined != 0 || st.Entries != 0 {
+		t.Fatalf("a store the parent wrote opened with %+v, want 0 quarantined and 0 entries", st)
+	}
+	if _, ok := s.Get(cfg.Key()); ok {
+		t.Fatal("the parent's entry was served")
+	}
+	var calls atomic.Int64
+	res, cached, err := s.Do(context.Background(), cfg, func(c core.Config) (core.Result, error) {
+		calls.Add(1)
+		return core.Run(c)
+	})
+	if err != nil || cached || calls.Load() != 1 {
+		t.Fatalf("Do: cached=%v calls=%d err=%v, want one simulation", cached, calls.Load(), err)
+	}
+	// The same answer, less the member Result no longer has.
+	want := strings.Replace(parentResult, `"LatencyCI":20.096560148443267,`, "", 1)
+	if got, _ := json.Marshal(res); string(got) != want {
+		t.Errorf("the re-simulated answer moved:\n got %s\nwant %s", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, versionDir, objName(cfg.Key()))); err != nil {
+		t.Errorf("the re-simulated point is not under %s: %v", versionDir, err)
+	}
+	if raw, err := os.ReadFile(parentPath); err != nil || string(raw) != parentEntry {
+		t.Errorf("the parent's entry was moved or changed (err=%v)", err)
+	}
+
+	// A well-formed entry of another version, in this version's directory:
+	// found by the recovery scan, then by a read.
+	plant := func(seed int64) string {
+		c := storeConfig(seed)
+		key := c.Key()
+		stale, _ := scripted(c)
+		payload, err := stale.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := keyTag + key + sumTag + entrySum(core.SemanticsVersion+1, key, payload) + resultTag + string(payload) + "}"
+		if err := os.WriteFile(filepath.Join(dir, versionDir, objName(key)), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+	scanned := plant(9)
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Quarantined != 1 || st.Entries != 1 {
+		t.Fatalf("reopened with another version's entry in %s: %+v, want it quarantined beside 1 entry", versionDir, st)
+	}
+	read := plant(10)
+	for _, key := range []string{scanned, read} {
+		if _, ok := s.Get(key); ok {
+			t.Fatalf("another version's entry was served for %s", key)
+		}
+	}
+	if st := s.Stats(); st.Quarantined != 2 {
+		t.Fatalf("a read of another version's entry: %+v, want 2 quarantined", st)
 	}
 }
 
 // corruptEntry finds the single object file in dir and mutates it.
 func corruptEntry(t *testing.T, dir string, mutate func(path string, raw []byte)) {
 	t.Helper()
-	ents, err := os.ReadDir(filepath.Join(dir, objectsDir))
+	ents, err := os.ReadDir(filepath.Join(dir, versionDir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ents) != 1 {
 		t.Fatalf("expected exactly 1 object, found %d", len(ents))
 	}
-	path := filepath.Join(dir, objectsDir, ents[0].Name())
+	path := filepath.Join(dir, versionDir, ents[0].Name())
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -532,10 +609,10 @@ func TestStoreQuarantineLogsReason(t *testing.T) {
 func TestStoreTempFileCleanup(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, objectsDir), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, versionDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(dir, objectsDir, objName("some-key")+".tmp17")
+	tmp := filepath.Join(dir, versionDir, objName("some-key")+".tmp17")
 	if err := os.WriteFile(tmp, []byte(`{"key":"half-writ`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -636,7 +713,7 @@ func TestStoreMisnamedEntry(t *testing.T) {
 	}
 	corruptEntry(t, dir, func(path string, raw []byte) {
 		os.Remove(path)
-		wrong := filepath.Join(dir, objectsDir, objName("some-other-key")+".json")
+		wrong := filepath.Join(dir, versionDir, objName("some-other-key")+".json")
 		if err := os.WriteFile(wrong, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -670,7 +747,7 @@ func TestStoreUndecodableResult(t *testing.T) {
 				}
 				key := cfg.Key()
 				corruptEntry(t, dir, func(path string, _ []byte) {
-					raw, err := json.Marshal(storeEntry{Key: key, Sum: entrySum(key, []byte(payload)), Result: json.RawMessage(payload)})
+					raw, err := json.Marshal(storeEntry{Key: key, Sum: entrySum(core.SemanticsVersion, key, []byte(payload)), Result: json.RawMessage(payload)})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -812,7 +889,7 @@ func FuzzStoreEntry(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sum := entrySum(key, payload)
+	sum := entrySum(core.SemanticsVersion, key, payload)
 	for _, seed := range []string{
 		string(entry),
 		string(entry[:len(entry)/2]),
@@ -873,7 +950,7 @@ func FuzzStoreEntry(f *testing.F) {
 			k, p, r, verr := readEntry(fl.raw)
 			ok := verr == nil && k == fl.name
 			for read := 1; read <= 2; read++ {
-				if err := os.WriteFile(filepath.Join(dir, objectsDir, objName(fl.name)), fl.raw, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, versionDir, objName(fl.name)), fl.raw, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				got, gotPayload, found := s.lookup(fl.name)

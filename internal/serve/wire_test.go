@@ -224,7 +224,7 @@ func TestPointCarriesEveryConfigField(t *testing.T) {
 		"QoS":         &core.QoSSpec{HiFrac: 0.2, HiVCs: 1},
 		"Trace":       traffic.StencilTrace(mesh, 64, 100, 4),
 		"Algorithm":   core.AlgXY,
-		"Table":       table.KindFull,
+		"Table":       table.KindMetaRow, // full and interval key as es (canonical)
 	}
 	offWire := map[string]bool{"Trace": true}
 

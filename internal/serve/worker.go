@@ -94,21 +94,30 @@ func (w *Worker) idle() time.Duration {
 // claim asks each coordinator in turn, starting from peers[cur], the
 // last one that answered, for a lease. Transport errors rotate to the
 // next peer; a reachable coordinator with no work holds the claim until
-// it has some (or its hold runs out), which ends the round. It returns
-// the index of the peer that answered.
+// it has some (or its hold runs out), which ends the round, and one that
+// refuses the claim ends it too. It returns the index of the peer that
+// answered.
 func (w *Worker) claim(ctx context.Context, peers []peer, cur int) (int, ClaimResponse, error) {
 	hold := (&Client{HTTP: w.HTTP}).hold()
 	var lastErr error
 	for k := range peers {
 		i := (cur + k) % len(peers)
 		resp, err := peers[i].Claim(ctx, w.ID, hold)
-		if err != nil {
+		if err != nil && !refused(err) {
 			lastErr = err
 			continue
 		}
-		return i, resp, nil
+		return i, resp, err
 	}
 	return cur, ClaimResponse{}, lastErr
+}
+
+// refused reports whether a coordinator answered a claim with 400: it
+// refuses the claim's form or its semantics version, which no retry
+// changes.
+func refused(err error) bool {
+	var ae *APIStatusError
+	return errors.As(err, &ae) && ae.Code == http.StatusBadRequest
 }
 
 // Run claims and executes leases until ctx is cancelled, then drains:
@@ -119,7 +128,9 @@ func (w *Worker) claim(ctx context.Context, peers []peer, cur int) (int, ClaimRe
 // lease it cannot start while another worker idles. A grant with no
 // point comes from a coordinator of an older build, which leased arrays
 // of points: Run neither runs nor reports it, lets the leases in flight
-// finish, and returns an error naming it.
+// finish, and returns an error naming it. So does a claim the
+// coordinator refuses, such as one under another semantics version: the
+// coordinator would store this worker's answers under its own.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.validate(); err != nil {
 		return err
@@ -148,6 +159,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		i, grant, err := w.claim(ctx, peers, cur)
 		cur = i
 		switch {
+		case refused(err):
+			<-slots
+			stop = fmt.Errorf("serve: worker %s: %w", w.ID, err)
 		case err != nil:
 			// No coordinator reachable: back off, jittered so a fleet of
 			// orphaned workers doesn't retry in step.
