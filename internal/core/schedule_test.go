@@ -7,6 +7,7 @@ import (
 
 	"lapses/internal/core"
 	"lapses/internal/fault"
+	"lapses/internal/table"
 	"lapses/internal/topology"
 	"lapses/internal/traffic"
 )
@@ -66,12 +67,14 @@ func TestScheduleKeys(t *testing.T) {
 }
 
 // TestKeyLiterals pins Config.Key to the bytes the durable result store
-// already holds for a healthy config, a static plan, the same damage
-// spelled as an untimed schedule (items reordered), and a timed schedule
-// with the reliability layer, and for every other optional term (event
-// mode, the adaptive tier, bursts, QoS, a trace) and shape (a torus, a 3-D
-// mesh): a refactor of how faults are represented, or of how the key is
-// built, must not orphan a single stored entry.
+// holds under this SemanticsVersion for a healthy config, a static plan,
+// the same damage spelled as an untimed schedule (items reordered), and a
+// timed schedule with the reliability layer, for every other optional
+// term (event mode, the adaptive tier, bursts, QoS, a trace) and shape (a
+// torus, a 3-D mesh), and for the configs canonical folds into another's
+// key (a full table, the default saturation guard spelled 0): a refactor
+// of how faults are represented, or of how the key is built, must not
+// orphan a single stored entry.
 func TestKeyLiterals(t *testing.T) {
 	t.Parallel()
 	base := core.DefaultConfig()
@@ -114,7 +117,10 @@ func TestKeyLiterals(t *testing.T) {
 		t.Fatal(err)
 	}
 	traced.Trace, traced.Warmup, traced.Measure = tr, 0, 2
-	const healthy = "d[8 8],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr0x0,w2000,m30000,mc0,sl40b3880000000000,sd1"
+	full, guard := base, base
+	full.Table = table.KindFull
+	guard.SatLatency = 0
+	const healthy = "d[8 8],tfalse,v4,e1,b20,o4,l1,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sl40b3880000000000,sd1"
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
@@ -123,16 +129,18 @@ func TestKeyLiterals(t *testing.T) {
 		{"healthy", base, healthy},
 		{"static plan", static, healthy + ",f[27-28;35-43;r9]"},
 		{"untimed schedule", spelled, healthy + ",f[27-28;35-43;r9]"},
-		{"timed schedule", stormy, healthy + ",fs[27-28@1100:1800;r9@1200],rel[400,8,0]"},
+		{"timed schedule", stormy, healthy + ",f[27-28@1100:1800;r9@1200],rel[400,8,0]"},
 		{"event mode", event, healthy + ",ev"},
-		{"adaptive tier", auto, healthy + ",au[3f947ae147ae147b,1600,32000,800]"},
-		{"fidelity auto", fidelityAuto, healthy + ",au[3f9eb851eb851eb8,1600,32000,800]"},
-		{"lapses-sim auto", simAuto, healthy + ",au[3fa999999999999a,1600,32000,800]"},
+		{"adaptive tier", auto, healthy + ",au3f947ae147ae147b"},
+		{"fidelity auto", fidelityAuto, healthy + ",au3f9eb851eb851eb8"},
+		{"lapses-sim auto", simAuto, healthy + ",au3fa999999999999a"},
 		{"burst", burst, healthy + ",mm[3fd0000000000000,4049000000000000]"},
 		{"qos", qos, healthy + ",q[3fb999999999999a,1]"},
-		{"torus", torus, "d[8 8],ttrue,v4,e2,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr0x0,w2000,m30000,mc0,sl40b3880000000000,sd1"},
-		{"3-D mesh", cube, "d[4 4 4],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr0x0,w2000,m30000,mc0,sl40b3880000000000,sd1"},
-		{"trace", traced, "d[8 8],tfalse,v4,e1,b20,o4,l1,latrue,ctfalse,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr8b5f657d1d25011ebc5bd58a8c64026551b7b62591d041012aff307282570703,w0,m2,mc0,sl40b3880000000000,sd1"},
+		{"torus", torus, "d[8 8],ttrue,v4,e2,b20,o4,l1,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sl40b3880000000000,sd1"},
+		{"3-D mesh", cube, "d[4 4 4],tfalse,v4,e1,b20,o4,l1,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sl40b3880000000000,sd1"},
+		{"trace", traced, "d[8 8],tfalse,v4,e1,b20,o4,l1,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr8b5f657d1d25011ebc5bd58a8c64026551b7b62591d041012aff307282570703,w0,m2,mc0,sl40b3880000000000,sd1"},
+		{"full table", full, healthy},
+		{"default guard", guard, healthy},
 	} {
 		if got := tc.cfg.Key(); got != tc.want {
 			t.Errorf("%s: key\n got %s\nwant %s", tc.name, got, tc.want)
