@@ -256,6 +256,8 @@ serve)
 	./lapses-serve -store store &
 	server=$!
 	wait_healthy
+	# /healthz names the simulator semantics version the store keeps.
+	curl -fs $url/healthz | jq -e '.semantics_version >= 1'
 	# A member the server does not read is refused by name, not dropped:
 	# this point misspells lookahead, which would otherwise run PROUD.
 	code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
@@ -323,8 +325,10 @@ cluster)
 	# woken by completion, requeue and drain), a Worker running -workers
 	# one-point leases at once and claiming only while a slot is free, a
 	# grant whose point lacks a member failing that point, a completion
-	# resolving the point its lease names and no other, and each side
-	# refusing the other's message in the array form of an older build.
+	# resolving the point its lease names and no other, a point resolved
+	# while queued never leased again, each side refusing the other's
+	# message in the array form of an older build, and a claim under
+	# another semantics version refused, which stops its worker.
 	# TestServer* and TestOneExecutionPath ride along: a standalone
 	# server's jobs run on the same lease goroutines, leased to its one
 	# in-process Worker, which claims by function call.
@@ -341,12 +345,19 @@ cluster)
 	./lapses-serve -mode coordinator -store store -lease-ttl 2s 2>coord.log &
 	wait_healthy
 	# The lease wire, pinned on the binary before any worker starts: a
-	# grant carries one "point" and no "indices"; a completion in the array
-	# form of an older build ("reports") is refused naming it; and one with
-	# no outcome hands the point back, for the workers to finish.
+	# claim names the semantics version /healthz reports, and one naming
+	# another is refused naming "version"; a grant carries one "point" and
+	# no "indices"; a completion in the array form of an older build
+	# ("reports") is refused naming it; and one with no outcome hands the
+	# point back, for the workers to finish.
 	post() { curl -fs -H 'Content-Type: application/json' "$url/v1/$1" -d "$2"; }
+	version=$(curl -fs $url/healthz | jq -e .semantics_version)
 	post jobs '{"points":[{"dims":[4,4],"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":7}]}' >/dev/null
-	post cluster/claim '{"worker":"curl","wait_ms":2000}' >grant.json
+	code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/cluster/claim \
+		-d '{"worker":"curl","version":0}')
+	[ "$code" -eq 400 ]
+	jq -e '.error | contains("\"version\"")' refused.json
+	post cluster/claim "{\"worker\":\"curl\",\"version\":$version,\"wait_ms\":2000}" >grant.json
 	jq -e '.point.seed != null and .indices == null' grant.json
 	lease=$(jq -r .lease grant.json)
 	job=$(jq -r .job grant.json)

@@ -16,7 +16,8 @@
 // coordinator leases each submitted grid's points; workers claim them
 // over HTTP, simulate them against the shared store, heartbeat while
 // running, and report each result back. A coordinator and its workers
-// run one build; a worker handed a grant in an older build's form exits:
+// run one build; a worker handed a grant in an older build's form, or
+// refused a claim under another semantics version, exits with status 2:
 //
 //	lapses-serve -mode coordinator -store /shared/lapses -lease-ttl 10s
 //	lapses-serve -mode worker -peers http://coord:8347 -store /shared/lapses

@@ -135,8 +135,9 @@
 // point a lease to workers (in-process, or worker processes in cluster
 // mode), and
 // every completed point persists to a crash-safe, content-addressed
-// store keyed by Config.Key — atomic temp-file+rename writes, per-entry
-// checksums, and a startup recovery scan that quarantines corrupt
+// store keyed by Config.Key within one core.SemanticsVersion (an answer
+// of other semantics is a miss, never served) — atomic temp-file+rename
+// writes, per-entry checksums, and a startup recovery scan that quarantines corrupt
 // entries rather than serving them, so a kill -9 loses only in-flight
 // points and resubmitted jobs resume from disk. A failing or panicking
 // point fails alone (the simulator is deterministic, so no point is

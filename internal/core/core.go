@@ -229,13 +229,6 @@ type QoSSpec struct {
 // own Validate.
 type Reliability = network.Reliability
 
-// adaptive resolves the tier into the stats controller configuration: the
-// tolerance, and the fixed budget as the ceiling; the floor and the check
-// cadence follow from the ceiling.
-func (c Config) adaptive() stats.AdaptiveConfig {
-	return stats.AdaptiveConfig{RelTol: c.AutoTol, MaxSamples: c.Warmup + c.Measure}.Normalize()
-}
-
 // DefaultConfig returns the paper's simulation parameters (Table 2) with
 // the LAPSES router (look-ahead + LRU selection + economical storage) and
 // a reduced default sample size; use PaperFidelity for the full 400k
@@ -1002,9 +995,10 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 	var ad *stats.Adaptive
 	if cfg.AutoTol != 0 {
 		// Adaptive tier: measure from the first message (MSER-5 cuts the
-		// transient statistically) up to the resolved ceiling, with the
-		// controller ending the loop as soon as the CI converges.
-		ad = stats.NewAdaptive(cfg.adaptive())
+		// transient statistically) up to the fixed budget as the ceiling,
+		// with the controller ending the loop as soon as the CI converges;
+		// the floor and the check cadence follow from the ceiling.
+		ad = stats.NewAdaptive(stats.AdaptiveConfig{RelTol: cfg.AutoTol, MaxSamples: cfg.Warmup + cfg.Measure}.Normalize())
 		params.WarmupMessages = 0
 		params.MeasureMessages = ad.Config().MaxSamples
 		params.Adaptive = ad

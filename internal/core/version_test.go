@@ -12,8 +12,8 @@ import (
 
 // goldenDigests maps each core.SemanticsVersion to the goldenDigest of
 // the fixtures it was released with. A row is only ever added: the bump
-// procedure (README "Result store") regenerates the goldens, bumps the
-// version, and adds the row TestGoldenDigests prints.
+// procedure (README, "Semantics versions") regenerates the goldens,
+// bumps the version, and adds the row TestGoldenDigests prints.
 var goldenDigests = map[int]string{
 	1: "0cdb8165efa664417817dbce011d1b3275be2a18ff6c65f370db280c73800f75",
 }

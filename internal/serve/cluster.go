@@ -36,13 +36,11 @@ func (o ClusterOptions) heartbeat() time.Duration { return o.LeaseTTL / 4 }
 // Cluster wire types. A worker's conversation with the coordinator is
 // three POSTs: claim a lease, heartbeat it while simulating, complete it
 // with its point's outcome. A coordinator and its workers must be one
-// build: each refuses a grant or a completion in another build's form,
-// and a coordinator refuses a claim made under other simulator semantics.
+// build: each refuses a grant or a completion in another build's form.
 
 // ClaimRequest asks the coordinator for a point to lease. Version is the
-// worker's core.SemanticsVersion (Client.Claim fills it in): a coordinator
-// refuses a claim that omits it or names another, since it stores every
-// reported result under its own version. WaitMS lets
+// worker's core.SemanticsVersion: a claim that omits it or names another
+// is refused, as its results would be stored as this version's. WaitMS lets
 // the coordinator hold the request while it has nothing to lease — until
 // a point is seeded or requeued, WaitMS (at most maxHold and one lease TTL,
 // which keeps the worker's last-seen time fresh) passes, or it drains —

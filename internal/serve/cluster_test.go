@@ -1079,7 +1079,8 @@ func TestClusterSkipsResolvedPoints(t *testing.T) {
 }
 
 // TestClusterGuards: cluster RPCs against a standalone server must be
-// rejected with a descriptive 412, and malformed claims with 400.
+// rejected with a descriptive 412, and malformed claims with 400, as are
+// claims under another semantics version, which stop their worker.
 func TestClusterGuards(t *testing.T) {
 	t.Parallel()
 	srv, c := testServer(t, t.TempDir(), ServerOptions{Runner: scripted})

@@ -659,9 +659,8 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.store.Stats())
 }
 
-// healthReport is the GET /healthz payload: liveness, the simulator
-// semantics version the store reads and writes (core.SemanticsVersion,
-// which a worker's claim must name), plus the store's integrity picture
+// healthReport is the GET /healthz payload: liveness, the semantics
+// version a claim must name, plus the store's integrity picture
 // (quarantines, recovery-scan time, orphaned-temp deletions), so a
 // cluster operator sees silent corruption at the same endpoint a load
 // balancer probes.

@@ -20,18 +20,14 @@ import (
 )
 
 // Store is a disk-backed content-addressed result store keyed by
-// core.Config.Key: one file per unique configuration, named by the
-// SHA-256 of the key, holding the key, the result, and a checksum over
-// both and the semantics version. It is the durable layer under the serve job executor (and any
-// other sweep, via sweep.Options.Cache — Store implements sweep.Cacher),
-// making "never simulate the same point twice" hold across processes,
-// restarts and users sharing a store directory.
-//
-// Versioning: entries live under objects/v<N>/, N being
-// core.SemanticsVersion, and N is folded into every checksum. The store
-// reads no other directory, so an answer computed under other semantics,
-// including every entry written before versioning, is a plain miss that
-// re-simulates: never served, never quarantined, never moved.
+// core.Config.Key: one file per unique configuration under objects/v<N>/
+// (N is core.SemanticsVersion; no other directory is read, so another
+// version's answer is a plain miss), named by the SHA-256 of the key,
+// holding the key, the result, and a checksum over N and both. It is the
+// durable layer under the serve job executor (and any other sweep, via
+// sweep.Options.Cache — Store implements sweep.Cacher), making "never
+// simulate the same point twice" hold across processes, restarts and
+// users sharing a store directory.
 //
 // Crash safety and integrity:
 //
@@ -134,7 +130,6 @@ const (
 	quarantineDir = "quarantine"
 )
 
-// versionDir holds this semantics version's entries, under objectsDir.
 var versionDir = filepath.Join(objectsDir, "v"+strconv.Itoa(core.SemanticsVersion))
 
 // objName is the content address of a key: SHA-256, hex, ".json".
@@ -143,8 +138,8 @@ func objName(key string) string {
 	return hex.EncodeToString(sum[:]) + ".json"
 }
 
-// entrySum is the integrity checksum: SHA-256 over the semantics version,
-// the key and the result's exact JSON bytes.
+// entrySum is the integrity checksum: SHA-256 over the semantics
+// version, the key and the result's exact JSON bytes.
 func entrySum(version int, key string, result []byte) string {
 	h := sha256.New()
 	h.Write(strconv.AppendInt(nil, int64(version), 10))

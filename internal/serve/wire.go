@@ -5,71 +5,32 @@
 // so overlapping grids submitted across processes, users and restarts
 // cost one simulation per unique point, ever.
 //
-// The package splits into four layers:
+// The package splits into these layers; each type's doc holds its
+// contract:
 //
-//   - wire.go: Point, the serializable form of a core.Config. Its
-//     round-trip guarantee (PointFromConfig then Point.Config preserves
-//     Config.Key bit for bit) is what makes served results
+//   - wire.go: Point, the serializable form of a core.Config, whose round
+//     trip preserves Config.Key bit for bit, so served results are
 //     byte-identical to in-process sweeps.
-//   - store.go: Store, the crash-safe result store (atomic temp-file +
-//     rename writes, per-entry checksums, startup recovery scan with
-//     quarantine, process-level single-flight). It implements
-//     sweep.Cacher. An entry has one compact layout, read in one pass:
-//     a stored result is read once per job, however many of the job's
-//     points share its key, verified (checksum, key, one strict decode of
-//     the result, which is also its JSON check) and served as the bytes
-//     the store holds.
+//   - store.go: Store, the crash-safe result store of one
+//     core.SemanticsVersion (atomic writes, per-entry checksums, a
+//     recovery scan that quarantines damage, single-flight). It
+//     implements sweep.Cacher.
 //   - server.go: Server, the HTTP job service — bounded queue with 429
-//     backpressure, a job deadline (ServerOptions.JobTimeout) and
-//     cancellation, graceful drain.
-//     Every job turns terminal in one place, which wakes the requests
-//     held on it: GET /v1/jobs/{id} and GET /v1/jobs/{id}/results with
-//     ?wait_ms=N answer when the job finishes or after N ms (at most
-//     30 s), the results of a job still running then with 409. Bodies
-//     are compact JSON, and results are one outcome per submitted
-//     point, in submission order, naming no point. A job keeps each
-//     point's result as the JSON it serves — a store hit's verified
-//     bytes, or a reported result encoded once — and the results body
-//     is built from those bytes without re-encoding them. A request
-//     body is one JSON value; anything after it is refused, and so is a
-//     member the server does not read, at any depth, by name. The 64
-//     most recent finished jobs stay queryable; older IDs answer 404
-//     "expired; resubmit".
-//   - client.go: Client, the thin consumer the CLIs use
-//     (lapses-experiments -server); Client.Run satisfies
+//     backpressure, deadlines and cancellation, requests held until a
+//     job ends (wait_ms), graceful drain. Strict bodies: a member the
+//     server does not read is refused by name.
+//   - client.go: Client, the consumer the CLIs use; Client.Run satisfies
 //     sweep.RunFunc, so grids and bisection probes route through a
-//     server unchanged. Idempotent requests ride a transport-retry
-//     loop (connection errors and gateway 5xx, 5 attempts, jittered
-//     backoff). A results body is decoded in one strict pass, each
-//     result in place by core.Result's decoder, on internal/jsonscan,
-//     the tokenizer both share.
-//     Client.Wait and Client.Run share one loop over a held call: the
-//     status for Wait, the results for Run, so a Run is two requests
-//     (submit, results) on one kept-alive connection. PollInterval is
-//     the least time between two of them, which only a server that
-//     does not hold (older, or draining) makes it sleep.
+//     server unchanged.
 //   - cluster.go / lease.go / worker.go / retry.go: how every job runs.
-//     The server leases each grid one point a lease: a grant carries
-//     one point, a completion one outcome, and the outcome resolves the
-//     point the lease was granted for, which the job remembers by lease
-//     until it ends (a worker names no point). A Worker has
-//     Worker.Workers slots: it takes a free one before each claim, runs
-//     the lease on its own goroutine with its own heartbeat, and frees
-//     the slot once the lease's completion is sent. A standalone server
-//     starts one Worker of its own (ServerOptions.Workers) that claims by
-//     function call; a coordinator (ServerOptions.Cluster set) leases to
-//     Worker processes of its own build over HTTP. A point is requeued
-//     for one reason: it is unresolved when its lease ends, because the
-//     failure detector expired the lease (its worker went silent past its
-//     TTL) or its worker handed it back (a draining worker completes a
-//     lease it never started with no outcome). After
-//     ServerOptions.MaxAttempts claims it fails. Every reported error, a
-//     panic included, fails its point at once. Workers simulate against
-//     the Store, so every finished point is durable before it is
-//     reported and a requeued lease re-simulates nothing persisted. An
-//     idle remote worker's claim carries wait_ms too: the coordinator
-//     holds it (at most 30 s and one lease TTL) until a point is queued
-//     or requeued.
+//     The server leases each grid one point a lease, to its own Worker
+//     by function call when standalone, or to Worker processes of its
+//     own build and semantics version over HTTP when a coordinator
+//     (ServerOptions.Cluster). A point unresolved when its lease ends
+//     (expired, or handed back by a draining worker) is requeued, up to
+//     ServerOptions.MaxAttempts claims; every reported error fails its
+//     point at once. Workers simulate against the Store, so a finished
+//     point is durable before it is reported.
 package serve
 
 import (

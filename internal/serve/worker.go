@@ -94,9 +94,8 @@ func (w *Worker) idle() time.Duration {
 // claim asks each coordinator in turn, starting from peers[cur], the
 // last one that answered, for a lease. Transport errors rotate to the
 // next peer; a reachable coordinator with no work holds the claim until
-// it has some (or its hold runs out), which ends the round, and one that
-// refuses the claim ends it too. It returns the index of the peer that
-// answered.
+// it has some (or its hold runs out), which ends the round, as does a
+// refusal. It returns the index of the peer that answered.
 func (w *Worker) claim(ctx context.Context, peers []peer, cur int) (int, ClaimResponse, error) {
 	hold := (&Client{HTTP: w.HTTP}).hold()
 	var lastErr error
@@ -112,9 +111,8 @@ func (w *Worker) claim(ctx context.Context, peers []peer, cur int) (int, ClaimRe
 	return cur, ClaimResponse{}, lastErr
 }
 
-// refused reports whether a coordinator answered a claim with 400: it
-// refuses the claim's form or its semantics version, which no retry
-// changes.
+// refused reports whether a coordinator refused a claim (400), which no
+// retry changes: its form or its semantics version is another build's.
 func refused(err error) bool {
 	var ae *APIStatusError
 	return errors.As(err, &ae) && ae.Code == http.StatusBadRequest
@@ -128,9 +126,7 @@ func refused(err error) bool {
 // lease it cannot start while another worker idles. A grant with no
 // point comes from a coordinator of an older build, which leased arrays
 // of points: Run neither runs nor reports it, lets the leases in flight
-// finish, and returns an error naming it. So does a claim the
-// coordinator refuses, such as one under another semantics version: the
-// coordinator would store this worker's answers under its own.
+// finish, and returns an error naming it. So does a refused claim.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.validate(); err != nil {
 		return err
