@@ -130,6 +130,12 @@ unit)
 		[ "$code" -eq 2 ]
 		grep -q '^lapses-sim: core: ' "$work/reject.txt"
 	done
+	# The escape VCs follow from the algorithm and the topology, so there
+	# is no -escape: asking for it is an unknown flag, usage status 2.
+	code=0
+	"$work/lapses-sim" -escape 1 2>"$work/reject.txt" || code=$?
+	[ "$code" -eq 2 ]
+	grep -q -- '-escape' "$work/reject.txt"
 	# A load no node can inject is refused the same way; before Validate
 	# bounded it the injector drew forever, so each run has a deadline.
 	for load in Inf 1e300; do
@@ -261,9 +267,14 @@ serve)
 	# A member the server does not read is refused by name, not dropped:
 	# this point misspells lookahead, which would otherwise run PROUD.
 	code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
-		-d '{"points":[{"dims":[4,4],"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"look_ahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
+		-d '{"points":[{"dims":[4,4],"vcs":4,"buf_depth":20,"look_ahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
 	[ "$code" -eq 400 ]
 	jq -e '.error | contains("\"look_ahead\"")' refused.json
+	# So is a router member fixed at Table 2 or derived from the algorithm.
+	code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
+		-d '{"points":[{"dims":[4,4],"vcs":4,"escape_vcs":1,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
+	[ "$code" -eq 400 ]
+	jq -e '.error | contains("\"escape_vcs\"")' refused.json
 	mkdir served-csv local-csv
 	lx -exp fig5 -fidelity quick -csv served-csv -server $url >served.txt
 	[ "$(grep -c 'serve job' served.txt)" -eq 1 ]
@@ -352,7 +363,7 @@ cluster)
 	# point back, for the workers to finish.
 	post() { curl -fs -H 'Content-Type: application/json' "$url/v1/$1" -d "$2"; }
 	version=$(curl -fs $url/healthz | jq -e .semantics_version)
-	post jobs '{"points":[{"dims":[4,4],"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":7}]}' >/dev/null
+	post jobs '{"points":[{"dims":[4,4],"vcs":4,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":7}]}' >/dev/null
 	code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/cluster/claim \
 		-d '{"worker":"curl","version":0}')
 	[ "$code" -eq 400 ]

@@ -59,7 +59,6 @@ func main() {
 	dims := flag.String("dims", "16x16", "mesh radices, e.g. 16x16 or 8x8x8")
 	torus := flag.Bool("torus", false, "wrap the mesh into a torus")
 	vcs := flag.Int("vcs", cfg.VCs, "virtual channels per physical channel")
-	escape := flag.Int("escape", cfg.EscapeVCs, "escape VCs (Duato routing)")
 	buf := flag.Int("buf", cfg.BufDepth, "input buffer depth (flits)")
 	la := flag.Bool("lookahead", cfg.LookAhead, "use the 4-stage LA-PROUD pipeline")
 	flag.TextVar(&cfg.Algorithm, "alg", cfg.Algorithm, "routing algorithm: xy, yx, duato, north-last, west-first, negative-first")
@@ -99,7 +98,7 @@ func main() {
 		fatal(err)
 	}
 	cfg.Torus = *torus
-	cfg.VCs, cfg.EscapeVCs, cfg.BufDepth = *vcs, *escape, *buf
+	cfg.VCs, cfg.BufDepth = *vcs, *buf
 	cfg.LookAhead = *la
 	cfg.Load, cfg.MsgLen = *load, *msgLen
 	cfg.Warmup, cfg.Measure, cfg.Seed, cfg.AutoTol = *warmup, *measure, *seed, *autoTol
@@ -130,7 +129,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("network        %s  (%d VCs, %d-flit buffers, link delay %d)\n",
-		cfg.Mesh(), cfg.VCs, cfg.BufDepth, cfg.LinkDelay)
+		cfg.Mesh(), cfg.VCs, cfg.BufDepth, core.LinkDelay)
 	fmt.Printf("router         %s, %s routing, %s table, %s selection\n",
 		pipeName(cfg.LookAhead), cfg.Algorithm, cfg.Table, cfg.Selection)
 	fmt.Printf("workload       %s, load %.2f, %d-flit messages\n", cfg.Pattern, cfg.Load, cfg.MsgLen)

@@ -24,7 +24,6 @@ import (
 	"os"
 
 	"lapses/internal/core"
-	"lapses/internal/routing"
 	"lapses/internal/table"
 	"lapses/internal/topology"
 )
@@ -49,8 +48,6 @@ func main() {
 		usage(fmt.Errorf("-meta, -interval and -verify are exclusive; give one"))
 	}
 
-	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
-
 	if *verify {
 		if err := verifyTables(); err != nil {
 			fmt.Fprintln(os.Stderr, "lapses-tables:", err)
@@ -59,9 +56,25 @@ func main() {
 		return
 	}
 
+	// Every view programs the router the simulator would build: the
+	// routing function and VC partition of a config.
+	c := core.DefaultConfig()
+	switch {
+	case *meta:
+		c.Algorithm = core.AlgDuato
+	case *interval:
+		c.Dims, c.Algorithm = []int{8, 8}, core.AlgYX
+	default:
+		c.Dims, c.Algorithm = []int{3, 3}, a
+	}
+	alg, cls, err := c.Routing()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lapses-tables:", err)
+		os.Exit(2)
+	}
+	m := c.Mesh()
+
 	if *meta {
-		m := topology.NewMesh(16, 16)
-		alg := routing.NewDuato(m, cls)
 		fmt.Println("Fig. 8(a): row mapping (minimal flexibility; cluster/label per node, top row = y15)")
 		fmt.Println(table.NewMeta(m, alg, cls, table.MapRow).DumpMapping())
 		fmt.Println("Fig. 8(b): block mapping (maximal flexibility)")
@@ -70,10 +83,8 @@ func main() {
 	}
 
 	if *interval {
-		m := topology.NewMesh(8, 8)
-		yx := routing.NewDimOrder(m, cls, []int{1, 0})
 		node := m.ID(topology.Coord{3, 3})
-		lo, hi, err := table.Intervals(m, yx, node)
+		lo, hi, err := table.Intervals(m, alg, node)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lapses-tables:", err)
 			os.Exit(1)
@@ -89,16 +100,8 @@ func main() {
 		return
 	}
 
-	c := core.DefaultConfig()
-	c.Dims, c.Algorithm = []int{3, 3}, a
-	alg, cls, err := c.Routing()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lapses-tables:", err)
-		os.Exit(2)
-	}
 	// A mesh's ES row is the same at every router, so the structure's
 	// shared row is node (1,1)'s table.
-	m := c.Mesh()
 	fmt.Printf("Fig. 7: economical-storage table at node (1,1) of a 3x3 mesh, %s routing\n", alg.Name())
 	fmt.Printf("(sign of destination offset (sx,sy) -> permitted output ports; %d entries)\n\n", table.KindES.Entries(m))
 	fmt.Print(table.Program(table.KindES, m, alg, cls).Dump())

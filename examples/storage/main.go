@@ -10,16 +10,19 @@ import (
 	"log"
 
 	"lapses/internal/core"
-	"lapses/internal/routing"
 	"lapses/internal/table"
-	"lapses/internal/topology"
 	"lapses/internal/traffic"
 )
 
 func main() {
-	m := topology.NewMesh(16, 16)
-	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
-	duato := routing.NewDuato(m, cls)
+	// The default config is the paper's 16x16 mesh under Duato routing;
+	// its tables are programmed from this routing function and VC class.
+	base := core.DefaultConfig()
+	duato, cls, err := base.Routing()
+	if err != nil {
+		log.Fatal(err)
+	}
+	m := base.Mesh()
 
 	fmt.Println("Routing-table storage on a 256-node mesh (entries per router):")
 	for _, k := range []table.Kind{table.KindFull, table.KindMetaRow, table.KindMetaBlock, table.KindES} {

@@ -32,11 +32,11 @@ func main() {
 	fmt.Printf("  uniform @0.3: latency %s cycles, %.2f hops, %.4f flits/node/cycle\n\n",
 		res.LatencyString(), res.AvgHops, res.Throughput)
 
-	// A 2-D torus: wraparound halves the average distance but needs two
-	// escape VCs split around the dateline for deadlock freedom.
+	// A 2-D torus: wraparound halves the average distance; Duato routing
+	// takes two escape VCs there, split around the dateline for deadlock
+	// freedom.
 	cfg = core.DefaultConfig()
 	cfg.Torus = true
-	cfg.EscapeVCs = 2
 	cfg.Table = table.KindFull
 	cfg.Pattern = traffic.Uniform
 	cfg.Load = 0.3

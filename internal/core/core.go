@@ -133,16 +133,12 @@ type Config struct {
 	// by a transition are reported lost (Result.DroppedMessages).
 	Reliability *Reliability
 
-	// VCs per physical channel (Table 2: 4) and how many of them form
-	// the escape class for Duato routing (1 on meshes, 2 on tori).
-	VCs       int
-	EscapeVCs int
-	// BufDepth and OutDepth are input/output buffer depths in flits
-	// (Table 2: 20 in; the small output stage holds 4).
+	// VCs per physical channel (Table 2: 4). The routing algorithm decides
+	// how many of them form the escape class (class).
+	VCs int
+	// BufDepth is the input buffer depth in flits (Table 2: 20). The output
+	// stage and the links are fixed at Table 2 (OutDepth, LinkDelay).
 	BufDepth int
-	OutDepth int
-	// LinkDelay in cycles (Table 2: 1).
-	LinkDelay int
 
 	// LookAhead selects LA-PROUD (4-stage) over PROUD (5-stage).
 	LookAhead bool
@@ -219,8 +215,8 @@ type QoSSpec struct {
 	// [0, 1].
 	HiFrac float64 `json:"hi_frac"`
 	// HiVCs is how many of the highest-numbered adaptive VCs are reserved
-	// for high-class messages, in [1, VCs-EscapeVCs). Escape VCs are the
-	// lowest-numbered VCs and are never reserved.
+	// for high-class messages, from 1 to one less than the adaptive VCs.
+	// Escape VCs are the lowest-numbered VCs and are never reserved.
 	HiVCs int `json:"hi_vcs"`
 }
 
@@ -237,10 +233,7 @@ func DefaultConfig() Config {
 	return Config{
 		Dims:       []int{16, 16},
 		VCs:        4,
-		EscapeVCs:  1,
 		BufDepth:   20,
-		OutDepth:   4,
-		LinkDelay:  1,
 		LookAhead:  true,
 		Algorithm:  AlgDuato,
 		Table:      table.KindES,
@@ -254,6 +247,14 @@ func DefaultConfig() Config {
 		SatLatency: 5000,
 	}
 }
+
+// OutDepth and LinkDelay are Table 2's output-stage depth in flits and link
+// delay in cycles. Every run uses them; the router and network kernels take
+// them as parameters only so that their own tests can vary them.
+const (
+	OutDepth  = 4
+	LinkDelay = 1
+)
 
 // PaperFidelity returns the config with the paper's sample sizes: 10000
 // warm-up messages and statistics over 400000 messages.
@@ -307,10 +308,7 @@ func (c Config) Key() string {
 	}
 	b = strconv.AppendBool(append(b, "],t"...), c.Torus)
 	b = keyInt(b, ",v", int64(c.VCs))
-	b = keyInt(b, ",e", int64(c.EscapeVCs))
 	b = keyInt(b, ",b", int64(c.BufDepth))
-	b = keyInt(b, ",o", int64(c.OutDepth))
-	b = keyInt(b, ",l", int64(c.LinkDelay))
 	b = strconv.AppendBool(append(b, ",la"...), c.LookAhead)
 	b = keyInt(b, ",a", int64(c.Algorithm))
 	b = keyInt(b, ",tb", int64(c.Table))
@@ -376,15 +374,17 @@ func keyBits(b []byte, tag string, x float64) []byte {
 	return strconv.AppendUint(append(b, tag...), math.Float64bits(x), 16)
 }
 
-// class returns the VC partition. Deterministic and turn-model algorithms
-// are deadlock-free without escape channels.
+// class returns the VC partition, and is the one place that decides it:
+// Duato routing reserves one escape VC on a mesh and two on a torus (one
+// each side of the dateline); deterministic and turn-model algorithms are
+// deadlock-free without escape channels.
 func (c Config) class() routing.Class {
-	esc := c.EscapeVCs
-	if c.Algorithm != AlgDuato {
-		esc = 0
-	}
-	if c.Algorithm == AlgDuato && c.Torus && esc < 2 {
-		esc = 2
+	esc := 0
+	if c.Algorithm == AlgDuato {
+		esc = 1
+		if c.Torus {
+			esc = 2
+		}
 	}
 	return routing.Class{NumVCs: c.VCs, EscapeVCs: esc}
 }
@@ -441,13 +441,10 @@ func (c Config) Validate() error {
 	if c.VCs < 1 || c.VCs > router.MaxVCs {
 		return fmt.Errorf("core: VCs %d outside [1, %d]", c.VCs, router.MaxVCs)
 	}
-	if c.EscapeVCs < 0 || c.EscapeVCs > c.VCs {
-		return fmt.Errorf("core: EscapeVCs %d outside [0, VCs %d]", c.EscapeVCs, c.VCs)
-	}
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"BufDepth", c.BufDepth}, {"OutDepth", c.OutDepth}, {"LinkDelay", c.LinkDelay}, {"MsgLen", c.MsgLen}} {
+	}{{"BufDepth", c.BufDepth}, {"MsgLen", c.MsgLen}} {
 		if f.v < 1 {
 			return fmt.Errorf("core: %s %d < 1", f.name, f.v)
 		}
@@ -587,10 +584,15 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	// The class the tables are programmed with can need more escape VCs than
-	// EscapeVCs says: Duato on a torus takes two.
+	// Duato on a torus takes two escape VCs.
 	if cls := c.class(); cls.EscapeVCs > c.VCs {
 		return fmt.Errorf("core: VCs %d cannot hold the %d escape VCs %s routing needs on %s", c.VCs, cls.EscapeVCs, c.Algorithm, c.Mesh())
+	}
+	// Healthy dimension-order routing on a torus splits the VCs in half
+	// around the dateline (routing.NewDimOrder); one VC would leave every
+	// hop before the wrap with none, and the run would report saturation.
+	if c.Torus && c.Faults.Empty() && c.Algorithm.Deterministic() && c.VCs < 2 {
+		return fmt.Errorf("core: VCs %d cannot be split around the dateline %s routing needs on %s", c.VCs, c.Algorithm, c.Mesh())
 	}
 	return nil
 }
@@ -778,8 +780,8 @@ func (c Config) plumbing() (*plumbing, error) {
 // schedule's always does, so the one fault term cannot confuse the two.
 func (c Config) structureKey() string {
 	c = c.canonical()
-	return fmt.Sprintf("d%v,t%t,v%d,e%d,a%d,tb%d,f[%s]",
-		c.Dims, c.Torus, c.VCs, c.EscapeVCs, int(c.Algorithm), int(c.Table), c.Faults.Key())
+	return fmt.Sprintf("d%v,t%t,v%d,a%d,tb%d,f[%s]",
+		c.Dims, c.Torus, c.VCs, int(c.Algorithm), int(c.Table), c.Faults.Key())
 }
 
 // buildPlumbing is the cold path behind the cache: for each fault epoch,
@@ -952,10 +954,10 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		Mesh:   m,
 		Faults: cfg.Faults,
 		Router: router.Config{
-			NumVCs: cfg.VCs, BufDepth: cfg.BufDepth, OutDepth: cfg.OutDepth,
+			NumVCs: cfg.VCs, BufDepth: cfg.BufDepth, OutDepth: OutDepth,
 			LookAhead: cfg.LookAhead,
 		},
-		LinkDelay: cfg.LinkDelay,
+		LinkDelay: LinkDelay,
 		Class:     p.cls,
 		Routes:    p.routes,
 		Selection: cfg.Selection,

@@ -55,7 +55,7 @@ func TestDefaultsMatchPaperTable2(t *testing.T) {
 	if len(c.Dims) != 2 || c.Dims[0] != 16 || c.Dims[1] != 16 {
 		t.Error("default mesh is not 16x16")
 	}
-	if c.VCs != 4 || c.MsgLen != 20 || c.BufDepth != 20 || c.LinkDelay != 1 {
+	if c.VCs != 4 || c.MsgLen != 20 || c.BufDepth != 20 || LinkDelay != 1 || OutDepth != 4 {
 		t.Error("defaults do not match Table 2")
 	}
 	p := c.PaperFidelity()
@@ -194,57 +194,80 @@ func TestIntervalValidateOrRun(t *testing.T) {
 }
 
 // TestShapeLimitsValidateOrRun is TestIntervalValidateOrRun's neighbour
-// for the limits that size or bound a run rather than route it: one to
-// five dimensions (flow.MaxCandidates bounds an adaptive route set, the
-// arbiters bound ports x VCs at 64), 1 to 8 VCs, zero load with and
-// without a cycle budget, a negative warm-up — on mesh and torus. Every
-// case is either rejected by Validate, naming the field, or runs; and it
-// runs twice in a row, so the second pass goes through the arena the first
-// one returned (or, after a rejection, finds the free list as it was).
+// for the limits that size or bound a run rather than route it: every
+// algorithm, on one to five dimensions (flow.MaxCandidates bounds an
+// adaptive route set, the arbiters bound ports x VCs at 64), mesh and
+// torus, with 1 to 8 VCs — every VC partition Config.class derives — and,
+// under duato (xy in five dimensions), zero load with and without a cycle
+// budget and a negative warm-up. Every case is either rejected by
+// Validate, naming the field or the algorithm, or runs, unsaturated at
+// load 0.2 without a budget; and it runs twice in a row, so the second
+// pass goes through the arena the first one returned (or, after a
+// rejection, finds the free list as it was).
 func TestShapeLimitsValidateOrRun(t *testing.T) {
+	type limits struct {
+		load   float64
+		budget int64
+		warmup int
+	}
+	var bounds []limits
+	for _, load := range []float64{0, 0.2} {
+		for _, budget := range []int64{0, 500} {
+			for _, warmup := range []int{-1, 0} {
+				bounds = append(bounds, limits{load, budget, warmup})
+			}
+		}
+	}
 	ran, rejected := 0, 0
-	for _, dims := range [][]int{{8}, {4, 4}, {3, 3, 3}, {3, 3, 3, 3}, {2, 2, 2, 2, 2}} {
-		for _, torus := range []bool{false, true} {
-			for _, vcs := range []int{1, 4, 8} {
-				for _, load := range []float64{0, 0.2} {
-					for _, budget := range []int64{0, 500} {
-						for _, warmup := range []int{-1, 0} {
-							c := smoke()
-							c.Dims, c.Torus, c.VCs, c.Load, c.MaxCycles, c.Warmup = dims, torus, vcs, load, budget, warmup
-							c.Measure = 40
-							if len(dims) > flow.MaxCandidates {
-								c.Algorithm = AlgXY // so that five dimensions run at all
+	for _, alg := range Algs {
+		for _, dims := range [][]int{{8}, {4, 4}, {3, 3, 3}, {3, 3, 3, 3}, {2, 2, 2, 2, 2}} {
+			// The bounds go with the default algorithm, and with xy where
+			// the default cannot route.
+			lims := []limits{{0.2, 0, 0}}
+			if alg == AlgDuato || alg == AlgXY && len(dims) > flow.MaxCandidates {
+				lims = bounds
+			}
+			for _, torus := range []bool{false, true} {
+				for _, vcs := range []int{1, 2, 4, 8} {
+					for _, l := range lims {
+						c := smoke()
+						c.Algorithm, c.Dims, c.Torus, c.VCs = alg, dims, torus, vcs
+						c.Load, c.MaxCycles, c.Warmup, c.Measure = l.load, l.budget, l.warmup, 40
+						name := fmt.Sprintf("%s %s vcs=%d load=%g budget=%d warmup=%d", alg, c.Mesh(), vcs, l.load, l.budget, l.warmup)
+						if verr := c.Validate(); verr != nil {
+							rejected++
+							named := false
+							for _, field := range []string{"Warmup", "Load", "VCs", "Dims", alg.String()} {
+								named = named || strings.Contains(verr.Error(), field)
 							}
-							name := fmt.Sprintf("%s %s vcs=%d load=%g budget=%d warmup=%d", c.Algorithm, c.Mesh(), vcs, load, budget, warmup)
-							if verr := c.Validate(); verr != nil {
-								rejected++
-								named := false
-								for _, field := range []string{"Warmup", "Load", "VCs", "Dims"} {
-									named = named || strings.Contains(verr.Error(), field)
-								}
-								if !named {
-									t.Errorf("%s: rejection names no field: %v", name, verr)
-								}
-								continue
+							if !named {
+								t.Errorf("%s: rejection names no field: %v", name, verr)
 							}
-							func() {
-								defer func() {
-									if r := recover(); r != nil {
-										t.Errorf("%s: passed Validate, then panicked: %v", name, r)
-									}
-								}()
-								first, err := Run(c)
-								if err != nil {
-									t.Errorf("%s: passed Validate, then failed: %v", name, err)
-									return
-								}
-								again, err := Run(c)
-								if err != nil || again != first {
-									t.Errorf("%s: second run in a row differs: %+v (err %v), first %+v", name, again, err, first)
-								}
-								ran++
-							}()
+							continue
 						}
+						func() {
+							defer func() {
+								if r := recover(); r != nil {
+									t.Errorf("%s: passed Validate, then panicked: %v", name, r)
+								}
+							}()
+							first, err := Run(c)
+							if err != nil {
+								t.Errorf("%s: passed Validate, then failed: %v", name, err)
+								return
+							}
+							// Load 0.2 is far below saturation on every shape here, so
+							// without a cycle budget to cut it short a saturated run is a
+							// routing function that strands flits.
+							if first.Saturated && l.load > 0 && l.budget == 0 {
+								t.Errorf("%s: saturated", name)
+							}
+							again, err := Run(c)
+							if err != nil || again != first {
+								t.Errorf("%s: second run in a row differs: %+v (err %v), first %+v", name, again, err, first)
+							}
+							ran++
+						}()
 					}
 				}
 			}
@@ -264,10 +287,9 @@ func TestShapeLimitsValidateOrRun(t *testing.T) {
 		{func(c *Config) { c.Dims, c.VCs = []int{3, 3, 3, 3}, 8 }, "ports x VCs"},
 		{func(c *Config) { c.Warmup = -5 }, "Warmup -5"},
 		{func(c *Config) { c.MsgLen = 0 }, "MsgLen 0 < 1"},
-		{func(c *Config) { c.LinkDelay = 0 }, "LinkDelay 0 < 1"},
 		{func(c *Config) { c.BufDepth = 0 }, "BufDepth 0 < 1"},
-		{func(c *Config) { c.OutDepth = 0 }, "OutDepth 0 < 1"},
 		{func(c *Config) { c.Dims, c.Algorithm, c.VCs = []int{8}, AlgXY, 12 }, "VCs 12 outside [1, 8]"},
+		{func(c *Config) { c.Torus, c.Algorithm, c.VCs = true, AlgXY, 1 }, "VCs 1 cannot be split around the dateline"},
 	} {
 		c := smoke()
 		tc.mut(&c)
@@ -407,7 +429,6 @@ func Test3DAndTorus(t *testing.T) {
 	}
 	c = smoke()
 	c.Torus = true
-	c.EscapeVCs = 2
 	c.Table = table.KindFull
 	c.Warmup, c.Measure = 100, 1000
 	if _, err := Run(c); err != nil {
@@ -451,10 +472,7 @@ func TestConfigKey(t *testing.T) {
 			c.Faults = fault.Static(p)
 		},
 		func(c *Config) { c.VCs = 8 },
-		func(c *Config) { c.EscapeVCs = 2 },
 		func(c *Config) { c.BufDepth = 10 },
-		func(c *Config) { c.OutDepth = 2 },
-		func(c *Config) { c.LinkDelay = 2 },
 		func(c *Config) { c.LookAhead = false },
 		func(c *Config) { c.Algorithm = AlgXY },
 		func(c *Config) { c.Table = table.KindMetaRow }, // full and interval key as es (canonical)

@@ -28,7 +28,6 @@ func equivPoints(t *testing.T) map[string]Config {
 	torus := DefaultConfig()
 	torus.Dims = []int{6, 6}
 	torus.Torus = true
-	torus.EscapeVCs = 2
 	torus.Table = table.KindFull
 	torus.Load = 0.2
 

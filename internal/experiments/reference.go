@@ -65,5 +65,5 @@ func RenderTable2(w io.Writer, c core.Config) {
 	fmt.Fprintf(w, "%-28s %d\n", "VCs per PC", c.VCs)
 	fmt.Fprintf(w, "%-28s 1 unit\n", "Network Cycle Time")
 	fmt.Fprintf(w, "%-28s 5 units (PROUD) / 4 units (LA-PROUD)\n", "Router Latency (cont.-free)")
-	fmt.Fprintf(w, "%-28s %d unit(s)\n", "Link Delay", c.LinkDelay)
+	fmt.Fprintf(w, "%-28s %d unit(s)\n", "Link Delay", core.LinkDelay)
 }

@@ -602,8 +602,8 @@ func requiredMembers(t *testing.T) []string {
 			names = append(names, name)
 		}
 	}
-	if len(names) != 16 {
-		t.Fatalf("%d required members %v, want 16", len(names), names)
+	if len(names) != 13 {
+		t.Fatalf("%d required members %v, want 13", len(names), names)
 	}
 	return names
 }
@@ -648,9 +648,10 @@ func jobBody(t *testing.T, p json.RawMessage) json.RawMessage {
 // the member were absent. The cases are misspellings (which the parent
 // answered as the default setting: PROUD for a misspelled lookahead) and
 // retired inputs: the per-job deadline, the second damage field, the
-// cut-through switch, the per-run parallelism axis and the adaptive
-// tier's budget object, each refused at the outermost member the server
-// cannot read.
+// cut-through switch, the per-run parallelism axis, the adaptive tier's
+// budget object and the router geometry fixed at Table 2 or derived from
+// the algorithm (escape VCs, output depth, link delay), each refused at
+// the outermost member the server cannot read.
 func TestServerRefusesUnknownMembers(t *testing.T) {
 	t.Parallel()
 	_, c := testServer(t, t.TempDir(), ServerOptions{Runner: scripted})
@@ -683,6 +684,9 @@ func TestServerRefusesUnknownMembers(t *testing.T) {
 		{"schedule", func(_, p map[string]any) { p["schedule"] = "12-13@100:200" }},
 		{"cut_through", func(_, p map[string]any) { p["cut_through"] = true }},
 		{"shards", func(_, p map[string]any) { p["shards"] = 4 }},
+		{"escape_vcs", func(_, p map[string]any) { p["escape_vcs"] = 1 }},
+		{"out_depth", func(_, p map[string]any) { p["out_depth"] = 4 }},
+		{"link_delay", func(_, p map[string]any) { p["link_delay"] = 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var job map[string]any

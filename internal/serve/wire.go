@@ -74,11 +74,8 @@ type Point struct {
 
 	Reliability *core.Reliability `json:"reliability,omitempty"`
 
-	VCs       *int `json:"vcs"`
-	EscapeVCs *int `json:"escape_vcs"`
-	BufDepth  *int `json:"buf_depth"`
-	OutDepth  *int `json:"out_depth"`
-	LinkDelay *int `json:"link_delay"`
+	VCs      *int `json:"vcs"`
+	BufDepth *int `json:"buf_depth"`
 
 	LookAhead *bool  `json:"lookahead"`
 	Algorithm string `json:"algorithm"`
@@ -123,10 +120,7 @@ func point(c *core.Config) Point {
 		Dims:       append([]int(nil), c.Dims...),
 		Torus:      c.Torus,
 		VCs:        &c.VCs,
-		EscapeVCs:  &c.EscapeVCs,
 		BufDepth:   &c.BufDepth,
-		OutDepth:   &c.OutDepth,
-		LinkDelay:  &c.LinkDelay,
 		LookAhead:  &c.LookAhead,
 		Algorithm:  c.Algorithm.String(),
 		Table:      c.Table.String(),
@@ -162,10 +156,7 @@ func (p Point) Config() (core.Config, error) {
 		Dims:       append([]int(nil), p.Dims...),
 		Torus:      p.Torus,
 		VCs:        *p.VCs,
-		EscapeVCs:  *p.EscapeVCs,
 		BufDepth:   *p.BufDepth,
-		OutDepth:   *p.OutDepth,
-		LinkDelay:  *p.LinkDelay,
 		LookAhead:  *p.LookAhead,
 		Load:       *p.Load,
 		MsgLen:     *p.MsgLen,
@@ -216,14 +207,8 @@ func (p Point) missing() string {
 		return "dims"
 	case p.VCs == nil:
 		return "vcs"
-	case p.EscapeVCs == nil:
-		return "escape_vcs"
 	case p.BufDepth == nil:
 		return "buf_depth"
-	case p.OutDepth == nil:
-		return "out_depth"
-	case p.LinkDelay == nil:
-		return "link_delay"
 	case p.LookAhead == nil:
 		return "lookahead"
 	case p.Algorithm == "":

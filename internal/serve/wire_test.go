@@ -29,7 +29,6 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	torus.Dims = []int{4, 4}
 	torus.Torus = true
 	torus.VCs = 6
-	torus.EscapeVCs = 2
 	torus.Algorithm = core.AlgXY
 	torus.Table = table.KindFull
 	torus.Selection = selection.StaticXY
@@ -52,8 +51,6 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	exotic.Dims = []int{2, 3, 4}
 	exotic.LookAhead = false
 	exotic.BufDepth = 7
-	exotic.OutDepth = 2
-	exotic.LinkDelay = 3
 	exotic.MsgLen = 5
 	exotic.Load = 0.37
 	exotic.Seed = 99
@@ -165,12 +162,10 @@ func TestPointConfigErrors(t *testing.T) {
 	}
 	// core.Config.Validate's refusals name their field.
 	for field, mutate := range map[string]func(p *Point){
-		"MsgLen":    func(p *Point) { p.MsgLen = ref(0) },
-		"LinkDelay": func(p *Point) { p.LinkDelay = ref(0) },
-		"BufDepth":  func(p *Point) { p.BufDepth = ref(0) },
-		"OutDepth":  func(p *Point) { p.OutDepth = ref(0) },
-		"VCs":       func(p *Point) { p.Dims, p.Algorithm, p.VCs = []int{8}, "xy", ref(12) },
-		"AutoTol":   func(p *Point) { p.AutoTol = -1 },
+		"MsgLen":   func(p *Point) { p.MsgLen = ref(0) },
+		"BufDepth": func(p *Point) { p.BufDepth = ref(0) },
+		"VCs":      func(p *Point) { p.Dims, p.Algorithm, p.VCs = []int{8}, "xy", ref(12) },
+		"AutoTol":  func(p *Point) { p.AutoTol = -1 },
 	} {
 		p := good
 		mutate(&p)
@@ -328,8 +323,8 @@ func TestPointFaultPayloads(t *testing.T) {
 		cfg  core.Config
 		want string
 	}{
-		{"static", cfgs[2], `{"dims":[8,8],"faults":"1-2,r27","vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
-		{"timed", cfgs[6], `{"dims":[8,8],"faults":"27-28@500:1500,r9@800","reliability":{"rto":512,"max_attempts":5},"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":{"hi_frac":0.2,"hi_vcs":1},"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
+		{"static", cfgs[2], `{"dims":[8,8],"faults":"1-2,r27","vcs":4,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
+		{"timed", cfgs[6], `{"dims":[8,8],"faults":"27-28@500:1500,r9@800","reliability":{"rto":512,"max_attempts":5},"vcs":4,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":{"hi_frac":0.2,"hi_vcs":1},"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
 	} {
 		p, err := PointFromConfig(tc.cfg)
 		if err != nil {
@@ -344,7 +339,7 @@ func TestPointFaultPayloads(t *testing.T) {
 		}
 	}
 
-	const atZero = `{"dims":[8,8],"faults":"1-2@0,r27@0","vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
+	const atZero = `{"dims":[8,8],"faults":"1-2@0,r27@0","vcs":4,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
 	var p Point
 	if err := json.Unmarshal([]byte(atZero), &p); err != nil {
 		t.Fatal(err)
@@ -371,7 +366,7 @@ func TestPointPayloadStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"dims":[16,16],"vcs":4,"escape_vcs":1,"buf_depth":20,"out_depth":4,"link_delay":1,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
+	const want = `{"dims":[16,16],"vcs":4,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
 	if string(got) != want {
 		t.Errorf("default point payload changed:\n got %s\nwant %s", got, want)
 	}
