@@ -348,6 +348,48 @@ func TestGoldenTables(t *testing.T) {
 	compareGolden(t, "golden_tables.txt", "TestGoldenTables", got)
 }
 
+// goldenSelectionGrid pins every path-selection policy, which the grids
+// above cover only as lru (and notify-lru in TestNotifyBurstyDeterminism,
+// against itself): on an 8x8 Duato mesh, every selection.Kinds entry x
+// both pipelines x both kernels x two loads.
+func goldenSelectionGrid() (cfgs []core.Config, keys []string) {
+	base := core.DefaultConfig()
+	base.Dims = []int{8, 8}
+	base.Warmup, base.Measure = 100, 1000
+	for _, k := range selection.Kinds {
+		for _, la := range []bool{false, true} {
+			for _, events := range []bool{false, true} {
+				for _, load := range []float64{0.2, 0.4} {
+					c := base
+					c.Selection, c.LookAhead, c.EventMode, c.Load = k, la, events, load
+					cfgs = append(cfgs, c)
+					keys = append(keys, fmt.Sprintf("%s/la=%t/ev=%t/load=%.2f", k, la, events, load))
+				}
+			}
+		}
+	}
+	return cfgs, keys
+}
+
+// TestGoldenSelection locks what every selection policy picks the way the
+// grids above lock the kernels. Regenerate (only when a semantic change is
+// intended) with: go test ./internal/core -run TestGoldenSelection -update
+func TestGoldenSelection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden selection grid is 72 full runs; skipped under -short")
+	}
+	cfgs, keys := goldenSelectionGrid()
+	got := make(map[string]string, len(cfgs))
+	for i, c := range cfgs {
+		r, err := core.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", keys[i], err)
+		}
+		got[keys[i]] = fingerprint(r)
+	}
+	compareGolden(t, "golden_selection.txt", "TestGoldenSelection", got)
+}
+
 // TestGoldenShuffledRecycling runs the five golden grids as one list,
 // twice, each pass in its own shuffled order, and holds every result to the
 // committed fixtures. The five tests above already recycle — they call
