@@ -272,7 +272,7 @@ func (c Config) Mesh() *topology.Mesh { return topology.New(c.Torus, c.Dims...) 
 // and reads no other version's, so a change that moves any answer bumps
 // it: every earlier answer is then a miss that re-simulates, never a
 // stale hit. TestGoldenDigests holds it to the golden fixtures.
-const SemanticsVersion = 1
+const SemanticsVersion = 2
 
 // canonical maps c to the representative of its class of configs that
 // provably produce one Result, which Key and structureKey read. es, full

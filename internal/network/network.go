@@ -102,7 +102,7 @@ type Config struct {
 	// observationally equivalent to cycle mode (per-message latency is
 	// exact on uncontended paths, and distributions match within
 	// measurement noise under load) but not bit-identical: admission
-	// decisions consult arbiter and selector state at arrival time rather
+	// decisions consult arbiter state and port counters at arrival time rather
 	// than at the emulated SA cycle. Runs remain deterministic for a
 	// fixed configuration.
 	EventMode bool
@@ -264,7 +264,6 @@ type arena struct {
 
 	block   *router.Block
 	routers []router.Router // block.Routers
-	sels    *selection.Block
 	srcs    *traffic.Sources
 	nis     []ni
 	fabrics []nodeFabric
@@ -406,7 +405,6 @@ func alloc(s Shape) *Network {
 	a := arena{
 		shape:      s,
 		block:      router.AllocBlock(s.nodes, s.ports, rc),
-		sels:       selection.AllocBlock(s.nodes),
 		srcs:       traffic.AllocSources(s.nodes),
 		nis:        make([]ni, s.nodes),
 		fabrics:    make([]nodeFabric, s.nodes),
@@ -497,8 +495,7 @@ func (n *Network) Reset(cfg Config) {
 	n.windows = n.windows[:0]
 	clear(n.lastOcc)
 
-	n.sels.Reset(cfg.Selection, cfg.Seed, 7919)
-	n.block.Reset(m, cfg.Router, 0, cfg.Routes[0], n.sels.Sels)
+	n.block.Reset(m, cfg.Router, 0, cfg.Routes[0], cfg.Selection, cfg.Seed)
 	for id := 0; id < m.N(); id++ {
 		for p := 0; p < n.ports; p++ {
 			// Every link is wired, failed or not: liveness is enforced by
@@ -558,7 +555,7 @@ func (n *Network) Park() {
 // Bytes returns the size of the network's storage: the slabs its shape
 // sizes plus whatever the growing buffers have grown to.
 func (n *Network) Bytes() int {
-	b := n.block.Bytes() + n.sels.Bytes() + n.srcs.Bytes() +
+	b := n.block.Bytes() + n.srcs.Bytes() +
 		slabBytes(n.nis) + slabBytes(n.fabrics) + slabBytes(n.links) + slabBytes(n.lastOcc) +
 		slabBytes(n.streams) + slabBytes(n.niCredits) + slabBytes(n.cursors) +
 		slabBytes(n.rels) + slabBytes(n.relSeq) + slabBytes(n.relRecv) +

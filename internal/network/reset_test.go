@@ -378,8 +378,8 @@ func TestResetEqualsNew(t *testing.T) {
 			for i := 0; i < points; i++ {
 				cfg := randomPoint(t, rng, sc.shape)
 				if i < 2 {
-					// Back to back, so that the second finds generators the
-					// first has drawn from.
+					// Back to back: Random keeps no state, so the second
+					// finds nothing of the first.
 					cfg.Selection = selection.Random
 				}
 				name := fmt.Sprintf("point %d (%s, selection %v, la %v, %v, trace %v, burst %v)",

@@ -82,7 +82,7 @@ func TestExpressTransitMatchesPipeline(t *testing.T) {
 	drive := func(la bool, dst topology.NodeID, length int, form string) ([]fabricEvent, int64) {
 		cfg := defCfg
 		cfg.LookAhead = la
-		h := newHarness(t, m, node, cfg, alg, selection.New(selection.StaticXY, 0))
+		h := newHarness(t, m, node, cfg, alg, selection.StaticXY)
 		msg := mkMsg(1, 0, dst, length)
 		if la {
 			msg.Route = alg.Route(node, dst, 0)

@@ -197,8 +197,10 @@ type Router struct {
 	// Lookup at this router is the table lookup, at a neighbor the
 	// look-ahead one.
 	routes *table.Routes
-	sel    selection.Selector
-	wrap   bool
+	// sel is the path-selection policy; seed keys its Random draws.
+	sel  selection.Kind
+	seed int64
+	wrap bool
 
 	in    []inputVC
 	out   []outputVC
@@ -322,12 +324,12 @@ func AllocBlock(n, ports int, cfg Config) *Block {
 	}
 }
 
-// NewBlock constructs the routers of nodes base, base+1, ... — one per
-// selector, router i routing by routes and selecting with sels[i]. Callers
-// wire each router with SetFabric before its first Tick.
-func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, routes *table.Routes, sels []selection.Selector) *Block {
-	b := AllocBlock(len(sels), m.NumPorts(), cfg)
-	b.Reset(m, cfg, base, routes, sels)
+// NewBlock constructs the routers of nodes base, ..., base+n-1, every one
+// routing by routes and selecting by policy sel, whose Random draws seed
+// keys. Callers wire each router with SetFabric before its first Tick.
+func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, n int, routes *table.Routes, sel selection.Kind, seed int64) *Block {
+	b := AllocBlock(n, m.NumPorts(), cfg)
+	b.Reset(m, cfg, base, routes, sel, seed)
 	return b
 }
 
@@ -337,12 +339,11 @@ func NewBlock(m *topology.Mesh, cfg Config, base topology.NodeID, routes *table.
 // free, request and work masks empty, arbiters and SA rotation at their
 // origin, no dead ports, no fabric. It panics when the configuration does not
 // have the shape the block was allocated for.
-func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, routes *table.Routes, sels []selection.Selector) {
-	n, np := len(b.Routers), b.np
-	nvc, seed := np*b.vcs, b.seed
-	if len(sels) != n || m.NumPorts() != np || cfg.NumVCs != b.vcs || seedRuns(cfg) != seed {
-		panic(fmt.Sprintf("router: block of %d routers, %d ports, %d VCs, %d seed runs reset to %d selectors, %d ports, %d VCs, %d seed runs",
-			n, np, b.vcs, seed, len(sels), m.NumPorts(), cfg.NumVCs, seedRuns(cfg)))
+func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, routes *table.Routes, sel selection.Kind, seed int64) {
+	np, nvc, runs := b.np, b.np*b.vcs, b.seed
+	if m.NumPorts() != np || cfg.NumVCs != b.vcs || seedRuns(cfg) != runs {
+		panic(fmt.Sprintf("router: block of %d ports, %d VCs, %d seed runs reset to %d ports, %d VCs, %d seed runs",
+			np, b.vcs, runs, m.NumPorts(), cfg.NumVCs, seedRuns(cfg)))
 	}
 	var resv flow.VCMask
 	if cfg.ResvVCs > 0 {
@@ -355,7 +356,7 @@ func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, routes
 	clear(b.runs)
 	for i := range b.in {
 		b.in[i] = inputVC{}
-		b.in[i].buf.init(b.runs[i*seed:(i+1)*seed], cfg.BufDepth)
+		b.in[i].buf.init(b.runs[i*runs:(i+1)*runs], cfg.BufDepth)
 	}
 	for i := range b.out {
 		b.out[i] = outputVC{owner: -1, credits: cfg.BufDepth}
@@ -372,7 +373,8 @@ func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, routes
 			mesh:      m,
 			cfg:       cfg,
 			routes:    routes,
-			sel:       sels[i],
+			sel:       sel,
+			seed:      seed,
 			wrap:      m.Wrap(),
 			in:        b.in[i*nvc : (i+1)*nvc],
 			out:       b.out[i*nvc : (i+1)*nvc],
@@ -388,12 +390,12 @@ func (b *Block) Reset(m *topology.Mesh, cfg Config, base topology.NodeID, routes
 }
 
 // Park drops the block's references to what a configuration lent it — mesh,
-// routes, selectors, fabrics — so an idle block pins none of them. The block
-// is unusable until the next Reset.
+// routes, fabrics — so an idle block pins none of them. The block is
+// unusable until the next Reset.
 func (b *Block) Park() {
 	for i := range b.Routers {
 		r := &b.Routers[i]
-		r.mesh, r.routes, r.sel, r.fab = nil, nil, nil, nil
+		r.mesh, r.routes, r.fab = nil, nil, nil
 	}
 }
 
@@ -409,8 +411,8 @@ func slabBytes[T any](s []T) int {
 }
 
 // New constructs a single router for node id: a block of one.
-func New(id topology.NodeID, m *topology.Mesh, cfg Config, routes *table.Routes, sel selection.Selector) *Router {
-	return &NewBlock(m, cfg, id, routes, []selection.Selector{sel}).Routers[0]
+func New(id topology.NodeID, m *topology.Mesh, cfg Config, routes *table.Routes, sel selection.Kind, seed int64) *Router {
+	return &NewBlock(m, cfg, id, 1, routes, sel, seed).Routers[0]
 }
 
 // SetFabric wires the router to its surroundings.
@@ -791,7 +793,8 @@ const noExpress int64 = -1
 // (claimable) and — for an express transit whose first flit would leave the
 // output stage at cycle expressAt — its link is free of other express
 // transits. It reports false, with nothing claimed and the message
-// untouched, when no candidate is eligible.
+// untouched, when no candidate is eligible. The heuristic runs only when a
+// claim follows, so a message meets it once at a router.
 func (r *Router) allocate(msg *flow.Message, rs flow.RouteSet, needCredits int, owner int32, expressAt int64) (topology.Port, flow.VCID, bool) {
 	// Pass 1: candidates with a free adaptive VC. Duato's protocol
 	// prefers adaptive channels and falls back to the escape channel
@@ -820,10 +823,7 @@ func (r *Router) allocate(msg *flow.Message, rs flow.RouteSet, needCredits int, 
 	}
 	choice := 0
 	if rs.Len() > 1 {
-		choice = r.sel.Select(r, rs, eligible)
-		if eligible&(1<<choice) == 0 {
-			panic("router: selector returned ineligible candidate")
-		}
+		choice = r.sel.Select(r, rs, eligible, r.seed, r.id, msg.ID)
 	} else if eligible&1 == 0 {
 		panic("router: single candidate not eligible")
 	}

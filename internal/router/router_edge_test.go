@@ -16,7 +16,7 @@ func TestPROUDIgnoresHeaderRoute(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	msg := mkMsg(1, 0, m.ID(topology.Coord{2, 1}), 1)
 	fl := mkFlit(msg, 0)
 	// Poison the header with a bogus route pointing the wrong way.
@@ -37,7 +37,7 @@ func TestLATrustsHeaderRoute(t *testing.T) {
 	node := m.ID(topology.Coord{1, 1})
 	cfg := defCfg
 	cfg.LookAhead = true
-	h := newHarness(t, m, node, cfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, cfg, alg, selection.StaticXY)
 	msg := mkMsg(1, 0, m.ID(topology.Coord{2, 1}), 1)
 	fl := mkFlit(msg, 0)
 	// Header says +Y although XY would say +X.
@@ -56,7 +56,7 @@ func TestOutboxBackpressure(t *testing.T) {
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 2}, nil)
 	node := m.ID(topology.Coord{1, 1})
 	cfg := Config{NumVCs: 2, BufDepth: 8, OutDepth: 1}
-	h := newHarness(t, m, node, cfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, cfg, alg, selection.StaticXY)
 	// A long message with credits never returned: after BufDepth (8)
 	// link sends the output stalls, the depth-1 outbox fills, and the
 	// crossbar must stop draining the input buffer.
@@ -83,7 +83,7 @@ func TestVCMuxFairness(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	dst := m.ID(topology.Coord{2, 1})
 	a, b := mkMsg(1, 0, dst, 8), mkMsg(2, 0, dst, 8)
 	for i := 0; i < 8; i++ {
@@ -114,7 +114,7 @@ func TestHeadTailReleasesAllState(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	dst := m.ID(topology.Coord{2, 1})
 	for i := 0; i < 5; i++ {
 		msg := mkMsg(int64(i+1), 0, dst, 1)
@@ -139,7 +139,7 @@ func TestVCAllocationRotates(t *testing.T) {
 	cls := routing.Class{NumVCs: 4, EscapeVCs: 1}
 	alg := routing.NewDuato(m, cls)
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	dst := m.ID(topology.Coord{3, 1})
 	vcSeen := map[flow.VCID]bool{}
 	for i := 0; i < 6; i++ {
@@ -166,7 +166,7 @@ func TestDatelineBitSetOnWrap(t *testing.T) {
 	cls := routing.Class{NumVCs: 4, EscapeVCs: 2}
 	alg := routing.NewDuato(m, cls)
 	node := m.ID(topology.Coord{3, 0}) // +X hop wraps to x=0
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	dst := m.ID(topology.Coord{1, 0}) // minimal route: +X through the wrap
 	msg := mkMsg(1, 0, dst, 1)
 	h.r.EnqueueFlit(topology.PortMinus(0), 1, mkFlit(msg, 0), 0)
@@ -187,7 +187,7 @@ func edgeHarness(t *testing.T, credits int) *harness {
 	t.Helper()
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 2}, nil)
-	h := newHarness(t, m, m.ID(topology.Coord{1, 1}), Config{NumVCs: 2, BufDepth: 8, OutDepth: 1}, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, m.ID(topology.Coord{1, 1}), Config{NumVCs: 2, BufDepth: 8, OutDepth: 1}, alg, selection.StaticXY)
 	for v := flow.VCID(0); v < 2; v++ {
 		h.r.SetCredits(topology.PortPlus(0), v, credits)
 	}
@@ -301,7 +301,7 @@ func TestAllocatedHeaderWaitsACycleForCrossbar(t *testing.T) {
 		cfg := defCfg
 		cfg.LookAhead = la
 		node := m.ID(topology.Coord{1, 1})
-		h := newHarness(t, m, node, cfg, alg, selection.New(selection.StaticXY, 0))
+		h := newHarness(t, m, node, cfg, alg, selection.StaticXY)
 		msg := mkMsg(1, 0, m.ID(topology.Coord{2, 1}), 4)
 		msg.Route = alg.Route(node, msg.Dst, 0)
 		for i := 0; i < 4; i++ {
@@ -384,7 +384,7 @@ func TestSurvivorRestartsAfterPurge(t *testing.T) {
 func TestLoneFlitWaitsOutItsLatchCycle(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
-	h := newHarness(t, m, m.ID(topology.Coord{1, 1}), defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, m.ID(topology.Coord{1, 1}), defCfg, alg, selection.StaticXY)
 	msg := mkMsg(1, 0, m.ID(topology.Coord{2, 1}), 3)
 	arrive := map[int64]int{0: 0, 6: 1, 7: 2}
 	for now := int64(0); now <= 12; now++ {

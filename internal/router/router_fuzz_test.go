@@ -29,8 +29,8 @@ func TestQuickRouterInvariants(t *testing.T) {
 	scenario := func(seed int64, laRaw bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := Config{NumVCs: 4, BufDepth: 4 + rng.Intn(8), OutDepth: 1 + rng.Intn(4), LookAhead: laRaw}
-		sel := selection.New(selection.Kind(rng.Intn(5)), seed)
-		h := &harness{r: New(node, m, cfg, table.Program(table.KindFull, m, alg, cls), sel)}
+		sel := selection.Kind(rng.Intn(5))
+		h := &harness{r: New(node, m, cfg, table.Program(table.KindFull, m, alg, cls), sel, seed)}
 		h.r.SetFabric(h)
 		// Return the credit after a wire round trip.
 		h.onSend = func(p topology.Port, v flow.VCID, now int64) {

@@ -52,9 +52,9 @@ func (h *harness) Release(p topology.Port, v flow.VCID, at int64) {
 	h.events = append(h.events, event{kind: "release", port: p, vc: v, at: at})
 }
 
-func newHarness(t *testing.T, m *topology.Mesh, node topology.NodeID, cfg Config, alg routing.Algorithm, sel selection.Selector) *harness {
+func newHarness(t *testing.T, m *topology.Mesh, node topology.NodeID, cfg Config, alg routing.Algorithm, sel selection.Kind) *harness {
 	t.Helper()
-	h := &harness{r: New(node, m, cfg, table.Program(table.KindFull, m, alg, routing.Class{NumVCs: cfg.NumVCs}), sel)}
+	h := &harness{r: New(node, m, cfg, table.Program(table.KindFull, m, alg, routing.Class{NumVCs: cfg.NumVCs}), sel, 0)}
 	h.r.SetFabric(h)
 	return h
 }
@@ -100,7 +100,7 @@ var defCfg = Config{NumVCs: 4, BufDepth: 20, OutDepth: 4}
 func TestPROUDHeaderTiming(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
-	h := newHarness(t, m, m.ID(topology.Coord{1, 1}), defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, m.ID(topology.Coord{1, 1}), defCfg, alg, selection.StaticXY)
 	msg := mkMsg(1, 0, m.ID(topology.Coord{2, 1}), 1)
 	h.r.EnqueueFlit(topology.PortMinus(0), 0, mkFlit(msg, 0), 0)
 	h.run(0, 10)
@@ -124,7 +124,7 @@ func TestLAPROUDHeaderTiming(t *testing.T) {
 	cfg := defCfg
 	cfg.LookAhead = true
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, cfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, cfg, alg, selection.StaticXY)
 	msg := mkMsg(1, 0, m.ID(topology.Coord{2, 1}), 1)
 	fl := mkFlit(msg, 0)
 	// The LA header carries the candidates valid at this router.
@@ -145,7 +145,7 @@ func TestWormholeStreaming(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	msg := mkMsg(1, 0, m.ID(topology.Coord{2, 1}), 5)
 	for i := 0; i < 5; i++ {
 		h.r.EnqueueFlit(topology.PortMinus(0), 0, mkFlit(msg, i), int64(i))
@@ -170,7 +170,7 @@ func TestEjection(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	msg := mkMsg(1, 0, node, 2)
 	h.r.EnqueueFlit(topology.PortMinus(0), 1, mkFlit(msg, 0), 0)
 	h.r.EnqueueFlit(topology.PortMinus(0), 1, mkFlit(msg, 1), 1)
@@ -193,7 +193,7 @@ func TestCreditReturn(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	msg := mkMsg(1, 0, m.ID(topology.Coord{2, 1}), 3)
 	for i := 0; i < 3; i++ {
 		h.r.EnqueueFlit(topology.PortMinus(0), 2, mkFlit(msg, i), int64(i))
@@ -221,7 +221,7 @@ func TestCreditStall(t *testing.T) {
 	node := m.ID(topology.Coord{1, 1})
 	cfg := defCfg
 	cfg.BufDepth = 1 // credits per output VC = 1
-	h := newHarness(t, m, node, cfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, cfg, alg, selection.StaticXY)
 	msg := mkMsg(1, 0, m.ID(topology.Coord{2, 1}), 3)
 	h.r.EnqueueFlit(topology.PortMinus(0), 0, mkFlit(msg, 0), 0)
 	h.run(0, 3)
@@ -245,7 +245,7 @@ func TestWormholeAdmitsWithPartialCredits(t *testing.T) {
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 2}, nil)
 	node := m.ID(topology.Coord{1, 1})
 	cfg := Config{NumVCs: 2, BufDepth: 6, OutDepth: 2}
-	h := newHarness(t, m, node, cfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, cfg, alg, selection.StaticXY)
 	dst := m.ID(topology.Coord{2, 1})
 	for v := 0; v < 2; v++ {
 		blk := mkMsg(int64(v+1), 0, dst, 3)
@@ -271,7 +271,7 @@ func TestOutputContention(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	dst := m.ID(topology.Coord{2, 1})
 	a := mkMsg(1, 0, dst, 4)
 	b := mkMsg(2, 0, dst, 4)
@@ -306,7 +306,7 @@ func TestBackToBackMessagesOneVC(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	dst := m.ID(topology.Coord{2, 1})
 	a := mkMsg(1, 0, dst, 2)
 	b := mkMsg(2, 0, dst, 2)
@@ -336,7 +336,7 @@ func TestLAHeaderRegeneration(t *testing.T) {
 	cfg := defCfg
 	cfg.LookAhead = true
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, cfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, cfg, alg, selection.StaticXY)
 	dst := m.ID(topology.Coord{3, 3})
 	msg := mkMsg(1, 0, dst, 1)
 	fl := mkFlit(msg, 0)
@@ -362,7 +362,7 @@ func TestEscapeFallback(t *testing.T) {
 	alg := routing.NewDuato(m, cls)
 	node := m.ID(topology.Coord{1, 1})
 	cfg := Config{NumVCs: 2, BufDepth: 4, OutDepth: 2}
-	h := newHarness(t, m, node, cfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, cfg, alg, selection.StaticXY)
 	dst := m.ID(topology.Coord{3, 3})
 	// Two long messages occupy the single adaptive VC (VC 1) of both +X
 	// and +Y; keep them unfinished (no tail yet).
@@ -399,7 +399,7 @@ func TestPortViewCounters(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
 	node := m.ID(topology.Coord{1, 1})
-	h := newHarness(t, m, node, defCfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, node, defCfg, alg, selection.StaticXY)
 	px := topology.PortPlus(0)
 	if h.r.UseCount(px) != 0 || h.r.LastUsed(px) != -1 || h.r.BusyVCs(px) != 0 {
 		t.Fatal("fresh router counters not zeroed")
@@ -437,7 +437,7 @@ func TestOverflowPanics(t *testing.T) {
 	m := topology.NewMesh(3, 3)
 	alg := routing.NewDimOrder(m, routing.Class{NumVCs: 4}, nil)
 	cfg := Config{NumVCs: 4, BufDepth: 2, OutDepth: 2}
-	h := newHarness(t, m, m.ID(topology.Coord{1, 1}), cfg, alg, selection.New(selection.StaticXY, 0))
+	h := newHarness(t, m, m.ID(topology.Coord{1, 1}), cfg, alg, selection.StaticXY)
 	msg := mkMsg(1, 0, 0, 10)
 	defer func() {
 		if recover() == nil {

@@ -10,11 +10,21 @@
 // "first-available-free-path" policy coincides with STATIC-XY here because
 // the router only offers currently-available candidates to the selector.
 //
-// Selectors are stateless: the usage counters they score with (port use
-// counts, last-use cycles, credit levels, busy-VC counts) belong to the
-// router and are exposed through the PortView interface, mirroring the
-// hardware split between the selection logic and the per-port counters it
-// reads (section 4.1 discusses the counter costs of each policy).
+// Selection is one function of the policy, Kind.Select: combinational
+// logic over the candidates, holding no state. The usage counters the
+// local heuristics score with (port use counts, last-use cycles, credit
+// levels, busy-VC counts) belong to the router and are exposed through the
+// PortView interface, mirroring the hardware split between the selection
+// logic and the per-port counters it reads (section 4.1 discusses the
+// counter costs of each policy).
+//
+// RANDOM keeps no generator either. Its pick for a message at a router is
+// keyed by the run's seed, the router and the message (Draw): the i-th
+// eligible candidate, i being that draw modulo the eligible count. The
+// router selects at most once per message, when a claim follows, so each
+// message still gets one uniform draw at each router, and the draw does
+// not depend on the order in which the kernel visits routers or messages:
+// both kernels pick the same port whenever they see the same eligible set.
 //
 // # Notification selection
 //
@@ -23,7 +33,7 @@
 // see: each router quantizes its input-buffer occupancy to a 2-bit level
 // and piggybacks it on the credits it returns upstream, so the upstream
 // router maintains a per-output-port estimate of downstream congestion
-// (PortView.RemoteCongestion) at zero extra traffic. A Notify selector
+// (PortView.RemoteCongestion) at zero extra traffic. A Notify policy
 // first restricts the candidate ports to those with the minimum remote
 // level, then breaks ties with its inner local heuristic — on a healthy
 // network where every level reads equal, it degenerates to the local
@@ -39,15 +49,13 @@ package selection
 
 import (
 	"fmt"
-	"math/rand"
-	"unsafe"
+	"math/bits"
 
 	"lapses/internal/flow"
-	"lapses/internal/lfib"
 	"lapses/internal/topology"
 )
 
-// PortView exposes the per-output-port state a selector may score
+// PortView exposes the per-output-port state a policy may score
 // candidates with. The router implements it.
 type PortView interface {
 	// BusyVCs returns the number of currently-allocated VCs on output
@@ -67,14 +75,6 @@ type PortView interface {
 	// piggybacked on its credits, or 0 if none arrived yet — the Notify*
 	// policies' remote signal. Local ports always read 0.
 	RemoteCongestion(p topology.Port) uint8
-}
-
-// Selector picks one candidate among the currently usable alternatives.
-type Selector interface {
-	// Select returns the index (into rs) of the chosen candidate.
-	// eligible is a nonzero bitmask of candidate indices that currently
-	// have a claimable VC; the selector must return one of them.
-	Select(view PortView, rs flow.RouteSet, eligible uint8) int
 }
 
 // Kind names a selection policy.
@@ -160,212 +160,98 @@ func (k *Kind) UnmarshalText(b []byte) (err error) {
 	return err
 }
 
-// New returns a selector of the given kind. seed matters only for Random;
-// every router gets its own selector so randomized runs stay deterministic
-// for a fixed configuration seed.
-func New(k Kind, seed int64) Selector {
+// Select returns the index (into rs) of the candidate policy k picks among
+// eligible, a nonzero bitmask of candidate indices that currently have a
+// claimable VC; the pick is always one of them. v supplies the per-port
+// counters the local heuristics score with; ties keep the earlier
+// (dimension-order) index. A notify kind first keeps only the candidates
+// at the minimum remote level, then applies its local heuristic. Random
+// reads no counter: it takes the i-th eligible candidate, i being Draw(seed,
+// router, msg) modulo the eligible count, so one message's pick at one
+// router depends on nothing but those three and the eligible set; the other
+// kinds ignore them.
+func (k Kind) Select(v PortView, rs flow.RouteSet, eligible uint8, seed int64, router topology.NodeID, msg flow.MessageID) int {
+	eligible &= 1<<rs.Len() - 1
+	if eligible == 0 {
+		panic("selection: no eligible candidate")
+	}
 	switch k {
 	case StaticXY:
-		return staticXY{}
-	case MinMux:
-		return minMux{}
-	case LFU:
-		return lfu{}
-	case LRU:
-		return lru{}
-	case MaxCredit:
-		return maxCredit{}
+		// Tables emit candidates in dimension order, so the first eligible
+		// one realizes the paper's X-first preference.
+		return bits.TrailingZeros8(eligible)
 	case Random:
-		return NewBlock(Random, 1, seed, 0).Sels[0]
-	case NotifyLRU:
-		return notify{inner: lru{}}
-	case NotifyLFU:
-		return notify{inner: lfu{}}
-	case NotifyMaxCredit:
-		return notify{inner: maxCredit{}}
-	}
-	panic("selection: unknown kind")
-}
-
-// Block is the selectors of a block of routers in one arena. AllocBlock
-// sizes it by the router count alone; Reset is the only initialiser —
-// NewBlock is the two in a row — so a Block that has been reset is the one
-// NewBlock would have built, whatever policy ran in it before.
-type Block struct {
-	// Sels holds router i's selector at index i.
-	Sels []Selector
-	// rands and vecs are Random's generators and the vectors they expand
-	// into, allocated by a Random reset and dropped by any other.
-	rands []random
-	vecs  []lfib.Vec
-}
-
-// AllocBlock returns the storage of n routers' selectors. It is not usable
-// until Reset.
-func AllocBlock(n int) *Block {
-	return &Block{Sels: make([]Selector, n)}
-}
-
-// NewBlock returns the selectors of n routers, router i's seeded
-// seed+i*stride.
-func NewBlock(k Kind, n int, seed, stride int64) *Block {
-	b := AllocBlock(n)
-	b.Reset(k, seed, stride)
-	return b
-}
-
-// Reset programs every router's selector as policy k, router i's seeded
-// seed+i*stride. Only Random carries state — a generator per router, kept
-// and reseeded in place while consecutive resets stay Random, dropped
-// otherwise; every other policy reads nothing but the PortView it is
-// handed, so the routers share one value.
-func (b *Block) Reset(k Kind, seed, stride int64) {
-	if k != Random {
-		b.rands, b.vecs = nil, nil
-		shared := New(k, 0)
-		for i := range b.Sels {
-			b.Sels[i] = shared
+		i := int(Draw(seed, router, msg) % uint64(bits.OnesCount8(eligible)))
+		for ; i > 0; i-- {
+			eligible &= eligible - 1
 		}
-		return
-	}
-	if b.rands == nil {
-		b.rands, b.vecs = make([]random, len(b.Sels)), make([]lfib.Vec, len(b.Sels))
-		for i := range b.rands {
-			b.rands[i].src = lfib.New(0, &b.vecs[i])
+		return bits.TrailingZeros8(eligible)
+	case NotifyLRU, NotifyLFU, NotifyMaxCredit:
+		minLevel := uint8(255)
+		for i := 0; i < rs.Len(); i++ {
+			if eligible&(1<<i) != 0 {
+				minLevel = min(minLevel, v.RemoteCongestion(rs.At(i).Port))
+			}
 		}
-	}
-	for i := range b.Sels {
-		r := &b.rands[i]
-		r.src.Seed(seed + int64(i)*stride)
-		r.rng = *rand.New(&r.src)
-		b.Sels[i] = r
-	}
-}
-
-// Bytes returns the size of the slabs, Random's generators included.
-func (b *Block) Bytes() int {
-	return len(b.Sels)*int(unsafe.Sizeof(b.Sels[0])) +
-		len(b.rands)*int(unsafe.Sizeof(random{})+unsafe.Sizeof(lfib.Vec{}))
-}
-
-type staticXY struct{}
-
-// Select returns the first eligible candidate: tables emit candidates in
-// dimension order, so this realizes the paper's X-first preference.
-func (staticXY) Select(_ PortView, rs flow.RouteSet, eligible uint8) int {
-	for i := 0; i < rs.Len(); i++ {
-		if eligible&(1<<i) != 0 {
-			return i
+		for i := 0; i < rs.Len(); i++ {
+			if eligible&(1<<i) != 0 && v.RemoteCongestion(rs.At(i).Port) != minLevel {
+				eligible &^= 1 << i
+			}
 		}
+		k = local[k]
 	}
-	panic("selection: no eligible candidate")
-}
-
-// argBest scans eligible candidates and returns the index whose score is
-// strictly best under less; ties keep the earlier (dimension-order) index.
-func argBest(rs flow.RouteSet, eligible uint8, score func(i int) int64, lowerIsBetter bool) int {
-	best := -1
-	var bestScore int64
+	best, bestScore := -1, int64(0)
 	for i := 0; i < rs.Len(); i++ {
 		if eligible&(1<<i) == 0 {
 			continue
 		}
-		s := score(i)
-		if best < 0 || (lowerIsBetter && s < bestScore) || (!lowerIsBetter && s > bestScore) {
+		p := rs.At(i).Port
+		var s int64 // lower is better
+		switch k {
+		case MinMux:
+			// Duato's policy (section 4.1): the physical channel that
+			// multiplexes the fewest active VCs.
+			s = int64(v.BusyVCs(p))
+		case LFU:
+			// The lowest cumulative use count balances link utilization
+			// over the run.
+			s = int64(v.UseCount(p))
+		case LRU:
+			// The port used farthest in the past: recent history is a
+			// better congestion signal than cumulative history.
+			s = v.LastUsed(p)
+		case MaxCredit:
+			// The most downstream buffer space suggests the least
+			// congestion at the next router.
+			s = -int64(v.Credits(p))
+		default:
+			panic(fmt.Sprintf("selection: unknown kind %v", k))
+		}
+		if best < 0 || s < bestScore {
 			best, bestScore = i, s
 		}
-	}
-	if best < 0 {
-		panic("selection: no eligible candidate")
 	}
 	return best
 }
 
-type minMux struct{}
+// local is each notify kind's local heuristic.
+var local = [...]Kind{NotifyLRU: LRU, NotifyLFU: LFU, NotifyMaxCredit: MaxCredit}
 
-// Select picks the candidate whose physical channel multiplexes the fewest
-// active VCs (Duato's policy, section 4.1).
-func (minMux) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
-	return argBest(rs, eligible, func(i int) int64 {
-		return int64(v.BusyVCs(rs.At(i).Port))
-	}, true)
+// Draw is Random's uniform 64-bit value for one message at one router: a
+// splitmix64 finalizer chained over the run's seed, the router and the
+// message, so it depends on nothing else — not on how many draws came
+// before, nor in which order the kernel made them.
+func Draw(seed int64, router topology.NodeID, msg flow.MessageID) uint64 {
+	return mix(mix(mix(uint64(seed)+gamma)+uint64(router)) + uint64(msg))
 }
 
-type lfu struct{}
+// gamma is splitmix64's increment (2^64 over the golden ratio).
+const gamma = 0x9e3779b97f4a7c15
 
-// Select picks the candidate with the lowest cumulative usage count,
-// balancing link utilization over the run.
-func (lfu) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
-	return argBest(rs, eligible, func(i int) int64 {
-		return int64(v.UseCount(rs.At(i).Port))
-	}, true)
-}
-
-type lru struct{}
-
-// Select picks the candidate used farthest in the past; recent history is
-// a better congestion signal than cumulative history.
-func (lru) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
-	return argBest(rs, eligible, func(i int) int64 {
-		return v.LastUsed(rs.At(i).Port)
-	}, true)
-}
-
-type maxCredit struct{}
-
-// Select picks the candidate whose physical channel holds the most
-// flow-control credits: plenty of downstream buffer space suggests low
-// congestion at the next router.
-func (maxCredit) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
-	return argBest(rs, eligible, func(i int) int64 {
-		return int64(v.Credits(rs.At(i).Port))
-	}, false)
-}
-
-type random struct {
-	src lfib.Source
-	rng rand.Rand
-}
-
-// Select picks uniformly among the eligible candidates.
-func (r *random) Select(_ PortView, rs flow.RouteSet, eligible uint8) int {
-	var idx [flow.MaxCandidates]int
-	n := 0
-	for i := 0; i < rs.Len(); i++ {
-		if eligible&(1<<i) != 0 {
-			idx[n] = i
-			n++
-		}
-	}
-	if n == 0 {
-		panic("selection: no eligible candidate")
-	}
-	return idx[r.rng.Intn(n)]
-}
-
-// notify is the congestion-notification family (Rocher-Gonzalez-style
-// adaptive-routing notifications): each candidate is scored by the
-// quantized congestion level its downstream router piggybacked on credits,
-// the eligible set is restricted to the minimum level, and the wrapped
-// local heuristic breaks ties among the survivors. With no notifications
-// yet (all levels 0) this degenerates exactly to the local heuristic.
-type notify struct{ inner Selector }
-
-func (s notify) Select(v PortView, rs flow.RouteSet, eligible uint8) int {
-	minLevel := uint8(255)
-	for i := 0; i < rs.Len(); i++ {
-		if eligible&(1<<i) == 0 {
-			continue
-		}
-		if l := v.RemoteCongestion(rs.At(i).Port); l < minLevel {
-			minLevel = l
-		}
-	}
-	filtered := uint8(0)
-	for i := 0; i < rs.Len(); i++ {
-		if eligible&(1<<i) != 0 && v.RemoteCongestion(rs.At(i).Port) == minLevel {
-			filtered |= 1 << i
-		}
-	}
-	return s.inner.Select(v, rs, filtered)
+// mix is splitmix64's finalizer: a bijection of 64-bit values whose every
+// output bit depends on every input bit.
+func mix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

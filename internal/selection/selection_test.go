@@ -1,6 +1,8 @@
 package selection
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"lapses/internal/flow"
@@ -37,94 +39,135 @@ func twoCands() flow.RouteSet {
 	return rs
 }
 
+// pick is Select with the Random key at zero, for the policies that
+// ignore it.
+func pick(k Kind, v PortView, eligible uint8) int {
+	return k.Select(v, twoCands(), eligible, 0, 0, 0)
+}
+
 func TestStaticXYPrefersFirst(t *testing.T) {
-	s := New(StaticXY, 0)
-	rs := twoCands()
-	if got := s.Select(nil, rs, 0b11); got != 0 {
+	if got := pick(StaticXY, nil, 0b11); got != 0 {
 		t.Errorf("both eligible: got %d want 0", got)
 	}
-	if got := s.Select(nil, rs, 0b10); got != 1 {
+	if got := pick(StaticXY, nil, 0b10); got != 1 {
 		t.Errorf("only Y eligible: got %d want 1", got)
 	}
 }
 
 func TestMinMux(t *testing.T) {
-	s := New(MinMux, 0)
 	v := &fakeView{busy: map[topology.Port]int{1: 3, 3: 1}}
-	if got := s.Select(v, twoCands(), 0b11); got != 1 {
+	if got := pick(MinMux, v, 0b11); got != 1 {
 		t.Errorf("got %d want 1 (port 3 less multiplexed)", got)
 	}
 	// Tie prefers dimension order.
 	v.busy[3] = 3
-	if got := s.Select(v, twoCands(), 0b11); got != 0 {
+	if got := pick(MinMux, v, 0b11); got != 0 {
 		t.Errorf("tie: got %d want 0", got)
 	}
 }
 
 func TestLFU(t *testing.T) {
-	s := New(LFU, 0)
 	v := &fakeView{use: map[topology.Port]uint64{1: 100, 3: 40}}
-	if got := s.Select(v, twoCands(), 0b11); got != 1 {
+	if got := pick(LFU, v, 0b11); got != 1 {
 		t.Errorf("got %d want 1 (port 3 less used)", got)
 	}
 	// Respect eligibility even when the other port scores better.
-	if got := s.Select(v, twoCands(), 0b01); got != 0 {
+	if got := pick(LFU, v, 0b01); got != 0 {
 		t.Errorf("got %d want 0 (only X eligible)", got)
 	}
 }
 
 func TestLRU(t *testing.T) {
-	s := New(LRU, 0)
 	v := &fakeView{last: map[topology.Port]int64{1: 900, 3: 100}}
-	if got := s.Select(v, twoCands(), 0b11); got != 1 {
+	if got := pick(LRU, v, 0b11); got != 1 {
 		t.Errorf("got %d want 1 (port 3 older)", got)
 	}
 	// A never-used port (LastUsed -1) wins over any used port.
 	v2 := &fakeView{last: map[topology.Port]int64{1: 5}}
-	if got := s.Select(v2, twoCands(), 0b11); got != 1 {
+	if got := pick(LRU, v2, 0b11); got != 1 {
 		t.Errorf("got %d want 1 (never used)", got)
 	}
 }
 
 func TestMaxCredit(t *testing.T) {
-	s := New(MaxCredit, 0)
 	v := &fakeView{credits: map[topology.Port]int{1: 10, 3: 70}}
-	if got := s.Select(v, twoCands(), 0b11); got != 1 {
+	if got := pick(MaxCredit, v, 0b11); got != 1 {
 		t.Errorf("got %d want 1 (port 3 more credits)", got)
 	}
 	v.credits[3] = 10
-	if got := s.Select(v, twoCands(), 0b11); got != 0 {
+	if got := pick(MaxCredit, v, 0b11); got != 0 {
 		t.Errorf("tie: got %d want 0", got)
 	}
 }
 
-func TestRandomIsEligibleAndCoversBoth(t *testing.T) {
-	s := New(Random, 42)
-	rs := twoCands()
-	seen := map[int]int{}
-	for i := 0; i < 200; i++ {
-		got := s.Select(nil, rs, 0b11)
-		if got != 0 && got != 1 {
-			t.Fatalf("out of range: %d", got)
-		}
-		seen[got]++
+// candidates returns a route set of n candidates on ports 1..n.
+func candidates(n int) flow.RouteSet {
+	var rs flow.RouteSet
+	for p := 1; p <= n; p++ {
+		rs.Add(flow.Candidate{Port: topology.Port(p), Adaptive: 0b1110})
 	}
-	if seen[0] == 0 || seen[1] == 0 {
-		t.Errorf("random never picked one side: %v", seen)
-	}
-	for i := 0; i < 50; i++ {
-		if got := s.Select(nil, rs, 0b10); got != 1 {
-			t.Fatalf("restricted random picked %d", got)
+	return rs
+}
+
+// TestRandomReachesEveryEligible: over 2, 3 and 4 candidates and every
+// eligible set, Random picks only eligible candidates and, over 3000
+// messages, each of them within a fifth of its uniform share.
+func TestRandomReachesEveryEligible(t *testing.T) {
+	const msgs = 3000
+	for n := 2; n <= flow.MaxCandidates; n++ {
+		rs := candidates(n)
+		for mask := uint8(1); mask < 1<<n; mask++ {
+			var seen [flow.MaxCandidates]int
+			for id := 0; id < msgs; id++ {
+				got := Random.Select(nil, rs, mask, 5, topology.NodeID(id%7), flow.MessageID(id))
+				if mask&(1<<got) == 0 {
+					t.Fatalf("%d candidates, eligible %04b: message %d got %d", n, mask, id, got)
+				}
+				seen[got]++
+			}
+			share := msgs / bits.OnesCount8(mask)
+			for i := 0; i < n; i++ {
+				if mask&(1<<i) != 0 && (seen[i] < share*4/5 || seen[i] > share*6/5) {
+					t.Errorf("%d candidates, eligible %04b: index %d picked %d times of %d, want about %d", n, mask, i, seen[i], msgs, share)
+				}
+			}
 		}
 	}
 }
 
-func TestRandomDeterministicForSeed(t *testing.T) {
-	a, b := New(Random, 7), New(Random, 7)
-	rs := twoCands()
-	for i := 0; i < 100; i++ {
-		if a.Select(nil, rs, 0b11) != b.Select(nil, rs, 0b11) {
-			t.Fatal("same seed diverged")
+// TestRandomIgnoresCallOrder: Random's pick for a (seed, router, message,
+// eligible set) is the same whichever calls came before it. The calls are
+// made once in order and twice more shuffled; under a generator per router
+// the shuffles would hand each message another draw.
+func TestRandomIgnoresCallOrder(t *testing.T) {
+	type call struct {
+		seed   int64
+		router topology.NodeID
+		msg    flow.MessageID
+		mask   uint8
+	}
+	rs := candidates(4)
+	var calls []call
+	for _, seed := range []int64{1, 7, -3} {
+		for r := topology.NodeID(0); r < 8; r++ {
+			for m := flow.MessageID(0); m < 40; m++ {
+				calls = append(calls, call{seed, r, m, []uint8{0b0011, 0b0111, 0b1111, 0b1010}[m%4]})
+			}
+		}
+	}
+	do := func(c call) int { return Random.Select(nil, rs, c.mask, c.seed, c.router, c.msg) }
+	want := map[call]int{}
+	for _, c := range calls {
+		want[c] = do(c)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for pass := 0; pass < 2; pass++ {
+		rng.Shuffle(len(calls), func(i, j int) { calls[i], calls[j] = calls[j], calls[i] })
+		for _, c := range calls {
+			if got := do(c); got != want[c] {
+				t.Fatalf("shuffle %d: seed %d, router %d, message %d, eligible %04b picked %d, in order %d",
+					pass, c.seed, c.router, c.msg, c.mask, got, want[c])
+			}
 		}
 	}
 }
@@ -136,20 +179,19 @@ func TestAllSelectorsRespectEligibility(t *testing.T) {
 		use:     map[topology.Port]uint64{1: 0, 3: 999},
 		last:    map[topology.Port]int64{1: -1, 3: 999},
 	}
-	rs := twoCands()
 	for _, k := range Kinds {
-		s := New(k, 1)
 		// Port 1 scores best on every metric, but only candidate 1
 		// (port 3) is eligible.
-		if got := s.Select(v, rs, 0b10); got != 1 {
-			t.Errorf("%s ignored eligibility: got %d", k, got)
+		for id := flow.MessageID(0); id < 8; id++ {
+			if got := k.Select(v, twoCands(), 0b10, 1, 0, id); got != 1 {
+				t.Errorf("%s ignored eligibility: got %d", k, got)
+			}
 		}
 	}
 }
 
 func TestNotifyPrefersUncongestedQuadrant(t *testing.T) {
 	for _, k := range []Kind{NotifyLRU, NotifyLFU, NotifyMaxCredit} {
-		s := New(k, 0)
 		// Port 1 scores best on every local metric but its downstream
 		// quadrant is congested; the filter must steer to port 3.
 		v := &fakeView{
@@ -159,12 +201,12 @@ func TestNotifyPrefersUncongestedQuadrant(t *testing.T) {
 			last:    map[topology.Port]int64{1: -1, 3: 999},
 			cong:    map[topology.Port]uint8{1: 3, 3: 1},
 		}
-		if got := s.Select(v, twoCands(), 0b11); got != 1 {
+		if got := pick(k, v, 0b11); got != 1 {
 			t.Errorf("%s: got %d want 1 (port 1 congested downstream)", k, got)
 		}
 		// Eligibility still dominates: a congested port must be chosen
 		// when it is the only eligible one.
-		if got := s.Select(v, twoCands(), 0b01); got != 0 {
+		if got := pick(k, v, 0b01); got != 0 {
 			t.Errorf("%s: got %d want 0 (only congested port eligible)", k, got)
 		}
 	}
@@ -179,13 +221,13 @@ func TestNotifyFallsBackToInnerOnTies(t *testing.T) {
 		credits: map[topology.Port]int{1: 10, 3: 70},
 	}
 	for _, k := range []Kind{NotifyLRU, NotifyLFU, NotifyMaxCredit} {
-		if got := New(k, 0).Select(v, twoCands(), 0b11); got != 1 {
+		if got := pick(k, v, 0b11); got != 1 {
 			t.Errorf("%s with no signal: got %d want 1 (inner heuristic)", k, got)
 		}
 	}
 	v.cong = map[topology.Port]uint8{1: 2, 3: 2}
 	for _, k := range []Kind{NotifyLRU, NotifyLFU, NotifyMaxCredit} {
-		if got := New(k, 0).Select(v, twoCands(), 0b11); got != 1 {
+		if got := pick(k, v, 0b11); got != 1 {
 			t.Errorf("%s with tied signal: got %d want 1 (inner heuristic)", k, got)
 		}
 	}
@@ -239,18 +281,17 @@ func TestRandomChoicesPinned(t *testing.T) {
 		first  string
 		digest uint64
 	}{
-		{0, "022121320103201030112000200011002111003110032100", 15928690616958899806},
-		{1, "232320101123031232312201213002102322120112002020", 9552532783792368766},
-		{7, "222012001121032200310223203212010122021100212232", 9103912062764394256},
-		{-3, "232320323220012112311001101211102121300100231202", 8435345925273760127},
-		{7919 * 255, "010012301102201112121021200012012321120102012222", 823397427494344872},
+		{0, "100120220102031000312121203002132322321103231010", 13307110388292289957},
+		{1, "230011000200201120012103113202130322123112211010", 8540557086441610190},
+		{7, "032310223102032110310001203031032112301220231200", 12381874870558008502},
+		{-3, "030020121110001132112203200012120311020122002112", 4738013309340834945},
+		{7919 * 255, "032122003203011032311221203232132012303101231200", 11242296929409171866},
 	} {
-		s := New(Random, c.seed)
 		var first []byte
 		var digest uint64
 		for i := 0; i < 1400; i++ {
 			mask := masks[i%len(masks)]
-			got := s.Select(nil, rs, mask)
+			got := Random.Select(nil, rs, mask, c.seed, 0, flow.MessageID(i))
 			if mask&(1<<got) == 0 {
 				t.Fatalf("seed %d: choice #%d = %d is not in eligible set %04b", c.seed, i, got, mask)
 			}
