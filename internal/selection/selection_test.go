@@ -265,40 +265,55 @@ func TestKindRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRandomChoicesPinned pins what Random picks for a few seeds, as
-// literal values, so that a change of its generator must reproduce
-// math/rand's streams exactly. Each selector makes 1400 choices over
-// eligible sets of two, three and four candidates; the first 48 are
-// spelled out and all of them are folded into a digest.
+// TestRandomChoicesPinned pins Random's keyed draw as literal values, so
+// that a change of Draw, which moves every Random answer and so needs a
+// core.SemanticsVersion bump, cannot pass unnoticed. It checks Draw at four
+// keys, then Random's picks among four candidates under five eligible sets
+// for 8 routers x 175 messages under each of five seeds: the first 48 spelled
+// out (router 0's messages 0..47), all 1400 folded into a digest.
 func TestRandomChoicesPinned(t *testing.T) {
-	var rs flow.RouteSet
-	for _, p := range []topology.Port{1, 2, 3, 4} {
-		rs.Add(flow.Candidate{Port: p, Adaptive: 0b1110})
+	for _, c := range []struct {
+		seed   int64
+		router topology.NodeID
+		msg    flow.MessageID
+		want   uint64
+	}{
+		{0, 0, 0, 3746585686858627171},
+		{1, 0, 0, 736442933886495122},
+		{1, 5, 0, 4357350007319322657},
+		{1, 5, -9, 10194743693212473783},
+	} {
+		if got := Draw(c.seed, c.router, c.msg); got != c.want {
+			t.Errorf("Draw(%d, %d, %d) = %d, want %d", c.seed, c.router, c.msg, got, c.want)
+		}
 	}
+	rs := candidates(4)
 	masks := []uint8{0b0111, 0b1111, 0b0101, 0b1011, 0b0110}
 	for _, c := range []struct {
 		seed   int64
 		first  string
 		digest uint64
 	}{
-		{0, "100120220102031000312121203002132322321103231010", 13307110388292289957},
-		{1, "230011000200201120012103113202130322123112211010", 8540557086441610190},
-		{7, "032310223102032110310001203031032112301220231200", 12381874870558008502},
-		{-3, "030020121110001132112203200012120311020122002112", 4738013309340834945},
-		{7919 * 255, "032122003203011032311221203232132012303101231200", 11242296929409171866},
+		{0, "100120220102031000312121203002132322321103231010", 13428429783927582755},
+		{1, "230011000200201120012103113202130322123112211010", 3477987593872864669},
+		{7, "032310223102032110310001203031032112301220231200", 6199409122113046771},
+		{-3, "030020121110001132112203200012120311020122002112", 9117482041321027411},
+		{1 << 40, "000020320220211030120301100031100010020121032110", 10221322967193647792},
 	} {
 		var first []byte
 		var digest uint64
-		for i := 0; i < 1400; i++ {
-			mask := masks[i%len(masks)]
-			got := Random.Select(nil, rs, mask, c.seed, 0, flow.MessageID(i))
-			if mask&(1<<got) == 0 {
-				t.Fatalf("seed %d: choice #%d = %d is not in eligible set %04b", c.seed, i, got, mask)
+		for r := topology.NodeID(0); r < 8; r++ {
+			for m := flow.MessageID(0); m < 175; m++ {
+				mask := masks[int(m)%len(masks)]
+				got := Random.Select(nil, rs, mask, c.seed, r, m)
+				if mask&(1<<got) == 0 {
+					t.Fatalf("seed %d, router %d, message %d: %d is not in eligible set %04b", c.seed, r, m, got, mask)
+				}
+				if r == 0 && m < 48 {
+					first = append(first, byte('0'+got))
+				}
+				digest = digest*31 + uint64(got)
 			}
-			if i < 48 {
-				first = append(first, byte('0'+got))
-			}
-			digest = digest*31 + uint64(got)
 		}
 		if string(first) != c.first || digest != c.digest {
 			t.Errorf("seed %d: first choices %s, digest %d; want %s, %d", c.seed, first, digest, c.first, c.digest)
