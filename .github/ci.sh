@@ -116,14 +116,27 @@ unit)
 	done
 	diff <("$work/lapses-tables" -meta) cmd/lapses-tables/testdata/meta.txt
 	diff <("$work/lapses-tables" -interval) cmd/lapses-tables/testdata/interval.txt
+	# -meta, -interval and -verify fix their own algorithms, so -alg with
+	# one of them is refused by name, usage status 2, not ignored.
+	code=0
+	"$work/lapses-tables" -meta -alg xy >/dev/null 2>"$work/reject.txt" || code=$?
+	[ "$code" -eq 2 ]
+	grep -q '^lapses-tables: -alg ' "$work/reject.txt"
 	# Damage is one flag: a count of random dead links (a static plan), and
 	# a spec whose items may be timed — a link failing and healing mid-run
 	# plus a router dead from the start, under the retransmission layer.
 	go run ./cmd/lapses-sim -faults 4 -measure 3000
 	go run ./cmd/lapses-sim -faults '12-13@2000:4000,r9' -reliability on -measure 3000
+	# Random selection keys each draw by (seed, router, message), so a run
+	# repeats itself on either kernel.
+	go build -o "$work/" ./cmd/lapses-sim
+	for ev in "" -events; do
+		"$work/lapses-sim" -selection random -measure 3000 $ev >"$work/random1.txt"
+		"$work/lapses-sim" -selection random -measure 3000 $ev >"$work/random2.txt"
+		diff "$work/random1.txt" "$work/random2.txt"
+	done
 	# core.Config.Validate is the one validator: a config no layer below can
 	# run is refused by it, naming the field, with usage status 2.
-	go build -o "$work/" ./cmd/lapses-sim
 	for args in "-msglen 0" "-dims 8 -alg xy -vcs 12"; do
 		code=0
 		"$work/lapses-sim" $args 2>"$work/reject.txt" || code=$?

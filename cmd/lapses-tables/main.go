@@ -15,7 +15,8 @@
 // express; the first failure fails the command and names it. Every router
 // of a structure, and its look-ahead lookups, read one shared table.Routes,
 // so this is also the paper's ES == full-table equivalence. -meta,
-// -interval and -verify are exclusive, and the command takes no arguments.
+// -interval and -verify are exclusive, -alg applies only to the Fig. 7
+// table, and the command takes no arguments.
 package main
 
 import (
@@ -47,6 +48,11 @@ func main() {
 	if modes > 1 {
 		usage(fmt.Errorf("-meta, -interval and -verify are exclusive; give one"))
 	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "alg" && modes > 0 {
+			usage(fmt.Errorf("-alg applies only to the Fig. 7 table: -meta, -interval and -verify fix their own algorithms"))
+		}
+	})
 
 	if *verify {
 		if err := verifyTables(); err != nil {
