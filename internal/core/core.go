@@ -249,11 +249,12 @@ func DefaultConfig() Config {
 }
 
 // OutDepth and LinkDelay are Table 2's output-stage depth in flits and link
-// delay in cycles. Every run uses them; the router and network kernels take
-// them as parameters only so that their own tests can vary them.
+// delay in cycles. Every run uses them. The link delay is the network
+// kernel's constant; the router takes the output depth as a parameter only
+// so that its own tests can vary it.
 const (
 	OutDepth  = 4
-	LinkDelay = 1
+	LinkDelay = network.LinkDelay
 )
 
 // PaperFidelity returns the config with the paper's sample sizes: 10000
@@ -957,7 +958,6 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 			NumVCs: cfg.VCs, BufDepth: cfg.BufDepth, OutDepth: OutDepth,
 			LookAhead: cfg.LookAhead,
 		},
-		LinkDelay: LinkDelay,
 		Class:     p.cls,
 		Routes:    p.routes,
 		Selection: cfg.Selection,

@@ -105,7 +105,6 @@ func FuzzFaultPlan(f *testing.F) {
 		cfg := Config{
 			Mesh:      m,
 			Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
-			LinkDelay: 1,
 			Class:     cls,
 			Routes:    oneEpoch(table.KindES, m, alg, cls),
 			Faults:    fault.Static(linkPlan),

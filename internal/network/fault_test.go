@@ -25,7 +25,6 @@ func faultConfig(t *testing.T, m *topology.Mesh, plan *fault.Plan, lookAhead boo
 	return Config{
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: lookAhead},
-		LinkDelay: 1,
 		Class:     cls,
 		Routes:    oneEpoch(table.KindES, m, alg, cls),
 		Faults:    fault.Static(plan),

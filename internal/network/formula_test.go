@@ -85,7 +85,6 @@ func TestContentionFreeTorus(t *testing.T) {
 	cfg := Config{
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
-		LinkDelay: 1,
 		Class:     cls,
 		Routes:    oneEpoch(table.KindFull, m, routing.NewDuato(m, cls), cls),
 		Selection: 0,

@@ -155,7 +155,6 @@ func TestEventCycleLinkStatsParity(t *testing.T) {
 			cfg := Config{
 				Mesh:      m,
 				Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
-				LinkDelay: 1,
 				Class:     cls,
 				Routes:    oneEpoch(table.KindES, m, routing.NewDimOrder(m, cls, nil), cls),
 				Selection: selection.StaticXY,

@@ -44,8 +44,6 @@ type Config struct {
 	Mesh *topology.Mesh
 	// Router is the per-router microarchitecture.
 	Router router.Config
-	// LinkDelay is the wire latency between routers, cycles (Table 2: 1).
-	LinkDelay int
 	// Class is the VC partition the tables are programmed with.
 	Class routing.Class
 	// Routes holds the routing every router's table lookup answers from,
@@ -107,6 +105,13 @@ type Config struct {
 	// fixed configuration.
 	EventMode bool
 }
+
+// LinkDelay is the wire latency between routers in cycles (Table 2: 1).
+// core.LinkDelay is this constant.
+const LinkDelay = 1
+
+// hop is a send's latency: the output register plus the wire.
+const hop = 1 + LinkDelay
 
 // flitEvent is a flit in flight on a wire, due to latch into its
 // destination router's input buffer. 24 bytes; copied twice per link
@@ -230,7 +235,7 @@ func slabBytes[T any](s []T) int {
 
 // Shape is exactly what sizes a network's storage: the node and port counts
 // (all the slabs see of the dimensions and the wraparound), the VC count and
-// buffer depths, the wheel horizon (link delay; in event mode also the input
+// buffer depths, the kernel (event mode's wheel horizon also spans the input
 // buffer depth), and whether the NIs carry the reliability layer's per-peer
 // arrays. Everything else a Config says — tables, selection, look-ahead,
 // rate, pattern, seed, burst, QoS, faults, a trace — is rewritten by Reset,
@@ -239,7 +244,6 @@ func slabBytes[T any](s []T) int {
 type Shape struct {
 	nodes, ports                int
 	vcs, bufDepth, outDepth     int
-	linkDelay                   int
 	eventMode, reliabilityLayer bool
 }
 
@@ -248,7 +252,6 @@ func ShapeOf(cfg Config) Shape {
 	return Shape{
 		nodes: cfg.Mesh.N(), ports: cfg.Mesh.NumPorts(),
 		vcs: cfg.Router.NumVCs, bufDepth: cfg.Router.BufDepth, outDepth: cfg.Router.OutDepth,
-		linkDelay: cfg.LinkDelay,
 		eventMode: cfg.EventMode, reliabilityLayer: cfg.Reliability != nil,
 	}
 }
@@ -398,9 +401,9 @@ func alloc(s Shape) *Network {
 	// arrival, and unpacking a worm schedules its trailing flits up to
 	// BufDepth-1 cycles ahead (worms only exist for messages no longer
 	// than the buffer depth).
-	horizon := s.linkDelay + 2
+	horizon := LinkDelay + 2
 	if s.eventMode {
-		horizon = s.linkDelay + s.bufDepth + 6
+		horizon = LinkDelay + s.bufDepth + 6
 	}
 	a := arena{
 		shape:      s,
@@ -518,7 +521,6 @@ func (n *Network) Reset(cfg Config) {
 			links:   n.links[id*n.ports : (id+1)*n.ports],
 			flits:   n.flits,
 			credits: n.credits,
-			hop:     1 + int64(cfg.LinkDelay),
 			notify:  n.notify,
 			ni:      &n.nis[id],
 		}
@@ -578,7 +580,6 @@ type nodeFabric struct {
 	links   []link              // this node's row of Network.links, indexed by port
 	flits   *wheel[flitEvent]   // n.flits
 	credits *wheel[creditEvent] // n.credits
-	hop     int64               // output register plus wire: 1 + LinkDelay
 	notify  bool                // n.notify
 	ni      *ni
 }
@@ -592,13 +593,13 @@ func (f *nodeFabric) Send(p topology.Port, v flow.VCID, fl flow.Flit, worm bool,
 	if !l.ok {
 		panic(fmt.Sprintf("network: node %d sent out port %d with no link", f.node, p))
 	}
-	f.flits.schedule(now+f.hop, flitEvent{node: l.node, port: l.port, vc: v, fl: fl, worm: worm})
+	f.flits.schedule(now+hop, flitEvent{node: l.node, port: l.port, vc: v, fl: fl, worm: worm})
 }
 
 // Credit returns count freed input-buffer slots upstream in one event: to
 // the neighbor's output VC, or to the local NI for the injection port.
 func (f *nodeFabric) Credit(p topology.Port, v flow.VCID, count int, now int64) {
-	at := now + f.hop
+	at := now + hop
 	if p == topology.PortLocal {
 		f.credits.schedule(at, creditEvent{kind: creditToNI, node: f.node, vc: v, n: int32(count)})
 		return

@@ -25,7 +25,6 @@ func testConfig(m *topology.Mesh, lookAhead bool, tk table.Kind, sel selection.K
 	return Config{
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: lookAhead},
-		LinkDelay: 1,
 		Class:     cls,
 		Routes:    oneEpoch(tk, m, routing.NewDuato(m, cls), cls),
 		Selection: sel,
@@ -264,7 +263,6 @@ func TestTorusAdaptive(t *testing.T) {
 	cfg := Config{
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
-		LinkDelay: 1,
 		Class:     cls,
 		Routes:    oneEpoch(table.KindFull, m, routing.NewDuato(m, cls), cls),
 		Selection: selection.LRU,

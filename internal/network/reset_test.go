@@ -207,7 +207,6 @@ func randomPoint(t *testing.T, rng *rand.Rand, s resetShape) Config {
 	cfg := Config{
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: rng.Intn(2) == 0},
-		LinkDelay: 1,
 		Class:     cls,
 		Selection: selection.Kinds[rng.Intn(len(selection.Kinds))],
 		MsgLen:    []int{1, 5, 20}[rng.Intn(3)],

@@ -81,7 +81,6 @@ func FuzzFaultSchedule(f *testing.F) {
 		cfg := Config{
 			Mesh:      m,
 			Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
-			LinkDelay: 1,
 			Class:     cls,
 			Routes:    tables,
 			Faults:    sched,

@@ -32,7 +32,6 @@ func scheduleConfig(t *testing.T, m *topology.Mesh, sched *fault.Schedule, la bo
 	return Config{
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: la},
-		LinkDelay: 1,
 		Class:     cls,
 		Routes:    tables,
 		Faults:    sched,

@@ -17,7 +17,6 @@ func traceConfig(m *topology.Mesh, tr *traffic.Trace, seed int64) Config {
 	return Config{
 		Mesh:      m,
 		Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
-		LinkDelay: 1,
 		Class:     cls,
 		Routes:    oneEpoch(table.KindES, m, routing.NewDuato(m, cls), cls),
 		Selection: selection.LRU,

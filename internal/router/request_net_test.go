@@ -30,7 +30,6 @@ func TestRequestStateMatchesScan(t *testing.T) {
 		return network.Config{
 			Mesh:      m,
 			Router:    router.Config{NumVCs: 4, BufDepth: 20, OutDepth: 4, LookAhead: true},
-			LinkDelay: 1,
 			Class:     cls,
 			Routes:    []*table.Routes{table.Program(table.KindES, m, routing.NewDuato(m, cls), cls)},
 			Selection: selection.LRU,
