@@ -19,8 +19,9 @@
 // counter costs of each policy).
 //
 // RANDOM keeps no generator either. Its pick for a message at a router is
-// keyed by the run's seed, the router and the message (Draw): the i-th
-// eligible candidate, i being that draw modulo the eligible count. The
+// keyed by the run's seed, the router and the message: the i-th eligible
+// candidate, i being a fixed 64-bit mix of the three modulo the eligible
+// count. The
 // router selects at most once per message, when a claim follows, so each
 // message still gets one uniform draw at each router, and the draw does
 // not depend on the order in which the kernel visits routers or messages:
@@ -166,7 +167,7 @@ func (k *Kind) UnmarshalText(b []byte) (err error) {
 // counters the local heuristics score with; ties keep the earlier
 // (dimension-order) index. A notify kind first keeps only the candidates
 // at the minimum remote level, then applies its local heuristic. Random
-// reads no counter: it takes the i-th eligible candidate, i being Draw(seed,
+// reads no counter: it takes the i-th eligible candidate, i being draw(seed,
 // router, msg) modulo the eligible count, so one message's pick at one
 // router depends on nothing but those three and the eligible set; the other
 // kinds ignore them.
@@ -181,7 +182,7 @@ func (k Kind) Select(v PortView, rs flow.RouteSet, eligible uint8, seed int64, r
 		// one realizes the paper's X-first preference.
 		return bits.TrailingZeros8(eligible)
 	case Random:
-		i := int(Draw(seed, router, msg) % uint64(bits.OnesCount8(eligible)))
+		i := int(draw(seed, router, msg) % uint64(bits.OnesCount8(eligible)))
 		for ; i > 0; i-- {
 			eligible &= eligible - 1
 		}
@@ -237,11 +238,11 @@ func (k Kind) Select(v PortView, rs flow.RouteSet, eligible uint8, seed int64, r
 // local is each notify kind's local heuristic.
 var local = [...]Kind{NotifyLRU: LRU, NotifyLFU: LFU, NotifyMaxCredit: MaxCredit}
 
-// Draw is Random's uniform 64-bit value for one message at one router: a
+// draw is Random's uniform 64-bit value for one message at one router: a
 // splitmix64 finalizer chained over the run's seed, the router and the
 // message, so it depends on nothing else — not on how many draws came
 // before, nor in which order the kernel made them.
-func Draw(seed int64, router topology.NodeID, msg flow.MessageID) uint64 {
+func draw(seed int64, router topology.NodeID, msg flow.MessageID) uint64 {
 	return mix(mix(mix(uint64(seed)+gamma)+uint64(router)) + uint64(msg))
 }
 

@@ -266,8 +266,8 @@ func TestKindRoundTrip(t *testing.T) {
 }
 
 // TestRandomChoicesPinned pins Random's keyed draw as literal values, so
-// that a change of Draw, which moves every Random answer and so needs a
-// core.SemanticsVersion bump, cannot pass unnoticed. It checks Draw at four
+// that a change of draw, which moves every Random answer and so needs a
+// core.SemanticsVersion bump, cannot pass unnoticed. It checks draw at four
 // keys, then Random's picks among four candidates under five eligible sets
 // for 8 routers x 175 messages under each of five seeds: the first 48 spelled
 // out (router 0's messages 0..47), all 1400 folded into a digest.
@@ -283,8 +283,8 @@ func TestRandomChoicesPinned(t *testing.T) {
 		{1, 5, 0, 4357350007319322657},
 		{1, 5, -9, 10194743693212473783},
 	} {
-		if got := Draw(c.seed, c.router, c.msg); got != c.want {
-			t.Errorf("Draw(%d, %d, %d) = %d, want %d", c.seed, c.router, c.msg, got, c.want)
+		if got := draw(c.seed, c.router, c.msg); got != c.want {
+			t.Errorf("draw(%d, %d, %d) = %d, want %d", c.seed, c.router, c.msg, got, c.want)
 		}
 	}
 	rs := candidates(4)
