@@ -100,8 +100,8 @@ type Config struct {
 	// observationally equivalent to cycle mode (per-message latency is
 	// exact on uncontended paths, and distributions match within
 	// measurement noise under load) but not bit-identical: admission
-	// decisions consult arbiter state and port counters at arrival time rather
-	// than at the emulated SA cycle. Runs remain deterministic for a
+	// decisions consult arbiter state and port counters at arrival time
+	// rather than at the emulated SA cycle. Runs remain deterministic for a
 	// fixed configuration.
 	EventMode bool
 }

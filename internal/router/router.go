@@ -794,7 +794,7 @@ const noExpress int64 = -1
 // output stage at cycle expressAt — its link is free of other express
 // transits. It reports false, with nothing claimed and the message
 // untouched, when no candidate is eligible. The heuristic runs only when a
-// claim follows, so a message meets it once at a router.
+// claim follows, so a header meets it once per hop.
 func (r *Router) allocate(msg *flow.Message, rs flow.RouteSet, needCredits int, owner int32, expressAt int64) (topology.Port, flow.VCID, bool) {
 	// Pass 1: candidates with a free adaptive VC. Duato's protocol
 	// prefers adaptive channels and falls back to the escape channel

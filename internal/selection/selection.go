@@ -167,10 +167,10 @@ func (k *Kind) UnmarshalText(b []byte) (err error) {
 // counters the local heuristics score with; ties keep the earlier
 // (dimension-order) index. A notify kind first keeps only the candidates
 // at the minimum remote level, then applies its local heuristic. Random
-// reads no counter: it takes the i-th eligible candidate, i being draw(seed,
-// router, msg) modulo the eligible count, so one message's pick at one
-// router depends on nothing but those three and the eligible set; the other
-// kinds ignore them.
+// reads no counter: it takes the i-th eligible candidate, i being a fixed
+// 64-bit mix of (seed, router, msg) modulo the eligible count, so one
+// message's pick at one router depends on nothing but those three and the
+// eligible set; the other kinds ignore them.
 func (k Kind) Select(v PortView, rs flow.RouteSet, eligible uint8, seed int64, router topology.NodeID, msg flow.MessageID) int {
 	eligible &= 1<<rs.Len() - 1
 	if eligible == 0 {
