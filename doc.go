@@ -20,9 +20,9 @@
 // traffic sources — is one arena of slabs (router.Block,
 // traffic.Sources) that is reset, not rebuilt, between points. What
 // sizes the slabs is the network's shape (network.Shape: nodes, ports,
-// VCs, buffer depths, wheel horizon, reliability on or off; the output
-// depth and link delay are Table 2's, core.OutDepth and core.LinkDelay,
-// for every run); everything
+// VCs, buffer depths, kernel, reliability on or off; the output depth is
+// Table 2's core.OutDepth for every run, and the link delay is the
+// kernel's constant network.LinkDelay); everything
 // else is the point — tables, selection, look-ahead, load,
 // pattern, seed, faults — and network.Reset, the only initialiser a
 // network has (New is alloc + Reset), rewrites it in place. core.Run
