@@ -136,19 +136,31 @@ unit)
 		diff "$work/random1.txt" "$work/random2.txt"
 	done
 	# core.Config.Validate is the one validator: a config no layer below can
-	# run is refused by it, naming the field, with usage status 2.
-	for args in "-msglen 0" "-dims 8 -alg xy -vcs 12"; do
+	# run is refused by it, naming the field, with usage status 2. An 8-D
+	# mesh is one: its routers would hold more input VCs than the arbiters
+	# index.
+	invalid() { # invalid <field> <args...>: exit 2 with core's refusal naming <field>
+		local field=$1 code=0
+		shift
+		"$work/lapses-sim" "$@" 2>"$work/reject.txt" || code=$?
+		[ "$code" -eq 2 ] && grep -q "^lapses-sim: core: .*$field" "$work/reject.txt"
+	}
+	invalid MsgLen -msglen 0
+	invalid Dims -dims 2x2x2x2x2x2x2x2 -alg xy
+	# The router is Table 2's and the escape VCs follow from the algorithm
+	# and the topology, so there is no -escape, -vcs or -buf: asking for
+	# one is an unknown flag, usage status 2.
+	for args in "-escape 1" "-vcs 4" "-buf 20"; do
 		code=0
 		"$work/lapses-sim" $args 2>"$work/reject.txt" || code=$?
 		[ "$code" -eq 2 ]
-		grep -q '^lapses-sim: core: ' "$work/reject.txt"
+		grep -q -- "${args% *}" "$work/reject.txt"
 	done
-	# The escape VCs follow from the algorithm and the topology, so there
-	# is no -escape: asking for it is an unknown flag, usage status 2.
+	# A failed run still stops and flushes its CPU profile.
 	code=0
-	"$work/lapses-sim" -escape 1 2>"$work/reject.txt" || code=$?
+	"$work/lapses-sim" -cpuprofile "$work/cpu.pprof" -dims 1x4 2>"$work/reject.txt" || code=$?
 	[ "$code" -eq 2 ]
-	grep -q -- '-escape' "$work/reject.txt"
+	go tool pprof -top "$work/cpu.pprof" >/dev/null
 	# A load no node can inject is refused the same way; before Validate
 	# bounded it the injector drew forever, so each run has a deadline.
 	for load in Inf 1e300; do
@@ -280,14 +292,16 @@ serve)
 	# A member the server does not read is refused by name, not dropped:
 	# this point misspells lookahead, which would otherwise run PROUD.
 	code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
-		-d '{"points":[{"dims":[4,4],"vcs":4,"buf_depth":20,"look_ahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
+		-d '{"points":[{"dims":[4,4],"look_ahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
 	[ "$code" -eq 400 ]
 	jq -e '.error | contains("\"look_ahead\"")' refused.json
 	# So is a router member fixed at Table 2 or derived from the algorithm.
-	code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
-		-d '{"points":[{"dims":[4,4],"vcs":4,"escape_vcs":1,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
-	[ "$code" -eq 400 ]
-	jq -e '.error | contains("\"escape_vcs\"")' refused.json
+	for member in '"escape_vcs":1' '"vcs":4'; do
+		code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
+			-d '{"points":[{"dims":[4,4],'"$member"',"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
+		[ "$code" -eq 400 ]
+		jq -e --arg m "${member%%:*}" '.error | contains($m)' refused.json
+	done
 	mkdir served-csv local-csv
 	lx -exp fig5 -fidelity quick -csv served-csv -server $url >served.txt
 	[ "$(grep -c 'serve job' served.txt)" -eq 1 ]
@@ -376,7 +390,7 @@ cluster)
 	# point back, for the workers to finish.
 	post() { curl -fs -H 'Content-Type: application/json' "$url/v1/$1" -d "$2"; }
 	version=$(curl -fs $url/healthz | jq -e .semantics_version)
-	post jobs '{"points":[{"dims":[4,4],"vcs":4,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":7}]}' >/dev/null
+	post jobs '{"points":[{"dims":[4,4],"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":7}]}' >/dev/null
 	code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/cluster/claim \
 		-d '{"worker":"curl","version":0}')
 	[ "$code" -eq 400 ]

@@ -28,7 +28,7 @@
 // are built for:
 //
 //	lapses-sim -load 0.5 -burst 0.3,200 -selection notify-max-credit
-//	lapses-sim -load 0.3 -qos 0.2,1 -pattern hotspot
+//	lapses-sim -load 0.3 -qos 0.2 -pattern hotspot
 //
 // -auto-tol T switches to the adaptive measurement tier: MSER-5 warmup
 // truncation plus CI-based early stopping once the 95% CI half-width falls
@@ -54,12 +54,20 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "lapses-sim:", err)
+		os.Exit(2)
+	}
+}
+
+// run is the command. It returns its error rather than exiting, so that
+// its deferred calls run on every path: a failed run still stops and
+// flushes a -cpuprofile.
+func run() error {
 	cfg := core.DefaultConfig()
 
 	dims := flag.String("dims", "16x16", "mesh radices, e.g. 16x16 or 8x8x8")
 	torus := flag.Bool("torus", false, "wrap the mesh into a torus")
-	vcs := flag.Int("vcs", cfg.VCs, "virtual channels per physical channel")
-	buf := flag.Int("buf", cfg.BufDepth, "input buffer depth (flits)")
 	la := flag.Bool("lookahead", cfg.LookAhead, "use the 4-stage LA-PROUD pipeline")
 	flag.TextVar(&cfg.Algorithm, "alg", cfg.Algorithm, "routing algorithm: xy, yx, duato, north-last, west-first, negative-first")
 	flag.TextVar(&cfg.Table, "table", cfg.Table, "table organization: full, es, meta-row, meta-block, interval")
@@ -67,7 +75,7 @@ func main() {
 	flag.TextVar(&cfg.Pattern, "pattern", cfg.Pattern, "traffic pattern: uniform, transpose, bit-reversal, shuffle, ...")
 	load := flag.Float64("load", cfg.Load, "normalized load (1.0 = bisection saturation)")
 	burst := flag.String("burst", "", "bursty MMPP sources as ONFRAC,MEANON (e.g. 0.3,200): fraction of time spent ON and mean ON-period cycles, same mean rate as -load")
-	qos := flag.String("qos", "", "two-class QoS traffic as HIFRAC,HIVCS (e.g. 0.2,1): high-class probability and reserved top adaptive VCs")
+	qos := flag.String("qos", "", "two-class QoS traffic as HIFRAC (e.g. 0.2): the high-class probability; the top adaptive VC is reserved for that class")
 	msgLen := flag.Int("msglen", cfg.MsgLen, "message length in flits")
 	warmup := flag.Int("warmup", cfg.Warmup, "warm-up messages (excluded from stats)")
 	measure := flag.Int("measure", cfg.Measure, "measured messages")
@@ -84,52 +92,51 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 
 	var err error
 	if cfg.Dims, err = parseDims(*dims); err != nil {
-		fatal(err)
+		return err
 	}
 	cfg.Torus = *torus
-	cfg.VCs, cfg.BufDepth = *vcs, *buf
 	cfg.LookAhead = *la
 	cfg.Load, cfg.MsgLen = *load, *msgLen
 	cfg.Warmup, cfg.Measure, cfg.Seed, cfg.AutoTol = *warmup, *measure, *seed, *autoTol
 	if *burst != "" {
 		if cfg.Burst, err = parseBurst(*burst); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *qos != "" {
 		if cfg.QoS, err = parseQoS(*qos); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	cfg.EventMode = *events
 	if *faults != "" {
 		if cfg.Faults, err = parseFaults(cfg, *faults, *faultSeed); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *reliability != "" {
 		if cfg.Reliability, err = parseReliability(*reliability); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	res, err := core.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("network        %s  (%d VCs, %d-flit buffers, link delay %d)\n",
-		cfg.Mesh(), cfg.VCs, cfg.BufDepth, core.LinkDelay)
+		cfg.Mesh(), core.VCs, core.BufDepth, core.LinkDelay)
 	fmt.Printf("router         %s, %s routing, %s table, %s selection\n",
 		pipeName(cfg.LookAhead), cfg.Algorithm, cfg.Table, cfg.Selection)
 	fmt.Printf("workload       %s, load %.2f, %d-flit messages\n", cfg.Pattern, cfg.Load, cfg.MsgLen)
@@ -139,7 +146,7 @@ func main() {
 	}
 	if cfg.QoS != nil {
 		fmt.Printf("qos            high-class probability %.2f, top %d adaptive VC(s) reserved\n",
-			cfg.QoS.HiFrac, cfg.QoS.HiVCs)
+			cfg.QoS.HiFrac, core.ResvVCs)
 	}
 	timed := cfg.Faults.Epochs() > 1
 	if p := cfg.Faults.Plan(0); !timed && !p.Empty() {
@@ -191,14 +198,15 @@ func main() {
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		runtime.GC() // materialize the final live set
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 func pipeName(la bool) string {
@@ -267,22 +275,14 @@ func parseBurst(spec string) (*traffic.Burst, error) {
 	return &traffic.Burst{OnFrac: onFrac, MeanOn: meanOn}, nil
 }
 
-// parseQoS reads the -qos spec "HIFRAC,HIVCS" into a two-class QoS
-// specification; core.Run checks the ranges.
+// parseQoS reads the -qos spec "HIFRAC" into a two-class QoS
+// specification; core.Run checks the range.
 func parseQoS(spec string) (*core.QoSSpec, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("bad -qos %q: want HIFRAC,HIVCS (e.g. 0.2,1)", spec)
-	}
-	hiFrac, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+	hiFrac, err := strconv.ParseFloat(strings.TrimSpace(spec), 64)
 	if err != nil {
-		return nil, fmt.Errorf("bad -qos %q: %v", spec, err)
+		return nil, fmt.Errorf("bad -qos %q: want HIFRAC (e.g. 0.2): %v", spec, err)
 	}
-	hiVCs, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err != nil {
-		return nil, fmt.Errorf("bad -qos %q: %v", spec, err)
-	}
-	return &core.QoSSpec{HiFrac: hiFrac, HiVCs: hiVCs}, nil
+	return &core.QoSSpec{HiFrac: hiFrac}, nil
 }
 
 func parseDims(s string) ([]int, error) {
@@ -296,9 +296,4 @@ func parseDims(s string) ([]int, error) {
 		dims = append(dims, v)
 	}
 	return dims, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lapses-sim:", err)
-	os.Exit(2)
 }

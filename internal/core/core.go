@@ -133,13 +133,6 @@ type Config struct {
 	// by a transition are reported lost (Result.DroppedMessages).
 	Reliability *Reliability
 
-	// VCs per physical channel (Table 2: 4). The routing algorithm decides
-	// how many of them form the escape class (class).
-	VCs int
-	// BufDepth is the input buffer depth in flits (Table 2: 20). The output
-	// stage and the links are fixed at Table 2 (OutDepth, LinkDelay).
-	BufDepth int
-
 	// LookAhead selects LA-PROUD (4-stage) over PROUD (5-stage).
 	LookAhead bool
 	// Algorithm, Table and Selection pick the routing policy, the table
@@ -162,7 +155,7 @@ type Config struct {
 	Burst *traffic.Burst
 	// QoS, when non-nil, enables two-class traffic with per-class VC
 	// reservation: each generated message is high-class with probability
-	// HiFrac, and the top HiVCs adaptive VCs of every physical channel are
+	// HiFrac, and the top ResvVCs adaptive VC of every physical channel is
 	// reserved for high-class traffic (escape VCs stay shared, preserving
 	// deadlock freedom). Nil keeps single-class traffic.
 	QoS *QoSSpec
@@ -214,10 +207,6 @@ type QoSSpec struct {
 	// HiFrac is the probability a generated message is high-class, in
 	// [0, 1].
 	HiFrac float64 `json:"hi_frac"`
-	// HiVCs is how many of the highest-numbered adaptive VCs are reserved
-	// for high-class messages, from 1 to one less than the adaptive VCs.
-	// Escape VCs are the lowest-numbered VCs and are never reserved.
-	HiVCs int `json:"hi_vcs"`
 }
 
 // Reliability configures the end-to-end NI retransmission layer
@@ -232,8 +221,6 @@ type Reliability = network.Reliability
 func DefaultConfig() Config {
 	return Config{
 		Dims:       []int{16, 16},
-		VCs:        4,
-		BufDepth:   20,
 		LookAhead:  true,
 		Algorithm:  AlgDuato,
 		Table:      table.KindES,
@@ -248,13 +235,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// OutDepth and LinkDelay are Table 2's output-stage depth in flits and link
-// delay in cycles. Every run uses them. The link delay is the network
-// kernel's constant; the router takes the output depth as a parameter only
-// so that its own tests can vary it.
+// VCs, BufDepth, OutDepth and LinkDelay are Table 2's router: virtual
+// channels per physical channel, input and output buffer depths in flits,
+// and link delay in cycles. ResvVCs is how many of the highest-numbered
+// adaptive VCs a QoS run reserves for high-class messages; escape VCs are
+// the lowest-numbered and never reserved, and every algorithm leaves at
+// least two adaptive VCs, so one unreserved VC remains. Every run uses
+// these. The link delay is the network kernel's constant; the router takes
+// the others as parameters only so that its own tests can vary them.
 const (
+	VCs       = 4
+	BufDepth  = 20
 	OutDepth  = 4
 	LinkDelay = network.LinkDelay
+	ResvVCs   = 1
 )
 
 // PaperFidelity returns the config with the paper's sample sizes: 10000
@@ -308,8 +302,6 @@ func (c Config) Key() string {
 		b = strconv.AppendInt(b, int64(k), 10)
 	}
 	b = strconv.AppendBool(append(b, "],t"...), c.Torus)
-	b = keyInt(b, ",v", int64(c.VCs))
-	b = keyInt(b, ",b", int64(c.BufDepth))
 	b = strconv.AppendBool(append(b, ",la"...), c.LookAhead)
 	b = keyInt(b, ",a", int64(c.Algorithm))
 	b = keyInt(b, ",tb", int64(c.Table))
@@ -343,8 +335,7 @@ func (c Config) Key() string {
 		b = append(keyBits(b, ",", c.Burst.MeanOn), ']')
 	}
 	if c.QoS != nil {
-		b = keyBits(b, ",q[", c.QoS.HiFrac)
-		b = append(keyInt(b, ",", int64(c.QoS.HiVCs)), ']')
+		b = append(keyBits(b, ",q[", c.QoS.HiFrac), ']')
 	}
 	// Damage is keyed by canonical content, so equal damage from different
 	// values memoizes together — "12-13" spelled as a plan or as an
@@ -387,7 +378,7 @@ func (c Config) class() routing.Class {
 			esc = 2
 		}
 	}
-	return routing.Class{NumVCs: c.VCs, EscapeVCs: esc}
+	return routing.Class{NumVCs: VCs, EscapeVCs: esc}
 }
 
 // Routing returns the routing function and the VC partition c's tables are
@@ -432,6 +423,11 @@ func (c Config) algorithm(m *topology.Mesh, cls routing.Class, plan *fault.Plan)
 	panic("core: unknown algorithm")
 }
 
+// maxDims is the most dimensions a router can serve: it has a local port
+// and two per dimension, VCs input VCs each, and at most
+// router.MaxInputVCs input VCs in all.
+const maxDims = (router.MaxInputVCs/VCs - 1) / 2
+
 // Validate reports configuration errors without building the network, each
 // naming its field. It is the only validator: network, router, routing and
 // traffic trust the configuration Run builds from a validated one.
@@ -439,22 +435,13 @@ func (c Config) Validate() error {
 	if err := ValidateDims(c.Dims); err != nil {
 		return err
 	}
-	if c.VCs < 1 || c.VCs > router.MaxVCs {
-		return fmt.Errorf("core: VCs %d outside [1, %d]", c.VCs, router.MaxVCs)
+	if c.MsgLen < 1 {
+		return fmt.Errorf("core: MsgLen %d < 1", c.MsgLen)
 	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"BufDepth", c.BufDepth}, {"MsgLen", c.MsgLen}} {
-		if f.v < 1 {
-			return fmt.Errorf("core: %s %d < 1", f.name, f.v)
-		}
-	}
-	// A router has a local port and two per dimension (router.NewBlock
-	// panics in its arbiters beyond the limit).
-	if ports := 1 + 2*len(c.Dims); ports*c.VCs > router.MaxInputVCs {
-		return fmt.Errorf("core: %d Dims x %d VCs is %d ports x VCs = %d input VCs per router; the limit is %d",
-			len(c.Dims), c.VCs, ports, ports*c.VCs, router.MaxInputVCs)
+	// router.NewBlock panics in its arbiters beyond MaxInputVCs.
+	if len(c.Dims) > maxDims {
+		return fmt.Errorf("core: Dims %v has %d dimensions; a router holds at most %d input VCs, %d per port, so at most %d dimensions",
+			c.Dims, len(c.Dims), router.MaxInputVCs, VCs, maxDims)
 	}
 	// An adaptive route set holds one candidate per dimension
 	// (flow.RouteSet panics beyond flow.MaxCandidates); the deterministic
@@ -527,11 +514,6 @@ func (c Config) Validate() error {
 		if q.HiFrac < 0 || q.HiFrac > 1 {
 			return fmt.Errorf("core: QoS.HiFrac %g outside [0,1]", q.HiFrac)
 		}
-		adaptiveVCs := c.VCs - c.class().EscapeVCs
-		if q.HiVCs < 1 || q.HiVCs >= adaptiveVCs {
-			return fmt.Errorf("core: QoS.HiVCs %d must leave at least one unreserved adaptive VC (adaptive VCs: %d)",
-				q.HiVCs, adaptiveVCs)
-		}
 	}
 	// The healthy yx and turn-model routing functions exist in two
 	// dimensions only (routing.NewDimOrder and the turn models panic
@@ -584,16 +566,6 @@ func (c Config) Validate() error {
 		if err := c.Reliability.Validate(); err != nil {
 			return err
 		}
-	}
-	// Duato on a torus takes two escape VCs.
-	if cls := c.class(); cls.EscapeVCs > c.VCs {
-		return fmt.Errorf("core: VCs %d cannot hold the %d escape VCs %s routing needs on %s", c.VCs, cls.EscapeVCs, c.Algorithm, c.Mesh())
-	}
-	// Healthy dimension-order routing on a torus splits the VCs in half
-	// around the dateline (routing.NewDimOrder); one VC would leave every
-	// hop before the wrap with none, and the run would report saturation.
-	if c.Torus && c.Faults.Empty() && c.Algorithm.Deterministic() && c.VCs < 2 {
-		return fmt.Errorf("core: VCs %d cannot be split around the dateline %s routing needs on %s", c.VCs, c.Algorithm, c.Mesh())
 	}
 	return nil
 }
@@ -781,8 +753,8 @@ func (c Config) plumbing() (*plumbing, error) {
 // schedule's always does, so the one fault term cannot confuse the two.
 func (c Config) structureKey() string {
 	c = c.canonical()
-	return fmt.Sprintf("d%v,t%t,v%d,a%d,tb%d,f[%s]",
-		c.Dims, c.Torus, c.VCs, int(c.Algorithm), int(c.Table), c.Faults.Key())
+	return fmt.Sprintf("d%v,t%t,a%d,tb%d,f[%s]",
+		c.Dims, c.Torus, int(c.Algorithm), int(c.Table), c.Faults.Key())
 }
 
 // buildPlumbing is the cold path behind the cache: for each fault epoch,
@@ -955,7 +927,7 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		Mesh:   m,
 		Faults: cfg.Faults,
 		Router: router.Config{
-			NumVCs: cfg.VCs, BufDepth: cfg.BufDepth, OutDepth: OutDepth,
+			NumVCs: VCs, BufDepth: BufDepth, OutDepth: OutDepth,
 			LookAhead: cfg.LookAhead,
 		},
 		Class:     p.cls,
@@ -975,7 +947,7 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 	}
 	if cfg.QoS != nil {
 		ncfg.QoSHiFrac = cfg.QoS.HiFrac
-		ncfg.Router.ResvVCs = cfg.QoS.HiVCs
+		ncfg.Router.ResvVCs = ResvVCs
 	}
 	if seam != nil {
 		seam(&ncfg)

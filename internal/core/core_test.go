@@ -55,7 +55,7 @@ func TestDefaultsMatchPaperTable2(t *testing.T) {
 	if len(c.Dims) != 2 || c.Dims[0] != 16 || c.Dims[1] != 16 {
 		t.Error("default mesh is not 16x16")
 	}
-	if c.VCs != 4 || c.MsgLen != 20 || c.BufDepth != 20 || LinkDelay != 1 || OutDepth != 4 {
+	if VCs != 4 || c.MsgLen != 20 || BufDepth != 20 || LinkDelay != 1 || OutDepth != 4 || ResvVCs != 1 {
 		t.Error("defaults do not match Table 2")
 	}
 	p := c.PaperFidelity()
@@ -196,10 +196,9 @@ func TestIntervalValidateOrRun(t *testing.T) {
 // TestShapeLimitsValidateOrRun is TestIntervalValidateOrRun's neighbour
 // for the limits that size or bound a run rather than route it: every
 // algorithm, on one to five dimensions (flow.MaxCandidates bounds an
-// adaptive route set, the arbiters bound ports x VCs at 64), mesh and
-// torus, with 1 to 8 VCs — every VC partition Config.class derives — and,
-// under duato (xy in five dimensions), zero load with and without a cycle
-// budget and a negative warm-up. Every case is either rejected by
+// adaptive route set), mesh and torus — every VC partition Config.class
+// derives — and, under duato (xy in five dimensions), zero load with and
+// without a cycle budget and a negative warm-up. Every case is either rejected by
 // Validate, naming the field or the algorithm, or runs, unsaturated at
 // load 0.2 without a budget; and it runs twice in a row, so the second
 // pass goes through the arena the first one returned (or, after a
@@ -228,47 +227,45 @@ func TestShapeLimitsValidateOrRun(t *testing.T) {
 				lims = bounds
 			}
 			for _, torus := range []bool{false, true} {
-				for _, vcs := range []int{1, 2, 4, 8} {
-					for _, l := range lims {
-						c := smoke()
-						c.Algorithm, c.Dims, c.Torus, c.VCs = alg, dims, torus, vcs
-						c.Load, c.MaxCycles, c.Warmup, c.Measure = l.load, l.budget, l.warmup, 40
-						name := fmt.Sprintf("%s %s vcs=%d load=%g budget=%d warmup=%d", alg, c.Mesh(), vcs, l.load, l.budget, l.warmup)
-						if verr := c.Validate(); verr != nil {
-							rejected++
-							named := false
-							for _, field := range []string{"Warmup", "Load", "VCs", "Dims", alg.String()} {
-								named = named || strings.Contains(verr.Error(), field)
-							}
-							if !named {
-								t.Errorf("%s: rejection names no field: %v", name, verr)
-							}
-							continue
+				for _, l := range lims {
+					c := smoke()
+					c.Algorithm, c.Dims, c.Torus = alg, dims, torus
+					c.Load, c.MaxCycles, c.Warmup, c.Measure = l.load, l.budget, l.warmup, 40
+					name := fmt.Sprintf("%s %s load=%g budget=%d warmup=%d", alg, c.Mesh(), l.load, l.budget, l.warmup)
+					if verr := c.Validate(); verr != nil {
+						rejected++
+						named := false
+						for _, field := range []string{"Warmup", "Load", "Dims", alg.String()} {
+							named = named || strings.Contains(verr.Error(), field)
 						}
-						func() {
-							defer func() {
-								if r := recover(); r != nil {
-									t.Errorf("%s: passed Validate, then panicked: %v", name, r)
-								}
-							}()
-							first, err := Run(c)
-							if err != nil {
-								t.Errorf("%s: passed Validate, then failed: %v", name, err)
-								return
-							}
-							// Load 0.2 is far below saturation on every shape here, so
-							// without a cycle budget to cut it short a saturated run is a
-							// routing function that strands flits.
-							if first.Saturated && l.load > 0 && l.budget == 0 {
-								t.Errorf("%s: saturated", name)
-							}
-							again, err := Run(c)
-							if err != nil || again != first {
-								t.Errorf("%s: second run in a row differs: %+v (err %v), first %+v", name, again, err, first)
-							}
-							ran++
-						}()
+						if !named {
+							t.Errorf("%s: rejection names no field: %v", name, verr)
+						}
+						continue
 					}
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Errorf("%s: passed Validate, then panicked: %v", name, r)
+							}
+						}()
+						first, err := Run(c)
+						if err != nil {
+							t.Errorf("%s: passed Validate, then failed: %v", name, err)
+							return
+						}
+						// Load 0.2 is far below saturation on every shape here, so
+						// without a cycle budget to cut it short a saturated run is a
+						// routing function that strands flits.
+						if first.Saturated && l.load > 0 && l.budget == 0 {
+							t.Errorf("%s: saturated", name)
+						}
+						again, err := Run(c)
+						if err != nil || again != first {
+							t.Errorf("%s: second run in a row differs: %+v (err %v), first %+v", name, again, err, first)
+						}
+						ran++
+					}()
 				}
 			}
 		}
@@ -284,12 +281,9 @@ func TestShapeLimitsValidateOrRun(t *testing.T) {
 	}{
 		{func(c *Config) { c.Load = 0 }, "Load 0 needs a Trace or MaxCycles"},
 		{func(c *Config) { c.Dims = []int{2, 2, 2, 2, 2} }, "at most 4 dimensions"},
-		{func(c *Config) { c.Dims, c.VCs = []int{3, 3, 3, 3}, 8 }, "ports x VCs"},
+		{func(c *Config) { c.Dims, c.Algorithm = []int{2, 2, 2, 2, 2, 2, 2, 2}, AlgXY }, "Dims [2 2 2 2 2 2 2 2] has 8 dimensions"},
 		{func(c *Config) { c.Warmup = -5 }, "Warmup -5"},
 		{func(c *Config) { c.MsgLen = 0 }, "MsgLen 0 < 1"},
-		{func(c *Config) { c.BufDepth = 0 }, "BufDepth 0 < 1"},
-		{func(c *Config) { c.Dims, c.Algorithm, c.VCs = []int{8}, AlgXY, 12 }, "VCs 12 outside [1, 8]"},
-		{func(c *Config) { c.Torus, c.Algorithm, c.VCs = true, AlgXY, 1 }, "VCs 1 cannot be split around the dateline"},
 	} {
 		c := smoke()
 		tc.mut(&c)
@@ -471,8 +465,6 @@ func TestConfigKey(t *testing.T) {
 			}
 			c.Faults = fault.Static(p)
 		},
-		func(c *Config) { c.VCs = 8 },
-		func(c *Config) { c.BufDepth = 10 },
 		func(c *Config) { c.LookAhead = false },
 		func(c *Config) { c.Algorithm = AlgXY },
 		func(c *Config) { c.Table = table.KindMetaRow }, // full and interval key as es (canonical)
@@ -481,7 +473,7 @@ func TestConfigKey(t *testing.T) {
 		func(c *Config) { c.Load = 0.25 },
 		func(c *Config) { c.MsgLen = 5 },
 		func(c *Config) { c.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 100} },
-		func(c *Config) { c.QoS = &QoSSpec{HiFrac: 0.2, HiVCs: 1} },
+		func(c *Config) { c.QoS = &QoSSpec{HiFrac: 0.2} },
 		func(c *Config) { c.Trace = &traffic.Trace{} },
 		func(c *Config) { c.Warmup = 1 },
 		func(c *Config) { c.Measure = 7 },

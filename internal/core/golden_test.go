@@ -526,7 +526,7 @@ func TestNotifyBurstyDeterminism(t *testing.T) {
 	base.Pattern = traffic.Hotspot
 	base.Selection = selection.NotifyLRU
 	base.Burst = &traffic.Burst{OnFrac: 0.3, MeanOn: 100}
-	base.QoS = &core.QoSSpec{HiFrac: 0.2, HiVCs: 1}
+	base.QoS = &core.QoSSpec{HiFrac: 0.2}
 	base.Load = 0.1
 	base.Warmup, base.Measure = 100, 800
 	for _, events := range []bool{false, true} {

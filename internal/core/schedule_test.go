@@ -109,7 +109,7 @@ func TestKeyLiterals(t *testing.T) {
 	fidelityAuto.AutoTol = 0.03
 	simAuto.AutoTol = 0.05
 	burst.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 50}
-	qos.QoS = &core.QoSSpec{HiFrac: 0.1, HiVCs: 1}
+	qos.QoS = &core.QoSSpec{HiFrac: 0.1}
 	torus.Torus = true
 	cube.Dims = []int{4, 4, 4}
 	tr, err := traffic.NewTrace([]traffic.TraceMsg{{At: 0, Src: 1, Dst: 2, Length: 20}, {At: 5, Src: 3, Dst: 0, Length: 4}})

@@ -65,7 +65,7 @@ func congestionBurst() *traffic.Burst { return &traffic.Burst{OnFrac: 0.3, MeanO
 // much lower loads because the hot node's ejection channel caps the
 // pattern's saturation near load 0.15 on the 16x16 mesh.
 func CongestionWorkloads() []CongestionWorkload {
-	qos := &core.QoSSpec{HiFrac: 0.2, HiVCs: 1}
+	qos := &core.QoSSpec{HiFrac: 0.2}
 	return []CongestionWorkload{
 		{Name: "bursty-uniform", Pattern: traffic.Uniform, Burst: congestionBurst(),
 			LatLoad: 0.2, OvrLoad: 0.9, SatLo: 0.1, SatHi: 1.0},
@@ -89,7 +89,7 @@ func (w CongestionWorkload) Describe() string {
 		s += fmt.Sprintf(" + MMPP(on %.2f, mean-on %.0f)", w.Burst.OnFrac, w.Burst.MeanOn)
 	}
 	if w.QoS != nil {
-		s += fmt.Sprintf(" + QoS(hi %.2f, %d resv VC)", w.QoS.HiFrac, w.QoS.HiVCs)
+		s += fmt.Sprintf(" + QoS(hi %.2f, %d resv VC)", w.QoS.HiFrac, core.ResvVCs)
 	}
 	if w.FaultLinks > 0 {
 		s += fmt.Sprintf(" + %d failed links", w.FaultLinks)

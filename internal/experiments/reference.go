@@ -61,8 +61,8 @@ func RenderTable2(w io.Writer, c core.Config) {
 	fmt.Fprintf(w, "%-28s %d flits\n", "Message Length", c.MsgLen)
 	fmt.Fprintf(w, "%-28s exponential\n", "Inter-arrival time")
 	fmt.Fprintf(w, "%-28s uniform, transpose, shuffle, bit-reversal\n", "Traffic")
-	fmt.Fprintf(w, "%-28s %d flits\n", "In/Out Buffer Size", c.BufDepth)
-	fmt.Fprintf(w, "%-28s %d\n", "VCs per PC", c.VCs)
+	fmt.Fprintf(w, "%-28s %d flits\n", "In/Out Buffer Size", core.BufDepth)
+	fmt.Fprintf(w, "%-28s %d\n", "VCs per PC", core.VCs)
 	fmt.Fprintf(w, "%-28s 1 unit\n", "Network Cycle Time")
 	fmt.Fprintf(w, "%-28s 5 units (PROUD) / 4 units (LA-PROUD)\n", "Router Latency (cont.-free)")
 	fmt.Fprintf(w, "%-28s %d unit(s)\n", "Link Delay", core.LinkDelay)

@@ -42,9 +42,12 @@ import (
 )
 
 // Config carries the microarchitectural parameters of one router. The zero
-// value is not usable. Nothing here checks it: a router is built only from
-// a configuration core.Config.Validate has accepted (NumVCs in [1, MaxVCs],
-// depths at least 1, ResvVCs below NumVCs).
+// value is not usable. Nothing here checks it: core.Run builds every router
+// from Table 2's constants (core.VCs, core.BufDepth, core.OutDepth,
+// core.ResvVCs) and a configuration core.Config.Validate has accepted, and
+// the geometry is a parameter only so that the router's and the network's
+// own tests can vary it (NumVCs from 1 to 8, ports x NumVCs at most
+// MaxInputVCs, depths at least 1, ResvVCs below the adaptive VCs).
 type Config struct {
 	// NumVCs is the number of virtual channels per physical channel.
 	NumVCs int
@@ -121,10 +124,6 @@ const (
 	// storage while in this phase.
 	phaseExpress
 )
-
-// MaxVCs bounds the virtual channels per physical channel: the router model
-// is specified for at most eight.
-const MaxVCs = 8
 
 // MaxInputVCs bounds ports x VCs per router: the work and request masks
 // and the crossbar arbiter (arbiter.MakeRoundRobin) index input VCs in one

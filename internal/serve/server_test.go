@@ -602,8 +602,8 @@ func requiredMembers(t *testing.T) []string {
 			names = append(names, name)
 		}
 	}
-	if len(names) != 13 {
-		t.Fatalf("%d required members %v, want 13", len(names), names)
+	if len(names) != 11 {
+		t.Fatalf("%d required members %v, want 11", len(names), names)
 	}
 	return names
 }
@@ -650,8 +650,9 @@ func jobBody(t *testing.T, p json.RawMessage) json.RawMessage {
 // retired inputs: the per-job deadline, the second damage field, the
 // cut-through switch, the per-run parallelism axis, the adaptive tier's
 // budget object and the router geometry fixed at Table 2 or derived from
-// the algorithm (escape VCs, output depth, link delay), each refused at
-// the outermost member the server cannot read.
+// the algorithm (escape VCs, output depth, link delay, VCs, input buffer
+// depth, the reserved QoS VCs), each refused at the outermost member the
+// server cannot read.
 func TestServerRefusesUnknownMembers(t *testing.T) {
 	t.Parallel()
 	_, c := testServer(t, t.TempDir(), ServerOptions{Runner: scripted})
@@ -687,6 +688,9 @@ func TestServerRefusesUnknownMembers(t *testing.T) {
 		{"escape_vcs", func(_, p map[string]any) { p["escape_vcs"] = 1 }},
 		{"out_depth", func(_, p map[string]any) { p["out_depth"] = 4 }},
 		{"link_delay", func(_, p map[string]any) { p["link_delay"] = 1 }},
+		{"vcs", func(_, p map[string]any) { p["vcs"] = 4 }},
+		{"buf_depth", func(_, p map[string]any) { p["buf_depth"] = 20 }},
+		{"hi_vcs", func(_, p map[string]any) { p["qos"] = map[string]any{"hi_frac": 0.2, "hi_vcs": 1} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var job map[string]any
@@ -1052,7 +1056,7 @@ func TestServedWorkloadOptionsMatchInProcess(t *testing.T) {
 
 	bursty := base
 	bursty.Burst = &traffic.Burst{OnFrac: 0.3, MeanOn: 100}
-	bursty.QoS = &core.QoSSpec{HiFrac: 0.2, HiVCs: 1}
+	bursty.QoS = &core.QoSSpec{HiFrac: 0.2}
 
 	stormy := base
 	stormy.Reliability = &core.Reliability{RTO: 512}

@@ -74,9 +74,6 @@ type Point struct {
 
 	Reliability *core.Reliability `json:"reliability,omitempty"`
 
-	VCs      *int `json:"vcs"`
-	BufDepth *int `json:"buf_depth"`
-
 	LookAhead *bool  `json:"lookahead"`
 	Algorithm string `json:"algorithm"`
 	Table     string `json:"table"`
@@ -119,8 +116,6 @@ func point(c *core.Config) Point {
 	return Point{
 		Dims:       append([]int(nil), c.Dims...),
 		Torus:      c.Torus,
-		VCs:        &c.VCs,
-		BufDepth:   &c.BufDepth,
 		LookAhead:  &c.LookAhead,
 		Algorithm:  c.Algorithm.String(),
 		Table:      c.Table.String(),
@@ -155,8 +150,6 @@ func (p Point) Config() (core.Config, error) {
 	c := core.Config{
 		Dims:       append([]int(nil), p.Dims...),
 		Torus:      p.Torus,
-		VCs:        *p.VCs,
-		BufDepth:   *p.BufDepth,
 		LookAhead:  *p.LookAhead,
 		Load:       *p.Load,
 		MsgLen:     *p.MsgLen,
@@ -205,10 +198,6 @@ func (p Point) missing() string {
 	switch {
 	case p.Dims == nil:
 		return "dims"
-	case p.VCs == nil:
-		return "vcs"
-	case p.BufDepth == nil:
-		return "buf_depth"
 	case p.LookAhead == nil:
 		return "lookahead"
 	case p.Algorithm == "":

@@ -16,8 +16,8 @@ import (
 )
 
 // wireTestConfigs is a spread of configurations exercising every field
-// the wire format carries: topology shape, torus wrap, fault plans,
-// router geometry, algorithm/table/selection/pattern enums, measurement
+// the wire format carries: topology shape, torus wrap, fault plans, the
+// pipeline, algorithm/table/selection/pattern enums, measurement
 // tiers (fixed and auto), guards, event mode, and the workload and
 // availability options (bursty sources, QoS classes, a fault schedule, the
 // reliability layer).
@@ -28,7 +28,6 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	torus := core.DefaultConfig()
 	torus.Dims = []int{4, 4}
 	torus.Torus = true
-	torus.VCs = 6
 	torus.Algorithm = core.AlgXY
 	torus.Table = table.KindFull
 	torus.Selection = selection.StaticXY
@@ -50,7 +49,6 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	exotic := core.DefaultConfig()
 	exotic.Dims = []int{2, 3, 4}
 	exotic.LookAhead = false
-	exotic.BufDepth = 7
 	exotic.MsgLen = 5
 	exotic.Load = 0.37
 	exotic.Seed = 99
@@ -64,7 +62,7 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	stormy := core.DefaultConfig()
 	stormy.Dims = []int{8, 8}
 	stormy.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 150}
-	stormy.QoS = &core.QoSSpec{HiFrac: 0.2, HiVCs: 1}
+	stormy.QoS = &core.QoSSpec{HiFrac: 0.2}
 	stormy.Reliability = &core.Reliability{RTO: 512, MaxAttempts: 5}
 	if stormy.Faults, err = fault.ParseSchedule(stormy.Mesh(), "27-28@500:1500,r9@800"); err != nil {
 		t.Fatalf("building fault schedule: %v", err)
@@ -135,7 +133,6 @@ func TestPointConfigErrors(t *testing.T) {
 		"bad selection":  func(p *Point) { p.Selection = "psychic" },
 		"bad pattern":    func(p *Point) { p.Pattern = "tsunami" },
 		"bad fault spec": func(p *Point) { p.Faults = "r-1" },
-		"zero vcs":       func(p *Point) { p.VCs = ref(0) },
 	}
 	for name, mutate := range cases {
 		p := good
@@ -162,10 +159,9 @@ func TestPointConfigErrors(t *testing.T) {
 	}
 	// core.Config.Validate's refusals name their field.
 	for field, mutate := range map[string]func(p *Point){
-		"MsgLen":   func(p *Point) { p.MsgLen = ref(0) },
-		"BufDepth": func(p *Point) { p.BufDepth = ref(0) },
-		"VCs":      func(p *Point) { p.Dims, p.Algorithm, p.VCs = []int{8}, "xy", ref(12) },
-		"AutoTol":  func(p *Point) { p.AutoTol = -1 },
+		"MsgLen":  func(p *Point) { p.MsgLen = ref(0) },
+		"Dims":    func(p *Point) { p.Dims, p.Algorithm = []int{2, 2, 2, 2, 2, 2, 2, 2}, "xy" },
+		"AutoTol": func(p *Point) { p.AutoTol = -1 },
 	} {
 		p := good
 		mutate(&p)
@@ -216,7 +212,7 @@ func TestPointCarriesEveryConfigField(t *testing.T) {
 		"Faults":      sched,
 		"Reliability": &core.Reliability{},
 		"Burst":       &traffic.Burst{OnFrac: 0.3, MeanOn: 100},
-		"QoS":         &core.QoSSpec{HiFrac: 0.2, HiVCs: 1},
+		"QoS":         &core.QoSSpec{HiFrac: 0.2},
 		"Trace":       traffic.StencilTrace(mesh, 64, 100, 4),
 		"Algorithm":   core.AlgXY,
 		"Table":       table.KindMetaRow, // full and interval key as es (canonical)
@@ -323,8 +319,8 @@ func TestPointFaultPayloads(t *testing.T) {
 		cfg  core.Config
 		want string
 	}{
-		{"static", cfgs[2], `{"dims":[8,8],"faults":"1-2,r27","vcs":4,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
-		{"timed", cfgs[6], `{"dims":[8,8],"faults":"27-28@500:1500,r9@800","reliability":{"rto":512,"max_attempts":5},"vcs":4,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":{"hi_frac":0.2,"hi_vcs":1},"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
+		{"static", cfgs[2], `{"dims":[8,8],"faults":"1-2,r27","lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
+		{"timed", cfgs[6], `{"dims":[8,8],"faults":"27-28@500:1500,r9@800","reliability":{"rto":512,"max_attempts":5},"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":{"hi_frac":0.2},"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
 	} {
 		p, err := PointFromConfig(tc.cfg)
 		if err != nil {
@@ -339,7 +335,7 @@ func TestPointFaultPayloads(t *testing.T) {
 		}
 	}
 
-	const atZero = `{"dims":[8,8],"faults":"1-2@0,r27@0","vcs":4,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
+	const atZero = `{"dims":[8,8],"faults":"1-2@0,r27@0","lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
 	var p Point
 	if err := json.Unmarshal([]byte(atZero), &p); err != nil {
 		t.Fatal(err)
@@ -366,7 +362,7 @@ func TestPointPayloadStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"dims":[16,16],"vcs":4,"buf_depth":20,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
+	const want = `{"dims":[16,16],"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
 	if string(got) != want {
 		t.Errorf("default point payload changed:\n got %s\nwant %s", got, want)
 	}
