@@ -126,7 +126,7 @@ unit)
 	# a spec whose items may be timed — a link failing and healing mid-run
 	# plus a router dead from the start, under the retransmission layer.
 	go run ./cmd/lapses-sim -faults 4 -measure 3000
-	go run ./cmd/lapses-sim -faults '12-13@2000:4000,r9' -reliability on -measure 3000
+	go run ./cmd/lapses-sim -faults '12-13@2000:4000,r9' -reliability -measure 3000
 	# Random selection keys each draw by (seed, router, message), so a run
 	# repeats itself on either kernel.
 	go build -o "$work/" ./cmd/lapses-sim
@@ -156,6 +156,23 @@ unit)
 		[ "$code" -eq 2 ]
 		grep -q -- "${args% *}" "$work/reject.txt"
 	done
+	# A word the flag package would stop at (the "false" of "-lookahead
+	# false", which ran LA-PROUD), a seed with no random draw to seed, a
+	# NaN high-class fraction, an endless burst and the retired
+	# -reliability values are refused, naming the cause, with usage
+	# status 2; each used to run something other than what was asked.
+	rejected() { # rejected <pattern> <args...>: exit 2 with a message matching <pattern>
+		local pattern=$1 code=0
+		shift
+		"$work/lapses-sim" "$@" 2>"$work/reject.txt" || code=$?
+		[ "$code" -eq 2 ] && grep -q -- "$pattern" "$work/reject.txt"
+	}
+	rejected 'unexpected argument "false"' -lookahead false
+	rejected '^lapses-sim: -fault-seed ' -fault-seed 7
+	rejected '^lapses-sim: core: QoS ' -qos NaN
+	rejected 'Burst.MeanOn +Inf' -burst 0.3,+Inf
+	rejected 'unexpected argument "2048,12,64"' -reliability 2048,12,64
+	rejected 'unexpected argument "on"' -reliability on
 	# A failed run still stops and flushes its CPU profile.
 	code=0
 	"$work/lapses-sim" -cpuprofile "$work/cpu.pprof" -dims 1x4 2>"$work/reject.txt" || code=$?
@@ -171,7 +188,8 @@ unit)
 	done
 	# lapses-experiments refuses a flag its run never reads, by name and
 	# before any simulation or health check: -reps without -csv, -workers
-	# with -server (the URL is unreachable; the refusal comes first).
+	# with -server (the URL is unreachable; the refusal comes first); and
+	# a positional argument, which the flag package would stop at.
 	go build -o "$work/" ./cmd/lapses-experiments
 	refused() { # refused <flag> <args...>: exit 2 with a message naming <flag>
 		local flag=$1 code=0
@@ -181,6 +199,7 @@ unit)
 	}
 	refused -reps -exp table1 -reps 3
 	refused -workers -exp table1 -server http://127.0.0.1:1 -workers 4
+	refused 'unexpected argument "stray"' -exp table1 stray
 	# A structure whose table build panics must panic again on the next
 	# touch, not hand back a remembered error: run the test twice in one
 	# process.
@@ -295,8 +314,10 @@ serve)
 		-d '{"points":[{"dims":[4,4],"look_ahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
 	[ "$code" -eq 400 ]
 	jq -e '.error | contains("\"look_ahead\"")' refused.json
-	# So is a router member fixed at Table 2 or derived from the algorithm.
-	for member in '"escape_vcs":1' '"vcs":4'; do
+	# So is a router member fixed at Table 2 or derived from the algorithm,
+	# and a reliability or QoS parameter object: the layer is a switch and
+	# QoS its high-class fraction.
+	for member in '"escape_vcs":1' '"vcs":4' '"reliability":{"rto":512}' '"qos":{"hi_frac":0.2}'; do
 		code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
 			-d '{"points":[{"dims":[4,4],'"$member"',"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
 		[ "$code" -eq 400 ]

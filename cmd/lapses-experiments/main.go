@@ -70,9 +70,13 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent simulations per sweep, saturation-search probes included (0 = GOMAXPROCS)")
 	csvDir := flag.String("csv", "", "also write <dir>/<exp>.csv for plottable experiments")
 	reps := flag.Int("reps", 1, "replications per experiment under derived seeds; CSVs gain mean/stderr columns")
-	events := flag.Bool("events", false, "run every point on the event-driven kernel (statistically equivalent, several times faster, not bit-comparable to cycle mode)")
+	events := flag.Bool("events", false, "run every point on the event-driven kernel (several times faster, not bit-comparable to cycle mode, mean latency a few cycles low; see README)")
 	server := flag.String("server", "", "execute grids via a lapses-serve instance at this URL instead of in-process")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		flag.Usage()
+		fatal(fmt.Errorf("unexpected argument %q (a boolean flag takes -name=false)", flag.Arg(0)))
+	}
 	flag.Visit(func(fl *flag.Flag) {
 		switch {
 		case fl.Name == "reps" && *csvDir == "":

@@ -82,6 +82,10 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "coordinator mode: how long a claimed lease survives without a heartbeat before its point is requeued; workers heartbeat every quarter of it")
 	workerID := flag.String("worker-id", "", "worker mode: stable identity in coordinator logs and lease ownership (default host:pid)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		flag.Usage()
+		fatal(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
+	}
 
 	switch *mode {
 	case "standalone", "coordinator", "worker":

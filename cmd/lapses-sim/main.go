@@ -14,13 +14,18 @@
 // routers with an r prefix. An item may carry "@DOWN" or "@DOWN:UP": it
 // then fails mid-run at cycle DOWN (and heals at UP), with live route
 // reconvergence at each transition; untimed items are down from the start
-// and never heal. The optional -reliability flag adds the end-to-end NI
-// retransmission layer on top, turning transition losses into retries:
+// and never heal. -fault-seed applies to a count only. The -reliability
+// switch adds the end-to-end NI retransmission layer on top, turning
+// transition losses into retries:
 //
 //	lapses-sim -load 0.3 -faults 4 -fault-seed 7
 //	lapses-sim -load 0.3 -faults 12-13,40-41,r77
 //	lapses-sim -load 0.3 -faults 12-13@5000:9000,r77@2000
-//	lapses-sim -load 0.3 -faults 12-13@5000:9000 -reliability on
+//	lapses-sim -load 0.3 -faults 12-13@5000:9000 -reliability
+//
+// Every argument is a flag: a stray word such as the "false" of
+// "-lookahead false" (a boolean flag takes "-lookahead=false") is refused,
+// since the flag package would stop there and ignore the rest.
 //
 // -burst switches every source to a bursty two-state MMPP at the same
 // mean rate, and -qos enables two-class traffic with VC reservation —
@@ -50,6 +55,7 @@ import (
 
 	"lapses/internal/core"
 	"lapses/internal/fault"
+	"lapses/internal/network"
 	"lapses/internal/traffic"
 )
 
@@ -75,19 +81,29 @@ func run() error {
 	flag.TextVar(&cfg.Pattern, "pattern", cfg.Pattern, "traffic pattern: uniform, transpose, bit-reversal, shuffle, ...")
 	load := flag.Float64("load", cfg.Load, "normalized load (1.0 = bisection saturation)")
 	burst := flag.String("burst", "", "bursty MMPP sources as ONFRAC,MEANON (e.g. 0.3,200): fraction of time spent ON and mean ON-period cycles, same mean rate as -load")
-	qos := flag.String("qos", "", "two-class QoS traffic as HIFRAC (e.g. 0.2): the high-class probability; the top adaptive VC is reserved for that class")
+	flag.Float64Var(&cfg.QoS, "qos", 0, "two-class QoS traffic: the high-class probability (e.g. 0.2; 0 = single-class); the top adaptive VC is reserved for that class")
 	msgLen := flag.Int("msglen", cfg.MsgLen, "message length in flits")
 	warmup := flag.Int("warmup", cfg.Warmup, "warm-up messages (excluded from stats)")
 	measure := flag.Int("measure", cfg.Measure, "measured messages")
 	seed := flag.Int64("seed", cfg.Seed, "random seed")
 	autoTol := flag.Float64("auto-tol", 0, "adaptive measurement: MSER-5 warmup truncation, then stop once the 95% CI half-width falls to this fraction of the mean (ceiling = warmup+measure; 0 = the fixed tier)")
 	faults := flag.String("faults", "", "failed equipment: a count of random link failures, or a \"A-B,...,rN\" spec whose items may be timed \"@DOWN[:UP]\" (untimed = down from the start; \":UP\" omitted = permanent)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for a random count of link failures")
-	reliability := flag.String("reliability", "", "end-to-end NI retransmission layer: \"on\" for defaults, or \"RTO,ATTEMPTS,ACKDELAY\" (cycles, count, cycles; 0 = default)")
-	events := flag.Bool("events", false, "event-driven kernel: observationally equivalent to cycle mode, not bit-identical (see README)")
+	faultSeed := flag.Int64("fault-seed", 1, "seed for a random count of link failures (with a count -faults only)")
+	flag.BoolVar(&cfg.Reliability, "reliability", false, fmt.Sprintf("end-to-end NI retransmission layer (RTO %d cycles, %d attempts, acks held %d cycles)",
+		network.DefaultRTO, network.DefaultMaxAttempts, network.DefaultAckDelay))
+	events := flag.Bool("events", false, "event-driven kernel: faster, not bit-identical to cycle mode, mean latency a few cycles low (see README)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		flag.Usage()
+		return fmt.Errorf("unexpected argument %q (a boolean flag takes -name=false)", flag.Arg(0))
+	}
+	// A seed with no random draw to seed would run something other than
+	// what was asked for, unnoticed.
+	if _, err := strconv.Atoi(strings.TrimSpace(*faults)); err != nil && isSet("fault-seed") {
+		return fmt.Errorf("-fault-seed seeds a count -faults of random link failures, and -faults %q is none", *faults)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -114,19 +130,9 @@ func run() error {
 			return err
 		}
 	}
-	if *qos != "" {
-		if cfg.QoS, err = parseQoS(*qos); err != nil {
-			return err
-		}
-	}
 	cfg.EventMode = *events
 	if *faults != "" {
 		if cfg.Faults, err = parseFaults(cfg, *faults, *faultSeed); err != nil {
-			return err
-		}
-	}
-	if *reliability != "" {
-		if cfg.Reliability, err = parseReliability(*reliability); err != nil {
 			return err
 		}
 	}
@@ -144,9 +150,9 @@ func run() error {
 		fmt.Printf("bursty         MMPP on/off sources: on-fraction %.2f, mean on-period %.0f cycles\n",
 			cfg.Burst.OnFrac, cfg.Burst.MeanOn)
 	}
-	if cfg.QoS != nil {
+	if cfg.QoS != 0 {
 		fmt.Printf("qos            high-class probability %.2f, top %d adaptive VC(s) reserved\n",
-			cfg.QoS.HiFrac, core.ResvVCs)
+			cfg.QoS, core.ResvVCs)
 	}
 	timed := cfg.Faults.Epochs() > 1
 	if p := cfg.Faults.Plan(0); !timed && !p.Empty() {
@@ -183,7 +189,7 @@ func run() error {
 		fmt.Printf("availability   %.4f of measured messages delivered, rate recovered %s\n",
 			res.DeliveredFraction, recovery)
 	}
-	if cfg.Reliability != nil {
+	if cfg.Reliability {
 		fmt.Printf("reliability    %d retransmissions, %d duplicates suppressed, %d abandoned\n",
 			res.Retransmits, res.DupSuppressed, res.Abandoned)
 	}
@@ -209,37 +215,17 @@ func run() error {
 	return nil
 }
 
+// isSet reports whether the command line set the named flag.
+func isSet(name string) (set bool) {
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
 func pipeName(la bool) string {
 	if la {
 		return "LA-PROUD (4-stage)"
 	}
 	return "PROUD (5-stage)"
-}
-
-// parseReliability reads the -reliability spec: "on" takes every
-// default, otherwise "RTO,ATTEMPTS,ACKDELAY" with zeros falling back to
-// the defaults (core validates signs and the network applies defaults).
-func parseReliability(spec string) (*core.Reliability, error) {
-	if strings.TrimSpace(spec) == "on" {
-		return &core.Reliability{}, nil
-	}
-	parts := strings.Split(spec, ",")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("bad -reliability %q: want \"on\" or RTO,ATTEMPTS,ACKDELAY (e.g. 2048,12,64)", spec)
-	}
-	rto, err := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("bad -reliability %q: %v", spec, err)
-	}
-	attempts, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err != nil {
-		return nil, fmt.Errorf("bad -reliability %q: %v", spec, err)
-	}
-	ackDelay, err := strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("bad -reliability %q: %v", spec, err)
-	}
-	return &core.Reliability{RTO: rto, MaxAttempts: attempts, AckDelay: ackDelay}, nil
 }
 
 // parseFaults builds the damage: a bare integer draws that many random
@@ -273,16 +259,6 @@ func parseBurst(spec string) (*traffic.Burst, error) {
 		return nil, fmt.Errorf("bad -burst %q: %v", spec, err)
 	}
 	return &traffic.Burst{OnFrac: onFrac, MeanOn: meanOn}, nil
-}
-
-// parseQoS reads the -qos spec "HIFRAC" into a two-class QoS
-// specification; core.Run checks the range.
-func parseQoS(spec string) (*core.QoSSpec, error) {
-	hiFrac, err := strconv.ParseFloat(strings.TrimSpace(spec), 64)
-	if err != nil {
-		return nil, fmt.Errorf("bad -qos %q: want HIFRAC (e.g. 0.2): %v", spec, err)
-	}
-	return &core.QoSSpec{HiFrac: hiFrac}, nil
 }
 
 func parseDims(s string) ([]int, error) {

@@ -125,12 +125,13 @@
 // transfers collapse into single "worm" events (one event, one batched
 // credit, one deferred VC release per uncontended hop), with any hop the
 // router cannot absorb in O(1) unpacking back onto the unchanged
-// cycle-accurate path. Event mode is observationally equivalent —
-// latency within the adaptive controller's CI and throughput within
-// fractions of a percent of the cycle kernel, several times the
-// cycles/sec — but not bit-identical to it, so Config.Key() marks it
-// (",ev") and the goldens and bit-equivalence suites stay on the cycle
-// kernel. Use -events for sweeps and experiments; use the default cycle
+// cycle-accurate path. It runs several times the cycles/sec with
+// throughput within fractions of a percent of the cycle kernel, but it is
+// not bit-identical, and its mean latency is biased low: 1.65-6.03 cycles
+// below cycle mode in 24 of 24 seeded runs, 11 of them outside the
+// combined 95% CI, and -1.5% to -3.9% on a 16x16 LA-PROUD mesh. So
+// Config.Key() marks it (",ev") and the goldens and bit-equivalence
+// suites stay on the cycle kernel. Use -events for sweeps and experiments; use the default cycle
 // kernel whenever bits matter. See README.md "Execution modes".
 //
 // internal/serve turns the sweep engine into a fault-tolerant service

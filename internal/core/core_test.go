@@ -91,9 +91,11 @@ func TestValidation(t *testing.T) {
 
 // TestValidateRefusesUnrunnableValues: a load no node can inject (the
 // injector would draw forever on it, or NaN keys a meaningless run), a
-// saturation guard that is NaN (off) or negative (every run saturated) and
-// a negative cycle budget (one cycle, then "exhausted") are refused,
-// naming their field. The most a node can inject is accepted.
+// saturation guard that is NaN (off) or negative (every run saturated), a
+// negative cycle budget (one cycle, then "exhausted"), a NaN high-class
+// fraction (it reserved the VC and sent no high-class traffic) and an
+// infinite burst (its source never left ON, offering Load/OnFrac) are
+// refused, naming their field. The most a node can inject is accepted.
 func TestValidateRefusesUnrunnableValues(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -107,11 +109,13 @@ func TestValidateRefusesUnrunnableValues(t *testing.T) {
 		{"SatLatency", func(c *Config) { c.SatLatency = -1 }},
 		{"SatLatency", func(c *Config) { c.SatLatency = math.Inf(-1) }},
 		{"MaxCycles", func(c *Config) { c.MaxCycles = -5 }},
+		{"QoS", func(c *Config) { c.QoS = math.NaN() }},
+		{"MeanOn", func(c *Config) { c.Burst = &traffic.Burst{OnFrac: 0.3, MeanOn: math.Inf(1)} }},
 	} {
 		c := DefaultConfig()
 		tc.set(&c)
 		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("Load %g, SatLatency %g, MaxCycles %d: err=%v, want one naming %s", c.Load, c.SatLatency, c.MaxCycles, err, tc.field)
+			t.Errorf("%s: err=%v, want one naming it", tc.field, err)
 		}
 	}
 	c := DefaultConfig()
@@ -473,7 +477,7 @@ func TestConfigKey(t *testing.T) {
 		func(c *Config) { c.Load = 0.25 },
 		func(c *Config) { c.MsgLen = 5 },
 		func(c *Config) { c.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 100} },
-		func(c *Config) { c.QoS = &QoSSpec{HiFrac: 0.2} },
+		func(c *Config) { c.QoS = 0.2 },
 		func(c *Config) { c.Trace = &traffic.Trace{} },
 		func(c *Config) { c.Warmup = 1 },
 		func(c *Config) { c.Measure = 7 },
@@ -482,7 +486,7 @@ func TestConfigKey(t *testing.T) {
 		func(c *Config) { c.SatLatency = 1234 },
 		func(c *Config) { c.Seed = 42 },
 		func(c *Config) { c.EventMode = true },
-		func(c *Config) { c.Reliability = &Reliability{RTO: 256} },
+		func(c *Config) { c.Reliability = true },
 	}
 	// Every field of Config must have a perturbation above: a field
 	// added without extending Key would silently alias memo-cache

@@ -14,6 +14,7 @@ import (
 
 	"lapses/internal/core"
 	"lapses/internal/fault"
+	"lapses/internal/network"
 	"lapses/internal/selection"
 	"lapses/internal/table"
 	"lapses/internal/traffic"
@@ -144,8 +145,9 @@ func TestGoldenFaults(t *testing.T) {
 // goldenScheduleGrid pins the transient-fault kernel: an 8x8 mesh under a
 // timed link storm and a timed router storm (failures and repairs landing
 // mid-measurement), 2 loads x both pipelines x both kernels x the
-// reliability layer off and on. Transition semantics — the purge, the
-// drain discipline, table swaps, rerouting, credit recomputation, the NI
+// reliability layer off and on, the layer run by runGolden with a short
+// timeout and budget. Transition semantics — the purge, the drain
+// discipline, table swaps, rerouting, credit recomputation, the NI
 // retransmission timers — must reproduce these Results bit for bit or
 // regenerate deliberately.
 func goldenScheduleGrid(t *testing.T) (cfgs []core.Config, keys []string) {
@@ -173,9 +175,7 @@ func goldenScheduleGrid(t *testing.T) (cfgs []core.Config, keys []string) {
 						c.Load = load
 						c.LookAhead = la
 						c.EventMode = events
-						if rel {
-							c.Reliability = &core.Reliability{RTO: 400, MaxAttempts: 8}
-						}
+						c.Reliability = rel
 						cfgs = append(cfgs, c)
 						keys = append(keys, fmt.Sprintf("%s/load=%.2f/la=%t/ev=%t/rel=%t", st.name, load, la, events, rel))
 					}
@@ -184,6 +184,18 @@ func goldenScheduleGrid(t *testing.T) (cfgs []core.Config, keys []string) {
 		}
 	}
 	return cfgs, keys
+}
+
+// runGolden is core.Run with the reliability layer, where a config turns
+// it on, given a 400-cycle timeout and 8 attempts in place of the
+// network's defaults: a kernel test parameter, under which the storms
+// exhaust some messages' budgets, so the fixture pins abandonment too.
+func runGolden(c core.Config) (core.Result, error) {
+	return core.RunWith(c, func(nc *network.Config) {
+		if nc.Reliability != nil {
+			nc.Reliability = &network.Reliability{RTO: 400, MaxAttempts: 8}
+		}
+	})
 }
 
 // scheduleFingerprint is fingerprint plus what a schedule run adds: the
@@ -205,7 +217,7 @@ func TestGoldenSchedule(t *testing.T) {
 	cfgs, keys := goldenScheduleGrid(t)
 	got := make(map[string]string, len(cfgs))
 	for i, c := range cfgs {
-		r, err := core.Run(c)
+		r, err := runGolden(c)
 		if err != nil {
 			t.Fatalf("%s: %v", keys[i], err)
 		}
@@ -436,7 +448,7 @@ func TestGoldenShuffledRecycling(t *testing.T) {
 		rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
 		got := map[string]map[string]string{}
 		for _, p := range pts {
-			r, err := core.Run(p.cfg)
+			r, err := runGolden(p.cfg)
 			if err != nil {
 				t.Fatalf("pass %d, %s %s: %v", pass, p.file, p.key, err)
 			}
@@ -526,7 +538,7 @@ func TestNotifyBurstyDeterminism(t *testing.T) {
 	base.Pattern = traffic.Hotspot
 	base.Selection = selection.NotifyLRU
 	base.Burst = &traffic.Burst{OnFrac: 0.3, MeanOn: 100}
-	base.QoS = &core.QoSSpec{HiFrac: 0.2}
+	base.QoS = 0.2
 	base.Load = 0.1
 	base.Warmup, base.Measure = 100, 800
 	for _, events := range []bool{false, true} {

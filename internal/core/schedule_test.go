@@ -7,6 +7,7 @@ import (
 
 	"lapses/internal/core"
 	"lapses/internal/fault"
+	"lapses/internal/network"
 	"lapses/internal/table"
 	"lapses/internal/topology"
 	"lapses/internal/traffic"
@@ -57,11 +58,11 @@ func TestScheduleKeys(t *testing.T) {
 		t.Errorf("timed schedule missing from key %s", k)
 	}
 	withRel := base
-	withRel.Reliability = &core.Reliability{RTO: 512}
-	if k := withRel.Key(); !strings.Contains(k, ",rel[512,0,0]") {
+	withRel.Reliability = true
+	if k := withRel.Key(); !strings.HasSuffix(k, ",rel") {
 		t.Errorf("reliability layer missing from key %s", k)
 	}
-	if k := base.Key(); strings.Contains(k, ",f[") || strings.Contains(k, ",rel[") {
+	if k := base.Key(); strings.Contains(k, ",f[") || strings.Contains(k, ",rel") {
 		t.Errorf("healthy key polluted: %s", k)
 	}
 }
@@ -99,7 +100,7 @@ func TestKeyLiterals(t *testing.T) {
 	static.Faults = fault.Static(plan)
 	spelled.Faults = untimed
 	stormy.Faults = timed
-	stormy.Reliability = &core.Reliability{RTO: 400, MaxAttempts: 8}
+	stormy.Reliability = true
 	event, auto, burst, qos, torus, cube, traced := base, base, base, base, base, base, base
 	event.EventMode = true
 	auto.AutoTol = 0.02
@@ -109,7 +110,7 @@ func TestKeyLiterals(t *testing.T) {
 	fidelityAuto.AutoTol = 0.03
 	simAuto.AutoTol = 0.05
 	burst.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 50}
-	qos.QoS = &core.QoSSpec{HiFrac: 0.1}
+	qos.QoS = 0.1
 	torus.Torus = true
 	cube.Dims = []int{4, 4, 4}
 	tr, err := traffic.NewTrace([]traffic.TraceMsg{{At: 0, Src: 1, Dst: 2, Length: 20}, {At: 5, Src: 3, Dst: 0, Length: 4}})
@@ -242,8 +243,12 @@ func TestScheduleReliabilityRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Faults = sched
-	c.Reliability = &core.Reliability{RTO: 600, MaxAttempts: 20, AckDelay: 32}
-	r, err := core.Run(c)
+	c.Reliability = true
+	// A shorter timeout and ack delay than the layer's, and a larger
+	// budget: kernel parameters, set through the test seam.
+	r, err := core.RunWith(c, func(nc *network.Config) {
+		nc.Reliability = &network.Reliability{RTO: 600, MaxAttempts: 20, AckDelay: 32}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,9 +104,7 @@ func (r Runner) Availability(ctx context.Context) ([]AvailabilityRow, error) {
 			c.Algorithm = pol.alg
 			c.Selection = pol.sel
 			c.Faults = sched
-			if rel.on {
-				c.Reliability = &core.Reliability{}
-			}
+			c.Reliability = rel.on
 			slot := rel.slot(row)
 			g.add(c, func(res core.Result) { *slot = res })
 		}

@@ -42,9 +42,9 @@ type CongestionWorkload struct {
 	// Burst, when non-nil, replaces the stationary Poisson sources with
 	// bursty MMPP on/off sources at the same mean rate.
 	Burst *traffic.Burst
-	// QoS, when non-nil, enables the two-class traffic mix with VC
-	// reservation.
-	QoS *core.QoSSpec
+	// QoS, when nonzero, is the high-class fraction of the two-class
+	// traffic mix with VC reservation (core.Config.QoS).
+	QoS float64
 	// FaultLinks > 0 degrades the mesh with that many failed links (the
 	// plan is drawn like the resilience experiment's, seeded from the
 	// runner's seed).
@@ -65,7 +65,6 @@ func congestionBurst() *traffic.Burst { return &traffic.Burst{OnFrac: 0.3, MeanO
 // much lower loads because the hot node's ejection channel caps the
 // pattern's saturation near load 0.15 on the 16x16 mesh.
 func CongestionWorkloads() []CongestionWorkload {
-	qos := &core.QoSSpec{HiFrac: 0.2}
 	return []CongestionWorkload{
 		{Name: "bursty-uniform", Pattern: traffic.Uniform, Burst: congestionBurst(),
 			LatLoad: 0.2, OvrLoad: 0.9, SatLo: 0.1, SatHi: 1.0},
@@ -75,7 +74,7 @@ func CongestionWorkloads() []CongestionWorkload {
 			LatLoad: 0.08, OvrLoad: 0.2, SatLo: 0.02, SatHi: 0.4},
 		{Name: "bursty-hotspot", Pattern: traffic.Hotspot, Burst: congestionBurst(),
 			LatLoad: 0.08, OvrLoad: 0.2, SatLo: 0.02, SatHi: 0.4},
-		{Name: "qos-bursty-uniform", Pattern: traffic.Uniform, Burst: congestionBurst(), QoS: qos,
+		{Name: "qos-bursty-uniform", Pattern: traffic.Uniform, Burst: congestionBurst(), QoS: 0.2,
 			LatLoad: 0.2, OvrLoad: 0.9, SatLo: 0.1, SatHi: 1.0},
 		{Name: "bursty-uniform-4faults", Pattern: traffic.Uniform, Burst: congestionBurst(), FaultLinks: 4,
 			LatLoad: 0.2, OvrLoad: 0.9, SatLo: 0.1, SatHi: 1.0},
@@ -88,8 +87,8 @@ func (w CongestionWorkload) Describe() string {
 	if w.Burst != nil {
 		s += fmt.Sprintf(" + MMPP(on %.2f, mean-on %.0f)", w.Burst.OnFrac, w.Burst.MeanOn)
 	}
-	if w.QoS != nil {
-		s += fmt.Sprintf(" + QoS(hi %.2f, %d resv VC)", w.QoS.HiFrac, core.ResvVCs)
+	if w.QoS != 0 {
+		s += fmt.Sprintf(" + QoS(hi %.2f, %d resv VC)", w.QoS, core.ResvVCs)
 	}
 	if w.FaultLinks > 0 {
 		s += fmt.Sprintf(" + %d failed links", w.FaultLinks)
@@ -234,8 +233,8 @@ func congestionRecords(rows []CongestionRow) [][]string {
 			onFrac = fixed(b.OnFrac, 3)
 			meanOn = fixed(b.MeanOn, 1)
 		}
-		if q := r.Workload.QoS; q != nil {
-			hiFrac = fixed(q.HiFrac, 3)
+		if q := r.Workload.QoS; q != 0 {
+			hiFrac = fixed(q, 3)
 		}
 		plan := ""
 		if r.Plan != nil {

@@ -1,8 +1,6 @@
 package network
 
 import (
-	"fmt"
-
 	"lapses/internal/flow"
 	"lapses/internal/topology"
 )
@@ -31,47 +29,43 @@ import (
 // Everything runs inside the NI tick/deliver paths: per-NI state is only
 // touched by its own NI, and cross-NI effects travel as ordinary messages.
 
+// The reliability layer's parameters, which every product run uses (core
+// turns the layer on or off and sets none of them): the base
+// retransmission timeout in cycles, the send attempts per message, and
+// the cycles a receiver holds an acknowledgment for reverse traffic.
+const (
+	DefaultRTO         = 2048
+	DefaultMaxAttempts = 12
+	DefaultAckDelay    = 64
+)
+
 // Reliability configures the end-to-end NI reliability layer. The zero
-// value of each field selects its default.
+// value of each field selects its default; the kernel's tests set others.
 type Reliability struct {
-	// RTO is the base retransmission timeout in cycles (default 2048).
+	// RTO is the base retransmission timeout in cycles (DefaultRTO).
 	// Attempt k waits RTO<<min(k-1, 6). It should comfortably exceed the
 	// round-trip time at the target load, or healthy traffic retransmits.
-	RTO int64 `json:"rto,omitempty"`
+	RTO int64
 	// MaxAttempts bounds total send attempts per message, the first
-	// included (default 12). A message unacknowledged after the last
-	// attempt's timeout is abandoned and counted lost.
-	MaxAttempts int `json:"max_attempts,omitempty"`
+	// included (DefaultMaxAttempts). A message unacknowledged after the
+	// last attempt's timeout is abandoned and counted lost.
+	MaxAttempts int
 	// AckDelay is how long a receiver holds a pending acknowledgment
 	// waiting for reverse traffic to piggyback on before it spends a
-	// one-flit pure ack (default 64 cycles).
-	AckDelay int64 `json:"ack_delay,omitempty"`
-}
-
-// Validate reports configuration errors.
-func (r *Reliability) Validate() error {
-	if r.RTO < 0 {
-		return fmt.Errorf("network: negative reliability RTO %d", r.RTO)
-	}
-	if r.MaxAttempts < 0 {
-		return fmt.Errorf("network: negative reliability MaxAttempts %d", r.MaxAttempts)
-	}
-	if r.AckDelay < 0 {
-		return fmt.Errorf("network: negative reliability AckDelay %d", r.AckDelay)
-	}
-	return nil
+	// one-flit pure ack (DefaultAckDelay cycles).
+	AckDelay int64
 }
 
 // withDefaults returns the configuration with zero fields resolved.
 func (r Reliability) withDefaults() Reliability {
 	if r.RTO == 0 {
-		r.RTO = 2048
+		r.RTO = DefaultRTO
 	}
 	if r.MaxAttempts == 0 {
-		r.MaxAttempts = 12
+		r.MaxAttempts = DefaultMaxAttempts
 	}
 	if r.AckDelay == 0 {
-		r.AckDelay = 64
+		r.AckDelay = DefaultAckDelay
 	}
 	return r
 }

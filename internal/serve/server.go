@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -430,8 +431,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // decodeBody reads a JSON request body into v, naming the cap when the
 // body is over maxBody. The body is one JSON value: anything but
 // whitespace after it is refused, and so is a member v does not declare,
-// at any depth — the error names it — since a server that dropped a
-// misspelled setting would answer a question nobody asked.
+// at any depth, or one of another JSON type than v reads (such as an
+// object for a switch) — the error names it — since a server that dropped
+// a misspelled setting would answer a question nobody asked.
 func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -443,9 +445,13 @@ func decodeBody(r *http.Request, v any) error {
 		}
 	}
 	var big *http.MaxBytesError
+	var typ *json.UnmarshalTypeError
 	switch {
 	case errors.As(err, &big):
 		return fmt.Errorf("request body is over the %d MiB limit", big.Limit>>20)
+	case errors.As(err, &typ) && typ.Field != "":
+		member := typ.Field[strings.LastIndexByte(typ.Field, '.')+1:]
+		return fmt.Errorf("json: member %q (%s) is a %s, not a JSON %s", member, typ.Field, typ.Type, typ.Value)
 	case decoded:
 		return errors.New("request body has data after its JSON value")
 	}

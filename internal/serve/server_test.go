@@ -649,10 +649,11 @@ func jobBody(t *testing.T, p json.RawMessage) json.RawMessage {
 // answered as the default setting: PROUD for a misspelled lookahead) and
 // retired inputs: the per-job deadline, the second damage field, the
 // cut-through switch, the per-run parallelism axis, the adaptive tier's
-// budget object and the router geometry fixed at Table 2 or derived from
+// budget object, the router geometry fixed at Table 2 or derived from
 // the algorithm (escape VCs, output depth, link delay, VCs, input buffer
-// depth, the reserved QoS VCs), each refused at the outermost member the
-// server cannot read.
+// depth) and the reliability and QoS parameter objects, now a switch and
+// a fraction, each refused at the outermost member the server cannot
+// read.
 func TestServerRefusesUnknownMembers(t *testing.T) {
 	t.Parallel()
 	_, c := testServer(t, t.TempDir(), ServerOptions{Runner: scripted})
@@ -680,7 +681,8 @@ func TestServerRefusesUnknownMembers(t *testing.T) {
 	}{
 		{"look_ahead", func(_, p map[string]any) { p["look_ahead"] = true }},
 		{"auto", func(_, p map[string]any) { p["auto"] = map[string]any{"max_mesages": 5000} }},
-		{"max_atempts", func(_, p map[string]any) { p["reliability"] = map[string]any{"rto": 512, "max_atempts": 5} }},
+		{"reliability", func(_, p map[string]any) { p["reliability"] = map[string]any{"rto": 512} }},
+		{"mean_onn", func(_, p map[string]any) { p["burst"] = map[string]any{"on_frac": 0.3, "mean_onn": 100} }},
 		{"timeout_ms", func(j, _ map[string]any) { j["timeout_ms"] = 1000 }},
 		{"schedule", func(_, p map[string]any) { p["schedule"] = "12-13@100:200" }},
 		{"cut_through", func(_, p map[string]any) { p["cut_through"] = true }},
@@ -690,7 +692,7 @@ func TestServerRefusesUnknownMembers(t *testing.T) {
 		{"link_delay", func(_, p map[string]any) { p["link_delay"] = 1 }},
 		{"vcs", func(_, p map[string]any) { p["vcs"] = 4 }},
 		{"buf_depth", func(_, p map[string]any) { p["buf_depth"] = 20 }},
-		{"hi_vcs", func(_, p map[string]any) { p["qos"] = map[string]any{"hi_frac": 0.2, "hi_vcs": 1} }},
+		{"qos", func(_, p map[string]any) { p["qos"] = map[string]any{"hi_frac": 0.2} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var job map[string]any
@@ -1056,10 +1058,10 @@ func TestServedWorkloadOptionsMatchInProcess(t *testing.T) {
 
 	bursty := base
 	bursty.Burst = &traffic.Burst{OnFrac: 0.3, MeanOn: 100}
-	bursty.QoS = &core.QoSSpec{HiFrac: 0.2}
+	bursty.QoS = 0.2
 
 	stormy := base
-	stormy.Reliability = &core.Reliability{RTO: 512}
+	stormy.Reliability = true
 	var err error
 	if stormy.Faults, err = fault.ParseSchedule(stormy.Mesh(), "27-28@300:900,r9@500"); err != nil {
 		t.Fatal(err)

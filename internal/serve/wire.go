@@ -56,10 +56,10 @@ import (
 // and stable across releases. Damage, static or timed, travels
 // under "faults" as its canonical spec string, the form lapses-sim -faults
 // reads, which fault.ParseSchedule turns into Config.Faults; the adaptive
-// tier is its tolerance, "auto_tol"; burst, QoS and reliability parameters
-// travel as the core types themselves, which carry the wire's names as
-// struct tags. Trace workloads have no wire form — PointFromConfig rejects
-// them. A server decodes a point strictly: a member Point does not
+// tier is its tolerance, "auto_tol"; the reliability layer is a switch,
+// "reliability", and QoS its high-class fraction, "qos"; burst parameters
+// travel as traffic.Burst itself, which carries the wire's names as struct
+// tags. Trace workloads have no wire form — PointFromConfig rejects them. A server decodes a point strictly: a member Point does not
 // declare, at any depth, refuses the job.
 //
 // The contract, pinned by TestPointCarriesEveryConfigField over every
@@ -72,7 +72,7 @@ type Point struct {
 	Torus  bool   `json:"torus,omitempty"`
 	Faults string `json:"faults,omitempty"` // damage, e.g. "12-13,r77" or "12-13@5000:9000,r77"
 
-	Reliability *core.Reliability `json:"reliability,omitempty"`
+	Reliability bool `json:"reliability,omitempty"`
 
 	LookAhead *bool  `json:"lookahead"`
 	Algorithm string `json:"algorithm"`
@@ -83,7 +83,7 @@ type Point struct {
 	Load    *float64       `json:"load"`
 	MsgLen  *int           `json:"msg_len"`
 	Burst   *traffic.Burst `json:"burst,omitempty"`
-	QoS     *core.QoSSpec  `json:"qos,omitempty"`
+	QoS     float64        `json:"qos,omitempty"`
 
 	Warmup  *int    `json:"warmup"`
 	Measure *int    `json:"measure"`

@@ -62,8 +62,8 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	stormy := core.DefaultConfig()
 	stormy.Dims = []int{8, 8}
 	stormy.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 150}
-	stormy.QoS = &core.QoSSpec{HiFrac: 0.2}
-	stormy.Reliability = &core.Reliability{RTO: 512, MaxAttempts: 5}
+	stormy.QoS = 0.2
+	stormy.Reliability = true
 	if stormy.Faults, err = fault.ParseSchedule(stormy.Mesh(), "27-28@500:1500,r9@800"); err != nil {
 		t.Fatalf("building fault schedule: %v", err)
 	}
@@ -208,14 +208,12 @@ func TestPointCarriesEveryConfigField(t *testing.T) {
 	// fields list the value they are switched on with; their sub-fields are
 	// then perturbed from it.
 	replace := map[string]any{
-		"Dims":        []int{8, 8},
-		"Faults":      sched,
-		"Reliability": &core.Reliability{},
-		"Burst":       &traffic.Burst{OnFrac: 0.3, MeanOn: 100},
-		"QoS":         &core.QoSSpec{HiFrac: 0.2},
-		"Trace":       traffic.StencilTrace(mesh, 64, 100, 4),
-		"Algorithm":   core.AlgXY,
-		"Table":       table.KindMetaRow, // full and interval key as es (canonical)
+		"Dims":      []int{8, 8},
+		"Faults":    sched,
+		"Burst":     &traffic.Burst{OnFrac: 0.3, MeanOn: 100},
+		"Trace":     traffic.StencilTrace(mesh, 64, 100, 4),
+		"Algorithm": core.AlgXY,
+		"Table":     table.KindMetaRow, // full and interval key as es (canonical)
 	}
 	offWire := map[string]bool{"Trace": true}
 
@@ -303,8 +301,8 @@ func TestPointHoldsConfigTypes(t *testing.T) {
 			carried++
 		}
 	}
-	if carried != 3 {
-		t.Errorf("%d sub-configs travel as themselves, want 3 (Reliability, Burst, QoS)", carried)
+	if carried != 1 {
+		t.Errorf("%d sub-configs travel as themselves, want 1 (Burst)", carried)
 	}
 }
 
@@ -320,7 +318,7 @@ func TestPointFaultPayloads(t *testing.T) {
 		want string
 	}{
 		{"static", cfgs[2], `{"dims":[8,8],"faults":"1-2,r27","lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
-		{"timed", cfgs[6], `{"dims":[8,8],"faults":"27-28@500:1500,r9@800","reliability":{"rto":512,"max_attempts":5},"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":{"hi_frac":0.2},"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
+		{"timed", cfgs[6], `{"dims":[8,8],"faults":"27-28@500:1500,r9@800","reliability":true,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":0.2,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
 	} {
 		p, err := PointFromConfig(tc.cfg)
 		if err != nil {

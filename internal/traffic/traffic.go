@@ -34,6 +34,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"unsafe"
@@ -464,7 +465,7 @@ type Burst struct {
 	// state, in (0, 1]. OnFrac 1 degenerates to the stationary Poisson
 	// source.
 	OnFrac float64 `json:"on_frac"`
-	// MeanOn is the mean ON-period duration in cycles (> 0). The mean OFF
+	// MeanOn is the mean ON-period duration in cycles (> 0, finite). The mean OFF
 	// period follows as MeanOn*(1-OnFrac)/OnFrac.
 	MeanOn float64 `json:"mean_on"`
 }
@@ -474,8 +475,10 @@ func (b Burst) Validate() error {
 	if !(b.OnFrac > 0 && b.OnFrac <= 1) {
 		return fmt.Errorf("traffic: Burst.OnFrac %g outside (0, 1]", b.OnFrac)
 	}
-	if !(b.MeanOn > 0) {
-		return fmt.Errorf("traffic: Burst.MeanOn %g must be positive", b.MeanOn)
+	// An infinite ON period never ends, so the source would offer
+	// Load/OnFrac forever instead of Load.
+	if !(b.MeanOn > 0) || math.IsInf(b.MeanOn, 1) {
+		return fmt.Errorf("traffic: Burst.MeanOn %g must be positive and finite", b.MeanOn)
 	}
 	return nil
 }
