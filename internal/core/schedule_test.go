@@ -130,7 +130,7 @@ func TestKeyLiterals(t *testing.T) {
 		{"healthy", base, healthy},
 		{"static plan", static, healthy + ",f[27-28;35-43;r9]"},
 		{"untimed schedule", spelled, healthy + ",f[27-28;35-43;r9]"},
-		{"timed schedule", stormy, healthy + ",f[27-28@1100:1800;r9@1200],rel[400,8,0]"},
+		{"timed schedule", stormy, healthy + ",f[27-28@1100:1800;r9@1200],rel"},
 		{"event mode", event, healthy + ",ev"},
 		{"adaptive tier", auto, healthy + ",au3f947ae147ae147b"},
 		{"fidelity auto", fidelityAuto, healthy + ",au3f9eb851eb851eb8"},
