@@ -131,8 +131,9 @@
 // below cycle mode in 24 of 24 seeded runs, 11 of them outside the
 // combined 95% CI, and -1.5% to -3.9% on a 16x16 LA-PROUD mesh. So
 // Config.Key() marks it (",ev") and the goldens and bit-equivalence
-// suites stay on the cycle kernel. Use -events for sweeps and experiments; use the default cycle
-// kernel whenever bits matter. See README.md "Execution modes".
+// suites stay on the cycle kernel. Use -events for sweeps and
+// experiments; use the default cycle kernel whenever bits or small
+// latency differences matter. See README.md "Execution modes".
 //
 // internal/serve turns the sweep engine into a fault-tolerant service
 // (cmd/lapses-serve): grid jobs arrive over HTTP/JSON, are leased one

@@ -160,8 +160,7 @@ type Config struct {
 	// channel is reserved for high-class traffic (escape VCs stay shared,
 	// preserving deadlock freedom). 0 keeps single-class traffic. The class
 	// draw consumes one extra variate from the node's generation stream per
-	// message, so single-class runs consume exactly the draws they did
-	// before QoS existed.
+	// message, gated on QoS, so single-class runs draw nothing extra.
 	QoS float64
 	// Trace, when non-nil, replaces Pattern/Load with trace-driven
 	// injection (application workloads; see traffic.Trace). Warmup +
