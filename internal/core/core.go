@@ -181,9 +181,10 @@ type Config struct {
 	// methodology bit-identically to previous releases (the goldens pin
 	// this). See README "Measurement methodology".
 	AutoTol float64
-	// MaxCycles and SatLatency are saturation guards (0 = defaults).
-	MaxCycles  int64
-	SatLatency float64
+	// MaxCycles is the cycle budget, a saturation guard (0 derives one
+	// from the offered load); the other guard, a mean latency above 5000
+	// cycles, is the network kernel's constant.
+	MaxCycles int64
 
 	// Seed makes runs reproducible.
 	Seed int64
@@ -204,22 +205,21 @@ type Config struct {
 
 // DefaultConfig returns the paper's simulation parameters (Table 2) with
 // the LAPSES router (look-ahead + LRU selection + economical storage) and
-// a reduced default sample size; use PaperFidelity for the full 400k
-// messages.
+// a reduced default sample size: 2000 warm-up and 30000 measured messages,
+// where the paper measures 400000 after 10000 (section 2.2).
 func DefaultConfig() Config {
 	return Config{
-		Dims:       []int{16, 16},
-		LookAhead:  true,
-		Algorithm:  AlgDuato,
-		Table:      table.KindES,
-		Selection:  selection.LRU,
-		Pattern:    traffic.Uniform,
-		Load:       0.2,
-		MsgLen:     20,
-		Warmup:     2000,
-		Measure:    30000,
-		Seed:       1,
-		SatLatency: network.DefaultSatLatency,
+		Dims:      []int{16, 16},
+		LookAhead: true,
+		Algorithm: AlgDuato,
+		Table:     table.KindES,
+		Selection: selection.LRU,
+		Pattern:   traffic.Uniform,
+		Load:      0.2,
+		MsgLen:    20,
+		Warmup:    2000,
+		Measure:   30000,
+		Seed:      1,
 	}
 }
 
@@ -239,14 +239,6 @@ const (
 	ResvVCs   = 1
 )
 
-// PaperFidelity returns the config with the paper's sample sizes: 10000
-// warm-up messages and statistics over 400000 messages.
-func (c Config) PaperFidelity() Config {
-	c.Warmup = 10000
-	c.Measure = 400000
-	return c
-}
-
 // Mesh materializes the topology.
 func (c Config) Mesh() *topology.Mesh { return topology.New(c.Torus, c.Dims...) }
 
@@ -260,14 +252,10 @@ const SemanticsVersion = 2
 // canonical maps c to the representative of its class of configs that
 // provably produce one Result, which Key and structureKey read. es, full
 // and interval tables program the same routes (table.Program ignores
-// which of the three it is given), so they key as es; SatLatency 0 is
-// network.Run's default guard, network.DefaultSatLatency.
+// which of the three it is given), so they key as es.
 func (c Config) canonical() Config {
 	if c.Table == table.KindFull || c.Table == table.KindInterval {
 		c.Table = table.KindES
-	}
-	if c.SatLatency == 0 {
-		c.SatLatency = network.DefaultSatLatency
 	}
 	return c
 }
@@ -303,7 +291,6 @@ func (c Config) Key() string {
 	b = keyInt(b, ",w", int64(c.Warmup))
 	b = keyInt(b, ",m", int64(c.Measure))
 	b = keyInt(b, ",mc", c.MaxCycles)
-	b = keyBits(b, ",sl", c.SatLatency)
 	b = keyInt(b, ",sd", c.Seed)
 	// Event mode changes observed results (it is not bit-identical, and
 	// its latency runs low), so it always keys separately from cycle mode.
@@ -448,9 +435,6 @@ func (c Config) Validate() error {
 	if c.MaxCycles < 0 {
 		return fmt.Errorf("core: MaxCycles %d < 0", c.MaxCycles)
 	}
-	if !(c.SatLatency >= 0) {
-		return fmt.Errorf("core: SatLatency %g must be 0 (the default) or positive", c.SatLatency)
-	}
 	// With nothing injected no message ever completes the measurement, and
 	// there is no offered load to derive a cycle budget from
 	// (network.Run panics without one).
@@ -494,6 +478,12 @@ func (c Config) Validate() error {
 		}
 		if err := c.Burst.Validate(); err != nil {
 			return err
+		}
+		// While ON the source offers the mean rate over OnFrac, which is
+		// bounded like the mean rate (traffic.MMPP would draw forever).
+		if rate := traffic.MessageRate(c.Mesh(), c.Load, c.MsgLen); rate/c.Burst.OnFrac > 1 {
+			return fmt.Errorf("core: Burst.OnFrac %g offers %g messages per node per cycle while ON at Load %g; a node injects at most one, so OnFrac is at least %g",
+				c.Burst.OnFrac, rate/c.Burst.OnFrac, c.Load, rate)
 		}
 	}
 	if !(c.QoS >= 0 && c.QoS <= 1) {
@@ -944,7 +934,6 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		WarmupMessages:  cfg.Warmup,
 		MeasureMessages: cfg.Measure,
 		MaxCycles:       cfg.MaxCycles,
-		SatLatency:      cfg.SatLatency,
 	}
 	var ad *stats.Adaptive
 	if cfg.AutoTol != 0 {

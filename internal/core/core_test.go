@@ -58,10 +58,6 @@ func TestDefaultsMatchPaperTable2(t *testing.T) {
 	if VCs != 4 || c.MsgLen != 20 || BufDepth != 20 || LinkDelay != 1 || OutDepth != 4 || ResvVCs != 1 {
 		t.Error("defaults do not match Table 2")
 	}
-	p := c.PaperFidelity()
-	if p.Warmup != 10000 || p.Measure != 400000 {
-		t.Error("paper fidelity sample sizes wrong")
-	}
 }
 
 func TestValidation(t *testing.T) {
@@ -91,11 +87,12 @@ func TestValidation(t *testing.T) {
 
 // TestValidateRefusesUnrunnableValues: a load no node can inject (the
 // injector would draw forever on it, or NaN keys a meaningless run), a
-// saturation guard that is NaN (off) or negative (every run saturated), a
 // negative cycle budget (one cycle, then "exhausted"), a NaN high-class
-// fraction (it reserved the VC and sent no high-class traffic) and an
-// infinite burst (its source never left ON, offering Load/OnFrac) are
-// refused, naming their field. The most a node can inject is accepted.
+// fraction (it reserved the VC and sent no high-class traffic), an
+// infinite burst (its source never left ON, offering Load/OnFrac) and a
+// burst whose ON state offers more than a node can inject (its source drew
+// forever) are refused, naming their field. The most a node can inject,
+// on average and while ON, is accepted.
 func TestValidateRefusesUnrunnableValues(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -105,12 +102,10 @@ func TestValidateRefusesUnrunnableValues(t *testing.T) {
 		{"Load", func(c *Config) { c.Load = math.Inf(1) }},
 		{"Load", func(c *Config) { c.Load = 1e300 }},
 		{"Load", func(c *Config) { c.Load = 80.001 }},
-		{"SatLatency", func(c *Config) { c.SatLatency = math.NaN() }},
-		{"SatLatency", func(c *Config) { c.SatLatency = -1 }},
-		{"SatLatency", func(c *Config) { c.SatLatency = math.Inf(-1) }},
 		{"MaxCycles", func(c *Config) { c.MaxCycles = -5 }},
 		{"QoS", func(c *Config) { c.QoS = math.NaN() }},
 		{"MeanOn", func(c *Config) { c.Burst = &traffic.Burst{OnFrac: 0.3, MeanOn: math.Inf(1)} }},
+		{"Burst.OnFrac", func(c *Config) { c.Burst = &traffic.Burst{OnFrac: 1e-300, MeanOn: 200} }},
 	} {
 		c := DefaultConfig()
 		tc.set(&c)
@@ -122,6 +117,11 @@ func TestValidateRefusesUnrunnableValues(t *testing.T) {
 	c.Load = 80 // one 20-flit message per node per cycle on 16x16
 	if err := c.Validate(); err != nil {
 		t.Errorf("Load 80 on %s: %v", c.Mesh(), err)
+	}
+	c = DefaultConfig()
+	c.Burst = &traffic.Burst{OnFrac: traffic.MessageRate(c.Mesh(), c.Load, c.MsgLen), MeanOn: 200}
+	if err := c.Validate(); err != nil {
+		t.Errorf("Burst.OnFrac %g, one message per node per cycle while ON: %v", c.Burst.OnFrac, err)
 	}
 }
 
@@ -483,7 +483,6 @@ func TestConfigKey(t *testing.T) {
 		func(c *Config) { c.Measure = 7 },
 		func(c *Config) { c.AutoTol = 0.1 },
 		func(c *Config) { c.MaxCycles = 9 },
-		func(c *Config) { c.SatLatency = 1234 },
 		func(c *Config) { c.Seed = 42 },
 		func(c *Config) { c.EventMode = true },
 		func(c *Config) { c.Reliability = true },

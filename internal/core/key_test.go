@@ -8,10 +8,8 @@ import (
 
 // TestKeyCanonical: configs that provably produce one Result share one
 // key, and configs that may not keep their own. es, full and interval
-// tables program the same routes under one algorithm; SatLatency 0 is the
-// 5000-cycle default guard. The meta kinds route by their own mappings,
-// so es, meta-row and meta-block stay three keys, and a guard that is not
-// the default keys apart.
+// tables program the same routes under one algorithm. The meta kinds route
+// by their own mappings, so es, meta-row and meta-block stay three keys.
 func TestKeyCanonical(t *testing.T) {
 	t.Parallel()
 	base := DefaultConfig()
@@ -35,12 +33,6 @@ func TestKeyCanonical(t *testing.T) {
 		if len(keys) != 3 {
 			t.Errorf("es, meta-row and meta-block under %s give %d keys, want 3", alg, len(keys))
 		}
-	}
-	if def, zero := with(func(c *Config) { c.SatLatency = 5000 }), with(func(c *Config) { c.SatLatency = 0 }); def != zero {
-		t.Errorf("SatLatency 0 keys apart from its default 5000:\n%s\n%s", zero, def)
-	}
-	if lifted := with(func(c *Config) { c.SatLatency = 1e12 }); lifted == base.Key() {
-		t.Errorf("a lifted SatLatency shares the default's key %s", lifted)
 	}
 	// The structure cache reads the same classes.
 	es, full := base, base

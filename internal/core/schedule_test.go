@@ -72,8 +72,8 @@ func TestScheduleKeys(t *testing.T) {
 // the same damage spelled as an untimed schedule (items reordered), and a
 // timed schedule with the reliability layer, for every other optional
 // term (event mode, the adaptive tier, bursts, QoS, a trace) and shape (a
-// torus, a 3-D mesh), and for the configs canonical folds into another's
-// key (a full table, the default saturation guard spelled 0): a refactor
+// torus, a 3-D mesh), and for a config canonical folds into another's key
+// (a full table): a refactor
 // of how faults are represented, or of how the key is built, must not
 // orphan a single stored entry.
 func TestKeyLiterals(t *testing.T) {
@@ -118,9 +118,8 @@ func TestKeyLiterals(t *testing.T) {
 		t.Fatal(err)
 	}
 	traced.Trace, traced.Warmup, traced.Measure = tr, 0, 2
-	full, guard := base, base
+	full := base
 	full.Table = table.KindFull
-	guard.SatLatency = 0
 	const healthy = "d[8 8],tfalse,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sl40b3880000000000,sd1"
 	for _, tc := range []struct {
 		name string
@@ -141,7 +140,6 @@ func TestKeyLiterals(t *testing.T) {
 		{"3-D mesh", cube, "d[4 4 4],tfalse,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sl40b3880000000000,sd1"},
 		{"trace", traced, "d[8 8],tfalse,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr8b5f657d1d25011ebc5bd58a8c64026551b7b62591d041012aff307282570703,w0,m2,mc0,sl40b3880000000000,sd1"},
 		{"full table", full, healthy},
-		{"default guard", guard, healthy},
 	} {
 		if got := tc.cfg.Key(); got != tc.want {
 			t.Errorf("%s: key\n got %s\nwant %s", tc.name, got, tc.want)

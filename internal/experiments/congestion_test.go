@@ -25,7 +25,6 @@ func claimOvrPoint(sel selection.Kind) core.Config {
 	c.Burst = congestionBurst()
 	c.Selection = sel
 	c.Load = 0.9
-	c.SatLatency = 1e12
 	c.MaxCycles = 15000
 	c.Measure = 1 << 30
 	return c

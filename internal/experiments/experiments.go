@@ -65,7 +65,7 @@ func (f Fidelity) apply(c core.Config) core.Config {
 	case Default:
 		c.Warmup, c.Measure = 2000, 30000
 	case Paper:
-		c = c.PaperFidelity()
+		c.Warmup, c.Measure = 10000, 400000
 	case Auto:
 		c.Warmup, c.Measure = 2000, 30000
 		c.AutoTol = 0.03

@@ -412,6 +412,28 @@ func TestParseFidelity(t *testing.T) {
 	}
 }
 
+// TestFidelityApply: each fidelity's sample sizes, Paper's being section
+// 2.2's 10000 warm-up and 400000 measured messages.
+func TestFidelityApply(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		f               Fidelity
+		warmup, measure int
+		autoTol         float64
+	}{
+		{Quick, 300, 3000, 0},
+		{Default, 2000, 30000, 0},
+		{Paper, 10000, 400000, 0},
+		{Auto, 2000, 30000, 0.03},
+	} {
+		c := tc.f.apply(core.DefaultConfig())
+		if c.Warmup != tc.warmup || c.Measure != tc.measure || c.AutoTol != tc.autoTol {
+			t.Errorf("fidelity %d: warmup %d, measure %d, AutoTol %g; want %d, %d, %g",
+				tc.f, c.Warmup, c.Measure, c.AutoTol, tc.warmup, tc.measure, tc.autoTol)
+		}
+	}
+}
+
 func TestPctOver(t *testing.T) {
 	t.Parallel()
 	a := core.Result{AvgLatency: 110}

@@ -57,7 +57,6 @@ func SaturationSpec(base core.Config, lo, hi, tol float64) sweep.BisectSpec {
 	if base.Measure < 1000 {
 		base.Measure = 1000
 	}
-	base.SatLatency = 0 // the default guard; probes must not inherit a lifted one
 	mesh := base.Mesh()
 	nodes := float64(mesh.N())
 	sample := float64(base.Warmup + base.Measure)
@@ -147,13 +146,13 @@ func (g *grid) latency(cell *Cell, base core.Config, load float64) {
 }
 
 // overdriven adds base's fixed-budget overdriven run at load, scattering
-// into cell.Ovr. The cycle cap ends the run and the latency guard is
-// lifted; the run sheds Fidelity Auto's adaptive tier, since early
-// stopping would change what the accepted rate measures.
+// into cell.Ovr. The cycle cap ends the run: its Measure is never reached,
+// and the latency guard, which waits for a tenth of Measure, never acts.
+// The run sheds Fidelity Auto's adaptive tier, since early stopping would
+// change what the accepted rate measures.
 func (g *grid) overdriven(cell *Cell, base core.Config, load float64, cycles int64) {
 	base.AutoTol = 0
 	base.Load = load
-	base.SatLatency = 1e12
 	base.MaxCycles = cycles
 	base.Measure = 1 << 30
 	g.add(base, func(res core.Result) { cell.Ovr = res })

@@ -99,9 +99,9 @@ func TestScalingGridShape(t *testing.T) {
 			continue
 		}
 		ovr[key]++
-		if c.AutoTol != 0 || c.SatLatency != 1e12 || c.MaxCycles != Quick.ovrCycles() || c.Load != scalingOvrLoad {
-			t.Fatalf("overdriven point malformed: AutoTol %g, SatLatency %v, MaxCycles %d (want %d), load %v (want %v)",
-				c.AutoTol, c.SatLatency, c.MaxCycles, Quick.ovrCycles(), c.Load, scalingOvrLoad)
+		if c.AutoTol != 0 || c.MaxCycles != Quick.ovrCycles() || c.Load != scalingOvrLoad {
+			t.Fatalf("overdriven point malformed: AutoTol %g, MaxCycles %d (want %d), load %v (want %v)",
+				c.AutoTol, c.MaxCycles, Quick.ovrCycles(), c.Load, scalingOvrLoad)
 		}
 	}
 	for i, row := range rows {

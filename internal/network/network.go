@@ -722,9 +722,10 @@ func (n *Network) traceHorizon() int64 {
 	return last
 }
 
-// DefaultSatLatency is the latency guard a run applies when RunParams
-// leaves it 0, in cycles.
-const DefaultSatLatency = 5000
+// satLatency is the latency guard, in cycles: a run is saturated once the
+// running mean latency of its measured messages exceeds it (section 2.2's
+// "Sat.").
+const satLatency = 5000
 
 // progressGuard guards a run against protocol deadlock: when no flit is
 // delivered for this many cycles while traffic is in flight, the run aborts.
@@ -739,9 +740,6 @@ type RunParams struct {
 	// MaxCycles aborts the run (marking saturation) when exceeded; 0
 	// derives a budget from the offered load.
 	MaxCycles int64
-	// SatLatency marks the run saturated once the running mean latency
-	// exceeds it; 0 uses DefaultSatLatency.
-	SatLatency float64
 	// NoFastForward disables idle-cycle fast-forward for this run, so
 	// every cycle is executed individually. Results are bit-identical
 	// either way (the fast-forward only skips cycles in which provably
@@ -764,9 +762,6 @@ type RunParams struct {
 func (n *Network) Run(p RunParams) *stats.Run {
 	if p.MeasureMessages <= 0 {
 		panic("network: MeasureMessages must be positive")
-	}
-	if p.SatLatency == 0 {
-		p.SatLatency = DefaultSatLatency
 	}
 	if p.MaxCycles == 0 {
 		if n.cfg.Trace != nil {
@@ -866,7 +861,7 @@ func (n *Network) Run(p RunParams) *stats.Run {
 			run.SatReason = "cycle budget exhausted"
 			break
 		}
-		if run.Latency.N() >= int64(p.MeasureMessages/10+1) && run.Latency.Mean() > p.SatLatency {
+		if run.Latency.N() >= int64(p.MeasureMessages/10+1) && run.Latency.Mean() > satLatency {
 			run.Saturated = true
 			run.SatReason = "latency above saturation threshold"
 			break

@@ -693,6 +693,7 @@ func TestServerRefusesUnknownMembers(t *testing.T) {
 		{"vcs", func(_, p map[string]any) { p["vcs"] = 4 }},
 		{"buf_depth", func(_, p map[string]any) { p["buf_depth"] = 20 }},
 		{"qos", func(_, p map[string]any) { p["qos"] = map[string]any{"hi_frac": 0.2} }},
+		{"sat_latency", func(_, p map[string]any) { p["sat_latency"] = 5000 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var job map[string]any

@@ -245,7 +245,7 @@ func TestStoreSkipsOtherVersions(t *testing.T) {
 		parentEntry  = `{"key":"` + parentKey + `","sum":"b6bdf3c6726c49684984cf8bb93daf1e619b8e566c8a63aa3b0eb857ece8a951","result":` + parentResult + `}`
 	)
 	cfg := core.DefaultConfig()
-	cfg.Pattern, cfg.Load, cfg.Warmup, cfg.Measure, cfg.MaxCycles, cfg.SatLatency = traffic.Transpose, 0.7, 100, 1000, 7473, 0
+	cfg.Pattern, cfg.Load, cfg.Warmup, cfg.Measure, cfg.MaxCycles = traffic.Transpose, 0.7, 100, 1000, 7473
 	faults, err := fault.ParseSchedule(cfg.Mesh(), "28-44,40-56,84-100,88-89,205-221,209-225,222-238,229-230")
 	if err != nil {
 		t.Fatal(err)

@@ -89,9 +89,8 @@ type Point struct {
 	Measure *int    `json:"measure"`
 	AutoTol float64 `json:"auto_tol,omitempty"`
 
-	MaxCycles  int64   `json:"max_cycles,omitempty"`
-	SatLatency float64 `json:"sat_latency,omitempty"`
-	Seed       *int64  `json:"seed"`
+	MaxCycles int64  `json:"max_cycles,omitempty"`
+	Seed      *int64 `json:"seed"`
 
 	EventMode bool `json:"event_mode,omitempty"`
 }
@@ -114,22 +113,21 @@ func PointFromConfig(c core.Config) (Point, error) {
 // point into *c, which must not change while the point is in use.
 func point(c *core.Config) Point {
 	return Point{
-		Dims:       append([]int(nil), c.Dims...),
-		Torus:      c.Torus,
-		LookAhead:  &c.LookAhead,
-		Algorithm:  c.Algorithm.String(),
-		Table:      c.Table.String(),
-		Selection:  c.Selection.String(),
-		Pattern:    c.Pattern.String(),
-		Load:       &c.Load,
-		MsgLen:     &c.MsgLen,
-		Warmup:     &c.Warmup,
-		Measure:    &c.Measure,
-		MaxCycles:  c.MaxCycles,
-		SatLatency: c.SatLatency,
-		Seed:       &c.Seed,
-		EventMode:  c.EventMode,
-		AutoTol:    c.AutoTol,
+		Dims:      append([]int(nil), c.Dims...),
+		Torus:     c.Torus,
+		LookAhead: &c.LookAhead,
+		Algorithm: c.Algorithm.String(),
+		Table:     c.Table.String(),
+		Selection: c.Selection.String(),
+		Pattern:   c.Pattern.String(),
+		Load:      &c.Load,
+		MsgLen:    &c.MsgLen,
+		Warmup:    &c.Warmup,
+		Measure:   &c.Measure,
+		MaxCycles: c.MaxCycles,
+		Seed:      &c.Seed,
+		EventMode: c.EventMode,
+		AutoTol:   c.AutoTol,
 
 		// Schedule.Key is the canonical "A-B;...;rN" content of a static
 		// plan and "A-B@DOWN:UP;..." of a timed schedule; ParseSchedule
@@ -148,18 +146,17 @@ func (p Point) Config() (core.Config, error) {
 		return core.Config{}, fmt.Errorf("serve: point lacks required member %q", m)
 	}
 	c := core.Config{
-		Dims:       append([]int(nil), p.Dims...),
-		Torus:      p.Torus,
-		LookAhead:  *p.LookAhead,
-		Load:       *p.Load,
-		MsgLen:     *p.MsgLen,
-		Warmup:     *p.Warmup,
-		Measure:    *p.Measure,
-		MaxCycles:  p.MaxCycles,
-		SatLatency: p.SatLatency,
-		Seed:       *p.Seed,
-		EventMode:  p.EventMode,
-		AutoTol:    p.AutoTol,
+		Dims:      append([]int(nil), p.Dims...),
+		Torus:     p.Torus,
+		LookAhead: *p.LookAhead,
+		Load:      *p.Load,
+		MsgLen:    *p.MsgLen,
+		Warmup:    *p.Warmup,
+		Measure:   *p.Measure,
+		MaxCycles: p.MaxCycles,
+		Seed:      *p.Seed,
+		EventMode: p.EventMode,
+		AutoTol:   p.AutoTol,
 
 		Burst:       p.Burst,
 		QoS:         p.QoS,

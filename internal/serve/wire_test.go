@@ -44,7 +44,6 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	auto := core.DefaultConfig()
 	auto.AutoTol = 0.05
 	auto.MaxCycles = 123456
-	auto.SatLatency = 777
 
 	exotic := core.DefaultConfig()
 	exotic.Dims = []int{2, 3, 4}
