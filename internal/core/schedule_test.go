@@ -120,7 +120,7 @@ func TestKeyLiterals(t *testing.T) {
 	traced.Trace, traced.Warmup, traced.Measure = tr, 0, 2
 	full := base
 	full.Table = table.KindFull
-	const healthy = "d[8 8],tfalse,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sl40b3880000000000,sd1"
+	const healthy = "d[8 8],tfalse,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sd1"
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
@@ -136,9 +136,9 @@ func TestKeyLiterals(t *testing.T) {
 		{"lapses-sim auto", simAuto, healthy + ",au3fa999999999999a"},
 		{"burst", burst, healthy + ",mm[3fd0000000000000,4049000000000000]"},
 		{"qos", qos, healthy + ",q[3fb999999999999a]"},
-		{"torus", torus, "d[8 8],ttrue,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sl40b3880000000000,sd1"},
-		{"3-D mesh", cube, "d[4 4 4],tfalse,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sl40b3880000000000,sd1"},
-		{"trace", traced, "d[8 8],tfalse,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr8b5f657d1d25011ebc5bd58a8c64026551b7b62591d041012aff307282570703,w0,m2,mc0,sl40b3880000000000,sd1"},
+		{"torus", torus, "d[8 8],ttrue,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sd1"},
+		{"3-D mesh", cube, "d[4 4 4],tfalse,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sd1"},
+		{"trace", traced, "d[8 8],tfalse,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,tr8b5f657d1d25011ebc5bd58a8c64026551b7b62591d041012aff307282570703,w0,m2,mc0,sd1"},
 		{"full table", full, healthy},
 	} {
 		if got := tc.cfg.Key(); got != tc.want {

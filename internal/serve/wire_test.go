@@ -316,8 +316,8 @@ func TestPointFaultPayloads(t *testing.T) {
 		cfg  core.Config
 		want string
 	}{
-		{"static", cfgs[2], `{"dims":[8,8],"faults":"1-2,r27","lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
-		{"timed", cfgs[6], `{"dims":[8,8],"faults":"27-28@500:1500,r9@800","reliability":true,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":0.2,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`},
+		{"static", cfgs[2], `{"dims":[8,8],"faults":"1-2,r27","lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"seed":1}`},
+		{"timed", cfgs[6], `{"dims":[8,8],"faults":"27-28@500:1500,r9@800","reliability":true,"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"burst":{"on_frac":0.25,"mean_on":150},"qos":0.2,"warmup":2000,"measure":30000,"seed":1}`},
 	} {
 		p, err := PointFromConfig(tc.cfg)
 		if err != nil {
@@ -332,7 +332,7 @@ func TestPointFaultPayloads(t *testing.T) {
 		}
 	}
 
-	const atZero = `{"dims":[8,8],"faults":"1-2@0,r27@0","lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
+	const atZero = `{"dims":[8,8],"faults":"1-2@0,r27@0","lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"seed":1}`
 	var p Point
 	if err := json.Unmarshal([]byte(atZero), &p); err != nil {
 		t.Fatal(err)
@@ -359,7 +359,7 @@ func TestPointPayloadStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"dims":[16,16],"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"sat_latency":5000,"seed":1}`
+	const want = `{"dims":[16,16],"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.2,"msg_len":20,"warmup":2000,"measure":30000,"seed":1}`
 	if string(got) != want {
 		t.Errorf("default point payload changed:\n got %s\nwant %s", got, want)
 	}
