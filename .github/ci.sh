@@ -186,6 +186,12 @@ unit)
 		[ "$code" -eq 2 ]
 		grep -q '^lapses-sim: core: Load ' "$work/reject.txt"
 	done
+	# So is a burst whose ON state offers more than that (the mean rate
+	# over OnFrac): its source drew forever too.
+	code=0
+	timeout 10 "$work/lapses-sim" -dims 4x4 -measure 300 -burst 1e-300,200 2>"$work/reject.txt" || code=$?
+	[ "$code" -eq 2 ]
+	grep -q '^lapses-sim: core: .*Burst.OnFrac' "$work/reject.txt"
 	# lapses-experiments refuses a flag its run never reads, by name and
 	# before any simulation or health check: -reps without -csv, -workers
 	# with -server (the URL is unreachable; the refusal comes first); and
@@ -315,9 +321,9 @@ serve)
 	[ "$code" -eq 400 ]
 	jq -e '.error | contains("\"look_ahead\"")' refused.json
 	# So is a router member fixed at Table 2 or derived from the algorithm,
-	# and a reliability or QoS parameter object: the layer is a switch and
-	# QoS its high-class fraction.
-	for member in '"escape_vcs":1' '"vcs":4' '"reliability":{"rto":512}' '"qos":{"hi_frac":0.2}'; do
+	# a reliability or QoS parameter object (the layer is a switch and QoS
+	# its high-class fraction) and the latency guard, the kernel's constant.
+	for member in '"escape_vcs":1' '"vcs":4' '"reliability":{"rto":512}' '"qos":{"hi_frac":0.2}' '"sat_latency":5000'; do
 		code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
 			-d '{"points":[{"dims":[4,4],'"$member"',"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
 		[ "$code" -eq 400 ]

@@ -73,9 +73,8 @@ func TestScheduleKeys(t *testing.T) {
 // timed schedule with the reliability layer, for every other optional
 // term (event mode, the adaptive tier, bursts, QoS, a trace) and shape (a
 // torus, a 3-D mesh), and for a config canonical folds into another's key
-// (a full table): a refactor
-// of how faults are represented, or of how the key is built, must not
-// orphan a single stored entry.
+// (a full table): a refactor of how faults are represented, or of how the
+// key is built, must not orphan a single stored entry.
 func TestKeyLiterals(t *testing.T) {
 	t.Parallel()
 	base := core.DefaultConfig()
