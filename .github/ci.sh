@@ -142,15 +142,26 @@ unit)
 	invalid() { # invalid <field> <args...>: exit 2 with core's refusal naming <field>
 		local field=$1 code=0
 		shift
-		"$work/lapses-sim" "$@" 2>"$work/reject.txt" || code=$?
+		timeout 10 "$work/lapses-sim" "$@" 2>"$work/reject.txt" || code=$?
 		[ "$code" -eq 2 ] && grep -q "^lapses-sim: core: .*$field" "$work/reject.txt"
 	}
 	invalid MsgLen -msglen 0
 	invalid Dims -dims 2x2x2x2x2x2x2x2 -alg xy
+	# A load so low, or a Warmup+Measure so large, that the derived cycle
+	# budget overflows: each ran one cycle, then reported the budget
+	# exhausted with nothing delivered.
+	invalid Load -dims 4x4 -load 1e-300 -measure 10
+	invalid Warmup -dims 4x4 -warmup 9223372036854775807
+	# An idle stretch is no deadlock: at this load messages enter more than
+	# 50 000 cycles apart, and every one is delivered.
+	"$work/lapses-sim" -dims 4x4 -load 1e-5 -warmup 0 -measure 20 >"$work/sparse.txt"
+	grep -q '^delivered      20 messages' "$work/sparse.txt"
+	if grep -q '^saturated' "$work/sparse.txt"; then exit 1; fi
 	# The router is Table 2's and the escape VCs follow from the algorithm
-	# and the topology, so there is no -escape, -vcs or -buf: asking for
-	# one is an unknown flag, usage status 2.
-	for args in "-escape 1" "-vcs 4" "-buf 20"; do
+	# and the topology, so there is no -escape, -vcs or -buf, and every run
+	# measures a fixed sample, so there is no -auto-tol: asking for one is
+	# an unknown flag, usage status 2.
+	for args in "-escape 1" "-vcs 4" "-buf 20" "-auto-tol 0.03"; do
 		code=0
 		"$work/lapses-sim" $args 2>"$work/reject.txt" || code=$?
 		[ "$code" -eq 2 ]
@@ -206,6 +217,12 @@ unit)
 	refused -reps -exp table1 -reps 3
 	refused -workers -exp table1 -server http://127.0.0.1:1 -workers 4
 	refused 'unexpected argument "stray"' -exp table1 stray
+	# The adaptive measurement tier is gone: -fidelity auto is refused by
+	# name.
+	code=0
+	lx -exp table1 -fidelity auto 2>"$work/reject.txt" || code=$?
+	[ "$code" -eq 2 ]
+	grep -q 'unknown fidelity "auto"' "$work/reject.txt"
 	# A structure whose table build panics must panic again on the next
 	# touch, not hand back a remembered error: run the test twice in one
 	# process.
@@ -322,8 +339,9 @@ serve)
 	jq -e '.error | contains("\"look_ahead\"")' refused.json
 	# So is a router member fixed at Table 2 or derived from the algorithm,
 	# a reliability or QoS parameter object (the layer is a switch and QoS
-	# its high-class fraction) and the latency guard, the kernel's constant.
-	for member in '"escape_vcs":1' '"vcs":4' '"reliability":{"rto":512}' '"qos":{"hi_frac":0.2}' '"sat_latency":5000'; do
+	# its high-class fraction), the latency guard, the kernel's constant,
+	# and the tolerance of the adaptive measurement tier, which is gone.
+	for member in '"escape_vcs":1' '"vcs":4' '"reliability":{"rto":512}' '"qos":{"hi_frac":0.2}' '"sat_latency":5000' '"auto_tol":0.03'; do
 		code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
 			-d '{"points":[{"dims":[4,4],'"$member"',"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
 		[ "$code" -eq 400 ]

@@ -4,7 +4,6 @@
 //	lapses-experiments -exp table3                 # one experiment
 //	lapses-experiments -exp all -fidelity quick    # everything, fast
 //	lapses-experiments -exp fig6 -fidelity paper   # 400k-message fidelity
-//	lapses-experiments -exp fig5 -fidelity auto    # adaptive measurement
 //	lapses-experiments -exp all -workers 16        # widen the sweep pool
 //	lapses-experiments -exp fig6 -csv out -reps 5  # error bars over 5 seeds
 //	lapses-experiments -exp fig5 -server http://host:8347  # run via lapses-serve
@@ -17,12 +16,9 @@
 // One summary line per job ("[serve job ...]") reports the store-hit
 // split.
 //
-// -fidelity auto runs every point on the adaptive measurement tier
-// (MSER-5 warmup truncation + CI-based early stopping; see README
-// "Measurement methodology"): each point simulates only as long as its
-// latency statistics need: a relative CI tolerance of 3%
-// (core.Config.AutoTol 0.03), with the default tier's 2000+30000-message
-// budget as ceiling.
+// -fidelity picks the fixed sample size every point measures: quick
+// (300 warm-up + 3000 measured messages), default (2000 + 30000) or paper
+// (10000 + 400000, section 2.2; see README "Measurement methodology").
 //
 // -csv DIR writes each experiment's record table to DIR/<exp>.csv. An
 // experiment's grid runs once per seed: the same rows give the rendered
@@ -65,7 +61,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments.Names(), ", ")+", or all")
-	fidelity := flag.String("fidelity", "default", "sample size: quick, default, paper, or auto (adaptive measurement)")
+	fidelity := flag.String("fidelity", "default", "sample size: quick, default or paper")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "concurrent simulations per sweep, saturation-search probes included (0 = GOMAXPROCS)")
 	csvDir := flag.String("csv", "", "also write <dir>/<exp>.csv for plottable experiments")

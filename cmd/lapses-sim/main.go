@@ -35,13 +35,8 @@
 //	lapses-sim -load 0.5 -burst 0.3,200 -selection notify-max-credit
 //	lapses-sim -load 0.3 -qos 0.2 -pattern hotspot
 //
-// -auto-tol T switches to the adaptive measurement tier: MSER-5 warmup
-// truncation plus CI-based early stopping once the 95% CI half-width falls
-// to T times the mean, with -warmup+-measure as the message ceiling (0,
-// the default, is the fixed tier). The summary then reports the truncated
-// measurement window and whether the CI converged before the ceiling:
-//
-//	lapses-sim -load 0.3 -auto-tol 0.05
+// Every run measures -measure messages after -warmup (the paper's
+// section 2.2 uses 10000 and 400000).
 package main
 
 import (
@@ -86,7 +81,6 @@ func run() error {
 	warmup := flag.Int("warmup", cfg.Warmup, "warm-up messages (excluded from stats)")
 	measure := flag.Int("measure", cfg.Measure, "measured messages")
 	seed := flag.Int64("seed", cfg.Seed, "random seed")
-	autoTol := flag.Float64("auto-tol", 0, "adaptive measurement: MSER-5 warmup truncation, then stop once the 95% CI half-width falls to this fraction of the mean (ceiling = warmup+measure; 0 = the fixed tier)")
 	faults := flag.String("faults", "", "failed equipment: a count of random link failures, or a \"A-B,...,rN\" spec whose items may be timed \"@DOWN[:UP]\" (untimed = down from the start; \":UP\" omitted = permanent)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for a random count of link failures (with a count -faults only)")
 	flag.BoolVar(&cfg.Reliability, "reliability", false, fmt.Sprintf("end-to-end NI retransmission layer (RTO %d cycles, %d attempts, acks held %d cycles)",
@@ -124,7 +118,7 @@ func run() error {
 	cfg.Torus = *torus
 	cfg.LookAhead = *la
 	cfg.Load, cfg.MsgLen = *load, *msgLen
-	cfg.Warmup, cfg.Measure, cfg.Seed, cfg.AutoTol = *warmup, *measure, *seed, *autoTol
+	cfg.Warmup, cfg.Measure, cfg.Seed = *warmup, *measure, *seed
 	if *burst != "" {
 		if cfg.Burst, err = parseBurst(*burst); err != nil {
 			return err
@@ -167,12 +161,6 @@ func run() error {
 	fmt.Printf("avg hops       %.2f\n", res.AvgHops)
 	fmt.Printf("throughput     %.4f flits/node/cycle\n", res.Throughput)
 	fmt.Printf("delivered      %d messages over %d cycles\n", res.Delivered, res.Cycles)
-	// MeasuredCycles is the statistics window; SkippedCycles counts the
-	// simulated-but-not-executed idle jumps. The two are independent: a
-	// fast-forwarded cycle inside the window is still measured time (the
-	// jump is observationally neutral), so MeasuredCycles never shrinks
-	// because fast-forward ran.
-	fmt.Printf("measured       %d-cycle window, %d total simulated\n", res.MeasuredCycles, res.TotalCycles)
 	kernel := "cycle-driven"
 	if cfg.EventMode {
 		kernel = "event-driven"
@@ -192,10 +180,6 @@ func run() error {
 	if cfg.Reliability {
 		fmt.Printf("reliability    %d retransmissions, %d duplicates suppressed, %d abandoned\n",
 			res.Retransmits, res.DupSuppressed, res.Abandoned)
-	}
-	if cfg.AutoTol != 0 {
-		fmt.Printf("auto           converged=%t after %d messages (CI ±%.2f, target ±%.1f%% of mean)\n",
-			res.Converged, res.Delivered, res.CI95, cfg.AutoTol*100)
 	}
 	if res.Saturated {
 		fmt.Printf("saturated      %s\n", res.SatReason)

@@ -69,25 +69,13 @@
 // degraded regime adaptive routing is designed for, which the original
 // evaluation never exercises.
 //
-// Measurement is either fixed (the paper's warmup/measure message
-// counts) or adaptive (core.Config.AutoTol, its one setting the relative
-// tolerance): internal/stats supplies streaming moments, MSER-5 warmup
-// truncation and batch-means confidence intervals, and an adaptive run
-// measures every delivered message from cycle zero, truncates the
-// initialization transient statistically, and stops as soon as the
-// latency CI half-width falls below AutoTol of the mean at two consecutive
-// agreeing checks — bounded by a floor and by the Warmup+Measure ceiling. Result.MeasuredCycles reports the truncated window the
-// estimate covers (for fixed runs it equals Result.Cycles),
-// Result.Converged whether the CI target ended the run, and
-// Result.CI95 the half-width under whichever methodology ran.
+// Measurement follows the paper's section 2.2: a fixed count of warm-up
+// messages is excluded and statistics cover a fixed count of measured
+// messages; internal/stats supplies streaming moments, the latency
+// histogram and batch-means confidence intervals (Result.CI95).
 // Result.SkippedCycles — the idle cycles fast-forward jumped over — is
-// independent of MeasuredCycles: a skipped cycle inside the measurement
-// window is still simulated, measured time, because the jump happens
-// only when provably nothing is in flight. Adaptive runs are
-// deterministic (same config, same bits) but not
-// bit-comparable to fixed runs, so the goldens and every
-// bit-equivalence test stay on the fixed tiers; Auto is opt-in per
-// config, or per experiment via -fidelity auto.
+// simulated time like any other: the jump happens only when provably
+// nothing is in flight.
 //
 // Saturation points are located by bisection instead of dense load
 // grids: sweep.Bisect brackets the saturation load and narrows it by

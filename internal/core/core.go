@@ -31,7 +31,6 @@ import (
 	"lapses/internal/router"
 	"lapses/internal/routing"
 	"lapses/internal/selection"
-	"lapses/internal/stats"
 	"lapses/internal/table"
 	"lapses/internal/topology"
 	"lapses/internal/traffic"
@@ -171,19 +170,9 @@ type Config struct {
 	// recorded (section 2.2: 10000 and 400000).
 	Warmup  int
 	Measure int
-	// AutoTol, when nonzero, switches the run to the adaptive measurement
-	// tier: the fixed Warmup/Measure split is replaced by statistical
-	// warmup truncation (MSER-5) and CI-based early stopping — the run
-	// measures every delivered message from cycle zero and ends as soon
-	// as the 95% confidence half-width of the latency mean falls to
-	// AutoTol times the mean, or at Warmup+Measure messages, the fixed
-	// budget the tier replaces. 0 (the default) runs the fixed
-	// methodology bit-identically to previous releases (the goldens pin
-	// this). See README "Measurement methodology".
-	AutoTol float64
 	// MaxCycles is the cycle budget, a saturation guard (0 derives one
-	// from the offered load); the other guard, a mean latency above 5000
-	// cycles, is the network kernel's constant.
+	// from the offered load, network.CycleBudget); the other guard, a
+	// mean latency above 5000 cycles, is the network kernel's constant.
 	MaxCycles int64
 
 	// Seed makes runs reproducible.
@@ -247,7 +236,7 @@ func (c Config) Mesh() *topology.Mesh { return topology.New(c.Torus, c.Dims...) 
 // and reads no other version's, so a change that moves any answer bumps
 // it: every earlier answer is then a miss that re-simulates, never a
 // stale hit. TestGoldenDigests holds it to the golden fixtures.
-const SemanticsVersion = 2
+const SemanticsVersion = 3
 
 // canonical maps c to the representative of its class of configs that
 // provably produce one Result, which Key and structureKey read. es, full
@@ -296,12 +285,6 @@ func (c Config) Key() string {
 	// its latency runs low), so it always keys separately from cycle mode.
 	if c.EventMode {
 		b = append(b, ",ev"...)
-	}
-	// The adaptive tier's stopping rule follows from AutoTol and the
-	// Warmup+Measure ceiling, already a term; it never collides with its
-	// fixed-tier sibling.
-	if c.AutoTol != 0 {
-		b = keyBits(b, ",au", c.AutoTol)
 	}
 	// Bursty sources and QoS classes change the workload, so they key by
 	// their parameters; the defaults (nil, 0) add nothing.
@@ -428,7 +411,9 @@ func (c Config) Validate() error {
 	if !(c.Load >= 0) {
 		return fmt.Errorf("core: Load %g must be 0 or positive", c.Load)
 	}
-	if m := c.Mesh(); traffic.MessageRate(m, c.Load, c.MsgLen) > 1 {
+	m := c.Mesh()
+	rate := traffic.MessageRate(m, c.Load, c.MsgLen)
+	if rate > 1 {
 		return fmt.Errorf("core: Load %g offers more than one %d-flit message per node per cycle on %s; Load is at most %g",
 			c.Load, c.MsgLen, m, float64(c.MsgLen)/m.SaturationInjectionRate())
 	}
@@ -465,12 +450,20 @@ func (c Config) Validate() error {
 	if c.Measure <= 0 {
 		return fmt.Errorf("core: Measure must be positive")
 	}
+	if c.Warmup > math.MaxInt-c.Measure {
+		return fmt.Errorf("core: Warmup %d + Measure %d overflows an int", c.Warmup, c.Measure)
+	}
+	// Run derives a budget from the offered load unless given one; a load
+	// so low that the budget overflows would end the run at once.
+	if c.Trace == nil && c.MaxCycles == 0 {
+		if _, ok := network.CycleBudget(rate*float64(m.N()), c.Warmup+c.Measure); !ok {
+			return fmt.Errorf("core: Load %g is too low to derive a cycle budget for %d messages on %s; set MaxCycles",
+				c.Load, c.Warmup+c.Measure, m)
+		}
+	}
 	if c.Trace != nil && c.Warmup+c.Measure > c.Trace.Total() {
 		return fmt.Errorf("core: warmup+measure (%d) exceeds trace messages (%d)",
 			c.Warmup+c.Measure, c.Trace.Total())
-	}
-	if !(c.AutoTol >= 0) || math.IsInf(c.AutoTol, 1) {
-		return fmt.Errorf("core: AutoTol %g must be 0 (the fixed tier) or a finite positive tolerance", c.AutoTol)
 	}
 	if c.Burst != nil {
 		if c.Trace != nil {
@@ -481,7 +474,7 @@ func (c Config) Validate() error {
 		}
 		// While ON the source offers the mean rate over OnFrac, which is
 		// bounded like the mean rate (traffic.MMPP would draw forever).
-		if rate := traffic.MessageRate(c.Mesh(), c.Load, c.MsgLen); rate/c.Burst.OnFrac > 1 {
+		if rate/c.Burst.OnFrac > 1 {
 			return fmt.Errorf("core: Burst.OnFrac %g offers %g messages per node per cycle while ON at Load %g; a node injects at most one, so OnFrac is at least %g",
 				c.Burst.OnFrac, rate/c.Burst.OnFrac, c.Load, rate)
 		}
@@ -562,9 +555,8 @@ type Result struct {
 	AvgLatency float64
 	// NetLatency excludes source queueing (injection to delivery).
 	NetLatency float64
-	// CI95 is the 95% confidence half-width of AvgLatency under the
-	// methodology that produced it: batch means over the fixed window, or
-	// over the MSER-truncated window for adaptive-tier runs.
+	// CI95 is the 95% confidence half-width of AvgLatency: batch means
+	// over the measured messages, ten batches.
 	CI95 float64
 	// P50, P95 and P99 are latency percentiles (bucketed, ~8% accuracy),
 	// exposing the tail behaviour the mean hides near saturation.
@@ -590,20 +582,6 @@ type Result struct {
 	// jump is observationally neutral — every other field is bit-
 	// identical to a run with fast-forward disabled.
 	SkippedCycles int64
-	// MeasuredCycles is the time span of the measurement window: for
-	// fixed-tier runs it equals Cycles (first to last measured
-	// delivery); for adaptive-tier runs it is the window from the end of
-	// the MSER-truncated transient to the last delivery — the span the
-	// latency estimate actually covers. SkippedCycles jumps can overlap
-	// either window only while the network is provably empty, so the
-	// two fields are independent: MeasuredCycles is simulated time,
-	// whether or not fast-forward executed each cycle individually.
-	MeasuredCycles int64
-	// Converged reports that an adaptive-tier run stopped because its
-	// latency confidence interval met the relative tolerance, rather
-	// than by exhausting the message ceiling or a saturation guard.
-	// Always false for fixed-tier runs.
-	Converged bool
 	// Saturated marks runs that hit a saturation guard; the paper
 	// prints "Sat." for these.
 	Saturated bool
@@ -935,34 +913,22 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		MeasureMessages: cfg.Measure,
 		MaxCycles:       cfg.MaxCycles,
 	}
-	var ad *stats.Adaptive
-	if cfg.AutoTol != 0 {
-		// Adaptive tier: measure from the first message (MSER-5 cuts the
-		// transient statistically) up to the fixed budget as the ceiling,
-		// with the controller ending the loop as soon as the CI converges;
-		// the floor and the check cadence follow from the ceiling.
-		ad = stats.NewAdaptive(stats.AdaptiveConfig{RelTol: cfg.AutoTol, MaxSamples: cfg.Warmup + cfg.Measure}.Normalize())
-		params.WarmupMessages = 0
-		params.MeasureMessages = ad.Config().MaxSamples
-		params.Adaptive = ad
-	}
 	run := net.Run(params)
 	res := Result{
-		AvgLatency:     run.Latency.Mean(),
-		NetLatency:     run.NetLatency.Mean(),
-		CI95:           run.LatencyBatches.HalfWidth95(),
-		P50:            run.LatencyHist.Quantile(0.50),
-		P95:            run.LatencyHist.Quantile(0.95),
-		P99:            run.LatencyHist.Quantile(0.99),
-		AvgHops:        run.Hops.Mean(),
-		Throughput:     run.Throughput(),
-		Delivered:      run.Latency.N(),
-		Cycles:         run.Cycles,
-		MeasuredCycles: run.Cycles,
-		TotalCycles:    net.Now(),
-		SkippedCycles:  net.SkippedCycles(),
-		Saturated:      run.Saturated,
-		SatReason:      run.SatReason,
+		AvgLatency:    run.Latency.Mean(),
+		NetLatency:    run.NetLatency.Mean(),
+		CI95:          run.LatencyBatches.HalfWidth95(),
+		P50:           run.LatencyHist.Quantile(0.50),
+		P95:           run.LatencyHist.Quantile(0.95),
+		P99:           run.LatencyHist.Quantile(0.99),
+		AvgHops:       run.Hops.Mean(),
+		Throughput:    run.Throughput(),
+		Delivered:     run.Latency.N(),
+		Cycles:        run.Cycles,
+		TotalCycles:   net.Now(),
+		SkippedCycles: net.SkippedCycles(),
+		Saturated:     run.Saturated,
+		SatReason:     run.SatReason,
 	}
 	if s := cfg.Faults; s.Epochs() > 1 {
 		res.DroppedFlits = net.DroppedFlits()
@@ -975,24 +941,6 @@ func run(cfg Config, pool *arenaPool, seam func(*network.Config)) (Result, error
 		res.Retransmits = net.Retransmits()
 		res.DupSuppressed = net.DupSuppressed()
 		res.Abandoned = net.Abandoned()
-	}
-	if ad != nil {
-		// A run ended by a guard may not have evaluated recently; fold in
-		// everything seen before reading the estimate.
-		ad.Finalize()
-		res.Converged = ad.Converged()
-		if est := ad.Estimate(); est.Used > 0 {
-			// The headline latency and throughput are truncated
-			// steady-state estimates over the same window; the remaining
-			// secondary statistics (NetLatency, hops, percentiles) stay
-			// whole-span, transient included.
-			res.AvgLatency = est.Mean
-			res.CI95 = est.HalfWidth
-			res.MeasuredCycles = ad.MeasuredCycles()
-			if w := ad.MeasuredCycles(); w > 0 {
-				res.Throughput = float64(ad.WindowFlits()) / float64(w) / float64(m.N())
-			}
-		}
 	}
 	pool.put(net)
 	return res, nil

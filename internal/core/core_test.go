@@ -91,8 +91,10 @@ func TestValidation(t *testing.T) {
 // fraction (it reserved the VC and sent no high-class traffic), an
 // infinite burst (its source never left ON, offering Load/OnFrac) and a
 // burst whose ON state offers more than a node can inject (its source drew
-// forever) are refused, naming their field. The most a node can inject,
-// on average and while ON, is accepted.
+// forever), a load so low that the derived cycle budget overflows and a
+// Warmup+Measure that overflows (each ran one cycle, then "exhausted")
+// are refused, naming their field. The most a node can inject, on average
+// and while ON, is accepted, and so is the low load given a MaxCycles.
 func TestValidateRefusesUnrunnableValues(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -106,6 +108,9 @@ func TestValidateRefusesUnrunnableValues(t *testing.T) {
 		{"QoS", func(c *Config) { c.QoS = math.NaN() }},
 		{"MeanOn", func(c *Config) { c.Burst = &traffic.Burst{OnFrac: 0.3, MeanOn: math.Inf(1)} }},
 		{"Burst.OnFrac", func(c *Config) { c.Burst = &traffic.Burst{OnFrac: 1e-300, MeanOn: 200} }},
+		{"Load", func(c *Config) { c.Load = 1e-300 }},
+		{"MaxCycles", func(c *Config) { c.Load = 1e-300 }},
+		{"Warmup", func(c *Config) { c.Warmup = math.MaxInt }},
 	} {
 		c := DefaultConfig()
 		tc.set(&c)
@@ -122,6 +127,11 @@ func TestValidateRefusesUnrunnableValues(t *testing.T) {
 	c.Burst = &traffic.Burst{OnFrac: traffic.MessageRate(c.Mesh(), c.Load, c.MsgLen), MeanOn: 200}
 	if err := c.Validate(); err != nil {
 		t.Errorf("Burst.OnFrac %g, one message per node per cycle while ON: %v", c.Burst.OnFrac, err)
+	}
+	c = DefaultConfig()
+	c.Load, c.MaxCycles = 1e-300, 1000
+	if err := c.Validate(); err != nil {
+		t.Errorf("Load %g with MaxCycles %d: %v", c.Load, c.MaxCycles, err)
 	}
 }
 
@@ -481,7 +491,6 @@ func TestConfigKey(t *testing.T) {
 		func(c *Config) { c.Trace = &traffic.Trace{} },
 		func(c *Config) { c.Warmup = 1 },
 		func(c *Config) { c.Measure = 7 },
-		func(c *Config) { c.AutoTol = 0.1 },
 		func(c *Config) { c.MaxCycles = 9 },
 		func(c *Config) { c.Seed = 42 },
 		func(c *Config) { c.EventMode = true },

@@ -71,7 +71,7 @@ func TestScheduleKeys(t *testing.T) {
 // holds under this SemanticsVersion for a healthy config, a static plan,
 // the same damage spelled as an untimed schedule (items reordered), and a
 // timed schedule with the reliability layer, for every other optional
-// term (event mode, the adaptive tier, bursts, QoS, a trace) and shape (a
+// term (event mode, bursts, QoS, a trace) and shape (a
 // torus, a 3-D mesh), and for a config canonical folds into another's key
 // (a full table): a refactor of how faults are represented, or of how the
 // key is built, must not orphan a single stored entry.
@@ -100,14 +100,8 @@ func TestKeyLiterals(t *testing.T) {
 	spelled.Faults = untimed
 	stormy.Faults = timed
 	stormy.Reliability = true
-	event, auto, burst, qos, torus, cube, traced := base, base, base, base, base, base, base
+	event, burst, qos, torus, cube, traced := base, base, base, base, base, base
 	event.EventMode = true
-	auto.AutoTol = 0.02
-	// The adaptive points product paths build: -fidelity auto's tolerance
-	// over its 2000/30000 budget, and lapses-sim's former -auto default.
-	fidelityAuto, simAuto := base, base
-	fidelityAuto.AutoTol = 0.03
-	simAuto.AutoTol = 0.05
 	burst.Burst = &traffic.Burst{OnFrac: 0.25, MeanOn: 50}
 	qos.QoS = 0.1
 	torus.Torus = true
@@ -130,9 +124,6 @@ func TestKeyLiterals(t *testing.T) {
 		{"untimed schedule", spelled, healthy + ",f[27-28;35-43;r9]"},
 		{"timed schedule", stormy, healthy + ",f[27-28@1100:1800;r9@1200],rel"},
 		{"event mode", event, healthy + ",ev"},
-		{"adaptive tier", auto, healthy + ",au3f947ae147ae147b"},
-		{"fidelity auto", fidelityAuto, healthy + ",au3f9eb851eb851eb8"},
-		{"lapses-sim auto", simAuto, healthy + ",au3fa999999999999a"},
 		{"burst", burst, healthy + ",mm[3fd0000000000000,4049000000000000]"},
 		{"qos", qos, healthy + ",q[3fb999999999999a]"},
 		{"torus", torus, "d[8 8],ttrue,latrue,a2,tb1,s3,p0,ld3fc999999999999a,ml20,w2000,m30000,mc0,sd1"},

@@ -17,6 +17,7 @@ import (
 var goldenDigests = map[int]string{
 	1: "0cdb8165efa664417817dbce011d1b3275be2a18ff6c65f370db280c73800f75",
 	2: "5269b597e646e9a29d20412f6c0d053a2324dc61bafaf38be44ddbc47d90ba04",
+	3: "5269b597e646e9a29d20412f6c0d053a2324dc61bafaf38be44ddbc47d90ba04",
 }
 
 // goldenDigest is the SHA-256 over every testdata/golden_*.txt, in name

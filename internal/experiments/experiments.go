@@ -34,13 +34,6 @@ const (
 	Default
 	// Paper uses the paper's 10000 warm-up + 400000 measured messages.
 	Paper
-	// Auto runs the adaptive measurement tier (core.Config.AutoTol): MSER-5
-	// warmup truncation plus CI-based early stopping, with Default's
-	// budget as the ceiling — each point measures only as long as its
-	// latency statistics need. Results are deterministic but not
-	// bit-comparable to the fixed tiers (different stopping rule), so
-	// goldens and bit-equivalence tests stay on Quick/Default/Paper.
-	Auto
 )
 
 // ParseFidelity converts a name to a Fidelity.
@@ -52,10 +45,8 @@ func ParseFidelity(s string) (Fidelity, error) {
 		return Default, nil
 	case "paper":
 		return Paper, nil
-	case "auto":
-		return Auto, nil
 	}
-	return 0, fmt.Errorf("experiments: unknown fidelity %q", s)
+	return 0, fmt.Errorf("experiments: unknown fidelity %q (quick, default or paper)", s)
 }
 
 func (f Fidelity) apply(c core.Config) core.Config {
@@ -66,9 +57,6 @@ func (f Fidelity) apply(c core.Config) core.Config {
 		c.Warmup, c.Measure = 2000, 30000
 	case Paper:
 		c.Warmup, c.Measure = 10000, 400000
-	case Auto:
-		c.Warmup, c.Measure = 2000, 30000
-		c.AutoTol = 0.03
 	}
 	return c
 }
@@ -85,10 +73,10 @@ type Runner struct {
 	Workers  int
 	Cache    *sweep.Cache
 
-	// EventMode runs every point on the event-driven kernel: same
-	// statistics within CI noise, several times the cycle rate, but not
-	// bit-comparable to cycle-mode runs (configs key differently, so a
-	// shared Cache never mixes the two).
+	// EventMode runs every point on the event-driven kernel: several
+	// times the cycle rate, but not bit-comparable to cycle-mode runs, and
+	// its mean latency runs a few percent low (README "Execution modes").
+	// Configs key differently, so a shared Cache never mixes the two.
 	EventMode bool
 
 	// Exec, when non-nil, replaces in-process sweep.Run as the grid

@@ -407,8 +407,11 @@ func TestParseFidelity(t *testing.T) {
 			t.Errorf("%s: %v", s, err)
 		}
 	}
-	if _, err := ParseFidelity("x"); err == nil {
-		t.Error("expected error")
+	// auto named the adaptive measurement tier, which is gone.
+	for _, s := range []string{"x", "auto"} {
+		if _, err := ParseFidelity(s); err == nil || !strings.Contains(err.Error(), `"`+s+`"`) {
+			t.Errorf("%s: err=%v, want one naming it", s, err)
+		}
 	}
 }
 
@@ -419,17 +422,15 @@ func TestFidelityApply(t *testing.T) {
 	for _, tc := range []struct {
 		f               Fidelity
 		warmup, measure int
-		autoTol         float64
 	}{
-		{Quick, 300, 3000, 0},
-		{Default, 2000, 30000, 0},
-		{Paper, 10000, 400000, 0},
-		{Auto, 2000, 30000, 0.03},
+		{Quick, 300, 3000},
+		{Default, 2000, 30000},
+		{Paper, 10000, 400000},
 	} {
 		c := tc.f.apply(core.DefaultConfig())
-		if c.Warmup != tc.warmup || c.Measure != tc.measure || c.AutoTol != tc.autoTol {
-			t.Errorf("fidelity %d: warmup %d, measure %d, AutoTol %g; want %d, %d, %g",
-				tc.f, c.Warmup, c.Measure, c.AutoTol, tc.warmup, tc.measure, tc.autoTol)
+		if c.Warmup != tc.warmup || c.Measure != tc.measure {
+			t.Errorf("fidelity %d: warmup %d, measure %d; want %d, %d",
+				tc.f, c.Warmup, c.Measure, tc.warmup, tc.measure)
 		}
 	}
 }

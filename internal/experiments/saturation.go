@@ -23,11 +23,10 @@ import (
 // sample needs, plus drain slack — and is classified by acceptance: the
 // probe is past saturation when a run guard tripped or its delivered
 // throughput fell below satAcceptFrac of the offered flit rate
-// (sweep.OfferedFracSaturated). Probes deliberately stay on the fixed
-// measurement tier even under Fidelity Auto: the saturation verdict is a
-// fixed-horizon acceptance measurement, and giving every probe (and the
-// dense reference path) the identical horizon is what makes verdicts
-// comparable across the load axis.
+// (sweep.OfferedFracSaturated). The saturation verdict is a
+// fixed-horizon acceptance measurement: giving every probe (and the dense
+// reference path) the identical horizon is what makes verdicts comparable
+// across the load axis.
 
 // satAcceptFrac is the acceptance fraction defining the knee: a network
 // delivering less than 85% of what is offered is past saturation. The
@@ -48,7 +47,6 @@ const satProbeDivisor = 5
 // sweep.Bisect. Probes share the experiment memo cache like every other
 // point.
 func SaturationSpec(base core.Config, lo, hi, tol float64) sweep.BisectSpec {
-	base.AutoTol = 0 // fixed-horizon probes; see the file comment
 	base.Warmup /= satProbeDivisor
 	base.Measure /= satProbeDivisor
 	if base.Warmup < 100 {
@@ -148,10 +146,7 @@ func (g *grid) latency(cell *Cell, base core.Config, load float64) {
 // overdriven adds base's fixed-budget overdriven run at load, scattering
 // into cell.Ovr. The cycle cap ends the run: its Measure is never reached,
 // and the latency guard, which waits for a tenth of Measure, never acts.
-// The run sheds Fidelity Auto's adaptive tier, since early stopping would
-// change what the accepted rate measures.
 func (g *grid) overdriven(cell *Cell, base core.Config, load float64, cycles int64) {
-	base.AutoTol = 0
 	base.Load = load
 	base.MaxCycles = cycles
 	base.Measure = 1 << 30

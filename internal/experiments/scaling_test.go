@@ -93,15 +93,12 @@ func TestScalingGridShape(t *testing.T) {
 		key := shape{dimsString(c.Dims), c.Algorithm}
 		if c.Measure != 1<<30 { // saturation probe
 			probes[key]++
-			if c.AutoTol != 0 {
-				t.Fatalf("saturation probe carries AutoTol %g", c.AutoTol)
-			}
 			continue
 		}
 		ovr[key]++
-		if c.AutoTol != 0 || c.MaxCycles != Quick.ovrCycles() || c.Load != scalingOvrLoad {
-			t.Fatalf("overdriven point malformed: AutoTol %g, MaxCycles %d (want %d), load %v (want %v)",
-				c.AutoTol, c.MaxCycles, Quick.ovrCycles(), c.Load, scalingOvrLoad)
+		if c.MaxCycles != Quick.ovrCycles() || c.Load != scalingOvrLoad {
+			t.Fatalf("overdriven point malformed: MaxCycles %d (want %d), load %v (want %v)",
+				c.MaxCycles, Quick.ovrCycles(), c.Load, scalingOvrLoad)
 		}
 	}
 	for i, row := range rows {

@@ -82,3 +82,32 @@ func TestFastForwardRespectsCycleBudget(t *testing.T) {
 		}
 	}
 }
+
+// An idle stretch is no deadlock: a message entering after a gap longer
+// than the progress guard must run like any other, with fast-forward
+// jumping the gap or every idle cycle stepped. The guard used to count
+// the gap and report "no delivery progress" as soon as the next message
+// entered, after delivering only the first.
+func TestIdleGapRestartsProgressGuard(t *testing.T) {
+	m := topology.NewMesh(4, 4)
+	for _, gap := range []int64{60_000, 200_000} {
+		trace, err := traffic.NewTrace([]traffic.TraceMsg{
+			{At: 0, Src: 0, Dst: 5, Length: 20},
+			{At: gap, Src: 3, Dst: 12, Length: 20},
+			{At: 2 * gap, Src: 15, Dst: 0, Length: 20},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(m, true, table.KindES, selection.LRU, nil, 0, 3)
+		cfg.Pattern = nil
+		cfg.Trace = trace
+		for _, noFF := range []bool{false, true} {
+			r := New(cfg).Run(RunParams{MeasureMessages: 3, NoFastForward: noFF})
+			if r.Saturated || r.Latency.N() != 3 {
+				t.Errorf("gap %d, noFF=%t: delivered %d of 3, saturated=%t (%s)",
+					gap, noFF, r.Latency.N(), r.Saturated, r.SatReason)
+			}
+		}
+	}
+}

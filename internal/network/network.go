@@ -644,9 +644,15 @@ func (f *nodeFabric) Deliver(fl flow.Flit, now int64) { f.ni.deliver(fl, now) }
 // network is globally idle, Step first jumps now to the next NI wake: the
 // skipped cycles are simulated time during which provably nothing could
 // happen, so the jump is indistinguishable from ticking them one by one.
-func (n *Network) Step() {
+func (n *Network) Step() { n.step() }
+
+// step is Step, reporting whether the cycle began idle: nothing in flight,
+// whether or not fast-forward then jumped. Run's deadlock guard restarts on
+// such a cycle.
+func (n *Network) step() (idle bool) {
 	now := n.now
-	if n.ff && n.idle() {
+	idle = n.idle()
+	if n.ff && idle {
 		target := n.nextWakeAt()
 		if target < 0 || target >= n.ffLimit {
 			// The next wake (if any) lies at or beyond the cycle budget,
@@ -660,7 +666,7 @@ func (n *Network) Step() {
 			} else {
 				n.now = now + 1
 			}
-			return
+			return idle
 		}
 		if target > now {
 			n.ffSkipped += target - now
@@ -681,6 +687,7 @@ func (n *Network) Step() {
 	}
 	n.stepCycle(now)
 	n.now = now + 1
+	return idle
 }
 
 // Now returns the current cycle.
@@ -727,9 +734,24 @@ func (n *Network) traceHorizon() int64 {
 // "Sat.").
 const satLatency = 5000
 
-// progressGuard guards a run against protocol deadlock: when no flit is
-// delivered for this many cycles while traffic is in flight, the run aborts.
+// progressGuard guards a run against protocol deadlock: when no message is
+// delivered or lost for this many cycles while traffic is in flight, the
+// run aborts. Idle cycles, stepped or fast-forwarded, restart the count: a
+// quiet stretch between messages is no deadlock.
 const progressGuard = 50000
+
+// CycleBudget is the cycle budget Run derives when RunParams.MaxCycles is
+// 0 on a generated workload: eight times the cycles the network takes to
+// offer messages at aggregate messages a cycle, plus 50 000. ok is false
+// when no budget derives: aggregate is not positive, or the budget would
+// overflow an int64.
+func CycleBudget(aggregate float64, messages int) (budget int64, ok bool) {
+	need := float64(messages) / aggregate
+	if !(aggregate > 0 && need*8 < 1<<62) {
+		return 0, false
+	}
+	return int64(need*8) + 50000, true
+}
 
 // RunParams controls one measured simulation (section 2.2's methodology).
 type RunParams struct {
@@ -746,14 +768,6 @@ type RunParams struct {
 	// nothing happens); the knob exists for regression tests and
 	// diagnostics.
 	NoFastForward bool
-	// Adaptive, when non-nil, switches the run to adaptive measurement:
-	// every delivered message in [WarmupMessages, WarmupMessages+
-	// MeasureMessages) is fed to the controller (callers normally pass
-	// WarmupMessages = 0 — warmup truncation is the controller's job)
-	// and the loop ends as soon as the controller reports Stopped(),
-	// instead of waiting for the full MeasureMessages count. The
-	// controller consumes deliveries in execution order.
-	Adaptive *stats.Adaptive
 }
 
 // Run executes the measurement loop: inject continuously, measure messages
@@ -767,12 +781,11 @@ func (n *Network) Run(p RunParams) *stats.Run {
 		if n.cfg.Trace != nil {
 			p.MaxCycles = n.traceHorizon() + 200000
 		} else {
-			aggregate := n.cfg.MsgRate * float64(n.m.N())
-			if aggregate <= 0 {
-				panic("network: zero injection rate with no cycle budget")
+			budget, ok := CycleBudget(n.cfg.MsgRate*float64(n.m.N()), p.WarmupMessages+p.MeasureMessages)
+			if !ok {
+				panic("network: no cycle budget derives from the injection rate; set MaxCycles")
 			}
-			need := float64(p.WarmupMessages+p.MeasureMessages) / aggregate
-			p.MaxCycles = int64(need*8) + 50000
+			p.MaxCycles = budget
 		}
 	}
 
@@ -810,16 +823,12 @@ func (n *Network) Run(p RunParams) *stats.Run {
 		if msg.ID < lo || msg.ID >= hi {
 			return
 		}
-		lat := float64(msg.ArriveTime - msg.CreateTime)
 		run.Record(
-			lat,
+			float64(msg.ArriveTime-msg.CreateTime),
 			float64(msg.ArriveTime-msg.InjectTime),
 			msg.Hops,
 			msg.Length,
 		)
-		if p.Adaptive != nil {
-			p.Adaptive.Add(lat, msg.Length, now)
-		}
 		measuredDone++
 		if firstDeliver < 0 {
 			firstDeliver = now
@@ -847,15 +856,9 @@ func (n *Network) Run(p RunParams) *stats.Run {
 	defer func() { n.onLost = prevLost }()
 
 	for measuredDone < p.MeasureMessages {
-		// The adaptive controller ends the loop as soon as it stops
-		// (converged, or its own sample ceiling); the message-count
-		// condition above stays the backstop. A nil check per cycle
-		// keeps the fixed path's loop head branch-predictable instead
-		// of an indirect call.
-		if p.Adaptive != nil && p.Adaptive.Stopped() {
-			break
+		if n.step() {
+			lastProgress = n.now
 		}
-		n.Step()
 		if n.now >= p.MaxCycles {
 			run.Saturated = true
 			run.SatReason = "cycle budget exhausted"

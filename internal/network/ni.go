@@ -362,8 +362,8 @@ func (x *ni) acceptCredit(v flow.VCID, n int) {
 
 // deliver consumes an ejected flit; the tail completes the message: it is
 // counted, shown to the arrival observer and pooled right here, so
-// arrivals reach the observer in execution order — what the goldens,
-// adaptive measurement and the reliability layer are pinned against. at is
+// arrivals reach the observer in execution order — what the goldens and
+// the reliability layer are pinned against. at is
 // the cycle the flit reaches the NI, which in event mode may lie ahead of
 // the executing cycle (an express ejection computes it); the observer and
 // the delivery windows see the executing cycle, net.now. The tail is the

@@ -649,11 +649,12 @@ func jobBody(t *testing.T, p json.RawMessage) json.RawMessage {
 // answered as the default setting: PROUD for a misspelled lookahead) and
 // retired inputs: the per-job deadline, the second damage field, the
 // cut-through switch, the per-run parallelism axis, the adaptive tier's
-// budget object, the router geometry fixed at Table 2 or derived from
-// the algorithm (escape VCs, output depth, link delay, VCs, input buffer
-// depth) and the reliability and QoS parameter objects, now a switch and
-// a fraction, each refused at the outermost member the server cannot
-// read.
+// budget object and its tolerance (the tier is gone), the router geometry
+// fixed at Table 2 or derived from the algorithm (escape VCs, output
+// depth, link delay, VCs, input buffer depth), the reliability and QoS
+// parameter objects, now a switch and a fraction, and the latency guard,
+// the kernel's constant, each refused at the outermost member the server
+// cannot read.
 func TestServerRefusesUnknownMembers(t *testing.T) {
 	t.Parallel()
 	_, c := testServer(t, t.TempDir(), ServerOptions{Runner: scripted})
@@ -694,6 +695,7 @@ func TestServerRefusesUnknownMembers(t *testing.T) {
 		{"buf_depth", func(_, p map[string]any) { p["buf_depth"] = 20 }},
 		{"qos", func(_, p map[string]any) { p["qos"] = map[string]any{"hi_frac": 0.2} }},
 		{"sat_latency", func(_, p map[string]any) { p["sat_latency"] = 5000 }},
+		{"auto_tol", func(_, p map[string]any) { p["auto_tol"] = 0.03 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var job map[string]any

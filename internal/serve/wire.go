@@ -55,9 +55,9 @@ import (
 // already parse), empty when missing, which also keeps payloads readable
 // and stable across releases. Damage, static or timed, travels
 // under "faults" as its canonical spec string, the form lapses-sim -faults
-// reads, which fault.ParseSchedule turns into Config.Faults; the adaptive
-// tier is its tolerance, "auto_tol"; the reliability layer is a switch,
-// "reliability", and QoS its high-class fraction, "qos"; burst parameters
+// reads, which fault.ParseSchedule turns into Config.Faults; the
+// reliability layer is a switch, "reliability", and QoS its high-class
+// fraction, "qos"; burst parameters
 // travel as traffic.Burst itself, which carries the wire's names as struct
 // tags. Trace workloads have no wire form — PointFromConfig rejects them. A server decodes a point strictly: a member Point does not
 // declare, at any depth, refuses the job.
@@ -85,9 +85,8 @@ type Point struct {
 	Burst   *traffic.Burst `json:"burst,omitempty"`
 	QoS     float64        `json:"qos,omitempty"`
 
-	Warmup  *int    `json:"warmup"`
-	Measure *int    `json:"measure"`
-	AutoTol float64 `json:"auto_tol,omitempty"`
+	Warmup  *int `json:"warmup"`
+	Measure *int `json:"measure"`
 
 	MaxCycles int64  `json:"max_cycles,omitempty"`
 	Seed      *int64 `json:"seed"`
@@ -127,7 +126,6 @@ func point(c *core.Config) Point {
 		MaxCycles: c.MaxCycles,
 		Seed:      &c.Seed,
 		EventMode: c.EventMode,
-		AutoTol:   c.AutoTol,
 
 		// Schedule.Key is the canonical "A-B;...;rN" content of a static
 		// plan and "A-B@DOWN:UP;..." of a timed schedule; ParseSchedule
@@ -156,7 +154,6 @@ func (p Point) Config() (core.Config, error) {
 		MaxCycles: p.MaxCycles,
 		Seed:      *p.Seed,
 		EventMode: p.EventMode,
-		AutoTol:   p.AutoTol,
 
 		Burst:       p.Burst,
 		QoS:         p.QoS,

@@ -17,8 +17,8 @@ import (
 
 // wireTestConfigs is a spread of configurations exercising every field
 // the wire format carries: topology shape, torus wrap, fault plans, the
-// pipeline, algorithm/table/selection/pattern enums, measurement
-// tiers (fixed and auto), guards, event mode, and the workload and
+// pipeline, algorithm/table/selection/pattern enums, the sample
+// sizes, the cycle budget, event mode, and the workload and
 // availability options (bursty sources, QoS classes, a fault schedule, the
 // reliability layer).
 func wireTestConfigs(t *testing.T) []core.Config {
@@ -41,9 +41,8 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	}
 	faulty.Faults = fault.Static(plan)
 
-	auto := core.DefaultConfig()
-	auto.AutoTol = 0.05
-	auto.MaxCycles = 123456
+	capped := core.DefaultConfig()
+	capped.MaxCycles = 123456
 
 	exotic := core.DefaultConfig()
 	exotic.Dims = []int{2, 3, 4}
@@ -67,7 +66,7 @@ func wireTestConfigs(t *testing.T) []core.Config {
 		t.Fatalf("building fault schedule: %v", err)
 	}
 
-	return []core.Config{base, torus, faulty, auto, exotic, meta, stormy}
+	return []core.Config{base, torus, faulty, capped, exotic, meta, stormy}
 }
 
 // TestPointRoundTripPreservesKey pins the wire contract: for any
@@ -158,9 +157,8 @@ func TestPointConfigErrors(t *testing.T) {
 	}
 	// core.Config.Validate's refusals name their field.
 	for field, mutate := range map[string]func(p *Point){
-		"MsgLen":  func(p *Point) { p.MsgLen = ref(0) },
-		"Dims":    func(p *Point) { p.Dims, p.Algorithm = []int{2, 2, 2, 2, 2, 2, 2, 2}, "xy" },
-		"AutoTol": func(p *Point) { p.AutoTol = -1 },
+		"MsgLen": func(p *Point) { p.MsgLen = ref(0) },
+		"Dims":   func(p *Point) { p.Dims, p.Algorithm = []int{2, 2, 2, 2, 2, 2, 2, 2}, "xy" },
 	} {
 		p := good
 		mutate(&p)
