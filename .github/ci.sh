@@ -94,6 +94,12 @@ unit)
 		fi
 	done
 	rm -rf "$work/gocache" "$work/asm.txt"
+	# The short suite holds every table organization to the routing
+	# function it encodes, on the routers the simulator builds
+	# (internal/core TestTablesEqualAlgorithm: every organization x
+	# algorithm x {1,2,3}-D x {mesh, torus} that Validate accepts, every
+	# lookup), and pins the printed programmings of Fig. 7, Fig. 8 and the
+	# interval table (internal/experiments TestRegistryOutputPinned).
 	go test -short ./...
 	# One real 8x8 saturation search: asserts the bisection converges on
 	# the same knee as the dense-grid reference path and spends at most
@@ -101,27 +107,6 @@ unit)
 	# regression floor, well above the 1.5x minimum this gate exists to
 	# hold).
 	go test -run TestBisectCycleReduction -v ./internal/sweep
-	# Every table organization is one shared lookup per structure, trusted
-	# to equal the routing function it encodes; this is where that is
-	# checked: every organization x algorithm x {1,2,3}-D x {mesh, torus}
-	# that Validate accepts, every lookup at every router, destination and
-	# dateline state, and the function held to what the organization can
-	# express (ES: sign-routed; interval: one label run per port).
-	go run ./cmd/lapses-tables -verify
-	# The printed programmings (Fig. 7 for each algorithm, Fig. 8, the
-	# interval table) are pinned byte for byte.
-	go build -o "$work/" ./cmd/lapses-tables
-	for alg in xy yx duato north-last west-first negative-first; do
-		diff <("$work/lapses-tables" -alg $alg) cmd/lapses-tables/testdata/alg-$alg.txt
-	done
-	diff <("$work/lapses-tables" -meta) cmd/lapses-tables/testdata/meta.txt
-	diff <("$work/lapses-tables" -interval) cmd/lapses-tables/testdata/interval.txt
-	# -meta, -interval and -verify fix their own algorithms, so -alg with
-	# one of them is refused by name, usage status 2, not ignored.
-	code=0
-	"$work/lapses-tables" -meta -alg xy >/dev/null 2>"$work/reject.txt" || code=$?
-	[ "$code" -eq 2 ]
-	grep -q '^lapses-tables: -alg ' "$work/reject.txt"
 	# Damage is one flag: a count of random dead links (a static plan), and
 	# a spec whose items may be timed — a link failing and healing mid-run
 	# plus a router dead from the start, under the retransmission layer.
@@ -152,6 +137,11 @@ unit)
 	# exhausted with nothing delivered.
 	invalid Load -dims 4x4 -load 1e-300 -measure 10
 	invalid Warmup -dims 4x4 -warmup 9223372036854775807
+	# -max-cycles sets the budget that refusal asks for: the run ends there,
+	# saturated, with status 0. A negative budget is refused by name.
+	"$work/lapses-sim" -dims 4x4 -load 1e-300 -measure 10 -max-cycles 100 >"$work/budget.txt"
+	grep -q '^saturated      cycle budget exhausted' "$work/budget.txt"
+	invalid MaxCycles -dims 4x4 -load 1e-300 -measure 10 -max-cycles -1
 	# An idle stretch is no deadlock: at this load messages enter more than
 	# 50 000 cycles apart, and every one is delivered.
 	"$work/lapses-sim" -dims 4x4 -load 1e-5 -warmup 0 -measure 20 >"$work/sparse.txt"
@@ -217,6 +207,12 @@ unit)
 	refused -reps -exp table1 -reps 3
 	refused -workers -exp table1 -server http://127.0.0.1:1 -workers 4
 	refused 'unexpected argument "stray"' -exp table1 stray
+	# The table programmings are registry experiments, pinned by
+	# TestRegistryOutputPinned; one is pinned through the command too. The
+	# command closes each experiment with a blank line, its "[... done in
+	# ...]" line and another blank line.
+	lx -exp fig8 >"$work/fig8.txt"
+	diff <(table "$work/fig8.txt") <(cat internal/experiments/testdata/fig8.txt && printf '\n\n')
 	# The adaptive measurement tier is gone: -fidelity auto is refused by
 	# name.
 	code=0

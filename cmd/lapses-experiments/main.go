@@ -1,7 +1,8 @@
 // Command lapses-experiments regenerates the tables and figures of the
-// LAPSES paper's evaluation.
+// LAPSES paper: its evaluation, and section 5's table programmings.
 //
 //	lapses-experiments -exp table3                 # one experiment
+//	lapses-experiments -exp fig7                   # Fig. 7's ES table, every algorithm
 //	lapses-experiments -exp all -fidelity quick    # everything, fast
 //	lapses-experiments -exp fig6 -fidelity paper   # 400k-message fidelity
 //	lapses-experiments -exp all -workers 16        # widen the sweep pool

@@ -36,7 +36,9 @@
 //	lapses-sim -load 0.3 -qos 0.2 -pattern hotspot
 //
 // Every run measures -measure messages after -warmup (the paper's
-// section 2.2 uses 10000 and 400000).
+// section 2.2 uses 10000 and 400000), within a budget of -max-cycles
+// cycles (0 derives one from the offered load; a run that exhausts it
+// reports saturation).
 package main
 
 import (
@@ -65,38 +67,11 @@ func main() {
 // its deferred calls run on every path: a failed run still stops and
 // flushes a -cpuprofile.
 func run() error {
-	cfg := core.DefaultConfig()
-
-	dims := flag.String("dims", "16x16", "mesh radices, e.g. 16x16 or 8x8x8")
-	torus := flag.Bool("torus", false, "wrap the mesh into a torus")
-	la := flag.Bool("lookahead", cfg.LookAhead, "use the 4-stage LA-PROUD pipeline")
-	flag.TextVar(&cfg.Algorithm, "alg", cfg.Algorithm, "routing algorithm: xy, yx, duato, north-last, west-first, negative-first")
-	flag.TextVar(&cfg.Table, "table", cfg.Table, "table organization: full, es, meta-row, meta-block, interval")
-	flag.TextVar(&cfg.Selection, "selection", cfg.Selection, "path selection: static-xy, min-mux, lfu, lru, max-credit, random, notify-lru, notify-lfu, notify-max-credit")
-	flag.TextVar(&cfg.Pattern, "pattern", cfg.Pattern, "traffic pattern: uniform, transpose, bit-reversal, shuffle, ...")
-	load := flag.Float64("load", cfg.Load, "normalized load (1.0 = bisection saturation)")
-	burst := flag.String("burst", "", "bursty MMPP sources as ONFRAC,MEANON (e.g. 0.3,200): fraction of time spent ON and mean ON-period cycles, same mean rate as -load")
-	flag.Float64Var(&cfg.QoS, "qos", 0, "two-class QoS traffic: the high-class probability (e.g. 0.2; 0 = single-class); the top adaptive VC is reserved for that class")
-	msgLen := flag.Int("msglen", cfg.MsgLen, "message length in flits")
-	warmup := flag.Int("warmup", cfg.Warmup, "warm-up messages (excluded from stats)")
-	measure := flag.Int("measure", cfg.Measure, "measured messages")
-	seed := flag.Int64("seed", cfg.Seed, "random seed")
-	faults := flag.String("faults", "", "failed equipment: a count of random link failures, or a \"A-B,...,rN\" spec whose items may be timed \"@DOWN[:UP]\" (untimed = down from the start; \":UP\" omitted = permanent)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for a random count of link failures (with a count -faults only)")
-	flag.BoolVar(&cfg.Reliability, "reliability", false, fmt.Sprintf("end-to-end NI retransmission layer (RTO %d cycles, %d attempts, acks held %d cycles)",
-		network.DefaultRTO, network.DefaultMaxAttempts, network.DefaultAckDelay))
-	events := flag.Bool("events", false, "event-driven kernel: faster, not bit-identical to cycle mode, mean latency a few cycles low (see README)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		flag.Usage()
-		return fmt.Errorf("unexpected argument %q (a boolean flag takes -name=false)", flag.Arg(0))
-	}
-	// A seed with no random draw to seed would run something other than
-	// what was asked for, unnoticed.
-	if _, err := strconv.Atoi(strings.TrimSpace(*faults)); err != nil && isSet("fault-seed") {
-		return fmt.Errorf("-fault-seed seeds a count -faults of random link failures, and -faults %q is none", *faults)
+	cfg, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		return err
 	}
 
 	if *cpuprofile != "" {
@@ -109,26 +84,6 @@ func run() error {
 			return err
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	var err error
-	if cfg.Dims, err = parseDims(*dims); err != nil {
-		return err
-	}
-	cfg.Torus = *torus
-	cfg.LookAhead = *la
-	cfg.Load, cfg.MsgLen = *load, *msgLen
-	cfg.Warmup, cfg.Measure, cfg.Seed = *warmup, *measure, *seed
-	if *burst != "" {
-		if cfg.Burst, err = parseBurst(*burst); err != nil {
-			return err
-		}
-	}
-	cfg.EventMode = *events
-	if *faults != "" {
-		if cfg.Faults, err = parseFaults(cfg, *faults, *faultSeed); err != nil {
-			return err
-		}
 	}
 
 	res, err := core.Run(cfg)
@@ -199,17 +154,64 @@ func run() error {
 	return nil
 }
 
-// isSet reports whether the command line set the named flag.
-func isSet(name string) (set bool) {
-	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-	return set
-}
-
 func pipeName(la bool) string {
 	if la {
 		return "LA-PROUD (4-stage)"
 	}
 	return "PROUD (5-stage)"
+}
+
+// parse reads the command line args into the config to run, through fs:
+// every field of core.Config but Trace has a flag.
+func parse(fs *flag.FlagSet, args []string) (cfg core.Config, err error) {
+	cfg = core.DefaultConfig()
+	dims := fs.String("dims", "16x16", "mesh radices, e.g. 16x16 or 8x8x8")
+	fs.BoolVar(&cfg.Torus, "torus", false, "wrap the mesh into a torus")
+	fs.BoolVar(&cfg.LookAhead, "lookahead", cfg.LookAhead, "use the 4-stage LA-PROUD pipeline")
+	fs.TextVar(&cfg.Algorithm, "alg", cfg.Algorithm, "routing algorithm: xy, yx, duato, north-last, west-first, negative-first")
+	fs.TextVar(&cfg.Table, "table", cfg.Table, "table organization: full, es, meta-row, meta-block, interval")
+	fs.TextVar(&cfg.Selection, "selection", cfg.Selection, "path selection: static-xy, min-mux, lfu, lru, max-credit, random, notify-lru, notify-lfu, notify-max-credit")
+	fs.TextVar(&cfg.Pattern, "pattern", cfg.Pattern, "traffic pattern: uniform, transpose, bit-reversal, shuffle, ...")
+	fs.Float64Var(&cfg.Load, "load", cfg.Load, "normalized load (1.0 = bisection saturation)")
+	burst := fs.String("burst", "", "bursty MMPP sources as ONFRAC,MEANON (e.g. 0.3,200): fraction of time spent ON and mean ON-period cycles, same mean rate as -load")
+	fs.Float64Var(&cfg.QoS, "qos", 0, "two-class QoS traffic: the high-class probability (e.g. 0.2; 0 = single-class); the top adaptive VC is reserved for that class")
+	fs.IntVar(&cfg.MsgLen, "msglen", cfg.MsgLen, "message length in flits")
+	fs.IntVar(&cfg.Warmup, "warmup", cfg.Warmup, "warm-up messages (excluded from stats)")
+	fs.IntVar(&cfg.Measure, "measure", cfg.Measure, "measured messages")
+	fs.Int64Var(&cfg.MaxCycles, "max-cycles", cfg.MaxCycles, "cycle budget; a run that exhausts it reports saturation (0 derives one from the offered load)")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	faults := fs.String("faults", "", "failed equipment: a count of random link failures, or a \"A-B,...,rN\" spec whose items may be timed \"@DOWN[:UP]\" (untimed = down from the start; \":UP\" omitted = permanent)")
+	faultSeed := fs.Int64("fault-seed", 1, "seed for a random count of link failures (with a count -faults only)")
+	fs.BoolVar(&cfg.Reliability, "reliability", false, fmt.Sprintf("end-to-end NI retransmission layer (RTO %d cycles, %d attempts, acks held %d cycles)",
+		network.DefaultRTO, network.DefaultMaxAttempts, network.DefaultAckDelay))
+	fs.BoolVar(&cfg.EventMode, "events", false, "event-driven kernel: faster, not bit-identical to cycle mode, mean latency a few cycles low (see README)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return cfg, fmt.Errorf("unexpected argument %q (a boolean flag takes -name=false)", fs.Arg(0))
+	}
+	// A seed with no random draw to seed would run something other than
+	// what was asked for, unnoticed.
+	seedSet := false
+	fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "fault-seed" })
+	if _, err := strconv.Atoi(strings.TrimSpace(*faults)); err != nil && seedSet {
+		return cfg, fmt.Errorf("-fault-seed seeds a count -faults of random link failures, and -faults %q is none", *faults)
+	}
+
+	if cfg.Dims, err = parseDims(*dims); err != nil {
+		return cfg, err
+	}
+	if *burst != "" {
+		if cfg.Burst, err = parseBurst(*burst); err != nil {
+			return cfg, err
+		}
+	}
+	if *faults != "" {
+		cfg.Faults, err = parseFaults(cfg, *faults, *faultSeed)
+	}
+	return cfg, err
 }
 
 // parseFaults builds the damage: a bare integer draws that many random

@@ -207,6 +207,47 @@ func TestIntervalValidateOrRun(t *testing.T) {
 	}
 }
 
+// TestTablesEqualAlgorithm checks statically that every table
+// organization programs exactly the routing function it encodes, for the
+// routers the simulator builds: every organization x algorithm x
+// {1,2,3}-D x {mesh, torus} that Validate accepts, programmed through
+// Config.Routing (so with the VC partition Config.class derives), is held
+// by table.Verify to answer every lookup at every router, destination and
+// dateline state as the algorithm does, and the algorithm to what the
+// organization can express. Every router of a structure, and its
+// look-ahead lookups, read one shared table.Routes, so this is also the
+// paper's ES == full-table equivalence. The radices are small but include
+// odd, even and radix-2 dimensions: a radix-2 torus dimension never
+// realizes a "-" sign.
+func TestTablesEqualAlgorithm(t *testing.T) {
+	t.Parallel()
+	checked := 0
+	for _, dims := range [][]int{{7}, {6, 5}, {4, 3, 2}} {
+		for _, torus := range []bool{false, true} {
+			for _, a := range Algs {
+				for _, k := range table.Kinds {
+					c := DefaultConfig()
+					c.Dims, c.Torus, c.Algorithm, c.Table = dims, torus, a, k
+					if c.Validate() != nil {
+						continue
+					}
+					alg, cls, err := c.Routing()
+					if err == nil {
+						err = table.Verify(k, c.Mesh(), alg, cls)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked != 48 {
+		t.Errorf("checked %d (organization, algorithm, topology) combinations, want 48", checked)
+	}
+}
+
 // TestShapeLimitsValidateOrRun is TestIntervalValidateOrRun's neighbour
 // for the limits that size or bound a run rather than route it: every
 // algorithm, on one to five dimensions (flow.MaxCandidates bounds an

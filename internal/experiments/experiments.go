@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the LAPSES
 // paper's evaluation: Fig. 5 (look-ahead and adaptivity vs load), Table 3
 // (message-length sensitivity of look-ahead), Fig. 6 (path-selection
-// heuristics), Table 4 (table-storage schemes) and Table 5 (storage
+// heuristics), Table 4 (table-storage schemes), section 5's table
+// programmings (Fig. 7, Fig. 8, an interval table) and Table 5 (storage
 // summary). Each experiment declares its grid as data — an ordered list
 // of core.Config points — and executes it through the concurrent
 // internal/sweep engine, so sweeps scale with GOMAXPROCS (or an explicit
@@ -18,9 +19,11 @@ import (
 	"strings"
 
 	"lapses/internal/core"
+	"lapses/internal/routing"
 	"lapses/internal/selection"
 	"lapses/internal/sweep"
 	"lapses/internal/table"
+	"lapses/internal/topology"
 	"lapses/internal/traffic"
 )
 
@@ -460,6 +463,62 @@ func RenderTable4(w io.Writer, rows []Table4Row) {
 	}
 }
 
+// programmed returns the mesh, and the routing function and VC partition
+// (core.Config.Routing), of the default config on dims under algorithm a.
+// The views below program fixed healthy configs, so an error is a bug.
+func programmed(dims []int, a core.Alg) (*topology.Mesh, routing.Algorithm, routing.Class) {
+	c := core.DefaultConfig()
+	c.Dims, c.Algorithm = dims, a
+	alg, cls, err := c.Routing()
+	if err != nil {
+		panic(err)
+	}
+	return c.Mesh(), alg, cls
+}
+
+// renderFig7 prints Fig. 7, the economical-storage table at node (1,1) of
+// a 3x3 mesh, once per algorithm of core.Algs. A mesh's ES row is the same
+// at every router, so the structure's shared row is node (1,1)'s table.
+func renderFig7(w io.Writer) {
+	for i, a := range core.Algs {
+		m, alg, cls := programmed([]int{3, 3}, a)
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "Fig. 7: economical-storage table at node (1,1) of a 3x3 mesh, %s routing\n", alg.Name())
+		fmt.Fprintf(w, "(sign of destination offset (sx,sy) -> permitted output ports; %d entries)\n\n", table.KindES.Entries(m))
+		fmt.Fprint(w, table.Program(table.KindES, m, alg, cls).Dump())
+	}
+}
+
+// renderFig8 prints Fig. 8, the row and block meta-table mappings of a
+// 16x16 mesh programmed for Duato routing.
+func renderFig8(w io.Writer) {
+	m, alg, cls := programmed([]int{16, 16}, core.AlgDuato)
+	fmt.Fprintln(w, "Fig. 8(a): row mapping (minimal flexibility; cluster/label per node, top row = y15)")
+	fmt.Fprintln(w, table.NewMeta(m, alg, cls, table.MapRow).DumpMapping())
+	fmt.Fprintln(w, "Fig. 8(b): block mapping (maximal flexibility)")
+	fmt.Fprintln(w, table.NewMeta(m, alg, cls, table.MapBlock).DumpMapping())
+}
+
+// renderInterval prints the interval table of node (3,3) of an 8x8 mesh
+// under YX routing: the row-major label run each port covers.
+func renderInterval(w io.Writer) {
+	m, alg, _ := programmed([]int{8, 8}, core.AlgYX)
+	lo, hi, err := table.Intervals(m, alg, m.ID(topology.Coord{3, 3}))
+	if err != nil {
+		panic(err) // YX on a mesh is one label run per port
+	}
+	fmt.Fprintf(w, "Interval table for node (3,3) of %s, YX routing:\n", m)
+	for p := range lo {
+		if lo[p] > hi[p] {
+			fmt.Fprintf(w, "  %-3s  (unused)\n", m.PortName(topology.Port(p)))
+			continue
+		}
+		fmt.Fprintf(w, "  %-3s  labels [%d, %d]\n", m.PortName(topology.Port(p)), lo[p], hi[p])
+	}
+}
+
 // Table5Row summarizes one storage scheme (Table 5).
 type Table5Row struct {
 	Scheme      string
@@ -505,7 +564,7 @@ type experiment struct {
 	// run simulates the experiment once under the runner's seed and
 	// returns its two output forms: render prints it in the paper's
 	// format, and records is its record table, nil when it has none (the
-	// reference tables and the storage summary).
+	// reference tables, the table programmings and the storage summary).
 	run func(context.Context, Runner) (render func(io.Writer), records [][]string, err error)
 	// repCols names the record table's metric columns, the ones
 	// replications aggregate (see the schema note in csv.go).
@@ -546,6 +605,9 @@ var registry = []experiment{
 	swept("table3", Runner.Table3, RenderTable3, table3Records, "lookahead_latency", "no_lookahead_latency", "improvement_pct"),
 	swept("fig6", Runner.Fig6, RenderFig6, fig6Records, "avg_latency", "throughput"),
 	swept("table4", Runner.Table4, RenderTable4, table4Records, "avg_latency"),
+	static("fig7", renderFig7),
+	static("fig8", renderFig8),
+	static("interval", renderInterval),
 	static("table5", func(w io.Writer) {
 		RenderTable5(w, Table5(256, 2))
 		fmt.Fprintln(w)

@@ -78,10 +78,12 @@ func verifySigned(t *testing.T, m *topology.Mesh, cls routing.Class) int {
 	return checked
 }
 
-// TestSignTablesEqualRoute is lapses-tables -verify's static check: every
-// organization x algorithm x {1,2,3}-D x {mesh, torus} combination
-// answers every lookup and look-ahead lookup exactly as the algorithm
-// does, at every router, destination and dateline state.
+// TestSignTablesEqualRoute is internal/core's TestTablesEqualAlgorithm on
+// a fixed VC class: every organization x algorithm x {1,2,3}-D x {mesh,
+// torus} combination answers every lookup and look-ahead lookup exactly as
+// the algorithm does, at every router, destination and dateline state,
+// with one escape VC on a mesh and two on a torus for every algorithm
+// (the simulator gives the non-Duato algorithms none).
 func TestSignTablesEqualRoute(t *testing.T) {
 	checked := 0
 	for _, dims := range [][]int{{7}, {6, 5}, {4, 3, 2}} {
@@ -95,7 +97,7 @@ func TestSignTablesEqualRoute(t *testing.T) {
 		}
 	}
 	if checked != 48 {
-		t.Errorf("checked %d combinations, lapses-tables -verify checks 48", checked)
+		t.Errorf("checked %d combinations, TestTablesEqualAlgorithm checks 48", checked)
 	}
 }
 

@@ -174,7 +174,8 @@ func (r *Routes) Lookup(at, dst topology.NodeID, dateline uint8) flow.RouteSet {
 // Dump renders the economical-storage row in the style of the paper's
 // Fig. 7(d): one line per sign-vector entry with the candidate ports. It
 // panics unless the routes were programmed from a sign-routed function on
-// a mesh. Intended for cmd/lapses-tables and documentation.
+// a mesh. Intended for Fig. 7 (lapses-experiments -exp fig7) and
+// documentation.
 func (r *Routes) Dump() string {
 	if r.row == nil {
 		panic(fmt.Sprintf("table: %s on %s has no sign row", r.fn.Name(), r.m))
