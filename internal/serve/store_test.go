@@ -862,6 +862,40 @@ func TestStoreErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestStorePutFailure: a durable write that fails does not fail the
+// point. Do returns the simulated result, not as a hit, the failure is
+// counted, and nothing is stored, so the next Do simulates again. The
+// first put's temp name is taken by a directory, so its O_EXCL create
+// fails (a read-only directory would not do: the tests may run as root).
+func TestStorePutFailure(t *testing.T) {
+	t.Parallel()
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := storeConfig(6)
+	if err := os.Mkdir(filepath.Join(s.objs, objName(cfg.Key())+".tmp1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	run := func(c core.Config) (core.Result, error) { calls.Add(1); return scripted(c) }
+	want, _ := scripted(cfg)
+	res, hit, err := s.Do(context.Background(), cfg, run)
+	if err != nil || hit || res != want {
+		t.Fatalf("Do with a failing put: res=%+v hit=%v err=%v, want the simulated result, no hit", res, hit, err)
+	}
+	if st := s.Stats(); st.PutFailures != 1 || st.Entries != 0 {
+		t.Fatalf("stats after a failed put: %+v, want 1 put failure and no entry", st)
+	}
+	res, hit, err = s.Do(context.Background(), cfg, run)
+	if err != nil || hit || res != want || calls.Load() != 2 {
+		t.Fatalf("Do after a failed put: res=%+v hit=%v err=%v calls=%d, want a second simulation", res, hit, err, calls.Load())
+	}
+	if st := s.Stats(); st.PutFailures != 1 || st.Entries != 1 {
+		t.Fatalf("stats after the second put: %+v, want the entry durable", st)
+	}
+}
+
 // storeEntry is an entry as encoding/json reads it: the reference the
 // store's one-pass reader is held to.
 type storeEntry struct {
