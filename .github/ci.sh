@@ -347,6 +347,14 @@ serve)
 	lx -exp fig5 -fidelity quick -csv served-csv -server $url >served.txt
 	[ "$(grep -c 'serve job' served.txt)" -eq 1 ]
 	curl -fs $url/v1/cluster | jq -e '.claims > 0'
+	# The job is the one place a served grid is deduplicated: a job whose
+	# two points are the same point is one lease, one simulation and one
+	# cached repeat.
+	claims=$(curl -fs $url/v1/cluster | jq .claims)
+	twice='{"dims":[4,4],"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":59}'
+	id=$(curl -fs -H 'Content-Type: application/json' $url/v1/jobs -d "{\"points\":[$twice,$twice]}" | jq -r .id)
+	curl -fs "$url/v1/jobs/$id?wait_ms=30000" | jq -e '.state == "done" and .simulated == 1 and .cached == 1'
+	curl -fs $url/v1/cluster | jq -e --argjson c "$claims" '.claims == $c + 1'
 	lx -exp fig5 -fidelity quick -csv local-csv >local.txt
 	diff <(table served.txt) <(table local.txt)
 	diff served-csv/fig5.csv local-csv/fig5.csv
@@ -399,7 +407,10 @@ cluster)
 	# The deterministic chaos pins first, under the race detector on the
 	# coordinator/worker interleavings: orphaned-lease recovery within one
 	# TTL, drain requeue, the panic taxonomy (a panic fails its point on
-	# its first lease) and the exactly-once simulation accounting, plus the
+	# its first lease) and the exactly-once simulation accounting (a job
+	# leases each distinct key once and records its outcome at every
+	# point that shares the key; a re-leased point whose first lease
+	# finished is a store hit), plus the
 	# server-held waits (status and claim requests parked on a channel,
 	# woken by completion, requeue and drain), a Worker running -workers
 	# one-point leases at once and claiming only while a slot is free, a
@@ -410,7 +421,7 @@ cluster)
 	# another semantics version refused, which stops its worker.
 	# TestServer* and TestOneExecutionPath ride along: a standalone
 	# server's jobs run on the same lease goroutines, leased to its one
-	# in-process Worker, which claims by function call.
+	# in-process Worker, which claims and heartbeats by function call.
 	# TestStore and TestResultsBody too: the store pre-scan's goroutines
 	# hand each job the verified bytes its results body is built from.
 	go test -race -run 'TestCluster|TestClient|TestStore|TestResultsBody|TestWait|TestStatusHold|TestShutdownReleases|TestHeldClaim|TestParkedWorker|TestServer|TestOneExecutionPath|TestWorker' -v ./internal/serve

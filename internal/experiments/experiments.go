@@ -94,13 +94,7 @@ type Runner struct {
 }
 
 func (r Runner) opts() sweep.Options {
-	o := sweep.Options{Workers: r.Workers, Runner: r.run, Exec: r.Exec}
-	// Assign the cache only when present: a typed-nil *sweep.Cache in
-	// the Cacher interface would read as "cache configured".
-	if r.Cache != nil {
-		o.Cache = r.Cache
-	}
-	return o
+	return sweep.Options{Workers: r.Workers, Cache: r.Cache, Runner: r.run, Exec: r.Exec}
 }
 
 // base returns the shared 16x16 configuration (Table 2) used by all

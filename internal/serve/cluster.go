@@ -22,9 +22,13 @@ type ClusterOptions struct {
 	LeaseTTL time.Duration
 }
 
+// defaultLeaseTTL is the lease TTL of a standalone server and of a
+// coordinator that sets none; a variable only so tests can shorten it.
+var defaultLeaseTTL = 10 * time.Second
+
 func (o ClusterOptions) normalize() ClusterOptions {
 	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 10 * time.Second
+		o.LeaseTTL = defaultLeaseTTL
 	}
 	return o
 }
@@ -118,7 +122,7 @@ type CompleteResponse struct {
 // bumps as it happens. TransientRequeues counts leases a worker
 // completed with their point unresolved (a draining worker hands back a
 // point it never started); each went back to the queue, or failed on its
-// last attempt. A unit is one leased point.
+// last attempt. A unit is one distinct point of a job, leased as one.
 type ClusterStats struct {
 	Coordinator       bool   `json:"coordinator"`
 	ActiveJob         string `json:"active_job,omitempty"`
@@ -155,11 +159,13 @@ func (s *Server) pruneWorkersLocked(now time.Time) {
 }
 
 // runClustered executes one job by leasing its grid to workers — the
-// server's own Worker when standalone. It resolves already-stored points
-// up front (a resubmitted grid costs zero leases for completed work),
-// queues the rest for lease one point at a time, and runs the
-// orphan-lease failure detector until every point is resolved or the job
-// context ends.
+// server's own Worker when standalone. It is the one place a served grid
+// is deduplicated: the points that share a key are one work unit, leased
+// as the first of them, whose outcome lands at every one of them. It
+// resolves already-stored units up front (a resubmitted grid costs zero
+// leases for completed work), queues the rest for lease one unit at a
+// time, and runs the orphan-lease failure detector until every point is
+// resolved or the job context ends.
 //
 // When ctx ends (DELETE, the deadline, Shutdown) no lease is granted or
 // renewed, and the leases already out count what they report until each
@@ -173,39 +179,41 @@ func (s *Server) pruneWorkersLocked(now time.Time) {
 // byte-identical to a single-process sweep.Run of the same grid, for
 // any worker count, claim interleaving, or crash schedule.
 func (s *Server) runClustered(ctx context.Context, jb *job) error {
-	// The store is read on sweep.Run's pool, in OnPoint, which knows the
-	// point's index, and the runner simulates nothing. The pool reads the
-	// first point of each distinct key, and the points that repeat a key
-	// share its verified bytes: a key is read once per job. No lock: only
-	// the drawing worker writes a point's slot of stored.
-	keys := make([]string, len(jb.grid))
-	first := make(map[string]int, len(jb.grid)) // a key's first index
-	var distinct []core.Config                  // each key's first point
-	var reads []int                             // and its index
+	var units []*workUnit
+	var distinct []core.Config // each unit's first point
+	var keys []string          // and its key
+	byKey := make(map[string]*workUnit, len(jb.grid))
 	for i, c := range jb.grid {
-		keys[i] = c.Key()
-		if _, seen := first[keys[i]]; !seen {
-			first[keys[i]] = i
-			distinct, reads = append(distinct, c), append(reads, i)
+		key := c.Key()
+		if u, seen := byKey[key]; seen {
+			u.repeats = append(u.repeats, i)
+			continue
 		}
+		u := &workUnit{index: i}
+		byKey[key] = u
+		units, distinct, keys = append(units, u), append(distinct, c), append(keys, key)
 	}
-	stored := make([][]byte, len(jb.grid))
+	// The store is read once per unit, on sweep.Run's pool, in OnPoint,
+	// which knows the unit; the runner simulates nothing. No lock: only
+	// the drawing worker writes a unit's slot of stored.
+	stored := make([][]byte, len(units))
 	sweep.Run(ctx, distinct, sweep.Options{
 		Runner:  func(core.Config) (core.Result, error) { return core.Result{}, nil },
-		OnPoint: func(j int, _ sweep.Outcome) { stored[reads[j]], _ = s.store.getJSON(keys[reads[j]]) },
+		OnPoint: func(j int, _ sweep.Outcome) { stored[j], _ = s.store.getJSON(keys[j]) },
 	})
 	s.mu.Lock()
 	jb.token = jb.id + "." + s.epoch
 	jb.outs = make([]outcome, len(jb.grid))
 	jb.active = map[string]*workUnit{}
-	jb.granted = map[string]int{}
+	jb.granted = map[string]*workUnit{}
 	jb.finished = make(chan struct{})
-	for i, key := range keys {
-		if raw := stored[first[key]]; raw != nil {
-			jb.record(i, outcome{result: raw, cached: true})
+	for j, u := range units {
+		if stored[j] != nil {
+			jb.resolve(u, outcome{result: stored[j], cached: true})
+		} else {
+			jb.pending = append(jb.pending, u)
 		}
 	}
-	jb.seed()
 	s.cluster = jb
 	if len(jb.pending) > 0 {
 		s.wakeClaimsLocked()

@@ -696,8 +696,8 @@ func TestClusterPanicRequeueAndReport(t *testing.T) {
 // TestOneExecutionPath: a standalone server runs a job the way a
 // coordinator with remote workers does — through leases — so one grid,
 // holding a repeated and a panicking point, comes back byte-identical
-// from both. The standalone slots share the server's store, so the repeat
-// is a hit and each other point simulates exactly once; the slots' leases
+// from both. The job leases the repeat's key once, so the repeat is
+// cached and each other point simulates exactly once; the slots' leases
 // show in GET /v1/cluster.
 func TestOneExecutionPath(t *testing.T) {
 	t.Parallel()
@@ -752,6 +752,35 @@ func TestOneExecutionPath(t *testing.T) {
 	cs, err := alone.ClusterStats(context.Background())
 	if err != nil || cs.Coordinator || cs.Claims == 0 || cs.WorkersSeen != 1 {
 		t.Errorf("standalone GET /v1/cluster: %+v err=%v, want its in-process leases, claimed by its one Worker", cs, err)
+	}
+}
+
+// TestServerStandaloneHeartbeat: a standalone server's Worker renews its
+// lease by function call while the point runs, so a point that runs for
+// three lease TTLs is claimed once and never requeued, though the Worker
+// has a free slot that would claim it again. defaultLeaseTTL is package
+// state, so this test is not parallel.
+func TestServerStandaloneHeartbeat(t *testing.T) {
+	ttl := defaultLeaseTTL
+	defaultLeaseTTL = 200 * time.Millisecond
+	t.Cleanup(func() { defaultLeaseTTL = ttl })
+	var calls atomic.Int64
+	_, c := testServer(t, t.TempDir(), ServerOptions{Workers: 2, Runner: func(cfg core.Config) (core.Result, error) {
+		calls.Add(1)
+		time.Sleep(3 * defaultLeaseTTL)
+		return scripted(cfg)
+	}})
+	ctx := context.Background()
+	st, err := c.Submit(ctx, mustPoints(t, testGrid(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil || st.State != JobDone || st.Simulated != 1 || st.Retries != 0 {
+		t.Fatalf("job: %+v err=%v, want done, simulated once, no retry", st, err)
+	}
+	cs, err := c.ClusterStats(ctx)
+	if err != nil || cs.Claims != 1 || cs.OrphanRequeues != 0 || cs.LateReports != 0 || calls.Load() != 1 {
+		t.Fatalf("cluster stats %+v (err=%v), %d simulations; want one claim, no orphan, no late report, one simulation", cs, err, calls.Load())
 	}
 }
 
@@ -1075,6 +1104,81 @@ func TestClusterSkipsResolvedPoints(t *testing.T) {
 	}
 	if st, err := c.ClusterStats(ctx); err != nil || st.Claims != 3 {
 		t.Fatalf("cluster stats %+v (err=%v), want 3 claims", st, err)
+	}
+}
+
+// TestClusterLeasesDistinctPoints: a job leases each distinct key once,
+// at its first index, however many of its points share it. A grid of six
+// points over three keys (one point three times, one twice) is three
+// claims, and the job counts the three simulated and the three repeats
+// cached. Each repeat answers with its first copy's exact result bytes;
+// a repeat of a failed point fails with the same error.
+func TestClusterLeasesDistinctPoints(t *testing.T) {
+	t.Parallel()
+	_, c := testServer(t, t.TempDir(), ServerOptions{Cluster: &ClusterOptions{LeaseTTL: 30 * time.Second}})
+	ctx := context.Background()
+	base := testGrid(4)
+	a, b, d := base[0], base[1], base[2]
+	grid := []core.Config{a, b, a, d, b, a}
+	first := []int{0, 1, 0, 3, 1, 0} // each point's key's first index
+	st, err := c.Submit(ctx, mustPoints(t, grid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []int{0, 1, 3} {
+		g := claimUntilGranted(t, c, "w")
+		if g.Index != want {
+			t.Fatalf("granted point %d, want %d: one lease per distinct key, at its first index", g.Index, want)
+		}
+		res, _ := scripted(grid[g.Index])
+		if _, err := c.Complete(ctx, g.Lease, g.Job, "w", PointOutcome{Result: &res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil || st.State != JobDone || st.Simulated != 3 || st.Cached != 3 {
+		t.Fatalf("job: %+v err=%v, want done with 3 simulated and 3 cached", st, err)
+	}
+	resp, err := http.Get(c.Base + "/v1/jobs/" + st.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Outcomes []struct {
+			Result json.RawMessage `json:"result"`
+			Cached bool            `json:"cached"`
+		} `json:"outcomes"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil || len(body.Outcomes) != len(grid) {
+		t.Fatalf("results: %d outcomes, err=%v", len(body.Outcomes), err)
+	}
+	for i, o := range body.Outcomes {
+		f := body.Outcomes[first[i]]
+		if repeat := first[i] != i; o.Cached != repeat || len(o.Result) == 0 || !bytes.Equal(o.Result, f.Result) {
+			t.Errorf("point %d: cached=%v result %s; want cached=%v and point %d's bytes %s", i, o.Cached, o.Result, repeat, first[i], f.Result)
+		}
+	}
+
+	// A repeated point that fails fails at every index, with one error.
+	failing := base[3]
+	st, err = c.Submit(ctx, mustPoints(t, []core.Config{failing, failing}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := claimUntilGranted(t, c, "w")
+	if _, err := c.Complete(ctx, g.Lease, g.Job, "w", PointOutcome{Error: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil || st.State != JobFailed || st.Failed != 2 {
+		t.Fatalf("failing job: %+v err=%v, want failed with 2 failed points", st, err)
+	}
+	out, err := c.Results(ctx, st.ID)
+	if err != nil || out.Outcomes[0].Error != "boom" || out.Outcomes[1].Error != "boom" {
+		t.Fatalf("failing job outcomes: %+v err=%v, want boom at both", out.Outcomes, err)
+	}
+	if cs, err := c.ClusterStats(ctx); err != nil || cs.Claims != 4 {
+		t.Fatalf("cluster stats %+v (err=%v), want 4 claims: one per distinct key of each job", cs, err)
 	}
 }
 

@@ -16,10 +16,13 @@ type outcome struct {
 	cached bool
 }
 
-// workUnit is one leased point of a running job's grid: its index, how
-// many times it has been claimed, and the lease that currently owns it.
+// workUnit is one distinct key of a running job's grid, leased as its
+// first point: that point's index, the later indices whose points repeat
+// it, how many times it has been claimed, and the lease that currently
+// owns it.
 type workUnit struct {
 	index   int
+	repeats []int
 	attempt int
 
 	lease   string
@@ -32,12 +35,13 @@ type workUnit struct {
 // the single serialization point (lease traffic is a claim and a
 // completion per point, nowhere near contention).
 //
-// The exactly-once-effect argument lives here: outs[i] is resolved
-// exactly once per point (record discards duplicates), so no matter how
-// claim, expiry, late completion and requeue interleave, each point's
-// outcome lands once — and because re-execution of an already-persisted
-// point is a store hit, duplicated *leases* never mean duplicated
-// *simulation*.
+// The exactly-once-effect argument lives here: a job leases each
+// distinct key once, as one unit, and outs[i] is resolved exactly once
+// per point (record discards duplicates), so no matter how claim, expiry,
+// late completion and requeue interleave, each point's outcome lands
+// once — and because re-execution of an already-persisted point is a
+// store hit, a re-leased unit whose first lease finished never simulates
+// twice.
 
 // resolved reports whether o holds a point's result or its error.
 func (o outcome) resolved() bool { return o.result != nil || o.err != nil }
@@ -62,20 +66,24 @@ func (jb *job) record(i int, o outcome) {
 	jb.settle()
 }
 
+// resolve records o at every point of u: as reported at its first index,
+// and at each repeat as the same result bytes served cached, or the same
+// error.
+func (jb *job) resolve(u *workUnit, o outcome) {
+	jb.record(u.index, o)
+	if o.err == nil {
+		o.cached = true
+	}
+	for _, i := range u.repeats {
+		jb.record(i, o)
+	}
+}
+
 // settle closes finished once nothing more can be recorded.
 func (jb *job) settle() {
 	if !jb.settled && (jb.progress.Completed == len(jb.outs) || jb.stopped && len(jb.active) == 0) {
 		jb.settled = true
 		close(jb.finished)
-	}
-}
-
-// seed makes one lease unit per still-unresolved point.
-func (jb *job) seed() {
-	for i, o := range jb.outs {
-		if !o.resolved() {
-			jb.pending = append(jb.pending, &workUnit{index: i})
-		}
 	}
 }
 
@@ -101,7 +109,7 @@ func (jb *job) claim(worker string, now time.Time) *workUnit {
 	u.attempt++
 	u.expires = now.Add(jb.srv.lease.LeaseTTL)
 	jb.active[u.lease] = u
-	jb.granted[u.lease] = u.index
+	jb.granted[u.lease] = u
 	jb.srv.ctot.Claims++
 	return u
 }
@@ -144,7 +152,7 @@ func (jb *job) requeue(u *workUnit, reason string) bool {
 	}
 	if u.attempt >= jb.srv.opt.MaxAttempts {
 		jb.srv.ctot.ExhaustedUnits++
-		jb.record(u.index, outcome{err: fmt.Errorf("serve: giving up after %d lease attempts: %s", u.attempt, reason)})
+		jb.resolve(u, outcome{err: fmt.Errorf("serve: giving up after %d lease attempts: %s", u.attempt, reason)})
 		return true
 	}
 	jb.pending = append(jb.pending, u) // claim gives it a fresh lease
@@ -152,11 +160,11 @@ func (jb *job) requeue(u *workUnit, reason string) bool {
 	return true
 }
 
-// complete applies a worker's outcome for a lease to the point the
-// lease was granted for; the worker names no point.
+// complete applies a worker's outcome for a lease to the unit the lease
+// was granted for; the worker names no point.
 //
-//   - A result or an error resolves the point. Every reported error is
-//     permanent: the simulator is deterministic.
+//   - A result or an error resolves the unit's points. Every reported
+//     error is permanent: the simulator is deterministic.
 //   - Neither (a draining worker's lease it never started) hands the
 //     point back: requeue queues it at once, under the attempt budget.
 //   - A late outcome — the lease expired and was requeued, or was handed
@@ -164,12 +172,12 @@ func (jb *job) requeue(u *workUnit, reason string) bool {
 //     the slow-but-alive worker's result is not thrown away.
 //   - A lease this job never granted resolves nothing.
 //
-// It returns the lease's point (-1 if never granted) and whether the
-// completion was late.
+// It returns the index of the lease's point, its unit's first (-1 if
+// never granted), and whether the completion was late.
 func (jb *job) complete(lease string, out PointOutcome) (i int, late bool) {
-	i, granted := jb.granted[lease]
-	u := jb.active[lease]
-	if late = u == nil; late {
+	u, granted := jb.granted[lease]
+	_, owned := jb.active[lease]
+	if late = !owned; late {
 		jb.srv.ctot.LateReports++
 	} else {
 		delete(jb.active, lease)
@@ -179,16 +187,16 @@ func (jb *job) complete(lease string, out PointOutcome) (i int, late bool) {
 	}
 	switch {
 	case out.Error != "":
-		jb.record(i, outcome{err: errors.New(out.Error)})
+		jb.resolve(u, outcome{err: errors.New(out.Error)})
 	case out.Result != nil:
 		raw, err := out.Result.MarshalJSON()
-		jb.record(i, outcome{result: raw, err: err, cached: out.Cached})
+		jb.resolve(u, outcome{result: raw, err: err, cached: out.Cached})
 	}
-	if u != nil && jb.requeue(u, fmt.Sprintf("lease %s returned without resolving its point", lease)) {
+	if owned && jb.requeue(u, fmt.Sprintf("lease %s returned without resolving its point", lease)) {
 		jb.srv.ctot.TransientRequeues++
 	}
 	jb.settle()
-	return i, late
+	return u.index, late
 }
 
 // stop ends leasing: claims find nothing, heartbeats answer false and

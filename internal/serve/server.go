@@ -119,9 +119,9 @@ type job struct {
 	// coordinator incarnation (job IDs restart from j000001 after a
 	// restart) can never collide with — or be merged into — a fresh job.
 	token     string
-	pending   []*workUnit          // points waiting to be claimed
-	active    map[string]*workUnit // points out on a lease, by lease ID
-	granted   map[string]int       // every lease granted, to its point's index
+	pending   []*workUnit          // units waiting to be claimed
+	active    map[string]*workUnit // units out on a lease, by lease ID
+	granted   map[string]*workUnit // every lease granted, to its unit
 	nextLease int64
 	stopped   bool // no more leasing: the job's context ended
 	// finished closes once every point is resolved or the job is stopped
@@ -211,9 +211,8 @@ func (s *Server) routes(limit int64) http.Handler {
 }
 
 // startSlots starts a standalone server's one Worker, which claims by
-// function call and shares the server's Store; its single-flight makes
-// a repeat of an in-flight point a hit. On a coordinator slotsDone
-// closes as soon as Shutdown starts.
+// function call and shares the server's Store. On a coordinator
+// slotsDone closes as soon as Shutdown starts.
 func (s *Server) startSlots() {
 	ctx, stop := context.WithCancel(context.Background())
 	s.stopSlots = stop

@@ -24,10 +24,10 @@ import (
 // (N is core.SemanticsVersion; no other directory is read, so another
 // version's answer is a plain miss), named by the SHA-256 of the key,
 // holding the key, the result, and a checksum over N and both. It is the
-// durable layer under the serve job executor (and any other sweep, via
-// sweep.Options.Cache — Store implements sweep.Cacher), making "never
-// simulate the same point twice" hold across processes, restarts and
-// users sharing a store directory.
+// durable layer under the serve job executor, making "never simulate the
+// same point twice" hold across jobs, processes, restarts and users
+// sharing a store directory; within one job, the job leases each distinct
+// key once.
 //
 // Crash safety and integrity:
 //
@@ -52,10 +52,6 @@ import (
 //   - A read that fails for want of a resource (descriptors, kernel
 //     memory) says nothing about the entry: Open returns the error, and
 //     a lookup is a plain miss that leaves the file and the index alone.
-//   - Do is single-flight within the process: concurrent requests for
-//     one key wait for the first instead of simulating twice, exactly
-//     like sweep.Cache. Across processes the disk itself dedups —
-//     a restarted server serves completed points from the store.
 //
 // Errors are never cached (a failed simulation retries on the next
 // request), and a failed Put degrades to a warning counter rather than
@@ -65,10 +61,9 @@ type Store struct {
 	dir  string
 	objs string // dir/objects/v<N>: this version's entries
 
-	mu      sync.Mutex
-	flights map[string]*storeFlight
-	index   map[string]struct{}
-	tmpSeq  int64
+	mu     sync.Mutex
+	index  map[string]struct{}
+	tmpSeq int64
 
 	scanTime time.Time
 
@@ -81,13 +76,6 @@ type Store struct {
 	quarantined int64
 	putFailures int64
 	orphanTemps int64
-}
-
-// storeFlight is one in-flight simulation other requests wait on.
-type storeFlight struct {
-	done chan struct{} // closed once res/err are final
-	res  core.Result
-	err  error
 }
 
 // verdict is readEntry's acceptance of one entry's bytes: the key, the
@@ -162,7 +150,6 @@ func Open(dir string) (*Store, error) {
 	s := &Store{
 		dir:      dir,
 		objs:     filepath.Join(dir, versionDir),
-		flights:  map[string]*storeFlight{},
 		index:    map[string]struct{}{},
 		scanTime: time.Now(),
 		verified: bounded.New[string, verdict](memoEntries),
@@ -403,75 +390,39 @@ func (s *Store) put(key string, res core.Result) error {
 }
 
 // Do returns the stored result for cfg, simulating (and durably
-// storing) on a miss. The boolean reports a store hit — served from
-// disk or from a concurrent in-flight simulation of the same key.
-// Errors are not stored; waiters of a failing in-flight point receive
-// its error, and a later request retries. Do implements sweep.Cacher.
+// storing) on a miss. The boolean reports a store hit. Errors are not
+// stored, so a later request retries. Nothing here waits, so the context
+// is not consulted: a caller checks it before asking.
 //
 // The disk is always consulted before a simulation starts, even for
 // keys this process has never indexed: when several processes share one
 // store directory (the cluster's shared-store topology), an entry
 // written by a sibling after this store opened is found and served
-// rather than re-simulated. The only cross-process duplication left is
-// two processes simulating the same key concurrently — both write the
-// same bytes (the simulator is deterministic), so the last rename wins
-// harmlessly.
-func (s *Store) Do(ctx context.Context, cfg core.Config, run func(core.Config) (core.Result, error)) (core.Result, bool, error) {
+// rather than re-simulated. Two calls that miss the same key at once,
+// in one process or two, both simulate: they write the same bytes (the
+// simulator is deterministic), so the last rename wins harmlessly.
+func (s *Store) Do(_ context.Context, cfg core.Config, run func(core.Config) (core.Result, error)) (core.Result, bool, error) {
 	key := cfg.Key()
-	for {
-		s.mu.Lock()
-		if f, ok := s.flights[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-f.done:
-				if f.err != nil {
-					// The leader failed; the waiter was not served.
-					return f.res, false, f.err
-				}
-				s.mu.Lock()
-				s.hits++
-				s.mu.Unlock()
-				return f.res, true, nil
-			case <-ctx.Done():
-				return core.Result{}, false, ctx.Err()
-			}
-		}
-		s.mu.Unlock()
-		if res, _, ok := s.lookup(key); ok {
-			s.hit(key)
-			return res, true, nil
-		}
-		// Nothing usable on disk (missing, or corrupt and now
-		// quarantined): race for the leader slot and simulate.
-		s.mu.Lock()
-		if _, ok := s.flights[key]; ok {
-			// Another goroutine became leader between the lookup and
-			// here; loop to wait on its flight.
-			s.mu.Unlock()
-			continue
-		}
-		f := &storeFlight{done: make(chan struct{})}
-		s.flights[key] = f
-		s.misses++
-		s.mu.Unlock()
-
-		f.res, f.err = run(cfg)
-		if f.err == nil {
-			if perr := s.put(key, f.res); perr != nil {
-				// The result is still valid; only durability was lost.
-				s.putFailed(key, perr)
-			}
-		}
-		s.mu.Lock()
-		delete(s.flights, key)
-		s.mu.Unlock()
-		close(f.done)
-		return f.res, false, f.err
+	if res, _, ok := s.lookup(key); ok {
+		s.hit(key)
+		return res, true, nil
 	}
+	// Nothing usable on disk (missing, or corrupt and now quarantined).
+	s.mu.Lock()
+	s.misses++
+	s.mu.Unlock()
+	res, err := run(cfg)
+	if err == nil {
+		if perr := s.put(key, res); perr != nil {
+			// The result is still valid; only durability was lost.
+			s.putFailed(key, perr)
+		}
+	}
+	return res, false, err
 }
 
 // Get returns the stored result for key if a verified entry exists,
-// without simulating or joining a flight. It reads through to disk, so
+// without simulating. It reads through to disk, so
 // entries written by sibling processes sharing the directory are found.
 func (s *Store) Get(key string) (core.Result, bool) {
 	res, _, ok := s.lookup(key)

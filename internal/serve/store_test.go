@@ -778,57 +778,6 @@ func TestStoreUndecodableResult(t *testing.T) {
 	}
 }
 
-// TestStoreSingleFlight: concurrent requests for one key run the
-// simulation once; every waiter is served the leader's result as a hit.
-func TestStoreSingleFlight(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := storeConfig(4)
-	var calls atomic.Int64
-	gate := make(chan struct{})
-	run := func(c core.Config) (core.Result, error) {
-		calls.Add(1)
-		<-gate
-		return scripted(c)
-	}
-	const waiters = 8
-	var wg sync.WaitGroup
-	hits := make([]bool, waiters)
-	errs := make([]error, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, hits[i], errs[i] = s.Do(context.Background(), cfg, run)
-		}(i)
-	}
-	// Let the flock pile up behind the leader, then release it.
-	for s.Stats().Misses == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-	if calls.Load() != 1 {
-		t.Fatalf("simulation ran %d times under concurrency, want 1", calls.Load())
-	}
-	nhits := 0
-	for i := range hits {
-		if errs[i] != nil {
-			t.Fatalf("waiter %d: %v", i, errs[i])
-		}
-		if hits[i] {
-			nhits++
-		}
-	}
-	if nhits != waiters-1 {
-		t.Fatalf("%d of %d requests were hits, want %d", nhits, waiters, waiters-1)
-	}
-}
-
 // TestStoreErrorsNotCached: a failed simulation is returned but never
 // stored, so the next request retries it.
 func TestStoreErrorsNotCached(t *testing.T) {

@@ -13,8 +13,7 @@
 //     byte-identical to in-process sweeps.
 //   - store.go: Store, the crash-safe result store of one
 //     core.SemanticsVersion (atomic writes, per-entry checksums, a
-//     recovery scan that quarantines damage, single-flight). It
-//     implements sweep.Cacher.
+//     recovery scan that quarantines damage).
 //   - server.go: Server, the HTTP job service — bounded queue with 429
 //     backpressure, deadlines and cancellation, requests held until a
 //     job ends (wait_ms), graceful drain. Strict bodies: a member the
@@ -26,11 +25,13 @@
 //     The server leases each grid one point a lease, to its own Worker
 //     by function call when standalone, or to Worker processes of its
 //     own build and semantics version over HTTP when a coordinator
-//     (ServerOptions.Cluster). A point unresolved when its lease ends
-//     (expired, or handed back by a draining worker) is requeued, up to
-//     ServerOptions.MaxAttempts claims; every reported error fails its
-//     point at once. Workers simulate against the Store, so a finished
-//     point is durable before it is reported.
+//     (ServerOptions.Cluster). A job leases each distinct key once, and
+//     its outcome answers every point that shares the key. A point
+//     unresolved when its lease ends (expired, or handed back by a
+//     draining worker) is requeued, up to ServerOptions.MaxAttempts
+//     claims; every reported error fails its point at once. Workers
+//     simulate against the Store, so a finished point is durable before
+//     it is reported.
 package serve
 
 import (

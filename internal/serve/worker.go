@@ -18,11 +18,11 @@ import (
 // Worker is one cluster worker instance: a claim loop against one or
 // more coordinators that runs each claimed lease, one grid point, on its
 // own goroutine, at most Workers at once. A lease's point runs through
-// sweep.Run with the worker's Store as the cache layer, so every
-// completed point is durable the moment it finishes — a worker killed
-// mid-lease (kill -9 included) loses only its in-flight points, and the
-// re-execution of a requeued lease whose point was persisted is served
-// straight from the store, simulating nothing twice.
+// the worker's Store.Do, inside sweep.Run for its panic isolation, so
+// every completed point is durable the moment it finishes — a worker
+// killed mid-lease (kill -9 included) loses only its in-flight points,
+// and the re-execution of a requeued lease whose point was persisted is
+// served straight from the store, simulating nothing twice.
 //
 // While a lease runs, a background goroutine heartbeats it at the
 // coordinator's advertised cadence. A heartbeat answered with ok=false
@@ -219,9 +219,9 @@ func (w *Worker) execute(ctx context.Context, co peer, g ClaimResponse) {
 	fmt.Fprintf(w.Verbose, "[worker %s lease %s: point %d %s]\n", w.ID, g.Lease, g.Index, what)
 }
 
-// run simulates a lease's point with the Store as the cache layer while
-// a background goroutine heartbeats the lease, and returns its outcome:
-// the zero outcome if the point never started (drain or lease loss).
+// run answers a lease's point through the Store while a background
+// goroutine heartbeats the lease, and returns its outcome: the zero
+// outcome if the point never started (drain or lease loss).
 func (w *Worker) run(ctx context.Context, co peer, g ClaimResponse) PointOutcome {
 	// A config that fails validation is a permanent failure — retrying a
 	// malformed point cannot help — and never reaches the simulator.
@@ -264,10 +264,18 @@ func (w *Worker) run(ctx context.Context, co peer, g ClaimResponse) PointOutcome
 		}
 	}()
 
-	outs, _ := sweep.Run(leaseCtx, []core.Config{cfg}, sweep.Options{Workers: 1, Cache: w.Store, Runner: w.Runner})
+	simulate := w.Runner
+	if simulate == nil {
+		simulate = core.Run
+	}
+	var hit bool
+	outs, _ := sweep.Run(leaseCtx, []core.Config{cfg}, sweep.Options{Workers: 1, Runner: func(c core.Config) (res core.Result, err error) {
+		res, hit, err = w.Store.Do(leaseCtx, c, simulate)
+		return res, err
+	}})
 	switch o := outs[0]; {
 	case o.Err == nil:
-		return PointOutcome{Result: &o.Result, Cached: o.Cached}
+		return PointOutcome{Result: &o.Result, Cached: hit}
 	case errors.Is(o.Err, context.Canceled) && leaseCtx.Err() != nil:
 		// Never started: no outcome hands it back, so the coordinator
 		// requeues it without burning the TTL.

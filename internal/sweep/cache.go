@@ -64,10 +64,9 @@ func (c *Cache) Len() int {
 }
 
 // Do returns the memoized result for cfg, running run on a miss. A nil
-// receiver runs directly (so a zero-valued Options.Cache field holding a
-// typed nil still behaves as "no cache"). The boolean reports a cache
-// hit. Waiting for an in-flight duplicate respects ctx. Do implements
-// Cacher.
+// receiver runs directly, so a nil Options.Cache memoizes nothing. The
+// boolean reports a cache hit. Waiting for an in-flight duplicate
+// respects ctx.
 func (c *Cache) Do(ctx context.Context, cfg core.Config, run func(core.Config) (core.Result, error)) (core.Result, bool, error) {
 	if c == nil {
 		res, err := run(cfg)

@@ -39,17 +39,6 @@ type Outcome struct {
 	Cached bool
 }
 
-// Cacher is the memo-cache seam of the sweep engine: Do returns the
-// result for cfg, running run on a miss, and reports whether the result
-// was served from a completed or in-flight prior point. Implementations
-// must be safe for concurrent use and are responsible for single-flight
-// duplicate suppression. *Cache is the in-memory implementation;
-// serve.Store is the disk-backed content-addressed one, which makes
-// memoization survive process restarts.
-type Cacher interface {
-	Do(ctx context.Context, cfg core.Config, run func(core.Config) (core.Result, error)) (core.Result, bool, error)
-}
-
 // RunFunc is the signature of Run. Remote executors — the lapses-serve
 // client, which submits grids to a long-running service instead of
 // simulating in-process — satisfy it, so everything built on grids can
@@ -64,7 +53,7 @@ type Options struct {
 	// Cache, when non-nil, memoizes results by core.Config.Key so
 	// repeated points simulate once. A cache may be shared across Runs
 	// and across goroutines.
-	Cache Cacher
+	Cache *Cache
 	// Runner replaces core.Run, for tests that need scripted results or
 	// controllable blocking. Nil means core.Run.
 	Runner func(core.Config) (core.Result, error)
@@ -146,7 +135,6 @@ func Run(ctx context.Context, grid []core.Config, opt Options) ([]Outcome, error
 	// leader that panics still resolves its in-flight entry (waiters get
 	// the error instead of hanging on a never-closed channel).
 	run := safeRunner(opt.runner())
-	cache := opt.Cache
 
 	workers := opt.Workers
 	if workers <= 0 {
@@ -166,11 +154,7 @@ func Run(ctx context.Context, grid []core.Config, opt Options) ([]Outcome, error
 				if i >= len(grid) {
 					return
 				}
-				if cache != nil {
-					outs[i].Result, outs[i].Cached, outs[i].Err = cache.Do(ctx, grid[i], run)
-				} else {
-					outs[i].Result, outs[i].Err = run(grid[i])
-				}
+				outs[i].Result, outs[i].Cached, outs[i].Err = opt.Cache.Do(ctx, grid[i], run)
 				if opt.OnPoint != nil {
 					opt.OnPoint(i, outs[i])
 				}
