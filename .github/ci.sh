@@ -219,6 +219,12 @@ unit)
 	lx -exp table1 -fidelity auto 2>"$work/reject.txt" || code=$?
 	[ "$code" -eq 2 ]
 	grep -q 'unknown fidelity "auto"' "$work/reject.txt"
+	# Experiments answer from the cycle-driven kernel only: -events is an
+	# unknown flag (the event kernel is a lapses-sim -events run).
+	code=0
+	lx -exp table1 -events 2>"$work/reject.txt" || code=$?
+	[ "$code" -eq 2 ]
+	grep -q 'flag provided but not defined: -events' "$work/reject.txt"
 	# A structure whose table build panics must panic again on the next
 	# touch, not hand back a remembered error: run the test twice in one
 	# process.
@@ -336,8 +342,9 @@ serve)
 	# So is a router member fixed at Table 2 or derived from the algorithm,
 	# a reliability or QoS parameter object (the layer is a switch and QoS
 	# its high-class fraction), the latency guard, the kernel's constant,
-	# and the tolerance of the adaptive measurement tier, which is gone.
-	for member in '"escape_vcs":1' '"vcs":4' '"reliability":{"rto":512}' '"qos":{"hi_frac":0.2}' '"sat_latency":5000' '"auto_tol":0.03'; do
+	# the tolerance of the adaptive measurement tier, which is gone, and
+	# event mode: a served point runs on the cycle-driven kernel.
+	for member in '"escape_vcs":1' '"vcs":4' '"reliability":{"rto":512}' '"qos":{"hi_frac":0.2}' '"sat_latency":5000' '"auto_tol":0.03' '"event_mode":true'; do
 		code=$(curl -s -o refused.json -w '%{http_code}' -H 'Content-Type: application/json' $url/v1/jobs \
 			-d '{"points":[{"dims":[4,4],'"$member"',"lookahead":true,"algorithm":"duato","table":"es","selection":"lru","pattern":"uniform","load":0.1,"msg_len":20,"warmup":10,"measure":100,"seed":1}]}')
 		[ "$code" -eq 400 ]

@@ -67,7 +67,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent simulations per sweep, saturation-search probes included (0 = GOMAXPROCS)")
 	csvDir := flag.String("csv", "", "also write <dir>/<exp>.csv for plottable experiments")
 	reps := flag.Int("reps", 1, "replications per experiment under derived seeds; CSVs gain mean/stderr columns")
-	events := flag.Bool("events", false, "run every point on the event-driven kernel (several times faster, not bit-comparable to cycle mode, mean latency a few cycles low; see README)")
 	server := flag.String("server", "", "execute grids via a lapses-serve instance at this URL instead of in-process")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -97,11 +96,10 @@ func main() {
 	defer stop()
 
 	runner := experiments.Runner{
-		Fidelity:  f,
-		Seed:      *seed,
-		Workers:   *workers,
-		Cache:     sweep.NewCache(),
-		EventMode: *events,
+		Fidelity: f,
+		Seed:     *seed,
+		Workers:  *workers,
+		Cache:    sweep.NewCache(),
 	}
 	var client *serve.Client
 	if *server != "" {

@@ -184,7 +184,7 @@ func parse(fs *flag.FlagSet, args []string) (cfg core.Config, err error) {
 	faultSeed := fs.Int64("fault-seed", 1, "seed for a random count of link failures (with a count -faults only)")
 	fs.BoolVar(&cfg.Reliability, "reliability", false, fmt.Sprintf("end-to-end NI retransmission layer (RTO %d cycles, %d attempts, acks held %d cycles)",
 		network.DefaultRTO, network.DefaultMaxAttempts, network.DefaultAckDelay))
-	fs.BoolVar(&cfg.EventMode, "events", false, "event-driven kernel: faster, not bit-identical to cycle mode, mean latency a few cycles low (see README)")
+	fs.BoolVar(&cfg.EventMode, "events", false, "event-driven kernel for this run: not bit-identical to cycle mode, mean latency a few cycles low; experiments and served points run on the cycle kernel (see README)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}

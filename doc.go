@@ -102,12 +102,12 @@
 // concurrently with results that do not depend on the pool width. Within
 // a run, idle-cycle fast-forward jumps the clock straight to the next NI
 // wake whenever the network is globally empty (no buffered flits, no
-// queued messages, no events in flight), multiplying simulated cycles per
-// second in near-idle regimes — drain tails, sparse traces, very low
-// loads — while remaining observationally neutral. The scaling experiment
-// (cmd/lapses-experiments -exp scaling) locates the saturation point from
-// 8x8 to 32x32 meshes; host time per mesh size is the benchmark harness's
-// to measure (go run ./benchmark).
+// queued messages, no events in flight). It is observationally neutral
+// and pays only on long empty stretches (drain tails, sparse traces, loads
+// of 0.001 and below): a stepped idle cycle costs 15-32 ns. The scaling
+// experiment (cmd/lapses-experiments -exp scaling) locates the saturation
+// point from 8x8 to 32x32 meshes; host time per mesh size is the benchmark
+// harness's to measure (go run ./benchmark).
 //
 // core.Config.EventMode selects the event-driven kernel: whole-message
 // transfers collapse into single "worm" events (one event, one batched
@@ -118,10 +118,10 @@
 // not bit-identical, and its mean latency is biased low: 1.65-6.03 cycles
 // below cycle mode in 24 of 24 seeded runs, 11 of them outside the
 // combined 95% CI, and -1.5% to -3.9% on a 16x16 LA-PROUD mesh. So
-// Config.Key() marks it (",ev") and the goldens and bit-equivalence
-// suites stay on the cycle kernel. Use -events for sweeps and
-// experiments; use the default cycle kernel whenever bits or small
-// latency differences matter. See README.md "Execution modes".
+// Config.Key() marks it (",ev"), and only single runs opt in: lapses-sim
+// -events and the benchmark's kernel-event workload. The experiments,
+// served points and goldens, whose answers become paper tables and stored
+// results, run on the cycle kernel. See README.md "Execution modes".
 //
 // internal/serve turns the sweep engine into a fault-tolerant service
 // (cmd/lapses-serve): grid jobs arrive over HTTP/JSON, are leased one

@@ -186,9 +186,10 @@ type Config struct {
 	// but event mode is not bit-identical to cycle mode and its mean
 	// latency is biased low: 1.65-6.03 cycles below cycle mode in 24 of 24
 	// seeded runs, 11 of them outside the combined 95% CI, and -1.5% to
-	// -3.9% on a 16x16 LA-PROUD mesh. The cycle-accurate kernel remains the
-	// golden-pinned oracle. Runs are deterministic for a fixed
-	// configuration. See README "Execution modes".
+	// -3.9% on a 16x16 LA-PROUD mesh. So only lapses-sim -events and the
+	// benchmark's kernel-event workload use it; experiments and served
+	// points run on the golden-pinned cycle-accurate kernel. Runs are
+	// deterministic for a fixed configuration. See README "Execution modes".
 	EventMode bool
 }
 

@@ -76,12 +76,6 @@ type Runner struct {
 	Workers  int
 	Cache    *sweep.Cache
 
-	// EventMode runs every point on the event-driven kernel: several
-	// times the cycle rate, but not bit-comparable to cycle-mode runs, and
-	// its mean latency runs a few percent low (README "Execution modes").
-	// Configs key differently, so a shared Cache never mixes the two.
-	EventMode bool
-
 	// Exec, when non-nil, replaces in-process sweep.Run as the grid
 	// executor — the lapses-serve client's Run plugs in here, routing
 	// every experiment point (grids and saturation probes alike)
@@ -103,7 +97,6 @@ func (r Runner) base() core.Config {
 	c := core.DefaultConfig()
 	c.Selection = selection.StaticXY
 	c.Seed = r.Seed
-	c.EventMode = r.EventMode
 	return r.Fidelity.apply(c)
 }
 

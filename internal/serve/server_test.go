@@ -696,6 +696,7 @@ func TestServerRefusesUnknownMembers(t *testing.T) {
 		{"qos", func(_, p map[string]any) { p["qos"] = map[string]any{"hi_frac": 0.2} }},
 		{"sat_latency", func(_, p map[string]any) { p["sat_latency"] = 5000 }},
 		{"auto_tol", func(_, p map[string]any) { p["auto_tol"] = 0.03 }},
+		{"event_mode", func(_, p map[string]any) { p["event_mode"] = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var job map[string]any

@@ -54,14 +54,14 @@ import (
 // required scalars are pointers, nil when the member was missing, and
 // enumerations travel by name as strings (the String forms the CLIs
 // already parse), empty when missing, which also keeps payloads readable
-// and stable across releases. Damage, static or timed, travels
-// under "faults" as its canonical spec string, the form lapses-sim -faults
+// and stable across releases. Damage, static or timed, travels under
+// "faults" as its canonical spec string, the form lapses-sim -faults
 // reads, which fault.ParseSchedule turns into Config.Faults; the
 // reliability layer is a switch, "reliability", and QoS its high-class
-// fraction, "qos"; burst parameters
-// travel as traffic.Burst itself, which carries the wire's names as struct
-// tags. Trace workloads have no wire form — PointFromConfig rejects them. A server decodes a point strictly: a member Point does not
-// declare, at any depth, refuses the job.
+// fraction, "qos"; burst parameters travel as traffic.Burst itself, which
+// carries the wire's names as struct tags. Trace workloads and event mode
+// have no wire form: offWire refuses them. A server decodes a point
+// strictly: a member Point does not declare, at any depth, refuses the job.
 //
 // The contract, pinned by TestPointCarriesEveryConfigField over every
 // field of core.Config: PointFromConfig(c) either fails naming the field
@@ -91,24 +91,32 @@ type Point struct {
 
 	MaxCycles int64  `json:"max_cycles,omitempty"`
 	Seed      *int64 `json:"seed"`
-
-	EventMode bool `json:"event_mode,omitempty"`
 }
 
-// errTrace refuses a trace-driven config: a trace's messages have no
-// wire form, only a digest in Config.Key.
-var errTrace = errors.New("serve: Config.Trace has no wire form (a trace's messages stay in the process that built it) and cannot be submitted to a server")
+// offWire refuses a config the wire cannot carry, naming the field: a
+// trace's messages stay in the process that built it (Config.Key holds
+// only their digest), and a served answer is stored for good, so it comes
+// from the cycle-driven kernel (README "Execution modes").
+func offWire(c *core.Config) error {
+	switch {
+	case c.Trace != nil:
+		return errors.New("serve: Config.Trace has no wire form (a trace's messages stay in the process that built it) and cannot be submitted to a server")
+	case c.EventMode:
+		return errors.New("serve: Config.EventMode has no wire form (a served point runs on the cycle-driven kernel) and cannot be submitted to a server")
+	}
+	return nil
+}
 
-// PointFromConfig converts a Config to its wire form. Trace-driven
-// configs are rejected.
+// PointFromConfig converts a Config to its wire form. Trace-driven and
+// event-mode configs are rejected.
 func PointFromConfig(c core.Config) (Point, error) {
-	if c.Trace != nil {
-		return Point{}, errTrace
+	if err := offWire(&c); err != nil {
+		return Point{}, err
 	}
 	return point(&c), nil
 }
 
-// point is PointFromConfig for a config with no trace, which has a wire
+// point is PointFromConfig for a config offWire accepts, which has a wire
 // form: every config a Point materializes. The point's required scalars
 // point into *c, which must not change while the point is in use.
 func point(c *core.Config) Point {
@@ -126,7 +134,6 @@ func point(c *core.Config) Point {
 		Measure:   &c.Measure,
 		MaxCycles: c.MaxCycles,
 		Seed:      &c.Seed,
-		EventMode: c.EventMode,
 
 		// Schedule.Key is the canonical "A-B;...;rN" content of a static
 		// plan and "A-B@DOWN:UP;..." of a timed schedule; ParseSchedule
@@ -154,7 +161,6 @@ func (p Point) Config() (core.Config, error) {
 		Measure:   *p.Measure,
 		MaxCycles: p.MaxCycles,
 		Seed:      *p.Seed,
-		EventMode: p.EventMode,
 
 		Burst:       p.Burst,
 		QoS:         p.QoS,
@@ -224,8 +230,8 @@ func PointsFromGrid(grid []core.Config) ([]Point, error) {
 	cs := slices.Clone(grid)
 	pts := make([]Point, len(cs))
 	for i := range cs {
-		if cs[i].Trace != nil {
-			return nil, fmt.Errorf("point %d: %w", i, errTrace)
+		if err := offWire(&cs[i]); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
 		pts[i] = point(&cs[i])
 	}

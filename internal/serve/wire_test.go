@@ -18,9 +18,8 @@ import (
 // wireTestConfigs is a spread of configurations exercising every field
 // the wire format carries: topology shape, torus wrap, fault plans, the
 // pipeline, algorithm/table/selection/pattern enums, the sample
-// sizes, the cycle budget, event mode, and the workload and
-// availability options (bursty sources, QoS classes, a fault schedule, the
-// reliability layer).
+// sizes, the cycle budget, and the workload and availability options
+// (bursty sources, QoS classes, a fault schedule, the reliability layer).
 func wireTestConfigs(t *testing.T) []core.Config {
 	t.Helper()
 	base := core.DefaultConfig()
@@ -50,7 +49,6 @@ func wireTestConfigs(t *testing.T) []core.Config {
 	exotic.MsgLen = 5
 	exotic.Load = 0.37
 	exotic.Seed = 99
-	exotic.EventMode = true
 	exotic.Pattern = traffic.Tornado // transpose needs a square 2-D shape
 
 	meta := core.DefaultConfig()
@@ -109,6 +107,19 @@ func TestPointRejectsTrace(t *testing.T) {
 	c.Trace = &traffic.Trace{}
 	if _, err := PointFromConfig(c); err == nil {
 		t.Fatal("trace-driven config serialized without error")
+	}
+}
+
+// TestPointsFromGridRefusesEventMode: a served answer is stored for good,
+// so a grid holding an event-mode point is refused whole, naming the point
+// and the field, instead of running it on either kernel.
+func TestPointsFromGridRefusesEventMode(t *testing.T) {
+	t.Parallel()
+	grid := []core.Config{core.DefaultConfig(), core.DefaultConfig()}
+	grid[1].EventMode = true
+	_, err := PointsFromGrid(grid)
+	if err == nil || !strings.Contains(err.Error(), "point 1: ") || !strings.Contains(err.Error(), "EventMode") {
+		t.Fatalf("got %v, want a refusal naming point 1 and EventMode", err)
 	}
 }
 
@@ -212,7 +223,7 @@ func TestPointCarriesEveryConfigField(t *testing.T) {
 		"Algorithm": core.AlgXY,
 		"Table":     table.KindMetaRow, // full and interval key as es (canonical)
 	}
-	offWire := map[string]bool{"Trace": true}
+	offWire := map[string]bool{"Trace": true, "EventMode": true}
 
 	check := func(path, baseKey string, changed core.Config) {
 		t.Helper()
