@@ -297,6 +297,13 @@ harness)
 	# event-mode arrival; the harness holds the event twin to its
 	# cycle-mode reference.
 	harness kernel-event
+	# kernel-flow: the per-flit path below saturation, and the only kernel
+	# workload with 5-flit messages, max-credit selection, bit-reversal
+	# traffic and a 32x32 point.
+	harness kernel-flow
+	# grid-inproc: a 65-point figure grid through sweep.Run with 2 workers,
+	# checked for its 52 simulated / 13 memo-reused split.
+	harness grid-inproc
 	;;
 serve)
 	# served-warm: a fully stored grid resubmitted through the default

@@ -101,8 +101,10 @@
 // worker pool (GOMAXPROCS wide by default) runs independent points
 // concurrently with results that do not depend on the pool width. Within
 // a run, idle-cycle fast-forward jumps the clock straight to the next NI
-// wake whenever the network is globally empty (no buffered flits, no
-// queued messages, no events in flight). It is observationally neutral
+// wake whenever the network is globally empty: no events in flight and
+// both active sets empty, which between steps means no buffered flits and
+// no queued messages (the sets, not counters, answer it). It is
+// observationally neutral
 // and pays only on long empty stretches (drain tails, sparse traces, loads
 // of 0.001 and below): a stepped idle cycle costs 15-32 ns. The scaling
 // experiment (cmd/lapses-experiments -exp scaling) locates the saturation

@@ -44,9 +44,12 @@ type Message struct {
 	// any hop is race-free by construction.
 	Class uint8
 
-	// Route carries the look-ahead candidate set valid at the router the
-	// header flit is traveling toward (the paper's modified header), and
-	// Dateline the per-dimension torus wraparound bits. They are per-hop
+	// Route carries the candidate set valid at the router the header flit
+	// is at or traveling toward, and Dateline the per-dimension torus
+	// wraparound bits. Under LA-PROUD the upstream SA stage writes Route
+	// (the paper's modified header); under PROUD the router writes its own
+	// table lookup there when the header reaches the front of its input
+	// buffer. Either way SA reads the candidates from here. They are per-hop
 	// header state, but they ride on the Message rather than the Flit:
 	// the header exists at exactly one point of the network at a time, so
 	// the SA stage of hop k writes these strictly before the input stage

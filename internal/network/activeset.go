@@ -37,6 +37,16 @@ func (s *activeSet) add(i int) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
+// empty reports whether the set has no members.
+func (s *activeSet) empty() bool {
+	for _, w := range s.words {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // has reports membership (tests and invariant checks).
 func (s *activeSet) has(i int) bool {
 	return s.words[i>>6]&(1<<(uint(i)&63)) != 0

@@ -115,7 +115,6 @@ func (n *Network) advanceEpochs(now int64) {
 func (n *Network) applyTransition(e int, now int64) {
 	n.epoch = e
 	n.plan = n.sched.Plan(e)
-	n.reconv++
 	plan := n.plan
 
 	// --- Mark ---------------------------------------------------------
@@ -184,11 +183,7 @@ func (n *Network) applyTransition(e int, now int64) {
 		return false
 	})
 	for id := range n.routers {
-		r := &n.routers[id]
-		n.droppedFlits += int64(r.PurgeMessages(victim, now-1))
-		occ := r.Occupancy()
-		n.totalOcc += occ - int(n.lastOcc[id])
-		n.lastOcc[id] = int32(occ)
+		n.droppedFlits += int64(n.routers[id].PurgeMessages(victim, now-1))
 	}
 	for id := range n.nis {
 		x := &n.nis[id]
@@ -199,7 +194,6 @@ func (n *Network) applyTransition(e int, now int64) {
 				// credits it holds stay consistent: the recompute below
 				// rebuilds them from surviving state.
 				x.streams[v] = stream{}
-				n.totalQueued--
 			}
 		}
 		if plan.NodeDead(topology.NodeID(id)) && len(x.queue) > x.qHead {
@@ -209,7 +203,6 @@ func (n *Network) applyTransition(e int, now int64) {
 					kept = append(kept, m)
 				}
 			}
-			n.totalQueued -= (len(x.queue) - x.qHead) - len(kept)
 			x.queue = kept
 			x.qHead = 0
 		}
@@ -323,8 +316,8 @@ func (n *Network) DroppedFlits() int64 { return n.droppedFlits }
 func (n *Network) DroppedMessages() int64 { return n.droppedMsgs }
 
 // ReconvergenceEpochs returns how many epoch transitions the network has
-// applied.
-func (n *Network) ReconvergenceEpochs() int64 { return n.reconv }
+// applied: the index of the epoch in effect.
+func (n *Network) ReconvergenceEpochs() int64 { return int64(n.epoch) }
 
 // DeliveryWindows returns first deliveries per 2^windowShift-cycle bucket
 // (only collected while a schedule is active).

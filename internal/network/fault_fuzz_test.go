@@ -132,11 +132,9 @@ func FuzzFaultPlan(f *testing.F) {
 		if len(delivered) != len(msgs) {
 			t.Fatalf("delivered %d of %d messages", len(delivered), len(msgs))
 		}
-		if n.Occupancy() != 0 || n.scanOccupancy() != 0 {
-			t.Fatalf("drained network still buffers %d flits", n.Occupancy())
-		}
-		if n.QueuedMessages() != 0 || n.scanQueued() != 0 {
-			t.Fatalf("drained network still queues %d messages", n.QueuedMessages())
+		checkActiveSets(t, n)
+		if !n.actRouters.empty() || !n.actNIs.empty() {
+			t.Fatalf("drained network still holds %d flits / %d messages", n.Occupancy(), n.QueuedMessages())
 		}
 		if got := n.TotalLinkFlits(); got != linkFlits {
 			t.Fatalf("link flit conservation: traversals %d != sum(hops*len) %d", got, linkFlits)

@@ -71,27 +71,3 @@ func TestFaultedRunAvoidsDeadEquipment(t *testing.T) {
 		}
 	}
 }
-
-// TestFaultedCountersStayCoherent runs the incremental-counter invariant
-// over a degraded network: the active-set kernel must keep Occupancy and
-// QueuedMessages exact when parts of the topology never wake.
-func TestFaultedCountersStayCoherent(t *testing.T) {
-	m := topology.NewMesh(6, 6)
-	plan, err := fault.Random(m, 4, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := New(faultConfig(t, m, plan, true, 0.005, 5))
-	for i := 0; i < 4000; i++ {
-		n.Step()
-		if got, want := n.Occupancy(), n.scanOccupancy(); got != want {
-			t.Fatalf("cycle %d: Occupancy counter %d, scan %d", i, got, want)
-		}
-		if got, want := n.QueuedMessages(), n.scanQueued(); got != want {
-			t.Fatalf("cycle %d: QueuedMessages counter %d, scan %d", i, got, want)
-		}
-	}
-	if n.Delivered() == 0 {
-		t.Fatal("no messages delivered in 4000 cycles")
-	}
-}

@@ -3,69 +3,123 @@ package network
 import (
 	"testing"
 
+	"lapses/internal/fault"
 	"lapses/internal/selection"
 	"lapses/internal/table"
 	"lapses/internal/topology"
 	"lapses/internal/traffic"
 )
 
-// scanOccupancy and scanQueued recompute what the incremental counters
-// track, for invariant checks.
-func (n *Network) scanOccupancy() int {
+// Occupancy and QueuedMessages scan what the kernel no longer counts: the
+// flits buffered across all routers and the messages waiting or streaming
+// in source queues.
+func (n *Network) Occupancy() int {
 	total := 0
 	for id := range n.routers {
-		r := &n.routers[id]
-		total += r.Occupancy()
+		total += n.routers[id].Occupancy()
 	}
 	return total
 }
 
-func (n *Network) scanQueued() int {
+func (n *Network) QueuedMessages() int {
 	total := 0
 	for id := range n.nis {
-		x := &n.nis[id]
-		total += x.pending()
+		total += n.nis[id].pending()
 	}
 	return total
 }
 
-// The incrementally maintained Occupancy/QueuedMessages counters must
-// track the full scans exactly, cycle by cycle.
-func TestIncrementalCountersMatchScans(t *testing.T) {
-	m := topology.NewMesh(8, 8)
-	cfg := testConfig(m, true, table.KindES, selection.LRU, traffic.New(traffic.Uniform, m), 0.01, 3)
-	n := New(cfg)
-	for i := 0; i < 5000; i++ {
-		n.Step()
-		if got, want := n.Occupancy(), n.scanOccupancy(); got != want {
-			t.Fatalf("cycle %d: Occupancy counter %d, scan %d", i, got, want)
+// ackArmed reports whether the NI's reliability layer holds a pure
+// acknowledgment it has not sent yet. ackPeers may hold stale entries
+// whose ack already piggybacked out; only a still-pending ack counts.
+func (x *ni) ackArmed() bool {
+	if x.rel == nil {
+		return false
+	}
+	for _, src := range x.rel.ackPeers {
+		if x.rel.recv[src].ackPending {
+			return true
 		}
-		if got, want := n.QueuedMessages(), n.scanQueued(); got != want {
-			t.Fatalf("cycle %d: QueuedMessages counter %d, scan %d", i, got, want)
+	}
+	return false
+}
+
+// checkActiveSets holds the active sets to a full scan between steps, the
+// fact idle() and Run's progress guard rest on: a router is on actRouters
+// exactly when it buffers flits, and an NI is on actNIs exactly when it
+// has messages queued or streaming. The one member with nothing pending is
+// an NI whose reliability layer armed an acknowledgment during this
+// cycle's ejections; it ticks next cycle to park on a wake. The flit that
+// armed it left a credit on the wheel, so idle() reads false either way.
+func checkActiveSets(t *testing.T, n *Network) {
+	t.Helper()
+	for id := range n.routers {
+		occ := n.routers[id].Occupancy()
+		if on := n.actRouters.has(id); on != (occ > 0) {
+			t.Fatalf("cycle %d: router %d buffers %d flits, on the active set: %t", n.now, id, occ, on)
 		}
+	}
+	for id := range n.nis {
+		x := &n.nis[id]
+		pending, on := x.pending(), n.actNIs.has(id)
+		if on == (pending > 0) || on && x.ackArmed() && n.credits.count > 0 {
+			continue
+		}
+		t.Fatalf("cycle %d: NI %d has %d messages pending, on the active set: %t", n.now, id, pending, on)
 	}
 }
 
-// The active sets must cover every component with work: a router off the
-// active set has zero occupancy, an NI off the set has nothing pending.
+// The active sets must hold exactly the components with work after every
+// step: on a healthy mesh under both pipelines, under a static fault plan
+// whose dead routers never wake, across a timed link-and-router storm whose
+// purges drain routers and streams between steps (with and without the
+// reliability layer, whose acks reactivate NIs from inside a router's
+// tick), and on the event kernel, whose express path ejects without
+// buffering.
 func TestActiveSetCoversAllWork(t *testing.T) {
-	m := topology.NewMesh(8, 8)
-	cfg := testConfig(m, false, table.KindFull, selection.MinMux, traffic.New(traffic.Transpose, m), 0.02, 5)
-	n := New(cfg)
-	for i := 0; i < 4000; i++ {
-		n.Step()
-		for id := range n.routers {
-			r := &n.routers[id]
-			if r.Occupancy() > 0 && !n.actRouters.has(id) {
-				t.Fatalf("cycle %d: router %d has %d flits but is off the active set", i, id, r.Occupancy())
-			}
+	m8, m6 := topology.NewMesh(8, 8), topology.NewMesh(6, 6)
+	plan, err := fault.Random(m6, 4, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storm, err := fault.ParseSchedule(m6, "14-15@500:2000,r22@900:2600")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stormConfig := func(rel bool) Config {
+		cfg := scheduleConfig(t, m6, storm, true, 0.005, 5)
+		if rel {
+			cfg.Reliability = &Reliability{RTO: 256, MaxAttempts: 30, AckDelay: 16}
 		}
-		for id := range n.nis {
-			x := &n.nis[id]
-			if x.pending() > 0 && !n.actNIs.has(id) {
-				t.Fatalf("cycle %d: NI %d has %d pending but is off the active set", i, id, x.pending())
+		return cfg
+	}
+	event := testConfig(m8, true, table.KindES, selection.LRU, traffic.New(traffic.Uniform, m8), 0.01, 7)
+	event.EventMode = true
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"proud", testConfig(m8, false, table.KindFull, selection.MinMux, traffic.New(traffic.Transpose, m8), 0.02, 5)},
+		{"la", testConfig(m8, true, table.KindES, selection.LRU, traffic.New(traffic.Uniform, m8), 0.01, 3)},
+		{"static-faults", faultConfig(t, m6, plan, true, 0.005, 5)},
+		{"storm", stormConfig(false)},
+		{"storm-reliability", stormConfig(true)},
+		{"event", event},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			n := New(c.cfg)
+			for i := 0; i < 4000; i++ {
+				n.Step()
+				checkActiveSets(t, n)
 			}
-		}
+			if n.Delivered() == 0 {
+				t.Fatal("no messages delivered in 4000 cycles")
+			}
+			if c.cfg.Faults.Epochs() > 1 && (n.ReconvergenceEpochs() != 4 || n.DroppedFlits() == 0) {
+				t.Fatalf("%d transitions purged %d flits; want 4 transitions and a purge", n.ReconvergenceEpochs(), n.DroppedFlits())
+			}
+		})
 	}
 }
 

@@ -276,9 +276,6 @@ type arena struct {
 	// neighbor and its opposite port — so the per-flit send and credit
 	// paths never recompute mesh coordinates.
 	links []link
-	// lastOcc shadows each router's occupancy in a dense array so the tick
-	// loop computes deltas without an extra load from every router's struct.
-	lastOcc []int32
 
 	// The NIs' per-VC and per-peer state, one slab each (see resetNIs).
 	streams   []stream
@@ -314,11 +311,6 @@ type Network struct {
 	m   *topology.Mesh
 	now int64
 
-	// totalOcc/totalQueued are the incremental counters behind Occupancy
-	// and QueuedMessages.
-	totalOcc    int
-	totalQueued int
-
 	// ff enables idle-cycle fast-forward (set inside Run): when the
 	// network is globally idle, Step jumps now to the next NI wake
 	// instead of ticking empty cycles, up to ffLimit (Run's cycle
@@ -347,13 +339,14 @@ type Network struct {
 	// effect; it is written only between cycles (Step's preamble), so every
 	// component sees one epoch for the whole cycle. sched is cfg.Faults when
 	// it has transitions to apply (more than one epoch), nil otherwise.
+	// epoch indexes the epoch in effect; transitions apply one epoch at a
+	// time from 0, so it also counts them (ReconvergenceEpochs).
 	plan  *fault.Plan
 	sched *fault.Schedule
 	epoch int
 	// Loss counters of fault transitions and bind-point drops.
 	droppedFlits int64
 	droppedMsgs  int64
-	reconv       int64
 	// onLost fires, where the loss happens, for every permanently lost
 	// message: purge victims and dead-destination drops without
 	// reliability, abandoned (retry-exhausted) messages with it. Run counts
@@ -414,7 +407,6 @@ func alloc(s Shape) *Network {
 		nis:        make([]ni, s.nodes),
 		fabrics:    make([]nodeFabric, s.nodes),
 		links:      make([]link, s.nodes*s.ports),
-		lastOcc:    make([]int32, s.nodes),
 		streams:    make([]stream, s.nodes*s.vcs),
 		niCredits:  make([]int, s.nodes*s.vcs),
 		cursors:    make([]traffic.TraceCursor, s.nodes),
@@ -498,7 +490,6 @@ func (n *Network) Reset(cfg Config) {
 	clear(n.msgFree)
 	n.msgFree = n.msgFree[:0]
 	n.windows = n.windows[:0]
-	clear(n.lastOcc)
 
 	n.block.Reset(m, cfg.Router, 0, cfg.Routes[0], cfg.Selection, cfg.Seed)
 	for id := 0; id < m.N(); id++ {
@@ -560,7 +551,7 @@ func (n *Network) Park() {
 // sizes plus whatever the growing buffers have grown to.
 func (n *Network) Bytes() int {
 	b := n.block.Bytes() + n.srcs.Bytes() +
-		slabBytes(n.nis) + slabBytes(n.fabrics) + slabBytes(n.links) + slabBytes(n.lastOcc) +
+		slabBytes(n.nis) + slabBytes(n.fabrics) + slabBytes(n.links) +
 		slabBytes(n.streams) + slabBytes(n.niCredits) + slabBytes(n.cursors) +
 		slabBytes(n.rels) + slabBytes(n.relSeq) + slabBytes(n.relRecv) +
 		n.flits.bytes() + n.credits.bytes() + slabBytes(n.wakes.h) +
@@ -692,15 +683,6 @@ func (n *Network) step() (idle bool) {
 
 // Now returns the current cycle.
 func (n *Network) Now() int64 { return n.now }
-
-// Occupancy returns the number of flits buffered across all routers,
-// maintained incrementally (it must always equal the sum of per-router
-// occupancies; tests assert this).
-func (n *Network) Occupancy() int { return n.totalOcc }
-
-// QueuedMessages returns the number of messages waiting or streaming in
-// source queues, maintained incrementally.
-func (n *Network) QueuedMessages() int { return n.totalQueued }
 
 // SkippedCycles returns how many cycles idle-cycle fast-forward jumped
 // over (simulated but not individually executed). Zero outside Run.
@@ -869,7 +851,7 @@ func (n *Network) Run(p RunParams) *stats.Run {
 			run.SatReason = "latency above saturation threshold"
 			break
 		}
-		if n.now-lastProgress > progressGuard && (n.Occupancy() > 0 || n.QueuedMessages() > 0) {
+		if n.now-lastProgress > progressGuard && !(n.actRouters.empty() && n.actNIs.empty()) {
 			run.Saturated = true
 			run.SatReason = "no delivery progress (possible deadlock)"
 			break

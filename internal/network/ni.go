@@ -118,16 +118,15 @@ func (x *ni) nextWake() (int64, bool) {
 }
 
 // inject seeds a message directly into its source node's queue, bypassing
-// the traffic process. It keeps the active-set and queued-message
-// bookkeeping coherent, which appending to the queue directly would not;
-// tests that hand-craft messages must use it.
+// the traffic process. It keeps the active set coherent, which appending
+// to the queue directly would not; tests that hand-craft messages must use
+// it.
 func (n *Network) inject(msg *flow.Message) {
 	if n.plan.NodeDead(msg.Src) || n.plan.NodeDead(msg.Dst) {
 		panic("network: inject touching a dead router")
 	}
 	x := &n.nis[msg.Src]
 	x.queue = append(x.queue, msg)
-	n.totalQueued++
 	n.actNIs.add(int(msg.Src))
 }
 

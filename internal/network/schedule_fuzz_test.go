@@ -138,11 +138,9 @@ func FuzzFaultSchedule(f *testing.F) {
 			}
 		}
 		drainQuiet(t, n, 500000)
-		if n.Occupancy() != 0 || n.scanOccupancy() != 0 {
-			t.Fatalf("drained network still buffers %d flits", n.Occupancy())
-		}
-		if n.QueuedMessages() != 0 || n.scanQueued() != 0 {
-			t.Fatalf("drained network still queues %d messages", n.QueuedMessages())
+		checkActiveSets(t, n)
+		if !n.actRouters.empty() || !n.actNIs.empty() {
+			t.Fatalf("drained network still holds %d flits / %d messages", n.Occupancy(), n.QueuedMessages())
 		}
 	})
 }

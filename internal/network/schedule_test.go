@@ -145,18 +145,8 @@ func (n *Network) relBusyScan() bool {
 	}
 	for id := range n.nis {
 		x := &n.nis[id]
-		if x.rel == nil {
-			continue
-		}
-		if len(x.rel.pend) > 0 {
+		if x.rel != nil && len(x.rel.pend) > 0 || x.ackArmed() {
 			return true
-		}
-		// ackPeers may hold stale entries whose ack already piggybacked
-		// out; only a still-pending ack is outstanding work.
-		for _, src := range x.rel.ackPeers {
-			if x.rel.recv[src].ackPending {
-				return true
-			}
 		}
 	}
 	return false
@@ -289,35 +279,5 @@ func TestScheduleConservationWithoutReliability(t *testing.T) {
 	}
 	if n.Occupancy() != 0 || n.QueuedMessages() != 0 {
 		t.Fatalf("drained network still holds %d flits / %d messages", n.Occupancy(), n.QueuedMessages())
-	}
-}
-
-// TestScheduleCountersStayCoherent steps a scheduled-fault network
-// cycle by cycle across its transitions and checks the incremental
-// occupancy/queue counters against full scans — the purge adjusts both,
-// and any slip would surface here at the exact transition cycle.
-func TestScheduleCountersStayCoherent(t *testing.T) {
-	t.Parallel()
-	m := topology.NewMesh(6, 6)
-	sched, err := fault.ParseSchedule(m, "14-15@500:2000,r22@900:2600")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := scheduleConfig(t, m, sched, true, 0.005, 5)
-	n := New(cfg)
-	for i := 0; i < 4000; i++ {
-		n.Step()
-		if got, want := n.Occupancy(), n.scanOccupancy(); got != want {
-			t.Fatalf("cycle %d: Occupancy counter %d, scan %d", i, got, want)
-		}
-		if got, want := n.QueuedMessages(), n.scanQueued(); got != want {
-			t.Fatalf("cycle %d: QueuedMessages counter %d, scan %d", i, got, want)
-		}
-	}
-	if n.ReconvergenceEpochs() != 4 {
-		t.Fatalf("expected 4 transitions, saw %d", n.ReconvergenceEpochs())
-	}
-	if n.Delivered() == 0 {
-		t.Fatal("no messages delivered in 4000 cycles")
 	}
 }

@@ -47,18 +47,13 @@ func (n *Network) stepCycle(now int64) {
 		} else {
 			r.EnqueueFlit(e.port, e.vc, e.fl, now)
 		}
-		n.totalOcc++
-		n.lastOcc[e.node]++
 		n.actRouters.add(int(e.node))
 	}
 
 	n.actNIs.forEach(func(id int32) bool {
 		x := &n.nis[id]
-		before := x.pending()
 		x.tick(now)
-		after := x.pending()
-		n.totalQueued += after - before
-		if after > 0 {
+		if x.pending() > 0 {
 			return true
 		}
 		if at, ok := x.nextWake(); ok {
@@ -68,10 +63,7 @@ func (n *Network) stepCycle(now int64) {
 	})
 
 	n.actRouters.forEach(func(id int32) bool {
-		occ := n.routers[id].Tick(now)
-		n.totalOcc += occ - int(n.lastOcc[id])
-		n.lastOcc[id] = int32(occ)
-		return occ > 0
+		return n.routers[id].Tick(now) > 0
 	})
 }
 
@@ -102,16 +94,18 @@ func (n *Network) unpackWorm(e *flitEvent, now int64) {
 		x := &n.nis[e.node]
 		x.streams[e.vc] = stream{msg: msg, seq: 1}
 		x.credits[e.vc] += msg.Length - 1
-		n.totalQueued++
 		n.actNIs.add(int(e.node))
 	}
 }
 
 // idle reports whether nothing can happen until an NI wake fires: no
-// buffered flits, no queued or streaming messages, and no events in
-// flight on either wheel.
+// events in flight on either wheel and both active sets empty. Between
+// steps the sets hold exactly the components with work — every member was
+// ticked this step and dropped if it drained — so an empty router set
+// means no buffered flits and an empty NI set no queued or streaming
+// messages.
 func (n *Network) idle() bool {
-	return n.totalOcc == 0 && n.totalQueued == 0 && n.flits.count == 0 && n.credits.count == 0
+	return n.flits.count == 0 && n.credits.count == 0 && n.actRouters.empty() && n.actNIs.empty()
 }
 
 // nextWakeAt returns the earliest parked NI wake, or -1 when every

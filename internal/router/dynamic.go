@@ -48,7 +48,9 @@ func (r *Router) ScanMessages(fn func(ports uint32, m *flow.Message)) {
 // reports, returning the number of flits dropped from this router's
 // buffers. Non-victim worms queued behind a purged one restart their
 // header pipeline at cycle now, and the crossbar requests are rebuilt from
-// what is left. Express worm-event claims (owner ==
+// what is left. A PROUD header restarted here is looked up under the
+// routes in effect; the Reroute of the transition that purged refreshes
+// it. Express worm-event claims (owner ==
 // expressOwner with no per-flit input VC) are left in place: their
 // deferred ReleaseExpress is already scheduled and will free them.
 func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
@@ -73,9 +75,7 @@ func (r *Router) PurgeMessages(victim func(*flow.Message) bool, now int64) int {
 				}
 			}
 			ivc.phase = phaseIdle
-			ivc.route = flow.RouteSet{}
 			ivc.msg = nil
-			r.actRC &^= 1 << i
 			r.actSA &^= 1 << i
 		}
 		if reset && !ivc.buf.empty() {
@@ -148,7 +148,7 @@ func (r *Router) Reroute(routes *table.Routes) {
 	for i := range r.in {
 		ivc := &r.in[i]
 		if ivc.phase == phaseWaitSA && ivc.msg != nil {
-			ivc.route = r.routes.Lookup(r.id, ivc.msg.Dst, ivc.msg.Dateline)
+			ivc.msg.Route = r.routes.Lookup(r.id, ivc.msg.Dst, ivc.msg.Dateline)
 		}
 		if r.cfg.LookAhead {
 			ivc.buf.each(func(fl flow.Flit) {

@@ -14,15 +14,17 @@ import (
 )
 
 // TestRequestStateMatchesScan is the router-level twin of the network's
-// TestIncrementalCountersMatchScans: the crossbar, output-mux and free-VC
-// request masks are maintained at the events that change them, and after
-// every Step of every router they must equal what a full scan of phases,
+// TestActiveSetCoversAllWork: the router's standing masks (crossbar
+// requests, sendable and free output VCs, waiting headers, boxes) and its
+// occupancy are maintained at the events that change them, and after every
+// Step of every router they must equal what a full scan of phases,
 // buffers, boxes, credits and owners finds. The runs cover the regimes
 // that maintain the masks differently: saturation (parked worms, full
 // boxes, exhausted credits), a torus (datelines, two escape VCs), the
 // event kernel (express claims, batched credits, deferred releases) and a
-// fault schedule (purge + rebuild + recomputed credits). The single-router
-// half runs inside TestQuickRouterInvariants.
+// fault schedule (purge + rebuild + recomputed credits) under both
+// pipelines, PROUD's restarted headers being looked up at the purge. The
+// single-router half runs inside TestQuickRouterInvariants.
 func TestRequestStateMatchesScan(t *testing.T) {
 	const msgLen = 20
 	base := func(m *topology.Mesh, escapeVCs int, load float64) network.Config {
@@ -44,6 +46,18 @@ func TestRequestStateMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	faulted := func(t *testing.T, la bool) network.Config {
+		cfg := base(mesh, 1, 0.5)
+		cfg.Router.LookAhead = la
+		build := func(plan *fault.Plan) (routing.Algorithm, error) {
+			return routing.NewFaultDuato(mesh, cfg.Class, plan)
+		}
+		cfg.Faults = sched
+		if cfg.Routes, err = network.BuildEpochRoutes(mesh, table.KindES, cfg.Class, sched, build); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
 	for _, c := range []struct {
 		name   string
 		cycles int
@@ -56,17 +70,8 @@ func TestRequestStateMatchesScan(t *testing.T) {
 			cfg.EventMode = true
 			return cfg
 		}},
-		{"fault-schedule", 2000, func(t *testing.T) network.Config {
-			cfg := base(mesh, 1, 0.5)
-			build := func(plan *fault.Plan) (routing.Algorithm, error) {
-				return routing.NewFaultDuato(mesh, cfg.Class, plan)
-			}
-			cfg.Faults = sched
-			if cfg.Routes, err = network.BuildEpochRoutes(mesh, table.KindES, cfg.Class, sched, build); err != nil {
-				t.Fatal(err)
-			}
-			return cfg
-		}},
+		{"fault-schedule", 2000, func(t *testing.T) network.Config { return faulted(t, true) }},
+		{"fault-schedule-proud", 2000, func(t *testing.T) network.Config { return faulted(t, false) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg(t)

@@ -3,7 +3,12 @@
 // arbitration, crossbar, VC-mux/output), and LA-PROUD, the four-stage
 // look-ahead variant in which table lookup runs concurrently with
 // selection and arbitration because the header flit already carries the
-// candidate set valid at this router (section 3).
+// candidate set valid at this router (section 3). The two differ in one
+// readiness cycle. A PROUD header is looked up in this router's table when
+// it reaches the front of its input buffer, and the result is written to
+// the message's header slot (flow.Message.Route), where LA-PROUD's upstream
+// router leaves its look-ahead; the header then waits for SA one cycle
+// longer. Nothing contends for the lookup, so it needs no stage of its own.
 //
 // The model is cycle-driven and flit-accurate. Each stage takes one cycle:
 // header stages advance a readyAt stamp, and what the SA, input and crossbar
@@ -56,8 +61,10 @@ type Config struct {
 	// OutDepth is the output buffer depth per VC, in flits (the "Xbar
 	// route, buffering" stage of Fig. 1).
 	OutDepth int
-	// LookAhead selects the 4-stage LA-PROUD pipeline; false is the
-	// 5-stage PROUD baseline.
+	// LookAhead selects the 4-stage LA-PROUD pipeline, whose headers reach
+	// SA the cycle after the input stage with candidates computed upstream;
+	// false is the 5-stage PROUD baseline, whose headers look up here and
+	// reach SA one cycle later.
 	LookAhead bool
 	// ResvVCs reserves the highest-numbered adaptive VCs of every physical
 	// channel for high-class (QoS) messages: class-0 traffic may not claim
@@ -109,10 +116,8 @@ type vcPhase uint8
 
 const (
 	phaseIdle vcPhase = iota
-	// phaseRouting: head flit awaiting the table-lookup (RC) stage
-	// (PROUD only; LA headers skip straight to phaseWaitSA).
-	phaseRouting
-	// phaseWaitSA: head flit awaiting selection + arbitration.
+	// phaseWaitSA: head flit awaiting selection + arbitration (for PROUD,
+	// from the cycle after its table lookup).
 	phaseWaitSA
 	// phaseActive: the worm holds an output VC; flits stream.
 	phaseActive
@@ -140,13 +145,12 @@ type inputVC struct {
 	buf     fifo
 	phase   vcPhase
 	readyAt int64
-	route   flow.RouteSet
 	outPort topology.Port
 	outIdx  int32 // index of the claimed output VC in Router.out
 	// msg is the message the VC is processing while phase != phaseIdle.
-	// The pipeline itself reads headers from the buffer; this pointer
-	// exists for the fault purge, which must identify the owner of claims
-	// and pipeline state after the flits that carried it are gone.
+	// SA reads the header's candidates through it (msg.Route), and the
+	// fault purge identifies the owner of claims and pipeline state by it
+	// after the flits that carried it are gone.
 	msg *flow.Message
 }
 
@@ -179,7 +183,6 @@ type portState struct {
 	xbArb         arbiter.RoundRobin // over all input VC indices
 	muxAr         arbiter.RoundRobin // over the port's output VCs
 	vcArb         arbiter.RoundRobin // over the port's VCs, for allocation
-	busyVCs       int8
 	expressOut    int8
 	// remoteCong is the latest quantized congestion level the downstream
 	// router piggybacked on a credit (see NoteCongestion); it stays 0
@@ -207,13 +210,11 @@ type Router struct {
 	saRot int         // rotating start for SA scans
 
 	// Work masks let each pipeline stage visit only the VCs with work
-	// instead of scanning every input/output VC each cycle. Bit i of
-	// actRC/actSA is set when input VC i is in phaseRouting/phaseWaitSA;
-	// bit j of boxed when output VC j's box is nonempty, of boxFull when it
-	// is at capacity. Indices fit in 64 bits because the crossbar arbiter
-	// (MakeRoundRobin over ports*VCs) already caps the router at 64 input
-	// VCs.
-	actRC   uint64
+	// instead of scanning every input/output VC each cycle. Bit i of actSA
+	// is set when input VC i is in phaseWaitSA; bit j of boxed when output
+	// VC j's box is nonempty, of boxFull when it is at capacity. Indices
+	// fit in 64 bits because the crossbar arbiter (MakeRoundRobin over
+	// ports*VCs) already caps the router at 64 input VCs.
 	actSA   uint64
 	boxed   uint64
 	boxFull uint64
@@ -245,7 +246,7 @@ type Router struct {
 	// transit), overwritten by SetCredits.
 	hasCredit uint64
 	// freeOut holds the unowned output VCs: cleared by claimVC, set by
-	// releaseVC.
+	// releaseVC. BusyVCs counts its clear bits.
 	freeOut uint64
 
 	// portOf and vcBase map a VC index (inIdx) back to its physical port
@@ -472,24 +473,24 @@ func (r *Router) withdraw(idx int, p topology.Port) {
 func (r *Router) releaseVC(j int) {
 	r.out[j].owner = -1
 	r.freeOut |= 1 << j
-	r.port[r.portOf[j]].busyVCs--
 }
 
 // startHeader moves an idle input VC into the routing pipeline for the
-// header now at the front of its buffer.
+// header now at the front of its buffer, latched at cycle now.
 func (r *Router) startHeader(idx int, ivc *inputVC, fl flow.Flit, now int64) {
 	ivc.msg = fl.Msg
+	ivc.phase = phaseWaitSA
+	r.actSA |= 1 << idx
 	if r.cfg.LookAhead {
 		// The header carries the candidates valid here; lookup has
 		// already happened upstream, concurrently with arbitration.
-		ivc.route = fl.Msg.Route
-		ivc.phase = phaseWaitSA
-		r.actSA |= 1 << idx
-	} else {
-		ivc.phase = phaseRouting
-		r.actRC |= 1 << idx
+		ivc.readyAt = now + 1
+		return
 	}
-	ivc.readyAt = now + 1
+	// PROUD's table-lookup stage: the candidates are this router's own,
+	// and SA may use them a cycle later than look-ahead ones.
+	fl.Msg.Route = r.routes.Lookup(r.id, fl.Msg.Dst, fl.Msg.Dateline)
+	ivc.readyAt = now + 2
 }
 
 // Arrive is the event-mode arrival entry point: fl latches on input (port,
@@ -527,7 +528,6 @@ func (r *Router) Arrive(p topology.Port, v flow.VCID, fl flow.Flit, worm bool, n
 			// The per-flit transit ends: the input VC returns to idle
 			// (transit released the output VC, as for a worm).
 			ivc.phase = phaseIdle
-			ivc.route = flow.RouteSet{}
 			ivc.msg = nil
 			if ivc.outPort != topology.PortLocal {
 				r.port[ivc.outPort].expressOut--
@@ -575,7 +575,8 @@ func (r *Router) ReleaseExpress(p topology.Port, v flow.VCID) {
 // expressOffsets returns the express path's timing constants: a flit
 // latched at cycle t into an otherwise-empty LA-PROUD router frees its
 // buffer slot (crossbar) at t+2 and leaves the output stage for the link at
-// t+3; PROUD pays one more cycle for the table-lookup stage (t+3, t+4).
+// t+3; PROUD pays its one extra readiness cycle, the table lookup (t+3,
+// t+4).
 func (r *Router) expressOffsets() (offC, offS int64) {
 	if r.cfg.LookAhead {
 		return 2, 3
@@ -698,33 +699,13 @@ func (r *Router) AcceptCredits(p topology.Port, v flow.VCID, count int) {
 func (r *Router) Tick(now int64) int {
 	if r.occupancy == 0 {
 		// Nothing buffered anywhere: every stage would scan and find
-		// no work. (A VC waiting in RC/SA always holds its header in
-		// the input buffer, so occupancy covers those states too.)
+		// no work. (A VC waiting in SA always holds its header in the
+		// input buffer, so occupancy covers that state too.)
 		return 0
 	}
-	r.stageRC(now)
 	r.stageSA(now)
 	r.stageOUT(now, r.stageXB(now))
 	return r.occupancy
-}
-
-// stageRC performs the table-lookup stage for PROUD headers.
-func (r *Router) stageRC(now int64) {
-	if r.cfg.LookAhead {
-		return
-	}
-	for m := r.actRC; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		ivc := &r.in[i]
-		if ivc.readyAt > now {
-			continue
-		}
-		ivc.route = r.routes.Lookup(r.id, ivc.msg.Dst, ivc.msg.Dateline)
-		ivc.phase = phaseWaitSA
-		ivc.readyAt = now + 1
-		r.actRC &^= 1 << i
-		r.actSA |= 1 << i
-	}
 }
 
 // stageSA performs selection + arbitration (output VC allocation) for
@@ -768,7 +749,7 @@ func (r *Router) stageSA(now int64) {
 func (r *Router) tryAllocate(idx int, ivc *inputVC, now int64) {
 	// The header waits at the front of the buffer; ivc.msg is its message.
 	// Wormhole: a free VC is claimable whatever its credits.
-	port, vc, ok := r.allocate(ivc.msg, ivc.route, 0, int32(idx), noExpress)
+	port, vc, ok := r.allocate(ivc.msg, ivc.msg.Route, 0, int32(idx), noExpress)
 	if !ok {
 		return
 	}
@@ -906,7 +887,6 @@ func (r *Router) claimVC(p topology.Port, mask flow.VCMask, needCredits int, own
 	j := int(p)*r.cfg.NumVCs + g
 	r.out[j].owner = owner
 	r.freeOut &^= 1 << j
-	r.port[p].busyVCs++
 	return flow.VCID(g)
 }
 
@@ -964,7 +944,6 @@ func (r *Router) traverse(inIdx int, now int64) {
 	if fl.Type.IsTail() {
 		// The worm has fully left this input VC.
 		ivc.phase = phaseIdle
-		ivc.route = flow.RouteSet{}
 		ivc.msg = nil
 		if !ivc.buf.empty() {
 			nxt := ivc.buf.peek()
@@ -1051,8 +1030,11 @@ func nextDatelineBit(m *topology.Mesh, id topology.NodeID, p topology.Port, dl u
 	return dl
 }
 
-// BusyVCs implements selection.PortView.
-func (r *Router) BusyVCs(p topology.Port) int { return int(r.port[p].busyVCs) }
+// BusyVCs implements selection.PortView: the port's owned output VCs.
+func (r *Router) BusyVCs(p topology.Port) int {
+	base := int(p) * r.cfg.NumVCs
+	return r.cfg.NumVCs - bits.OnesCount64(r.freeOut>>base&(1<<r.cfg.NumVCs-1))
+}
 
 // Credits implements selection.PortView: total credits over the port's VCs.
 func (r *Router) Credits(p topology.Port) int {
